@@ -3,6 +3,7 @@ package pioqo
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -336,5 +337,40 @@ func TestNotCalibratedTaxonomy(t *testing.T) {
 	}
 	if _, err := sys.Execute(Query{}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("Execute without table: err = %v, want ErrInvalidQuery", err)
+	}
+}
+
+// ExecuteGroupBy carries the same fault control as Execute: a read error
+// that outlives the retry policy comes back as a taxonomy error — on the
+// single-node path and from a 4-shard gather — with nothing left pinned,
+// leased or running, and the system usable once the faults clear.
+func TestGroupByDeviceFaultFailsQuery(t *testing.T) {
+	single, singleTab := newCalibrated(t, SSD, 50000, 33)
+	sharded, shardedTab := newShardedCalibrated(t, 4, PartitionHash, 50000, 0)
+	for _, c := range []struct {
+		name string
+		sys  *System
+		tab  *Table
+	}{{"single-node", single, singleTab}, {"4-shard", sharded, shardedTab}} {
+		q := GroupByQuery{Table: c.tab, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}
+		want, err := c.sys.ExecuteGroupBy(q, Cold())
+		if err != nil {
+			t.Fatalf("%s: healthy group-by failed: %v", c.name, err)
+		}
+		c.sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ErrorRate: 1}}})
+		_, err = c.sys.ExecuteGroupBy(q, Cold(), WithRetry(RetryPolicy{MaxAttempts: 2}))
+		if !errors.Is(err, ErrDeviceFault) {
+			t.Fatalf("%s: err = %v, want ErrDeviceFault", c.name, err)
+		}
+		assertNoLeaks(t, c.sys)
+
+		c.sys.ClearFaults()
+		got, err := c.sys.ExecuteGroupBy(q, Cold())
+		if err != nil {
+			t.Fatalf("%s: group-by after ClearFaults failed: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: group-by after a faulted run differs from the healthy run", c.name)
+		}
 	}
 }

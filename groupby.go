@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -37,7 +38,9 @@ type GroupByResult struct {
 }
 
 // ExecuteGroupBy optimizes the underlying scan and runs the grouped
-// aggregation.
+// aggregation. Like Execute it runs under an abort control, so WithTimeout
+// and WithRetry apply and a device fault that outlives the retry policy
+// comes back as a *QueryError wrapping ErrDeviceFault.
 func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByResult, error) {
 	if q.GroupWidth <= 0 {
 		return GroupByResult{}, fmt.Errorf("pioqo: group width %d must be positive", q.GroupWidth)
@@ -49,6 +52,10 @@ func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByRes
 	for _, o := range opts {
 		o(&eo)
 	}
+	ctl, err := s.newControl(context.Background(), eo)
+	if err != nil {
+		return GroupByResult{}, &QueryError{Op: "groupby", Table: q.Table.Name(), Err: err}
+	}
 	if eo.cold {
 		s.FlushBufferPool()
 	}
@@ -59,7 +66,7 @@ func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByRes
 	if q.Table.sharded() {
 		// Per-shard grouped aggregation, group partials folded on the
 		// coordinator — GROUP BY decomposes like the scalar aggregates.
-		return s.executeGatherGroupBy(q, plan, eo)
+		return s.executeGatherGroupBy(q, plan, eo, ctl)
 	}
 	spec := exec.GroupBySpec{
 		Scan: exec.Spec{
@@ -70,11 +77,16 @@ func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByRes
 			Method:            plan.Method.internal(),
 			Degree:            plan.Degree,
 			PrefetchPerWorker: plan.Prefetch,
+			Ctl:               ctl,
+			Retry:             eo.retry.internal(),
 		},
 		GroupWidth: q.GroupWidth,
 		Agg:        q.Agg.internal(),
 	}
 	res := exec.ExecuteGroupBy(s.execContext(), spec)
+	if res.Err != nil {
+		return GroupByResult{}, &QueryError{Op: "groupby", Table: q.Table.Name(), Err: res.Err}
+	}
 	out := GroupByResult{
 		Rows:    res.Rows,
 		Plan:    plan,

@@ -241,6 +241,9 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, width int64, kind AggKind
 	groups := make(map[int64]*agg)
 	var out GroupByResult
 	for _, part := range partials {
+		if part.Err != nil && out.Err == nil {
+			out.Err = part.Err
+		}
 		out.Rows += part.Rows
 		for _, g := range part.Groups {
 			a, ok := groups[g.Key]

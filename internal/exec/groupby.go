@@ -37,6 +37,10 @@ type GroupByResult struct {
 	Groups  []Group // sorted by Key
 	Rows    int64   // input rows consumed
 	Runtime sim.Duration
+
+	// Err is the scan's abort cause (see Result.Err); Groups and Rows are
+	// then partial and must be discarded.
+	Err error
 }
 
 const hashGroupCost = 250 * sim.Nanosecond // per-row group lookup + fold
@@ -60,7 +64,7 @@ func RunGroupBy(p *sim.Proc, ctx *Context, spec GroupBySpec) GroupByResult {
 	scanRes := RunScan(p, ctx, scan)
 	useCPU(p, ctx, sim.Duration(scanRes.RowsMatched)*hashGroupCost)
 
-	out := GroupByResult{Rows: scanRes.RowsMatched}
+	out := GroupByResult{Rows: scanRes.RowsMatched, Err: scanRes.Err}
 	for key, a := range groups {
 		out.Groups = append(out.Groups, Group{Key: key, Value: a.val, Rows: a.rows})
 	}

@@ -22,8 +22,10 @@ func BenchmarkEventThroughput(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcessContextSwitch measures the coroutine handoff cost: one
-// process sleeping is two channel operations per event.
+// BenchmarkProcessContextSwitch is the self-wake figure: one process
+// sleeping in a loop parks, drives the event loop on its own goroutine, pops
+// its own wake and returns — a heap push and pop, no channel operation and no
+// goroutine switch.
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEnv(1)
 	e.Go("sleeper", func(p *Proc) {
@@ -31,6 +33,39 @@ func BenchmarkProcessContextSwitch(b *testing.B) {
 			p.Sleep(Microsecond)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcPingPong is the cross-process figure: two processes wake each
+// other through Completions, so every op is one direct baton pass (a channel
+// send, a channel receive, one goroutine switch). Completions are one-shot;
+// the waiter re-arms its own in place, over a one-slot waiter buffer, so the
+// loop allocates nothing and the hand-off is all that is measured.
+func BenchmarkProcPingPong(b *testing.B) {
+	e := NewEnv(1)
+	each := b.N/2 + 1
+	var bufs [2][1]*Proc
+	rearm := func(c *Completion, side int) { *c = Completion{env: e, waiters: bufs[side][:0]} }
+	ping, pong := new(Completion), new(Completion)
+	rearm(ping, 0)
+	rearm(pong, 1)
+	e.Go("a", func(p *Proc) {
+		for i := 0; i < each; i++ {
+			ping.Fire()
+			p.Wait(pong)
+			rearm(pong, 1)
+		}
+	})
+	e.Go("b", func(p *Proc) {
+		for i := 0; i < each; i++ {
+			p.Wait(ping)
+			rearm(ping, 0)
+			pong.Fire()
+		}
+	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }
@@ -112,7 +147,9 @@ func BenchmarkTypedEvents(b *testing.B) {
 	})
 }
 
-// BenchmarkResourceContention measures acquire/release under queueing.
+// BenchmarkResourceContention measures acquire/release under queueing: 16
+// processes on 4 units, so most acquires park in the wait ring and most
+// wakes cross processes. Allocation-free: waiters are queued as *Proc.
 func BenchmarkResourceContention(b *testing.B) {
 	e := NewEnv(1)
 	r := NewResource(e, "core", 4)
@@ -125,6 +162,7 @@ func BenchmarkResourceContention(b *testing.B) {
 			}
 		})
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }

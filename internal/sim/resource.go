@@ -10,17 +10,18 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	queue    []*resourceWaiter
+
+	// Waiters form a FIFO ring: wait holds them (len a power of two), head
+	// indexes the longest-waiting one, queued counts them. Steady contention
+	// reuses the ring's storage, so a contended Acquire allocates nothing.
+	wait   []*Proc
+	head   int
+	queued int
 
 	// busyTime integrates (units in use) × (time), for utilisation reports.
 	busyTime     Duration
 	lastChange   Time
 	acquisitions int64
-}
-
-type resourceWaiter struct {
-	proc    *Proc
-	granted bool
 }
 
 // NewResource returns a resource with the given capacity (> 0).
@@ -38,7 +39,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting for a unit.
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queued }
 
 func (r *Resource) account() {
 	now := r.env.now
@@ -59,16 +60,23 @@ func (r *Resource) Utilization() float64 {
 // Acquire blocks the process until a unit of r is available and takes it.
 // Units are granted in FIFO order.
 func (p *Proc) Acquire(r *Resource) {
-	if r.inUse < r.capacity && len(r.queue) == 0 {
+	if r.inUse < r.capacity && r.queued == 0 {
 		r.account()
 		r.inUse++
 		r.acquisitions++
 		return
 	}
-	w := &resourceWaiter{proc: p}
-	r.queue = append(r.queue, w)
+	if r.queued == len(r.wait) {
+		grown := make([]*Proc, max(4, 2*len(r.wait)))
+		n := copy(grown, r.wait[r.head:])
+		copy(grown[n:], r.wait[:r.head])
+		r.wait, r.head = grown, 0
+	}
+	r.wait[(r.head+r.queued)&(len(r.wait)-1)] = p
+	r.queued++
+	p.granted = false
 	p.park(parkResource, 0, r.name)
-	if !w.granted {
+	if !p.granted {
 		panic("sim: resumed without grant from resource " + r.name)
 	}
 }
@@ -80,13 +88,15 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: release of idle resource " + r.name)
 	}
-	if len(r.queue) > 0 {
+	if r.queued > 0 {
 		// Hand the unit directly to the next waiter: inUse is unchanged.
-		w := r.queue[0]
-		r.queue = r.queue[1:]
-		w.granted = true
+		p := r.wait[r.head]
+		r.wait[r.head] = nil
+		r.head = (r.head + 1) & (len(r.wait) - 1)
+		r.queued--
+		p.granted = true
 		r.acquisitions++
-		r.env.wake(w.proc, 0)
+		r.env.wake(p, 0)
 		return
 	}
 	r.account()

@@ -10,12 +10,24 @@
 // The programming model mirrors classic process-oriented simulators
 // (SimPy, CSIM): a process is an ordinary function running on its own
 // goroutine that blocks in virtual time via Proc.Sleep, Proc.Wait, or
-// Proc.Acquire. The scheduler guarantees mutual exclusion between
-// processes, so simulation state needs no locking.
+// Proc.Acquire.
+//
+// There is no scheduler goroutine. One event loop pops events in (time,
+// sequence) order, and it runs on whichever goroutine holds the baton: Run's
+// caller first, then every process that parks or exits. The driver fires
+// callbacks inline, returns straight into its own process when the next wake
+// is its own (no goroutine switch), and otherwise hands the baton directly
+// to the woken process (one switch). Only the baton holder touches
+// simulation state and every hand-off is a channel send and receive, so
+// state needs no locking. The one caveat: Schedule and OnFire callbacks run
+// on whichever goroutine is driving, usually a process's. A panic in one
+// still surfaces from Run, but runtime.Goexit (t.FailNow) in one would end
+// that bystander process, so tests must not call t.Fatal from callbacks.
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -141,13 +153,16 @@ type Env struct {
 	seq    uint64
 	rng    *rand.Rand
 
-	yield   chan struct{} // signalled when the running process parks or exits
 	live    map[*Proc]struct{}
 	nParked int // live processes currently parked, for deadlock detection
 
-	// panicked carries a panic raised inside a process goroutine so that it
-	// can be re-raised on the scheduler goroutine, where callers of Run can
-	// recover it.
+	root     *Proc  // stands for Run's goroutine: never live, never parked
+	deadline Time   // RunUntil: events later than this stay queued
+	handoffs uint64 // baton passes between goroutines; tests pin the count
+
+	// panicked carries a panic raised on a process goroutine — in the
+	// process body or in a callback that process was driving — so that Run
+	// can re-raise it on its caller's goroutine.
 	panicked interface{}
 }
 
@@ -155,11 +170,9 @@ type Env struct {
 // source is seeded with seed. Two environments built with the same seed and
 // driven by the same process logic produce identical event sequences.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-		live:  make(map[*Proc]struct{}),
-	}
+	e := &Env{rng: rand.New(rand.NewSource(seed)), live: make(map[*Proc]struct{})}
+	e.root = &Proc{env: e, name: "run", resume: make(chan struct{})}
+	return e
 }
 
 // Now reports the current virtual time.
@@ -206,19 +219,21 @@ const (
 	parkResource
 )
 
-// Proc is a simulation process: a goroutine that runs under the scheduler's
-// control and blocks in virtual time. Methods on Proc must only be called
+// Proc is a simulation process: a goroutine that runs only while it holds
+// the baton and blocks in virtual time. Methods on Proc must only be called
 // from the process's own goroutine.
 type Proc struct {
 	env    *Env
 	name   string
 	resume chan struct{}
+	fn     func(p *Proc) // the body, until the first hand-off starts it
 	done   bool
 
 	parked    bool
 	parkKind  parkKind
 	parkDur   Duration // parkSleep: the sleep length
 	parkExtra string   // parkResource: the resource name
+	granted   bool     // parkResource: Release handed this process a unit
 }
 
 // Env returns the environment the process runs in.
@@ -250,53 +265,95 @@ func (p *Proc) parkReason() string {
 // current virtual time, after the caller yields. Go may be called before Run
 // or from any process or event context.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, resume: make(chan struct{}), fn: fn}
 	e.live[p] = struct{}{}
-	e.Schedule(0, func() {
-		go func() {
-			<-p.resume // wait for the scheduler to hand over control
-			defer func() {
-				if r := recover(); r != nil {
-					e.panicked = r
-				}
-				p.done = true
-				delete(e.live, p)
-				e.yield <- struct{}{}
-			}()
-			fn(p)
-		}()
-		e.handoff(p)
-	})
+	e.wake(p, 0)
 	return p
 }
 
-// handoff transfers control to p and blocks until p parks or exits. It must
-// run on the scheduler's goroutine (inside an event callback).
-func (e *Env) handoff(p *Proc) {
-	if p.parked {
-		p.parked = false
-		p.parkKind = parkNone
-		e.nParked--
+// run is the body of a process goroutine. When fn returns (or panics) the
+// exiting goroutine still holds the baton, so it drives the loop until the
+// baton belongs to someone else, then ends.
+func (p *Proc) run(fn func(p *Proc)) {
+	e := p.env
+	defer func() {
+		if r := recover(); r != nil {
+			e.panicked = r
+		}
+		p.done = true
+		delete(e.live, p)
+		e.drive(p)
+	}()
+	fn(p)
+}
+
+// drive is the event loop. It runs on whichever goroutine holds the baton:
+// Run's (self == e.root) or that of a process that has just parked or
+// exited. Callbacks fire inline; a wake for self just returns, resuming self
+// with no goroutine switch; a wake for another process passes the baton
+// straight to it. The baton goes back to root only when the loop must stop
+// (queue empty, deadline next, panic pending). drive returns once self holds
+// the baton again, or has given it away for good (an exited process).
+func (e *Env) drive(self *Proc) {
+	if self != e.root {
+		// A panicking callback must surface from Run, not unwind the
+		// unrelated process whose goroutine happened to be driving.
+		defer func() {
+			if r := recover(); r != nil {
+				e.panicked = r
+				e.pass(self, e.root)
+			}
+		}()
 	}
-	p.resume <- struct{}{}
-	<-e.yield
-	if r := e.panicked; r != nil {
-		e.panicked = nil
-		panic(r)
+	for e.panicked == nil && len(e.events) > 0 && e.events[0].at <= e.deadline {
+		ev := e.events.pop()
+		if ev.at < e.now {
+			panic("sim: event queue went backwards")
+		}
+		e.now = ev.at
+		if ev.fn != nil {
+			ev.fn()
+			continue
+		}
+		if ev.proc != self {
+			e.pass(self, ev.proc)
+		}
+		return
+	}
+	if self != e.root {
+		e.pass(self, e.root)
+	}
+}
+
+// pass hands the baton from self's goroutine to to's — for a process not yet
+// started, the go statement is the hand-off — and blocks until it comes back
+// (an exited process does not wait). Every write to simulation state
+// precedes the send; the next holder reads only after the matching receive.
+func (e *Env) pass(self, to *Proc) {
+	e.handoffs++
+	if fn := to.fn; fn != nil {
+		to.fn = nil
+		go to.run(fn)
+	} else {
+		to.resume <- struct{}{}
+	}
+	if !self.done {
+		<-self.resume
 	}
 }
 
 // park suspends the calling process, recording a typed wait reason for
-// deadlock reports, and returns control to the scheduler until the process
-// is resumed.
+// deadlock reports, and drives the event loop from this goroutine until the
+// process's own wake event has popped.
 func (p *Proc) park(kind parkKind, d Duration, extra string) {
 	p.parked = true
 	p.parkKind = kind
 	p.parkDur = d
 	p.parkExtra = extra
 	p.env.nParked++
-	p.env.yield <- struct{}{}
-	<-p.resume
+	p.env.drive(p)
+	p.parked = false
+	p.env.nParked--
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -306,19 +363,6 @@ func (p *Proc) Sleep(d Duration) {
 	}
 	p.env.wake(p, d)
 	p.park(parkSleep, d, "")
-}
-
-// step advances the clock to ev and fires it.
-func (e *Env) step(ev event) {
-	if ev.at < e.now {
-		panic("sim: event queue went backwards")
-	}
-	e.now = ev.at
-	if ev.proc != nil {
-		e.handoff(ev.proc)
-		return
-	}
-	ev.fn()
 }
 
 // checkDeadlock panics with the parked processes' names and wait reasons if
@@ -341,12 +385,10 @@ func (e *Env) checkDeadlock() {
 // Run drives the simulation until the event queue is empty. It returns the
 // final virtual time. If processes are still parked when the queue drains,
 // the simulation has deadlocked and Run panics with the parked processes'
-// names and wait reasons.
+// names and wait reasons. A panic raised by a process or callback is
+// re-raised here with its original value.
 func (e *Env) Run() Time {
-	for len(e.events) > 0 {
-		e.step(e.events.pop())
-	}
-	e.checkDeadlock()
+	e.RunUntil(math.MaxInt64)
 	return e.now
 }
 
@@ -356,11 +398,14 @@ func (e *Env) Run() Time {
 // Like Run, it enforces clock monotonicity and panics with a deadlock report
 // if the queue drains while processes are still parked.
 func (e *Env) RunUntil(deadline Time) bool {
-	for len(e.events) > 0 {
-		if e.events[0].at > deadline {
-			return false
-		}
-		e.step(e.events.pop())
+	e.deadline = deadline
+	e.drive(e.root)
+	if r := e.panicked; r != nil {
+		e.panicked = nil
+		panic(r)
+	}
+	if len(e.events) > 0 {
+		return false
 	}
 	e.checkDeadlock()
 	return true

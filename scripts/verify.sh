@@ -18,7 +18,11 @@ go test ./...
 # telemetry paths (observer + per-query WithTrace attribution under
 # concurrent sessions, event log, progress, SLO reporting).
 go vet ./...
-go test -race ./internal/sim/... ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/opt/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
+# The kernel passes its baton between goroutines, and with more than one
+# thread between OS threads too: a missed happens-before edge would hide
+# exactly there, so its race pass runs at several thread counts.
+go test -race -cpu 1,2,4 ./internal/sim/...
+go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/opt/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
 go test -race -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAttribution|TestObserver|TestAdaptive|TestWithAdaptive' .
 
 # Node-assembly lint: a cluster node's storage stack (device, fault

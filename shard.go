@@ -386,7 +386,7 @@ func (s *System) disarmHedgers(active []int, t *Table, before []fault.HedgeStats
 // executeGatherGroupBy is ExecuteGroupBy's scatter-gather tail: per-shard
 // grouped aggregations over each node's partition, group partials folded
 // on the coordinator (the decomposable GROUP BY merge).
-func (s *System) executeGatherGroupBy(q GroupByQuery, plan Plan, eo queryOptions) (GroupByResult, error) {
+func (s *System) executeGatherGroupBy(q GroupByQuery, plan Plan, eo queryOptions, ctl *fault.Control) (GroupByResult, error) {
 	t := q.Table
 	var active []int
 	if plan.scatter != nil {
@@ -418,6 +418,8 @@ func (s *System) executeGatherGroupBy(q GroupByQuery, plan Plan, eo queryOptions
 				Method:            shardPlan.Method.internal(),
 				Degree:            shardPlan.Degree,
 				PrefetchPerWorker: shardPlan.Prefetch,
+				Ctl:               ctl,
+				Retry:             eo.retry.internal(),
 				QID:               qid,
 			},
 		}
@@ -431,6 +433,9 @@ func (s *System) executeGatherGroupBy(q GroupByQuery, plan Plan, eo queryOptions
 	})
 	s.env.Run()
 	s.disarmHedgers(active, t, before)
+	if res.Err != nil {
+		return GroupByResult{}, &QueryError{Op: "groupby", Table: t.Name(), Err: res.Err}
+	}
 
 	out := GroupByResult{
 		Rows:    res.Rows,
