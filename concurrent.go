@@ -47,22 +47,14 @@ func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (Concur
 	if len(queries) == 0 {
 		return ConcurrentResult{}, fmt.Errorf("%w: no queries", ErrInvalidQuery)
 	}
-	var eo queryOptions
-	for _, o := range opts {
-		o(&eo)
-	}
-	if s.model == nil {
-		return ConcurrentResult{}, fmt.Errorf("%w: ExecuteConcurrent needs the calibrated cost model", ErrNotCalibrated)
-	}
-	if eo.cold {
-		// Flush before planning: residency statistics feed the optimizer.
-		s.FlushBufferPool()
-	}
-
+	eo := parseOptions(opts)
 	ses, err := s.batchSession(len(queries), eo)
 	if err != nil {
 		return ConcurrentResult{}, err
 	}
+	// Every submit shares the batch's one option set. With Cold() the first
+	// submit's flush empties the pool; nothing runs before Drain, so the
+	// later ones find nothing left to drop.
 	subs := make([]*Submission, len(queries))
 	for i, q := range queries {
 		if subs[i], err = ses.submit(q, eo); err != nil {

@@ -44,8 +44,11 @@ var (
 	// model before the system has one; call Calibrate (or LoadModel) first.
 	ErrNotCalibrated = errors.New("pioqo: system not calibrated")
 
-	// ErrInvalidQuery reports a structurally invalid query: no table, or a
-	// plan that needs an index the table does not have.
+	// ErrInvalidQuery reports a structurally invalid query — no table, a
+	// plan that needs an index the table does not have, a non-positive
+	// group width, an update of a synthetic table, contradictory tuning
+	// options — or an operation the table's layout does not support yet
+	// (joins, updates and sessions over a sharded table).
 	ErrInvalidQuery = errors.New("pioqo: invalid query")
 )
 
@@ -56,7 +59,7 @@ var (
 //	var qe *pioqo.QueryError
 //	if errors.As(err, &qe) { log.Printf("%s on %s: %v", qe.Op, qe.Table, qe.Err) }
 type QueryError struct {
-	Op    string // "query", "submit"
+	Op    string // "query", "groupby", "join", "update", "submit"
 	Table string // the queried table's name, when known
 	Err   error  // the cause; wraps a taxonomy sentinel
 }

@@ -3,6 +3,7 @@ package pioqo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -340,37 +341,220 @@ func TestNotCalibratedTaxonomy(t *testing.T) {
 	}
 }
 
-// ExecuteGroupBy carries the same fault control as Execute: a read error
-// that outlives the retry policy comes back as a taxonomy error — on the
-// single-node path and from a 4-shard gather — with nothing left pinned,
-// leased or running, and the system usable once the faults clear.
-func TestGroupByDeviceFaultFailsQuery(t *testing.T) {
-	single, singleTab := newCalibrated(t, SSD, 50000, 33)
-	sharded, shardedTab := newShardedCalibrated(t, 4, PartitionHash, 50000, 0)
-	for _, c := range []struct {
-		name string
-		sys  *System
-		tab  *Table
-	}{{"single-node", single, singleTab}, {"4-shard", sharded, shardedTab}} {
-		q := GroupByQuery{Table: c.tab, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}
-		want, err := c.sys.ExecuteGroupBy(q, Cold())
-		if err != nil {
-			t.Fatalf("%s: healthy group-by failed: %v", c.name, err)
-		}
-		c.sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ErrorRate: 1}}})
-		_, err = c.sys.ExecuteGroupBy(q, Cold(), WithRetry(RetryPolicy{MaxAttempts: 2}))
-		if !errors.Is(err, ErrDeviceFault) {
-			t.Fatalf("%s: err = %v, want ErrDeviceFault", c.name, err)
-		}
-		assertNoLeaks(t, c.sys)
+// lifecycleFixture is one calibrated system with the tables the entry-point
+// rows below run over: t serves the scans, the updates and the hash join's
+// build side; skewed repeats few keys, which flips the planner to the index
+// nested-loop join; big is the joins' probe side. A sharded fixture has
+// only t.
+type lifecycleFixture struct {
+	sys            *System
+	t, skewed, big *Table
+}
 
-		c.sys.ClearFaults()
-		got, err := c.sys.ExecuteGroupBy(q, Cold())
+func newLifecycleFixture(t *testing.T, shards int) lifecycleFixture {
+	t.Helper()
+	f := lifecycleFixture{sys: New(Config{Device: SSD, PoolPages: 2048, Shards: shards, EventLog: 1 << 16})}
+	create := func(name string, rows int64, opts ...TableOption) *Table {
+		tab, err := f.sys.CreateTable(name, rows, 33, opts...)
 		if err != nil {
-			t.Fatalf("%s: group-by after ClearFaults failed: %v", c.name, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: group-by after a faulted run differs from the healthy run", c.name)
+		return tab
+	}
+	f.t = create("t", 30000)
+	if shards == 1 {
+		f.skewed = create("skewed", 30000, WithZipfData(1.5))
+		f.big = create("big", 80000)
+	}
+	if _, err := f.sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// entryPoints lists every public way to run a query, each reduced to its
+// whole result value, the plans it reports, and its error. Rows with
+// shards > 1 run on a sharded fixture.
+var entryPoints = []struct {
+	name     string
+	shards   int
+	takesCtx bool
+	run      func(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (any, []Plan, error)
+}{
+	{"Query", 1, true, func(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.Query(ctx, Query{Table: f.t, Low: 0, High: 9999}, opts...)
+		return res, []Plan{res.Plan}, err
+	}},
+	{"Query/4-shard", 4, true, func(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.Query(ctx, Query{Table: f.t, Low: 0, High: 9999}, opts...)
+		return res, []Plan{res.Plan}, err
+	}},
+	{"ExecutePlan", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.ExecutePlan(Query{Table: f.t, Low: 0, High: 9999}, Plan{Method: IndexScan, Degree: 8}, opts...)
+		return res, []Plan{res.Plan}, err
+	}},
+	{"ExecuteGroupBy", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.ExecuteGroupBy(GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}, opts...)
+		return res, []Plan{res.Plan}, err
+	}},
+	{"ExecuteGroupBy/4-shard", 4, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.ExecuteGroupBy(GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}, opts...)
+		return res, []Plan{res.Plan}, err
+	}},
+	{"ExecuteJoin/HashJoin", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.ExecuteJoin(JoinQuery{Build: f.t, Probe: f.big, Low: 0, High: 29999}, opts...)
+		if err == nil && res.Method != "HashJoin" {
+			err = fmt.Errorf("planner chose %s; the row is meant to cover HashJoin", res.Method)
+		}
+		return res, []Plan{res.BuildPlan, res.ProbePlan}, err
+	}},
+	{"ExecuteJoin/IndexNLJoin", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.ExecuteJoin(JoinQuery{Build: f.skewed, Probe: f.big, Low: 0, High: 29999}, opts...)
+		if err == nil && res.Method != "IndexNLJoin" {
+			err = fmt.Errorf("planner chose %s; the row is meant to cover IndexNLJoin", res.Method)
+		}
+		return res, []Plan{res.BuildPlan, res.ProbePlan}, err
+	}},
+	{"Update", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		res, err := f.sys.Update(UpdateQuery{Table: f.t, Low: 0, High: 9999, Delta: 1}, opts...)
+		return res, []Plan{res.Plan}, err
+	}},
+	{"Submit", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
+		sub, err := f.sys.Submit(Query{Table: f.t, Low: 0, High: 9999}, opts...)
+		if err != nil {
+			return nil, nil, err
+		}
+		if err := f.sys.Drain(); err != nil {
+			return nil, nil, err
+		}
+		res, err := sub.Result()
+		return res, []Plan{res.Plan}, err
+	}},
+}
+
+// TestEntryPointsAbortUniformly: every entry point runs through the one
+// query lifecycle, so each answers every abort source the same way — a
+// *QueryError wrapping the taxonomy sentinel, never a panic, with nothing
+// left pinned, leased or running — and the abort leaves no state behind
+// that changes a later answer: the same run afterwards returns exactly what
+// it returned before.
+func TestEntryPointsAbortUniformly(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	aborts := []struct {
+		name     string
+		needsCtx bool
+		ctx      context.Context
+		faults   *FaultSchedule
+		opts     []QueryOption
+		want     error
+	}{
+		{"read errors outlive the retry policy", false, context.Background(),
+			&FaultSchedule{Windows: []FaultWindow{{ErrorRate: 1}}},
+			[]QueryOption{Cold(), WithRetry(RetryPolicy{MaxAttempts: 2})}, ErrDeviceFault},
+		{"tiny timeout", false, context.Background(), nil,
+			[]QueryOption{Cold(), WithTimeout(50 * time.Microsecond)}, ErrDeadlineExceeded},
+		{"pre-cancelled context", true, canceled, nil, []QueryOption{Cold()}, ErrCanceled},
+	}
+	fixtures := map[int]lifecycleFixture{}
+	for _, e := range entryPoints {
+		f, ok := fixtures[e.shards]
+		if !ok {
+			f = newLifecycleFixture(t, e.shards)
+			fixtures[e.shards] = f
+		}
+		for _, a := range aborts {
+			if a.needsCtx && !e.takesCtx {
+				continue
+			}
+			t.Run(e.name+"/"+a.name, func(t *testing.T) {
+				// The device's readahead position carries from one run into
+				// the next, so the baseline is the second of two healthy
+				// runs: like the run after the abort, it follows a run of
+				// this same query.
+				var want any
+				for range 2 {
+					var err error
+					if want, _, err = e.run(f, context.Background(), Cold()); err != nil {
+						t.Fatalf("healthy run failed: %v", err)
+					}
+				}
+				if a.faults != nil {
+					f.sys.InjectFaults(*a.faults)
+					defer f.sys.ClearFaults()
+				}
+				_, _, err := e.run(f, a.ctx, a.opts...)
+				var qe *QueryError
+				if !errors.As(err, &qe) || !errors.Is(err, a.want) {
+					t.Fatalf("err = %v (%T), want a *QueryError wrapping %v", err, err, a.want)
+				}
+				assertNoLeaks(t, f.sys)
+				f.sys.ClearFaults()
+				got, _, err := e.run(f, context.Background(), Cold())
+				if err != nil {
+					t.Fatalf("run after the abort failed: %v", err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("run after the abort returned\n%+v\nwant the healthy run's\n%+v", got, want)
+				}
+				assertNoLeaks(t, f.sys)
+			})
+		}
+	}
+}
+
+// TestStaticDegreePinsEveryEntryPoint: WithStaticDegree is applied where
+// specs are built, so every operator runs — and reports — the pinned
+// degree. 3 is off the optimizer's grid, so it cannot be its own choice.
+func TestStaticDegreePinsEveryEntryPoint(t *testing.T) {
+	fixtures := map[int]lifecycleFixture{}
+	for _, e := range entryPoints {
+		f, ok := fixtures[e.shards]
+		if !ok {
+			f = newLifecycleFixture(t, e.shards)
+			fixtures[e.shards] = f
+		}
+		_, plans, err := e.run(f, context.Background(), WithStaticDegree(3))
+		if err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		for _, p := range plans {
+			if p.Degree != 3 {
+				t.Errorf("%s: reported plan %v has degree %d, want the pinned 3", e.name, p, p.Degree)
+			}
+		}
+	}
+}
+
+// TestEveryEntryPointEmitsOneQueryPair: with the event log on, each entry
+// point brackets its execution with exactly one query.start and one
+// query.done, under one query id — the sharded group-by included.
+func TestEveryEntryPointEmitsOneQueryPair(t *testing.T) {
+	fixtures := map[int]lifecycleFixture{}
+	for _, e := range entryPoints {
+		f, ok := fixtures[e.shards]
+		if !ok {
+			f = newLifecycleFixture(t, e.shards)
+			fixtures[e.shards] = f
+		}
+		f.sys.ResetEventLog()
+		if _, _, err := e.run(f, context.Background(), Cold()); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		var starts, dones []int64
+		for _, ev := range f.sys.EngineEvents() {
+			switch ev.Name {
+			case "query.start":
+				starts = append(starts, ev.Query)
+			case "query.done":
+				dones = append(dones, ev.Query)
+			}
+		}
+		if len(starts) != 1 || len(dones) != 1 || starts[0] != dones[0] {
+			t.Errorf("%s: query.start ids %v, query.done ids %v; want one pair under one id", e.name, starts, dones)
+		}
+		if st := f.sys.EventLogStats(); st.Dropped != 0 {
+			t.Fatalf("%s: event ring wrapped (%d dropped); the count above is unreliable", e.name, st.Dropped)
 		}
 	}
 }

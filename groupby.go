@@ -2,11 +2,11 @@ package pioqo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
 	"pioqo/internal/exec"
+	"pioqo/internal/sim"
 )
 
 // GroupByQuery is a grouped aggregation over one table:
@@ -38,60 +38,41 @@ type GroupByResult struct {
 }
 
 // ExecuteGroupBy optimizes the underlying scan and runs the grouped
-// aggregation. Like Execute it runs under an abort control, so WithTimeout
-// and WithRetry apply and a device fault that outlives the retry policy
-// comes back as a *QueryError wrapping ErrDeviceFault.
+// aggregation — Query's lifecycle with a grouping body, so every option
+// applies and an abort comes back as a *QueryError. On a sharded table each
+// shard groups its own partition and the group partials are folded on the
+// coordinator: GROUP BY decomposes like the scalar aggregates.
 func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByResult, error) {
+	scan := Query{Table: q.Table, Low: q.Low, High: q.High}
+	var res exec.GroupByResult
+	lc := lifecycle{op: "groupby", scan: scan, tables: []*Table{q.Table}, scatter: true}
 	if q.GroupWidth <= 0 {
-		return GroupByResult{}, fmt.Errorf("pioqo: group width %d must be positive", q.GroupWidth)
+		lc.invalid = fmt.Errorf("%w: group width %d must be positive", ErrInvalidQuery, q.GroupWidth)
 	}
-	if q.Table == nil {
-		return GroupByResult{}, errors.New("pioqo: group-by without a table")
-	}
-	var eo queryOptions
-	for _, o := range opts {
-		o(&eo)
-	}
-	ctl, err := s.newControl(context.Background(), eo)
-	if err != nil {
-		return GroupByResult{}, &QueryError{Op: "groupby", Table: q.Table.Name(), Err: err}
-	}
-	if eo.cold {
-		s.FlushBufferPool()
-	}
-	plan, err := s.Plan(Query{Table: q.Table, Low: q.Low, High: q.High}, eo.plan)
+	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun) (planned, error) {
+		plan, err := r.optimize(scan)
+		if err != nil {
+			return planned{}, err
+		}
+		shards, nodes := r.shardScans(scan, &plan)
+		agg := q.Agg.internal()
+		switch {
+		case !q.Table.sharded():
+			sh := shards[0]
+			return planned{plan, nodes, func(p *sim.Proc) {
+				res = exec.RunGroupBy(p, sh.Ctx, exec.GroupBySpec{Scan: sh.Spec, GroupWidth: q.GroupWidth, Agg: agg})
+			}}, nil
+		case len(shards) == 0:
+			return planned{plan: plan}, nil
+		}
+		return planned{plan, nodes, func(p *sim.Proc) {
+			res = exec.RunGatherGroupBy(p, shards, q.GroupWidth, agg, r.qid)
+		}}, nil
+	})
 	if err != nil {
 		return GroupByResult{}, err
 	}
-	if q.Table.sharded() {
-		// Per-shard grouped aggregation, group partials folded on the
-		// coordinator — GROUP BY decomposes like the scalar aggregates.
-		return s.executeGatherGroupBy(q, plan, eo, ctl)
-	}
-	spec := exec.GroupBySpec{
-		Scan: exec.Spec{
-			Table:             q.Table.one().tab,
-			Index:             q.Table.one().idx,
-			Lo:                q.Low,
-			Hi:                q.High,
-			Method:            plan.Method.internal(),
-			Degree:            plan.Degree,
-			PrefetchPerWorker: plan.Prefetch,
-			Ctl:               ctl,
-			Retry:             eo.retry.internal(),
-		},
-		GroupWidth: q.GroupWidth,
-		Agg:        q.Agg.internal(),
-	}
-	res := exec.ExecuteGroupBy(s.execContext(), spec)
-	if res.Err != nil {
-		return GroupByResult{}, &QueryError{Op: "groupby", Table: q.Table.Name(), Err: res.Err}
-	}
-	out := GroupByResult{
-		Rows:    res.Rows,
-		Plan:    plan,
-		Runtime: time.Duration(res.Runtime),
-	}
+	out := GroupByResult{Rows: res.Rows, Plan: ran.plan, Runtime: ran.runtime}
 	for _, g := range res.Groups {
 		out.Groups = append(out.Groups, GroupRow{Key: g.Key, Value: g.Value, Rows: g.Rows})
 	}

@@ -1,6 +1,9 @@
 package pioqo
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestExecuteGroupByCorrectness(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
@@ -35,10 +38,10 @@ func TestExecuteGroupByCorrectness(t *testing.T) {
 
 func TestExecuteGroupByValidation(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 1000, 33)
-	if _, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, GroupWidth: 0}); err == nil {
-		t.Error("zero group width accepted")
+	if _, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, GroupWidth: 0}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("zero group width: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, err := sys.ExecuteGroupBy(GroupByQuery{GroupWidth: 10}); err == nil {
-		t.Error("missing table accepted")
+	if _, err := sys.ExecuteGroupBy(GroupByQuery{GroupWidth: 10}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("missing table: err = %v, want ErrInvalidQuery", err)
 	}
 }

@@ -59,22 +59,11 @@ func (b *cpuBudget) settle(wp *sim.Proc) {
 	wp.Use(b.ctx.CPU, d)
 }
 
-// fetch pins a page, settling outstanding debt first whenever the request
+// fetchE pins a page, settling outstanding debt first whenever the request
 // could touch the device or block (the page is absent, or present but its
 // read is still in flight). Loaded pages pin without settling — that is
-// where merging wins.
-func (b *cpuBudget) fetch(wp *sim.Proc, f *disk.File, page int64) buffer.Handle {
-	if !b.ctx.Pool.Loaded(f, page) {
-		b.settle(wp)
-	}
-	if b.m != nil {
-		return b.m.fetch(wp, f, page)
-	}
-	return b.ctx.Pool.FetchPage(wp, f, page)
-}
-
-// fetchE is fetch with the device's verdict surfaced instead of panicking:
-// a failed read returns the error for fetchRetry's policy to handle.
+// where merging wins. A failed read returns the device's error for
+// fetchRetry's policy to handle.
 func (b *cpuBudget) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handle, error) {
 	if !b.ctx.Pool.Loaded(f, page) {
 		b.settle(wp)
@@ -143,8 +132,9 @@ func useCPU(p *sim.Proc, ctx *Context, d sim.Duration) {
 	p.Use(ctx.CPU, d)
 }
 
-// fetchE mirrors meter.fetch for the failable path; a failed fetch still
-// counts its blocked time but not a fetched page.
+// fetchE pins a page through the pool, attributing the blocked time to the
+// worker's span; a failed fetch still counts its blocked time but not a
+// fetched page.
 func (m *meter) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handle, error) {
 	t0 := m.ctx.Env.Now()
 	h, err := m.ctx.Pool.FetchPageE(wp, f, page)

@@ -16,7 +16,6 @@ func ExecuteAll(ctx *Context, specs []Spec) ([]Result, device.Summary) {
 	results := make([]Result, len(specs))
 	ctx.Dev.Metrics().Reset()
 	ctx.Pool.ResetStats()
-	start := ctx.Env.Now()
 	wg := sim.NewWaitGroup(ctx.Env)
 	for i, spec := range specs {
 		i, spec := i, spec
@@ -30,6 +29,5 @@ func ExecuteAll(ctx *Context, specs []Spec) ([]Result, device.Summary) {
 	}
 	ctx.Env.Go("queries-join", func(p *sim.Proc) { p.WaitFor(wg) })
 	ctx.Env.Run()
-	_ = start
 	return results, ctx.Dev.Metrics().Snapshot()
 }

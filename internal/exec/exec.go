@@ -17,7 +17,6 @@ import (
 	"pioqo/internal/btree"
 	"pioqo/internal/buffer"
 	"pioqo/internal/device"
-	"pioqo/internal/disk"
 	"pioqo/internal/fault"
 	"pioqo/internal/obs"
 	"pioqo/internal/obs/event"
@@ -205,7 +204,8 @@ type Spec struct {
 	// It is also how injected device faults surface: an unrecoverable fetch
 	// cancels the control and Result.Err carries the cause. Nil means
 	// non-abortable execution where a device fault panics (the pre-fault
-	// layer behavior, still used by calibration and composite operators).
+	// layer behavior; the engine's query lifecycle always sets a control,
+	// joins and group-bys included).
 	Ctl *fault.Control
 
 	// Retry bounds the response to injected device read faults when Ctl is
@@ -432,14 +432,6 @@ type meter struct {
 // tracer the meter still works; it just has no span to annotate.
 func newMeter(ctx *Context, parent *obs.Span, name string) *meter {
 	return &meter{ctx: ctx, span: ctx.Tracer.StartTrack(parent, name)}
-}
-
-func (m *meter) fetch(wp *sim.Proc, f *disk.File, page int64) buffer.Handle {
-	t0 := m.ctx.Env.Now()
-	h := m.ctx.Pool.FetchPage(wp, f, page)
-	m.io += sim.Duration(m.ctx.Env.Now() - t0)
-	m.pages++
-	return h
 }
 
 // finish annotates and closes the worker span.

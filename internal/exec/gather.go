@@ -26,12 +26,6 @@ import (
 type ShardScan struct {
 	Ctx  *Context
 	Spec Spec
-
-	// Admit, when set, runs in the shard's process before the scan starts
-	// — typically awaiting a lease from the shard node's broker, binding
-	// it to the spec's governor — and returns the release to run when the
-	// shard finishes. It may mutate the spec (Gov, PoolShare).
-	Admit func(p *sim.Proc, spec *Spec) func()
 }
 
 // GatherSpec describes a scatter-gather execution.
@@ -74,7 +68,7 @@ type emitRow struct {
 
 // RunGather scatters the shard scans onto their own processes, waits for
 // every partial, and merges. It runs from an existing process (the
-// query's coordinator); Execute-style metering is ExecuteGather's job.
+// query's coordinator); metering the nodes involved is the caller's job.
 func RunGather(p *sim.Proc, gs GatherSpec) GatherResult {
 	if len(gs.Shards) == 0 {
 		panic("exec: RunGather without shards")
@@ -101,12 +95,6 @@ func RunGather(p *sim.Proc, gs GatherSpec) GatherResult {
 			if gs.Emit != nil {
 				spec.Emit = func(rowID int64, row table.Row) {
 					ordered[i] = append(ordered[i], emitRow{rowID, row})
-				}
-			}
-			if sh.Admit != nil {
-				release := sh.Admit(sp, &spec)
-				if release != nil {
-					defer release()
 				}
 			}
 			out.Partials[i] = RunScan(sp, sh.Ctx, spec)
@@ -170,39 +158,6 @@ func mergeOrdered(p *sim.Proc, ctx *Context, streams [][]emitRow, emit func(int6
 	return Result{RowsMatched: rows}
 }
 
-// ExecuteGather runs a scatter-gather query to completion with per-query
-// metering: every shard's device and pool counters are reset, the
-// coordinator process scatters and merges, and the result carries the
-// summed device traffic across shards.
-func ExecuteGather(gs GatherSpec) GatherResult {
-	if len(gs.Shards) == 0 {
-		panic("exec: ExecuteGather without shards")
-	}
-	env := gs.Shards[0].Ctx.Env
-	for _, sh := range gs.Shards {
-		sh.Ctx.Dev.Metrics().Reset()
-		sh.Ctx.Pool.ResetStats()
-	}
-	start := env.Now()
-	var res GatherResult
-	env.Go("gather", func(p *sim.Proc) {
-		res = RunGather(p, gs)
-	})
-	env.Run()
-	res.Runtime = sim.Duration(env.Now() - start)
-	for _, sh := range gs.Shards {
-		io := sh.Ctx.Dev.Metrics().Snapshot()
-		res.IO.Requests += io.Requests
-		res.IO.Bytes += io.Bytes
-		res.IO.Elapsed = maxDuration(res.IO.Elapsed, io.Elapsed)
-	}
-	if res.IO.Elapsed > 0 {
-		res.IO.ThroughputMBps = float64(res.IO.Bytes) / 1e6 /
-			(float64(res.IO.Elapsed) / float64(sim.Second))
-	}
-	return res
-}
-
 // RunGatherGroupBy scatters per-shard grouped aggregations and merges the
 // group partials: each shard builds its own group hash over its partition,
 // and the coordinator folds the per-group accumulators — the decomposable
@@ -226,13 +181,7 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, width int64, kind AggKind
 		sh := shards[i]
 		env.Go(fmt.Sprintf("%s-shard%d", p.Name(), i), func(sp *sim.Proc) {
 			defer wg.Done()
-			spec := sh.Spec
-			if sh.Admit != nil {
-				if release := sh.Admit(sp, &spec); release != nil {
-					defer release()
-				}
-			}
-			partials[i] = RunGroupBy(sp, sh.Ctx, GroupBySpec{Scan: spec, GroupWidth: width, Agg: kind})
+			partials[i] = RunGroupBy(sp, sh.Ctx, GroupBySpec{Scan: sh.Spec, GroupWidth: width, Agg: kind})
 			sh.Ctx.Log.Emit(event.EvShardPartial, qid, int64(i), partials[i].Rows)
 		})
 	}
@@ -261,11 +210,4 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, width int64, kind AggKind
 	sort.Slice(out.Groups, func(i, j int) bool { return out.Groups[i].Key < out.Groups[j].Key })
 	ctx0.Log.Emit(event.EvShardGatherDone, qid, int64(len(shards)), out.Rows)
 	return out
-}
-
-func maxDuration(a, b sim.Duration) sim.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

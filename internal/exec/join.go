@@ -64,7 +64,9 @@ const (
 	hashProbeCost  = 150 * sim.Nanosecond
 )
 
-// JoinResult extends Result with per-phase detail.
+// JoinResult extends Result with per-phase detail. The embedded Err is the
+// abort cause of whichever phase tripped the specs' shared control; the
+// counts are then partial and must be discarded, as with GroupByResult.
 type JoinResult struct {
 	Result
 	BuildRows int64 // rows inserted into the hash table
@@ -80,13 +82,14 @@ func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	return RunHashJoin(p, ctx, spec)
 }
 
-// buildMultiplicities runs the build scan, returning key → row count.
-func buildMultiplicities(p *sim.Proc, ctx *Context, build Spec) (map[int64]int64, int64) {
+// buildMultiplicities runs the build scan, returning key → row count and
+// the scan's abort cause.
+func buildMultiplicities(p *sim.Proc, ctx *Context, build Spec) (map[int64]int64, int64, error) {
 	ht := make(map[int64]int64)
 	build.Emit = func(_ int64, row table.Row) { ht[row.C2]++ }
 	res := RunScan(p, ctx, build)
 	useCPU(p, ctx, sim.Duration(res.RowsMatched)*hashInsertCost)
-	return ht, res.RowsMatched
+	return ht, res.RowsMatched, res.Err
 }
 
 // RunHashJoin executes the join from process context. The build scan
@@ -98,8 +101,11 @@ func RunHashJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	// Phase 1: build. The scan's Emit collects key multiplicities; the
 	// hash-insert CPU is charged in bulk afterwards (the fine-grained
 	// per-row CPU is already charged by the scan itself).
-	ht, buildRows := buildMultiplicities(p, ctx, spec.Build)
+	ht, buildRows, err := buildMultiplicities(p, ctx, spec.Build)
 	out.BuildRows = buildRows
+	if out.Err = err; err != nil {
+		return out
+	}
 
 	// Phase 2: probe, narrowed to the build range (keys outside it cannot
 	// join).
@@ -125,6 +131,7 @@ func RunHashJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 
 	out.Result = result.result()
 	out.RowsMatched = out.Pairs
+	out.Err = probeRes.Err
 	return out
 }
 
@@ -132,14 +139,19 @@ func RunHashJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 // phase, the distinct build keys are sorted and distributed to Probe.Degree
 // workers; each key becomes one lookup in the probe table's index followed
 // by heap fetches for its matching rows. The workers' outstanding lookups
-// are what give the device its queue depth.
+// are what give the device its queue depth. Every read runs under the probe
+// spec's fault policy (Ctl, Retry) and workers poll the control per key, so
+// a failed read or a tripped deadline winds the join down like a scan.
 func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	if spec.Probe.Index == nil {
 		panic("exec: IndexNLJoin without a probe-side index")
 	}
 	var out JoinResult
-	ht, buildRows := buildMultiplicities(p, ctx, spec.Build)
+	ht, buildRows, err := buildMultiplicities(p, ctx, spec.Build)
 	out.BuildRows = buildRows
+	if out.Err = err; err != nil {
+		return out
+	}
 
 	keys := make([]int64, 0, len(ht))
 	for k := range ht {
@@ -148,16 +160,22 @@ func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	useCPU(p, ctx, 2*sim.Duration(len(keys))*ctx.Costs.PerEntry) // sort
 
-	probeTab := spec.Probe.Table
-	x := spec.Probe.Index
+	probe := &spec.Probe
+	probeTab := probe.Table
+	x := probe.Index
 	rpp := probeTab.RowsPerPage()
-	degree := spec.Probe.Degree
+	degree := probe.Degree
 	if degree <= 0 {
 		degree = 1
 	}
 
+	dbud := newBudget(ctx, nil)
 	for _, pg := range x.DescentPath() {
-		h := ctx.Pool.FetchPage(p, x.File(), pg)
+		h, ok := dbud.fetchRetry(p, probe, x.File(), pg)
+		if !ok {
+			out.Err = probe.Ctl.Err()
+			return out
+		}
 		useCPU(p, ctx, ctx.Costs.PerPage)
 		h.Release()
 	}
@@ -178,8 +196,9 @@ func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 			}
 			var buf []btree.Entry
 			for {
+				// The key is the abort quantum for NL-join workers.
 				i := nextKey
-				if i >= len(keys) {
+				if i >= len(keys) || probe.aborted() {
 					return
 				}
 				nextKey = i + 1
@@ -189,7 +208,10 @@ func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 				pos, end := x.SearchGE(key), x.SearchGT(key)
 				for pos < end {
 					leaf, slot := x.LeafOf(pos)
-					lh := bud.fetch(wp, x.File(), x.LeafPage(leaf))
+					lh, ok := bud.fetchRetry(wp, probe, x.File(), x.LeafPage(leaf))
+					if !ok {
+						return
+					}
 					buf = x.LeafEntries(leaf, buf)
 					take := len(buf) - slot
 					if rem := end - pos; int64(take) > rem {
@@ -201,7 +223,10 @@ func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 					// buf is only rewritten by the next LeafEntries call, so
 					// the heap-fetch loop can consume the slice in place.
 					for _, e := range buf[slot : slot+take] {
-						th := bud.fetch(wp, probeTab.File(), table.PageOf(e.Row, rpp))
+						th, ok := bud.fetchRetry(wp, probe, probeTab.File(), table.PageOf(e.Row, rpp))
+						if !ok {
+							return
+						}
 						bud.charge(ctx.Costs.PerRowFetch)
 						row := probeTab.RowAt(e.Row)
 						if row.C2 == key {
@@ -226,6 +251,7 @@ func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	out.ProbeRows = probeRows
 	out.Pairs = pairs
 	out.RowsMatched = pairs
+	out.Err = probe.Ctl.Err()
 	return out
 }
 

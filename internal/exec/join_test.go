@@ -7,13 +7,16 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
+	"pioqo/internal/fault"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
 
-// joinWorld holds two materialized tables sharing one device and pool.
+// joinWorld holds two materialized tables sharing one device and pool. The
+// device sits behind a fault injector, a pure passthrough until armed.
 type joinWorld struct {
 	env      *sim.Env
+	inj      *fault.Injector
 	ctx      *Context
 	build    *table.Materialized
 	probe    *table.Materialized
@@ -24,12 +27,13 @@ type joinWorld struct {
 func newJoinWorld(t *testing.T, buildRows, probeRows int64) *joinWorld {
 	t.Helper()
 	env := sim.NewEnv(505)
-	dev := device.NewSSD(env, device.DefaultSSDConfig())
-	m := disk.NewManager(dev)
+	inj := fault.Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	m := disk.NewManager(inj)
 	build := table.NewMaterialized(m, "build", buildRows, 33, 21)
 	probe := table.NewMaterialized(m, "probe", probeRows, 33, 22)
 	return &joinWorld{
 		env:      env,
+		inj:      inj,
 		build:    build,
 		probe:    probe,
 		buildIdx: btree.NewMaterialized(m, build, 0, 0),
@@ -38,7 +42,7 @@ func newJoinWorld(t *testing.T, buildRows, probeRows int64) *joinWorld {
 			Env:   env,
 			CPU:   sim.NewResource(env, "cpu", 8),
 			Pool:  buffer.NewPool(env, 4096),
-			Dev:   dev,
+			Dev:   inj,
 			Costs: DefaultCPUCosts(),
 		},
 	}

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"errors"
 	"testing"
 
+	"pioqo/internal/fault"
 	"pioqo/internal/sim"
 )
 
@@ -71,4 +73,63 @@ func TestIndexNLJoinWithoutProbeIndexPanics(t *testing.T) {
 		}
 	}()
 	ExecuteJoin(w.ctx, spec)
+}
+
+// nlJoinUnderControl is an index nested-loop join whose two scans share one
+// abort control, as the engine's query lifecycle wires them.
+func nlJoinUnderControl(w *joinWorld, ctl *fault.Control) JoinSpec {
+	spec := w.spec(0, 1999, FullScan, IndexScan, 4)
+	spec.Method = IndexNLJoin
+	spec.Build.Ctl, spec.Probe.Ctl = ctl, ctl
+	spec.Probe.Retry = fault.RetryPolicy{MaxAttempts: 2}
+	return spec
+}
+
+// TestIndexNLJoinProbeFaultAbortsCleanly: the build side is pool-resident,
+// so with every device read failing the build phase still completes and the
+// fault lands in the probe phase — the index descent — where it must come
+// back as Err, not a panic, with nothing pinned or running.
+func TestIndexNLJoinProbeFaultAbortsCleanly(t *testing.T) {
+	w := newJoinWorld(t, 2000, 8000)
+	warm := Execute(w.ctx, w.spec(0, 1999, FullScan, IndexScan, 4).Build)
+	w.inj.Arm(fault.Schedule{Windows: []fault.Window{{ErrorRate: 1}}})
+	res := ExecuteJoin(w.ctx, nlJoinUnderControl(w, fault.NewControl(w.env)))
+	if !errors.Is(res.Err, fault.ErrDeviceFault) {
+		t.Fatalf("Err = %v, want ErrDeviceFault", res.Err)
+	}
+	if res.BuildRows != warm.RowsMatched || res.BuildRows == 0 {
+		t.Errorf("build phase saw %d rows, want all %d: the fault was meant to hit the probe phase",
+			res.BuildRows, warm.RowsMatched)
+	}
+	if n, pins := w.env.LiveProcs(), w.ctx.Pool.Pinned(); n != 0 || pins != 0 {
+		t.Errorf("%d processes live, %d pages pinned after the abort", n, pins)
+	}
+}
+
+// TestIndexNLJoinCancelMidProbe: a cancel landing between the end of the
+// build phase and the end of the join stops the probe workers at their next
+// key, leaving a partial probe count and nothing pinned or running.
+func TestIndexNLJoinCancelMidProbe(t *testing.T) {
+	healthy := newJoinWorld(t, 2000, 8000)
+	build := Execute(healthy.ctx, healthy.spec(0, 1999, FullScan, IndexScan, 4).Build)
+	healthy.ctx.Pool.Flush()
+	whole := ExecuteJoin(healthy.ctx, nlJoinUnderControl(healthy, fault.NewControl(healthy.env)))
+	if whole.Err != nil || whole.Runtime <= build.Runtime {
+		t.Fatalf("healthy join: err %v, runtime %v vs build scan %v", whole.Err, whole.Runtime, build.Runtime)
+	}
+
+	w := newJoinWorld(t, 2000, 8000)
+	ctl := fault.NewControl(w.env)
+	w.env.Schedule((build.Runtime+whole.Runtime)/2, func() { ctl.Cancel(fault.ErrCanceled) })
+	res := ExecuteJoin(w.ctx, nlJoinUnderControl(w, ctl))
+	if !errors.Is(res.Err, fault.ErrCanceled) {
+		t.Fatalf("Err = %v, want ErrCanceled", res.Err)
+	}
+	if res.BuildRows != whole.BuildRows || res.ProbeRows >= whole.ProbeRows {
+		t.Errorf("canceled join: build %d probe %d rows; healthy %d and %d — the cancel was meant to cut the probe phase short",
+			res.BuildRows, res.ProbeRows, whole.BuildRows, whole.ProbeRows)
+	}
+	if n, pins := w.env.LiveProcs(), w.ctx.Pool.Pinned(); n != 0 || pins != 0 {
+		t.Errorf("%d processes live, %d pages pinned after the abort", n, pins)
+	}
 }

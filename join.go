@@ -1,12 +1,14 @@
 package pioqo
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"time"
 
 	"pioqo/internal/exec"
+	"pioqo/internal/node"
 	"pioqo/internal/opt"
+	"pioqo/internal/sim"
 )
 
 // JoinQuery is an equi-join over two tables' C2 columns with a range
@@ -63,7 +65,7 @@ func (p JoinPlan) String() string {
 
 // PlanJoin returns the optimizer's join plan without executing it.
 func (s *System) PlanJoin(q JoinQuery, o PlanOptions) (JoinPlan, error) {
-	jp, _, _, err := s.planJoin(q, o)
+	jp, err := s.planJoin(q, o)
 	if err != nil {
 		return JoinPlan{}, err
 	}
@@ -75,64 +77,62 @@ func (s *System) PlanJoin(q JoinQuery, o PlanOptions) (JoinPlan, error) {
 	}, nil
 }
 
-func (s *System) planJoin(q JoinQuery, po PlanOptions) (opt.JoinPlan, opt.Input, opt.Input, error) {
-	if q.Build == nil || q.Probe == nil {
-		return opt.JoinPlan{}, opt.Input{}, opt.Input{}, errors.New("pioqo: join requires both tables")
-	}
-	cfg, buildIn, err := s.optConfig(Query{Table: q.Build, Low: q.Low, High: q.High, Agg: q.Agg}, po)
+func (s *System) planJoin(q JoinQuery, po PlanOptions) (opt.JoinPlan, error) {
+	cfg, buildIn, err := s.optConfig(Query{Table: q.Build, Low: q.Low, High: q.High}, po)
 	if err != nil {
-		return opt.JoinPlan{}, opt.Input{}, opt.Input{}, err
+		return opt.JoinPlan{}, err
 	}
-	_, probeIn, err := s.optConfig(Query{Table: q.Probe, Low: q.Low, High: q.High, Agg: q.Agg}, po)
+	_, probeIn, err := s.optConfig(Query{Table: q.Probe, Low: q.Low, High: q.High}, po)
 	if err != nil {
-		return opt.JoinPlan{}, opt.Input{}, opt.Input{}, err
+		return opt.JoinPlan{}, err
 	}
-	return opt.ChooseJoin(cfg, buildIn, probeIn), buildIn, probeIn, nil
+	return opt.ChooseJoin(cfg, buildIn, probeIn), nil
 }
 
-// ExecuteJoin optimizes and runs a join. Both sides require an index only
-// if their chosen plan needs one; unindexed tables simply restrict the
-// planner (to full scans, and to the hash join on the probe side).
+// ExecuteJoin optimizes and runs a join — Query's lifecycle with a join
+// body, so both phases run under the query's abort control and retry
+// policy and a static degree pins both sides. Both sides require an index
+// only if their chosen plan needs one; unindexed tables simply restrict
+// the planner (to full scans, and to the hash join on the probe side).
 func (s *System) ExecuteJoin(q JoinQuery, opts ...QueryOption) (JoinResult, error) {
-	var eo queryOptions
-	for _, o := range opts {
-		o(&eo)
-	}
-	if eo.cold {
-		// Flush before planning: residency statistics feed the optimizer.
-		s.FlushBufferPool()
-	}
-	jp, buildIn, probeIn, err := s.planJoin(q, eo.plan)
+	// The two scans feed the join through row hooks; the aggregate is the
+	// join's own (JoinSpec.Agg), not theirs.
+	build := Query{Table: q.Build, Low: q.Low, High: q.High}
+	probe := Query{Table: q.Probe, Low: q.Low, High: q.High}
+	var method exec.JoinMethod
+	var probePlan Plan
+	var res exec.JoinResult
+	lc := lifecycle{op: "join", scan: build, tables: []*Table{q.Build, q.Probe}}
+	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun) (planned, error) {
+		jp, err := s.planJoin(q, r.eo.plan)
+		if err != nil {
+			return planned{}, err
+		}
+		method = jp.Method
+		buildPlan := fromInternalPlan(jp.Build)
+		probePlan = fromInternalPlan(jp.Probe)
+		spec := exec.JoinSpec{
+			Method: jp.Method,
+			Build:  r.spec(q.Build.one(), build, &buildPlan),
+			Probe:  r.spec(q.Probe.one(), probe, &probePlan),
+			Agg:    q.Agg.internal(),
+		}
+		n := s.coord()
+		ctx := r.context(n)
+		return planned{buildPlan, []*node.Node{n}, func(p *sim.Proc) { res = exec.RunJoin(p, ctx, spec) }}, nil
+	})
 	if err != nil {
 		return JoinResult{}, err
 	}
-	spec := jp.Specs(buildIn, probeIn, q.Agg.internal())
-	start := s.env.Now()
-	res := exec.ExecuteJoin(s.execContext(), spec)
-	buildPlan, _ := s.planFromSpec(spec.Build)
-	probePlan, _ := s.planFromSpec(spec.Probe)
 	return JoinResult{
 		Value:     res.Value,
 		Found:     res.Found,
 		Pairs:     res.Pairs,
 		BuildRows: res.BuildRows,
 		ProbeRows: res.ProbeRows,
-		Method:    spec.Method.String(),
-		BuildPlan: buildPlan,
+		Method:    method.String(),
+		BuildPlan: ran.plan,
 		ProbePlan: probePlan,
-		Runtime:   time.Duration(s.env.Now() - start),
+		Runtime:   ran.runtime,
 	}, nil
-}
-
-// planFromSpec reconstructs the public plan shape from an internal spec
-// (estimates omitted — they were already consumed during planning).
-func (s *System) planFromSpec(spec exec.Spec) (Plan, error) {
-	method := FullTableScan
-	switch spec.Method {
-	case exec.IndexScan:
-		method = IndexScan
-	case exec.SortedIndexScan:
-		method = SortedIndexScan
-	}
-	return Plan{Method: method, Degree: spec.Degree, Prefetch: spec.PrefetchPerWorker}, nil
 }

@@ -1,6 +1,9 @@
 package pioqo
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func newJoinSystem(t *testing.T) (*System, *Table, *Table) {
 	t.Helper()
@@ -145,8 +148,11 @@ func TestJoinMethodSelection(t *testing.T) {
 
 func TestJoinValidation(t *testing.T) {
 	sys, dim, _ := newJoinSystem(t)
-	if _, err := sys.ExecuteJoin(JoinQuery{Build: dim}); err == nil {
-		t.Error("join without probe accepted")
+	if _, err := sys.ExecuteJoin(JoinQuery{Build: dim}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("join without probe: err = %v, want ErrInvalidQuery", err)
+	}
+	if _, err := sys.PlanJoin(JoinQuery{Probe: dim}, PlanOptions{}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("PlanJoin without build: err = %v, want ErrInvalidQuery", err)
 	}
 	uncal := New(Config{Device: SSD})
 	a, _ := uncal.CreateTable("a", 100, 10)

@@ -114,7 +114,9 @@ type ObserverFunc func(QueryTelemetry)
 // ObserveQuery calls f.
 func (f ObserverFunc) ObserveQuery(t QueryTelemetry) { f(t) }
 
-// SetObserver installs an observer called after every Execute/ExecutePlan.
+// SetObserver installs an observer called after every query the system
+// runs, whichever entry point ran it (scans, group-bys, joins, updates,
+// session submissions).
 // A nil observer turns per-query tracing back off.
 func (s *System) SetObserver(o Observer) { s.observer = o }
 

@@ -531,8 +531,5 @@ func (s *System) nodeContext(n *node.Node) *exec.Context {
 		Costs: s.costs, Reg: s.reg, Log: s.events, Shares: n.Shares}
 }
 
-// execContext is the coordinator-node context single-node paths run on.
-func (s *System) execContext() *exec.Context { return s.nodeContext(s.coord()) }
-
 // Now reports the system's virtual clock.
 func (s *System) Now() time.Duration { return time.Duration(s.env.Now()) }

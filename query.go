@@ -7,10 +7,9 @@ import (
 
 	"pioqo/internal/cost"
 	"pioqo/internal/exec"
-	"pioqo/internal/fault"
 	"pioqo/internal/node"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/opt"
+	"pioqo/internal/sim"
 )
 
 // Aggregate selects the aggregate function a query computes over C1.
@@ -50,13 +49,6 @@ type Query struct {
 	Low,
 	High int64
 	Agg Aggregate
-}
-
-func (q Query) validate() error {
-	if q.Table == nil {
-		return fmt.Errorf("%w: no table", ErrInvalidQuery)
-	}
-	return nil
 }
 
 // AccessMethod names a plan's access path family.
@@ -260,8 +252,8 @@ func (s *System) planConfig(n *node.Node, o PlanOptions) (opt.Config, error) {
 }
 
 func (s *System) optConfig(q Query, o PlanOptions) (opt.Config, opt.Input, error) {
-	if err := q.validate(); err != nil {
-		return opt.Config{}, opt.Input{}, err
+	if q.Table == nil {
+		return opt.Config{}, opt.Input{}, fmt.Errorf("%w: no table", ErrInvalidQuery)
 	}
 	if q.Table.sharded() {
 		return opt.Config{}, opt.Input{}, fmt.Errorf("%w: table %q is partitioned across %d nodes; this operation is single-node only",
@@ -271,16 +263,17 @@ func (s *System) optConfig(q Query, o PlanOptions) (opt.Config, opt.Input, error
 	if err != nil {
 		return opt.Config{}, opt.Input{}, err
 	}
-	part := q.Table.one()
-	in := opt.Input{
-		Table: part.tab,
-		Index: part.idx,
-		Pool:  part.node.Pool,
-		Stats: part.hist,
-		Lo:    q.Low,
-		Hi:    q.High,
-	}
-	return cfg, in, nil
+	return cfg, q.Table.one().input(q), nil
+}
+
+// input is the optimizer's view of q's range over one table part.
+func (p *tablePart) input(q Query) opt.Input {
+	return opt.Input{Table: p.tab, Index: p.idx, Pool: p.node.Pool, Stats: p.hist, Lo: q.Low, Hi: q.High}
+}
+
+// internal is the executable shape of a plan: what opt.Plan.Spec reads.
+func (p Plan) internal() opt.Plan {
+	return opt.Plan{Method: p.Method.internal(), Degree: p.Degree, Prefetch: p.Prefetch, Shared: p.Shared}
 }
 
 func fromInternalPlan(p opt.Plan) Plan {
@@ -361,99 +354,67 @@ func (s *System) Execute(q Query, opts ...QueryOption) (Result, error) {
 }
 
 // ExecutePlan runs q with a caller-supplied plan, bypassing the optimizer.
-// Options that need an abort control (WithTimeout, WithRetry) work here
-// too; for live cancellation use Query, which takes a context.
+// It is Query's lifecycle under a background context, so every option —
+// WithTimeout and WithRetry included — works here too; for live
+// cancellation use Query, which takes a context.
 func (s *System) ExecutePlan(q Query, plan Plan, opts ...QueryOption) (Result, error) {
-	if err := q.validate(); err != nil {
-		return Result{}, err
-	}
-	var eo queryOptions
-	for _, o := range opts {
-		o(&eo)
-	}
-	ctl, err := s.newControl(context.Background(), eo)
-	if err != nil {
-		return Result{}, &QueryError{Op: "query", Table: q.Table.Name(), Err: err}
-	}
-	if eo.cold {
-		s.FlushBufferPool()
-	}
-	return s.executePlan(q, plan, eo, s.startTelemetry(q, eo), ctl)
+	return s.scalar(context.Background(), q, opts, func(*queryRun) (Plan, error) {
+		if plan.Method != FullTableScan && !q.Table.Indexed() {
+			return Plan{}, fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, q.Table.Name())
+		}
+		return plan, nil
+	})
 }
 
-// executePlan is the shared execution tail of Query and ExecutePlan: it
-// runs the scan under the telemetry session's query span (if any), wires
-// the abort control and retry policy through the executor, and delivers
-// telemetry to the observer/capture listeners.
-func (s *System) executePlan(q Query, plan Plan, eo queryOptions, ts *telemetrySession, ctl *fault.Control) (Result, error) {
-	if q.Table.sharded() {
-		return s.executeGather(q, plan, eo, ts, ctl)
-	}
-	part := q.Table.one()
-	if plan.Method != FullTableScan && part.idx == nil {
-		return Result{}, fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, q.Table.Name())
-	}
-	if err := eo.checkAdaptive(); err != nil {
-		return Result{}, &QueryError{Op: "query", Table: q.Table.Name(), Err: err}
-	}
-	if eo.degree > 0 {
-		plan.Degree = eo.degree
-	}
-	if plan.Degree <= 0 {
-		plan.Degree = 1
-	}
-	prefetch := eo.prefetch
-	if prefetch == 0 {
-		prefetch = plan.Prefetch
-	}
-	qid := s.nextQID
-	s.nextQID++
-	var pages int64
-	spec := exec.Spec{
-		Table:             part.tab,
-		Index:             part.idx,
-		Lo:                q.Low,
-		Hi:                q.High,
-		Method:            plan.Method.internal(),
-		Degree:            plan.Degree,
-		Shared:            plan.Shared,
-		Agg:               q.Agg.internal(),
-		PrefetchPerWorker: prefetch,
-		Span:              ts.span(),
-		Ctl:               ctl,
-		Retry:             eo.retry.internal(),
-		QID:               qid,
-		Progress:          &pages,
-	}
-	if s.adaptiveOn(eo) {
-		// Standalone executions are ungoverned (no lease — the whole supply
-		// is theirs), but growth still respects the band's beneficial depth,
-		// read from the shared broker's calibrated credit supply.
-		beneficial := 0
-		if b, err := s.sharedBroker(); err == nil {
-			beneficial = b.Total()
+// scalar is the body Query and ExecutePlan plug into the lifecycle: the
+// aggregate scan of q under whatever plan choose returns (the optimizer's,
+// or the caller's), on the table's own node or scattered over its active
+// shards and merged on the coordinator.
+func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, choose func(*queryRun) (Plan, error)) (Result, error) {
+	var res exec.Result
+	lc := lifecycle{op: "query", scan: q, tables: []*Table{q.Table}, scatter: true}
+	ran, err := s.run(ctx, lc, opts, func(r *queryRun) (planned, error) {
+		plan, err := choose(r)
+		if err != nil {
+			return planned{}, err
 		}
-		s.attachAdaptive(&spec, q, &plan, eo, nil, beneficial)
+		shards, nodes := r.shardScans(q, &plan)
+		switch {
+		case !q.Table.sharded():
+			sh := shards[0]
+			if s.adaptiveOn(r.eo) {
+				// Standalone executions are ungoverned (no lease — the whole
+				// supply is theirs), but growth still respects the band's
+				// beneficial depth, read from the shared broker's calibrated
+				// credit supply.
+				beneficial := 0
+				if b, err := s.sharedBroker(); err == nil {
+					beneficial = b.Total()
+				}
+				s.attachAdaptive(&sh.Spec, q, &plan, r.eo, nil, beneficial)
+			}
+			return planned{plan, nodes, func(p *sim.Proc) { res = exec.RunScan(p, sh.Ctx, sh.Spec) }}, nil
+		case len(shards) == 0:
+			// Every shard pruned: no rows anywhere, no device touched. COUNT
+			// of nothing is 0 and found, as in the unsharded executor.
+			res.Found = q.Agg == Count
+			return planned{plan: plan}, nil
+		}
+		gs := exec.GatherSpec{Shards: shards, Agg: q.Agg.internal(), Pruned: plan.pruned, QID: r.qid}
+		return planned{plan, nodes, func(p *sim.Proc) { res = exec.RunGather(p, gs).Result }}, nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	ctx := s.execContext()
-	ctx.Tracer = ts.trc()
-	s.events.Emit(event.EvQueryStart, qid, estimatePages(q, plan), int64(eo.plan.QueueBudget))
-	res := exec.Execute(ctx, spec)
-	s.events.Emit(event.EvQueryDone, qid, pages, int64(res.Runtime))
-	result := Result{
+	return Result{
 		Value:            res.Value,
 		Found:            res.Found,
 		Rows:             res.RowsMatched,
-		Plan:             plan,
-		Runtime:          time.Duration(res.Runtime),
-		PageReads:        res.IO.Requests,
-		IOThroughputMBps: res.IO.ThroughputMBps,
-	}
-	ts.finish(s, plan, result.Runtime, eo)
-	if res.Err != nil {
-		return Result{}, &QueryError{Op: "query", Table: q.Table.Name(), Err: res.Err}
-	}
-	return result, nil
+		Plan:             ran.plan,
+		Runtime:          ran.runtime,
+		PageReads:        ran.io.Requests,
+		IOThroughputMBps: ran.io.ThroughputMBps,
+	}, nil
 }
 
 type queryOptions struct {

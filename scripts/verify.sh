@@ -11,6 +11,12 @@ cd "$(dirname "$0")/.."
 go build ./...
 go test ./...
 
+# bench/ is a module of its own (pioqo/bench), frozen by BENCHMARK.json and
+# built against this tree through a replace directive: the patterns above
+# do not see it, so a root-API change that breaks it would only surface in
+# the benchmark run. Vet it and run its smoke test here.
+(cd bench && go vet ./... && go test ./...)
+
 # Tier 2: vet everything, race-test the event loop and metrics/span layer,
 # plus the host-parallel sweep runner and the experiments that fan out on it
 # (the determinism tests compare serial vs parallel output byte for byte),
@@ -24,6 +30,10 @@ go vet ./...
 go test -race -cpu 1,2,4 ./internal/sim/...
 go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/opt/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
 go test -race -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAttribution|TestObserver|TestAdaptive|TestWithAdaptive' .
+
+# The repo-wide lints below read the engine's sources only. bench/ is
+# excluded from each: it is a reader of the engine (registry snapshots,
+# planner stats), not an instrument or emit site, and it is frozen.
 
 # Node-assembly lint: a cluster node's storage stack (device, fault
 # injector, disk manager, buffer pool, share registry) is assembled in
@@ -61,6 +71,7 @@ fi
 # budget split outside admission control, which is exactly the scattered
 # arithmetic the broker layer replaced.
 if grep -rn 'MaxBeneficialDepth' --include='*.go' . |
+	grep -v '^\./bench/' |
 	grep -v '_test\.go' |
 	grep -v './internal/cost/' |
 	grep -v './internal/broker/'; then
@@ -75,6 +86,7 @@ fi
 # caller silently.
 if grep -rnE '(errors\.New|fmt\.Errorf)\("[^"]*([Cc]ancel|[Dd]eadline|[Dd]evice fault|[Aa]dmission)' \
 	--include='*.go' . |
+	grep -v '^\./bench/' |
 	grep -v '_test\.go' |
 	grep -v './internal/fault/'; then
 	echo "verify: raw string error for a taxonomy condition (wrap the internal/fault sentinel instead)" >&2
@@ -106,6 +118,7 @@ fi
 # Counter/Gauge/Histogram/AdoptGauge call site is an ad-hoc metric name the
 # catalog (and every dashboard keyed on it) doesn't know about.
 if grep -rnE '\.(Counter|Gauge|Histogram|AdoptGauge)\(\s*"' --include='*.go' . |
+	grep -v '^\./bench/' |
 	grep -v '_test\.go' |
 	grep -v './internal/obs/'; then
 	echo "verify: string-literal metric name at an instrument call site (add it to internal/obs/catalog.go)" >&2
@@ -117,6 +130,7 @@ fi
 # JSONL schema and its replay guarantee depend on the catalog being the
 # single source of event names.
 if grep -rnE '(log|Log|events)\.Emit\(' --include='*.go' . |
+	grep -v '^\./bench/' |
 	grep -v '_test\.go' |
 	grep -v './internal/obs/event/' |
 	grep -v 'event\.Ev'; then
@@ -130,6 +144,7 @@ fi
 # constants. A literal name elsewhere is an emission the catalog, the JSONL
 # schema, and the planner dashboards don't know about.
 if grep -rnE '"(plancache|planner)\.' --include='*.go' . |
+	grep -v '^\./bench/' |
 	grep -v '_test\.go' |
 	grep -v './internal/obs/'; then
 	echo "verify: literal plancache.*/planner.* event name outside internal/obs (emit a cataloged event.Ev* constant)" >&2
@@ -169,6 +184,7 @@ done
 # only definer; a call anywhere else bypasses admission control and the
 # governed-teardown accounting that keeps lease credits conserved.
 if grep -rn '\.Grow(' --include='*.go' . |
+	grep -v '^\./bench/' |
 	grep -v '_test\.go' |
 	grep -v './internal/adapt/' |
 	grep -v './internal/broker/'; then

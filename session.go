@@ -1,14 +1,13 @@
 package pioqo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
 
 	"pioqo/internal/broker"
-	"pioqo/internal/disk"
 	"pioqo/internal/exec"
-	"pioqo/internal/fault"
 	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
@@ -42,16 +41,15 @@ type Admission struct {
 // Submission is one query's handle in a Session: submit-time state before
 // Drain, the result and its admission record after.
 type Submission struct {
-	q   Query
-	eo  queryOptions
-	ctl *fault.Control
+	// queryRun is the query's lifecycle state — options, abort control, the
+	// engine-assigned query id, and pages, the executor's live fetch
+	// counter Progress reads.
+	*queryRun
+	q Query
 
-	// qid is the engine-assigned query id for event attribution; est and
-	// pages feed Progress — est is the plan's page-pin estimate fixed at
-	// admission, pages the executor's live fetch counter.
-	qid     int64
+	// est is the plan's page-pin estimate fixed at admission, the other
+	// half of Progress.
 	est     int64
-	pages   int64
 	started bool
 
 	adm  Admission
@@ -182,37 +180,20 @@ func (ses *Session) Submit(q Query, opts ...QueryOption) (*Submission, error) {
 	if ses.closed {
 		return nil, fmt.Errorf("%w: session closed", ErrAdmissionClosed)
 	}
-	var eo queryOptions
-	for _, o := range opts {
-		o(&eo)
-	}
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
-	if err := eo.checkAdaptive(); err != nil {
-		return nil, err
-	}
-	if eo.cold {
-		ses.sys.FlushBufferPool()
-	}
-	return ses.submit(q, eo)
+	return ses.submit(q, parseOptions(opts))
 }
 
 // submit is the option-parsed core of Submit (ExecuteConcurrent enters
-// here so its one batch-level cold flush is not repeated per query).
+// here with the batch's one option set). It shares the standalone
+// lifecycle's head — validation, abort control, cold flush, query id — and
+// its spec builder; in between sits what only a session has: admission.
 func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 	s := ses.sys
-	if q.Table != nil && q.Table.sharded() {
-		return nil, fmt.Errorf("%w: table %q is partitioned across %d nodes; sessions are single-node — run scatter-gather through Query",
-			ErrInvalidQuery, q.Table.Name(), len(q.Table.parts))
+	r, err := s.begin(context.Background(), lifecycle{op: "submit", tables: []*Table{q.Table}}, eo)
+	if err != nil {
+		return nil, err
 	}
-	ctl := fault.NewControl(s.env)
-	if eo.timeout > 0 {
-		ctl.SetDeadline(s.env.Now().Add(sim.Duration(eo.timeout)))
-	}
-	qid := s.nextQID
-	s.nextQID++
-	sub := &Submission{q: q, eo: eo, ctl: ctl, qid: qid}
+	sub := &Submission{queryRun: r, q: q}
 
 	// A user-set QueueBudget wins over brokered budgets; it also caps the
 	// grant (demand) so credits beyond it stay free for other queries.
@@ -221,7 +202,7 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 	if userBudget == 0 {
 		po.QueueBudget = ses.b.FairShare()
 	}
-	lease := ses.b.EnqueueQuery(userBudget, qid)
+	lease := ses.b.EnqueueQuery(userBudget, r.qid)
 
 	// Scan-sharing interest: every sharing-eligible query on the table
 	// counts as a potential rider, so a full scan submitted now prices the
@@ -229,12 +210,11 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 	// when the query's process finishes; the parties count is quantized so
 	// the plan memo caches a handful of contention levels, not one
 	// enumeration per exact rider count.
-	// Invalid queries (nil table) fall through to Plan, which reports them.
-	shares := s.coord().Shares
-	sharing := shares != nil && !eo.noShare && q.Table != nil
-	var file disk.FileID
+	part := q.Table.one()
+	shares := part.node.Shares
+	sharing := shares != nil && !eo.noShare
+	file := part.tab.File().ID()
 	if sharing {
-		file = q.Table.one().tab.File().ID()
 		shares.AddInterest(file)
 		if po.ShareParties == 0 {
 			po.ShareParties = quantizeParties(shares.Interest(file))
@@ -269,11 +249,14 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		if sharing {
 			defer shares.DropInterest(file)
 		}
-		ts := s.startTelemetry(q, eo)
-		aspan := ts.trc().Start(ts.span(), "admit")
+		// The trace lives as long as the process, not as long as the
+		// caller keeps the Submission.
+		r.ts = s.startTelemetry(q, eo)
+		defer func() { r.ts = nil }()
+		aspan := r.ts.trc().Start(r.ts.span(), "admit")
 		lease.Await(p)
-		if err := ctl.Err(); err != nil {
-			sub.err = &QueryError{Op: "submit", Table: q.Table.Name(), Err: err}
+		if err := r.ctl.Err(); err != nil {
+			sub.err = r.fail(err)
 			aspan.SetAttr("err", err.Error())
 			aspan.End()
 			return
@@ -301,33 +284,11 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		aspan.End()
 		sub.est = estimatePages(q, plan)
 		sub.started = true
-		s.events.Emit(event.EvQueryStart, qid, sub.est, int64(granted))
+		s.events.Emit(event.EvQueryStart, r.qid, sub.est, int64(granted))
 
-		if eo.degree > 0 {
-			plan.Degree = eo.degree
-		}
-		prefetch := eo.prefetch
-		if prefetch == 0 {
-			prefetch = plan.Prefetch
-		}
-		spec := exec.Spec{
-			Table:             q.Table.one().tab,
-			Index:             q.Table.one().idx,
-			Lo:                q.Low,
-			Hi:                q.High,
-			Method:            plan.Method.internal(),
-			Degree:            plan.Degree,
-			Shared:            plan.Shared,
-			Agg:               q.Agg.internal(),
-			PrefetchPerWorker: prefetch,
-			Span:              ts.span(),
-			Gov:               lease,
-			PoolShare:         lease.PoolPages(),
-			Ctl:               ctl,
-			Retry:             eo.retry.internal(),
-			QID:               qid,
-			Progress:          &sub.pages,
-		}
+		spec := r.spec(part, q, &plan)
+		spec.Gov = lease
+		spec.PoolShare = lease.PoolPages()
 		// With other queries interested in the same file, a private scan's
 		// readahead trims the pages a neighbour (or the circulating
 		// producer) already covered instead of re-requesting them.
@@ -339,16 +300,14 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		// mid-flight, and shed workers return credits through the governed
 		// teardown the broker already runs for static queries.
 		s.attachAdaptive(&spec, q, &plan, eo, lease, ses.b.Total())
-		ctx := s.execContext()
-		ctx.Tracer = ts.trc()
 		t0 := p.Now()
-		res := exec.RunScan(p, ctx, spec)
-		rt := time.Duration(sim.Duration(p.Now() - t0))
-		s.events.Emit(event.EvQueryDone, qid, sub.pages, int64(rt))
+		res := exec.RunScan(p, r.context(part.node), spec)
+		rt := time.Duration(p.Now() - t0)
+		s.events.Emit(event.EvQueryDone, r.qid, r.pages, int64(rt))
+		sub.done = true
+		r.ts.finish(s, plan, rt, eo)
 		if res.Err != nil {
-			sub.err = &QueryError{Op: "submit", Table: q.Table.Name(), Err: res.Err}
-			sub.done = true
-			ts.finish(s, plan, rt, eo)
+			sub.err = r.fail(res.Err)
 			return
 		}
 		sub.res = Result{
@@ -358,8 +317,6 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 			Plan:    plan,
 			Runtime: rt,
 		}
-		sub.done = true
-		ts.finish(s, plan, rt, eo)
 	})
 	return sub, nil
 }

@@ -7,10 +7,9 @@ import (
 	"pioqo/internal/btree"
 	"pioqo/internal/exec"
 	"pioqo/internal/fault"
+	"pioqo/internal/node"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/opt"
-	"pioqo/internal/sim"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
 )
@@ -154,16 +153,13 @@ func (t *Table) activeShards(lo, hi int64) []int {
 // node's pool capacity and its split of the caller's queue-depth budget —
 // and the merge stage is priced on top (opt.ChooseSharded). The public
 // plan reports the makespan estimate and carries the per-shard plans for
-// executeGather.
+// shardScans.
 func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
-	if err := q.validate(); err != nil {
-		return Plan{}, err
-	}
 	t := q.Table
 	active := t.activeShards(q.Low, q.High)
 	if len(active) == 0 {
 		// Every shard pruned: the query is answered without touching a
-		// device. Report a degenerate plan; executeGather short-circuits.
+		// device. Report a degenerate plan; the bodies short-circuit.
 		return Plan{Method: IndexScan, Degree: 1, Fanout: 0, pruned: len(t.parts)}, nil
 	}
 	po := o
@@ -185,14 +181,7 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 			return Plan{}, err
 		}
 		cfgs[j] = cfg
-		ins[j] = opt.Input{
-			Table: part.tab,
-			Index: part.idx,
-			Pool:  part.node.Pool,
-			Stats: part.hist,
-			Lo:    q.Low,
-			Hi:    q.High,
-		}
+		ins[j] = part.input(q)
 	}
 	choose := s.memo.Choose
 	if o.GreedyPlanning || s.greedy {
@@ -237,141 +226,70 @@ func splitBudget(total, shards int) []int {
 	return out
 }
 
-// executeGather is executePlan's scatter-gather tail: it builds one
-// node-local scan spec per active shard (per-shard plans when the plan
-// carries them, the plan's uniform shape otherwise), arms the straggler
-// hedgers for the duration of the run, and executes the gather operator.
-// All shard specs share one Progress counter and one abort control, so
-// live progress and cancellation span the cluster.
-func (s *System) executeGather(q Query, plan Plan, eo queryOptions, ts *telemetrySession, ctl *fault.Control) (Result, error) {
+// shardScans builds the node-local scans of q under plan and returns them
+// with the nodes they run on: one scan for an unsharded table, one per
+// shard that survives partition pruning otherwise — each shard's own plan
+// when the plan carries them, the plan's uniform shape for a
+// caller-constructed one (ExecutePlan). It settles the plan's reported
+// shape on the way: static degree, fanout, pruned count. All scans share
+// the run's progress counter and abort control, so live progress and
+// cancellation span the cluster.
+func (r *queryRun) shardScans(q Query, plan *Plan) ([]exec.ShardScan, []*node.Node) {
 	t := q.Table
-	if plan.Method != FullTableScan && !t.Indexed() {
-		return Result{}, fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, t.Name())
-	}
-	if eo.degree > 0 {
-		plan.Degree = eo.degree
-	}
-	if plan.Degree <= 0 {
-		plan.Degree = 1
-	}
 	var active []int
 	if plan.scatter != nil {
 		active = plan.scatter.active
 	} else {
-		// Caller-constructed plan (ExecutePlan): scatter uniformly.
 		active = t.activeShards(q.Low, q.High)
 	}
-	plan.Fanout = len(active)
-	plan.pruned = len(t.parts) - len(active)
-
-	qid := s.nextQID
-	s.nextQID++
-	s.events.Emit(event.EvQueryStart, qid, estimatePages(q, plan), int64(eo.plan.QueueBudget))
-	if len(active) == 0 {
-		// Every shard pruned: no rows anywhere. COUNT of nothing is 0 and
-		// found, as in the unsharded executor.
-		s.events.Emit(event.EvQueryDone, qid, 0, 0)
-		res := Result{Plan: plan}
-		if q.Agg == Count {
-			res.Found = true
-		}
-		ts.finish(s, plan, 0, eo)
-		return res, nil
+	r.pin(plan)
+	if t.sharded() {
+		plan.Shared = false // circulating scans are single-node
+		plan.Fanout = len(active)
+		plan.pruned = len(t.parts) - len(active)
 	}
-
-	var pages int64
-	gs := exec.GatherSpec{
-		Agg:    q.Agg.internal(),
-		Pruned: plan.pruned,
-		QID:    qid,
-	}
+	shards := make([]exec.ShardScan, len(active))
+	nodes := make([]*node.Node, len(active))
 	for j, si := range active {
 		part := &t.parts[si]
-		shardPlan := plan
+		shardPlan := *plan
 		if plan.scatter != nil {
 			shardPlan = fromInternalPlan(plan.scatter.plans[j])
-			if eo.degree > 0 {
-				shardPlan.Degree = eo.degree
-			}
 		}
-		prefetch := eo.prefetch
-		if prefetch == 0 {
-			prefetch = shardPlan.Prefetch
-		}
-		ctx := s.nodeContext(part.node)
-		ctx.Tracer = ts.trc()
-		gs.Shards = append(gs.Shards, exec.ShardScan{
-			Ctx: ctx,
-			Spec: exec.Spec{
-				Table:             part.tab,
-				Index:             part.idx,
-				Lo:                q.Low,
-				Hi:                q.High,
-				Method:            shardPlan.Method.internal(),
-				Degree:            shardPlan.Degree,
-				Agg:               q.Agg.internal(),
-				PrefetchPerWorker: prefetch,
-				Span:              ts.span(),
-				Ctl:               ctl,
-				Retry:             eo.retry.internal(),
-				QID:               qid,
-				Progress:          &pages,
-			},
-		})
+		shards[j] = exec.ShardScan{Ctx: r.context(part.node), Spec: r.spec(part, q, &shardPlan)}
+		nodes[j] = part.node
 	}
-
-	// Hedging is armed only for the gather window: calibration and
-	// single-node traffic never see speculative duplicates.
-	before := s.armHedgers(active, t)
-	res := exec.ExecuteGather(gs)
-	s.disarmHedgers(active, t, before)
-
-	s.events.Emit(event.EvQueryDone, qid, pages, int64(res.Runtime))
-	result := Result{
-		Value:            res.Value,
-		Found:            res.Found,
-		Rows:             res.RowsMatched,
-		Plan:             plan,
-		Runtime:          time.Duration(res.Runtime),
-		PageReads:        res.IO.Requests,
-		IOThroughputMBps: res.IO.ThroughputMBps,
-	}
-	ts.finish(s, plan, result.Runtime, eo)
-	if res.Err != nil {
-		return Result{}, &QueryError{Op: "query", Table: t.Name(), Err: res.Err}
-	}
-	return result, nil
+	return shards, nodes
 }
 
-// armHedgers arms the active shards' straggler hedgers and snapshots their
-// stats, so the issue/win deltas of this gather can be rolled into the
-// registry counters on disarm.
-func (s *System) armHedgers(active []int, t *Table) []fault.HedgeStats {
+// armHedgers arms the straggler hedgers of the nodes a run touches and
+// snapshots their stats, so the run's issue/win deltas can be rolled into
+// the registry counters on disarm. Single-node systems never hedge.
+func (s *System) armHedgers(nodes []*node.Node) []fault.HedgeStats {
 	if s.hedge == 0 {
 		return nil
 	}
-	before := make([]fault.HedgeStats, len(active))
-	for j, si := range active {
-		if h := t.parts[si].node.Hedge; h != nil {
-			before[j] = h.Stats()
-			h.Arm()
+	before := make([]fault.HedgeStats, len(nodes))
+	for j, n := range nodes {
+		if n.Hedge != nil {
+			before[j] = n.Hedge.Stats()
+			n.Hedge.Arm()
 		}
 	}
 	return before
 }
 
-func (s *System) disarmHedgers(active []int, t *Table, before []fault.HedgeStats) {
+func (s *System) disarmHedgers(nodes []*node.Node, before []fault.HedgeStats) {
 	if before == nil {
 		return
 	}
 	var issued, wins int64
-	for j, si := range active {
-		h := t.parts[si].node.Hedge
-		if h == nil {
+	for j, n := range nodes {
+		if n.Hedge == nil {
 			continue
 		}
-		h.Disarm()
-		st := h.Stats()
+		n.Hedge.Disarm()
+		st := n.Hedge.Stats()
 		issued += st.Issued - before[j].Issued
 		wins += st.Wins - before[j].Wins
 	}
@@ -381,71 +299,6 @@ func (s *System) disarmHedgers(active []int, t *Table, before []fault.HedgeStats
 	if wins > 0 {
 		s.reg.Counter(obs.MetricShardHedgeWins).Add(wins)
 	}
-}
-
-// executeGatherGroupBy is ExecuteGroupBy's scatter-gather tail: per-shard
-// grouped aggregations over each node's partition, group partials folded
-// on the coordinator (the decomposable GROUP BY merge).
-func (s *System) executeGatherGroupBy(q GroupByQuery, plan Plan, eo queryOptions, ctl *fault.Control) (GroupByResult, error) {
-	t := q.Table
-	var active []int
-	if plan.scatter != nil {
-		active = plan.scatter.active
-	} else {
-		active = t.activeShards(q.Low, q.High)
-	}
-	qid := s.nextQID
-	s.nextQID++
-	if len(active) == 0 {
-		return GroupByResult{Plan: plan}, nil
-	}
-
-	shards := make([]exec.ShardScan, len(active))
-	for j, si := range active {
-		part := &t.parts[si]
-		shardPlan := plan
-		if plan.scatter != nil {
-			shardPlan = fromInternalPlan(plan.scatter.plans[j])
-		}
-		ctx := s.nodeContext(part.node)
-		shards[j] = exec.ShardScan{
-			Ctx: ctx,
-			Spec: exec.Spec{
-				Table:             part.tab,
-				Index:             part.idx,
-				Lo:                q.Low,
-				Hi:                q.High,
-				Method:            shardPlan.Method.internal(),
-				Degree:            shardPlan.Degree,
-				PrefetchPerWorker: shardPlan.Prefetch,
-				Ctl:               ctl,
-				Retry:             eo.retry.internal(),
-				QID:               qid,
-			},
-		}
-	}
-
-	before := s.armHedgers(active, t)
-	start := s.env.Now()
-	var res exec.GroupByResult
-	s.env.Go("gather-groupby", func(p *sim.Proc) {
-		res = exec.RunGatherGroupBy(p, shards, q.GroupWidth, q.Agg.internal(), qid)
-	})
-	s.env.Run()
-	s.disarmHedgers(active, t, before)
-	if res.Err != nil {
-		return GroupByResult{}, &QueryError{Op: "groupby", Table: t.Name(), Err: res.Err}
-	}
-
-	out := GroupByResult{
-		Rows:    res.Rows,
-		Plan:    plan,
-		Runtime: time.Duration(s.env.Now() - start),
-	}
-	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, GroupRow{Key: g.Key, Value: g.Value, Rows: g.Rows})
-	}
-	return out, nil
 }
 
 // HedgeStats reports the cluster's straggler-hedging activity: speculative

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -238,17 +239,14 @@ func TestShardedMakespanScales(t *testing.T) {
 // partition silently.
 func TestShardedSingleNodeOpsRejected(t *testing.T) {
 	sys, tab := newShardedCalibrated(t, 4, PartitionHash, 20000, 0)
-	if _, err := sys.Submit(Query{Table: tab, Low: 0, High: 99}); err == nil {
-		t.Error("Submit on a sharded table succeeded; want error")
-	}
-	if _, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 99, Delta: 1}); err == nil {
-		t.Error("Update on a sharded table succeeded; want error")
-	}
-	if _, err := sys.ExecuteJoin(JoinQuery{Build: tab, Probe: tab, Low: 0, High: 99}); err == nil {
-		t.Error("ExecuteJoin on a sharded table succeeded; want error")
-	}
-	if _, err := sys.Explain(Query{Table: tab, Low: 0, High: 99}, PlanOptions{}); err == nil {
-		t.Error("Explain on a sharded table succeeded; want error")
+	_, submitErr := sys.Submit(Query{Table: tab, Low: 0, High: 99})
+	_, updateErr := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 99, Delta: 1})
+	_, joinErr := sys.ExecuteJoin(JoinQuery{Build: tab, Probe: tab, Low: 0, High: 99})
+	_, explainErr := sys.Explain(Query{Table: tab, Low: 0, High: 99}, PlanOptions{})
+	for op, err := range map[string]error{"Submit": submitErr, "Update": updateErr, "ExecuteJoin": joinErr, "Explain": explainErr} {
+		if !errors.Is(err, ErrInvalidQuery) {
+			t.Errorf("%s on a sharded table: err = %v, want ErrInvalidQuery", op, err)
+		}
 	}
 	if _, err := sys.CreateTable("syn", 1000, 33, WithSyntheticData()); err == nil {
 		t.Error("synthetic sharded table succeeded; want error")
@@ -290,6 +288,47 @@ func TestShardedProgressAndEvents(t *testing.T) {
 	for _, n := range io {
 		if n.Requests == 0 {
 			t.Errorf("node %d issued no device reads during a full scatter scan", n.Node)
+		}
+	}
+}
+
+// TestResultRollsUpNodeDeviceTraffic: Result.PageReads is the sum of the
+// device requests on every node the query touched — the one on a single
+// node, all four of a gather — and IOThroughputMBps is the bytes they moved
+// over the longest device window. Both entry points share the rollup.
+func TestResultRollsUpNodeDeviceTraffic(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		sys, tab := newShardedCalibrated(t, shards, PartitionHash, 50000, 0)
+		q := Query{Table: tab, Low: 0, High: 49999, Agg: Count}
+		runs := map[string]func() (Result, error){
+			"Query":       func() (Result, error) { return sys.Execute(q, Cold()) },
+			"ExecutePlan": func() (Result, error) { return sys.ExecutePlan(q, Plan{Method: FullTableScan, Degree: 2}, Cold()) },
+		}
+		for name, run := range runs {
+			res, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var requests, bytes int64
+			var elapsed time.Duration
+			for i, n := range sys.nodes {
+				io := n.Dev.Metrics().Snapshot()
+				if io.Requests == 0 {
+					t.Errorf("%s on %d shards: node %d's device served no reads", name, shards, i)
+				}
+				requests += io.Requests
+				bytes += io.Bytes
+				elapsed = max(elapsed, time.Duration(io.Elapsed))
+			}
+			if res.PageReads != requests || requests == 0 {
+				t.Errorf("%s on %d shards: PageReads = %d, node devices total %d", name, shards, res.PageReads, requests)
+			}
+			if want := float64(bytes) / 1e6 / elapsed.Seconds(); res.IOThroughputMBps != want {
+				t.Errorf("%s on %d shards: IOThroughputMBps = %v, want %v", name, shards, res.IOThroughputMBps, want)
+			}
+			if res.Rows != 50000 {
+				t.Errorf("%s on %d shards: counted %d rows, want 50000", name, shards, res.Rows)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package pioqo
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"time"
 
@@ -38,60 +38,47 @@ type UpdateResult struct {
 }
 
 // Update optimizes the locating scan like any query, applies the mutation
-// through the buffer pool, and checkpoints dirty pages before returning.
-// Only materialized tables are updatable (synthetic values are computed).
+// through the buffer pool, and checkpoints dirty pages before returning —
+// Query's lifecycle with a mutating body. Only materialized tables are
+// updatable (synthetic values are computed).
+//
+// An update is not atomic. One aborted by WithTimeout, a device fault or an
+// exhausted retry policy has already applied Delta to the rows its scan
+// reached, and the closing checkpoint still makes them durable: the
+// *QueryError comes back with an UpdateResult carrying only RowsUpdated, the
+// number of rows changed. Re-running the same update applies Delta to those
+// rows a second time.
 func (s *System) Update(q UpdateQuery, opts ...QueryOption) (UpdateResult, error) {
-	if q.Table == nil {
-		return UpdateResult{}, errors.New("pioqo: update without a table")
-	}
-	if q.Table.sharded() {
-		return UpdateResult{}, fmt.Errorf("pioqo: table %q is partitioned across %d nodes; updates are single-node only",
-			q.Table.Name(), len(q.Table.parts))
-	}
-	mat, ok := q.Table.one().tab.(*table.Materialized)
-	if !ok {
-		return UpdateResult{}, fmt.Errorf("pioqo: table %q is synthetic and read-only", q.Table.Name())
-	}
-	var eo queryOptions
-	for _, o := range opts {
-		o(&eo)
-	}
-	if eo.cold {
-		s.FlushBufferPool()
-	}
-	plan, err := s.Plan(Query{Table: q.Table, Low: q.Low, High: q.High}, eo.plan)
-	if err != nil {
-		return UpdateResult{}, err
-	}
-
-	spec := exec.Spec{
-		Table:             q.Table.one().tab,
-		Index:             q.Table.one().idx,
-		Lo:                q.Low,
-		Hi:                q.High,
-		Method:            plan.Method.internal(),
-		Degree:            plan.Degree,
-		PrefetchPerWorker: plan.Prefetch,
-		Agg:               exec.AggCount,
-		Update:            func(rowID int64) { mat.SetC1(rowID, mat.RowAt(rowID).C1+q.Delta) },
-	}
-
-	ctx := s.execContext()
-	ctx.Dev.Metrics().Reset()
-	ctx.Pool.ResetStats()
-	start := s.env.Now()
+	scan := Query{Table: q.Table, Low: q.Low, High: q.High, Agg: Count}
 	var res exec.Result
-	s.env.Go("update", func(p *sim.Proc) {
-		res = exec.RunScan(p, ctx, spec)
-		// Checkpoint: the update is not done until its pages are durable.
-		s.coord().Pool.FlushDirty(p)
+	lc := lifecycle{op: "update", scan: scan, tables: []*Table{q.Table}}
+	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun) (planned, error) {
+		mat, ok := q.Table.one().tab.(*table.Materialized)
+		if !ok {
+			return planned{}, fmt.Errorf("%w: table %q is synthetic and read-only", ErrInvalidQuery, q.Table.Name())
+		}
+		plan, err := r.optimize(scan)
+		if err != nil {
+			return planned{}, err
+		}
+		shards, nodes := r.shardScans(scan, &plan)
+		sh := shards[0]
+		sh.Spec.Update = func(rowID int64) { mat.SetC1(rowID, mat.RowAt(rowID).C1+q.Delta) }
+		return planned{plan, nodes, func(p *sim.Proc) {
+			res = exec.RunScan(p, sh.Ctx, sh.Spec)
+			// Checkpoint: the update is not done until its pages are durable
+			// — and an aborted one still flushes the rows it changed, so
+			// memory and device never disagree.
+			sh.Ctx.Pool.FlushDirty(p)
+		}}, nil
 	})
-	s.env.Run()
-
+	if err != nil {
+		return UpdateResult{RowsUpdated: res.RowsMatched}, err
+	}
 	return UpdateResult{
 		RowsUpdated:  res.RowsMatched,
-		PagesWritten: s.coord().Pool.Stats.DirtyWrites,
-		Plan:         plan,
-		Runtime:      time.Duration(s.env.Now() - start),
+		PagesWritten: q.Table.one().node.Pool.Stats.DirtyWrites,
+		Plan:         ran.plan,
+		Runtime:      ran.runtime,
 	}, nil
 }

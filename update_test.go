@@ -1,6 +1,9 @@
 package pioqo
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 func TestUpdateModifiesValuesDurably(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
@@ -61,11 +64,11 @@ func TestUpdateRejectsSyntheticTables(t *testing.T) {
 	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 9, Delta: 1}); err == nil {
-		t.Error("update of a synthetic table succeeded")
+	if _, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 9, Delta: 1}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("update of a synthetic table: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, err := sys.Update(UpdateQuery{Delta: 1}); err == nil {
-		t.Error("update without a table succeeded")
+	if _, err := sys.Update(UpdateQuery{Delta: 1}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("update without a table: err = %v, want ErrInvalidQuery", err)
 	}
 }
 
@@ -88,4 +91,40 @@ func TestUpdateWriteBackOnEviction(t *testing.T) {
 		t.Errorf("only %d pages written for a full-table update of %d pages",
 			up.PagesWritten, tab.Pages())
 	}
+}
+
+// TestAbortedUpdateAppliesAPrefix pins what an abort leaves behind: the
+// rows the scan reached before the deadline are changed and checkpointed,
+// the rest are untouched, and the error comes with the count.
+func TestAbortedUpdateAppliesAPrefix(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 20000, 33)
+	q := Query{Table: tab, Low: 0, High: 9999, Agg: Sum}
+	up := UpdateQuery{Table: tab, Low: 0, High: 9999, Delta: 7}
+
+	whole, err := sys.Update(up, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Execute(q, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The closing checkpoint dominates an update's runtime; an eighth of it
+	// lands inside the locating scan.
+	part, err := sys.Update(up, Cold(), WithTimeout(whole.Runtime/8))
+	var qe *QueryError
+	if !errors.As(err, &qe) || !errors.Is(err, ErrDeadlineExceeded) {
+		t.Fatalf("err = %v, want a *QueryError wrapping ErrDeadlineExceeded", err)
+	}
+	if part.RowsUpdated <= 0 || part.RowsUpdated >= whole.RowsUpdated {
+		t.Fatalf("aborted update (runtime %v) changed %d of %d rows; the deadline is meant to land mid-scan", whole.Runtime, part.RowsUpdated, whole.RowsUpdated)
+	}
+	after, err := sys.Execute(q, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := before.Value + 7*part.RowsUpdated; after.Value != want {
+		t.Errorf("SUM after the aborted update = %d, want %d (%d rows changed)", after.Value, want, part.RowsUpdated)
+	}
+	assertNoLeaks(t, sys)
 }
