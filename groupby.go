@@ -66,7 +66,7 @@ func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByRes
 			return planned{plan: plan}, nil
 		}
 		return planned{plan, nodes, func(p *sim.Proc) {
-			res = exec.RunGatherGroupBy(p, shards, q.GroupWidth, agg, r.qid)
+			res = exec.RunGatherGroupBy(p, shards, plan.pruned, q.GroupWidth, agg, r.qid)
 		}}, nil
 	})
 	if err != nil {

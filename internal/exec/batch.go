@@ -33,13 +33,35 @@ import (
 // calls against the CPU resource elsewhere in the package.
 type cpuBudget struct {
 	ctx  *Context
-	m    *meter // optional span metering; nil for unmetered workers
 	debt sim.Duration
+
+	// What the worker's track span reports: pages fetched through the pool,
+	// virtual time blocked on those fetches (device + join waits), and
+	// virtual time spent queueing for and holding the CPU. Measured here,
+	// where the blocking happens.
+	span  *obs.Span
+	pages int64
+	io    sim.Duration
+	cpu   sim.Duration
 }
 
-// newBudget returns a budget charging through m's meter when non-nil.
-func newBudget(ctx *Context, m *meter) *cpuBudget {
-	return &cpuBudget{ctx: ctx, m: m}
+// newBudget returns a budget with a track span for one worker under parent.
+// With a nil tracer the budget works the same; it just has no span to
+// annotate.
+func newBudget(ctx *Context, parent *obs.Span, name string) *cpuBudget {
+	return &cpuBudget{ctx: ctx, span: ctx.Tracer.StartTrack(parent, name)}
+}
+
+// finish annotates and closes the worker span.
+func (b *cpuBudget) finish(rows int64) {
+	if b.span == nil {
+		return
+	}
+	b.span.SetAttr("pages", b.pages)
+	b.span.SetAttr("rows", rows)
+	b.span.SetAttr("cpu", b.cpu)
+	b.span.SetAttr("io_wait", b.io)
+	b.span.End()
 }
 
 // charge accrues CPU debt without touching the simulator.
@@ -52,26 +74,28 @@ func (b *cpuBudget) settle(wp *sim.Proc) {
 	}
 	d := b.debt
 	b.debt = 0
-	if b.m != nil {
-		b.m.use(wp, d)
-		return
-	}
+	t0 := b.ctx.Env.Now()
 	wp.Use(b.ctx.CPU, d)
+	b.cpu += sim.Duration(b.ctx.Env.Now() - t0)
 }
 
 // fetchE pins a page, settling outstanding debt first whenever the request
 // could touch the device or block (the page is absent, or present but its
 // read is still in flight). Loaded pages pin without settling — that is
 // where merging wins. A failed read returns the device's error for
-// fetchRetry's policy to handle.
+// fetchRetry's policy to handle; it still counts its blocked time but not a
+// fetched page.
 func (b *cpuBudget) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handle, error) {
 	if !b.ctx.Pool.Loaded(f, page) {
 		b.settle(wp)
 	}
-	if b.m != nil {
-		return b.m.fetchE(wp, f, page)
+	t0 := b.ctx.Env.Now()
+	h, err := b.ctx.Pool.FetchPageE(wp, f, page)
+	b.io += sim.Duration(b.ctx.Env.Now() - t0)
+	if err == nil {
+		b.pages++
 	}
-	return b.ctx.Pool.FetchPageE(wp, f, page)
+	return h, err
 }
 
 // fetchRetry pins a page under the spec's fault policy: a failed read is
@@ -130,25 +154,4 @@ func (b *cpuBudget) prefetch(wp *sim.Proc, f *disk.File, page int64) {
 // accounting greppable.
 func useCPU(p *sim.Proc, ctx *Context, d sim.Duration) {
 	p.Use(ctx.CPU, d)
-}
-
-// fetchE pins a page through the pool, attributing the blocked time to the
-// worker's span; a failed fetch still counts its blocked time but not a
-// fetched page.
-func (m *meter) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handle, error) {
-	t0 := m.ctx.Env.Now()
-	h, err := m.ctx.Pool.FetchPageE(wp, f, page)
-	m.io += sim.Duration(m.ctx.Env.Now() - t0)
-	if err == nil {
-		m.pages++
-	}
-	return h, err
-}
-
-// use charges d against the CPU through the meter, attributing queueing
-// and hold time to the worker's span.
-func (m *meter) use(wp *sim.Proc, d sim.Duration) {
-	t0 := m.ctx.Env.Now()
-	wp.Use(m.ctx.CPU, d)
-	m.cpu += sim.Duration(m.ctx.Env.Now() - t0)
 }

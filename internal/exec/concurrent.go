@@ -14,20 +14,19 @@ import (
 // runtime; the returned summary meters the device over the whole window.
 func ExecuteAll(ctx *Context, specs []Spec) ([]Result, device.Summary) {
 	results := make([]Result, len(specs))
-	ctx.Dev.Metrics().Reset()
-	ctx.Pool.ResetStats()
-	wg := sim.NewWaitGroup(ctx.Env)
-	for i, spec := range specs {
-		i, spec := i, spec
-		wg.Add(1)
-		ctx.Env.Go(fmt.Sprintf("query%d", i), func(p *sim.Proc) {
-			defer wg.Done()
-			t0 := p.Now()
-			results[i] = RunScan(p, ctx, spec)
-			results[i].Runtime = sim.Duration(p.Now() - t0)
-		})
-	}
-	ctx.Env.Go("queries-join", func(p *sim.Proc) { p.WaitFor(wg) })
-	ctx.Env.Run()
-	return results, ctx.Dev.Metrics().Snapshot()
+	_, io, _ := metered(ctx, "queries-join", func(p *sim.Proc) {
+		wg := sim.NewWaitGroup(ctx.Env)
+		for i, spec := range specs {
+			i, spec := i, spec
+			wg.Add(1)
+			ctx.Env.Go(fmt.Sprintf("query%d", i), func(qp *sim.Proc) {
+				defer wg.Done()
+				t0 := qp.Now()
+				results[i] = RunScan(qp, ctx, spec)
+				results[i].Runtime = sim.Duration(qp.Now() - t0)
+			})
+		}
+		p.WaitFor(wg)
+	})
+	return results, io
 }

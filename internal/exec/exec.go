@@ -242,8 +242,8 @@ type Spec struct {
 	// full scans and index scans; sorted index scans and shared riders stay
 	// static). Degree then names the *initial* fleet; growth is bounded by
 	// Tune.MaxDegree and the readahead clamps budget against that cap. Nil
-	// (the default) is the static executor, byte-identical to pre-adaptive
-	// runs.
+	// (the default) is a fleet that never retunes, byte-identical to
+	// pre-adaptive runs.
 	Tune Tuner
 }
 
@@ -347,16 +347,8 @@ type Result struct {
 // them (flush explicitly between runs to model a cold cache).
 func Execute(ctx *Context, spec Spec) Result {
 	var res Result
-	ctx.Dev.Metrics().Reset()
-	ctx.Pool.ResetStats()
-	start := ctx.Env.Now()
-	ctx.Env.Go("query", func(p *sim.Proc) {
-		res = RunScan(p, ctx, spec)
-	})
-	ctx.Env.Run()
-	res.Runtime = sim.Duration(ctx.Env.Now() - start)
-	res.IO = ctx.Dev.Metrics().Snapshot()
-	res.Pool = ctx.Pool.Stats
+	rt, io, pool := metered(ctx, "query", func(p *sim.Proc) { res = RunScan(p, ctx, spec) })
+	res.Runtime, res.IO, res.Pool = rt, io, pool
 	return res
 }
 
@@ -416,36 +408,6 @@ func RunScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	return res
 }
 
-// meter measures one worker's activity for its span: pages fetched through
-// the pool, virtual time blocked on those fetches, and virtual time spent
-// acquiring and holding CPU. It wraps the pool and CPU calls the workers
-// make, so the split is measured where the blocking happens.
-type meter struct {
-	ctx   *Context
-	span  *obs.Span
-	pages int64
-	io    sim.Duration // time blocked in FetchPage (device + join waits)
-	cpu   sim.Duration // time queueing for and holding the CPU resource
-}
-
-// newMeter opens a track span for one worker under parent. With a nil
-// tracer the meter still works; it just has no span to annotate.
-func newMeter(ctx *Context, parent *obs.Span, name string) *meter {
-	return &meter{ctx: ctx, span: ctx.Tracer.StartTrack(parent, name)}
-}
-
-// finish annotates and closes the worker span.
-func (m *meter) finish(a *agg) {
-	if m.span == nil {
-		return
-	}
-	m.span.SetAttr("pages", m.pages)
-	m.span.SetAttr("rows", a.rows)
-	m.span.SetAttr("cpu", m.cpu)
-	m.span.SetAttr("io_wait", m.io)
-	m.span.End()
-}
-
 // agg accumulates one aggregate over C1 plus the matched-row count.
 type agg struct {
 	kind  AggKind
@@ -454,23 +416,12 @@ type agg struct {
 	rows  int64
 }
 
+// add folds one row in: a merge of the single-row accumulator.
 func (a *agg) add(c1 int64) {
-	switch a.kind {
-	case AggMax:
-		if !a.found || c1 > a.val {
-			a.val = c1
-		}
-	case AggMin:
-		if !a.found || c1 < a.val {
-			a.val = c1
-		}
-	case AggSum:
-		a.val += c1
-	case AggCount:
-		a.val++
+	if a.kind == AggCount {
+		c1 = 1
 	}
-	a.found = true
-	a.rows++
+	a.merge(agg{val: c1, found: true, rows: 1})
 }
 
 // addBatch folds every row matching lo <= C2 <= hi into the accumulator,
@@ -546,12 +497,9 @@ func (a *agg) merge(b agg) {
 }
 
 // result converts an accumulator into a Result, applying SQL semantics:
-// COUNT(*) of an empty match is 0, not NULL.
+// COUNT(*) of an empty match is 0 (the accumulator's zero value), not NULL.
 func (a agg) result() Result {
-	if a.kind == AggCount && !a.found {
-		return Result{Value: 0, Found: true}
-	}
-	return Result{Value: a.val, Found: a.found, RowsMatched: a.rows}
+	return Result{Value: a.val, Found: a.found || a.kind == AggCount, RowsMatched: a.rows}
 }
 
 // clampReadahead bounds the full-scan readahead window so that
@@ -566,20 +514,10 @@ func clampReadahead(capacity, degree, blockPages, prefetchBlocks int) (int, int)
 	if blockPages <= 1 {
 		return blockPages, prefetchBlocks
 	}
-	window := capacity/2 - degree
-	if window < 1 {
-		window = 1
+	if window := capacity/2 - degree; blockPages > window {
+		blockPages = max(window, 1)
 	}
-	if blockPages > window {
-		blockPages = window
-	}
-	if blockPages > 1 && prefetchBlocks > window/blockPages {
-		prefetchBlocks = window / blockPages
-		if prefetchBlocks < 1 {
-			prefetchBlocks = 1
-		}
-	}
-	return blockPages, prefetchBlocks
+	return blockPages, liveWindow(capacity, degree, blockPages, prefetchBlocks)
 }
 
 // runFullScan implements FTS/PFTS: an asynchronous block prefetcher stays
@@ -589,20 +527,17 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	t := spec.Table
 	pages := t.Pages()
 	file := t.File()
-	rpp := t.RowsPerPage()
 
 	nextPage := int64(0) // shared work queue: next unclaimed heap page
+	var onClaim func(wp *sim.Proc, bud *cpuBudget, page int64)
+	var wakeup *sim.Completion // the parked prefetcher's, when block reads are on
 
 	// An elastic scan clamps its readahead geometry against the growth cap,
 	// not the initial degree: the block layout is fixed for the scan's
 	// lifetime, so it must already leave room for a fully grown fleet's pins.
-	fl := newFleet(&spec)
-	clampDegree := spec.Degree
-	if fl != nil && fl.max > clampDegree {
-		clampDegree = fl.max
-	}
+	fl := newFleet(ctx, &spec)
 	spec.BlockPages, spec.PrefetchBlocks = clampReadahead(
-		spec.poolCapacity(ctx), clampDegree, spec.BlockPages, spec.PrefetchBlocks)
+		spec.poolCapacity(ctx), fl.max, spec.BlockPages, spec.PrefetchBlocks)
 
 	if spec.BlockPages > 1 {
 		// Flow-control window: the prefetcher stays at most PrefetchBlocks
@@ -614,7 +549,7 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		// fleets on tiny pools; a static scan's window is the plan-time
 		// constant, unchanged.
 		window := func() int64 { return int64(spec.PrefetchBlocks) }
-		if fl != nil {
+		if spec.Tune != nil {
 			capacity := spec.poolCapacity(ctx)
 			window = func() int64 {
 				return int64(liveWindow(capacity, fl.live, spec.BlockPages, spec.PrefetchBlocks))
@@ -623,7 +558,6 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		blocks := (pages + int64(spec.BlockPages) - 1) / int64(spec.BlockPages)
 		reached := make([]bool, blocks)
 		var issued, reachedCount int64
-		var wakeup *sim.Completion
 		ctx.Env.Go("fts-prefetcher", func(pf *sim.Proc) {
 			ps := ctx.Tracer.StartTrack(spec.Span, "fts-prefetcher",
 				obs.KV("blocks", blocks), obs.KV("block_pages", spec.BlockPages))
@@ -686,7 +620,7 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		// settle blocks, so another worker can reach the same block while
 		// this one sleeps — the re-check keeps each block counted once,
 		// which the prefetcher's credit flow control depends on.
-		onClaim := func(wp *sim.Proc, bud *cpuBudget, page int64) {
+		onClaim = func(wp *sim.Proc, bud *cpuBudget, page int64) {
 			b := page / int64(spec.BlockPages)
 			if !reached[b] {
 				bud.settle(wp)
@@ -699,111 +633,39 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 				}
 			}
 		}
-		res := runFullScanWorkers(p, ctx, spec, fl, &nextPage, onClaim, rpp)
-		// On abort the prefetcher may be parked on its flow-control window
-		// with no worker left to wake it; one final fire lets it observe the
-		// abort and exit. A completed scan's wakeups have all fired already,
-		// so this never adds events to a healthy run.
-		if wakeup != nil && !wakeup.Fired() {
-			wakeup.Fire()
-		}
-		return res
 	}
-	return runFullScanWorkers(p, ctx, spec, fl, &nextPage, nil, rpp)
-}
 
-func runFullScanWorkers(p *sim.Proc, ctx *Context, spec Spec, fl *fleet, nextPage *int64, onClaim func(*sim.Proc, *cpuBudget, int64), rpp int) Result {
-	t := spec.Table
-	pages := t.Pages()
-	file := t.File()
-
-	results := newAggs(spec.Agg, fl.slots(spec.Degree))
-	wg := sim.NewWaitGroup(ctx.Env)
-	worker := func(w int) func(*sim.Proc) {
-		return func(wp *sim.Proc) {
-			defer wg.Done()
-			retired := false
-			if fl != nil {
-				defer func() { fl.exit(retired) }()
-			}
-			spec.startWorker(ctx, w)
-			defer spec.endWorker(ctx, w)
-			m := newMeter(ctx, spec.Span, fmt.Sprintf("fts-w%d", w))
-			defer m.finish(&results[w])
-			bud := newBudget(ctx, m)
-			defer bud.settle(wp)
-			if spec.Degree > 1 || w >= spec.Degree {
-				bud.charge(ctx.Costs.WorkerStartup)
-			}
-			var rowBuf []table.Row
-			for {
-				// The page is the abort — and retune — quantum: a tripped
-				// control stops the worker here, before it claims more work,
-				// and an elastic fleet grows or retires here.
-				if spec.aborted() {
-					return
-				}
-				if fl.tick() {
-					retired = true
-					return
-				}
-				page := *nextPage
-				if page >= pages {
-					if fl != nil {
-						fl.done = true
-					}
-					return
-				}
-				*nextPage = page + 1
-				if onClaim != nil {
-					onClaim(wp, bud, page)
-				}
-				h, ok := bud.fetchRetry(wp, &spec, file, page)
-				if !ok {
-					return
-				}
-				firstRow := page * int64(rpp)
-				lastRow := firstRow + int64(rpp)
-				if lastRow > t.Rows() {
-					lastRow = t.Rows()
-				}
-				bud.charge(ctx.Costs.PerPage +
-					sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
-				rowBuf = t.RowsAt(firstRow, lastRow, rowBuf)
-				spec.deliverPage(&results[w], h, firstRow, rowBuf)
-				// One page is the batch quantum: settling here keeps workers
-				// interleaving on the CPU at page granularity (deferring
-				// across a whole prefetched block would serialize work the
-				// row-at-a-time schedule ran Degree-wide), and releasing
-				// after the settle preserves the old pin window.
-				bud.settle(wp)
-				h.Release()
-			}
+	fl.run(p, "fts-w", spec.Degree, func(w *worker) bool {
+		page := nextPage
+		if page >= pages {
+			return false
 		}
-	}
-	if fl != nil {
-		fl.spawn = func(w int) {
-			wg.Add(1)
-			ctx.Env.Go(fmt.Sprintf("fts-w%d", w), worker(w))
+		nextPage = page + 1
+		if onClaim != nil {
+			onClaim(w.p, w.bud, page)
 		}
-		fl.start(spec.Degree)
-	} else {
-		for w := 0; w < spec.Degree; w++ {
-			wg.Add(1)
-			ctx.Env.Go(fmt.Sprintf("fts-w%d", w), worker(w))
+		h, ok := w.bud.fetchRetry(w.p, &spec, file, page)
+		if !ok {
+			return false
 		}
+		w.rows = evalPage(ctx, &spec, w.bud, w.a, h, page, w.rows)
+		// One page is the batch quantum: settling here keeps workers
+		// interleaving on the CPU at page granularity (deferring across a
+		// whole prefetched block would serialize work the row-at-a-time
+		// schedule ran Degree-wide), and releasing after the settle
+		// preserves the old pin window.
+		w.bud.settle(w.p)
+		h.Release()
+		return true
+	})
+	// On abort the prefetcher may be parked on its flow-control window with
+	// no worker left to wake it; one final fire lets it observe the abort
+	// and exit. A completed scan's wakeups have all fired already, so this
+	// never adds events to a healthy run.
+	if wakeup != nil && !wakeup.Fired() {
+		wakeup.Fire()
 	}
-	p.WaitFor(wg)
-	return mergeAggs(spec.Agg, results)
-}
-
-// newAggs returns one accumulator per worker, all of the given kind.
-func newAggs(kind AggKind, n int) []agg {
-	out := make([]agg, n)
-	for i := range out {
-		out[i].kind = kind
-	}
-	return out
+	return fl.result()
 }
 
 // mergeAggs folds per-worker accumulators into a Result.
@@ -813,157 +675,4 @@ func mergeAggs(kind AggKind, results []agg) Result {
 		total.merge(a)
 	}
 	return total.result()
-}
-
-// runIndexScan implements IS/PIS: one descent from the root locates the
-// qualifying entry range, which is split into Degree contiguous sub-ranges,
-// one per worker. Each worker walks its sub-range leaf by leaf: it reads
-// the leaf page, optionally prefetches up to PrefetchPerWorker of the
-// referenced table pages ahead (never across its current leaf boundary, per
-// §3.3), and fetches each row's page to evaluate it.
-//
-// At the paper's scale (qualifying leaves ≫ workers) entry-range splitting
-// behaves exactly like the paper's leaf-at-a-time distribution; at reduced
-// scale it additionally parallelizes ranges narrower than a worker-count of
-// leaves, with the effective parallelism still capped by the matching-row
-// count — the paper's noted exception for very selective queries.
-func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
-	t := spec.Table
-	x := spec.Index
-	rpp := t.RowsPerPage()
-
-	// Clamp per-worker prefetch so in-flight prefetched frames plus worker
-	// pins can never exhaust the pool (or the lease's share of it). An
-	// elastic scan clamps against its growth cap — the degree the fleet may
-	// reach, not the one it starts at.
-	fl := newFleet(&spec)
-	if spec.PrefetchPerWorker > 0 {
-		clampDegree := spec.Degree
-		if fl != nil && fl.max > clampDegree {
-			clampDegree = fl.max
-		}
-		if budget := spec.poolCapacity(ctx)/2/clampDegree - 1; spec.PrefetchPerWorker > budget {
-			spec.PrefetchPerWorker = budget
-			if spec.PrefetchPerWorker < 0 {
-				spec.PrefetchPerWorker = 0
-			}
-		}
-	}
-
-	// Root-to-leaf descent: internal pages are read through the pool and
-	// are typically resident after the first query. The descent runs on the
-	// driver, so its retries go through a throwaway budget.
-	dbud := newBudget(ctx, nil)
-	for _, pg := range x.DescentPath() {
-		if spec.aborted() {
-			return Result{}
-		}
-		h, ok := dbud.fetchRetry(p, &spec, x.File(), pg)
-		if !ok {
-			return Result{}
-		}
-		useCPU(p, ctx, ctx.Costs.PerPage)
-		h.Release()
-	}
-
-	startPos, endPos := x.SearchGE(spec.Lo), x.SearchGT(spec.Hi)
-	if startPos >= endPos {
-		return agg{kind: spec.Agg}.result()
-	}
-	if fl != nil {
-		return runIndexScanElastic(p, ctx, spec, fl, startPos, endPos, rpp)
-	}
-	total := endPos - startPos
-	chunk := (total + int64(spec.Degree) - 1) / int64(spec.Degree)
-
-	results := newAggs(spec.Agg, spec.Degree)
-	wg := sim.NewWaitGroup(ctx.Env)
-	for w := 0; w < spec.Degree; w++ {
-		w := w
-		posLo := startPos + int64(w)*chunk
-		posHi := posLo + chunk
-		if posHi > endPos {
-			posHi = endPos
-		}
-		if posLo >= posHi {
-			continue
-		}
-		wg.Add(1)
-		ctx.Env.Go(fmt.Sprintf("pis-w%d", w), func(wp *sim.Proc) {
-			defer wg.Done()
-			spec.startWorker(ctx, w)
-			defer spec.endWorker(ctx, w)
-			m := newMeter(ctx, spec.Span, fmt.Sprintf("pis-w%d", w))
-			defer m.finish(&results[w])
-			bud := newBudget(ctx, m)
-			defer bud.settle(wp)
-			if spec.Degree > 1 {
-				bud.charge(ctx.Costs.WorkerStartup)
-			}
-			var buf, matches []btree.Entry
-			pos := posLo
-			for pos < posHi {
-				// The leaf batch is the abort quantum for PIS workers.
-				if spec.aborted() {
-					return
-				}
-				// One iteration is the §3.3 I/O batch: a leaf read plus the
-				// bounded prefetch-and-fetch of its table pages. Span it only
-				// in detailed traces — at realistic scales a query touches
-				// thousands of leaves.
-				var ls *obs.Span
-				if ctx.Tracer.Detailed() {
-					ls = ctx.Tracer.Start(m.span, "leaf-batch")
-				}
-				leaf, slot := x.LeafOf(pos)
-				lh, ok := bud.fetchRetry(wp, &spec, x.File(), x.LeafPage(leaf))
-				if !ok {
-					ls.End()
-					return
-				}
-				buf = x.LeafEntries(leaf, buf)
-				take := len(buf) - slot
-				if rem := posHi - pos; int64(take) > rem {
-					take = int(rem)
-				}
-				matches = append(matches[:0], buf[slot:slot+take]...)
-				bud.charge(ctx.Costs.PerPage +
-					sim.Duration(len(matches))*ctx.Costs.PerEntry)
-				lh.Release()
-
-				prefetched := 0
-				for i, e := range matches {
-					// Keep up to PrefetchPerWorker table pages in flight,
-					// clamped at this leaf's last reference. Issuing an
-					// asynchronous read costs CPU — the reason the paper
-					// finds one worker prefetching n does not quite match n
-					// workers.
-					for prefetched < i+spec.PrefetchPerWorker && prefetched < len(matches) {
-						bud.prefetch(wp, t.File(),
-							table.PageOf(matches[prefetched].Row, rpp))
-						prefetched++
-					}
-					th, ok := bud.fetchRetry(wp, &spec, t.File(), table.PageOf(e.Row, rpp))
-					if !ok {
-						ls.End()
-						return
-					}
-					bud.charge(ctx.Costs.PerRowFetch)
-					row := t.RowAt(e.Row)
-					if row.C2 >= spec.Lo && row.C2 <= spec.Hi {
-						spec.deliver(&results[w], th, e.Row, row)
-					}
-					th.Release()
-				}
-				// The leaf batch is the settle quantum — without it a fully
-				// warm scan would defer the whole range into one giant Use.
-				bud.settle(wp)
-				ls.SetAttr("entries", take)
-				ls.End()
-				pos += int64(take)
-			}
-		})
-	}
-	p.WaitFor(wg)
-	return mergeAggs(spec.Agg, results)
 }

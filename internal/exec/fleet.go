@@ -1,0 +1,205 @@
+package exec
+
+import (
+	"fmt"
+
+	"pioqo/internal/btree"
+	"pioqo/internal/buffer"
+	"pioqo/internal/device"
+	"pioqo/internal/sim"
+	"pioqo/internal/table"
+)
+
+// fleet owns the whole lifetime of one scan's workers: spawning, the
+// wait-group the driver parks on, governor and event-log reporting, the
+// metered CPU budget and its track span, the startup charge, the abort
+// poll and the tuner tick at every quantum, and the teardown order. The
+// drivers supply only a step — claim one quantum of work and process it.
+//
+// Every fleet is elastic. A scan without a Tuner runs a fleet whose tick
+// never retunes, so a static degree needs no code path of its own. All
+// mutation happens from simulation context, which is host-serialized, so
+// plain fields suffice.
+type fleet struct {
+	ctx  *Context
+	spec *Spec
+	aggs []agg // one accumulator per slot, fresh for each run
+
+	live    int  // workers running (including those about to leave)
+	leaving int  // workers instructed to retire but not yet exited
+	next    int  // next slot to spawn
+	max     int  // hard growth cap (sizes per-slot state)
+	done    bool // work exhausted: growth is pointless now
+
+	// startup is charged to every worker of a parallel fleet; a driver whose
+	// later phase reuses the first phase's threads zeroes it in between.
+	startup sim.Duration
+
+	// A slot's governor and event-log lifetime is one start/exit pair per
+	// scan. While hold is set, exiting workers leave their slot's lifetime
+	// open (held) and the slot's next worker inherits it: a broker lease
+	// must not see a multi-phase scan's fleet drop to zero at a phase
+	// barrier, or it re-leases the whole grant while the next phase still
+	// needs it.
+	hold bool
+	held []bool
+
+	name string // process and track-span prefix of the current run
+	step func(w *worker) bool
+	wg   *sim.WaitGroup
+}
+
+// worker is one slot's state, handed to the step at every quantum.
+type worker struct {
+	id  int
+	p   *sim.Proc
+	bud *cpuBudget
+	a   *agg
+
+	entries []btree.Entry // scratch reused across leaf batches
+	rows    []table.Row   // scratch reused across pages
+}
+
+// newFleet sizes a fleet for spec: its degree, or the tuner's growth cap.
+func newFleet(ctx *Context, spec *Spec) *fleet {
+	max := spec.Degree
+	if spec.Tune != nil && spec.Tune.MaxDegree() > max {
+		max = spec.Tune.MaxDegree()
+	}
+	return &fleet{ctx: ctx, spec: spec, max: max,
+		startup: ctx.Costs.WorkerStartup, held: make([]bool, max)}
+}
+
+// run launches n workers named name+slot, each calling step until it
+// reports no work left, and parks p until the fleet has drained.
+func (fl *fleet) run(p *sim.Proc, name string, n int, step func(w *worker) bool) {
+	fl.name, fl.step = name, step
+	fl.next, fl.done = 0, false
+	fl.aggs = make([]agg, fl.max)
+	for i := range fl.aggs {
+		fl.aggs[i].kind = fl.spec.Agg
+	}
+	fl.wg = sim.NewWaitGroup(fl.ctx.Env)
+	for i := 0; i < n; i++ {
+		fl.spawn()
+	}
+	p.WaitFor(fl.wg)
+}
+
+func (fl *fleet) spawn() {
+	id := fl.next
+	fl.next++
+	fl.live++
+	fl.wg.Add(1)
+	name := fmt.Sprintf("%s%d", fl.name, id)
+	fl.ctx.Env.Go(name, func(wp *sim.Proc) { fl.work(wp, id, name) })
+}
+
+// work is one worker's lifetime. Teardown runs in the reverse of setup:
+// settle the CPU debt, close the span, report the exit, leave the fleet,
+// release the driver.
+func (fl *fleet) work(wp *sim.Proc, id int, name string) {
+	ctx, spec := fl.ctx, fl.spec
+	defer fl.wg.Done()
+	retired := false
+	defer func() {
+		fl.live--
+		if retired {
+			fl.leaving--
+		}
+	}()
+	if fl.held[id] {
+		fl.held[id] = false
+	} else {
+		spec.startWorker(ctx, id)
+	}
+	defer func() {
+		if fl.hold {
+			fl.held[id] = true
+		} else {
+			spec.endWorker(ctx, id)
+		}
+	}()
+	w := &worker{id: id, p: wp, bud: newBudget(ctx, spec.Span, name), a: &fl.aggs[id]}
+	defer func() { w.bud.finish(w.a.rows) }()
+	defer w.bud.settle(wp)
+	// A lone planned worker is the query's own thread; every other one —
+	// including any an elastic fleet adds later — is spawned and coordinated.
+	if spec.Degree > 1 || id >= spec.Degree {
+		w.bud.charge(fl.startup)
+	}
+	for {
+		// One step is the abort and retune quantum: a tripped control stops
+		// the worker here, before it claims more work, and the fleet grows or
+		// retires here.
+		if spec.aborted() {
+			return
+		}
+		if fl.tick() {
+			retired = true
+			return
+		}
+		if !fl.step(w) {
+			fl.done = true
+			return
+		}
+	}
+}
+
+// tick consults the tuner at a quantum boundary. It reports true when the
+// calling worker should retire (the target fell below the effective fleet);
+// otherwise it spawns workers up to the target. Workers that retire wind
+// down through the normal teardown path — endWorker reports to the
+// governor, which reclaims the lease's credits proportionally.
+func (fl *fleet) tick() bool {
+	if fl.spec.Tune == nil {
+		return false
+	}
+	eff := fl.live - fl.leaving
+	t := fl.spec.Tune.Tick(eff)
+	if t < 1 {
+		t = 1
+	}
+	if t > fl.max {
+		t = fl.max
+	}
+	if t < eff && eff > 1 {
+		fl.leaving++
+		return true
+	}
+	if fl.done {
+		return false
+	}
+	for fl.live-fl.leaving < t && fl.next < fl.max {
+		fl.spawn()
+	}
+	return false
+}
+
+// release ends the lifetimes still held open, for a scan that stops at a
+// phase barrier instead of running its next phase.
+func (fl *fleet) release() {
+	fl.hold = false
+	for id, held := range fl.held {
+		if held {
+			fl.held[id] = false
+			fl.spec.endWorker(fl.ctx, id)
+		}
+	}
+}
+
+// result merges the last run's accumulators.
+func (fl *fleet) result() Result { return mergeAggs(fl.spec.Agg, fl.aggs) }
+
+// metered runs body to completion as process name on ctx's environment and
+// reports the virtual time it took and the device and pool traffic inside
+// that window. Pool *contents* are left as the run leaves them (flush
+// explicitly between runs to model a cold cache).
+func metered(ctx *Context, name string, body func(p *sim.Proc)) (sim.Duration, device.Summary, buffer.Stats) {
+	ctx.Dev.Metrics().Reset()
+	ctx.Pool.ResetStats()
+	start := ctx.Env.Now()
+	ctx.Env.Go(name, body)
+	ctx.Env.Run()
+	return sim.Duration(ctx.Env.Now() - start), ctx.Dev.Metrics().Snapshot(), ctx.Pool.Stats
+}

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pioqo/internal/obs"
 	"pioqo/internal/obs/event"
@@ -66,46 +65,53 @@ type emitRow struct {
 	row   table.Row
 }
 
+// scatter announces a gather over shards (pruned more were skipped by
+// partition pruning), runs one process per shard on its own node, reports
+// each partial's row count as it lands, and parks p until all have.
+func scatter(p *sim.Proc, shards []ShardScan, pruned int, qid int64, run func(sp *sim.Proc, i int, sh ShardScan) (rows int64)) {
+	if len(shards) == 0 {
+		panic("exec: gather without shards")
+	}
+	ctx0 := shards[0].Ctx
+	ctx0.Log.Emit(event.EvShardScatter, qid, int64(len(shards)), int64(pruned))
+	if ctx0.Reg != nil {
+		ctx0.Reg.Counter(obs.MetricShardScatters).Inc()
+		ctx0.Reg.Counter(obs.MetricShardPartials).Add(int64(len(shards)))
+		ctx0.Reg.Counter(obs.MetricShardPruned).Add(int64(pruned))
+	}
+	wg := sim.NewWaitGroup(ctx0.Env)
+	wg.Add(len(shards))
+	for i, sh := range shards {
+		i, sh := i, sh
+		ctx0.Env.Go(fmt.Sprintf("%s-shard%d", p.Name(), i), func(sp *sim.Proc) {
+			defer wg.Done()
+			sh.Ctx.Log.Emit(event.EvShardPartial, qid, int64(i), run(sp, i, sh))
+		})
+	}
+	p.WaitFor(wg)
+}
+
 // RunGather scatters the shard scans onto their own processes, waits for
 // every partial, and merges. It runs from an existing process (the
 // query's coordinator); metering the nodes involved is the caller's job.
 func RunGather(p *sim.Proc, gs GatherSpec) GatherResult {
-	if len(gs.Shards) == 0 {
-		panic("exec: RunGather without shards")
-	}
-	ctx0 := gs.Shards[0].Ctx
-	env := ctx0.Env
-	ctx0.Log.Emit(event.EvShardScatter, gs.QID, int64(len(gs.Shards)), int64(gs.Pruned))
-	if ctx0.Reg != nil {
-		ctx0.Reg.Counter(obs.MetricShardScatters).Inc()
-		ctx0.Reg.Counter(obs.MetricShardPartials).Add(int64(len(gs.Shards)))
-		ctx0.Reg.Counter(obs.MetricShardPruned).Add(int64(gs.Pruned))
-	}
-
 	out := GatherResult{Partials: make([]Result, len(gs.Shards))}
 	ordered := make([][]emitRow, len(gs.Shards))
-	wg := sim.NewWaitGroup(env)
-	wg.Add(len(gs.Shards))
-	for i := range gs.Shards {
-		i := i
-		sh := gs.Shards[i]
-		env.Go(fmt.Sprintf("%s-shard%d", p.Name(), i), func(sp *sim.Proc) {
-			defer wg.Done()
-			spec := sh.Spec
-			if gs.Emit != nil {
-				spec.Emit = func(rowID int64, row table.Row) {
-					ordered[i] = append(ordered[i], emitRow{rowID, row})
-				}
+	scatter(p, gs.Shards, gs.Pruned, gs.QID, func(sp *sim.Proc, i int, sh ShardScan) int64 {
+		spec := sh.Spec
+		if gs.Emit != nil {
+			spec.Emit = func(rowID int64, row table.Row) {
+				ordered[i] = append(ordered[i], emitRow{rowID, row})
 			}
-			out.Partials[i] = RunScan(sp, sh.Ctx, spec)
-			sh.Ctx.Log.Emit(event.EvShardPartial, gs.QID, int64(i), out.Partials[i].RowsMatched)
-		})
-	}
-	p.WaitFor(wg)
+		}
+		out.Partials[i] = RunScan(sp, sh.Ctx, spec)
+		return out.Partials[i].RowsMatched
+	})
 
 	// Merge stage, on the coordinator. Decomposable partials fold through
 	// the same accumulator merge per-worker results use; the CPU charge
 	// mirrors the optimizer's merge pricing.
+	ctx0 := gs.Shards[0].Ctx
 	if gs.Emit != nil {
 		out.Result = mergeOrdered(p, ctx0, ordered, gs.Emit)
 	} else {
@@ -161,33 +167,16 @@ func mergeOrdered(p *sim.Proc, ctx *Context, streams [][]emitRow, emit func(int6
 // RunGatherGroupBy scatters per-shard grouped aggregations and merges the
 // group partials: each shard builds its own group hash over its partition,
 // and the coordinator folds the per-group accumulators — the decomposable
-// GROUP BY merge.
-func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, width int64, kind AggKind, qid int64) GroupByResult {
-	if len(shards) == 0 {
-		panic("exec: RunGatherGroupBy without shards")
-	}
-	ctx0 := shards[0].Ctx
-	env := ctx0.Env
-	ctx0.Log.Emit(event.EvShardScatter, qid, int64(len(shards)), 0)
-	if ctx0.Reg != nil {
-		ctx0.Reg.Counter(obs.MetricShardScatters).Inc()
-		ctx0.Reg.Counter(obs.MetricShardPartials).Add(int64(len(shards)))
-	}
+// GROUP BY merge. pruned is the number of shards partition pruning skipped.
+func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, pruned int, width int64, kind AggKind, qid int64) GroupByResult {
 	partials := make([]GroupByResult, len(shards))
-	wg := sim.NewWaitGroup(env)
-	wg.Add(len(shards))
-	for i := range shards {
-		i := i
-		sh := shards[i]
-		env.Go(fmt.Sprintf("%s-shard%d", p.Name(), i), func(sp *sim.Proc) {
-			defer wg.Done()
-			partials[i] = RunGroupBy(sp, sh.Ctx, GroupBySpec{Scan: sh.Spec, GroupWidth: width, Agg: kind})
-			sh.Ctx.Log.Emit(event.EvShardPartial, qid, int64(i), partials[i].Rows)
-		})
-	}
-	p.WaitFor(wg)
+	scatter(p, shards, pruned, qid, func(sp *sim.Proc, i int, sh ShardScan) int64 {
+		partials[i] = RunGroupBy(sp, sh.Ctx, GroupBySpec{Scan: sh.Spec, GroupWidth: width, Agg: kind})
+		return partials[i].Rows
+	})
+	ctx0 := shards[0].Ctx
 
-	groups := make(map[int64]*agg)
+	groups := groupHash{kind: kind, m: make(map[int64]*agg)}
 	var out GroupByResult
 	for _, part := range partials {
 		if part.Err != nil && out.Err == nil {
@@ -195,19 +184,11 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, width int64, kind AggKind
 		}
 		out.Rows += part.Rows
 		for _, g := range part.Groups {
-			a, ok := groups[g.Key]
-			if !ok {
-				a = &agg{kind: kind}
-				groups[g.Key] = a
-			}
-			a.merge(agg{kind: kind, val: g.Value, found: true, rows: g.Rows})
+			groups.at(g.Key).merge(agg{kind: kind, val: g.Value, found: true, rows: g.Rows})
 		}
 	}
-	useCPU(p, ctx0, sim.Duration(len(groups)*len(shards))*ctx0.Costs.PerRow)
-	for key, a := range groups {
-		out.Groups = append(out.Groups, Group{Key: key, Value: a.val, Rows: a.rows})
-	}
-	sort.Slice(out.Groups, func(i, j int) bool { return out.Groups[i].Key < out.Groups[j].Key })
+	useCPU(p, ctx0, sim.Duration(len(groups.m)*len(shards))*ctx0.Costs.PerRow)
+	out.Groups = groups.sorted()
 	ctx0.Log.Emit(event.EvShardGatherDone, qid, int64(len(shards)), out.Rows)
 	return out
 }

@@ -38,9 +38,9 @@ func buildShard(env *sim.Env, name string, cols table.Columns) *shardNode {
 	}
 }
 
-// scatter partitions cols across shards and builds one node per non-empty
+// scatterNodes partitions cols across shards and builds one node per non-empty
 // partition.
-func scatter(env *sim.Env, cols table.Columns, shards int, assign func(int64) int) []*shardNode {
+func scatterNodes(env *sim.Env, cols table.Columns, shards int, assign func(int64) int) []*shardNode {
 	parts, _ := cols.Partition(shards, assign)
 	var nodes []*shardNode
 	for i, part := range parts {
@@ -81,7 +81,7 @@ func TestGatherOrderedMergeMatchesUnshardedScan(t *testing.T) {
 
 	for _, shards := range []int{2, 5} {
 		shards := shards
-		nodes := scatter(env, cols, shards, func(k int64) int { return table.HashShard(k, shards) })
+		nodes := scatterNodes(env, cols, shards, func(k int64) int { return table.HashShard(k, shards) })
 		var got []emitted
 		gs := GatherSpec{Emit: func(_ int64, r table.Row) { got = append(got, emitted{r.C1, r.C2}) }}
 		for _, n := range nodes {
@@ -119,7 +119,7 @@ func TestGatherScalarAggregatesMatchUnsharded(t *testing.T) {
 		}
 		env := sim.NewEnv(1)
 		ref := buildShard(env, "t", cols)
-		nodes := scatter(env, cols, 4, func(k int64) int { return table.HashShard(k, 4) })
+		nodes := scatterNodes(env, cols, 4, func(k int64) int { return table.HashShard(k, 4) })
 		for _, agg := range []AggKind{AggMax, AggMin, AggCount, AggSum} {
 			for _, rg := range [][2]int64{{0, 99}, {500, 4000}, {0, 4999}, {90, 10}} {
 				want := Execute(ref.ctx, Spec{Table: ref.tab, Index: ref.idx,
@@ -149,7 +149,7 @@ func TestGatherScalarAggregatesMatchUnsharded(t *testing.T) {
 func TestGatherReadsEveryShard(t *testing.T) {
 	cols := table.DrawColumns(5000, 7)
 	env := sim.NewEnv(1)
-	nodes := scatter(env, cols, 4, func(k int64) int { return table.HashShard(k, 4) })
+	nodes := scatterNodes(env, cols, 4, func(k int64) int { return table.HashShard(k, 4) })
 	gs := GatherSpec{Agg: AggCount}
 	for _, n := range nodes {
 		gs.Shards = append(gs.Shards, ShardScan{Ctx: n.ctx, Spec: Spec{

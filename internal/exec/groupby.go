@@ -50,25 +50,38 @@ func RunGroupBy(p *sim.Proc, ctx *Context, spec GroupBySpec) GroupByResult {
 	if spec.GroupWidth <= 0 {
 		panic("exec: GroupBySpec.GroupWidth must be positive")
 	}
-	groups := make(map[int64]*agg)
+	groups := groupHash{kind: spec.Agg, m: make(map[int64]*agg)}
 	scan := spec.Scan
-	scan.Emit = func(_ int64, row table.Row) {
-		g := row.C2 / spec.GroupWidth
-		a, ok := groups[g]
-		if !ok {
-			a = &agg{kind: spec.Agg}
-			groups[g] = a
-		}
-		a.add(row.C1)
-	}
+	scan.Emit = func(_ int64, row table.Row) { groups.at(row.C2 / spec.GroupWidth).add(row.C1) }
 	scanRes := RunScan(p, ctx, scan)
 	useCPU(p, ctx, sim.Duration(scanRes.RowsMatched)*hashGroupCost)
+	return GroupByResult{Groups: groups.sorted(), Rows: scanRes.RowsMatched, Err: scanRes.Err}
+}
 
-	out := GroupByResult{Rows: scanRes.RowsMatched, Err: scanRes.Err}
-	for key, a := range groups {
-		out.Groups = append(out.Groups, Group{Key: key, Value: a.val, Rows: a.rows})
+// groupHash is the hash of per-group accumulators a grouped aggregation
+// folds into — rows on a node, per-shard group partials on a coordinator.
+type groupHash struct {
+	kind AggKind
+	m    map[int64]*agg
+}
+
+// at returns key's accumulator, creating it on first use.
+func (g groupHash) at(key int64) *agg {
+	a, ok := g.m[key]
+	if !ok {
+		a = &agg{kind: g.kind}
+		g.m[key] = a
 	}
-	sort.Slice(out.Groups, func(i, j int) bool { return out.Groups[i].Key < out.Groups[j].Key })
+	return a
+}
+
+// sorted renders the groups in key order.
+func (g groupHash) sorted() []Group {
+	var out []Group
+	for key, a := range g.m {
+		out = append(out, Group{Key: key, Value: a.val, Rows: a.rows})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 
@@ -76,13 +89,7 @@ func RunGroupBy(p *sim.Proc, ctx *Context, spec GroupBySpec) GroupByResult {
 // metering.
 func ExecuteGroupBy(ctx *Context, spec GroupBySpec) GroupByResult {
 	var res GroupByResult
-	ctx.Dev.Metrics().Reset()
-	ctx.Pool.ResetStats()
-	start := ctx.Env.Now()
-	ctx.Env.Go("groupby", func(p *sim.Proc) {
-		res = RunGroupBy(p, ctx, spec)
-	})
-	ctx.Env.Run()
-	res.Runtime = sim.Duration(ctx.Env.Now() - start)
+	rt, _, _ := metered(ctx, "groupby", func(p *sim.Proc) { res = RunGroupBy(p, ctx, spec) })
+	res.Runtime = rt
 	return res
 }

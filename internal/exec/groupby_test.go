@@ -87,3 +87,26 @@ func TestGroupByParallelScanSpeedsItUp(t *testing.T) {
 		t.Errorf("32-way group-by gain = %.1fx, want >= 5x on SSD", gain)
 	}
 }
+
+// A COUNT scan that feeds a row hook still counts its rows: the group-by
+// over it sees every input row (and charges hash CPU for them).
+func TestGroupByOverCountScanSeesEveryRow(t *testing.T) {
+	w := newWorld(t, worldOpts{rows: 4000, rpp: 33})
+	lo, hi := int64(200), int64(3500)
+	_, _, wantRows := w.bruteForce(lo, hi)
+	for _, m := range []Method{FullScan, IndexScan, SortedIndexScan} {
+		scan := w.spec(m, 4, lo, hi)
+		scan.Agg = AggCount
+		res := ExecuteGroupBy(w.ctx, GroupBySpec{Scan: scan, GroupWidth: 500, Agg: AggCount})
+		if res.Rows != wantRows {
+			t.Errorf("%v: group-by over a COUNT scan consumed %d rows, want %d", m, res.Rows, wantRows)
+		}
+		var grouped int64
+		for _, g := range res.Groups {
+			grouped += g.Rows
+		}
+		if grouped != wantRows {
+			t.Errorf("%v: groups hold %d rows, want %d", m, grouped, wantRows)
+		}
+	}
+}

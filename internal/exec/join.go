@@ -1,10 +1,8 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
-	"pioqo/internal/btree"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -29,8 +27,9 @@ type JoinSpec struct {
 	Build Spec
 	// Probe describes the probed table. For a hash join it is the scan
 	// whose rows look up the hash table (its Lo/Hi are narrowed to Build's
-	// range); for an index nested-loop join only its Table, Index, and
-	// Degree are used — each build key becomes one index lookup.
+	// range); for an index nested-loop join each build key becomes one index
+	// lookup by Degree workers — its Method, prefetch and readahead knobs are
+	// unused.
 	Probe Spec
 	// Agg aggregates probe-side C1 over the joined pairs.
 	Agg AggKind
@@ -74,36 +73,26 @@ type JoinResult struct {
 	Pairs     int64 // joined pairs produced
 }
 
-// RunJoin dispatches on the join method.
+// RunJoin executes the join from process context. The build scan populates
+// a multiplicity map keyed by C2; the probe phase — a scan for the hash
+// join, per-key index lookups for the nested-loop join — looks each of its
+// matching rows up and aggregates once per joined pair.
 func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
-	if spec.Method == IndexNLJoin {
-		return RunIndexNLJoin(p, ctx, spec)
+	if spec.Method == IndexNLJoin && spec.Probe.Index == nil {
+		panic("exec: IndexNLJoin without a probe-side index")
 	}
-	return RunHashJoin(p, ctx, spec)
-}
-
-// buildMultiplicities runs the build scan, returning key → row count and
-// the scan's abort cause.
-func buildMultiplicities(p *sim.Proc, ctx *Context, build Spec) (map[int64]int64, int64, error) {
-	ht := make(map[int64]int64)
-	build.Emit = func(_ int64, row table.Row) { ht[row.C2]++ }
-	res := RunScan(p, ctx, build)
-	useCPU(p, ctx, sim.Duration(res.RowsMatched)*hashInsertCost)
-	return ht, res.RowsMatched, res.Err
-}
-
-// RunHashJoin executes the join from process context. The build scan
-// populates a multiplicity map keyed by C2; the probe scan looks each of
-// its matching rows up and aggregates once per joined pair.
-func RunHashJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	var out JoinResult
 
 	// Phase 1: build. The scan's Emit collects key multiplicities; the
 	// hash-insert CPU is charged in bulk afterwards (the fine-grained
 	// per-row CPU is already charged by the scan itself).
-	ht, buildRows, err := buildMultiplicities(p, ctx, spec.Build)
-	out.BuildRows = buildRows
-	if out.Err = err; err != nil {
+	ht := make(map[int64]int64)
+	build := spec.Build
+	build.Emit = func(_ int64, row table.Row) { ht[row.C2]++ }
+	buildRes := RunScan(p, ctx, build)
+	useCPU(p, ctx, sim.Duration(buildRes.RowsMatched)*hashInsertCost)
+	out.BuildRows = buildRes.RowsMatched
+	if out.Err = buildRes.Err; out.Err != nil {
 		return out
 	}
 
@@ -125,34 +114,32 @@ func RunHashJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 			out.Pairs += m
 		}
 	}
-	probeRes := RunScan(p, ctx, probe)
-	out.ProbeRows = probeRes.RowsMatched
-	useCPU(p, ctx, sim.Duration(out.ProbeRows)*hashProbeCost)
+	var err error
+	if spec.Method == IndexNLJoin {
+		out.ProbeRows = probeByKey(p, ctx, probe, ht)
+		err = probe.Ctl.Err()
+	} else {
+		probeRes := RunScan(p, ctx, probe)
+		out.ProbeRows, err = probeRes.RowsMatched, probeRes.Err
+		useCPU(p, ctx, sim.Duration(out.ProbeRows)*hashProbeCost)
+	}
 
 	out.Result = result.result()
-	out.RowsMatched = out.Pairs
-	out.Err = probeRes.Err
+	out.RowsMatched, out.Err = out.Pairs, err
 	return out
 }
 
-// RunIndexNLJoin executes the index nested-loop variant: after the build
-// phase, the distinct build keys are sorted and distributed to Probe.Degree
-// workers; each key becomes one lookup in the probe table's index followed
-// by heap fetches for its matching rows. The workers' outstanding lookups
-// are what give the device its queue depth. Every read runs under the probe
-// spec's fault policy (Ctl, Retry) and workers poll the control per key, so
-// a failed read or a tripped deadline winds the join down like a scan.
-func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
-	if spec.Probe.Index == nil {
-		panic("exec: IndexNLJoin without a probe-side index")
-	}
-	var out JoinResult
-	ht, buildRows, err := buildMultiplicities(p, ctx, spec.Build)
-	out.BuildRows = buildRows
-	if out.Err = err; err != nil {
-		return out
-	}
-
+// probeByKey is the index nested-loop probe: the distinct build keys are
+// sorted and claimed one at a time by probe.Degree workers; each key becomes
+// one lookup in the probe table's index followed by heap fetches for its
+// matching rows — the same leaf batches an index scan runs, without its
+// per-worker prefetch. The workers' outstanding lookups are what give the
+// device its queue depth. The fleet runs under the probe spec, so its
+// workers report to the probe's governor and event log, every read runs
+// under its fault policy (Ctl, Retry), and workers poll the control per key:
+// a failed read or a tripped deadline winds the join down like a scan. It
+// returns the number of probe rows inspected.
+func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64 {
 	keys := make([]int64, 0, len(ht))
 	for k := range ht {
 		keys = append(keys, k)
@@ -160,114 +147,42 @@ func RunIndexNLJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	useCPU(p, ctx, 2*sim.Duration(len(keys))*ctx.Costs.PerEntry) // sort
 
-	probe := &spec.Probe
-	probeTab := probe.Table
+	if probe.Degree <= 0 {
+		probe.Degree = 1
+	}
+	probe.PrefetchPerWorker, probe.Tune = 0, nil
 	x := probe.Index
-	rpp := probeTab.RowsPerPage()
-	degree := probe.Degree
-	if degree <= 0 {
-		degree = 1
-	}
 
-	dbud := newBudget(ctx, nil)
-	for _, pg := range x.DescentPath() {
-		h, ok := dbud.fetchRetry(p, probe, x.File(), pg)
-		if !ok {
-			out.Err = probe.Ctl.Err()
-			return out
-		}
-		useCPU(p, ctx, ctx.Costs.PerPage)
-		h.Release()
+	// The lookups are per key, so only the front's descent matters here.
+	fl := newFleet(ctx, &probe)
+	if _, _, ok := indexFront(p, ctx, &probe, fl.max); !ok {
+		return 0
 	}
-
-	results := newAggs(spec.Agg, degree)
-	var pairs, probeRows int64
 	nextKey := 0
-	wg := sim.NewWaitGroup(ctx.Env)
-	for w := 0; w < degree; w++ {
-		w := w
-		wg.Add(1)
-		ctx.Env.Go(fmt.Sprintf("nlj-w%d", w), func(wp *sim.Proc) {
-			defer wg.Done()
-			bud := newBudget(ctx, nil)
-			defer bud.settle(wp)
-			if degree > 1 {
-				bud.charge(ctx.Costs.WorkerStartup)
+	fl.run(p, "nlj-w", probe.Degree, func(w *worker) bool {
+		// The key is the claim, and so the abort quantum.
+		if nextKey >= len(keys) {
+			return false
+		}
+		key := keys[nextKey]
+		nextKey++
+		for pos, end := x.SearchGE(key), x.SearchGT(key); pos < end; {
+			take, ok := indexBatch(ctx, &probe, w, pos, end, nil, nil)
+			if !ok {
+				return false
 			}
-			var buf []btree.Entry
-			for {
-				// The key is the abort quantum for NL-join workers.
-				i := nextKey
-				if i >= len(keys) || probe.aborted() {
-					return
-				}
-				nextKey = i + 1
-				key := keys[i]
-				mult := ht[key]
-
-				pos, end := x.SearchGE(key), x.SearchGT(key)
-				for pos < end {
-					leaf, slot := x.LeafOf(pos)
-					lh, ok := bud.fetchRetry(wp, probe, x.File(), x.LeafPage(leaf))
-					if !ok {
-						return
-					}
-					buf = x.LeafEntries(leaf, buf)
-					take := len(buf) - slot
-					if rem := end - pos; int64(take) > rem {
-						take = int(rem)
-					}
-					bud.charge(ctx.Costs.PerPage +
-						sim.Duration(take)*ctx.Costs.PerEntry)
-					lh.Release()
-					// buf is only rewritten by the next LeafEntries call, so
-					// the heap-fetch loop can consume the slice in place.
-					for _, e := range buf[slot : slot+take] {
-						th, ok := bud.fetchRetry(wp, probe, probeTab.File(), table.PageOf(e.Row, rpp))
-						if !ok {
-							return
-						}
-						bud.charge(ctx.Costs.PerRowFetch)
-						row := probeTab.RowAt(e.Row)
-						if row.C2 == key {
-							probeRows++
-							for m := int64(0); m < mult; m++ {
-								results[w].add(row.C1)
-							}
-							pairs += mult
-						}
-						th.Release()
-					}
-					// The leaf's probe batch is the settle quantum.
-					bud.settle(wp)
-					pos += int64(take)
-				}
-			}
-		})
-	}
-	p.WaitFor(wg)
-
-	out.Result = mergeAggs(spec.Agg, results)
-	out.ProbeRows = probeRows
-	out.Pairs = pairs
-	out.RowsMatched = pairs
-	out.Err = probe.Ctl.Err()
-	return out
+			pos += int64(take)
+		}
+		return true
+	})
+	return fl.result().RowsMatched
 }
 
 // ExecuteJoin runs the join to completion on ctx's environment with
 // per-query metering, like Execute does for scans.
 func ExecuteJoin(ctx *Context, spec JoinSpec) JoinResult {
 	var res JoinResult
-	ctx.Dev.Metrics().Reset()
-	ctx.Pool.ResetStats()
-	start := ctx.Env.Now()
-	ctx.Env.Go("join", func(p *sim.Proc) {
-		res = RunJoin(p, ctx, spec)
-	})
-	ctx.Env.Run()
-	res.Runtime = sim.Duration(ctx.Env.Now() - start)
-	res.IO = ctx.Dev.Metrics().Snapshot()
-	res.Pool = ctx.Pool.Stats
+	rt, io, pool := metered(ctx, "join", func(p *sim.Proc) { res = RunJoin(p, ctx, spec) })
+	res.Runtime, res.IO, res.Pool = rt, io, pool
 	return res
 }

@@ -2,9 +2,15 @@ package exec
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pioqo/internal/fault"
+	"pioqo/internal/obs"
+	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -131,5 +137,94 @@ func TestIndexNLJoinCancelMidProbe(t *testing.T) {
 	}
 	if n, pins := w.env.LiveProcs(), w.ctx.Pool.Pinned(); n != 0 || pins != 0 {
 		t.Errorf("%d processes live, %d pages pinned after the abort", n, pins)
+	}
+}
+
+// goldenRuntime reads one row's runtime_ns from testdata/schedule.golden.
+func goldenRuntime(t *testing.T, row string) sim.Duration {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "schedule.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, row+" ") {
+			continue
+		}
+		for _, f := range strings.Fields(line) {
+			if v, ok := strings.CutPrefix(f, "runtime_ns="); ok {
+				ns, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim.Duration(ns)
+			}
+		}
+	}
+	t.Fatalf("no row %q with a runtime in the schedule golden", row)
+	return 0
+}
+
+// TestIndexNLJoinWorkersAreWorkers: the probe workers run on the fleet
+// harness like every scan worker, so the governor and the event log see one
+// lifetime per worker under the probe spec's query id, a tracer gets one
+// track span per worker — and none of that reporting costs virtual time.
+func TestIndexNLJoinWorkersAreWorkers(t *testing.T) {
+	const degree, qid = 4, 77
+	w := schedJoinWorld("ssd")
+	w.ctx.Log = event.NewLog(w.env, 0)
+	w.ctx.Tracer = obs.NewTracer(w.env, "nlj")
+	gov := &countingGov{}
+	root := w.ctx.Tracer.Start(nil, "join")
+	spec := w.spec(200, 1699, FullScan, IndexScan, degree)
+	spec.Method = IndexNLJoin
+	spec.Probe.Gov, spec.Probe.QID, spec.Probe.Span = gov, qid, root
+	res := ExecuteJoin(w.ctx, spec)
+	root.End()
+
+	if want := goldenRuntime(t, "ssd/nljoin-d4"); res.Runtime != want {
+		t.Errorf("governed, logged and traced join took %d ns, the bare one in the schedule golden %d",
+			int64(res.Runtime), int64(want))
+	}
+	if gov.starts != degree || gov.ends != degree {
+		t.Errorf("governor saw %d starts and %d ends, want %d each", gov.starts, gov.ends, degree)
+	}
+	var starts, exits int
+	for _, e := range w.ctx.Log.Events() {
+		if e.Query != qid {
+			continue
+		}
+		switch e.Type {
+		case event.EvWorkerStart:
+			starts++
+		case event.EvWorkerExit:
+			exits++
+		}
+	}
+	if starts != degree || exits != degree {
+		t.Errorf("event log has %d worker.start and %d worker.exit under query %d, want %d each",
+			starts, exits, qid, degree)
+	}
+	var tracks int
+	var rows int64
+	root.Walk(func(s *obs.Span) {
+		if !strings.HasPrefix(s.Name, "nlj-w") {
+			return
+		}
+		tracks++
+		for _, key := range []string{"pages", "rows", "cpu", "io_wait"} {
+			if _, ok := s.Attr(key); !ok {
+				t.Errorf("span %s has no %q attribute", s.Name, key)
+			}
+		}
+		v, _ := s.Attr("rows")
+		n, _ := strconv.ParseInt(v, 10, 64)
+		rows += n
+	})
+	if tracks != degree {
+		t.Errorf("%d nlj-w track spans, want %d", tracks, degree)
+	}
+	if rows != res.ProbeRows || rows == 0 {
+		t.Errorf("worker spans account for %d probe rows, the join reports %d", rows, res.ProbeRows)
 	}
 }

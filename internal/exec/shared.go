@@ -3,17 +3,37 @@
 // (buffer.Shares) and consumes pushed page batches — one full lap, every
 // page exactly once, starting wherever the producer happens to be. The
 // producer owns all device interaction and pinning; this file must not
-// demand-fetch (scripts/verify.sh rejects FetchPage calls here), so the
-// consumer is pure CPU: evaluate rows, account batch CPU exactly like the
-// demand path, report progress per delivered page.
+// demand-fetch (scripts/verify.sh rejects fetch and prefetch calls here), so
+// the consumer is pure CPU: evaluate rows, account batch CPU exactly like
+// the demand path, report progress per delivered page. The page evaluator
+// both paths share lives here for that reason — the lint then proves the
+// rider's per-page work cannot reach the pool.
 package exec
 
 import (
 	"fmt"
 
+	"pioqo/internal/buffer"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
+
+// evalPage evaluates every row of one heap page: it charges PerPage plus
+// PerRow per row into bud and delivers the matching rows to a (or to the
+// spec's hooks, which mark the pinned page h). The caller fetched the page —
+// or was handed it by a circulating producer, and then passes no handle —
+// and settles the budget at its own quantum. rows is scratch, returned for
+// reuse.
+func evalPage(ctx *Context, spec *Spec, bud *cpuBudget, a *agg, h buffer.Handle, page int64, rows []table.Row) []table.Row {
+	t := spec.Table
+	rpp := int64(t.RowsPerPage())
+	firstRow := page * rpp
+	lastRow := min(firstRow+rpp, t.Rows())
+	bud.charge(ctx.Costs.PerPage + sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
+	rows = t.RowsAt(firstRow, lastRow, rows)
+	spec.deliverPage(a, h, firstRow, rows)
+	return rows
+}
 
 // sharable reports whether this spec can ride a circulating scan: a plain
 // aggregate full scan with no row hooks (Emit delivers rows in claim
@@ -29,14 +49,12 @@ func (s *Spec) sharable(ctx *Context) bool {
 // differs only in who moves the bytes.
 func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	t := spec.Table
-	rpp := int64(t.RowsPerPage())
 
 	spec.startWorker(ctx, 0)
 	defer spec.endWorker(ctx, 0)
 	a := agg{kind: spec.Agg}
-	m := newMeter(ctx, spec.Span, "fts-shared")
-	defer m.finish(&a)
-	bud := newBudget(ctx, m)
+	bud := newBudget(ctx, spec.Span, "fts-shared")
+	defer func() { bud.finish(a.rows) }()
 	defer bud.settle(p)
 
 	cons := ctx.Shares.Attach(spec.QID, t.File(), t.Pages())
@@ -48,7 +66,7 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		}
 		t0 := ctx.Env.Now()
 		run, ok, err := cons.Next(p)
-		m.io += sim.Duration(ctx.Env.Now() - t0)
+		bud.io += sim.Duration(ctx.Env.Now() - t0)
 		if err != nil {
 			// A device fault that survived the producer's retries. The
 			// consumer winds down like a demand worker whose fetchRetry
@@ -66,17 +84,9 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 			if spec.aborted() {
 				return a.result()
 			}
-			page := run.Start + int64(i)
-			firstRow := page * rpp
-			lastRow := firstRow + rpp
-			if lastRow > t.Rows() {
-				lastRow = t.Rows()
-			}
-			bud.charge(ctx.Costs.PerPage +
-				sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
-			rowBuf = t.RowsAt(firstRow, lastRow, rowBuf)
-			a.addBatch(rowBuf, spec.Lo, spec.Hi)
-			m.pages++
+			// A sharable spec has no row hooks, so no pinned handle is needed.
+			rowBuf = evalPage(ctx, &spec, bud, &a, buffer.Handle{}, run.Start+int64(i), rowBuf)
+			bud.pages++
 			if spec.Progress != nil {
 				// Pages delivered to *this* consumer — not the producer's
 				// position, which serves every attached query at once.

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"fmt"
 	"sort"
 
 	"pioqo/internal/btree"
@@ -21,182 +20,84 @@ import (
 // fetch order also shortens seeks on spinning media.
 func runSortedIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	t := spec.Table
-	x := spec.Index
 	rpp := t.RowsPerPage()
 
-	// Clamp per-worker prefetch so in-flight prefetched frames plus worker
-	// pins can never exhaust the pool (same budget as the plain index scan).
-	if spec.PrefetchPerWorker > 0 {
-		if budget := spec.poolCapacity(ctx)/2/spec.Degree - 1; spec.PrefetchPerWorker > budget {
-			spec.PrefetchPerWorker = budget
-			if spec.PrefetchPerWorker < 0 {
-				spec.PrefetchPerWorker = 0
-			}
-		}
+	// The chunked collect and the page-group fetch both assume a fixed fleet.
+	spec.Tune = nil
+	fl := newFleet(ctx, &spec)
+	startPos, endPos, ok := indexFront(p, ctx, &spec, fl.max)
+	if !ok || startPos >= endPos {
+		return fl.result()
 	}
-
-	dbud := newBudget(ctx, nil)
-	for _, pg := range x.DescentPath() {
-		if spec.aborted() {
-			return Result{}
-		}
-		h, ok := dbud.fetchRetry(p, &spec, x.File(), pg)
-		if !ok {
-			return Result{}
-		}
-		useCPU(p, ctx, ctx.Costs.PerPage)
-		h.Release()
-	}
-
-	startPos, endPos := x.SearchGE(spec.Lo), x.SearchGT(spec.Hi)
-	if startPos >= endPos {
-		return agg{kind: spec.Agg}.result()
-	}
-	total := endPos - startPos
-	chunk := (total + int64(spec.Degree) - 1) / int64(spec.Degree)
 
 	// Phase one: collect matching entries, one contiguous entry sub-range
-	// per worker.
+	// per worker. The collect workers' slots stay reported live across the
+	// barrier — the fetch phase below reuses them.
 	collected := make([][]btree.Entry, spec.Degree)
-	wg := sim.NewWaitGroup(ctx.Env)
-	for w := 0; w < spec.Degree; w++ {
-		w := w
-		posLo := startPos + int64(w)*chunk
-		posHi := posLo + chunk
-		if posHi > endPos {
-			posHi = endPos
-		}
-		if posLo >= posHi {
-			continue
-		}
-		wg.Add(1)
-		ctx.Env.Go(fmt.Sprintf("sis-collect%d", w), func(wp *sim.Proc) {
-			defer wg.Done()
-			spec.startWorker(ctx, w)
-			defer spec.endWorker(ctx, w)
-			m := newMeter(ctx, spec.Span, fmt.Sprintf("sis-collect%d", w))
-			bud := newBudget(ctx, m)
-			if spec.Degree > 1 {
-				bud.charge(ctx.Costs.WorkerStartup)
-			}
-			var buf []btree.Entry
-			pos := posLo
-			for pos < posHi {
-				// The leaf is the abort quantum for collect workers.
-				if spec.aborted() {
-					break
-				}
-				leaf, slot := x.LeafOf(pos)
-				lh, ok := bud.fetchRetry(wp, &spec, x.File(), x.LeafPage(leaf))
-				if !ok {
-					break
-				}
-				buf = x.LeafEntries(leaf, buf)
-				take := len(buf) - slot
-				if rem := posHi - pos; int64(take) > rem {
-					take = int(rem)
-				}
-				bud.charge(ctx.Costs.PerPage +
-					sim.Duration(take)*ctx.Costs.PerEntry)
-				collected[w] = append(collected[w], buf[slot:slot+take]...)
-				// One leaf is the batch quantum; settling before the release
-				// keeps the pin window of the row-at-a-time schedule.
-				bud.settle(wp)
-				lh.Release()
-				pos += int64(take)
-			}
-			bud.settle(wp)
-			m.finish(&agg{rows: int64(len(collected[w]))})
-		})
-	}
-	p.WaitFor(wg)
+	n, collect := chunkSteps(ctx, &spec, startPos, endPos, collected)
+	fl.hold = true
+	fl.run(p, "sis-collect", n, collect)
 	// The phase boundary is a natural abort point: an aborted collect phase
 	// never starts the fetch phase.
 	if spec.aborted() {
+		fl.release()
 		return Result{}
 	}
 
-	// Sort the row-id list by heap page (the "additional sorting stage").
+	// Sort the row-id list by heap page (the "additional sorting stage"). A
+	// heap page holds a contiguous row-id range, so row order is page order.
 	var entries []btree.Entry
 	for _, c := range collected {
 		entries = append(entries, c...)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		pi, pj := table.PageOf(entries[i].Row, rpp), table.PageOf(entries[j].Row, rpp)
-		if pi != pj {
-			return pi < pj
-		}
-		return entries[i].Row < entries[j].Row
-	})
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Row < entries[j].Row })
 	useCPU(p, ctx, 2*sim.Duration(len(entries))*ctx.Costs.PerEntry)
 
 	// Phase two: consume page groups in ascending order; each worker grabs
 	// the next distinct page's group, prefetching upcoming groups' pages.
+	// The collect phase's threads carry on, so no second startup is charged.
 	nextIdx := 0
-	results := newAggs(spec.Agg, spec.Degree)
-	wg2 := sim.NewWaitGroup(ctx.Env)
-	for w := 0; w < spec.Degree; w++ {
-		w := w
-		wg2.Add(1)
-		ctx.Env.Go(fmt.Sprintf("sis-fetch%d", w), func(wp *sim.Proc) {
-			defer wg2.Done()
-			spec.startWorker(ctx, w)
-			defer spec.endWorker(ctx, w)
-			m := newMeter(ctx, spec.Span, fmt.Sprintf("sis-fetch%d", w))
-			defer m.finish(&results[w])
-			bud := newBudget(ctx, m)
-			defer bud.settle(wp)
-			for {
-				// The page group is the abort quantum for fetch workers.
-				if spec.aborted() {
-					return
-				}
-				i := nextIdx
-				if i >= len(entries) {
-					return
-				}
-				page := table.PageOf(entries[i].Row, rpp)
-				j := i + 1
-				for j < len(entries) && table.PageOf(entries[j].Row, rpp) == page {
-					j++
-				}
-				nextIdx = j
-
-				// Prefetch the pages of the next PrefetchPerWorker groups —
-				// a sliding window over *positions*, so outstanding
-				// prefetched pages stay bounded and are consumed before the
-				// pool would evict them.
-				if spec.PrefetchPerWorker > 0 {
-					covered, k := 0, j
-					for covered < spec.PrefetchPerWorker && k < len(entries) {
-						pg := table.PageOf(entries[k].Row, rpp)
-						bud.prefetch(wp, t.File(), pg)
-						covered++
-						for k < len(entries) && table.PageOf(entries[k].Row, rpp) == pg {
-							k++
-						}
-					}
-				}
-
-				// One page group is one CPU batch: every entry here lives on
-				// the pinned page, so the per-entry fetch costs merge into a
-				// single settle at the next device interaction.
-				th, ok := bud.fetchRetry(wp, &spec, t.File(), page)
-				if !ok {
-					return
-				}
-				bud.charge(sim.Duration(j-i) * ctx.Costs.PerRowFetch)
-				for _, e := range entries[i:j] {
-					row := t.RowAt(e.Row)
-					if row.C2 >= spec.Lo && row.C2 <= spec.Hi {
-						spec.deliver(&results[w], th, e.Row, row)
-					}
-				}
-				bud.settle(wp)
-				th.Release()
-			}
-		})
+	pageAt := func(i int) int64 { return table.PageOf(entries[i].Row, rpp) }
+	groupEnd := func(i int) int { // end of the page group starting at entry i
+		j := i + 1
+		for j < len(entries) && pageAt(j) == pageAt(i) {
+			j++
+		}
+		return j
 	}
-	p.WaitFor(wg2)
-	return mergeAggs(spec.Agg, results)
+	fl.hold, fl.startup = false, 0
+	fl.run(p, "sis-fetch", spec.Degree, func(w *worker) bool {
+		i := nextIdx
+		if i >= len(entries) {
+			return false
+		}
+		j := groupEnd(i)
+		nextIdx = j
+
+		// Prefetch the pages of the next PrefetchPerWorker groups — a
+		// sliding window over *positions*, so outstanding prefetched pages
+		// stay bounded and are consumed before the pool would evict them.
+		for covered, k := 0, j; covered < spec.PrefetchPerWorker && k < len(entries); covered, k = covered+1, groupEnd(k) {
+			w.bud.prefetch(w.p, t.File(), pageAt(k))
+		}
+
+		// One page group is one CPU batch: every entry here lives on the
+		// pinned page, so the per-entry fetch costs merge into a single
+		// settle at the next device interaction.
+		th, ok := w.bud.fetchRetry(w.p, &spec, t.File(), pageAt(i))
+		if !ok {
+			return false
+		}
+		w.bud.charge(sim.Duration(j-i) * ctx.Costs.PerRowFetch)
+		for _, e := range entries[i:j] {
+			row := t.RowAt(e.Row)
+			if row.C2 >= spec.Lo && row.C2 <= spec.Hi {
+				spec.deliver(w.a, th, e.Row, row)
+			}
+		}
+		w.bud.settle(w.p)
+		th.Release()
+		return true
+	})
+	return fl.result()
 }

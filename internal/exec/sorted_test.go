@@ -2,6 +2,10 @@ package exec
 
 import (
 	"testing"
+
+	"pioqo/internal/fault"
+	"pioqo/internal/obs/event"
+	"pioqo/internal/sim"
 )
 
 func TestSortedScanAgreesWithBruteForce(t *testing.T) {
@@ -141,5 +145,87 @@ func TestSortedScanQueueDepthTracksDegree(t *testing.T) {
 	res := Execute(w.ctx, w.spec(SortedIndexScan, 8, 0, 20000))
 	if qd := res.IO.AvgQueueDepth; qd < 4 || qd > 12 {
 		t.Errorf("sorted scan degree 8: avg queue depth %.1f, want ~8", qd)
+	}
+}
+
+// countingGov is a Governor that tracks the live worker count the way a
+// broker lease does, and how often that count fell back to zero.
+type countingGov struct {
+	starts, ends, live, zeros int
+}
+
+func (g *countingGov) StartWorker() { g.starts++; g.live++ }
+func (g *countingGov) EndWorker() {
+	g.ends++
+	if g.live--; g.live == 0 {
+		g.zeros++
+	}
+}
+
+// workerEvents counts the worker.start and worker.exit events in log.
+func workerEvents(log *event.Log) (starts, exits int) {
+	for _, e := range log.Events() {
+		switch e.Type {
+		case event.EvWorkerStart:
+			starts++
+		case event.EvWorkerExit:
+			exits++
+		}
+	}
+	return
+}
+
+// A broker lease sheds credits as the workers it was told about exit, and
+// re-leases the whole grant once none are left. The sorted scan's fleet must
+// therefore stay reported across its phase barrier: a slot that carries on
+// into the fetch phase is one lifetime, not two, and the governor's live
+// count reaches zero exactly once — when the scan is over.
+func TestSortedScanKeepsLeaseAcrossPhaseBarrier(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		lo, hi func(w *world) int64
+		abort  bool
+	}{
+		{name: "wide", lo: func(*world) int64 { return 100 }, hi: func(*world) int64 { return 2099 }},
+		// Three entries for eight slots: five slots sit out the collect phase
+		// and start their lifetime in the fetch phase.
+		{name: "narrow",
+			lo: func(w *world) int64 { return w.idx.LeafEntries(3, nil)[5].Key },
+			hi: func(w *world) int64 { return w.idx.LeafEntries(3, nil)[7].Key }},
+		// An abort in the collect phase never starts the fetch phase, and the
+		// held lifetimes still end.
+		{name: "abort-at-barrier", abort: true,
+			lo: func(*world) int64 { return 100 }, hi: func(*world) int64 { return 2099 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const degree = 8
+			w := newWorld(t, worldOpts{rows: 20000, rpp: 33})
+			w.ctx.Log = event.NewLog(w.env, 0)
+			gov := &countingGov{}
+			s := w.spec(SortedIndexScan, degree, tc.lo(w), tc.hi(w))
+			s.Gov = gov
+			if tc.abort {
+				s.Ctl = fault.NewControl(w.env)
+				s.Ctl.SetDeadline(w.env.Now().Add(200 * sim.Microsecond))
+			}
+			res := Execute(w.ctx, s)
+			if tc.abort != (res.Err != nil) {
+				t.Fatalf("Err = %v, abort = %v", res.Err, tc.abort)
+			}
+			if gov.starts != gov.ends || gov.live != 0 {
+				t.Errorf("governor saw %d starts and %d ends", gov.starts, gov.ends)
+			}
+			if gov.zeros != 1 {
+				t.Errorf("governor's live count reached zero %d times, want once, at the end of the scan", gov.zeros)
+			}
+			if !tc.abort && gov.starts != degree {
+				t.Errorf("governor saw %d worker lifetimes, want one per slot (%d)", gov.starts, degree)
+			}
+			starts, exits := workerEvents(w.ctx.Log)
+			if starts != gov.starts || exits != gov.ends {
+				t.Errorf("event log has %d worker.start and %d worker.exit, governor saw %d and %d",
+					starts, exits, gov.starts, gov.ends)
+			}
+		})
 	}
 }

@@ -6,18 +6,14 @@
 // (implemented by adapt.Controller), which in turn changes degree only
 // through the broker lease path (scripts/verify.sh lints both directions).
 //
-// Every hook is nil-inert: a Spec without a Tuner takes exactly the static
-// code path, emits no extra events, and stays byte-identical to the
-// pre-adaptive executor.
+// Every hook is nil-inert: a Spec without a Tuner runs the same fleet with a
+// tick that never retunes, emits no extra events, and stays byte-identical
+// to the pre-adaptive executor.
 package exec
 
 import (
-	"fmt"
-
 	"pioqo/internal/btree"
 	"pioqo/internal/disk"
-	"pioqo/internal/obs"
-	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
 
@@ -55,87 +51,6 @@ type Tuner interface {
 	FinishScan()
 }
 
-// fleet tracks one elastic scan's live workers. All mutation happens from
-// simulation context, which is host-serialized, so plain fields suffice.
-type fleet struct {
-	spec    *Spec
-	live    int  // workers running (including those about to leave)
-	leaving int  // workers instructed to retire but not yet exited
-	next    int  // next worker index to spawn
-	max     int  // hard growth cap (sizes per-worker state)
-	done    bool // work queue exhausted: growth is pointless now
-	spawn   func(w int)
-}
-
-// newFleet returns the elastic fleet for a tuned spec, nil for a static one.
-func newFleet(spec *Spec) *fleet {
-	if spec.Tune == nil {
-		return nil
-	}
-	max := spec.Tune.MaxDegree()
-	if max < spec.Degree {
-		max = spec.Degree
-	}
-	return &fleet{spec: spec, max: max}
-}
-
-// slots is the per-worker state size: the static degree, or the tuner's cap.
-func (fl *fleet) slots(degree int) int {
-	if fl == nil {
-		return degree
-	}
-	return fl.max
-}
-
-// start launches the initial fleet through the spawn hook.
-func (fl *fleet) start(n int) {
-	for i := 0; i < n; i++ {
-		fl.live++
-		fl.spawn(fl.next)
-		fl.next++
-	}
-}
-
-// tick consults the tuner at a batch boundary. It reports true when the
-// calling worker should retire (the target fell below the effective fleet);
-// otherwise it spawns workers up to the target. Workers that retire wind
-// down through the normal teardown path — endWorker reports to the
-// governor, which reclaims the lease's credits proportionally.
-func (fl *fleet) tick() bool {
-	if fl == nil {
-		return false
-	}
-	eff := fl.live - fl.leaving
-	t := fl.spec.Tune.Tick(eff)
-	if t < 1 {
-		t = 1
-	}
-	if t > fl.max {
-		t = fl.max
-	}
-	if t < eff && eff > 1 {
-		fl.leaving++
-		return true
-	}
-	if fl.done {
-		return false
-	}
-	for fl.live-fl.leaving < t && fl.next < fl.max {
-		fl.live++
-		fl.spawn(fl.next)
-		fl.next++
-	}
-	return false
-}
-
-// exit records one worker leaving, however it left.
-func (fl *fleet) exit(viaTick bool) {
-	fl.live--
-	if viaTick {
-		fl.leaving--
-	}
-}
-
 // liveWindow is clampReadahead's flow-control window re-evaluated at block
 // issue time against the *live* degree: an adaptively grown fleet pins more
 // pages, so the number of in-flight readahead blocks shrinks as workers
@@ -156,150 +71,73 @@ func liveWindow(capacity, degree, blockPages, prefetchBlocks int) int {
 	return n
 }
 
-// runIndexScanElastic is the index scan's adaptive twin: instead of the
+// guidedSteps is the tuned index scan's work distribution: instead of the
 // static per-worker entry-range split, workers claim leaf batches from a
-// shared cursor, so a fleet that grows or shrinks mid-flight stays
-// load-balanced without rechunking. Batch boundaries double as tuner ticks,
-// and each processed leaf offers the *next* leaf and its heap-page fan to
+// shared cursor. It returns the initial fleet size and the claiming step.
+// Each processed leaf also offers the *next* leaf and its heap-page fan to
 // the speculator (§3.3 stops per-worker prefetch at the leaf boundary —
 // speculation is how the adaptive scan reaches across it).
-func runIndexScanElastic(p *sim.Proc, ctx *Context, spec Spec, fl *fleet, startPos, endPos int64, rpp int) Result {
-	t := spec.Table
-	x := spec.Index
+//
+// Claims are sized by guided self-scheduling: each claim takes a 1/max
+// share of the *remaining* range (never more than the rest of its leaf).
+// Early claims match the static scan's per-worker chunk, so a full fleet's
+// first round mirrors the static split; later claims shrink geometrically,
+// so the tail never hands one worker a full share while the rest sit idle —
+// the makespan cliff a fixed quantum falls off. Re-claiming within a leaf
+// is cheap (the leaf page is pool-resident after its first fetch) but not
+// free: every claim pays the leaf inspection again, which is why claims
+// start coarse.
+func guidedSteps(ctx *Context, spec *Spec, fl *fleet, startPos, endPos int64) (int, func(w *worker) bool) {
+	t, x := spec.Table, spec.Index
+	rpp := t.RowsPerPage()
+
+	// Workers beyond the entry count could never find a claim: cap the
+	// fleet so they are never spawned — the static split likewise skips
+	// workers whose chunk is empty, and on a narrow range the useless
+	// startups would otherwise contend for cores with the scan itself.
+	fl.max = int(min(int64(fl.max), endPos-startPos))
+	initial := min(spec.Degree, fl.max)
 
 	cursor := startPos // shared work queue: next unclaimed entry position
 
-	// Claims are sized by guided self-scheduling: each claim takes a 1/max
-	// share of the *remaining* range (never more than the rest of its
-	// leaf). Early claims match the static scan's per-worker chunk, so a
-	// full fleet's first round mirrors the static split; later claims
-	// shrink geometrically, so the tail never hands one worker a full
-	// share while the rest sit idle — the makespan cliff a fixed quantum
-	// falls off. Re-claiming within a leaf is cheap (the leaf page is
-	// pool-resident after its first fetch) but not free: every claim pays
-	// the leaf inspection again, which is why claims start coarse.
-	//
-	// Workers beyond the entry count could never find a claim: cap the
-	// fleet so they are never spawned — the static path likewise skips
-	// workers whose chunk is empty, and on a narrow range the useless
-	// startups would otherwise contend for cores with the scan itself.
-	if total := endPos - startPos; int64(fl.max) > total {
-		fl.max = int(total)
-	}
-	initial := spec.Degree
-	if initial > fl.max {
-		initial = fl.max
-	}
-
-	results := newAggs(spec.Agg, fl.slots(spec.Degree))
-	wg := sim.NewWaitGroup(ctx.Env)
-	worker := func(w int) func(*sim.Proc) {
-		return func(wp *sim.Proc) {
-			defer wg.Done()
-			retired := false
-			defer func() { fl.exit(retired) }()
-			spec.startWorker(ctx, w)
-			defer spec.endWorker(ctx, w)
-			m := newMeter(ctx, spec.Span, fmt.Sprintf("pis-w%d", w))
-			defer m.finish(&results[w])
-			bud := newBudget(ctx, m)
-			defer bud.settle(wp)
-			if spec.Degree > 1 || w >= spec.Degree {
-				bud.charge(ctx.Costs.WorkerStartup)
-			}
-			var buf, matches, nextBuf []btree.Entry
-			for {
-				// The leaf batch is the abort and retune quantum.
-				if spec.aborted() {
-					return
-				}
-				if fl.tick() {
-					retired = true
-					return
-				}
-				pos := cursor
-				if pos >= endPos {
-					fl.done = true
-					return
-				}
-				leaf, slot := x.LeafOf(pos)
-				// Claim the rest of this leaf (entry counts are index
-				// structure, host-visible without I/O) before blocking on the
-				// leaf read, so concurrent workers never double-claim.
-				buf = x.LeafEntries(leaf, buf)
-				take := len(buf) - slot
-				rem := endPos - pos
-				if int64(take) > rem {
-					take = int(rem)
-				}
-				if quantum := (rem + int64(fl.max) - 1) / int64(fl.max); int64(take) > quantum {
-					take = int(quantum)
-				}
-				cursor = pos + int64(take)
-				var ls *obs.Span
-				if ctx.Tracer.Detailed() {
-					ls = ctx.Tracer.Start(m.span, "leaf-batch")
-				}
-				lh, ok := bud.fetchRetry(wp, &spec, x.File(), x.LeafPage(leaf))
-				if !ok {
-					ls.End()
-					return
-				}
-				matches = append(matches[:0], buf[slot:slot+take]...)
-				bud.charge(ctx.Costs.PerPage +
-					sim.Duration(len(matches))*ctx.Costs.PerEntry)
-				lh.Release()
-
-				// Offer the next leaf's fan to the speculator: its leaf page
-				// plus the first few heap pages its entries reference — but
-				// only when the qualifying range actually reaches into that
-				// leaf, or every entry would be a guaranteed misprediction.
-				if nl := leaf + 1; nl < x.Leaves() && cursor < endPos &&
-					pos-int64(slot)+int64(len(buf)) < endPos {
-					spec.Tune.SpeculateRun(x.File(), x.LeafPage(nl), 1)
-					nextBuf = x.LeafEntries(nl, nextBuf)
-					fan := len(nextBuf)
-					if fan > speculativeFan {
-						fan = speculativeFan
-					}
-					for i := 0; i < fan; i++ {
-						spec.Tune.SpeculateRun(t.File(),
-							table.PageOf(nextBuf[i].Row, rpp), 1)
-					}
-				}
-
-				prefetched := 0
-				for i, e := range matches {
-					for prefetched < i+spec.PrefetchPerWorker && prefetched < len(matches) {
-						bud.prefetch(wp, t.File(),
-							table.PageOf(matches[prefetched].Row, rpp))
-						prefetched++
-					}
-					th, ok := bud.fetchRetry(wp, &spec, t.File(), table.PageOf(e.Row, rpp))
-					if !ok {
-						ls.End()
-						return
-					}
-					bud.charge(ctx.Costs.PerRowFetch)
-					row := t.RowAt(e.Row)
-					if row.C2 >= spec.Lo && row.C2 <= spec.Hi {
-						spec.deliver(&results[w], th, e.Row, row)
-					}
-					th.Release()
-				}
-				bud.settle(wp)
-				ls.SetAttr("entries", take)
-				ls.End()
-			}
+	// Offer the next leaf's fan to the speculator: its leaf page plus the
+	// first few heap pages its entries reference — but only when the
+	// qualifying range actually reaches into that leaf, or every entry
+	// would be a guaranteed misprediction. SpeculateRun never parks, so one
+	// scratch buffer serves the whole fleet.
+	var nextBuf []btree.Entry
+	offer := func(leaf, nextStart int64) {
+		nl := leaf + 1
+		if nl >= x.Leaves() || cursor >= endPos || nextStart >= endPos {
+			return
+		}
+		spec.Tune.SpeculateRun(x.File(), x.LeafPage(nl), 1)
+		nextBuf = x.LeafEntries(nl, nextBuf)
+		fan := len(nextBuf)
+		if fan > speculativeFan {
+			fan = speculativeFan
+		}
+		for i := 0; i < fan; i++ {
+			spec.Tune.SpeculateRun(t.File(), table.PageOf(nextBuf[i].Row, rpp), 1)
 		}
 	}
-	fl.spawn = func(w int) {
-		wg.Add(1)
-		ctx.Env.Go(fmt.Sprintf("pis-w%d", w), worker(w))
+
+	return initial, func(w *worker) bool {
+		pos := cursor
+		if pos >= endPos {
+			return false
+		}
+		// Claim before blocking on the leaf read (leaf geometry is index
+		// structure, host-visible without I/O), so concurrent workers never
+		// double-claim.
+		leaf, _ := x.LeafOf(pos)
+		rem := endPos - pos
+		quantum := (rem + int64(fl.max) - 1) / int64(fl.max)
+		take := min((leaf+1)*int64(x.LeafCap())-pos, rem, quantum)
+		cursor = pos + take
+		_, ok := indexBatch(ctx, spec, w, pos, pos+take, nil, offer)
+		return ok
 	}
-	fl.start(initial)
-	p.WaitFor(wg)
-	return mergeAggs(spec.Agg, results)
 }
 
 // speculativeFan bounds how many of the next leaf's heap pages one leaf

@@ -29,6 +29,10 @@ go vet ./...
 # exactly there, so its race pass runs at several thread counts.
 go test -race -cpu 1,2,4 ./internal/sim/...
 go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/opt/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
+# The schedule golden pins the executor's virtual-time behaviour to the
+# nanosecond; running it twice in one process also checks that a run leaves
+# nothing behind that the next one can see (same bytes both times).
+go test -run Schedule -count=2 ./internal/exec
 go test -race -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAttribution|TestObserver|TestAdaptive|TestWithAdaptive' .
 
 # The repo-wide lints below read the engine's sources only. bench/ is
@@ -59,8 +63,13 @@ fi
 # Batch-accounting lint: every worker CPU charge in the executor must flow
 # through the cpuBudget (batch.go) so debt settles before device
 # interactions. A raw Use against the CPU resource anywhere else in the
-# package reintroduces per-row kernel round-trips unnoticed.
-if grep -n 'Use(ctx\.CPU\|Use(m\.ctx\.CPU' internal/exec/*.go | grep -v 'internal/exec/batch.go'; then
+# package reintroduces per-row kernel round-trips unnoticed. grep on a
+# missing path is merely non-zero, so a renamed file would pass silently.
+test -f internal/exec/batch.go || {
+	echo "verify: internal/exec/batch.go is gone; point the batch-accounting lint at cpuBudget's new home" >&2
+	exit 1
+}
+if grep -nE 'Use\(([a-z]+\.)?ctx\.CPU' internal/exec/*.go | grep -v 'internal/exec/batch.go'; then
 	echo "verify: raw CPU Use outside internal/exec/batch.go (route through cpuBudget/useCPU)" >&2
 	exit 1
 fi
@@ -107,8 +116,19 @@ fi
 # table's circulating producer — the whole point is that riders add zero
 # demand I/O. A FetchPage or Prefetch call in the shared consumer path
 # would silently reintroduce per-rider device traffic and unravel the
-# one-lap-over-N economics the optimizer prices the attach path with.
-if grep -nE '\.(FetchPage|Prefetch|PrefetchRun|PrefetchRunTrimmed)\(' internal/exec/shared.go; then
+# one-lap-over-N economics the optimizer prices the attach path with. The
+# page evaluator the rider shares with the demand scan (evalPage) lives in
+# the same file, so the lint covers it too — including the cpuBudget fetch
+# helpers, which would reach the pool on its behalf.
+test -f internal/exec/shared.go || {
+	echo "verify: internal/exec/shared.go is gone; point the shared-consumer lint at the rider's new home" >&2
+	exit 1
+}
+if ! grep -q '^func evalPage(' internal/exec/shared.go || ! grep -q '^func runSharedFullScan(' internal/exec/shared.go; then
+	echo "verify: evalPage/runSharedFullScan moved out of internal/exec/shared.go; the shared-consumer lint no longer covers them" >&2
+	exit 1
+fi
+if grep -nE '\.(FetchPage|FetchPageE|Prefetch|PrefetchRun|PrefetchRunTrimmed|fetchE|fetchRetry|prefetch)\(' internal/exec/shared.go; then
 	echo "verify: demand fetch/prefetch in the shared-scan consumer path (pages must come from the circulating producer)" >&2
 	exit 1
 fi

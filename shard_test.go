@@ -140,6 +140,51 @@ func TestRangePartitionPruning(t *testing.T) {
 	}
 }
 
+// TestGatherReportsPrunedShards: both gathers — the scalar one behind Query
+// and the grouped one behind ExecuteGroupBy — announce their scatter with the
+// number of shards partition pruning skipped, and add it to shard.pruned.
+func TestGatherReportsPrunedShards(t *testing.T) {
+	sys, tab := newShardedCalibrated(t, 4, PartitionRange, 50000, 0)
+	sys.EnableEventLog(4096)
+	q := Query{Table: tab, Low: 0, High: 499}
+	plan, err := sys.Plan(q, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Fanout != 1 || plan.pruned != 3 {
+		t.Fatalf("one-shard range over 4 range shards: fanout %d, pruned %d", plan.Fanout, plan.pruned)
+	}
+	for name, run := range map[string]func() error{
+		"Query": func() error { _, err := sys.Execute(q); return err },
+		"ExecuteGroupBy": func() error {
+			_, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, Low: q.Low, High: q.High, GroupWidth: 100})
+			return err
+		},
+	} {
+		before, seen := sys.MetricsSnapshot(), len(sys.EngineEvents())
+		if err := run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := sys.MetricsSince(before).Counter("shard.pruned"); got != int64(plan.pruned) {
+			t.Errorf("%s: shard.pruned rose by %d, the plan pruned %d", name, got, plan.pruned)
+		}
+		scatters := 0
+		for _, e := range sys.EngineEvents()[seen:] {
+			if e.Name != "shard.scatter" {
+				continue
+			}
+			scatters++
+			if e.A != int64(plan.Fanout) || e.B != int64(plan.pruned) {
+				t.Errorf("%s: shard.scatter reports %d active, %d pruned; the plan has %d and %d",
+					name, e.A, e.B, plan.Fanout, plan.pruned)
+			}
+		}
+		if scatters != 1 {
+			t.Errorf("%s: %d shard.scatter events, want 1", name, scatters)
+		}
+	}
+}
+
 // TestRangeBalancedCutsRebalance checks the rebalance sweep's premise:
 // equal-width cuts overload the hot shard of a Zipf table, quantile cuts
 // spread it near-evenly.
