@@ -10,7 +10,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 
 	"pioqo/internal/disk"
@@ -28,14 +27,21 @@ type PageKey struct {
 // Pool is a buffer pool over one disk manager's files. All methods must be
 // called from simulation context; FetchPage additionally needs a process.
 type Pool struct {
-	env      *sim.Env
-	capacity int
+	// frames is the arena: every frame the pool will ever use, allocated
+	// once. Frames refer to each other by arena slot, so residency changes
+	// allocate nothing.
+	frames []frame
+	// index maps a packed (file, page) to the slot of its loaded or loading
+	// frame. Every slot is either in the index or on the free list.
+	index map[uint64]int32
+	// head and tail bound the LRU of idle (loaded, unpinned) frames, linked
+	// through frame.prev/next: head is the most recently used, tail the
+	// next victim.
+	head, tail int32
+	// free heads the list of unused slots, linked through frame.next.
+	free int32
 
-	frames map[PageKey]*frame
-	lru    *list.List // unpinned, loaded frames; front = most recent
-
-	resident map[disk.FileID]int64 // loaded pages per file
-	files    map[disk.FileID]*disk.File
+	files []fileState // indexed by disk.FileID
 
 	// inFlightWrites tracks outstanding write-backs so FlushDirty can wait
 	// for durability.
@@ -76,39 +82,74 @@ type Stats struct {
 	ReadErrors  int64 // device reads that completed with an error
 }
 
+// none is the nil arena slot.
+const none int32 = -1
+
+// frame is one arena slot. A slot in use is loading (its device read is in
+// flight), pinned, or idle — loaded with no pins, which is exactly the set
+// the LRU links. A free slot has no pins, no dirty bit and no read.
 type frame struct {
 	key     PageKey
 	pins    int
 	dirty   bool
 	loading *sim.Completion // non-nil while the device read is in flight
-	lruEl   *list.Element   // non-nil iff unpinned and loaded
+
+	// slot is the frame's own arena index. prev and next are an idle
+	// frame's LRU neighbours; while a frame is loading, next chains the
+	// frames its device read installed, in install order; on the free list
+	// next is the next free slot. A frame is in one of those states at a
+	// time, so the uses never overlap.
+	slot, prev, next int32
 }
+
+// idle reports whether the frame is on the LRU.
+func (f *frame) idle() bool { return f.pins == 0 && f.loading == nil }
+
+// fileState is what the pool keeps per file: the handle its write-backs go
+// through and how many of its pages are loaded or loading.
+type fileState struct {
+	file     *disk.File
+	resident int64
+}
+
+// pack folds a page's identity into the index key: the file above bit 40,
+// the page below, room for 2^40 pages (4 PiB) per file. A one-word key
+// keeps the index on the runtime's 64-bit fast map path.
+func pack(file disk.FileID, page int64) uint64 { return uint64(file)<<40 | uint64(page) }
 
 // NewPool returns a pool with room for capacity pages.
 func NewPool(e *sim.Env, capacity int) *Pool {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("buffer: pool capacity %d", capacity))
 	}
-	return &Pool{
-		env:            e,
-		capacity:       capacity,
-		frames:         make(map[PageKey]*frame, capacity),
-		lru:            list.New(),
-		resident:       make(map[disk.FileID]int64),
-		files:          make(map[disk.FileID]*disk.File),
+	p := &Pool{
+		frames:         make([]frame, capacity),
+		index:          make(map[uint64]int32, capacity),
+		head:           none,
+		tail:           none,
 		inFlightWrites: sim.NewWaitGroup(e),
 	}
+	for i := range p.frames {
+		p.frames[i].slot, p.frames[i].next = int32(i), int32(i)+1
+	}
+	p.frames[capacity-1].next = none
+	return p
 }
 
 // Capacity returns the pool size in pages.
-func (p *Pool) Capacity() int { return p.capacity }
+func (p *Pool) Capacity() int { return len(p.frames) }
 
 // Cached reports how many pages are currently loaded or loading.
-func (p *Pool) Cached() int { return len(p.frames) }
+func (p *Pool) Cached() int { return len(p.index) }
 
 // Resident reports how many pages of file f are currently in the pool —
 // the statistic the optimizer uses to correct I/O estimates for warm data.
-func (p *Pool) Resident(f *disk.File) int64 { return p.resident[f.ID()] }
+func (p *Pool) Resident(f *disk.File) int64 {
+	if id := int(f.ID()); id < len(p.files) {
+		return p.files[id].resident
+	}
+	return 0
+}
 
 // ResetStats zeroes the traffic counters. Published registry mirrors keep
 // accumulating.
@@ -127,7 +168,7 @@ func (p *Pool) Publish(reg *obs.Registry) {
 	p.obsDirty = reg.Counter(obs.MetricBufferDirtyWrites)
 	p.obsReadErr = reg.Counter(obs.MetricBufferReadErrors)
 	p.obsCached = reg.Gauge(obs.MetricBufferCachedPages)
-	p.obsCached.Set(float64(len(p.frames)))
+	p.trackCached()
 }
 
 // SetEventLog installs (or, with nil, removes) the pool's event log.
@@ -143,8 +184,61 @@ func bump(c *obs.Counter) {
 // trackCached refreshes the cached_pages gauge after residency changes.
 func (p *Pool) trackCached() {
 	if p.obsCached != nil {
-		p.obsCached.Set(float64(len(p.frames)))
+		p.obsCached.Set(float64(len(p.index)))
 	}
+}
+
+// lookup returns the page's frame, loaded or loading, or nil.
+func (p *Pool) lookup(file *disk.File, page int64) *frame {
+	if slot, ok := p.index[pack(file.ID(), page)]; ok {
+		return &p.frames[slot]
+	}
+	return nil
+}
+
+// pushFront puts a frame that just became idle on the LRU as the most
+// recently used.
+func (p *Pool) pushFront(f *frame) {
+	f.prev, f.next = none, p.head
+	if p.head != none {
+		p.frames[p.head].prev = f.slot
+	} else {
+		p.tail = f.slot
+	}
+	p.head = f.slot
+}
+
+// unlink takes an idle frame off the LRU.
+func (p *Pool) unlink(f *frame) {
+	if f.prev != none {
+		p.frames[f.prev].next = f.next
+	} else {
+		p.head = f.next
+	}
+	if f.next != none {
+		p.frames[f.next].prev = f.prev
+	} else {
+		p.tail = f.prev
+	}
+}
+
+// uninstall removes a frame that is on no list from the pool and frees its
+// slot: the page reads as non-resident from here on.
+func (p *Pool) uninstall(f *frame) {
+	delete(p.index, pack(f.key.File, f.key.Page))
+	p.files[f.key.File].resident--
+	p.epoch++
+	p.trackCached()
+	f.pins, f.dirty, f.loading = 0, false, nil
+	f.next, p.free = p.free, f.slot
+}
+
+// evict drops an idle frame.
+func (p *Pool) evict(f *frame) {
+	p.unlink(f)
+	p.uninstall(f)
+	p.Stats.Evictions++
+	bump(p.obsEvict)
 }
 
 // evictOne removes the least recently used unpinned frame, writing it back
@@ -153,90 +247,105 @@ func (p *Pool) trackCached() {
 // queue, which is how real pools avoid stalling page allocation on
 // write-back.
 func (p *Pool) evictOne() bool {
-	back := p.lru.Back()
-	if back == nil {
+	if p.tail == none {
 		return false
 	}
-	f := back.Value.(*frame)
+	f := &p.frames[p.tail]
 	if f.dirty {
 		p.writeBack(f)
 	}
-	p.lru.Remove(back)
-	delete(p.frames, f.key)
-	p.resident[f.key.File]--
-	p.epoch++
-	p.Stats.Evictions++
-	bump(p.obsEvict)
-	p.trackCached()
+	p.evict(f)
 	return true
 }
 
 // writeBack issues the asynchronous device write for a dirty frame and
 // clears the dirty bit.
 func (p *Pool) writeBack(f *frame) {
-	file := p.files[f.key.File]
-	if file == nil {
-		panic(fmt.Sprintf("buffer: dirty frame %v for unknown file", f.key))
-	}
 	f.dirty = false
 	p.Stats.DirtyWrites++
 	bump(p.obsDirty)
 	p.inFlightWrites.Add(1)
-	file.WritePage(f.key.Page).OnFire(p.inFlightWrites.Done)
+	p.files[f.key.File].file.WritePage(f.key.Page).OnFire(p.inFlightWrites.Done)
 }
 
-// ensureRoom makes space for one more frame, evicting if needed. Running
-// out of evictable frames is a sizing bug in the caller (too many pins or
-// prefetches for the pool), and panics rather than deadlocking silently.
-func (p *Pool) ensureRoom() {
-	if len(p.frames) < p.capacity {
-		return
+// install claims a slot for the page as a loading frame of the device read
+// c, evicting if the pool is full. Running out of evictable frames is a
+// sizing bug in the caller (too many pins or prefetches for the pool), and
+// panics rather than deadlocking silently.
+func (p *Pool) install(file *disk.File, page int64, c *sim.Completion) int32 {
+	if p.free == none && !p.evictOne() {
+		panic(fmt.Sprintf("buffer: all %d frames pinned or loading", len(p.frames)))
 	}
-	if !p.evictOne() {
-		panic(fmt.Sprintf("buffer: all %d frames pinned or loading", p.capacity))
+	id := file.ID()
+	if int(id) >= len(p.files) {
+		p.files = append(p.files, make([]fileState, int(id)+1-len(p.files))...)
 	}
-}
+	p.files[id].file = file
+	p.files[id].resident++
 
-// install creates a loading frame for key backed by the read completion c.
-func (p *Pool) install(key PageKey, c *sim.Completion) *frame {
-	p.ensureRoom()
-	f := &frame{key: key, loading: c}
-	p.frames[key] = f
-	p.resident[key.File]++
+	f := &p.frames[p.free]
+	p.free = f.next
+	f.key, f.loading, f.next = PageKey{id, page}, c, none
+	p.index[pack(id, page)] = f.slot
 	p.epoch++
 	p.trackCached()
-	c.OnFire(func() {
-		if c.Err() != nil {
-			// The read failed: uninstall the frame so the page reads as
-			// non-resident and a retry re-issues the device read. Fire runs
-			// this callback before any waiter resumes, so waiters observe
-			// the pool already consistent; they unpin their orphaned frame
-			// themselves (FetchPageE's error path). f.loading stays set so
-			// late joiners still see the frame as unusable.
-			delete(p.frames, key)
-			p.resident[key.File]--
-			p.epoch++
-			p.Stats.ReadErrors++
-			bump(p.obsReadErr)
-			p.log.Emit(event.EvFrameUninstall, event.NoQuery, key.Page, int64(p.epoch))
-			p.trackCached()
-			return
-		}
-		f.loading = nil
-		if f.pins == 0 && f.lruEl == nil {
-			f.lruEl = p.lru.PushFront(f)
-		}
-	})
-	return f
+	return f.slot
 }
 
-// pin marks the frame in use and removes it from the eviction list.
-func (p *Pool) pin(f *frame) {
-	f.pins++
-	if f.lruEl != nil {
-		p.lru.Remove(f.lruEl)
-		f.lruEl = nil
+// onLoad registers the one completion callback of the device read c, which
+// covers every frame the read installed: the chain starting at slot first.
+// Fire runs it before any process waiting on c resumes.
+func (p *Pool) onLoad(c *sim.Completion, first int32) {
+	c.OnFire(func() {
+		err := c.Err()
+		for slot := first; slot != none; {
+			f := &p.frames[slot]
+			slot = f.next // both branches below relink f
+			if err != nil {
+				// The read failed: free the slot so the page reads as
+				// non-resident and a retry re-issues the device read.
+				// Processes that pinned the frame to join the load drop
+				// their claim with it; they see the error on c and do not
+				// look at the frame again.
+				p.uninstall(f)
+				p.Stats.ReadErrors++
+				bump(p.obsReadErr)
+				p.log.Emit(event.EvFrameUninstall, event.NoQuery, f.key.Page, int64(p.epoch))
+				continue
+			}
+			f.loading = nil
+			if f.pins == 0 {
+				p.pushFront(f)
+			}
+		}
+	})
+}
+
+// installRun installs the absent pages of [page, page+count) as loading
+// frames of the one device read c, chained in page order.
+func (p *Pool) installRun(file *disk.File, page int64, count int, c *sim.Completion) {
+	first, last := none, none
+	for pg := page; pg < page+int64(count); pg++ {
+		if p.lookup(file, pg) != nil {
+			continue
+		}
+		slot := p.install(file, pg, c)
+		if last == none {
+			first = slot
+		} else {
+			p.frames[last].next = slot
+		}
+		last = slot
 	}
+	p.onLoad(c, first)
+}
+
+// pin marks the frame in use, taking it off the eviction list.
+func (p *Pool) pin(f *frame) {
+	if f.idle() {
+		p.unlink(f)
+	}
+	f.pins++
 }
 
 // Handle is a pinned page. Callers must Release exactly once.
@@ -259,8 +368,8 @@ func (h Handle) Release() {
 		panic("buffer: release of unpinned page " + fmt.Sprint(f.key))
 	}
 	f.pins--
-	if f.pins == 0 && f.loading == nil {
-		f.lruEl = h.pool.lru.PushFront(f)
+	if f.idle() {
+		h.pool.pushFront(f)
 	}
 }
 
@@ -277,42 +386,34 @@ func (p *Pool) FetchPage(proc *sim.Proc, file *disk.File, page int64) Handle {
 
 // FetchPageE is FetchPage with the device's verdict surfaced: if the read
 // completes with an error the page is not pinned, the frame is gone from
-// the pool (the failure's OnFire hook uninstalls it before any waiter
+// the pool (the read's completion callback frees its slot before any waiter
 // resumes), and the error is returned for the executor's retry policy to
 // handle. Processes that joined an in-flight load observe the same error.
 func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, error) {
-	p.files[file.ID()] = file
-	key := PageKey{file.ID(), page}
-	if f, ok := p.frames[key]; ok {
-		if f.loading != nil {
-			p.Stats.Misses++
-			p.Stats.JoinedLoads++
-			bump(p.obsMisses)
-			bump(p.obsJoined)
-			p.pin(f)
-			c := f.loading
-			proc.Wait(c)
-			if err := c.Err(); err != nil {
-				// The frame was uninstalled when the load failed; drop our
-				// pin on the orphan without re-adding it to the LRU.
-				f.pins--
-				return Handle{}, err
-			}
-			return Handle{p, f}, nil
-		}
+	f := p.lookup(file, page)
+	var c *sim.Completion
+	switch {
+	case f == nil:
+		p.Stats.Misses++
+		bump(p.obsMisses)
+		c = file.ReadPage(page)
+		f = &p.frames[p.install(file, page, c)]
+		p.onLoad(c, f.slot)
+	case f.loading != nil:
+		p.Stats.Misses++
+		p.Stats.JoinedLoads++
+		bump(p.obsMisses)
+		bump(p.obsJoined)
+		c = f.loading
+	default:
 		p.Stats.Hits++
 		bump(p.obsHits)
 		p.pin(f)
 		return Handle{p, f}, nil
 	}
-	p.Stats.Misses++
-	bump(p.obsMisses)
-	c := file.ReadPage(page)
-	f := p.install(key, c)
 	p.pin(f)
 	proc.Wait(c)
 	if err := c.Err(); err != nil {
-		f.pins--
 		return Handle{}, err
 	}
 	return Handle{p, f}, nil
@@ -321,17 +422,29 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 // Prefetch asynchronously loads a single page if it is not already present
 // or in flight. It never blocks and reports whether a read was issued.
 func (p *Pool) Prefetch(file *disk.File, page int64) bool {
-	p.files[file.ID()] = file
-	key := PageKey{file.ID(), page}
-	if _, ok := p.frames[key]; ok {
+	if p.lookup(file, page) != nil {
 		return false
 	}
 	p.Stats.PrefetchReads++
 	p.Stats.PrefetchedPages++
 	bump(p.obsPrefetch)
 	bump(p.obsPrefetchPages)
-	p.install(key, file.ReadPage(page))
+	c := file.ReadPage(page)
+	p.onLoad(c, p.install(file, page, c))
 	return true
+}
+
+// readRun issues one block read for [page, page+count) and installs the
+// pages of it the pool does not hold.
+func (p *Pool) readRun(file *disk.File, page int64, count int) {
+	c := file.ReadRun(page, count)
+	p.Stats.PrefetchReads++
+	p.Stats.PrefetchedPages += int64(count)
+	bump(p.obsPrefetch)
+	if p.obsPrefetchPages != nil {
+		p.obsPrefetchPages.Add(int64(count))
+	}
+	p.installRun(file, page, count, c)
 }
 
 // PrefetchRun asynchronously loads count consecutive pages with one large
@@ -340,32 +453,13 @@ func (p *Pool) Prefetch(file *disk.File, page int64) bool {
 // the block read (the transfer is contiguous either way), matching how
 // block-based readahead behaves in practice.
 func (p *Pool) PrefetchRun(file *disk.File, page int64, count int) bool {
-	p.files[file.ID()] = file
-	allPresent := true
-	for i := int64(0); i < int64(count); i++ {
-		if _, ok := p.frames[PageKey{file.ID(), page + i}]; !ok {
-			allPresent = false
-			break
+	for pg := page; pg < page+int64(count); pg++ {
+		if p.lookup(file, pg) == nil {
+			p.readRun(file, page, count)
+			return true
 		}
 	}
-	if allPresent {
-		return false
-	}
-	c := file.ReadRun(page, count)
-	p.Stats.PrefetchReads++
-	p.Stats.PrefetchedPages += int64(count)
-	bump(p.obsPrefetch)
-	if p.obsPrefetchPages != nil {
-		p.obsPrefetchPages.Add(int64(count))
-	}
-	for i := int64(0); i < int64(count); i++ {
-		key := PageKey{file.ID(), page + i}
-		if _, ok := p.frames[key]; ok {
-			continue
-		}
-		p.install(key, c)
-	}
-	return true
+	return false
 }
 
 // PrefetchRunTrimmed is PrefetchRun with overlap trimming: instead of
@@ -376,53 +470,36 @@ func (p *Pool) PrefetchRun(file *disk.File, page int64, count int) bool {
 // device work for bytes the pool already holds — the multi-query prefetch
 // coordination path. It reports how many device reads were issued.
 func (p *Pool) PrefetchRunTrimmed(file *disk.File, page int64, count int) int {
-	p.files[file.ID()] = file
 	issued := 0
 	gap := int64(-1) // start of the current uncovered gap, -1 = none open
-	flush := func(end int64) {
-		if gap < 0 {
-			return
-		}
-		n := int(end - gap)
-		c := file.ReadRun(gap, n)
-		p.Stats.PrefetchReads++
-		p.Stats.PrefetchedPages += int64(n)
-		bump(p.obsPrefetch)
-		if p.obsPrefetchPages != nil {
-			p.obsPrefetchPages.Add(int64(n))
-		}
-		for i := int64(0); i < int64(n); i++ {
-			p.install(PageKey{file.ID(), gap + i}, c)
-		}
-		issued++
-		gap = -1
-	}
-	for i := int64(0); i < int64(count); i++ {
-		pg := page + i
-		if _, ok := p.frames[PageKey{file.ID(), pg}]; ok {
-			flush(pg)
+	for pg, end := page, page+int64(count); pg <= end; pg++ {
+		if pg < end && p.lookup(file, pg) == nil {
+			if gap < 0 {
+				gap = pg
+			}
 			continue
 		}
-		if gap < 0 {
-			gap = pg
+		// A present page, or the end of the run, closes the open gap.
+		if gap >= 0 {
+			p.readRun(file, gap, int(pg-gap))
+			issued++
+			gap = -1
 		}
 	}
-	flush(page + int64(count))
 	return issued
 }
 
 // Contains reports whether the page is loaded or loading.
 func (p *Pool) Contains(file *disk.File, page int64) bool {
-	_, ok := p.frames[PageKey{file.ID(), page}]
-	return ok
+	return p.lookup(file, page) != nil
 }
 
 // Loaded reports whether the page is present with its read complete — a
 // fetch would neither touch the device nor block. Batched executors use it
 // to decide whether deferred CPU debt must settle before the fetch.
 func (p *Pool) Loaded(file *disk.File, page int64) bool {
-	f, ok := p.frames[PageKey{file.ID(), page}]
-	return ok && f.loading == nil
+	f := p.lookup(file, page)
+	return f != nil && f.loading == nil
 }
 
 // Pinned reports the total pin count across all frames. After a query has
@@ -430,8 +507,8 @@ func (p *Pool) Loaded(file *disk.File, page int64) bool {
 // assert that to catch leaked pins.
 func (p *Pool) Pinned() int {
 	n := 0
-	for _, f := range p.frames {
-		n += f.pins
+	for i := range p.frames {
+		n += p.frames[i].pins
 	}
 	return n
 }
@@ -444,21 +521,11 @@ func (p *Pool) Pinned() int {
 // either way; a pin or a dirty bit means the page stopped being
 // speculative). Reports whether the frame was dropped.
 func (p *Pool) Discard(file *disk.File, page int64) bool {
-	key := PageKey{file.ID(), page}
-	f, ok := p.frames[key]
-	if !ok || f.pins > 0 || f.loading != nil || f.dirty {
+	f := p.lookup(file, page)
+	if f == nil || !f.idle() || f.dirty {
 		return false
 	}
-	if f.lruEl != nil {
-		p.lru.Remove(f.lruEl)
-		f.lruEl = nil
-	}
-	delete(p.frames, key)
-	p.resident[key.File]--
-	p.epoch++
-	p.Stats.Evictions++
-	bump(p.obsEvict)
-	p.trackCached()
+	p.evict(f)
 	return true
 }
 
@@ -482,9 +549,17 @@ func (p *Pool) Flush() int {
 // FlushDirty writes back every dirty frame without evicting anything and
 // blocks the process until all write-backs — including those issued
 // earlier by evictions — are durable on the device (a checkpoint).
+//
+// Writes are submitted in arena-slot order. Which slot a page occupies is
+// a pure function of the request history (free slots are reused in a fixed
+// order, victims come off the LRU), so the same seed submits the same
+// writes in the same order — on a seek-dependent device the order is part
+// of the answer. Sorting by (file, page) would be equally repeatable but
+// is an elevator pass: it would make the modelled checkpoint faster, which
+// is a modelling decision rather than a repeatability fix.
 func (p *Pool) FlushDirty(proc *sim.Proc) {
-	for _, f := range p.frames {
-		if f.dirty && f.loading == nil {
+	for i := range p.frames {
+		if f := &p.frames[i]; f.dirty && f.loading == nil {
 			p.writeBack(f)
 		}
 	}
@@ -494,8 +569,8 @@ func (p *Pool) FlushDirty(proc *sim.Proc) {
 // DirtyPages reports how many loaded frames are currently dirty.
 func (p *Pool) DirtyPages() int {
 	n := 0
-	for _, f := range p.frames {
-		if f.dirty {
+	for i := range p.frames {
+		if p.frames[i].dirty {
 			n++
 		}
 	}

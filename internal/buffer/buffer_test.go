@@ -15,7 +15,7 @@ type world struct {
 	pool *Pool
 }
 
-func newWorld(t *testing.T, poolPages int) *world {
+func newWorld(t testing.TB, poolPages int) *world {
 	t.Helper()
 	env := sim.NewEnv(1)
 	m := disk.NewManager(device.NewSSD(env, device.DefaultSSDConfig()))

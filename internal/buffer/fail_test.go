@@ -116,3 +116,63 @@ func TestFetchPagePanicsOnFault(t *testing.T) {
 		t.Fatal("FetchPage did not panic on an unhandled device fault")
 	}
 }
+
+// A failed block read with fetchers joined on its pages frees every slot it
+// took — before any of them resumes — and leaves nothing pinned: the pool
+// can afterwards fill to capacity and turn over completely, with each slot
+// handed out exactly once.
+func TestFailedRunReadReturnsEverySlot(t *testing.T) {
+	const capacity, run = 8, 6
+	w := newFaultWorld(t, capacity)
+	w.inj.Arm(fault.Schedule{Windows: []fault.Window{{ErrorRate: 1}}})
+	w.pool.PrefetchRun(w.file, 10, run)
+	errs := make([]error, 3)
+	for i := range errs {
+		w.env.Go("joiner", func(p *sim.Proc) {
+			_, errs[i] = w.pool.FetchPageE(p, w.file, 10+int64(2*i))
+			// The callback that failed the read ran first: nothing of the
+			// run is left for a resumed waiter to see.
+			if n := w.pool.Cached(); n != 0 {
+				t.Errorf("joiner %d resumed with %d frames still installed", i, n)
+			}
+		})
+	}
+	w.env.Run()
+	for i, err := range errs {
+		if !errors.Is(err, fault.ErrDeviceFault) {
+			t.Errorf("joiner %d: err = %v, want ErrDeviceFault", i, err)
+		}
+	}
+	if got := w.pool.Stats.ReadErrors; got != run {
+		t.Errorf("Stats.ReadErrors = %d, want one per page of the run (%d)", got, run)
+	}
+	if w.pool.Pinned() != 0 || w.pool.Cached() != 0 {
+		t.Errorf("failed run left %d pins and %d frames", w.pool.Pinned(), w.pool.Cached())
+	}
+	if err := arenaError(w.pool); err != nil {
+		t.Fatal(err)
+	}
+
+	w.inj.Disarm()
+	w.run(func(p *sim.Proc) {
+		var held []Handle
+		for page := int64(0); page < capacity; page++ {
+			held = append(held, w.pool.FetchPage(p, w.file, page))
+		}
+		if err := arenaError(w.pool); err != nil {
+			t.Error(err)
+		}
+		for _, h := range held {
+			h.Release()
+		}
+		for page := int64(100); page < 100+capacity; page++ {
+			w.pool.FetchPage(p, w.file, page).Release()
+		}
+	})
+	if w.pool.Cached() != capacity || w.pool.Pinned() != 0 {
+		t.Errorf("after %d more installs: %d frames, %d pins", 2*capacity, w.pool.Cached(), w.pool.Pinned())
+	}
+	if err := arenaError(w.pool); err != nil {
+		t.Fatal(err)
+	}
+}

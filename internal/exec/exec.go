@@ -290,19 +290,16 @@ func (s *Spec) deliver(a *agg, h buffer.Handle, rowID int64, row table.Row) {
 	a.add(row.C1)
 }
 
-// deliverPage routes one page's worth of rows in a single pass: rows[i]
-// is row number firstRow+i, all resident on the pinned page h. Without
-// hooks the predicate and aggregate fold into one tight loop (agg.addBatch);
-// with hooks each match goes through deliver as before.
-func (s *Spec) deliverPage(a *agg, h buffer.Handle, firstRow int64, rows []table.Row) {
+// deliverPage routes one page's matching rows, all resident on the pinned
+// page h, in row order: to the hooks one by one, or without hooks to the
+// aggregate in a single fold.
+func (s *Spec) deliverPage(a *agg, h buffer.Handle, matches []table.Match) {
 	if s.Update == nil && s.Emit == nil {
-		a.addBatch(rows, s.Lo, s.Hi)
+		a.addBatch(matches)
 		return
 	}
-	for i, row := range rows {
-		if row.C2 >= s.Lo && row.C2 <= s.Hi {
-			s.deliver(a, h, firstRow+int64(i), row)
-		}
+	for _, m := range matches {
+		s.deliver(a, h, m.ID, m.Row)
 	}
 }
 
@@ -424,57 +421,31 @@ func (a *agg) add(c1 int64) {
 	a.merge(agg{val: c1, found: true, rows: 1})
 }
 
-// addBatch folds every row matching lo <= C2 <= hi into the accumulator,
-// equivalent to calling add per match but with the aggregate switch hoisted
-// out of the row loop.
-func (a *agg) addBatch(rows []table.Row, lo, hi int64) {
-	var n int64
+// addBatch folds one page's matches into the accumulator, equivalent to
+// calling add per match: the page reduces to a partial with the aggregate
+// switch outside the row loop, and the partial merges in.
+func (a *agg) addBatch(matches []table.Match) {
+	if len(matches) == 0 {
+		return
+	}
+	b := agg{val: matches[0].C1, found: true, rows: int64(len(matches))}
 	switch a.kind {
 	case AggMax:
-		v, found := a.val, a.found
-		for _, r := range rows {
-			if r.C2 < lo || r.C2 > hi {
-				continue
-			}
-			if !found || r.C1 > v {
-				v, found = r.C1, true
-			}
-			n++
+		for _, m := range matches[1:] {
+			b.val = max(b.val, m.C1)
 		}
-		a.val = v
 	case AggMin:
-		v, found := a.val, a.found
-		for _, r := range rows {
-			if r.C2 < lo || r.C2 > hi {
-				continue
-			}
-			if !found || r.C1 < v {
-				v, found = r.C1, true
-			}
-			n++
+		for _, m := range matches[1:] {
+			b.val = min(b.val, m.C1)
 		}
-		a.val = v
 	case AggSum:
-		var sum int64
-		for _, r := range rows {
-			if r.C2 >= lo && r.C2 <= hi {
-				sum += r.C1
-				n++
-			}
+		for _, m := range matches[1:] {
+			b.val += m.C1
 		}
-		a.val += sum
 	case AggCount:
-		for _, r := range rows {
-			if r.C2 >= lo && r.C2 <= hi {
-				n++
-			}
-		}
-		a.val += n
+		b.val = b.rows
 	}
-	if n > 0 {
-		a.found = true
-	}
-	a.rows += n
+	a.merge(b)
 }
 
 func (a *agg) merge(b agg) {
@@ -648,7 +619,7 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		if !ok {
 			return false
 		}
-		w.rows = evalPage(ctx, &spec, w.bud, w.a, h, page, w.rows)
+		w.matches = evalPage(ctx, &spec, w.bud, w.a, h, page, w.matches)
 		// One page is the batch quantum: settling here keeps workers
 		// interleaving on the CPU at page granularity (deferring across a
 		// whole prefetched block would serialize work the row-at-a-time

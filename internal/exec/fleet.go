@@ -57,7 +57,7 @@ type worker struct {
 	a   *agg
 
 	entries []btree.Entry // scratch reused across leaf batches
-	rows    []table.Row   // scratch reused across pages
+	matches []table.Match // scratch reused across pages
 }
 
 // newFleet sizes a fleet for spec: its degree, or the tuner's growth cap.

@@ -19,20 +19,20 @@ import (
 )
 
 // evalPage evaluates every row of one heap page: it charges PerPage plus
-// PerRow per row into bud and delivers the matching rows to a (or to the
-// spec's hooks, which mark the pinned page h). The caller fetched the page —
-// or was handed it by a circulating producer, and then passes no handle —
-// and settles the budget at its own quantum. rows is scratch, returned for
-// reuse.
-func evalPage(ctx *Context, spec *Spec, bud *cpuBudget, a *agg, h buffer.Handle, page int64, rows []table.Row) []table.Row {
+// PerRow per row into bud — the simulated engine tests every row, whether or
+// not it matches — and delivers the matching rows to a (or to the spec's
+// hooks, which mark the pinned page h). The caller fetched the page — or was
+// handed it by a circulating producer, and then passes no handle — and
+// settles the budget at its own quantum. buf is scratch, returned for reuse.
+func evalPage(ctx *Context, spec *Spec, bud *cpuBudget, a *agg, h buffer.Handle, page int64, buf []table.Match) []table.Match {
 	t := spec.Table
 	rpp := int64(t.RowsPerPage())
 	firstRow := page * rpp
 	lastRow := min(firstRow+rpp, t.Rows())
 	bud.charge(ctx.Costs.PerPage + sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
-	rows = t.RowsAt(firstRow, lastRow, rows)
-	spec.deliverPage(a, h, firstRow, rows)
-	return rows
+	buf = t.MatchesAt(firstRow, lastRow, spec.Lo, spec.Hi, buf)
+	spec.deliverPage(a, h, buf)
+	return buf
 }
 
 // sharable reports whether this spec can ride a circulating scan: a plain
@@ -59,7 +59,7 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 
 	cons := ctx.Shares.Attach(spec.QID, t.File(), t.Pages())
 	defer cons.Detach()
-	var rowBuf []table.Row
+	var matchBuf []table.Match
 	for {
 		if spec.aborted() {
 			return a.result()
@@ -85,7 +85,7 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 				return a.result()
 			}
 			// A sharable spec has no row hooks, so no pinned handle is needed.
-			rowBuf = evalPage(ctx, &spec, bud, &a, buffer.Handle{}, run.Start+int64(i), rowBuf)
+			matchBuf = evalPage(ctx, &spec, bud, &a, buffer.Handle{}, run.Start+int64(i), matchBuf)
 			bud.pages++
 			if spec.Progress != nil {
 				// Pages delivered to *this* consumer — not the producer's

@@ -7,6 +7,7 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/fault"
 	"pioqo/internal/sim"
+	"pioqo/internal/table"
 )
 
 // withShares installs a scan-share registry on the world's context.
@@ -136,5 +137,28 @@ func TestSharedScanProgressCountsOwnDelivery(t *testing.T) {
 	if pages := w.tab.Pages(); early != pages || late != pages {
 		t.Errorf("progress early=%d late=%d, want both exactly %d (pages delivered to each consumer)",
 			early, late, pages)
+	}
+}
+
+// TestEvalPageDoesNotAllocate is the allocation gate on the page evaluator:
+// a page without a match costs no allocation, and a page with matches costs
+// none once the scratch buffer has grown to a page's worth.
+func TestEvalPageDoesNotAllocate(t *testing.T) {
+	ctx, syn, _ := benchWorld(50_000, 500, 64)
+	mat := newWorld(t, worldOpts{rows: 5000, rpp: 500}).tab
+	for name, tab := range map[string]table.Table{"synthetic": syn, "materialized": mat} {
+		bud := &cpuBudget{ctx: ctx}
+		a := agg{kind: AggMax}
+		var buf []table.Match
+		eval := func(spec Spec) func() {
+			return func() { buf = evalPage(ctx, &spec, bud, &a, buffer.Handle{}, 3, buf) }
+		}
+		if n := testing.AllocsPerRun(20, eval(Spec{Table: tab, Lo: -10, Hi: -1})); n != 0 || a.rows != 0 {
+			t.Errorf("%s: page without a match: %v allocations, %d rows", name, n, a.rows)
+		}
+		// AllocsPerRun's warm-up call grows the buffer.
+		if n := testing.AllocsPerRun(20, eval(Spec{Table: tab, Lo: 0, Hi: tab.KeyDomain()})); n != 0 || a.rows == 0 {
+			t.Errorf("%s: page full of matches: %v allocations, %d rows", name, n, a.rows)
+		}
 	}
 }

@@ -30,6 +30,12 @@ type Row struct {
 	C2 int64 // predicate column (non-clustered index)
 }
 
+// Match is a row that passed a key-range filter, with its row number.
+type Match struct {
+	ID int64
+	Row
+}
+
 // Table is a heap table: rows packed RowsPerPage to a page in row-number
 // order, stored in a contiguous disk file.
 type Table interface {
@@ -51,11 +57,20 @@ type Table interface {
 	// responsible for having paid the I/O to read PageOf(row) first.
 	RowAt(row int64) Row
 
-	// RowsAt returns rows [lo, hi) reusing buf's backing array — the batch
-	// accessor scan inner loops use to avoid a virtual call per row. Both
+	// RowsAt returns rows [lo, hi) reusing buf's backing array. Both
 	// backings enumerate incrementally, which is markedly cheaper than
-	// hi−lo RowAt calls. The same I/O contract as RowAt applies.
+	// hi−lo RowAt calls. Scans evaluate pages with MatchesAt; RowsAt is the
+	// unfiltered reference MatchesAt is tested against. The same I/O
+	// contract as RowAt applies.
 	RowsAt(lo, hi int64, buf []Row) []Row
+
+	// MatchesAt returns the rows of [lo, hi) whose C2 lies in
+	// [keyLo, keyHi], in row order, reusing buf's backing array — the
+	// accessor scans evaluate a page with. It is RowsAt filtered by key, but
+	// predicate-first: both backings walk C2 alone and produce C1 only for
+	// the rows that match, so a selective scan pays one comparison per row
+	// it discards. The same I/O contract as RowAt applies.
+	MatchesAt(lo, hi, keyLo, keyHi int64, buf []Match) []Match
 
 	// KeyDomain returns D such that C2 values lie in [0, D).
 	KeyDomain() int64
@@ -166,6 +181,29 @@ func (t *Materialized) RowsAt(lo, hi int64, buf []Row) []Row {
 	return buf
 }
 
+// MatchesAt implements Table by filtering the C2 column slice and loading
+// C1 for the matches only.
+func (t *Materialized) MatchesAt(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
+	buf = buf[:0]
+	if lo >= hi || keyLo > keyHi {
+		return buf
+	}
+	width := keyWidth(keyLo, keyHi)
+	for i, key := range t.c2[lo:hi] {
+		if uint64(key)-uint64(keyLo) <= width {
+			row := lo + int64(i)
+			buf = append(buf, Match{ID: row, Row: Row{C1: t.c1[row], C2: key}})
+		}
+	}
+	return buf
+}
+
+// keyWidth prepares the single-comparison range test the MatchesAt kernels
+// use: for keyLo <= keyHi, keyLo <= k <= keyHi exactly when
+// uint64(k)-uint64(keyLo) <= keyWidth(keyLo, keyHi). Unsigned subtraction
+// wraps a key below keyLo to a value above any width, over all of int64.
+func keyWidth(keyLo, keyHi int64) uint64 { return uint64(keyHi) - uint64(keyLo) }
+
 // SetC1 updates a row's C1 value in place. Only the materialized backing
 // is updatable; the caller is responsible for marking the holding page
 // dirty in the buffer pool.
@@ -198,14 +236,19 @@ func NewSynthetic(m *disk.Manager, name string, rows int64, rpp int, seed int64)
 	}
 	// Pick a multiplier coprime with rows so the map is a bijection. Large
 	// odd candidates near phi*rows scatter ranges of keys well across pages.
-	for a := int64(float64(rows)*0.6180339887) | 1; ; a += 2 {
-		if a >= rows {
-			a %= rows
-			a |= 1
-		}
-		if a > 1 && gcd(a, rows) == 1 {
-			t.a = a
-			break
+	// Below four rows no odd multiplier in (1, rows) exists and the search
+	// would never end; the identity multiplier is a bijection there.
+	t.a = 1
+	if rows >= 4 {
+		for a := int64(float64(rows)*0.6180339887) | 1; ; a += 2 {
+			if a >= rows {
+				a %= rows
+				a |= 1
+			}
+			if a > 1 && gcd(a, rows) == 1 {
+				t.a = a
+				break
+			}
 		}
 	}
 	t.aInv = modInverse(t.a, rows)
@@ -248,6 +291,27 @@ func (t *Synthetic) RowsAt(lo, hi int64, buf []Row) []Row {
 		key += t.a
 		if key >= t.rows {
 			key -= t.rows
+		}
+	}
+	return buf
+}
+
+// MatchesAt implements Table with the same add-and-wrap stride over C2 as
+// RowsAt; C1's hash and reduction run only for rows inside the key range.
+func (t *Synthetic) MatchesAt(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
+	buf = buf[:0]
+	if lo >= hi || keyLo > keyHi {
+		return buf
+	}
+	width := keyWidth(keyLo, keyHi)
+	key, a, n := t.key(lo), t.a, t.rows
+	for row := lo; row < hi; row++ {
+		if uint64(key)-uint64(keyLo) <= width {
+			buf = append(buf, Match{ID: row, Row: Row{C1: int64(mix64(uint64(row)) % uint64(n)), C2: key}})
+		}
+		key += a
+		if key >= n {
+			key -= n
 		}
 	}
 	return buf

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 )
@@ -127,4 +128,43 @@ func TestAbortedUpdateAppliesAPrefix(t *testing.T) {
 		t.Errorf("SUM after the aborted update = %d, want %d (%d rows changed)", after.Value, want, part.RowsUpdated)
 	}
 	assertNoLeaks(t, sys)
+}
+
+// TestUpdateCheckpointOrderIsDeterministic pins "same seed ⇒ same bytes" for
+// the write path. The closing checkpoint used to submit its writes in Go
+// map order, and on the seek-dependent HDD model the order is part of the
+// answer: the same update on the same seed took a different time every run.
+func TestUpdateCheckpointOrderIsDeterministic(t *testing.T) {
+	run := func() (UpdateResult, []byte) {
+		sys := New(Config{Device: HDD, PoolPages: 1024, Seed: 1})
+		tab, err := sys.CreateTable("t", 135168, 33)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+			t.Fatal(err)
+		}
+		sys.EnableEventLog(1 << 16)
+		up, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 400, Delta: 1}, Cold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log bytes.Buffer
+		if err := sys.WriteEventLog(&log); err != nil {
+			t.Fatal(err)
+		}
+		return up, log.Bytes()
+	}
+	a, alog := run()
+	b, blog := run()
+	if a.PagesWritten < 100 {
+		t.Fatalf("checkpoint wrote %d pages; the test needs a few hundred seeks to order", a.PagesWritten)
+	}
+	if a.Runtime != b.Runtime || a.PagesWritten != b.PagesWritten || a.RowsUpdated != b.RowsUpdated {
+		t.Errorf("same seed, same update: runtime %v vs %v, %d vs %d pages written, %d vs %d rows",
+			a.Runtime, b.Runtime, a.PagesWritten, b.PagesWritten, a.RowsUpdated, b.RowsUpdated)
+	}
+	if !bytes.Equal(alog, blog) {
+		t.Errorf("same seed, same update: event logs differ (%d vs %d bytes)", len(alog), len(blog))
+	}
 }
