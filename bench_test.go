@@ -7,6 +7,7 @@ package pioqo_test
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"pioqo"
@@ -302,6 +303,46 @@ func BenchmarkGreedyChoose(b *testing.B) {
 		if _, err := sys.Plan(pioqo.Query{Table: tab, Low: lo, High: lo + 150}, pioqo.PlanOptions{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSystemPlan is plan_serving's stream in miniature: a table twelve
+// times its pool (so index-scan candidates overflow it), log-uniform
+// selectivities from 1e-5 to 0.5, and the workload's three option sets in
+// rotation, on the default path and on the greedy one.
+func BenchmarkSystemPlan(b *testing.B) {
+	const rows = 12 * 1024 * 33
+	sys := pioqo.New(pioqo.Config{Device: pioqo.SSD, PoolPages: 1024})
+	tab, err := sys.CreateTable("t", rows, 33, pioqo.WithSyntheticData())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := sys.Calibrate(pioqo.CalibrationOptions{MaxReads: 640}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	queries := make([]pioqo.Query, 1<<12)
+	for i := range queries {
+		width := int64(math.Exp(math.Log(1e-5)+rng.Float64()*math.Log(0.5/1e-5)) * rows)
+		lo := rng.Int63n(rows - width)
+		queries[i] = pioqo.Query{Table: tab, Low: lo, High: lo + width}
+	}
+	options := []pioqo.PlanOptions{{}, {QueueBudget: 8}, {ShareParties: 4}}
+	for _, greedy := range []bool{false, true} {
+		name := "default"
+		if greedy {
+			name = "greedy"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				po := options[i%len(options)]
+				po.GreedyPlanning = greedy
+				if _, err := sys.Plan(queries[i%len(queries)], po); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -114,3 +114,37 @@ func TestWithGreedyPlanningOption(t *testing.T) {
 			rg.Rows, rg.Value, rd.Rows, rd.Value)
 	}
 }
+
+// TestGreedyPlanBandHitsDoNotAllocate is the serving gate at the surface the
+// suite drives: System.Plan on the greedy path, rotating plan_serving's
+// three option sets, allocates nothing once each shape's band is cached —
+// no degree grid, no grid key, no front-cache entry, no config on the heap.
+func TestGreedyPlanBandHitsDoNotAllocate(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 50000, 33)
+	options := []PlanOptions{
+		{GreedyPlanning: true},
+		{GreedyPlanning: true, QueueBudget: 8},
+		{GreedyPlanning: true, ShareParties: 4},
+	}
+	q := Query{Table: tab, Low: 100, High: 174} // 0.15 %: deep in index-scan territory
+	for _, po := range options {
+		if _, err := sys.Plan(q, po); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, i := sys.PlannerStats(), 0
+	allocs := testing.AllocsPerRun(300, func() {
+		q.Low, q.High = q.Low+1, q.High+1 // the constants drift, the band holds
+		if _, err := sys.Plan(q, options[i%len(options)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if allocs > 0 {
+		t.Errorf("System.Plan on band hits allocates %.2f/op, want 0", allocs)
+	}
+	after := sys.PlannerStats()
+	if after.BandHits-before.BandHits != int64(i) || after.GreedyFallbacks != before.GreedyFallbacks {
+		t.Errorf("the measured plans were not all band hits: %+v → %+v", before, after)
+	}
+}

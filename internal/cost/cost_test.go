@@ -150,16 +150,28 @@ func TestNewQDTTRejectsBadDepths(t *testing.T) {
 	}
 }
 
+// yao and fetches evaluate a throwaway estimator at one point.
+func yao(k, pages int64, rowsPerPage int) float64 {
+	e := NewPageEstimator(pages, rowsPerPage, pages)
+	return e.Distinct(k)
+}
+
+func fetches(k, pages int64, rowsPerPage int, poolPages int64) float64 {
+	e := NewPageEstimator(pages, rowsPerPage, poolPages)
+	reads, _ := e.Expected(k)
+	return reads
+}
+
 func TestYaoSmallCases(t *testing.T) {
 	// 1 row per page: k rows touch exactly k pages.
-	if got := YaoDistinctPages(5, 100, 1); math.Abs(got-5) > 1e-9 {
+	if got := yao(5, 100, 1); math.Abs(got-5) > 1e-9 {
 		t.Errorf("Yao(k=5, 1 rpp) = %f, want 5", got)
 	}
 	// Selecting every row touches every page.
-	if got := YaoDistinctPages(3300, 100, 33); math.Abs(got-100) > 1e-6 {
+	if got := yao(3300, 100, 33); math.Abs(got-100) > 1e-6 {
 		t.Errorf("Yao(all rows) = %f, want 100", got)
 	}
-	if got := YaoDistinctPages(0, 100, 33); got != 0 {
+	if got := yao(0, 100, 33); got != 0 {
 		t.Errorf("Yao(k=0) = %f, want 0", got)
 	}
 }
@@ -169,7 +181,7 @@ func TestYaoApproachesAllPagesQuicklyForWidePages(t *testing.T) {
 	// of pages that must be fetched quickly approaches 100% of the table".
 	pages := int64(1000)
 	kOnePercent := int64(5000) // 1% of 500k rows
-	got := YaoDistinctPages(kOnePercent, pages, 500)
+	got := yao(kOnePercent, pages, 500)
 	if got < 0.98*float64(pages) {
 		t.Errorf("Yao(1%% of rows, 500 rpp) = %f pages, want ~all %d", got, pages)
 	}
@@ -178,7 +190,7 @@ func TestYaoApproachesAllPagesQuicklyForWidePages(t *testing.T) {
 func TestYaoMonotoneInK(t *testing.T) {
 	prev := 0.0
 	for k := int64(1); k < 10000; k *= 2 {
-		got := YaoDistinctPages(k, 500, 33)
+		got := yao(k, 500, 33)
 		if got < prev {
 			t.Fatalf("Yao not monotone at k=%d: %f < %f", k, got, prev)
 		}
@@ -187,8 +199,8 @@ func TestYaoMonotoneInK(t *testing.T) {
 }
 
 func TestExpectedFetchesNoEvictionEqualsYao(t *testing.T) {
-	got := ExpectedFetches(1000, 500, 33, 500)
-	want := YaoDistinctPages(1000, 500, 33)
+	got := fetches(1000, 500, 33, 500)
+	want := yao(1000, 500, 33)
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("fetches with ample pool = %f, want Yao %f", got, want)
 	}
@@ -200,7 +212,7 @@ func TestExpectedFetchesExceedsTableUnderSmallPool(t *testing.T) {
 	// of pages fetched using FTS".
 	pages := int64(2000)
 	k := int64(60000) // ~90% of rows at 33 rpp
-	got := ExpectedFetches(k, pages, 33, 100)
+	got := fetches(k, pages, 33, 100)
 	if got <= float64(pages) {
 		t.Errorf("fetches = %f, want > table size %d", got, pages)
 	}
@@ -209,7 +221,7 @@ func TestExpectedFetchesExceedsTableUnderSmallPool(t *testing.T) {
 func TestExpectedFetchesMonotoneInPool(t *testing.T) {
 	prev := math.Inf(1)
 	for _, pool := range []int64{10, 100, 500, 1000, 2000} {
-		got := ExpectedFetches(30000, 2000, 33, pool)
+		got := fetches(30000, 2000, 33, pool)
 		if got > prev {
 			t.Fatalf("fetches increased with pool %d: %f > %f", pool, got, prev)
 		}
@@ -229,23 +241,6 @@ func TestPropertyInterpolationWithinEnvelope(t *testing.T) {
 		return c >= lo-1e-9 && c <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Yao never exceeds min(k, pages) and is never negative.
-func TestPropertyYaoBounds(t *testing.T) {
-	f := func(kRaw, pagesRaw uint16, rppRaw uint16) bool {
-		k := int64(kRaw) + 1
-		pages := int64(pagesRaw) + 1
-		rpp := int(rppRaw%500) + 1
-		if k > pages*int64(rpp) {
-			k = pages * int64(rpp)
-		}
-		got := YaoDistinctPages(k, pages, rpp)
-		return got >= 0 && got <= float64(pages)+1e-9 && got <= float64(k)+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -21,7 +21,7 @@ import "pioqo/internal/exec"
 // enumeration. See Config.GreedyMargin.
 const defaultGreedyMargin = 0.10
 
-func (c Config) greedyMargin() float64 {
+func (c *Config) greedyMargin() float64 {
 	if c.GreedyMargin > 0 {
 		return c.GreedyMargin
 	}
@@ -42,7 +42,7 @@ type crossover struct {
 // computeCrossover builds the crossover table for one shape: an O(n·m)
 // sweep of the model's page-cost surface, paid once per shape and then
 // amortized over every query that binds into it.
-func computeCrossover(cfg Config, band int64) *crossover {
+func computeCrossover(cfg *Config, band int64) *crossover {
 	degs := cfg.degrees()
 	cx := &crossover{prefetch: make([]int, len(degs))}
 	for i, d := range degs {
@@ -62,7 +62,7 @@ func computeCrossover(cfg Config, band int64) *crossover {
 
 // capDepth applies the queue budget to a plan's generated device depth,
 // mirroring costIndexScan's clamp.
-func capDepth(cfg Config, depth int) int {
+func capDepth(cfg *Config, depth int) int {
 	if cfg.QueueBudget > 0 && depth > cfg.QueueBudget {
 		return cfg.QueueBudget
 	}
@@ -134,13 +134,12 @@ func pickTop(plans []Plan) top2 {
 // margin of each other the estimate sits on a crossover: greedyPlan falls
 // back to the full enumeration and reports fellBack, so callers can meter
 // the fast-path rate.
-func greedyPlan(cfg Config, in Input, cc costing, cx *crossover) (t top2, fellBack bool) {
-	degs := cfg.degrees()
+func greedyPlan(cfg *Config, in *Input, cc *costing, cx *crossover) (t top2, fellBack bool) {
 	if cfg.ShareParties >= 2 {
 		t.add(costSharedScan(cfg, in, cc))
 	}
-	for i, d := range degs {
-		if cfg.QueueBudget > 0 && d > cfg.QueueBudget && d > 1 {
+	for i, d := range cfg.degrees() {
+		if cfg.overBudget(d) {
 			continue
 		}
 		t.add(costFullScan(cfg, in, cc, d))
@@ -165,7 +164,7 @@ func greedyPlan(cfg Config, in Input, cc costing, cx *crossover) (t top2, fellBa
 	}
 	if t.hasRunner &&
 		t.runner.TotalMicros-t.winner.TotalMicros <= cfg.greedyMargin()*t.winner.TotalMicros {
-		return pickTop(Enumerate(cfg, in)), true
+		return pickTop(enumerate(cfg, in, cc)), true
 	}
 	t.winner = canonPrefetch(cfg, in, cc, t.winner)
 	return t, false
@@ -177,7 +176,7 @@ func greedyPlan(cfg Config, in Input, cc costing, cx *crossover) (t top2, fellBa
 // Enumerate's stable sort keeps the earliest tying candidate — the
 // shallowest depth in grid order. On a tie, serve that plan, so the fast
 // path returns the full enumeration's winner bit-for-bit.
-func canonPrefetch(cfg Config, in Input, cc costing, w Plan) Plan {
+func canonPrefetch(cfg *Config, in *Input, cc *costing, w Plan) Plan {
 	if w.Method != exec.IndexScan || w.Prefetch == 0 || w.Shared {
 		return w
 	}
@@ -199,7 +198,7 @@ func canonPrefetch(cfg Config, in Input, cc costing, w Plan) Plan {
 // constant-binding step: a cached shape from an earlier query in the band
 // gets this query's selectivity and the pool's current residency, without
 // re-enumerating anything.
-func costShape(cfg Config, in Input, cc costing, p Plan) Plan {
+func costShape(cfg *Config, in *Input, cc *costing, p Plan) Plan {
 	switch {
 	case p.Shared:
 		return costSharedScan(cfg, in, cc)
@@ -217,12 +216,9 @@ func costShape(cfg Config, in Input, cc costing, p Plan) Plan {
 // (experiments.PlanBench) drives it point-by-point against Choose to
 // measure agreement and regret across the selectivity × device grid.
 func GreedyChoose(cfg Config, in Input) (Plan, bool) {
-	if cfg.Model == nil {
-		panic("opt: Config.Model is nil")
-	}
-	if cfg.Cores <= 0 {
-		panic("opt: Config.Cores must be positive")
-	}
-	t, fell := greedyPlan(cfg, in, newCosting(in), computeCrossover(cfg, in.Table.Pages()))
+	cfg.validate()
+	est := newEstimator(&cfg, &in)
+	cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
+	t, fell := greedyPlan(&cfg, &in, &cc, computeCrossover(&cfg, in.Table.Pages()))
 	return t.winner, fell
 }

@@ -90,11 +90,11 @@ func TestCrossoverPrefetchIsArgmin(t *testing.T) {
 	cfg.QueueBudget = 24
 	band := f.in.Table.Pages()
 
-	cx := computeCrossover(cfg, band)
+	cx := computeCrossover(&cfg, band)
 	for i, d := range cfg.degrees() {
-		best, bestCost := 0, cfg.Model.PageCost(band, capDepth(cfg, d))
+		best, bestCost := 0, cfg.Model.PageCost(band, capDepth(&cfg, d))
 		for _, pf := range cfg.PrefetchDepths {
-			if c := cfg.Model.PageCost(band, capDepth(cfg, d*pf)); c < bestCost {
+			if c := cfg.Model.PageCost(band, capDepth(&cfg, d*pf)); c < bestCost {
 				best, bestCost = pf, c
 			}
 		}

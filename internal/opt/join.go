@@ -44,13 +44,13 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 		// lookups mostly hit the same (pooled) leaf page: leaf I/O is
 		// bounded by the leaves spanning the probed key range, not by the
 		// key count.
-		rangeFrac := selectivity(probe, build.Lo, build.Hi)
+		rangeFrac := selectivity(&probe, build.Lo, build.Hi)
 		leafFetches := rangeFrac * float64(probe.Index.Leaves())
 		if leafFetches > keys {
 			leafFetches = keys
 		}
 		for _, d := range cfg.degrees() {
-			if cfg.QueueBudget > 0 && d > cfg.QueueBudget && d > 1 {
+			if cfg.overBudget(d) {
 				continue
 			}
 			depth := d

@@ -49,7 +49,7 @@ type memoKey struct {
 	grid string
 }
 
-func newMemoKey(cfg Config, in Input) memoKey {
+func newMemoKey(cfg *Config, in *Input) memoKey {
 	k := memoKey{
 		table:        in.Table,
 		index:        in.Index,
@@ -76,19 +76,49 @@ func newMemoKey(cfg Config, in Input) memoKey {
 // simulation driver, which is single-threaded.
 type Memo struct {
 	entries map[memoKey][]Plan
-	hits    int64
-	misses  int64
+	// estimators holds the folded page-count constants of every table shape
+	// × pool size the memo has planned for: a miss prices its enumeration
+	// with one Yao evaluation instead of re-deriving the constants.
+	estimators map[estimatorKey]*cost.PageEstimator
+	hits       int64
+	misses     int64
+}
+
+// estimatorKey is what a cost.PageEstimator is a pure function of.
+type estimatorKey struct {
+	pages       int64
+	rowsPerPage int
+	poolPages   int64
 }
 
 // NewMemo returns an empty plan memo.
 func NewMemo() *Memo {
-	return &Memo{entries: make(map[memoKey][]Plan)}
+	return &Memo{
+		entries:    make(map[memoKey][]Plan),
+		estimators: make(map[estimatorKey]*cost.PageEstimator),
+	}
+}
+
+func (m *Memo) estimator(cfg *Config, in *Input) *cost.PageEstimator {
+	key := estimatorKey{in.Table.Pages(), in.Table.RowsPerPage(), cfg.PoolPages}
+	est, ok := m.estimators[key]
+	if !ok {
+		e := newEstimator(cfg, in)
+		est = &e
+		m.estimators[key] = est
+	}
+	return est
 }
 
 // Enumerate returns the ranked candidate list for the input, computing it
 // on first sight and replaying it afterwards. The returned slice is a fresh
 // copy either way — callers may reorder or mutate it freely.
 func (m *Memo) Enumerate(cfg Config, in Input) []Plan {
+	return append([]Plan(nil), m.ranked(&cfg, &in)...)
+}
+
+// ranked is Enumerate handing out the memo's own slice: read-only.
+func (m *Memo) ranked(cfg *Config, in *Input) []Plan {
 	key := newMemoKey(cfg, in)
 	if cached, ok := m.entries[key]; ok {
 		m.hits++
@@ -100,16 +130,18 @@ func (m *Memo) Enumerate(cfg Config, in Input) []Plan {
 			cfg.Obs.Counter(obs.MetricOptMemoHits).Inc()
 		}
 		cfg.Log.Emit(event.EvPlanCacheHit, event.NoQuery, int64(len(cached)), 0)
-		return append([]Plan(nil), cached...)
+		return cached
 	}
 	m.misses++
-	plans := Enumerate(cfg, in)
+	cfg.validate()
+	cc := bindCosting(in, selectivity(in, in.Lo, in.Hi), m.estimator(cfg, in))
+	plans := enumerate(cfg, in, &cc)
 	if cfg.Obs != nil {
 		cfg.Obs.Counter(obs.MetricOptMemoMisses).Inc()
 	}
 	cfg.Log.Emit(event.EvPlanCacheMiss, event.NoQuery, int64(len(plans)), 0)
 	m.bound()
-	m.entries[key] = append([]Plan(nil), plans...)
+	m.entries[key] = plans
 	return plans
 }
 
@@ -141,14 +173,7 @@ func (m *Memo) bound() {
 
 // Choose returns the cheapest plan for the input through the memo.
 func (m *Memo) Choose(cfg Config, in Input) Plan {
-	plans := m.Enumerate(cfg, in)
-	best := plans[0]
-	for _, p := range plans[1:] {
-		if p.TotalMicros < best.TotalMicros {
-			best = p
-		}
-	}
-	return best
+	return m.ranked(&cfg, &in)[0]
 }
 
 // Stats reports how many lookups replayed a cached enumeration and how
@@ -163,5 +188,6 @@ func (m *Memo) Len() int { return len(m.entries) }
 // all when a calibration swaps the cost model's contents.
 func (m *Memo) Reset() {
 	m.entries = make(map[memoKey][]Plan)
+	m.estimators = make(map[estimatorKey]*cost.PageEstimator)
 	m.hits, m.misses = 0, 0
 }

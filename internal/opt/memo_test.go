@@ -194,7 +194,7 @@ func TestGridKeyMatchesPerLookupComputation(t *testing.T) {
 		lazy.Degrees, lazy.PrefetchDepths = g.Degrees, g.PrefetchDepths
 		pre := lazy
 		pre.GridKey = GridKey(g.Degrees, g.PrefetchDepths)
-		if newMemoKey(pre, in) != newMemoKey(lazy, in) {
+		if newMemoKey(&pre, &in) != newMemoKey(&lazy, &in) {
 			t.Errorf("grid %v/%v: precomputed key diverges from per-lookup key",
 				g.Degrees, g.PrefetchDepths)
 		}

@@ -14,7 +14,6 @@ package opt
 
 import (
 	"fmt"
-	"sort"
 
 	"pioqo/internal/btree"
 	"pioqo/internal/buffer"
@@ -95,11 +94,15 @@ type Config struct {
 	Log *event.Log
 }
 
-func (c Config) degrees() []int {
+// defaultDegrees is the paper's degree grid. Read-only: every user ranges
+// over it.
+var defaultDegrees = []int{1, 2, 4, 8, 16, 32}
+
+func (c *Config) degrees() []int {
 	if len(c.Degrees) > 0 {
 		return c.Degrees
 	}
-	return []int{1, 2, 4, 8, 16, 32}
+	return defaultDegrees
 }
 
 // SnapDegree snaps a model-predicted degree onto the enumeration grid: the
@@ -108,7 +111,7 @@ func (c Config) degrees() []int {
 // names a degree the optimizer could itself have chosen — plan caches and
 // cost attribution stay on-grid. The same defaulting as Config applies.
 func SnapDegree(degrees []int, d int) int {
-	grid := Config{Degrees: degrees}.degrees()
+	grid := (&Config{Degrees: degrees}).degrees()
 	best := grid[0]
 	for _, g := range grid {
 		if g <= d && g > best {
@@ -123,10 +126,10 @@ func SnapDegree(degrees []int, d int) int {
 // Compute it once when the Config's grid is fixed and store it in
 // Config.GridKey to keep cache lookups allocation-free.
 func GridKey(degrees, prefetchDepths []int) string {
-	return fmt.Sprint(Config{Degrees: degrees}.degrees(), prefetchDepths)
+	return fmt.Sprint((&Config{Degrees: degrees}).degrees(), prefetchDepths)
 }
 
-func (c Config) gridKey() string {
+func (c *Config) gridKey() string {
 	if c.GridKey != "" {
 		return c.GridKey
 	}
@@ -205,27 +208,64 @@ func (p Plan) Spec(in Input) exec.Spec {
 
 // Choose returns the cheapest plan for the input.
 func Choose(cfg Config, in Input) Plan {
-	plans := Enumerate(cfg, in)
-	best := plans[0]
-	for _, p := range plans[1:] {
-		if p.TotalMicros < best.TotalMicros {
-			best = p
-		}
-	}
-	return best
+	return Enumerate(cfg, in)[0]
 }
 
 // Enumerate returns every candidate plan, cheapest first — the optimizer's
 // "explain" view.
 func Enumerate(cfg Config, in Input) []Plan {
-	if cfg.Model == nil {
+	cfg.validate()
+	est := newEstimator(&cfg, &in)
+	cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
+	return enumerate(&cfg, &in, &cc)
+}
+
+func (c *Config) validate() {
+	if c.Model == nil {
 		panic("opt: Config.Model is nil")
 	}
-	if cfg.Cores <= 0 {
+	if c.Cores <= 0 {
 		panic("opt: Config.Cores must be positive")
 	}
-	cc := newCosting(in)
-	var plans []Plan
+}
+
+// overBudget reports whether the queue budget rules degree d out. A serial
+// plan always fits.
+func (c *Config) overBudget(d int) bool {
+	return c.QueueBudget > 0 && d > c.QueueBudget && d > 1
+}
+
+// enumerate prices every candidate at the bound costing and returns them
+// cheapest first, ties in candidate order. It is the one full enumeration:
+// the stateless entry points, the memo and the parameterized cache's
+// crossover fallbacks all rank through it, each bringing the costing it has
+// already bound.
+func enumerate(cfg *Config, in *Input, cc *costing) []Plan {
+	perDegree := 1 // the full scan
+	if in.Index != nil {
+		perDegree++
+		for _, pf := range cfg.PrefetchDepths {
+			if pf > 0 {
+				perDegree++
+			}
+		}
+		if cfg.EnableSortedScan {
+			perDegree++
+		}
+	}
+	n := 0
+	if cfg.ShareParties >= 2 {
+		n++
+	}
+	for _, d := range cfg.degrees() {
+		if !cfg.overBudget(d) {
+			n += perDegree
+		}
+	}
+	if n == 0 {
+		n = min(perDegree, 2) // the serial fallback below
+	}
+	plans := make([]Plan, 0, n)
 	// The shared candidate goes first: when a CPU-bound shared lap ties a
 	// serial private scan on total cost, the stable sort keeps the shared
 	// plan ahead — at equal price, riding the circulation frees the device
@@ -234,7 +274,7 @@ func Enumerate(cfg Config, in Input) []Plan {
 		plans = append(plans, costSharedScan(cfg, in, cc))
 	}
 	for _, d := range cfg.degrees() {
-		if cfg.QueueBudget > 0 && d > cfg.QueueBudget && d > 1 {
+		if cfg.overBudget(d) {
 			continue
 		}
 		plans = append(plans, costFullScan(cfg, in, cc, d))
@@ -258,9 +298,16 @@ func Enumerate(cfg Config, in Input) []Plan {
 			plans = append(plans, costIndexScan(cfg, in, cc, 1, 0))
 		}
 	}
-	sort.SliceStable(plans, func(i, j int) bool {
-		return plans[i].TotalMicros < plans[j].TotalMicros
-	})
+	// A stable insertion sort: at most 49 candidates (6 degrees × 8 methods
+	// and the shared lap), usually 12, and no reflection-built swapper.
+	for i := 1; i < len(plans); i++ {
+		p := plans[i]
+		j := i
+		for ; j > 0 && p.TotalMicros < plans[j-1].TotalMicros; j-- {
+			plans[j] = plans[j-1]
+		}
+		plans[j] = p
+	}
 	if cfg.Obs != nil {
 		cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
 		cfg.Obs.Counter(obs.MetricOptPlansEnumerated).Add(int64(len(plans)))
@@ -268,32 +315,60 @@ func Enumerate(cfg Config, in Input) []Plan {
 	return plans
 }
 
-// costing is the per-Input context shared by every candidate of one
-// Enumerate call: the estimated matching-row count and the heap file's
-// pool-resident fraction. Both are pure functions of the input, yet were
-// previously recomputed — selectivity walking the histogram, residency
-// consulting the pool — for each of |degrees| × |methods| × |prefetch|
-// candidates. The cost formulas consume the hoisted values through the
-// same expressions as before, so every plan cost is bit-identical.
+// costing is the context one query's constants bind: the estimated
+// matching-row count, the heap file's pool-resident fraction and, behind
+// heapPages, the heap page counts those rows cost. All are pure functions
+// of the input and the table's shape, and every candidate of an
+// enumeration — |degrees| × |methods| × |prefetch| of them — multiplies the
+// same numbers by its own page price, so each is computed once per bound
+// costing, through the same expressions a per-candidate evaluation used:
+// every plan cost is bit-identical.
 type costing struct {
 	matched  float64 // estimated rows matched by [Lo, Hi]
 	resident float64 // fraction of the heap file already pooled; 0 without a pool
+
+	// est prices matched rows in heap pages. reads and distinct are its
+	// answer, valid once priced is set: full and shared scans never ask, so
+	// a costing that prices only those never evaluates Yao's formula.
+	est             *cost.PageEstimator
+	reads, distinct float64
+	priced          bool
 }
 
-func newCosting(in Input) costing {
-	cc := costing{
-		matched: selectivity(in, in.Lo, in.Hi) * float64(in.Table.Rows()),
-	}
+// newEstimator folds the page-count constants of the input's table behind
+// the configured pool.
+func newEstimator(cfg *Config, in *Input) cost.PageEstimator {
+	// Leaf pages and the scan's own re-visited heap pages compete for the
+	// pool; ignore that second-order effect and use the configured size.
+	return cost.NewPageEstimator(in.Table.Pages(), in.Table.RowsPerPage(), cfg.PoolPages)
+}
+
+// bindCosting builds the costing context for this query's actual constants:
+// the estimated matched rows at the given selectivity and the pool's
+// current residency.
+func bindCosting(in *Input, sel float64, est *cost.PageEstimator) costing {
+	cc := costing{matched: sel * float64(in.Table.Rows()), est: est}
 	if in.Pool != nil {
 		cc.resident = residentFraction(in.Pool, in.Table.File(), in.Pool.Resident(in.Table.File()))
 	}
 	return cc
 }
 
+// heapPages returns the page reads an index scan of the matched rows issues
+// (pool re-reads included) and the distinct heap pages those rows sit on,
+// evaluating the estimator on first use.
+func (cc *costing) heapPages() (reads, distinct float64) {
+	if !cc.priced {
+		cc.reads, cc.distinct = cc.est.Expected(int64(cc.matched + 0.5))
+		cc.priced = true
+	}
+	return cc.reads, cc.distinct
+}
+
 // selectivity estimates the fraction of rows matched by [lo, hi]: from the
 // histogram when one is supplied, else under the uniform-distribution
 // assumption.
-func selectivity(in Input, lo, hi int64) float64 {
+func selectivity(in *Input, lo, hi int64) float64 {
 	if in.Stats != nil {
 		return in.Stats.Selectivity(lo, hi)
 	}
@@ -326,7 +401,7 @@ func residentFraction(pool *buffer.Pool, file interface{ Pages() int64 }, reside
 // sequentially (band 1 in DTT terms); its CPU evaluates every row. I/O and
 // CPU overlap through prefetching, so the runtime estimate is their max,
 // plus per-worker startup.
-func costFullScan(cfg Config, in Input, cc costing, d int) Plan {
+func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 	t := in.Table
 	pages := float64(t.Pages())
 	rows := float64(t.Rows())
@@ -361,7 +436,7 @@ func costFullScan(cfg Config, in Input, cc costing, d int) Plan {
 // The rider's CPU is serial: it consumes pushed batches on one process,
 // evaluating every row, exactly like a degree-1 full scan. No worker
 // startup: attaching is a registry append, not a fleet spawn.
-func costSharedScan(cfg Config, in Input, cc costing) Plan {
+func costSharedScan(cfg *Config, in *Input, cc *costing) Plan {
 	t := in.Table
 	pages := float64(t.Pages())
 	rows := float64(t.Rows())
@@ -386,19 +461,15 @@ func costSharedScan(cfg Config, in Input, cc costing) Plan {
 // and DTT ignores — is the degree alone without prefetching, and
 // approximately degree × prefetch with it (§3.3's "expected peak queue
 // depth is Mn").
-func costIndexScan(cfg Config, in Input, cc costing, d, pf int) Plan {
+func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	t := in.Table
 	x := in.Index
 	matched := cc.matched
-	k := int64(matched + 0.5)
 
 	leafPages := matched/float64(x.LeafCap()) + 1
 	descent := float64(x.Height() - 1)
 
-	pool := cfg.PoolPages
-	// Leaf pages and the scan's own re-visited heap pages compete for the
-	// pool; ignore that second-order effect and use the configured size.
-	heapFetches := cost.ExpectedFetches(k, t.Pages(), t.RowsPerPage(), pool)
+	heapFetches, _ := cc.heapPages()
 	if in.Pool != nil {
 		heapFetches *= 1 - cc.resident
 	}
@@ -439,15 +510,14 @@ func costIndexScan(cfg Config, in Input, cc costing, d, pf int) Plan {
 // costSortedScan prices the sorted index scan extension: like an index
 // scan, but each distinct heap page is fetched at most once (no pool
 // re-reads), at the price of collecting and sorting the row-id list.
-func costSortedScan(cfg Config, in Input, cc costing, d int) Plan {
+func costSortedScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 	t := in.Table
 	x := in.Index
 	matched := cc.matched
-	k := int64(matched + 0.5)
 
 	leafPages := matched/float64(x.LeafCap()) + 1
 	descent := float64(x.Height() - 1)
-	heapFetches := cost.YaoDistinctPages(k, t.Pages(), t.RowsPerPage())
+	_, heapFetches := cc.heapPages()
 	if in.Pool != nil {
 		heapFetches *= 1 - cc.resident
 	}

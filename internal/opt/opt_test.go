@@ -23,20 +23,25 @@ type fixture struct {
 	cfg  Config // with Model unset; tests plug in dtt or qdtt
 }
 
-func newFixture(t *testing.T, devKind string, rows int64, rpp int) *fixture {
-	t.Helper()
-	env := sim.NewEnv(11)
+// calibratedDevice builds an SSD or HDD model on a fresh environment and
+// calibrates a coarse QDTT grid on it.
+func calibratedDevice(devKind string, seed int64) (*sim.Env, device.Device, *cost.QDTT) {
+	env := sim.NewEnv(seed)
 	var dev device.Device
 	if devKind == "hdd" {
 		dev = device.NewHDD(env, device.DefaultHDDConfig())
 	} else {
 		dev = device.NewSSD(env, device.DefaultSSDConfig())
 	}
-	// Calibrate on a dedicated environment sharing the device model.
 	ccfg := calibrate.DefaultConfig(dev)
 	ccfg.MaxReads = 800
 	ccfg.Bands = []int64{1, 256, 64 << 10, dev.Size() / disk.PageSize}
-	out := calibrate.Run(env, dev, ccfg)
+	return env, dev, calibrate.Run(env, dev, ccfg).Model
+}
+
+func newFixture(t *testing.T, devKind string, rows int64, rpp int) *fixture {
+	t.Helper()
+	env, dev, model := calibratedDevice(devKind, 11)
 
 	m := disk.NewManager(dev)
 	tab := table.NewSynthetic(m, "t", rows, rpp, 5)
@@ -44,8 +49,8 @@ func newFixture(t *testing.T, devKind string, rows int64, rpp int) *fixture {
 	pool := buffer.NewPool(env, 2048)
 	return &fixture{
 		in:   Input{Table: tab, Index: idx, Pool: pool},
-		qdtt: out.Model,
-		dtt:  out.Model.DepthOne(),
+		qdtt: model,
+		dtt:  model.DepthOne(),
 		cfg: Config{
 			Costs:     exec.DefaultCPUCosts(),
 			Cores:     8,
@@ -202,15 +207,23 @@ func TestEnumerateSortedAndChooseIsMin(t *testing.T) {
 func TestSelectivityClamping(t *testing.T) {
 	f := newFixture(t, "ssd", 1000, 33)
 	in := f.in
-	if got := selectivity(in, 0, 1<<40); got != 1 {
+	if got := selectivity(&in, 0, 1<<40); got != 1 {
 		t.Errorf("overshooting hi: selectivity %f, want 1", got)
 	}
-	if got := selectivity(in, -100, -1); got != 0 {
+	if got := selectivity(&in, -100, -1); got != 0 {
 		t.Errorf("negative range: selectivity %f, want 0", got)
 	}
-	if got := selectivity(in, 0, 99); got != 0.1 {
+	if got := selectivity(&in, 0, 99); got != 0.1 {
 		t.Errorf("10%% range: selectivity %f, want 0.1", got)
 	}
+}
+
+// serialFullScan prices the serial full scan at the input's constants and
+// the pool's current residency. It binds no page estimator: a full scan
+// reads every page whatever matches, so it must never ask for one.
+func serialFullScan(cfg Config, in Input) Plan {
+	cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), nil)
+	return costFullScan(&cfg, &in, &cc, 1)
 }
 
 func TestResidentPagesReduceEstimatedIO(t *testing.T) {
@@ -219,13 +232,13 @@ func TestResidentPagesReduceEstimatedIO(t *testing.T) {
 	cfg.Model = f.qdtt
 	in := f.in
 	in.Lo, in.Hi = rangeFor(in.Table, 0.9)
-	cold := costFullScan(cfg, in, newCosting(in), 1)
+	cold := serialFullScan(cfg, in)
 
 	// Warm part of the heap into the pool, then re-cost.
 	for p := int64(0); p < 1000; p++ {
 		in.Pool.Prefetch(in.Table.File(), p)
 	}
-	warm := costFullScan(cfg, in, newCosting(in), 1)
+	warm := serialFullScan(cfg, in)
 	if warm.IOMicros >= cold.IOMicros {
 		t.Errorf("warm FTS I/O estimate %.0fus not below cold %.0fus",
 			warm.IOMicros, cold.IOMicros)
@@ -307,7 +320,7 @@ func TestSharedScanCandidate(t *testing.T) {
 	}
 
 	// The rider's I/O share is the serial lap split N ways.
-	solo := costFullScan(cfg, in, newCosting(in), 1)
+	solo := serialFullScan(cfg, in)
 	if want := solo.IOMicros / 8; math.Abs(shared.IOMicros-want) > 1e-6 {
 		t.Errorf("shared io = %.0fus, want lap/8 = %.0fus", shared.IOMicros, want)
 	}
@@ -333,5 +346,64 @@ func TestSharedScanCandidate(t *testing.T) {
 	cfg.ShareParties = 8
 	if p := m.Choose(cfg, in); !p.Shared {
 		t.Errorf("memo replayed the unshared enumeration for ShareParties=8: %v", p)
+	}
+}
+
+// TestCostingEvaluatesThePageEstimateOnce pins the planning path's central
+// economy: however many index-scan candidates an enumeration prices, the
+// matched rows are turned into heap pages once per bound costing. The
+// costing's estimator is taken away after the first evaluation, so a second
+// one anywhere — full enumeration, greedy set, cached-shape re-pricing —
+// dereferences nil.
+func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
+	w := newStreamWorld("ssd")
+	for _, name := range []string{"qb8", "sorted", "prefetch", "all"} {
+		s := w.shape(name)
+		cfg, in := s.cfg, benchRange(s.in, 3) // 10 % of the rows: the pool overflows
+		cfg.Obs, cfg.Log = nil, nil
+		want := Enumerate(cfg, in)
+		wantGreedy, _ := GreedyChoose(cfg, in)
+
+		est := newEstimator(&cfg, &in)
+		cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
+		cc.heapPages()
+		cc.est = nil
+		got := enumerate(&cfg, &in, &cc)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d plans, want %d", name, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: plan %d priced %v at the spent costing, %v afresh", name, i, got[i], want[i])
+			}
+			if p := costShape(&cfg, &in, &cc, got[i]); p != got[i] {
+				t.Errorf("%s: plan %d re-prices to %v, enumerated as %v", name, i, p, got[i])
+			}
+		}
+		if g, _ := greedyPlan(&cfg, &in, &cc, computeCrossover(&cfg, in.Table.Pages())); g.winner != wantGreedy {
+			t.Errorf("%s: greedy chose %v at the spent costing, %v afresh", name, g.winner, wantGreedy)
+		}
+	}
+
+	// Full and shared scans read every page whatever matches: they never
+	// ask, so a costing that prices only those never evaluates Yao at all.
+	s := w.shape("share4")
+	cc := bindCosting(&s.in, 0.1, nil)
+	costFullScan(&s.cfg, &s.in, &cc, 8)
+	costSharedScan(&s.cfg, &s.in, &cc)
+	if cc.priced {
+		t.Error("a full or shared scan evaluated the page estimate")
+	}
+}
+
+// TestChooseAllocatesOnlyItsPlanList: a stateless Choose builds its page
+// estimator on the stack and allocates nothing but the ranked list.
+func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
+	w := newStreamWorld("ssd")
+	s := w.shape("qb8")
+	s.cfg.Obs, s.cfg.Log = nil, nil
+	in := benchRange(s.in, 3)
+	if allocs := testing.AllocsPerRun(100, func() { Choose(s.cfg, in) }); allocs > 1 {
+		t.Errorf("Choose allocates %.1f/op, want 1", allocs)
 	}
 }

@@ -50,6 +50,13 @@ const maxShapes = 256
 // selBand buckets an estimated selectivity into its logarithmic band:
 // floor(-log2(sel)), clamped to [0, emptyBand-1], with emptyBand reserved
 // for sel ≤ 0.
+//
+// With sel = frac·2^exp and frac in [½, 1) the band is -exp, read straight
+// off the float — except at frac = ½, the band's open lower edge, where it
+// is one more. The logarithm this replaces rounds: for frac within a few
+// 1e-15 above ½ it, too, lands on the edge. So within 2⁻⁴⁰ of ½ — a
+// thousand times further out than that rounding reaches — the logarithm
+// still decides, and every selectivity keeps the band it always had.
 func selBand(sel float64) int {
 	if sel <= 0 {
 		return emptyBand
@@ -57,9 +64,10 @@ func selBand(sel float64) int {
 	if sel >= 1 {
 		return 0
 	}
-	b := int(math.Floor(-math.Log2(sel)))
-	if b < 0 {
-		b = 0
+	frac, exp := math.Frexp(sel)
+	b := -exp
+	if frac < 0.5+0x1p-40 {
+		b = int(math.Floor(-math.Log2(sel)))
 	}
 	if b >= emptyBand {
 		b = emptyBand - 1
@@ -97,7 +105,7 @@ type shapeKey struct {
 	grid         string
 }
 
-func newShapeKey(cfg Config, in Input) shapeKey {
+func newShapeKey(cfg *Config, in *Input) shapeKey {
 	return shapeKey{
 		table:        in.Table,
 		index:        in.Index,
@@ -132,15 +140,18 @@ type bandEntry struct {
 	stable bool
 }
 
-// bandSet is one shape's cache line: a crossover table shared by every
-// band, plus one slot per selectivity band. Slots hold immutable entries
-// behind atomic pointers, making lookups lock-free.
+// bandSet is one shape's cache line: the page-count constants and the
+// crossover table shared by every band, plus one slot per selectivity band.
+// key and est are fixed before the set is published; slots hold immutable
+// entries behind atomic pointers, making lookups lock-free.
 type bandSet struct {
+	key   shapeKey
+	est   cost.PageEstimator
 	cross atomic.Pointer[crossover]
 	slots [emptyBand + 1]atomic.Pointer[bandEntry]
 }
 
-func (s *bandSet) crossoverFor(cfg Config, in Input) *crossover {
+func (s *bandSet) crossoverFor(cfg *Config, in *Input) *crossover {
 	if cx := s.cross.Load(); cx != nil {
 		return cx
 	}
@@ -149,19 +160,28 @@ func (s *bandSet) crossoverFor(cfg Config, in Input) *crossover {
 	return cx
 }
 
-// lastShape is a one-entry front cache: serving workloads hammer a single
-// shape, and comparing one struct beats hashing it into the map.
-type lastShape struct {
-	key shapeKey
-	set *bandSet
-}
+// frontShapes is how many shapes are also published in the front array. A
+// serving tier alternates between a handful of shapes (a table under two or
+// three option sets); comparing a few keys beats hashing one.
+const frontShapes = 4
 
 // ParamCache is the concurrent parameterized plan cache. The zero value is
 // not usable; call NewParamCache.
 type ParamCache struct {
 	mu     sync.RWMutex
 	shapes map[shapeKey]*bandSet
-	last   atomic.Pointer[lastShape]
+	// front publishes the first frontShapes sets created since the map was
+	// last emptied, in creation order: filled and cleared under mu, read
+	// without it. A lookup scans it up to the first nil.
+	front [frontShapes]atomic.Pointer[bandSet]
+
+	// obsReg is the registry the cache last counted into and obsCtrs its
+	// counters, each resolved by name the first time it is bumped — a band
+	// hit otherwise spends a sixth of its time in two string-map lookups.
+	// Plain fields: only lookups with cfg.Obs set touch them, and those are
+	// confined to the simulation driver.
+	obsReg  *obs.Registry
+	obsCtrs [len(ctrNames)]*obs.Counter
 
 	hits          atomic.Int64
 	misses        atomic.Int64
@@ -192,6 +212,41 @@ type CacheStats struct {
 	Fallbacks int64
 }
 
+// The registry counters the cache bumps, as indexes into ctrNames.
+const (
+	ctrOptimizations = iota
+	ctrBandHits
+	ctrBandMisses
+	ctrBandRevalidations
+	ctrGreedyPlans
+	ctrGreedyFallbacks
+)
+
+var ctrNames = [...]string{
+	ctrOptimizations:     obs.MetricOptOptimizations,
+	ctrBandHits:          obs.MetricOptBandHits,
+	ctrBandMisses:        obs.MetricOptBandMisses,
+	ctrBandRevalidations: obs.MetricOptBandRevalidations,
+	ctrGreedyPlans:       obs.MetricOptGreedyPlans,
+	ctrGreedyFallbacks:   obs.MetricOptGreedyFallbacks,
+}
+
+// count bumps the named counters in cfg.Obs, if there is one.
+func (pc *ParamCache) count(cfg *Config, ctrs ...int) {
+	if cfg.Obs == nil {
+		return
+	}
+	if pc.obsReg != cfg.Obs {
+		pc.obsReg, pc.obsCtrs = cfg.Obs, [len(ctrNames)]*obs.Counter{}
+	}
+	for _, i := range ctrs {
+		if pc.obsCtrs[i] == nil {
+			pc.obsCtrs[i] = cfg.Obs.Counter(ctrNames[i])
+		}
+		pc.obsCtrs[i].Inc()
+	}
+}
+
 // Stats snapshots the counters. Safe for concurrent use.
 func (pc *ParamCache) Stats() CacheStats {
 	return CacheStats{
@@ -215,9 +270,8 @@ func (pc *ParamCache) Len() int {
 // cost model's contents.
 func (pc *ParamCache) Reset() {
 	pc.mu.Lock()
-	pc.shapes = make(map[shapeKey]*bandSet)
+	pc.dropShapes()
 	pc.mu.Unlock()
-	pc.last.Store(nil)
 	pc.hits.Store(0)
 	pc.misses.Store(0)
 	pc.revalidations.Store(0)
@@ -225,41 +279,50 @@ func (pc *ParamCache) Reset() {
 	pc.fallbacks.Store(0)
 }
 
-// bandSetFor resolves the shape's cache line, creating it on first sight.
-// The one-entry front cache makes the steady-state path a struct compare;
-// the map is consulted — and, at the cap, deterministically dropped whole —
-// only on shape changes.
-func (pc *ParamCache) bandSetFor(key shapeKey) *bandSet {
-	if ls := pc.last.Load(); ls != nil && ls.key == key {
-		return ls.set
+// dropShapes empties the map and the front array. Callers hold mu.
+func (pc *ParamCache) dropShapes() {
+	pc.shapes = make(map[shapeKey]*bandSet)
+	for i := range pc.front {
+		pc.front[i].Store(nil)
 	}
-	pc.mu.RLock()
-	set, ok := pc.shapes[key]
-	pc.mu.RUnlock()
-	if !ok {
-		pc.mu.Lock()
-		if set, ok = pc.shapes[key]; !ok {
-			if len(pc.shapes) >= maxShapes {
-				pc.shapes = make(map[shapeKey]*bandSet)
-			}
-			set = &bandSet{}
-			pc.shapes[key] = set
-		}
-		pc.mu.Unlock()
-	}
-	pc.last.Store(&lastShape{key: key, set: set})
-	return set
 }
 
-// bindCosting builds the costing context for this query's actual constants:
-// the estimated matched rows at the given selectivity and the pool's
-// current residency.
-func bindCosting(in Input, sel float64) costing {
-	cc := costing{matched: sel * float64(in.Table.Rows())}
-	if in.Pool != nil {
-		cc.resident = residentFraction(in.Pool, in.Table.File(), in.Pool.Resident(in.Table.File()))
+// bandSetFor resolves the shape's cache line, creating it on first sight —
+// the only time a lookup allocates. The map is consulted for shapes past
+// the front array and, at the cap, deterministically dropped whole.
+func (pc *ParamCache) bandSetFor(key *shapeKey) *bandSet {
+	for i := range pc.front {
+		set := pc.front[i].Load()
+		if set == nil {
+			break
+		}
+		if set.key == *key {
+			return set
+		}
 	}
-	return cc
+	pc.mu.RLock()
+	set, ok := pc.shapes[*key]
+	pc.mu.RUnlock()
+	if ok {
+		return set
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if set, ok = pc.shapes[*key]; ok {
+		return set
+	}
+	if len(pc.shapes) >= maxShapes {
+		pc.dropShapes()
+	}
+	set = &bandSet{
+		key: *key,
+		est: cost.NewPageEstimator(key.table.Pages(), key.table.RowsPerPage(), key.poolPages),
+	}
+	if n := len(pc.shapes); n < frontShapes {
+		pc.front[n].Store(set)
+	}
+	pc.shapes[*key] = set
+	return set
 }
 
 // wins reports whether w beats r by more than the margin — the condition
@@ -275,7 +338,7 @@ func wins(w, r Plan, margin float64) bool {
 // Edge probing is a heuristic — cost curves could in principle cross twice
 // inside a band — but the planbench quality gate measures the realized
 // agreement directly.
-func stableInBand(cfg Config, in Input, band int, resident float64, e *bandEntry) bool {
+func stableInBand(cfg *Config, in *Input, set *bandSet, band int, resident float64, e *bandEntry) bool {
 	if !e.hasRunner {
 		// Single-family shape: with residency pinned by the epoch check,
 		// re-pricing within the band cannot change the family, and the
@@ -286,8 +349,8 @@ func stableInBand(cfg Config, in Input, band int, resident float64, e *bandEntry
 	rows := float64(in.Table.Rows())
 	margin := cfg.greedyMargin()
 	for _, sel := range [2]float64{lo, hi} {
-		cc := costing{matched: sel * rows, resident: resident}
-		if !wins(costShape(cfg, in, cc, e.winner), costShape(cfg, in, cc, e.runner), margin) {
+		cc := costing{matched: sel * rows, resident: resident, est: &set.est}
+		if !wins(costShape(cfg, in, &cc, e.winner), costShape(cfg, in, &cc, e.runner), margin) {
 			return false
 		}
 	}
@@ -296,9 +359,9 @@ func stableInBand(cfg Config, in Input, band int, resident float64, e *bandEntry
 
 // publish installs a freshly decided entry for the band, computing its
 // stability at the current residency.
-func (pc *ParamCache) publish(cfg Config, in Input, set *bandSet, band int, epoch uint64, resident float64, t top2) {
+func publish(cfg *Config, in *Input, set *bandSet, band int, epoch uint64, resident float64, t *top2) {
 	e := &bandEntry{winner: t.winner, runner: t.runner, hasRunner: t.hasRunner, epoch: epoch}
-	e.stable = stableInBand(cfg, in, band, resident, e)
+	e.stable = stableInBand(cfg, in, set, band, resident, e)
 	set.slots[band].Store(e)
 }
 
@@ -308,15 +371,15 @@ func (pc *ParamCache) publish(cfg Config, in Input, set *bandSet, band int, epoc
 // greedy fast path with crossover fallback. Safe for concurrent use when
 // cfg.Obs and cfg.Log are nil.
 func (pc *ParamCache) Choose(cfg Config, in Input) Plan {
-	if cfg.Model == nil {
-		panic("opt: Config.Model is nil")
-	}
-	if cfg.Cores <= 0 {
-		panic("opt: Config.Cores must be positive")
-	}
+	return pc.choose(&cfg, &in)
+}
+
+func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
+	cfg.validate()
 	sel := selectivity(in, in.Lo, in.Hi)
 	band := selBand(sel)
-	set := pc.bandSetFor(newShapeKey(cfg, in))
+	key := newShapeKey(cfg, in)
+	set := pc.bandSetFor(&key)
 	var epoch uint64
 	if in.Pool != nil {
 		epoch = in.Pool.Epoch()
@@ -327,21 +390,18 @@ func (pc *ParamCache) Choose(cfg Config, in Input) Plan {
 			// Band-stable at unchanged residency: the cached shape wins
 			// anywhere in the band. Rebind only the cardinality estimate.
 			pc.hits.Add(1)
-			if cfg.Obs != nil {
-				cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
-				cfg.Obs.Counter(obs.MetricOptBandHits).Inc()
-			}
+			pc.count(cfg, ctrOptimizations, ctrBandHits)
 			cfg.Log.Emit(event.EvPlanBandHit, event.NoQuery, int64(band), 1)
 			w := e.winner
 			w.EstRows = sel * float64(in.Table.Rows())
 			return w
 		}
-		cc := bindCosting(in, sel)
-		w := costShape(cfg, in, cc, e.winner)
+		cc := bindCosting(in, sel, &set.est)
+		w := costShape(cfg, in, &cc, e.winner)
 		confirmed := false
 		var r Plan
 		if e.hasRunner {
-			r = costShape(cfg, in, cc, e.runner)
+			r = costShape(cfg, in, &cc, e.runner)
 			confirmed = wins(w, r, cfg.greedyMargin())
 		} else {
 			// Single-family shape: only residency can move the choice, and
@@ -356,61 +416,47 @@ func (pc *ParamCache) Choose(cfg Config, in Input) Plan {
 				// re-pin the epoch.
 				pc.revalidations.Add(1)
 				ne := &bandEntry{winner: w, runner: r, hasRunner: e.hasRunner, epoch: epoch}
-				ne.stable = stableInBand(cfg, in, band, cc.resident, ne)
+				ne.stable = stableInBand(cfg, in, set, band, cc.resident, ne)
 				set.slots[band].Store(ne)
-				if cfg.Obs != nil {
-					cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
-					cfg.Obs.Counter(obs.MetricOptBandRevalidations).Inc()
-				}
+				pc.count(cfg, ctrOptimizations, ctrBandRevalidations)
 				cfg.Log.Emit(event.EvPlanRevalidate, event.NoQuery, int64(band), 1)
 			} else {
-				if cfg.Obs != nil {
-					cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
-					cfg.Obs.Counter(obs.MetricOptBandHits).Inc()
-				}
+				pc.count(cfg, ctrOptimizations, ctrBandHits)
 				cfg.Log.Emit(event.EvPlanBandHit, event.NoQuery, int64(band), 0)
 			}
 			return w
 		}
 		// The cached ranking flipped or landed inside the margin: this
-		// query sits on a crossover, so pay for the full enumeration.
-		// (Enumerate counts the optimization itself.)
+		// query sits on a crossover, so pay for the full enumeration, at
+		// the costing already bound. (enumerate counts the optimization
+		// itself.)
 		pc.fallbacks.Add(1)
 		if e.epoch != epoch {
 			cfg.Log.Emit(event.EvPlanRevalidate, event.NoQuery, int64(band), 0)
 		}
-		t := pickTop(Enumerate(cfg, in))
-		if cfg.Obs != nil {
-			cfg.Obs.Counter(obs.MetricOptGreedyFallbacks).Inc()
-		}
+		t := pickTop(enumerate(cfg, in, &cc))
+		pc.count(cfg, ctrGreedyFallbacks)
 		cfg.Log.Emit(event.EvGreedyFallback, event.NoQuery, int64(band), int64(t.n))
-		pc.publish(cfg, in, set, band, epoch, cc.resident, t)
+		publish(cfg, in, set, band, epoch, cc.resident, &t)
 		return t.winner
 	}
 
 	// First sight of this shape × band: decide through the greedy fast
 	// path, falling back to full enumeration near crossovers.
 	pc.misses.Add(1)
-	if cfg.Obs != nil {
-		cfg.Obs.Counter(obs.MetricOptBandMisses).Inc()
-	}
+	pc.count(cfg, ctrBandMisses)
 	cfg.Log.Emit(event.EvPlanBandMiss, event.NoQuery, int64(band), 0)
-	cc := bindCosting(in, sel)
-	t, fell := greedyPlan(cfg, in, cc, set.crossoverFor(cfg, in))
+	cc := bindCosting(in, sel, &set.est)
+	t, fell := greedyPlan(cfg, in, &cc, set.crossoverFor(cfg, in))
 	if fell {
 		pc.fallbacks.Add(1)
-		if cfg.Obs != nil {
-			cfg.Obs.Counter(obs.MetricOptGreedyFallbacks).Inc()
-		}
+		pc.count(cfg, ctrGreedyFallbacks)
 		cfg.Log.Emit(event.EvGreedyFallback, event.NoQuery, int64(band), int64(t.n))
 	} else {
 		pc.greedyPlans.Add(1)
-		if cfg.Obs != nil {
-			cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
-			cfg.Obs.Counter(obs.MetricOptGreedyPlans).Inc()
-		}
+		pc.count(cfg, ctrOptimizations, ctrGreedyPlans)
 		cfg.Log.Emit(event.EvGreedyPlan, event.NoQuery, int64(band), int64(t.n))
 	}
-	pc.publish(cfg, in, set, band, epoch, cc.resident, t)
+	publish(cfg, in, set, band, epoch, cc.resident, &t)
 	return t.winner
 }

@@ -2,6 +2,8 @@ package opt
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -32,6 +34,52 @@ func TestSelBand(t *testing.T) {
 				band, lo, selBand(lo), band+1)
 		}
 	}
+}
+
+// TestSelBandEqualsLogarithm holds selBand, which reads the band off the
+// float's exponent, to the formula it replaced — floor(-log2(sel)), rounding
+// and all — over every range width of three table domains (the uniform
+// estimator's every possible output), over the floats on both sides of
+// every band edge, and over random selectivities.
+func TestSelBandEqualsLogarithm(t *testing.T) {
+	logBand := func(sel float64) int {
+		b := int(math.Floor(-math.Log2(sel)))
+		if b < 0 {
+			b = 0
+		}
+		if b >= emptyBand {
+			b = emptyBand - 1
+		}
+		return b
+	}
+	check := func(sel float64) {
+		if got, want := selBand(sel), logBand(sel); got != want {
+			t.Fatalf("selBand(%v) = %d, the logarithm says %d", sel, got, want)
+		}
+	}
+	for _, domain := range []int64{405504, 1 << 20, 1000003} {
+		for width := int64(1); width < domain; width++ {
+			check(float64(width) / float64(domain))
+		}
+	}
+	for b := 0; b < 80; b++ {
+		below := math.Ldexp(1, -b)
+		above := below
+		for i := 0; i < 64; i++ {
+			check(below)
+			check(above)
+			below, above = math.Nextafter(below, 0), math.Nextafter(above, 1)
+		}
+		// The hand-over between exponent and logarithm, 2⁻⁴⁰ above the edge.
+		for _, d := range []float64{0x1p-41, 0x1p-40, 0x1.000001p-40, 0x1p-39, 1e-15, 1e-14} {
+			check(math.Ldexp(0.5+d, -b))
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1_000_000; i++ {
+		check(math.Exp(-rng.Float64() * 50))
+	}
+	check(math.SmallestNonzeroFloat64)
 }
 
 // paramFixture returns a warm config+input pair for cache tests.
@@ -72,7 +120,7 @@ func TestParamCacheBindsConstantsWithinBand(t *testing.T) {
 		if got.Method != first.Method || got.Degree != first.Degree {
 			t.Errorf("sel=%.4f: served %v, cached shape was %v", sel, got, first)
 		}
-		wantRows := selectivity(q, q.Lo, q.Hi) * rows
+		wantRows := selectivity(&q, q.Lo, q.Hi) * rows
 		if math.Abs(got.EstRows-wantRows) > 0.5 {
 			t.Errorf("sel=%.4f: EstRows %.1f, want rebound %.1f", sel, got.EstRows, wantRows)
 		}
@@ -178,26 +226,63 @@ func TestParamCacheResetAndBound(t *testing.T) {
 	}
 }
 
-// TestParamCacheStableHitAllocs gates the serving hot path: a band-stable
-// hit binds constants with zero heap allocations, and building a memo key
-// with a precomputed GridKey allocates nothing either (the satellite fix
-// for the fmt.Sprint-per-lookup regression).
+// TestParamCacheStableHitAllocs gates the serving hot path: a band hit
+// binds constants with zero heap allocations — on a band-stable entry and
+// on one that re-prices winner against runner — while the lookups alternate
+// between three shapes, as a serving tier's do (plan_serving cycles exactly
+// these option sets). A cache that remembers only the last shape passes
+// this with one shape and allocates on every lookup with two. Building a
+// memo key with a precomputed GridKey allocates nothing either (the
+// satellite fix for the fmt.Sprint-per-lookup regression).
 func TestParamCacheStableHitAllocs(t *testing.T) {
 	cfg, in, f := paramFixture(t)
-	in.Lo, in.Hi = rangeFor(f.in.Table, 0.0015) // far from any crossover
-	pc := NewParamCache()
-	pc.Choose(cfg, in) // warm
+	shapes := [3]Config{cfg, cfg, cfg}
+	shapes[1].QueueBudget = 8
+	shapes[2].ShareParties = 4
 
-	if s := pc.Stats(); s.Misses != 1 {
-		t.Fatalf("warm-up: %+v", s)
+	// hitsAs reports whether a repeat lookup of q under c is a hit on an
+	// entry of the given stability.
+	hitsAs := func(c Config, q Input, stable bool) bool {
+		pc := NewParamCache()
+		pc.Choose(c, q) // the miss
+		pc.Choose(c, q)
+		key := newShapeKey(&c, &q)
+		e := pc.bandSetFor(&key).slots[selBand(selectivity(&q, q.Lo, q.Hi))].Load()
+		return e.stable == stable && pc.Stats().Hits == 1
 	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		pc.Choose(cfg, in)
-	}); allocs > 0 {
-		t.Errorf("cached Choose allocates %.1f/op, want 0", allocs)
+	for _, stable := range []bool{true, false} {
+		// One predicate per shape that it serves with this kind of hit.
+		var qs [len(shapes)]Input
+		for j, c := range shapes {
+			found := false
+			for sel := 1e-4; sel < 1 && !found; sel *= 1.1 {
+				qs[j] = in
+				qs[j].Lo, qs[j].Hi = rangeFor(f.in.Table, sel)
+				found = hitsAs(c, qs[j], stable)
+			}
+			if !found {
+				t.Fatalf("shape %d: no selectivity hits a stable=%t entry", j, stable)
+			}
+		}
+		pc := NewParamCache()
+		for j, c := range shapes {
+			pc.Choose(c, qs[j])
+		}
+		before, i := pc.Stats(), 0
+		allocs := testing.AllocsPerRun(300, func() {
+			pc.Choose(shapes[i%len(shapes)], qs[i%len(shapes)])
+			i++
+		})
+		if allocs > 0 {
+			t.Errorf("stable=%t hits, three shapes alternating: %.2f allocs/op, want 0", stable, allocs)
+		}
+		if after := pc.Stats(); after.Hits-before.Hits != int64(i) || after.Fallbacks != before.Fallbacks {
+			t.Errorf("stable=%t: the measured lookups were not all hits: %+v → %+v", stable, before, after)
+		}
 	}
+
 	if allocs := testing.AllocsPerRun(100, func() {
-		newMemoKey(cfg, in)
+		newMemoKey(&cfg, &in)
 	}); allocs > 0 {
 		t.Errorf("newMemoKey with precomputed GridKey allocates %.1f/op, want 0", allocs)
 	}
@@ -234,5 +319,51 @@ func TestParamCacheConcurrentReaders(t *testing.T) {
 	}
 	if s.Hits < lookups/2 {
 		t.Errorf("parameterized workload mostly missed: %+v", s)
+	}
+}
+
+// TestParamCacheColdConcurrentPlanning starts eight goroutines on one empty
+// cache at once, all planning one shape at selectivities whose index scans
+// overflow the pool: the shape's cache line — page-count constants
+// included — is created, published in the front array and read while the
+// others are still asking for it. Each selectivity has its band to itself,
+// so whichever goroutine's miss decides a band, every lookup must be served
+// the plan a single-threaded cache serves, bit for bit. Runs under -race in
+// verify.sh.
+func TestParamCacheColdConcurrentPlanning(t *testing.T) {
+	w := newStreamWorld("ssd")
+	s := w.shape("sorted")
+	s.cfg.Obs, s.cfg.Log = nil, nil // simulation-confined sinks
+
+	var queries []Input
+	var want []Plan
+	for sel := 0.6; sel > 0.004; sel /= 2 { // one per band, all past the pool-fill point
+		q := s.in
+		q.Lo, q.Hi = rangeFor(q.Table, sel)
+		queries = append(queries, q)
+		want = append(want, NewParamCache().Choose(s.cfg, q))
+	}
+
+	pc := NewParamCache()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 200; i++ {
+				j := (g + i) % len(queries)
+				if got := pc.Choose(s.cfg, queries[j]); got != want[j] {
+					t.Errorf("goroutine %d, lookup %d: served %v, single-threaded %v", g, i, got, want[j])
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	if pc.Len() != 1 {
+		t.Errorf("one shape planned, cache holds %d", pc.Len())
 	}
 }

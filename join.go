@@ -78,12 +78,12 @@ func (s *System) PlanJoin(q JoinQuery, o PlanOptions) (JoinPlan, error) {
 }
 
 func (s *System) planJoin(q JoinQuery, po PlanOptions) (opt.JoinPlan, error) {
-	cfg, buildIn, err := s.optConfig(Query{Table: q.Build, Low: q.Low, High: q.High}, po)
-	if err != nil {
+	var cfg opt.Config
+	var buildIn, probeIn opt.Input
+	if err := s.optConfig(Query{Table: q.Build, Low: q.Low, High: q.High}, po, &cfg, &buildIn); err != nil {
 		return opt.JoinPlan{}, err
 	}
-	_, probeIn, err := s.optConfig(Query{Table: q.Probe, Low: q.Low, High: q.High}, po)
-	if err != nil {
+	if err := s.optConfig(Query{Table: q.Probe, Low: q.Low, High: q.High}, po, &cfg, &probeIn); err != nil {
 		return opt.JoinPlan{}, err
 	}
 	return opt.ChooseJoin(cfg, buildIn, probeIn), nil

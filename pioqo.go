@@ -194,12 +194,9 @@ type System struct {
 
 	// pcache is the serving-scale parameterized plan cache; Plan routes
 	// through it instead of the memo when greedy planning is on (system
-	// default greedy, or per-query WithGreedyPlanning). gridKeys caches the
-	// flattened enumeration-grid strings plan caches key on, one per
-	// distinct PlanOptions grid, so per-query planning never rebuilds them.
-	pcache   *opt.ParamCache
-	greedy   bool
-	gridKeys map[gridSpec]string
+	// default greedy, or per-query WithGreedyPlanning).
+	pcache *opt.ParamCache
+	greedy bool
 
 	// broker is the shared resource-governance layer (internal/broker),
 	// built lazily from the calibrated model and dropped with it; session
@@ -248,7 +245,6 @@ func New(cfg Config) *System {
 		memo:      opt.NewMemo(),
 		pcache:    opt.NewParamCache(),
 		greedy:    cfg.GreedyPlanning,
-		gridKeys:  make(map[gridSpec]string),
 		reg:       obs.NewRegistry(env),
 	}
 	if cfg.Shards > 1 && !cfg.NoHedge {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"pioqo/internal/cost"
 	"pioqo/internal/exec"
 	"pioqo/internal/node"
 	"pioqo/internal/opt"
@@ -195,47 +194,36 @@ type PlanOptions struct {
 	GreedyPlanning bool
 }
 
-// gridSpec identifies one distinct enumeration grid a PlanOptions value can
-// produce, for caching the flattened grid-key string plan caches key on.
-type gridSpec struct {
-	maxDegree int
-	prefetch  bool
-}
-
-func (s *System) gridKeyFor(spec gridSpec, degrees, prefetchDepths []int) string {
-	if k, ok := s.gridKeys[spec]; ok {
-		return k
-	}
-	k := opt.GridKey(degrees, prefetchDepths)
-	s.gridKeys[spec] = k
-	return k
-}
-
-// planConfig builds the optimizer configuration for one node's stack
-// under o — the per-shard unit scatter-gather planning fans out over.
-func (s *System) planConfig(n *node.Node, o PlanOptions) (opt.Config, error) {
-	if s.model == nil {
-		return opt.Config{}, fmt.Errorf("%w: optimization needs the calibrated cost model; call Calibrate first", ErrNotCalibrated)
-	}
-	var model cost.Model = s.model
-	if o.DepthOblivious {
-		model = s.depthOneModel()
-	}
-	degrees := []int{1, 2, 4, 8, 16, 32}
-	if o.MaxDegree > 0 {
-		trimmed := degrees[:0]
-		for _, d := range degrees {
-			if d <= o.MaxDegree {
-				trimmed = append(trimmed, d)
-			}
+// planDegrees and planPrefetch are the enumeration grid: MaxDegree keeps a
+// prefix of the degrees, EnablePrefetchPlanning adds the prefetch depths.
+// planGridKeys holds the flattened key plan caches identify each such grid
+// by, indexed by how many degrees are kept (minus one) and by whether
+// prefetch is planned. All three are read-only after init, so planning
+// allocates no slice and formats no key.
+var (
+	planDegrees  = []int{1, 2, 4, 8, 16, 32}
+	planPrefetch = []int{2, 4, 8, 16, 32}
+	planGridKeys = func() (keys [6][2]string) {
+		for i := range keys {
+			keys[i][0] = opt.GridKey(planDegrees[:i+1], nil)
+			keys[i][1] = opt.GridKey(planDegrees[:i+1], planPrefetch)
 		}
-		degrees = trimmed
+		return keys
+	}()
+)
+
+// planConfig fills cfg with the optimizer configuration for one node's
+// stack under o — the per-shard unit scatter-gather planning fans out over.
+// Configs are filled in place: one is two hundred bytes, and Plan is called
+// at serving rates.
+func (s *System) planConfig(n *node.Node, o PlanOptions, cfg *opt.Config) error {
+	if s.model == nil {
+		return fmt.Errorf("%w: optimization needs the calibrated cost model; call Calibrate first", ErrNotCalibrated)
 	}
-	cfg := opt.Config{
-		Model:            model,
+	*cfg = opt.Config{
+		Model:            s.model,
 		Costs:            s.costs,
 		Cores:            s.cores,
-		Degrees:          degrees,
 		PoolPages:        int64(n.Pool.Capacity()),
 		EnableSortedScan: o.EnableSortedScan,
 		QueueBudget:      o.QueueBudget,
@@ -243,27 +231,38 @@ func (s *System) planConfig(n *node.Node, o PlanOptions) (opt.Config, error) {
 		Obs:              s.reg,
 		Log:              s.events,
 	}
-	if o.EnablePrefetchPlanning {
-		cfg.PrefetchDepths = []int{2, 4, 8, 16, 32}
+	if o.DepthOblivious {
+		cfg.Model = s.depthOneModel()
 	}
-	cfg.GridKey = s.gridKeyFor(gridSpec{maxDegree: o.MaxDegree, prefetch: o.EnablePrefetchPlanning},
-		degrees, cfg.PrefetchDepths)
-	return cfg, nil
+	// MaxDegree keeps the degrees not above it; degree 1 always survives.
+	kept := len(planDegrees)
+	for o.MaxDegree > 0 && kept > 1 && planDegrees[kept-1] > o.MaxDegree {
+		kept--
+	}
+	cfg.Degrees = planDegrees[:kept:kept]
+	cfg.GridKey = planGridKeys[kept-1][0]
+	if o.EnablePrefetchPlanning {
+		cfg.PrefetchDepths = planPrefetch
+		cfg.GridKey = planGridKeys[kept-1][1]
+	}
+	return nil
 }
 
-func (s *System) optConfig(q Query, o PlanOptions) (opt.Config, opt.Input, error) {
+// optConfig fills cfg and in with the optimizer's view of q on its
+// single-node table under o.
+func (s *System) optConfig(q Query, o PlanOptions, cfg *opt.Config, in *opt.Input) error {
 	if q.Table == nil {
-		return opt.Config{}, opt.Input{}, fmt.Errorf("%w: no table", ErrInvalidQuery)
+		return fmt.Errorf("%w: no table", ErrInvalidQuery)
 	}
 	if q.Table.sharded() {
-		return opt.Config{}, opt.Input{}, fmt.Errorf("%w: table %q is partitioned across %d nodes; this operation is single-node only",
+		return fmt.Errorf("%w: table %q is partitioned across %d nodes; this operation is single-node only",
 			ErrInvalidQuery, q.Table.Name(), len(q.Table.parts))
 	}
-	cfg, err := s.planConfig(s.coord(), o)
-	if err != nil {
-		return opt.Config{}, opt.Input{}, err
+	if err := s.planConfig(s.coord(), o, cfg); err != nil {
+		return err
 	}
-	return cfg, q.Table.one().input(q), nil
+	*in = q.Table.one().input(q)
+	return nil
 }
 
 // input is the optimizer's view of q's range over one table part.
@@ -303,8 +302,9 @@ func (s *System) Plan(q Query, o PlanOptions) (Plan, error) {
 	if q.Table != nil && q.Table.sharded() {
 		return s.planSharded(q, o)
 	}
-	cfg, in, err := s.optConfig(q, o)
-	if err != nil {
+	var cfg opt.Config
+	var in opt.Input
+	if err := s.optConfig(q, o, &cfg, &in); err != nil {
 		return Plan{}, err
 	}
 	if o.GreedyPlanning || s.greedy {
@@ -316,8 +316,9 @@ func (s *System) Plan(q Query, o PlanOptions) (Plan, error) {
 // Explain returns every candidate plan the optimizer considered for q,
 // cheapest first.
 func (s *System) Explain(q Query, o PlanOptions) ([]Plan, error) {
-	cfg, in, err := s.optConfig(q, o)
-	if err != nil {
+	var cfg opt.Config
+	var in opt.Input
+	if err := s.optConfig(q, o, &cfg, &in); err != nil {
 		return nil, err
 	}
 	var plans []Plan

@@ -30,11 +30,18 @@ go vet ./...
 # thread between OS threads too: a missed happens-before edge would hide
 # exactly there, so its race pass runs at several thread counts.
 go test -race -cpu 1,2,4 ./internal/sim/...
-go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/opt/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
+go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
+# The parameterized plan cache is shared between host threads: shapes are
+# created, published and read lock-free, so its race pass runs single- and
+# multi-threaded.
+go test -race -cpu 1,4 ./internal/opt/...
 # The schedule golden pins the executor's virtual-time behaviour to the
 # nanosecond; running it twice in one process also checks that a run leaves
 # nothing behind that the next one can see (same bytes both times).
 go test -run Schedule -count=2 ./internal/exec
+# The plan-stream golden does the same for the planner's arithmetic: every
+# cost bit of 20 480 lookups, and the caches' counters.
+go test -run PlanStream -count=2 ./internal/opt
 # Two guards against defects that show in some processes and not in others,
 # so each runs five times: a multiplier search that does not end on the 2-
 # and 3-row tables the bijection property draws about one run in forty, and

@@ -176,11 +176,9 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 		if budgets != nil {
 			pj.QueueBudget = budgets[j]
 		}
-		cfg, err := s.planConfig(part.node, pj)
-		if err != nil {
+		if err := s.planConfig(part.node, pj, &cfgs[j]); err != nil {
 			return Plan{}, err
 		}
-		cfgs[j] = cfg
 		ins[j] = part.input(q)
 	}
 	choose := s.memo.Choose
