@@ -101,4 +101,3 @@ func exitOn(err error) {
 		os.Exit(1)
 	}
 }
-

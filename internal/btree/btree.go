@@ -12,7 +12,9 @@
 package btree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"pioqo/internal/disk"
@@ -54,11 +56,13 @@ func NewMaterialized(m *disk.Manager, t *table.Materialized, leafCap, fanout int
 	for r := int64(0); r < t.Rows(); r++ {
 		idx.sorted[r] = Entry{Key: t.RowAt(r).C2, Row: r}
 	}
-	sort.Slice(idx.sorted, func(i, j int) bool {
-		if idx.sorted[i].Key != idx.sorted[j].Key {
-			return idx.sorted[i].Key < idx.sorted[j].Key
+	// (Key, Row) is a total order — rows are distinct — so any sort gives
+	// the same array.
+	slices.SortFunc(idx.sorted, func(a, b Entry) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
 		}
-		return idx.sorted[i].Row < idx.sorted[j].Row
+		return cmp.Compare(a.Row, b.Row)
 	})
 	idx.allocate(m)
 	return idx
@@ -199,6 +203,11 @@ func (x *Index) LeafEntries(leafNo int64, buf []Entry) []Entry {
 	}
 	if lo >= hi {
 		panic(fmt.Sprintf("btree %s: empty leaf %d", x.name, leafNo))
+	}
+	// Sized once: a fresh scratch buffer would otherwise double its way up
+	// to a leaf.
+	if n := int(hi - lo); cap(buf) < n {
+		buf = make([]Entry, 0, n)
 	}
 	buf = buf[:0]
 	if x.syn != nil {

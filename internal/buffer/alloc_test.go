@@ -36,9 +36,9 @@ func TestPoolAllocations(t *testing.T) {
 	file := disk.NewManager(flatDevice{env}).MustAllocate("t", 1<<20)
 	pool := NewPool(env, capacity)
 
-	// The callback is two allocations: its closure, and the one-element
-	// callback list the completion keeps it in.
-	const perRead = 2
+	// The callback is one allocation, its closure: the completion keeps a
+	// first callback in itself, and the index and the arena are arrays.
+	const perRead = 1
 
 	env.Go("gate", func(p *sim.Proc) {
 		next := int64(0) // sweeps forward: every page it names is absent

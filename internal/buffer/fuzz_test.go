@@ -216,15 +216,24 @@ func (d *recDevice) WriteAt(offset int64, length int) *sim.Completion {
 func arenaError(p *Pool) error {
 	held := make([]int, len(p.frames))
 	idle := 0
-	for key, slot := range p.index {
-		held[slot]++
-		f := &p.frames[slot]
-		if pack(f.key.File, f.key.Page) != key || f.slot != slot {
-			return fmt.Errorf("index entry %#x → slot %d holds %v (slot field %d)", key, slot, f.key, f.slot)
+	indexed := 0
+	for _, c := range p.index.cells {
+		if c.slot == none {
+			continue
+		}
+		indexed++
+		held[c.slot]++
+		f := &p.frames[c.slot]
+		if pack(f.key.File, f.key.Page) != c.key || f.slot != c.slot || p.index.get(c.key) != c.slot {
+			return fmt.Errorf("index cell %#x → slot %d holds %v (slot field %d, lookup finds %d)",
+				c.key, c.slot, f.key, f.slot, p.index.get(c.key))
 		}
 		if f.idle() {
 			idle++
 		}
+	}
+	if indexed != p.index.n {
+		return fmt.Errorf("index counts %d keys, %d cells are in use", p.index.n, indexed)
 	}
 	for slot := p.free; slot != none; slot = p.frames[slot].next {
 		held[slot]++
@@ -232,13 +241,13 @@ func arenaError(p *Pool) error {
 	for slot, n := range held {
 		if n != 1 {
 			return fmt.Errorf("slot %d is held %d times by index + free list (%d of %d slots indexed)",
-				slot, n, len(p.index), len(p.frames))
+				slot, n, p.index.n, len(p.frames))
 		}
 	}
 	prev := none
 	for slot := p.head; slot != none; prev, slot = slot, p.frames[slot].next {
 		f := &p.frames[slot]
-		if at, ok := p.index[pack(f.key.File, f.key.Page)]; !ok || at != slot || !f.idle() || f.prev != prev {
+		if p.index.get(pack(f.key.File, f.key.Page)) != slot || !f.idle() || f.prev != prev {
 			return fmt.Errorf("LRU links slot %d (%v): pins %d, loading %v, prev %d want %d",
 				slot, f.key, f.pins, f.loading != nil, f.prev, prev)
 		}

@@ -65,6 +65,26 @@ func validate(dev Device, offset int64, length int) {
 	}
 }
 
+// freeList is a stack of request records whose requests have completed,
+// kept for the device's next requests: a record carries its stage callbacks,
+// bound once when it is first made, so reusing it is what keeps a request
+// from allocating them again. Each device owns its lists — an Env is
+// single-threaded, and two devices (or two tests) share nothing.
+type freeList[T any] []*T
+
+// get takes a record off the list, or returns nil for the caller to make one.
+func (f *freeList[T]) get() *T {
+	s := *f
+	if len(s) == 0 {
+		return nil
+	}
+	r := s[len(s)-1]
+	*f = s[:len(s)-1]
+	return r
+}
+
+func (f *freeList[T]) put(r *T) { *f = append(*f, r) }
+
 // Metrics instruments a device: completed request counts, bytes moved, the
 // time-integral of outstanding requests (average queue depth), and summed
 // request latency. Snapshot/Reset let experiments meter an interval, which

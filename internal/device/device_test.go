@@ -47,8 +47,8 @@ func measureSequential(t *testing.T, newDev func(*sim.Env) Device, reqSize int, 
 	return dev.Metrics().Snapshot()
 }
 
-func newHDD(e *sim.Env) Device  { return NewHDD(e, DefaultHDDConfig()) }
-func newSSD(e *sim.Env) Device  { return NewSSD(e, DefaultSSDConfig()) }
+func newHDD(e *sim.Env) Device { return NewHDD(e, DefaultHDDConfig()) }
+func newSSD(e *sim.Env) Device { return NewSSD(e, DefaultSSDConfig()) }
 func newRAID8(e *sim.Env) Device {
 	return NewRAID0(e, 8, 64<<10, HDD15KConfig())
 }

@@ -3,6 +3,7 @@ package device
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pioqo/internal/sim"
 )
@@ -72,8 +73,14 @@ type HDD struct {
 
 	busy      bool
 	headTrack int64
-	queue     []*hddRequest
+	queue     []hddRequest
 	lastEnd   int64 // end offset of the previous request, for readahead
+
+	// current is the request under the head. Its service ends in the one
+	// event callback the disk ever schedules, bound at construction, so a
+	// request allocates its completion and nothing else.
+	current     hddRequest
+	serviceDone func() // = finish
 }
 
 type hddRequest struct {
@@ -91,7 +98,7 @@ func NewHDD(e *sim.Env, cfg HDDConfig) *HDD {
 	if cfg.QueueDepthMax <= 0 {
 		cfg.QueueDepthMax = 1
 	}
-	return &HDD{
+	d := &HDD{
 		env:         e,
 		cfg:         cfg,
 		name:        fmt.Sprintf("hdd-%drpm", cfg.RPM),
@@ -100,6 +107,8 @@ func NewHDD(e *sim.Env, cfg HDDConfig) *HDD {
 		totalTracks: (cfg.Capacity + cfg.TrackBytes - 1) / cfg.TrackBytes,
 		lastEnd:     -1,
 	}
+	d.serviceDone = d.finish
+	return d
 }
 
 // Name implements Device.
@@ -120,18 +129,13 @@ func (d *HDD) WriteAt(offset int64, length int) *sim.Completion {
 // ReadAt implements Device.
 func (d *HDD) ReadAt(offset int64, length int) *sim.Completion {
 	validate(d, offset, length)
-	r := &hddRequest{
-		offset:    offset,
-		length:    length,
-		submitted: d.env.Now(),
-		done:      sim.NewCompletion(d.env),
-	}
+	done := sim.NewCompletion(d.env)
 	d.metrics.Submitted()
-	d.queue = append(d.queue, r)
+	d.queue = append(d.queue, hddRequest{offset: offset, length: length, submitted: d.env.Now(), done: done})
 	if !d.busy {
 		d.startNext()
 	}
-	return r.done
+	return done
 }
 
 // track returns the track holding byte offset off.
@@ -209,21 +213,25 @@ func (d *HDD) startNext() {
 	if window > d.cfg.QueueDepthMax {
 		window = d.cfg.QueueDepthMax
 	}
-	best, bestCost := 0, d.schedulingCost(d.queue[0])
+	best, bestCost := 0, d.schedulingCost(&d.queue[0])
 	for i := 1; i < window; i++ {
-		if c := d.schedulingCost(d.queue[i]); c < bestCost {
+		if c := d.schedulingCost(&d.queue[i]); c < bestCost {
 			best, bestCost = i, c
 		}
 	}
-	r := d.queue[best]
-	d.queue = append(d.queue[:best], d.queue[best+1:]...)
+	d.current = d.queue[best]
+	d.queue = slices.Delete(d.queue, best, best+1)
 
-	service := d.positioning(r) + d.transferTime(r.length)
-	d.env.Schedule(service, func() {
-		d.headTrack = d.track(r.offset + int64(r.length))
-		d.lastEnd = r.offset + int64(r.length)
-		d.metrics.Completed(r.length, sim.Duration(d.env.Now()-r.submitted))
-		r.done.Fire()
-		d.startNext()
-	})
+	r := &d.current
+	d.env.Schedule(d.positioning(r)+d.transferTime(r.length), d.serviceDone)
+}
+
+// finish completes the request under the head and dispatches the next.
+func (d *HDD) finish() {
+	r := d.current
+	d.headTrack = d.track(r.offset + int64(r.length))
+	d.lastEnd = r.offset + int64(r.length)
+	d.metrics.Completed(r.length, sim.Duration(d.env.Now()-r.submitted))
+	r.done.Fire()
+	d.startNext()
 }

@@ -19,6 +19,19 @@ type RAID0 struct {
 	stripe   int64
 	metrics  *Metrics
 	size     int64
+
+	requests freeList[raidRequest]
+}
+
+// raidRequest is one striped request waiting for its child segments.
+type raidRequest struct {
+	r         *RAID0
+	length    int
+	submitted sim.Time
+	done      *sim.Completion
+	pending   int // child segments still in flight
+
+	segmentDone func() // = onSegmentDone
 }
 
 // HDD15KConfig models one 15,000 RPM enterprise spindle of the paper's RAID
@@ -75,16 +88,16 @@ func (r *RAID0) ReadAt(offset int64, length int) *sim.Completion {
 
 func (r *RAID0) readOrWrite(offset int64, length int, write bool) *sim.Completion {
 	validate(r, offset, length)
+	q := r.requests.get()
+	if q == nil {
+		q = &raidRequest{r: r}
+		q.segmentDone = q.onSegmentDone
+	}
 	done := sim.NewCompletion(r.env)
-	submitted := r.env.Now()
+	q.length, q.submitted, q.done = length, r.env.Now(), done
+	q.pending = int((offset+int64(length)-1)/r.stripe-offset/r.stripe) + 1
 	r.metrics.Submitted()
 
-	type segment struct {
-		child       int
-		childOffset int64
-		length      int
-	}
-	var segs []segment
 	for remaining := int64(length); remaining > 0; {
 		stripeIdx := offset / r.stripe
 		within := offset % r.stripe
@@ -92,32 +105,31 @@ func (r *RAID0) readOrWrite(offset int64, length int, write bool) *sim.Completio
 		if segLen > remaining {
 			segLen = remaining
 		}
-		child := int(stripeIdx % int64(len(r.children)))
-		childStripe := stripeIdx / int64(len(r.children))
-		segs = append(segs, segment{
-			child:       child,
-			childOffset: childStripe*r.stripe + within,
-			length:      int(segLen),
-		})
+		child := r.children[stripeIdx%int64(len(r.children))]
+		childOffset := stripeIdx/int64(len(r.children))*r.stripe + within
+		var c *sim.Completion
+		if write {
+			c = child.WriteAt(childOffset, int(segLen))
+		} else {
+			c = child.ReadAt(childOffset, int(segLen))
+		}
+		c.OnFire(q.segmentDone)
 		offset += segLen
 		remaining -= segLen
 	}
-
-	pending := len(segs)
-	for _, s := range segs {
-		var c *sim.Completion
-		if write {
-			c = r.children[s.child].WriteAt(s.childOffset, s.length)
-		} else {
-			c = r.children[s.child].ReadAt(s.childOffset, s.length)
-		}
-		c.OnFire(func() {
-			pending--
-			if pending == 0 {
-				r.metrics.Completed(length, sim.Duration(r.env.Now()-submitted))
-				done.Fire()
-			}
-		})
-	}
 	return done
+}
+
+// onSegmentDone completes the request with its last segment; the record is
+// free again before the completion fires.
+func (q *raidRequest) onSegmentDone() {
+	q.pending--
+	if q.pending > 0 {
+		return
+	}
+	r, length, submitted, done := q.r, q.length, q.submitted, q.done
+	q.done = nil
+	r.requests.put(q)
+	r.metrics.Completed(length, sim.Duration(r.env.Now()-submitted))
+	done.Fire()
 }

@@ -1,10 +1,6 @@
 package device
 
-import (
-	"container/list"
-
-	"pioqo/internal/sim"
-)
+import "pioqo/internal/sim"
 
 // SSDConfig describes a flash solid-state drive. The zero value is not
 // usable; start from DefaultSSDConfig.
@@ -132,6 +128,11 @@ type SSD struct {
 
 	mapCache *lruCache
 	lastEnd  int64 // end offset of the previously accepted read, for readahead
+
+	// Requests and their chunks move through the servers as records; a
+	// finished record goes back on these lists for the next request.
+	requests freeList[ssdRequest]
+	chunks   freeList[ssdChunk]
 }
 
 // NewSSD returns a drive built from cfg, bound to e.
@@ -160,51 +161,67 @@ func (d *SSD) Size() int64 { return d.cfg.Capacity }
 // Metrics implements Device.
 func (d *SSD) Metrics() *Metrics { return d.metrics }
 
+// ssdRequest is one read or write on its way through the drive.
+type ssdRequest struct {
+	d         *SSD
+	kind      ssdKind
+	offset    int64
+	length    int
+	submitted sim.Time
+	done      *sim.Completion
+	remaining int // chunks still in flight
+
+	ctrlDone func() // = onCtrlDone
+	busDone  func() // = finish: a readahead hit's only transfer
+}
+
+type ssdKind uint8
+
+const (
+	ssdRead      ssdKind = iota // controller, then per chunk: flash unit, bus
+	ssdReadahead                // controller, then one bus transfer
+	ssdWrite                    // controller, then per chunk: bus, flash unit
+)
+
+// ssdChunk is one stripe-sized piece of a request. Reads visit a flash unit
+// and then the bus, writes the bus and then a unit.
+type ssdChunk struct {
+	r        *ssdRequest
+	service  sim.Duration // flash unit time
+	transfer sim.Duration // bus time
+
+	unitDone func() // = onUnitDone
+	busDone  func() // = onBusDone
+}
+
+// submit takes a request record off the free list, fills it in, and queues
+// it at the controller.
+func (d *SSD) submit(kind ssdKind, offset int64, length int) *sim.Completion {
+	r := d.requests.get()
+	if r == nil {
+		r = &ssdRequest{d: d}
+		r.ctrlDone, r.busDone = r.onCtrlDone, r.finish
+	}
+	r.kind, r.offset, r.length = kind, offset, length
+	r.submitted, r.done = d.env.Now(), sim.NewCompletion(d.env)
+	d.metrics.Submitted()
+	d.ctrl.submit(d.cfg.CtrlOverhead, r.ctrlDone)
+	return r.done
+}
+
 // WriteAt implements Device: the data crosses the bus first, an FTL map
 // update rides the controller, and the flash program occupies a unit for
 // the (slower) program latency. Page-mapped FTLs write anywhere, so there
 // is no band-size penalty on writes.
 func (d *SSD) WriteAt(offset int64, length int) *sim.Completion {
 	validate(d, offset, length)
-	done := sim.NewCompletion(d.env)
-	submitted := d.env.Now()
-	d.metrics.Submitted()
 	d.lastEnd = -1 // a write interposes in the readahead stream
-
-	program := d.cfg.ProgramLatency
-	if program == 0 {
-		program = d.cfg.FlashLatency * 5 / 2
-	}
-	d.ctrl.submit(d.cfg.CtrlOverhead, func() {
-		chunks := (length + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
-		remaining := chunks
-		for i := 0; i < chunks; i++ {
-			chunkLen := d.cfg.StripeBytes
-			if i == chunks-1 {
-				chunkLen = length - i*d.cfg.StripeBytes
-			}
-			transfer := sim.Duration(float64(chunkLen) / d.cfg.BusMBps * 1e3)
-			service := program + sim.Duration(float64(chunkLen)/d.cfg.UnitMBps*1e3)
-			d.bus.submit(transfer, func() {
-				d.units.submit(service, func() {
-					remaining--
-					if remaining == 0 {
-						d.metrics.Completed(length, sim.Duration(d.env.Now()-submitted))
-						done.Fire()
-					}
-				})
-			})
-		}
-	})
-	return done
+	return d.submit(ssdWrite, offset, length)
 }
 
 // ReadAt implements Device.
 func (d *SSD) ReadAt(offset int64, length int) *sim.Completion {
 	validate(d, offset, length)
-	done := sim.NewCompletion(d.env)
-	submitted := d.env.Now()
-	d.metrics.Submitted()
 
 	// Sequential detection happens at acceptance: a read continuing the
 	// previous one within the readahead window skips the flash array
@@ -213,48 +230,129 @@ func (d *SSD) ReadAt(offset int64, length int) *sim.Completion {
 		d.cfg.ReadaheadWindow > 0 && length <= d.cfg.ReadaheadWindow
 	d.lastEnd = offset + int64(length)
 	if seqHit {
-		d.ctrl.submit(d.cfg.CtrlOverhead, func() {
-			transfer := sim.Duration(float64(length) / d.cfg.BusMBps * 1e3)
-			d.bus.submit(transfer, func() {
-				d.metrics.Completed(length, sim.Duration(d.env.Now()-submitted))
-				done.Fire()
-			})
-		})
-		return done
+		return d.submit(ssdReadahead, offset, length)
+	}
+	return d.submit(ssdRead, offset, length)
+}
+
+// onCtrlDone runs when the controller has processed the command: a
+// readahead hit goes straight to the bus, anything else is cut into chunks.
+func (r *ssdRequest) onCtrlDone() {
+	d := r.d
+	if r.kind == ssdReadahead {
+		d.bus.submit(sim.Duration(float64(r.length)/d.cfg.BusMBps*1e3), r.busDone)
+		return
 	}
 
-	d.ctrl.submit(d.cfg.CtrlOverhead, func() {
-		// FTL lookup happens in the controller; a miss charges the extra
-		// mapping-page read to the first chunk's flash unit.
-		missPenalty := sim.Duration(0)
-		if d.cfg.MapCachePages > 0 && !d.mapCache.touch(offset/d.cfg.MapSpanBytes) {
-			missPenalty = d.cfg.MapMissPenalty
+	flash := d.cfg.FlashLatency
+	if r.kind == ssdWrite {
+		flash = d.cfg.ProgramLatency
+		if flash == 0 {
+			flash = d.cfg.FlashLatency * 5 / 2
 		}
+	}
+	// FTL lookup happens in the controller; a miss charges the extra
+	// mapping-page read to the first chunk's flash unit.
+	missPenalty := sim.Duration(0)
+	if r.kind == ssdRead && d.cfg.MapCachePages > 0 && !d.mapCache.touch(r.offset/d.cfg.MapSpanBytes) {
+		missPenalty = d.cfg.MapMissPenalty
+	}
 
-		chunks := (length + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
-		remaining := chunks
-		for i := 0; i < chunks; i++ {
-			chunkLen := d.cfg.StripeBytes
-			if i == chunks-1 {
-				chunkLen = length - i*d.cfg.StripeBytes
-			}
-			service := d.cfg.FlashLatency + sim.Duration(float64(chunkLen)/d.cfg.UnitMBps*1e3)
-			if i == 0 {
-				service += missPenalty
-			}
-			transfer := sim.Duration(float64(chunkLen) / d.cfg.BusMBps * 1e3)
-			d.units.submit(service, func() {
-				d.bus.submit(transfer, func() {
-					remaining--
-					if remaining == 0 {
-						d.metrics.Completed(length, sim.Duration(d.env.Now()-submitted))
-						done.Fire()
-					}
-				})
-			})
+	chunks := (r.length + d.cfg.StripeBytes - 1) / d.cfg.StripeBytes
+	r.remaining = chunks
+	for i := 0; i < chunks; i++ {
+		chunkLen := d.cfg.StripeBytes
+		if i == chunks-1 {
+			chunkLen = r.length - i*d.cfg.StripeBytes
 		}
-	})
-	return done
+		c := d.chunks.get()
+		if c == nil {
+			c = &ssdChunk{}
+			c.unitDone, c.busDone = c.onUnitDone, c.onBusDone
+		}
+		c.r = r
+		c.service = flash + sim.Duration(float64(chunkLen)/d.cfg.UnitMBps*1e3)
+		if i == 0 {
+			c.service += missPenalty
+		}
+		c.transfer = sim.Duration(float64(chunkLen) / d.cfg.BusMBps * 1e3)
+		if r.kind == ssdWrite {
+			d.bus.submit(c.transfer, c.busDone)
+		} else {
+			d.units.submit(c.service, c.unitDone)
+		}
+	}
+}
+
+func (c *ssdChunk) onUnitDone() {
+	if c.r.kind == ssdWrite {
+		c.finish()
+		return
+	}
+	c.r.d.bus.submit(c.transfer, c.busDone)
+}
+
+func (c *ssdChunk) onBusDone() {
+	if c.r.kind == ssdWrite {
+		c.r.d.units.submit(c.service, c.unitDone)
+		return
+	}
+	c.finish()
+}
+
+// finish retires the chunk, and its request with the last one.
+func (c *ssdChunk) finish() {
+	r := c.r
+	c.r = nil
+	r.d.chunks.put(c)
+	r.remaining--
+	if r.remaining == 0 {
+		r.finish()
+	}
+}
+
+// finish completes the request. The record is back on the free list before
+// the completion fires: a callback may submit the next request from inside
+// Fire, and that request may take this record.
+func (r *ssdRequest) finish() {
+	d, length, submitted, done := r.d, r.length, r.submitted, r.done
+	r.done = nil
+	d.requests.put(r)
+	d.metrics.Completed(length, sim.Duration(d.env.Now()-submitted))
+	done.Fire()
+}
+
+// serverJob is a piece of work queued at a server: how long it occupies the
+// server, and what runs when it is done.
+type serverJob struct {
+	service sim.Duration
+	then    func()
+}
+
+// jobQueue is a FIFO of jobs on a ring (len a power of two) whose storage is
+// reused, so steady queueing allocates nothing.
+type jobQueue struct {
+	ring []serverJob
+	head int
+	n    int
+}
+
+func (q *jobQueue) push(job serverJob) {
+	if q.n == len(q.ring) {
+		grown := make([]serverJob, max(8, 2*len(q.ring)))
+		k := copy(grown, q.ring[q.head:])
+		copy(grown[k:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = job
+	q.n++
+}
+
+func (q *jobQueue) pop() serverJob {
+	job := q.ring[q.head]
+	q.head = (q.head + 1) & (len(q.ring) - 1)
+	q.n--
+	return job
 }
 
 // fifoServer is a single-server FIFO queue driven by simulation events: each
@@ -262,35 +360,38 @@ func (d *SSD) ReadAt(offset int64, length int) *sim.Completion {
 type fifoServer struct {
 	env   *sim.Env
 	busy  bool
-	queue []serverJob
+	queue jobQueue
+	then  func() // continuation of the job in service
+	done  func() // = onDone, the event every job schedules
 }
 
-type serverJob struct {
-	service sim.Duration
-	then    func()
+func newFIFOServer(e *sim.Env) *fifoServer {
+	s := &fifoServer{env: e}
+	s.done = s.onDone
+	return s
 }
-
-func newFIFOServer(e *sim.Env) *fifoServer { return &fifoServer{env: e} }
 
 func (s *fifoServer) submit(service sim.Duration, then func()) {
-	s.queue = append(s.queue, serverJob{service, then})
+	s.queue.push(serverJob{service, then})
 	if !s.busy {
 		s.next()
 	}
 }
 
 func (s *fifoServer) next() {
-	if len(s.queue) == 0 {
+	if s.queue.n == 0 {
 		s.busy = false
 		return
 	}
 	s.busy = true
-	job := s.queue[0]
-	s.queue = s.queue[1:]
-	s.env.Schedule(job.service, func() {
-		job.then()
-		s.next()
-	})
+	job := s.queue.pop()
+	s.then = job.then
+	s.env.Schedule(job.service, s.done)
+}
+
+func (s *fifoServer) onDone() {
+	s.then()
+	s.next()
 }
 
 // unitPool is a k-server FIFO queue: jobs run on any free unit. Modelling
@@ -300,60 +401,120 @@ func (s *fifoServer) next() {
 // calibration methods agree on SSD but not on spinning media.
 type unitPool struct {
 	env   *sim.Env
-	free  int
-	queue []serverJob
+	idle  *flashUnit // free units, linked through next
+	queue jobQueue
 }
 
-func newUnitPool(e *sim.Env, k int) *unitPool { return &unitPool{env: e, free: k} }
+// flashUnit is one server of the pool. Which unit a job lands on changes
+// nothing the model measures; the unit only gives the job's continuation a
+// place to sit while its event is queued.
+type flashUnit struct {
+	pool *unitPool
+	then func() // continuation of the job in service
+	done func() // = onDone
+	next *flashUnit
+}
+
+func newUnitPool(e *sim.Env, k int) *unitPool {
+	p := &unitPool{env: e}
+	units := make([]flashUnit, k)
+	for i := range units {
+		u := &units[i]
+		u.pool, u.done, u.next = p, u.onDone, p.idle
+		p.idle = u
+	}
+	return p
+}
 
 func (p *unitPool) submit(service sim.Duration, then func()) {
-	if p.free == 0 {
-		p.queue = append(p.queue, serverJob{service, then})
+	if p.idle == nil {
+		p.queue.push(serverJob{service, then})
 		return
 	}
 	p.run(serverJob{service, then})
 }
 
 func (p *unitPool) run(job serverJob) {
-	p.free--
-	p.env.Schedule(job.service, func() {
-		p.free++
-		job.then()
-		if len(p.queue) > 0 && p.free > 0 {
-			next := p.queue[0]
-			p.queue = p.queue[1:]
-			p.run(next)
-		}
-	})
+	u := p.idle
+	p.idle = u.next
+	u.then = job.then
+	p.env.Schedule(job.service, u.done)
 }
 
-// lruCache is a fixed-capacity LRU set of int64 keys.
+func (u *flashUnit) onDone() {
+	p, then := u.pool, u.then
+	u.next, p.idle = p.idle, u
+	then()
+	if p.queue.n > 0 && p.idle != nil {
+		p.run(p.queue.pop())
+	}
+}
+
+// lruCache is a fixed-capacity LRU set of int64 keys: an arena of entries
+// linked most recently used first, and a map from key to arena slot.
 type lruCache struct {
-	capacity int
-	ll       *list.List
-	items    map[int64]*list.Element
+	entries    []lruEntry
+	slots      map[int64]int32
+	head, tail int32 // most and least recently used; -1 when empty
+}
+
+type lruEntry struct {
+	key        int64
+	prev, next int32
 }
 
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[int64]*list.Element, capacity),
+		entries: make([]lruEntry, 0, capacity),
+		slots:   make(map[int64]int32, capacity),
+		head:    -1,
+		tail:    -1,
 	}
 }
 
 // touch reports whether key was cached, and in either case makes it the
 // most recently used entry (inserting it, evicting the LRU entry if full).
 func (c *lruCache) touch(key int64) bool {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return true
+	slot, hit := c.slots[key]
+	switch {
+	case hit:
+		if slot == c.head {
+			return true
+		}
+		c.unlink(slot)
+	case len(c.entries) < cap(c.entries):
+		slot = int32(len(c.entries))
+		c.entries = append(c.entries, lruEntry{key: key})
+		c.slots[key] = slot
+	default:
+		slot = c.tail
+		c.unlink(slot)
+		delete(c.slots, c.entries[slot].key)
+		c.entries[slot].key = key
+		c.slots[key] = slot
 	}
-	if c.ll.Len() >= c.capacity {
-		lru := c.ll.Back()
-		c.ll.Remove(lru)
-		delete(c.items, lru.Value.(int64))
+	e := &c.entries[slot]
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.entries[c.head].prev = slot
+	} else {
+		c.tail = slot
 	}
-	c.items[key] = c.ll.PushFront(key)
-	return false
+	c.head = slot
+	return hit
+}
+
+// unlink takes a linked entry out of the recency list.
+func (c *lruCache) unlink(slot int32) {
+	e := &c.entries[slot]
+	if e.prev >= 0 {
+		c.entries[e.prev].next = e.next
+	} else {
+		c.head = e.next
+	}
+	if e.next >= 0 {
+		c.entries[e.next].prev = e.prev
+	} else {
+		c.tail = e.prev
+	}
 }

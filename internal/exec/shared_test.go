@@ -142,7 +142,9 @@ func TestSharedScanProgressCountsOwnDelivery(t *testing.T) {
 
 // TestEvalPageDoesNotAllocate is the allocation gate on the page evaluator:
 // a page without a match costs no allocation, and a page with matches costs
-// none once the scratch buffer has grown to a page's worth.
+// none once the scratch buffer has grown to a page's worth — whether every
+// row matches or, under a selective range, which the synthetic table answers
+// from its displacement table instead of its rows, a few.
 func TestEvalPageDoesNotAllocate(t *testing.T) {
 	ctx, syn, _ := benchWorld(50_000, 500, 64)
 	mat := newWorld(t, worldOpts{rows: 5000, rpp: 500}).tab
@@ -159,6 +161,10 @@ func TestEvalPageDoesNotAllocate(t *testing.T) {
 		// AllocsPerRun's warm-up call grows the buffer.
 		if n := testing.AllocsPerRun(20, eval(Spec{Table: tab, Lo: 0, Hi: tab.KeyDomain()})); n != 0 || a.rows == 0 {
 			t.Errorf("%s: page full of matches: %v allocations, %d rows", name, n, a.rows)
+		}
+		full := a.rows
+		if n := testing.AllocsPerRun(20, eval(Spec{Table: tab, Lo: 0, Hi: tab.KeyDomain() / 100})); n != 0 || a.rows == full {
+			t.Errorf("%s: page under a selective range: %v allocations, %d rows", name, n, a.rows-full)
 		}
 	}
 }

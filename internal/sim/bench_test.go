@@ -41,27 +41,24 @@ func BenchmarkProcessContextSwitch(b *testing.B) {
 // BenchmarkProcPingPong is the cross-process figure: two processes wake each
 // other through Completions, so every op is one direct baton pass (a channel
 // send, a channel receive, one goroutine switch). Completions are one-shot;
-// the waiter re-arms its own in place, over a one-slot waiter buffer, so the
-// loop allocates nothing and the hand-off is all that is measured.
+// the waiter re-arms its own in place — a lone waiter sits in the struct — so
+// the loop allocates nothing and the hand-off is all that is measured.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEnv(1)
 	each := b.N/2 + 1
-	var bufs [2][1]*Proc
-	rearm := func(c *Completion, side int) { *c = Completion{env: e, waiters: bufs[side][:0]} }
-	ping, pong := new(Completion), new(Completion)
-	rearm(ping, 0)
-	rearm(pong, 1)
+	rearm := func(c *Completion) { *c = Completion{env: e} }
+	ping, pong := NewCompletion(e), NewCompletion(e)
 	e.Go("a", func(p *Proc) {
 		for i := 0; i < each; i++ {
 			ping.Fire()
 			p.Wait(pong)
-			rearm(pong, 1)
+			rearm(pong)
 		}
 	})
 	e.Go("b", func(p *Proc) {
 		for i := 0; i < each; i++ {
 			p.Wait(ping)
-			rearm(ping, 0)
+			rearm(ping)
 			pong.Fire()
 		}
 	})

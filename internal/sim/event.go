@@ -12,10 +12,23 @@ package sim
 // attached, which waiters read back through Err. This is how injected
 // device faults propagate to the issuer without a second signalling path.
 type Completion struct {
-	env       *Env
-	fired     bool
-	at        Time
-	err       error
+	env *Env
+	at  Time
+	err error
+
+	// waiter and callback are the first process to Wait and the first
+	// function registered with OnFire. An I/O request has at most one of
+	// each — its issuer, and the pool's load callback — so it allocates its
+	// completion and nothing else. Any later ones go to more, in
+	// registration order; Fire serves the first, then those.
+	waiter   *Proc
+	callback func()
+	more     *overflow
+	fired    bool
+}
+
+// overflow holds a completion's waiters and callbacks beyond the first.
+type overflow struct {
 	waiters   []*Proc
 	callbacks []func()
 }
@@ -46,16 +59,32 @@ func (c *Completion) Fire() {
 	}
 	c.fired = true
 	c.at = c.env.now
-	waiters := c.waiters
-	c.waiters = nil
-	for _, p := range waiters {
-		c.env.wake(p, 0)
+	waiter, callback, more := c.waiter, c.callback, c.more
+	c.waiter, c.callback, c.more = nil, nil, nil
+	if waiter != nil {
+		c.env.wake(waiter, 0)
 	}
-	callbacks := c.callbacks
-	c.callbacks = nil
-	for _, fn := range callbacks {
-		fn()
+	if more != nil {
+		for _, p := range more.waiters {
+			c.env.wake(p, 0)
+		}
 	}
+	if callback != nil {
+		callback()
+	}
+	if more != nil {
+		for _, fn := range more.callbacks {
+			fn()
+		}
+	}
+}
+
+// spill returns the overflow lists, creating them on first use.
+func (c *Completion) spill() *overflow {
+	if c.more == nil {
+		c.more = &overflow{}
+	}
+	return c.more
 }
 
 // Fail fires the completion with err attached: waiters resume as with Fire
@@ -80,7 +109,12 @@ func (c *Completion) OnFire(fn func()) {
 		fn()
 		return
 	}
-	c.callbacks = append(c.callbacks, fn)
+	if c.callback == nil {
+		c.callback = fn
+		return
+	}
+	m := c.spill()
+	m.callbacks = append(m.callbacks, fn)
 }
 
 // Wait suspends the process until c fires. If c has already fired, Wait
@@ -89,7 +123,12 @@ func (p *Proc) Wait(c *Completion) {
 	if c.fired {
 		return
 	}
-	c.waiters = append(c.waiters, p)
+	if c.waiter == nil {
+		c.waiter = p
+	} else {
+		m := c.spill()
+		m.waiters = append(m.waiters, p)
+	}
 	p.park(parkCompletion, 0, "")
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -146,14 +147,19 @@ func TestCompletionWaitBeforeFire(t *testing.T) {
 	}
 }
 
+// Waiters resume and callbacks run in the order they registered, the first
+// of each — which the completion keeps in itself — ahead of the later ones
+// it spills into lists, and every callback before any waiter.
 func TestCompletionMultipleWaiters(t *testing.T) {
 	e := NewEnv(1)
 	c := NewCompletion(e)
-	woke := 0
+	var order []string
 	for i := 0; i < 5; i++ {
-		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
+		name := fmt.Sprintf("w%d", i)
+		e.Go(name, func(p *Proc) {
+			c.OnFire(func() { order = append(order, "cb-"+name) })
 			p.Wait(c)
-			woke++
+			order = append(order, name)
 		})
 	}
 	e.Go("firer", func(p *Proc) {
@@ -161,9 +167,32 @@ func TestCompletionMultipleWaiters(t *testing.T) {
 		c.Fire()
 	})
 	e.Run()
-	if woke != 5 {
-		t.Errorf("woke = %d, want 5", woke)
+	want := "cb-w0 cb-w1 cb-w2 cb-w3 cb-w4 w0 w1 w2 w3 w4"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("fire order %q, want %q", got, want)
 	}
+}
+
+// TestCompletionAllocations is the allocation gate on the rendezvous every
+// device request goes through: a completion with one waiter and one callback
+// allocates itself and nothing else.
+func TestCompletionAllocations(t *testing.T) {
+	e := NewEnv(1)
+	var c *Completion
+	fired := 0
+	fire, callback := func() { c.Fire() }, func() { fired++ }
+	e.Go("gate", func(p *Proc) {
+		got := testing.AllocsPerRun(100, func() {
+			c = NewCompletion(e)
+			c.OnFire(callback)
+			e.Schedule(Microsecond, fire)
+			p.Wait(c)
+		})
+		if got != 1 || fired != 101 {
+			t.Errorf("NewCompletion + OnFire + Wait + Fire: %v allocations (want 1), %d callbacks run (want 101)", got, fired)
+		}
+	})
+	e.Run()
 }
 
 func TestCompletionDoubleFirePanics(t *testing.T) {

@@ -18,8 +18,10 @@
 package table
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"pioqo/internal/disk"
 )
@@ -221,6 +223,19 @@ type Synthetic struct {
 	file *disk.File
 
 	a, aInv, b int64 // C2(row) = (a·row + b) mod rows
+
+	// Row lo+i has key C2(lo) + i·a (mod rows): the keys of any run of rows
+	// are one fixed set of displacements, translated by the run's first key.
+	// disp holds the displacements i·a mod rows of a page's worth of rows,
+	// i < min(rpp, rows), in increasing order, so the rows of a run whose
+	// keys fall in a range are one cyclic interval of it (matchesLookup).
+	disp []displacement
+}
+
+// displacement is how far row lo+i's key lies past row lo's, modulo rows.
+type displacement struct {
+	value int64
+	i     int32
 }
 
 // NewSynthetic builds a computed-value table of rows rows with rpp rows per
@@ -253,6 +268,17 @@ func NewSynthetic(m *disk.Manager, name string, rows int64, rpp int, seed int64)
 	}
 	t.aInv = modInverse(t.a, rows)
 	t.b = rng.Int63n(rows)
+
+	t.disp = make([]displacement, min(int64(rpp), rows))
+	for i := 1; i < len(t.disp); i++ {
+		value := t.disp[i-1].value + t.a
+		if value >= rows {
+			value -= rows
+		}
+		t.disp[i] = displacement{value, int32(i)}
+	}
+	// The values are distinct: a is coprime with rows.
+	slices.SortFunc(t.disp, func(x, y displacement) int { return cmp.Compare(x.value, y.value) })
 	return t
 }
 
@@ -296,13 +322,42 @@ func (t *Synthetic) RowsAt(lo, hi int64, buf []Row) []Row {
 	return buf
 }
 
-// MatchesAt implements Table with the same add-and-wrap stride over C2 as
-// RowsAt; C1's hash and reduction run only for rows inside the key range.
+// The two ways Synthetic.MatchesAt finds a run's matches, and where one
+// takes over from the other. The lookup costs one key, one binary search, a
+// few steps per match and a sort of the matches, whatever the run's length;
+// the walk costs a step per row. The constants are measured, the walk
+// against the lookup at run lengths 4 to 4096 and ranges to rows/8 wide: a
+// run under lookupMinRun rows is walked as fast as it is searched (8 rows:
+// level; 12 and up: the lookup ahead), and once more than one key in
+// 2^lookupWidthShift is in the range the matches are many enough that
+// putting them back in row order costs what walking the rows would (a
+// 500-row page: ahead 2–4× at rows/32, behind at rows/16).
+// BenchmarkMatchesAtSynthetic then holds MatchesAt against the walk alone.
+const (
+	lookupMinRun     = 16
+	lookupWidthShift = 5
+)
+
+// MatchesAt implements Table. A run of at most a page under a narrow key
+// range reads its matches off the displacement table; any other run walks
+// its rows. Both produce C1 only for rows inside the range.
 func (t *Synthetic) MatchesAt(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
 	buf = buf[:0]
 	if lo >= hi || keyLo > keyHi {
 		return buf
 	}
+	if m := hi - lo; m >= lookupMinRun && m <= int64(len(t.disp)) {
+		first, last := max(keyLo, 0), min(keyHi, t.rows-1)
+		if last-first < t.rows>>lookupWidthShift { // also when the range misses the domain
+			return t.matchesLookup(lo, hi, first, last, buf)
+		}
+	}
+	return t.matchesWalk(lo, hi, keyLo, keyHi, buf)
+}
+
+// matchesWalk visits every row of [lo, hi) with the same add-and-wrap stride
+// over C2 as RowsAt.
+func (t *Synthetic) matchesWalk(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
 	width := keyWidth(keyLo, keyHi)
 	key, a, n := t.key(lo), t.a, t.rows
 	for row := lo; row < hi; row++ {
@@ -317,10 +372,88 @@ func (t *Synthetic) MatchesAt(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
 	return buf
 }
 
-// key returns C2 for a row: (a·row + b) mod rows, computed with
-// overflow-safe modular multiplication.
+// matchesLookup finds the rows of [lo, hi), a run no longer than the
+// displacement table, whose key lies in [keyLo, keyHi], a range inside the
+// key domain. Row lo+i matches when C2(lo) + disp(i) lands in the range
+// modulo rows, that is when disp(i) lies in the cyclic interval that starts
+// at keyLo − C2(lo) and is as wide as the range: the rows are found by one
+// binary search in disp and a walk over the interval (in two pieces if it
+// wraps past rows), then sorted back into row order.
+func (t *Synthetic) matchesLookup(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
+	if keyLo > keyHi {
+		return buf
+	}
+	n, m := t.rows, int32(hi-lo)
+	start := keyLo - t.key(lo) // the displacement that lands on keyLo
+	if start < 0 {
+		start += n
+	}
+	end := start + (keyHi - keyLo) // the one that lands on keyHi; past rows if the interval wraps
+	base := keyLo - start          // a match's key is base + its displacement; base moves up by rows for the wrapped piece
+
+	// The first displacement ≥ start. (slices.BinarySearchFunc calls its
+	// comparison through a func value: a third of a selective page's time.)
+	j, above := 0, len(t.disp)
+	for j < above {
+		if mid := int(uint(j+above) >> 1); t.disp[mid].value < start {
+			j = mid + 1
+		} else {
+			above = mid
+		}
+	}
+	for piece := 0; ; piece++ {
+		for ; j < len(t.disp) && t.disp[j].value <= end; j++ {
+			if d := t.disp[j]; d.i < m { // else a row past the end of a short run
+				buf = append(buf, Match{ID: lo + int64(d.i), Row: Row{C2: base + d.value}})
+			}
+		}
+		if end < n || piece == 1 {
+			break
+		}
+		j, end, base = 0, end-n, base+n
+	}
+
+	sortByID(buf)
+	for k := range buf {
+		buf[k].C1 = int64(mix64(uint64(buf[k].ID)) % uint64(n))
+	}
+	return buf
+}
+
+// sortByID puts matches in row order. A selective page has a handful, which
+// an insertion sort written out here orders in a third less time than
+// slices.SortFunc's, whose comparison is a call through a func value; the
+// library takes the long lists a very large page can produce, where an
+// insertion sort's quadratic cost would pass the row walk's.
+func sortByID(ms []Match) {
+	if len(ms) > 16 {
+		slices.SortFunc(ms, func(x, y Match) int { return cmp.Compare(x.ID, y.ID) })
+		return
+	}
+	for i := 1; i < len(ms); i++ {
+		m, k := ms[i], i
+		for ; k > 0 && ms[k-1].ID > m.ID; k-- {
+			ms[k] = ms[k-1]
+		}
+		ms[k] = m
+	}
+}
+
+// key returns C2 for a row in [0, rows): (a·row + b) mod rows. a and row are
+// below rows, so under 2³¹ rows the product cannot overflow and one division
+// reduces it; b is below rows too, and a subtraction wraps the sum.
 func (t *Synthetic) key(row int64) int64 {
-	return (mulMod(t.a, row, t.rows) + t.b) % t.rows
+	var key int64
+	if t.rows <= 1<<31 {
+		key = t.a * row % t.rows
+	} else {
+		key = mulMod(t.a, row, t.rows)
+	}
+	key += t.b
+	if key >= t.rows {
+		key -= t.rows
+	}
+	return key
 }
 
 // RowStride returns the increment linking consecutive keys' rows:

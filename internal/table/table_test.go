@@ -3,6 +3,8 @@ package table
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -232,7 +234,10 @@ func matchesByHand(tb Table, lo, hi, keyLo, keyHi int64) []Match {
 }
 
 // Property: on every backing, MatchesAt is RowsAt filtered by hand — same
-// rows, same ids, same order — and it reuses the buffer it is given.
+// rows, same ids, same order — and it reuses the buffer it is given. The
+// synthetic tables cover what its two paths choose between: every page
+// occupancy of the paper and one eight times larger, tables smaller than a
+// page, and ranges on both sides of each selector constant.
 func TestPropertyMatchesAtEqualsFilteredRowsAt(t *testing.T) {
 	const rows, rpp = 2003, 33 // a last partial page of 23 rows
 	zipf := DrawColumnsZipf(rows, 5, 1.3)
@@ -242,9 +247,16 @@ func TestPropertyMatchesAtEqualsFilteredRowsAt(t *testing.T) {
 		"uniform":   NewMaterialized(newManager(), "u", rows, rpp, 4),
 		"zipf":      NewMaterializedZipf(newManager(), "z", rows, rpp, 5, 1.3),
 		"partition": NewMaterializedFrom(newManager(), "p", rpp, parts[1].C1, parts[1].C2, parts[1].Domain),
+
+		"synthetic rpp=1":             NewSynthetic(newManager(), "s1", 500, 1, 6),
+		"synthetic rpp=4":             NewSynthetic(newManager(), "s4", 1001, 4, 7),
+		"synthetic rpp=500":           NewSynthetic(newManager(), "s500", 20011, 500, 8), // last page: 11 rows
+		"synthetic rpp=4096":          NewSynthetic(newManager(), "s4096", 20000, 4096, 9),
+		"synthetic smaller than page": NewSynthetic(newManager(), "small", 100, 500, 10),
+		"synthetic three rows":        NewSynthetic(newManager(), "tiny", 3, 33, 11),
 	}
 	for name, tb := range tables {
-		n, domain := tb.Rows(), tb.KeyDomain()
+		n, domain, rpp := tb.Rows(), tb.KeyDomain(), int64(tb.RowsPerPage())
 		buf := make([]Match, 0, rpp)
 		check := func(lo, hi, keyLo, keyHi int64) bool {
 			want := matchesByHand(tb, lo, hi, keyLo, keyHi)
@@ -269,38 +281,92 @@ func TestPropertyMatchesAtEqualsFilteredRowsAt(t *testing.T) {
 		}
 
 		lastPage := (tb.Pages() - 1) * rpp
+		row := func(r int64) int64 { return min(r, n) }
+		narrow := domain >> lookupWidthShift // the widest range the lookup takes
 		fixed := [][4]int64{
-			{0, 0, 0, domain - 1},                       // empty row range
-			{5, 5 + rpp, 10, 9},                         // inverted key range
-			{0, n, 0, domain - 1},                       // whole table, whole domain
-			{0, n, math.MinInt64, math.MaxInt64},        // every int64 key
-			{lastPage, n, 0, domain - 1},                // last partial page
-			{lastPage, n, domain / 2, domain/2 + 50},    // … filtered
-			{7, 8, 0, domain - 1},                       // single row
-			{0, rpp, tb.RowAt(3).C2, tb.RowAt(3).C2},    // single key
-			{0, rpp, math.MinInt64, -1},                 // below the domain
-			{0, rpp, domain, math.MaxInt64},             // above the domain
-			{0, rpp, math.MinInt64 + 5, tb.RowAt(0).C2}, // width overflows int64
+			{0, 0, 0, domain - 1},                                             // empty row range
+			{row(5), row(5 + rpp), 10, 9},                                     // inverted key range
+			{0, n, 0, domain - 1},                                             // whole table, whole domain
+			{0, n, math.MinInt64, math.MaxInt64},                              // every int64 key
+			{lastPage, n, 0, domain - 1},                                      // last partial page
+			{lastPage, n, domain / 2, domain/2 + 50},                          // … filtered
+			{row(7) - 1, row(7), 0, domain - 1},                               // single row
+			{0, row(rpp), tb.RowAt(n / 2).C2, tb.RowAt(n / 2).C2},             // single key
+			{0, row(rpp), math.MinInt64, -1},                                  // below the domain
+			{0, row(rpp), domain, math.MaxInt64},                              // above the domain
+			{0, row(rpp), math.MinInt64 + 5, tb.RowAt(0).C2},                  // width overflows int64
+			{row(3), row(3 + rpp), 0, narrow - 2},                             // unaligned page-long run; touches key 0, under the width threshold
+			{row(3), row(3 + rpp), 0, narrow - 1},                             // … at it
+			{row(3), row(3 + rpp), 0, narrow},                                 // … over it
+			{row(3), row(3 + rpp), -7, narrow - 8},                            // … clipped to it from below the domain
+			{row(3), row(3 + rpp), domain - narrow, domain - 1},               // touches the last key
+			{row(3), row(3 + rpp), domain - narrow, domain + 9},               // … and runs past the domain
+			{row(3), row(3 + rpp + 1), 0, narrow - 1},                         // a row longer than a page
+			{lastPage, n, 0, narrow - 1},                                      // last partial page, narrow
+			{row(1), row(1 + lookupMinRun), 0, narrow - 1},                    // the shortest run the lookup takes
+			{row(1), row(lookupMinRun), 0, narrow - 1},                        // … and one row shorter
+			{row(rpp / 2), row(rpp/2 + rpp), domain / 3, domain/3 + narrow/2}, // straddles two pages
 		}
 		for _, c := range fixed {
-			check(c[0], c[1], c[2], c[3])
+			if c[0] <= c[1] {
+				check(c[0], c[1], c[2], c[3])
+			}
 		}
 		f := func(loRaw, lenRaw, keyRaw, widthRaw uint16) bool {
 			lo := int64(loRaw) % n
 			hi := min(lo+int64(lenRaw)%(2*rpp), n)
 			keyLo := int64(keyRaw)%(domain+20) - 10
-			keyHi := keyLo + int64(widthRaw)%(domain/4) - 3
-			return check(lo, hi, keyLo, keyHi)
+			width := int64(widthRaw) % max(domain/4, 1)
+			if widthRaw%2 == 1 { // every other draw narrow enough for the lookup
+				width = int64(widthRaw) % (narrow + 3)
+			}
+			return check(lo, hi, keyLo, keyLo+width-3)
 		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+
+	// The two paths of the synthetic kernel against each other, with no
+	// selector between them: any run the displacement table covers, any
+	// range inside the domain.
+	draws, wrapped := 0, 0
+	for name, tb := range tables {
+		syn, ok := tb.(*Synthetic)
+		if !ok {
+			continue
+		}
+		rng := rand.New(rand.NewSource(syn.rows))
+		n, page := syn.rows, int64(len(syn.disp))
+		for i := 0; i < 25_000; i++ {
+			lo := rng.Int63n(n)
+			hi := min(lo+1+rng.Int63n(page), n)
+			keyLo := rng.Int63n(n)
+			width := rng.Int63n(n - keyLo) // to the whole domain
+			if i%4 != 0 {
+				width = rng.Int63n(min(n-keyLo, n/16+2)) // mostly narrow
+			}
+			keyHi := keyLo + width
+			draws++
+			if start := (keyLo - syn.key(lo) + n) % n; start+width >= n {
+				wrapped++ // the range's translate runs off the end of the domain
+			}
+			want := syn.matchesWalk(lo, hi, keyLo, keyHi, nil)
+			if got := syn.matchesLookup(lo, hi, keyLo, keyHi, nil); !slices.Equal(got, want) {
+				t.Fatalf("%s [%d,%d) keys [%d,%d]: lookup %+v, walk %+v", name, lo, hi, keyLo, keyHi, got, want)
+			}
+		}
+	}
+	if draws < 100_000 || wrapped < draws/100 {
+		t.Errorf("%d draws, %d wrapped: want at least 100000 draws, one in a hundred of them wrapped", draws, wrapped)
+	}
 }
 
-func benchmarkMatchesAt(b *testing.B, tb Table) {
-	const batch = 500
-	for _, sel := range []float64{0.001, 0.5} {
+// benchmarkMatchesAt evaluates a table page by page, as a scan does, under a
+// key range of each selectivity.
+func benchmarkMatchesAt(b *testing.B, tb Table, sels ...float64) {
+	batch := int64(tb.RowsPerPage())
+	for _, sel := range sels {
 		b.Run(fmt.Sprintf("sel=%g", sel), func(b *testing.B) {
 			keyHi := int64(sel*float64(tb.KeyDomain())) - 1
 			buf := make([]Match, 0, batch)
@@ -311,17 +377,25 @@ func benchmarkMatchesAt(b *testing.B, tb Table) {
 				buf = tb.MatchesAt(lo, lo+batch, 0, keyHi, buf)
 				lo = (lo + batch) % (tb.Rows() - batch)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/batch, "ns/row")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(batch), "ns/row")
 		})
 	}
 }
 
-// BenchmarkMatchesAtSynthetic and BenchmarkMatchesAtMaterialized time the
-// scan kernel on 500-row pages at a selective and an unselective predicate.
+// BenchmarkMatchesAtSynthetic times the scan kernel on the paper's page
+// occupancies from a very selective predicate to an unselective one. It is
+// the benchmark that fixes the lookup's constants: every cell must be no
+// slower than the row walk alone.
 func BenchmarkMatchesAtSynthetic(b *testing.B) {
-	benchmarkMatchesAt(b, NewSynthetic(newManager(), "s", 1<<20, 500, 7))
+	for _, rpp := range []int{4, 33, 500} {
+		b.Run(fmt.Sprintf("rpp=%d", rpp), func(b *testing.B) {
+			benchmarkMatchesAt(b, NewSynthetic(newManager(), "s", 1<<20, rpp, 7), 1e-4, 1e-3, 1e-2, 0.5)
+		})
+	}
 }
 
+// BenchmarkMatchesAtMaterialized times the stored-column kernel on 500-row
+// pages at a selective and an unselective predicate.
 func BenchmarkMatchesAtMaterialized(b *testing.B) {
-	benchmarkMatchesAt(b, NewMaterialized(newManager(), "m", 1<<20, 500, 7))
+	benchmarkMatchesAt(b, NewMaterialized(newManager(), "m", 1<<20, 500, 7), 0.001, 0.5)
 }

@@ -26,11 +26,18 @@ go test -timeout 120s ./...
 # telemetry paths (observer + per-query WithTrace attribution under
 # concurrent sessions, event log, progress, SLO reporting).
 go vet ./...
+# gofmt prints the files it would change; any name is a failure.
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+	echo "verify: gofmt would reformat:" >&2
+	echo "$UNFORMATTED" >&2
+	exit 1
+fi
 # The kernel passes its baton between goroutines, and with more than one
 # thread between OS threads too: a missed happens-before edge would hide
 # exactly there, so its race pass runs at several thread counts.
 go test -race -cpu 1,2,4 ./internal/sim/...
-go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/...
+go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/... ./internal/device/... ./internal/disk/... ./internal/table/... ./internal/btree/...
 # The parameterized plan cache is shared between host threads: shapes are
 # created, published and read lock-free, so its race pass runs single- and
 # multi-threaded.
@@ -42,6 +49,11 @@ go test -run Schedule -count=2 ./internal/exec
 # The plan-stream golden does the same for the planner's arithmetic: every
 # cost bit of 20 480 lookups, and the caches' counters.
 go test -run PlanStream -count=2 ./internal/opt
+# The device-stream golden does it for the device models: submit and
+# completion time of every request of seeded streams through each model,
+# generated before the request path stopped allocating per request. The
+# second run in one process starts with nothing the first left behind.
+go test -run DeviceStream -count=2 ./internal/device
 # Two guards against defects that show in some processes and not in others,
 # so each runs five times: a multiplier search that does not end on the 2-
 # and 3-row tables the bijection property draws about one run in forty, and
