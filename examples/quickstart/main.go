@@ -47,9 +47,11 @@ func main() {
 	fmt.Printf("  MAX(C1) = %d over %d rows in %v (%d page reads, %.0f MB/s)\n",
 		res.Value, res.Rows, res.Runtime, res.PageReads, res.IOThroughputMBps)
 
-	// The same query through the old, depth-oblivious optimizer: DTT sees
-	// no I/O benefit in parallelism, so it stays serial and pays full
-	// random-read latency for every row.
+	// The same query through the old, depth-oblivious optimizer: DTT cannot
+	// see that a deep queue makes random reads cheap, so a parallel index
+	// scan looks no better to it than a serial one paying full random-read
+	// latency for every row — and at this selectivity it would rather read
+	// the whole table.
 	old, err := sys.Execute(q, pioqo.Cold(),
 		pioqo.WithPlanOptions(pioqo.PlanOptions{DepthOblivious: true}))
 	if err != nil {

@@ -46,7 +46,7 @@ type ShareConfig struct {
 
 func (c ShareConfig) normalized() ShareConfig {
 	if c.BlockPages <= 0 {
-		c.BlockPages = 64
+		c.BlockPages = disk.BlockPages
 	}
 	if c.Depth <= 0 {
 		c.Depth = 4

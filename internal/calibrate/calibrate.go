@@ -3,8 +3,10 @@
 //
 // A calibration point (band b, queue depth qd) measures the amortized cost
 // of one random page read issued within a band of b pages while the device
-// queue holds qd outstanding requests. Three drivers generate the queue
-// depth:
+// queue holds qd outstanding requests. Band 1 is the sequential band, and it
+// is measured in the shape sequential I/O is issued in: consecutive block
+// reads of disk.BlockPages pages, qd of them outstanding, priced per page at
+// steady state. Three drivers generate the queue depth:
 //
 //   - MultiThread: qd worker processes each issuing synchronous reads;
 //   - GroupWait (GW): one process issues qd asynchronous reads, waits for
@@ -217,8 +219,16 @@ func measure(env *sim.Env, dev device.Device, band int64, depth int, cfg Config,
 	for rep := 0; rep < cfg.Repetitions; rep++ {
 		seq := buildSequence(dev, band, cfg.MaxReads, rng)
 		reads += int64(len(seq))
-		elapsed := drive(env, dev, seq, depth, cfg.Method)
-		samples[rep] = elapsed.Micros() / float64(len(seq))
+		reqs := pageRequests(seq)
+		if band == 1 {
+			reqs = positioned(env, dev, blockRequests(seq))
+		}
+		timed := 0
+		for _, r := range reqs {
+			timed += r.pages
+		}
+		elapsed := drive(env, dev, reqs, depth, cfg.Method)
+		samples[rep] = elapsed.Micros() / float64(timed)
 	}
 	for _, s := range samples {
 		mean += s
@@ -258,8 +268,9 @@ func buildSequence(dev device.Device, band int64, maxReads int, rng *rand.Rand) 
 
 	// Multiple blocks of size band, visited consecutively from a random
 	// starting block; each contributes all its pages in random order. With
-	// band 1 this degenerates to a pure sequential scan — which is exactly
-	// the DTT convention that band size 1 means sequential I/O.
+	// band 1 this degenerates to a pure sequential run — which is exactly
+	// the DTT convention that band size 1 means sequential I/O; measure
+	// reads that run in blocks.
 	numBlocks := int64(maxReads) / band
 	if avail := devPages / band; numBlocks > avail {
 		numBlocks = avail
@@ -278,6 +289,49 @@ func buildSequence(dev device.Device, band int64, maxReads int, rng *rand.Rand) 
 		}
 	}
 	return seq
+}
+
+// request is one device read of a calibration point: pages consecutive
+// pages starting at page.
+type request struct {
+	page  int64
+	pages int
+}
+
+// pageRequests reads a random-band sequence the way an index scan fetches
+// rows: one page per request.
+func pageRequests(seq []int64) []request {
+	reqs := make([]request, len(seq))
+	for i, p := range seq {
+		reqs[i] = request{p, 1}
+	}
+	return reqs
+}
+
+// blockRequests reads the band-1 sequence — a run of consecutive pages — the
+// way a full scan's readahead does: one request per block of
+// disk.BlockPages pages, the same pages in the same order.
+func blockRequests(seq []int64) []request {
+	var reqs []request
+	for len(seq) > 0 {
+		n := min(len(seq), disk.BlockPages)
+		reqs = append(reqs, request{seq[0], n})
+		seq = seq[n:]
+	}
+	return reqs
+}
+
+// positioned issues the first request of a sequential run on its own and
+// returns the rest: that read moves the head (or misses the readahead
+// buffer) once per scan, not once per block, so timing it would fold a
+// random access into the sequential price. A run of a single request is
+// returned whole — there is nothing else to time.
+func positioned(env *sim.Env, dev device.Device, reqs []request) []request {
+	if len(reqs) < 2 {
+		return reqs
+	}
+	drive(env, dev, reqs[:1], 1, ActiveWait)
+	return reqs[1:]
 }
 
 // sampleDistinct returns k distinct values from [0, n) in random order
@@ -300,12 +354,12 @@ func sampleDistinct(n int64, k int, rng *rand.Rand) []int64 {
 	return out
 }
 
-// drive issues the page sequence against dev with the requested queue depth
-// and driver, returning the elapsed virtual time.
-func drive(env *sim.Env, dev device.Device, seq []int64, depth int, method Method) sim.Duration {
+// drive issues the requests against dev with the requested queue depth and
+// driver, returning the elapsed virtual time.
+func drive(env *sim.Env, dev device.Device, seq []request, depth int, method Method) sim.Duration {
 	start := env.Now()
-	read := func(page int64) *sim.Completion {
-		return dev.ReadAt(page*disk.PageSize, disk.PageSize)
+	read := func(r request) *sim.Completion {
+		return dev.ReadAt(r.page*disk.PageSize, r.pages*disk.PageSize)
 	}
 	switch method {
 	case MultiThread:
@@ -330,8 +384,8 @@ func drive(env *sim.Env, dev device.Device, seq []int64, depth int, method Metho
 					end = len(seq)
 				}
 				group := make([]*sim.Completion, 0, depth)
-				for _, page := range seq[i:end] {
-					group = append(group, read(page))
+				for _, r := range seq[i:end] {
+					group = append(group, read(r))
 				}
 				p.WaitAll(group)
 			}
@@ -339,12 +393,12 @@ func drive(env *sim.Env, dev device.Device, seq []int64, depth int, method Metho
 	case ActiveWait:
 		env.Go("calib-aw", func(p *sim.Proc) {
 			window := make([]*sim.Completion, 0, depth)
-			for i, page := range seq {
+			for i, r := range seq {
 				if i >= depth {
 					p.Wait(window[i-depth])
 					window[i-depth] = nil
 				}
-				window = append(window, read(page))
+				window = append(window, read(r))
 			}
 			for _, c := range window {
 				if c != nil {

@@ -243,13 +243,49 @@ func TestSequenceWithinBlockIsNonRepeating(t *testing.T) {
 }
 
 func TestBandOneIsSequential(t *testing.T) {
-	// Band 1 blocks contain a single page each, so the sequence visits
-	// block starts; costs must come out near the device's streaming rate,
-	// far below random.
-	out := runOn(newHDD, func(c *Config) { c.Depths = []int{1} })
-	seq := out.Model.PageCost(1, 1)
-	if seq > 200 { // 4 KiB at ~110 MB/s is ~36 µs; allow generous slack
-		t.Errorf("band-1 cost %.1fus, want near sequential media rate", seq)
+	// Band 1 is a run of consecutive pages read in blocks, the positioning
+	// read left out: at every depth the disk streams, and the price per page
+	// is the media rate's — 4 KiB at 110 MB/s is 37.2 µs — not that rate
+	// plus a share of a seek.
+	out := runOn(newHDD, nil)
+	for _, depth := range out.Model.Depths() {
+		if seq := out.Model.PageCost(1, depth); seq < 36.5 || seq > 38 {
+			t.Errorf("band-1 cost at depth %d = %.2fus, want the media rate's 37.2", depth, seq)
+		}
+	}
+}
+
+func TestBandOneReadsItsSequenceInBlocks(t *testing.T) {
+	// The band-1 point draws its page sequence exactly as a page-at-a-time
+	// point would — that is what keeps every later point's random numbers,
+	// and so its cell, where they were — and reads those same pages, in the
+	// same order, a block per request, the last one short.
+	env := sim.NewEnv(1)
+	dev := newSSD(env)
+	seq := buildSequence(dev, 1, 800, rand.New(rand.NewSource(9)))
+	if len(seq) != 800 {
+		t.Fatalf("band-1 sequence of %d pages, want the budget's 800", len(seq))
+	}
+	reqs := blockRequests(seq)
+	if want := (800 + disk.BlockPages - 1) / disk.BlockPages; len(reqs) != want {
+		t.Fatalf("%d requests, want %d", len(reqs), want)
+	}
+	next := seq[0]
+	for i, r := range reqs {
+		if r.page != next || (r.pages != disk.BlockPages && i != len(reqs)-1) {
+			t.Fatalf("request %d reads %d pages at %d, want a block at %d", i, r.pages, r.page, next)
+		}
+		next += int64(r.pages)
+	}
+	if next != seq[len(seq)-1]+1 {
+		t.Errorf("requests end at page %d, the sequence at %d", next-1, seq[len(seq)-1])
+	}
+	// The positioning read is the first block, and it is not timed.
+	if rest := positioned(env, dev, reqs); len(rest) != len(reqs)-1 || rest[0] != reqs[1] {
+		t.Errorf("positioning left %d of %d requests", len(rest), len(reqs))
+	}
+	if rest := positioned(env, dev, reqs[:1]); len(rest) != 1 {
+		t.Errorf("a run of one request has nothing but that request to time; got %d", len(rest))
 	}
 }
 

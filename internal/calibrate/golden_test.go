@@ -28,14 +28,25 @@ type goldenGrid struct {
 // mechanics, the calibration layout, or the simulation kernel that shifts
 // a calibrated cost by more than 1% trips this test — deliberate model
 // changes regenerate the files with `go test -run Golden -update`.
+//
+// The band-1 column was re-baselined when the sequential band became
+// block-shaped; every other cell of the files is as it was. On the SSD that
+// is checked to the last bit: its model keeps no clock, so had the band-1
+// point drawn one random number more or fewer, or left the drive in another
+// state, the cells measured after it would have moved. The disks' rotational
+// position does come from the virtual clock, and a band-1 point that now
+// ends sooner shifts the first seek of the next point by up to a rotation —
+// parts per million of that cell on the HDD, under 1 % across RAID-0's eight
+// spindles — so those stay under the general tolerance.
 func TestGoldenCalibratedModels(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		newDev func(*sim.Env) device.Device
+		exact  bool // cells beyond band 1 must equal the golden exactly
 	}{
-		{"ssd", newSSD},
-		{"hdd", newHDD},
-		{"raid8", newRAID},
+		{"ssd", newSSD, true},
+		{"hdd", newHDD, false},
+		{"raid8", newRAID, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			env := sim.NewEnv(7)
@@ -84,6 +95,10 @@ func TestGoldenCalibratedModels(t *testing.T) {
 			for di := range want.Cost {
 				for bi := range want.Cost[di] {
 					w, g := want.Cost[di][bi], got.Cost[di][bi]
+					if tc.exact && got.Bands[bi] > 1 && g != w {
+						t.Errorf("band %d depth %d: %vus, golden %vus: a cell beyond band 1 moved",
+							got.Bands[bi], got.Depths[di], g, w)
+					}
 					if math.Abs(g-w) > 0.01*w+0.01 {
 						t.Errorf("band %d depth %d: %.3fus, golden %.3fus",
 							got.Bands[bi], got.Depths[di], g, w)

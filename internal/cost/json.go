@@ -16,7 +16,12 @@ type qdttJSON struct {
 	Cost    [][]float64 `json:"cost_us_per_page"`
 }
 
-const qdttFormatVersion = 1
+// qdttFormatVersion counts changes to what the numbers in a model file mean,
+// not only to how they are laid out. Version 2 has the layout of version 1,
+// but its band-1 row is the price per page of consecutive block reads at the
+// row's depth; version 1's was that of single-page reads, which an optimizer
+// that prices a scan's readahead window would read as 1.2–1.9× too dear.
+const qdttFormatVersion = 2
 
 // MarshalJSON implements json.Marshaler.
 func (q *QDTT) MarshalJSON() ([]byte, error) {
@@ -34,6 +39,9 @@ func (q *QDTT) UnmarshalJSON(data []byte) error {
 	var raw qdttJSON
 	if err := json.Unmarshal(data, &raw); err != nil {
 		return fmt.Errorf("cost: decoding QDTT: %w", err)
+	}
+	if raw.Version == 1 {
+		return fmt.Errorf("cost: QDTT format version 1: recalibrate: the band-1 row is now block-shaped")
 	}
 	if raw.Version != qdttFormatVersion {
 		return fmt.Errorf("cost: QDTT format version %d, want %d", raw.Version, qdttFormatVersion)

@@ -16,6 +16,14 @@ import (
 // 4 KB pages (its Fig. 1 measures parallel 4 KB random reads).
 const PageSize = 4096
 
+// BlockPages is the run of consecutive pages a sequential reader asks the
+// device for in one request ("a large block consisting of several
+// consecutive pages is read at a time", §2): the full scan's readahead unit,
+// the circulating scan's delivery unit, and the request calibration measures
+// the sequential band with. It is one constant so that the cost model prices
+// the request the executor issues.
+const BlockPages = 64
+
 // Manager allocates page extents on a device.
 type Manager struct {
 	dev       device.Device

@@ -48,8 +48,8 @@ type cpuBudget struct {
 // newBudget returns a budget with a track span for one worker under parent.
 // With a nil tracer the budget works the same; it just has no span to
 // annotate.
-func newBudget(ctx *Context, parent *obs.Span, name string) *cpuBudget {
-	return &cpuBudget{ctx: ctx, span: ctx.Tracer.StartTrack(parent, name)}
+func newBudget(ctx *Context, parent *obs.Span, name string) cpuBudget {
+	return cpuBudget{ctx: ctx, span: ctx.Tracer.StartTrack(parent, name)}
 }
 
 // finish annotates and closes the worker span.

@@ -17,6 +17,7 @@ import (
 	"pioqo/internal/btree"
 	"pioqo/internal/buffer"
 	"pioqo/internal/device"
+	"pioqo/internal/disk"
 	"pioqo/internal/fault"
 	"pioqo/internal/obs"
 	"pioqo/internal/obs/event"
@@ -76,6 +77,11 @@ type Context struct {
 	// fault retries, attributed to Spec.QID. Nil (the default) disables
 	// emission at the cost of one pointer comparison per event site.
 	Log *event.Log
+
+	// Scratch, when set, is the node's free list of worker records: fleets
+	// take their workers' budgets and scratch buffers from it and return
+	// them on exit. Nil makes every worker afresh.
+	Scratch *Scratch
 }
 
 // Method selects the access path family.
@@ -310,10 +316,10 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Method == FullScan {
 		if s.BlockPages == 0 {
-			s.BlockPages = 64
+			s.BlockPages = disk.BlockPages
 		}
 		if s.PrefetchBlocks == 0 {
-			s.PrefetchBlocks = 4
+			s.PrefetchBlocks = defaultPrefetchBlocks
 		}
 	}
 	return s
@@ -491,6 +497,28 @@ func clampReadahead(capacity, degree, blockPages, prefetchBlocks int) (int, int)
 	return blockPages, liveWindow(capacity, degree, blockPages, prefetchBlocks)
 }
 
+// defaultPrefetchBlocks is how many block reads a full scan keeps in flight
+// unless its spec says otherwise.
+const defaultPrefetchBlocks = 4
+
+// ReadaheadWindow reports the readahead geometry a full scan with default
+// knobs runs with on a pool of capacity frames at the given degree: the pages
+// per block read, and the most block reads it has outstanding — the blocks
+// the prefetcher may run ahead of the workers plus the one the workers are
+// waiting on, which is what a scan held up by its device keeps in flight.
+// The fleet does not appear in that number except through the pool clamp
+// (workers consume pages the prefetcher has already asked for), so this, not
+// the degree, is the device queue depth the optimizer prices a full scan at.
+// On a pool too small for any readahead the workers read their own pages,
+// one each.
+func ReadaheadWindow(capacity, degree int) (blockPages, inFlight int) {
+	blockPages, ahead := clampReadahead(capacity, degree, disk.BlockPages, defaultPrefetchBlocks)
+	if blockPages <= 1 {
+		return 1, degree
+	}
+	return blockPages, ahead + 1
+}
+
 // runFullScan implements FTS/PFTS: an asynchronous block prefetcher stays
 // up to PrefetchBlocks block-reads ahead while Degree workers consume heap
 // pages in order, each evaluating every row on the page.
@@ -613,13 +641,13 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		}
 		nextPage = page + 1
 		if onClaim != nil {
-			onClaim(w.p, w.bud, page)
+			onClaim(w.p, &w.bud, page)
 		}
 		h, ok := w.bud.fetchRetry(w.p, &spec, file, page)
 		if !ok {
 			return false
 		}
-		w.matches = evalPage(ctx, &spec, w.bud, w.a, h, page, w.matches)
+		w.matches = evalPage(ctx, &spec, &w.bud, w.a, h, page, w.matches)
 		// One page is the batch quantum: settling here keeps workers
 		// interleaving on the CPU at page granularity (deferring across a
 		// whole prefetched block would serialize work the row-at-a-time

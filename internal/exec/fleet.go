@@ -53,11 +53,42 @@ type fleet struct {
 type worker struct {
 	id  int
 	p   *sim.Proc
-	bud *cpuBudget
+	bud cpuBudget
 	a   *agg
 
 	entries []btree.Entry // scratch reused across leaf batches
 	matches []table.Match // scratch reused across pages
+}
+
+// Scratch is a node's free list of worker records: a worker's CPU budget and
+// the leaf-entry and page-match buffers it grows on its first batches, kept
+// for the node's next workers instead of being regrown by every fleet of
+// every query. One Scratch belongs to one node — every Context built for
+// that node carries it — and so to one sim.Env, whose processes the host
+// runs one at a time: nothing is locked, and systems swept on different
+// host threads never share a record. A nil Scratch (a Context built without
+// one) makes every worker afresh.
+type Scratch struct {
+	free []*worker
+}
+
+// get takes a worker record off the list, or makes one.
+func (s *Scratch) get() *worker {
+	if s == nil || len(s.free) == 0 {
+		return &worker{}
+	}
+	w := s.free[len(s.free)-1]
+	s.free = s.free[:len(s.free)-1]
+	return w
+}
+
+// put returns an exited worker's record, dropping what it referenced.
+func (s *Scratch) put(w *worker) {
+	if s == nil {
+		return
+	}
+	w.p, w.a, w.bud = nil, nil, cpuBudget{}
+	s.free = append(s.free, w)
 }
 
 // newFleet sizes a fleet for spec: its degree, or the tuner's growth cap.
@@ -120,8 +151,13 @@ func (fl *fleet) work(wp *sim.Proc, id int, name string) {
 			spec.endWorker(ctx, id)
 		}
 	}()
-	w := &worker{id: id, p: wp, bud: newBudget(ctx, spec.Span, name), a: &fl.aggs[id]}
-	defer func() { w.bud.finish(w.a.rows) }()
+	w := ctx.Scratch.get()
+	w.id, w.p, w.a = id, wp, &fl.aggs[id]
+	w.bud = newBudget(ctx, spec.Span, name)
+	defer func() {
+		w.bud.finish(w.a.rows)
+		ctx.Scratch.put(w)
+	}()
 	defer w.bud.settle(wp)
 	// A lone planned worker is the query's own thread; every other one —
 	// including any an elastic fleet adds later — is spawned and coordinated.

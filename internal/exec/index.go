@@ -56,7 +56,7 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 	collect *[]btree.Entry, offer func(leaf, nextStart int64)) (int, bool) {
 	t, x := spec.Table, spec.Index
 	rpp := t.RowsPerPage()
-	bud := w.bud
+	bud := &w.bud
 
 	// Span the batch only in detailed traces — at realistic scales a query
 	// touches thousands of leaves.

@@ -85,7 +85,7 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 				return a.result()
 			}
 			// A sharable spec has no row hooks, so no pinned handle is needed.
-			matchBuf = evalPage(ctx, &spec, bud, &a, buffer.Handle{}, run.Start+int64(i), matchBuf)
+			matchBuf = evalPage(ctx, &spec, &bud, &a, buffer.Handle{}, run.Start+int64(i), matchBuf)
 			bud.pages++
 			if spec.Progress != nil {
 				// Pages delivered to *this* consumer — not the producer's

@@ -32,6 +32,7 @@ type Hedger struct {
 	log   *event.Log
 
 	stats HedgeStats
+	free  []*hedge // finished races, for the next armed reads
 }
 
 // HedgeStats counts the hedger's activity since construction.
@@ -76,38 +77,93 @@ func (h *Hedger) ReadAt(offset int64, length int) *sim.Completion {
 	if !h.armed {
 		return first
 	}
-	issued := h.env.Now()
-	out := sim.NewCompletion(h.env)
-	done := false
-	deliver := func(c *sim.Completion) {
-		if done {
-			return
-		}
-		done = true
-		if err := c.Err(); err != nil {
-			out.Fail(err)
-			return
-		}
-		out.Fire()
+	r := h.record()
+	r.offset, r.length, r.issued = offset, length, h.env.Now()
+	r.out, r.first = sim.NewCompletion(h.env), first
+	r.pending = 2 // the first copy's completion and the timer
+	first.OnFire(r.onFirst)
+	h.env.Schedule(h.delay, r.onTimer)
+	return r.out
+}
+
+// hedge is one armed read's race. Its callbacks are bound once, when the
+// record is first made, and the record goes back on the hedger's free list
+// when the last of them has run — so an armed read allocates its outer
+// completion and nothing else.
+type hedge struct {
+	h      *Hedger
+	offset int64
+	length int
+	issued sim.Time
+
+	out           *sim.Completion // the caller's
+	first, second *sim.Completion // the inner device's
+	done          bool            // out has been completed
+	pending       int             // callbacks still to run
+
+	onFirst, onTimer, onSecond func() // = firstDone, timer, secondDone
+}
+
+// record takes a hedge record off the free list, or makes one.
+func (h *Hedger) record() *hedge {
+	if n := len(h.free); n > 0 {
+		r := h.free[n-1]
+		h.free = h.free[:n-1]
+		return r
 	}
-	first.OnFire(func() { deliver(first) })
-	h.env.Schedule(h.delay, func() {
-		if done {
-			return
+	r := &hedge{h: h}
+	r.onFirst, r.onTimer, r.onSecond = r.firstDone, r.timer, r.secondDone
+	return r
+}
+
+// release retires one callback, and with the last one the record. A
+// callback calls it last: completing out may submit the next read from
+// inside Fire, which must not find this record on the list yet.
+func (r *hedge) release() {
+	r.pending--
+	if r.pending == 0 {
+		r.out, r.first, r.second, r.done = nil, nil, nil, false
+		r.h.free = append(r.h.free, r)
+	}
+}
+
+// deliver completes the caller's read with copy c unless the other copy
+// already has.
+func (r *hedge) deliver(c *sim.Completion) {
+	if !r.done {
+		r.done = true
+		if err := c.Err(); err != nil {
+			r.out.Fail(err)
+		} else {
+			r.out.Fire()
 		}
+	}
+	r.release()
+}
+
+func (r *hedge) firstDone() { r.deliver(r.first) }
+
+// timer runs when the hedge delay has passed: a read still outstanding gets
+// its speculative copy.
+func (r *hedge) timer() {
+	if !r.done {
+		h := r.h
 		h.stats.Issued++
-		h.log.Emit(event.EvShardHedgeIssue, event.NoQuery, offset, int64(h.delay))
-		second := h.inner.ReadAt(offset, length)
-		second.OnFire(func() {
-			if !done {
-				h.stats.Wins++
-				h.log.Emit(event.EvShardHedgeWin, event.NoQuery, offset,
-					int64(h.env.Now()-issued))
-			}
-			deliver(second)
-		})
-	})
-	return out
+		h.log.Emit(event.EvShardHedgeIssue, event.NoQuery, r.offset, int64(h.delay))
+		r.second = h.inner.ReadAt(r.offset, r.length)
+		r.pending++
+		r.second.OnFire(r.onSecond)
+	}
+	r.release()
+}
+
+func (r *hedge) secondDone() {
+	if !r.done {
+		h := r.h
+		h.stats.Wins++
+		h.log.Emit(event.EvShardHedgeWin, event.NoQuery, r.offset, int64(h.env.Now()-r.issued))
+	}
+	r.deliver(r.second)
 }
 
 // WriteAt passes writes through unhedged: speculative duplicate writes

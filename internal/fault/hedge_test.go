@@ -103,3 +103,55 @@ func TestHedgerExactlyOnce(t *testing.T) {
 		t.Errorf("injector saw %d straggler draws, want 32 (both copies of every read)", st.Stragglers)
 	}
 }
+
+// TestHedgerAllocations is the allocation gate on the hedged read path: a
+// disarmed hedger adds nothing to the inner device's read, and an armed one
+// adds its outer completion — the race itself runs on a reused record —
+// whether or not the speculative copy is issued.
+func TestHedgerAllocations(t *testing.T) {
+	const page = 4096
+	for _, c := range []struct {
+		name   string
+		delay  sim.Duration
+		arm    bool
+		hedged bool    // the delay is below the SSD's read latency: every read gets its copy
+		limit  float64 // allocations beyond the bare device's
+	}{
+		{"disarmed", 2 * sim.Millisecond, false, false, 0},
+		{"armed, hedge never issued", 2 * sim.Millisecond, true, false, 1},
+		{"armed, every read hedged", 20 * sim.Microsecond, true, true, 2}, // and the copy's inner completion
+	} {
+		env := sim.NewEnv(1)
+		ssd := device.NewSSD(env, device.DefaultSSDConfig())
+		h := NewHedger(env, ssd, c.delay)
+		if c.arm {
+			h.Arm()
+		}
+		env.Go("gate", func(p *sim.Proc) {
+			next := int64(0)
+			readOn := func(dev device.Device) func() {
+				return func() {
+					p.Wait(dev.ReadAt(next, page))
+					// A lost copy is still in flight when the winner wakes
+					// the reader; let it land so its record is free again.
+					p.Sleep(sim.Millisecond)
+					next = (next + 3*page) % (4 << 20)
+				}
+			}
+			for i := 0; i < 64; i++ {
+				readOn(h)()
+			}
+			bare := testing.AllocsPerRun(100, readOn(ssd))
+			issued := h.Stats().Issued
+			got := testing.AllocsPerRun(100, readOn(h))
+			if got-bare > c.limit {
+				t.Errorf("%s: %v allocations per read over the bare device's %v, want at most %v",
+					c.name, got-bare, bare, c.limit)
+			}
+			if hedged := h.Stats().Issued > issued; hedged != c.hedged {
+				t.Errorf("%s: hedges issued = %v", c.name, hedged)
+			}
+		})
+		env.Run()
+	}
+}

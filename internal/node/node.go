@@ -24,6 +24,7 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
+	"pioqo/internal/exec"
 	"pioqo/internal/fault"
 	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
@@ -80,6 +81,10 @@ type Node struct {
 	// on its own cores.
 	CPU *sim.Resource
 
+	// Scratch is the free list the node's scan workers take their budgets
+	// and scratch buffers from.
+	Scratch *exec.Scratch
+
 	// Broker is the node's resource-governance layer, attached lazily by
 	// the engine once a calibrated model exists (the credit supply is the
 	// model's beneficial queue depth over this node's band).
@@ -92,7 +97,7 @@ type Node struct {
 // exactly, which is what keeps one-node systems byte-identical to it.
 func New(env *sim.Env, id int, cfg Config) *Node {
 	inj := fault.Wrap(env, workload.NewDevice(env, cfg.Kind))
-	n := &Node{ID: id, Dev: inj, Inj: inj}
+	n := &Node{ID: id, Dev: inj, Inj: inj, Scratch: &exec.Scratch{}}
 	if cfg.HedgeDelay > 0 {
 		n.Hedge = fault.NewHedger(env, inj, cfg.HedgeDelay)
 		n.Dev = n.Hedge

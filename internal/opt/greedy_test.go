@@ -153,8 +153,10 @@ func TestGreedyDepthObliviousModel(t *testing.T) {
 	cfg := f.cfg
 	var model cost.Model = f.dtt
 	cfg.Model = model
+	// Probed at half the model's own break-even: wherever the old optimizer
+	// takes an index scan, it is the serial one.
 	in := f.in
-	in.Lo, in.Hi = rangeFor(f.in.Table, 0.001)
+	in.Lo, in.Hi = rangeFor(f.in.Table, f.breakEven(t, model)/2)
 	best, _ := GreedyChoose(cfg, in)
 	if best.Method != exec.IndexScan || best.Degree != 1 {
 		t.Errorf("DTT greedy chose %v, want serial IndexScan", best)

@@ -64,10 +64,7 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 			}
 			cpu := keys * (cfg.Costs.PerPage.Micros() +
 				rowsPerKey*cfg.Costs.PerRowFetch.Micros()) / float64(workers)
-			startup := 0.0
-			if d > 1 {
-				startup = float64(d) * cfg.Costs.WorkerStartup.Micros()
-			}
+			startup := cfg.startupMicros(d)
 			total := b.TotalMicros + maxf(io, cpu) + startup + keys*0.2
 			if total < best.TotalMicros {
 				best = JoinPlan{

@@ -43,7 +43,9 @@ type Config struct {
 	// paper's 1, 2, 4, 8, 16, 32.
 	Degrees []int
 
-	// PoolPages is the buffer pool capacity, for page re-read estimation.
+	// PoolPages is the buffer pool capacity: it bounds page re-reads in an
+	// index scan's estimate, and the readahead window a full scan is priced
+	// at (exec.ReadaheadWindow) is clamped against it as the executor's is.
 	PoolPages int64
 
 	// EnableSortedScan adds the sorted index scan (an extension beyond the
@@ -333,6 +335,11 @@ type costing struct {
 	est             *cost.PageEstimator
 	reads, distinct float64
 	priced          bool
+
+	// position is what a sequential pass pays to get to its first page,
+	// valid once positioned is set: every degree's full scan owes the same.
+	position   float64
+	positioned bool
 }
 
 // newEstimator folds the page-count constants of the input's table behind
@@ -397,10 +404,48 @@ func residentFraction(pool *buffer.Pool, file interface{ Pages() int64 }, reside
 	return f
 }
 
+// scanDepth is the device queue depth a full scan at degree d is priced at:
+// the block reads the executor's readahead has outstanding (the band-1 row is
+// calibrated in that shape), under the queue budget. The fleet is not the
+// depth — the workers consume pages the prefetcher already asked for — and
+// enters only through the pool clamp, which trades window for pins.
+func (c *Config) scanDepth(d int) int {
+	_, inFlight := exec.ReadaheadWindow(int(c.PoolPages), d)
+	return capDepth(c, inFlight)
+}
+
+// sequentialIO prices one pass over pageIO of t's heap pages by a scan of
+// degree d: the pages at the sequential band's price for the scan's window,
+// and one random access to get there. The band-1 row is a steady-state
+// price — calibration leaves out the read that positions the head, which a
+// scan pays once, not once per block — so the pass owes that read here. It
+// is what separates a full scan of a small table from a handful of index
+// probes on a disk.
+func (cc *costing) sequentialIO(c *Config, t table.Table, pageIO float64, d int) float64 {
+	if pageIO <= 0 {
+		return 0
+	}
+	if !cc.positioned {
+		cc.position, cc.positioned = c.Model.PageCost(t.Pages(), 1), true
+	}
+	return pageIO*c.Model.PageCost(1, c.scanDepth(d)) + cc.position
+}
+
+// startupMicros is what spawning a fleet of degree d adds to a plan: every
+// worker of a parallel fleet charges WorkerStartup to its own CPU budget, so
+// the fleet pays it Cores at a time, not one worker after another. A lone
+// worker is the query's own thread and pays nothing.
+func (c *Config) startupMicros(d int) float64 {
+	if d <= 1 {
+		return 0
+	}
+	return float64(d) * c.Costs.WorkerStartup.Micros() / float64(min(d, c.Cores))
+}
+
 // costFullScan prices FTS/PFTS with degree d. The scan reads the whole heap
-// sequentially (band 1 in DTT terms); its CPU evaluates every row. I/O and
-// CPU overlap through prefetching, so the runtime estimate is their max,
-// plus per-worker startup.
+// sequentially (band 1 in DTT terms) at its readahead window's depth; its
+// CPU evaluates every row. I/O and CPU overlap through prefetching, so the
+// runtime estimate is their max, plus fleet startup.
 func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 	t := in.Table
 	pages := float64(t.Pages())
@@ -408,7 +453,7 @@ func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 	matched := cc.matched
 
 	pageIO := pages * (1 - cc.resident)
-	io := pageIO * cfg.Model.PageCost(1, d)
+	io := cc.sequentialIO(cfg, t, pageIO, d)
 
 	workers := d
 	if workers > cfg.Cores {
@@ -416,10 +461,7 @@ func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 	}
 	cpu := (pages*float64(cfg.Costs.PerPage.Micros()) +
 		rows*float64(cfg.Costs.PerRow.Micros())) / float64(workers)
-	startup := 0.0
-	if d > 1 {
-		startup = float64(d) * cfg.Costs.WorkerStartup.Micros()
-	}
+	startup := cfg.startupMicros(d)
 
 	total := maxf(io, cpu) + startup
 	return Plan{
@@ -431,8 +473,9 @@ func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 
 // costSharedScan prices attaching to the table's circulating scan with
 // ShareParties riders. The producer reads the whole heap sequentially once
-// per lap at its own readahead depth, so each rider's share of the device
-// work is one lap over N — and it needs no queue-depth credits of its own.
+// per lap in the same blocks a serial private scan's readahead would, so
+// each rider's share of the device work is one lap at that window's price
+// over N — and it needs no queue-depth credits of its own.
 // The rider's CPU is serial: it consumes pushed batches on one process,
 // evaluating every row, exactly like a degree-1 full scan. No worker
 // startup: attaching is a registry append, not a fleet spawn.
@@ -442,7 +485,7 @@ func costSharedScan(cfg *Config, in *Input, cc *costing) Plan {
 	rows := float64(t.Rows())
 
 	pageIO := pages * (1 - cc.resident)
-	io := pageIO * cfg.Model.PageCost(1, 1) / float64(cfg.ShareParties)
+	io := cc.sequentialIO(cfg, t, pageIO, 1) / float64(cfg.ShareParties)
 
 	cpu := pages*float64(cfg.Costs.PerPage.Micros()) +
 		rows*float64(cfg.Costs.PerRow.Micros())
@@ -494,10 +537,7 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	if pf > 0 {
 		cpu += heapFetches * cfg.Costs.PerPrefetch.Micros() / float64(workers)
 	}
-	startup := 0.0
-	if d > 1 {
-		startup = float64(d) * cfg.Costs.WorkerStartup.Micros()
-	}
+	startup := cfg.startupMicros(d)
 
 	total := maxf(io, cpu) + startup
 	return Plan{
@@ -537,10 +577,7 @@ func costSortedScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 		matched*cfg.Costs.PerRowFetch.Micros()) / float64(workers)
 	// The sort stage runs serially on the driver.
 	cpu += 2 * matched * cfg.Costs.PerEntry.Micros()
-	startup := 0.0
-	if d > 1 {
-		startup = float64(d) * cfg.Costs.WorkerStartup.Micros()
-	}
+	startup := cfg.startupMicros(d)
 
 	total := maxf(io, cpu) + startup
 	return Plan{

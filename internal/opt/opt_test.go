@@ -99,10 +99,14 @@ func TestOldOptimizerNeverParallelizesIndexScans(t *testing.T) {
 			}
 		}
 	}
-	// And in the I/O-bound region it chooses the plain non-parallel IS.
-	p := f.choose(t, f.dtt, 0.001)
+	// And wherever it chooses an index scan at all — below its own
+	// break-even, found here and not typed in, so that a change to the
+	// sequential price moves the probe with the crossing — it is the plain
+	// non-parallel IS.
+	sel := f.breakEven(t, f.dtt) / 2
+	p := f.choose(t, f.dtt, sel)
 	if p.Method != exec.IndexScan || p.Degree != 1 {
-		t.Errorf("sel=0.1%%: old optimizer chose %v, want IS degree 1", p)
+		t.Errorf("sel=%.4f%% (half the DTT break-even): old optimizer chose %v, want IS degree 1", sel*100, p)
 	}
 }
 
@@ -171,9 +175,12 @@ func TestBreakEvenShiftSmallOnHDD(t *testing.T) {
 
 func TestBreakEvenSmallerWithMoreRowsPerPage(t *testing.T) {
 	// Table 2, reading down a column: more rows per page => smaller
-	// break-even selectivity.
+	// break-even selectivity. The tables are sized as Table 1 sizes them,
+	// the same heap pages at every density: a fixed row count would shrink
+	// the dense table inside the pool, where an index scan's heap I/O stops
+	// growing with the selectivity and the crossing says nothing of density.
 	be := func(rpp int) float64 {
-		f := newFixture(t, "ssd", 200000, rpp)
+		f := newFixture(t, "ssd", 6000*int64(rpp), rpp)
 		return f.breakEven(t, f.qdtt)
 	}
 	if b1, b33 := be(1), be(33); b33 >= b1 {
@@ -405,5 +412,50 @@ func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
 	in := benchRange(s.in, 3)
 	if allocs := testing.AllocsPerRun(100, func() { Choose(s.cfg, in) }); allocs > 1 {
 		t.Errorf("Choose allocates %.1f/op, want 1", allocs)
+	}
+}
+
+// depthProbe is a device that records the most reads it ever had
+// outstanding.
+type depthProbe struct {
+	device.Device
+	out, max int
+}
+
+func (d *depthProbe) ReadAt(offset int64, length int) *sim.Completion {
+	c := d.Device.ReadAt(offset, length)
+	d.out++
+	d.max = max(d.max, d.out)
+	c.OnFire(func() { d.out-- })
+	return c
+}
+
+// TestScanDepthIsTheWindowTheScanRuns holds the optimizer to the executor:
+// the queue depth costFullScan prices a scan at is the number of block reads
+// a cold scan of that degree on that pool actually has in flight at its
+// fullest — the default window, and what the pool clamp leaves of it when
+// a wide fleet's pins eat into a small pool.
+func TestScanDepthIsTheWindowTheScanRuns(t *testing.T) {
+	for _, c := range []struct{ pool, degree int }{
+		{2048, 1}, {2048, 8}, {2048, 32}, {1024, 32}, {512, 8}, {512, 32}, {256, 8}, {256, 32},
+		{64, 16}, // one short block ahead
+	} {
+		env := sim.NewEnv(3)
+		probe := &depthProbe{Device: device.NewSSD(env, device.DefaultSSDConfig())}
+		tab := table.NewSynthetic(disk.NewManager(probe), "t", 4096, 1, 5)
+		ctx := &exec.Context{
+			Env:   env,
+			CPU:   sim.NewResource(env, "cpu", 8),
+			Pool:  buffer.NewPool(env, c.pool),
+			Dev:   probe,
+			Costs: exec.DefaultCPUCosts(),
+		}
+		exec.Execute(ctx, exec.Spec{Table: tab, Lo: 0, Hi: 99, Method: exec.FullScan, Degree: c.degree})
+
+		cfg := Config{PoolPages: int64(c.pool)}
+		if want := cfg.scanDepth(c.degree); probe.max != want {
+			t.Errorf("pool %d, degree %d: the scan kept %d block reads in flight, the optimizer prices %d",
+				c.pool, c.degree, probe.max, want)
+		}
 	}
 }

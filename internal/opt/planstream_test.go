@@ -1,8 +1,10 @@
 package opt
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
+	"hash"
 	"math"
 	"math/rand"
 	"os"
@@ -22,21 +24,36 @@ import (
 	"pioqo/internal/table"
 )
 
-// The plan-stream golden pins the planner's arithmetic to the bit: one line
+// The plan-stream golden pins the planner's arithmetic to the bit: one row
 // per lookup of a seeded stream — every plan shape the optimizer prices,
 // through every entry point — with the chosen plan and the IEEE-754 bits of
 // each cost component, closing with the caches' counters. The figure goldens
-// round costs to microseconds and plan a few hundred points; this file plans
-// twenty thousand and rounds nothing, so a change to the page-count
+// round costs to microseconds and plan a few hundred points; this stream
+// plans twenty thousand and rounds nothing, so a change to the page-count
 // estimate's operation order, to the candidate order of an enumeration or to
-// what a cache counts shows as a diff.
+// what a cache counts moves a digest.
 //
-// testdata/planstream.golden was generated from the planner as it stood
-// before page counts were constant-folded and costed once per enumeration.
-// Regenerate with -update-planstream only for a change that is meant to move
-// a cost, and say so in the commit.
-var updatePlanStream = flag.Bool("update-planstream", false,
-	"rewrite testdata/planstream.golden from the current implementation")
+// The rows themselves (28 498 of them, 3.2 MB) are not checked in.
+// testdata/planstream.golden holds, per section — one per device × shape,
+// and one per device for the closing counters — the row count, the SHA-256 of
+// the section's rows in stream order, and the section's winners: how often
+// each plan was chosen in each decade of selectivity. A flipped cost bit
+// moves a digest; a re-baseline is a diff of the winners, which a reviewer
+// can read.
+//
+//   - -planstream-rows <dir> keeps the full rows in <dir>/planstream.rows:
+//     written there if absent, and if present (say, written at the parent
+//     commit) compared with this run's, the first diverging row printed old
+//     beside new.
+//   - -update-planstream rewrites the golden and logs (add -v) which
+//     (section, decade) winners changed, from what to what. Only for a change
+//     that is meant to move a cost; say so in the commit.
+var (
+	updatePlanStream = flag.Bool("update-planstream", false,
+		"rewrite testdata/planstream.golden from the current implementation; with -v, log the winners that changed")
+	planStreamRows = flag.String("planstream-rows", "",
+		"directory for the stream's full rows: written if absent, compared row by row if present")
+)
 
 const (
 	streamLookups = 10240 // per device
@@ -146,11 +163,74 @@ func planBits(p Plan) string {
 		math.Float64bits(p.EstPageIO), math.Float64bits(p.EstRows))
 }
 
+// streamSection is one device × shape's slice of the stream (or a device's
+// closing counters): what the golden pins.
+type streamSection struct {
+	name    string
+	rows    int
+	sum     hash.Hash
+	winners map[string]map[string]int // selectivity decade → plan → times chosen
+}
+
+// stream is a rendered plan stream: the full rows in stream order, and the
+// same rows dealt into their sections.
+type stream struct {
+	rows     strings.Builder
+	sections []*streamSection
+	byName   map[string]*streamSection
+}
+
+func (st *stream) section(name string) *streamSection {
+	sec := st.byName[name]
+	if sec == nil {
+		sec = &streamSection{name: name, sum: sha256.New(), winners: map[string]map[string]int{}}
+		st.sections = append(st.sections, sec)
+		st.byName[name] = sec
+	}
+	return sec
+}
+
+// add appends one row (possibly of several lines) to the stream and to its
+// section, crediting the plans it chose to the row's selectivity decade.
+func (st *stream) add(section, row, decade string, chosen ...Plan) {
+	st.rows.WriteString(row)
+	sec := st.section(section)
+	sec.rows++
+	sec.sum.Write([]byte(row))
+	for _, p := range chosen {
+		if sec.winners[decade] == nil {
+			sec.winners[decade] = map[string]int{}
+		}
+		sec.winners[decade][planLabel(p)]++
+	}
+}
+
+func planLabel(p Plan) string {
+	label := fmt.Sprintf("%v/%d", p.Method, p.Degree)
+	if p.Prefetch > 0 {
+		label += fmt.Sprintf("+pf%d", p.Prefetch)
+	}
+	if p.Shared {
+		label += "+shared"
+	}
+	return label
+}
+
+// decadeOf names the decade of selectivity [lo, hi] falls in.
+func decadeOf(tab table.Table, lo, hi int64) string {
+	hi = min(hi, tab.KeyDomain()-1)
+	if hi < lo {
+		return "empty"
+	}
+	sel := float64(hi-lo+1) / float64(tab.KeyDomain())
+	return fmt.Sprintf("1e%d", int(math.Floor(math.Log10(sel))))
+}
+
 // planStream runs the stream and renders it. It uses nothing but the
-// package's exported entry points, so the same file generates the golden at
+// package's exported entry points, so the same file generates the rows at
 // any commit.
-func planStream() string {
-	var b strings.Builder
+func planStream() *stream {
+	st := &stream{byName: map[string]*streamSection{}}
 	for _, devKind := range []string{"ssd", "hdd"} {
 		w := newStreamWorld(devKind)
 		rng := rand.New(rand.NewSource(20141))
@@ -159,7 +239,7 @@ func planStream() string {
 		// before: the exact-key memo hits on nothing else.
 		var seen [][2]int64
 		warmed := int64(0)
-		fmt.Fprintf(&b, "# %s\n", devKind)
+		fmt.Fprintf(&st.rows, "# %s\n", devKind)
 		for i := 0; i < streamLookups; i++ {
 			if i%64 == 63 {
 				// Residency drifts: eight more heap pages land in the warm
@@ -179,21 +259,26 @@ func planStream() string {
 				in.Lo, in.Hi = w.drawRange(rng)
 				seen = append(seen, [2]int64{in.Lo, in.Hi})
 			}
-			fmt.Fprintf(&b, "%s %d %d ", s.name, in.Lo, in.Hi)
+			head := fmt.Sprintf("%s %d %d ", s.name, in.Lo, in.Hi)
+			one := func(tag string, p Plan, tail string) {
+				st.add(devKind+"/"+s.name, head+tag+" "+planBits(p)+tail+"\n", decadeOf(w.tab, in.Lo, in.Hi), p)
+			}
 			switch pick := rng.Intn(20); {
 			case pick < 8:
-				fmt.Fprintf(&b, "P %s\n", planBits(pc.Choose(s.cfg, in)))
+				one("P", pc.Choose(s.cfg, in), "")
 			case pick < 12:
-				fmt.Fprintf(&b, "M %s\n", planBits(memo.Choose(s.cfg, in)))
+				one("M", memo.Choose(s.cfg, in), "")
 			case pick < 15:
-				fmt.Fprintf(&b, "C %s\n", planBits(Choose(s.cfg, in)))
+				one("C", Choose(s.cfg, in), "")
 			case pick < 18:
 				p, fell := GreedyChoose(s.cfg, in)
-				fmt.Fprintf(&b, "G %s %t\n", planBits(p), fell)
+				one("G", p, fmt.Sprintf(" %t", fell))
 			default:
-				b.WriteString(shardedBits(s, in, memo, pc))
+				row, shards := shardedBits(s, in, memo, pc)
+				st.add(devKind+"/"+s.name, head+row, decadeOf(w.tab, in.Lo, in.Hi), shards...)
 			}
 		}
+		var b strings.Builder
 		hits, misses := memo.Stats()
 		fmt.Fprintf(&b, "memo hits=%d misses=%d len=%d\n", hits, misses, memo.Len())
 		fmt.Fprintf(&b, "paramcache %+v shapes=%d\n", pc.Stats(), pc.Len())
@@ -209,14 +294,15 @@ func planStream() string {
 			fmt.Fprintf(&b, "%s=%d\n", name, counters[name])
 		}
 		fmt.Fprintf(&b, "events=%d\n", w.log.Total())
+		st.add(devKind+"/counters", b.String(), "")
 	}
-	return b.String()
+	return st
 }
 
 // shardedBits plans the lookup as a four-way scatter over quarters of its
 // range, each shard under its own split of the queue budget, through one of
 // the three per-shard choosers.
-func shardedBits(s streamShape, in Input, memo *Memo, pc *ParamCache) string {
+func shardedBits(s streamShape, in Input, memo *Memo, pc *ParamCache) (string, []Plan) {
 	const shards = 4
 	cfgs, ins := make([]Config, shards), make([]Input, shards)
 	width := (in.Hi - in.Lo + 1) / shards
@@ -245,13 +331,148 @@ func shardedBits(s streamShape, in Input, memo *Memo, pc *ParamCache) string {
 	for _, p := range sp.Shards {
 		fmt.Fprintf(&b, "  %s\n", planBits(p))
 	}
+	return b.String(), sp.Shards
+}
+
+// golden renders the sections as testdata/planstream.golden holds them.
+func (st *stream) golden() string {
+	var b strings.Builder
+	b.WriteString("# Plan-stream digests; see planstream_test.go. Per section: rows, the SHA-256 of\n" +
+		"# its rows in stream order, and per decade of selectivity how often each plan won.\n")
+	for _, sec := range st.sections {
+		fmt.Fprintf(&b, "section %s rows=%d sha256=%x\n", sec.name, sec.rows, sec.sum.Sum(nil))
+		for _, decade := range sortedKeys(sec.winners) {
+			fmt.Fprintf(&b, "  %s:", decade)
+			for _, plan := range sortedKeys(sec.winners[decade]) {
+				fmt.Fprintf(&b, " %s×%d", plan, sec.winners[decade][plan])
+			}
+			b.WriteByte('\n')
+		}
+	}
 	return b.String()
 }
 
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// goldenSections splits a rendered golden into its sections' lines, keyed by
+// the section line's name, and lists the names in file order.
+func goldenSections(golden string) (names []string, lines map[string][]string) {
+	lines = map[string][]string{}
+	name := ""
+	for _, line := range strings.Split(strings.TrimRight(golden, "\n"), "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "section" {
+			name = f[1]
+			names = append(names, name)
+		}
+		if name != "" {
+			lines[name] = append(lines[name], line)
+		}
+	}
+	return names, lines
+}
+
+// goldenDiff lists, old beside new, the lines of every section that differ
+// between two rendered goldens: the digest line when any row moved, and the
+// decades whose winners changed.
+func goldenDiff(old, new string) []string {
+	oldNames, oldLines := goldenSections(old)
+	newNames, newLines := goldenSections(new)
+	var out []string
+	for _, name := range newNames {
+		o, n := oldLines[name], newLines[name]
+		if o == nil {
+			out = append(out, "new section "+name)
+			continue
+		}
+		byDecade := func(lines []string) map[string]string {
+			m := map[string]string{}
+			for _, l := range lines[1:] {
+				decade, winners, _ := strings.Cut(strings.TrimSpace(l), ":")
+				m[decade] = strings.TrimSpace(winners)
+			}
+			return m
+		}
+		od, nd := byDecade(o), byDecade(n)
+		if o[0] != n[0] {
+			out = append(out, fmt.Sprintf("%s: rows moved", name))
+		}
+		decades := map[string]bool{}
+		for d := range od {
+			decades[d] = true
+		}
+		for d := range nd {
+			decades[d] = true
+		}
+		for _, d := range sortedKeys(decades) {
+			if od[d] != nd[d] {
+				out = append(out, fmt.Sprintf("%s sel %s winners: %s  ->  %s", name, d, od[d], nd[d]))
+			}
+		}
+	}
+	for _, name := range oldNames {
+		if newLines[name] == nil {
+			out = append(out, "section gone: "+name)
+		}
+	}
+	return out
+}
+
+// compareRows keeps the stream's full rows in dir: written there when the
+// file is absent, compared with it when present — the first diverging row,
+// old beside new.
+func compareRows(t *testing.T, dir, rows string) {
+	path := filepath.Join(dir, "planstream.rows")
+	old, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote the stream's %d row lines to %s", strings.Count(rows, "\n"), path)
+		return
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(old) == rows {
+		t.Logf("rows identical to %s", path)
+		return
+	}
+	nl, ol := strings.Split(rows, "\n"), strings.Split(string(old), "\n")
+	for i := range nl {
+		if i >= len(ol) || nl[i] != ol[i] {
+			o := "<end of file>"
+			if i < len(ol) {
+				o = ol[i]
+			}
+			t.Errorf("rows diverge from %s at line %d:\n old %s\n new %s", path, i+1, o, nl[i])
+			return
+		}
+	}
+	t.Errorf("rows are a %d-line prefix of the %d lines in %s", len(nl), len(ol), path)
+}
+
 func TestPlanStreamGolden(t *testing.T) {
-	got := planStream()
+	st := planStream()
+	got := st.golden()
+	if *planStreamRows != "" {
+		compareRows(t, *planStreamRows, st.rows.String())
+	}
 	path := filepath.Join("testdata", "planstream.golden")
+	want, err := os.ReadFile(path)
 	if *updatePlanStream {
+		for _, line := range goldenDiff(string(want), got) {
+			t.Log(line)
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -260,22 +481,18 @@ func TestPlanStreamGolden(t *testing.T) {
 		}
 		return
 	}
-	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("reading %s (run with -update-planstream to create): %v", path, err)
 	}
 	if got == string(want) {
 		return
 	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range gl {
-		if i >= len(wl) || gl[i] != wl[i] {
-			w := "<end of file>"
-			if i < len(wl) {
-				w = wl[i]
-			}
-			t.Fatalf("plan stream diverges from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], w)
-		}
+	diff := goldenDiff(string(want), got)
+	const show = 24
+	if len(diff) > show {
+		diff = append(diff[:show], fmt.Sprintf("... and %d more", len(diff)-show))
 	}
-	t.Fatalf("plan stream is a %d-line prefix of the %d-line golden", len(gl), len(wl))
+	t.Fatalf("plan stream moved against %s (old  ->  new):\n  %s\n"+
+		"For the first diverging row, old beside new: run this test with -planstream-rows <dir> "+
+		"at the reference commit, then here.", path, strings.Join(diff, "\n  "))
 }

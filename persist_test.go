@@ -60,7 +60,7 @@ func TestLoadModelRejectsGarbage(t *testing.T) {
 		t.Error("LoadModel accepted garbage")
 	}
 	if err := sys.LoadModel(strings.NewReader(
-		`{"version":1,"bands":[2,1],"depths":[1],"cost_us_per_page":[[1,1]]}`)); err == nil {
+		`{"version":2,"bands":[2,1],"depths":[1],"cost_us_per_page":[[1,1]]}`)); err == nil {
 		t.Error("LoadModel accepted a malformed grid")
 	}
 	if _, err := sys.Model(); err == nil {

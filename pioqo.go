@@ -524,7 +524,7 @@ func (s *System) DeviceName() string { return s.coord().Dev.Name() }
 // nodeContext builds the executor context addressing one node's stack.
 func (s *System) nodeContext(n *node.Node) *exec.Context {
 	return &exec.Context{Env: s.env, CPU: n.CPU, Pool: n.Pool, Dev: n.Dev,
-		Costs: s.costs, Reg: s.reg, Log: s.events, Shares: n.Shares}
+		Costs: s.costs, Reg: s.reg, Log: s.events, Shares: n.Shares, Scratch: n.Scratch}
 }
 
 // Now reports the system's virtual clock.

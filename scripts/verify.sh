@@ -47,8 +47,20 @@ go test -race -cpu 1,4 ./internal/opt/...
 # nothing behind that the next one can see (same bytes both times).
 go test -run Schedule -count=2 ./internal/exec
 # The plan-stream golden does the same for the planner's arithmetic: every
-# cost bit of 20 480 lookups, and the caches' counters.
+# cost bit of 20 480 lookups, and the caches' counters, as one digest per
+# device × shape (-update-planstream -v lists the winners a re-baseline moved).
 go test -run PlanStream -count=2 ./internal/opt
+# The residual gate: a cold full scan's estimate is a prediction, so
+# predicted ÷ measured stays in [0.95, 1.08] on every Table-1 config at every
+# degree and on the 8-shard gather, and the depth the optimizer prices a scan
+# at is the block reads the executor keeps in flight.
+go test -run 'TestResidual' -count=1 ./internal/experiments
+go test -run 'TestScanDepthIsTheWindowTheScanRuns' -count=1 ./internal/opt
+# The allocation gates on what a wider fleet multiplies: a worker takes its
+# record, budget and scratch buffers from its node's free list, and an armed
+# hedged read allocates its outer completion and nothing else.
+go test -run 'TestWorkerScratchIsReused' -count=1 ./internal/exec
+go test -run 'TestHedgerAllocations' -count=1 ./internal/fault
 # The device-stream golden does it for the device models: submit and
 # completion time of every request of seeded streams through each model,
 # generated before the request path stopped allocating per request. The
