@@ -2,6 +2,7 @@ package pioqo
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -112,6 +113,57 @@ func TestAdaptiveMatchesStaticAnswer(t *testing.T) {
 // A query misseeded far below the useful degree must grow mid-flight —
 // through the broker lease on the session path — while its live Progress
 // stays monotone and correctly attributed.
+// TestAdaptiveTracksBestStatic: on every (device, skew, selectivity) cell
+// the feedback controller, which never sees the static degree grid — it
+// seeds from the calibration-fit DOP model and retunes from live signals —
+// finishes within 10 % of whichever static degree wins the cell.
+func TestAdaptiveTracksBestStatic(t *testing.T) {
+	const rows, points = 2048 * 33, 5
+	// runtimes sweeps the selectivities cold on a fresh system: adaptively
+	// for degree 0, pinned to the degree otherwise.
+	runtimes := func(dev DeviceKind, zipf float64, degree int) (out [points]time.Duration) {
+		sys := New(Config{Device: dev, PoolPages: 256, Adaptive: degree == 0})
+		data := WithSyntheticData()
+		if zipf > 0 {
+			data = WithZipfData(zipf)
+		}
+		tab, err := sys.CreateTable("grid", rows, 33, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			sel := 0.002 * math.Pow(300, float64(i)/(points-1)) // 0.2 % … 60 %
+			res, err := sys.Execute(Query{Table: tab, Low: 0, High: int64(sel*rows) - 1},
+				Cold(), WithStaticDegree(degree))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = res.Runtime
+		}
+		return out
+	}
+	for _, dev := range []DeviceKind{SSD, HDD} {
+		for _, zipf := range []float64{0, 1.3} {
+			adaptive := runtimes(dev, zipf, 0)
+			best := runtimes(dev, zipf, 1)
+			for _, degree := range []int{2, 4, 8, 16, 32} {
+				for i, rt := range runtimes(dev, zipf, degree) {
+					best[i] = min(best[i], rt)
+				}
+			}
+			for i := range adaptive {
+				if float64(adaptive[i]) > 1.10*float64(best[i]) {
+					t.Errorf("%v zipf=%v point %d: adaptive %v is more than 10%% over the best static %v",
+						dev, zipf, i, adaptive[i], best[i])
+				}
+			}
+		}
+	}
+}
+
 func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, Config{Device: SSD})
 	misseedDOP(sys, 1)

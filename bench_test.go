@@ -263,11 +263,10 @@ func BenchmarkJoins(b *testing.B) {
 	b.ReportMetric(worstRegret, "worst-join-planner-regret-x")
 }
 
-// benchPlanner builds one calibrated system for the planner throughput
-// microbenchmarks.
-func benchPlanner(b *testing.B, greedy bool) (*pioqo.System, *pioqo.Table) {
-	b.Helper()
-	sys := pioqo.New(pioqo.Config{Device: pioqo.SSD, PoolPages: 1024, GreedyPlanning: greedy})
+// benchChoose plans a stream whose constant is fresh every query on one
+// calibrated system, on the default path or the greedy one.
+func benchChoose(b *testing.B, po pioqo.PlanOptions) {
+	sys := pioqo.New(pioqo.Config{Device: pioqo.SSD, PoolPages: 1024})
 	tab, err := sys.CreateTable("t", 100_000, 33, pioqo.WithSyntheticData())
 	if err != nil {
 		b.Fatal(err)
@@ -275,36 +274,23 @@ func benchPlanner(b *testing.B, greedy bool) (*pioqo.System, *pioqo.Table) {
 	if _, err := sys.Calibrate(pioqo.CalibrationOptions{MaxReads: 640}); err != nil {
 		b.Fatal(err)
 	}
-	return sys, tab
-}
-
-// BenchmarkChoose is the PR 7 serving baseline: the exact-key memo sees a
-// fresh constant every query, so every plan pays a full enumeration.
-func BenchmarkChoose(b *testing.B) {
-	sys, tab := benchPlanner(b, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		lo := int64(i*997) % 90_000
-		if _, err := sys.Plan(pioqo.Query{Table: tab, Low: lo, High: lo + 150}, pioqo.PlanOptions{}); err != nil {
+		if _, err := sys.Plan(pioqo.Query{Table: tab, Low: lo, High: lo + 150}, po); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkChoose is the serving baseline: the exact-key memo sees a fresh
+// constant every query, so every plan pays a full enumeration.
+func BenchmarkChoose(b *testing.B) { benchChoose(b, pioqo.PlanOptions{}) }
 
 // BenchmarkGreedyChoose is the same constant stream through the serving
 // path: the parameterized band cache binds constants into cached entries.
-func BenchmarkGreedyChoose(b *testing.B) {
-	sys, tab := benchPlanner(b, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := int64(i*997) % 90_000
-		if _, err := sys.Plan(pioqo.Query{Table: tab, Low: lo, High: lo + 150}, pioqo.PlanOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkGreedyChoose(b *testing.B) { benchChoose(b, pioqo.PlanOptions{GreedyPlanning: true}) }
 
 // BenchmarkSystemPlan is plan_serving's stream in miniature: a table twelve
 // times its pool (so index-scan candidates overflow it), log-uniform

@@ -16,8 +16,10 @@
 //
 // Paper experiments: fig1, table1, fig4, table2, table3, fig5, fig6, fig7,
 // fig8, fig9, fig10, fig11, fig12, earlystop. Extensions: qdprofile,
-// concurrency, admission, degrade, slo, shared, joins, mixed, accuracy,
-// optimality, planbench, shard, adaptive. "all" runs everything.
+// concurrency, joins, mixed, accuracy, optimality. "all" runs everything.
+// What the later subsystems (broker, faults, shared scans, plan cache,
+// cluster, adaptive controller) do is measured by bench/ — see
+// bench/README.md.
 //
 // fig4 and fig8 accept -panel to select one configuration (fig4: a..f for
 // E1-HDD, E1-SSD, E33-HDD, E33-SSD, E500-HDD, E500-SSD; fig8: a..c for
@@ -38,13 +40,10 @@ import (
 )
 
 var (
-	ascii      = flag.Bool("ascii", false, "render curve figures (fig1, fig4, fig5, fig8) as ASCII charts")
-	traceOut   = flag.String("trace", "", "write the run's virtual-time spans as Chrome trace_event JSON to this file (open in chrome://tracing)")
-	jsonOut    = flag.Bool("json", false, "qdprofile/admission: emit the result rows as JSON instead of the TSV summary")
-	parallel   = flag.Int("parallel", 0, "host workers for sweep points: 0 = one per core, 1 = serial (output is identical either way)")
-	concurrent = flag.Int("concurrent", 8, "admission: number of queries in the skewed concurrent batch")
-	queries    = flag.Int("queries", 100000, "planbench: plan lookups per throughput arm")
-	shards     = flag.Int("shards", 8, "shard: maximum shard count for the scaling grid")
+	ascii    = flag.Bool("ascii", false, "render curve figures (fig1, fig4, fig5, fig8) as ASCII charts")
+	traceOut = flag.String("trace", "", "write the run's virtual-time spans as Chrome trace_event JSON to this file (open in chrome://tracing)")
+	jsonOut  = flag.Bool("json", false, "qdprofile: emit the sampled series as JSON instead of the TSV summary")
+	parallel = flag.Int("parallel", 0, "host workers for sweep points: 0 = one per core, 1 = serial (output is identical either way)")
 )
 
 func main() {
@@ -89,9 +88,8 @@ func main() {
 	if exp == "all" {
 		for _, e := range []string{"fig1", "table1", "fig4", "table2", "table3",
 			"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-			"earlystop", "qdprofile", "concurrency", "admission", "degrade",
-			"slo", "shared", "joins", "mixed", "accuracy", "optimality",
-			"planbench", "shard", "adaptive"} {
+			"earlystop", "qdprofile", "concurrency", "joins", "mixed",
+			"accuracy", "optimality"} {
 			fmt.Printf("== %s ==\n", e)
 			if err := run(sc, e, *panel); err != nil {
 				fmt.Fprintf(os.Stderr, "pioqo-bench: %v\n", err)
@@ -152,26 +150,10 @@ experiments:
   earlystop  calibration-time savings from the stop threshold
   qdprofile  measured PIS queue-depth profiles per parallel degree (§2)
   concurrency inter- vs intra-query parallelism strategies (§4.3)
-  admission  static even queue-budget split vs brokered admission control
-             on a skewed concurrent batch (-concurrent N, -json)
-  degrade    graceful degradation under injected 50%% channel loss: healthy
-             vs no-replan vs degraded re-planning (-concurrent N, -json)
-  slo        per-query-shape workload SLO report — latency p50/p95/p99,
-             queue-wait vs execution split, makespan (-concurrent N, -json)
-  shared     heavy-traffic scan sharing A/B: a thousand-query point/scan
-             mix with circulating shared scans on vs off (-concurrent N, -json)
   joins      hash vs index nested-loop join ablation across build skew
   mixed      whole-workload comparison of DTT vs QDTT planning
   accuracy   QDTT estimated cost vs measured runtime per candidate plan
   optimality measured regret of DTT vs QDTT plan choices
-  planbench  serving-scale planner: plans/sec per plan path (exact-key memo
-             vs parameterized band cache, drifting and concurrent) plus the
-             greedy-vs-full quality grid (-queries N, -json)
-  shard      sharded scatter-gather: makespan vs shard count across the
-             skew grid, straggler hedging A/B, and the range-partition
-             rebalance sweep (-shards N, -json)
-  adaptive   feedback-controller benchmark: adaptive vs every static degree
-             across the device x skew x selectivity grid (-json)
   all        everything above
 `)
 }
@@ -415,85 +397,6 @@ func run(sc experiments.Scale, exp, panel string) error {
 			fmt.Fprintf(w, "%s\t%d\t%d\t%.2f\t%.2f\t%.0f\n",
 				r.Strategy, r.Queries, r.Degree, r.MakespanMs, r.MeanLatMs, r.Throughput)
 		}
-	case "admission":
-		rows := sc.Admission(*concurrent)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprintln(w, "strategy\tqueries\tmakespan_ms\tmean_latency_ms\tmean_wait_ms\treplans\tMBps")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.2f\t%d\t%.0f\n",
-				r.Strategy, r.Queries, r.MakespanMs, r.MeanLatMs, r.MeanWaitMs, r.Replans, r.Throughput)
-		}
-	case "degrade":
-		rows := sc.Degradation(*concurrent)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprintln(w, "strategy\tqueries\tchannel_loss_%\tmakespan_ms\tmean_latency_ms\treplans\tthrottled\tMBps")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%.0f\t%.2f\t%.2f\t%d\t%d\t%.0f\n",
-				r.Strategy, r.Queries, r.ChannelLossPct, r.MakespanMs, r.MeanLatMs, r.Replans, r.Throttled, r.Throughput)
-		}
-	case "slo":
-		rows := sc.SLO(*concurrent)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprintln(w, "shape\tqueries\tp50_ms\tp95_ms\tp99_ms\tmean_wait_ms\tmean_exec_ms\tmakespan_ms")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\n",
-				r.Shape, r.Queries, r.P50Ms, r.P95Ms, r.P99Ms, r.WaitMs, r.ExecMs, r.MakespanMs)
-		}
-	case "shared":
-		n := *concurrent
-		if n == 8 { // the admission default is far too small for this one
-			n = 1000
-		}
-		rows := sc.SharedScan(n)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprintln(w, "arm\tqueries\tscans\tmakespan_ms\tscan_p50_ms\tscan_p95_ms\tpoint_p95_ms\tdevice_reads\tshared_adm\tlaps\tspeedup")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.1f\t%d\t%d\t%d\t%.2fx\n",
-				r.Arm, r.Queries, r.Scans, r.MakespanMs, r.ScanP50Ms, r.ScanP95Ms,
-				r.PointP95Ms, r.DeviceReads, r.SharedAdmissions, r.Laps, r.Speedup)
-		}
-	case "shard":
-		rows := sc.Shard(*shards)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprintln(w, "arm\tshards\tpartition\tzipf\tplan\tfanout\tmakespan_ms\tspeedup\thedges\twins\thot_rows\tmean_rows")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%d\t%s\t%.1f\t%s\t%d\t%.2f\t%.2fx\t%d\t%d\t%d\t%d\n",
-				r.Arm, r.Shards, r.Partition, r.Zipf, r.Plan, r.Fanout,
-				r.MakespanMs, r.Speedup, r.HedgesIssued, r.HedgeWins, r.HotRows, r.MeanRows)
-		}
-	case "adaptive":
-		rows := sc.Adaptive()
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rows)
-		}
-		fmt.Fprintln(w, "device\tskew\tsel_%\tadaptive_ms\tbest_static_ms\tbest_d\tworst_static_ms\tworst_d\twithin_%\tretunes\tspec_issued\tspec_hits")
-		for _, r := range rows {
-			fmt.Fprintf(w, "%s\t%s\t%.2f\t%.2f\t%.2f\t%d\t%.2f\t%d\t%+.1f\t%d\t%d\t%d\n",
-				r.Device, r.Skew, r.SelPct, r.AdaptiveMs, r.BestStaticMs, r.BestDegree,
-				r.WorstStaticMs, r.WorstDegree, r.WithinPct, r.Retunes, r.SpecIssued, r.SpecHits)
-		}
 	case "qdprofile":
 		if *jsonOut {
 			enc := json.NewEncoder(os.Stdout)
@@ -509,26 +412,6 @@ func run(sc experiments.Scale, exp, panel string) error {
 		for _, r := range sc.Accuracy(workload.Config{Name: "E33-SSD", RowsPerPage: 33, Device: workload.SSD}) {
 			fmt.Fprintf(w, "%s\t%.6g\t%s\t%.2f\t%.2f\t%.2f\n",
 				r.Config, r.Selectivity, r.Plan, r.EstimatedMs, r.MeasuredMs, r.Ratio)
-		}
-	case "planbench":
-		rep := sc.PlanBench(*queries)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			return enc.Encode(rep)
-		}
-		fmt.Fprintln(w, "device\tmode\tworkers\tplans\twall_s\tplans_per_sec\tspeedup_vs_memo_miss\thits\tmisses\trevalidations\tfallbacks")
-		for _, r := range rep.Throughput {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%.3f\t%.0f\t%.1fx\t%d\t%d\t%d\t%d\n",
-				r.Device, r.Mode, r.Workers, r.Plans, r.WallSeconds, r.PlansPerSec,
-				r.SpeedupVsMemoMiss, r.Hits, r.Misses, r.Revalidations, r.Fallbacks)
-		}
-		fmt.Fprintf(w, "\nquality: %d grid points, greedy agrees %.1f%%, mean regret %.3f%%, max regret %.3f%%, %d fallbacks\n",
-			rep.QualityPoints, rep.AgreePct, rep.MeanRegretPct, rep.MaxRegretPct, rep.Fallbacks)
-		fmt.Fprintln(w, "device\tselectivity\tfull\tgreedy\tagree\tregret_%\tfell_back")
-		for _, q := range rep.Quality {
-			fmt.Fprintf(w, "%s\t%.6g\t%s\t%s\t%v\t%.3f\t%v\n",
-				q.Device, q.Selectivity, q.Full, q.Greedy, q.Agree, q.RegretPct, q.FellBack)
 		}
 	case "optimality":
 		fmt.Fprintln(w, "config\tselectivity\tbest_plan\tbest_ms\told_plan\told_regret\tnew_plan\tnew_regret")

@@ -41,14 +41,13 @@ type ConcurrentResult struct {
 // credits freed by finishing queries (or winding-down worker fleets) are
 // re-brokered to the ones still queued, which re-plan under their actual
 // grant. A PlanOptions.QueueBudget set by the caller wins over brokered
-// budgets for every query in the batch; StaticSplit() freezes the batch
-// into the pre-broker one-shot even split for A/B comparison.
+// budgets for every query in the batch.
 func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (ConcurrentResult, error) {
 	if len(queries) == 0 {
 		return ConcurrentResult{}, fmt.Errorf("%w: no queries", ErrInvalidQuery)
 	}
 	eo := parseOptions(opts)
-	ses, err := s.batchSession(len(queries), eo)
+	ses, err := s.OpenSession()
 	if err != nil {
 		return ConcurrentResult{}, err
 	}
@@ -103,26 +102,4 @@ func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (Concur
 		out.Results[0].IOThroughputMBps = io.ThroughputMBps
 	}
 	return out, nil
-}
-
-// batchSession returns the session a batch runs on: the shared dynamic
-// broker normally, or a private one-shot static broker under StaticSplit()
-// — sized over the batch, with no pool reservations and no re-brokering,
-// reproducing the pre-broker even split for A/B benchmarking.
-func (s *System) batchSession(parties int, eo queryOptions) (*Session, error) {
-	if !eo.staticSplit {
-		return s.OpenSession()
-	}
-	if s.model == nil {
-		return nil, fmt.Errorf("%w: ExecuteConcurrent needs the calibrated cost model", ErrNotCalibrated)
-	}
-	b := broker.New(broker.Config{
-		Env:     s.env,
-		Model:   s.model,
-		Band:    s.DevicePages(),
-		Static:  true,
-		Parties: parties,
-		Log:     s.events,
-	})
-	return &Session{sys: s, b: b}, nil
 }

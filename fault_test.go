@@ -251,6 +251,41 @@ func TestConcurrentTimeoutReclaimsEverything(t *testing.T) {
 	assertNoLeaks(t, sys)
 }
 
+// TestDegradationReplanBeatsNoReplan: with half the SSD's channels lost
+// after calibration, a skewed batch admitted and re-planned at the broker's
+// degraded credit supply pays fewer throttle penalties than the same batch
+// planned at the healthy depth (noDegrade, this test's reference arm).
+func TestDegradationReplanBeatsNoReplan(t *testing.T) {
+	throttled := func(noDegrade bool) int64 {
+		const rows = 2048 * 33
+		sys := New(Config{Device: SSD, PoolPages: 256})
+		sys.noDegrade = noDegrade
+		tab, err := sys.CreateTable("deg", rows, 33, WithSyntheticData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+			t.Fatal(err)
+		}
+		sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ChannelLoss: 0.5}}})
+		// One 0.25 % scan, whose index plan needs a deep queue budget to
+		// win, and seven 0.05 % slivers.
+		queries := []Query{{Table: tab, Low: 0, High: rows/400 - 1}}
+		for i := int64(1); i < 8; i++ {
+			lo := rows/400 + i*(rows-rows/400)/8
+			queries = append(queries, Query{Table: tab, Low: lo, High: lo + rows/2000 - 1})
+		}
+		if _, err := sys.ExecuteConcurrent(queries, Cold()); err != nil {
+			t.Fatal(err)
+		}
+		return sys.FaultStats().Throttled
+	}
+	if replan, healthy := throttled(false), throttled(true); replan >= healthy {
+		t.Errorf("re-planned batch throttled %d reads, planned at the healthy depth %d; the supply shrink had no effect",
+			replan, healthy)
+	}
+}
+
 func TestConcurrentSubmitErrorReclaimsPartialBatch(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	// The second query is invalid, so the first — already enqueued with the

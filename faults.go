@@ -87,8 +87,7 @@ type FaultStats struct {
 // ExecuteConcurrent and sessions) observes the degradation and shrinks its
 // credit supply proportionally, so newly admitted queries re-plan at a
 // queue depth the degraded device can still turn into throughput —
-// graceful degradation instead of queue-depth thrash. Config's
-// NoDegradationReplan disables that response for A/B comparison.
+// graceful degradation instead of queue-depth thrash.
 //
 // On a sharded system every node is its own fault-injection domain: the
 // schedule is armed on each node with a per-node derived seed, so the

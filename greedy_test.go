@@ -3,20 +3,14 @@ package pioqo
 import "testing"
 
 // TestGreedyPlanningServesSameAnswers is the engine-level A/B for the
-// serving plan path: a system with Config.GreedyPlanning answers every
-// query — standalone and concurrent — identically to the default system,
-// and its planner traffic flows through the parameterized band cache.
+// serving plan path: a system whose every query carries
+// PlanOptions.GreedyPlanning answers — standalone and concurrent —
+// identically to the default system, and its planner traffic flows through
+// the parameterized band cache.
 func TestGreedyPlanningServesSameAnswers(t *testing.T) {
 	def, dtab := newCalibrated(t, SSD, 50000, 33)
-
-	gr := New(Config{Device: SSD, PoolPages: 1024, GreedyPlanning: true})
-	gtab, err := gr.CreateTable("t", 50000, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gr.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
-		t.Fatal(err)
-	}
+	gr, gtab := newCalibrated(t, SSD, 50000, 33)
+	greedy := WithPlanOptions(PlanOptions{GreedyPlanning: true})
 
 	windows := [][2]int64{{0, 49}, {100, 599}, {7000, 7499}, {0, 24999}, {0, 49999}}
 	for _, w := range windows {
@@ -24,7 +18,7 @@ func TestGreedyPlanningServesSameAnswers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := gr.Execute(Query{Table: gtab, Low: w[0], High: w[1]}, Cold())
+		rg, err := gr.Execute(Query{Table: gtab, Low: w[0], High: w[1]}, Cold(), greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +38,7 @@ func TestGreedyPlanningServesSameAnswers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gres, err := gr.ExecuteConcurrent(gq, Cold())
+	gres, err := gr.ExecuteConcurrent(gq, Cold(), greedy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +99,7 @@ func TestWithGreedyPlanningOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := sys.Execute(q, Cold(), WithGreedyPlanning())
+	rg, err := sys.Execute(q, Cold(), WithPlanOptions(PlanOptions{GreedyPlanning: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

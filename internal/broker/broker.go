@@ -71,17 +71,10 @@ type Config struct {
 	// worker pressure next to credit pressure.
 	Workers int
 
-	// MinLease floors the credit grant per admission in dynamic mode, so
-	// admission control admits a few well-budgeted queries instead of
+	// MinLease floors the credit grant per admission, so admission control
+	// admits a few well-budgeted queries instead of
 	// starving everyone equally. Default total/4 (at least 1).
 	MinLease int
-
-	// Static freezes the broker into the pre-broker behaviour for A/B
-	// benchmarking: every query is admitted immediately with an even
-	// one-shot split of the total over Parties, and nothing is ever
-	// re-brokered.
-	Static  bool
-	Parties int // static mode: the batch size the split is computed over
 
 	// DepthProbe, when set, returns the cumulative time-integral of the
 	// device's queue depth (device.Metrics.DepthIntegral). The broker
@@ -252,17 +245,8 @@ func SplitCredits(total, n int) []int {
 // the total divided over every known party (active + waiting + the caller).
 // A sole query on an idle broker expects an unbounded lease (0). Sessions
 // use it to plan provisionally at submit time; the admission grant is
-// authoritative and a differing grant triggers a re-plan. A static broker's
-// split is fully determined at enqueue time, so there FairShare returns the
-// exact share the next enqueued query will be granted — static batches
-// plan once and never re-plan, like the pre-broker behaviour they model.
+// authoritative and a differing grant triggers a re-plan.
 func (b *Broker) FairShare() int {
-	if b.cfg.Static {
-		if b.cfg.Parties < 2 {
-			return 0
-		}
-		return SplitCredits(b.total, b.cfg.Parties)[b.nextID%b.cfg.Parties]
-	}
 	supply := b.degradedSupply()
 	parties := len(b.active) + len(b.queue) + 1
 	if parties == 1 {
@@ -419,14 +403,14 @@ func (l *Lease) StartWorker() {
 // EndWorker implements exec.Governor: one scan worker exited. A worker
 // that exits never rejoins its phase, so the lease shrinks its held
 // credits proportionally to the workers still running and the broker
-// re-dispatches queued queries under the recovered budget. Static brokers
-// and unbounded leases skip reclamation.
+// re-dispatches queued queries under the recovered budget. Unbounded
+// leases skip reclamation.
 func (l *Lease) EndWorker() {
 	l.workers--
 	if l.b.workersGauge != nil {
 		l.b.workersGauge.Add(-1)
 	}
-	if l.released || l.b.cfg.Static || l.granted == 0 || l.peak <= 0 {
+	if l.released || l.granted == 0 || l.peak <= 0 {
 		return
 	}
 	target := (l.granted*l.workers + l.peak - 1) / l.peak // ceil share
@@ -454,10 +438,9 @@ func (l *Lease) EndWorker() {
 // the grown fleet retires) and extends the buffer-pool reservation to the
 // share the new grant would have been admitted with. An unbounded lease
 // (sole query, grant 0) already owns the whole supply, so Grow reports the
-// full ask without touching the books. Static brokers and shared riders
-// never grow.
+// full ask without touching the books. Shared riders never grow.
 func (l *Lease) Grow(n int) int {
-	if n <= 0 || l.released || !l.admitted || l.shared || l.b.cfg.Static {
+	if n <= 0 || l.released || !l.admitted || l.shared {
 		return 0
 	}
 	if l.granted == 0 {
@@ -590,7 +573,7 @@ func (b *Broker) scheduleDispatch() {
 // the broker may extend up to a quarter of the supply as slack to waiting
 // queries. The window resets at every reading, so the evidence is recent.
 func (b *Broker) feedbackSlack() int {
-	if b.cfg.Static || b.cfg.DepthProbe == nil {
+	if b.cfg.DepthProbe == nil {
 		return 0
 	}
 	now := b.env.Now()
@@ -616,30 +599,14 @@ func (b *Broker) feedbackSlack() int {
 	return ext - b.slack
 }
 
-// dispatch admits as many queued queries as the free credits allow. In
-// dynamic mode each admission gets at least minLease credits, so freed
-// capacity concentrates into meaningful budgets instead of dribbling out
-// one credit at a time; a sole query on an idle broker gets an unbounded
-// lease. Static mode admits everyone immediately with the precomputed
-// even split.
+// dispatch admits as many queued queries as the free credits allow. Each
+// admission gets at least minLease credits, so freed capacity concentrates
+// into meaningful budgets instead of dribbling out one credit at a time; a
+// sole query on an idle broker gets an unbounded lease.
 func (b *Broker) dispatch() {
 	b.dispatchScheduled = false
 	degradeLogged := false
 	for len(b.queue) > 0 {
-		if b.cfg.Static {
-			parties := b.cfg.Parties
-			if parties < 1 {
-				parties = 1
-			}
-			l := b.queue[0]
-			b.queue = b.queue[1:]
-			share := 0
-			if parties > 1 {
-				share = SplitCredits(b.total, parties)[l.id%parties]
-			}
-			b.admit(l, share)
-			continue
-		}
 		// A degraded device shrinks the supply: the difference between the
 		// calibrated total and the degraded supply stays in reserve —
 		// dispatch admits against what the device can actually absorb.

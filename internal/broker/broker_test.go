@@ -180,36 +180,6 @@ func TestWorkerExitReclaimsProportionally(t *testing.T) {
 	}
 }
 
-func TestStaticModeSplitsOnceAndNeverRebrokers(t *testing.T) {
-	env, b := newBroker(t, 16, func(c *Config) { c.Static = true; c.Parties = 3 })
-	var leases []*Lease
-	for i := 0; i < 3; i++ {
-		// Static splits are fixed at enqueue time: FairShare must predict
-		// the grant exactly, so static batches never re-plan.
-		if predicted, want := b.FairShare(), []int{6, 5, 5}[i]; predicted != want {
-			t.Errorf("FairShare before enqueue %d = %d, want %d", i, predicted, want)
-		}
-		leases = append(leases, b.Enqueue(0))
-	}
-	env.Run()
-	want := []int{6, 5, 5}
-	for i, l := range leases {
-		if !l.admitted {
-			t.Fatalf("static lease %d not admitted immediately", i)
-		}
-		if l.Budget() != want[i] {
-			t.Errorf("static lease %d budget = %d, want %d", i, l.Budget(), want[i])
-		}
-	}
-	// Worker exits reclaim nothing in static mode.
-	leases[0].StartWorker()
-	leases[0].StartWorker()
-	leases[0].EndWorker()
-	if leases[0].held != leases[0].granted {
-		t.Error("static lease reclaimed credits on worker exit")
-	}
-}
-
 func TestAwaitBlocksUntilGranted(t *testing.T) {
 	env, b := newBroker(t, 2, nil) // minLease 1: two admitted, one queued
 	leases := []*Lease{b.Enqueue(0), b.Enqueue(0), b.Enqueue(0)}

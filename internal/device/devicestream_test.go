@@ -22,9 +22,9 @@ import (
 //
 // testdata/devicestream.golden was generated from the devices as they stood
 // before the request path stopped allocating per request (closures, queue
-// slices, list-backed LRU). Regenerate with -update-devicestream only for a
+// slices, list-backed LRU). Regenerate with -update only for a
 // change that is meant to move a device's timing, and say so in the commit.
-var updateDeviceStream = flag.Bool("update-devicestream", false,
+var updateDeviceStream = flag.Bool("update", false,
 	"rewrite testdata/devicestream.golden from the current implementation")
 
 // streamDevices are the models the stream runs through; period is the time
@@ -227,7 +227,7 @@ func TestDeviceStreamGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading %s (run with -update-devicestream to create): %v", path, err)
+		t.Fatalf("reading %s (run with -update to create): %v", path, err)
 	}
 	if got == string(want) {
 		return

@@ -92,8 +92,9 @@ func benchmarkFullScanHostTime(b *testing.B, degree int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(rows), "ns/simrow")
 }
 
-// BenchmarkFullScanHostTime is the before/after gate for BENCH_PR3.json:
-// host ns per simulated row, serial and with eight contending workers.
+// BenchmarkFullScanHostTime reports host ns per simulated row, serial and
+// with eight contending workers (bench/'s exec.fts_ns_per_simrow and
+// exec.pfts8_ns_per_simrow).
 func BenchmarkFullScanHostTime(b *testing.B) {
 	b.Run("degree1", func(b *testing.B) { benchmarkFullScanHostTime(b, 1) })
 	b.Run("degree8", func(b *testing.B) { benchmarkFullScanHostTime(b, 8) })

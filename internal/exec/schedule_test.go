@@ -27,9 +27,9 @@ import (
 //
 // testdata/schedule.golden was generated from the executor as it stood
 // before the worker loops were folded onto one fleet harness. Regenerate
-// with -update-schedule only for a change that is meant to move the
+// with -update only for a change that is meant to move the
 // schedule, and say so in the commit.
-var updateSchedule = flag.Bool("update-schedule", false,
+var updateSchedule = flag.Bool("update", false,
 	"rewrite testdata/schedule.golden from the current implementation")
 
 // schedWorld builds a fixed single-table world on dev ("ssd" or "hdd").
@@ -480,7 +480,7 @@ func TestScheduleGolden(t *testing.T) {
 	}
 	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reading %s (run with -update-schedule to create): %v", path, err)
+		t.Fatalf("reading %s (run with -update to create): %v", path, err)
 	}
 	if got == string(want) {
 		return

@@ -15,7 +15,7 @@ package experiments
 //
 // The goldens in testdata/batch_*.golden were captured from the
 // row-at-a-time implementation immediately before the batch kernel landed
-// (same seeds, same scales). Re-run with -update-batch-goldens only when a
+// (same seeds, same scales). Re-run with -update only when a
 // deliberate change is documented here.
 //
 // Golden deltas (re-baselines), each documented per the PR-3 rule:
@@ -37,7 +37,7 @@ import (
 	"pioqo/internal/workload"
 )
 
-var updateBatchGoldens = flag.Bool("update-batch-goldens", false,
+var updateBatchGoldens = flag.Bool("update", false,
 	"rewrite testdata/batch_*.golden from the current implementation")
 
 // batchTolerance is the allowed relative virtual-time drift for contended
@@ -50,7 +50,7 @@ func readGolden(t *testing.T, name string) string {
 	t.Helper()
 	b, err := os.ReadFile(goldenPath(name))
 	if err != nil {
-		t.Fatalf("reading golden %s (run with -update-batch-goldens to create): %v", name, err)
+		t.Fatalf("reading golden %s (run with -update to create): %v", name, err)
 	}
 	return string(b)
 }

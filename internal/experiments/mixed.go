@@ -7,6 +7,7 @@ import (
 
 	"pioqo/internal/exec"
 	"pioqo/internal/opt"
+	"pioqo/internal/stats"
 	"pioqo/internal/workload"
 )
 
@@ -70,7 +71,8 @@ func (sc Scale) Mixed(queries int) []MixedRow {
 			}
 		}
 		row.MeanMs = row.TotalMs / float64(queries)
-		row.P95Ms = percentile(times, 0.95)
+		sort.Float64s(times)
+		row.P95Ms = stats.Percentile(times, 0.95)
 		return row
 	}
 
@@ -84,15 +86,4 @@ func (sc Scale) Mixed(queries int) []MixedRow {
 	return sweep(sc.workers(), len(variants), func(i int) MixedRow {
 		return run(variants[i].name, variants[i].depthOblivious)
 	})
-}
-
-// percentile returns the p-quantile (0..1) of xs by sorting a copy.
-func percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	idx := int(p * float64(len(cp)-1))
-	return cp[idx]
 }

@@ -66,14 +66,35 @@ func TestResidualColdFullScan(t *testing.T) {
 	}
 }
 
+// shardSystem builds and calibrates an SSD cluster over one hash-partitioned
+// Zipf table, hedging at the default delay.
+func (sc Scale) shardSystem(t *testing.T, shards int, zipf float64) (*pioqo.System, *pioqo.Table) {
+	t.Helper()
+	sys := pioqo.New(pioqo.Config{
+		Device:    pioqo.SSD,
+		PoolPages: sc.PoolPages,
+		Cores:     sc.Cores,
+		Shards:    shards,
+	})
+	tab, err := sys.CreateTable("shard", sc.Pages*33, 33, pioqo.WithZipfData(zipf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Calibrate(pioqo.CalibrationOptions{MaxReads: sc.CalibReads}); err != nil {
+		t.Fatal(err)
+	}
+	return sys, tab
+}
+
 // TestResidualShardedGather checks the scatter-gather estimate — the most
 // expensive shard's plan plus the merge — against the measured gather of a
 // full-range query on an 8-shard hash-partitioned Zipf table, where the
-// hot shard sets the makespan.
+// hot shard sets the makespan. The hedgers are armed as in every gather and
+// must stay idle: no read of a healthy device outlasts the hedge delay.
 func TestResidualShardedGather(t *testing.T) {
 	t.Parallel()
 	sc := DefaultScale()
-	sys, tab := sc.shardSystem(8, pioqo.PartitionHash, 1.3, true)
+	sys, tab := sc.shardSystem(t, 8, 1.3)
 	q := pioqo.Query{Table: tab, Low: 0, High: sc.Pages*33 - 1}
 	// Every arm is planned before anything runs: a plan prices the pool as it
 	// finds it, and the runs are cold.
@@ -89,6 +110,9 @@ func TestResidualShardedGather(t *testing.T) {
 		res, err := sys.ExecutePlan(q, plan, pioqo.Cold())
 		if err != nil {
 			t.Fatal(err)
+		}
+		if hs := sys.HedgeStats(); hs.Issued != 0 {
+			t.Fatalf("healthy gather issued %d hedges; the cell would measure speculation", hs.Issued)
 		}
 		ratio := float64(plan.EstimatedCost) / float64(res.Runtime)
 		cell := fmt.Sprintf("hash8-zipf1.3/maxdegree=%d/%v", maxDegrees[i], plan)

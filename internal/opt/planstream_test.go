@@ -45,11 +45,11 @@ import (
 //     written there if absent, and if present (say, written at the parent
 //     commit) compared with this run's, the first diverging row printed old
 //     beside new.
-//   - -update-planstream rewrites the golden and logs (add -v) which
+//   - -update rewrites the golden and logs (add -v) which
 //     (section, decade) winners changed, from what to what. Only for a change
 //     that is meant to move a cost; say so in the commit.
 var (
-	updatePlanStream = flag.Bool("update-planstream", false,
+	updatePlanStream = flag.Bool("update", false,
 		"rewrite testdata/planstream.golden from the current implementation; with -v, log the winners that changed")
 	planStreamRows = flag.String("planstream-rows", "",
 		"directory for the stream's full rows: written if absent, compared row by row if present")
@@ -482,7 +482,7 @@ func TestPlanStreamGolden(t *testing.T) {
 		return
 	}
 	if err != nil {
-		t.Fatalf("reading %s (run with -update-planstream to create): %v", path, err)
+		t.Fatalf("reading %s (run with -update to create): %v", path, err)
 	}
 	if got == string(want) {
 		return

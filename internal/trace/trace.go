@@ -10,13 +10,13 @@ package trace
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
 	"pioqo/internal/device"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
+	"pioqo/internal/stats"
 )
 
 // Sample is one reading of the device's outstanding request count.
@@ -106,24 +106,9 @@ func (pr Profile) Stats() Stats {
 	}
 	sort.Ints(depths)
 	st.Mean = float64(sum) / float64(len(depths))
-	st.P50 = percentile(depths, 0.50)
-	st.P90 = percentile(depths, 0.90)
+	st.P50 = stats.Percentile(depths, 0.50)
+	st.P90 = stats.Percentile(depths, 0.90)
 	return st
-}
-
-// percentile returns the nearest-rank percentile over ascending-sorted
-// values: the smallest value with at least p·n of the samples at or below
-// it. Both reported percentiles use this one method, so P50 of a 2-sample
-// profile is the lower sample, not an out-of-range index.
-func percentile(sorted []int, p float64) int {
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
 }
 
 // Histogram renders the series as a textual depth histogram with the given

@@ -90,9 +90,12 @@ func newDeviceSized(env *sim.Env, kind DeviceKind, dataBytes int64) device.Devic
 		cfg.Capacity = scale(cfg.Capacity)
 		return device.NewHDD(env, cfg)
 	case RAID8:
+		// Whole stripes per spindle: a fractional last stripe would let the
+		// set's size admit offsets its last stripe row maps past a child's end.
+		const spindles, stripe = 8, 64 << 10
 		cfg := device.HDD15KConfig()
-		cfg.Capacity = scale(cfg.Capacity*8) / 8
-		return device.NewRAID0(env, 8, 64<<10, cfg)
+		cfg.Capacity = scale(cfg.Capacity*spindles) / spindles / stripe * stripe
+		return device.NewRAID0(env, spindles, stripe, cfg)
 	default:
 		panic("workload: unknown device kind " + kind.String())
 	}

@@ -42,6 +42,16 @@ func TestDeviceScalingPreservesSeekGeometry(t *testing.T) {
 	if big.Dev.Size() > 64<<30 {
 		t.Errorf("device grew beyond the default capacity: %d", big.Dev.Size())
 	}
+	// A scaled stripe set must hold every offset it admits: at these row
+	// counts a child sized to a fraction of a stripe put the last stripe
+	// row past its end (calibration, which reads the whole band, panicked).
+	for _, rows := range []int64{200000, 123457} {
+		raid := New(Options{Device: RAID8, Rows: rows, RowsPerPage: 33, Synthetic: true})
+		for off := raid.Dev.Size() - 1<<20; off < raid.Dev.Size(); off += disk.PageSize {
+			raid.Dev.ReadAt(off, disk.PageSize)
+		}
+		raid.Env.Run()
+	}
 }
 
 func TestSATAAndNVMeSystemsWork(t *testing.T) {

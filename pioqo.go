@@ -84,27 +84,6 @@ type Config struct {
 	// after Calibrate instead; its windows count from the call.
 	Faults *FaultSchedule
 
-	// NoScanSharing disables the shared circulating-scan subsystem: every
-	// session-submitted full scan reads the heap privately, as in the
-	// pre-sharing engine. For A/B benchmarking heavy concurrent traffic
-	// (experiments.SharedScan); per-query opt-out is WithNoScanSharing.
-	NoScanSharing bool
-
-	// NoDegradationReplan stops the resource broker from shrinking its
-	// credit supply when the device reports sustained degradation, so
-	// queries keep planning at the healthy queue depth. For A/B
-	// benchmarking the degradation response (experiments.Degradation).
-	NoDegradationReplan bool
-
-	// GreedyPlanning routes every optimization through the serving-scale
-	// plan path: the parameterized plan cache (keyed on query shape with
-	// logarithmic selectivity bands, constants bound at lookup) backed by
-	// the greedy O(n) access-path fast path with cost-crossover fallback
-	// to full enumeration. Off by default — the exhaustive memoized
-	// enumeration stays byte-identical to previous releases; per-query
-	// opt-in is WithGreedyPlanning.
-	GreedyPlanning bool
-
 	// Adaptive makes feedback-driven execution the system default: every
 	// eligible query (demand full scans and index scans) runs under the
 	// per-query feedback controller, which seeds its initial degree from
@@ -132,11 +111,6 @@ type Config struct {
 	// sharded system. Default PartitionHash. Per-table override is
 	// WithPartition.
 	Partition PartitionKind
-
-	// NoHedge disables straggler hedging: scatter-gather queries wait out
-	// slow shard reads instead of re-issuing them. The A/B control for
-	// benchmarking the hedging policy.
-	NoHedge bool
 
 	// HedgeDelay is the straggler-hedge re-issue threshold: a shard read
 	// still outstanding after this long gets a speculative duplicate, and
@@ -168,11 +142,14 @@ type System struct {
 	seed  int64
 
 	// partition is the default partitioning for sharded tables; hedge is
-	// the straggler-hedge re-issue threshold (0 = hedging disabled).
+	// the straggler-hedge re-issue threshold (0 on a single-node system,
+	// which never hedges).
 	partition PartitionKind
 	hedge     sim.Duration
 
-	// noDegrade disables the broker's degraded-supply response.
+	// noDegrade keeps the broker's credit supply at the healthy depth under
+	// channel loss: the reference arm of TestDegradationReplanBeatsNoReplan,
+	// set by that test and by nothing else.
 	noDegrade bool
 
 	tables map[string]*Table
@@ -193,10 +170,8 @@ type System struct {
 	depthOne *cost.DTT
 
 	// pcache is the serving-scale parameterized plan cache; Plan routes
-	// through it instead of the memo when greedy planning is on (system
-	// default greedy, or per-query WithGreedyPlanning).
+	// through it instead of the memo under PlanOptions.GreedyPlanning.
 	pcache *opt.ParamCache
-	greedy bool
 
 	// broker is the shared resource-governance layer (internal/broker),
 	// built lazily from the calibrated model and dropped with it; session
@@ -239,15 +214,13 @@ func New(cfg Config) *System {
 		cores:     cfg.Cores,
 		seed:      cfg.Seed,
 		partition: cfg.Partition,
-		noDegrade: cfg.NoDegradationReplan,
 		adaptive:  cfg.Adaptive,
 		tables:    make(map[string]*Table),
 		memo:      opt.NewMemo(),
 		pcache:    opt.NewParamCache(),
-		greedy:    cfg.GreedyPlanning,
 		reg:       obs.NewRegistry(env),
 	}
-	if cfg.Shards > 1 && !cfg.NoHedge {
+	if cfg.Shards > 1 {
 		hd := cfg.HedgeDelay
 		if hd == 0 {
 			hd = time.Millisecond
@@ -265,7 +238,7 @@ func New(cfg Config) *System {
 			Kind:       cfg.Device,
 			PoolPages:  cfg.PoolPages,
 			Cores:      cfg.Cores,
-			Shares:     i == 0 && !cfg.NoScanSharing,
+			Shares:     i == 0,
 			HedgeDelay: s.hedge,
 		}))
 	}

@@ -189,8 +189,7 @@ type PlanOptions struct {
 	// GreedyPlanning routes this optimization through the serving-scale
 	// plan path — the parameterized selectivity-band cache backed by the
 	// greedy O(n) fast path — instead of the exhaustive memoized
-	// enumeration. See Config.GreedyPlanning for the system-wide default
-	// and WithGreedyPlanning for the query-option form.
+	// enumeration.
 	GreedyPlanning bool
 }
 
@@ -307,7 +306,7 @@ func (s *System) Plan(q Query, o PlanOptions) (Plan, error) {
 	if err := s.optConfig(q, o, &cfg, &in); err != nil {
 		return Plan{}, err
 	}
-	if o.GreedyPlanning || s.greedy {
+	if o.GreedyPlanning {
 		return fromInternalPlan(s.pcache.Choose(cfg, in)), nil
 	}
 	return fromInternalPlan(s.memo.Choose(cfg, in)), nil
@@ -419,17 +418,19 @@ func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, choose
 }
 
 type queryOptions struct {
-	cold        bool
-	prefetch    int
-	plan        PlanOptions
-	telemetry   *QueryTelemetry
-	detail      bool
-	staticSplit bool
-	noShare     bool
-	adaptive    bool
-	degree      int
-	timeout     time.Duration
-	retry       RetryPolicy
+	cold      bool
+	prefetch  int
+	plan      PlanOptions
+	telemetry *QueryTelemetry
+	detail    bool
+	adaptive  bool
+	degree    int
+	timeout   time.Duration
+	retry     RetryPolicy
+
+	// noShare keeps a session scan off the circulating scan: the private
+	// reference arm of sharing_test.go, which no exported option sets.
+	noShare bool
 }
 
 // Cold flushes the buffer pool before running, modelling a cold cache.
@@ -441,25 +442,6 @@ func WithPrefetch(n int) QueryOption { return func(o *queryOptions) { o.prefetch
 
 // WithPlanOptions forwards optimizer options through Query/Execute.
 func WithPlanOptions(po PlanOptions) QueryOption { return func(o *queryOptions) { o.plan = po } }
-
-// WithNoScanSharing keeps this query off the shared circulating scan: it
-// registers no table interest, never plans the attach path, and scans the
-// heap privately. The A/B control for benchmarking scan sharing per query;
-// Config.NoScanSharing disables the subsystem system-wide.
-func WithNoScanSharing() QueryOption { return func(o *queryOptions) { o.noShare = true } }
-
-// StaticSplit makes ExecuteConcurrent budget the batch with a one-shot
-// even split of the beneficial queue depth, never re-brokering freed
-// credits — the pre-broker behaviour, kept for A/B benchmarking against
-// dynamic admission control.
-func StaticSplit() QueryOption { return func(o *queryOptions) { o.staticSplit = true } }
-
-// WithGreedyPlanning plans this query through the serving-scale plan path:
-// the parameterized selectivity-band cache backed by the greedy O(n)
-// access-path fast path, falling back to full enumeration only near cost
-// crossovers. The A/B control for benchmarking planner throughput;
-// Config.GreedyPlanning turns it on system-wide.
-func WithGreedyPlanning() QueryOption { return func(o *queryOptions) { o.plan.GreedyPlanning = true } }
 
 // PlannerStats snapshots the plan caches' traffic counters: the exact-match
 // memo on the default path, and the parameterized band cache serving greedy

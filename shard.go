@@ -182,7 +182,7 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 		ins[j] = part.input(q)
 	}
 	choose := s.memo.Choose
-	if o.GreedyPlanning || s.greedy {
+	if o.GreedyPlanning {
 		choose = s.pcache.Choose
 	}
 	sp := opt.ChooseSharded(choose, cfgs, ins, opt.MergeScalar, 0)

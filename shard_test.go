@@ -226,7 +226,10 @@ func TestHedgingUnderStragglers(t *testing.T) {
 		StragglerLatency: 20 * time.Millisecond,
 	}}}
 	run := func(noHedge bool) (Result, HedgeStats) {
-		sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4, NoHedge: noHedge, HedgeDelay: 2 * time.Millisecond})
+		sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4, HedgeDelay: 2 * time.Millisecond})
+		if noHedge {
+			sys.hedge = 0 // the reference arm: the hedgers are built and never armed
+		}
 		tab, err := sys.CreateTable("t", 100000, 33)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +247,7 @@ func TestHedgingUnderStragglers(t *testing.T) {
 	hedged, hs := run(false)
 	unhedged, uhs := run(true)
 	if uhs.Issued != 0 {
-		t.Errorf("NoHedge system issued %d hedges", uhs.Issued)
+		t.Errorf("unhedged system issued %d hedges", uhs.Issued)
 	}
 	if hs.Issued == 0 {
 		t.Error("hedged system issued no speculative reads under 10% stragglers")

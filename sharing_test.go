@@ -20,17 +20,13 @@ func submitScans(t *testing.T, sys *System, tab *Table, n int, opts ...QueryOpti
 	return subs
 }
 
-func TestSessionSharesConcurrentScans(t *testing.T) {
-	sys, tab := newCalibrated(t, SSD, 40000, 4)
-	want, err := sys.Execute(Query{Table: tab, Low: 0, High: tab.Rows() - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// The attach path wins once contention squeezes each query's fair
-	// share to a single queue-depth credit — below that, a parallel
-	// private scan is still cheaper for the individual query. Submit
-	// enough scans to get well past the credit supply.
+// drainContendedScans submits and drains enough full scans to get well past
+// the credit supply, which it also returns. The attach path wins once
+// contention squeezes each query's fair share to a single queue-depth
+// credit — below that, a parallel private scan is still cheaper for the
+// individual query.
+func drainContendedScans(t *testing.T, sys *System, tab *Table, opts ...QueryOption) ([]*Submission, int) {
+	t.Helper()
 	m, err := sys.Model()
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +36,20 @@ func TestSessionSharesConcurrentScans(t *testing.T) {
 	if n < 16 {
 		n = 16
 	}
-	subs := submitScans(t, sys, tab, n)
+	subs := submitScans(t, sys, tab, n, opts...)
 	if err := sys.Drain(); err != nil {
 		t.Fatal(err)
 	}
+	return subs, total
+}
+
+func TestSessionSharesConcurrentScans(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 40000, 4)
+	want, err := sys.Execute(Query{Table: tab, Low: 0, High: tab.Rows() - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, total := drainContendedScans(t, sys, tab)
 	sharedSeen := 0
 	for i, sub := range subs {
 		res, err := sub.Result()
@@ -127,38 +133,29 @@ func TestSharedScanProgressExactOnMidLapAttach(t *testing.T) {
 	}
 }
 
+// TestNoScanSharingKnobs runs TestSessionSharesConcurrentScans' contention
+// with every scan kept private through the unexported queryOptions.noShare
+// (the reference arm no exported option reaches): none attaches, each still
+// answers correctly.
 func TestNoScanSharingKnobs(t *testing.T) {
-	// System-wide off: no submission is ever admitted shared.
-	sys := New(Config{Device: SSD, PoolPages: 1024, NoScanSharing: true})
-	tab, err := sys.CreateTable("t", 40000, 4)
+	sys, tab := newCalibrated(t, SSD, 40000, 4)
+	want, err := sys.Execute(Query{Table: tab, Low: 0, High: tab.Rows() - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
-		t.Fatal(err)
-	}
-	subs := submitScans(t, sys, tab, 4)
-	if err := sys.Drain(); err != nil {
-		t.Fatal(err)
-	}
+	private := func(o *queryOptions) { o.noShare = true }
+	subs, _ := drainContendedScans(t, sys, tab, private)
 	for i, sub := range subs {
-		if sub.Admission().Shared {
-			t.Errorf("scan %d shared under Config.NoScanSharing", i)
+		res, err := sub.Result()
+		if err != nil {
+			t.Fatalf("scan %d: %v", i, err)
 		}
-		if res, err := sub.Result(); err != nil || res.Plan.Shared {
-			t.Errorf("scan %d: err=%v plan=%v", i, err, res.Plan)
+		if sub.Admission().Shared || res.Plan.Shared {
+			t.Errorf("scan %d shared despite noShare: %+v, plan %v", i, sub.Admission(), res.Plan)
 		}
-	}
-
-	// Per-query opt-out on a sharing-enabled system.
-	sys2, tab2 := newCalibrated(t, SSD, 40000, 4)
-	opted := submitScans(t, sys2, tab2, 4, WithNoScanSharing())
-	if err := sys2.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for i, sub := range opted {
-		if sub.Admission().Shared {
-			t.Errorf("scan %d shared despite WithNoScanSharing", i)
+		if res.Value != want.Value || res.Rows != want.Rows {
+			t.Errorf("scan %d: got (%d, %d rows), want (%d, %d rows)",
+				i, res.Value, res.Rows, want.Value, want.Rows)
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"text/tabwriter"
 	"time"
+
+	"pioqo/internal/stats"
 )
 
 // WorkloadReport aggregates a concurrent batch's service levels by query
@@ -74,9 +76,9 @@ func (r ConcurrentResult) SLOReport(queries []Query) WorkloadReport {
 		sort.Slice(g.lat, func(a, b int) bool { return g.lat[a] < g.lat[b] })
 		k := time.Duration(len(g.lat))
 		rep.Shapes[i].Queries = len(g.lat)
-		rep.Shapes[i].P50 = quantileDuration(g.lat, 0.50)
-		rep.Shapes[i].P95 = quantileDuration(g.lat, 0.95)
-		rep.Shapes[i].P99 = quantileDuration(g.lat, 0.99)
+		rep.Shapes[i].P50 = stats.Percentile(g.lat, 0.50)
+		rep.Shapes[i].P95 = stats.Percentile(g.lat, 0.95)
+		rep.Shapes[i].P99 = stats.Percentile(g.lat, 0.99)
 		rep.Shapes[i].MeanWait = g.wait / k
 		rep.Shapes[i].MeanExec = g.exec / k
 	}
@@ -92,24 +94,6 @@ func shapeLabel(q Query) string {
 		sel = float64(span) / float64(rows) * 100
 	}
 	return fmt.Sprintf("%s %s %.3g%%", q.Table.Name(), strings.ToLower(q.Agg.String()), sel)
-}
-
-// quantileDuration returns the nearest-rank p-quantile (0..1) of an
-// ascending-sorted sample: the smallest element with at least p of the
-// sample at or below it. Nearest-rank keeps reported percentiles actual
-// observed latencies rather than interpolated ones.
-func quantileDuration(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(p*float64(len(sorted))+0.9999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // String renders the report as an aligned table.
