@@ -351,3 +351,21 @@ func BenchmarkEarlyStop(b *testing.B) {
 	}
 	b.ReportMetric(saving, "hdd-calibration-saving-x")
 }
+
+// benchCalibrate is what a benchmark set-up pays per system: assembly plus a
+// cold calibration at bench/'s read budget, with the collector on. Many short
+// Runs of a few processes each while the heap is being marked, which is where
+// a kernel that keeps the Go scheduler from running shows: the mark worker
+// starves and the processes pay its work in assists.
+func benchCalibrate(b *testing.B, dev pioqo.DeviceKind) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sys := pioqo.New(pioqo.Config{Device: dev, PoolPages: 1024})
+		if _, err := sys.Calibrate(pioqo.CalibrationOptions{MaxReads: 1600}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCalibrateSSD(b *testing.B) { benchCalibrate(b, pioqo.SSD) }
+func BenchmarkCalibrateHDD(b *testing.B) { benchCalibrate(b, pioqo.HDD) }

@@ -407,10 +407,7 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 		bump(p.obsJoined)
 		c = f.loading
 	default:
-		p.Stats.Hits++
-		bump(p.obsHits)
-		p.pin(f)
-		return Handle{p, f}, nil
+		return p.hit(f), nil
 	}
 	p.pin(f)
 	proc.Wait(c)
@@ -418,6 +415,27 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 		return Handle{}, err
 	}
 	return Handle{p, f}, nil
+}
+
+// hit pins a loaded frame and counts the hit.
+func (p *Pool) hit(f *frame) Handle {
+	p.Stats.Hits++
+	bump(p.obsHits)
+	p.pin(f)
+	return Handle{p, f}
+}
+
+// FetchLoaded is the hit of FetchPageE and nothing else: a page present with
+// its read complete comes back pinned, counted as a hit, from one index
+// probe. Otherwise it reports false having touched nothing — no miss
+// counted, no read issued, no blocking — and the caller, free to do first
+// whatever must precede a device interaction, goes on to FetchPageE.
+func (p *Pool) FetchLoaded(file *disk.File, page int64) (Handle, bool) {
+	f := p.lookup(file, page)
+	if f == nil || f.loading != nil {
+		return Handle{}, false
+	}
+	return p.hit(f), true
 }
 
 // Prefetch asynchronously loads a single page if it is not already present
@@ -493,14 +511,6 @@ func (p *Pool) PrefetchRunTrimmed(file *disk.File, page int64, count int) int {
 // Contains reports whether the page is loaded or loading.
 func (p *Pool) Contains(file *disk.File, page int64) bool {
 	return p.lookup(file, page) != nil
-}
-
-// Loaded reports whether the page is present with its read complete — a
-// fetch would neither touch the device nor block. Batched executors use it
-// to decide whether deferred CPU debt must settle before the fetch.
-func (p *Pool) Loaded(file *disk.File, page int64) bool {
-	f := p.lookup(file, page)
-	return f != nil && f.loading == nil
 }
 
 // Pinned reports the total pin count across all frames. After a query has

@@ -26,6 +26,14 @@ func newWorld(t testing.TB, poolPages int) *world {
 	}
 }
 
+// Loaded reports whether the page is present with its read complete — what
+// FetchLoaded would pin — without pinning or counting anything. The fuzzers
+// compare it with their reference pools.
+func (p *Pool) Loaded(file *disk.File, page int64) bool {
+	f := p.lookup(file, page)
+	return f != nil && f.loading == nil
+}
+
 // run executes fn as a process and drives the simulation to completion.
 func (w *world) run(fn func(p *sim.Proc)) {
 	w.env.Go("test", fn)
@@ -173,6 +181,33 @@ func TestFetchJoinsInFlightPrefetch(t *testing.T) {
 	if got := w.pool.Stats.JoinedLoads; got != 1 {
 		t.Errorf("joined loads = %d, want 1", got)
 	}
+}
+
+// FetchLoaded is FetchPageE's hit and only that: an absent page and one whose
+// read is in flight are refused with no statistic, no read and no pin; a
+// loaded page comes back pinned and counted.
+func TestFetchLoaded(t *testing.T) {
+	w := newWorld(t, 8)
+	w.run(func(p *sim.Proc) {
+		if _, ok := w.pool.FetchLoaded(w.file, 9); ok {
+			t.Error("absent page reported loaded")
+		}
+		w.pool.Prefetch(w.file, 9)
+		if _, ok := w.pool.FetchLoaded(w.file, 9); ok {
+			t.Error("page in flight reported loaded")
+		}
+		if s := w.pool.Stats; s.Hits != 0 || s.Misses != 0 || s.PrefetchReads != 1 || w.pool.Pinned() != 0 {
+			t.Errorf("refusals left hits=%d misses=%d reads=%d pins=%d, want 0, 0, 1, 0",
+				s.Hits, s.Misses, s.PrefetchReads, w.pool.Pinned())
+		}
+		p.Sleep(50 * sim.Millisecond)
+		h, ok := w.pool.FetchLoaded(w.file, 9)
+		if !ok || w.pool.Stats.Hits != 1 || w.pool.Pinned() != 1 {
+			t.Errorf("loaded page: ok=%v hits=%d pins=%d, want true, 1, 1", ok, w.pool.Stats.Hits, w.pool.Pinned())
+			return
+		}
+		h.Release()
+	})
 }
 
 func TestPrefetchDedupes(t *testing.T) {

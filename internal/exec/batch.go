@@ -81,14 +81,16 @@ func (b *cpuBudget) settle(wp *sim.Proc) {
 
 // fetchE pins a page, settling outstanding debt first whenever the request
 // could touch the device or block (the page is absent, or present but its
-// read is still in flight). Loaded pages pin without settling — that is
-// where merging wins. A failed read returns the device's error for
-// fetchRetry's policy to handle; it still counts its blocked time but not a
-// fetched page.
+// read is still in flight). Loaded pages pin without settling, from the one
+// index probe that found them — that is where merging wins. A failed read
+// returns the device's error for fetchRetry's policy to handle; it still
+// counts its blocked time but not a fetched page.
 func (b *cpuBudget) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handle, error) {
-	if !b.ctx.Pool.Loaded(f, page) {
-		b.settle(wp)
+	if h, ok := b.ctx.Pool.FetchLoaded(f, page); ok {
+		b.pages++
+		return h, nil
 	}
+	b.settle(wp)
 	t0 := b.ctx.Env.Now()
 	h, err := b.ctx.Pool.FetchPageE(wp, f, page)
 	b.io += sim.Duration(b.ctx.Env.Now() - t0)

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // panicOf runs fn and returns the value it panicked with, or nil.
@@ -160,13 +162,42 @@ func TestUngrantedResumePanics(t *testing.T) {
 	}
 }
 
-// After a clean drain every process goroutine has ended. They end just after
-// passing the baton, so give the scheduler a bounded moment to retire them.
-func TestNoGoroutinesLeftAfterDrain(t *testing.T) {
-	before := runtime.NumGoroutine()
-	e := NewEnv(1)
+// settledGoroutines reports runtime.NumGoroutine once every finalizer due so
+// far has run to its end: the one finalizer goroutine works through its queue
+// in batches, so when a second sentinel's finalizer has run, every finalizer
+// the first collection queued — the ticket that empties an Env's free list
+// among them — has returned.
+func settledGoroutines() int {
+	for i := 0; i < 2; i++ {
+		ran := make(chan struct{})
+		runtime.SetFinalizer(new(*int), func(**int) { close(ran) })
+		runtime.GC()
+		<-ran
+	}
+	return runtime.NumGoroutine()
+}
+
+// onlyForcedCollections turns the collector off for the rest of the test: a
+// free list expires at the first collection after a Run, so a test that counts
+// idle coroutines has to say when that is. settledGoroutines still collects.
+func onlyForcedCollections(t *testing.T) {
+	old := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(old) })
+}
+
+// idle reports the length of e's free list. The lock is what orders this read
+// after an expire on the finalizer goroutine.
+func idle(e *Env) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.idle)
+}
+
+// runFleet spawns n processes that sleep, then wait for one completion, and
+// runs e dry: all n are alive at once, as a scan's workers are.
+func runFleet(e *Env, n int) {
 	done := NewCompletion(e)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < n; i++ {
 		e.Go(fmt.Sprintf("w%d", i), func(p *Proc) {
 			p.Sleep(Duration(i) * Microsecond)
 			p.Wait(done)
@@ -174,10 +205,249 @@ func TestNoGoroutinesLeftAfterDrain(t *testing.T) {
 	}
 	e.Schedule(Millisecond, done.Fire)
 	e.Run()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; runtime.Gosched() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after drain, %d before Run", runtime.NumGoroutine(), before)
+}
+
+// What a process costs in goroutines, in three statements: none per process
+// once it has exited, only the free list's bounded number of idle coroutines;
+// nothing that grows with the number of Runs; nothing at all one collection
+// after the last Run, whether the Env is still in use or unreachable.
+func TestNoGoroutinesLeftAfterDrain(t *testing.T) {
+	onlyForcedCollections(t)
+	t.Run("drain leaves at most the free list", func(t *testing.T) {
+		base := settledGoroutines()
+		e := NewEnv(1)
+		runFleet(e, 3*maxIdleCoros)
+		if got := runtime.NumGoroutine() - base; e.LiveProcs() != 0 || got > maxIdleCoros || idle(e) != got {
+			t.Fatalf("after drain: %d live, %d goroutines over baseline, %d idle; want 0, at most %d, all of them idle",
+				e.LiveProcs(), got, idle(e), maxIdleCoros)
 		}
+	})
+
+	t.Run("runs do not accumulate", func(t *testing.T) {
+		settledGoroutines() // an earlier test's Env, collected in mid-count, would lower it
+		e := NewEnv(1)
+		runFleet(e, 32)
+		one := runtime.NumGoroutine()
+		for i := 0; i < 1000; i++ {
+			runFleet(e, 32)
+		}
+		if got := runtime.NumGoroutine(); got != one || e.LiveProcs() != 0 {
+			t.Fatalf("%d goroutines after 1001 Runs of 32 processes, %d after one; %d live", got, one, e.LiveProcs())
+		}
+	})
+
+	// Each of these leaves every coroutine it started either ended or idle, so
+	// a collection returns the count to baseline. (Processes still parked are
+	// a different matter: see the next test.)
+	histories := map[string]func(e *Env){
+		"drained": func(e *Env) { runFleet(e, 32) },
+		"cut short, then drained": func(e *Env) {
+			for i := 0; i < 8; i++ {
+				e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
+			}
+			if e.RunUntil(Time(Millisecond)) || e.LiveProcs() != 8 {
+				t.Errorf("RunUntil: want a cut-off with 8 parked, have %d live", e.LiveProcs())
+			}
+			e.Run()
+		},
+		"run re-panicked": func(e *Env) {
+			for i := 0; i < 8; i++ {
+				e.Go("ok", func(p *Proc) { p.Sleep(Microsecond) })
+			}
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(Millisecond)
+				panic("boom")
+			})
+			if got := panicOf(func() { e.Run() }); got != "boom" {
+				t.Errorf("Run panicked with %v, want boom", got)
+			}
+		},
+	}
+	for name, use := range histories {
+		t.Run("released by a collection/"+name, func(t *testing.T) {
+			base := settledGoroutines()
+			e := NewEnv(1)
+			use(e)
+			if got := settledGoroutines(); got != base || idle(e) != 0 {
+				t.Fatalf("Env in use: %d goroutines and %d idle after a collection, %d before the Env was made", got, idle(e), base)
+			}
+			runFleet(e, 8) // and an emptied free list is just an empty one
+			if e.LiveProcs() != 0 || idle(e) != 8 {
+				t.Fatalf("next Run on the emptied list: %d live, %d idle, want 0 and 8", e.LiveProcs(), idle(e))
+			}
+			e = nil
+			if got := settledGoroutines(); got != base {
+				t.Fatalf("Env dropped: %d goroutines after a collection, %d before it was made", got, base)
+			}
+		})
+	}
+}
+
+// The limit of the third statement above. A process parked in mid-body holds
+// its Env from its stack, and a parked coroutine's stack is a GC root like
+// any blocked goroutine's: an Env dropped after a cut-short RunUntil, or
+// after a callback's panic left a bystander parked, keeps those coroutines —
+// exactly those (the idle one goes), and a later Run would still resume them.
+func TestAbandonedParkedProcessesKeepTheirCoroutines(t *testing.T) {
+	onlyForcedCollections(t)
+	base := settledGoroutines()
+	func() {
+		e := NewEnv(1)
+		for i := 0; i < 4; i++ {
+			e.Go("sleeper", func(p *Proc) { p.Sleep(Second) })
+		}
+		e.Go("done early", func(p *Proc) {})
+		e.RunUntil(Time(Millisecond))
+	}()
+	if got := settledGoroutines() - base; got != 4 {
+		t.Fatalf("%d goroutines over baseline, want the 4 parked processes and nothing else", got)
+	}
+}
+
+// Only a body that returned hands its coroutine on. One that panicked ends
+// it; a bystander that a callback's panic left parked is still on its own
+// and must not be handed a second process; and a process started on a used
+// coroutine is a new process in every respect.
+func TestFreeListHygiene(t *testing.T) {
+	onlyForcedCollections(t)
+	e := NewEnv(1)
+	e.Go("bad", func(p *Proc) { panic("boom") })
+	if got := panicOf(func() { e.Run() }); got != "boom" || idle(e) != 0 {
+		t.Fatalf("Run panicked with %v and left %d idle coroutines, want boom and none", got, idle(e))
+	}
+
+	var order []string
+	bystander := e.Go("bystander", func(p *Proc) {
+		p.Sleep(2 * Millisecond) // drives the loop: the callback below fires here
+		order = append(order, p.Name())
+	})
+	e.Schedule(Millisecond, func() { panic("callback") })
+	if got := panicOf(func() { e.Run() }); got != "callback" || idle(e) != 0 || bystander.co == nil {
+		t.Fatalf("Run panicked with %v, %d idle, bystander coroutine %v; want callback, none, still its own",
+			got, idle(e), bystander.co)
+	}
+	held := bystander.co
+	e.Go("newcomer", func(p *Proc) {
+		if p.co == held {
+			t.Error("a new process was started on the coroutine a parked bystander is on")
+		}
+		order = append(order, p.Name())
+	})
+	e.Run()
+	if got := strings.Join(order, " "); got != "newcomer bystander" || e.LiveProcs() != 0 || idle(e) != 2 {
+		t.Fatalf("order %q, %d live, %d idle; want both to finish and both coroutines idle", got, e.LiveProcs(), idle(e))
+	}
+
+	// A reused coroutine: the second process gets its own Proc, runs its own
+	// deferred calls once, and its panic is its own.
+	first := e.Go("first", func(p *Proc) {
+		defer func() { order = append(order, "first deferred") }()
+		p.Sleep(Millisecond)
+	})
+	e.Run()
+	was := idle(e)
+	order = order[:0]
+	e.Go("second", func(p *Proc) {
+		if p == first || p.Name() != "second" || p.parked || p.done || idle(e) != was-1 {
+			t.Errorf("second process: %+v with %d idle, want a fresh Proc on a coroutine off the free list", *p, idle(e))
+		}
+		p.Sleep(Millisecond)
+		panic("second")
+	})
+	if got := panicOf(func() { e.Run() }); got != "second" || len(order) != 0 || idle(e) != was-1 {
+		t.Fatalf("Run panicked with %v, saw %q, %d idle; want second, nothing of the first process, %d", got, order, idle(e), was-1)
+	}
+}
+
+// Tickets expire on the finalizer goroutine while Envs on other goroutines go
+// from Run to Run, as host.Sweep's do. Every eighth Run waits for a collection
+// first, so that its entry meets the expiry of the list the last one left:
+// whichever side takes the Env's lock first, a Run starts every process it
+// was given, on a coroutine that is fresh or still alive, and finishes them.
+func TestFreeListExpiresBetweenConcurrentRuns(t *testing.T) {
+	var collections atomic.Int64
+	stop := make(chan struct{})
+	collected := make(chan struct{})
+	go func() {
+		defer close(collected)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				runtime.GC()
+				collections.Add(1)
+			}
+		}
+	}()
+	var sweep sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		sweep.Add(1)
+		go func() {
+			defer sweep.Done()
+			e := NewEnv(int64(w))
+			for i := 0; i < 240; i++ {
+				if i%8 == 0 {
+					for seen := collections.Load(); collections.Load() < seen+2; {
+						runtime.Gosched()
+					}
+				}
+				n, ran := 1+i%9, 0
+				for k := 0; k < n; k++ {
+					e.Go("p", func(p *Proc) {
+						p.Sleep(Duration(k) * Microsecond)
+						ran++
+					})
+				}
+				if e.Run(); ran != n || e.LiveProcs() != 0 {
+					t.Errorf("env %d run %d: %d of %d processes ran, %d live", w, i, ran, n, e.LiveProcs())
+					return
+				}
+			}
+		}()
+	}
+	sweep.Wait()
+	close(stop)
+	<-collected
+}
+
+// runtime.Goexit in a process body is not confined to the process, because
+// iter.Pull carries it to the caller of next: the process's deferred calls
+// run, it leaves the live set, and the goroutine that called Run ends —
+// which is what t.FailNow in a process body needs in order to stop the test.
+// The Env stays consistent: the other process is still parked and a later
+// Run resumes it.
+func TestGoexitInProcessEndsRunsGoroutine(t *testing.T) {
+	onlyForcedCollections(t)
+	base := settledGoroutines()
+	e := NewEnv(1)
+	var deferred, returned, finished bool
+	e.Go("peer", func(p *Proc) {
+		p.Sleep(2 * Millisecond)
+		finished = true
+	})
+	e.Go("quitter", func(p *Proc) {
+		defer func() { deferred = true }()
+		p.Sleep(Millisecond)
+		runtime.Goexit()
+	})
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		e.Run()
+		returned = true
+	}()
+	<-ended
+	if !deferred || returned || finished || e.LiveProcs() != 1 {
+		t.Fatalf("after Goexit: deferred=%v, Run returned=%v, peer finished=%v, %d live; want true, false, false, 1",
+			deferred, returned, finished, e.LiveProcs())
+	}
+	if end := e.Run(); end != Time(2*Millisecond) || !finished || e.LiveProcs() != 0 {
+		t.Fatalf("second Run: end=%v finished=%v live=%d, want the peer resumed and drained", Duration(end), finished, e.LiveProcs())
+	}
+	// The quitter's coroutine ended with it; only the peer's is left, idle.
+	if got := runtime.NumGoroutine() - base; got != 1 || idle(e) != 1 {
+		t.Fatalf("%d goroutines over baseline, %d idle; want 1 and 1", got, idle(e))
 	}
 }
 

@@ -23,9 +23,8 @@ func BenchmarkEventThroughput(b *testing.B) {
 }
 
 // BenchmarkProcessContextSwitch is the self-wake figure: one process
-// sleeping in a loop parks, drives the event loop on its own goroutine, pops
-// its own wake and returns — a heap push and pop, no channel operation and no
-// goroutine switch.
+// sleeping in a loop parks, drives the event loop on its own stack, pops its
+// own wake and returns — a heap push and pop and no switch.
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEnv(1)
 	e.Go("sleeper", func(p *Proc) {
@@ -38,11 +37,32 @@ func BenchmarkProcessContextSwitch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkProcPingPong is the cross-process figure: two processes wake each
-// other through Completions, so every op is one direct baton pass (a channel
-// send, a channel receive, one goroutine switch). Completions are one-shot;
-// the waiter re-arms its own in place — a lone waiter sits in the struct — so
-// the loop allocates nothing and the hand-off is all that is measured.
+// BenchmarkHandoffRing is the hand-off figure: eight processes sleeping in
+// strict rotation, so every wake belongs to a process other than the one
+// that just parked and every op is one baton pass — a yield to the
+// trampoline and a resume. The self-wake benchmark above never switches.
+func BenchmarkHandoffRing(b *testing.B) {
+	e := NewEnv(1)
+	const procs = 8
+	each := b.N/procs + 1
+	for w := 0; w < procs; w++ {
+		e.Go(fmt.Sprintf("p%d", w), func(p *Proc) {
+			p.Sleep(Duration(w) * Nanosecond)
+			for i := 0; i < each; i++ {
+				p.Sleep(procs * Nanosecond)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcPingPong is the cross-process figure through Completions: two
+// processes wake each other, so every op is one baton pass. Completions are
+// one-shot; the waiter re-arms its own in place — a lone waiter sits in the
+// struct — so the loop allocates nothing and the hand-off is all that is
+// measured.
 func BenchmarkProcPingPong(b *testing.B) {
 	e := NewEnv(1)
 	each := b.N/2 + 1

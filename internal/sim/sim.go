@@ -1,3 +1,5 @@
+//go:build go1.23
+
 // Package sim implements a deterministic discrete-event simulation (DES)
 // kernel with coroutine-style processes.
 //
@@ -8,28 +10,36 @@
 // models minutes of device time finish in milliseconds of host time.
 //
 // The programming model mirrors classic process-oriented simulators
-// (SimPy, CSIM): a process is an ordinary function running on its own
-// goroutine that blocks in virtual time via Proc.Sleep, Proc.Wait, or
-// Proc.Acquire.
+// (SimPy, CSIM): a process is an ordinary function that blocks in virtual
+// time via Proc.Sleep, Proc.Wait, or Proc.Acquire.
 //
-// There is no scheduler goroutine. One event loop pops events in (time,
-// sequence) order, and it runs on whichever goroutine holds the baton: Run's
-// caller first, then every process that parks or exits. The driver fires
-// callbacks inline, returns straight into its own process when the next wake
-// is its own (no goroutine switch), and otherwise hands the baton directly
-// to the woken process (one switch). Only the baton holder touches
-// simulation state and every hand-off is a channel send and receive, so
-// state needs no locking. The one caveat: Schedule and OnFire callbacks run
-// on whichever goroutine is driving, usually a process's. A panic in one
-// still surfaces from Run, but runtime.Goexit (t.FailNow) in one would end
-// that bystander process, so tests must not call t.Fatal from callbacks.
+// A process body runs on a coroutine (iter.Pull). One event loop pops events
+// in (time, sequence) order on whichever stack holds the baton: Run's caller
+// first, then every process that parks or exits. The driver fires callbacks
+// inline, returns straight into its own process when the next wake is its
+// own (no switch), and otherwise names the woken process and yields to Run's
+// goroutine, the one trampoline, which resumes it: two coroutine switches,
+// neither through the Go scheduler, all one thread of control, so simulation
+// state needs no locking. A finished body's coroutine waits on its Env's
+// bounded free list for the next process, until the first collection after a
+// Run. Processes still parked keep theirs, and the Env with them.
+//
+// Two caveats. Schedule and OnFire callbacks run on whichever stack is
+// driving, usually a process's; a panic in one still surfaces from Run and
+// leaves that bystander parked. And runtime.Goexit (t.FailNow) in a body or a
+// callback is not confined to a process: the one whose stack it is on runs
+// its deferred calls and leaves the live set, then the goroutine that called
+// Run ends as if it had called Goexit itself; a later Run resumes the rest.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -156,13 +166,17 @@ type Env struct {
 	live    map[*Proc]struct{}
 	nParked int // live processes currently parked, for deadlock detection
 
-	root     *Proc  // stands for Run's goroutine: never live, never parked
-	deadline Time   // RunUntil: events later than this stay queued
-	handoffs uint64 // baton passes between goroutines; tests pin the count
+	root     *Proc      // stands for Run's goroutine: never live, never parked
+	next     *Proc      // whom a yielding process named as the baton's next holder
+	deadline Time       // RunUntil: events later than this stay queued
+	handoffs uint64     // baton passes between stacks; tests pin the count
+	idle     []*coro    // the free list: coroutines whose body returned, waiting for a process
+	mu       sync.Mutex // orders runs against ticket.expire, which is on the finalizer goroutine
+	runs     uint64     // trampolines entered
 
-	// panicked carries a panic raised on a process goroutine — in the
-	// process body or in a callback that process was driving — so that Run
-	// can re-raise it on its caller's goroutine.
+	// panicked carries a panic raised on a process stack — in the process
+	// body or in a callback that process was driving — so that Run can
+	// re-raise it on its caller's goroutine.
 	panicked interface{}
 }
 
@@ -171,7 +185,7 @@ type Env struct {
 // driven by the same process logic produce identical event sequences.
 func NewEnv(seed int64) *Env {
 	e := &Env{rng: rand.New(rand.NewSource(seed)), live: make(map[*Proc]struct{})}
-	e.root = &Proc{env: e, name: "run", resume: make(chan struct{})}
+	e.root = &Proc{env: e, name: "run"}
 	return e
 }
 
@@ -219,15 +233,15 @@ const (
 	parkResource
 )
 
-// Proc is a simulation process: a goroutine that runs only while it holds
+// Proc is a simulation process: a coroutine that runs only while it holds
 // the baton and blocks in virtual time. Methods on Proc must only be called
-// from the process's own goroutine.
+// from the process's own body.
 type Proc struct {
-	env    *Env
-	name   string
-	resume chan struct{}
-	fn     func(p *Proc) // the body, until the first hand-off starts it
-	done   bool
+	env  *Env
+	name string
+	co   *coro         // the coroutine the body runs on, from its first hand-off to its exit
+	fn   func(p *Proc) // the body, until the first hand-off starts it
+	done bool
 
 	parked    bool
 	parkKind  parkKind
@@ -265,39 +279,91 @@ func (p *Proc) parkReason() string {
 // current virtual time, after the caller yields. Go may be called before Run
 // or from any process or event context.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, resume: make(chan struct{}), fn: fn}
+	p := &Proc{env: e, name: name, fn: fn}
 	e.live[p] = struct{}{}
 	e.wake(p, 0)
 	return p
 }
 
-// run is the body of a process goroutine. When fn returns (or panics) the
-// exiting goroutine still holds the baton, so it drives the loop until the
-// baton belongs to someone else, then ends.
-func (p *Proc) run(fn func(p *Proc)) {
-	e := p.env
-	defer func() {
-		if r := recover(); r != nil {
-			e.panicked = r
-		}
-		p.done = true
-		delete(e.live, p)
-		e.drive(p)
-	}()
-	fn(p)
+// Free-list bound: twice the widest fleet the optimizer plans. Gosched: see pass.
+const maxIdleCoros, resumesPerGosched = 64, 1024
+
+// coro is one iter.Pull coroutine. Starting one costs nine allocations more
+// than a go statement, so a finished body's takes the next process instead.
+type coro struct {
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	proc   *Proc // the process to start, set by the trampoline before resume
 }
 
-// drive is the event loop. It runs on whichever goroutine holds the baton:
-// Run's (self == e.root) or that of a process that has just parked or
-// exited. Callbacks fire inline; a wake for self just returns, resuming self
-// with no goroutine switch; a wake for another process passes the baton
-// straight to it. The baton goes back to root only when the loop must stop
-// (queue empty, deadline next, panic pending). drive returns once self holds
-// the baton again, or has given it away for good (an exited process).
+// ticket is how the free list ends. An idle coroutine is a parked goroutine
+// that only stop ends and every collection scans (a microsecond each: six
+// idle systems' worth slowed a set-up beside them by a tenth), so the list
+// does not wait for its Env to go. Each trampoline leaves an unreachable
+// ticket behind, and the last one's finalizer empties the list at the next
+// collection unless a Run has begun since: none is under way then, and none
+// begins before the unlock. (stop makes loop's yield report false.)
+type ticket struct {
+	e    *Env
+	runs uint64
+}
+
+func (t *ticket) expire() {
+	t.e.mu.Lock()
+	defer t.e.mu.Unlock()
+	if t.runs == t.e.runs {
+		for _, c := range t.e.idle {
+			c.stop()
+		}
+		t.e.idle = nil
+	}
+}
+
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run(c.proc) && yield(struct{}{}) {
+	}
+}
+
+// run runs p's body and reports whether the coroutine went back on the free
+// list. When the body returns (or panics) the coroutine still holds the
+// baton, so it drives the loop until the baton belongs to someone else. Only
+// a body that returned leaves a coroutine fit for reuse; any other ends.
+func (c *coro) run(p *Proc) (reuse bool) {
+	e, fn := p.env, p.fn
+	c.proc, p.fn, p.co = nil, nil, c
+	defer func() {
+		p.done, p.co = true, nil
+		delete(e.live, p)
+		if !reuse {
+			if e.panicked = recover(); e.panicked == nil { // Goexit: iter.Pull carries it to Run's goroutine
+				if p.parked { // a bystander, unwound by a callback's Goexit
+					e.nParked--
+				}
+				return
+			}
+		}
+		e.drive(p)
+		if reuse = reuse && len(e.idle) < maxIdleCoros; reuse {
+			e.idle = append(e.idle, c)
+		}
+	}()
+	fn(p)
+	return true
+}
+
+// drive is the event loop. It runs on whichever stack holds the baton: Run's
+// (self == e.root) or that of a process that has just parked or exited.
+// Callbacks fire inline; a wake for self just returns, resuming self with no
+// switch; a wake for another process passes the baton to it. The baton goes
+// back to root only when the loop must stop (queue empty, deadline next,
+// panic pending). drive returns once self holds the baton again, or has
+// given it away for good (an exited process).
 func (e *Env) drive(self *Proc) {
 	if self != e.root {
 		// A panicking callback must surface from Run, not unwind the
-		// unrelated process whose goroutine happened to be driving.
+		// unrelated process whose stack happened to be driving.
 		defer func() {
 			if r := recover(); r != nil {
 				e.panicked = r
@@ -325,25 +391,52 @@ func (e *Env) drive(self *Proc) {
 	}
 }
 
-// pass hands the baton from self's goroutine to to's — for a process not yet
-// started, the go statement is the hand-off — and blocks until it comes back
-// (an exited process does not wait). Every write to simulation state
-// precedes the send; the next holder reads only after the matching receive.
+// pass hands the baton from self to to and returns when it comes back (an
+// exited process does not wait). A process names the next holder and yields;
+// root is the trampoline, resuming whoever was named — on a coroutine off
+// the free list if it has yet to start — until root itself is named. No
+// coroutine switch enters the Go scheduler, so on one P the GC's mark worker
+// would wait out a Run for sysmon's 10 ms preemption while processes pay its
+// work in assists (a cold SSD Calibrate took half again as long): hence the
+// Gosched on entry, every resumesPerGosched resumes, and on the way out.
 func (e *Env) pass(self, to *Proc) {
 	e.handoffs++
-	if fn := to.fn; fn != nil {
-		to.fn = nil
-		go to.run(fn)
-	} else {
-		to.resume <- struct{}{}
+	if self != e.root {
+		if e.next = to; !self.done {
+			self.co.yield(struct{}{})
+		}
+		return
 	}
-	if !self.done {
-		<-self.resume
+	e.mu.Lock() // an expire under way finishes first; every ticket is stale from here
+	e.runs++
+	e.mu.Unlock()
+	defer func() { // deferred, because a Goexit in a process unwinds through here
+		if len(e.idle) > 0 {
+			runtime.SetFinalizer(&ticket{e, e.runs}, (*ticket).expire)
+		}
+		runtime.Gosched()
+	}()
+	for n := 0; to != e.root; n++ {
+		if n%resumesPerGosched == 0 {
+			runtime.Gosched()
+		}
+		c := to.co
+		if c == nil {
+			if last := len(e.idle) - 1; last >= 0 {
+				c, e.idle = e.idle[last], e.idle[:last]
+			} else {
+				c = new(coro)
+				c.resume, c.stop = iter.Pull(c.loop)
+			}
+			c.proc = to
+		}
+		c.resume()
+		to = e.next
 	}
 }
 
 // park suspends the calling process, recording a typed wait reason for
-// deadlock reports, and drives the event loop from this goroutine until the
+// deadlock reports, and drives the event loop from this stack until the
 // process's own wake event has popped.
 func (p *Proc) park(kind parkKind, d Duration, extra string) {
 	p.parked = true

@@ -33,10 +33,18 @@ if [ -n "$UNFORMATTED" ]; then
 	echo "$UNFORMATTED" >&2
 	exit 1
 fi
-# The kernel passes its baton between goroutines, and with more than one
-# thread between OS threads too: a missed happens-before edge would hide
-# exactly there, so its race pass runs at several thread counts.
+# A hand-off is a coroutine switch and crosses no OS thread, so this pass no
+# longer guards the baton. What it guards is each Env's free list of idle
+# coroutines: host.Sweep runs Envs on parallel goroutines (the experiments
+# race pass below drives that), and a list is emptied by a ticket's finalizer
+# on the finalizer goroutine, ordered against the Env's next Run by one mutex
+# — hence several thread counts. The goroutine accounting (nothing per
+# process after a drain, nothing per Run, nothing one collection after the
+# last Run), the free list's hygiene, its expiry between concurrent Runs and
+# Goexit in a body then run three times over: they count goroutines, and
+# state left by one round is what would make the next one miscount.
 go test -race -cpu 1,2,4 ./internal/sim/...
+go test -race -cpu 1,2,4 -count=3 -run 'TestNoGoroutinesLeftAfterDrain|TestAbandonedParkedProcessesKeepTheirCoroutines|TestFreeListHygiene|TestFreeListExpiresBetweenConcurrentRuns|TestGoexitInProcessEndsRunsGoroutine' ./internal/sim
 go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/... ./internal/device/... ./internal/disk/... ./internal/table/... ./internal/btree/...
 # The parameterized plan cache is shared between host threads: shapes are
 # created, published and read lock-free, so its race pass runs single- and
