@@ -211,16 +211,11 @@ func (x *Index) LeafEntries(leafNo int64, buf []Entry) []Entry {
 	}
 	buf = buf[:0]
 	if x.syn != nil {
-		// One permutation inversion for the first entry, then the fixed
-		// row stride (mod rows) walks the rest of the leaf — no per-entry
-		// modular multiplication.
-		row, stride, n := x.syn.RowForKey(lo), x.syn.RowStride(), x.syn.Rows()
+		// One inversion of the key map for the first entry; the table's
+		// key-order walk steps to each of the rest.
+		walk := x.syn.KeyOrderFrom(lo)
 		for k := lo; k < hi; k++ {
-			buf = append(buf, Entry{Key: k, Row: row})
-			row += stride
-			if row >= n {
-				row -= n
-			}
+			buf = append(buf, Entry{Key: k, Row: walk.Next()})
 		}
 		return buf
 	}

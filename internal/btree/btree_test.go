@@ -62,7 +62,7 @@ func TestSyntheticEntriesAreDenseKeys(t *testing.T) {
 			if e.Key != next {
 				t.Fatalf("entry key %d, want dense %d", e.Key, next)
 			}
-			if tb.RowAt(e.Row).C2 != e.Key {
+			if tb.RowAt(e.Row).C2 != e.Key || tb.RowForKey(e.Key) != e.Row {
 				t.Fatalf("entry %+v does not match table row", e)
 			}
 			next++

@@ -19,8 +19,13 @@ package experiments
 // deliberate change is documented here.
 //
 // Golden deltas (re-baselines), each documented per the PR-3 rule:
-//   - none so far: the batch kernel reproduced every degree-1 golden
+//   - the batch kernel itself: none; it reproduced every degree-1 golden
 //     byte-for-byte and every contended golden within the 1% budget.
+//   - PR 24, the synthetic heap's keyed page placement: rows moved between
+//     pages, answers did not. batch_queries: the nine index-scan and
+//     join-probe rows (ssd-is-d1, -pf8, ssd-sis-d1, -d8, hdd-is-d1,
+//     ssd-hashjoin-d1, -d8, ssd-nljoin-d1, -d4); batch_fig4: E33-SSD 0.1
+//     PIS32. Every value, found and row count is the one it replaced.
 
 import (
 	"flag"

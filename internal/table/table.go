@@ -11,15 +11,18 @@
 //
 //   - Materialized stores real column values, for correctness tests and
 //     examples that verify query answers against brute force.
-//   - Synthetic derives C2 from an invertible affine permutation of the row
-//     number and C1 from a hash, so that multi-million-row experiment sweeps
-//     need O(1) memory while still supporting exact index-order enumeration
-//     (the inverse permutation maps any key back to its row).
+//   - Synthetic computes both columns from the row number — C2 an affine
+//     permutation, C1 a hash — and lays the pages out in a keyed pseudo-random
+//     order, so that multi-million-row experiment sweeps need O(1) memory,
+//     the rows of neighbouring keys lie as irregularly far apart as rows
+//     drawn at random do, and index-order enumeration is still exact (both
+//     maps invert, so any key leads back to its row).
 package table
 
 import (
 	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 
@@ -211,25 +214,49 @@ func keyWidth(keyLo, keyHi int64) uint64 { return uint64(keyHi) - uint64(keyLo) 
 // dirty in the buffer pool.
 func (t *Materialized) SetC1(row, v int64) { t.c1[row] = v }
 
-// Synthetic is a heap table whose values are computed, not stored. C2 is an
-// affine permutation of the row number over [0, rows) — every key occurs
-// exactly once, keys scatter (pseudo)uniformly over pages, and the inverse
-// permutation recovers the row for any key. C1 is a hash of the row number
-// reduced to [0, rows).
+// Synthetic is a heap table whose values are computed, not stored, in two
+// steps. A logical row l has C2 = (a·l + b) mod rows, an affine permutation
+// of [0, rows) — every key occurs exactly once and the inverse recovers l for
+// any key — and C1 a hash of l reduced to [0, rows). Where a logical row
+// lives is a second, keyed permutation π over the table's full pages:
+// physical page p holds the rows of logical page π(p) in their slot order. A
+// partial last page, and the only page of a table with fewer than two full
+// ones, stay where they are. Row numbers in the Table interface are physical;
+// logical rows do not leave this file. π is computed per use (placement), so
+// the table holds nothing per page.
 type Synthetic struct {
 	name string
 	rows int64
 	rpp  int
 	file *disk.File
 
-	a, aInv, b int64 // C2(row) = (a·row + b) mod rows
+	a, aInv, b int64 // C2 of logical row l = (a·l + b) mod rows
 
-	// Row lo+i has key C2(lo) + i·a (mod rows): the keys of any run of rows
-	// are one fixed set of displacements, translated by the run's first key.
-	// disp holds the displacements i·a mod rows of a page's worth of rows,
-	// i < min(rpp, rows), in increasing order, so the rows of a run whose
-	// keys fall in a range are one cyclic interval of it (matchesLookup).
+	place  placement
+	placed int64 // rows on full pages: the ones π moves
+
+	// The page logicalRun translated last, and its image. Every rider of a
+	// shared scan evaluates the page the producer has just pushed, so on a
+	// busy table most translations repeat the one before (serving_mix: four in
+	// five). It makes a table what the System that owns it already is: for
+	// one host goroutine at a time.
+	lastPage, lastImage int64
+
+	// Logical row lo+i has key C2(lo) + i·a (mod rows): the keys of any run of
+	// logical rows are one fixed set of displacements, translated by the
+	// run's first key. disp holds the displacements i·a mod rows of a page's
+	// worth of rows, i < min(rpp, rows), in increasing order, so the rows of
+	// a run whose keys fall in a range are one cyclic interval of it
+	// (matchesLookup).
 	disp []displacement
+
+	// bucket indexes disp by value: bucket[b] is the position of the first
+	// displacement at or above b<<shift, with shift chosen so that there are
+	// one to two buckets per displacement. Multiples of a multiplier near
+	// φ·rows are evenly spread, so the displacement a lookup wants is at
+	// most a step or two past its bucket's first.
+	bucket []int32
+	shift  uint
 }
 
 // displacement is how far row lo+i's key lies past row lo's, modulo rows.
@@ -239,7 +266,8 @@ type displacement struct {
 }
 
 // NewSynthetic builds a computed-value table of rows rows with rpp rows per
-// page, allocating its heap file on m. The permutation is derived from seed.
+// page, allocating its heap file on m. The key offset and the page placement
+// are derived from seed.
 func NewSynthetic(m *disk.Manager, name string, rows int64, rpp int, seed int64) *Synthetic {
 	validateShape(name, rows, rpp)
 	rng := rand.New(rand.NewSource(seed))
@@ -268,6 +296,9 @@ func NewSynthetic(m *disk.Manager, name string, rows int64, rpp int, seed int64)
 	}
 	t.aInv = modInverse(t.a, rows)
 	t.b = rng.Int63n(rows)
+	t.place = newPlacement(rows/int64(rpp), rng)
+	t.placed = int64(t.place.pages) * int64(rpp)
+	t.lastPage = -1
 
 	t.disp = make([]displacement, min(int64(rpp), rows))
 	for i := 1; i < len(t.disp); i++ {
@@ -279,6 +310,17 @@ func NewSynthetic(m *disk.Manager, name string, rows int64, rpp int, seed int64)
 	}
 	// The values are distinct: a is coprime with rows.
 	slices.SortFunc(t.disp, func(x, y displacement) int { return cmp.Compare(x.value, y.value) })
+	if w, l := bits.Len64(uint64(rows-1)), bits.Len(uint(len(t.disp))); w > l {
+		t.shift = uint(w - l)
+	}
+	t.bucket = make([]int32, (rows-1)>>t.shift+1)
+	j := 0
+	for b := range t.bucket {
+		for j < len(t.disp) && t.disp[j].value < int64(b)<<t.shift {
+			j++
+		}
+		t.bucket[b] = int32(j)
+	}
 	return t
 }
 
@@ -300,30 +342,51 @@ func (t *Synthetic) File() *disk.File { return t.file }
 // KeyDomain implements Table.
 func (t *Synthetic) KeyDomain() int64 { return t.rows }
 
-// RowAt implements Table.
-func (t *Synthetic) RowAt(row int64) Row {
-	return Row{C1: int64(mix64(uint64(row)) % uint64(t.rows)), C2: t.key(row)}
+// logicalRun translates the head of the physical run [lo, hi): it returns the
+// logical row stored at lo and how many rows from lo on — to the end of lo's
+// page, or of the run — are consecutive logical rows too. One π per page,
+// none for the page translated last.
+func (t *Synthetic) logicalRun(lo, hi int64) (first, n int64) {
+	if lo >= t.placed {
+		return lo, hi - lo
+	}
+	rpp := int64(t.rpp)
+	page := lo / rpp
+	if page != t.lastPage {
+		t.lastPage, t.lastImage = page, t.place.forward(page)
+	}
+	return lo + (t.lastImage-page)*rpp, min(hi, (page+1)*rpp) - lo
 }
 
-// RowsAt implements Table. Consecutive rows' keys differ by the fixed
-// stride a (mod rows), so the whole range is enumerated with one modular
+// RowAt implements Table.
+func (t *Synthetic) RowAt(row int64) Row {
+	l, _ := t.logicalRun(row, row+1)
+	return Row{C1: int64(mix64(uint64(l)) % uint64(t.rows)), C2: t.key(l)}
+}
+
+// RowsAt implements Table. Within a page consecutive rows' keys differ by the
+// fixed stride a (mod rows), so a page's rows are enumerated with one modular
 // multiplication and an add-and-wrap per row — no per-row division for C2.
 func (t *Synthetic) RowsAt(lo, hi int64, buf []Row) []Row {
 	buf = buf[:0]
-	key := t.key(lo)
 	n := uint64(t.rows)
-	for row := lo; row < hi; row++ {
-		buf = append(buf, Row{C1: int64(mix64(uint64(row)) % n), C2: key})
-		key += t.a
-		if key >= t.rows {
-			key -= t.rows
+	for lo < hi {
+		l, run := t.logicalRun(lo, hi)
+		key := t.key(l)
+		for end := l + run; l < end; l++ {
+			buf = append(buf, Row{C1: int64(mix64(uint64(l)) % n), C2: key})
+			key += t.a
+			if key >= t.rows {
+				key -= t.rows
+			}
 		}
+		lo += run
 	}
 	return buf
 }
 
 // The two ways Synthetic.MatchesAt finds a run's matches, and where one
-// takes over from the other. The lookup costs one key, one binary search, a
+// takes over from the other. The lookup costs one key, one index load, a
 // few steps per match and a sort of the matches, whatever the run's length;
 // the walk costs a step per row. The constants are measured, the walk
 // against the lookup at run lengths 4 to 4096 and ranges to rows/8 wide: a
@@ -338,25 +401,39 @@ const (
 	lookupWidthShift = 5
 )
 
-// MatchesAt implements Table. A run of at most a page under a narrow key
-// range reads its matches off the displacement table; any other run walks
-// its rows. Both produce C1 only for rows inside the range.
+// MatchesAt implements Table. The run is translated a page at a time and each
+// piece evaluated in logical rows, where a piece of at least lookupMinRun
+// rows under a narrow key range reads its matches off the displacement table
+// and any other walks its rows; the matches' ids are then shifted back to
+// the physical rows they were asked as. Both kernels produce C1 only for
+// rows inside the range.
 func (t *Synthetic) MatchesAt(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
 	buf = buf[:0]
-	if lo >= hi || keyLo > keyHi {
+	if keyLo > keyHi {
 		return buf
 	}
-	if m := hi - lo; m >= lookupMinRun && m <= int64(len(t.disp)) {
-		first, last := max(keyLo, 0), min(keyHi, t.rows-1)
-		if last-first < t.rows>>lookupWidthShift { // also when the range misses the domain
-			return t.matchesLookup(lo, hi, first, last, buf)
+	first, last := max(keyLo, 0), min(keyHi, t.rows-1)
+	narrow := last-first < t.rows>>lookupWidthShift // also when the range misses the domain
+	for lo < hi {
+		l, run := t.logicalRun(lo, hi)
+		from := len(buf)
+		if narrow && run >= lookupMinRun && run <= int64(len(t.disp)) {
+			buf = t.matchesLookup(l, l+run, first, last, buf)
+		} else {
+			buf = t.matchesWalk(l, l+run, keyLo, keyHi, buf)
 		}
+		if shift := lo - l; shift != 0 {
+			for k := from; k < len(buf); k++ {
+				buf[k].ID += shift
+			}
+		}
+		lo += run
 	}
-	return t.matchesWalk(lo, hi, keyLo, keyHi, buf)
+	return buf
 }
 
-// matchesWalk visits every row of [lo, hi) with the same add-and-wrap stride
-// over C2 as RowsAt.
+// matchesWalk appends the matches among logical rows [lo, hi), visiting every
+// row with the same add-and-wrap stride over C2 as RowsAt.
 func (t *Synthetic) matchesWalk(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
 	width := keyWidth(keyLo, keyHi)
 	key, a, n := t.key(lo), t.a, t.rows
@@ -372,17 +449,18 @@ func (t *Synthetic) matchesWalk(lo, hi, keyLo, keyHi int64, buf []Match) []Match
 	return buf
 }
 
-// matchesLookup finds the rows of [lo, hi), a run no longer than the
-// displacement table, whose key lies in [keyLo, keyHi], a range inside the
-// key domain. Row lo+i matches when C2(lo) + disp(i) lands in the range
+// matchesLookup appends the logical rows of [lo, hi), a run no longer than
+// the displacement table, whose key lies in [keyLo, keyHi], a range inside
+// the key domain. Row lo+i matches when C2(lo) + disp(i) lands in the range
 // modulo rows, that is when disp(i) lies in the cyclic interval that starts
-// at keyLo − C2(lo) and is as wide as the range: the rows are found by one
-// binary search in disp and a walk over the interval (in two pieces if it
-// wraps past rows), then sorted back into row order.
+// at keyLo − C2(lo) and is as wide as the range: the rows are found by
+// looking the interval's start up in bucket and walking disp over the interval
+// (in two pieces if it wraps past rows), then sorted back into row order.
 func (t *Synthetic) matchesLookup(lo, hi, keyLo, keyHi int64, buf []Match) []Match {
 	if keyLo > keyHi {
 		return buf
 	}
+	from := len(buf)
 	n, m := t.rows, int32(hi-lo)
 	start := keyLo - t.key(lo) // the displacement that lands on keyLo
 	if start < 0 {
@@ -391,15 +469,13 @@ func (t *Synthetic) matchesLookup(lo, hi, keyLo, keyHi int64, buf []Match) []Mat
 	end := start + (keyHi - keyLo) // the one that lands on keyHi; past rows if the interval wraps
 	base := keyLo - start          // a match's key is base + its displacement; base moves up by rows for the wrapped piece
 
-	// The first displacement ≥ start. (slices.BinarySearchFunc calls its
-	// comparison through a func value: a third of a selective page's time.)
-	j, above := 0, len(t.disp)
-	for j < above {
-		if mid := int(uint(j+above) >> 1); t.disp[mid].value < start {
-			j = mid + 1
-		} else {
-			above = mid
-		}
+	// The first displacement ≥ start. (Not a binary search: a scan meets
+	// logical pages in π's order, start is as good as random, and the
+	// search's mispredicted branches cost more than the rest of the lookup.)
+	disp := t.disp
+	j := int(t.bucket[start>>t.shift])
+	for j < len(disp) && disp[j].value < start {
+		j++
 	}
 	for piece := 0; ; piece++ {
 		for ; j < len(t.disp) && t.disp[j].value <= end; j++ {
@@ -413,9 +489,10 @@ func (t *Synthetic) matchesLookup(lo, hi, keyLo, keyHi int64, buf []Match) []Mat
 		j, end, base = 0, end-n, base+n
 	}
 
-	sortByID(buf)
-	for k := range buf {
-		buf[k].C1 = int64(mix64(uint64(buf[k].ID)) % uint64(n))
+	found := buf[from:]
+	sortByID(found)
+	for k := range found {
+		found[k].C1 = int64(mix64(uint64(found[k].ID)) % uint64(n))
 	}
 	return buf
 }
@@ -439,9 +516,9 @@ func sortByID(ms []Match) {
 	}
 }
 
-// key returns C2 for a row in [0, rows): (a·row + b) mod rows. a and row are
-// below rows, so under 2³¹ rows the product cannot overflow and one division
-// reduces it; b is below rows too, and a subtraction wraps the sum.
+// key returns C2 for a logical row in [0, rows): (a·row + b) mod rows. a and
+// row are below rows, so under 2³¹ rows the product cannot overflow and one
+// division reduces it; b is below rows too, and a subtraction wraps the sum.
 func (t *Synthetic) key(row int64) int64 {
 	var key int64
 	if t.rows <= 1<<31 {
@@ -456,16 +533,15 @@ func (t *Synthetic) key(row int64) int64 {
 	return key
 }
 
-// RowStride returns the increment linking consecutive keys' rows:
-// RowForKey(k+1) = (RowForKey(k) + RowStride()) mod Rows(). The synthetic
-// B+-tree uses it to enumerate a leaf's entries incrementally instead of
-// inverting the permutation per entry.
-func (t *Synthetic) RowStride() int64 { return t.aInv }
-
-// RowForKey returns the unique row whose C2 equals key. It is the inverse
-// of the permutation and what lets the synthetic B+-tree enumerate entries
-// in key order without storing them.
+// RowForKey returns the unique row whose C2 equals key: both permutations
+// inverted, the affine map to the logical row and π to where its page lies.
+// It is what lets the synthetic B+-tree enumerate entries in key order
+// without storing them.
 func (t *Synthetic) RowForKey(key int64) int64 {
+	return t.physical(t.logicalForKey(key))
+}
+
+func (t *Synthetic) logicalForKey(key int64) int64 {
 	if key < 0 || key >= t.rows {
 		panic(fmt.Sprintf("table %q: key %d outside domain [0,%d)", t.name, key, t.rows))
 	}
@@ -474,6 +550,40 @@ func (t *Synthetic) RowForKey(key int64) int64 {
 		d += t.rows
 	}
 	return mulMod(t.aInv, d, t.rows)
+}
+
+// physical returns the row at which logical row l is stored: logicalRun's
+// translation, inverted.
+func (t *Synthetic) physical(l int64) int64 {
+	if l >= t.placed {
+		return l
+	}
+	rpp := int64(t.rpp)
+	page := l / rpp
+	return l + (t.place.inverse(page)-page)*rpp
+}
+
+// KeyOrder walks a synthetic table's rows in key order. The logical rows of
+// consecutive keys lie a fixed stride apart, so a step costs an add-and-wrap
+// and one π⁻¹ where RowForKey costs a modular multiplication more.
+type KeyOrder struct {
+	t *Synthetic
+	l int64 // the logical row of the next key
+}
+
+// KeyOrderFrom starts a walk at key: its Next calls return RowForKey(key),
+// RowForKey(key+1), … and after the last key those of key 0 on.
+func (t *Synthetic) KeyOrderFrom(key int64) KeyOrder {
+	return KeyOrder{t: t, l: t.logicalForKey(key)}
+}
+
+// Next returns the row of the walk's current key and steps to the next key.
+func (w *KeyOrder) Next() int64 {
+	row := w.t.physical(w.l)
+	if w.l += w.t.aInv; w.l >= w.t.rows {
+		w.l -= w.t.rows
+	}
+	return row
 }
 
 func gcd(a, b int64) int64 {

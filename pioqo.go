@@ -363,10 +363,13 @@ type tableOptions struct {
 	part      PartitionKind // -1 = system default
 }
 
-// WithSyntheticData stores no row values: C2 is an invertible permutation
-// of the row number and C1 a hash, so arbitrarily large tables use O(1)
-// memory. Use for large-scale sweeps; the default materialized backing is
-// better for verifying answers.
+// WithSyntheticData stores no row values: every key in [0, rows) occurs
+// once, C1 is a hash, and which page holds which rows is a keyed
+// pseudo-random permutation of the pages, all computed from the table seed
+// and all invertible, so arbitrarily large tables use O(1) memory and the
+// rows of a key range lie scattered over the heap as a uniform random
+// column's would. Use for large-scale sweeps; the default materialized
+// backing is better for verifying answers.
 func WithSyntheticData() TableOption { return func(o *tableOptions) { o.synthetic = true } }
 
 // WithoutIndex skips creating the non-clustered C2 index; index scans on

@@ -60,8 +60,10 @@ go test -run Schedule -count=2 ./internal/exec
 go test -run PlanStream -count=2 ./internal/opt
 # The residual gate: a cold full scan's estimate is a prediction, so
 # predicted ÷ measured stays in [0.95, 1.08] on every Table-1 config at every
-# degree and on the 8-shard gather, and the depth the optimizer prices a scan
-# at is the block reads the executor keeps in flight.
+# degree and on the 8-shard gather; a cold serial index scan's stays in
+# [0.88, 1.02] on the three HDD configs, which lie within 1.20× of each other;
+# and the depth the optimizer prices a scan at is the block reads the executor
+# keeps in flight.
 go test -run 'TestResidual' -count=1 ./internal/experiments
 go test -run 'TestScanDepthIsTheWindowTheScanRuns' -count=1 ./internal/opt
 # The allocation gates on what a wider fleet multiplies: a worker takes its
@@ -80,6 +82,11 @@ go test -run DeviceStream -count=2 ./internal/device
 # a checkpoint whose write order follows map iteration (same seed, different
 # HDD runtime).
 go test -timeout 120s -run 'TestSyntheticTinyTables|TestPropertySyntheticBijection' -count=5 ./internal/table
+# The synthetic heap's accessors against each other on shapes nobody wrote
+# down: five seconds of fuzzing from the checked-in corpus (page-crossing
+# runs, the unmoved partial last page, tables of one to three rows). A
+# failing input is written under internal/table/testdata/fuzz.
+go test -timeout 120s -run '^$' -fuzz FuzzSyntheticPlacement -fuzztime 5s ./internal/table
 go test -timeout 120s -run TestUpdateCheckpointOrderIsDeterministic -count=5 .
 go test -race -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAttribution|TestObserver|TestAdaptive|TestWithAdaptive' .
 
