@@ -170,6 +170,9 @@ func (sc Scale) shardSystem(t *testing.T, shards int, zipf float64) (*pioqo.Syst
 // full-range query on an 8-shard hash-partitioned Zipf table, where the
 // hot shard sets the makespan. The hedgers are armed as in every gather and
 // must stay idle: no read of a healthy device outlasts the hedge delay.
+// Their timers still run out after the last read lands, but Runtime ends
+// when the gather's process exits and the drain behind it is off the clock,
+// so the cell measures the scan and the merge the estimate prices.
 func TestResidualShardedGather(t *testing.T) {
 	t.Parallel()
 	sc := DefaultScale()

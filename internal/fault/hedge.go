@@ -31,8 +31,9 @@ type Hedger struct {
 	armed bool
 	log   *event.Log
 
-	stats HedgeStats
-	free  []*hedge // finished races, for the next armed reads
+	stats   HedgeStats
+	free    []*hedge // finished races, for the next armed reads
+	records int      // hedge records ever made: all on free once the queue drains
 }
 
 // HedgeStats counts the hedger's activity since construction.
@@ -113,6 +114,7 @@ func (h *Hedger) record() *hedge {
 	}
 	r := &hedge{h: h}
 	r.onFirst, r.onTimer, r.onSecond = r.firstDone, r.timer, r.secondDone
+	h.records++
 	return r
 }
 

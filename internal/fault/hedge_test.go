@@ -104,6 +104,35 @@ func TestHedgerExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestHedgerRecordsComeHomeAtDrain: the query's Runtime ends when its
+// process exits, but the engine still drains the queue before returning —
+// so under stragglers and read errors, with copies lost, copies failed and
+// timers expired past the reader's last wake, every race has run its last
+// callback once Run returns and every hedge record is back on the free list.
+func TestHedgerRecordsComeHomeAtDrain(t *testing.T) {
+	env := sim.NewEnv(1)
+	inj := Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj.Arm(Schedule{Seed: 5, Windows: []Window{{
+		ErrorRate:        0.2,
+		StragglerRate:    0.3,
+		StragglerLatency: sim.Duration(20 * sim.Millisecond),
+	}}})
+	h := NewHedger(env, inj, sim.Duration(1*sim.Millisecond))
+	h.Arm()
+	if _, fired := readAll(env, h, 256); fired != 256 {
+		t.Fatalf("outer completions fired %d times for 256 reads", fired)
+	}
+	if st := inj.Stats(); st.Errors == 0 || st.Stragglers == 0 {
+		t.Fatalf("injector drew %d errors and %d stragglers; the run must see both", st.Errors, st.Stragglers)
+	}
+	if h.Stats().Issued == 0 {
+		t.Fatal("no hedge issued under 30% stragglers")
+	}
+	if len(h.free) != h.records {
+		t.Errorf("%d of %d hedge records on the free list after the drain", len(h.free), h.records)
+	}
+}
+
 // TestHedgerAllocations is the allocation gate on the hedged read path: a
 // disarmed hedger adds nothing to the inner device's read, and an armed one
 // adds its outer completion — the race itself runs on a reused record —

@@ -92,7 +92,9 @@ type QueryTelemetry struct {
 	// Root is the query span; its subtree covers optimization, the
 	// operator, and the workers.
 	Root *SpanNode
-	// Metrics is the registry diff across exactly this query's execution.
+	// Metrics is the registry diff across exactly this query's execution,
+	// including the drain of what it left in flight (a losing hedge copy's
+	// read is the query's), so its Elapsed can outlast Runtime on a gather.
 	Metrics MetricsDiff
 
 	root *obs.Span // retained for Tree rendering
@@ -180,12 +182,12 @@ func (s *System) startTelemetry(q Query, eo queryOptions) *telemetrySession {
 	return ts
 }
 
-// finish closes the query span and delivers telemetry to the listeners.
+// finish delivers telemetry to the listeners. The query span has already
+// ended, at the query's exit (queryRun.exit).
 func (ts *telemetrySession) finish(s *System, plan Plan, runtime time.Duration, eo queryOptions) {
 	if ts == nil {
 		return
 	}
-	ts.query.End()
 	tel := QueryTelemetry{
 		Plan:    plan,
 		Runtime: runtime,

@@ -129,10 +129,12 @@ func (s *System) begin(ctx context.Context, lc lifecycle, eo queryOptions) (*que
 
 // run is the one bracket every standalone execution goes through: head
 // (begin), telemetry session, the body's planning, query.start, meters
-// reset and hedgers armed on the nodes involved, one process and one
-// env.Run, query.done, telemetry delivery, and the abort cause — whatever
-// tripped the query's control — wrapped in a *QueryError. Errors before the
-// process starts (validation, planning) are returned as they are.
+// reset and hedgers armed on the nodes involved, one process — whose exit
+// is the query's end: Runtime, query.done and the query span — and one
+// env.Run that drains what the process left in flight, telemetry delivery,
+// and the abort cause — whatever tripped the query's control — wrapped in a
+// *QueryError. Errors before the process starts (validation, planning) are
+// returned as they are.
 func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body func(*queryRun) (planned, error)) (outcome, error) {
 	r, err := s.begin(ctx, lc, parseOptions(opts))
 	if err != nil {
@@ -152,12 +154,21 @@ func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body
 	// calibration and other traffic never see speculative duplicates.
 	hedged := s.armHedgers(pl.nodes)
 	start := s.env.Now()
+	out := outcome{plan: pl.plan}
 	if pl.proc != nil {
-		s.env.Go(lc.op, pl.proc)
+		s.env.Go(lc.op, func(p *sim.Proc) {
+			pl.proc(p)
+			out.runtime = r.exit(start)
+		})
+		// The query ended when its process did; the drain lets what it left
+		// behind — a losing hedge copy, an injected straggler's delay, an
+		// expired hedge timer — finish off the clock, so every ledger is
+		// zero at return and the next query starts on a quiet device.
 		s.env.Run()
+	} else {
+		out.runtime = r.exit(start)
 	}
 	s.disarmHedgers(pl.nodes, hedged)
-	out := outcome{plan: pl.plan, runtime: time.Duration(s.env.Now() - start)}
 	for _, n := range pl.nodes {
 		io := n.Dev.Metrics().Snapshot()
 		out.io.Requests += io.Requests
@@ -167,12 +178,21 @@ func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body
 	if out.io.Elapsed > 0 {
 		out.io.ThroughputMBps = float64(out.io.Bytes) / 1e6 / out.io.Elapsed.Seconds()
 	}
-	s.events.Emit(event.EvQueryDone, r.qid, r.pages, int64(out.runtime))
 	r.ts.finish(s, pl.plan, out.runtime, r.eo)
 	if cause := r.ctl.Err(); cause != nil {
 		return outcome{}, r.fail(cause)
 	}
 	return out, nil
+}
+
+// exit marks the query's end at the virtual instant its process returns:
+// Runtime, query.done and the query span all read that one clock, on every
+// entry point (run's wrapped process and Session.submit's alike).
+func (r *queryRun) exit(start sim.Time) time.Duration {
+	rt := time.Duration(r.s.env.Now() - start)
+	r.s.events.Emit(event.EvQueryDone, r.qid, r.pages, int64(rt))
+	r.ts.span().End()
+	return rt
 }
 
 // fail wraps an abort cause in the query's typed error.

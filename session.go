@@ -302,8 +302,7 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		s.attachAdaptive(&spec, q, &plan, eo, lease, ses.b.Total())
 		t0 := p.Now()
 		res := exec.RunScan(p, r.context(part.node), spec)
-		rt := time.Duration(p.Now() - t0)
-		s.events.Emit(event.EvQueryDone, r.qid, r.pages, int64(rt))
+		rt := r.exit(t0)
 		sub.done = true
 		r.ts.finish(s, plan, rt, eo)
 		if res.Err != nil {

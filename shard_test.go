@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -215,29 +216,39 @@ func TestRangeBalancedCutsRebalance(t *testing.T) {
 	}
 }
 
+// newStragglingCluster builds a calibrated 4-shard cluster over one
+// 100 000-row table with 10 % × 20 ms stragglers injected on every node,
+// hedging at 2 ms — or, with noHedge, the reference arm: the hedgers are
+// built and never armed.
+func newStragglingCluster(t *testing.T, noHedge bool) (*System, *Table) {
+	t.Helper()
+	sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4, HedgeDelay: 2 * time.Millisecond})
+	if noHedge {
+		sys.hedge = 0
+	}
+	tab, err := sys.CreateTable("t", 100000, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+		t.Fatal(err)
+	}
+	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{
+		StragglerRate:    0.10,
+		StragglerLatency: 20 * time.Millisecond,
+	}}})
+	return sys, tab
+}
+
 // TestHedgingUnderStragglers checks the straggler-hedging policy: with a
 // straggler-injecting fault schedule on every node, the hedged cluster
 // answers identically to the unhedged one (speculative duplicates are
-// deduplicated — exactly-once rows), issues hedges, wins some, and doesn't
-// run slower.
+// deduplicated — exactly-once rows), issues hedges, wins some, and finishes
+// in under half the unhedged time: the gather ends when its last winning
+// copy lands, not when the losing stragglers do.
 func TestHedgingUnderStragglers(t *testing.T) {
-	sch := FaultSchedule{Windows: []FaultWindow{{
-		StragglerRate:    0.10,
-		StragglerLatency: 20 * time.Millisecond,
-	}}}
 	run := func(noHedge bool) (Result, HedgeStats) {
-		sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4, HedgeDelay: 2 * time.Millisecond})
-		if noHedge {
-			sys.hedge = 0 // the reference arm: the hedgers are built and never armed
-		}
-		tab, err := sys.CreateTable("t", 100000, 33)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
-			t.Fatal(err)
-		}
-		sys.InjectFaults(sch)
+		sys, tab := newStragglingCluster(t, noHedge)
 		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 99999})
 		if err != nil {
 			t.Fatal(err)
@@ -259,8 +270,118 @@ func TestHedgingUnderStragglers(t *testing.T) {
 		t.Errorf("hedged answer (%d, %d rows) != unhedged (%d, %d rows): speculative read leaked into results",
 			hedged.Value, hedged.Rows, unhedged.Value, unhedged.Rows)
 	}
-	if hedged.Runtime > unhedged.Runtime {
-		t.Errorf("hedging slowed the scatter down: %v hedged vs %v unhedged", hedged.Runtime, unhedged.Runtime)
+	t.Logf("hedged %v (%d issued, %d won), unhedged %v", hedged.Runtime, hs.Issued, hs.Wins, unhedged.Runtime)
+	if hedged.Runtime > unhedged.Runtime/2 {
+		t.Errorf("hedging did not halve the scatter: %v hedged vs %v unhedged", hedged.Runtime, unhedged.Runtime)
+	}
+}
+
+// TestStragglingGatherTraceEndsAtRuntime: the query span and query.done
+// mark the query's exit, the instant Runtime reads — not the drain, which
+// runs on past it while the losing straggler copies land.
+func TestStragglingGatherTraceEndsAtRuntime(t *testing.T) {
+	sys, tab := newStragglingCluster(t, false)
+	sys.EnableEventLog(1 << 16)
+	var tel QueryTelemetry
+	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 99999}, WithTrace(&tel))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tel.Root.Duration != res.Runtime || tel.Runtime != res.Runtime {
+		t.Errorf("query span %v, telemetry runtime %v; Runtime %v", tel.Root.Duration, tel.Runtime, res.Runtime)
+	}
+	if st := sys.EventLogStats(); st.Dropped != 0 {
+		t.Fatalf("event ring wrapped (%d dropped)", st.Dropped)
+	}
+	var start, done []EngineEvent
+	for _, e := range sys.EngineEvents() {
+		switch e.Name {
+		case "query.start":
+			start = append(start, e)
+		case "query.done":
+			done = append(done, e)
+		}
+	}
+	if len(start) != 1 || len(done) != 1 {
+		t.Fatalf("%d query.start and %d query.done events, want one of each", len(start), len(done))
+	}
+	if done[0].B != int64(res.Runtime) || done[0].At != start[0].At+res.Runtime {
+		t.Errorf("query.done at %v with runtime %v; the query started at %v and ran %v",
+			done[0].At, time.Duration(done[0].B), start[0].At, res.Runtime)
+	}
+	if end := time.Duration(sys.env.Now()); end <= done[0].At {
+		t.Errorf("the clock stopped at %v, the query's exit: the drain ran nothing past it", end)
+	}
+}
+
+// TestHedgeDelayOffCriticalPath: on a healthy cluster no read outlasts the
+// hedge delay, so no entry point that scatters may report the delay in its
+// Runtime — hedging at 1 ms, at 1 h and never armed read the same time. The
+// drain still runs each armed timer out before the call returns: no process
+// is left live for the next query.
+func TestHedgeDelayOffCriticalPath(t *testing.T) {
+	const lo, hi = 0, 49999
+	q := func(tab *Table) Query { return Query{Table: tab, Low: lo, High: hi} }
+	entries := []struct {
+		name string
+		run  func(*System, *Table) (time.Duration, error)
+	}{
+		{"Query", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := sys.Query(context.Background(), q(tab), Cold())
+			return res.Runtime, err
+		}},
+		{"Execute", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := sys.Execute(q(tab), Cold())
+			return res.Runtime, err
+		}},
+		{"ExecutePlan", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := sys.ExecutePlan(q(tab), Plan{Method: FullTableScan, Degree: 2}, Cold())
+			return res.Runtime, err
+		}},
+		{"ExecuteGroupBy", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, Low: lo, High: hi, GroupWidth: 1000, Agg: Sum}, Cold())
+			return res.Runtime, err
+		}},
+	}
+	arms := []struct {
+		name    string
+		delay   time.Duration
+		noHedge bool
+	}{
+		{"HedgeDelay 1ms", time.Millisecond, false},
+		{"HedgeDelay 1h", time.Hour, false},
+		{"unhedged", time.Millisecond, true},
+	}
+	want := map[string]time.Duration{}
+	for _, arm := range arms {
+		sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4, HedgeDelay: arm.delay})
+		if arm.noHedge {
+			sys.hedge = 0
+		}
+		tab, err := sys.CreateTable("t", 50000, 33)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			rt, err := e.run(sys, tab)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", arm.name, e.name, err)
+			}
+			if n := sys.env.LiveProcs(); n != 0 {
+				t.Errorf("%s, %s: %d processes live at return", arm.name, e.name, n)
+			}
+			if hs := sys.HedgeStats(); hs.Issued != 0 {
+				t.Errorf("%s, %s: a healthy cluster issued %d hedges", arm.name, e.name, hs.Issued)
+			}
+			if w, ok := want[e.name]; !ok {
+				want[e.name] = rt
+			} else if rt != w {
+				t.Errorf("%s, %s: Runtime %v, %s read %v", arm.name, e.name, rt, arms[0].name, w)
+			}
+		}
 	}
 }
 
