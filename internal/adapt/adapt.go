@@ -534,8 +534,9 @@ func (c *Controller) NoteFetch(f *disk.File, page int64) {
 
 // FinishScan implements exec.Tuner: cancellation on misprediction. Every
 // still-outstanding speculative page is dropped from the pool (unpinned,
-// loaded frames evict immediately; in-flight reads complete into frames the
-// LRU will age out) and charged against the confidence gate. Iteration is
+// loaded frames evict immediately; in-flight reads complete into frames that
+// join the LRU's head, never having been pinned, and age out from there) and
+// charged against the confidence gate. Iteration is
 // sorted so cancellation order — and therefore pool state — is
 // deterministic for identical runs.
 func (c *Controller) FinishScan() {

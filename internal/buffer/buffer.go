@@ -1,6 +1,9 @@
 // Package buffer implements the database buffer pool: a fixed set of page
-// frames with LRU replacement, pinning, asynchronous prefetch, and the
-// residency statistics the optimizer consults.
+// frames with pinning, asynchronous prefetch, and the residency statistics
+// the optimizer consults. Replacement is an LRU with one scan-resistant
+// rule: a page a block read brought in that becomes idle having been pinned
+// only once goes to the cold end, so a scan's pages leave first and do not
+// flush the hot set; every other idle page goes to the hot end.
 //
 // The pool tracks page *residency and timing*, not page bytes — table and
 // index contents live in their own storage structures (see internal/table
@@ -90,10 +93,14 @@ const none int32 = -1
 // flight), pinned, or idle — loaded with no pins, which is exactly the set
 // the LRU links. A free slot has no pins, no dirty bit and no read.
 type frame struct {
-	key     PageKey
-	pins    int
-	dirty   bool
-	loading *sim.Completion // non-nil while the device read is in flight
+	key   PageKey
+	pins  int
+	dirty bool
+	// run marks a frame a block read installed until a second pin since
+	// then shows it is more than one scan's page; pinned records the first.
+	// Release links a frame still marked at the LRU's tail.
+	run, pinned bool
+	loading     *sim.Completion // non-nil while the device read is in flight
 
 	// slot is the frame's own arena index. prev and next are an idle
 	// frame's LRU neighbours; while a frame is loading, next chains the
@@ -209,6 +216,17 @@ func (p *Pool) pushFront(f *frame) {
 	p.head = f.slot
 }
 
+// pushBack puts a frame that just became idle on the LRU as the next victim.
+func (p *Pool) pushBack(f *frame) {
+	f.prev, f.next = p.tail, none
+	if p.tail != none {
+		p.frames[p.tail].next = f.slot
+	} else {
+		p.head = f.slot
+	}
+	p.tail = f.slot
+}
+
 // unlink takes an idle frame off the LRU.
 func (p *Pool) unlink(f *frame) {
 	if f.prev != none {
@@ -242,7 +260,7 @@ func (p *Pool) evict(f *frame) {
 	bump(p.obsEvict)
 }
 
-// evictOne removes the least recently used unpinned frame, writing it back
+// evictOne removes the idle frame at the LRU's tail, writing it back
 // asynchronously first if dirty. It reports whether a frame was freed. The
 // frame is reusable immediately — the page image is handed to the device
 // queue, which is how real pools avoid stalling page allocation on
@@ -287,6 +305,7 @@ func (p *Pool) install(file *disk.File, page int64, c *sim.Completion) int32 {
 	f := &p.frames[p.free]
 	p.free = f.next
 	f.key, f.loading, f.next = PageKey{id, page}, c, none
+	f.run, f.pinned = false, false
 	p.index.put(pack(id, page), f.slot)
 	p.epoch++
 	p.trackCached()
@@ -323,7 +342,8 @@ func (p *Pool) onLoad(c *sim.Completion, first int32) {
 }
 
 // installRun installs the absent pages of [page, page+count) as loading
-// frames of the one device read c, chained in page order.
+// frames of the one device read c, chained in page order. A read of more
+// than one page marks its frames as a scan's.
 func (p *Pool) installRun(file *disk.File, page int64, count int, c *sim.Completion) {
 	first, last := none, none
 	for pg := page; pg < page+int64(count); pg++ {
@@ -331,6 +351,7 @@ func (p *Pool) installRun(file *disk.File, page int64, count int, c *sim.Complet
 			continue
 		}
 		slot := p.install(file, pg, c)
+		p.frames[slot].run = count > 1
 		if last == none {
 			first = slot
 		} else {
@@ -347,6 +368,9 @@ func (p *Pool) pin(f *frame) {
 		p.unlink(f)
 	}
 	f.pins++
+	if f.run {
+		f.run, f.pinned = !f.pinned, true
+	}
 }
 
 // Handle is a pinned page. Callers must Release exactly once.
@@ -362,14 +386,20 @@ func (h Handle) Key() PageKey { return h.f.key }
 // write it back to the device.
 func (h Handle) MarkDirty() { h.f.dirty = true }
 
-// Release unpins the page, making it evictable again.
+// Release unpins the page, making it evictable again: a block read's page
+// that only one pin has used is the next victim, any other page the most
+// recently used.
 func (h Handle) Release() {
 	f := h.f
 	if f.pins <= 0 {
 		panic("buffer: release of unpinned page " + fmt.Sprint(f.key))
 	}
 	f.pins--
-	if f.idle() {
+	switch {
+	case !f.idle():
+	case f.run:
+		h.pool.pushBack(f)
+	default:
 		h.pool.pushFront(f)
 	}
 }

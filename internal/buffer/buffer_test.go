@@ -95,6 +95,49 @@ func TestLRUEvictsColdestPage(t *testing.T) {
 	}
 }
 
+// TestScanPagesDoNotFloodTheHotSet: a page a block read brought in and one
+// pin used goes to the LRU's tail, so a scan of four times the pool leaves a
+// demand-fetched page resident; a scan page a second pin touches, after the
+// scan's or during it, goes to the head like any other.
+func TestScanPagesDoNotFloodTheHotSet(t *testing.T) {
+	const capacity, block, hot = 16, 4, 4000
+	w := newWorld(t, capacity)
+	key := func(page int64) PageKey { return PageKey{w.file.ID(), page} }
+	w.run(func(p *sim.Proc) {
+		w.pool.FetchPage(p, w.file, hot).Release()
+		for start := int64(0); start < 4*capacity; start += block {
+			w.pool.PrefetchRun(w.file, start, block)
+			for pg := start; pg < start+block; pg++ {
+				w.pool.FetchPage(p, w.file, pg).Release()
+			}
+		}
+		if !w.pool.Contains(w.file, hot) {
+			t.Error("a scan of four times the pool evicted the demand-fetched page")
+		}
+		lru := w.pool.lruOrder()
+		if last := key(4*capacity - 1); lru[0] != key(hot) || lru[len(lru)-1] != last {
+			t.Errorf("LRU after the scan runs %v … %v, want the hot page first and %v last", lru[0], lru[len(lru)-1], last)
+		}
+
+		// A lookup after the scan released the page.
+		after := int64(4*capacity - 2)
+		w.pool.FetchPage(p, w.file, after).Release()
+		if got := w.pool.lruOrder()[0]; got != key(after) {
+			t.Errorf("LRU head %v after a second pin of scan page %d, want it", got, after)
+		}
+		// A lookup while the scan holds the page.
+		w.pool.PrefetchRun(w.file, 4*capacity, block)
+		during := int64(4 * capacity)
+		scan := w.pool.FetchPage(p, w.file, during)
+		lookup := w.pool.FetchPage(p, w.file, during)
+		scan.Release()
+		lookup.Release()
+		if got := w.pool.lruOrder()[0]; got != key(during) {
+			t.Errorf("LRU head %v after a lookup pinned scan page %d beside the scan, want it", got, during)
+		}
+	})
+}
+
 func TestPinnedPagesAreNotEvicted(t *testing.T) {
 	w := newWorld(t, 2)
 	w.run(func(p *sim.Proc) {

@@ -15,7 +15,9 @@ import (
 
 // refPool is an independent reference implementation of the pool, kept
 // deliberately naive — a map of frames and a slice of idle pages, most
-// recent first — with the semantics of the pool the frame arena replaced.
+// recent first — with the semantics of the pool the frame arena replaced,
+// plus the scan rule: a page a read of more than one page installed, pinned
+// once since, goes to the slice's end when it becomes idle.
 // It predicts every device request; the recording device below tells it
 // when a read completes.
 type refPool struct {
@@ -29,8 +31,8 @@ type refPool struct {
 }
 
 type refFrame struct {
-	pins           int
-	dirty, loading bool
+	pins, refs          int // refs counts pins since install
+	dirty, loading, run bool
 }
 
 type request struct {
@@ -73,7 +75,7 @@ func (r *refPool) read(k PageKey, count int) {
 		if len(r.frames) == r.capacity {
 			r.evict(r.lru[len(r.lru)-1])
 		}
-		r.frames[pg] = &refFrame{loading: true}
+		r.frames[pg] = &refFrame{loading: true, run: count > 1}
 		r.epoch++
 		installed = append(installed, pg)
 	}
@@ -121,10 +123,16 @@ func (r *refPool) fetch(k PageKey) {
 		r.unlink(k)
 	}
 	r.frames[k].pins++
+	r.frames[k].refs++
 }
 
 func (r *refPool) release(k PageKey) {
-	if r.frames[k].pins--; r.idle(k) {
+	f := r.frames[k]
+	switch f.pins--; {
+	case !r.idle(k):
+	case f.run && f.refs == 1:
+		r.lru = append(r.lru, k)
+	default:
 		r.lru = append([]PageKey{k}, r.lru...)
 	}
 }

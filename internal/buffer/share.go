@@ -224,19 +224,21 @@ func (sh *ScanShare) blockCount(blk int64) int {
 
 // budget splits the share's frame allowance — half the pool divided among
 // live producers — into a delivery window (pinned blocks awaiting the
-// slowest consumer) and a readahead depth, so concurrent shares can never
-// pin or load the pool to exhaustion.
+// slowest consumer, the one being delivered among them) and a readahead
+// depth, so concurrent shares can never pin or load the pool to exhaustion.
+// An allowance of three blocks or more keeps one of them spare; a smaller
+// one has a window of one block and reads ahead only with a second. A
+// producer always gets its one block, however many shares split the pool.
 func (sh *ScanShare) budget() (window, readahead int) {
 	live := sh.reg.live
 	if live < 1 {
 		live = 1
 	}
-	bb := int64(sh.reg.pool.Capacity()) / 2 / int64(live) / sh.blockPages
+	bb := int(int64(sh.reg.pool.Capacity()) / 2 / int64(live) / sh.blockPages)
+	window, readahead = bb/2, bb-bb/2-1
 	if bb < 3 {
-		bb = 3
+		window, readahead = 1, bb-1
 	}
-	window = int(bb / 2)
-	readahead = int(bb) - window - 1
 	if readahead > sh.reg.cfg.Depth {
 		readahead = sh.reg.cfg.Depth
 	}
@@ -266,7 +268,9 @@ func (sh *ScanShare) producer(p *sim.Proc) {
 			sh.flow = nil
 			continue
 		}
-		for i := int64(1); i <= int64(readahead); i++ {
+		// With no room to read ahead, the block about to be delivered is
+		// still read in one piece rather than a page at a time.
+		for i := int64(min(readahead, 1)); i <= int64(readahead); i++ {
 			blk := (sh.pos + i) % sh.blocks
 			sh.reg.pool.PrefetchRun(sh.file, blk*sh.blockPages, sh.blockCount(blk))
 		}

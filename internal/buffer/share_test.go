@@ -1,8 +1,11 @@
 package buffer
 
 import (
+	"fmt"
 	"testing"
 
+	"pioqo/internal/device"
+	"pioqo/internal/disk"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
@@ -186,6 +189,52 @@ func TestShareSlowestConsumerHoldsPins(t *testing.T) {
 	}
 	if sh.Live() != 0 {
 		t.Errorf("%d consumers still attached", sh.Live())
+	}
+}
+
+// TestShareBudgetFitsSmallPool runs three circulating scans on a 32-frame
+// pool. Attach clamps their blocks to four pages, and half the pool split
+// three ways is one block each: the producers must stay inside that half,
+// with no more than 16 frames pinned or loading at any sampled instant, and
+// still read their blocks whole.
+func TestShareBudgetFitsSmallPool(t *testing.T) {
+	const capacity, pages = 32, 64
+	env := sim.NewEnv(1)
+	m := disk.NewManager(device.NewSSD(env, device.DefaultSSDConfig()))
+	pool := NewPool(env, capacity)
+	sh := NewShares(env, pool, ShareConfig{})
+	riding, peak := 3, 0
+	for i := 0; i < riding; i++ {
+		f := m.MustAllocate(fmt.Sprintf("t%d", i), pages)
+		env.Go("rider", func(p *sim.Proc) {
+			defer func() { riding-- }()
+			exactlyOnce(t, f.Name(), collectLap(t, p, sh.Attach(int64(i), f, pages)), pages)
+		})
+	}
+	env.Go("monitor", func(p *sim.Proc) {
+		for riding > 0 {
+			claimed := 0
+			for i := range pool.frames {
+				if f := &pool.frames[i]; f.pins > 0 || f.loading != nil {
+					claimed++
+				}
+			}
+			peak = max(peak, claimed)
+			p.Sleep(5 * sim.Microsecond)
+		}
+	})
+	env.Run()
+	if peak == 0 || peak > capacity/2 {
+		t.Errorf("three shares held %d of %d frames pinned or loading, want some and at most half", peak, capacity)
+	}
+	// With no room to read ahead, each block is still read in one piece:
+	// no page is a read of its own.
+	if s := pool.Stats; s.Misses != s.JoinedLoads || s.PrefetchReads < 3*pages/4 {
+		t.Errorf("three laps: %d misses, %d of them joined, %d block reads; want every page from a block read",
+			s.Misses, s.JoinedLoads, s.PrefetchReads)
+	}
+	if pool.Pinned() != 0 || sh.Live() != 0 {
+		t.Errorf("%d pins and %d consumers left at the drain, want 0 and 0", pool.Pinned(), sh.Live())
 	}
 }
 

@@ -94,6 +94,10 @@ go test -race -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAt
 # so a run that leaves events, live processes or hedge records behind for
 # the next one fails here.
 go test -race -count=2 -run '^(TestHedgingUnderStragglers|TestHedgeDelayOffCriticalPath|TestStragglingGatherTraceEndsAtRuntime)$' .
+# Circulating scans beside hot point lookups on an HDD: a scan's pages leave
+# the pool first, so the lookups' misses stay a fifth below plain LRU's, and
+# every pin and rider is back at the drain, twice in one process.
+go test -race -count=2 -run '^TestSharedScansLeaveTheHotSetResident$' .
 
 # The repo-wide lints below read the engine's sources only. bench/ is
 # excluded from each: it is a reader of the engine (registry snapshots,

@@ -2,6 +2,8 @@ package pioqo
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -82,6 +84,69 @@ func TestSessionSharesConcurrentScans(t *testing.T) {
 	if want := len(subs) - total - 1; sharedSeen < want {
 		t.Errorf("%d of %d concurrent scans shared the circulation, want ≥ %d",
 			sharedSeen, len(subs), want)
+	}
+}
+
+// TestSharedScansLeaveTheHotSetResident runs serving_mix's shape small: on
+// an HDD, one batch of point lookups on a hot 1 % key stripe of three
+// wide-row tables, plus a few full scans of them, which ride the tables'
+// circulating scans. Each table is twice the pool, so every lap pushes
+// 1 536 pages through it. A scan's pages leave the pool first, so the
+// lookups keep finding their pages: plain LRU, which sends every idle page
+// to the hot end, missed 655 times on this batch; the test holds the pool
+// a fifth below that. Every pin and every rider is back at the drain.
+func TestSharedScansLeaveTheHotSetResident(t *testing.T) {
+	const (
+		rpp, pages, queries = 4, 1536, 300
+		lruMisses           = 655
+	)
+	sys := New(Config{Device: HDD, PoolPages: 768, Seed: 1})
+	rows := int64(pages * rpp)
+	var tabs []*Table
+	for i := 0; i < 3; i++ {
+		tab, err := sys.CreateTable(fmt.Sprintf("hot%d", i), rows, rpp, WithSyntheticData(), WithTableSeed(int64(i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs = append(tabs, tab)
+	}
+	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	scans := queries / 20
+	var qs []Query
+	for i := 0; i < queries-scans; i++ {
+		k := rng.Int63n(rows / 100)
+		qs = append(qs, Query{Table: tabs[i%3], Low: k, High: k})
+	}
+	for i := 0; i < scans; i++ {
+		qs = append(qs, Query{Table: tabs[i%3], Low: 0, High: rows - 1})
+	}
+
+	n := sys.coord()
+	before := n.Pool.Stats.Misses
+	res, err := sys.ExecuteConcurrent(qs, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for i, r := range res.Results {
+		if q := qs[i]; r.Rows != q.High-q.Low+1 {
+			t.Errorf("query %d [%d,%d] matched %d rows", i, q.Low, q.High, r.Rows)
+		}
+		if res.Admissions[i].Shared {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Error("no scan rode a circulating scan")
+	}
+	if misses := n.Pool.Stats.Misses - before; misses > lruMisses*4/5 {
+		t.Errorf("pool missed %d times, want at most %d (plain LRU: %d)", misses, lruMisses*4/5, lruMisses)
+	}
+	if pins, live := n.Pool.Pinned(), n.Shares.Live(); pins != 0 || live != 0 {
+		t.Errorf("%d pins and %d riders left at the drain, want 0 and 0", pins, live)
 	}
 }
 
