@@ -12,33 +12,32 @@ import (
 // Adaptive execution: the consolidated tuning surface over internal/adapt.
 //
 // A query runs adaptively when WithAdaptive() is passed or Config.Adaptive
-// makes it the system default; a static degree (WithStaticDegree, or its
-// original spelling WithDegree) opts the query back out. Adaptive
-// executions seed their initial degree from the offline DOP model fit on
-// the most recent calibration sweep (falling back to the optimizer's
-// static choice when no model is installed — e.g. after LoadModel, which
-// restores a cost model but not the sweep it came from), then retune at
-// batch boundaries through adapt.Controller: growth is secured credit by
-// credit through the broker lease, shrink sheds workers through the
-// executor's governed teardown, and speculative prefetch pre-issues runs
-// derived from plan structure.
+// makes it the system default; a static degree (WithStaticDegree) opts the
+// query back out. Adaptive executions seed their initial degree from the
+// offline DOP model fit on the most recent calibration sweep (falling back
+// to the optimizer's static choice when no model is installed — e.g. after
+// LoadModel, which restores a cost model but not the sweep it came from),
+// then retune at batch boundaries through adapt.Controller: growth is
+// secured credit by credit through the broker lease, shrink sheds workers
+// through the executor's governed teardown, and speculative prefetch
+// pre-issues runs derived from plan structure.
 
 // WithAdaptive runs this query under the feedback controller even when
-// Config.Adaptive is off. Mutually exclusive with WithStaticDegree and
-// WithDegree: pinning the degree and asking the controller to retune it
-// contradict, and the combination fails with ErrInvalidQuery.
+// Config.Adaptive is off. Mutually exclusive with WithStaticDegree: pinning
+// the degree and asking the controller to retune it contradict, and the
+// combination fails with ErrInvalidQuery.
 func WithAdaptive() QueryOption { return func(o *queryOptions) { o.adaptive = true } }
 
 // WithStaticDegree pins the query's parallel degree to n, overriding the
 // optimizer's choice and opting the query out of adaptive retuning (the
-// way to hold a control arm still on a Config.Adaptive system). It is the
-// consolidated spelling of WithDegree; the two are identical.
+// way to hold a control arm still on a Config.Adaptive system). Cost
+// estimates are reported unchanged.
 func WithStaticDegree(n int) QueryOption { return func(o *queryOptions) { o.degree = n } }
 
 // checkAdaptive rejects contradictory tuning options.
 func (eo *queryOptions) checkAdaptive() error {
 	if eo.adaptive && eo.degree > 0 {
-		return fmt.Errorf("%w: WithAdaptive is mutually exclusive with WithStaticDegree/WithDegree", ErrInvalidQuery)
+		return fmt.Errorf("%w: WithAdaptive is mutually exclusive with WithStaticDegree", ErrInvalidQuery)
 	}
 	return nil
 }
@@ -95,7 +94,6 @@ func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan *Plan, eo queryOp
 		Planned:    planned,
 		Max:        max,
 		Beneficial: beneficial,
-		Log:        s.events,
 		Obs:        s.reg,
 		QID:        spec.QID,
 	}

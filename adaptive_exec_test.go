@@ -60,7 +60,7 @@ func TestWithAdaptiveMutuallyExclusiveWithStaticDegree(t *testing.T) {
 	q := Query{Table: tab, Low: 0, High: 999}
 	for _, opts := range [][]QueryOption{
 		{WithAdaptive(), WithStaticDegree(4)},
-		{WithAdaptive(), WithDegree(4)},
+		{WithStaticDegree(4), WithAdaptive()},
 	} {
 		if _, err := sys.Execute(q, opts...); !errors.Is(err, ErrInvalidQuery) {
 			t.Fatalf("Execute with contradictory tuning options: err = %v, want ErrInvalidQuery", err)

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"time"
-
-	"pioqo/internal/obs/event"
 )
 
 // The engine event log is a bounded, virtual-time-stamped record of every
@@ -16,13 +14,15 @@ import (
 // uninstalls, and plan-cache hits. Events live in a fixed-capacity ring —
 // old entries are overwritten, never allocated around — and every record is
 // typed: the event name and both operand names come from the catalog in
-// internal/obs/event, so there are no free-form strings at emit sites.
+// internal/obs, so there are no free-form strings at emit sites. The ring
+// belongs to the engine's metrics registry, and each decision is recorded
+// once: the same call writes the event and bumps the counters it feeds.
 //
 // Emission is pure ring mutation in host memory: it schedules no simulator
 // events, draws no randomness, and allocates nothing, so an instrumented
 // run is byte-identical to an uninstrumented one, and two runs of the same
 // seeded workload produce byte-identical JSONL exports. With the log
-// disabled (the default) every emit site is a single nil comparison.
+// disabled (the default) an emit site only bumps its counters.
 
 // EventLogStats reports the engine event log's occupancy.
 type EventLogStats struct {
@@ -56,73 +56,49 @@ type EngineEvent struct {
 // EnableEventLog turns on the engine event log with the given ring
 // capacity (0 or negative takes the default, 4096 events). All engine
 // layers — broker, executor, fault injector, buffer pool, plan cache —
-// emit into the one log. Enabling, disabling, or exporting the log never
-// perturbs execution: runs stay byte-identical either way.
-func (s *System) EnableEventLog(capacity int) {
-	if capacity <= 0 {
-		capacity = event.DefaultCapacity
-	}
-	s.setEventLog(event.NewLog(s.env, capacity))
-}
+// record into the one registry, whose ring this switches on. Enabling,
+// disabling, or exporting the log never perturbs execution: runs stay
+// byte-identical either way.
+func (s *System) EnableEventLog(capacity int) { s.reg.EnableEvents(capacity) }
 
-// DisableEventLog turns the event log off and drops its buffer. Emit sites
-// revert to the zero-overhead nil path.
-func (s *System) DisableEventLog() { s.setEventLog(nil) }
+// DisableEventLog turns the event log off and drops its buffer. Counters
+// keep counting.
+func (s *System) DisableEventLog() { s.reg.DisableEvents() }
 
 // EventLogEnabled reports whether the engine event log is on.
-func (s *System) EventLogEnabled() bool { return s.events != nil }
-
-// setEventLog installs l on every layer of every node that emits. The
-// broker may not exist yet — sharedBroker passes s.events at build time.
-func (s *System) setEventLog(l *event.Log) {
-	s.events = l
-	for _, n := range s.nodes {
-		n.SetEventLog(l)
-	}
-	if s.broker != nil {
-		s.broker.SetLog(l)
-	}
-}
+func (s *System) EventLogEnabled() bool { return s.reg.Log() != nil }
 
 // EventLogStats reports the log's occupancy; zero values when disabled.
 func (s *System) EventLogStats() EventLogStats {
-	if s.events == nil {
-		return EventLogStats{}
-	}
-	return EventLogStats{
-		Total:   s.events.Total(),
-		Dropped: s.events.Dropped(),
-		Len:     s.events.Len(),
-	}
+	l := s.reg.Log()
+	return EventLogStats{Total: l.Total(), Dropped: l.Dropped(), Len: l.Len()}
 }
 
-// ResetEventLog clears the retained events and counters, keeping the log
-// enabled at its current capacity.
-func (s *System) ResetEventLog() {
-	if s.events != nil {
-		s.events.Reset()
-	}
-}
+// ResetEventLog clears the retained events and restarts their sequence
+// numbering, keeping the log enabled at its current capacity. Metric
+// counters are not reset.
+func (s *System) ResetEventLog() { s.reg.Log().Reset() }
 
 // EngineEvents returns the retained events, oldest first, decoded against
 // the catalog. Nil when the log is disabled.
 func (s *System) EngineEvents() []EngineEvent {
-	if s.events == nil {
+	l := s.reg.Log()
+	if l == nil {
 		return nil
 	}
-	evs := s.events.Events()
+	evs := l.Events()
 	out := make([]EngineEvent, len(evs))
 	for i, e := range evs {
-		d := event.Describe(e.Type)
+		name, aName, bName := e.Type.Describe()
 		out[i] = EngineEvent{
 			Seq:   e.Seq,
 			At:    time.Duration(e.At),
-			Name:  d.Name,
+			Name:  name,
 			Query: e.Query,
 			A:     e.A,
 			B:     e.B,
-			AName: d.A,
-			BName: d.B,
+			AName: aName,
+			BName: bName,
 		}
 	}
 	return out
@@ -132,8 +108,9 @@ func (s *System) EngineEvents() []EngineEvent {
 // with a fixed field order, oldest first. Two runs of the same seeded
 // workload export byte-identical logs.
 func (s *System) WriteEventLog(w io.Writer) error {
-	if s.events == nil {
+	l := s.reg.Log()
+	if l == nil {
 		return fmt.Errorf("pioqo: event log disabled; call EnableEventLog first")
 	}
-	return s.events.WriteJSONL(w)
+	return l.WriteJSONL(w)
 }

@@ -28,7 +28,6 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/disk"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -88,7 +87,8 @@ type Config struct {
 	// the pool share, at least 16.
 	SpecBudget int
 
-	Log *event.Log
+	// Obs records the controller's decisions, attributed to QID, and the
+	// adapt.* counters.
 	Obs *obs.Registry
 	QID int64
 }
@@ -128,9 +128,6 @@ type Controller struct {
 	specOut     map[specKey]*disk.File
 	specHits    int64
 	specDropped int64
-
-	retunes, grows, shrinks         *obs.Counter
-	specIssuedC, specHitC, specCanC *obs.Counter
 }
 
 type specKey struct {
@@ -162,15 +159,7 @@ func NewController(cfg Config) *Controller {
 		c.target = cfg.Max
 	}
 	c.specOut = make(map[specKey]*disk.File)
-	if cfg.Obs != nil {
-		c.retunes = cfg.Obs.Counter(obs.MetricAdaptRetunes)
-		c.grows = cfg.Obs.Counter(obs.MetricAdaptGrows)
-		c.shrinks = cfg.Obs.Counter(obs.MetricAdaptShrinks)
-		c.specIssuedC = cfg.Obs.Counter(obs.MetricAdaptSpecIssued)
-		c.specHitC = cfg.Obs.Counter(obs.MetricAdaptSpecHits)
-		c.specCanC = cfg.Obs.Counter(obs.MetricAdaptSpecCanceled)
-	}
-	cfg.Log.Emit(event.EvAdaptSeed, cfg.QID, int64(c.target), int64(cfg.Planned))
+	cfg.Obs.Emit(obs.EvAdaptSeed, cfg.QID, int64(c.target), int64(cfg.Planned))
 	return c
 }
 
@@ -409,19 +398,10 @@ func (c *Controller) move(to int, tput float64) {
 	c.lastMove = to - prev
 	c.target = to
 	c.lastTput = tput
-	if c.retunes != nil {
-		c.retunes.Inc()
-	}
 	if to > prev {
-		c.cfg.Log.Emit(event.EvAdaptGrow, c.cfg.QID, int64(to), int64(prev))
-		if c.grows != nil {
-			c.grows.Inc()
-		}
+		c.cfg.Obs.Emit(obs.EvAdaptGrow, c.cfg.QID, int64(to), int64(prev))
 	} else {
-		c.cfg.Log.Emit(event.EvAdaptShrink, c.cfg.QID, int64(to), int64(prev))
-		if c.shrinks != nil {
-			c.shrinks.Inc()
-		}
+		c.cfg.Obs.Emit(obs.EvAdaptShrink, c.cfg.QID, int64(to), int64(prev))
 	}
 }
 
@@ -508,10 +488,7 @@ func (c *Controller) SpeculateRun(f *disk.File, start int64, count int) {
 		return
 	}
 	c.cfg.Pool.PrefetchRunTrimmed(f, start, issue)
-	c.cfg.Log.Emit(event.EvAdaptSpecIssue, c.cfg.QID, start, int64(len(added)))
-	if c.specIssuedC != nil {
-		c.specIssuedC.Add(int64(len(added)))
-	}
+	c.cfg.Obs.Emit(obs.EvAdaptSpecIssue, c.cfg.QID, start, int64(len(added)))
 }
 
 // NoteFetch implements exec.Tuner: a demand fetch of a speculated page is a
@@ -526,9 +503,7 @@ func (c *Controller) NoteFetch(f *disk.File, page int64) {
 	if _, ok := c.specOut[k]; ok {
 		delete(c.specOut, k)
 		c.specHits++
-		if c.specHitC != nil {
-			c.specHitC.Inc()
-		}
+		c.cfg.Obs.Counter(obs.MetricAdaptSpecHits).Inc()
 	}
 }
 
@@ -558,10 +533,7 @@ func (c *Controller) FinishScan() {
 	}
 	dropped := int64(len(keys))
 	c.specDropped += dropped
-	c.cfg.Log.Emit(event.EvAdaptSpecCancel, c.cfg.QID, dropped, c.specHits)
-	if c.specCanC != nil {
-		c.specCanC.Add(dropped)
-	}
+	c.cfg.Obs.Emit(obs.EvAdaptSpecCancel, c.cfg.QID, dropped, c.specHits)
 	c.specOut = make(map[specKey]*disk.File)
 }
 

@@ -36,7 +36,6 @@ import (
 	"fmt"
 
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -89,16 +88,10 @@ type Config struct {
 	// still turn into throughput. 0 (or nil) means healthy.
 	DegradeProbe func() float64
 
-	// Obs, when set, receives the broker's instruments: broker.credits_total,
-	// broker.credits_in_use, broker.workers_in_use, broker.admissions,
-	// broker.replans, broker.reclaims, and broker.admission_wait_us.
+	// Obs, when set, records one event per admission decision — enqueue,
+	// grant, re-plan, credit reclamation and growth, lease release, and
+	// degraded-supply dispatch — and the broker.* instruments.
 	Obs *obs.Registry
-
-	// Log, when set, receives one structured event per admission decision:
-	// enqueue, grant, re-plan, credit reclamation, lease release, and
-	// degraded-supply dispatch. Nil (the default) is the zero-cost disabled
-	// log; SetLog installs one later.
-	Log *event.Log
 
 	// Tracer, when set, records one span per admission (enqueue → grant),
 	// annotated with the granted budget and wait, under Span.
@@ -136,17 +129,11 @@ type Broker struct {
 	probeBase float64
 	probeAt   sim.Time
 
-	// log receives admission-decision events; nil = disabled (Emit no-ops).
-	log *event.Log
-
-	// Instruments (nil-safe: left nil without a registry).
+	// obs records admission decisions; the instruments are its (all nil
+	// without one, and nil instruments record nothing).
+	obs          *obs.Registry
 	creditsInUse *obs.Gauge
 	workersGauge *obs.Gauge
-	admissions   *obs.Counter
-	sharedAdm    *obs.Counter
-	replans      *obs.Counter
-	reclaims     *obs.Counter
-	grows        *obs.Counter
 	waitHist     *obs.Histogram
 }
 
@@ -180,26 +167,13 @@ func New(cfg Config) *Broker {
 			b.minLease = 1
 		}
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.Gauge(obs.MetricBrokerCreditsTotal).Set(float64(b.total))
-		b.creditsInUse = cfg.Obs.Gauge(obs.MetricBrokerCreditsInUse)
-		b.workersGauge = cfg.Obs.Gauge(obs.MetricBrokerWorkersInUse)
-		b.admissions = cfg.Obs.Counter(obs.MetricBrokerAdmissions)
-		b.sharedAdm = cfg.Obs.Counter(obs.MetricBrokerSharedAdmissions)
-		b.replans = cfg.Obs.Counter(obs.MetricBrokerReplans)
-		b.reclaims = cfg.Obs.Counter(obs.MetricBrokerReclaims)
-		b.grows = cfg.Obs.Counter(obs.MetricBrokerGrows)
-		b.waitHist = cfg.Obs.Histogram(obs.MetricBrokerAdmissionWaitUs, admissionWaitBucketsUs)
-	}
-	b.log = cfg.Log
+	b.obs = cfg.Obs
+	b.obs.Gauge(obs.MetricBrokerCreditsTotal).Set(float64(b.total))
+	b.creditsInUse = b.obs.Gauge(obs.MetricBrokerCreditsInUse)
+	b.workersGauge = b.obs.Gauge(obs.MetricBrokerWorkersInUse)
+	b.waitHist = b.obs.Histogram(obs.MetricBrokerAdmissionWaitUs, admissionWaitBucketsUs)
 	return b
 }
-
-// SetLog installs (or, with nil, removes) the broker's event log. The
-// engine enables observability after the broker may already exist, so the
-// log is settable post-construction; emission is pure ring mutation either
-// way and never perturbs admission decisions.
-func (b *Broker) SetLog(l *event.Log) { b.log = l }
 
 // Total reports the credit supply — the device's maximum beneficial queue
 // depth over the configured band.
@@ -288,7 +262,7 @@ type Lease struct {
 	id int
 
 	// qid attributes this lease's events to its query in the engine event
-	// log; event.NoQuery for leases enqueued without an id.
+	// log; obs.NoQuery for leases enqueued without an id.
 	qid int64
 
 	demand int // max useful credits; 0 = no cap
@@ -314,11 +288,11 @@ type Lease struct {
 // demand caps the useful credit grant (0 = uncapped). Admission is FIFO;
 // call Await from process context to block until granted.
 func (b *Broker) Enqueue(demand int) *Lease {
-	return b.EnqueueQuery(demand, event.NoQuery)
+	return b.EnqueueQuery(demand, obs.NoQuery)
 }
 
 // EnqueueQuery is Enqueue with a query id attached: every event this lease
-// emits into the broker's log is attributed to qid.
+// records is attributed to qid.
 func (b *Broker) EnqueueQuery(demand int, qid int64) *Lease {
 	l := &Lease{b: b, id: b.nextID, qid: qid, demand: demand,
 		enqueuedAt: b.env.Now(), grant: sim.NewCompletion(b.env)}
@@ -326,7 +300,7 @@ func (b *Broker) EnqueueQuery(demand int, qid int64) *Lease {
 	if b.cfg.Tracer != nil {
 		l.span = b.cfg.Tracer.Start(b.cfg.Span, fmt.Sprintf("admission%d", l.id))
 	}
-	b.log.Emit(event.EvAdmissionEnqueue, l.qid, int64(demand), 0)
+	b.obs.Emit(obs.EvAdmissionEnqueue, l.qid, int64(demand), 0)
 	b.queue = append(b.queue, l)
 	b.scheduleDispatch()
 	return l
@@ -350,9 +324,7 @@ func (b *Broker) AdmitShared(l *Lease) {
 		panic("broker: AdmitShared on a released lease")
 	}
 	l.shared = true
-	if b.sharedAdm != nil {
-		b.sharedAdm.Inc()
-	}
+	b.obs.Counter(obs.MetricBrokerSharedAdmissions).Inc()
 	if l.admitted {
 		return
 	}
@@ -395,9 +367,7 @@ func (l *Lease) StartWorker() {
 	if l.workers > l.peak {
 		l.peak = l.workers
 	}
-	if l.b.workersGauge != nil {
-		l.b.workersGauge.Add(1)
-	}
+	l.b.workersGauge.Add(1)
 }
 
 // EndWorker implements exec.Governor: one scan worker exited. A worker
@@ -407,9 +377,7 @@ func (l *Lease) StartWorker() {
 // leases skip reclamation.
 func (l *Lease) EndWorker() {
 	l.workers--
-	if l.b.workersGauge != nil {
-		l.b.workersGauge.Add(-1)
-	}
+	l.b.workersGauge.Add(-1)
 	if l.released || l.granted == 0 || l.peak <= 0 {
 		return
 	}
@@ -420,11 +388,8 @@ func (l *Lease) EndWorker() {
 	if target < l.held {
 		n := l.held - target
 		l.held = target
-		l.b.log.Emit(event.EvCreditsReclaim, l.qid, int64(n), int64(l.held))
+		l.b.obs.Emit(obs.EvCreditsReclaim, l.qid, int64(n), int64(l.held))
 		l.b.reclaim(n)
-		if l.b.reclaims != nil {
-			l.b.reclaims.Add(int64(n))
-		}
 	}
 }
 
@@ -474,23 +439,15 @@ func (l *Lease) Grow(n int) int {
 			l.pool = pool
 		}
 	}
-	b.log.Emit(event.EvLeaseGrow, l.qid, int64(n), int64(l.granted))
-	if b.grows != nil {
-		b.grows.Add(int64(n))
-	}
-	if b.creditsInUse != nil {
-		b.creditsInUse.Set(float64(b.InUse()))
-	}
+	b.obs.Emit(obs.EvLeaseGrow, l.qid, int64(n), int64(l.granted))
+	b.creditsInUse.Set(float64(b.InUse()))
 	return n
 }
 
 // Replanned records that the query was re-planned because its admission
 // grant differed from the provisional budget it planned under.
 func (l *Lease) Replanned() {
-	l.b.log.Emit(event.EvAdmissionReplan, l.qid, int64(l.granted), 0)
-	if l.b.replans != nil {
-		l.b.replans.Inc()
-	}
+	l.b.obs.Emit(obs.EvAdmissionReplan, l.qid, int64(l.granted), 0)
 	if l.span != nil {
 		l.span.SetAttr("replanned", true)
 	}
@@ -503,7 +460,7 @@ func (l *Lease) Release() {
 		panic("broker: lease released twice")
 	}
 	l.released = true
-	l.b.log.Emit(event.EvLeaseRelease, l.qid, int64(l.held), int64(l.pool))
+	l.b.obs.Emit(obs.EvLeaseRelease, l.qid, int64(l.held), int64(l.pool))
 	if !l.admitted {
 		// Withdrawn before admission: just drop out of the queue.
 		for i, q := range l.b.queue {
@@ -552,9 +509,7 @@ func (b *Broker) reclaim(n int) {
 		b.slack -= retire
 		b.free -= retire
 	}
-	if b.creditsInUse != nil {
-		b.creditsInUse.Set(float64(b.InUse()))
-	}
+	b.creditsInUse.Set(float64(b.InUse()))
 	b.scheduleDispatch()
 }
 
@@ -615,7 +570,7 @@ func (b *Broker) dispatch() {
 		if reserve > 0 && !degradeLogged {
 			// One degraded-supply event per dispatch pass: dispatch may admit
 			// several queries under the same shrunken supply.
-			b.log.Emit(event.EvSupplyDegrade, event.NoQuery, int64(supply), int64(b.total))
+			b.obs.Emit(obs.EvSupplyDegrade, obs.NoQuery, int64(supply), int64(b.total))
 			degradeLogged = true
 		}
 		if len(b.active) == 0 && len(b.queue) == 1 {
@@ -690,16 +645,9 @@ func (b *Broker) admit(l *Lease, grant int) {
 		b.poolInUse += l.pool
 	}
 	b.active = append(b.active, l)
-	b.log.Emit(event.EvAdmissionGrant, l.qid, int64(grant), int64(l.Wait()))
-	if b.admissions != nil {
-		b.admissions.Inc()
-	}
-	if b.creditsInUse != nil {
-		b.creditsInUse.Set(float64(b.InUse()))
-	}
-	if b.waitHist != nil {
-		b.waitHist.Observe(l.Wait().Micros())
-	}
+	b.obs.Emit(obs.EvAdmissionGrant, l.qid, int64(grant), int64(l.Wait()))
+	b.creditsInUse.Set(float64(b.InUse()))
+	b.waitHist.Observe(l.Wait().Micros())
 	if l.span != nil {
 		l.span.SetAttr("granted", grant)
 		l.span.SetAttr("wait", l.Wait())

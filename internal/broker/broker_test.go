@@ -250,22 +250,22 @@ func TestInstrumentsPublish(t *testing.T) {
 	l1 := b.Enqueue(0)
 	l2 := b.Enqueue(0)
 	env.Run()
-	if got := reg.Counter("broker.admissions").Value(); got != 2 {
+	if got := reg.Counter(obs.MetricBrokerAdmissions).Value(); got != 2 {
 		t.Errorf("admissions = %d, want 2", got)
 	}
-	if got := reg.Gauge("broker.credits_total").Value(); got != 8 {
+	if got := reg.Gauge(obs.MetricBrokerCreditsTotal).Value(); got != 8 {
 		t.Errorf("credits_total = %v, want 8", got)
 	}
-	if got := reg.Gauge("broker.credits_in_use").Value(); got != 8 {
+	if got := reg.Gauge(obs.MetricBrokerCreditsInUse).Value(); got != 8 {
 		t.Errorf("credits_in_use = %v, want 8", got)
 	}
 	l1.Replanned()
-	if got := reg.Counter("broker.replans").Value(); got != 1 {
+	if got := reg.Counter(obs.MetricBrokerReplans).Value(); got != 1 {
 		t.Errorf("replans = %d, want 1", got)
 	}
 	l1.Release()
 	l2.Release()
-	if got := reg.Gauge("broker.credits_in_use").Value(); got != 0 {
+	if got := reg.Gauge(obs.MetricBrokerCreditsInUse).Value(); got != 0 {
 		t.Errorf("credits_in_use = %v after drain, want 0", got)
 	}
 }
@@ -330,7 +330,7 @@ func TestAdmitSharedBypassesQueue(t *testing.T) {
 		t.Error("credit-bound waiter admitted by the shared admission")
 	}
 	if got := reg.Counter(obs.MetricBrokerSharedAdmissions).Value(); got != 1 {
-		t.Errorf("%s = %d, want 1", obs.MetricBrokerSharedAdmissions, got)
+		t.Errorf("%s = %d, want 1", obs.MetricBrokerSharedAdmissions.Name(), got)
 	}
 
 	// Worker lifecycle and release on a zero-credit lease reclaim nothing:

@@ -17,7 +17,6 @@ import (
 
 	"pioqo/internal/disk"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -58,14 +57,14 @@ type Pool struct {
 
 	Stats Stats
 
+	// obs records frame-uninstall events (failed reads evicting their
+	// frame and bumping the epoch); nil records nothing.
+	obs *obs.Registry
+
 	// Cumulative registry mirrors, nil until Publish. Unlike Stats, these
 	// never reset — per-query numbers come from registry snapshot diffs.
 	obsHits, obsMisses, obsJoined, obsPrefetch, obsPrefetchPages, obsEvict, obsDirty, obsReadErr *obs.Counter
 	obsCached                                                                                    *obs.Gauge
-
-	// log receives frame-uninstall events (failed reads evicting their
-	// frame and bumping the epoch); nil = disabled.
-	log *event.Log
 }
 
 // Stats counts pool traffic since the last ResetStats.
@@ -163,10 +162,16 @@ func (p *Pool) Resident(f *disk.File) int64 {
 // accumulating.
 func (p *Pool) ResetStats() { p.Stats = Stats{} }
 
-// Publish registers the pool's instruments in reg under the catalog's
-// buffer.* names: cumulative counters mirroring Stats, plus a cached_pages
-// gauge tracking residency over virtual time.
+// Observe hands the pool the registry it records frame-uninstall events
+// into.
+func (p *Pool) Observe(reg *obs.Registry) { p.obs = reg }
+
+// Publish observes reg and registers the pool's instruments in it under the
+// catalog's buffer.* names: cumulative counters mirroring Stats, plus a
+// cached_pages gauge tracking residency over virtual time. A cluster
+// publishes only its coordinator's pool; the others only Observe.
 func (p *Pool) Publish(reg *obs.Registry) {
+	p.obs = reg
 	p.obsHits = reg.Counter(obs.MetricBufferHits)
 	p.obsMisses = reg.Counter(obs.MetricBufferMisses)
 	p.obsJoined = reg.Counter(obs.MetricBufferJoinedLoads)
@@ -179,22 +184,8 @@ func (p *Pool) Publish(reg *obs.Registry) {
 	p.trackCached()
 }
 
-// SetEventLog installs (or, with nil, removes) the pool's event log.
-func (p *Pool) SetEventLog(l *event.Log) { p.log = l }
-
-// bump increments a registry mirror if the pool has been Published.
-func bump(c *obs.Counter) {
-	if c != nil {
-		c.Inc()
-	}
-}
-
 // trackCached refreshes the cached_pages gauge after residency changes.
-func (p *Pool) trackCached() {
-	if p.obsCached != nil {
-		p.obsCached.Set(float64(p.index.n))
-	}
-}
+func (p *Pool) trackCached() { p.obsCached.Set(float64(p.index.n)) }
 
 // lookup returns the page's frame, loaded or loading, or nil.
 func (p *Pool) lookup(file *disk.File, page int64) *frame {
@@ -257,7 +248,7 @@ func (p *Pool) evict(f *frame) {
 	p.unlink(f)
 	p.uninstall(f)
 	p.Stats.Evictions++
-	bump(p.obsEvict)
+	p.obsEvict.Inc()
 }
 
 // evictOne removes the idle frame at the LRU's tail, writing it back
@@ -282,7 +273,7 @@ func (p *Pool) evictOne() bool {
 func (p *Pool) writeBack(f *frame) {
 	f.dirty = false
 	p.Stats.DirtyWrites++
-	bump(p.obsDirty)
+	p.obsDirty.Inc()
 	p.inFlightWrites.Add(1)
 	p.files[f.key.File].file.WritePage(f.key.Page).OnFire(p.inFlightWrites.Done)
 }
@@ -329,8 +320,8 @@ func (p *Pool) onLoad(c *sim.Completion, first int32) {
 				// look at the frame again.
 				p.uninstall(f)
 				p.Stats.ReadErrors++
-				bump(p.obsReadErr)
-				p.log.Emit(event.EvFrameUninstall, event.NoQuery, f.key.Page, int64(p.epoch))
+				p.obsReadErr.Inc()
+				p.obs.Emit(obs.EvFrameUninstall, obs.NoQuery, f.key.Page, int64(p.epoch))
 				continue
 			}
 			f.loading = nil
@@ -426,15 +417,15 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 	switch {
 	case f == nil:
 		p.Stats.Misses++
-		bump(p.obsMisses)
+		p.obsMisses.Inc()
 		c = file.ReadPage(page)
 		f = &p.frames[p.install(file, page, c)]
 		p.onLoad(c, f.slot)
 	case f.loading != nil:
 		p.Stats.Misses++
 		p.Stats.JoinedLoads++
-		bump(p.obsMisses)
-		bump(p.obsJoined)
+		p.obsMisses.Inc()
+		p.obsJoined.Inc()
 		c = f.loading
 	default:
 		return p.hit(f), nil
@@ -450,7 +441,7 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 // hit pins a loaded frame and counts the hit.
 func (p *Pool) hit(f *frame) Handle {
 	p.Stats.Hits++
-	bump(p.obsHits)
+	p.obsHits.Inc()
 	p.pin(f)
 	return Handle{p, f}
 }
@@ -476,8 +467,8 @@ func (p *Pool) Prefetch(file *disk.File, page int64) bool {
 	}
 	p.Stats.PrefetchReads++
 	p.Stats.PrefetchedPages++
-	bump(p.obsPrefetch)
-	bump(p.obsPrefetchPages)
+	p.obsPrefetch.Inc()
+	p.obsPrefetchPages.Inc()
 	c := file.ReadPage(page)
 	p.onLoad(c, p.install(file, page, c))
 	return true
@@ -489,10 +480,8 @@ func (p *Pool) readRun(file *disk.File, page int64, count int) {
 	c := file.ReadRun(page, count)
 	p.Stats.PrefetchReads++
 	p.Stats.PrefetchedPages += int64(count)
-	bump(p.obsPrefetch)
-	if p.obsPrefetchPages != nil {
-		p.obsPrefetchPages.Add(int64(count))
-	}
+	p.obsPrefetch.Inc()
+	p.obsPrefetchPages.Add(int64(count))
 	p.installRun(file, page, count, c)
 }
 

@@ -20,7 +20,7 @@ type faultWorld struct {
 func newFaultWorld(t *testing.T, poolPages int) *faultWorld {
 	t.Helper()
 	env := sim.NewEnv(1)
-	inj := fault.Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj := fault.Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 	m := disk.NewManager(inj)
 	return &faultWorld{
 		world: &world{

@@ -298,7 +298,7 @@ func fuzzPool(t *testing.T, seed int64) {
 		maxRun   = 6
 	)
 	env := sim.NewEnv(seed)
-	inj := fault.Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj := fault.Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 	ref := &refPool{capacity: capacity, frames: map[PageKey]*refFrame{}}
 	dev := &recDevice{Device: inj, ref: ref}
 	m := disk.NewManager(dev)

@@ -19,7 +19,6 @@ import (
 
 	"pioqo/internal/disk"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -86,24 +85,22 @@ type Shares struct {
 	interest map[disk.FileID]int
 	live     int // running producer processes
 
-	log                           *event.Log
-	obsAttach, obsDetach, obsLaps *obs.Counter
+	obs *obs.Registry // the pool's
 }
 
-// NewShares returns a registry over pool. One registry serves the whole
-// system; shares are created lazily on first attach.
+// NewShares returns a registry over pool, recording into the pool's
+// observability registry. One registry serves the whole system; shares are
+// created lazily on first attach.
 func NewShares(env *sim.Env, pool *Pool, cfg ShareConfig) *Shares {
 	return &Shares{
 		env:      env,
 		pool:     pool,
+		obs:      pool.obs,
 		cfg:      cfg.normalized(),
 		scans:    make(map[disk.FileID]*ScanShare),
 		interest: make(map[disk.FileID]int),
 	}
 }
-
-// SetEventLog installs (or, with nil, removes) the registry's event log.
-func (s *Shares) SetEventLog(l *event.Log) { s.log = l }
 
 // SetDepth updates the producer readahead cap to the device's calibrated
 // beneficial queue depth.
@@ -111,13 +108,6 @@ func (s *Shares) SetDepth(d int) {
 	if d > 0 {
 		s.cfg.Depth = d
 	}
-}
-
-// Publish registers the scanshare.* instruments in reg.
-func (s *Shares) Publish(reg *obs.Registry) {
-	s.obsAttach = reg.Counter(obs.MetricScanShareAttaches)
-	s.obsDetach = reg.Counter(obs.MetricScanShareDetaches)
-	s.obsLaps = reg.Counter(obs.MetricScanShareLaps)
 }
 
 // AddInterest records one more in-flight query against file f; sessions
@@ -172,8 +162,7 @@ func (s *Shares) Attach(qid int64, file *disk.File, pages int64) *ScanConsumer {
 	}
 	c := &ScanConsumer{sh: sh, qid: qid, join: sh.seq, next: sh.seq, remaining: sh.blocks}
 	sh.consumers = append(sh.consumers, c)
-	s.log.Emit(event.EvScanShareAttach, qid, sh.pos, int64(len(sh.consumers)))
-	bump(s.obsAttach)
+	s.obs.Emit(obs.EvScanShareAttach, qid, sh.pos, int64(len(sh.consumers)))
 	if !sh.running {
 		sh.running = true
 		s.live++
@@ -307,8 +296,7 @@ func (sh *ScanShare) deliver(p *sim.Proc) {
 	if sh.pos == sh.blocks {
 		sh.pos = 0
 		sh.laps++
-		sh.reg.log.Emit(event.EvScanShareLap, event.NoQuery, sh.laps, int64(len(sh.consumers)))
-		bump(sh.reg.obsLaps)
+		sh.reg.obs.Emit(obs.EvScanShareLap, obs.NoQuery, sh.laps, int64(len(sh.consumers)))
 	}
 	if b.waiters == 0 {
 		// Every consumer detached during the block's device wait: nobody
@@ -467,8 +455,7 @@ func (c *ScanConsumer) Detach() {
 	for _, b := range owed {
 		sh.take(b)
 	}
-	sh.reg.log.Emit(event.EvScanShareDetach, c.qid, sh.blocks-c.remaining, int64(len(sh.consumers)))
-	bump(sh.reg.obsDetach)
+	sh.reg.obs.Emit(obs.EvScanShareDetach, c.qid, sh.blocks-c.remaining, int64(len(sh.consumers)))
 	// The producer may be parked on window space that only frees when the
 	// departing consumer's claims drop; take already unparked it if so.
 }

@@ -255,10 +255,10 @@ func TestPrefetchStatsSplit(t *testing.T) {
 		t.Errorf("PrefetchedPages = %d, want 9 (pages covered)", st.PrefetchedPages)
 	}
 	if got := reg.Counter(obs.MetricBufferPrefetchReads).Value(); got != 2 {
-		t.Errorf("registry %s = %d, want 2", obs.MetricBufferPrefetchReads, got)
+		t.Errorf("registry %s = %d, want 2", obs.MetricBufferPrefetchReads.Name(), got)
 	}
 	if got := reg.Counter(obs.MetricBufferPrefetchedPages).Value(); got != 9 {
-		t.Errorf("registry %s = %d, want 9", obs.MetricBufferPrefetchedPages, got)
+		t.Errorf("registry %s = %d, want 9", obs.MetricBufferPrefetchedPages.Name(), got)
 	}
 }
 

@@ -148,12 +148,10 @@ func (m *Metrics) Completed(n int, d sim.Duration) {
 	m.Requests++
 	m.Bytes += int64(n)
 	m.LatencySum += d
-	if m.reqCtr != nil {
-		m.reqCtr.Inc()
-		m.byteCtr.Add(int64(n))
-		m.latCtr.Add(int64(d))
-		m.latHist.Observe(d.Micros())
-	}
+	m.reqCtr.Inc()
+	m.byteCtr.Add(int64(n))
+	m.latCtr.Add(int64(d))
+	m.latHist.Observe(d.Micros())
 }
 
 // Outstanding reports the number of in-flight requests right now.

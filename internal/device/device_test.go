@@ -373,3 +373,28 @@ func TestDeterministicReplay(t *testing.T) {
 		t.Errorf("two identical runs ended at %v and %v", a, b)
 	}
 }
+
+// TestSeekTimeStrictlyIncreasing holds the property the HDD elevator's
+// integer ranking rests on: after truncation to sim.Duration, a longer seek
+// always costs strictly more, so ranking queued requests by track distance
+// picks what ranking by seek time would. It checks both HDD configs the
+// engine builds (the HDD kind and RAID8's spindles) at their full 65 536
+// tracks — where adjacent distances are closest, ≥ 122 ns and ≥ 61 ns
+// apart — and at the 64 MiB floor workload scales small tables down to.
+func TestSeekTimeStrictlyIncreasing(t *testing.T) {
+	for name, cfg := range map[string]HDDConfig{"hdd": DefaultHDDConfig(), "hdd15k": HDD15KConfig()} {
+		for _, capacity := range []int64{cfg.Capacity, 64 << 20} {
+			cfg.Capacity = capacity
+			d := NewHDD(sim.NewEnv(1), cfg)
+			prev := d.seekTime(0, 0)
+			for dist := int64(1); dist < d.totalTracks; dist++ {
+				st := d.seekTime(0, dist)
+				if st <= prev {
+					t.Fatalf("%s at %d tracks: seek over %d tracks costs %v, over %d %v",
+						name, d.totalTracks, dist, st, dist-1, prev)
+				}
+				prev = st
+			}
+		}
+	}
+}

@@ -174,15 +174,23 @@ func (d *HDD) transferTime(n int) sim.Duration {
 }
 
 // schedulingCost ranks queued requests for the elevator by seek distance
-// only (classic LOOK/SSTF). The firmware is given no rotational knowledge:
-// deep queues shorten seeks but cannot defeat rotational latency, matching
-// the paper's drive, whose queue-depth-32 random reads gain only ~2-2.5x —
-// all of it attributable to seek optimization over wide bands.
-func (d *HDD) schedulingCost(r *hddRequest) sim.Duration {
+// only (classic LOOK/SSTF), in tracks: 0 for sequential and same-track
+// requests. seekTime is strictly increasing in distance at every geometry
+// the engine builds (TestSeekTimeStrictlyIncreasing), so this picks what
+// ranking by seek time would, without a square root per queued request.
+// The firmware is given no rotational knowledge: deep queues shorten seeks
+// but cannot defeat rotational latency, matching the paper's drive, whose
+// queue-depth-32 random reads gain only ~2-2.5x — all of it attributable
+// to seek optimization over wide bands.
+func (d *HDD) schedulingCost(r *hddRequest) int64 {
 	if d.isSequential(r) {
 		return 0
 	}
-	return d.seekTime(d.headTrack, d.track(r.offset))
+	dist := d.track(r.offset) - d.headTrack
+	if dist < 0 {
+		dist = -dist
+	}
+	return dist
 }
 
 // positioning returns the actual mechanical time (seek + rotation) to reach

@@ -6,7 +6,6 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/disk"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -119,10 +118,7 @@ func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int6
 			}
 			return h, true
 		}
-		b.ctx.Log.Emit(event.EvReadRetry, spec.QID, page, int64(attempt))
-		if b.ctx.Reg != nil {
-			b.ctx.Reg.Counter(obs.MetricExecReadFaults).Inc()
-		}
+		b.ctx.Obs.Emit(obs.EvReadRetry, spec.QID, page, int64(attempt))
 		if spec.Ctl == nil {
 			panic(fmt.Sprintf("exec: read of %v page %d failed without fault control: %v",
 				f.ID(), page, err))
@@ -132,7 +128,7 @@ func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int6
 			return buffer.Handle{}, false
 		}
 		backoff := pol.BackoffFor(attempt)
-		b.ctx.Log.Emit(event.EvRetryBackoff, spec.QID, page, int64(backoff))
+		b.ctx.Obs.Emit(obs.EvRetryBackoff, spec.QID, page, int64(backoff))
 		wp.Sleep(backoff)
 	}
 }

@@ -20,7 +20,6 @@ import (
 	"pioqo/internal/disk"
 	"pioqo/internal/fault"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -63,20 +62,16 @@ type Context struct {
 	// fetched, rows matched, CPU time, and I/O wait. Nil disables tracing.
 	Tracer *obs.Tracer
 
-	// Reg, when set, receives engine-wide execution counters (exec.scans,
-	// exec.rows_matched). Nil disables them.
-	Reg *obs.Registry
+	// Obs, when set, records worker lifecycle, fault retries and gather
+	// events, attributed to Spec.QID, and the engine-wide execution
+	// counters (exec.*, shard.*). Nil records nothing.
+	Obs *obs.Registry
 
 	// Shares, when set, is the pool's scan-share registry: full scans
 	// planned as shared (Spec.Shared) attach to their table's circulating
 	// producer instead of demand-fetching. Nil disables scan sharing and
 	// every scan takes the demand path.
 	Shares *buffer.Shares
-
-	// Log, when set, receives structured events for worker lifecycle and
-	// fault retries, attributed to Spec.QID. Nil (the default) disables
-	// emission at the cost of one pointer comparison per event site.
-	Log *event.Log
 
 	// Scratch, when set, is the node's free list of worker records: fleets
 	// take their workers' budgets and scratch buffers from it and return
@@ -219,7 +214,7 @@ type Spec struct {
 	Retry fault.RetryPolicy
 
 	// QID attributes this scan's events in the engine event log to its
-	// query (event.NoQuery / 0 for unattributed standalone executions).
+	// query (obs.NoQuery / 0 for unattributed standalone executions).
 	QID int64
 
 	// Progress, when set, is incremented once per page the scan's workers
@@ -269,14 +264,14 @@ func (s *Spec) poolCapacity(ctx *Context) int {
 // startWorker/endWorker report one worker's lifetime to the governor and
 // the event log.
 func (s *Spec) startWorker(ctx *Context, w int) {
-	ctx.Log.Emit(event.EvWorkerStart, s.QID, int64(w), 0)
+	ctx.Obs.Emit(obs.EvWorkerStart, s.QID, int64(w), 0)
 	if s.Gov != nil {
 		s.Gov.StartWorker()
 	}
 }
 
 func (s *Spec) endWorker(ctx *Context, w int) {
-	ctx.Log.Emit(event.EvWorkerExit, s.QID, int64(w), 0)
+	ctx.Obs.Emit(obs.EvWorkerExit, s.QID, int64(w), 0)
 	if s.Gov != nil {
 		s.Gov.EndWorker()
 	}
@@ -404,10 +399,8 @@ func RunScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	}
 	op.SetAttr("rows", res.RowsMatched)
 	op.End()
-	if ctx.Reg != nil {
-		ctx.Reg.Counter(obs.MetricExecScans).Inc()
-		ctx.Reg.Counter(obs.MetricExecRowsMatched).Add(res.RowsMatched)
-	}
+	ctx.Obs.Counter(obs.MetricExecScans).Inc()
+	ctx.Obs.Counter(obs.MetricExecRowsMatched).Add(res.RowsMatched)
 	return res
 }
 

@@ -24,7 +24,7 @@ func newFaultWorld(t *testing.T, o worldOpts) (*world, *fault.Injector) {
 		o.poolPages = 4096
 	}
 	env := sim.NewEnv(404)
-	inj := fault.Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj := fault.Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 	m := disk.NewManager(inj)
 	tab := table.NewMaterialized(m, "t", o.rows, o.rpp, 7)
 	idx := btree.NewMaterialized(m, tab, 0, 0)

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -73,19 +72,14 @@ func scatter(p *sim.Proc, shards []ShardScan, pruned int, qid int64, run func(sp
 		panic("exec: gather without shards")
 	}
 	ctx0 := shards[0].Ctx
-	ctx0.Log.Emit(event.EvShardScatter, qid, int64(len(shards)), int64(pruned))
-	if ctx0.Reg != nil {
-		ctx0.Reg.Counter(obs.MetricShardScatters).Inc()
-		ctx0.Reg.Counter(obs.MetricShardPartials).Add(int64(len(shards)))
-		ctx0.Reg.Counter(obs.MetricShardPruned).Add(int64(pruned))
-	}
+	ctx0.Obs.Emit(obs.EvShardScatter, qid, int64(len(shards)), int64(pruned))
 	wg := sim.NewWaitGroup(ctx0.Env)
 	wg.Add(len(shards))
 	for i, sh := range shards {
 		i, sh := i, sh
 		ctx0.Env.Go(fmt.Sprintf("%s-shard%d", p.Name(), i), func(sp *sim.Proc) {
 			defer wg.Done()
-			sh.Ctx.Log.Emit(event.EvShardPartial, qid, int64(i), run(sp, i, sh))
+			sh.Ctx.Obs.Emit(obs.EvShardPartial, qid, int64(i), run(sp, i, sh))
 		})
 	}
 	p.WaitFor(wg)
@@ -127,7 +121,7 @@ func RunGather(p *sim.Proc, gs GatherSpec) GatherResult {
 			out.Err = r.Err
 		}
 	}
-	ctx0.Log.Emit(event.EvShardGatherDone, gs.QID, int64(len(gs.Shards)), out.RowsMatched)
+	ctx0.Obs.Emit(obs.EvShardGatherDone, gs.QID, int64(len(gs.Shards)), out.RowsMatched)
 	return out
 }
 
@@ -189,6 +183,6 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, pruned int, width int64, 
 	}
 	useCPU(p, ctx0, sim.Duration(len(groups.m)*len(shards))*ctx0.Costs.PerRow)
 	out.Groups = groups.sorted()
-	ctx0.Log.Emit(event.EvShardGatherDone, qid, int64(len(shards)), out.Rows)
+	ctx0.Obs.Emit(obs.EvShardGatherDone, qid, int64(len(shards)), out.Rows)
 	return out
 }

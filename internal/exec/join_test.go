@@ -27,7 +27,7 @@ type joinWorld struct {
 func newJoinWorld(t *testing.T, buildRows, probeRows int64) *joinWorld {
 	t.Helper()
 	env := sim.NewEnv(505)
-	inj := fault.Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj := fault.Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 	m := disk.NewManager(inj)
 	build := table.NewMaterialized(m, "build", buildRows, 33, 21)
 	probe := table.NewMaterialized(m, "probe", probeRows, 33, 22)

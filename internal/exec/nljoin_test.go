@@ -10,7 +10,6 @@ import (
 
 	"pioqo/internal/fault"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 )
 
@@ -172,7 +171,8 @@ func goldenRuntime(t *testing.T, row string) sim.Duration {
 func TestIndexNLJoinWorkersAreWorkers(t *testing.T) {
 	const degree, qid = 4, 77
 	w := schedJoinWorld("ssd")
-	w.ctx.Log = event.NewLog(w.env, 0)
+	w.ctx.Obs = obs.NewRegistry(w.env)
+	w.ctx.Obs.EnableEvents(0)
 	w.ctx.Tracer = obs.NewTracer(w.env, "nlj")
 	gov := &countingGov{}
 	root := w.ctx.Tracer.Start(nil, "join")
@@ -190,14 +190,14 @@ func TestIndexNLJoinWorkersAreWorkers(t *testing.T) {
 		t.Errorf("governor saw %d starts and %d ends, want %d each", gov.starts, gov.ends, degree)
 	}
 	var starts, exits int
-	for _, e := range w.ctx.Log.Events() {
+	for _, e := range w.ctx.Obs.Log().Events() {
 		if e.Query != qid {
 			continue
 		}
 		switch e.Type {
-		case event.EvWorkerStart:
+		case obs.EvWorkerStart:
 			starts++
-		case event.EvWorkerExit:
+		case obs.EvWorkerExit:
 			exits++
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"pioqo/internal/fault"
-	"pioqo/internal/obs/event"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -163,12 +163,12 @@ func (g *countingGov) EndWorker() {
 }
 
 // workerEvents counts the worker.start and worker.exit events in log.
-func workerEvents(log *event.Log) (starts, exits int) {
+func workerEvents(log *obs.EventLog) (starts, exits int) {
 	for _, e := range log.Events() {
 		switch e.Type {
-		case event.EvWorkerStart:
+		case obs.EvWorkerStart:
 			starts++
-		case event.EvWorkerExit:
+		case obs.EvWorkerExit:
 			exits++
 		}
 	}
@@ -200,7 +200,8 @@ func TestSortedScanKeepsLeaseAcrossPhaseBarrier(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			const degree = 8
 			w := newWorld(t, worldOpts{rows: 20000, rpp: 33})
-			w.ctx.Log = event.NewLog(w.env, 0)
+			w.ctx.Obs = obs.NewRegistry(w.env)
+			w.ctx.Obs.EnableEvents(0)
 			gov := &countingGov{}
 			s := w.spec(SortedIndexScan, degree, tc.lo(w), tc.hi(w))
 			s.Gov = gov
@@ -221,7 +222,7 @@ func TestSortedScanKeepsLeaseAcrossPhaseBarrier(t *testing.T) {
 			if !tc.abort && gov.starts != degree {
 				t.Errorf("governor saw %d worker lifetimes, want one per slot (%d)", gov.starts, degree)
 			}
-			starts, exits := workerEvents(w.ctx.Log)
+			starts, exits := workerEvents(w.ctx.Obs.Log())
 			if starts != gov.starts || exits != gov.ends {
 				t.Errorf("event log has %d worker.start and %d worker.exit, governor saw %d and %d",
 					starts, exits, gov.starts, gov.ends)

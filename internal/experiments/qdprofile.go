@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"sort"
+
 	"pioqo/internal/exec"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
-	"pioqo/internal/trace"
+	"pioqo/internal/stats"
 	"pioqo/internal/workload"
 )
 
@@ -35,22 +38,61 @@ type QDProfileSeriesRow struct {
 	Samples    []QDSample `json:"samples"`
 }
 
+// qdInterval is the §2 profile's sampling period.
+const qdInterval = 250 * sim.Microsecond
+
 // qdProfileRun executes one PIS run at the given degree on a fresh SSD
-// system and returns the sampled queue-depth profile.
-func (sc Scale) qdProfileRun(degree int) trace.Profile {
+// system and returns the sampled queue-depth series.
+func (sc Scale) qdProfileRun(degree int) []obs.Sample {
 	s := sc.system(workload.Config{
 		Name: "qdprofile", RowsPerPage: 1, Device: workload.SSD,
 	})
-	prof := trace.NewProfiler(s.Env, s.Dev, 250*sim.Microsecond)
 	lo, hi := s.RangeFor(0.3)
-	spec := s.Spec(exec.IndexScan, degree, lo, hi)
+	_, series := profileDepth(s, s.Spec(exec.IndexScan, degree, lo, hi), qdInterval)
+	return series
+}
+
+// profileDepth runs spec on s while sampling the device's outstanding
+// request count every interval.
+func profileDepth(s *workload.System, spec exec.Spec, interval sim.Duration) (exec.Result, []obs.Sample) {
+	depth := obs.NewSampler(s.Env, interval, func() float64 {
+		return float64(s.Dev.Metrics().Outstanding())
+	})
+	var res exec.Result
 	s.Env.Go("query", func(p *sim.Proc) {
-		prof.Start()
-		exec.RunScan(p, s.Ctx, spec)
-		prof.Stop()
+		depth.Start()
+		res = exec.RunScan(p, s.Ctx, spec)
+		depth.Stop()
 	})
 	s.Env.Run()
-	return prof.Profile()
+	return res, depth.Series()
+}
+
+// qdSummary summarises a queue-depth series — mean, median and maximum —
+// over the samples from the first non-zero one to the last, so the ramp-up
+// and the drain do not dilute the plateau. Degree is left to the caller.
+func qdSummary(series []obs.Sample) QDProfileRow {
+	for len(series) > 0 && series[0].Value == 0 {
+		series = series[1:]
+	}
+	for len(series) > 0 && series[len(series)-1].Value == 0 {
+		series = series[:len(series)-1]
+	}
+	if len(series) == 0 {
+		return QDProfileRow{}
+	}
+	depths := make([]int, len(series))
+	sum := 0
+	for i, smp := range series {
+		depths[i] = int(smp.Value)
+		sum += depths[i]
+	}
+	sort.Ints(depths)
+	return QDProfileRow{
+		MeanDepth: float64(sum) / float64(len(depths)),
+		P50Depth:  stats.Percentile(depths, 0.50),
+		MaxDepth:  depths[len(depths)-1],
+	}
 }
 
 // QDProfile reproduces the paper's §2 profiling observation — "the I/O
@@ -59,14 +101,9 @@ func (sc Scale) qdProfileRun(degree int) trace.Profile {
 // count while parallel index scans of each degree run.
 func (sc Scale) QDProfile() []QDProfileRow {
 	return sweep(sc.workers(), len(qdDegrees), func(i int) QDProfileRow {
-		degree := qdDegrees[i]
-		st := sc.qdProfileRun(degree).Stats()
-		return QDProfileRow{
-			Degree:    degree,
-			MeanDepth: st.Mean,
-			P50Depth:  st.P50,
-			MaxDepth:  st.Max,
-		}
+		row := qdSummary(sc.qdProfileRun(qdDegrees[i]))
+		row.Degree = qdDegrees[i]
+		return row
 	})
 }
 
@@ -74,19 +111,18 @@ func (sc Scale) QDProfile() []QDProfileRow {
 // for machine-readable export.
 func (sc Scale) QDProfileSeries() []QDProfileSeriesRow {
 	return sweep(sc.workers(), len(qdDegrees), func(i int) QDProfileSeriesRow {
-		degree := qdDegrees[i]
-		prof := sc.qdProfileRun(degree)
-		st := prof.Stats()
+		series := sc.qdProfileRun(qdDegrees[i])
+		st := qdSummary(series)
 		row := QDProfileSeriesRow{
-			Degree:     degree,
-			IntervalUs: prof.Interval.Micros(),
-			MeanDepth:  st.Mean,
-			P50Depth:   st.P50,
-			MaxDepth:   st.Max,
-			Samples:    make([]QDSample, len(prof.Samples)),
+			Degree:     qdDegrees[i],
+			IntervalUs: qdInterval.Micros(),
+			MeanDepth:  st.MeanDepth,
+			P50Depth:   st.P50Depth,
+			MaxDepth:   st.MaxDepth,
+			Samples:    make([]QDSample, len(series)),
 		}
-		for si, s := range prof.Samples {
-			row.Samples[si] = QDSample{TimeUs: sim.Duration(s.At).Micros(), Depth: s.Depth}
+		for si, smp := range series {
+			row.Samples[si] = QDSample{TimeUs: sim.Duration(smp.At).Micros(), Depth: int(smp.Value)}
 		}
 		return row
 	})

@@ -185,7 +185,7 @@ func TestInjectorPassthroughUnarmed(t *testing.T) {
 	// wrapper — so the simulation's event pattern is untouched.
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, dev)
+	j := Wrap(env, nil, dev)
 	inner := dev.ReadAt(0, 4096)
 	_ = inner
 	c := j.ReadAt(4096, 4096)
@@ -206,7 +206,7 @@ func TestInjectorPassthroughUnarmed(t *testing.T) {
 func TestInjectorErrorDraw(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, dev)
+	j := Wrap(env, nil, dev)
 	j.Arm(Schedule{Windows: []Window{{ErrorRate: 1}}})
 	_, errs := runReads(t, env, j, 3)
 	for i, err := range errs {
@@ -225,7 +225,7 @@ func TestInjectorErrorDraw(t *testing.T) {
 func TestInjectorExtraLatency(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, dev)
+	j := Wrap(env, nil, dev)
 	j.Arm(Schedule{Windows: []Window{{ExtraLatency: 400 * sim.Microsecond}}})
 	times, errs := runReads(t, env, j, 1)
 	if errs[0] != nil {
@@ -242,7 +242,7 @@ func TestInjectorExtraLatency(t *testing.T) {
 func TestInjectorStragglerDraw(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, dev)
+	j := Wrap(env, nil, dev)
 	j.Arm(Schedule{Windows: []Window{{StragglerRate: 1, StragglerLatency: sim.Millisecond}}})
 	times, errs := runReads(t, env, j, 1)
 	if errs[0] != nil {
@@ -259,7 +259,7 @@ func TestInjectorStragglerDraw(t *testing.T) {
 func TestInjectorThrottleAboveDegradedLimit(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, sim.Millisecond)
-	j := Wrap(env, dev)
+	j := Wrap(env, nil, dev)
 	// 4 slots, 50% loss → limit 2. Issue 4 concurrent reads: the third and
 	// fourth are above the limit and pay escalating penalties.
 	j.Arm(Schedule{Slots: 4, Windows: []Window{{ChannelLoss: 0.5, OverloadPenalty: 100 * sim.Microsecond}}})
@@ -280,7 +280,7 @@ func TestInjectorThrottleAboveDegradedLimit(t *testing.T) {
 func TestInjectorWindowSchedule(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, dev)
+	j := Wrap(env, nil, dev)
 	// Errors only inside [1ms, 2ms) from arm time.
 	j.Arm(Schedule{Windows: []Window{{From: sim.Millisecond, To: 2 * sim.Millisecond, ErrorRate: 1}}})
 
@@ -309,7 +309,7 @@ func TestInjectorWindowSchedule(t *testing.T) {
 
 func TestInjectorDegradationProbe(t *testing.T) {
 	env := sim.NewEnv(1)
-	j := Wrap(env, newFakeDevice(env, 100*sim.Microsecond))
+	j := Wrap(env, nil, newFakeDevice(env, 100*sim.Microsecond))
 	if got := j.Degradation(); got != 0 {
 		t.Fatalf("unarmed Degradation() = %v, want 0", got)
 	}
@@ -340,7 +340,7 @@ func TestInjectorDeterministicReplay(t *testing.T) {
 	}
 	run := func() ([]sim.Time, []string) {
 		env := sim.NewEnv(1)
-		j := Wrap(env, newFakeDevice(env, 150*sim.Microsecond))
+		j := Wrap(env, nil, newFakeDevice(env, 150*sim.Microsecond))
 		j.Arm(sched)
 		times, errs := runReads(t, env, j, 64)
 		strs := make([]string, len(errs))

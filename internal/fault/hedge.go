@@ -2,7 +2,7 @@ package fault
 
 import (
 	"pioqo/internal/device"
-	"pioqo/internal/obs/event"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -29,7 +29,7 @@ type Hedger struct {
 	inner device.Device
 	delay sim.Duration
 	armed bool
-	log   *event.Log
+	obs   *obs.Registry
 
 	stats   HedgeStats
 	free    []*hedge // finished races, for the next armed reads
@@ -45,17 +45,14 @@ type HedgeStats struct {
 }
 
 // NewHedger wraps inner with a disarmed hedger that, once armed, re-issues
-// reads still outstanding after delay.
-func NewHedger(env *sim.Env, inner device.Device, delay sim.Duration) *Hedger {
+// reads still outstanding after delay. Hedge decisions are recorded in rec
+// as device-level events (obs.NoQuery); nil records nothing.
+func NewHedger(env *sim.Env, rec *obs.Registry, inner device.Device, delay sim.Duration) *Hedger {
 	if delay <= 0 {
 		panic("fault: NewHedger with non-positive delay")
 	}
-	return &Hedger{env: env, inner: inner, delay: delay}
+	return &Hedger{env: env, obs: rec, inner: inner, delay: delay}
 }
-
-// SetLog installs (or removes) the event log hedge decisions are emitted
-// into. Hedge events are device-level (event.NoQuery).
-func (h *Hedger) SetLog(l *event.Log) { h.log = l }
 
 // Arm enables hedging; Disarm returns the hedger to pure passthrough.
 // Toggling never affects reads already in flight.
@@ -151,7 +148,7 @@ func (r *hedge) timer() {
 	if !r.done {
 		h := r.h
 		h.stats.Issued++
-		h.log.Emit(event.EvShardHedgeIssue, event.NoQuery, r.offset, int64(h.delay))
+		h.obs.Emit(obs.EvShardHedgeIssue, obs.NoQuery, r.offset, int64(h.delay))
 		r.second = h.inner.ReadAt(r.offset, r.length)
 		r.pending++
 		r.second.OnFire(r.onSecond)
@@ -163,7 +160,7 @@ func (r *hedge) secondDone() {
 	if !r.done {
 		h := r.h
 		h.stats.Wins++
-		h.log.Emit(event.EvShardHedgeWin, event.NoQuery, r.offset, int64(h.env.Now()-r.issued))
+		h.obs.Emit(obs.EvShardHedgeWin, obs.NoQuery, r.offset, int64(h.env.Now()-r.issued))
 	}
 	r.deliver(r.second)
 }

@@ -28,7 +28,7 @@ func TestHedgerDisarmedIsPassthrough(t *testing.T) {
 		env := sim.NewEnv(1)
 		var dev device.Device = device.NewSSD(env, device.DefaultSSDConfig())
 		if hedged {
-			dev = NewHedger(env, dev, sim.Duration(2*sim.Millisecond))
+			dev = NewHedger(env, nil, dev, sim.Duration(2*sim.Millisecond))
 		}
 		end, fired := readAll(env, dev, 64)
 		if fired != 64 {
@@ -48,12 +48,12 @@ func TestHedgerDisarmedIsPassthrough(t *testing.T) {
 func TestHedgerRacesStragglers(t *testing.T) {
 	run := func(armed bool) (sim.Time, HedgeStats, int) {
 		env := sim.NewEnv(1)
-		inj := Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+		inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 		inj.Arm(Schedule{Seed: 7, Windows: []Window{{
 			StragglerRate:    0.5,
 			StragglerLatency: sim.Duration(50 * sim.Millisecond),
 		}}})
-		h := NewHedger(env, inj, sim.Duration(1*sim.Millisecond))
+		h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
 		if armed {
 			h.Arm()
 		}
@@ -82,14 +82,14 @@ func TestHedgerRacesStragglers(t *testing.T) {
 // is absorbed by the hedger.
 func TestHedgerExactlyOnce(t *testing.T) {
 	env := sim.NewEnv(1)
-	inj := Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 	// Every read is a straggler: the hedge always launches, and its copy is
 	// just as slow, so both copies run to completion.
 	inj.Arm(Schedule{Seed: 3, Windows: []Window{{
 		StragglerRate:    1.0,
 		StragglerLatency: sim.Duration(30 * sim.Millisecond),
 	}}})
-	h := NewHedger(env, inj, sim.Duration(1*sim.Millisecond))
+	h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
 	h.Arm()
 	_, fired := readAll(env, h, 16)
 	if fired != 16 {
@@ -111,13 +111,13 @@ func TestHedgerExactlyOnce(t *testing.T) {
 // callback once Run returns and every hedge record is back on the free list.
 func TestHedgerRecordsComeHomeAtDrain(t *testing.T) {
 	env := sim.NewEnv(1)
-	inj := Wrap(env, device.NewSSD(env, device.DefaultSSDConfig()))
+	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
 	inj.Arm(Schedule{Seed: 5, Windows: []Window{{
 		ErrorRate:        0.2,
 		StragglerRate:    0.3,
 		StragglerLatency: sim.Duration(20 * sim.Millisecond),
 	}}})
-	h := NewHedger(env, inj, sim.Duration(1*sim.Millisecond))
+	h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
 	h.Arm()
 	if _, fired := readAll(env, h, 256); fired != 256 {
 		t.Fatalf("outer completions fired %d times for 256 reads", fired)
@@ -152,7 +152,7 @@ func TestHedgerAllocations(t *testing.T) {
 	} {
 		env := sim.NewEnv(1)
 		ssd := device.NewSSD(env, device.DefaultSSDConfig())
-		h := NewHedger(env, ssd, c.delay)
+		h := NewHedger(env, nil, ssd, c.delay)
 		if c.arm {
 			h.Arm()
 		}

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"pioqo/internal/device"
-	"pioqo/internal/obs/event"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -80,22 +80,19 @@ type Injector struct {
 	outstanding int // injector-tracked in-flight reads, for throttling
 	stats       Stats
 
-	// log receives one event per injected fault (error, straggler draw,
-	// throttle); nil = disabled. Fault events are device-level and carry
-	// event.NoQuery — per-query attribution happens at the executor's
+	// obs records one event per injected fault (error, straggler draw,
+	// throttle); nil records nothing. Fault events are device-level and
+	// carry obs.NoQuery — per-query attribution happens at the executor's
 	// retry sites, which see the fault as a failed read.
-	log *event.Log
+	obs *obs.Registry
 }
 
-// Wrap returns an unarmed (passthrough) injector over inner.
-func Wrap(env *sim.Env, inner device.Device) *Injector {
-	return &Injector{env: env, inner: inner}
+// Wrap returns an unarmed (passthrough) injector over inner, recording into
+// rec. Recording draws no randomness and schedules no events, so runs with
+// and without an event ring are byte-identical.
+func Wrap(env *sim.Env, rec *obs.Registry, inner device.Device) *Injector {
+	return &Injector{env: env, obs: rec, inner: inner}
 }
-
-// SetLog installs (or, with nil, removes) the injector's event log.
-// Emission is pure ring mutation — it draws no randomness and schedules no
-// events, so logged and unlogged runs are byte-identical.
-func (j *Injector) SetLog(l *event.Log) { j.log = l }
 
 // Inner returns the wrapped device.
 func (j *Injector) Inner() device.Device { return j.inner }
@@ -169,7 +166,7 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 	// Injected error: the read never reaches the device.
 	if w.ErrorRate > 0 && j.rng.Float64() < w.ErrorRate {
 		j.stats.Errors++
-		j.log.Emit(event.EvFaultError, event.NoQuery, offset, 0)
+		j.obs.Emit(obs.EvFaultError, obs.NoQuery, offset, 0)
 		lat := w.ErrorLatency
 		if lat <= 0 {
 			lat = 200 * sim.Microsecond
@@ -188,7 +185,7 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 		if lat <= 0 {
 			lat = 5 * sim.Millisecond
 		}
-		j.log.Emit(event.EvFaultStraggler, event.NoQuery, offset, int64(lat))
+		j.obs.Emit(obs.EvFaultStraggler, obs.NoQuery, offset, int64(lat))
 		delay += lat
 	}
 	if w.ChannelLoss > 0 {
@@ -207,7 +204,7 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 			}
 			j.stats.Throttled++
 			penalty := sim.Duration(j.outstanding-limit+1) * pen
-			j.log.Emit(event.EvFaultThrottle, event.NoQuery, int64(j.outstanding), int64(penalty))
+			j.obs.Emit(obs.EvFaultThrottle, obs.NoQuery, int64(j.outstanding), int64(penalty))
 			delay += penalty
 		}
 	}

@@ -26,7 +26,7 @@ import (
 	"pioqo/internal/disk"
 	"pioqo/internal/exec"
 	"pioqo/internal/fault"
-	"pioqo/internal/obs/event"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 	"pioqo/internal/workload"
 )
@@ -91,21 +91,29 @@ type Node struct {
 	Broker *broker.Broker
 }
 
-// New assembles a node on env. For id 0 the construction sequence —
-// device, injector, manager, pool, CPU resource, then (optionally) the
-// share registry — replicates the pre-cluster engine's assembly order
-// exactly, which is what keeps one-node systems byte-identical to it.
-func New(env *sim.Env, id int, cfg Config) *Node {
-	inj := fault.Wrap(env, workload.NewDevice(env, cfg.Kind))
+// New assembles a node on env whose layers record into rec. For id 0 the
+// construction sequence — device, injector, manager, pool, CPU resource,
+// then (optionally) the share registry — replicates the pre-cluster
+// engine's assembly order exactly, which is what keeps one-node systems
+// byte-identical to it. Node 0 is the coordinator: only its device and
+// pool publish their instruments, so device.* and buffer.* are its.
+func New(env *sim.Env, rec *obs.Registry, id int, cfg Config) *Node {
+	inj := fault.Wrap(env, rec, workload.NewDevice(env, cfg.Kind))
 	n := &Node{ID: id, Dev: inj, Inj: inj, Scratch: &exec.Scratch{}}
 	if cfg.HedgeDelay > 0 {
-		n.Hedge = fault.NewHedger(env, inj, cfg.HedgeDelay)
+		n.Hedge = fault.NewHedger(env, rec, inj, cfg.HedgeDelay)
 		n.Dev = n.Hedge
 	}
 	// The manager sits above the hedger so every page read a scan issues is
 	// hedgeable; a disarmed hedger forwards completions untouched.
 	n.Manager = disk.NewManager(n.Dev)
 	n.Pool = buffer.NewPool(env, cfg.PoolPages)
+	if id == 0 {
+		n.Dev.Metrics().Publish(rec)
+		n.Pool.Publish(rec)
+	} else {
+		n.Pool.Observe(rec)
+	}
 	n.CPU = sim.NewResource(env, cpuName(id), cfg.Cores)
 	if cfg.Shares {
 		n.Shares = buffer.NewShares(env, n.Pool, buffer.ShareConfig{})
@@ -120,20 +128,6 @@ func cpuName(id int) string {
 		return "cpu"
 	}
 	return fmt.Sprintf("cpu@%d", id)
-}
-
-// SetEventLog installs (or removes) the engine event log on every emitting
-// layer this node owns. The broker, when attached, is handled by the
-// engine, which also hands the log to brokers at build time.
-func (n *Node) SetEventLog(l *event.Log) {
-	n.Inj.SetLog(l)
-	n.Pool.SetEventLog(l)
-	if n.Hedge != nil {
-		n.Hedge.SetLog(l)
-	}
-	if n.Shares != nil {
-		n.Shares.SetEventLog(l)
-	}
 }
 
 // DevicePages reports the node's device capacity in pages — the band its

@@ -12,7 +12,7 @@ import (
 // hedgeable, and the injector always at the bottom as the fault domain.
 func TestNodeAssembly(t *testing.T) {
 	env := sim.NewEnv(1)
-	plain := New(env, 0, Config{Kind: workload.SSD, PoolPages: 256, Cores: 8})
+	plain := New(env, nil, 0, Config{Kind: workload.SSD, PoolPages: 256, Cores: 8})
 	if plain.Hedge != nil {
 		t.Error("node without HedgeDelay grew a hedger")
 	}
@@ -35,7 +35,7 @@ func TestNodeAssembly(t *testing.T) {
 		t.Error("DevicePages not positive")
 	}
 
-	hedged := New(env, 3, Config{Kind: workload.SSD, PoolPages: 256, Cores: 8,
+	hedged := New(env, nil, 3, Config{Kind: workload.SSD, PoolPages: 256, Cores: 8,
 		Shares: true, HedgeDelay: sim.Duration(sim.Millisecond)})
 	if hedged.Hedge == nil || hedged.Dev != hedged.Hedge {
 		t.Fatal("HedgeDelay did not put the hedger on Dev")
@@ -61,7 +61,7 @@ func TestNodeAssembly(t *testing.T) {
 func TestNodeConstructionIsInert(t *testing.T) {
 	env := sim.NewEnv(1)
 	for i := 0; i < 4; i++ {
-		New(env, i, Config{Kind: workload.SSD, PoolPages: 128, Cores: 4,
+		New(env, nil, i, Config{Kind: workload.SSD, PoolPages: 128, Cores: 4,
 			HedgeDelay: sim.Duration(sim.Millisecond)})
 	}
 	if env.Now() != 0 {

@@ -16,16 +16,23 @@ type Counter struct {
 	v int64
 }
 
-// Add increments the counter by n (>= 0).
+// Add increments the counter by n (>= 0). Nil-safe: an instrument a
+// component was never given (it has no registry) counts nothing.
 func (c *Counter) Add(n int64) {
 	if n < 0 {
 		panic(fmt.Sprintf("obs: counter decrement by %d", n))
 	}
-	c.v += n
+	if c != nil {
+		c.v += n
+	}
 }
 
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v++ }
+// Inc increments the counter by one. Nil-safe.
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v++
+	}
+}
 
 // Value reports the cumulative count.
 func (c *Counter) Value() int64 { return c.v }
@@ -55,16 +62,21 @@ func (g *Gauge) integrate() {
 	g.last = now
 }
 
-// Set replaces the gauge's value at the current virtual time.
+// Set replaces the gauge's value at the current virtual time. Nil-safe.
 func (g *Gauge) Set(v float64) {
-	g.integrate()
-	g.v = v
+	if g != nil {
+		g.integrate()
+		g.v = v
+	}
 }
 
 // Add shifts the gauge's value by delta at the current virtual time.
+// Nil-safe.
 func (g *Gauge) Add(delta float64) {
-	g.integrate()
-	g.v += delta
+	if g != nil {
+		g.integrate()
+		g.v += delta
+	}
 }
 
 // Value reports the instantaneous value.
@@ -101,8 +113,11 @@ func NewHistogram(edges []float64) *Histogram {
 		counts: make([]int64, len(edges)+1)}
 }
 
-// Observe records one value.
+// Observe records one value. Nil-safe.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.edges, v)
 	h.counts[i]++
 	h.sum += v
@@ -115,66 +130,106 @@ func (h *Histogram) Edges() []float64 { return h.edges }
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 { return h.n }
 
-// Registry is the engine-wide named-instrument registry. Components create
-// (or adopt) instruments by name at startup; observers snapshot the whole
-// registry at any virtual time and diff two snapshots to attribute traffic
-// to the interval between them.
+// Registry is the engine's one observability recorder: the catalog's
+// counters, gauges and histograms, and the optional event ring. Components
+// are handed the registry once, at assembly, and record each decision with
+// one Emit, which writes the ring when it is on and always bumps the
+// counters the event's catalog row feeds. Observers snapshot the registry
+// at any virtual time and diff two snapshots to attribute traffic to the
+// interval between them.
+//
+// A nil *Registry records nothing: every method is a no-op and every
+// instrument it hands out is nil, whose methods are no-ops too.
 //
 // Like the rest of the simulation state, a Registry is confined to
 // simulation context and needs no locking: the sim kernel guarantees mutual
 // exclusion between processes.
 type Registry struct {
-	env      *sim.Env
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
+	env *sim.Env
+
+	// Instruments by Metric id, nil until first use: a snapshot lists only
+	// the instruments something has used.
+	counters []*Counter
+	gauges   []*Gauge
+	hists    []*Histogram
+
+	log *EventLog // nil while the event ring is off
 }
 
-// NewRegistry returns an empty registry bound to e's clock.
+// NewRegistry returns an empty registry bound to e's clock, with the event
+// ring off.
 func NewRegistry(e *sim.Env) *Registry {
 	return &Registry{
 		env:      e,
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
+		counters: make([]*Counter, len(metricNames)),
+		gauges:   make([]*Gauge, len(metricNames)),
+		hists:    make([]*Histogram, len(metricNames)),
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
-	c, ok := r.counters[name]
-	if !ok {
+// Counter returns the catalog counter m, creating it on first use.
+func (r *Registry) Counter(m Metric) *Counter {
+	if r == nil {
+		return nil
+	}
+	c := r.counters[m.id]
+	if c == nil {
 		c = &Counter{}
-		r.counters[name] = c
+		r.counters[m.id] = c
 	}
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	g, ok := r.gauges[name]
-	if !ok {
+// Gauge returns the catalog gauge m, creating it on first use.
+func (r *Registry) Gauge(m Metric) *Gauge {
+	if r == nil {
+		return nil
+	}
+	g := r.gauges[m.id]
+	if g == nil {
 		g = NewGauge(r.env)
-		r.gauges[name] = g
+		r.gauges[m.id] = g
 	}
 	return g
 }
 
-// AdoptGauge registers an existing gauge under name — used by components
-// (like the device metrics) whose gauge predates the registry.
-func (r *Registry) AdoptGauge(name string, g *Gauge) {
-	r.gauges[name] = g
+// AdoptGauge registers an existing gauge as m — used by components (like
+// the device metrics) whose gauge predates the registry.
+func (r *Registry) AdoptGauge(m Metric, g *Gauge) {
+	if r != nil {
+		r.gauges[m.id] = g
+	}
 }
 
-// Histogram returns the named histogram, creating it with the given edges
-// on first use. Edges are ignored for an existing histogram.
-func (r *Registry) Histogram(name string, edges []float64) *Histogram {
-	h, ok := r.hists[name]
-	if !ok {
+// Histogram returns the catalog histogram m, creating it with the given
+// edges on first use. Edges are ignored for an existing histogram.
+func (r *Registry) Histogram(m Metric, edges []float64) *Histogram {
+	if r == nil {
+		return nil
+	}
+	h := r.hists[m.id]
+	if h == nil {
 		h = NewHistogram(edges)
-		r.hists[name] = h
+		r.hists[m.id] = h
 	}
 	return h
+}
+
+// Emit records one engine decision: into the event ring when it is on, and
+// into every counter the event's catalog row feeds. A feed that adds zero
+// leaves its counter untouched (and, on first use, unregistered).
+// Allocation-free once the fed counters exist; a nil registry returns after
+// one comparison.
+func (r *Registry) Emit(t EventType, query, a, b int64) {
+	if r == nil {
+		return
+	}
+	r.log.record(t, query, a, b)
+	for _, f := range events[t.id].feeds {
+		if n := f.amount(a, b); n != 0 {
+			r.Counter(f.m).Add(n)
+		}
+	}
 }
 
 // GaugeSample is a gauge's state inside a snapshot.
@@ -207,14 +262,21 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]GaugeSample, len(r.gauges)),
 		Histograms: make(map[string]HistogramSample, len(r.hists)),
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.v
+	for id, c := range r.counters {
+		if c != nil {
+			s.Counters[metricNames[id]] = c.v
+		}
 	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = GaugeSample{Value: g.Value(), Integral: g.Integral()}
+	for id, g := range r.gauges {
+		if g != nil {
+			s.Gauges[metricNames[id]] = GaugeSample{Value: g.Value(), Integral: g.Integral()}
+		}
 	}
-	for name, h := range r.hists {
-		s.Histograms[name] = HistogramSample{
+	for id, h := range r.hists {
+		if h == nil {
+			continue
+		}
+		s.Histograms[metricNames[id]] = HistogramSample{
 			Edges:  h.edges,
 			Counts: append([]int64(nil), h.counts...),
 			Sum:    h.sum,

@@ -32,8 +32,8 @@ func TestGaugeIntegral(t *testing.T) {
 func TestSnapshotDiffAttributesInterval(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := NewRegistry(env)
-	reads := r.Counter("device.requests")
-	depth := r.Gauge("device.queue_depth")
+	reads := r.Counter(MetricDeviceRequests)
+	depth := r.Gauge(MetricDeviceQueueDepth)
 
 	var first, second Diff
 	env.Go("driver", func(p *sim.Proc) {
@@ -98,7 +98,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramDiff(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := NewRegistry(env)
-	h := r.Histogram("device.latency_us", []float64{100, 1000})
+	h := r.Histogram(MetricDeviceLatencyUs, []float64{100, 1000})
 	h.Observe(50)
 	s0 := r.Snapshot()
 	h.Observe(500)
@@ -116,14 +116,14 @@ func TestHistogramDiff(t *testing.T) {
 func TestDiffStringRendersSorted(t *testing.T) {
 	env := sim.NewEnv(1)
 	r := NewRegistry(env)
-	r.Counter("b.count").Add(2)
-	r.Gauge("a.depth").Set(3)
+	r.Counter(MetricExecScans).Add(2)
+	r.Gauge(MetricBrokerCreditsInUse).Set(3)
 	d := r.Snapshot().Sub(Snapshot{Counters: map[string]int64{}, Gauges: map[string]GaugeSample{}})
 	out := d.String()
-	if !strings.Contains(out, "b.count +2") || !strings.Contains(out, "a.depth") {
+	if !strings.Contains(out, "exec.scans +2") || !strings.Contains(out, "broker.credits_in_use") {
 		t.Errorf("diff string missing instruments:\n%s", out)
 	}
-	if strings.Index(out, "a.depth") > strings.Index(out, "b.count") {
+	if strings.Index(out, "broker.credits_in_use") > strings.Index(out, "exec.scans") {
 		t.Errorf("diff string not sorted:\n%s", out)
 	}
 }
@@ -152,4 +152,13 @@ func TestSamplerSeries(t *testing.T) {
 	if series[1].At-series[0].At != sim.Time(sim.Millisecond) {
 		t.Errorf("sample spacing = %v", series[1].At-series[0].At)
 	}
+}
+
+func TestBadIntervalPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for zero interval")
+		}
+	}()
+	NewSampler(sim.NewEnv(1), 0, func() float64 { return 0 })
 }

@@ -16,7 +16,6 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/cost"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
 )
@@ -122,24 +121,14 @@ func (m *Memo) ranked(cfg *Config, in *Input) []Plan {
 	key := newMemoKey(cfg, in)
 	if cached, ok := m.entries[key]; ok {
 		m.hits++
-		if cfg.Obs != nil {
-			// Replays count as optimizations: per-query observability diffs
-			// must not depend on whether the memo happened to be warm.
-			cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
-			cfg.Obs.Counter(obs.MetricOptPlansEnumerated).Add(int64(len(cached)))
-			cfg.Obs.Counter(obs.MetricOptMemoHits).Inc()
-		}
-		cfg.Log.Emit(event.EvPlanCacheHit, event.NoQuery, int64(len(cached)), 0)
+		cfg.Obs.Emit(obs.EvPlanCacheHit, obs.NoQuery, int64(len(cached)), 0)
 		return cached
 	}
 	m.misses++
 	cfg.validate()
 	cc := bindCosting(in, selectivity(in, in.Lo, in.Hi), m.estimator(cfg, in))
 	plans := enumerate(cfg, in, &cc)
-	if cfg.Obs != nil {
-		cfg.Obs.Counter(obs.MetricOptMemoMisses).Inc()
-	}
-	cfg.Log.Emit(event.EvPlanCacheMiss, event.NoQuery, int64(len(plans)), 0)
+	cfg.Obs.Emit(obs.EvPlanCacheMiss, obs.NoQuery, int64(len(plans)), 0)
 	m.bound()
 	m.entries[key] = plans
 	return plans

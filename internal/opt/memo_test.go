@@ -210,13 +210,13 @@ func TestMemoCountsOptimizationsOnReplay(t *testing.T) {
 	first := m.Enumerate(cfg, in)
 	m.Enumerate(cfg, in)
 
-	if got := reg.Counter("opt.optimizations").Value(); got != 2 {
+	if got := reg.Counter(obs.MetricOptOptimizations).Value(); got != 2 {
 		t.Fatalf("opt.optimizations = %d after a miss and a hit, want 2", got)
 	}
-	if got := reg.Counter("opt.plans_enumerated").Value(); got != int64(2*len(first)) {
+	if got := reg.Counter(obs.MetricOptPlansEnumerated).Value(); got != int64(2*len(first)) {
 		t.Fatalf("opt.plans_enumerated = %d, want %d", got, 2*len(first))
 	}
-	if reg.Counter("opt.memo_hits").Value() != 1 || reg.Counter("opt.memo_misses").Value() != 1 {
+	if reg.Counter(obs.MetricOptMemoHits).Value() != 1 || reg.Counter(obs.MetricOptMemoMisses).Value() != 1 {
 		t.Fatal("memo hit/miss counters not published")
 	}
 }

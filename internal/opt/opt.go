@@ -20,7 +20,6 @@ import (
 	"pioqo/internal/cost"
 	"pioqo/internal/exec"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
 )
@@ -87,13 +86,10 @@ type Config struct {
 	// string from Degrees and PrefetchDepths.
 	GridKey string
 
-	// Obs, when set, receives optimizer counters (opt.optimizations,
-	// opt.plans_enumerated) for engine-wide observability.
+	// Obs, when set, records the plan caches' decisions and the opt.*
+	// counters. Excluded from the cache keys: recording never changes what
+	// is cached.
 	Obs *obs.Registry
-
-	// Log, when set, receives plan-cache hit/miss events from the memo.
-	// Excluded from the memo key: logging never changes what is cached.
-	Log *event.Log
 }
 
 // defaultDegrees is the paper's degree grid. Read-only: every user ranges
@@ -310,10 +306,8 @@ func enumerate(cfg *Config, in *Input, cc *costing) []Plan {
 		}
 		plans[j] = p
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
-		cfg.Obs.Counter(obs.MetricOptPlansEnumerated).Add(int64(len(plans)))
-	}
+	cfg.Obs.Counter(obs.MetricOptOptimizations).Inc()
+	cfg.Obs.Counter(obs.MetricOptPlansEnumerated).Add(int64(len(plans)))
 	return plans
 }
 

@@ -367,7 +367,7 @@ func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
 	for _, name := range []string{"qb8", "sorted", "prefetch", "all"} {
 		s := w.shape(name)
 		cfg, in := s.cfg, benchRange(s.in, 3) // 10 % of the rows: the pool overflows
-		cfg.Obs, cfg.Log = nil, nil
+		cfg.Obs = nil
 		want := Enumerate(cfg, in)
 		wantGreedy, _ := GreedyChoose(cfg, in)
 
@@ -408,7 +408,7 @@ func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
 func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
 	w := newStreamWorld("ssd")
 	s := w.shape("qb8")
-	s.cfg.Obs, s.cfg.Log = nil, nil
+	s.cfg.Obs = nil
 	in := benchRange(s.in, 3)
 	if allocs := testing.AllocsPerRun(100, func() { Choose(s.cfg, in) }); allocs > 1 {
 		t.Errorf("Choose allocates %.1f/op, want 1", allocs)

@@ -19,8 +19,8 @@
 // The cache is safe for concurrent readers and writers: host.Sweep workers
 // and ExecuteConcurrent sessions share one instance. Entries are immutable
 // once published (updates swap an atomic pointer), so the hot hit path is
-// lock-free. Config.Obs and Config.Log are NOT thread-safe — concurrent
-// callers must leave them nil; the single-threaded engine driver sets them.
+// lock-free. Config.Obs is NOT thread-safe — concurrent callers must leave
+// it nil; the single-threaded engine driver sets it.
 package opt
 
 import (
@@ -32,7 +32,6 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/cost"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
 )
@@ -175,14 +174,6 @@ type ParamCache struct {
 	// without it. A lookup scans it up to the first nil.
 	front [frontShapes]atomic.Pointer[bandSet]
 
-	// obsReg is the registry the cache last counted into and obsCtrs its
-	// counters, each resolved by name the first time it is bumped — a band
-	// hit otherwise spends a sixth of its time in two string-map lookups.
-	// Plain fields: only lookups with cfg.Obs set touch them, and those are
-	// confined to the simulation driver.
-	obsReg  *obs.Registry
-	obsCtrs [len(ctrNames)]*obs.Counter
-
 	hits          atomic.Int64
 	misses        atomic.Int64
 	revalidations atomic.Int64
@@ -210,41 +201,6 @@ type CacheStats struct {
 	// Fallbacks are full enumerations forced by a crossover: a greedy
 	// margin trip on miss, or a cached ranking that flipped on rebind.
 	Fallbacks int64
-}
-
-// The registry counters the cache bumps, as indexes into ctrNames.
-const (
-	ctrOptimizations = iota
-	ctrBandHits
-	ctrBandMisses
-	ctrBandRevalidations
-	ctrGreedyPlans
-	ctrGreedyFallbacks
-)
-
-var ctrNames = [...]string{
-	ctrOptimizations:     obs.MetricOptOptimizations,
-	ctrBandHits:          obs.MetricOptBandHits,
-	ctrBandMisses:        obs.MetricOptBandMisses,
-	ctrBandRevalidations: obs.MetricOptBandRevalidations,
-	ctrGreedyPlans:       obs.MetricOptGreedyPlans,
-	ctrGreedyFallbacks:   obs.MetricOptGreedyFallbacks,
-}
-
-// count bumps the named counters in cfg.Obs, if there is one.
-func (pc *ParamCache) count(cfg *Config, ctrs ...int) {
-	if cfg.Obs == nil {
-		return
-	}
-	if pc.obsReg != cfg.Obs {
-		pc.obsReg, pc.obsCtrs = cfg.Obs, [len(ctrNames)]*obs.Counter{}
-	}
-	for _, i := range ctrs {
-		if pc.obsCtrs[i] == nil {
-			pc.obsCtrs[i] = cfg.Obs.Counter(ctrNames[i])
-		}
-		pc.obsCtrs[i].Inc()
-	}
 }
 
 // Stats snapshots the counters. Safe for concurrent use.
@@ -369,7 +325,7 @@ func publish(cfg *Config, in *Input, set *bandSet, band int, epoch uint64, resid
 // cache: band hit → bind constants into the cached winner (O(1) when the
 // entry is band-stable, winner-vs-runner re-pricing otherwise); band miss →
 // greedy fast path with crossover fallback. Safe for concurrent use when
-// cfg.Obs and cfg.Log are nil.
+// cfg.Obs is nil.
 func (pc *ParamCache) Choose(cfg Config, in Input) Plan {
 	return pc.choose(&cfg, &in)
 }
@@ -390,8 +346,7 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 			// Band-stable at unchanged residency: the cached shape wins
 			// anywhere in the band. Rebind only the cardinality estimate.
 			pc.hits.Add(1)
-			pc.count(cfg, ctrOptimizations, ctrBandHits)
-			cfg.Log.Emit(event.EvPlanBandHit, event.NoQuery, int64(band), 1)
+			cfg.Obs.Emit(obs.EvPlanBandHit, obs.NoQuery, int64(band), 1)
 			w := e.winner
 			w.EstRows = sel * float64(in.Table.Rows())
 			return w
@@ -418,11 +373,9 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 				ne := &bandEntry{winner: w, runner: r, hasRunner: e.hasRunner, epoch: epoch}
 				ne.stable = stableInBand(cfg, in, set, band, cc.resident, ne)
 				set.slots[band].Store(ne)
-				pc.count(cfg, ctrOptimizations, ctrBandRevalidations)
-				cfg.Log.Emit(event.EvPlanRevalidate, event.NoQuery, int64(band), 1)
+				cfg.Obs.Emit(obs.EvPlanRevalidate, obs.NoQuery, int64(band), 1)
 			} else {
-				pc.count(cfg, ctrOptimizations, ctrBandHits)
-				cfg.Log.Emit(event.EvPlanBandHit, event.NoQuery, int64(band), 0)
+				cfg.Obs.Emit(obs.EvPlanBandHit, obs.NoQuery, int64(band), 0)
 			}
 			return w
 		}
@@ -432,11 +385,10 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 		// itself.)
 		pc.fallbacks.Add(1)
 		if e.epoch != epoch {
-			cfg.Log.Emit(event.EvPlanRevalidate, event.NoQuery, int64(band), 0)
+			cfg.Obs.Emit(obs.EvPlanRevalidate, obs.NoQuery, int64(band), 0)
 		}
 		t := pickTop(enumerate(cfg, in, &cc))
-		pc.count(cfg, ctrGreedyFallbacks)
-		cfg.Log.Emit(event.EvGreedyFallback, event.NoQuery, int64(band), int64(t.n))
+		cfg.Obs.Emit(obs.EvGreedyFallback, obs.NoQuery, int64(band), int64(t.n))
 		publish(cfg, in, set, band, epoch, cc.resident, &t)
 		return t.winner
 	}
@@ -444,18 +396,15 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 	// First sight of this shape × band: decide through the greedy fast
 	// path, falling back to full enumeration near crossovers.
 	pc.misses.Add(1)
-	pc.count(cfg, ctrBandMisses)
-	cfg.Log.Emit(event.EvPlanBandMiss, event.NoQuery, int64(band), 0)
+	cfg.Obs.Emit(obs.EvPlanBandMiss, obs.NoQuery, int64(band), 0)
 	cc := bindCosting(in, sel, &set.est)
 	t, fell := greedyPlan(cfg, in, &cc, set.crossoverFor(cfg, in))
 	if fell {
 		pc.fallbacks.Add(1)
-		pc.count(cfg, ctrGreedyFallbacks)
-		cfg.Log.Emit(event.EvGreedyFallback, event.NoQuery, int64(band), int64(t.n))
+		cfg.Obs.Emit(obs.EvGreedyFallback, obs.NoQuery, int64(band), int64(t.n))
 	} else {
 		pc.greedyPlans.Add(1)
-		pc.count(cfg, ctrOptimizations, ctrGreedyPlans)
-		cfg.Log.Emit(event.EvGreedyPlan, event.NoQuery, int64(band), int64(t.n))
+		cfg.Obs.Emit(obs.EvGreedyPlan, obs.NoQuery, int64(band), int64(t.n))
 	}
 	publish(cfg, in, set, band, epoch, cc.resident, &t)
 	return t.winner

@@ -290,8 +290,8 @@ func TestParamCacheStableHitAllocs(t *testing.T) {
 
 // TestParamCacheConcurrentReaders drives one shared cache from host.Sweep
 // workers — the race test behind the concurrent-reader tentpole claim (the
-// opt package runs under -race in verify.sh). Obs and Log stay nil: those
-// sinks are simulation-confined.
+// opt package runs under -race in verify.sh). Obs stays nil: the registry
+// is simulation-confined.
 func TestParamCacheConcurrentReaders(t *testing.T) {
 	cfg, in, f := paramFixture(t)
 	pc := NewParamCache()
@@ -333,7 +333,7 @@ func TestParamCacheConcurrentReaders(t *testing.T) {
 func TestParamCacheColdConcurrentPlanning(t *testing.T) {
 	w := newStreamWorld("ssd")
 	s := w.shape("sorted")
-	s.cfg.Obs, s.cfg.Log = nil, nil // simulation-confined sinks
+	s.cfg.Obs = nil // simulation-confined
 
 	var queries []Input
 	var want []Plan

@@ -18,7 +18,6 @@ import (
 	"pioqo/internal/disk"
 	"pioqo/internal/exec"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/sim"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
@@ -76,7 +75,6 @@ type streamWorld struct {
 	warm   *buffer.Pool // the pool whose residency moves while the stream runs
 	shapes []streamShape
 	reg    *obs.Registry
-	log    *event.Log
 }
 
 func newStreamWorld(devKind string) *streamWorld {
@@ -88,8 +86,8 @@ func newStreamWorld(devKind string) *streamWorld {
 		tab:  tab,
 		warm: buffer.NewPool(env, streamPool),
 		reg:  obs.NewRegistry(env),
-		log:  event.NewLog(env, 0),
 	}
+	w.reg.EnableEvents(0)
 	in := Input{Table: tab, Index: btree.NewSynthetic(m, tab, 0, 0), Pool: buffer.NewPool(env, streamPool)}
 	cfg := Config{
 		Model:     model,
@@ -98,7 +96,6 @@ func newStreamWorld(devKind string) *streamWorld {
 		Degrees:   []int{1, 2, 4, 8, 16, 32},
 		PoolPages: streamPool,
 		Obs:       w.reg,
-		Log:       w.log,
 	}
 	add := func(name string, edit func(*Config, *Input)) {
 		c, i := cfg, in
@@ -293,7 +290,7 @@ func planStream() *stream {
 		for _, name := range names {
 			fmt.Fprintf(&b, "%s=%d\n", name, counters[name])
 		}
-		fmt.Fprintf(&b, "events=%d\n", w.log.Total())
+		fmt.Fprintf(&b, "events=%d\n", w.reg.Log().Total())
 		st.add(devKind+"/counters", b.String(), "")
 	}
 	return st

@@ -217,7 +217,7 @@ func New(opts Options) *System {
 		Dev:    dev,
 		Costs:  exec.DefaultCPUCosts(),
 		Tracer: s.Tracer,
-		Reg:    s.Obs,
+		Obs:    s.Obs,
 	}
 	return s
 }

@@ -37,7 +37,6 @@ import (
 	"pioqo/internal/exec"
 	"pioqo/internal/node"
 	"pioqo/internal/obs"
-	"pioqo/internal/obs/event"
 	"pioqo/internal/opt"
 	"pioqo/internal/sim"
 	"pioqo/internal/stats"
@@ -182,17 +181,16 @@ type System struct {
 	broker  *broker.Broker
 	session *Session
 
-	// reg is the engine-wide metrics registry; the device and pool publish
-	// cumulative instruments into it at assembly time. observer, when set,
-	// receives per-query telemetry.
+	// reg is the engine's one observability recorder: every layer of every
+	// node records its decisions into it, and the engine event log is its
+	// ring (off by default). observer, when set, receives per-query
+	// telemetry.
 	reg      *obs.Registry
 	observer Observer
 
-	// events is the structured engine event log; nil = disabled, making
-	// every emit site a single nil check. nextQID numbers queries for
-	// event attribution and advances whether or not the log is on — pure
-	// host-side state, invisible to the simulation.
-	events  *event.Log
+	// nextQID numbers queries for event attribution and advances whether or
+	// not the event log is on — pure host-side state, invisible to the
+	// simulation.
 	nextQID int64
 }
 
@@ -237,19 +235,13 @@ func New(cfg Config) *System {
 	// the coordinator hosts the scan-share registry: the circulating-scan
 	// subsystem serves session traffic, which is single-node.
 	for i := 0; i < cfg.Shards; i++ {
-		s.nodes = append(s.nodes, node.New(env, i, node.Config{
+		s.nodes = append(s.nodes, node.New(env, s.reg, i, node.Config{
 			Kind:       cfg.Device,
 			PoolPages:  cfg.PoolPages,
 			Cores:      cfg.Cores,
 			Shares:     i == 0,
 			HedgeDelay: s.hedge,
 		}))
-	}
-	n0 := s.coord()
-	n0.Dev.Metrics().Publish(s.reg)
-	n0.Pool.Publish(s.reg)
-	if n0.Shares != nil {
-		n0.Shares.Publish(s.reg)
 	}
 	if cfg.EventLog > 0 {
 		s.EnableEventLog(cfg.EventLog)
@@ -503,7 +495,7 @@ func (s *System) DeviceName() string { return s.coord().Dev.Name() }
 // nodeContext builds the executor context addressing one node's stack.
 func (s *System) nodeContext(n *node.Node) *exec.Context {
 	return &exec.Context{Env: s.env, CPU: n.CPU, Pool: n.Pool, Dev: n.Dev,
-		Costs: s.costs, Reg: s.reg, Log: s.events, Shares: n.Shares, Scratch: n.Scratch}
+		Costs: s.costs, Obs: s.reg, Shares: n.Shares, Scratch: n.Scratch}
 }
 
 // Now reports the system's virtual clock.

@@ -228,7 +228,6 @@ func (s *System) planConfig(n *node.Node, o PlanOptions, cfg *opt.Config) error 
 		QueueBudget:      o.QueueBudget,
 		ShareParties:     o.ShareParties,
 		Obs:              s.reg,
-		Log:              s.events,
 	}
 	if o.DepthOblivious {
 		cfg.Model = s.depthOneModel()

@@ -9,7 +9,7 @@ import (
 	"pioqo/internal/exec"
 	"pioqo/internal/fault"
 	"pioqo/internal/node"
-	"pioqo/internal/obs/event"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -145,14 +145,14 @@ func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body
 	if err != nil {
 		return outcome{}, err
 	}
-	s.events.Emit(event.EvQueryStart, r.qid, estimatePages(lc.scan, pl.plan), int64(r.eo.plan.QueueBudget))
+	s.reg.Emit(obs.EvQueryStart, r.qid, estimatePages(lc.scan, pl.plan), int64(r.eo.plan.QueueBudget))
 	for _, n := range pl.nodes {
 		n.Dev.Metrics().Reset()
 		n.Pool.ResetStats()
 	}
 	// Hedging is armed only for the run's window on the nodes it touches:
 	// calibration and other traffic never see speculative duplicates.
-	hedged := s.armHedgers(pl.nodes)
+	s.armHedgers(pl.nodes)
 	start := s.env.Now()
 	out := outcome{plan: pl.plan}
 	if pl.proc != nil {
@@ -168,7 +168,7 @@ func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body
 	} else {
 		out.runtime = r.exit(start)
 	}
-	s.disarmHedgers(pl.nodes, hedged)
+	s.disarmHedgers(pl.nodes)
 	for _, n := range pl.nodes {
 		io := n.Dev.Metrics().Snapshot()
 		out.io.Requests += io.Requests
@@ -190,7 +190,7 @@ func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body
 // entry point (run's wrapped process and Session.submit's alike).
 func (r *queryRun) exit(start sim.Time) time.Duration {
 	rt := time.Duration(r.s.env.Now() - start)
-	r.s.events.Emit(event.EvQueryDone, r.qid, r.pages, int64(rt))
+	r.s.reg.Emit(obs.EvQueryDone, r.qid, r.pages, int64(rt))
 	r.ts.span().End()
 	return rt
 }
@@ -309,12 +309,6 @@ func (p RetryPolicy) internal() fault.RetryPolicy {
 		MaxBackoff:  sim.Duration(p.MaxBackoff),
 	}
 }
-
-// WithDegree pins the query's parallel degree to n — the original spelling
-// of WithStaticDegree, and identical to it: the optimizer's choice is
-// overridden (cost estimates are reported unchanged) and the query opts
-// out of adaptive retuning. Mutually exclusive with WithAdaptive.
-func WithDegree(n int) QueryOption { return WithStaticDegree(n) }
 
 // WithTimeout arms a virtual-time deadline: the query aborts with
 // ErrDeadlineExceeded once d of virtual time has elapsed, at its next

@@ -8,7 +8,7 @@ import (
 
 	"pioqo/internal/broker"
 	"pioqo/internal/exec"
-	"pioqo/internal/obs/event"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -159,7 +159,6 @@ func (s *System) sharedBroker() (*broker.Broker, error) {
 			// only — no events, no randomness.
 			cfg.DegradeProbe = n0.Inj.Degradation
 		}
-		cfg.Log = s.events
 		s.broker = broker.New(cfg)
 		n0.Broker = s.broker
 		if n0.Shares != nil {
@@ -284,7 +283,7 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		aspan.End()
 		sub.est = estimatePages(q, plan)
 		sub.started = true
-		s.events.Emit(event.EvQueryStart, r.qid, sub.est, int64(granted))
+		s.reg.Emit(obs.EvQueryStart, r.qid, sub.est, int64(granted))
 
 		spec := r.spec(part, q, &plan)
 		spec.Gov = lease

@@ -6,9 +6,7 @@ import (
 
 	"pioqo/internal/btree"
 	"pioqo/internal/exec"
-	"pioqo/internal/fault"
 	"pioqo/internal/node"
-	"pioqo/internal/obs"
 	"pioqo/internal/opt"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
@@ -260,42 +258,25 @@ func (r *queryRun) shardScans(q Query, plan *Plan) ([]exec.ShardScan, []*node.No
 	return shards, nodes
 }
 
-// armHedgers arms the straggler hedgers of the nodes a run touches and
-// snapshots their stats, so the run's issue/win deltas can be rolled into
-// the registry counters on disarm. Single-node systems never hedge.
-func (s *System) armHedgers(nodes []*node.Node) []fault.HedgeStats {
+// armHedgers arms the straggler hedgers of the nodes a run touches, for
+// the run's window; each hedge decision is recorded as it is made.
+// Single-node systems never hedge.
+func (s *System) armHedgers(nodes []*node.Node) {
 	if s.hedge == 0 {
-		return nil
+		return
 	}
-	before := make([]fault.HedgeStats, len(nodes))
-	for j, n := range nodes {
+	for _, n := range nodes {
 		if n.Hedge != nil {
-			before[j] = n.Hedge.Stats()
 			n.Hedge.Arm()
 		}
 	}
-	return before
 }
 
-func (s *System) disarmHedgers(nodes []*node.Node, before []fault.HedgeStats) {
-	if before == nil {
-		return
-	}
-	var issued, wins int64
-	for j, n := range nodes {
-		if n.Hedge == nil {
-			continue
+func (s *System) disarmHedgers(nodes []*node.Node) {
+	for _, n := range nodes {
+		if n.Hedge != nil {
+			n.Hedge.Disarm()
 		}
-		n.Hedge.Disarm()
-		st := n.Hedge.Stats()
-		issued += st.Issued - before[j].Issued
-		wins += st.Wins - before[j].Wins
-	}
-	if issued > 0 {
-		s.reg.Counter(obs.MetricShardHedgeIssued).Add(issued)
-	}
-	if wins > 0 {
-		s.reg.Counter(obs.MetricShardHedgeWins).Add(wins)
 	}
 }
 
