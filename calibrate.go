@@ -51,8 +51,11 @@ type CalibrationOptions struct {
 	Repetitions int
 
 	// StopThreshold is T of §4.6: stop raising the queue depth when the
-	// largest band improves by less than this fraction, defaulting the
-	// remaining points. Negative disables; zero means the paper's 0.20.
+	// largest band improves by less than this fraction. The rows the walk
+	// skips are not defaulted as in the paper but fitted: the deepest row
+	// is measured on a quarter of MaxReads, and the rows between are
+	// interpolated in log depth. Negative disables; zero means the paper's
+	// 0.20.
 	StopThreshold float64
 }
 
@@ -70,7 +73,9 @@ type Calibration struct {
 	Reads   int64
 	Elapsed time.Duration
 
-	// StoppedEarly reports whether the §4.6 control cut the pass short.
+	// StoppedEarly reports whether the §4.6 control cut the depth walk
+	// short, so that the model's deeper rows are fitted rather than all
+	// measured.
 	StoppedEarly bool
 }
 

@@ -76,8 +76,9 @@ type Config struct {
 	Method Method
 
 	// StopThreshold is T of §4.6: if raising the queue depth improves the
-	// largest band's cost by less than this fraction, calibration stops and
-	// the remaining points default to slightly above the depth-1 costs.
+	// largest band's cost by less than this fraction, the depth walk stops
+	// and the remaining rows are fitted (see fitStoppedRows) rather than
+	// defaulted to slightly above the depth-1 costs as the paper does.
 	// Zero disables early stopping.
 	StopThreshold float64
 
@@ -116,10 +117,11 @@ type Point struct {
 
 // Output is the result of a calibration run.
 type Output struct {
-	// Model is the full QDTT grid, including any defaulted rows.
+	// Model is the full QDTT grid, including any fitted rows.
 	Model *cost.QDTT
 
-	// Points holds the actually measured points, in calibration order.
+	// Points holds the actually measured points, in calibration order: the
+	// depth walk's, then, when it stopped early, the deepest row's.
 	Points []Point
 
 	// TotalReads is the number of page reads issued.
@@ -132,10 +134,19 @@ type Output struct {
 	// StoppedEarly reports whether the §4.6 control tripped.
 	StoppedEarly bool
 
-	// CalibratedDepths is the number of depth rows actually measured; rows
-	// beyond it were filled with the depth-1 default.
+	// CalibratedDepths is the number of depth rows the depth walk measured
+	// in full. When it stopped early, the next row had only its largest
+	// band measured, the deepest row was measured on a quarter of the read
+	// budget, and the rows between them are fitted.
 	CalibratedDepths int
 }
+
+// deepRowDivisor divides MaxReads into the per-point budget of the deepest
+// row, which a stopped depth walk measures to anchor its fit. Deep reads
+// are the dearest to simulate on a disk (its elevator ranks the whole queue
+// per dispatch), and a quarter of the budget ranked plans at least as well
+// as an eighth or the full budget did (DESIGN.md §6).
+const deepRowDivisor = 4
 
 // Run calibrates dev on a fresh pass over cfg's grid and returns the model.
 // It drives env to completion; use a dedicated environment (or one whose
@@ -143,6 +154,7 @@ type Output struct {
 func Run(env *sim.Env, dev device.Device, cfg Config) Output {
 	validate(dev, cfg)
 	rng := rand.New(rand.NewSource(cfg.Seed))
+	var sc scratch
 
 	nBands, nDepths := len(cfg.Bands), len(cfg.Depths)
 	grid := make([][]float64, nDepths)
@@ -152,45 +164,84 @@ func Run(env *sim.Env, dev device.Device, cfg Config) Output {
 
 	out := Output{CalibratedDepths: nDepths}
 	start := env.Now()
+	point := func(di, bi int, cfg Config) {
+		band, depth := cfg.Bands[bi], cfg.Depths[di]
+		mean, std, reads := sc.measure(env, dev, band, depth, cfg, rng)
+		grid[di][bi] = mean
+		out.TotalReads += reads
+		out.Points = append(out.Points, Point{
+			Band: band, Depth: depth, MicrosPerPage: mean, StdDev: std,
+		})
+	}
 
 	// §4.6: depths ascending; within each depth, bands largest to smallest;
 	// after the largest band of each depth (beyond the first), check the
 	// improvement against the previous depth and stop if below threshold.
-	stopped := false
-	for di := 0; di < nDepths && !stopped; di++ {
+	for di := 0; di < nDepths && !out.StoppedEarly; di++ {
 		for bi := nBands - 1; bi >= 0; bi-- {
-			band := cfg.Bands[bi]
-			mean, std, reads := measure(env, dev, band, cfg.Depths[di], cfg, rng)
-			grid[di][bi] = mean
-			out.TotalReads += reads
-			out.Points = append(out.Points, Point{
-				Band: band, Depth: cfg.Depths[di], MicrosPerPage: mean, StdDev: std,
-			})
-			if bi == nBands-1 && di > 0 && cfg.StopThreshold > 0 {
-				prev := grid[di-1][bi]
-				if prev <= 0 || (prev-mean)/prev < cfg.StopThreshold {
-					stopped = true
-					out.StoppedEarly = true
-					out.CalibratedDepths = di // rows di.. are defaulted
-					break
-				}
+			point(di, bi, cfg)
+			if bi == nBands-1 && di > 0 && stops(grid[di-1][bi], grid[di][bi], cfg.StopThreshold) {
+				out.StoppedEarly = true
+				out.CalibratedDepths = di
+				break
 			}
 		}
 	}
 
 	if out.StoppedEarly {
-		// "A default value slightly larger than the measured costs for
-		// queue depth one is assigned to the remaining calibration points."
-		for di := out.CalibratedDepths; di < nDepths; di++ {
-			for bi := range cfg.Bands {
-				grid[di][bi] = grid[0][bi] * 1.05
+		if last := nDepths - 1; out.CalibratedDepths < last {
+			deep := deepRowConfig(cfg)
+			for bi := nBands - 1; bi >= 0; bi-- {
+				point(last, bi, deep)
 			}
 		}
+		fitStoppedRows(grid, cfg.Depths, out.CalibratedDepths)
 	}
 
 	out.SimTime = sim.Duration(env.Now() - start)
 	out.Model = cost.NewQDTT(cfg.Bands, cfg.Depths, grid)
 	return out
+}
+
+// stops is §4.6's control: the largest band's cost went from prev at the
+// previous depth to cur at this one, an improvement below threshold (or no
+// improvement to measure) ends the depth walk. A threshold of zero or less
+// never stops it.
+func stops(prev, cur, threshold float64) bool {
+	return threshold > 0 && (prev <= 0 || (prev-cur)/prev < threshold)
+}
+
+// deepRowConfig is cfg at the deepest row's read budget.
+func deepRowConfig(cfg Config) Config {
+	cfg.MaxReads = max(1, cfg.MaxReads/deepRowDivisor)
+	return cfg
+}
+
+// fitStoppedRows completes a grid whose depth walk stopped at row trip, of
+// which only the largest band was measured, and whose deepest row was then
+// measured (when trip is not the deepest row itself).
+//
+// The paper assigns every unmeasured point "a default value slightly larger
+// than the measured costs for queue depth one". On a disk that trips at
+// depth 2 that prices every deeper read as a serial one, although the
+// elevator does gain on narrower bands than the whole device. So instead
+// the tripping row is the depth-1 row scaled by the ratio the largest band
+// measured there, and each band's rows between it and the deepest row are
+// interpolated linearly in log depth — the axis the depth grid is
+// exponential on (§4.5).
+func fitStoppedRows(grid [][]float64, depths []int, trip int) {
+	top, last := len(grid[trip])-1, len(grid)-1
+	scale := grid[trip][top] / grid[0][top]
+	for bi := 0; bi < top; bi++ {
+		grid[trip][bi] = grid[0][bi] * scale
+	}
+	lo, hi := math.Log(float64(depths[trip])), math.Log(float64(depths[last]))
+	for di := trip + 1; di < last; di++ {
+		f := (math.Log(float64(depths[di])) - lo) / (hi - lo)
+		for bi, c := range grid[trip] {
+			grid[di][bi] = c + f*(grid[last][bi]-c)
+		}
+	}
 }
 
 func validate(dev device.Device, cfg Config) {
@@ -211,25 +262,39 @@ func validate(dev device.Device, cfg Config) {
 	}
 }
 
+// scratch holds the buffers a calibration point builds its reads in. A run,
+// or a Sweep cell, keeps one across its points, so that once the buffers
+// have grown a point allocates its completions and no buffers.
+type scratch struct {
+	seq     []int64
+	reqs    []request
+	window  []*sim.Completion // the reads a GW group or the AW window holds
+	samples []float64
+	drawn   distinctSet
+}
+
 // measure runs cfg.Repetitions repetitions of one calibration point and
 // returns the mean and standard deviation of the amortized per-page cost in
 // microseconds, plus the reads issued.
-func measure(env *sim.Env, dev device.Device, band int64, depth int, cfg Config, rng *rand.Rand) (mean, std float64, reads int64) {
-	samples := make([]float64, cfg.Repetitions)
+func (sc *scratch) measure(env *sim.Env, dev device.Device, band int64, depth int, cfg Config, rng *rand.Rand) (mean, std float64, reads int64) {
+	samples := sc.samples[:0]
 	for rep := 0; rep < cfg.Repetitions; rep++ {
-		seq := buildSequence(dev, band, cfg.MaxReads, rng)
+		seq := sc.sequence(dev, band, cfg.MaxReads, rng)
 		reads += int64(len(seq))
-		reqs := pageRequests(seq)
+		var reqs []request
 		if band == 1 {
-			reqs = positioned(env, dev, blockRequests(seq))
+			reqs = sc.positioned(env, dev, sc.blockRequests(seq))
+		} else {
+			reqs = sc.pageRequests(seq)
 		}
 		timed := 0
 		for _, r := range reqs {
 			timed += r.pages
 		}
-		elapsed := drive(env, dev, reqs, depth, cfg.Method)
-		samples[rep] = elapsed.Micros() / float64(timed)
+		elapsed := sc.drive(env, dev, reqs, depth, cfg.Method)
+		samples = append(samples, elapsed.Micros()/float64(timed))
 	}
+	sc.samples = samples
 	for _, s := range samples {
 		mean += s
 	}
@@ -244,13 +309,13 @@ func measure(env *sim.Env, dev device.Device, band int64, depth int, cfg Config,
 	return mean, std, reads
 }
 
-// buildSequence lays out one point's page reads per §4.4: the device is
-// divided into band-sized blocks; within each block a non-repeating random
-// page order is generated; blocks are visited one at a time. The total
-// number of reads is capped at maxReads.
-func buildSequence(dev device.Device, band int64, maxReads int, rng *rand.Rand) []int64 {
+// sequence lays out one point's page reads per §4.4: the device is divided
+// into band-sized blocks; within each block a non-repeating random page
+// order is generated; blocks are visited one at a time. The total number of
+// reads is capped at maxReads. The result lives in sc until the next call.
+func (sc *scratch) sequence(dev device.Device, band int64, maxReads int, rng *rand.Rand) []int64 {
 	devPages := dev.Size() / disk.PageSize
-	var seq []int64
+	seq := sc.seq[:0]
 
 	if band >= int64(maxReads) {
 		// One block of size band at a random aligned position, maxReads
@@ -260,9 +325,11 @@ func buildSequence(dev device.Device, band int64, maxReads int, rng *rand.Rand) 
 		if maxStart > 0 {
 			start = rng.Int63n(maxStart + 1)
 		}
-		for _, p := range sampleDistinct(band, maxReads, rng) {
-			seq = append(seq, start+p)
+		seq = sc.drawn.sample(seq, band, maxReads, rng)
+		for i := range seq {
+			seq[i] += start
 		}
+		sc.seq = seq
 		return seq
 	}
 
@@ -283,11 +350,19 @@ func buildSequence(dev device.Device, band int64, maxReads int, rng *rand.Rand) 
 		firstBlock = rng.Int63n(slack + 1)
 	}
 	for blk := firstBlock; blk < firstBlock+numBlocks; blk++ {
+		// rand.Perm(band)'s loop, run in the block's share of seq with the
+		// block's first page added: the same draws, no permutation slice.
 		base := blk * band
-		for _, p := range rng.Perm(int(band)) {
-			seq = append(seq, base+int64(p))
+		n := len(seq)
+		seq = append(seq, make([]int64, band)...)
+		perm := seq[n:]
+		for i := range perm {
+			j := rng.Intn(i + 1)
+			perm[i] = perm[j]
+			perm[j] = base + int64(i)
 		}
 	}
+	sc.seq = seq
 	return seq
 }
 
@@ -300,24 +375,26 @@ type request struct {
 
 // pageRequests reads a random-band sequence the way an index scan fetches
 // rows: one page per request.
-func pageRequests(seq []int64) []request {
-	reqs := make([]request, len(seq))
-	for i, p := range seq {
-		reqs[i] = request{p, 1}
+func (sc *scratch) pageRequests(seq []int64) []request {
+	reqs := sc.reqs[:0]
+	for _, p := range seq {
+		reqs = append(reqs, request{p, 1})
 	}
+	sc.reqs = reqs
 	return reqs
 }
 
 // blockRequests reads the band-1 sequence — a run of consecutive pages — the
 // way a full scan's readahead does: one request per block of
 // disk.BlockPages pages, the same pages in the same order.
-func blockRequests(seq []int64) []request {
-	var reqs []request
+func (sc *scratch) blockRequests(seq []int64) []request {
+	reqs := sc.reqs[:0]
 	for len(seq) > 0 {
 		n := min(len(seq), disk.BlockPages)
 		reqs = append(reqs, request{seq[0], n})
 		seq = seq[n:]
 	}
+	sc.reqs = reqs
 	return reqs
 }
 
@@ -326,41 +403,81 @@ func blockRequests(seq []int64) []request {
 // buffer) once per scan, not once per block, so timing it would fold a
 // random access into the sequential price. A run of a single request is
 // returned whole — there is nothing else to time.
-func positioned(env *sim.Env, dev device.Device, reqs []request) []request {
+func (sc *scratch) positioned(env *sim.Env, dev device.Device, reqs []request) []request {
 	if len(reqs) < 2 {
 		return reqs
 	}
-	drive(env, dev, reqs[:1], 1, ActiveWait)
+	sc.drive(env, dev, reqs[:1], 1, ActiveWait)
 	return reqs[1:]
 }
 
-// sampleDistinct returns k distinct values from [0, n) in random order
-// (Floyd's sampling; order shuffled).
-func sampleDistinct(n int64, k int, rng *rand.Rand) []int64 {
+// distinctSet is an open-addressing hash set of non-negative int64s over a
+// slice kept between uses. A zero slot is empty, so values are stored plus
+// one.
+type distinctSet struct {
+	slots []int64
+	shift uint // 64 - log2(len(slots))
+}
+
+// reset empties the set and sizes it for k values at most half full.
+func (s *distinctSet) reset(k int) {
+	size, bits := 2, uint(1)
+	for size < 2*k {
+		size, bits = size<<1, bits+1
+	}
+	if cap(s.slots) < size {
+		s.slots = make([]int64, size)
+	} else {
+		s.slots = s.slots[:size]
+		clear(s.slots)
+	}
+	s.shift = 64 - bits
+}
+
+// add inserts v and reports whether it was already present.
+func (s *distinctSet) add(v int64) bool {
+	mask := uint64(len(s.slots) - 1)
+	for i := (uint64(v) * 0x9E3779B97F4A7C15) >> s.shift; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = v + 1
+			return false
+		case v + 1:
+			return true
+		}
+	}
+}
+
+// sample appends k distinct values from [0, n) in random order to dst
+// (Floyd's sampling, then shuffled) and returns the extended slice; k is
+// clamped to n.
+func (s *distinctSet) sample(dst []int64, n int64, k int, rng *rand.Rand) []int64 {
 	if int64(k) > n {
 		k = int(n)
 	}
-	chosen := make(map[int64]struct{}, k)
-	out := make([]int64, 0, k)
+	s.reset(k)
+	start := len(dst)
 	for j := n - int64(k); j < n; j++ {
 		v := rng.Int63n(j + 1)
-		if _, dup := chosen[v]; dup {
+		if s.add(v) {
 			v = j
+			s.add(v)
 		}
-		chosen[v] = struct{}{}
-		out = append(out, v)
+		dst = append(dst, v)
 	}
+	out := dst[start:]
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	return dst
 }
 
 // drive issues the requests against dev with the requested queue depth and
 // driver, returning the elapsed virtual time.
-func drive(env *sim.Env, dev device.Device, seq []request, depth int, method Method) sim.Duration {
+func (sc *scratch) drive(env *sim.Env, dev device.Device, seq []request, depth int, method Method) sim.Duration {
 	start := env.Now()
 	read := func(r request) *sim.Completion {
 		return dev.ReadAt(r.page*disk.PageSize, r.pages*disk.PageSize)
 	}
+	window := sc.window[:0]
 	switch method {
 	case MultiThread:
 		next := 0
@@ -379,36 +496,31 @@ func drive(env *sim.Env, dev device.Device, seq []request, depth int, method Met
 	case GroupWait:
 		env.Go("calib-gw", func(p *sim.Proc) {
 			for i := 0; i < len(seq); i += depth {
-				end := i + depth
-				if end > len(seq) {
-					end = len(seq)
+				window = window[:0]
+				for _, r := range seq[i:min(i+depth, len(seq))] {
+					window = append(window, read(r))
 				}
-				group := make([]*sim.Completion, 0, depth)
-				for _, r := range seq[i:end] {
-					group = append(group, read(r))
-				}
-				p.WaitAll(group)
+				p.WaitAll(window)
 			}
 		})
 	case ActiveWait:
 		env.Go("calib-aw", func(p *sim.Proc) {
-			window := make([]*sim.Completion, 0, depth)
 			for i, r := range seq {
 				if i >= depth {
-					p.Wait(window[i-depth])
-					window[i-depth] = nil
+					p.Wait(window[i%depth])
+					window[i%depth] = read(r)
+				} else {
+					window = append(window, read(r))
 				}
-				window = append(window, read(r))
 			}
-			for _, c := range window {
-				if c != nil {
-					p.Wait(c)
-				}
+			for k := range window {
+				p.Wait(window[(len(seq)+k)%len(window)])
 			}
 		})
 	default:
 		panic("calibrate: unknown method " + method.String())
 	}
 	env.Run()
+	sc.window = window
 	return sim.Duration(env.Now() - start)
 }

@@ -1,7 +1,9 @@
 package calibrate
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pioqo/internal/device"
@@ -167,17 +169,94 @@ func TestEarlyStopDoesNotTripOnSSD(t *testing.T) {
 	}
 }
 
-func TestDefaultedRowsSlightlyAboveDepthOne(t *testing.T) {
+func TestStoppedRowsAreFitted(t *testing.T) {
+	// When §4.6 trips on the HDD, the deepest row is measured for every band
+	// on a quarter of the budget, and the rows between are fitted from it
+	// and the tripping row: each fitted cell lies between those two anchors.
 	out := runOn(newHDD, func(c *Config) { c.StopThreshold = 0.20 })
-	if !out.StoppedEarly {
-		t.Skip("early stop did not trip")
+	checkFitted(t, out)
+	trip := out.CalibratedDepths
+
+	// The walk reads what it read before the fit existed: trip full rows
+	// and the tripping row's largest band. The deepest row adds at most a
+	// quarter of a full row's budget per band.
+	env := sim.NewEnv(1)
+	dev := newHDD(env)
+	cfg := smallConfig(dev, ActiveWait)
+	var sc scratch
+	pointReads := func(band int64) int64 {
+		return int64(len(sc.sequence(dev, band, cfg.MaxReads, rand.New(rand.NewSource(1)))))
 	}
-	depths := out.Model.Depths()
-	band := out.Model.Bands()[0]
-	d1 := out.Model.PageCost(band, 1)
-	dLast := out.Model.PageCost(band, depths[len(depths)-1])
-	if dLast < d1 || dLast > 1.10*d1 {
-		t.Errorf("defaulted cost %.1f, want within [%.1f, %.1f]", dLast, d1, 1.10*d1)
+	var walk int64
+	for _, b := range cfg.Bands {
+		walk += int64(trip) * pointReads(b)
+	}
+	walk += pointReads(cfg.Bands[len(cfg.Bands)-1])
+	if added, budget := out.TotalReads-walk, int64(len(cfg.Bands)*cfg.MaxReads/4); added <= 0 || added > budget {
+		t.Errorf("the fit added %d reads to the walk's %d, want 1..%d", added, walk, budget)
+	}
+}
+
+func TestSweepFitsAlikeOnAnyWorkerCount(t *testing.T) {
+	// Sweep completes a stopped walk with the same fit, its deepest row
+	// fanned out over host workers, each cell with its own buffers: the
+	// output is the serial sweep's, bit for bit.
+	newPoint := func() (*sim.Env, device.Device) {
+		env := sim.NewEnv(31)
+		return env, newHDD(env)
+	}
+	_, probe := newPoint()
+	cfg := smallConfig(probe, ActiveWait)
+	cfg.StopThreshold = 0.20
+	serial := Sweep(newPoint, cfg, 1)
+	checkFitted(t, serial)
+	parallel := Sweep(newPoint, cfg, 4)
+	if !slices.Equal(serial.Points, parallel.Points) || serial.TotalReads != parallel.TotalReads ||
+		serial.SimTime != parallel.SimTime || serial.CalibratedDepths != parallel.CalibratedDepths {
+		t.Fatalf("parallel sweep differs from the serial one")
+	}
+	for _, b := range cfg.Bands {
+		for _, d := range cfg.Depths {
+			if s, p := serial.Model.PageCost(b, d), parallel.Model.PageCost(b, d); s != p {
+				t.Errorf("band %d depth %d: serial %v, parallel %v", b, d, s, p)
+			}
+		}
+	}
+}
+
+// checkFitted checks a calibration whose §4.6 walk stopped before its
+// deepest row: every band was measured at the deepest depth, the tripping
+// row is depth 1 scaled by the largest band's ratio, and every fitted cell
+// lies between the tripping row's and the deepest row's.
+func checkFitted(t *testing.T, out Output) {
+	t.Helper()
+	if !out.StoppedEarly {
+		t.Fatal("early stop did not trip on HDD with T=20%")
+	}
+	bands, depths := out.Model.Bands(), out.Model.Depths()
+	trip, last := out.CalibratedDepths, len(depths)-1
+	if trip >= last {
+		t.Fatalf("walk stopped at row %d of %d: no rows between to fit", trip, last)
+	}
+	top := bands[len(bands)-1]
+	scale := out.Model.PageCost(top, depths[trip]) / out.Model.PageCost(top, depths[0])
+	for _, b := range bands {
+		if got, want := out.Model.PageCost(b, depths[trip]), scale*out.Model.PageCost(b, depths[0]); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("band %d: tripping row %.4fus, want depth 1 scaled by %.4f = %.4fus", b, got, scale, want)
+		}
+		lo, hi := out.Model.PageCost(b, depths[trip]), out.Model.PageCost(b, depths[last])
+		lo, hi = min(lo, hi), max(lo, hi)
+		for _, d := range depths[trip+1 : last] {
+			if c := out.Model.PageCost(b, d); c < lo || c > hi {
+				t.Errorf("band %d depth %d: fitted %.2fus outside its anchors [%.2f, %.2f]", b, d, c, lo, hi)
+			}
+		}
+		i := slices.IndexFunc(out.Points, func(p Point) bool { return p.Band == b && p.Depth == depths[last] })
+		if i < 0 {
+			t.Errorf("band %d: the deepest row, depth %d, was not measured", b, depths[last])
+		} else if got, want := out.Points[i].MicrosPerPage, out.Model.PageCost(b, depths[last]); got != want {
+			t.Errorf("band %d: deepest row measured %.2fus, model holds %.2fus", b, got, want)
+		}
 	}
 }
 
@@ -212,7 +291,7 @@ func TestSequenceRespectsReadBudget(t *testing.T) {
 	dev := newSSD(env)
 	rng := rand.New(rand.NewSource(9))
 	for _, band := range []int64{1, 7, 100, 3200, 100000, dev.Size() / disk.PageSize} {
-		seq := buildSequence(dev, band, 3200, rng)
+		seq := new(scratch).sequence(dev, band, 3200, rng)
 		if len(seq) > 3200 {
 			t.Errorf("band %d: %d reads, budget 3200", band, len(seq))
 		}
@@ -232,7 +311,7 @@ func TestSequenceWithinBlockIsNonRepeating(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newSSD(env)
 	rng := rand.New(rand.NewSource(3))
-	seq := buildSequence(dev, 100000, 3200, rng) // single-block case
+	seq := new(scratch).sequence(dev, 100000, 3200, rng) // single-block case
 	seen := make(map[int64]bool, len(seq))
 	for _, p := range seq {
 		if seen[p] {
@@ -262,11 +341,12 @@ func TestBandOneReadsItsSequenceInBlocks(t *testing.T) {
 	// same order, a block per request, the last one short.
 	env := sim.NewEnv(1)
 	dev := newSSD(env)
-	seq := buildSequence(dev, 1, 800, rand.New(rand.NewSource(9)))
+	var sc scratch
+	seq := sc.sequence(dev, 1, 800, rand.New(rand.NewSource(9)))
 	if len(seq) != 800 {
 		t.Fatalf("band-1 sequence of %d pages, want the budget's 800", len(seq))
 	}
-	reqs := blockRequests(seq)
+	reqs := sc.blockRequests(seq)
 	if want := (800 + disk.BlockPages - 1) / disk.BlockPages; len(reqs) != want {
 		t.Fatalf("%d requests, want %d", len(reqs), want)
 	}
@@ -281,17 +361,18 @@ func TestBandOneReadsItsSequenceInBlocks(t *testing.T) {
 		t.Errorf("requests end at page %d, the sequence at %d", next-1, seq[len(seq)-1])
 	}
 	// The positioning read is the first block, and it is not timed.
-	if rest := positioned(env, dev, reqs); len(rest) != len(reqs)-1 || rest[0] != reqs[1] {
+	if rest := sc.positioned(env, dev, reqs); len(rest) != len(reqs)-1 || rest[0] != reqs[1] {
 		t.Errorf("positioning left %d of %d requests", len(rest), len(reqs))
 	}
-	if rest := positioned(env, dev, reqs[:1]); len(rest) != 1 {
+	if rest := sc.positioned(env, dev, reqs[:1]); len(rest) != 1 {
 		t.Errorf("a run of one request has nothing but that request to time; got %d", len(rest))
 	}
 }
 
 func TestSampleDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	got := sampleDistinct(10, 10, rng)
+	var set distinctSet
+	got := set.sample(nil, 10, 10, rng)
 	if len(got) != 10 {
 		t.Fatalf("got %d values, want 10", len(got))
 	}
@@ -302,8 +383,117 @@ func TestSampleDistinct(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if got := sampleDistinct(5, 100, rng); len(got) != 5 {
+	if got := set.sample(nil, 5, 100, rng); len(got) != 5 {
 		t.Errorf("oversized k: got %d values, want clamp to 5", len(got))
+	}
+}
+
+// floydWithMap is the map-based Floyd sampler the open-addressing set
+// replaced, kept as the reference its draws and values must match.
+func floydWithMap(n int64, k int, rng *rand.Rand) []int64 {
+	if int64(k) > n {
+		k = int(n)
+	}
+	chosen := make(map[int64]struct{}, k)
+	out := make([]int64, 0, k)
+	for j := n - int64(k); j < n; j++ {
+		v := rng.Int63n(j + 1)
+		if _, dup := chosen[v]; dup {
+			v = j
+		}
+		chosen[v] = struct{}{}
+		out = append(out, v)
+	}
+	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+	return out
+}
+
+func TestSampleMatchesMapFloyd(t *testing.T) {
+	// One set reused over every case, as a calibration run reuses it, and
+	// appended to a non-empty prefix, as a sequence is built.
+	draw := rand.New(rand.NewSource(11))
+	var set distinctSet
+	prefix := []int64{-7, -8}
+	for c := 0; c < 400; c++ {
+		n := 1 + draw.Int63n(1<<uint(1+draw.Intn(24)))
+		k := 1 + draw.Intn(4000)
+		seed := draw.Int63()
+		rng, refRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		got, want := set.sample(slices.Clone(prefix), n, k, rng), floydWithMap(n, k, refRNG)
+		if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+			t.Fatalf("n=%d k=%d seed=%d: sample differs from the map-based Floyd", n, k, seed)
+		}
+		// Same draws: the two streams are in step afterwards.
+		if rng.Int63() != refRNG.Int63() {
+			t.Fatalf("n=%d k=%d seed=%d: random streams diverged after sampling", n, k, seed)
+		}
+	}
+}
+
+func TestSequenceMatchesPerm(t *testing.T) {
+	// Multi-block sequences take rand.Perm's draws into a reused buffer:
+	// same pages, same order, same stream state as rand.Perm per block.
+	env := sim.NewEnv(1)
+	dev := newHDD(env)
+	var sc scratch
+	for _, band := range []int64{1, 3, 16, 256, 1000} {
+		for _, seed := range []int64{1, 2, 3} {
+			rng, ref := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			got := sc.sequence(dev, band, 3200, rng)
+			devPages := dev.Size() / disk.PageSize
+			numBlocks := min(int64(3200)/band, devPages/band)
+			first := int64(0)
+			if slack := devPages/band - numBlocks; slack > 0 {
+				first = ref.Int63n(slack + 1)
+			}
+			var want []int64
+			for blk := first; blk < first+numBlocks; blk++ {
+				for _, p := range ref.Perm(int(band)) {
+					want = append(want, blk*band+int64(p))
+				}
+			}
+			if !slices.Equal(got, want) || rng.Int63() != ref.Int63() {
+				t.Fatalf("band %d seed %d: sequence differs from rand.Perm's", band, seed)
+			}
+		}
+	}
+}
+
+func TestPointAllocatesOnlyCompletions(t *testing.T) {
+	// Once a run's buffers have grown, a calibration point allocates one
+	// completion per request plus a constant for its driver process — no
+	// sequence, request, window or sampler buffer.
+	for _, tc := range []struct {
+		name   string
+		newDev func(*sim.Env) device.Device
+		band   int64
+		depth  int
+	}{
+		{"hdd-random-qd32", newHDD, 64 << 10, 32},
+		{"hdd-sequential", newHDD, 1, 8},
+		{"ssd-block-qd4", newSSD, 256, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := sim.NewEnv(1)
+			dev := tc.newDev(env)
+			cfg := smallConfig(dev, ActiveWait)
+			rng := rand.New(rand.NewSource(1))
+			var sc scratch
+			_, _, reads := sc.measure(env, dev, tc.band, tc.depth, cfg, rng) // grow the buffers
+			requests := reads
+			if tc.band == 1 {
+				requests = (reads + disk.BlockPages - 1) / disk.BlockPages
+			}
+			allocs := testing.AllocsPerRun(5, func() {
+				sc.measure(env, dev, tc.band, tc.depth, cfg, rng)
+			})
+			// A driver run (the band-1 point has two: its positioning read
+			// and the timed ones) costs about five: the process, its body
+			// and what the body captures.
+			if limit := float64(requests) + 12; allocs > limit {
+				t.Errorf("%.0f allocations for %d requests, want at most one per request plus 12", allocs, requests)
+			}
+		})
 	}
 }
 

@@ -31,7 +31,9 @@ type EnvFactory func() (*sim.Env, device.Device)
 // cost decides whether the next depth is measured at all. With a
 // StopThreshold set, Sweep therefore walks depth rows in order, measuring
 // the largest band first and fanning out only the remaining bands of the
-// row; without a threshold the whole grid fans out at once.
+// row; when the walk stops, the deepest row fans out and the rest are
+// fitted as Run fits them. Without a threshold the whole grid fans out at
+// once.
 func Sweep(newPoint EnvFactory, cfg Config, workers int) Output {
 	{
 		_, probe := newPoint()
@@ -51,11 +53,14 @@ func Sweep(newPoint EnvFactory, cfg Config, workers int) Output {
 		reads   int64
 		elapsed sim.Duration
 	}
-	measureCell := func(di, bi int) cell {
+	// Each cell owns its environment, device, random stream and scratch
+	// buffers, so cells can run on parallel host goroutines.
+	measureCell := func(di, bi int, cfg Config) cell {
 		env, dev := newPoint()
 		band, depth := cfg.Bands[bi], cfg.Depths[di]
 		rng := rand.New(rand.NewSource(pointSeed(cfg.Seed, band, depth)))
-		mean, std, reads := measure(env, dev, band, depth, cfg, rng)
+		var sc scratch
+		mean, std, reads := sc.measure(env, dev, band, depth, cfg, rng)
 		return cell{
 			point:   Point{Band: band, Depth: depth, MicrosPerPage: mean, StdDev: std},
 			reads:   reads,
@@ -68,13 +73,24 @@ func Sweep(newPoint EnvFactory, cfg Config, workers int) Output {
 		out.SimTime += c.elapsed
 		out.Points = append(out.Points, c.point)
 	}
+	// measureRow fans out bands nb-1 down to 0 of row di and records them
+	// in that order.
+	measureRow := func(di, nb int, cfg Config) {
+		cells := make([]cell, nb)
+		host.Sweep(workers, nb, func(k int) {
+			cells[k] = measureCell(di, nb-1-k, cfg)
+		})
+		for k, c := range cells {
+			record(di, nb-1-k, c)
+		}
+	}
 
 	if cfg.StopThreshold <= 0 {
 		// No depth coupling: the whole grid is one flat fan-out, collected
 		// in calibration order (depths ascending, bands largest to smallest).
 		cells := make([]cell, nDepths*nBands)
 		host.Sweep(workers, len(cells), func(k int) {
-			cells[k] = measureCell(k/nBands, nBands-1-k%nBands)
+			cells[k] = measureCell(k/nBands, nBands-1-k%nBands, cfg)
 		})
 		for k, c := range cells {
 			record(k/nBands, nBands-1-k%nBands, c)
@@ -86,33 +102,20 @@ func Sweep(newPoint EnvFactory, cfg Config, workers int) Output {
 	for di := 0; di < nDepths; di++ {
 		// The largest band decides the early stop, so it is measured first —
 		// the same order Run uses.
-		top := measureCell(di, nBands-1)
-		record(di, nBands-1, top)
-		if di > 0 {
-			prev := grid[di-1][nBands-1]
-			if prev <= 0 || (prev-top.point.MicrosPerPage)/prev < cfg.StopThreshold {
-				out.StoppedEarly = true
-				out.CalibratedDepths = di // rows di.. are defaulted
-				break
-			}
+		record(di, nBands-1, measureCell(di, nBands-1, cfg))
+		if di > 0 && stops(grid[di-1][nBands-1], grid[di][nBands-1], cfg.StopThreshold) {
+			out.StoppedEarly = true
+			out.CalibratedDepths = di
+			break
 		}
-		rest := make([]cell, nBands-1)
-		host.Sweep(workers, len(rest), func(k int) {
-			rest[k] = measureCell(di, nBands-2-k)
-		})
-		for k, c := range rest {
-			record(di, nBands-2-k, c)
-		}
+		measureRow(di, nBands-1, cfg)
 	}
 
 	if out.StoppedEarly {
-		// "A default value slightly larger than the measured costs for
-		// queue depth one is assigned to the remaining calibration points."
-		for di := out.CalibratedDepths; di < nDepths; di++ {
-			for bi := range cfg.Bands {
-				grid[di][bi] = grid[0][bi] * 1.05
-			}
+		if last := nDepths - 1; out.CalibratedDepths < last {
+			measureRow(last, nBands, deepRowConfig(cfg))
 		}
+		fitStoppedRows(grid, cfg.Depths, out.CalibratedDepths)
 	}
 
 	out.Model = cost.NewQDTT(cfg.Bands, cfg.Depths, grid)

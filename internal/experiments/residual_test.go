@@ -33,8 +33,9 @@ func TestResidualColdFullScan(t *testing.T) {
 	for _, cfg := range workload.Table1() {
 		s := sc.system(cfg)
 		// Calibrated as System.Calibrate does by default, §4.6's early stop
-		// included: on the HDD that defaults every row past depth 1 to 1.05×
-		// the first, which these cells then carry.
+		// included: on the HDD the rows past the tripping one are fitted
+		// between it and a measured deepest row, and these cells carry the
+		// fit's band-1 column.
 		ccfg := sc.calibConfig(s)
 		ccfg.StopThreshold = 0.20
 		model := calibrate.Run(s.Env, s.Dev, ccfg).Model
@@ -67,8 +68,9 @@ func TestResidualColdFullScan(t *testing.T) {
 	}
 }
 
-// The band a cold serial index scan's estimate must stay in on the HDD, and
-// how far apart the three page occupancies may lie. The three heaps are one
+// The band a cold serial index scan's estimate must stay in on the HDD, the
+// band the same scans under eight workers must stay in, and how far apart
+// the three page occupancies may lie. The three heaps are one
 // size on one device and an index scan reads one page per row, so the model
 // prices their rows alike; the device charges them alike only if the rows of
 // consecutive keys are spread over the heap as calibration's random reads
@@ -76,18 +78,25 @@ func TestResidualColdFullScan(t *testing.T) {
 // When consecutive keys lay a constant page stride apart the configurations
 // read 0.97, 0.74 and 1.33 — 1.80× apart, each stride with its own rotational
 // alignment — and no row of the model could have fixed two of them at once.
+//
+// The eight-worker cells read 1.15–1.37 while the HDD's rows past the
+// tripping depth were §4.6's default of 1.05× depth 1, which prices every
+// deeper read as a serial one; with those rows fitted to a measured depth-32
+// row they read 0.94–1.09.
 const (
 	residualISLo     = 0.88
 	residualISHi     = 1.02
+	residualPISLo    = 0.90
+	residualPISHi    = 1.10
 	residualISSpread = 1.20
 )
 
-// TestResidualSerialIndexScanHDD checks cold serial index scans of 64 and 256
-// rows from three range starts on the three HDD configurations of Table 1,
-// cell by cell against the band and configuration against configuration
-// against the spread. The same ranges under eight workers are logged and not
-// gated: the HDD's calibration stops early, its deeper rows are defaults, and
-// those cells are the next thing the model owes.
+// TestResidualSerialIndexScanHDD checks cold index scans of 64 and 256 rows
+// from three range starts on the three HDD configurations of Table 1: serial
+// scans cell by cell against their band and configuration against
+// configuration against the spread, and the same ranges under eight workers
+// cell by cell against theirs. The HDD's calibration stops early, so the
+// eight-worker cells are priced from its fitted rows.
 func TestResidualSerialIndexScanHDD(t *testing.T) {
 	t.Parallel()
 	sc := DefaultScale()
@@ -124,6 +133,10 @@ func TestResidualSerialIndexScanHDD(t *testing.T) {
 					t.Logf("%-8s IS degree %d, %3d rows from %8d: predicted %8.0f us, measured %8.0f us, ratio %.3f",
 						cfg.Name, d, rows, lo, plan.TotalMicros, took, ratio)
 					if d > 1 {
+						if ratio < residualPISLo || ratio > residualPISHi {
+							t.Errorf("cell %s/IS/degree=%d/rows=%d/from=%d: predicted ÷ measured = %.3f, outside [%.2f, %.2f]",
+								cfg.Name, d, rows, lo, ratio, residualPISLo, residualPISHi)
+						}
 						continue
 					}
 					predicted += plan.TotalMicros

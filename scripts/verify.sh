@@ -22,9 +22,11 @@ go test -timeout 120s ./...
 # Tier 2: vet everything, race-test the event loop and metrics/span layer,
 # plus the host-parallel sweep runner and the experiments that fan out on it
 # (the determinism tests compare serial vs parallel output byte for byte),
-# plus the batched executor and memoized optimizer, plus the root-package
-# telemetry paths (observer + per-query WithTrace attribution under
-# concurrent sessions, event log, progress, SLO reporting).
+# plus the batched executor and memoized optimizer, plus the calibration
+# sweep (its cells fan out over host goroutines, each with its own scratch
+# buffers), plus the root-package telemetry paths (observer + per-query
+# WithTrace attribution under concurrent sessions, event log, progress, SLO
+# reporting).
 go vet ./...
 # gofmt prints the files it would change; any name is a failure.
 UNFORMATTED=$(gofmt -l .)
@@ -45,7 +47,7 @@ fi
 # state left by one round is what would make the next one miscount.
 go test -race -cpu 1,2,4 ./internal/sim/...
 go test -race -cpu 1,2,4 -count=3 -run 'TestNoGoroutinesLeftAfterDrain|TestAbandonedParkedProcessesKeepTheirCoroutines|TestFreeListHygiene|TestFreeListExpiresBetweenConcurrentRuns|TestGoexitInProcessEndsRunsGoroutine' ./internal/sim
-go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/... ./internal/device/... ./internal/disk/... ./internal/table/... ./internal/btree/...
+go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/... ./internal/device/... ./internal/disk/... ./internal/table/... ./internal/btree/... ./internal/calibrate/...
 # The parameterized plan cache is shared between host threads: shapes are
 # created, published and read lock-free, so its race pass runs single- and
 # multi-threaded.
@@ -61,9 +63,10 @@ go test -run PlanStream -count=2 ./internal/opt
 # The residual gate: a cold full scan's estimate is a prediction, so
 # predicted ÷ measured stays in [0.95, 1.08] on every Table-1 config at every
 # degree and on the 8-shard gather; a cold serial index scan's stays in
-# [0.88, 1.02] on the three HDD configs, which lie within 1.20× of each other;
-# and the depth the optimizer prices a scan at is the block reads the executor
-# keeps in flight.
+# [0.88, 1.02] on the three HDD configs, which lie within 1.20× of each other,
+# and the same scans under eight workers, priced from the HDD's fitted deeper
+# rows, stay in [0.90, 1.10]; and the depth the optimizer prices a scan at is
+# the block reads the executor keeps in flight.
 go test -run 'TestResidual' -count=1 ./internal/experiments
 go test -run 'TestScanDepthIsTheWindowTheScanRuns' -count=1 ./internal/opt
 # The allocation gates on what a wider fleet multiplies: a worker takes its
