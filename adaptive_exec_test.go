@@ -1,6 +1,8 @@
 package pioqo
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"pioqo/internal/adapt"
 	"pioqo/internal/calibrate"
+	"pioqo/internal/cost"
 	"pioqo/internal/sim"
 )
 
@@ -215,15 +218,35 @@ func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 
 // A query misseeded far above the band's beneficial depth must shed
 // workers: the controller shrinks toward the broker's calibrated supply.
+// The HDD's measured curve keeps gaining down to depth 32, so the test
+// installs the same model flattened below depth 4: a supply the misseed
+// overshoots eightfold.
 func TestAdaptiveShrinkRetune(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
-	misseedDOP(sys, 32)
+	m, err := sys.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]float64, len(m.Depths()))
+	for i, d := range m.Depths() {
+		for _, band := range m.Bands() {
+			rows[i] = append(rows[i], m.PageCost(band, min(d, 4)))
+		}
+	}
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(cost.NewQDTT(m.Bands(), m.Depths(), rows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	misseedDOP(sys, 32) // after LoadModel, which drops the fitted DOP model
 	b, err := sys.sharedBroker()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Total() >= 32 {
-		t.Skipf("HDD beneficial depth %d leaves no room above it", b.Total())
+	if b.Total() > 4 {
+		t.Fatalf("HDD beneficial depth %d on a curve flat below depth 4", b.Total())
 	}
 	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 3999}, Cold())
 	if err != nil {

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -220,4 +221,59 @@ func TestExecuteConcurrentValidation(t *testing.T) {
 		t.Error("uncalibrated system accepted")
 	}
 	_ = tab
+}
+
+// TestPointLookupsShareTheHDD runs a brokered HDD batch of point lookups.
+// The HDD's calibrated curve keeps gaining down to depth 32, so the broker's
+// supply is 32 credits; a serial lookup is priced at depth 1 and leases one
+// of them, so the batch's lookups are admitted dozens at a time instead of
+// single file, and the disk sees a queue it can reorder. Every credit is
+// back at the drain (Drain panics otherwise), and a second system built the
+// same way runs the deep batch identically.
+func TestPointLookupsShareTheHDD(t *testing.T) {
+	batch := func() (ConcurrentResult, float64) {
+		sys := New(Config{Device: HDD, PoolPages: 1024, Seed: 1})
+		tab, err := sys.CreateTable("t", 200000, 33, WithSyntheticData())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		qs := make([]Query, 64)
+		for i := range qs {
+			k := rng.Int63n(tab.Rows())
+			qs[i] = Query{Table: tab, Low: k, High: k}
+		}
+		res, err := sys.ExecuteConcurrent(qs, Cold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, sys.coord().Dev.Metrics().Snapshot().AvgQueueDepth
+	}
+	res, depth := batch()
+	serial := 0
+	for i, r := range res.Results {
+		if r.Rows != 1 {
+			t.Errorf("lookup %d matched %d rows, want 1", i, r.Rows)
+		}
+		if r.Plan.Degree > 1 {
+			continue
+		}
+		serial++
+		if b := res.Admissions[i].Budget; b != 1 {
+			t.Errorf("serial lookup %d (%v) leased %d credits, want 1", i, r.Plan, b)
+		}
+	}
+	if serial < len(res.Results)*3/4 {
+		t.Errorf("%d of %d lookups ran serial, want at least three quarters", serial, len(res.Results))
+	}
+	if depth <= 1 {
+		t.Errorf("device mean queue depth %.2f over the batch, want > 1", depth)
+	}
+	if again, againDepth := batch(); !reflect.DeepEqual(again, res) || againDepth != depth {
+		t.Errorf("the same batch ran differently twice: elapsed %v vs %v, mean depth %.4f vs %.4f",
+			res.Elapsed, again.Elapsed, depth, againDepth)
+	}
 }

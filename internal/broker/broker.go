@@ -11,12 +11,17 @@
 // The broker centralises it:
 //
 //   - The total credit supply is the device's maximum beneficial queue
-//     depth (cost.QDTT.MaxBeneficialDepth over the whole-device band) —
+//     depth (cost.QDTT.MaxBeneficialDepth over the whole-device band: the
+//     deepest step of the whole calibrated curve that still gains) —
 //     depth beyond it buys no throughput, so handing it out buys nothing.
-//   - Queries enqueue for admission and block until the broker grants a
-//     Lease: a queue-depth credit grant plus a proportional buffer-pool
-//     page reservation. The optimizer then plans under the leased budget
-//     (opt's memo keys on it, so cached plans stay valid per lease size).
+//   - Queries enqueue for admission with a demand — the queue depth their
+//     plan was priced at — and block until the broker grants a Lease: a
+//     queue-depth credit grant capped at that demand plus a proportional
+//     buffer-pool page reservation. Dispatch admits at a floor of total/4
+//     credits, or the head query's demand when smaller, so one-credit
+//     point lookups run side by side instead of one per floor. The
+//     optimizer then plans under the leased budget (opt's memo keys on
+//     it, so cached plans stay valid per lease size).
 //   - The executor reports workers starting and exiting through the lease;
 //     a winding-down query progressively returns credits it can no longer
 //     use, and a completed query returns the rest — either way the broker
@@ -72,7 +77,8 @@ type Config struct {
 
 	// MinLease floors the credit grant per admission, so admission control
 	// admits a few well-budgeted queries instead of
-	// starving everyone equally. Default total/4 (at least 1).
+	// starving everyone equally. Default total/4 (at least 1). A queued
+	// query whose demand is below it is admitted at its demand.
 	MinLease int
 
 	// DepthProbe, when set, returns the cumulative time-integral of the
@@ -555,9 +561,11 @@ func (b *Broker) feedbackSlack() int {
 }
 
 // dispatch admits as many queued queries as the free credits allow. Each
-// admission gets at least minLease credits, so freed capacity concentrates
-// into meaningful budgets instead of dribbling out one credit at a time; a
-// sole query on an idle broker gets an unbounded lease.
+// admission gets at least minLease credits — or the head query's whole
+// demand, when that is smaller, so a one-credit point lookup is admitted on
+// the first free credit instead of waiting for minLease of them to pile up
+// idle — so freed capacity concentrates into budgets a plan can use; a sole
+// query on an idle broker gets an unbounded lease.
 func (b *Broker) dispatch() {
 	b.dispatchScheduled = false
 	degradeLogged := false
@@ -596,6 +604,9 @@ func (b *Broker) dispatch() {
 			return
 		}
 		ml := b.minLease
+		if d := b.queue[0].demand; d > 0 && d < ml {
+			ml = d
+		}
 		if reserve > 0 {
 			// The floor scales with the shrunken supply so admission keeps
 			// moving under heavy loss instead of waiting for credits that

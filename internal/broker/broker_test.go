@@ -428,3 +428,62 @@ func TestLeaseGrowDeniedWhileQueueWaits(t *testing.T) {
 	l3.Release()
 	env.Run()
 }
+
+// TestDemandOneLeasesAdmitTogether: forty one-credit queries (serial point
+// lookups) on a supply of 32 are admitted 32 at once — the dispatch floor is
+// the head query's demand, not minLease — and the other eight as credits
+// come home. A demand-0 (adaptive) lease queued behind them is admitted at
+// the minLease floor and still grows once credits are free.
+func TestDemandOneLeasesAdmitTogether(t *testing.T) {
+	env, b := newBroker(t, 32, func(c *Config) { c.PoolPages = 3200 })
+	var leases []*Lease
+	for i := 0; i < 40; i++ {
+		leases = append(leases, b.Enqueue(1))
+	}
+	adaptive := b.Enqueue(0)
+	env.Run()
+	for i, l := range leases[:32] {
+		if !l.admitted || l.Budget() != 1 || l.PoolPages() != 100 {
+			t.Fatalf("lease %d: admitted=%v budget=%d pool=%d, want 1 credit and 100 pages",
+				i, l.admitted, l.Budget(), l.PoolPages())
+		}
+	}
+	if b.InUse() != 32 || b.Waiting() != 9 {
+		t.Fatalf("in-use=%d waiting=%d, want 32 and 9", b.InUse(), b.Waiting())
+	}
+
+	for _, l := range leases[:8] {
+		l.Release()
+	}
+	env.Run()
+	for i, l := range leases[32:] {
+		if !l.admitted || l.Budget() != 1 {
+			t.Fatalf("lease %d after 8 releases: admitted=%v budget=%d, want 1", 32+i, l.admitted, l.Budget())
+		}
+	}
+	if adaptive.admitted {
+		t.Fatal("adaptive lease admitted with no free credits")
+	}
+
+	for _, l := range leases[8:24] {
+		l.Release()
+	}
+	env.Run()
+	if !adaptive.admitted || adaptive.Budget() != 16 {
+		t.Fatalf("adaptive lease: admitted=%v budget=%d, want the 16 free credits",
+			adaptive.admitted, adaptive.Budget())
+	}
+	for _, l := range leases[24:] {
+		l.Release()
+	}
+	env.Run()
+	if got := adaptive.Grow(8); got != 8 || adaptive.Budget() != 24 {
+		t.Fatalf("demand-0 Grow(8) granted %d (budget %d), want 8 (budget 24)", got, adaptive.Budget())
+	}
+	adaptive.Release()
+	env.Run()
+	if b.InUse() != 0 || b.PoolInUse() != 0 || b.Active() != 0 {
+		t.Errorf("after all releases: in_use=%d pool=%d active=%d, want 0/0/0",
+			b.InUse(), b.PoolInUse(), b.Active())
+	}
+}

@@ -107,6 +107,31 @@ func TestMaxBeneficialDepth(t *testing.T) {
 	if got := q.MaxBeneficialDepth(1, 0.05); got != 1 {
 		t.Errorf("MaxBeneficialDepth(1) = %d, want 1", got)
 	}
+
+	// The fitted HDD's whole-device band: the first doubling gains 0.4 %
+	// (one arm, two requests), every later one 11–16 %. The supply is the
+	// bottom of the curve, not the step that happened to be flat.
+	hdd := NewQDTT([]int64{1, 1 << 20}, []int{1, 2, 4, 8, 16, 32}, [][]float64{
+		{100, 13382},
+		{100, 13328},
+		{100, 11600},
+		{100, 10150},
+		{100, 8800},
+		{100, 7527},
+	})
+	if got := hdd.MaxBeneficialDepth(1<<20, 0.05); got != 32 {
+		t.Errorf("fitted HDD MaxBeneficialDepth = %d, want 32", got)
+	}
+	if got := hdd.MaxBeneficialDepth(1, 0.05); got != 1 {
+		t.Errorf("fitted HDD band-1 MaxBeneficialDepth = %d, want 1", got)
+	}
+	// Gains that stop partway end the supply where they stop.
+	knee := NewQDTT([]int64{1, 1 << 20}, []int{1, 2, 4, 8, 16, 32}, [][]float64{
+		{100, 1000}, {100, 600}, {100, 400}, {100, 395}, {100, 394}, {100, 394},
+	})
+	if got := knee.MaxBeneficialDepth(1<<20, 0.05); got != 4 {
+		t.Errorf("knee MaxBeneficialDepth = %d, want 4", got)
+	}
 }
 
 func TestNewDTTRejectsBadInput(t *testing.T) {

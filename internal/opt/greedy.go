@@ -60,8 +60,8 @@ func computeCrossover(cfg *Config, band int64) *crossover {
 	return cx
 }
 
-// capDepth applies the queue budget to a plan's generated device depth,
-// mirroring costIndexScan's clamp.
+// capDepth applies the queue budget to a plan's generated device depth —
+// the one clamp every costing and the crossover table price through.
 func capDepth(cfg *Config, depth int) int {
 	if cfg.QueueBudget > 0 && depth > cfg.QueueBudget {
 		return cfg.QueueBudget

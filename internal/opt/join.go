@@ -53,10 +53,7 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 			if cfg.overBudget(d) {
 				continue
 			}
-			depth := d
-			if cfg.QueueBudget > 0 && depth > cfg.QueueBudget {
-				depth = cfg.QueueBudget
-			}
+			depth := capDepth(&cfg, d)
 			io := (keys*rowsPerKey + leafFetches) * cfg.Model.PageCost(probe.Table.Pages(), depth)
 			workers := d
 			if workers > cfg.Cores {
@@ -71,7 +68,7 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 					Method: exec.IndexNLJoin,
 					Build:  b,
 					Probe: Plan{
-						Method: exec.IndexScan, Degree: d,
+						Method: exec.IndexScan, Degree: d, Depth: int32(depth),
 						EstRows: keys * rowsPerKey, EstPageIO: keys*rowsPerKey + leafFetches,
 						IOMicros: io, CPUMicros: cpu + startup, TotalMicros: maxf(io, cpu) + startup,
 					},

@@ -163,6 +163,14 @@ type Plan struct {
 	// table's shared producer instead of scanning privately, so its device
 	// cost is one lap split over the attached parties.
 	Shared bool
+	// Depth is the device queue depth the plan was priced at, under the
+	// queue budget: a full scan's readahead window, an index scan's degree
+	// × prefetch. A shared rider issues no device work of its own and has
+	// depth 0. It is what the plan can turn into throughput, so it is the
+	// most queue-depth credits admission need lease the query. An int32
+	// beside Shared fills its padding: plan caches and enumerations hold
+	// plans by the thousand, and a wider field grows every one of them.
+	Depth int32
 
 	// EstRows is the estimated number of matching rows.
 	EstRows float64
@@ -408,21 +416,21 @@ func (c *Config) scanDepth(d int) int {
 	return capDepth(c, inFlight)
 }
 
-// sequentialIO prices one pass over pageIO of t's heap pages by a scan of
-// degree d: the pages at the sequential band's price for the scan's window,
-// and one random access to get there. The band-1 row is a steady-state
-// price — calibration leaves out the read that positions the head, which a
-// scan pays once, not once per block — so the pass owes that read here. It
-// is what separates a full scan of a small table from a handful of index
-// probes on a disk.
-func (cc *costing) sequentialIO(c *Config, t table.Table, pageIO float64, d int) float64 {
+// sequentialIO prices one pass over pageIO of t's heap pages by a scan whose
+// window keeps depth block reads in flight (scanDepth): the pages at the
+// sequential band's price for that depth, and one random access to get
+// there. The band-1 row is a steady-state price — calibration leaves out the
+// read that positions the head, which a scan pays once, not once per block —
+// so the pass owes that read here. It is what separates a full scan of a
+// small table from a handful of index probes on a disk.
+func (cc *costing) sequentialIO(c *Config, t table.Table, pageIO float64, depth int) float64 {
 	if pageIO <= 0 {
 		return 0
 	}
 	if !cc.positioned {
 		cc.position, cc.positioned = c.Model.PageCost(t.Pages(), 1), true
 	}
-	return pageIO*c.Model.PageCost(1, c.scanDepth(d)) + cc.position
+	return pageIO*c.Model.PageCost(1, depth) + cc.position
 }
 
 // startupMicros is what spawning a fleet of degree d adds to a plan: every
@@ -447,7 +455,8 @@ func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 	matched := cc.matched
 
 	pageIO := pages * (1 - cc.resident)
-	io := cc.sequentialIO(cfg, t, pageIO, d)
+	depth := cfg.scanDepth(d)
+	io := cc.sequentialIO(cfg, t, pageIO, depth)
 
 	workers := d
 	if workers > cfg.Cores {
@@ -459,7 +468,7 @@ func costFullScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 
 	total := maxf(io, cpu) + startup
 	return Plan{
-		Method: exec.FullScan, Degree: d,
+		Method: exec.FullScan, Degree: d, Depth: int32(depth),
 		EstRows: matched, EstPageIO: pageIO,
 		IOMicros: io, CPUMicros: cpu + startup, TotalMicros: total,
 	}
@@ -479,7 +488,7 @@ func costSharedScan(cfg *Config, in *Input, cc *costing) Plan {
 	rows := float64(t.Rows())
 
 	pageIO := pages * (1 - cc.resident)
-	io := cc.sequentialIO(cfg, t, pageIO, 1) / float64(cfg.ShareParties)
+	io := cc.sequentialIO(cfg, t, pageIO, cfg.scanDepth(1)) / float64(cfg.ShareParties)
 
 	cpu := pages*float64(cfg.Costs.PerPage.Micros()) +
 		rows*float64(cfg.Costs.PerRow.Micros())
@@ -515,9 +524,7 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	if pf > 0 {
 		depth = d * pf
 	}
-	if cfg.QueueBudget > 0 && depth > cfg.QueueBudget {
-		depth = cfg.QueueBudget
-	}
+	depth = capDepth(cfg, depth)
 	pageIO := heapFetches + leafPages + descent
 	band := t.Pages()
 	io := pageIO * cfg.Model.PageCost(band, depth)
@@ -535,7 +542,7 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 
 	total := maxf(io, cpu) + startup
 	return Plan{
-		Method: exec.IndexScan, Degree: d, Prefetch: pf,
+		Method: exec.IndexScan, Degree: d, Prefetch: pf, Depth: int32(depth),
 		EstRows: matched, EstPageIO: pageIO,
 		IOMicros: io, CPUMicros: cpu + startup, TotalMicros: total,
 	}
@@ -556,10 +563,7 @@ func costSortedScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 		heapFetches *= 1 - cc.resident
 	}
 
-	depth := d
-	if cfg.QueueBudget > 0 && depth > cfg.QueueBudget {
-		depth = cfg.QueueBudget
-	}
+	depth := capDepth(cfg, d)
 	pageIO := heapFetches + leafPages + descent
 	io := pageIO * cfg.Model.PageCost(t.Pages(), depth)
 
@@ -575,7 +579,7 @@ func costSortedScan(cfg *Config, in *Input, cc *costing, d int) Plan {
 
 	total := maxf(io, cpu) + startup
 	return Plan{
-		Method: exec.SortedIndexScan, Degree: d,
+		Method: exec.SortedIndexScan, Degree: d, Depth: int32(depth),
 		EstRows: matched, EstPageIO: pageIO,
 		IOMicros: io, CPUMicros: cpu + startup, TotalMicros: total,
 	}

@@ -101,6 +101,9 @@ type Plan struct {
 	// with every other attached query. Enumerated when
 	// PlanOptions.ShareParties ≥ 2 (sessions set it from live interest).
 	Shared bool
+	// depth is the device queue depth the optimizer priced the plan at
+	// (opt.Plan.Depth); a session leases no more credits than it.
+	depth int32
 	// EstimatedCost is the optimizer's total cost estimate; EstimatedIO
 	// and EstimatedCPU are its components. All are virtual durations.
 	EstimatedCost time.Duration
@@ -286,6 +289,7 @@ func fromInternalPlan(p opt.Plan) Plan {
 		Degree:        p.Degree,
 		Prefetch:      p.Prefetch,
 		Shared:        p.Shared,
+		depth:         p.Depth,
 		EstimatedCost: time.Duration(p.TotalMicros * 1e3),
 		EstimatedIO:   time.Duration(p.IOMicros * 1e3),
 		EstimatedCPU:  time.Duration(p.CPUMicros * 1e3),

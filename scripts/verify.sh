@@ -101,9 +101,12 @@ go test -race -count=2 -run '^(TestHedgingUnderStragglers|TestHedgeDelayOffCriti
 # fed counter moves by exactly what its events add, twice in one process.
 go test -race -count=2 -run '^TestCountersAreTheirEvents$' ./internal/obs
 # Circulating scans beside hot point lookups on an HDD: a scan's pages leave
-# the pool first, so the lookups' misses stay a fifth below plain LRU's, and
-# every pin and rider is back at the drain, twice in one process.
-go test -race -count=2 -run '^TestSharedScansLeaveTheHotSetResident$' .
+# the pool first, so the lookups' device reads stay a fifth below plain LRU's
+# misses, and every pin and rider is back at the drain; and a batch of point
+# lookups, one credit each, runs dozens deep on the HDD, the same way on two
+# systems. Twice in one process each, so a run that leaves state behind for
+# the next one fails here.
+go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestPointLookupsShareTheHDD)$' .
 
 # The repo-wide lints below read the engine's sources only. bench/ is
 # excluded from each: it is a reader of the engine (registry snapshots,

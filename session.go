@@ -171,10 +171,11 @@ func (s *System) sharedBroker() (*broker.Broker, error) {
 	return s.broker, nil
 }
 
-// Submit validates q, enqueues it for admission, plans it provisionally
-// under the broker's current fair share, and registers its executor
-// process. The query runs during the next Drain. With Cold(), the buffer
-// pool is flushed now — before planning, as in Execute.
+// Submit validates q, plans it provisionally under the broker's current
+// fair share, enqueues it for admission asking for no more credits than
+// that plan's queue depth, and registers its executor process. The query
+// runs during the next Drain. With Cold(), the buffer pool is flushed now —
+// before planning, as in Execute.
 func (ses *Session) Submit(q Query, opts ...QueryOption) (*Submission, error) {
 	if ses.closed {
 		return nil, fmt.Errorf("%w: session closed", ErrAdmissionClosed)
@@ -194,14 +195,12 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 	}
 	sub := &Submission{queryRun: r, q: q}
 
-	// A user-set QueueBudget wins over brokered budgets; it also caps the
-	// grant (demand) so credits beyond it stay free for other queries.
+	// A user-set QueueBudget wins over brokered budgets.
 	userBudget := eo.plan.QueueBudget
 	po := eo.plan
 	if userBudget == 0 {
 		po.QueueBudget = ses.b.FairShare()
 	}
-	lease := ses.b.EnqueueQuery(userBudget, r.qid)
 
 	// Scan-sharing interest: every sharing-eligible query on the table
 	// counts as a potential rider, so a full scan submitted now prices the
@@ -225,9 +224,19 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		if sharing {
 			shares.DropInterest(file)
 		}
-		lease.Release() // withdraw from the admission queue
 		return nil, err
 	}
+	// The lease's demand caps its grant, so credits the query cannot use
+	// stay free for the next one: the user's QueueBudget when set, else the
+	// depth the provisional plan was priced at — a serial point lookup asks
+	// for one credit, not a share of the supply. An adaptive query's
+	// controller grows its fleet through the lease mid-flight, so only a
+	// user budget caps it.
+	demand := userBudget
+	if demand == 0 && !(s.adaptiveOn(eo) && adaptiveEligible(plan)) {
+		demand = int(plan.depth)
+	}
+	lease := ses.b.EnqueueQuery(demand, r.qid)
 	if plan.Shared {
 		// The rider issues no demand reads — the circulating producer owns
 		// the device work — so waiting for queue-depth credits would gate
