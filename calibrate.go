@@ -163,7 +163,7 @@ func (s *System) LoadModel(r io.Reader) error {
 // (whose cached costs priced I/O with the previous model), the
 // depth-oblivious projection, and the resource broker (whose credit supply
 // was the old model's beneficial depth) along with the default session
-// riding on it.
+// riding on it and the circulating producers' leasing hook into it.
 func (s *System) installModel(m *cost.QDTT) {
 	s.model = m
 	s.depthOne = nil
@@ -174,6 +174,9 @@ func (s *System) installModel(m *cost.QDTT) {
 	s.session = nil
 	for _, n := range s.nodes {
 		n.Broker = nil
+		if n.Shares != nil {
+			n.Shares.SetLeaser(nil)
+		}
 	}
 }
 

@@ -17,9 +17,10 @@
 //   - Queries enqueue for admission with a demand — the queue depth their
 //     plan was priced at — and block until the broker grants a Lease: a
 //     queue-depth credit grant capped at that demand plus a proportional
-//     buffer-pool page reservation. Dispatch admits at a floor of total/4
-//     credits, or the head query's demand when smaller, so one-credit
-//     point lookups run side by side instead of one per floor. The
+//     buffer-pool page reservation. Dispatch admits each lease at a floor
+//     of total/4 credits, or its demand when smaller, so one-credit point
+//     lookups run side by side instead of one per floor, and a lease
+//     asking for more is not split below its floor to admit them. The
 //     optimizer then plans under the leased budget (opt's memo keys on
 //     it, so cached plans stay valid per lease size).
 //   - The executor reports workers starting and exiting through the lease;
@@ -318,7 +319,7 @@ func (l *Lease) Shared() bool { return l.shared }
 
 // AdmitShared converts a still-queued lease into an immediate zero-credit
 // admission: the query's table scan will attach to a circulating scan whose
-// producer already holds the device's readahead depth, so granting it
+// producer leases the readahead depth itself, in FIFO turn, so granting it
 // queue-depth credits — or making it wait for them — would price device
 // work it will never issue. The lease leaves the FIFO out of turn, is
 // granted no credits and no pool reservation (the producer pins under its
@@ -561,11 +562,11 @@ func (b *Broker) feedbackSlack() int {
 }
 
 // dispatch admits as many queued queries as the free credits allow. Each
-// admission gets at least minLease credits — or the head query's whole
-// demand, when that is smaller, so a one-credit point lookup is admitted on
-// the first free credit instead of waiting for minLease of them to pile up
-// idle — so freed capacity concentrates into budgets a plan can use; a sole
-// query on an idle broker gets an unbounded lease.
+// admission gets at least minLease credits — or its whole demand, when that
+// is smaller, so a one-credit point lookup is admitted on the first free
+// credit instead of waiting for minLease of them to pile up idle — so freed
+// capacity concentrates into budgets a plan can use; a sole query on an
+// idle broker gets an unbounded lease.
 func (b *Broker) dispatch() {
 	b.dispatchScheduled = false
 	degradeLogged := false
@@ -603,21 +604,7 @@ func (b *Broker) dispatch() {
 		if avail < 1 {
 			return
 		}
-		ml := b.minLease
-		if d := b.queue[0].demand; d > 0 && d < ml {
-			ml = d
-		}
-		if reserve > 0 {
-			// The floor scales with the shrunken supply so admission keeps
-			// moving under heavy loss instead of waiting for credits that
-			// will not come back while the window lasts.
-			if scaled := supply / 4; scaled < ml {
-				ml = scaled
-				if ml < 1 {
-					ml = 1
-				}
-			}
-		}
+		ml := b.floor(b.queue[0], supply, reserve)
 		if avail < ml && len(b.active) > 0 {
 			return // wait for a meaningful grant to accumulate
 		}
@@ -629,12 +616,38 @@ func (b *Broker) dispatch() {
 			k = len(b.queue)
 		}
 		shares := SplitCredits(avail, k)
+		// The split is sized by the head's floor. A lease behind it whose
+		// share falls below its own floor ends the batch and waits at the
+		// head, where its floor sizes the next grant: a circulating
+		// producer split down to one credit by one-credit lookups would
+		// read one block at a time.
+		for i := 1; i < k; i++ {
+			if shares[i] < b.floor(b.queue[i], supply, reserve) {
+				k = i
+				break
+			}
+		}
 		batch := b.queue[:k]
 		b.queue = b.queue[k:]
 		for i, l := range batch {
 			b.admit(l, shares[i])
 		}
 	}
+}
+
+// floor is the smallest grant dispatch admits l at: minLease, or l's demand
+// when smaller. On a degraded device it scales with the shrunken supply, so
+// admission keeps moving under heavy loss instead of waiting for credits
+// that will not come back while the window lasts.
+func (b *Broker) floor(l *Lease, supply, reserve int) int {
+	f := b.minLease
+	if l.demand > 0 && l.demand < f {
+		f = l.demand
+	}
+	if reserve > 0 && supply/4 < f {
+		f = max(supply/4, 1)
+	}
+	return f
 }
 
 // admit grants a lease. A grant of 0 is the unbounded lease; a positive

@@ -487,3 +487,31 @@ func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 			b.InUse(), b.PoolInUse(), b.Active())
 	}
 }
+
+// TestLeaseBehindTheHeadKeepsItsFloor queues a two-credit lease between
+// one-credit ones with three credits free. The head's floor of one sizes
+// the split at three leases of one credit each, which would leave the
+// two-credit lease below its own floor; it ends the batch instead, and is
+// granted its two as the next head, while the lease behind it waits its turn.
+func TestLeaseBehindTheHeadKeepsItsFloor(t *testing.T) {
+	env, b := newBroker(t, 8, nil) // minLease 2
+	b.Enqueue(5)
+	holder := b.Enqueue(1)
+	env.Run()
+	if b.InUse() != 5 {
+		t.Fatalf("setup: %d credits on loan, want 5", b.InUse())
+	}
+	first, two, last := b.Enqueue(1), b.Enqueue(2), b.Enqueue(1)
+	env.Run()
+	if first.Budget() != 1 || two.Budget() != 2 {
+		t.Errorf("grants %d and %d, want 1 and its floor of 2", first.Budget(), two.Budget())
+	}
+	if last.admitted {
+		t.Error("the lease behind was admitted with no credit free")
+	}
+	holder.Release()
+	env.Run()
+	if !last.admitted || last.Budget() != 1 {
+		t.Errorf("after a release: admitted=%v budget=%d, want 1", last.admitted, last.Budget())
+	}
+}

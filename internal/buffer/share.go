@@ -1,12 +1,19 @@
 // Circulating shared scans: the buffer layer's answer to N queries
 // demand-fetching the same hot table N times over. Each hot file gets at
-// most one producer process that walks the file's blocks in a loop,
-// driving PrefetchRun readahead at the device's beneficial depth and
-// pinning each block until the slowest attached consumer has taken it.
-// Consumers attach mid-flight at the producer's current position, receive
-// every block exactly once over one full lap, and detach once they have
-// wrapped around their join point — so k concurrent scans cost the device
-// roughly one circulation, not k full reads.
+// most one producer process that walks the file's blocks in a loop, reading
+// every block whole with PrefetchRun — the one being delivered and the
+// readahead past it — and pinning each block until the slowest attached
+// consumer has taken it. Consumers attach mid-flight at the producer's
+// current position, receive every block exactly once over one full lap,
+// and detach once they have wrapped around their join point — so k
+// concurrent scans cost the device roughly one circulation, not k full
+// reads.
+//
+// The producer is the device consumer, not its riders, so with a leasing
+// hook installed (SetLeaser) a starting producer leases its queue depth
+// like any query: it takes its turn for readahead+1 credits and reads no
+// deeper than its grant, instead of stacking block reads on top of the
+// depth the demand queries beside it hold.
 //
 // The producer exits when its last consumer detaches (the simulator's
 // deadlock detector treats a permanently parked process as a bug) and
@@ -30,8 +37,9 @@ type ShareConfig struct {
 	// pool so one share can never monopolize it.
 	BlockPages int
 
-	// Depth caps how many block reads the producer keeps in flight — set
-	// from the calibrated device's beneficial queue depth. Default 4.
+	// Depth caps how many blocks an unleased producer reads ahead: one
+	// with no leasing hook installed, or holding an unbounded grant.
+	// Default 4.
 	Depth int
 
 	// Retry bounds the producer's response to injected device faults,
@@ -85,7 +93,19 @@ type Shares struct {
 	interest map[disk.FileID]int
 	live     int // running producer processes
 
+	lease func(demand int) DepthLease // nil: producers run unleased
+
 	obs *obs.Registry // the pool's
+}
+
+// DepthLease is a producer's grant of device queue depth from whoever owns
+// the device's supply: Await blocks until it is granted, Budget reports
+// the grant (0 = unbounded) and Release returns it. The broker's lease
+// satisfies it.
+type DepthLease interface {
+	Await(p *sim.Proc)
+	Budget() int
+	Release()
 }
 
 // NewShares returns a registry over pool, recording into the pool's
@@ -102,13 +122,10 @@ func NewShares(env *sim.Env, pool *Pool, cfg ShareConfig) *Shares {
 	}
 }
 
-// SetDepth updates the producer readahead cap to the device's calibrated
-// beneficial queue depth.
-func (s *Shares) SetDepth(d int) {
-	if d > 0 {
-		s.cfg.Depth = d
-	}
-}
+// SetLeaser installs the hook a starting producer leases its queue depth
+// through: lease enqueues a demand of readahead+1 credits and returns the
+// pending grant. nil uninstalls it.
+func (s *Shares) SetLeaser(lease func(demand int) DepthLease) { s.lease = lease }
 
 // AddInterest records one more in-flight query against file f; sessions
 // call it at submit so co-batched queries see each other before any of
@@ -186,6 +203,7 @@ type ScanShare struct {
 	laps int64
 
 	running   bool
+	grant     int // the running producer's leased depth; 0 = unleased or unbounded
 	consumers []*ScanConsumer
 	window    []*batch        // delivered, not yet taken by every waiter
 	flow      *sim.Completion // producer parked for window space
@@ -218,6 +236,9 @@ func (sh *ScanShare) blockCount(blk int64) int {
 // An allowance of three blocks or more keeps one of them spare; a smaller
 // one has a window of one block and reads ahead only with a second. A
 // producer always gets its one block, however many shares split the pool.
+// The readahead is further capped by the queue depth: grant−1 blocks under
+// a leased grant (the block being delivered takes the last credit),
+// ShareConfig.Depth unleased or under an unbounded grant.
 func (sh *ScanShare) budget() (window, readahead int) {
 	live := sh.reg.live
 	if live < 1 {
@@ -228,8 +249,12 @@ func (sh *ScanShare) budget() (window, readahead int) {
 	if bb < 3 {
 		window, readahead = 1, bb-1
 	}
-	if readahead > sh.reg.cfg.Depth {
-		readahead = sh.reg.cfg.Depth
+	depth := sh.reg.cfg.Depth
+	if sh.grant > 0 {
+		depth = sh.grant - 1
+	}
+	if readahead > depth {
+		readahead = depth
 	}
 	if max := int(sh.blocks) - 1; readahead > max {
 		readahead = max
@@ -240,10 +265,21 @@ func (sh *ScanShare) budget() (window, readahead int) {
 	return window, readahead
 }
 
-// producer is the circulating scan body: readahead at depth, fetch-pin the
-// current block, deliver, wrap. It exits when the last consumer detaches
-// and Attach restarts it from the remembered position.
+// producer is the circulating scan body: lease its depth, then read the
+// current block and the readahead past it, fetch-pin the current block,
+// deliver, wrap. It exits when the last consumer detaches, returning its
+// lease, and Attach restarts it from the remembered position.
 func (sh *ScanShare) producer(p *sim.Proc) {
+	sh.grant = 0
+	if sh.reg.lease != nil {
+		// It waits its turn before its first read; riders that give up
+		// meanwhile leave it to exit at the top of the loop once granted.
+		_, readahead := sh.budget()
+		l := sh.reg.lease(readahead + 1)
+		defer l.Release()
+		l.Await(p)
+		sh.grant = l.Budget()
+	}
 	for {
 		if len(sh.consumers) == 0 {
 			sh.running = false
@@ -257,9 +293,11 @@ func (sh *ScanShare) producer(p *sim.Proc) {
 			sh.flow = nil
 			continue
 		}
-		// With no room to read ahead, the block about to be delivered is
-		// still read in one piece rather than a page at a time.
-		for i := int64(min(readahead, 1)); i <= int64(readahead); i++ {
+		// The block about to be delivered is read in one piece like the
+		// readahead past it — on a start, a restart, or after its pages
+		// were evicted — never a page at a time; a covered block costs
+		// nothing.
+		for i := int64(0); i <= int64(readahead); i++ {
 			blk := (sh.pos + i) % sh.blocks
 			sh.reg.pool.PrefetchRun(sh.file, blk*sh.blockPages, sh.blockCount(blk))
 		}

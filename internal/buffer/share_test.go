@@ -135,6 +135,127 @@ func TestShareProducerExitsIdleAndResumesPosition(t *testing.T) {
 	}
 }
 
+// countingDevice counts the read requests that reach the device and the
+// most it ever had in flight at once.
+type countingDevice struct {
+	device.Device
+	reads, inFlight, peak int
+}
+
+func (d *countingDevice) ReadAt(offset int64, length int) *sim.Completion {
+	d.reads++
+	d.inFlight++
+	d.peak = max(d.peak, d.inFlight)
+	c := d.Device.ReadAt(offset, length)
+	c.OnFire(func() { d.inFlight-- })
+	return c
+}
+
+// heldLease is a DepthLease the test grants by hand.
+type heldLease struct {
+	demand, depth int
+	grant         *sim.Completion
+	released      bool
+}
+
+func (l *heldLease) Await(p *sim.Proc) { p.Wait(l.grant) }
+func (l *heldLease) Budget() int       { return l.depth }
+func (l *heldLease) Release()          { l.released = true }
+
+// TestShareProducerLeasesItsDepth installs a leasing hook and grants the
+// producer two credits 5 ms after its rider attaches. The producer asks for
+// its readahead plus the block it delivers, reads nothing before the grant,
+// never has more than two reads in flight once granted (one block ahead),
+// and returns the lease when its rider leaves.
+func TestShareProducerLeasesItsDepth(t *testing.T) {
+	const pages, blockPages = 96, 8
+	env := sim.NewEnv(1)
+	dev := &countingDevice{Device: device.NewSSD(env, device.DefaultSSDConfig())}
+	file := disk.NewManager(dev).MustAllocate("t", pages)
+	pool := NewPool(env, 256)
+	sh := NewShares(env, pool, ShareConfig{BlockPages: blockPages})
+	var leases []*heldLease
+	sh.SetLeaser(func(demand int) DepthLease {
+		l := &heldLease{demand: demand, depth: 2, grant: sim.NewCompletion(env)}
+		env.Schedule(5*sim.Millisecond, l.grant.Fire)
+		leases = append(leases, l)
+		return l
+	})
+	env.Go("rider", func(p *sim.Proc) {
+		exactlyOnce(t, "rider", collectLap(t, p, sh.Attach(1, file, pages)), pages)
+	})
+	env.Go("watch", func(p *sim.Proc) {
+		p.Sleep(5*sim.Millisecond - 1)
+		if dev.reads != 0 {
+			t.Errorf("%d reads before the producer's grant, want none", dev.reads)
+		}
+	})
+	env.Run()
+	if len(leases) != 1 {
+		t.Fatalf("the producer took %d leases, want 1", len(leases))
+	}
+	// Unleased, the producer reads ahead ShareConfig.Depth's default of 4.
+	if l := leases[0]; l.demand != 5 || !l.released {
+		t.Errorf("lease demand %d, released %v; want 5, released", l.demand, l.released)
+	}
+	if dev.peak > 2 {
+		t.Errorf("%d reads in flight at once under a two-credit grant", dev.peak)
+	}
+}
+
+// TestShareReadsEveryBlockWhole counts a lap's device reads: one per block,
+// on a fresh share and again after an idle restart, because the block a
+// (re)started producer delivers first is read in one piece like the
+// readahead past it, not a page at a time. The pool holds the whole file,
+// so a lap's wrap-around readahead finds its blocks resident.
+func TestShareReadsEveryBlockWhole(t *testing.T) {
+	const pages, blockPages = 96, 8
+	const blocks = pages / blockPages
+	env := sim.NewEnv(1)
+	dev := &countingDevice{Device: device.NewSSD(env, device.DefaultSSDConfig())}
+	file := disk.NewManager(dev).MustAllocate("t", pages)
+	pool := NewPool(env, 256)
+	sh := NewShares(env, pool, ShareConfig{BlockPages: blockPages})
+	lap := func(who string, qid int64) {
+		env.Go(who, func(p *sim.Proc) {
+			exactlyOnce(t, who, collectLap(t, p, sh.Attach(qid, file, pages)), pages)
+		})
+		env.Run()
+	}
+
+	lap("fresh lap", 1)
+	if dev.reads != blocks {
+		t.Errorf("a fresh share's lap issued %d reads, want %d, one per block", dev.reads, blocks)
+	}
+
+	// Ride three blocks and leave, so the producer exits mid-lap; flush, so
+	// its next first block must come from the device again.
+	env.Go("partial", func(p *sim.Proc) {
+		c := sh.Attach(2, file, pages)
+		for i := 0; i < 3; i++ {
+			if _, ok, err := c.Next(p); !ok || err != nil {
+				t.Errorf("block %d: ok=%v err=%v", i, ok, err)
+				return
+			}
+			c.Consumed()
+		}
+		c.Detach()
+	})
+	env.Run()
+	if sh.scans[file.ID()].running {
+		t.Fatal("producer still running after its last rider left")
+	}
+	pool.Flush()
+	dev.reads = 0
+	lap("restarted lap", 3)
+	if dev.reads != blocks {
+		t.Errorf("a lap after an idle restart issued %d reads, want %d, one per block", dev.reads, blocks)
+	}
+	if pool.Pinned() != 0 || sh.Live() != 0 {
+		t.Errorf("%d pins and %d consumers left, want 0 and 0", pool.Pinned(), sh.Live())
+	}
+}
+
 func TestShareSlowestConsumerHoldsPins(t *testing.T) {
 	const pages = 200
 	w := newWorld(t, 64)

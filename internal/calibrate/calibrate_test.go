@@ -489,8 +489,9 @@ func TestPointAllocatesOnlyCompletions(t *testing.T) {
 			})
 			// A driver run (the band-1 point has two: its positioning read
 			// and the timed ones) costs about five: the process, its body
-			// and what the body captures.
-			if limit := float64(requests) + 12; allocs > limit {
+			// and what the body captures. The race detector's own
+			// allocations void the bound.
+			if limit := float64(requests) + 12; allocs > limit && !raceEnabled {
 				t.Errorf("%.0f allocations for %d requests, want at most one per request plus 12", allocs, requests)
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pioqo/internal/broker"
+	"pioqo/internal/buffer"
 	"pioqo/internal/exec"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
@@ -135,8 +136,9 @@ func (s *System) Drain() error {
 }
 
 // sharedBroker returns the system's resource broker, building it from the
-// calibrated model on first use. Installing a new model drops it, so the
-// credit supply always reflects the current calibration.
+// calibrated model on first use and hooking the coordinator's circulating
+// producers into it. Installing a new model drops both, so the credit
+// supply always reflects the current calibration.
 func (s *System) sharedBroker() (*broker.Broker, error) {
 	if s.model == nil {
 		return nil, fmt.Errorf("%w: resource brokering needs the calibrated queue-depth supply; call Calibrate first", ErrNotCalibrated)
@@ -162,10 +164,12 @@ func (s *System) sharedBroker() (*broker.Broker, error) {
 		s.broker = broker.New(cfg)
 		n0.Broker = s.broker
 		if n0.Shares != nil {
-			// The circulating producers read ahead at the device's
-			// beneficial queue depth — the same calibrated supply the
-			// broker's credits are denominated in.
-			n0.Shares.SetDepth(s.broker.Total())
+			// A circulating producer is the device consumer its riders are
+			// not: it leases readahead+1 credits in FIFO turn beside the
+			// queries and reads no deeper than its grant, so block reads
+			// never stack on top of the depth the queries hold.
+			b := s.broker
+			n0.Shares.SetLeaser(func(demand int) buffer.DepthLease { return b.Enqueue(demand) })
 		}
 	}
 	return s.broker, nil

@@ -6,6 +6,9 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"pioqo/internal/obs"
+	"pioqo/internal/sim"
 )
 
 // submitScans submits n full-range scans and returns their submissions.
@@ -87,25 +90,13 @@ func TestSessionSharesConcurrentScans(t *testing.T) {
 	}
 }
 
-// TestSharedScansLeaveTheHotSetResident runs serving_mix's shape small: on
-// an HDD, one batch of point lookups on a hot 1 % key stripe of three
-// wide-row tables, plus a few full scans of them, which ride the tables'
-// circulating scans. Each table is twice the pool, so every lap pushes
-// 1 536 pages through it. A scan's pages leave the pool first, so the
-// lookups keep finding their pages: plain LRU, which sends every idle page
-// to the hot end, missed 655 times on this batch when its lookups ran one
-// at a time; the test holds the device reads a fifth below that (plain LRU
-// reads 596 times with the lookups admitted together, this pool about 400).
-// It counts reads, not pool misses: a fetch that joins a load already in
-// flight counts as a miss but issues no read, and with dozens of lookups
-// admitted at once on a hot stripe nearly a third of the misses are such
-// joins.
-// Every pin and every rider is back at the drain.
-func TestSharedScansLeaveTheHotSetResident(t *testing.T) {
-	const (
-		rpp, pages, queries = 4, 1536, 300
-		lruMisses           = 655
-	)
+// hotStripeBatch builds serving_mix's shape small: an HDD with a 768-frame
+// pool, three wide-row tables of twice its size, and 285 point lookups on
+// the tables' hot 1 % key stripe followed by 15 full scans, round-robin
+// over the tables.
+func hotStripeBatch(t *testing.T) (*System, []Query) {
+	t.Helper()
+	const rpp, pages, queries = 4, 1536, 300
 	sys := New(Config{Device: HDD, PoolPages: 768, Seed: 1})
 	rows := int64(pages * rpp)
 	var tabs []*Table
@@ -129,7 +120,26 @@ func TestSharedScansLeaveTheHotSetResident(t *testing.T) {
 	for i := 0; i < scans; i++ {
 		qs = append(qs, Query{Table: tabs[i%3], Low: 0, High: rows - 1})
 	}
+	return sys, qs
+}
 
+// TestSharedScansLeaveTheHotSetResident runs hotStripeBatch's queries as one
+// batch: point lookups on a hot 1 % key stripe of three wide-row
+// tables, plus a few full scans of them, which ride the tables' circulating
+// scans. Each table is twice the pool, so every lap pushes
+// 1 536 pages through it. A scan's pages leave the pool first, so the
+// lookups keep finding their pages: plain LRU, which sends every idle page
+// to the hot end, missed 655 times on this batch when its lookups ran one
+// at a time; the test holds the device reads a fifth below that (plain LRU
+// reads 596 times with the lookups admitted together, this pool about 400).
+// It counts reads, not pool misses: a fetch that joins a load already in
+// flight counts as a miss but issues no read, and with dozens of lookups
+// admitted at once on a hot stripe nearly a third of the misses are such
+// joins.
+// Every pin and every rider is back at the drain.
+func TestSharedScansLeaveTheHotSetResident(t *testing.T) {
+	const lruMisses = 655
+	sys, qs := hotStripeBatch(t)
 	res, err := sys.ExecuteConcurrent(qs, Cold())
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +163,116 @@ func TestSharedScansLeaveTheHotSetResident(t *testing.T) {
 	}
 	if pins, live := n.Pool.Pinned(), n.Shares.Live(); pins != 0 || live != 0 {
 		t.Errorf("%d pins and %d riders left at the drain, want 0 and 0", pins, live)
+	}
+}
+
+// TestSharedProducersLeaseTheirDepth runs hotStripeBatch's queries with
+// a probe sampling the broker and the pool beside them. A circulating
+// producer leases its depth like a query, in FIFO turn behind the lookups,
+// and reads no deeper than its grant, so its block reads are counted in the
+// credits on loan: those stay within the broker's supply at every sample,
+// and no block read lands before the first producer's grant. Lookups read
+// single pages, so the pool's block reads are the producers'.
+func TestSharedProducersLeaseTheirDepth(t *testing.T) {
+	sys, qs := hotStripeBatch(t)
+	sys.EnableEventLog(1 << 16)
+	b, err := sys.sharedBroker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := sys.coord().Pool
+	samples, worstLoan := 0, 0
+	firstRead := sim.Time(-1) // the first sample that saw a block read
+	sys.env.Go("probe", func(p *sim.Proc) {
+		for samples == 0 || b.Active()+b.Waiting() > 0 {
+			samples++
+			worstLoan = max(worstLoan, b.InUse())
+			if firstRead < 0 && pool.Stats.PrefetchReads > 0 {
+				firstRead = p.Now()
+			}
+			p.Sleep(10 * sim.Microsecond)
+		}
+	})
+	res, err := sys.ExecuteConcurrent(qs, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, a := range res.Admissions {
+		if a.Shared {
+			shared++
+		}
+	}
+	if shared == 0 || samples < 1000 || firstRead < 0 {
+		t.Fatalf("%d riders, %d samples, first block read at %v: the probe watched no shared batch",
+			shared, samples, firstRead)
+	}
+	// The supply is the calibrated total plus at most a quarter of it as
+	// slack, which the broker extends while the device runs shallower than
+	// the credits on loan.
+	if supply := b.Total() + b.Total()/4; worstLoan > supply {
+		t.Errorf("%d credits on loan at worst, supply %d", worstLoan, supply)
+	}
+	// Producers enqueue without a query id; queries always carry one.
+	granted := sim.Time(-1)
+	for _, e := range sys.reg.Log().Events() {
+		if e.Type == obs.EvAdmissionGrant && e.Query == obs.NoQuery {
+			granted = e.At
+			break
+		}
+	}
+	if granted < 0 || granted > firstRead {
+		t.Errorf("first producer grant at %v, first block read seen at %v: a producer read before its grant",
+			granted, firstRead)
+	}
+}
+
+// TestRidersCanceledBeforeTheirProducerIsGranted cancels every rider while
+// the producers they attached to still wait in the admission queue behind a
+// broker's worth of lookups. A parked rider sees its cancel only at its next
+// delivery, so each producer is granted, delivers, finds its riders gone and
+// exits, returning its lease: the drain leaves no credit on loan, no pool
+// reservation and no rider attached.
+func TestRidersCanceledBeforeTheirProducerIsGranted(t *testing.T) {
+	sys, qs := hotStripeBatch(t)
+	n := sys.coord()
+	var riders []*Submission
+	for _, q := range qs {
+		sub, err := sys.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sub.q.High > sub.q.Low {
+			riders = append(riders, sub)
+		}
+	}
+	b := sys.broker
+	attached, queued := 0, 0
+	sys.env.Go("cancel", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		attached, queued = n.Shares.Live(), b.Waiting()
+		if n.Pool.Stats.PrefetchReads != 0 {
+			t.Errorf("%d block reads before any producer could be granted", n.Pool.Stats.PrefetchReads)
+		}
+		for _, sub := range riders {
+			sub.Cancel()
+		}
+	})
+	if err := sys.Drain(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("drain returned %v, want the riders' cancel", err)
+	}
+	if attached != len(riders) || queued == 0 {
+		t.Fatalf("at the cancel %d of %d riders were attached and %d leases queued; want all, behind a queue",
+			attached, len(riders), queued)
+	}
+	for _, sub := range riders {
+		if !sub.Admission().Shared {
+			t.Errorf("scan %v was not admitted shared", sub.q)
+		}
+	}
+	if b.InUse() != 0 || b.PoolInUse() != 0 || n.Shares.Live() != 0 {
+		t.Errorf("drain left %d credits, %d pool pages and %d riders, want 0, 0 and 0",
+			b.InUse(), b.PoolInUse(), n.Shares.Live())
 	}
 }
 
