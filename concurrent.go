@@ -15,7 +15,7 @@ type ConcurrentResult struct {
 	Results []Result
 
 	// Admissions holds each query's broker admission record, in input
-	// order: leased budget, pool reservation, queue wait, re-plan flag.
+	// order: leased budget, pool reservation, queue wait, shared ride.
 	Admissions []Admission
 
 	// Elapsed is the batch makespan: submission of the first query to
@@ -35,12 +35,12 @@ type ConcurrentResult struct {
 // sharing CPU, buffer pool, and the device queue. Following the paper's
 // §4.3 guidance — "when multiple queries are running on the system
 // concurrently, the optimizer needs to pass a lower queue depth number to
-// the QDTT model" — each query is planned under a queue-depth budget
-// leased from the system's resource broker: admissions are batched so a
-// few well-budgeted queries run instead of everyone starving equally, and
-// credits freed by finishing queries (or winding-down worker fleets) are
-// re-brokered to the ones still queued, which re-plan under their actual
-// grant. A PlanOptions.QueueBudget set by the caller wins over brokered
+// the QDTT model" — each query is planned once, at submission, under the
+// broker's fair share of the device's beneficial queue depth, and leased
+// exactly the depth that plan was priced at: a few well-budgeted queries
+// run instead of everyone starving equally, and credits freed by finishing
+// queries (or winding-down worker fleets) go to the ones still queued, in
+// order. A PlanOptions.QueueBudget set by the caller wins over brokered
 // budgets for every query in the batch.
 func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (ConcurrentResult, error) {
 	if len(queries) == 0 {

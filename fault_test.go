@@ -251,11 +251,12 @@ func TestConcurrentTimeoutReclaimsEverything(t *testing.T) {
 	assertNoLeaks(t, sys)
 }
 
-// TestDegradationReplanBeatsNoReplan: with half the SSD's channels lost
-// after calibration, a skewed batch admitted and re-planned at the broker's
-// degraded credit supply pays fewer throttle penalties than the same batch
-// planned at the healthy depth (noDegrade, this test's reference arm).
-func TestDegradationReplanBeatsNoReplan(t *testing.T) {
+// TestDegradedPlanBeatsHealthyDepth: with half the SSD's channels lost
+// after calibration, a skewed batch planned at submit and admitted under the
+// broker's degraded credit supply pays fewer throttle penalties than the
+// same batch planned at the healthy depth (noDegrade, this test's reference
+// arm).
+func TestDegradedPlanBeatsHealthyDepth(t *testing.T) {
 	throttled := func(noDegrade bool) int64 {
 		const rows = 2048 * 33
 		sys := New(Config{Device: SSD, PoolPages: 256})
@@ -280,9 +281,9 @@ func TestDegradationReplanBeatsNoReplan(t *testing.T) {
 		}
 		return sys.FaultStats().Throttled
 	}
-	if replan, healthy := throttled(false), throttled(true); replan >= healthy {
-		t.Errorf("re-planned batch throttled %d reads, planned at the healthy depth %d; the supply shrink had no effect",
-			replan, healthy)
+	if degraded, healthy := throttled(false), throttled(true); degraded >= healthy {
+		t.Errorf("batch planned at the degraded supply throttled %d reads, at the healthy depth %d; the supply shrink had no effect",
+			degraded, healthy)
 	}
 }
 

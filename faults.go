@@ -16,7 +16,7 @@ import (
 // and degraded-channel throttling: ChannelLoss shrinks the device's
 // effective parallel slots, and each read issued above the shrunken limit
 // pays (excess+1)×OverloadPenalty — running deep on a degraded device
-// actively costs, which is what makes reduced-depth re-planning win.
+// actively costs, which is what makes reduced-depth planning win.
 type FaultWindow struct {
 	From time.Duration
 	To   time.Duration
@@ -85,7 +85,7 @@ type FaultStats struct {
 //
 // While a window with ChannelLoss is active, the resource broker (used by
 // ExecuteConcurrent and sessions) observes the degradation and shrinks its
-// credit supply proportionally, so newly admitted queries re-plan at a
+// credit supply proportionally, so queries submitted meanwhile plan at a
 // queue depth the degraded device can still turn into throughput —
 // graceful degradation instead of queue-depth thrash.
 //

@@ -8,9 +8,9 @@
 // misprediction.
 //
 // The paper fixes degree and prefetch distance at plan time from the
-// calibrated QDTT band; this package generalizes the broker's
-// degradation-replan machinery to *upgrades*: the controller hill-climbs
-// the degree, securing every step above its admission grant through the
+// calibrated QDTT band; this package retunes the degree mid-flight, in both
+// directions: the controller hill-climbs the degree, securing every step
+// above its admission grant (the depth its plan was priced at) through the
 // broker lease (credits re-leased mid-flight) and shedding workers through
 // the executor's normal governed teardown. An offline DOP model fit on
 // calibrate sweep points (model.go) seeds the initial degree so the climb

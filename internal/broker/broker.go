@@ -14,20 +14,18 @@
 //     depth (cost.QDTT.MaxBeneficialDepth over the whole-device band: the
 //     deepest step of the whole calibrated curve that still gains) —
 //     depth beyond it buys no throughput, so handing it out buys nothing.
-//   - Queries enqueue for admission with a demand — the queue depth their
-//     plan was priced at — and block until the broker grants a Lease: a
-//     queue-depth credit grant capped at that demand plus a proportional
-//     buffer-pool page reservation. Dispatch admits each lease at a floor
-//     of total/4 credits, or its demand when smaller, so one-credit point
-//     lookups run side by side instead of one per floor, and a lease
-//     asking for more is not split below its floor to admit them. The
-//     optimizer then plans under the leased budget (opt's memo keys on
-//     it, so cached plans stay valid per lease size).
+//   - A query is planned once, under the FairShare of the supply it could
+//     expect at submit time, and enqueues with a demand: the queue depth
+//     that plan was priced at. Dispatch has one rule: in FIFO order, each
+//     lease is granted its whole demand (capped at the supply) once that
+//     many credits are free, plus a proportional buffer-pool page
+//     reservation. The grant is the depth the plan priced, so the plan
+//     admitted is the plan submitted — one-credit point lookups run side by
+//     side, and a deep scan waits for its depth instead of being split.
 //   - The executor reports workers starting and exiting through the lease;
 //     a winding-down query progressively returns credits it can no longer
 //     use, and a completed query returns the rest — either way the broker
-//     re-dispatches, so queued queries are admitted (and planned) under
-//     the credits actually available, not a stale batch-start split.
+//     re-dispatches the queue under the credits actually available.
 //   - The device reports sustained queue depth back through a probe; when
 //     the sustained depth runs well below the credits out on loan the
 //     broker extends a bounded slack, re-brokering budgets that in-flight
@@ -39,11 +37,13 @@
 package broker
 
 import (
-	"fmt"
-
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
+
+// minGain is the marginal-throughput threshold defining the beneficial
+// depth: 5 %, matching the pre-broker split.
+const minGain = 0.05
 
 // DepthModel is the slice of the calibrated cost model the broker needs:
 // the largest queue depth that still improves throughput on a band. It is
@@ -62,10 +62,6 @@ type Config struct {
 	Model DepthModel
 	Band  int64
 
-	// MinGain is the marginal-throughput threshold defining the beneficial
-	// depth. Default 0.05 (5%), matching the pre-broker split.
-	MinGain float64
-
 	// PoolPages is the buffer-pool capacity the broker reserves shares of.
 	// Zero disables pool reservations (leases carry no page budget).
 	PoolPages int
@@ -76,12 +72,6 @@ type Config struct {
 	// worker pressure next to credit pressure.
 	Workers int
 
-	// MinLease floors the credit grant per admission, so admission control
-	// admits a few well-budgeted queries instead of
-	// starving everyone equally. Default total/4 (at least 1). A queued
-	// query whose demand is below it is admitted at its demand.
-	MinLease int
-
 	// DepthProbe, when set, returns the cumulative time-integral of the
 	// device's queue depth (device.Metrics.DepthIntegral). The broker
 	// derives the sustained depth over its observation window from it.
@@ -90,20 +80,15 @@ type Config struct {
 	// DegradeProbe, when set, reports the device's current degradation as a
 	// channel-loss fraction in [0, 1] (fault.Injector.Degradation). While
 	// the device reports sustained degradation the broker shrinks its credit
-	// supply proportionally at dispatch time, so newly admitted — and
-	// re-planned — queries run at a queue depth the degraded device can
-	// still turn into throughput. 0 (or nil) means healthy.
+	// supply proportionally, so queries planned and admitted meanwhile run
+	// at a queue depth the degraded device can still turn into throughput.
+	// 0 (or nil) means healthy.
 	DegradeProbe func() float64
 
 	// Obs, when set, records one event per admission decision — enqueue,
-	// grant, re-plan, credit reclamation and growth, lease release, and
+	// grant, credit reclamation and growth, lease release, and
 	// degraded-supply dispatch — and the broker.* instruments.
 	Obs *obs.Registry
-
-	// Tracer, when set, records one span per admission (enqueue → grant),
-	// annotated with the granted budget and wait, under Span.
-	Tracer *obs.Tracer
-	Span   *obs.Span
 }
 
 // Broker owns the credit supply and the admission queue. It is not safe
@@ -119,9 +104,6 @@ type Broker struct {
 	slack int // credits extended beyond total on device-feedback evidence
 
 	poolInUse int // buffer-pool pages reserved by admitted leases
-
-	minLease int
-	nextID   int
 
 	queue  []*Lease // admission FIFO
 	active []*Lease // admitted, not yet released
@@ -158,22 +140,9 @@ func New(cfg Config) *Broker {
 	if cfg.Model == nil {
 		panic("broker: Config.Model is nil")
 	}
-	if cfg.MinGain == 0 {
-		cfg.MinGain = 0.05
-	}
 	b := &Broker{env: cfg.Env, cfg: cfg}
-	b.total = cfg.Model.MaxBeneficialDepth(cfg.Band, cfg.MinGain)
-	if b.total < 1 {
-		b.total = 1
-	}
+	b.total = max(cfg.Model.MaxBeneficialDepth(cfg.Band, minGain), 1)
 	b.free = b.total
-	b.minLease = cfg.MinLease
-	if b.minLease <= 0 {
-		b.minLease = b.total / 4
-		if b.minLease < 1 {
-			b.minLease = 1
-		}
-	}
 	b.obs = cfg.Obs
 	b.obs.Gauge(obs.MetricBrokerCreditsTotal).Set(float64(b.total))
 	b.creditsInUse = b.obs.Gauge(obs.MetricBrokerCreditsInUse)
@@ -225,8 +194,8 @@ func SplitCredits(total, n int) []int {
 // FairShare reports the even-split budget a query joining now could expect:
 // the total divided over every known party (active + waiting + the caller).
 // A sole query on an idle broker expects an unbounded lease (0). Sessions
-// use it to plan provisionally at submit time; the admission grant is
-// authoritative and a differing grant triggers a re-plan.
+// plan each query once, at submit time, under it; the lease then asks for
+// the depth that plan was priced at, and dispatch grants it whole.
 func (b *Broker) FairShare() int {
 	supply := b.degradedSupply()
 	parties := len(b.active) + len(b.queue) + 1
@@ -265,14 +234,13 @@ func (b *Broker) degradedSupply() int {
 // executor's worker-governance hook (exec.Governor), returning credits as
 // the query's worker fleet winds down.
 type Lease struct {
-	b  *Broker
-	id int
+	b *Broker
 
 	// qid attributes this lease's events to its query in the engine event
 	// log; obs.NoQuery for leases enqueued without an id.
 	qid int64
 
-	demand int // max useful credits; 0 = no cap
+	demand int // credits the plan was priced at; ≤ 0 asks for the whole supply
 
 	admitted bool
 	released bool
@@ -288,12 +256,12 @@ type Lease struct {
 	admittedAt sim.Time
 
 	grant *sim.Completion // fires at admission
-	span  *obs.Span
 }
 
 // Enqueue registers a query for admission and returns its lease. The
-// demand caps the useful credit grant (0 = uncapped). Admission is FIFO;
-// call Await from process context to block until granted.
+// demand is the credit grant the query waits for, capped at the supply
+// (≤ 0 = the whole supply). Admission is FIFO; call Await from process
+// context to block until granted.
 func (b *Broker) Enqueue(demand int) *Lease {
 	return b.EnqueueQuery(demand, obs.NoQuery)
 }
@@ -301,12 +269,8 @@ func (b *Broker) Enqueue(demand int) *Lease {
 // EnqueueQuery is Enqueue with a query id attached: every event this lease
 // records is attributed to qid.
 func (b *Broker) EnqueueQuery(demand int, qid int64) *Lease {
-	l := &Lease{b: b, id: b.nextID, qid: qid, demand: demand,
+	l := &Lease{b: b, qid: qid, demand: demand,
 		enqueuedAt: b.env.Now(), grant: sim.NewCompletion(b.env)}
-	b.nextID++
-	if b.cfg.Tracer != nil {
-		l.span = b.cfg.Tracer.Start(b.cfg.Span, fmt.Sprintf("admission%d", l.id))
-	}
 	b.obs.Emit(obs.EvAdmissionEnqueue, l.qid, int64(demand), 0)
 	b.queue = append(b.queue, l)
 	b.scheduleDispatch()
@@ -401,16 +365,17 @@ func (l *Lease) EndWorker() {
 }
 
 // Grow asks the broker for up to n more queue-depth credits mid-flight and
-// returns how many were granted — the upgrade direction of the degradation
-// re-plan path. Growth comes only from credits sitting free *after* the
-// degradation reserve, and only while no query waits in the admission FIFO:
-// queued queries have first claim on free supply, so an in-flight upgrade
-// can never starve admission. The grant raises the lease's held credits
-// (EndWorker's proportional reclamation then winds the larger grant down as
-// the grown fleet retires) and extends the buffer-pool reservation to the
-// share the new grant would have been admitted with. An unbounded lease
-// (sole query, grant 0) already owns the whole supply, so Grow reports the
-// full ask without touching the books. Shared riders never grow.
+// returns how many were granted: an adaptive query grows past the depth its
+// plan was priced at this way. Growth comes only from credits sitting free
+// *after* the degradation reserve, and only while no query waits in the
+// admission FIFO: queued queries have first claim on free supply, so an
+// in-flight upgrade can never starve admission. The grant raises the
+// lease's held credits (EndWorker's proportional reclamation then winds the
+// larger grant down as the grown fleet retires) and extends the buffer-pool
+// reservation to the share the new grant would have been admitted with. An
+// unbounded lease (sole query, grant 0) already owns the whole supply, so
+// Grow reports the full ask without touching the books. Shared riders never
+// grow.
 func (l *Lease) Grow(n int) int {
 	if n <= 0 || l.released || !l.admitted || l.shared {
 		return 0
@@ -428,15 +393,7 @@ func (l *Lease) Grow(n int) int {
 	if avail < 1 {
 		return 0
 	}
-	if n > avail {
-		n = avail
-	}
-	if l.demand > 0 && l.granted+n > l.demand {
-		n = l.demand - l.granted
-	}
-	if n <= 0 {
-		return 0
-	}
+	n = min(n, avail)
 	b.free -= n
 	l.granted += n
 	l.held += n
@@ -449,15 +406,6 @@ func (l *Lease) Grow(n int) int {
 	b.obs.Emit(obs.EvLeaseGrow, l.qid, int64(n), int64(l.granted))
 	b.creditsInUse.Set(float64(b.InUse()))
 	return n
-}
-
-// Replanned records that the query was re-planned because its admission
-// grant differed from the provisional budget it planned under.
-func (l *Lease) Replanned() {
-	l.b.obs.Emit(obs.EvAdmissionReplan, l.qid, int64(l.granted), 0)
-	if l.span != nil {
-		l.span.SetAttr("replanned", true)
-	}
 }
 
 // Release returns every credit the lease still holds and re-dispatches.
@@ -475,10 +423,6 @@ func (l *Lease) Release() {
 				l.b.queue = append(l.b.queue[:i], l.b.queue[i+1:]...)
 				break
 			}
-		}
-		if l.span != nil {
-			l.span.SetAttr("withdrawn", true)
-			l.span.End()
 		}
 		return
 	}
@@ -561,11 +505,9 @@ func (b *Broker) feedbackSlack() int {
 	return ext - b.slack
 }
 
-// dispatch admits as many queued queries as the free credits allow. Each
-// admission gets at least minLease credits — or its whole demand, when that
-// is smaller, so a one-credit point lookup is admitted on the first free
-// credit instead of waiting for minLease of them to pile up idle — so freed
-// capacity concentrates into budgets a plan can use; a sole query on an
+// dispatch admits queued queries in FIFO order, each at its need: its
+// demand, capped at the supply. A head whose need is more than the free
+// credits waits, and everyone behind it waits its turn; a sole query on an
 // idle broker gets an unbounded lease.
 func (b *Broker) dispatch() {
 	b.dispatchScheduled = false
@@ -582,14 +524,17 @@ func (b *Broker) dispatch() {
 			b.obs.Emit(obs.EvSupplyDegrade, obs.NoQuery, int64(supply), int64(b.total))
 			degradeLogged = true
 		}
+		l := b.queue[0]
+		need := supply
+		if l.demand > 0 && l.demand < need {
+			need = l.demand
+		}
 		if len(b.active) == 0 && len(b.queue) == 1 {
-			l := b.queue[0]
-			b.queue = b.queue[1:]
-			if reserve > 0 {
-				b.admit(l, supply) // degraded: bounded even when sole
-			} else {
-				b.admit(l, 0) // sole query, idle device: unbounded
+			if reserve == 0 {
+				need = 0 // sole query, idle device: unbounded
 			}
+			b.queue = b.queue[1:]
+			b.admit(l, need)
 			continue
 		}
 		if reserve == 0 {
@@ -600,66 +545,17 @@ func (b *Broker) dispatch() {
 				b.free += grow
 			}
 		}
-		avail := b.free - reserve
-		if avail < 1 {
+		if b.free-reserve < need {
 			return
 		}
-		ml := b.floor(b.queue[0], supply, reserve)
-		if avail < ml && len(b.active) > 0 {
-			return // wait for a meaningful grant to accumulate
-		}
-		k := avail / ml
-		if k < 1 {
-			k = 1
-		}
-		if k > len(b.queue) {
-			k = len(b.queue)
-		}
-		shares := SplitCredits(avail, k)
-		// The split is sized by the head's floor. A lease behind it whose
-		// share falls below its own floor ends the batch and waits at the
-		// head, where its floor sizes the next grant: a circulating
-		// producer split down to one credit by one-credit lookups would
-		// read one block at a time.
-		for i := 1; i < k; i++ {
-			if shares[i] < b.floor(b.queue[i], supply, reserve) {
-				k = i
-				break
-			}
-		}
-		batch := b.queue[:k]
-		b.queue = b.queue[k:]
-		for i, l := range batch {
-			b.admit(l, shares[i])
-		}
+		b.queue = b.queue[1:]
+		b.admit(l, need)
 	}
 }
 
-// floor is the smallest grant dispatch admits l at: minLease, or l's demand
-// when smaller. On a degraded device it scales with the shrunken supply, so
-// admission keeps moving under heavy loss instead of waiting for credits
-// that will not come back while the window lasts.
-func (b *Broker) floor(l *Lease, supply, reserve int) int {
-	f := b.minLease
-	if l.demand > 0 && l.demand < f {
-		f = l.demand
-	}
-	if reserve > 0 && supply/4 < f {
-		f = max(supply/4, 1)
-	}
-	return f
-}
-
-// admit grants a lease. A grant of 0 is the unbounded lease; a positive
-// grant is capped at the lease's demand, with the excess staying free for
-// the next admission.
+// admit grants a lease. A grant of 0 is the unbounded lease.
 func (b *Broker) admit(l *Lease, grant int) {
-	if grant > 0 {
-		if l.demand > 0 && grant > l.demand {
-			grant = l.demand
-		}
-		b.free -= grant
-	}
+	b.free -= grant
 	l.granted = grant
 	l.held = grant
 	l.admitted = true
@@ -672,10 +568,5 @@ func (b *Broker) admit(l *Lease, grant int) {
 	b.obs.Emit(obs.EvAdmissionGrant, l.qid, int64(grant), int64(l.Wait()))
 	b.creditsInUse.Set(float64(b.InUse()))
 	b.waitHist.Observe(l.Wait().Micros())
-	if l.span != nil {
-		l.span.SetAttr("granted", grant)
-		l.span.SetAttr("wait", l.Wait())
-		l.span.End()
-	}
 	l.grant.Fire()
 }

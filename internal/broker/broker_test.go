@@ -73,14 +73,14 @@ func TestSoleQueryGetsUnboundedLease(t *testing.T) {
 	}
 }
 
-func TestDispatchAdmitsUpToMinLease(t *testing.T) {
-	env, b := newBroker(t, 16, nil) // minLease defaults to total/4 = 4
+func TestDispatchGrantsWholeDemandsInOrder(t *testing.T) {
+	env, b := newBroker(t, 16, nil)
 	var leases []*Lease
 	for i := 0; i < 8; i++ {
-		leases = append(leases, b.Enqueue(0))
+		leases = append(leases, b.Enqueue(4))
 	}
 	env.Run()
-	// 16 credits at minLease 4 admit the first four queries with 4 each —
+	// 16 credits admit the first four demand-4 queries with 4 each —
 	// admission control queues the rest instead of starving all eight at 2.
 	for i, l := range leases[:4] {
 		if !l.admitted || l.Budget() != 4 {
@@ -110,7 +110,7 @@ func TestLastSurvivorRebrokeredUnbounded(t *testing.T) {
 	env, b := newBroker(t, 16, nil)
 	var leases []*Lease
 	for i := 0; i < 5; i++ {
-		leases = append(leases, b.Enqueue(0))
+		leases = append(leases, b.Enqueue(4))
 	}
 	env.Run()
 	// Four admitted at 4 each, the fifth queued. All four release before
@@ -131,8 +131,8 @@ func TestLastSurvivorRebrokeredUnbounded(t *testing.T) {
 
 func TestDemandCapsGrant(t *testing.T) {
 	env, b := newBroker(t, 32, nil)
-	b.Enqueue(0)
-	l := b.Enqueue(2) // second query wants at most 2 credits
+	b.Enqueue(8)
+	l := b.Enqueue(2) // second query's plan was priced at 2 credits
 	env.Run()
 	if !l.admitted {
 		t.Fatal("not admitted")
@@ -140,12 +140,15 @@ func TestDemandCapsGrant(t *testing.T) {
 	if l.Budget() != 2 {
 		t.Errorf("budget = %d, want demand cap 2", l.Budget())
 	}
+	if b.InUse() != 10 {
+		t.Errorf("in-use = %d, want 10: credits beyond the demands stay free", b.InUse())
+	}
 }
 
 func TestWorkerExitReclaimsProportionally(t *testing.T) {
 	env, b := newBroker(t, 16, nil)
-	a := b.Enqueue(0)
-	c := b.Enqueue(0)
+	a := b.Enqueue(8)
+	c := b.Enqueue(8)
 	env.Run()
 	if a.Budget() != 8 || c.Budget() != 8 {
 		t.Fatalf("budgets %d/%d, want 8/8", a.Budget(), c.Budget())
@@ -153,13 +156,13 @@ func TestWorkerExitReclaimsProportionally(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		a.StartWorker()
 	}
-	waiter := b.Enqueue(0)
+	waiter := b.Enqueue(4)
 	env.Run()
 	if waiter.admitted {
 		t.Fatal("third query admitted with no free credits")
 	}
-	// Half of a's workers exit: half its 8 credits come home, enough for a
-	// minLease(4) admission of the waiter.
+	// Half of a's workers exit: half its 8 credits come home, the waiter's
+	// whole demand of 4.
 	a.EndWorker()
 	a.EndWorker()
 	env.Run()
@@ -181,8 +184,8 @@ func TestWorkerExitReclaimsProportionally(t *testing.T) {
 }
 
 func TestAwaitBlocksUntilGranted(t *testing.T) {
-	env, b := newBroker(t, 2, nil) // minLease 1: two admitted, one queued
-	leases := []*Lease{b.Enqueue(0), b.Enqueue(0), b.Enqueue(0)}
+	env, b := newBroker(t, 2, nil) // one credit each: two admitted, one queued
+	leases := []*Lease{b.Enqueue(1), b.Enqueue(1), b.Enqueue(1)}
 	done := 0
 	for _, l := range leases {
 		l := l
@@ -212,18 +215,18 @@ func TestFeedbackSlackExtendsSupply(t *testing.T) {
 	env, b = newBroker(t, 16, func(c *Config) {
 		c.DepthProbe = func() float64 { return 0 } // device never sees depth
 	})
-	a := b.Enqueue(0)
-	c := b.Enqueue(0)
+	a := b.Enqueue(8)
+	c := b.Enqueue(8)
 	var waiter *Lease
 	env.Go("late", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
-		waiter = b.Enqueue(0)
+		waiter = b.Enqueue(4)
 		waiter.Await(p)
 	})
 	env.Run()
 	// The probe reports zero sustained depth over a 100us window against 16
 	// credits on loan: the broker extends slack (capped at total/4 = 4) and
-	// admits the waiter instead of stalling it behind idle credit.
+	// admits the demand-4 waiter instead of stalling it behind idle credit.
 	if waiter == nil || !waiter.admitted {
 		t.Fatal("device feedback did not unblock the waiter")
 	}
@@ -247,8 +250,8 @@ func TestInstrumentsPublish(t *testing.T) {
 	env := sim.NewEnv(1)
 	reg := obs.NewRegistry(env)
 	b := New(Config{Env: env, Model: fixedModel(8), Band: 1, Obs: reg})
-	l1 := b.Enqueue(0)
-	l2 := b.Enqueue(0)
+	l1 := b.Enqueue(4)
+	l2 := b.Enqueue(4)
 	env.Run()
 	if got := reg.Counter(obs.MetricBrokerAdmissions).Value(); got != 2 {
 		t.Errorf("admissions = %d, want 2", got)
@@ -259,10 +262,6 @@ func TestInstrumentsPublish(t *testing.T) {
 	if got := reg.Gauge(obs.MetricBrokerCreditsInUse).Value(); got != 8 {
 		t.Errorf("credits_in_use = %v, want 8", got)
 	}
-	l1.Replanned()
-	if got := reg.Counter(obs.MetricBrokerReplans).Value(); got != 1 {
-		t.Errorf("replans = %d, want 1", got)
-	}
 	l1.Release()
 	l2.Release()
 	if got := reg.Gauge(obs.MetricBrokerCreditsInUse).Value(); got != 0 {
@@ -272,8 +271,8 @@ func TestInstrumentsPublish(t *testing.T) {
 
 func TestPoolReservationProportionalToGrant(t *testing.T) {
 	env, b := newBroker(t, 16, func(c *Config) { c.PoolPages = 1024 })
-	a := b.Enqueue(0)
-	c := b.Enqueue(0)
+	a := b.Enqueue(8)
+	c := b.Enqueue(8)
 	env.Run()
 	if a.PoolPages() != 512 || c.PoolPages() != 512 {
 		t.Errorf("pool reservations %d/%d, want 512/512", a.PoolPages(), c.PoolPages())
@@ -360,13 +359,13 @@ func TestAdmitSharedBypassesQueue(t *testing.T) {
 
 func TestLeaseGrowFromFreeCredits(t *testing.T) {
 	env, b := newBroker(t, 16, func(c *Config) { c.PoolPages = 1600 })
-	// Two contending demand-free queries split the supply 8/8; one leaving
+	// Two contending demand-8 queries split the supply 8/8; one leaving
 	// frees its half for the survivor to re-lease mid-flight.
-	l1 := b.Enqueue(0)
-	l2 := b.Enqueue(0)
+	l1 := b.Enqueue(8)
+	l2 := b.Enqueue(8)
 	env.Run()
 	if l1.Budget() != 8 {
-		t.Fatalf("budget = %d, want 8 (even split)", l1.Budget())
+		t.Fatalf("budget = %d, want its demand 8", l1.Budget())
 	}
 	pool0 := l1.PoolPages()
 	l2.Release()
@@ -389,36 +388,43 @@ func TestLeaseGrowFromFreeCredits(t *testing.T) {
 	}
 }
 
-func TestLeaseGrowCappedByDemand(t *testing.T) {
+// TestLeaseGrowsPastItsDemand: an adaptive query is admitted at the depth
+// its plan was priced at and grows past it through the lease, up to the
+// credits sitting free.
+func TestLeaseGrowsPastItsDemand(t *testing.T) {
 	env, b := newBroker(t, 16, nil)
-	// A lease that asked for 2 and got 2 has no demand headroom; a lease
-	// that asked for nothing (unbounded demand) grows freely.
 	l1 := b.Enqueue(2)
-	l2 := b.Enqueue(0)
+	l2 := b.Enqueue(4)
 	env.Run()
 	if l1.Budget() != 2 {
 		t.Fatalf("budget = %d, want demand 2", l1.Budget())
 	}
-	if got := l1.Grow(4); got != 0 {
-		t.Fatalf("Grow beyond demand granted %d, want 0", got)
+	if got := l1.Grow(4); got != 4 || l1.Budget() != 6 {
+		t.Fatalf("Grow(4) past demand 2 granted %d (budget %d), want 4 (budget 6)", got, l1.Budget())
+	}
+	if got := l1.Grow(100); got != 6 || b.InUse() != 16 {
+		t.Fatalf("Grow(100) granted %d with 6 free (in-use %d), want 6 (16)", got, b.InUse())
 	}
 	l1.Release()
 	l2.Release()
 	env.Run()
+	if b.InUse() != 0 {
+		t.Errorf("credits leaked: in-use = %d after all releases", b.InUse())
+	}
 }
 
 func TestLeaseGrowDeniedWhileQueueWaits(t *testing.T) {
 	env, b := newBroker(t, 8, nil)
-	// Two unbounded-demand queries admitted together split the supply 4/4;
-	// a third then saturates admission and queues.
-	l1 := b.Enqueue(0)
-	l2 := b.Enqueue(0)
+	// Two leases hold 6 of 8 credits; a third asks for 4 and queues, so the
+	// 2 free credits are its, not a running lease's to grow into.
+	l1 := b.Enqueue(4)
+	l2 := b.Enqueue(2)
 	env.Run()
 	l3 := b.Enqueue(4)
 	env.Run()
-	if l1.Budget() == 0 || len(b.queue) == 0 {
-		t.Fatalf("setup: budget=%d queue=%d, want bounded lease and a waiter",
-			l1.Budget(), len(b.queue))
+	if l1.Budget() != 4 || len(b.queue) == 0 || b.InUse() != 6 {
+		t.Fatalf("setup: budget=%d queue=%d in-use=%d, want 4, a waiter and 6",
+			l1.Budget(), len(b.queue), b.InUse())
 	}
 	if got := l1.Grow(2); got != 0 {
 		t.Fatalf("Grow granted %d with a query waiting in the queue, want 0", got)
@@ -430,17 +436,17 @@ func TestLeaseGrowDeniedWhileQueueWaits(t *testing.T) {
 }
 
 // TestDemandOneLeasesAdmitTogether: forty one-credit queries (serial point
-// lookups) on a supply of 32 are admitted 32 at once — the dispatch floor is
-// the head query's demand, not minLease — and the other eight as credits
-// come home. A demand-0 (adaptive) lease queued behind them is admitted at
-// the minLease floor and still grows once credits are free.
+// lookups) on a supply of 32 are admitted 32 at once, each at its one
+// credit, and the other eight as credits come home. An adaptive lease
+// queued behind them, priced at 16, waits for all 16 and still grows past
+// them once credits are free.
 func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 	env, b := newBroker(t, 32, func(c *Config) { c.PoolPages = 3200 })
 	var leases []*Lease
 	for i := 0; i < 40; i++ {
 		leases = append(leases, b.Enqueue(1))
 	}
-	adaptive := b.Enqueue(0)
+	adaptive := b.Enqueue(16)
 	env.Run()
 	for i, l := range leases[:32] {
 		if !l.admitted || l.Budget() != 1 || l.PoolPages() != 100 {
@@ -465,12 +471,17 @@ func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 		t.Fatal("adaptive lease admitted with no free credits")
 	}
 
-	for _, l := range leases[8:24] {
+	for _, l := range leases[8:23] {
 		l.Release()
 	}
 	env.Run()
+	if adaptive.admitted {
+		t.Fatal("adaptive lease admitted at 15 of its 16 credits")
+	}
+	leases[23].Release()
+	env.Run()
 	if !adaptive.admitted || adaptive.Budget() != 16 {
-		t.Fatalf("adaptive lease: admitted=%v budget=%d, want the 16 free credits",
+		t.Fatalf("adaptive lease: admitted=%v budget=%d, want its whole demand of 16",
 			adaptive.admitted, adaptive.Budget())
 	}
 	for _, l := range leases[24:] {
@@ -478,7 +489,7 @@ func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 	}
 	env.Run()
 	if got := adaptive.Grow(8); got != 8 || adaptive.Budget() != 24 {
-		t.Fatalf("demand-0 Grow(8) granted %d (budget %d), want 8 (budget 24)", got, adaptive.Budget())
+		t.Fatalf("Grow(8) granted %d (budget %d), want 8 (budget 24)", got, adaptive.Budget())
 	}
 	adaptive.Release()
 	env.Run()
@@ -489,29 +500,56 @@ func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 }
 
 // TestLeaseBehindTheHeadKeepsItsFloor queues a two-credit lease between
-// one-credit ones with three credits free. The head's floor of one sizes
-// the split at three leases of one credit each, which would leave the
-// two-credit lease below its own floor; it ends the batch instead, and is
-// granted its two as the next head, while the lease behind it waits its turn.
+// one-credit ones with two credits free. The first takes one; the
+// two-credit lease is not split down to the one left, it waits at the head
+// for both, and the lease behind it waits its turn even though a credit it
+// could use sits free.
 func TestLeaseBehindTheHeadKeepsItsFloor(t *testing.T) {
-	env, b := newBroker(t, 8, nil) // minLease 2
+	env, b := newBroker(t, 8, nil)
 	b.Enqueue(5)
 	holder := b.Enqueue(1)
 	env.Run()
-	if b.InUse() != 5 {
-		t.Fatalf("setup: %d credits on loan, want 5", b.InUse())
+	if b.InUse() != 6 {
+		t.Fatalf("setup: %d credits on loan, want 6", b.InUse())
 	}
 	first, two, last := b.Enqueue(1), b.Enqueue(2), b.Enqueue(1)
 	env.Run()
-	if first.Budget() != 1 || two.Budget() != 2 {
-		t.Errorf("grants %d and %d, want 1 and its floor of 2", first.Budget(), two.Budget())
+	if first.Budget() != 1 || two.admitted || last.admitted {
+		t.Fatalf("first budget %d, two admitted=%v, last admitted=%v; want 1, false, false",
+			first.Budget(), two.admitted, last.admitted)
+	}
+	holder.Release()
+	env.Run()
+	if !two.admitted || two.Budget() != 2 {
+		t.Errorf("after a release: admitted=%v budget=%d, want its whole 2", two.admitted, two.Budget())
 	}
 	if last.admitted {
 		t.Error("the lease behind was admitted with no credit free")
 	}
-	holder.Release()
+	first.Release()
 	env.Run()
 	if !last.admitted || last.Budget() != 1 {
-		t.Errorf("after a release: admitted=%v budget=%d, want 1", last.admitted, last.Budget())
+		t.Errorf("after a second release: admitted=%v budget=%d, want 1", last.admitted, last.Budget())
+	}
+}
+
+// TestHeadWaitsForItsWholeDemand: a demand-5 head with 3 credits free is
+// not admitted at 3; it waits until 5 are free and is granted all 5, so the
+// plan it was priced at is the plan it runs.
+func TestHeadWaitsForItsWholeDemand(t *testing.T) {
+	env, b := newBroker(t, 8, nil)
+	b.Enqueue(3)
+	holder := b.Enqueue(2)
+	env.Run()
+	head := b.Enqueue(5)
+	env.Run()
+	if head.admitted {
+		t.Fatalf("demand-5 head admitted at %d with 3 credits free", head.Budget())
+	}
+	holder.Release()
+	env.Run()
+	if !head.admitted || head.Budget() != 5 {
+		t.Errorf("after a release: admitted=%v budget=%d, want its whole demand of 5",
+			head.admitted, head.Budget())
 	}
 }

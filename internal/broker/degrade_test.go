@@ -6,8 +6,8 @@ import (
 
 func TestPoolInUseTracksReservations(t *testing.T) {
 	env, b := newBroker(t, 16, func(c *Config) { c.PoolPages = 1024 })
-	a := b.Enqueue(0)
-	c := b.Enqueue(0)
+	a := b.Enqueue(8)
+	c := b.Enqueue(8)
 	env.Run()
 	if got, want := b.PoolInUse(), a.PoolPages()+c.PoolPages(); got != want {
 		t.Fatalf("PoolInUse = %d, want %d (sum of live reservations)", got, want)
@@ -48,19 +48,20 @@ func TestDegradedSupplyShrinksGrants(t *testing.T) {
 	env, b := newBroker(t, 32, func(c *Config) {
 		c.DegradeProbe = func() float64 { return loss }
 	})
-	// Healthy: two queries split the full supply.
-	a := b.Enqueue(0)
-	c := b.Enqueue(0)
+	// Healthy: two demand-16 queries split the full supply.
+	a := b.Enqueue(16)
+	c := b.Enqueue(16)
 	env.Run()
 	healthy := a.Budget() + c.Budget()
 	a.Release()
 	c.Release()
 	env.Run()
 
-	// Degraded 50%: grants must come out of a 16-credit supply.
+	// Degraded 50%: grants must come out of a 16-credit supply, so the
+	// second query waits.
 	loss = 0.5
-	d := b.Enqueue(0)
-	e := b.Enqueue(0)
+	d := b.Enqueue(16)
+	e := b.Enqueue(16)
 	env.Run()
 	degraded := d.Budget() + e.Budget()
 	if degraded > 16 {
@@ -93,6 +94,35 @@ func TestDegradedSoleQueryGetsBoundedLease(t *testing.T) {
 	env.Run()
 	if b.InUse() != 0 {
 		t.Fatalf("credits leaked: %d", b.InUse())
+	}
+}
+
+// TestDegradedDemandAboveSupplyIsAdmitted: a lease priced deeper than the
+// shrunken supply is admitted at the supply, not held for credits the
+// degraded device will not hand out, and the one behind it follows once
+// the first releases.
+func TestDegradedDemandAboveSupplyIsAdmitted(t *testing.T) {
+	env, b := newBroker(t, 32, func(c *Config) {
+		c.DegradeProbe = func() float64 { return 0.5 }
+	})
+	d := b.Enqueue(24)
+	e := b.Enqueue(24)
+	env.Run()
+	if !d.admitted || d.Budget() != 16 {
+		t.Fatalf("demand 24 on a 16-credit supply: admitted=%v budget=%d, want 16", d.admitted, d.Budget())
+	}
+	if e.admitted {
+		t.Fatal("second lease admitted beyond the degraded supply")
+	}
+	d.Release()
+	env.Run()
+	if !e.admitted || e.Budget() != 16 {
+		t.Fatalf("after a release: admitted=%v budget=%d, want 16", e.admitted, e.Budget())
+	}
+	e.Release()
+	env.Run()
+	if b.InUse() != 0 || b.Active() != 0 {
+		t.Fatalf("after all releases: in_use=%d active=%d", b.InUse(), b.Active())
 	}
 }
 

@@ -67,7 +67,8 @@ type Stats struct {
 //
 // The injector is also the degradation signal's source: Degradation reports
 // the active window's ChannelLoss, which the broker polls to shrink its
-// credit supply and trigger reduced-depth re-planning.
+// credit supply, so queries submitted meanwhile are planned at a reduced
+// depth.
 type Injector struct {
 	env   *sim.Env
 	inner device.Device

@@ -57,7 +57,6 @@ var (
 	MetricBrokerWorkersInUse     = metric("broker.workers_in_use")
 	MetricBrokerAdmissions       = metric("broker.admissions")
 	MetricBrokerSharedAdmissions = metric("broker.shared_admissions") // joined a live circulating scan, no credits
-	MetricBrokerReplans          = metric("broker.replans")
 	MetricBrokerReclaims         = metric("broker.reclaims")
 	MetricBrokerGrows            = metric("broker.grows")             // counter: credits re-leased mid-flight
 	MetricBrokerAdmissionWaitUs  = metric("broker.admission_wait_us") // histogram
@@ -168,7 +167,6 @@ var (
 	// internal/broker: admission control and credit re-brokering.
 	EvAdmissionEnqueue = event("admission.enqueue", "demand", "")
 	EvAdmissionGrant   = event("admission.grant", "granted", "wait_ns", count(MetricBrokerAdmissions))
-	EvAdmissionReplan  = event("admission.replan", "granted", "", count(MetricBrokerReplans))
 	EvCreditsReclaim   = event("credits.reclaim", "reclaimed", "held", addA(MetricBrokerReclaims))
 	EvLeaseRelease     = event("lease.release", "credits", "pool_pages")
 	EvSupplyDegrade    = event("supply.degrade", "supply", "total")

@@ -110,9 +110,9 @@ func TestMemoKeySeparatesInputs(t *testing.T) {
 }
 
 func TestMemoKeysOnLeasedQueueBudget(t *testing.T) {
-	// The broker re-plans queries under their admission grant: plans cached
-	// under one leased budget must never serve a different lease, and each
-	// lease size replays from its own entry.
+	// Sessions plan queries under the broker's fair share: plans cached
+	// under one budget must never serve a different one, and each budget
+	// replays from its own entry.
 	cfg, in, _ := memoFixture(t)
 	m := NewMemo()
 

@@ -156,7 +156,7 @@ func TestParamCacheSeparatesBandsAndShapes(t *testing.T) {
 		t.Errorf("second grid: cache holds %d shapes, want 2", pc.Len())
 	}
 
-	// So is a different queue budget (the broker's leased re-plans).
+	// So is a different queue budget (the broker's fair shares).
 	leaseCfg := cfg
 	leaseCfg.QueueBudget = 2
 	if got := pc.Choose(leaseCfg, in); got.Degree > 2 {

@@ -150,7 +150,7 @@ type System struct {
 	hedge     sim.Duration
 
 	// noDegrade keeps the broker's credit supply at the healthy depth under
-	// channel loss: the reference arm of TestDegradationReplanBeatsNoReplan,
+	// channel loss: the reference arm of TestDegradedPlanBeatsHealthyDepth,
 	// set by that test and by nothing else.
 	noDegrade bool
 

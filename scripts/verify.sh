@@ -105,11 +105,12 @@ go test -race -count=2 -run '^TestCountersAreTheirEvents$' ./internal/obs
 # misses, and every pin and rider is back at the drain; each producer leases
 # its depth in turn, so the credits on loan stay within the supply and no
 # block read lands before a producer's grant; riders canceled while their
-# producer still queues drain clean; and a batch of point lookups, one
-# credit each, runs dozens deep on the HDD, the same way on two systems.
-# Twice in one process each, so a run that leaves state behind for the next
-# one fails here.
-go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedProducersLeaseTheirDepth|TestRidersCanceledBeforeTheirProducerIsGranted|TestPointLookupsShareTheHDD)$' .
+# producer still queues drain clean; a batch of point lookups, one credit
+# each, runs dozens deep on the HDD, the same way on two systems; and a
+# session query is leased the depth its submit-time plan priced and runs
+# that plan. Twice in one process each, so a run that leaves state behind
+# for the next one fails here.
+go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedProducersLeaseTheirDepth|TestRidersCanceledBeforeTheirProducerIsGranted|TestPointLookupsShareTheHDD|TestSessionRunsThePlanItSubmitted)$' .
 
 # The repo-wide lints below read the engine's sources only. bench/ is
 # excluded from each: it is a reader of the engine (registry snapshots,

@@ -15,9 +15,10 @@ import (
 
 // Admission reports how the resource broker treated one submitted query.
 type Admission struct {
-	// Budget is the queue-depth budget the query was planned and executed
-	// under — its lease from the broker. Zero means unbounded: the query
-	// was alone on an idle device and planned exactly as Execute would.
+	// Budget is the queue-depth budget the query executed under — its lease
+	// from the broker: the depth its plan was priced at, capped at the
+	// supply. Zero means unbounded: the query was alone on an idle device
+	// and planned exactly as Execute would.
 	Budget int
 
 	// PoolPages is the buffer-pool page reservation attached to the lease
@@ -27,11 +28,6 @@ type Admission struct {
 	// Wait is the virtual time the query spent in the admission queue
 	// before the broker granted its lease.
 	Wait time.Duration
-
-	// Replanned reports that the granted budget differed from the
-	// provisional fair share the query was planned under at submit time,
-	// so the optimizer re-planned it under the authoritative lease.
-	Replanned bool
 
 	// Shared reports that the query rode a circulating scan: it was
 	// admitted immediately with zero queue-depth credits, since the shared
@@ -85,11 +81,11 @@ func (sub *Submission) Admission() Admission { return sub.adm }
 // query has finished. Unlike ExecuteConcurrent's closed batches, a session
 // is open-ended: submit, drain, inspect, submit more.
 //
-// Queries in a session are planned twice when contention shifts: a
-// provisional plan at submit time under the broker's fair-share
-// expectation, and — only if the admission grant differs — a re-plan under
-// the authoritative lease. A query submitted to an idle session receives
-// an unbounded lease and plans exactly as a standalone Execute would.
+// A query in a session is planned once, at submit time, under the broker's
+// fair-share expectation, and leased exactly the queue depth that plan was
+// priced at, so it runs the plan it was submitted with. A query submitted
+// to an idle session receives an unbounded lease and plans exactly as a
+// standalone Execute would.
 type Session struct {
 	sys    *System
 	b      *broker.Broker
@@ -156,9 +152,9 @@ func (s *System) sharedBroker() (*broker.Broker, error) {
 		}
 		if !s.noDegrade {
 			// Under an active ChannelLoss fault window the broker shrinks
-			// its credit supply, so admissions re-plan at a queue depth the
-			// degraded device can still absorb. Probe reads injector state
-			// only — no events, no randomness.
+			// its credit supply, so queries submitted meanwhile plan at a
+			// queue depth the degraded device can still absorb. Probe reads
+			// injector state only — no events, no randomness.
 			cfg.DegradeProbe = n0.Inj.Degradation
 		}
 		s.broker = broker.New(cfg)
@@ -175,9 +171,9 @@ func (s *System) sharedBroker() (*broker.Broker, error) {
 	return s.broker, nil
 }
 
-// Submit validates q, plans it provisionally under the broker's current
-// fair share, enqueues it for admission asking for no more credits than
-// that plan's queue depth, and registers its executor process. The query
+// Submit validates q, plans it under the broker's current fair share,
+// enqueues it for admission asking for the queue depth that plan was priced
+// at, and registers its executor process. The query
 // runs during the next Drain. With Cold(), the buffer pool is flushed now —
 // before planning, as in Execute.
 func (ses *Session) Submit(q Query, opts ...QueryOption) (*Submission, error) {
@@ -199,10 +195,10 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 	}
 	sub := &Submission{queryRun: r, q: q}
 
-	// A user-set QueueBudget wins over brokered budgets.
-	userBudget := eo.plan.QueueBudget
+	// The query is planned once, here, under the fair share a query joining
+	// now could expect. A user-set QueueBudget wins over it.
 	po := eo.plan
-	if userBudget == 0 {
+	if po.QueueBudget == 0 {
 		po.QueueBudget = ses.b.FairShare()
 	}
 
@@ -230,14 +226,13 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		}
 		return nil, err
 	}
-	// The lease's demand caps its grant, so credits the query cannot use
-	// stay free for the next one: the user's QueueBudget when set, else the
-	// depth the provisional plan was priced at — a serial point lookup asks
-	// for one credit, not a share of the supply. An adaptive query's
-	// controller grows its fleet through the lease mid-flight, so only a
-	// user budget caps it.
-	demand := userBudget
-	if demand == 0 && !(s.adaptiveOn(eo) && adaptiveEligible(plan)) {
+	// The lease asks for the user's QueueBudget when set, else the depth the
+	// plan was priced at — a serial point lookup asks for one credit, not a
+	// share of the supply — and dispatch grants it whole, so the query runs
+	// the plan it was submitted with. An adaptive query's controller grows
+	// its fleet past that through the lease mid-flight.
+	demand := eo.plan.QueueBudget
+	if demand == 0 {
 		demand = int(plan.depth)
 	}
 	lease := ses.b.EnqueueQuery(demand, r.qid)
@@ -274,25 +269,11 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 			return
 		}
 		granted := lease.Budget()
-		if userBudget == 0 && !plan.Shared && granted != po.QueueBudget {
-			// The grant differs from the provisional fair share: re-plan
-			// under the lease. The memo keys on the budget, so both plans
-			// stay cached for queries admitted later at either size.
-			po.QueueBudget = granted
-			if plan, err = s.Plan(q, po); err != nil {
-				sub.err = err
-				aspan.End()
-				return
-			}
-			lease.Replanned()
-			sub.adm.Replanned = true
-		}
 		sub.adm.Budget = granted
 		sub.adm.PoolPages = lease.PoolPages()
 		sub.adm.Wait = time.Duration(lease.Wait())
 		aspan.SetAttr("budget", granted)
 		aspan.SetAttr("wait", sub.adm.Wait)
-		aspan.SetAttr("replanned", sub.adm.Replanned)
 		aspan.End()
 		sub.est = estimatePages(q, plan)
 		sub.started = true
