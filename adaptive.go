@@ -13,14 +13,12 @@ import (
 //
 // A query runs adaptively when WithAdaptive() is passed or Config.Adaptive
 // makes it the system default; a static degree (WithStaticDegree) opts the
-// query back out. Adaptive executions seed their initial degree from the
-// offline DOP model fit on the most recent calibration sweep (falling back
-// to the optimizer's static choice when no model is installed — e.g. after
-// LoadModel, which restores a cost model but not the sweep it came from),
-// then retune at batch boundaries through adapt.Controller: growth is
-// secured credit by credit through the broker lease, shrink sheds workers
-// through the executor's governed teardown, and speculative prefetch
-// pre-issues runs derived from plan structure.
+// query back out. An adaptive execution starts at its plan's degree and
+// retunes at batch boundaries through adapt.Controller, which moves the
+// fleet only to a degree the optimizer's own prices for the plan say is at
+// least 5 % cheaper: growth is secured credit by credit through the broker
+// lease, shrink sheds workers through the executor's governed teardown,
+// and speculative prefetch pre-issues runs derived from plan structure.
 
 // WithAdaptive runs this query under the feedback controller even when
 // Config.Adaptive is off. Mutually exclusive with WithStaticDegree: pinning
@@ -60,28 +58,22 @@ func adaptiveEligible(plan Plan) bool {
 }
 
 // attachAdaptive installs the feedback controller on spec for an eligible
-// adaptive execution: it seeds the initial degree from the DOP model
-// (snapped onto the optimizer's degree grid so the executed degree is
-// always one the planner could have chosen), rewrites spec.Degree and
-// plan.Degree to the seed, and wires the controller to the query's pool,
-// device depth probe, and — on the session path — its broker lease.
-// beneficial is the band's beneficial queue depth (the broker's credit
-// supply); growth never targets beyond it.
-func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan *Plan, eo queryOptions, lease *broker.Lease, beneficial int) {
-	if !s.adaptiveOn(eo) || !adaptiveEligible(*plan) {
+// adaptive execution, seeded at the plan's degree. It hands the controller
+// the optimizer's price for the plan's method and prefetch at every degree
+// of the grid the query's own PlanOptions enumerate — on the standalone
+// path the memo entry the plan was just chosen from, so the controller
+// holds; on the session path, where the plan was chosen under a fair share,
+// the deeper degrees the share ruled out. It wires the controller to the
+// query's pool, device depth probe, and — on the session path — its broker
+// lease. beneficial is the band's beneficial queue depth (the broker's
+// credit supply); growth never targets beyond it.
+func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan Plan, eo queryOptions, lease *broker.Lease, beneficial int) {
+	if !s.adaptiveOn(eo) || !adaptiveEligible(plan) {
 		return
 	}
-	planned := plan.Degree
-	max := eo.plan.MaxDegree
-	if max <= 0 {
-		max = 32
-	}
-	if max < planned {
-		max = planned
-	}
-	seed := planned
-	if s.dop != nil {
-		seed = opt.SnapDegree(nil, s.dop.InitialDegree(estimatePages(q, *plan), planned, max))
+	limit := eo.plan.MaxDegree
+	if limit <= 0 {
+		limit = 32
 	}
 	part := q.Table.one()
 	cfg := adapt.Config{
@@ -90,9 +82,9 @@ func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan *Plan, eo queryOp
 		PoolShare:  spec.PoolShare,
 		DepthProbe: part.node.Dev.Metrics().DepthIntegral,
 		QueueProbe: part.node.Dev.Metrics().Outstanding,
-		Initial:    seed,
-		Planned:    planned,
-		Max:        max,
+		Degree:     plan.Degree,
+		Max:        max(limit, plan.Degree),
+		Prices:     s.degreePrices(q, plan, eo.plan),
 		Beneficial: beneficial,
 		Obs:        s.reg,
 		QID:        spec.QID,
@@ -101,6 +93,22 @@ func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan *Plan, eo queryOp
 		cfg.Lease = lease
 	}
 	spec.Tune = adapt.NewController(cfg)
-	spec.Degree = seed
-	plan.Degree = seed
+}
+
+// degreePrices is the optimizer's predicted runtime of plan's method and
+// prefetch at each degree it enumerates for q under po.
+func (s *System) degreePrices(q Query, plan Plan, po PlanOptions) []adapt.Price {
+	var cfg opt.Config
+	var in opt.Input
+	if err := s.optConfig(q, po, &cfg, &in); err != nil {
+		return nil
+	}
+	want := plan.internal()
+	var prices []adapt.Price
+	for _, p := range s.memo.Enumerate(cfg, in) {
+		if p.Method == want.Method && p.Prefetch == want.Prefetch && !p.Shared {
+			prices = append(prices, adapt.Price{Degree: p.Degree, Micros: p.TotalMicros})
+		}
+	}
+	return prices
 }

@@ -8,8 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"pioqo/internal/adapt"
-	"pioqo/internal/calibrate"
 	"pioqo/internal/cost"
 	"pioqo/internal/sim"
 )
@@ -30,22 +28,6 @@ func newAdaptiveWorld(t *testing.T, cfg Config) (*System, *Table) {
 		t.Fatal(err)
 	}
 	return sys, tab
-}
-
-// misseedDOP installs a hand-fit DOP model so adaptive runs start at a
-// known-wrong degree and the feedback controller has distance to cover.
-func misseedDOP(sys *System, degree int) {
-	pts := []calibrate.Point{{Band: 1 << 30, Depth: 1, MicrosPerPage: 100}}
-	cost := 100.0
-	for d := 2; d <= 32; d *= 2 {
-		if d <= degree {
-			cost /= 2 // strong gains up to the target degree
-		} else {
-			cost *= 0.99 // below the marginal-gain threshold: stop here
-		}
-		pts = append(pts, calibrate.Point{Band: 1 << 30, Depth: d, MicrosPerPage: cost})
-	}
-	sys.dop = adapt.Fit(pts)
 }
 
 func eventCount(sys *System, name string) int {
@@ -113,13 +95,83 @@ func TestAdaptiveMatchesStaticAnswer(t *testing.T) {
 	}
 }
 
-// A query misseeded far below the useful degree must grow mid-flight —
-// through the broker lease on the session path — while its live Progress
-// stays monotone and correctly attributed.
+// An adaptive query starts at its plan's degree — on the HDD a narrow range
+// the planner prices as PIS32 seeds at 32 — and everything it moves by is
+// priced from the installed model alone, so a system that loaded its model
+// runs it exactly as the system that calibrated it.
+func TestAdaptiveStartsAtItsPlan(t *testing.T) {
+	calibrated, tabC := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
+	loaded, tabL := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
+	var buf bytes.Buffer
+	if err := loaded.SaveModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.LoadModel(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Table: tabC, Low: 0, High: 39}
+	plan, err := calibrated.Plan(q, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Method != IndexScan || plan.Degree != 32 {
+		t.Fatalf("plan %v, want the PIS32 this check is about", plan)
+	}
+	want, err := calibrated.Execute(q, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range calibrated.EngineEvents() {
+		if ev.Name == "adapt.seed" && ev.A != 32 {
+			t.Errorf("adapt.seed at degree %d, want the plan's 32", ev.A)
+		}
+	}
+	q.Table = tabL
+	got, err := loaded.Execute(q, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("loaded model ran %+v, calibrated ran %+v", got, want)
+	}
+}
+
+// A user's QueueBudget bounds the controller as it bounds the plan: no seed
+// and no growth names a degree above it, standalone or in a session.
+func TestAdaptiveRespectsQueueBudget(t *testing.T) {
+	for _, dev := range []DeviceKind{SSD, HDD} {
+		sys, tab := newAdaptiveWorld(t, Config{Device: dev})
+		opts := []QueryOption{WithAdaptive(), WithPlanOptions(PlanOptions{QueueBudget: 2}), Cold()}
+		for _, hi := range []int64{39, 3999} {
+			if _, err := sys.Execute(Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sys.Submit(Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seeds := 0
+		for _, ev := range sys.EngineEvents() {
+			if ev.Name == "adapt.seed" {
+				seeds++
+			}
+			if (ev.Name == "adapt.seed" || ev.Name == "adapt.grow") && ev.A > 2 {
+				t.Errorf("%v: %s names degree %d over the budget of 2", dev, ev.Name, ev.A)
+			}
+		}
+		if seeds != 4 {
+			t.Errorf("%v: %d adapt.seed events, want one per query (4)", dev, seeds)
+		}
+	}
+}
+
 // TestAdaptiveTracksBestStatic: on every (device, skew, selectivity) cell
-// the feedback controller, which never sees the static degree grid — it
-// seeds from the calibration-fit DOP model and retunes from live signals —
-// finishes within 10 % of whichever static degree wins the cell.
+// the feedback controller, which starts at the plan's degree and moves only
+// on a priced gain, finishes within 10 % of whichever static degree wins
+// the cell.
 func TestAdaptiveTracksBestStatic(t *testing.T) {
 	const rows, points = 2048 * 33, 5
 	// runtimes sweeps the selectivities cold on a fresh system: adaptively
@@ -167,9 +219,18 @@ func TestAdaptiveTracksBestStatic(t *testing.T) {
 	}
 }
 
+// A query planned under a small fair share must grow mid-flight through its
+// broker lease once the queries ahead of it free their credits, while its
+// live Progress stays monotone and correctly attributed.
 func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, Config{Device: SSD})
-	misseedDOP(sys, 1)
+	// Seven lookups submitted first leave the range an eighth of the supply
+	// to plan under.
+	for i := int64(0); i < 7; i++ {
+		if _, err := sys.Submit(Query{Table: tab, Low: 100000 + 997*i, High: 100000 + 997*i}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sub, err := sys.Submit(Query{Table: tab, Low: 0, High: 3999}, WithAdaptive(), Cold())
 	if err != nil {
 		t.Fatal(err)
@@ -185,7 +246,10 @@ func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := eventCount(sys, "adapt.grow"); n == 0 {
-		t.Fatal("misseeded-low adaptive query never grew")
+		t.Fatal("adaptive query planned under a small share never grew")
+	}
+	if n := eventCount(sys, "lease.grow"); n == 0 {
+		t.Fatal("adaptive growth leased no credits")
 	}
 	res, err := sub.Result()
 	if err != nil {
@@ -216,10 +280,10 @@ func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 	}
 }
 
-// A query misseeded far above the band's beneficial depth must shed
-// workers: the controller shrinks toward the broker's calibrated supply.
-// The HDD's measured curve keeps gaining down to depth 32, so the test
-// installs the same model flattened below depth 4: a supply the misseed
+// A plan forced far above the band's beneficial depth must shed workers:
+// the controller shrinks toward the broker's calibrated supply. The HDD's
+// measured curve keeps gaining down to depth 32, so the test installs the
+// same model flattened below depth 4: a supply the forced degree 32
 // overshoots eightfold.
 func TestAdaptiveShrinkRetune(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
@@ -240,7 +304,6 @@ func TestAdaptiveShrinkRetune(t *testing.T) {
 	if err := sys.LoadModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	misseedDOP(sys, 32) // after LoadModel, which drops the fitted DOP model
 	b, err := sys.sharedBroker()
 	if err != nil {
 		t.Fatal(err)
@@ -248,7 +311,13 @@ func TestAdaptiveShrinkRetune(t *testing.T) {
 	if b.Total() > 4 {
 		t.Fatalf("HDD beneficial depth %d on a curve flat below depth 4", b.Total())
 	}
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 3999}, Cold())
+	q := Query{Table: tab, Low: 0, High: 3999}
+	plan, err := sys.Plan(q, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Degree = 32
+	res, err := sys.ExecutePlan(q, plan, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +325,7 @@ func TestAdaptiveShrinkRetune(t *testing.T) {
 		t.Fatal("query matched no rows")
 	}
 	if n := eventCount(sys, "adapt.shrink"); n == 0 {
-		t.Fatal("misseeded-high adaptive query never shrank")
+		t.Fatal("adaptive query forced to degree 32 never shrank")
 	}
 }
 
@@ -300,7 +369,6 @@ func TestAdaptiveSLOAttribution(t *testing.T) {
 // speculation, and the pin ledger ends at zero.
 func TestAdaptiveSpecCancelZeroPinsUnderFaults(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, Config{Device: SSD, Adaptive: true})
-	misseedDOP(sys, 1)
 	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{
 		From:      2 * time.Millisecond, // let some leaves (and speculation) through first
 		ErrorRate: 1.0,
@@ -309,9 +377,10 @@ func TestAdaptiveSpecCancelZeroPinsUnderFaults(t *testing.T) {
 	// narrowed until that is what the optimizer picks, wherever its model
 	// puts the crossing today.
 	q := Query{Table: tab, Low: 0, High: 3999}
+	var plan Plan
 	for {
-		plan, err := sys.Plan(q, PlanOptions{})
-		if err != nil {
+		var err error
+		if plan, err = sys.Plan(q, PlanOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		if plan.Method == IndexScan {
@@ -319,16 +388,11 @@ func TestAdaptiveSpecCancelZeroPinsUnderFaults(t *testing.T) {
 		}
 		q.High /= 2
 	}
-	sub, err := sys.Submit(q, WithRetry(RetryPolicy{MaxAttempts: 2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = sys.Drain() // Drain panics itself on credit or pool-reservation leaks
-	if !errors.Is(err, ErrDeviceFault) {
-		t.Fatalf("drain err = %v, want ErrDeviceFault", err)
-	}
-	if _, err := sub.Result(); !errors.Is(err, ErrDeviceFault) {
-		t.Fatalf("result err = %v, want ErrDeviceFault", err)
+	// Run serially, the scan leaves the device the idle depth speculation
+	// needs.
+	plan.Degree = 1
+	if _, err := sys.ExecutePlan(q, plan, WithRetry(RetryPolicy{MaxAttempts: 2})); !errors.Is(err, ErrDeviceFault) {
+		t.Fatalf("err = %v, want ErrDeviceFault", err)
 	}
 	if n := sys.coord().Pool.Pinned(); n != 0 {
 		t.Fatalf("pool pins = %d after aborted adaptive query, want 0", n)

@@ -6,7 +6,6 @@ import (
 	"io"
 	"time"
 
-	"pioqo/internal/adapt"
 	"pioqo/internal/calibrate"
 	"pioqo/internal/cost"
 )
@@ -106,10 +105,6 @@ func (s *System) Calibrate(o CalibrationOptions) (*Calibration, error) {
 	// device kind, so the one model prices I/O for all shards.
 	out := calibrate.Run(s.env, s.coord().Dev, cfg)
 	s.installModel(out.Model)
-	// The same sweep points also fit the offline DOP model adaptive
-	// executions seed their initial degree from — installModel dropped the
-	// previous one along with everything else model-derived.
-	s.dop = adapt.Fit(out.Points)
 	return &Calibration{
 		Model:        out.Model,
 		Bands:        out.Model.Bands(),
@@ -163,11 +158,13 @@ func (s *System) LoadModel(r io.Reader) error {
 // (whose cached costs priced I/O with the previous model), the
 // depth-oblivious projection, and the resource broker (whose credit supply
 // was the old model's beneficial depth) along with the default session
-// riding on it and the circulating producers' leasing hook into it.
+// riding on it and the circulating producers' leasing hook into it. The
+// model is all an installed system plans and adapts from — the adaptive
+// controller prices its moves through the memo — so a loaded model runs
+// every query exactly as the calibration that saved it.
 func (s *System) installModel(m *cost.QDTT) {
 	s.model = m
 	s.depthOne = nil
-	s.dop = nil
 	s.memo.Reset()
 	s.pcache.Reset()
 	s.broker = nil

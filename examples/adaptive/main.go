@@ -1,11 +1,10 @@
-// Adaptive: a query executed under the feedback controller seeds its
-// parallel degree from the calibration-fit DOP model, then retunes worker
-// count and readahead mid-flight from live queue-depth, throughput, and
-// pool-pressure signals — growing only through the broker lease. This
-// example runs the same cold range-aggregate at every static degree and
-// once adaptively, and prints the controller's decision trail: the
-// adaptive run should land within a few percent of whichever static
-// degree happens to win, without being told which one that is.
+// Adaptive: a query executed under the feedback controller starts at its
+// plan's degree and moves mid-flight only to a degree the optimizer prices
+// at least 5 % cheaper — growing only through the broker lease, shedding
+// under pool pressure or past the band's beneficial depth. This example
+// runs the same cold range-aggregate at several static degrees and once
+// adaptively, and prints the controller's decision trail: the adaptive run
+// should land within a few percent of whichever static degree wins.
 package main
 
 import (

@@ -1,20 +1,21 @@
 // Package adapt is the engine's feedback layer: a per-query controller
-// that retunes a running scan's worker count at batch boundaries from live
-// signals — sustained device queue depth versus the band's beneficial
-// depth, broker slack (implicitly, through what Lease.Grow will grant),
-// buffer-pool pressure, and observed pages per virtual millisecond — plus
-// a speculative prefetcher that pre-issues I/O runs derived from plan
-// structure, gated by a confidence/pool-budget check and canceled on
-// misprediction.
+// that moves a running scan's worker count at batch boundaries to the
+// degree the optimizer's own prices favour — under the degree cap, the
+// band's beneficial depth, buffer-pool pressure and broker slack
+// (implicitly, through what Lease.Grow will grant) — plus a speculative
+// prefetcher that pre-issues I/O runs derived from plan structure, gated by
+// a confidence/pool-budget check and canceled on misprediction.
 //
 // The paper fixes degree and prefetch distance at plan time from the
-// calibrated QDTT band; this package retunes the degree mid-flight, in both
-// directions: the controller hill-climbs the degree, securing every step
-// above its admission grant (the depth its plan was priced at) through the
-// broker lease (credits re-leased mid-flight) and shedding workers through
-// the executor's normal governed teardown. An offline DOP model fit on
-// calibrate sweep points (model.go) seeds the initial degree so the climb
-// usually starts next to the optimum.
+// calibrated QDTT band, and §4.3 re-prices a query when the queue depth
+// available to it changes. The controller is that re-pricing done
+// mid-flight: it starts at the plan's degree, and each window it moves the
+// fleet only to a degree the plan's own price list says is at least
+// cost.MinGain cheaper — growing through the broker lease (credits
+// re-leased mid-flight), shrinking through the executor's normal governed
+// teardown. A standalone query's plan is already the cheapest degree, so
+// it holds; a session query planned under a fair share grows when freed
+// credits make a deeper degree pay.
 //
 // The controller implements exec.Tuner. It is strictly per-query state
 // driven from simulation context; nothing here runs its own processes or
@@ -26,6 +27,7 @@ import (
 	"sort"
 
 	"pioqo/internal/buffer"
+	"pioqo/internal/cost"
 	"pioqo/internal/disk"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
@@ -37,6 +39,13 @@ import (
 // the degree cap.
 type Grower interface {
 	Grow(n int) int
+}
+
+// Price is the optimizer's predicted runtime, in µs, of the query's plan
+// run at one degree.
+type Price struct {
+	Degree int
+	Micros float64
 }
 
 // Config wires one controller to its query's signals.
@@ -53,8 +62,8 @@ type Config struct {
 
 	// DepthProbe returns the device's cumulative queue-depth time-integral
 	// (device.Metrics.DepthIntegral); the controller differentiates it into
-	// the sustained depth over each decision window. Nil disables the
-	// depth signal.
+	// the sustained depth over each decision window, which gates
+	// speculation. Nil disables the depth signal.
 	DepthProbe func() float64
 
 	// QueueProbe returns the device's instantaneous read queue depth
@@ -67,10 +76,15 @@ type Config struct {
 	// never raises its target beyond what the lease granted.
 	Lease Grower
 
-	// Initial is the seeded starting degree; Planned the statically planned
-	// one (recorded in the adapt.seed event for attribution). Max caps
+	// Degree is the plan's degree, where the fleet starts. Max caps
 	// growth — the executor sizes per-worker state against it.
-	Initial, Planned, Max int
+	Degree, Max int
+
+	// Prices is the plan's method and prefetch priced at each degree of
+	// the optimizer's grid, in any order. A fleet between grid degrees
+	// pays the price of the grid degree below it. Empty means no move is
+	// priced: the controller only sheds.
+	Prices []Price
 
 	// Beneficial is the band's beneficial queue depth (the broker's
 	// calibrated credit supply). Growth never targets beyond it: depth past
@@ -78,9 +92,8 @@ type Config struct {
 	// 0 means unknown (no cap from this signal).
 	Beneficial int
 
-	// Interval is the minimum virtual time between controller decisions;
-	// default 250µs. Decisions additionally wait for enough page progress
-	// to make the throughput verdict meaningful.
+	// Interval is the virtual time between controller decisions; default
+	// 250µs.
 	Interval sim.Duration
 
 	// SpecBudget caps outstanding speculative pages; default one eighth of
@@ -101,28 +114,12 @@ type Controller struct {
 	interval sim.Duration
 	target   int
 
-	// Decision window.
-	started   bool
-	lastEval  sim.Time
-	lastPages int64
-	lastDepth float64
-
-	// Hill-climb state. A move's verdict is judged against preTput at the
-	// next decision; a failed grow sets ceiling, a failed shrink sets
-	// floor, and once both brackets (or the caps) pin the target the
-	// controller settles until throughput shifts.
-	lastTput      float64
-	lastMove      int // +n grew, -n shrank, 0 held
-	ceiling       int // lowest degree known not to improve; 0 = none
-	floor         int // highest degree known to cost throughput; 0 = none
-	settled       bool
-	settledTput   float64
-	driftStrikes  int     // consecutive settled windows with drifting tput
-	everDecided   bool    // a decision window has completed at least once
-	decisions     int     // decision windows completed
-	lastSustained float64 // mean device queue depth over the last window
-
-	pages int64 // demand pages fetched (NoteFetch), the throughput signal
+	// Decision window: the mean device queue depth over the last one
+	// gates speculation.
+	started       bool
+	lastEval      sim.Time
+	lastDepth     float64
+	lastSustained float64
 
 	// Speculation ledger.
 	specOut     map[specKey]*disk.File
@@ -135,31 +132,16 @@ type specKey struct {
 	page int64
 }
 
-// verdict thresholds: a grow must improve throughput by growPay to stick; a
-// shrink is reverted when it costs more than shrinkCost; a settled
-// controller re-explores when throughput drifts by resettle.
-const (
-	growPay    = 1.02
-	shrinkCost = 0.92
-	resettle   = 0.25
-)
-
-// NewController seeds a controller at cfg.Initial and emits the adapt.seed
-// event recording the seeded versus statically planned degree.
+// NewController seeds a controller at the plan's degree and emits the
+// adapt.seed event.
 func NewController(cfg Config) *Controller {
 	c := &Controller{cfg: cfg, interval: cfg.Interval}
 	if c.interval <= 0 {
 		c.interval = 250 * sim.Microsecond
 	}
-	c.target = cfg.Initial
-	if c.target < 1 {
-		c.target = 1
-	}
-	if cfg.Max > 0 && c.target > cfg.Max {
-		c.target = cfg.Max
-	}
+	c.target = min(max(cfg.Degree, 1), c.MaxDegree())
 	c.specOut = make(map[specKey]*disk.File)
-	cfg.Obs.Emit(obs.EvAdaptSeed, cfg.QID, int64(c.target), int64(cfg.Planned))
+	cfg.Obs.Emit(obs.EvAdaptSeed, cfg.QID, int64(c.target), int64(cfg.Degree))
 	return c
 }
 
@@ -174,18 +156,12 @@ func (c *Controller) MaxDegree() int {
 	return c.cfg.Max
 }
 
-// cap is the highest degree the controller may currently target: the hard
-// cap, the band's beneficial depth, and one below any discovered ceiling.
+// capDegree is the highest degree the controller may target: the hard cap
+// and the band's beneficial depth.
 func (c *Controller) capDegree() int {
 	cap := c.MaxDegree()
 	if c.cfg.Beneficial > 0 && c.cfg.Beneficial < cap {
 		cap = c.cfg.Beneficial
-	}
-	if c.ceiling > 0 && c.ceiling-1 < cap {
-		cap = c.ceiling - 1
-	}
-	if cap < 1 {
-		cap = 1
 	}
 	return cap
 }
@@ -201,203 +177,96 @@ func (c *Controller) share() int {
 	return 0
 }
 
-// depth reads the device's cumulative queue-depth integral (0 if unprobed).
-func (c *Controller) depth() float64 {
-	if c.cfg.DepthProbe == nil {
-		return 0
+// price is the predicted runtime at degree d: the price of the deepest
+// grid degree not above d, 0 when none is.
+func (c *Controller) price(d int) float64 {
+	at, micros := 0, 0.0
+	for _, p := range c.cfg.Prices {
+		if p.Degree <= d && p.Degree > at {
+			at, micros = p.Degree, p.Micros
+		}
 	}
-	return c.cfg.DepthProbe()
+	return micros
 }
 
 // Tick implements exec.Tuner: called by scan workers at batch boundaries.
-// At most one decision per interval (and per enough-pages window); between
-// decisions it returns the standing target.
-func (c *Controller) Tick(live int) int {
+// At most one decision per interval; between decisions it returns the
+// standing target.
+func (c *Controller) Tick(int) int {
 	now := c.cfg.Env.Now()
 	if !c.started {
 		c.started = true
 		c.lastEval = now
-		c.lastPages = c.pages
-		c.lastDepth = c.depth()
+		if c.cfg.DepthProbe != nil {
+			c.lastDepth = c.cfg.DepthProbe()
+		}
 		return c.target
 	}
 	dt := sim.Duration(now - c.lastEval)
 	if dt < c.interval {
 		return c.target
 	}
-	// The throughput verdict needs signal: extend the window until enough
-	// pages moved (worker startup and cache phases would otherwise dominate
-	// short windows).
-	minPages := int64(16)
-	if lp := int64(4 * live); lp > minPages {
-		minPages = lp
-	}
-	// A virgin controller demands twice the signal before its first
-	// exploration: the seed is the model's best guess, and a query short
-	// enough never to earn a double window just runs it unchanged.
-	if !c.everDecided {
-		minPages *= 2
-	}
-	progressed := c.pages - c.lastPages
-	if progressed < minPages {
-		return c.target
-	}
-	tput := float64(progressed) / float64(dt)
-	sustained := 0.0
-	if d := c.depth(); c.cfg.DepthProbe != nil {
-		sustained = (d - c.lastDepth) / float64(dt)
+	if c.cfg.DepthProbe != nil {
+		d := c.cfg.DepthProbe()
+		c.lastSustained = (d - c.lastDepth) / float64(dt)
 		c.lastDepth = d
 	}
-	c.lastSustained = sustained
 	c.lastEval = now
-	c.lastPages = c.pages
-	c.everDecided = true
-	c.decide(live, tput, sustained)
-	c.lastTput = tput
+	c.decide()
 	return c.target
 }
 
-// decide is one controller decision. Order matters: judge the previous
-// move, answer pressure, honor the beneficial-depth cap, then explore.
-func (c *Controller) decide(live int, tput, sustained float64) {
-	c.decisions++
-	prevTput := c.lastTput
-
-	// 1. Verdict on the previous move.
-	if c.lastMove > 0 && prevTput > 0 && tput < prevTput*growPay {
-		// The grow didn't pay: remember the ceiling and step back. The
-		// ceiling lowers the cap, so exploration continues — downward: on
-		// a saturated device every shrink is a free win and the controller
-		// walks the staircase to the cheapest degree that still saturates.
-		c.ceiling = c.target
-		c.move(c.target-c.lastMove, tput)
-		c.lastMove = 0
-		return
-	}
-	if c.lastMove < 0 && prevTput > 0 && tput < prevTput*shrinkCost {
-		// The shrink cost real throughput: this degree is the floor.
-		// Revert and settle there — the revert is not itself judged
-		// (lastMove cleared) and exploration stays closed until throughput
-		// drifts, so a failed shrink can never ping-pong the fleet.
-		c.floor = c.target
-		c.move(c.target-c.lastMove, tput)
-		c.lastMove = 0
-		c.settled = true
-		c.settledTput = prevTput
-		return
-	}
-	c.lastMove = 0
-
-	// 2. Pool pressure: pinned frames crowding the scan's share force a
-	// shrink regardless of throughput.
+// decide is one controller decision. Order matters: answer pressure, honor
+// the beneficial-depth cap, then move to the cheapest priced degree under
+// it if that is worth a move.
+func (c *Controller) decide() {
+	// Pinned frames crowding the scan's share force a shrink whatever the
+	// prices say.
 	if share := c.share(); share > 0 && c.cfg.Pool != nil &&
 		c.cfg.Pool.Pinned()*2 > share && c.target > 1 {
-		c.move(c.target/2, tput)
+		c.move(c.target / 2)
 		return
 	}
 
-	// 3. The beneficial-depth cap: a target beyond what the band's
-	// calibrated depth-throughput curve can absorb sheds down to the cap.
-	// This is the sustained-depth signal's complement — when the device
-	// already queues at or beyond the beneficial depth, extra workers only
-	// deepen the queue the model says buys nothing.
+	// A target beyond what the band's calibrated depth-throughput curve
+	// can absorb sheds down to the cap.
 	cap := c.capDegree()
 	if c.target > cap {
-		c.move(cap, tput)
+		c.move(cap)
 		return
 	}
 
-	// 4. A settled controller re-explores only when throughput drifts for
-	// two consecutive windows — one window of drift is cache-phase noise,
-	// not a workload shift. The learned brackets survive the unsettle:
-	// they are still approximately right, and the next verdicts will
-	// revise them if the world really changed.
-	if c.settled {
-		if c.settledTput > 0 &&
-			(tput < c.settledTput*(1-resettle) || tput > c.settledTput*(1+resettle)) {
-			c.driftStrikes++
-			if c.driftStrikes >= 2 {
-				c.settled = false
-				c.driftStrikes = 0
-			}
-		} else {
-			c.driftStrikes = 0
-		}
-		if c.settled {
-			return
+	// The cheapest priced degree under the cap, ties to the shallower. It
+	// must beat the standing target by the same margin that makes a deeper
+	// queue worth supplying, or the fleet holds.
+	cur := c.price(c.target)
+	best, bestMicros := c.target, cur
+	for _, p := range c.cfg.Prices {
+		if p.Degree <= cap && (p.Micros < bestMicros || p.Micros == bestMicros && p.Degree < best) {
+			best, bestMicros = p.Degree, p.Micros
 		}
 	}
-
-	// 5. Explore up while there is headroom. The sustained-depth gate skips
-	// growth when the device queue already runs well beyond the live fleet
-	// — queueing the executor's own readahead, not worker starvation.
-	if c.target < cap {
-		if c.cfg.Beneficial > 0 && sustained > float64(c.cfg.Beneficial)*1.5 {
-			// Device saturated past the beneficial point already.
-		} else {
-			step := c.target / 2
-			if step < 1 {
-				step = 1
-			}
-			if c.target+step > cap {
-				step = cap - c.target
-			}
-			if c.cfg.Lease != nil {
-				step = c.cfg.Lease.Grow(step)
-			}
-			if step > 0 {
-				c.move(c.target+step, tput)
-				return
-			}
-			// The broker had nothing to re-lease: hold and retry later.
-			return
-		}
+	if cur <= 0 || bestMicros > cur*(1-cost.MinGain) {
+		return
 	}
-
-	// 6. Explore down: shedding workers that throughput does not miss is a
-	// straight win (fewer pins, credits reclaimed for the queue). With a
-	// known floor the probe bisects the remaining gap, so repeated failed
-	// shrinks converge on the floor in log steps instead of re-testing it.
-	// A down-probe is speculative in a way the other moves are not, so it
-	// waits for evidence: either a few windows of history or a discovered
-	// ceiling (proof the device is saturated) — a short query settles at
-	// its seed instead of spending its tail on a depressed experiment.
-	if c.target > 1 && (c.decisions > 4 || c.ceiling > 0) &&
-		(c.floor == 0 || c.target-1 > c.floor) {
-		step := c.target / 4
-		if c.floor > 0 {
-			step = (c.target - c.floor) / 2
-		}
-		if step < 1 {
-			step = 1
-		}
-		if c.floor > 0 && c.target-step <= c.floor {
-			step = c.target - c.floor - 1
-		}
-		if step > 0 {
-			c.move(c.target-step, tput)
-			return
-		}
+	if best < c.target {
+		c.move(best)
+		return
 	}
-
-	// Nowhere to go: settled.
-	c.settled = true
-	c.settledTput = tput
+	step := best - c.target
+	if c.cfg.Lease != nil {
+		step = c.cfg.Lease.Grow(step)
+	}
+	c.move(c.target + step)
 }
 
-// move retargets the fleet and records the move for the next verdict.
-func (c *Controller) move(to int, tput float64) {
-	if to < 1 {
-		to = 1
-	}
+// move retargets the fleet.
+func (c *Controller) move(to int) {
 	if to == c.target {
-		c.lastMove = 0
 		return
 	}
 	prev := c.target
-	c.lastMove = to - prev
 	c.target = to
-	c.lastTput = tput
 	if to > prev {
 		c.cfg.Obs.Emit(obs.EvAdaptGrow, c.cfg.QID, int64(to), int64(prev))
 	} else {
@@ -495,7 +364,6 @@ func (c *Controller) SpeculateRun(f *disk.File, start int64, count int) {
 // hit — the guess was right and the page was already moving (or resident)
 // when the worker asked.
 func (c *Controller) NoteFetch(f *disk.File, page int64) {
-	c.pages++
 	if len(c.specOut) == 0 {
 		return
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"pioqo/internal/buffer"
-	"pioqo/internal/calibrate"
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
 	"pioqo/internal/sim"
@@ -33,43 +32,39 @@ func drive(t *testing.T, fn func(env *sim.Env, p *sim.Proc)) {
 	env.Run()
 }
 
-// tickUntil advances virtual time in interval-sized steps, feeding pages
-// between ticks, until the controller's target changes or maxSteps pass.
-func tickUntil(p *sim.Proc, c *Controller, live int, pagesPerStep int64, maxSteps int) int {
+// tickUntil advances virtual time in interval-sized steps until the
+// controller's target changes or maxSteps pass.
+func tickUntil(p *sim.Proc, c *Controller, maxSteps int) int {
 	start := c.Target()
 	for i := 0; i < maxSteps; i++ {
-		for j := int64(0); j < pagesPerStep; j++ {
-			c.pages++
-		}
 		p.Sleep(c.interval)
-		if got := c.Tick(live); got != start {
+		if got := c.Tick(c.Target()); got != start {
 			return got
 		}
 	}
 	return c.Target()
 }
 
+// curve prices degrees 1…32 at 1000 µs over the degree up to knee and flat
+// beyond it: the shape of a device that stops turning depth into speed.
+func curve(knee int) []Price {
+	var ps []Price
+	for d := 1; d <= 32; d *= 2 {
+		ps = append(ps, Price{Degree: d, Micros: 1000 / float64(min(d, knee))})
+	}
+	return ps
+}
+
 func TestControllerGrowsTowardCap(t *testing.T) {
 	drive(t, func(env *sim.Env, p *sim.Proc) {
 		g := &fakeGrower{avail: 64}
-		c := NewController(Config{
-			Env: env, Initial: 1, Planned: 1, Max: 8, Lease: g,
-		})
-		// Constant per-worker throughput: every grow pays, so the climb
-		// should reach the cap.
-		for step := 0; step < 40 && c.Target() < 8; step++ {
-			live := c.Target()
-			for j := int64(0); j < int64(32*live); j++ {
-				c.pages++
-			}
-			p.Sleep(c.interval)
-			c.Tick(live)
+		// Deeper keeps paying up to 32, but Max caps the fleet at 8.
+		c := NewController(Config{Env: env, Degree: 1, Max: 8, Prices: curve(32), Lease: g})
+		if got := tickUntil(p, c, 10); got != 8 {
+			t.Fatalf("target = %d, want cap 8", got)
 		}
-		if c.Target() != 8 {
-			t.Fatalf("target = %d, want cap 8", c.Target())
-		}
-		if g.granted < 7 {
-			t.Fatalf("granted %d credits, want every step above 1 leased", g.granted)
+		if g.granted != 7 {
+			t.Fatalf("granted %d credits, want every worker above the plan's 1 leased (7)", g.granted)
 		}
 	})
 }
@@ -77,56 +72,52 @@ func TestControllerGrowsTowardCap(t *testing.T) {
 func TestControllerGrowthBoundedByLease(t *testing.T) {
 	drive(t, func(env *sim.Env, p *sim.Proc) {
 		g := &fakeGrower{avail: 2} // broker can only re-lease 2 credits
-		c := NewController(Config{
-			Env: env, Initial: 2, Planned: 2, Max: 16, Lease: g,
-		})
-		for step := 0; step < 40; step++ {
-			live := c.Target()
-			for j := int64(0); j < int64(32*live); j++ {
-				c.pages++
-			}
+		c := NewController(Config{Env: env, Degree: 2, Max: 16, Prices: curve(16), Lease: g})
+		for step := 0; step < 20; step++ {
 			p.Sleep(c.interval)
-			c.Tick(live)
+			c.Tick(c.Target())
 		}
-		if c.Target() > 4 {
-			t.Fatalf("target = %d grew beyond initial+leased (2+2)", c.Target())
+		if c.Target() != 4 {
+			t.Fatalf("target = %d, want the plan's 2 plus the 2 leased", c.Target())
+		}
+	})
+}
+
+// The fleet moves only to a degree priced at least cost.MinGain below the
+// standing one: a 3 % gain holds, and a shallower degree that prices
+// cheaper is shrunk to.
+func TestControllerMovesOnlyOnAPricedGain(t *testing.T) {
+	drive(t, func(env *sim.Env, p *sim.Proc) {
+		g := &fakeGrower{avail: 64}
+		prices := []Price{{1, 1000}, {2, 990}, {4, 980}, {8, 970}}
+		c := NewController(Config{Env: env, Degree: 1, Max: 8, Prices: prices, Lease: g})
+		if got := tickUntil(p, c, 10); got != 1 {
+			t.Fatalf("target = %d on a 3 %% gain, want the plan's 1", got)
+		}
+		if g.granted != 0 {
+			t.Fatalf("held controller leased %d credits", g.granted)
+		}
+	})
+	drive(t, func(env *sim.Env, p *sim.Proc) {
+		// Past depth 4 the device gains nothing and every worker's start-up
+		// costs time.
+		prices := []Price{{1, 1000}, {2, 500}, {4, 250}, {8, 260}, {16, 280}, {32, 300}}
+		c := NewController(Config{Env: env, Degree: 32, Max: 32, Prices: prices})
+		if got := tickUntil(p, c, 10); got != 4 {
+			t.Fatalf("target = %d, want the cheapest degree 4", got)
 		}
 	})
 }
 
 func TestControllerShrinksPastBeneficialDepth(t *testing.T) {
 	drive(t, func(env *sim.Env, p *sim.Proc) {
-		c := NewController(Config{
-			Env: env, Initial: 16, Planned: 16, Max: 32, Beneficial: 4,
-		})
-		got := tickUntil(p, c, 16, 32*16, 10)
-		if got != 4 {
+		c := NewController(Config{Env: env, Degree: 16, Max: 32, Prices: curve(32), Beneficial: 4})
+		if got := tickUntil(p, c, 10); got != 4 {
 			t.Fatalf("target = %d, want shed to beneficial depth 4", got)
 		}
-	})
-}
-
-func TestControllerRevertsUnpaidGrow(t *testing.T) {
-	drive(t, func(env *sim.Env, p *sim.Proc) {
-		c := NewController(Config{Env: env, Initial: 4, Planned: 4, Max: 32})
-		// Saturated device: throughput stays flat no matter the degree.
-		const flat = 256
-		var target int
-		for step := 0; step < 60; step++ {
-			target = c.Target()
-			for j := int64(0); j < int64(flat); j++ {
-				c.pages++
-			}
-			p.Sleep(c.interval)
-			c.Tick(target)
-		}
-		// Flat throughput means every grow is reverted and every shrink
-		// keeps its savings: the controller must settle at 1.
-		if c.Target() != 1 {
-			t.Fatalf("target = %d after flat throughput, want 1", c.Target())
-		}
-		if !c.settled {
-			t.Fatalf("controller still exploring after %d flat intervals", 60)
+		// Deeper still prices cheaper, but not past the beneficial depth.
+		if got := tickUntil(p, c, 10); got != 4 {
+			t.Fatalf("target = %d, want held at beneficial depth 4", got)
 		}
 	})
 }
@@ -143,9 +134,9 @@ func TestControllerShrinksUnderPoolPressure(t *testing.T) {
 			hs = append(hs, pool.FetchPage(p, f, pg))
 		}
 		c := NewController(Config{
-			Env: env, Pool: pool, PoolShare: 16, Initial: 8, Planned: 8, Max: 8,
+			Env: env, Pool: pool, PoolShare: 16, Degree: 8, Max: 8,
 		})
-		got := tickUntil(p, c, 8, 32*8, 10)
+		got := tickUntil(p, c, 10)
 		if got >= 8 {
 			t.Fatalf("target = %d under pool pressure, want a shrink", got)
 		}
@@ -163,7 +154,7 @@ func TestSpeculationHitAndCancel(t *testing.T) {
 	pool := buffer.NewPool(env, 64)
 	env.Go("drive", func(p *sim.Proc) {
 		c := NewController(Config{
-			Env: env, Pool: pool, PoolShare: 64, Initial: 1, Planned: 1, Max: 1,
+			Env: env, Pool: pool, PoolShare: 64, Degree: 1, Max: 1,
 		})
 		c.SpeculateRun(f, 10, 4) // pages 10..13 speculated
 		if c.SpecOutstanding() != 4 {
@@ -206,7 +197,7 @@ func TestSpeculationBudgetGate(t *testing.T) {
 	pool := buffer.NewPool(env, 256)
 	env.Go("drive", func(p *sim.Proc) {
 		c := NewController(Config{
-			Env: env, Pool: pool, Initial: 1, Planned: 1, Max: 1, SpecBudget: 6,
+			Env: env, Pool: pool, Degree: 1, Max: 1, SpecBudget: 6,
 		})
 		c.SpeculateRun(f, 0, 100)
 		if c.SpecOutstanding() != 6 {
@@ -228,7 +219,7 @@ func TestSpeculationConfidenceGate(t *testing.T) {
 	pool := buffer.NewPool(env, 256)
 	env.Go("drive", func(p *sim.Proc) {
 		c := NewController(Config{
-			Env: env, Pool: pool, Initial: 1, Planned: 1, Max: 1, SpecBudget: 64,
+			Env: env, Pool: pool, Degree: 1, Max: 1, SpecBudget: 64,
 		})
 		// Three straight all-miss scans crater the hit rate.
 		for s := 0; s < 3; s++ {
@@ -241,39 +232,4 @@ func TestSpeculationConfidenceGate(t *testing.T) {
 		}
 	})
 	env.Run()
-}
-
-func TestModelFitAndInitialDegree(t *testing.T) {
-	// Band 64: speedup saturates at depth 4. Band 4096: keeps paying to 16.
-	pts := []calibrate.Point{
-		{Band: 64, Depth: 1, MicrosPerPage: 100},
-		{Band: 64, Depth: 2, MicrosPerPage: 60},
-		{Band: 64, Depth: 4, MicrosPerPage: 40},
-		{Band: 64, Depth: 8, MicrosPerPage: 39.5},
-		{Band: 64, Depth: 16, MicrosPerPage: 39},
-		{Band: 4096, Depth: 1, MicrosPerPage: 100},
-		{Band: 4096, Depth: 2, MicrosPerPage: 55},
-		{Band: 4096, Depth: 4, MicrosPerPage: 30},
-		{Band: 4096, Depth: 8, MicrosPerPage: 18},
-		{Band: 4096, Depth: 16, MicrosPerPage: 12},
-	}
-	m := Fit(pts)
-	if m == nil {
-		t.Fatal("Fit returned nil for non-empty points")
-	}
-	if got := m.InitialDegree(50, 3, 32); got != 4 {
-		t.Fatalf("small band degree = %d, want 4 (gain saturates)", got)
-	}
-	if got := m.InitialDegree(100000, 3, 32); got != 16 {
-		t.Fatalf("large band degree = %d, want 16", got)
-	}
-	if got := m.InitialDegree(100000, 3, 6); got != 6 {
-		t.Fatalf("degree = %d, want clamp to max 6", got)
-	}
-	if got := (*Model)(nil).InitialDegree(100, 5, 32); got != 5 {
-		t.Fatalf("nil model degree = %d, want fallback 5", got)
-	}
-	if Fit(nil) != nil {
-		t.Fatal("Fit(nil) should return nil")
-	}
 }

@@ -41,15 +41,11 @@ import (
 	"pioqo/internal/sim"
 )
 
-// minGain is the marginal-throughput threshold defining the beneficial
-// depth: 5 %, matching the pre-broker split.
-const minGain = 0.05
-
 // DepthModel is the slice of the calibrated cost model the broker needs:
-// the largest queue depth that still improves throughput on a band. It is
-// satisfied by *cost.QDTT.
+// the largest queue depth that still improves throughput on a band by
+// cost.MinGain. It is satisfied by *cost.QDTT.
 type DepthModel interface {
-	MaxBeneficialDepth(band int64, minGain float64) int
+	MaxBeneficialDepth(band int64) int
 }
 
 // Config sizes a Broker. Model and Band are required; everything else has
@@ -141,7 +137,7 @@ func New(cfg Config) *Broker {
 		panic("broker: Config.Model is nil")
 	}
 	b := &Broker{env: cfg.Env, cfg: cfg}
-	b.total = max(cfg.Model.MaxBeneficialDepth(cfg.Band, minGain), 1)
+	b.total = max(cfg.Model.MaxBeneficialDepth(cfg.Band), 1)
 	b.free = b.total
 	b.obs = cfg.Obs
 	b.obs.Gauge(obs.MetricBrokerCreditsTotal).Set(float64(b.total))

@@ -10,7 +10,7 @@ import (
 // fixedModel is a DepthModel with a constant beneficial depth.
 type fixedModel int
 
-func (m fixedModel) MaxBeneficialDepth(band int64, minGain float64) int { return int(m) }
+func (m fixedModel) MaxBeneficialDepth(band int64) int { return int(m) }
 
 func newBroker(t *testing.T, total int, mut func(*Config)) (*sim.Env, *Broker) {
 	t.Helper()

@@ -138,20 +138,26 @@ func (q *QDTT) DepthOne() *DTT {
 	return NewDTT(q.bands, q.cost[0])
 }
 
+// MinGain is the one "deeper pays" threshold: a queue-depth step that
+// shortens a band's page cost by less than this fraction (5 %) buys nothing
+// worth a credit. The broker's supply (MaxBeneficialDepth) and the adaptive
+// controller's move rule both read it.
+const MinGain = 0.05
+
 // MaxBeneficialDepth reports the deepest calibrated depth whose step over
 // the previous calibrated depth still improved the given band's cost by at
-// least minGain (e.g. 0.05 = 5%). The whole curve is read, not just its
-// head: a disk whose first doubling barely helps (one arm, two requests)
-// but whose deeper rows keep shortening seeks has its beneficial depth at
-// the bottom of the grid, not at 1. Flat curves report the first depth.
-// The resource broker sizes its credit supply with it, so depth no query
-// could turn into throughput is never handed out.
-func (q *QDTT) MaxBeneficialDepth(band int64, minGain float64) int {
+// least MinGain. The whole curve is read, not just its head: a disk whose
+// first doubling barely helps (one arm, two requests) but whose deeper rows
+// keep shortening seeks has its beneficial depth at the bottom of the grid,
+// not at 1. Flat curves report the first depth. The resource broker sizes
+// its credit supply with it, so depth no query could turn into throughput
+// is never handed out.
+func (q *QDTT) MaxBeneficialDepth(band int64) int {
 	best := q.depths[0]
 	for i := 1; i < len(q.depths); i++ {
 		prev := interpBand(q.bands, q.cost[i-1], band)
 		cur := interpBand(q.bands, q.cost[i], band)
-		if prev > 0 && (prev-cur)/prev >= minGain {
+		if prev > 0 && (prev-cur)/prev >= MinGain {
 			best = q.depths[i]
 		}
 	}

@@ -100,11 +100,11 @@ func TestDepthOneMatchesDTTRow(t *testing.T) {
 func TestMaxBeneficialDepth(t *testing.T) {
 	q := sampleQDTT()
 	// At band 100 every doubling helps by >5%: best = 8.
-	if got := q.MaxBeneficialDepth(100, 0.05); got != 8 {
+	if got := q.MaxBeneficialDepth(100); got != 8 {
 		t.Errorf("MaxBeneficialDepth(100) = %d, want 8", got)
 	}
 	// At band 1 cost is flat: no benefit beyond depth 1.
-	if got := q.MaxBeneficialDepth(1, 0.05); got != 1 {
+	if got := q.MaxBeneficialDepth(1); got != 1 {
 		t.Errorf("MaxBeneficialDepth(1) = %d, want 1", got)
 	}
 
@@ -119,17 +119,17 @@ func TestMaxBeneficialDepth(t *testing.T) {
 		{100, 8800},
 		{100, 7527},
 	})
-	if got := hdd.MaxBeneficialDepth(1<<20, 0.05); got != 32 {
+	if got := hdd.MaxBeneficialDepth(1 << 20); got != 32 {
 		t.Errorf("fitted HDD MaxBeneficialDepth = %d, want 32", got)
 	}
-	if got := hdd.MaxBeneficialDepth(1, 0.05); got != 1 {
+	if got := hdd.MaxBeneficialDepth(1); got != 1 {
 		t.Errorf("fitted HDD band-1 MaxBeneficialDepth = %d, want 1", got)
 	}
 	// Gains that stop partway end the supply where they stop.
 	knee := NewQDTT([]int64{1, 1 << 20}, []int{1, 2, 4, 8, 16, 32}, [][]float64{
 		{100, 1000}, {100, 600}, {100, 400}, {100, 395}, {100, 394}, {100, 394},
 	})
-	if got := knee.MaxBeneficialDepth(1<<20, 0.05); got != 4 {
+	if got := knee.MaxBeneficialDepth(1 << 20); got != 4 {
 		t.Errorf("knee MaxBeneficialDepth = %d, want 4", got)
 	}
 }

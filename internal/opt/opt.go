@@ -103,22 +103,6 @@ func (c *Config) degrees() []int {
 	return defaultDegrees
 }
 
-// SnapDegree snaps a model-predicted degree onto the enumeration grid: the
-// largest grid degree not above d, or the smallest grid entry when d sits
-// below the whole grid. Adaptive seeding uses it so a seeded plan always
-// names a degree the optimizer could itself have chosen — plan caches and
-// cost attribution stay on-grid. The same defaulting as Config applies.
-func SnapDegree(degrees []int, d int) int {
-	grid := (&Config{Degrees: degrees}).degrees()
-	best := grid[0]
-	for _, g := range grid {
-		if g <= d && g > best {
-			best = g
-		}
-	}
-	return best
-}
-
 // GridKey flattens an enumeration grid — degrees and prefetch depths, with
 // the same defaulting as Config — into the string the plan caches key on.
 // Compute it once when the Config's grid is fixed and store it in

@@ -30,7 +30,6 @@ import (
 	"sort"
 	"time"
 
-	"pioqo/internal/adapt"
 	"pioqo/internal/broker"
 	"pioqo/internal/btree"
 	"pioqo/internal/cost"
@@ -85,12 +84,13 @@ type Config struct {
 
 	// Adaptive makes feedback-driven execution the system default: every
 	// eligible query (demand full scans and index scans) runs under the
-	// per-query feedback controller, which seeds its initial degree from
-	// the calibration sweep's DOP model and retunes worker count and
-	// readahead at batch boundaries from live device, broker, and pool
-	// signals. Off by default — static plans stay byte-identical to
-	// previous releases. Per-query opt-in is WithAdaptive; per-query
-	// opt-out is WithStaticDegree.
+	// per-query feedback controller, which starts at the plan's degree and
+	// moves the fleet at batch boundaries only to a degree the optimizer
+	// prices at least 5 % cheaper — growing through the broker lease,
+	// shedding under pool pressure or past the beneficial depth. Off by
+	// default — static plans stay byte-identical to previous releases.
+	// Per-query opt-in is WithAdaptive; per-query opt-out is
+	// WithStaticDegree.
 	Adaptive bool
 
 	// EventLog, when positive, enables the engine's structured event log
@@ -157,13 +157,8 @@ type System struct {
 	tables map[string]*Table
 	model  *cost.QDTT
 
-	// adaptive is the Config.Adaptive system default; dop is the offline
-	// DOP model fit on the calibration sweep's points, consulted by
-	// adaptive executions to seed their initial degree. dop is dropped
-	// with the cost model (LoadModel restores no sweep, so a loaded model
-	// runs adaptively with static-plan seeds).
+	// adaptive is the Config.Adaptive system default.
 	adaptive bool
-	dop      *adapt.Model
 
 	// memo caches plan enumerations across queries; depthOne caches the
 	// model's depth-oblivious projection for DepthOblivious planning. Both

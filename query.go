@@ -394,7 +394,7 @@ func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, choose
 				if b, err := s.sharedBroker(); err == nil {
 					beneficial = b.Total()
 				}
-				s.attachAdaptive(&sh.Spec, q, &plan, r.eo, nil, beneficial)
+				s.attachAdaptive(&sh.Spec, q, plan, r.eo, nil, beneficial)
 			}
 			return planned{plan, nodes, func(p *sim.Proc) { res = exec.RunScan(p, sh.Ctx, sh.Spec) }}, nil
 		case len(shards) == 0:

@@ -91,7 +91,9 @@ go test -timeout 120s -run 'TestSyntheticTinyTables|TestPropertySyntheticBijecti
 # failing input is written under internal/table/testdata/fuzz.
 go test -timeout 120s -run '^$' -fuzz FuzzSyntheticPlacement -fuzztime 5s ./internal/table
 go test -timeout 120s -run TestUpdateCheckpointOrderIsDeterministic -count=5 .
-go test -race -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAttribution|TestObserver|TestAdaptive|TestWithAdaptive' .
+# The adaptive tests run twice in one process: controller or lease state a
+# first run leaves behind shows in the second.
+go test -race -count=2 -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestConcurrentAttribution|TestObserver|TestAdaptive|TestWithAdaptive' .
 # A query ends when its process does, and the drain behind it still brings
 # every ledger home: the hedging and trace tests run twice in one process,
 # so a run that leaves events, live processes or hedge records behind for

@@ -292,7 +292,7 @@ func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
 		// the controller grows to is secured by re-leasing free credits
 		// mid-flight, and shed workers return credits through the governed
 		// teardown the broker already runs for static queries.
-		s.attachAdaptive(&spec, q, &plan, eo, lease, ses.b.Total())
+		s.attachAdaptive(&spec, q, plan, eo, lease, ses.b.Total())
 		t0 := p.Now()
 		res := exec.RunScan(p, r.context(part.node), spec)
 		rt := r.exit(t0)

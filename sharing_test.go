@@ -36,7 +36,7 @@ func drainContendedScans(t *testing.T, sys *System, tab *Table, opts ...QueryOpt
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := m.MaxBeneficialDepth(sys.DevicePages(), 0.05)
+	total := m.MaxBeneficialDepth(sys.DevicePages())
 	n := 2 * total
 	if n < 16 {
 		n = 16
