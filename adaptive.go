@@ -11,25 +11,25 @@ import (
 
 // Adaptive execution: the consolidated tuning surface over internal/adapt.
 //
-// A query runs adaptively when WithAdaptive() is passed or Config.Adaptive
-// makes it the system default; a static degree (WithStaticDegree) opts the
-// query back out. An adaptive execution starts at its plan's degree and
-// retunes at batch boundaries through adapt.Controller, which moves the
-// fleet only to a degree the optimizer's own prices for the plan say is at
-// least 5 % cheaper: growth is secured credit by credit through the broker
-// lease, shrink sheds workers through the executor's governed teardown,
-// and speculative prefetch pre-issues runs derived from plan structure.
+// A query runs adaptively when WithAdaptive() is passed, and only then. An
+// adaptive execution starts at its plan's degree and retunes at batch
+// boundaries through adapt.Controller, which moves the fleet only to a
+// degree the optimizer's own prices for the plan say is at least 5 %
+// cheaper: growth is secured credit by credit through the broker lease,
+// shrink sheds workers through the executor's governed teardown, and
+// speculative prefetch pre-issues runs derived from plan structure.
 
-// WithAdaptive runs this query under the feedback controller even when
-// Config.Adaptive is off. Mutually exclusive with WithStaticDegree: pinning
-// the degree and asking the controller to retune it contradict, and the
-// combination fails with ErrInvalidQuery.
+// WithAdaptive runs this query under the feedback controller: it starts at
+// its plan's degree and moves the fleet at batch boundaries only to a
+// degree the optimizer prices at least 5 % cheaper — growing through the
+// broker lease, shedding under pool pressure or past the beneficial depth.
+// Without it a query runs its plan's degree throughout. Mutually exclusive
+// with WithStaticDegree: pinning the degree and asking the controller to
+// retune it contradict, and the combination fails with ErrInvalidQuery.
 func WithAdaptive() QueryOption { return func(o *queryOptions) { o.adaptive = true } }
 
 // WithStaticDegree pins the query's parallel degree to n, overriding the
-// optimizer's choice and opting the query out of adaptive retuning (the
-// way to hold a control arm still on a Config.Adaptive system). Cost
-// estimates are reported unchanged.
+// optimizer's choice. Cost estimates are reported unchanged.
 func WithStaticDegree(n int) QueryOption { return func(o *queryOptions) { o.degree = n } }
 
 // checkAdaptive rejects contradictory tuning options.
@@ -38,12 +38,6 @@ func (eo *queryOptions) checkAdaptive() error {
 		return fmt.Errorf("%w: WithAdaptive is mutually exclusive with WithStaticDegree", ErrInvalidQuery)
 	}
 	return nil
-}
-
-// adaptiveOn reports whether this execution should run under the feedback
-// controller: opted in per query or system-wide, and not pinned static.
-func (s *System) adaptiveOn(eo queryOptions) bool {
-	return (eo.adaptive || s.adaptive) && eo.degree == 0
 }
 
 // adaptiveEligible limits adaptivity to the plans the executor can flex:
@@ -68,7 +62,7 @@ func adaptiveEligible(plan Plan) bool {
 // lease. beneficial is the band's beneficial queue depth (the broker's
 // credit supply); growth never targets beyond it.
 func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan Plan, eo queryOptions, lease *broker.Lease, beneficial int) {
-	if !s.adaptiveOn(eo) || !adaptiveEligible(plan) {
+	if !eo.adaptive || !adaptiveEligible(plan) {
 		return
 	}
 	limit := eo.plan.MaxDegree

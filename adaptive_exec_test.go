@@ -13,13 +13,10 @@ import (
 )
 
 // newAdaptiveWorld builds a calibrated system with the event log on.
-func newAdaptiveWorld(t *testing.T, cfg Config) (*System, *Table) {
+func newAdaptiveWorld(t *testing.T, dev DeviceKind) (*System, *Table) {
 	t.Helper()
-	if cfg.PoolPages == 0 {
-		cfg.PoolPages = 4096
-	}
-	cfg.EventLog = 4096
-	sys := New(cfg)
+	sys := New(Config{Device: dev, PoolPages: 4096})
+	sys.EnableEventLog(4096)
 	tab, err := sys.CreateTable("t", 200000, 33)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +38,7 @@ func eventCount(sys *System, name string) int {
 }
 
 func TestWithAdaptiveMutuallyExclusiveWithStaticDegree(t *testing.T) {
-	sys, tab := newAdaptiveWorld(t, Config{Device: SSD})
+	sys, tab := newAdaptiveWorld(t, SSD)
 	q := Query{Table: tab, Low: 0, High: 999}
 	for _, opts := range [][]QueryOption{
 		{WithAdaptive(), WithStaticDegree(4)},
@@ -66,8 +63,8 @@ func TestWithAdaptiveMutuallyExclusiveWithStaticDegree(t *testing.T) {
 // An adaptive execution must return the same answer as the static plan and
 // record its seeding decision.
 func TestAdaptiveMatchesStaticAnswer(t *testing.T) {
-	static, tabS := newAdaptiveWorld(t, Config{Device: SSD})
-	adaptive, tabA := newAdaptiveWorld(t, Config{Device: SSD, Adaptive: true})
+	static, tabS := newAdaptiveWorld(t, SSD)
+	adaptive, tabA := newAdaptiveWorld(t, SSD)
 	for _, r := range []struct{ lo, hi int64 }{
 		{0, 999},    // selective: index scan
 		{0, 150000}, // wide: full scan
@@ -78,7 +75,7 @@ func TestAdaptiveMatchesStaticAnswer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := adaptive.Execute(qa, Cold())
+		got, err := adaptive.Execute(qa, Cold(), WithAdaptive())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,8 +97,8 @@ func TestAdaptiveMatchesStaticAnswer(t *testing.T) {
 // priced from the installed model alone, so a system that loaded its model
 // runs it exactly as the system that calibrated it.
 func TestAdaptiveStartsAtItsPlan(t *testing.T) {
-	calibrated, tabC := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
-	loaded, tabL := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
+	calibrated, tabC := newAdaptiveWorld(t, HDD)
+	loaded, tabL := newAdaptiveWorld(t, HDD)
 	var buf bytes.Buffer
 	if err := loaded.SaveModel(&buf); err != nil {
 		t.Fatal(err)
@@ -117,7 +114,7 @@ func TestAdaptiveStartsAtItsPlan(t *testing.T) {
 	if plan.Method != IndexScan || plan.Degree != 32 {
 		t.Fatalf("plan %v, want the PIS32 this check is about", plan)
 	}
-	want, err := calibrated.Execute(q, Cold())
+	want, err := calibrated.Execute(q, Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +124,7 @@ func TestAdaptiveStartsAtItsPlan(t *testing.T) {
 		}
 	}
 	q.Table = tabL
-	got, err := loaded.Execute(q, Cold())
+	got, err := loaded.Execute(q, Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +137,7 @@ func TestAdaptiveStartsAtItsPlan(t *testing.T) {
 // and no growth names a degree above it, standalone or in a session.
 func TestAdaptiveRespectsQueueBudget(t *testing.T) {
 	for _, dev := range []DeviceKind{SSD, HDD} {
-		sys, tab := newAdaptiveWorld(t, Config{Device: dev})
+		sys, tab := newAdaptiveWorld(t, dev)
 		opts := []QueryOption{WithAdaptive(), WithPlanOptions(PlanOptions{QueueBudget: 2}), Cold()}
 		for _, hi := range []int64{39, 3999} {
 			if _, err := sys.Execute(Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
@@ -177,7 +174,7 @@ func TestAdaptiveTracksBestStatic(t *testing.T) {
 	// runtimes sweeps the selectivities cold on a fresh system: adaptively
 	// for degree 0, pinned to the degree otherwise.
 	runtimes := func(dev DeviceKind, zipf float64, degree int) (out [points]time.Duration) {
-		sys := New(Config{Device: dev, PoolPages: 256, Adaptive: degree == 0})
+		sys := New(Config{Device: dev, PoolPages: 256})
 		data := WithSyntheticData()
 		if zipf > 0 {
 			data = WithZipfData(zipf)
@@ -189,10 +186,14 @@ func TestAdaptiveTracksBestStatic(t *testing.T) {
 		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
 			t.Fatal(err)
 		}
+		tuning := WithStaticDegree(degree)
+		if degree == 0 {
+			tuning = WithAdaptive()
+		}
 		for i := range out {
 			sel := 0.002 * math.Pow(300, float64(i)/(points-1)) // 0.2 % … 60 %
 			res, err := sys.Execute(Query{Table: tab, Low: 0, High: int64(sel*rows) - 1},
-				Cold(), WithStaticDegree(degree))
+				Cold(), tuning)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -223,7 +224,7 @@ func TestAdaptiveTracksBestStatic(t *testing.T) {
 // broker lease once the queries ahead of it free their credits, while its
 // live Progress stays monotone and correctly attributed.
 func TestAdaptiveGrowRetuneProgress(t *testing.T) {
-	sys, tab := newAdaptiveWorld(t, Config{Device: SSD})
+	sys, tab := newAdaptiveWorld(t, SSD)
 	// Seven lookups submitted first leave the range an eighth of the supply
 	// to plan under.
 	for i := int64(0); i < 7; i++ {
@@ -286,7 +287,7 @@ func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 // same model flattened below depth 4: a supply the forced degree 32
 // overshoots eightfold.
 func TestAdaptiveShrinkRetune(t *testing.T) {
-	sys, tab := newAdaptiveWorld(t, Config{Device: HDD, Adaptive: true})
+	sys, tab := newAdaptiveWorld(t, HDD)
 	m, err := sys.Model()
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +318,7 @@ func TestAdaptiveShrinkRetune(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.Degree = 32
-	res, err := sys.ExecutePlan(q, plan, Cold())
+	res, err := sys.ExecutePlan(q, plan, Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,13 +333,13 @@ func TestAdaptiveShrinkRetune(t *testing.T) {
 // Adaptive queries under a concurrent batch keep SLO attribution whole:
 // every query lands in its shape's group with wait and execution split.
 func TestAdaptiveSLOAttribution(t *testing.T) {
-	sys, tab := newAdaptiveWorld(t, Config{Device: SSD, Adaptive: true})
+	sys, tab := newAdaptiveWorld(t, SSD)
 	queries := []Query{
 		{Table: tab, Low: 0, High: 999},
 		{Table: tab, Low: 0, High: 999},
 		{Table: tab, Low: 50000, High: 59999},
 	}
-	res, err := sys.ExecuteConcurrent(queries, Cold())
+	res, err := sys.ExecuteConcurrent(queries, Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +369,7 @@ func TestAdaptiveSLOAttribution(t *testing.T) {
 // injected faults abort the query, FinishScan drops the outstanding
 // speculation, and the pin ledger ends at zero.
 func TestAdaptiveSpecCancelZeroPinsUnderFaults(t *testing.T) {
-	sys, tab := newAdaptiveWorld(t, Config{Device: SSD, Adaptive: true})
+	sys, tab := newAdaptiveWorld(t, SSD)
 	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{
 		From:      2 * time.Millisecond, // let some leaves (and speculation) through first
 		ErrorRate: 1.0,
@@ -391,7 +392,7 @@ func TestAdaptiveSpecCancelZeroPinsUnderFaults(t *testing.T) {
 	// Run serially, the scan leaves the device the idle depth speculation
 	// needs.
 	plan.Degree = 1
-	if _, err := sys.ExecutePlan(q, plan, WithRetry(RetryPolicy{MaxAttempts: 2})); !errors.Is(err, ErrDeviceFault) {
+	if _, err := sys.ExecutePlan(q, plan, WithAdaptive(), WithRetry(RetryPolicy{MaxAttempts: 2})); !errors.Is(err, ErrDeviceFault) {
 		t.Fatalf("err = %v, want ErrDeviceFault", err)
 	}
 	if n := sys.coord().Pool.Pinned(); n != 0 {

@@ -22,12 +22,8 @@ func main() {
 	fmt.Fprintln(w, "arm\tdegree\truntime\tpage reads")
 
 	run := func(adaptive bool, degree int) *pioqo.System {
-		sys := pioqo.New(pioqo.Config{
-			Device:    pioqo.SSD,
-			PoolPages: 1024,
-			Adaptive:  adaptive,
-			EventLog:  4096,
-		})
+		sys := pioqo.New(pioqo.Config{Device: pioqo.SSD, PoolPages: 1024})
+		sys.EnableEventLog(4096)
 		tab, err := sys.CreateTable("t", 400_000, 33, pioqo.WithSyntheticData())
 		if err != nil {
 			log.Fatal(err)
@@ -36,13 +32,11 @@ func main() {
 			log.Fatal(err)
 		}
 		q := pioqo.Query{Table: tab, Low: 0, High: 1999} // selective index range
-		opts := []pioqo.QueryOption{pioqo.Cold()}
-		arm := "adaptive"
+		tuning, arm := pioqo.WithAdaptive(), "adaptive"
 		if !adaptive {
-			opts = append(opts, pioqo.WithStaticDegree(degree))
-			arm = fmt.Sprintf("static d%d", degree)
+			tuning, arm = pioqo.WithStaticDegree(degree), fmt.Sprintf("static d%d", degree)
 		}
-		res, err := sys.Execute(q, opts...)
+		res, err := sys.Execute(q, pioqo.Cold(), tuning)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -165,8 +165,11 @@ func TestInertControlPreservesByteIdentity(t *testing.T) {
 }
 
 func TestZeroFaultScheduleIsByteIdentical(t *testing.T) {
-	run := func(cfg Config) Result {
-		sys := New(cfg)
+	run := func(armed bool) Result {
+		sys := New(Config{Device: SSD, PoolPages: 1024})
+		if armed {
+			sys.InjectFaults(FaultSchedule{})
+		}
 		tab, err := sys.CreateTable("t", 50000, 33)
 		if err != nil {
 			t.Fatal(err)
@@ -180,8 +183,8 @@ func TestZeroFaultScheduleIsByteIdentical(t *testing.T) {
 		}
 		return res
 	}
-	plain := run(Config{Device: SSD, PoolPages: 1024})
-	armedEmpty := run(Config{Device: SSD, PoolPages: 1024, Faults: &FaultSchedule{}})
+	plain := run(false)
+	armedEmpty := run(true)
 	if plain != armedEmpty {
 		t.Errorf("empty fault schedule changed the run:\n  plain %+v\n  armed %+v", plain, armedEmpty)
 	}
@@ -389,7 +392,8 @@ type lifecycleFixture struct {
 
 func newLifecycleFixture(t *testing.T, shards int) lifecycleFixture {
 	t.Helper()
-	f := lifecycleFixture{sys: New(Config{Device: SSD, PoolPages: 2048, Shards: shards, EventLog: 1 << 16})}
+	f := lifecycleFixture{sys: New(Config{Device: SSD, PoolPages: 2048, Shards: shards})}
+	f.sys.EnableEventLog(1 << 16)
 	create := func(name string, rows int64, opts ...TableOption) *Table {
 		tab, err := f.sys.CreateTable(name, rows, 33, opts...)
 		if err != nil {

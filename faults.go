@@ -80,8 +80,9 @@ type FaultStats struct {
 
 // InjectFaults installs sch on the system's device, effective immediately:
 // window offsets count from now, so a schedule installed after Calibrate
-// degrades queries without having degraded the calibration. Installing a
-// schedule replaces any previous one.
+// degrades queries without having degraded the calibration. Installed
+// before Calibrate — right after New, say — a schedule also faults the
+// calibration pass. Installing a schedule replaces any previous one.
 //
 // While a window with ChannelLoss is active, the resource broker (used by
 // ExecuteConcurrent and sessions) observes the degradation and shrinks its

@@ -92,10 +92,6 @@ type Config struct {
 	// 0 means unknown (no cap from this signal).
 	Beneficial int
 
-	// Interval is the virtual time between controller decisions; default
-	// 250µs.
-	Interval sim.Duration
-
 	// SpecBudget caps outstanding speculative pages; default one eighth of
 	// the pool share, at least 16.
 	SpecBudget int
@@ -106,13 +102,15 @@ type Config struct {
 	QID int64
 }
 
+// interval is the virtual time between controller decisions.
+const interval = 250 * sim.Microsecond
+
 // Controller is the per-query feedback controller. It implements
 // exec.Tuner; all calls come from simulation context, which is
 // host-serialized, so plain fields suffice.
 type Controller struct {
-	cfg      Config
-	interval sim.Duration
-	target   int
+	cfg    Config
+	target int
 
 	// Decision window: the mean device queue depth over the last one
 	// gates speculation.
@@ -135,10 +133,7 @@ type specKey struct {
 // NewController seeds a controller at the plan's degree and emits the
 // adapt.seed event.
 func NewController(cfg Config) *Controller {
-	c := &Controller{cfg: cfg, interval: cfg.Interval}
-	if c.interval <= 0 {
-		c.interval = 250 * sim.Microsecond
-	}
+	c := &Controller{cfg: cfg}
 	c.target = min(max(cfg.Degree, 1), c.MaxDegree())
 	c.specOut = make(map[specKey]*disk.File)
 	cfg.Obs.Emit(obs.EvAdaptSeed, cfg.QID, int64(c.target), int64(cfg.Degree))
@@ -203,7 +198,7 @@ func (c *Controller) Tick(int) int {
 		return c.target
 	}
 	dt := sim.Duration(now - c.lastEval)
-	if dt < c.interval {
+	if dt < interval {
 		return c.target
 	}
 	if c.cfg.DepthProbe != nil {

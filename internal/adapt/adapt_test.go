@@ -37,7 +37,7 @@ func drive(t *testing.T, fn func(env *sim.Env, p *sim.Proc)) {
 func tickUntil(p *sim.Proc, c *Controller, maxSteps int) int {
 	start := c.Target()
 	for i := 0; i < maxSteps; i++ {
-		p.Sleep(c.interval)
+		p.Sleep(interval)
 		if got := c.Tick(c.Target()); got != start {
 			return got
 		}
@@ -74,7 +74,7 @@ func TestControllerGrowthBoundedByLease(t *testing.T) {
 		g := &fakeGrower{avail: 2} // broker can only re-lease 2 credits
 		c := NewController(Config{Env: env, Degree: 2, Max: 16, Prices: curve(16), Lease: g})
 		for step := 0; step < 20; step++ {
-			p.Sleep(c.interval)
+			p.Sleep(interval)
 			c.Tick(c.Target())
 		}
 		if c.Target() != 4 {

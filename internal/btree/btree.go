@@ -106,9 +106,6 @@ func (x *Index) Name() string { return x.name }
 // File returns the disk extent holding the index pages.
 func (x *Index) File() *disk.File { return x.file }
 
-// Entries returns the total number of index entries (= table rows).
-func (x *Index) Entries() int64 { return x.entries }
-
 // LeafCap returns the number of entries per full leaf page.
 func (x *Index) LeafCap() int { return x.leafCap }
 
@@ -159,7 +156,7 @@ func (x *Index) DescentPath() []int64 {
 }
 
 // SearchGE returns the global position of the first entry with key >= key,
-// or Entries() if no such entry exists.
+// or the entry count if no such entry exists.
 func (x *Index) SearchGE(key int64) int64 {
 	if x.syn != nil {
 		return clamp(key, 0, x.entries)
@@ -170,7 +167,7 @@ func (x *Index) SearchGE(key int64) int64 {
 }
 
 // SearchGT returns the global position of the first entry with key > key,
-// or Entries() if no such entry exists.
+// or the entry count if no such entry exists.
 func (x *Index) SearchGT(key int64) int64 {
 	if x.syn != nil {
 		return clamp(key+1, 0, x.entries)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"pioqo/internal/disk"
+	"pioqo/internal/fault"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
@@ -37,48 +38,21 @@ type ShareConfig struct {
 	// pool so one share can never monopolize it.
 	BlockPages int
 
-	// Depth caps how many blocks an unleased producer reads ahead: one
-	// with no leasing hook installed, or holding an unbounded grant.
-	// Default 4.
-	Depth int
-
-	// Retry bounds the producer's response to injected device faults,
-	// mirroring the executor's policy: MaxAttempts total attempts (default
-	// 4), Backoff doubling per retry (default 200µs) up to MaxBackoff
-	// (default 10ms). Deterministic: no jitter.
-	MaxAttempts int
-	Backoff     sim.Duration
-	MaxBackoff  sim.Duration
+	// Retry bounds the producer's response to injected device faults with
+	// the executor's policy; its zero fields take fault.DefaultRetry's.
+	Retry fault.RetryPolicy
 }
+
+// producerDepth caps how many blocks an unleased producer reads ahead: one
+// with no leasing hook installed, or holding an unbounded grant.
+const producerDepth = 4
 
 func (c ShareConfig) normalized() ShareConfig {
 	if c.BlockPages <= 0 {
 		c.BlockPages = disk.BlockPages
 	}
-	if c.Depth <= 0 {
-		c.Depth = 4
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 4
-	}
-	if c.Backoff <= 0 {
-		c.Backoff = 200 * sim.Microsecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 10 * sim.Millisecond
-	}
+	c.Retry = c.Retry.Normalized()
 	return c
-}
-
-func (c ShareConfig) backoffFor(retry int) sim.Duration {
-	d := c.Backoff
-	for i := 0; i < retry && d < c.MaxBackoff; i++ {
-		d *= 2
-	}
-	if d > c.MaxBackoff {
-		d = c.MaxBackoff
-	}
-	return d
 }
 
 // Shares is the per-pool scan-share registry: one ScanShare per hot file,
@@ -238,7 +212,7 @@ func (sh *ScanShare) blockCount(blk int64) int {
 // producer always gets its one block, however many shares split the pool.
 // The readahead is further capped by the queue depth: grant−1 blocks under
 // a leased grant (the block being delivered takes the last credit),
-// ShareConfig.Depth unleased or under an unbounded grant.
+// producerDepth unleased or under an unbounded grant.
 func (sh *ScanShare) budget() (window, readahead int) {
 	live := sh.reg.live
 	if live < 1 {
@@ -249,7 +223,7 @@ func (sh *ScanShare) budget() (window, readahead int) {
 	if bb < 3 {
 		window, readahead = 1, bb-1
 	}
-	depth := sh.reg.cfg.Depth
+	depth := producerDepth
 	if sh.grant > 0 {
 		depth = sh.grant - 1
 	}
@@ -356,11 +330,11 @@ func (sh *ScanShare) deliver(p *sim.Proc) {
 }
 
 func (sh *ScanShare) fetchRetry(p *sim.Proc, page int64) (Handle, error) {
-	cfg := sh.reg.cfg
+	retry := sh.reg.cfg.Retry
 	var lastErr error
-	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			p.Sleep(cfg.backoffFor(attempt - 1))
+			p.Sleep(retry.BackoffFor(attempt - 1))
 		}
 		h, err := sh.reg.pool.FetchPageE(p, sh.file, page)
 		if err == nil {
@@ -497,9 +471,3 @@ func (c *ScanConsumer) Detach() {
 	// The producer may be parked on window space that only frees when the
 	// departing consumer's claims drop; take already unparked it if so.
 }
-
-// Delivered reports how many blocks of the lap the consumer has taken.
-func (c *ScanConsumer) Delivered() int64 { return c.sh.blocks - c.remaining }
-
-// Blocks reports the lap length in blocks.
-func (c *ScanConsumer) Blocks() int64 { return c.sh.blocks }

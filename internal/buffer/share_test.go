@@ -194,7 +194,7 @@ func TestShareProducerLeasesItsDepth(t *testing.T) {
 	if len(leases) != 1 {
 		t.Fatalf("the producer took %d leases, want 1", len(leases))
 	}
-	// Unleased, the producer reads ahead ShareConfig.Depth's default of 4.
+	// Unleased, the producer reads ahead producerDepth, 4 blocks.
 	if l := leases[0]; l.demand != 5 || !l.released {
 		t.Errorf("lease demand %d, released %v; want 5, released", l.demand, l.released)
 	}

@@ -27,7 +27,7 @@ func TestFuzzShareExactlyOnceUnderFaults(t *testing.T) {
 		consumers = 24
 	)
 	w := newFaultWorld(t, capacity)
-	sh := NewShares(w.env, w.pool, ShareConfig{BlockPages: 8, MaxAttempts: 6})
+	sh := NewShares(w.env, w.pool, ShareConfig{BlockPages: 8, Retry: fault.RetryPolicy{MaxAttempts: 6}})
 	w.inj.Arm(fault.Schedule{
 		Seed: 7,
 		Windows: []fault.Window{

@@ -72,9 +72,6 @@ func (r *RAID0) Size() int64 { return r.size }
 // Metrics implements Device.
 func (r *RAID0) Metrics() *Metrics { return r.metrics }
 
-// Spindles returns the number of child devices.
-func (r *RAID0) Spindles() int { return len(r.children) }
-
 // WriteAt implements Device, striping like ReadAt (RAID0 has no parity).
 func (r *RAID0) WriteAt(offset int64, length int) *sim.Completion {
 	return r.readOrWrite(offset, length, true)

@@ -159,13 +159,6 @@ type Spec struct {
 	Degree int     // worker count; 1 = non-parallel
 	Agg    AggKind // aggregate over C1; default AggMax
 
-	// FullScan knobs: the scan reads BlockPages-page runs and keeps up to
-	// PrefetchBlocks of them in flight ahead of the workers ("prefetching up
-	// to n blocks ahead ... a large block consisting of several consecutive
-	// pages is read at a time", §2). BlockPages <= 1 disables block reads.
-	BlockPages     int
-	PrefetchBlocks int
-
 	// IndexScan knob: each worker prefetches up to PrefetchPerWorker table
 	// pages referenced by its current leaf (§3.3). 0 disables prefetching,
 	// giving the paper's baseline PIS whose queue depth equals Degree.
@@ -308,14 +301,6 @@ func (s *Spec) deliverPage(a *agg, h buffer.Handle, matches []table.Match) {
 func (s Spec) withDefaults() Spec {
 	if s.Degree <= 0 {
 		s.Degree = 1
-	}
-	if s.Method == FullScan {
-		if s.BlockPages == 0 {
-			s.BlockPages = disk.BlockPages
-		}
-		if s.PrefetchBlocks == 0 {
-			s.PrefetchBlocks = defaultPrefetchBlocks
-		}
 	}
 	return s
 }
@@ -477,9 +462,9 @@ func (a agg) result() Result {
 // the pool: at most half the pool, less one pinned page per worker, may be
 // tied up in the block window. Both the block size and the number of
 // in-flight blocks are clamped against that single window, so
-// BlockPages·PrefetchBlocks + Degree ≤ Capacity/2 holds whenever the window
+// blockPages·prefetchBlocks + degree ≤ capacity/2 holds whenever the window
 // can accommodate a block at all; a pool too small for any readahead
-// (window < 2) degenerates to BlockPages = 1, which disables block reads.
+// (window < 2) degenerates to blockPages = 1, which disables block reads.
 func clampReadahead(capacity, degree, blockPages, prefetchBlocks int) (int, int) {
 	if blockPages <= 1 {
 		return blockPages, prefetchBlocks
@@ -491,17 +476,17 @@ func clampReadahead(capacity, degree, blockPages, prefetchBlocks int) (int, int)
 }
 
 // defaultPrefetchBlocks is how many block reads a full scan keeps in flight
-// unless its spec says otherwise.
+// ahead of its workers before the pool clamp.
 const defaultPrefetchBlocks = 4
 
-// ReadaheadWindow reports the readahead geometry a full scan with default
-// knobs runs with on a pool of capacity frames at the given degree: the pages
-// per block read, and the most block reads it has outstanding — the blocks
-// the prefetcher may run ahead of the workers plus the one the workers are
-// waiting on, which is what a scan held up by its device keeps in flight.
-// The fleet does not appear in that number except through the pool clamp
-// (workers consume pages the prefetcher has already asked for), so this, not
-// the degree, is the device queue depth the optimizer prices a full scan at.
+// ReadaheadWindow reports the readahead geometry a full scan runs with on a
+// pool of capacity frames at the given degree: the pages per block read,
+// and the most block reads it has outstanding — the blocks the prefetcher
+// may run ahead of the workers plus the one the workers are waiting on,
+// which is what a scan held up by its device keeps in flight. The fleet
+// does not appear in that number except through the pool clamp (workers
+// consume pages the prefetcher has already asked for), so this, not the
+// degree, is the device queue depth the optimizer prices a full scan at.
 // On a pool too small for any readahead the workers read their own pages,
 // one each.
 func ReadaheadWindow(capacity, degree int) (blockPages, inFlight int) {
@@ -512,9 +497,13 @@ func ReadaheadWindow(capacity, degree int) (blockPages, inFlight int) {
 	return blockPages, ahead + 1
 }
 
-// runFullScan implements FTS/PFTS: an asynchronous block prefetcher stays
-// up to PrefetchBlocks block-reads ahead while Degree workers consume heap
-// pages in order, each evaluating every row on the page.
+// runFullScan implements FTS/PFTS: an asynchronous block prefetcher reads
+// runs of disk.BlockPages pages and stays up to defaultPrefetchBlocks of
+// them ahead while Degree workers consume heap pages in order, each
+// evaluating every row on the page ("prefetching up to n blocks ahead ... a
+// large block consisting of several consecutive pages is read at a time",
+// §2). Both are clamped against the pool; a pool too small for a two-page
+// block disables block reads.
 func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	t := spec.Table
 	pages := t.Pages()
@@ -528,36 +517,32 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	// not the initial degree: the block layout is fixed for the scan's
 	// lifetime, so it must already leave room for a fully grown fleet's pins.
 	fl := newFleet(ctx, &spec)
-	spec.BlockPages, spec.PrefetchBlocks = clampReadahead(
-		spec.poolCapacity(ctx), fl.max, spec.BlockPages, spec.PrefetchBlocks)
+	capacity := spec.poolCapacity(ctx)
+	blockPages, prefetchBlocks := clampReadahead(capacity, fl.max, disk.BlockPages, defaultPrefetchBlocks)
 
-	if spec.BlockPages > 1 {
-		// Flow-control window: the prefetcher stays at most PrefetchBlocks
+	if blockPages > 1 {
+		// Flow-control window: the prefetcher stays at most prefetchBlocks
 		// block-reads ahead of the hindmost block the workers have begun
 		// consuming. A plain credit counter (issued − reached) avoids any
-		// ordering assumptions between prefetcher and workers. An elastic
-		// scan re-evaluates the window at every issue against the live
-		// degree (liveWindow) — the clampReadahead fix for adaptively grown
-		// fleets on tiny pools; a static scan's window is the plan-time
-		// constant, unchanged.
-		window := func() int64 { return int64(spec.PrefetchBlocks) }
-		if spec.Tune != nil {
-			capacity := spec.poolCapacity(ctx)
-			window = func() int64 {
-				return int64(liveWindow(capacity, fl.live, spec.BlockPages, spec.PrefetchBlocks))
-			}
+		// ordering assumptions between prefetcher and workers. The window
+		// is re-evaluated at every issue against the live degree
+		// (liveWindow) — the clampReadahead fix for adaptively grown fleets
+		// on tiny pools. A static fleet never has more live workers than the
+		// degree the window was clamped at, so its window is that constant.
+		window := func() int64 {
+			return int64(liveWindow(capacity, fl.live, blockPages, prefetchBlocks))
 		}
-		blocks := (pages + int64(spec.BlockPages) - 1) / int64(spec.BlockPages)
+		blocks := (pages + int64(blockPages) - 1) / int64(blockPages)
 		reached := make([]bool, blocks)
 		var issued, reachedCount int64
 		ctx.Env.Go("fts-prefetcher", func(pf *sim.Proc) {
 			ps := ctx.Tracer.StartTrack(spec.Span, "fts-prefetcher",
-				obs.KV("blocks", blocks), obs.KV("block_pages", spec.BlockPages))
+				obs.KV("blocks", blocks), obs.KV("block_pages", blockPages))
 			for b := int64(0); b < blocks; b++ {
 				for issued-reachedCount >= window() && !spec.aborted() {
 					w := window()
 					if nb := b + w; spec.Tune != nil && nb < blocks &&
-						w < int64(spec.PrefetchBlocks) {
+						w < int64(prefetchBlocks) {
 						// A live window squeezed below the planned one (a
 						// grown fleet's pins ate into it) is the next-stripe
 						// guess: the stripe just past the window is a block
@@ -572,8 +557,8 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 						// full-width window gets no speculation — the runs
 						// it issues already saturate the device, and
 						// out-of-band reads would only fragment them.
-						start := nb * int64(spec.BlockPages)
-						count := spec.BlockPages
+						start := nb * int64(blockPages)
+						count := blockPages
 						if start+int64(count) > pages {
 							count = int(pages - start)
 						}
@@ -588,8 +573,8 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 				if spec.aborted() {
 					break
 				}
-				start := b * int64(spec.BlockPages)
-				count := spec.BlockPages
+				start := b * int64(blockPages)
+				count := blockPages
 				if start+int64(count) > pages {
 					count = int(pages - start)
 				}
@@ -613,7 +598,7 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		// this one sleeps — the re-check keeps each block counted once,
 		// which the prefetcher's credit flow control depends on.
 		onClaim = func(wp *sim.Proc, bud *cpuBudget, page int64) {
-			b := page / int64(spec.BlockPages)
+			b := page / int64(blockPages)
 			if !reached[b] {
 				bud.settle(wp)
 				if !reached[b] {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"pioqo/internal/btree"
-	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -58,13 +57,6 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 	rpp := t.RowsPerPage()
 	bud := &w.bud
 
-	// Span the batch only in detailed traces — at realistic scales a query
-	// touches thousands of leaves.
-	var ls *obs.Span
-	if ctx.Tracer.Detailed() {
-		ls = ctx.Tracer.Start(bud.span, "leaf-batch")
-		defer ls.End()
-	}
 	leaf, slot := x.LeafOf(pos)
 	lh, ok := bud.fetchRetry(w.p, spec, x.File(), x.LeafPage(leaf))
 	if !ok {
@@ -76,7 +68,6 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 	// consumers below read the slice in place.
 	matches := w.entries[slot : slot+take]
 	bud.charge(ctx.Costs.PerPage + sim.Duration(take)*ctx.Costs.PerEntry)
-	ls.SetAttr("entries", take)
 
 	if collect != nil {
 		*collect = append(*collect, matches...)

@@ -95,9 +95,6 @@ func Wrap(env *sim.Env, rec *obs.Registry, inner device.Device) *Injector {
 	return &Injector{env: env, obs: rec, inner: inner}
 }
 
-// Inner returns the wrapped device.
-func (j *Injector) Inner() device.Device { return j.inner }
-
 // Arm installs sched, effective immediately: window offsets are interpreted
 // relative to the current virtual time. Arming replaces any previous
 // schedule and resets the draw RNG and stats, so the same schedule armed at

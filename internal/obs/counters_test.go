@@ -24,12 +24,11 @@ func TestCountersAreTheirEvents(t *testing.T) {
 	}{
 		{"sharded-hedged", runScatters, pioqo.Config{Device: pioqo.SSD, PoolPages: 1024, Shards: 4,
 			HedgeDelay: 2 * time.Millisecond}},
-		{"adaptive-shared", runServing, pioqo.Config{Device: pioqo.SSD, PoolPages: 768, Adaptive: true}},
+		{"adaptive-shared", runServing, pioqo.Config{Device: pioqo.SSD, PoolPages: 768}},
 	} {
 		t.Run(mix.name, func(t *testing.T) {
-			cfg := mix.cfg
-			cfg.EventLog = 1 << 18
-			sys := pioqo.New(cfg)
+			sys := pioqo.New(mix.cfg)
+			sys.EnableEventLog(1 << 18)
 			tab, err := sys.CreateTable("t", 200000, 33)
 			if err != nil {
 				t.Fatal(err)
@@ -113,11 +112,11 @@ func runServing(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 	for i := 0; i < 4; i++ {
 		qs = append(qs, pioqo.Query{Table: tab, Low: 0, High: 199999})
 	}
-	if _, err := sys.ExecuteConcurrent(qs, pioqo.Cold()); err != nil {
+	if _, err := sys.ExecuteConcurrent(qs, pioqo.Cold(), pioqo.WithAdaptive()); err != nil {
 		t.Fatal(err)
 	}
 	for _, hi := range []int64{999, 3999} {
-		if _, err := sys.Execute(pioqo.Query{Table: tab, Low: 0, High: hi}, pioqo.Cold()); err != nil {
+		if _, err := sys.Execute(pioqo.Query{Table: tab, Low: 0, High: hi}, pioqo.Cold(), pioqo.WithAdaptive()); err != nil {
 			t.Fatal(err)
 		}
 	}

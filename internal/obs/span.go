@@ -100,9 +100,6 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Tracers returns the attached tracers, in attachment order.
-func (t *Trace) Tracers() []*Tracer { return t.tracers }
-
 // Spans returns every root span across all tracers, in creation order.
 func (t *Trace) Spans() []*Span {
 	var roots []*Span
@@ -137,11 +134,6 @@ type Tracer struct {
 
 	roots   []*Span
 	nextTID int
-
-	// Detail enables high-volume inner spans (per-leaf I/O batches). Off by
-	// default: a full benchmark sweep traced with Detail on would record one
-	// span per index leaf visited.
-	Detail bool
 }
 
 // Name returns the tracer's label.
@@ -151,9 +143,6 @@ func (tr *Tracer) Name() string {
 	}
 	return tr.name
 }
-
-// Detailed reports whether high-volume inner spans should be recorded.
-func (tr *Tracer) Detailed() bool { return tr != nil && tr.Detail }
 
 // Start opens a span at the current virtual time under parent (nil parent
 // makes a root span). The span inherits its parent's track; use StartTrack

@@ -16,17 +16,12 @@ package opt
 
 import "pioqo/internal/exec"
 
-// defaultGreedyMargin is the relative cost margin within which two plan
-// families are considered crossover-close, triggering fallback to full
-// enumeration. See Config.GreedyMargin.
-const defaultGreedyMargin = 0.10
-
-func (c *Config) greedyMargin() float64 {
-	if c.GreedyMargin > 0 {
-		return c.GreedyMargin
-	}
-	return defaultGreedyMargin
-}
+// greedyMargin is the relative cost margin the greedy fast path and the
+// parameterized cache treat as crossover-close: when the best plans of two
+// different access-path families price within this fraction of each other,
+// the serving path distrusts its shortcut and falls back to full
+// enumeration.
+const greedyMargin = 0.10
 
 // crossover is the precomputed per-shape table collapsing the prefetch
 // dimension: prefetch[i] is the depth from Config.PrefetchDepths that
@@ -163,7 +158,7 @@ func greedyPlan(cfg *Config, in *Input, cc *costing, cx *crossover) (t top2, fel
 		}
 	}
 	if t.hasRunner &&
-		t.runner.TotalMicros-t.winner.TotalMicros <= cfg.greedyMargin()*t.winner.TotalMicros {
+		t.runner.TotalMicros-t.winner.TotalMicros <= greedyMargin*t.winner.TotalMicros {
 		return pickTop(enumerate(cfg, in, cc)), true
 	}
 	t.winner = canonPrefetch(cfg, in, cc, t.winner)

@@ -73,13 +73,6 @@ type Config struct {
 	// copy of the table. 0 or 1 means no sharing is available.
 	ShareParties int
 
-	// GreedyMargin is the relative cost margin the greedy fast path and the
-	// parameterized cache treat as crossover-close: when the best plans of
-	// two different access-path families price within this fraction of each
-	// other, the serving path distrusts its shortcut and falls back to full
-	// enumeration. 0 means the default (10%).
-	GreedyMargin float64
-
 	// GridKey, when non-empty, is the precomputed flattening of the
 	// enumeration grid (see the GridKey function). Plan caches key on it;
 	// leaving it empty makes every lookup rebuild — and allocate — the

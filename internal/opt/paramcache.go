@@ -86,8 +86,7 @@ func bandEdges(band int) (lo, hi float64) {
 
 // shapeKey is a memoKey minus the constants: no lo/hi, no epoch. Everything
 // left is fixed for a query shape's lifetime; object-valued fields key on
-// identity exactly as in the memo. The margin is included because both the
-// fallback decision and entry stability depend on it.
+// identity exactly as in the memo.
 type shapeKey struct {
 	table table.Table
 	index *btree.Index
@@ -100,7 +99,6 @@ type shapeKey struct {
 	sorted       bool
 	queueBudget  int
 	shareParties int
-	margin       float64
 	grid         string
 }
 
@@ -116,7 +114,6 @@ func newShapeKey(cfg *Config, in *Input) shapeKey {
 		sorted:       cfg.EnableSortedScan,
 		queueBudget:  cfg.QueueBudget,
 		shareParties: cfg.ShareParties,
-		margin:       cfg.greedyMargin(),
 		grid:         cfg.gridKey(),
 	}
 }
@@ -283,9 +280,9 @@ func (pc *ParamCache) bandSetFor(key *shapeKey) *bandSet {
 
 // wins reports whether w beats r by more than the margin — the condition
 // under which the cache trusts a cached ranking without re-enumerating.
-func wins(w, r Plan, margin float64) bool {
+func wins(w, r Plan) bool {
 	return w.TotalMicros < r.TotalMicros &&
-		r.TotalMicros-w.TotalMicros > margin*w.TotalMicros
+		r.TotalMicros-w.TotalMicros > greedyMargin*w.TotalMicros
 }
 
 // stableInBand probes the entry at both selectivity edges of its band (at
@@ -303,10 +300,9 @@ func stableInBand(cfg *Config, in *Input, set *bandSet, band int, resident float
 	}
 	lo, hi := bandEdges(band)
 	rows := float64(in.Table.Rows())
-	margin := cfg.greedyMargin()
 	for _, sel := range [2]float64{lo, hi} {
 		cc := costing{matched: sel * rows, resident: resident, est: &set.est}
-		if !wins(costShape(cfg, in, &cc, e.winner), costShape(cfg, in, &cc, e.runner), margin) {
+		if !wins(costShape(cfg, in, &cc, e.winner), costShape(cfg, in, &cc, e.runner)) {
 			return false
 		}
 	}
@@ -357,7 +353,7 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 		var r Plan
 		if e.hasRunner {
 			r = costShape(cfg, in, &cc, e.runner)
-			confirmed = wins(w, r, cfg.greedyMargin())
+			confirmed = wins(w, r)
 		} else {
 			// Single-family shape: only residency can move the choice, and
 			// the epoch check covers that.

@@ -187,7 +187,7 @@ func TestParamCacheRevalidatesOnEpochDrift(t *testing.T) {
 	// optimization at the current residency... up to the uncertainty
 	// margin the cache is allowed to absorb.
 	full := Choose(cfg, in)
-	if got != full && got.TotalMicros/full.TotalMicros-1 > cfg.greedyMargin() {
+	if got != full && got.TotalMicros/full.TotalMicros-1 > greedyMargin {
 		t.Errorf("after drift served %v, full optimization %v", got, full)
 	}
 

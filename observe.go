@@ -170,7 +170,6 @@ func (s *System) startTelemetry(q Query, eo queryOptions) *telemetrySession {
 		return nil
 	}
 	tracer := obs.NewTracer(s.env, "query")
-	tracer.Detail = eo.detail
 	ts := &telemetrySession{
 		tracer: tracer,
 		before: s.reg.Snapshot(),

@@ -60,7 +60,12 @@ const (
 	NVME  = workload.NVME
 )
 
-// Config sizes a System. Zero values take the documented defaults.
+// Config sizes the machine: the device, pool, cores, seed, shard count and
+// hedge delay a System is assembled with. Zero values take the documented
+// defaults. Everything else is set through its own API after New — a fault
+// schedule with InjectFaults, the event log with EnableEventLog — or per
+// table and per query: partitioning with WithPartition, adaptive execution
+// with WithAdaptive.
 type Config struct {
 	// Device is the storage model to attach. Default SSD.
 	Device DeviceKind
@@ -76,28 +81,6 @@ type Config struct {
 	// Default 1.
 	Seed int64
 
-	// Faults, when set, is a fault schedule installed at assembly time,
-	// active from virtual time zero — which includes any Calibrate pass.
-	// To degrade queries without degrading calibration, call InjectFaults
-	// after Calibrate instead; its windows count from the call.
-	Faults *FaultSchedule
-
-	// Adaptive makes feedback-driven execution the system default: every
-	// eligible query (demand full scans and index scans) runs under the
-	// per-query feedback controller, which starts at the plan's degree and
-	// moves the fleet at batch boundaries only to a degree the optimizer
-	// prices at least 5 % cheaper — growing through the broker lease,
-	// shedding under pool pressure or past the beneficial depth. Off by
-	// default — static plans stay byte-identical to previous releases.
-	// Per-query opt-in is WithAdaptive; per-query opt-out is
-	// WithStaticDegree.
-	Adaptive bool
-
-	// EventLog, when positive, enables the engine's structured event log
-	// at assembly time with that ring capacity (see EnableEventLog).
-	// Default 0: disabled, with every emit site a single nil check.
-	EventLog int
-
 	// Shards is the number of simulated cluster nodes. Default 1 — the
 	// single-node engine, byte-identical to pre-cluster builds. With N > 1
 	// every node gets its own device, buffer pool, CPU cores, and
@@ -105,11 +88,6 @@ type Config struct {
 	// partitioned across nodes at creation and queries run scatter-gather
 	// (see DESIGN.md §13). PoolPages and Cores size each node.
 	Shards int
-
-	// Partition is the default partitioning for tables created on a
-	// sharded system. Default PartitionHash. Per-table override is
-	// WithPartition.
-	Partition PartitionKind
 
 	// HedgeDelay is the straggler-hedge re-issue threshold: a shard read
 	// still outstanding after this long gets a speculative duplicate, and
@@ -143,11 +121,9 @@ type System struct {
 	cores int
 	seed  int64
 
-	// partition is the default partitioning for sharded tables; hedge is
-	// the straggler-hedge re-issue threshold (0 on a single-node system,
-	// which never hedges).
-	partition PartitionKind
-	hedge     sim.Duration
+	// hedge is the straggler-hedge re-issue threshold (0 on a single-node
+	// system, which never hedges).
+	hedge sim.Duration
 
 	// noDegrade keeps the broker's credit supply at the healthy depth under
 	// channel loss: the reference arm of TestDegradedPlanBeatsHealthyDepth,
@@ -156,9 +132,6 @@ type System struct {
 
 	tables map[string]*Table
 	model  *cost.QDTT
-
-	// adaptive is the Config.Adaptive system default.
-	adaptive bool
 
 	// memo caches plan enumerations across queries; depthOne caches the
 	// model's depth-oblivious projection for DepthOblivious planning. Both
@@ -205,16 +178,14 @@ func New(cfg Config) *System {
 	}
 	env := sim.NewEnv(cfg.Seed)
 	s := &System{
-		env:       env,
-		costs:     exec.DefaultCPUCosts(),
-		cores:     cfg.Cores,
-		seed:      cfg.Seed,
-		partition: cfg.Partition,
-		adaptive:  cfg.Adaptive,
-		tables:    make(map[string]*Table),
-		memo:      opt.NewMemo(),
-		pcache:    opt.NewParamCache(),
-		reg:       obs.NewRegistry(env),
+		env:    env,
+		costs:  exec.DefaultCPUCosts(),
+		cores:  cfg.Cores,
+		seed:   cfg.Seed,
+		tables: make(map[string]*Table),
+		memo:   opt.NewMemo(),
+		pcache: opt.NewParamCache(),
+		reg:    obs.NewRegistry(env),
 	}
 	if cfg.Shards > 1 {
 		hd := cfg.HedgeDelay
@@ -237,12 +208,6 @@ func New(cfg Config) *System {
 			Shares:     i == 0,
 			HedgeDelay: s.hedge,
 		}))
-	}
-	if cfg.EventLog > 0 {
-		s.EnableEventLog(cfg.EventLog)
-	}
-	if cfg.Faults != nil {
-		s.InjectFaults(*cfg.Faults)
 	}
 	return s
 }
@@ -350,7 +315,7 @@ type tableOptions struct {
 	noIndex   bool
 	seed      int64
 	zipf      float64
-	part      PartitionKind // -1 = system default
+	part      PartitionKind
 }
 
 // WithSyntheticData stores no row values: every key in [0, rows) occurs
@@ -379,8 +344,10 @@ func WithZipfData(exponent float64) TableOption {
 	return func(o *tableOptions) { o.zipf = exponent }
 }
 
-// WithPartition overrides the system's default partitioning for this
-// table. Ignored on single-shard systems.
+// WithPartition sets how this table spreads rows across the nodes of a
+// sharded system. Default PartitionHash. It has no effect on a
+// single-shard system, but a kind other than PartitionHash, PartitionRange
+// and PartitionRangeBalanced fails CreateTable on any shard count.
 func WithPartition(k PartitionKind) TableOption {
 	return func(o *tableOptions) { o.part = k }
 }
@@ -398,9 +365,12 @@ func (s *System) CreateTable(name string, rows int64, rowsPerPage int, options .
 	if rows <= 0 || rowsPerPage <= 0 {
 		return nil, fmt.Errorf("pioqo: table %q: rows=%d rowsPerPage=%d", name, rows, rowsPerPage)
 	}
-	o := tableOptions{seed: s.seed, part: -1}
+	o := tableOptions{seed: s.seed}
 	for _, opt := range options {
 		opt(&o)
+	}
+	if o.part < PartitionHash || o.part > PartitionRangeBalanced {
+		return nil, fmt.Errorf("pioqo: table %q: unknown partition kind %d", name, int(o.part))
 	}
 	if o.synthetic && o.zipf > 0 {
 		return nil, fmt.Errorf("pioqo: table %q: synthetic data is uniform by construction; WithZipfData needs a materialized table", name)

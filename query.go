@@ -385,7 +385,7 @@ func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, choose
 		switch {
 		case !q.Table.sharded():
 			sh := shards[0]
-			if s.adaptiveOn(r.eo) {
+			if r.eo.adaptive {
 				// Standalone executions are ungoverned (no lease — the whole
 				// supply is theirs), but growth still respects the band's
 				// beneficial depth, read from the shared broker's calibrated
@@ -425,7 +425,6 @@ type queryOptions struct {
 	prefetch  int
 	plan      PlanOptions
 	telemetry *QueryTelemetry
-	detail    bool
 	adaptive  bool
 	degree    int
 	timeout   time.Duration

@@ -325,10 +325,3 @@ func WithRetry(p RetryPolicy) QueryOption { return func(o *queryOptions) { o.ret
 func WithTrace(dst *QueryTelemetry) QueryOption {
 	return func(o *queryOptions) { o.telemetry = dst }
 }
-
-// WithDetailedTrace additionally records per-leaf I/O-batch spans inside
-// index scan workers (§3.3's unit of prefetching). Traces grow with leaf
-// count; use on small ranges.
-func WithDetailedTrace() QueryOption {
-	return func(o *queryOptions) { o.detail = true }
-}

@@ -19,6 +19,16 @@ go test -timeout 120s ./...
 # the benchmark run. Vet it and run its smoke test here.
 (cd bench && go vet ./... && go test ./...)
 
+# The examples are the programs a reader runs first, and no test runs
+# them: build all of them once into a temporary directory and run each; a
+# non-zero exit fails the gate. All eight take about 3 s together.
+EXAMPLES_BIN=$(mktemp -d)
+trap 'rm -rf "$EXAMPLES_BIN"' EXIT
+go build -o "$EXAMPLES_BIN/" ./examples/...
+for example in "$EXAMPLES_BIN"/*; do
+	"$example" >/dev/null
+done
+
 # Tier 2: vet everything, race-test the event loop and metrics/span layer,
 # plus the host-parallel sweep runner and the experiments that fan out on it
 # (the determinism tests compare serial vs parallel output byte for byte),

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"pioqo/internal/broker"
 	"pioqo/internal/btree"
 	"pioqo/internal/exec"
 	"pioqo/internal/node"
@@ -72,10 +73,7 @@ func (s *System) createShardedTable(name string, rows int64, rpp int, o tableOpt
 		cols = table.DrawColumns(rows, o.seed)
 	}
 
-	kind := s.partition
-	if o.part >= 0 {
-		kind = o.part
-	}
+	kind := o.part
 	n := len(s.nodes)
 	var cuts []int64
 	switch kind {
@@ -164,7 +162,7 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 	po.ShareParties = 0 // circulating scans are single-node
 	var budgets []int
 	if o.QueueBudget > 0 {
-		budgets = splitBudget(o.QueueBudget, len(active))
+		budgets = broker.SplitCredits(o.QueueBudget, len(active))
 	}
 	cfgs := make([]opt.Config, len(active))
 	ins := make([]opt.Input, len(active))
@@ -204,22 +202,6 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 	pub.scatter = &scatterPlan{plans: sp.Shards, active: active}
 	pub.pruned = len(t.parts) - len(active)
 	return pub, nil
-}
-
-// splitBudget deals a queue-depth budget across shards, at least one
-// credit each (a zero per-shard budget would mean "uncapped").
-func splitBudget(total, shards int) []int {
-	out := make([]int, shards)
-	for i := range out {
-		out[i] = total / shards
-		if i < total%shards {
-			out[i]++
-		}
-		if out[i] < 1 {
-			out[i] = 1
-		}
-	}
-	return out
 }
 
 // shardScans builds the node-local scans of q under plan and returns them

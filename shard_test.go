@@ -3,6 +3,7 @@ package pioqo
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -11,10 +12,10 @@ import (
 // table (zipf <= 0 means uniform data).
 func newShardedCalibrated(t *testing.T, shards int, kind PartitionKind, rows int64, zipf float64, opts ...TableOption) (*System, *Table) {
 	t.Helper()
-	sys := New(Config{Device: SSD, PoolPages: 1024, Shards: shards, Partition: kind})
-	topts := opts
+	sys := New(Config{Device: SSD, PoolPages: 1024, Shards: shards})
+	topts := append([]TableOption{WithPartition(kind)}, opts...)
 	if zipf > 0 {
-		topts = append([]TableOption{WithZipfData(zipf)}, opts...)
+		topts = append([]TableOption{WithZipfData(zipf)}, topts...)
 	}
 	tab, err := sys.CreateTable("t", rows, 33, topts...)
 	if err != nil {
@@ -422,11 +423,35 @@ func TestShardedSingleNodeOpsRejected(t *testing.T) {
 	}
 }
 
+// TestCreateTableRejectsUnknownPartition: a partition kind outside the
+// three that exist fails CreateTable on every shard count, instead of
+// building a hash-partitioned table that reports the bogus kind.
+func TestCreateTableRejectsUnknownPartition(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		sys := New(Config{Device: SSD, PoolPages: 1024, Shards: shards})
+		for _, k := range []PartitionKind{-1, 3, 7} {
+			if tab, err := sys.CreateTable(fmt.Sprint("bad", int(k)), 1000, 33, WithPartition(k)); err == nil {
+				t.Errorf("%d shards: WithPartition(%d) built a table partitioned %v; want an error", shards, k, tab.Partitioning())
+			}
+		}
+		for _, k := range []PartitionKind{PartitionHash, PartitionRange, PartitionRangeBalanced} {
+			tab, err := sys.CreateTable(k.String(), 1000, 33, WithPartition(k))
+			if err != nil {
+				t.Fatalf("%d shards: WithPartition(%v): %v", shards, k, err)
+			}
+			if shards > 1 && tab.Partitioning() != k {
+				t.Errorf("%d shards: table partitioned %v, want %v", shards, tab.Partitioning(), k)
+			}
+		}
+	}
+}
+
 // TestShardedProgressAndEvents checks the observability surface: the
 // shard.* events land in the engine log and per-shard progress rolls up
 // into the query counter.
 func TestShardedProgressAndEvents(t *testing.T) {
-	sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4, EventLog: 4096})
+	sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4})
+	sys.EnableEventLog(4096)
 	tab, err := sys.CreateTable("t", 50000, 33)
 	if err != nil {
 		t.Fatal(err)
