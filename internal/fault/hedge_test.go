@@ -77,14 +77,15 @@ func TestHedgerRacesStragglers(t *testing.T) {
 	}
 }
 
-// TestHedgerExactlyOnce: when both copies are in flight, the outer
-// completion fires exactly once (the winner), and the loser's completion
-// is absorbed by the hedger.
+// TestHedgerExactlyOnce: when every copy is in flight, the outer
+// completion fires exactly once (the winner), and the losers' completions
+// are absorbed by the hedger.
 func TestHedgerExactlyOnce(t *testing.T) {
 	env := sim.NewEnv(1)
 	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
-	// Every read is a straggler: the hedge always launches, and its copy is
-	// just as slow, so both copies run to completion.
+	// Every read is a straggler: each delay passes with no copy landed, so
+	// every read races its whole cap of copies, each just as slow, and all
+	// of them run to completion.
 	inj.Arm(Schedule{Seed: 3, Windows: []Window{{
 		StragglerRate:    1.0,
 		StragglerLatency: sim.Duration(30 * sim.Millisecond),
@@ -95,12 +96,53 @@ func TestHedgerExactlyOnce(t *testing.T) {
 	if fired != 16 {
 		t.Fatalf("outer completions fired %d times for 16 reads", fired)
 	}
-	if h.Stats().Issued != 16 {
-		t.Errorf("issued %d hedges for 16 always-straggling reads", h.Stats().Issued)
+	if got, want := h.Stats().Issued, int64(16*maxCopies); got != want {
+		t.Errorf("issued %d hedges for 16 always-straggling reads, want %d (the cap on each)", got, want)
 	}
-	st := inj.Stats()
-	if st.Stragglers != 32 {
-		t.Errorf("injector saw %d straggler draws, want 32 (both copies of every read)", st.Stragglers)
+	if got, want := inj.Stats().Stragglers, int64(16*(1+maxCopies)); got != want {
+		t.Errorf("injector saw %d straggler draws, want %d (every copy of every read)", got, want)
+	}
+}
+
+// TestHedgerReracesALateCopy: when the original read and its first copy
+// both straggle, the race does not wait out the straggler latency — a delay
+// later a second copy goes out, and it lands within a few delays plus the
+// device's service time.
+func TestHedgerReracesALateCopy(t *testing.T) {
+	const delay = sim.Duration(1 * sim.Millisecond)
+	env := sim.NewEnv(1)
+	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+	h := NewHedger(env, nil, inj, delay)
+	h.Arm()
+	var start, end sim.Time
+	env.Go("reader", func(p *sim.Proc) {
+		// Only the original and the first copy are submitted inside the
+		// straggling window; the schedule is cleared before the second copy.
+		inj.Arm(Schedule{Seed: 3, Windows: []Window{{
+			StragglerRate:    1.0,
+			StragglerLatency: sim.Duration(30 * sim.Millisecond),
+		}}})
+		env.Schedule(delay+delay/2, inj.Disarm)
+		start = env.Now()
+		c := h.ReadAt(0, 4096)
+		p.Wait(c)
+		if err := c.Err(); err != nil {
+			t.Errorf("read failed: %v", err)
+		}
+		end = env.Now()
+	})
+	env.Run()
+	if st := inj.Stats(); st.Stragglers != 2 {
+		t.Fatalf("injector drew %d stragglers, want 2 (the original and the first copy)", st.Stragglers)
+	}
+	if got := h.Stats(); got.Issued < 2 || got.Wins != 1 {
+		t.Errorf("hedger issued %d copies and won %d races; want a second copy that wins", got.Issued, got.Wins)
+	}
+	if took, bound := end.Sub(start), 3*delay+sim.Millisecond; took > bound {
+		t.Errorf("read took %v behind two straggling copies, want at most %v", took, bound)
+	}
+	if n := h.Races(); n != 0 {
+		t.Errorf("%d races still running after the drain", n)
 	}
 }
 
@@ -109,46 +151,61 @@ func TestHedgerExactlyOnce(t *testing.T) {
 // so under stragglers and read errors, with copies lost, copies failed and
 // timers expired past the reader's last wake, every race has run its last
 // callback once Run returns and every hedge record is back on the free list.
+// The always-straggling arm races every read at the cap: each of its copies
+// loses but one, and all of them land after the reader has moved on.
 func TestHedgerRecordsComeHomeAtDrain(t *testing.T) {
-	env := sim.NewEnv(1)
-	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
-	inj.Arm(Schedule{Seed: 5, Windows: []Window{{
-		ErrorRate:        0.2,
-		StragglerRate:    0.3,
-		StragglerLatency: sim.Duration(20 * sim.Millisecond),
-	}}})
-	h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
-	h.Arm()
-	if _, fired := readAll(env, h, 256); fired != 256 {
-		t.Fatalf("outer completions fired %d times for 256 reads", fired)
-	}
-	if st := inj.Stats(); st.Errors == 0 || st.Stragglers == 0 {
-		t.Fatalf("injector drew %d errors and %d stragglers; the run must see both", st.Errors, st.Stragglers)
-	}
-	if h.Stats().Issued == 0 {
-		t.Fatal("no hedge issued under 30% stragglers")
-	}
-	if len(h.free) != h.records {
-		t.Errorf("%d of %d hedge records on the free list after the drain", len(h.free), h.records)
+	for _, c := range []struct {
+		name   string
+		window Window
+		atCap  bool // every read races maxCopies copies
+	}{
+		{"stragglers and errors", Window{
+			ErrorRate:        0.2,
+			StragglerRate:    0.3,
+			StragglerLatency: sim.Duration(20 * sim.Millisecond),
+		}, false},
+		{"every copy straggles", Window{
+			StragglerRate:    1.0,
+			StragglerLatency: sim.Duration(20 * sim.Millisecond),
+		}, true},
+	} {
+		env := sim.NewEnv(1)
+		inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+		inj.Arm(Schedule{Seed: 5, Windows: []Window{c.window}})
+		h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
+		h.Arm()
+		if _, fired := readAll(env, h, 256); fired != 256 {
+			t.Fatalf("%s: outer completions fired %d times for 256 reads", c.name, fired)
+		}
+		st := inj.Stats()
+		if st.Stragglers == 0 || (c.window.ErrorRate > 0 && st.Errors == 0) {
+			t.Fatalf("%s: injector drew %d errors and %d stragglers; the run must see both", c.name, st.Errors, st.Stragglers)
+		}
+		if issued := h.Stats().Issued; issued == 0 || (c.atCap && issued != 256*maxCopies) {
+			t.Fatalf("%s: %d hedges issued for 256 reads", c.name, issued)
+		}
+		if n := h.Races(); n != 0 {
+			t.Errorf("%s: %d of %d hedge records off the free list after the drain", c.name, n, h.records)
+		}
 	}
 }
 
 // TestHedgerAllocations is the allocation gate on the hedged read path: a
 // disarmed hedger adds nothing to the inner device's read, and an armed one
-// adds its outer completion — the race itself runs on a reused record —
-// whether or not the speculative copy is issued.
+// adds its outer completion plus each issued copy's inner completion — the
+// race itself runs on a reused record — and nothing else.
 func TestHedgerAllocations(t *testing.T) {
 	const page = 4096
 	for _, c := range []struct {
 		name   string
 		delay  sim.Duration
 		arm    bool
-		hedged bool    // the delay is below the SSD's read latency: every read gets its copy
-		limit  float64 // allocations beyond the bare device's
+		hedged bool    // the delay is below the SSD's read latency: every read gets its copies
+		limit  float64 // allocations beyond the bare device's and the issued copies'
 	}{
 		{"disarmed", 2 * sim.Millisecond, false, false, 0},
 		{"armed, hedge never issued", 2 * sim.Millisecond, true, false, 1},
-		{"armed, every read hedged", 20 * sim.Microsecond, true, true, 2}, // and the copy's inner completion
+		{"armed, every read hedged", 20 * sim.Microsecond, true, true, 1},
 	} {
 		env := sim.NewEnv(1)
 		ssd := device.NewSSD(env, device.DefaultSSDConfig())
@@ -158,6 +215,7 @@ func TestHedgerAllocations(t *testing.T) {
 		}
 		env.Go("gate", func(p *sim.Proc) {
 			next := int64(0)
+			reads := 0
 			readOn := func(dev device.Device) func() {
 				return func() {
 					p.Wait(dev.ReadAt(next, page))
@@ -165,19 +223,21 @@ func TestHedgerAllocations(t *testing.T) {
 					// the reader; let it land so its record is free again.
 					p.Sleep(sim.Millisecond)
 					next = (next + 3*page) % (4 << 20)
+					reads++
 				}
 			}
 			for i := 0; i < 64; i++ {
 				readOn(h)()
 			}
 			bare := testing.AllocsPerRun(100, readOn(ssd))
-			issued := h.Stats().Issued
+			issued, before := h.Stats().Issued, reads
 			got := testing.AllocsPerRun(100, readOn(h))
-			if got-bare > c.limit {
-				t.Errorf("%s: %v allocations per read over the bare device's %v, want at most %v",
-					c.name, got-bare, bare, c.limit)
+			copies := float64(h.Stats().Issued-issued) / float64(reads-before)
+			if got-bare-copies > c.limit {
+				t.Errorf("%s: %v allocations per read over the bare device's %v and %v issued copies', want at most %v",
+					c.name, got-bare-copies, bare, copies, c.limit)
 			}
-			if hedged := h.Stats().Issued > issued; hedged != c.hedged {
+			if hedged := copies > 0; hedged != c.hedged {
 				t.Errorf("%s: hedges issued = %v", c.name, hedged)
 			}
 		})

@@ -90,12 +90,13 @@ type Config struct {
 	Shards int
 
 	// HedgeDelay is the straggler-hedge re-issue threshold: a shard read
-	// still outstanding after this long gets a speculative duplicate, and
-	// the first completion wins. Default 1ms (tuned for SSD-class media;
-	// raise it for spinning devices). Only sharded systems hedge. The
-	// delay is never on a query's critical path by itself: Runtime ends
-	// when the query's process exits, and the losing copy and unfired
-	// timers run out after it, off the query's clock.
+	// still outstanding after this long gets a speculative duplicate, one
+	// more after each further delay with no copy landed (three at most),
+	// and the first completion wins. Default 1ms (tuned for SSD-class
+	// media; raise it for spinning devices). Only sharded systems hedge.
+	// The delay is never on a query's critical path by itself: Runtime
+	// ends when the query's process exits, and the losing copies and
+	// unfired timers run out after it, off the query's clock.
 	HedgeDelay time.Duration
 }
 

@@ -107,8 +107,11 @@ go test -race -count=2 -run 'TestEventLog|TestLiveProgress|TestSLOReport|TestCon
 # A query ends when its process does, and the drain behind it still brings
 # every ledger home: the hedging and trace tests run twice in one process,
 # so a run that leaves events, live processes or hedge records behind for
-# the next one fails here.
-go test -race -count=2 -run '^(TestHedgingUnderStragglers|TestHedgeDelayOffCriticalPath|TestStragglingGatherTraceEndsAtRuntime)$' .
+# the next one fails here. A read re-races each delay until a copy lands,
+# up to its cap, and a query cut off by its deadline with copies racing
+# still drains every record home.
+go test -race -count=2 -run '^(TestHedgingUnderStragglers|TestHedgeDelayOffCriticalPath|TestStragglingGatherTraceEndsAtRuntime|TestHedgedGatherStaysNearHealthy|TestTimeoutWithHedgeCopiesInFlight)$' .
+go test -race -count=2 -run '^TestHedger' ./internal/fault
 # One Emit writes an event and bumps the counters its catalog row feeds: every
 # fed counter moves by exactly what its events add, twice in one process.
 go test -race -count=2 -run '^TestCountersAreTheirEvents$' ./internal/obs
