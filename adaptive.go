@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pioqo/internal/adapt"
-	"pioqo/internal/broker"
 	"pioqo/internal/exec"
 	"pioqo/internal/opt"
 )
@@ -54,37 +53,37 @@ func adaptiveEligible(plan Plan) bool {
 // attachAdaptive installs the feedback controller on spec for an eligible
 // adaptive execution, seeded at the plan's degree. It hands the controller
 // the optimizer's price for the plan's method and prefetch at every degree
-// of the grid the query's own PlanOptions enumerate — on the standalone
-// path the memo entry the plan was just chosen from, so the controller
-// holds; on the session path, where the plan was chosen under a fair share,
-// the deeper degrees the share ruled out. It wires the controller to the
-// query's pool, device depth probe, and — on the session path — its broker
-// lease. beneficial is the band's beneficial queue depth (the broker's
-// credit supply); growth never targets beyond it.
-func (s *System) attachAdaptive(spec *exec.Spec, q Query, plan Plan, eo queryOptions, lease *broker.Lease, beneficial int) {
-	if !eo.adaptive || !adaptiveEligible(plan) {
+// of the grid the query's own PlanOptions enumerate — for a sole query the
+// memo entry the plan was just chosen from, so the controller holds; for
+// one planned under a fair share, the deeper degrees the share ruled out.
+// It wires the controller to the query's pool, device depth probe and
+// broker lease, through which every degree it grows to is secured; growth
+// never targets beyond the band's beneficial queue depth, the broker's
+// credit supply.
+func (r *queryRun) attachAdaptive(spec *exec.Spec, q Query, plan Plan) {
+	if !r.eo.adaptive || !adaptiveEligible(plan) {
 		return
 	}
-	limit := eo.plan.MaxDegree
+	limit := r.eo.plan.MaxDegree
 	if limit <= 0 {
 		limit = 32
 	}
 	part := q.Table.one()
 	cfg := adapt.Config{
-		Env:        s.env,
+		Env:        r.s.env,
 		Pool:       part.node.Pool,
 		PoolShare:  spec.PoolShare,
 		DepthProbe: part.node.Dev.Metrics().DepthIntegral,
 		QueueProbe: part.node.Dev.Metrics().Outstanding,
 		Degree:     plan.Degree,
 		Max:        max(limit, plan.Degree),
-		Prices:     s.degreePrices(q, plan, eo.plan),
-		Beneficial: beneficial,
-		Obs:        s.reg,
+		Prices:     r.s.degreePrices(q, plan, r.eo.plan),
+		Obs:        r.s.reg,
 		QID:        spec.QID,
 	}
-	if lease != nil {
-		cfg.Lease = lease
+	if r.lease != nil {
+		cfg.Lease = r.lease
+		cfg.Beneficial = r.b.Total()
 	}
 	spec.Tune = adapt.NewController(cfg)
 }

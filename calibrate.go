@@ -170,7 +170,6 @@ func (s *System) installModel(m *cost.QDTT) {
 	s.broker = nil
 	s.session = nil
 	for _, n := range s.nodes {
-		n.Broker = nil
 		if n.Shares != nil {
 			n.Shares.SetLeaser(nil)
 		}

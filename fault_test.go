@@ -67,8 +67,10 @@ func TestQueryExpiredContextDeadline(t *testing.T) {
 }
 
 // assertNoLeaks checks the post-query invariants every abort path must
-// leave behind: no live simulation processes, no pinned buffer frames, and
-// (when the broker exists) no outstanding credits or pool reservations.
+// leave behind: no live simulation processes, no pinned buffer frames, no
+// hedge record still racing on any node, no consumer attached to a
+// circulating scan, and — on a calibrated system, whose broker admits
+// every query — no outstanding credits or pool reservations.
 func assertNoLeaks(t *testing.T, sys *System) {
 	t.Helper()
 	if n := sys.env.LiveProcs(); n != 0 {
@@ -78,6 +80,12 @@ func assertNoLeaks(t *testing.T, sys *System) {
 		if pins := n.Pool.Pinned(); pins != 0 {
 			t.Errorf("node %d: %d buffer pins leaked", n.ID, pins)
 		}
+		if n.Hedge != nil && n.Hedge.Races() != 0 {
+			t.Errorf("node %d: %d hedge records still racing", n.ID, n.Hedge.Races())
+		}
+	}
+	if sh := sys.coord().Shares; sh != nil && sh.Live() != 0 {
+		t.Errorf("%d consumers left attached to circulating scans", sh.Live())
 	}
 	if sys.broker != nil {
 		if n := sys.broker.InUse(); n != 0 {
@@ -597,4 +605,171 @@ func TestEveryEntryPointEmitsOneQueryPair(t *testing.T) {
 			t.Fatalf("%s: event ring wrapped (%d dropped); the count above is unreliable", e.name, st.Dropped)
 		}
 	}
+}
+
+// admissions collects the event log's admission.grant and lease.release
+// events by query id.
+func admissions(sys *System) (grants, releases map[int64][]EngineEvent) {
+	grants, releases = map[int64][]EngineEvent{}, map[int64][]EngineEvent{}
+	for _, e := range sys.EngineEvents() {
+		switch e.Name {
+		case "admission.grant":
+			grants[e.Query] = append(grants[e.Query], e)
+		case "lease.release":
+			releases[e.Query] = append(releases[e.Query], e)
+		}
+	}
+	return grants, releases
+}
+
+// TestEveryEntryPointIsAdmittedOnce: every entry point runs through the
+// broker on a calibrated system. Alone on an idle broker, each run is
+// granted exactly once — the unbounded grant 0, with no wait — and
+// releases its lease exactly once. An uncalibrated system has no model and
+// so no broker: a forced plan still runs there, unleased.
+func TestEveryEntryPointIsAdmittedOnce(t *testing.T) {
+	fixtures := map[int]lifecycleFixture{}
+	for _, e := range entryPoints {
+		f, ok := fixtures[e.shards]
+		if !ok {
+			f = newLifecycleFixture(t, e.shards)
+			fixtures[e.shards] = f
+		}
+		f.sys.ResetEventLog()
+		if _, _, err := e.run(f, context.Background(), Cold()); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		qid := f.sys.nextQID - 1
+		grants, releases := admissions(f.sys)
+		if g := grants[qid]; len(g) != 1 || g[0].A != 0 || g[0].B != 0 {
+			t.Errorf("%s: query %d grants %+v, want one unbounded grant (0) with no wait", e.name, qid, g)
+		}
+		if n := len(releases[qid]); n != 1 {
+			t.Errorf("%s: query %d released %d leases, want 1", e.name, qid, n)
+		}
+		if st := f.sys.EventLogStats(); st.Dropped != 0 {
+			t.Fatalf("%s: event ring wrapped (%d dropped); the counts above are unreliable", e.name, st.Dropped)
+		}
+		assertNoLeaks(t, f.sys)
+	}
+
+	sys := New(Config{Device: SSD, PoolPages: 1024})
+	tab, err := sys.CreateTable("t", 30000, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.ExecutePlan(Query{Table: tab, Low: 0, High: 9999}, Plan{Method: IndexScan, Degree: 8})
+	if err != nil || !res.Found || res.Rows == 0 {
+		t.Fatalf("uncalibrated ExecutePlan = %+v, %v; want an answer", res, err)
+	}
+	if sys.broker != nil {
+		t.Error("an uncalibrated ExecutePlan built a broker")
+	}
+	assertNoLeaks(t, sys)
+}
+
+// TestStandaloneQueryPlansAtDegradedSupply: under a ChannelLoss window a
+// standalone query meets the broker like a session query — planned and
+// leased at the degraded supply, not at the healthy depth — and still
+// returns the healthy answer.
+func TestStandaloneQueryPlansAtDegradedSupply(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 200000, 33)
+	sys.EnableEventLog(1 << 16)
+	q := Query{Table: tab, Low: 0, High: 499}
+	healthy, err := sys.Execute(q, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.broker == nil {
+		t.Fatal("a standalone query on a calibrated system built no broker")
+	}
+	supply := (sys.broker.Total() + 1) / 2
+	if int(healthy.Plan.depth) <= supply {
+		t.Fatalf("setup: healthy plan %v priced at depth %d, within the degraded supply %d", healthy.Plan, healthy.Plan.depth, supply)
+	}
+	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ChannelLoss: 0.5}}})
+	defer sys.ClearFaults()
+	sys.ResetEventLog()
+	res, err := sys.Execute(q, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grants, _ := admissions(sys)
+	g := grants[sys.nextQID-1]
+	if len(g) != 1 || g[0].A <= 0 || g[0].A > int64(supply) || g[0].A != int64(res.Plan.depth) {
+		t.Errorf("degraded run ran %v (depth %d) under grants %+v; want one grant of its depth, within the supply %d",
+			res.Plan, res.Plan.depth, g, supply)
+	}
+	if res.Value != healthy.Value || res.Found != healthy.Found || res.Rows != healthy.Rows {
+		t.Errorf("degraded answer (%d, %v, %d rows), healthy (%d, %v, %d rows)",
+			res.Value, res.Found, res.Rows, healthy.Value, healthy.Found, healthy.Rows)
+	}
+	assertNoLeaks(t, sys)
+}
+
+// TestStandaloneQueuesBehindPendingSubmissions: a standalone Execute issued
+// while session submissions are pending enqueues behind them and is
+// granted after them, in FIFO order; its Runtime runs from its grant, not
+// from its enqueue, and its answer is the one it returns alone.
+func TestStandaloneQueuesBehindPendingSubmissions(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 200000, 33)
+	sys.EnableEventLog(1 << 16)
+	q := Query{Table: tab, Low: 100000, High: 100499}
+	alone, err := sys.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := sys.OpenSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var subs []*Submission
+	for _, lo := range []int64{0, 50000} {
+		sub, err := ses.Submit(Query{Table: tab, Low: lo, High: lo + 499})
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	sys.ResetEventLog()
+	res, err := sys.Execute(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ses.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	for i, sub := range subs {
+		if !sub.Done() {
+			t.Errorf("submission %d not run by the standalone query's drain", i)
+		}
+	}
+	qid := sys.nextQID - 1
+	var order []int64
+	var grant, done EngineEvent
+	for _, e := range sys.EngineEvents() {
+		switch {
+		case e.Name == "admission.grant" && e.Query >= 0:
+			order = append(order, e.Query)
+			if e.Query == qid {
+				grant = e
+			}
+		case e.Name == "query.done" && e.Query == qid:
+			done = e
+		}
+	}
+	if want := []int64{subs[0].qid, subs[1].qid, qid}; !reflect.DeepEqual(order, want) {
+		t.Errorf("grants in order %v, want the submissions' then the standalone query's %v", order, want)
+	}
+	if grant.B <= 0 {
+		t.Errorf("standalone query waited %v for its grant; want it queued behind the submissions", time.Duration(grant.B))
+	}
+	if res.Runtime != done.At-grant.At {
+		t.Errorf("Runtime %v; granted at %v and done at %v, so %v without the wait",
+			res.Runtime, grant.At, done.At, done.At-grant.At)
+	}
+	if res.Value != alone.Value || res.Rows != alone.Rows {
+		t.Errorf("queued answer (%d, %d rows), alone (%d, %d rows)", res.Value, res.Rows, alone.Value, alone.Rows)
+	}
+	assertNoLeaks(t, sys)
 }

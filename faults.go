@@ -84,9 +84,9 @@ type FaultStats struct {
 // before Calibrate — right after New, say — a schedule also faults the
 // calibration pass. Installing a schedule replaces any previous one.
 //
-// While a window with ChannelLoss is active, the resource broker (used by
-// ExecuteConcurrent and sessions) observes the degradation and shrinks its
-// credit supply proportionally, so queries submitted meanwhile plan at a
+// While a window with ChannelLoss is active, the resource broker, which
+// admits every query, observes the degradation and shrinks its credit
+// supply proportionally, so queries issued meanwhile plan at a
 // queue depth the degraded device can still turn into throughput —
 // graceful degradation instead of queue-depth thrash.
 //

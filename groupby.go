@@ -49,24 +49,26 @@ func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByRes
 	if q.GroupWidth <= 0 {
 		lc.invalid = fmt.Errorf("%w: group width %d must be positive", ErrInvalidQuery, q.GroupWidth)
 	}
-	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun) (planned, error) {
-		plan, err := r.optimize(scan)
+	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
+		plan, err := r.optimize(scan, po)
 		if err != nil {
 			return planned{}, err
 		}
-		shards, nodes := r.shardScans(scan, &plan)
 		agg := q.Agg.internal()
-		switch {
-		case !q.Table.sharded():
-			sh := shards[0]
-			return planned{plan, nodes, func(p *sim.Proc) {
-				res = exec.RunGroupBy(p, sh.Ctx, exec.GroupBySpec{Scan: sh.Spec, GroupWidth: q.GroupWidth, Agg: agg})
+		if !q.Table.sharded() {
+			r.pin(&plan)
+			return planned{plan, int(plan.depth), func(p *sim.Proc) {
+				part := q.Table.one()
+				spec := exec.GroupBySpec{Scan: r.spec(part, scan, &plan), GroupWidth: q.GroupWidth, Agg: agg}
+				res = exec.RunGroupBy(p, r.context(part.node), spec)
 			}}, nil
-		case len(shards) == 0:
+		}
+		active := r.scatter(scan, &plan)
+		if len(active) == 0 {
 			return planned{plan: plan}, nil
 		}
-		return planned{plan, nodes, func(p *sim.Proc) {
-			res = exec.RunGatherGroupBy(p, shards, plan.pruned, q.GroupWidth, agg, r.qid)
+		return planned{plan, int(plan.depth), func(p *sim.Proc) {
+			res = exec.RunGatherGroupBy(p, r.scans(scan, plan, active), plan.pruned, q.GroupWidth, agg, r.qid)
 		}}, nil
 	})
 	if err != nil {

@@ -189,9 +189,9 @@ func SplitCredits(total, n int) []int {
 
 // FairShare reports the even-split budget a query joining now could expect:
 // the total divided over every known party (active + waiting + the caller).
-// A sole query on an idle broker expects an unbounded lease (0). Sessions
-// plan each query once, at submit time, under it; the lease then asks for
-// the depth that plan was priced at, and dispatch grants it whole.
+// A sole query on an idle broker expects an unbounded lease (0). The engine
+// plans every query once, before it enqueues, under it; the lease then asks
+// for the depth that plan was priced at, and dispatch grants it whole.
 func (b *Broker) FairShare() int {
 	supply := b.degradedSupply()
 	parties := len(b.active) + len(b.queue) + 1
@@ -312,8 +312,8 @@ func (l *Lease) Await(p *sim.Proc) {
 }
 
 // Budget reports the leased queue-depth budget: the credit grant, or 0 for
-// an unbounded lease (a sole query on an idle device plans exactly as a
-// standalone Execute would).
+// an unbounded lease (a sole query on an idle device plans exactly as it
+// would with no broker).
 func (l *Lease) Budget() int { return l.granted }
 
 // PoolPages reports the lease's buffer-pool page reservation (0 means

@@ -56,7 +56,7 @@ func (c ShareConfig) normalized() ShareConfig {
 }
 
 // Shares is the per-pool scan-share registry: one ScanShare per hot file,
-// plus the interest counts sessions use to decide whether a table has
+// plus the interest counts queries use to decide whether a table has
 // enough co-running queries to make attaching worthwhile.
 type Shares struct {
 	env  *sim.Env
@@ -101,9 +101,9 @@ func NewShares(env *sim.Env, pool *Pool, cfg ShareConfig) *Shares {
 // pending grant. nil uninstalls it.
 func (s *Shares) SetLeaser(lease func(demand int) DepthLease) { s.lease = lease }
 
-// AddInterest records one more in-flight query against file f; sessions
-// call it at submit so co-batched queries see each other before any of
-// them plans.
+// AddInterest records one more in-flight query against file f; the engine
+// calls it before a scan plans, so co-batched queries see each other before
+// any of them plans.
 func (s *Shares) AddInterest(f disk.FileID) { s.interest[f]++ }
 
 // DropInterest undoes AddInterest when the query completes or fails.

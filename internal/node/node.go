@@ -1,7 +1,7 @@
 // Package node bundles one simulated cluster node's storage stack: the
 // device (always behind a fault injector, optionally behind a straggler
 // hedger), its disk-extent manager, buffer pool, scan-share registry, and
-// CPU resource, plus the lazily attached resource broker.
+// CPU resource.
 //
 // The engine's ownership structure is "a System owns N nodes": every layer
 // that used to reach for *the* device or *the* pool now addresses a node.
@@ -20,7 +20,6 @@ package node
 import (
 	"fmt"
 
-	"pioqo/internal/broker"
 	"pioqo/internal/buffer"
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
@@ -84,11 +83,6 @@ type Node struct {
 	// Scratch is the free list the node's scan workers take their budgets
 	// and scratch buffers from.
 	Scratch *exec.Scratch
-
-	// Broker is the node's resource-governance layer, attached lazily by
-	// the engine once a calibrated model exists (the credit supply is the
-	// model's beneficial queue depth over this node's band).
-	Broker *broker.Broker
 }
 
 // New assembles a node on env whose layers record into rec. For id 0 the
@@ -130,6 +124,6 @@ func cpuName(id int) string {
 	return fmt.Sprintf("cpu@%d", id)
 }
 
-// DevicePages reports the node's device capacity in pages — the band its
-// broker and per-shard plans are priced over.
+// DevicePages reports the node's device capacity in pages — the band the
+// broker's credit supply and per-shard plans are priced over.
 func (n *Node) DevicePages() int64 { return n.Dev.Size() / disk.PageSize }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pioqo/internal/exec"
-	"pioqo/internal/node"
 	"pioqo/internal/opt"
 	"pioqo/internal/sim"
 )
@@ -103,23 +102,28 @@ func (s *System) ExecuteJoin(q JoinQuery, opts ...QueryOption) (JoinResult, erro
 	var probePlan Plan
 	var res exec.JoinResult
 	lc := lifecycle{op: "join", scan: build, tables: []*Table{q.Build, q.Probe}}
-	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun) (planned, error) {
-		jp, err := s.planJoin(q, r.eo.plan)
+	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
+		jp, err := s.planJoin(q, po)
 		if err != nil {
 			return planned{}, err
 		}
 		method = jp.Method
 		buildPlan := fromInternalPlan(jp.Build)
 		probePlan = fromInternalPlan(jp.Probe)
-		spec := exec.JoinSpec{
-			Method: jp.Method,
-			Build:  r.spec(q.Build.one(), build, &buildPlan),
-			Probe:  r.spec(q.Probe.one(), probe, &probePlan),
-			Agg:    q.Agg.internal(),
-		}
-		n := s.coord()
-		ctx := r.context(n)
-		return planned{buildPlan, []*node.Node{n}, func(p *sim.Proc) { res = exec.RunJoin(p, ctx, spec) }}, nil
+		r.pin(&buildPlan)
+		r.pin(&probePlan)
+		// The phases run one after the other, so the join's lease asks for
+		// the deeper of the two.
+		depth := int(max(jp.Build.Depth, jp.Probe.Depth))
+		return planned{buildPlan, depth, func(p *sim.Proc) {
+			spec := exec.JoinSpec{
+				Method: jp.Method,
+				Build:  r.spec(q.Build.one(), build, &buildPlan),
+				Probe:  r.spec(q.Probe.one(), probe, &probePlan),
+				Agg:    q.Agg.internal(),
+			}
+			res = exec.RunJoin(p, r.context(s.coord()), spec)
+		}}, nil
 	})
 	if err != nil {
 		return JoinResult{}, err

@@ -182,7 +182,7 @@ func (s *System) startTelemetry(q Query, eo queryOptions) *telemetrySession {
 }
 
 // finish delivers telemetry to the listeners. The query span has already
-// ended, at the query's exit (queryRun.exit).
+// ended, at the query's exit (queryRun.process).
 func (ts *telemetrySession) finish(s *System, plan Plan, runtime time.Duration, eo queryOptions) {
 	if ts == nil {
 		return

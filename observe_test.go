@@ -6,7 +6,7 @@ import (
 )
 
 // operatorNode returns the operator span under a query telemetry root: the
-// child that is not the optimize phase.
+// child that is neither the optimize nor the admit phase.
 func operatorNode(t *testing.T, tel QueryTelemetry) *SpanNode {
 	t.Helper()
 	if tel.Root == nil {
@@ -16,7 +16,7 @@ func operatorNode(t *testing.T, tel QueryTelemetry) *SpanNode {
 		t.Fatalf("root span = %q, want \"query\"", tel.Root.Name)
 	}
 	for _, c := range tel.Root.Children {
-		if c.Name != "optimize" {
+		if c.Name != "optimize" && c.Name != "admit" {
 			return c
 		}
 	}

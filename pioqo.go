@@ -111,7 +111,7 @@ type System struct {
 
 	// nodes holds the cluster's storage stacks, one per shard. Node 0 is
 	// the coordinator: it publishes its device and pool instruments into
-	// the registry, hosts the scan-share registry and the session broker,
+	// the registry, hosts the scan-share registry and the broker's supply,
 	// and is the node single-node paths run on. Every access to a device,
 	// pool, injector, or CPU resource goes through a node — the fields the
 	// pre-cluster System carried are gone, and scripts/verify.sh keeps
@@ -144,9 +144,9 @@ type System struct {
 	// through it instead of the memo under PlanOptions.GreedyPlanning.
 	pcache *opt.ParamCache
 
-	// broker is the shared resource-governance layer (internal/broker),
-	// built lazily from the calibrated model and dropped with it; session
-	// is the default Submit session riding on it.
+	// broker is the resource-governance layer (internal/broker) that admits
+	// every query, built lazily from the calibrated model and dropped with
+	// it; session is the default Submit session riding on it.
 	broker  *broker.Broker
 	session *Session
 
@@ -199,8 +199,8 @@ func New(cfg Config) *System {
 	// fault injector always wraps the raw device; unarmed it is pure
 	// passthrough, adding no events and drawing no randomness), so a
 	// one-shard system is byte-identical to the single-device builds. Only
-	// the coordinator hosts the scan-share registry: the circulating-scan
-	// subsystem serves session traffic, which is single-node.
+	// the coordinator hosts the scan-share registry: circulating scans
+	// serve unsharded tables, which live on it.
 	for i := 0; i < cfg.Shards; i++ {
 		s.nodes = append(s.nodes, node.New(env, s.reg, i, node.Config{
 			Kind:       cfg.Device,

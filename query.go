@@ -359,65 +359,89 @@ func (s *System) Execute(q Query, opts ...QueryOption) (Result, error) {
 // ExecutePlan runs q with a caller-supplied plan, bypassing the optimizer.
 // It is Query's lifecycle under a background context, so every option —
 // WithTimeout and WithRetry included — works here too; for live
-// cancellation use Query, which takes a context.
+// cancellation use Query, which takes a context. Without a model there is
+// no broker, so on an uncalibrated system it is the one entry point that
+// runs, unleased.
 func (s *System) ExecutePlan(q Query, plan Plan, opts ...QueryOption) (Result, error) {
-	return s.scalar(context.Background(), q, opts, func(*queryRun) (Plan, error) {
-		if plan.Method != FullTableScan && !q.Table.Indexed() {
-			return Plan{}, fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, q.Table.Name())
-		}
-		return plan, nil
-	})
+	return s.scalar(context.Background(), q, opts, &plan)
 }
 
-// scalar is the body Query and ExecutePlan plug into the lifecycle: the
-// aggregate scan of q under whatever plan choose returns (the optimizer's,
-// or the caller's), on the table's own node or scattered over its active
-// shards and merged on the coordinator.
-func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, choose func(*queryRun) (Plan, error)) (Result, error) {
+// scalar runs Query's and ExecutePlan's body standalone and shapes its
+// answer, with the device traffic the run drove.
+func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, forced *Plan) (Result, error) {
 	var res exec.Result
 	lc := lifecycle{op: "query", scan: q, tables: []*Table{q.Table}, scatter: true}
-	ran, err := s.run(ctx, lc, opts, func(r *queryRun) (planned, error) {
-		plan, err := choose(r)
-		if err != nil {
-			return planned{}, err
-		}
-		shards, nodes := r.shardScans(q, &plan)
-		switch {
-		case !q.Table.sharded():
-			sh := shards[0]
-			if r.eo.adaptive {
-				// Standalone executions are ungoverned (no lease — the whole
-				// supply is theirs), but growth still respects the band's
-				// beneficial depth, read from the shared broker's calibrated
-				// credit supply.
-				beneficial := 0
-				if b, err := s.sharedBroker(); err == nil {
-					beneficial = b.Total()
-				}
-				s.attachAdaptive(&sh.Spec, q, plan, r.eo, nil, beneficial)
-			}
-			return planned{plan, nodes, func(p *sim.Proc) { res = exec.RunScan(p, sh.Ctx, sh.Spec) }}, nil
-		case len(shards) == 0:
-			// Every shard pruned: no rows anywhere, no device touched. COUNT
-			// of nothing is 0 and found, as in the unsharded executor.
-			res.Found = q.Agg == Count
-			return planned{plan: plan}, nil
-		}
-		gs := exec.GatherSpec{Shards: shards, Agg: q.Agg.internal(), Pruned: plan.pruned, QID: r.qid}
-		return planned{plan, nodes, func(p *sim.Proc) { res = exec.RunGather(p, gs).Result }}, nil
+	ran, err := s.run(ctx, lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
+		return r.scalar(q, po, forced, &res)
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	return Result{
-		Value:            res.Value,
-		Found:            res.Found,
-		Rows:             res.RowsMatched,
-		Plan:             ran.plan,
-		Runtime:          ran.runtime,
-		PageReads:        ran.io.Requests,
-		IOThroughputMBps: ran.io.ThroughputMBps,
-	}, nil
+	// The run reset every node's meters: what they read now is its traffic,
+	// drain included.
+	out := scalarResult(res, ran.plan, ran.runtime)
+	var bytes int64
+	var elapsed sim.Duration
+	for _, n := range s.nodes {
+		io := n.Dev.Metrics().Snapshot()
+		out.PageReads += io.Requests
+		bytes += io.Bytes
+		elapsed = max(elapsed, io.Elapsed)
+	}
+	if elapsed > 0 {
+		out.IOThroughputMBps = float64(bytes) / 1e6 / elapsed.Seconds()
+	}
+	return out, nil
+}
+
+// scalar is the body Query, ExecutePlan and Session.Submit plug into the
+// lifecycle: the aggregate scan of q under the optimizer's plan for po, or
+// under the forced one (ExecutePlan's), on the table's own node — counted
+// as scan-sharing interest there — or scattered over its active shards and
+// merged on the coordinator. The answer lands in res.
+func (r *queryRun) scalar(q Query, po PlanOptions, forced *Plan, res *exec.Result) (planned, error) {
+	if !q.Table.sharded() {
+		po.ShareParties = r.share(q.Table.one(), po.ShareParties)
+	}
+	var plan Plan
+	var err error
+	switch {
+	case forced == nil:
+		plan, err = r.optimize(q, po)
+	case forced.Method != FullTableScan && !q.Table.Indexed():
+		err = fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, q.Table.Name())
+	default:
+		plan = *forced
+	}
+	if err != nil {
+		return planned{}, err
+	}
+	if !q.Table.sharded() {
+		r.pin(&plan)
+		return planned{plan, int(plan.depth), func(p *sim.Proc) {
+			part := q.Table.one()
+			spec := r.spec(part, q, &plan)
+			r.attachAdaptive(&spec, q, plan)
+			*res = exec.RunScan(p, r.context(part.node), spec)
+		}}, nil
+	}
+	active := r.scatter(q, &plan)
+	if len(active) == 0 {
+		// Every shard pruned: no rows anywhere, no device touched. COUNT
+		// of nothing is 0 and found, as in the unsharded executor.
+		res.Found = q.Agg == Count
+		return planned{plan: plan}, nil
+	}
+	return planned{plan, int(plan.depth), func(p *sim.Proc) {
+		gs := exec.GatherSpec{Shards: r.scans(q, plan, active), Agg: q.Agg.internal(), Pruned: plan.pruned, QID: r.qid}
+		*res = exec.RunGather(p, gs).Result
+	}}, nil
+}
+
+// scalarResult shapes a scalar body's answer under the plan it ran and its
+// Runtime.
+func scalarResult(res exec.Result, plan Plan, runtime time.Duration) Result {
+	return Result{Value: res.Value, Found: res.Found, Rows: res.RowsMatched, Plan: plan, Runtime: runtime}
 }
 
 type queryOptions struct {

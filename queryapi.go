@@ -1,11 +1,14 @@
 package pioqo
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"time"
 
-	"pioqo/internal/device"
+	"pioqo/internal/broker"
+	"pioqo/internal/buffer"
+	"pioqo/internal/disk"
 	"pioqo/internal/exec"
 	"pioqo/internal/fault"
 	"pioqo/internal/node"
@@ -14,9 +17,11 @@ import (
 )
 
 // Query is the system's single execution entrypoint: it optimizes and runs
-// q under ctx. Every other entrypoint (Execute, ExecutePlan, ExecuteGroupBy,
-// ExecuteJoin, Update) plugs a different body into the same lifecycle —
-// System.run — and Session.Submit shares its head and its spec builder.
+// q under ctx. Every entrypoint — this one, Execute, ExecutePlan,
+// ExecuteGroupBy, ExecuteJoin, Update and Session.Submit — plugs a body
+// into the same query lifecycle (System.start): admitted by the resource
+// broker, run by one process. A standalone call drains the simulation at
+// once (System.run); a session drains at Drain.
 //
 // The context is first-class: cancellation and deadlines propagate into
 // virtual time and abort the query cleanly through every layer — workers
@@ -32,7 +37,7 @@ import (
 // consults pool residency statistics, and planning for a cache that is
 // about to be dropped would mis-cost every candidate.
 func (s *System) Query(ctx context.Context, q Query, opts ...QueryOption) (Result, error) {
-	return s.scalar(ctx, q, opts, func(r *queryRun) (Plan, error) { return r.optimize(q) })
+	return s.scalar(ctx, q, opts, nil)
 }
 
 // lifecycle names what one entry point plugs into the query lifecycle.
@@ -55,8 +60,8 @@ type lifecycle struct {
 	invalid error
 }
 
-// queryRun is one query's lifecycle state: what the head sets up once and
-// every spec built for the query shares.
+// queryRun is one query's lifecycle state: what the head sets up once,
+// what every spec built for the query shares, and what its process records.
 type queryRun struct {
 	s     *System
 	op    string
@@ -66,25 +71,32 @@ type queryRun struct {
 	ts    *telemetrySession
 	qid   int64
 	pages int64 // live demand-fetch counter, every spec's Progress
+
+	// b admits the query under lease; both are nil on an uncalibrated
+	// system: no model, no credit supply.
+	b     *broker.Broker
+	lease *broker.Lease
+
+	// shares, when set, counts the query as interest in file (share).
+	shares *buffer.Shares
+	file   disk.FileID
+
+	plan    Plan // the reported plan shape
+	adm     Admission
+	est     int64 // the page estimate progress reads
+	started bool
+	done    bool
+	runtime time.Duration
+	err     error // the abort, once the process exits
 }
 
-// planned is what a body hands back once it has planned: the reported plan
-// shape, the nodes whose stacks the run touches (metered and hedged over
-// exactly the run), and what the query's process executes — nil when there
-// is nothing to run (every shard pruned).
+// planned is what a body hands back: the reported plan, the queue depth it
+// was priced at, and what the process runs once admitted (building its
+// scans then, under the granted lease) — nil when every shard was pruned.
 type planned struct {
 	plan  Plan
-	nodes []*node.Node
-	proc  func(p *sim.Proc)
-}
-
-// outcome is what the lifecycle reports back to the entry point shaping the
-// result: the executed plan, the virtual wall-clock time, and the device
-// traffic summed over the nodes involved.
-type outcome struct {
-	plan    Plan
-	runtime time.Duration
-	io      device.Summary
+	depth int
+	run   func(p *sim.Proc)
 }
 
 func parseOptions(opts []QueryOption) queryOptions {
@@ -95,10 +107,16 @@ func parseOptions(opts []QueryOption) queryOptions {
 	return eo
 }
 
-// begin is the lifecycle's head, shared by run and Session.submit: every
-// structural rejection (typed ErrInvalidQuery, in this one place), the
-// abort control, the pre-plan cold flush, and the query id.
-func (s *System) begin(ctx context.Context, lc lifecycle, eo queryOptions) (*queryRun, error) {
+// start is the one query body every entry point runs up to its process:
+// every structural rejection (typed ErrInvalidQuery, in this one place),
+// the abort control, the pre-plan cold flush, the query id, telemetry; the
+// body's planning under the broker's fair share (0 for a sole query: it
+// plans unbounded); the lease, asking for the user's QueueBudget or else
+// the depth the plan was priced at (a shared-scan rider is admitted at once
+// with zero credits: its producer owns the device work); and the process.
+// With atExit, telemetry is delivered as the process exits, else by the
+// caller after the drain. Errors before the process exists are returned.
+func (s *System) start(ctx context.Context, lc lifecycle, eo queryOptions, atExit bool, body func(*queryRun, PlanOptions) (planned, error)) (*queryRun, error) {
 	for _, t := range lc.tables {
 		if t == nil {
 			return nil, fmt.Errorf("%w: %s without a table", ErrInvalidQuery, lc.op)
@@ -124,75 +142,149 @@ func (s *System) begin(ctx context.Context, lc lifecycle, eo queryOptions) (*que
 	}
 	r.qid = s.nextQID
 	s.nextQID++
+	r.ts = s.startTelemetry(lc.scan, eo)
+	// sharedBroker's only error is a missing model: the query — a forced
+	// plan — then runs unleased.
+	r.b, _ = s.sharedBroker()
+	po := eo.plan
+	if r.b != nil && po.QueueBudget == 0 {
+		po.QueueBudget = r.b.FairShare()
+	}
+	pl, err := body(r, po)
+	if err != nil {
+		r.leave()
+		return nil, err
+	}
+	r.plan = pl.plan
+	if r.b != nil {
+		r.lease = r.b.EnqueueQuery(cmp.Or(eo.plan.QueueBudget, pl.depth), r.qid)
+		if pl.plan.Shared {
+			r.b.AdmitShared(r.lease)
+			r.adm.Shared = true
+		}
+	}
+	s.env.Go(lc.op, func(p *sim.Proc) { r.process(p, lc.scan, pl.run, atExit) })
 	return r, nil
 }
 
-// run is the one bracket every standalone execution goes through: head
-// (begin), telemetry session, the body's planning, query.start, meters
-// reset and hedgers armed on the nodes involved, one process — whose exit
-// is the query's end: Runtime, query.done and the query span — and one
-// env.Run that drains what the process left in flight, telemetry delivery,
-// and the abort cause — whatever tripped the query's control — wrapped in a
-// *QueryError. Errors before the process starts (validation, planning) are
-// returned as they are.
-func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body func(*queryRun) (planned, error)) (outcome, error) {
-	r, err := s.begin(ctx, lc, parseOptions(opts))
-	if err != nil {
-		return outcome{}, err
+// process is the query's process: it awaits the grant, emits query.start,
+// runs what the body planned and exits — Runtime, query.done and the query
+// span all read the clock there, so Runtime excludes the admission wait —
+// and returns the lease and the scan-sharing interest on every path.
+func (r *queryRun) process(p *sim.Proc, scan Query, run func(*sim.Proc), atExit bool) {
+	defer r.leave()
+	if r.ts == nil {
+		// A listener installed after a session query was submitted still
+		// hears it: its trace starts here.
+		r.ts = r.s.startTelemetry(scan, r.eo)
 	}
-	r.ts = s.startTelemetry(lc.scan, r.eo)
-	pl, err := body(r)
-	if err != nil {
-		return outcome{}, err
+	if !r.admit(p) {
+		return
 	}
-	s.reg.Emit(obs.EvQueryStart, r.qid, estimatePages(lc.scan, pl.plan), int64(r.eo.plan.QueueBudget))
-	for _, n := range pl.nodes {
+	r.est = estimatePages(scan, r.plan)
+	r.started = true
+	r.s.reg.Emit(obs.EvQueryStart, r.qid, r.est, int64(r.adm.Budget))
+	start := p.Now()
+	if run != nil {
+		run(p)
+	}
+	r.runtime = time.Duration(p.Now() - start)
+	r.s.reg.Emit(obs.EvQueryDone, r.qid, r.pages, int64(r.runtime))
+	r.ts.span().End()
+	r.done = true
+	if cause := r.ctl.Err(); cause != nil {
+		r.err = r.fail(cause)
+	}
+	if atExit {
+		r.deliver()
+	}
+}
+
+// admit blocks p until the query's lease is granted, inside an admit span,
+// and records the grant. It reports false — the query never starts, and
+// its trace is dropped — when the query was aborted meanwhile.
+func (r *queryRun) admit(p *sim.Proc) bool {
+	if r.lease == nil {
+		return true
+	}
+	span := r.ts.trc().Start(r.ts.span(), "admit")
+	r.lease.Await(p)
+	if err := r.ctl.Err(); err != nil {
+		r.err, r.ts = r.fail(err), nil
+		return false
+	}
+	r.adm.Budget = r.lease.Budget()
+	r.adm.PoolPages = r.lease.PoolPages()
+	r.adm.Wait = time.Duration(r.lease.Wait())
+	if span != nil {
+		span.SetAttr("budget", r.adm.Budget)
+		span.SetAttr("wait", r.adm.Wait)
+	}
+	span.End()
+	return true
+}
+
+// leave returns what the query holds while it runs: its scan-sharing
+// interest and its lease.
+func (r *queryRun) leave() {
+	if r.shares != nil {
+		r.shares.DropInterest(r.file)
+	}
+	if r.lease != nil {
+		r.lease.Release()
+	}
+}
+
+// deliver hands the query's telemetry to its listeners and drops the trace.
+func (r *queryRun) deliver() {
+	r.ts.finish(r.s, r.plan, r.runtime, r.eo)
+	r.ts = nil
+}
+
+// run is a standalone execution: start, then one env.Run that executes the
+// process and drains what it left in flight (and any pending session
+// submissions, which the query queued behind). Around the drain it keeps
+// what only a standalone query has: device meters reset and hedgers armed
+// for exactly its window on every node (a sharded table spans them all),
+// and telemetry that includes the drain.
+func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body func(*queryRun, PlanOptions) (planned, error)) (*queryRun, error) {
+	r, err := s.start(ctx, lc, parseOptions(opts), false, body)
+	if err != nil {
+		return nil, err
+	}
+	for _, n := range s.nodes {
 		n.Dev.Metrics().Reset()
 		n.Pool.ResetStats()
 	}
-	// Hedging is armed only for the run's window on the nodes it touches:
-	// calibration and other traffic never see speculative duplicates.
-	s.armHedgers(pl.nodes)
-	start := s.env.Now()
-	out := outcome{plan: pl.plan}
-	if pl.proc != nil {
-		s.env.Go(lc.op, func(p *sim.Proc) {
-			pl.proc(p)
-			out.runtime = r.exit(start)
-		})
-		// The query ended when its process did; the drain lets what it left
-		// behind — a losing hedge copy, an injected straggler's delay, an
-		// expired hedge timer — finish off the clock, so every ledger is
-		// zero at return and the next query starts on a quiet device.
-		s.env.Run()
-	} else {
-		out.runtime = r.exit(start)
-	}
-	s.disarmHedgers(pl.nodes)
-	for _, n := range pl.nodes {
-		io := n.Dev.Metrics().Snapshot()
-		out.io.Requests += io.Requests
-		out.io.Bytes += io.Bytes
-		out.io.Elapsed = max(out.io.Elapsed, io.Elapsed)
-	}
-	if out.io.Elapsed > 0 {
-		out.io.ThroughputMBps = float64(out.io.Bytes) / 1e6 / out.io.Elapsed.Seconds()
-	}
-	r.ts.finish(s, pl.plan, out.runtime, r.eo)
-	if cause := r.ctl.Err(); cause != nil {
-		return outcome{}, r.fail(cause)
-	}
-	return out, nil
+	s.setHedgers(true)
+	// The query ended when its process did; the drain lets what it left
+	// behind — a losing hedge copy, an injected straggler's delay, an
+	// expired hedge timer — finish off the clock, so every ledger is zero
+	// at return and the next query starts on a quiet device.
+	s.env.Run()
+	s.setHedgers(false)
+	s.checkDrained()
+	r.deliver()
+	return r, r.err
 }
 
-// exit marks the query's end at the virtual instant its process returns:
-// Runtime, query.done and the query span all read that one clock, on every
-// entry point (run's wrapped process and Session.submit's alike).
-func (r *queryRun) exit(start sim.Time) time.Duration {
-	rt := time.Duration(r.s.env.Now() - start)
-	r.s.reg.Emit(obs.EvQueryDone, r.qid, r.pages, int64(rt))
-	r.ts.span().End()
-	return rt
+// checkDrained is the reclamation invariant every drain ends on: with no
+// query still admitted, every credit and every pool reservation has come
+// home — aborted queries included — and no consumer is left attached to a
+// circulating scan.
+func (s *System) checkDrained() {
+	b := s.broker
+	if b == nil || b.Active() != 0 {
+		return
+	}
+	riders := 0
+	if sh := s.coord().Shares; sh != nil {
+		riders = sh.Live()
+	}
+	if b.InUse() != 0 || b.PoolInUse() != 0 || riders != 0 {
+		panic(fmt.Sprintf("pioqo: drain leaked %d broker credits, %d reserved pool pages and %d circulating-scan riders",
+			b.InUse(), b.PoolInUse(), riders))
+	}
 }
 
 // fail wraps an abort cause in the query's typed error.
@@ -200,17 +292,51 @@ func (r *queryRun) fail(cause error) error {
 	return &QueryError{Op: r.op, Table: r.table, Err: cause}
 }
 
-// optimize plans q under the query's plan options, inside the telemetry
-// session's optimize span.
-func (r *queryRun) optimize(q Query) (Plan, error) {
+// optimize plans q under po, inside the telemetry session's optimize span.
+func (r *queryRun) optimize(q Query, po PlanOptions) (Plan, error) {
 	span := r.ts.trc().Start(r.ts.span(), "optimize")
-	plan, err := r.s.Plan(q, r.eo.plan)
+	plan, err := r.s.Plan(q, po)
 	if err != nil {
 		return Plan{}, err
 	}
-	span.SetAttr("plan", plan.String())
+	if span != nil { // formatting allocates: only for a listener
+		span.SetAttr("plan", plan.String())
+	}
 	span.End()
 	return plan, nil
+}
+
+// share counts the query as scan-sharing interest in part's heap while it
+// runs, when part's node hosts circulating scans: every such query is a
+// potential rider, so a full scan planned now prices the attach path
+// against everyone in flight. It returns the share parties to plan for:
+// the caller's when set, else the live interest quantized so the plan memo
+// caches a few contention levels (a sole query's 1 quantizes to 0).
+func (r *queryRun) share(part *tablePart, parties int) int {
+	if part.node.Shares == nil || r.eo.noShare {
+		return parties
+	}
+	r.shares, r.file = part.node.Shares, part.tab.File().ID()
+	r.shares.AddInterest(r.file)
+	if parties == 0 {
+		parties = quantizeParties(r.shares.Interest(r.file))
+	}
+	return parties
+}
+
+// quantizeParties buckets a live interest count into the share-party sizes
+// the optimizer plans for: 0 (no sharing), 2, 4, or 8+.
+func quantizeParties(n int) int {
+	switch {
+	case n < 2:
+		return 0
+	case n < 4:
+		return 2
+	case n < 8:
+		return 4
+	default:
+		return 8
+	}
 }
 
 // pin applies the query's static degree to a plan's reported shape.
@@ -230,13 +356,14 @@ func (r *queryRun) context(n *node.Node) *exec.Context {
 	return ctx
 }
 
-// spec is the one place a plan becomes an executable scan: q's range and
-// aggregate over one table part under plan (layered on opt.Plan.Spec), with
-// the query's degree and prefetch pins applied and its span, abort
-// control, retry policy, id and progress counter wired in. The standalone
-// bodies, each shard of a gather and the session's post-admission body all
-// build their scans here; operator hooks (Emit, Update) and the lease
-// (Gov, PoolShare) are the caller's to add.
+// spec is the one place a plan becomes an executable scan, built after
+// admission by every body: q's range and aggregate over one table part
+// under plan (layered on opt.Plan.Spec), with the query's degree and
+// prefetch pins, span, abort control, retry policy, id, progress counter
+// and granted lease (Gov, PoolShare) wired in. With other queries
+// interested in the same heap, a private scan's readahead trims the pages a
+// neighbour (or the circulating producer) already covered. Operator hooks
+// (Emit, Update) are the caller's to add.
 func (r *queryRun) spec(part *tablePart, q Query, plan *Plan) exec.Spec {
 	r.pin(plan)
 	spec := plan.internal().Spec(part.input(q))
@@ -249,6 +376,13 @@ func (r *queryRun) spec(part *tablePart, q Query, plan *Plan) exec.Spec {
 	spec.Retry = r.eo.retry.internal()
 	spec.QID = r.qid
 	spec.Progress = &r.pages
+	if r.lease != nil {
+		spec.Gov = r.lease
+		spec.PoolShare = r.lease.PoolPages()
+	}
+	if r.shares != nil && !plan.Shared && r.shares.Interest(r.file) > 1 {
+		spec.CoordPrefetch = true
+	}
 	return spec
 }
 

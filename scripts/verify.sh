@@ -123,9 +123,11 @@ go test -race -count=2 -run '^TestCountersAreTheirEvents$' ./internal/obs
 # producer still queues drain clean; a batch of point lookups, one credit
 # each, runs dozens deep on the HDD, the same way on two systems; and a
 # session query is leased the depth its submit-time plan priced and runs
-# that plan. Twice in one process each, so a run that leaves state behind
-# for the next one fails here.
-go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedProducersLeaseTheirDepth|TestRidersCanceledBeforeTheirProducerIsGranted|TestPointLookupsShareTheHDD|TestSessionRunsThePlanItSubmitted)$' .
+# that plan. Every entry point is admitted by the broker exactly once; a
+# standalone query plans at a degraded supply and queues behind pending
+# session submissions. Twice in one process each, so a run that leaves
+# state behind for the next one fails here.
+go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedProducersLeaseTheirDepth|TestRidersCanceledBeforeTheirProducerIsGranted|TestPointLookupsShareTheHDD|TestSessionRunsThePlanItSubmitted|TestEveryEntryPointIsAdmittedOnce|TestStandaloneQueryPlansAtDegradedSupply|TestStandaloneQueuesBehindPendingSubmissions)$' .
 
 # The repo-wide lints below read the engine's sources only. bench/ is
 # excluded from each: it is a reader of the engine (registry snapshots,

@@ -7,7 +7,6 @@ import (
 	"pioqo/internal/broker"
 	"pioqo/internal/btree"
 	"pioqo/internal/exec"
-	"pioqo/internal/node"
 	"pioqo/internal/opt"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
@@ -149,7 +148,7 @@ func (t *Table) activeShards(lo, hi int64) []int {
 // node's pool capacity and its split of the caller's queue-depth budget —
 // and the merge stage is priced on top (opt.ChooseSharded). The public
 // plan reports the makespan estimate and carries the per-shard plans for
-// shardScans.
+// scatter.
 func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 	t := q.Table
 	active := t.activeShards(q.Low, q.High)
@@ -204,59 +203,52 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 	return pub, nil
 }
 
-// shardScans builds the node-local scans of q under plan and returns them
-// with the nodes they run on: one scan for an unsharded table, one per
-// shard that survives partition pruning otherwise — each shard's own plan
-// when the plan carries them, the plan's uniform shape for a
-// caller-constructed one (ExecutePlan). It settles the plan's reported
-// shape on the way: static degree, fanout, pruned count. All scans share
-// the run's progress counter and abort control, so live progress and
-// cancellation span the cluster.
-func (r *queryRun) shardScans(q Query, plan *Plan) ([]exec.ShardScan, []*node.Node) {
-	t := q.Table
+// scatter settles a sharded query's reported plan shape — static degree,
+// fanout, pruned count — and returns the shards its scans run on: those
+// that survive partition pruning.
+func (r *queryRun) scatter(q Query, plan *Plan) []int {
 	var active []int
 	if plan.scatter != nil {
 		active = plan.scatter.active
 	} else {
-		active = t.activeShards(q.Low, q.High)
+		active = q.Table.activeShards(q.Low, q.High)
 	}
 	r.pin(plan)
-	if t.sharded() {
-		plan.Shared = false // circulating scans are single-node
-		plan.Fanout = len(active)
-		plan.pruned = len(t.parts) - len(active)
-	}
-	shards := make([]exec.ShardScan, len(active))
-	nodes := make([]*node.Node, len(active))
+	plan.Shared = false // circulating scans are single-node
+	plan.Fanout = len(active)
+	plan.pruned = len(q.Table.parts) - len(active)
+	return active
+}
+
+// scans builds the active shards' node-local scans once the query is
+// admitted, each under its own plan when the plan carries them, under the
+// plan's uniform shape for a caller-constructed one (ExecutePlan). All of
+// them share the run's progress counter, abort control and lease, so live
+// progress, cancellation and governance span the cluster.
+func (r *queryRun) scans(q Query, plan Plan, active []int) []exec.ShardScan {
+	out := make([]exec.ShardScan, len(active))
 	for j, si := range active {
-		part := &t.parts[si]
-		shardPlan := *plan
+		part := &q.Table.parts[si]
+		shardPlan := plan
 		if plan.scatter != nil {
 			shardPlan = fromInternalPlan(plan.scatter.plans[j])
 		}
-		shards[j] = exec.ShardScan{Ctx: r.context(part.node), Spec: r.spec(part, q, &shardPlan)}
-		nodes[j] = part.node
+		out[j] = exec.ShardScan{Ctx: r.context(part.node), Spec: r.spec(part, q, &shardPlan)}
 	}
-	return shards, nodes
+	return out
 }
 
-// armHedgers arms the straggler hedgers of the nodes a run touches, for
-// the run's window; each hedge decision is recorded as it is made.
-// Single-node systems never hedge.
-func (s *System) armHedgers(nodes []*node.Node) {
-	if s.hedge == 0 {
-		return
-	}
-	for _, n := range nodes {
-		if n.Hedge != nil {
+// setHedgers arms or disarms every node's straggler hedger: a standalone
+// run arms them for exactly its window, so calibration and other traffic
+// never see speculative duplicates; each hedge decision is recorded as it
+// is made. A system without a hedge delay never arms them.
+func (s *System) setHedgers(armed bool) {
+	for _, n := range s.nodes {
+		switch {
+		case n.Hedge == nil:
+		case armed && s.hedge != 0:
 			n.Hedge.Arm()
-		}
-	}
-}
-
-func (s *System) disarmHedgers(nodes []*node.Node) {
-	for _, n := range nodes {
-		if n.Hedge != nil {
+		default:
 			n.Hedge.Disarm()
 		}
 	}

@@ -52,24 +52,25 @@ func (s *System) Update(q UpdateQuery, opts ...QueryOption) (UpdateResult, error
 	scan := Query{Table: q.Table, Low: q.Low, High: q.High, Agg: Count}
 	var res exec.Result
 	lc := lifecycle{op: "update", scan: scan, tables: []*Table{q.Table}}
-	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun) (planned, error) {
+	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
 		mat, ok := q.Table.one().tab.(*table.Materialized)
 		if !ok {
 			return planned{}, fmt.Errorf("%w: table %q is synthetic and read-only", ErrInvalidQuery, q.Table.Name())
 		}
-		plan, err := r.optimize(scan)
+		plan, err := r.optimize(scan, po)
 		if err != nil {
 			return planned{}, err
 		}
-		shards, nodes := r.shardScans(scan, &plan)
-		sh := shards[0]
-		sh.Spec.Update = func(rowID int64) { mat.SetC1(rowID, mat.RowAt(rowID).C1+q.Delta) }
-		return planned{plan, nodes, func(p *sim.Proc) {
-			res = exec.RunScan(p, sh.Ctx, sh.Spec)
+		r.pin(&plan)
+		return planned{plan, int(plan.depth), func(p *sim.Proc) {
+			part := q.Table.one()
+			spec := r.spec(part, scan, &plan)
+			spec.Update = func(rowID int64) { mat.SetC1(rowID, mat.RowAt(rowID).C1+q.Delta) }
+			res = exec.RunScan(p, r.context(part.node), spec)
 			// Checkpoint: the update is not done until its pages are durable
 			// — and an aborted one still flushes the rows it changed, so
 			// memory and device never disagree.
-			sh.Ctx.Pool.FlushDirty(p)
+			part.node.Pool.FlushDirty(p)
 		}}, nil
 	})
 	if err != nil {
