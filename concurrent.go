@@ -3,8 +3,6 @@ package pioqo
 import (
 	"fmt"
 	"time"
-
-	"pioqo/internal/broker"
 )
 
 // ConcurrentResult reports a batch of queries executed together.
@@ -81,12 +79,11 @@ func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (Concur
 	}
 	io := s.coord().Dev.Metrics().Snapshot()
 
-	shares := broker.SplitCredits(ses.b.Total(), len(queries))
 	out := ConcurrentResult{
 		Results:          make([]Result, len(queries)),
 		Admissions:       make([]Admission, len(queries)),
 		Elapsed:          time.Duration(s.env.Now() - start),
-		QueueBudget:      shares[len(shares)-1],
+		QueueBudget:      max(1, ses.b.Total()/len(queries)), // SplitCredits' last share
 		IOThroughputMBps: io.ThroughputMBps,
 	}
 	for i, sub := range subs {

@@ -188,10 +188,11 @@ func SplitCredits(total, n int) []int {
 }
 
 // FairShare reports the even-split budget a query joining now could expect:
-// the total divided over every known party (active + waiting + the caller).
-// A sole query on an idle broker expects an unbounded lease (0). The engine
-// plans every query once, before it enqueues, under it; the lease then asks
-// for the depth that plan was priced at, and dispatch grants it whole.
+// the total divided over every known party (active + waiting + the caller),
+// SplitCredits' first share in closed form. A sole query on an idle broker
+// expects an unbounded lease (0). The engine plans every query once, before
+// it enqueues, under it; the lease then asks for the depth that plan was
+// priced at, and dispatch grants it whole.
 func (b *Broker) FairShare() int {
 	supply := b.degradedSupply()
 	parties := len(b.active) + len(b.queue) + 1
@@ -201,7 +202,7 @@ func (b *Broker) FairShare() int {
 		}
 		return 0
 	}
-	return SplitCredits(supply, parties)[0]
+	return max(1, (supply+parties-1)/parties)
 }
 
 // degradedSupply reports the credit supply dispatch may hand out right now:

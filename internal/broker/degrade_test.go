@@ -149,3 +149,38 @@ func TestNilProbeIsHealthy(t *testing.T) {
 	l.Release()
 	env.Run()
 }
+
+// TestFairShareIsTheFirstSplit: FairShare is SplitCredits' first share in
+// closed form, and ExecuteConcurrent's QueueBudget its last, so neither
+// allocates a share per party to read one. Both forms agree with the split
+// over every supply a device calibrates to and batches far past any queue
+// seen, and FairShare reads its share without allocating behind a long
+// queue.
+func TestFairShareIsTheFirstSplit(t *testing.T) {
+	first := func(supply, parties int) int { return max(1, (supply+parties-1)/parties) }
+	last := func(supply, parties int) int { return max(1, supply/parties) }
+	for supply := 1; supply <= 64; supply++ {
+		for parties := 1; parties <= 4096; parties++ {
+			split := SplitCredits(supply, parties)
+			if f := first(supply, parties); f != split[0] {
+				t.Fatalf("supply %d over %d parties: closed form %d, first split share %d", supply, parties, f, split[0])
+			}
+			if l := last(supply, parties); l != split[parties-1] {
+				t.Fatalf("supply %d over %d parties: closed form %d, last split share %d", supply, parties, l, split[parties-1])
+			}
+		}
+	}
+
+	for _, supply := range []int{1, 7, 16, 64} {
+		_, b := newBroker(t, supply, nil)
+		for parties := 2; parties <= 1501; parties++ {
+			b.Enqueue(1) // never dispatched: the environment does not run
+			if got, want := b.FairShare(), SplitCredits(supply, parties)[0]; got != want {
+				t.Fatalf("supply %d, %d parties: FairShare %d, first split share %d", supply, parties, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { b.FairShare() }); allocs > 0 {
+			t.Errorf("supply %d: FairShare with %d leases queued allocates %.1f/op, want 0", supply, b.Waiting(), allocs)
+		}
+	}
+}

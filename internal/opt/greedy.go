@@ -159,7 +159,7 @@ func greedyPlan(cfg *Config, in *Input, cc *costing, cx *crossover) (t top2, fel
 	}
 	if t.hasRunner &&
 		t.runner.TotalMicros-t.winner.TotalMicros <= greedyMargin*t.winner.TotalMicros {
-		return pickTop(enumerate(cfg, in, cc)), true
+		return rankTop(cfg, in, cc), true
 	}
 	t.winner = canonPrefetch(cfg, in, cc, t.winner)
 	return t, false

@@ -2,8 +2,9 @@
 // model, machine shape, predicate range, and pool residency the enumeration
 // always prices the same candidates to the same costs. Engines re-optimize
 // the same parameterized probe constantly (the paper's sweeps re-plan every
-// selectivity × device × concurrency point), so the memo caches the ranked
-// plan list and replays it until something the costs depend on changes.
+// selectivity × device × concurrency point), so the memo caches each
+// enumeration's winner and serves it until something the costs depend on
+// changes.
 //
 // Residency is the only input that moves behind the optimizer's back; the
 // memo keys on the pool's epoch — a counter the pool bumps on every install
@@ -12,6 +13,8 @@
 package opt
 
 import (
+	"slices"
+
 	"pioqo/internal/btree"
 	"pioqo/internal/buffer"
 	"pioqo/internal/cost"
@@ -23,7 +26,9 @@ import (
 // memoKey captures every Enumerate input a plan's cost can depend on.
 // Object-valued fields (table, index, stats, pool, model) key on identity:
 // the engine owns these for a catalog's lifetime, and a rebuilt object may
-// legitimately carry different contents.
+// legitimately carry different contents. The key stays within 128 bytes,
+// the most a map stores in its own slots: a wider key is boxed, one heap
+// object per miss.
 type memoKey struct {
 	table table.Table
 	index *btree.Index
@@ -37,9 +42,9 @@ type memoKey struct {
 	epoch uint64
 
 	model        cost.Model
-	cores        int
-	poolPages    int64
+	cores        int32 // beside sorted, in one word
 	sorted       bool
+	poolPages    int64
 	queueBudget  int
 	shareParties int
 
@@ -57,7 +62,7 @@ func newMemoKey(cfg *Config, in *Input) memoKey {
 		lo:           in.Lo,
 		hi:           in.Hi,
 		model:        cfg.Model,
-		cores:        cfg.Cores,
+		cores:        int32(cfg.Cores),
 		poolPages:    cfg.PoolPages,
 		sorted:       cfg.EnableSortedScan,
 		queueBudget:  cfg.QueueBudget,
@@ -74,13 +79,22 @@ func newMemoKey(cfg *Config, in *Input) memoKey {
 // It is not safe for concurrent use — optimization happens on the
 // simulation driver, which is single-threaded.
 type Memo struct {
-	entries map[memoKey][]Plan
+	entries map[memoKey]memoEntry
 	// estimators holds the folded page-count constants of every table shape
 	// × pool size the memo has planned for: a miss prices its enumeration
 	// with one Yao evaluation instead of re-deriving the constants.
 	estimators map[estimatorKey]*cost.PageEstimator
 	hits       int64
 	misses     int64
+}
+
+// memoEntry is what the memo keeps of an enumeration: its winner and how
+// many candidates it ranked. The ranked list itself is a pure function of
+// the key (and of the CPU costs, which a memo's owner holds fixed), so
+// Enumerate re-ranks it on a hit instead of holding it.
+type memoEntry struct {
+	winner Plan
+	n      int
 }
 
 // estimatorKey is what a cost.PageEstimator is a pure function of.
@@ -93,7 +107,7 @@ type estimatorKey struct {
 // NewMemo returns an empty plan memo.
 func NewMemo() *Memo {
 	return &Memo{
-		entries:    make(map[memoKey][]Plan),
+		entries:    make(map[memoKey]memoEntry),
 		estimators: make(map[estimatorKey]*cost.PageEstimator),
 	}
 }
@@ -110,28 +124,57 @@ func (m *Memo) estimator(cfg *Config, in *Input) *cost.PageEstimator {
 }
 
 // Enumerate returns the ranked candidate list for the input, computing it
-// on first sight and replaying it afterwards. The returned slice is a fresh
-// copy either way — callers may reorder or mutate it freely.
+// on first sight and re-ranking it at the same costing afterwards: the list
+// is bit-identical either way. The returned slice is a fresh copy — callers
+// may reorder or mutate it freely.
 func (m *Memo) Enumerate(cfg Config, in Input) []Plan {
-	return append([]Plan(nil), m.ranked(&cfg, &in)...)
+	key := newMemoKey(&cfg, &in)
+	e, hit := m.entries[key]
+	if hit {
+		m.hit(&cfg, e.n)
+		cfg.Obs = nil // the hit event counted this optimization
+	}
+	cc := m.bind(&cfg, &in)
+	var buf [maxCandidates]Plan
+	plans := enumerate(&cfg, &in, &cc, buf[:0])
+	if !hit {
+		m.keep(&cfg, &key, plans[0], len(plans))
+	}
+	return slices.Clone(plans)
 }
 
-// ranked is Enumerate handing out the memo's own slice: read-only.
-func (m *Memo) ranked(cfg *Config, in *Input) []Plan {
-	key := newMemoKey(cfg, in)
-	if cached, ok := m.entries[key]; ok {
-		m.hits++
-		cfg.Obs.Emit(obs.EvPlanCacheHit, obs.NoQuery, int64(len(cached)), 0)
-		return cached
+// Choose returns the cheapest plan for the input through the memo. A miss
+// ranks on the stack and keeps only the winner.
+func (m *Memo) Choose(cfg Config, in Input) Plan {
+	key := newMemoKey(&cfg, &in)
+	if e, ok := m.entries[key]; ok {
+		m.hit(&cfg, e.n)
+		return e.winner
 	}
-	m.misses++
+	cc := m.bind(&cfg, &in)
+	t := rankTop(&cfg, &in, &cc)
+	m.keep(&cfg, &key, t.winner, t.n)
+	return t.winner
+}
+
+// hit counts a lookup served from an entry that ranked n candidates.
+func (m *Memo) hit(cfg *Config, n int) {
+	m.hits++
+	cfg.Obs.Emit(obs.EvPlanCacheHit, obs.NoQuery, int64(n), 0)
+}
+
+// bind binds the input's costing through the memo's page estimators.
+func (m *Memo) bind(cfg *Config, in *Input) costing {
 	cfg.validate()
-	cc := bindCosting(in, selectivity(in, in.Lo, in.Hi), m.estimator(cfg, in))
-	plans := enumerate(cfg, in, &cc)
-	cfg.Obs.Emit(obs.EvPlanCacheMiss, obs.NoQuery, int64(len(plans)), 0)
+	return bindCosting(in, selectivity(in, in.Lo, in.Hi), m.estimator(cfg, in))
+}
+
+// keep counts a miss that ranked n candidates and installs its entry.
+func (m *Memo) keep(cfg *Config, key *memoKey, winner Plan, n int) {
+	m.misses++
+	cfg.Obs.Emit(obs.EvPlanCacheMiss, obs.NoQuery, int64(n), 0)
 	m.bound()
-	m.entries[key] = plans
-	return plans
+	m.entries[*key] = memoEntry{winner: winner, n: n}
 }
 
 // memoMaxEntries bounds the memo. Entries keyed on a superseded pool epoch
@@ -156,16 +199,11 @@ func (m *Memo) bound() {
 		}
 	}
 	if len(m.entries) >= memoMaxEntries {
-		m.entries = make(map[memoKey][]Plan)
+		clear(m.entries) // keeps the buckets for the next thousand
 	}
 }
 
-// Choose returns the cheapest plan for the input through the memo.
-func (m *Memo) Choose(cfg Config, in Input) Plan {
-	return m.ranked(&cfg, &in)[0]
-}
-
-// Stats reports how many lookups replayed a cached enumeration and how
+// Stats reports how many lookups were served from a cached entry and how
 // many priced one fresh.
 func (m *Memo) Stats() (hits, misses int64) { return m.hits, m.misses }
 
@@ -176,7 +214,7 @@ func (m *Memo) Len() int { return len(m.entries) }
 // must invalidate this way when a keyed object mutates in place — above
 // all when a calibration swaps the cost model's contents.
 func (m *Memo) Reset() {
-	m.entries = make(map[memoKey][]Plan)
+	m.entries = make(map[memoKey]memoEntry)
 	m.estimators = make(map[estimatorKey]*cost.PageEstimator)
 	m.hits, m.misses = 0, 0
 }

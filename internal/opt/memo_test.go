@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -218,5 +219,77 @@ func TestMemoCountsOptimizationsOnReplay(t *testing.T) {
 	}
 	if reg.Counter(obs.MetricOptMemoHits).Value() != 1 || reg.Counter(obs.MetricOptMemoMisses).Value() != 1 {
 		t.Fatal("memo hit/miss counters not published")
+	}
+}
+
+// samePlans reports the first plan at which two rankings differ, comparing
+// every estimate bit for bit; -1 when they are identical.
+func samePlans(a, b []Plan) int {
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	for i := range a {
+		p, q := a[i], b[i]
+		if p.Method != q.Method || p.Degree != q.Degree || p.Prefetch != q.Prefetch ||
+			p.Shared != q.Shared || p.Depth != q.Depth {
+			return i
+		}
+		for j, x := range [5]float64{p.EstRows, p.EstPageIO, p.IOMicros, p.CPUMicros, p.TotalMicros} {
+			y := [5]float64{q.EstRows, q.EstPageIO, q.IOMicros, q.CPUMicros, q.TotalMicros}[j]
+			if math.Float64bits(x) != math.Float64bits(y) {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// TestMemoReplayIsTheMissList: the memo keeps an enumeration's winner and
+// size, not its list, so Enumerate on a hit ranks again at the costing the
+// key binds. That list must be the miss's, bit for bit, and stateless
+// Enumerate's, on every shape the plan stream exercises — and whether the
+// miss came through Enumerate or Choose. It stays the caller's own copy.
+func TestMemoReplayIsTheMissList(t *testing.T) {
+	for _, dev := range []string{"ssd", "hdd"} {
+		w := newStreamWorld(dev)
+		// The warm shapes plan behind a pool holding a quarter of its
+		// frames: the replay must bind the same residency as the miss.
+		for p := int64(0); p < streamPool/4; p++ {
+			w.warm.Prefetch(w.tab.File(), p*5%w.tab.Pages())
+		}
+		for _, s := range w.shapes {
+			cfg := s.cfg
+			cfg.Obs = nil
+			for i := 0; i < 8; i++ {
+				in := benchRange(s.in, i)
+				m := NewMemo()
+				miss := m.Enumerate(cfg, in)
+				hit := m.Enumerate(cfg, in)
+				if j := samePlans(hit, miss); j >= 0 {
+					t.Fatalf("%s/%s range %d: the replay differs from the miss at plan %d:\n%v\n%v",
+						dev, s.name, i, j, hit, miss)
+				}
+				if j := samePlans(hit, Enumerate(cfg, in)); j >= 0 {
+					t.Fatalf("%s/%s range %d: the replay differs from stateless Enumerate at plan %d", dev, s.name, i, j)
+				}
+				if got := m.Choose(cfg, in); got != miss[0] {
+					t.Fatalf("%s/%s range %d: the memo's winner %v, its list's %v", dev, s.name, i, got, miss[0])
+				}
+
+				hit[0].TotalMicros, hit[len(hit)-1].Method = -1, 99
+				if j := samePlans(m.Enumerate(cfg, in), miss); j >= 0 {
+					t.Fatalf("%s/%s range %d: mutating a replay changed the next one at plan %d", dev, s.name, i, j)
+				}
+				if hits, misses := m.Stats(); hits != 3 || misses != 1 {
+					t.Fatalf("%s/%s range %d: %d hits, %d misses; want 3, 1", dev, s.name, i, hits, misses)
+				}
+
+				chosen := NewMemo()
+				chosen.Choose(cfg, in)
+				if j := samePlans(chosen.Enumerate(cfg, in), miss); j >= 0 {
+					t.Fatalf("%s/%s range %d: a replay after Choose's miss differs at plan %d", dev, s.name, i, j)
+				}
+			}
+		}
 	}
 }

@@ -14,6 +14,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"pioqo/internal/btree"
 	"pioqo/internal/buffer"
@@ -191,7 +192,10 @@ func (p Plan) Spec(in Input) exec.Spec {
 
 // Choose returns the cheapest plan for the input.
 func Choose(cfg Config, in Input) Plan {
-	return Enumerate(cfg, in)[0]
+	cfg.validate()
+	est := newEstimator(&cfg, &in)
+	cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
+	return rankTop(&cfg, &in, &cc).winner
 }
 
 // Enumerate returns every candidate plan, cheapest first — the optimizer's
@@ -200,7 +204,8 @@ func Enumerate(cfg Config, in Input) []Plan {
 	cfg.validate()
 	est := newEstimator(&cfg, &in)
 	cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
-	return enumerate(&cfg, &in, &cc)
+	var buf [maxCandidates]Plan
+	return slices.Clone(enumerate(&cfg, &in, &cc, buf[:0]))
 }
 
 func (c *Config) validate() {
@@ -218,37 +223,33 @@ func (c *Config) overBudget(d int) bool {
 	return c.QueueBudget > 0 && d > c.QueueBudget && d > 1
 }
 
-// enumerate prices every candidate at the bound costing and returns them
-// cheapest first, ties in candidate order. It is the one full enumeration:
-// the stateless entry points, the memo and the parameterized cache's
-// crossover fallbacks all rank through it, each bringing the costing it has
-// already bound.
-func enumerate(cfg *Config, in *Input, cc *costing) []Plan {
-	perDegree := 1 // the full scan
-	if in.Index != nil {
-		perDegree++
-		for _, pf := range cfg.PrefetchDepths {
-			if pf > 0 {
-				perDegree++
-			}
-		}
-		if cfg.EnableSortedScan {
-			perDegree++
-		}
-	}
-	n := 0
-	if cfg.ShareParties >= 2 {
-		n++
-	}
-	for _, d := range cfg.degrees() {
-		if !cfg.overBudget(d) {
-			n += perDegree
-		}
-	}
-	if n == 0 {
-		n = min(perDegree, 2) // the serial fallback below
-	}
-	plans := make([]Plan, 0, n)
+// maxCandidates is the most candidates the engine's grid enumerates: 6
+// degrees × 8 methods (full scan, index scan, five prefetch depths, sorted
+// scan) and the shared lap. A ranking whose caller reads only its top goes
+// into a [maxCandidates]Plan on the stack (rankTop); a wider custom grid
+// spills to the heap through append.
+const maxCandidates = 49
+
+// rankTop ranks the full enumeration at the bound costing on its own stack
+// and returns the top of it: what stateless Choose, a memo miss through
+// Memo.Choose, greedyPlan's margin trip and the parameterized cache's
+// crossover fallback keep. It stays out of line so that the 3.5 KB buffer
+// is a frame only while a ranking runs, not on every hit path that calls it.
+//
+//go:noinline
+func rankTop(cfg *Config, in *Input, cc *costing) top2 {
+	var buf [maxCandidates]Plan
+	return pickTop(enumerate(cfg, in, cc, buf[:0]))
+}
+
+// enumerate prices every candidate at the bound costing and ranks them into
+// buf, cheapest first, ties in candidate order. It is the one full
+// enumeration: the stateless entry points, the memo and the parameterized
+// cache's crossover fallbacks all rank through it, each bringing the costing
+// it has already bound and a stack buffer. Only Enumerate and
+// Memo.Enumerate, which hand the list to their caller, copy it to the heap.
+func enumerate(cfg *Config, in *Input, cc *costing, buf []Plan) []Plan {
+	plans := buf[:0]
 	// The shared candidate goes first: when a CPU-bound shared lap ties a
 	// serial private scan on total cost, the stable sort keeps the shared
 	// plan ahead — at equal price, riding the circulation frees the device
@@ -281,8 +282,8 @@ func enumerate(cfg *Config, in *Input, cc *costing) []Plan {
 			plans = append(plans, costIndexScan(cfg, in, cc, 1, 0))
 		}
 	}
-	// A stable insertion sort: at most 49 candidates (6 degrees × 8 methods
-	// and the shared lap), usually 12, and no reflection-built swapper.
+	// A stable insertion sort: at most maxCandidates on the engine's grid,
+	// usually 12, and no reflection-built swapper.
 	for i := 1; i < len(plans); i++ {
 		p := plans[i]
 		j := i

@@ -375,7 +375,7 @@ func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
 		cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
 		cc.heapPages()
 		cc.est = nil
-		got := enumerate(&cfg, &in, &cc)
+		got := enumerate(&cfg, &in, &cc, nil)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d plans, want %d", name, len(got), len(want))
 		}
@@ -404,15 +404,95 @@ func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
 }
 
 // TestChooseAllocatesOnlyItsPlanList: a stateless Choose builds its page
-// estimator on the stack and allocates nothing but the ranked list.
+// estimator and ranks its candidates on the stack, so it allocates nothing:
+// the plan it returns is a value.
 func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
 	w := newStreamWorld("ssd")
 	s := w.shape("qb8")
 	s.cfg.Obs = nil
 	in := benchRange(s.in, 3)
-	if allocs := testing.AllocsPerRun(100, func() { Choose(s.cfg, in) }); allocs > 1 {
-		t.Errorf("Choose allocates %.1f/op, want 1", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { Choose(s.cfg, in) }); allocs > 0 {
+		t.Errorf("Choose allocates %.1f/op, want 0", allocs)
 	}
+}
+
+// TestPlanningAllocatesOnlyWhatItKeeps gates every path that ranks the full
+// enumeration to read the top of it: the list goes on the caller's stack,
+// and only what the path keeps reaches the heap. A warm memo's miss keeps a
+// map entry in buckets an earlier fill left behind, a parameterized cache's
+// crossover fallback keeps the entry publish installs, and the greedy fast
+// path's margin trip and a stateless Choose keep nothing.
+func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
+	w := newStreamWorld("ssd")
+	s := w.shape("all")
+	cfg := s.cfg
+	cfg.Obs, cfg.QueueBudget = nil, 0 // 49 candidates: the widest the engine ranks
+
+	t.Run("memo miss", func(t *testing.T) {
+		m := NewMemo()
+		i := int64(0)
+		miss := func() {
+			in := s.in
+			in.Lo, in.Hi = i, i+i%4096
+			i++
+			m.Choose(cfg, in)
+		}
+		// Fill the memo past its bound twice: the map is then at the size
+		// it keeps for good.
+		for i < 5*memoMaxEntries/2 {
+			miss()
+		}
+		_, before := m.Stats()
+		if allocs := testing.AllocsPerRun(1000, miss); allocs > 0 {
+			t.Errorf("a warm memo's miss allocates %.2f/op, want 0", allocs)
+		}
+		if hits, after := m.Stats(); hits != 0 || after-before != 1001 {
+			t.Fatalf("the measured lookups were not all misses: %d hits, %d misses", hits, after-before)
+		}
+	})
+
+	// A selectivity on the index/full-scan crossover: the two families
+	// price within the margin there, so every lookup falls back.
+	f := newFixture(t, "ssd", 200000, 33)
+	fcfg := f.cfg
+	fcfg.Model = f.qdtt
+	fcfg.GridKey = GridKey(fcfg.Degrees, fcfg.PrefetchDepths)
+	in := f.in
+	in.Lo, in.Hi = rangeFor(f.in.Table, f.breakEven(t, f.qdtt))
+
+	t.Run("paramcache fallback", func(t *testing.T) {
+		pc := NewParamCache()
+		pc.Choose(fcfg, in) // creates the shape's line: a miss
+		before := pc.Stats().Fallbacks
+		if allocs := testing.AllocsPerRun(100, func() { pc.Choose(fcfg, in) }); allocs > 1 {
+			t.Errorf("a crossover fallback allocates %.2f/op, want 1 (publish's entry)", allocs)
+		}
+		if got := pc.Stats().Fallbacks - before; got != 101 {
+			t.Fatalf("%d of 101 lookups fell back", got)
+		}
+	})
+
+	t.Run("greedy margin trip", func(t *testing.T) {
+		est := newEstimator(&fcfg, &in)
+		cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
+		cx := computeCrossover(&fcfg, in.Table.Pages())
+		if _, fell := greedyPlan(&fcfg, &in, &cc, cx); !fell {
+			t.Fatal("the break-even selectivity did not trip the greedy margin")
+		}
+		if allocs := testing.AllocsPerRun(100, func() { greedyPlan(&fcfg, &in, &cc, cx) }); allocs > 0 {
+			t.Errorf("a greedy margin trip allocates %.2f/op, want 0", allocs)
+		}
+	})
+
+	t.Run("stateless choose", func(t *testing.T) {
+		q := benchRange(s.in, 2)
+		if n := len(Enumerate(cfg, q)); n != maxCandidates {
+			t.Fatalf("%d candidates, want the grid's %d", n, maxCandidates)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { Choose(cfg, q) }); allocs > 0 {
+			t.Errorf("Choose allocates %.2f/op, want 0", allocs)
+		}
+	})
 }
 
 // depthProbe is a device that records the most reads it ever had

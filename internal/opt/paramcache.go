@@ -377,13 +377,14 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 		}
 		// The cached ranking flipped or landed inside the margin: this
 		// query sits on a crossover, so pay for the full enumeration, at
-		// the costing already bound. (enumerate counts the optimization
-		// itself.)
+		// the costing already bound, ranked on this goroutine's stack: the
+		// cache is shared, so no scratch list is. (enumerate counts the
+		// optimization itself.)
 		pc.fallbacks.Add(1)
 		if e.epoch != epoch {
 			cfg.Obs.Emit(obs.EvPlanRevalidate, obs.NoQuery, int64(band), 0)
 		}
-		t := pickTop(enumerate(cfg, in, &cc))
+		t := rankTop(cfg, in, &cc)
 		cfg.Obs.Emit(obs.EvGreedyFallback, obs.NoQuery, int64(band), int64(t.n))
 		publish(cfg, in, set, band, epoch, cc.resident, &t)
 		return t.winner

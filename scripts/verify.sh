@@ -60,7 +60,9 @@ go test -race -cpu 1,2,4 -count=3 -run 'TestNoGoroutinesLeftAfterDrain|TestAband
 go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... ./internal/exec/... ./internal/cost/... ./internal/broker/... ./internal/fault/... ./internal/buffer/... ./internal/node/... ./internal/adapt/... ./internal/device/... ./internal/disk/... ./internal/table/... ./internal/btree/... ./internal/calibrate/...
 # The parameterized plan cache is shared between host threads: shapes are
 # created, published and read lock-free, so its race pass runs single- and
-# multi-threaded.
+# multi-threaded. The pass takes the whole package, so it also runs the
+# memo's replay check (TestMemoReplayIsTheMissList: a hit re-ranks on the
+# caller's stack, bit for bit the miss's list).
 go test -race -cpu 1,4 ./internal/opt/...
 # The schedule golden pins the executor's virtual-time behaviour to the
 # nanosecond; running it twice in one process also checks that a run leaves
@@ -81,9 +83,14 @@ go test -run 'TestResidual' -count=1 ./internal/experiments
 go test -run 'TestScanDepthIsTheWindowTheScanRuns' -count=1 ./internal/opt
 # The allocation gates on what a wider fleet multiplies: a worker takes its
 # record, budget and scratch buffers from its node's free list, and an armed
-# hedged read allocates its outer completion and nothing else.
+# hedged read allocates its outer completion and nothing else. And on what
+# every submission pays: planning ranks on the stack and allocates only what
+# it keeps (a warm memo's miss nothing, a crossover fallback its published
+# entry), and the broker's fair share is a closed form, not a split.
 go test -run 'TestWorkerScratchIsReused' -count=1 ./internal/exec
 go test -run 'TestHedgerAllocations' -count=1 ./internal/fault
+go test -run '^(TestPlanningAllocatesOnlyWhatItKeeps|TestChooseAllocatesOnlyItsPlanList)$' -count=1 ./internal/opt
+go test -run '^TestFairShareIsTheFirstSplit$' -count=1 ./internal/broker
 # The device-stream golden does it for the device models: submit and
 # completion time of every request of seeded streams through each model,
 # generated before the request path stopped allocating per request. The
