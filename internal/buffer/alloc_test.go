@@ -88,61 +88,27 @@ func TestPoolAllocations(t *testing.T) {
 	env.Run()
 }
 
-// benchmarkPool runs body b.N times inside a simulation process on the
-// standard SSD fixture.
-func benchmarkPool(b *testing.B, poolPages int, body func(w *world, p *sim.Proc, i int64)) {
-	w := newWorld(b, poolPages)
+// BenchmarkPrefetchRunTrimmed issues a 64-page trimmed run around eight
+// pages another read is already bringing in — two gaps, two block reads —
+// and sleeps until they land: the overlap-trimming path without the fetches,
+// into a full pool. bench/ times a hit, a miss and a prefetched page
+// (buffer.hit_ns, miss_ns, prefetch_page_ns), not the trimming.
+func BenchmarkPrefetchRunTrimmed(b *testing.B) {
+	const frames, run = 256, 64
+	w := newWorld(b, frames)
 	b.ReportAllocs()
 	w.run(func(p *sim.Proc) {
-		for i := int64(0); i < int64(poolPages); i++ {
-			w.pool.FetchPage(p, w.file, i).Release()
+		for pg := int64(0); pg < frames; pg++ {
+			w.pool.FetchPage(p, w.file, pg).Release()
 		}
 		b.ResetTimer()
 		for i := int64(0); i < int64(b.N); i++ {
-			body(w, p, i)
+			base := (frames + i*run) % 4096
+			w.pool.PrefetchRun(w.file, base+24, 8)
+			if w.pool.PrefetchRunTrimmed(w.file, base, run) != 2 {
+				b.Fatal("trimmed run did not split into two gaps")
+			}
+			p.Sleep(sim.Millisecond)
 		}
-	})
-}
-
-// BenchmarkPoolHit fetches and releases resident pages.
-func BenchmarkPoolHit(b *testing.B) {
-	benchmarkPool(b, 256, func(w *world, p *sim.Proc, i int64) {
-		w.pool.FetchPage(p, w.file, i%256).Release()
-	})
-}
-
-// BenchmarkPoolMissEvict sweeps a file 16× the pool: every fetch misses,
-// reads the device and evicts.
-func BenchmarkPoolMissEvict(b *testing.B) {
-	benchmarkPool(b, 256, func(w *world, p *sim.Proc, i int64) {
-		w.pool.FetchPage(p, w.file, (256+i)%4096).Release()
-	})
-}
-
-// BenchmarkPrefetchRun64 issues 64-page block reads into a full pool and
-// fetches the pages they bring, the demand full scan's pattern.
-func BenchmarkPrefetchRun64(b *testing.B) {
-	const run = 64
-	benchmarkPool(b, 256, func(w *world, p *sim.Proc, i int64) {
-		base := (256 + i*run) % 4096
-		w.pool.PrefetchRun(w.file, base, run)
-		for pg := base; pg < base+run; pg++ {
-			w.pool.FetchPage(p, w.file, pg).Release()
-		}
-	})
-}
-
-// BenchmarkPrefetchRunTrimmed issues a 64-page trimmed run around eight
-// pages another read is already bringing in — two gaps, two block reads —
-// and sleeps until they land: the overlap-trimming path without the fetches.
-func BenchmarkPrefetchRunTrimmed(b *testing.B) {
-	const run = 64
-	benchmarkPool(b, 256, func(w *world, p *sim.Proc, i int64) {
-		base := (256 + i*run) % 4096
-		w.pool.PrefetchRun(w.file, base+24, 8)
-		if w.pool.PrefetchRunTrimmed(w.file, base, run) != 2 {
-			b.Fatal("trimmed run did not split into two gaps")
-		}
-		p.Sleep(sim.Millisecond)
 	})
 }

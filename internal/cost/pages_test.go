@@ -1,7 +1,6 @@
 package cost
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,35 +193,4 @@ func TestYaoRoundingStaysUnderTwoUnits(t *testing.T) {
 		t.Errorf("worst overshoot over 200 000 draws is %.3f rounding units, want inside (0, 2)", worst)
 	}
 	t.Logf("worst overshoot: %.3f units", worst)
-}
-
-// BenchmarkExpectedFetches prices an index scan's heap reads on
-// plan_serving's geometry — 12 288 pages of 33 rows behind 1 024 frames — at
-// a selectivity below the pool-fill point, just past it and far past it.
-func BenchmarkExpectedFetches(b *testing.B) {
-	const pages, rpp, pool = 12288, 33, 1024
-	e := NewPageEstimator(pages, rpp, pool)
-	var sink float64
-	for _, sel := range []float64{1e-4, 0.01, 0.3} {
-		k := int64(sel * pages * rpp)
-		b.Run(fmt.Sprintf("sel=%g", sel), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				reads, _ := e.Expected(k)
-				sink += reads
-			}
-		})
-	}
-	_ = sink
-}
-
-// BenchmarkNewPageEstimator is what a stateless Choose pays per call and a
-// plan cache once per shape: two log-gammas and the pool-fill bisection.
-func BenchmarkNewPageEstimator(b *testing.B) {
-	var sink int64
-	for i := 0; i < b.N; i++ {
-		e := NewPageEstimator(12288, 33, 1024)
-		sink += e.kWarm
-	}
-	_ = sink
 }

@@ -1,37 +1,13 @@
 package device
 
 import (
-	"fmt"
 	"testing"
 
 	"pioqo/internal/sim"
 )
 
-// benchReads drives dev with qd workers for b.N total 4 KiB random reads
-// and reports host time per simulated I/O.
-func benchReads(b *testing.B, newDev func(*sim.Env) Device, qd int) {
-	env := sim.NewEnv(1)
-	dev := newDev(env)
-	pages := dev.Size() / page
-	each := b.N/qd + 1
-	for w := 0; w < qd; w++ {
-		env.Go(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
-			for i := 0; i < each; i++ {
-				off := env.Rand().Int63n(pages) * page
-				p.Wait(dev.ReadAt(off, page))
-			}
-		})
-	}
-	b.ResetTimer()
-	env.Run()
-}
-
-func BenchmarkSSDRandomReadQD1(b *testing.B)  { benchReads(b, newSSD, 1) }
-func BenchmarkSSDRandomReadQD32(b *testing.B) { benchReads(b, newSSD, 32) }
-func BenchmarkHDDRandomReadQD8(b *testing.B)  { benchReads(b, newHDD, 8) }
-func BenchmarkRAIDRandomReadQD8(b *testing.B) { benchReads(b, newRAID8, 8) }
-
-// BenchmarkSSDSequentialBlocks measures the chunked large-read path.
+// BenchmarkSSDSequentialBlocks measures the chunked large-read path: bench/'s
+// device.*_req_ns probes time 4 KiB random reads only.
 func BenchmarkSSDSequentialBlocks(b *testing.B) {
 	env := sim.NewEnv(1)
 	dev := newSSD(env)

@@ -33,89 +33,6 @@ func TestAccuracyQDTTEstimatesTrackMeasurements(t *testing.T) {
 	}
 }
 
-func TestConcurrencyStrategies(t *testing.T) {
-	t.Parallel()
-	rows := quick().Concurrency()
-	byName := map[string]ConcurrencyRow{}
-	for _, r := range rows {
-		byName[r.Strategy] = r
-	}
-	serialIS := byName["serial, IS"]
-	interOnly := byName["concurrent, IS (inter-query only)"]
-	budgeted := byName["concurrent, PIS8 (budgeted)"]
-	over := byName["concurrent, PIS32 (oversubscribed)"]
-
-	// Inter-query parallelism alone gives roughly the batch-size speedup.
-	if gain := serialIS.MakespanMs / interOnly.MakespanMs; gain < 2.5 {
-		t.Errorf("inter-query speedup = %.1fx, want near 4x for 4 queries", gain)
-	}
-	// Budgeting the beneficial depth matches oversubscription within ~30%
-	// while using a quarter of the workers — the §4.3 point.
-	if budgeted.MakespanMs > 1.3*over.MakespanMs {
-		t.Errorf("budgeted makespan %.1fms vs oversubscribed %.1fms; want parity",
-			budgeted.MakespanMs, over.MakespanMs)
-	}
-	// And intra-query parallelism dominates inter-query alone.
-	if budgeted.MakespanMs > interOnly.MakespanMs/2 {
-		t.Errorf("budgeted %.1fms not well below inter-query-only %.1fms",
-			budgeted.MakespanMs, interOnly.MakespanMs)
-	}
-}
-
-func TestMixedWorkloadQDTTWins(t *testing.T) {
-	t.Parallel()
-	rows := quick().Mixed(12)
-	if len(rows) != 2 {
-		t.Fatalf("%d rows, want 2", len(rows))
-	}
-	old, new_ := rows[0], rows[1]
-	if gain := old.TotalMs / new_.TotalMs; gain < 1.5 {
-		t.Errorf("QDTT whole-workload gain = %.2fx, want >= 1.5x", gain)
-	}
-	if new_.WorstMs > old.WorstMs {
-		t.Errorf("QDTT worst-case %.1fms above DTT's %.1fms", new_.WorstMs, old.WorstMs)
-	}
-	if new_.ParallelQs < old.ParallelQs {
-		t.Errorf("QDTT parallelized %d queries, DTT %d; expected more under QDTT",
-			new_.ParallelQs, old.ParallelQs)
-	}
-}
-
-func TestJoinsAblation(t *testing.T) {
-	t.Parallel()
-	rows := quick().Joins()
-	if len(rows) != 5 {
-		t.Fatalf("%d rows, want 5", len(rows))
-	}
-	sawNL := false
-	for i, r := range rows {
-		if r.Regret > 1.5 {
-			t.Errorf("skew %.1f: planner regret %.2fx, want <= 1.5x", r.BuildSkew, r.Regret)
-		}
-		if r.Chosen == "IndexNLJoin" {
-			sawNL = true
-		}
-		// Distinct ratio falls with skew, and the NL join keeps getting
-		// relatively better.
-		if i > 0 {
-			if r.DistinctPct >= rows[i-1].DistinctPct {
-				t.Errorf("distinct%% did not fall with skew: %.1f -> %.1f",
-					rows[i-1].DistinctPct, r.DistinctPct)
-			}
-			if r.NLMs >= rows[i-1].NLMs {
-				t.Errorf("NL runtime did not fall with skew: %.2f -> %.2f",
-					rows[i-1].NLMs, r.NLMs)
-			}
-		}
-	}
-	if !sawNL {
-		t.Error("planner never chose the NL join despite heavy skew")
-	}
-	if last := rows[len(rows)-1]; last.Chosen != "IndexNLJoin" {
-		t.Errorf("heaviest skew chose %s, want IndexNLJoin", last.Chosen)
-	}
-}
-
 func TestOptimalityQDTTBeatsDTT(t *testing.T) {
 	t.Parallel()
 	rows := quick().Optimality(cfgFor(33, workload.SSD))

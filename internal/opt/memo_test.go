@@ -261,7 +261,7 @@ func TestMemoReplayIsTheMissList(t *testing.T) {
 			cfg := s.cfg
 			cfg.Obs = nil
 			for i := 0; i < 8; i++ {
-				in := benchRange(s.in, i)
+				in := servingRange(s.in, i)
 				m := NewMemo()
 				miss := m.Enumerate(cfg, in)
 				hit := m.Enumerate(cfg, in)

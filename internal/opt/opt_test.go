@@ -366,7 +366,7 @@ func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
 	w := newStreamWorld("ssd")
 	for _, name := range []string{"qb8", "sorted", "prefetch", "all"} {
 		s := w.shape(name)
-		cfg, in := s.cfg, benchRange(s.in, 3) // 10 % of the rows: the pool overflows
+		cfg, in := s.cfg, servingRange(s.in, 3) // 10 % of the rows: the pool overflows
 		cfg.Obs = nil
 		want := Enumerate(cfg, in)
 		wantGreedy, _ := GreedyChoose(cfg, in)
@@ -410,7 +410,7 @@ func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
 	w := newStreamWorld("ssd")
 	s := w.shape("qb8")
 	s.cfg.Obs = nil
-	in := benchRange(s.in, 3)
+	in := servingRange(s.in, 3)
 	if allocs := testing.AllocsPerRun(100, func() { Choose(s.cfg, in) }); allocs > 0 {
 		t.Errorf("Choose allocates %.1f/op, want 0", allocs)
 	}
@@ -485,7 +485,7 @@ func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 	})
 
 	t.Run("stateless choose", func(t *testing.T) {
-		q := benchRange(s.in, 2)
+		q := servingRange(s.in, 2)
 		if n := len(Enumerate(cfg, q)); n != maxCandidates {
 			t.Fatalf("%d candidates, want the grid's %d", n, maxCandidates)
 		}

@@ -128,6 +128,26 @@ func newStreamWorld(devKind string) *streamWorld {
 	return w
 }
 
+func (w *streamWorld) shape(name string) streamShape {
+	for _, s := range w.shapes {
+		if s.name == name {
+			return s
+		}
+	}
+	panic("no stream shape " + name)
+}
+
+// servingRange is the i-th predicate of a serving stream: four
+// selectivities, each clearly inside one plan regime, at a start that
+// strides the key domain.
+func servingRange(in Input, i int) Input {
+	d := in.Table.KeyDomain()
+	width := int64([4]float64{0.0005, 0.002, 0.008, 0.1}[i%4] * float64(d))
+	in.Lo = int64(i) * 9973 % (d - width)
+	in.Hi = in.Lo + width - 1
+	return in
+}
+
 // drawRange draws the stream's next predicate: log-uniform selectivities
 // over five decades, with the degenerate ranges (empty, one key, the whole
 // domain, past its end) mixed in.

@@ -2,7 +2,11 @@ package pioqo
 
 import (
 	"errors"
+	"fmt"
 	"testing"
+	"time"
+
+	"pioqo/internal/exec"
 )
 
 func newJoinSystem(t *testing.T) (*System, *Table, *Table) {
@@ -143,6 +147,72 @@ func TestJoinMethodSelection(t *testing.T) {
 	}
 	if nlCnt.Value != nl.Pairs {
 		t.Errorf("COUNT %d != pairs %d", nlCnt.Value, nl.Pairs)
+	}
+}
+
+// TestJoinPlannerTracksBuildSkew joins build sides of rising key skew to one
+// probe table over the whole build domain. As skew concentrates the build
+// rows on fewer distinct keys, the index nested-loop join's lookups get
+// fewer and it gets faster; the planner, fed the distinct counts, must
+// follow the crossover — it picks the NL join at the heaviest skew, and at
+// every skew its join runs within 1.5x of the faster of the two methods,
+// each forced on the same scans (full-scan build ×8, index probe ×32).
+func TestJoinPlannerTracksBuildSkew(t *testing.T) {
+	const buildRows = 8192
+	sys := New(Config{Device: SSD, PoolPages: 256})
+	probe, err := sys.CreateTable("probe", 2048*33, 33, WithSyntheticData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skews := []float64{0, 1.1, 1.3, 1.6, 2.0}
+	builds := make([]*Table, len(skews))
+	for i, skew := range skews {
+		var opts []TableOption
+		if skew > 0 {
+			opts = append(opts, WithZipfData(skew))
+		}
+		if builds[i], err = sys.CreateTable(fmt.Sprintf("build%d", i), buildRows, 33, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+		t.Fatal(err)
+	}
+	forced := func(build *Table, method exec.JoinMethod) time.Duration {
+		b, p := build.one(), probe.one()
+		sys.FlushBufferPool()
+		return time.Duration(exec.ExecuteJoin(sys.nodeContext(sys.coord()), exec.JoinSpec{
+			Method: method,
+			Build:  exec.Spec{Table: b.tab, Index: b.idx, Hi: buildRows - 1, Method: exec.FullScan, Degree: 8},
+			Probe:  exec.Spec{Table: p.tab, Index: p.idx, Hi: buildRows - 1, Method: exec.IndexScan, Degree: 32},
+			Agg:    exec.AggCount,
+		}).Runtime)
+	}
+	var prevDistinct float64
+	var prevNL time.Duration
+	var chosen string
+	for i, build := range builds {
+		res, err := sys.ExecuteJoin(JoinQuery{Build: build, Probe: probe, High: buildRows - 1, Agg: Count}, Cold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		chosen = res.Method
+		hash, nl := forced(build, exec.HashJoin), forced(build, exec.IndexNLJoin)
+		if regret := float64(res.Runtime) / float64(min(hash, nl, res.Runtime)); regret > 1.5 {
+			t.Errorf("skew %.1f: %s ran %v against hash %v and NL %v, regret %.2fx, want <= 1.5x",
+				skews[i], res.Method, res.Runtime, hash, nl, regret)
+		}
+		distinct := build.one().hist.DistinctRatio()
+		if i > 0 && distinct >= prevDistinct {
+			t.Errorf("skew %.1f: distinct ratio %.3f did not fall from %.3f", skews[i], distinct, prevDistinct)
+		}
+		if i > 0 && nl >= prevNL {
+			t.Errorf("skew %.1f: NL join %v did not get faster than %v", skews[i], nl, prevNL)
+		}
+		prevDistinct, prevNL = distinct, nl
+	}
+	if chosen != "IndexNLJoin" {
+		t.Errorf("heaviest skew chose %s, want IndexNLJoin", chosen)
 	}
 }
 

@@ -1,6 +1,8 @@
 package pioqo
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -149,6 +151,50 @@ func TestQDTTPlanRunsFasterOnSSD(t *testing.T) {
 	if speedup := float64(oldRes.Runtime) / float64(newRes.Runtime); speedup < 3 {
 		t.Errorf("QDTT speedup = %.1fx (old %v via %v, new %v via %v), want >= 3x",
 			speedup, oldRes.Runtime, oldRes.Plan, newRes.Runtime, newRes.Plan)
+	}
+}
+
+// TestQDTTWinsAMixedStream plans and runs twelve cold range queries, their
+// selectivities drawn log-uniformly from 0.01 % to 10 %, once under the DTT
+// model and once under QDTT: over the whole stream, not one chosen query,
+// queue-depth awareness pays — half again or more in total time, a worst
+// query no slower, and at least as many queries run in parallel.
+func TestQDTTWinsAMixedStream(t *testing.T) {
+	sys := New(Config{Device: SSD, PoolPages: 256})
+	tab, err := sys.CreateTable("t", 2048*33, 33, WithSyntheticData())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+		t.Fatal(err)
+	}
+	var total, worst [2]time.Duration // DTT, QDTT
+	var parallel [2]int
+	rng := rand.New(rand.NewSource(909))
+	for i := 0; i < 12; i++ {
+		width := int64(1e-4 * math.Pow(10, 3*rng.Float64()) * float64(tab.Rows()))
+		lo := rng.Int63n(tab.Rows() - width)
+		q := Query{Table: tab, Low: lo, High: lo + width - 1}
+		for k, depthOblivious := range []bool{true, false} {
+			res, err := sys.Execute(q, Cold(), WithPlanOptions(PlanOptions{DepthOblivious: depthOblivious}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			total[k] += res.Runtime
+			worst[k] = max(worst[k], res.Runtime)
+			if res.Plan.Degree > 1 {
+				parallel[k]++
+			}
+		}
+	}
+	if gain := float64(total[0]) / float64(total[1]); gain < 1.5 {
+		t.Errorf("QDTT whole-stream gain = %.2fx (DTT %v, QDTT %v), want >= 1.5x", gain, total[0], total[1])
+	}
+	if worst[1] > worst[0] {
+		t.Errorf("QDTT worst query %v above DTT's %v", worst[1], worst[0])
+	}
+	if parallel[1] < parallel[0] {
+		t.Errorf("QDTT ran %d queries in parallel, DTT %d; want at least as many", parallel[1], parallel[0])
 	}
 }
 
