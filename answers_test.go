@@ -1,17 +1,14 @@
 package pioqo
 
 import (
-	"flag"
 	"fmt"
 	"math/rand"
-	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"pioqo/internal/golden"
 )
-
-var updateAnswers = flag.Bool("update", false, "rewrite testdata/synthetic_answers.golden from the current implementation")
-
-const answersGolden = "testdata/synthetic_answers.golden"
 
 // TestSyntheticAnswersGolden pins what a query on a synthetic table returns:
 // (Value, Found, Rows) of 200 seed-drawn ranges on each page occupancy of
@@ -64,24 +61,5 @@ func TestSyntheticAnswersGolden(t *testing.T) {
 			}
 		}
 	}
-	if *updateAnswers {
-		if err := os.WriteFile(answersGolden, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(answersGolden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.String() == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(out.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range min(len(gotLines), len(wantLines)) {
-		if gotLines[i] != wantLines[i] {
-			t.Fatalf("line %d:\n got %s\nwant %s", i+1, gotLines[i], wantLines[i])
-		}
-	}
-	t.Fatalf("%d answer lines, golden has %d", len(gotLines), len(wantLines))
+	golden.Check(t, filepath.Join("testdata", "synthetic_answers.golden"), out.String())
 }

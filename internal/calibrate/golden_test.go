@@ -2,18 +2,15 @@ package calibrate
 
 import (
 	"encoding/json"
-	"flag"
 	"math"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
+	"pioqo/internal/golden"
 	"pioqo/internal/sim"
 )
-
-var updateGolden = flag.Bool("update", false, "rewrite golden calibration files")
 
 // goldenGrid is the serialized shape of a calibrated model for the golden
 // files under testdata/.
@@ -66,26 +63,15 @@ func TestGoldenCalibratedModels(t *testing.T) {
 			}
 
 			path := filepath.Join("testdata", "golden_"+tc.name+".json")
-			if *updateGolden {
-				data, err := json.MarshalIndent(got, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					t.Fatal(err)
-				}
+			data, err := json.MarshalIndent(got, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if golden.Update(t, path, string(data)+"\n") {
 				return
 			}
-
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with -update): %v", err)
-			}
 			var want goldenGrid
-			if err := json.Unmarshal(data, &want); err != nil {
+			if err := json.Unmarshal([]byte(golden.Read(t, path)), &want); err != nil {
 				t.Fatal(err)
 			}
 			if len(want.Cost) != len(got.Cost) {

@@ -1,15 +1,13 @@
 package device
 
 import (
-	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
+	"pioqo/internal/golden"
 	"pioqo/internal/sim"
 )
 
@@ -18,14 +16,17 @@ import (
 // completion time in ns — for seeded streams through every model, closing
 // with each device's counters and queue-depth integral. A rewrite of the
 // request path that moves one Schedule call before another, or changes one
-// delay by a nanosecond, shows up as a diff.
+// delay by a nanosecond, moves a section's digest.
 //
-// testdata/devicestream.golden was generated from the devices as they stood
-// before the request path stopped allocating per request (closures, queue
-// slices, list-backed LRU). Regenerate with -update only for a
-// change that is meant to move a device's timing, and say so in the commit.
-var updateDeviceStream = flag.Bool("update", false,
-	"rewrite testdata/devicestream.golden from the current implementation")
+// The rows (13 025 lines, 486 KB) are not checked in:
+// testdata/devicestream.golden is a digest golden (internal/golden) with one
+// section per device × stream — its request count and the SHA-256 of its
+// rows — and each device's counters verbatim. -golden-rows <dir> writes the
+// rows to <dir>/devicestream.rows, which reproduces, byte for byte, the file
+// generated from the devices as they stood before the request path stopped
+// allocating per request (closures, queue slices, list-backed LRU).
+// Regenerate with -update only for a change that is meant to move a device's
+// timing, and say so in the commit.
 
 // streamDevices are the models the stream runs through; period is the time
 // shift under which a model's behaviour repeats (a spindle's rotational
@@ -58,7 +59,8 @@ type streamLog struct {
 	dev  Device
 	rng  *rand.Rand
 	rows []streamRow
-	out  strings.Builder
+	out  *golden.Digest
+	name string // the device's name, which prefixes its sections
 }
 
 // issue submits one request; its row is completed from the request's first
@@ -84,12 +86,14 @@ func (l *streamLog) randomOffset(base, band int64, length int) int64 {
 }
 
 // drain runs the simulation until every request issued so far has completed
-// and writes the rows since the last drain under a header.
+// and writes the rows since the last drain under a header, as the section
+// the header names.
 func (l *streamLog) drain(from int, format string, args ...interface{}) {
 	l.env.Run()
-	fmt.Fprintf(&l.out, "# "+format+"\n", args...)
+	header := fmt.Sprintf(format, args...)
+	fmt.Fprintf(l.out, "# %s\n", header)
 	for _, r := range l.rows[from:] {
-		fmt.Fprintf(&l.out, "%c %d %d %d %d\n", r.op, r.offset, r.length, int64(r.submit), int64(r.complete))
+		l.out.Add(l.name+"/"+header, fmt.Sprintf("%c %d %d %d %d\n", r.op, r.offset, r.length, int64(r.submit), int64(r.complete)))
 	}
 }
 
@@ -196,53 +200,22 @@ func (l *streamLog) runStreams(base, span int64) {
 	l.chain(base, 2<<30, 96)
 }
 
-// deviceStream renders the whole golden: every device's streams over its
-// full capacity, then its counters.
-func deviceStream() string {
-	var out strings.Builder
+// TestDeviceStreamGolden runs every device's streams over its full capacity,
+// then records its counters.
+func TestDeviceStreamGolden(t *testing.T) {
+	out := golden.NewDigest("# Device-stream digests; see devicestream_test.go. Per device × stream: requests and\n" +
+		"# the SHA-256 of their rows (op offset length submit_ns complete_ns); then the device's counters.\n")
 	for i, sd := range streamDevices {
 		env := sim.NewEnv(int64(100 + i))
-		l := &streamLog{env: env, dev: sd.mk(env), rng: rand.New(rand.NewSource(int64(200 + i)))}
+		l := &streamLog{env: env, dev: sd.mk(env), rng: rand.New(rand.NewSource(int64(200 + i))), out: out, name: sd.name}
+		out.Note(fmt.Sprintf("## %s (%s)", sd.name, l.dev.Name()))
 		l.runStreams(0, l.dev.Size())
 		m := l.dev.Metrics()
-		fmt.Fprintf(&out, "## %s (%s)\n%s", sd.name, l.dev.Name(), l.out.String())
-		fmt.Fprintf(&out, "# metrics requests=%d bytes=%d latency_ns=%d outstanding=%d depth_integral=%g (%016x) end_ns=%d\n",
+		out.Note(fmt.Sprintf("# metrics requests=%d bytes=%d latency_ns=%d outstanding=%d depth_integral=%g (%016x) end_ns=%d",
 			m.Requests, m.Bytes, int64(m.LatencySum), m.Outstanding(),
-			m.DepthIntegral(), math.Float64bits(m.DepthIntegral()), int64(env.Now()))
+			m.DepthIntegral(), math.Float64bits(m.DepthIntegral()), int64(env.Now())))
 	}
-	return out.String()
-}
-
-func TestDeviceStreamGolden(t *testing.T) {
-	got := deviceStream()
-	path := filepath.Join("testdata", "devicestream.golden")
-	if *updateDeviceStream {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading %s (run with -update to create): %v", path, err)
-	}
-	if got == string(want) {
-		return
-	}
-	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := range gl {
-		if i >= len(wl) || gl[i] != wl[i] {
-			w := "<end of file>"
-			if i < len(wl) {
-				w = wl[i]
-			}
-			t.Fatalf("device stream diverges from %s at line %d:\n got  %s\n want %s", path, i+1, gl[i], w)
-		}
-	}
-	t.Fatalf("device stream is a %d-line prefix of the %d-line golden", len(gl), len(wl))
+	out.Check(t, filepath.Join("testdata", "devicestream.golden"))
 }
 
 // TestDeviceStreamOnWarmDevice replays the streams on a device that has
@@ -257,7 +230,7 @@ func TestDeviceStreamOnWarmDevice(t *testing.T) {
 	for i, sd := range streamDevices {
 		run := func(warm bool) (rows []streamRow, start sim.Time) {
 			env := sim.NewEnv(int64(300 + i))
-			l := &streamLog{env: env, dev: sd.mk(env), rng: rand.New(rand.NewSource(7))}
+			l := &streamLog{env: env, dev: sd.mk(env), rng: rand.New(rand.NewSource(7)), out: golden.NewDigest("")}
 			half := l.dev.Size() / 2
 			if warm {
 				l.runStreams(half, half)

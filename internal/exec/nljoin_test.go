@@ -2,13 +2,13 @@ package exec
 
 import (
 	"errors"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 
 	"pioqo/internal/fault"
+	"pioqo/internal/golden"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
@@ -142,11 +142,7 @@ func TestIndexNLJoinCancelMidProbe(t *testing.T) {
 // goldenRuntime reads one row's runtime_ns from testdata/schedule.golden.
 func goldenRuntime(t *testing.T, row string) sim.Duration {
 	t.Helper()
-	data, err := os.ReadFile(filepath.Join("testdata", "schedule.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(data), "\n") {
+	for _, line := range strings.Split(golden.Read(t, filepath.Join("testdata", "schedule.golden")), "\n") {
 		if !strings.HasPrefix(line, row+" ") {
 			continue
 		}

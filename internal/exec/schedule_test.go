@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"flag"
 	"fmt"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -13,6 +11,7 @@ import (
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
 	"pioqo/internal/fault"
+	"pioqo/internal/golden"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -27,10 +26,8 @@ import (
 //
 // testdata/schedule.golden was generated from the executor as it stood
 // before the worker loops were folded onto one fleet harness. Regenerate
-// with -update only for a change that is meant to move the
+// with -update (internal/golden) only for a change that is meant to move the
 // schedule, and say so in the commit.
-var updateSchedule = flag.Bool("update", false,
-	"rewrite testdata/schedule.golden from the current implementation")
 
 // schedWorld builds a fixed single-table world on dev ("ssd" or "hdd").
 func schedWorld(t *testing.T, dev string, rows int64) *world {
@@ -467,35 +464,5 @@ func TestScheduleGolden(t *testing.T) {
 			}
 		}
 	}
-	got := b.String()
-	path := filepath.Join("testdata", "schedule.golden")
-	if *updateSchedule {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading %s (run with -update to create): %v", path, err)
-	}
-	if got == string(want) {
-		return
-	}
-	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
-		var g, w string
-		if i < len(gotLines) {
-			g = gotLines[i]
-		}
-		if i < len(wantLines) {
-			w = wantLines[i]
-		}
-		if g != w {
-			t.Errorf("line %d moved:\n got  %s\n want %s", i+1, g, w)
-		}
-	}
+	golden.Check(t, filepath.Join("testdata", "schedule.golden"), b.String())
 }

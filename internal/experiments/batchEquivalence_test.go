@@ -15,8 +15,8 @@ package experiments
 //
 // The goldens in testdata/batch_*.golden were captured from the
 // row-at-a-time implementation immediately before the batch kernel landed
-// (same seeds, same scales). Re-run with -update only when a
-// deliberate change is documented here.
+// (same seeds, same scales). Re-run with -update (internal/golden) only when
+// a deliberate change is documented here.
 //
 // Golden deltas (re-baselines), each documented per the PR-3 rule:
 //   - the batch kernel itself: none; it reproduced every degree-1 golden
@@ -28,48 +28,22 @@ package experiments
 //     PIS32. Every value, found and row count is the one it replaced.
 
 import (
-	"flag"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"pioqo/internal/exec"
-	"pioqo/internal/sim"
+	"pioqo/internal/golden"
 	"pioqo/internal/workload"
 )
-
-var updateBatchGoldens = flag.Bool("update", false,
-	"rewrite testdata/batch_*.golden from the current implementation")
 
 // batchTolerance is the allowed relative virtual-time drift for contended
 // (degree > 1) executions under batch accounting.
 const batchTolerance = 0.01
-
-func goldenPath(name string) string { return filepath.Join("testdata", name) }
-
-func readGolden(t *testing.T, name string) string {
-	t.Helper()
-	b, err := os.ReadFile(goldenPath(name))
-	if err != nil {
-		t.Fatalf("reading golden %s (run with -update to create): %v", name, err)
-	}
-	return string(b)
-}
-
-func writeGolden(t *testing.T, name, content string) {
-	t.Helper()
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(goldenPath(name), []byte(content), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s", goldenPath(name))
-}
 
 // batchSystem assembles the equivalence battery's world: synthetic T33 on
 // the given device, sized like QuickScale but fixed here so the goldens do
@@ -265,13 +239,7 @@ func renderBatchCases() string {
 // runtime within batchTolerance.
 func TestBatchAccountingQueryEquivalence(t *testing.T) {
 	t.Parallel()
-	got := renderBatchCases()
-	if *updateBatchGoldens {
-		writeGolden(t, "batch_queries.golden", got)
-		return
-	}
-	want := readGolden(t, "batch_queries.golden")
-	compareBatchLines(t, "batch_queries", want, got, isContendedLine, queryRuntimes)
+	compareBatchLines(t, "batch_queries", renderBatchCases(), isContendedLine, queryRuntimes)
 }
 
 // isContendedLine reports whether a battery golden line is from a
@@ -307,12 +275,18 @@ func queryRuntimes(line string) (times []int64, rest string) {
 	return times, strings.Join(restFields, " ")
 }
 
-// compareBatchLines diffs two golden renderings line by line. Serial lines
-// must be identical; contended lines must be identical after blanking the
-// runtime fields, with each runtime within batchTolerance of the golden.
-func compareBatchLines(t *testing.T, name, want, got string,
+// compareBatchLines diffs got against testdata/<name>.golden line by line
+// (-update rewrites the file). Serial lines must be identical; contended
+// lines must be identical after blanking the runtime fields, with each
+// runtime within batchTolerance of the golden.
+func compareBatchLines(t *testing.T, name, got string,
 	contended func(string) bool, runtimes func(string) ([]int64, string)) {
 	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if golden.Update(t, path, got) {
+		return
+	}
+	want := golden.Read(t, path)
 	wantLines := strings.Split(strings.TrimRight(want, "\n"), "\n")
 	gotLines := strings.Split(strings.TrimRight(got, "\n"), "\n")
 	if len(wantLines) != len(gotLines) {
@@ -361,13 +335,7 @@ func TestBatchAccountingFig4(t *testing.T) {
 	t.Parallel()
 	sc := quick()
 	sc.Parallel = 1
-	got := renderFig4(sc.Fig4(cfgFor(33, workload.SSD), []int{32}))
-	if *updateBatchGoldens {
-		writeGolden(t, "batch_fig4.golden", got)
-		return
-	}
-	want := readGolden(t, "batch_fig4.golden")
-	compareBatchLines(t, "batch_fig4", want, got,
+	compareBatchLines(t, "batch_fig4", renderFig4(sc.Fig4(cfgFor(33, workload.SSD), []int{32})),
 		func(line string) bool {
 			f := strings.Split(line, "\t")
 			return len(f) > 2 && strings.HasPrefix(f[2], "P") // PIS32 / PFTS32
@@ -377,12 +345,12 @@ func TestBatchAccountingFig4(t *testing.T) {
 			if len(f) < 4 {
 				return nil, line
 			}
-			d, err := parseSimDuration(f[3])
+			d, err := time.ParseDuration(f[3]) // sim.Duration prints as time.Duration parses
 			if err != nil {
 				return nil, line
 			}
 			f[3] = "<t>"
-			return []int64{d}, strings.Join(f, "\t")
+			return []int64{int64(d)}, strings.Join(f, "\t")
 		})
 }
 
@@ -406,13 +374,7 @@ func TestBatchAccountingFig8(t *testing.T) {
 				r.Selectivity, r.NewPlan, r.NewRuntime, r.OldPlan, r.OldRuntime)
 		}
 	}
-	got := renderFig8(rows)
-	if *updateBatchGoldens {
-		writeGolden(t, "batch_fig8.golden", got)
-		return
-	}
-	want := readGolden(t, "batch_fig8.golden")
-	compareBatchLines(t, "batch_fig8", want, got,
+	compareBatchLines(t, "batch_fig8", renderFig8(rows),
 		func(line string) bool {
 			f := strings.Split(line, "\t")
 			// Serial only when both executed plans are non-parallel.
@@ -423,13 +385,13 @@ func TestBatchAccountingFig8(t *testing.T) {
 			if len(f) < 7 {
 				return nil, line
 			}
-			oldRt, err1 := parseSimDuration(f[4])
-			newRt, err2 := parseSimDuration(f[5])
+			oldRt, err1 := time.ParseDuration(f[4])
+			newRt, err2 := time.ParseDuration(f[5])
 			if err1 != nil || err2 != nil {
 				return nil, line
 			}
 			f[4], f[5], f[6] = "<t>", "<t>", "<t>" // speedup follows the runtimes
-			return []int64{oldRt, newRt}, strings.Join(f, "\t")
+			return []int64{int64(oldRt), int64(newRt)}, strings.Join(f, "\t")
 		})
 }
 
@@ -440,31 +402,5 @@ func TestBatchAccountingFig12(t *testing.T) {
 	t.Parallel()
 	sc := quick()
 	sc.Parallel = 1
-	got := renderFig12(sc.Fig12())
-	if *updateBatchGoldens {
-		writeGolden(t, "batch_fig12.golden", got)
-		return
-	}
-	if want := readGolden(t, "batch_fig12.golden"); want != got {
-		t.Errorf("batch_fig12: calibration output drifted\n golden:\n%s\ncurrent:\n%s", want, got)
-	}
-}
-
-// parseSimDuration inverts sim.Duration.String for golden comparison.
-func parseSimDuration(s string) (int64, error) {
-	switch {
-	case strings.HasSuffix(s, "ns"):
-		v, err := strconv.ParseInt(strings.TrimSuffix(s, "ns"), 10, 64)
-		return v, err
-	case strings.HasSuffix(s, "us"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "us"), 64)
-		return int64(v * float64(sim.Microsecond)), err
-	case strings.HasSuffix(s, "ms"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "ms"), 64)
-		return int64(v * float64(sim.Millisecond)), err
-	case strings.HasSuffix(s, "s"):
-		v, err := strconv.ParseFloat(strings.TrimSuffix(s, "s"), 64)
-		return int64(v * float64(sim.Second)), err
-	}
-	return 0, fmt.Errorf("unparseable duration %q", s)
+	golden.Check(t, filepath.Join("testdata", "batch_fig12.golden"), renderFig12(sc.Fig12()))
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pioqo/internal/golden"
 	"pioqo/internal/workload"
 )
 
@@ -49,9 +50,8 @@ func serialAndParallel(t *testing.T, name string, render func(sc Scale) string) 
 	serial.Parallel = 1
 	parallel.Parallel = 4
 	got1, got4 := render(serial), render(parallel)
-	if got1 != got4 {
-		t.Errorf("%s: parallel sweep output differs from serial\nserial:\n%s\nparallel:\n%s",
-			name, got1, got4)
+	if d := golden.FirstDiff(got1, got4); d != "" {
+		t.Errorf("%s: parallel sweep output (new) differs from serial (old) at %s", name, d)
 	}
 	if got1 == "" {
 		t.Errorf("%s: rendered empty output", name)

@@ -120,19 +120,30 @@ func TestTable2BreakEvenShifts(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("%d rows, want 3", len(rows))
 	}
+	// breakEven bisects [1e-7, 0.9] geometrically eleven times, so a shift is
+	// a whole number of grid steps of this factor; each HDD bound below
+	// leaves one step of slack.
+	step := math.Pow(0.9/1e-7, 1.0/(1<<11))
+	hddFloor := map[int]float64{
+		1:  step,     // shifts right, as in the paper (×1.19 at quick scale)
+		33: 1 / step, // does not move left (×1.00)
+		// ×0.48: the documented deviation (DESIGN.md, Known deviations): the
+		// elevator has no rotational knowledge, so PFTS's CPU-parallel gain
+		// outweighs PIS's elevator gain and the crossing moves left. It may
+		// not fall further.
+		500: 0.48 / step,
+	}
 	for _, r := range rows {
 		// Parallelism shifts the break-even right on both devices...
 		if r.PSSD <= r.NPSSD {
 			t.Errorf("rpp=%d: SSD break-even did not shift right (%.5f -> %.5f)",
 				r.RowsPerPage, r.NPSSD, r.PSSD)
 		}
-		// ...while the HDD crossing barely moves (paper: 1.1x-2.5x; at our
-		// reduced scale PFTS's CPU-parallel gain can outweigh the small
-		// elevator gain, nudging it slightly left — see DESIGN.md, Known
-		// deviations). Either way the move is modest.
-		if shift := r.PHDD / r.NPHDD; shift < 0.25 || shift > 8 {
-			t.Errorf("rpp=%d: HDD parallel break-even moved %.1fx (%.6f -> %.6f), want modest",
-				r.RowsPerPage, shift, r.NPHDD, r.PHDD)
+		// ...while the HDD crossing moves modestly (paper: 1.1x-2.5x right),
+		// on each row no further from the paper than it does today.
+		if shift := r.PHDD / r.NPHDD; shift < hddFloor[r.RowsPerPage] || shift > 8 {
+			t.Errorf("rpp=%d: HDD parallel break-even moved %.3fx (%.6f -> %.6f), want within [%.3f, 8]",
+				r.RowsPerPage, shift, r.NPHDD, r.PHDD, hddFloor[r.RowsPerPage])
 		}
 		// ...and the shift is much larger on SSD (the paper's key message).
 		ssdShift := r.PSSD / r.NPSSD

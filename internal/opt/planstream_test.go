@@ -1,13 +1,9 @@
 package opt
 
 import (
-	"crypto/sha256"
-	"flag"
 	"fmt"
-	"hash"
 	"math"
 	"math/rand"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -17,6 +13,7 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/disk"
 	"pioqo/internal/exec"
+	"pioqo/internal/golden"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 	"pioqo/internal/stats"
@@ -33,26 +30,15 @@ import (
 // what a cache counts moves a digest.
 //
 // The rows themselves (28 498 of them, 3.2 MB) are not checked in.
-// testdata/planstream.golden holds, per section — one per device × shape,
-// and one per device for the closing counters — the row count, the SHA-256 of
-// the section's rows in stream order, and the section's winners: how often
-// each plan was chosen in each decade of selectivity. A flipped cost bit
-// moves a digest; a re-baseline is a diff of the winners, which a reviewer
-// can read.
-//
-//   - -planstream-rows <dir> keeps the full rows in <dir>/planstream.rows:
-//     written there if absent, and if present (say, written at the parent
-//     commit) compared with this run's, the first diverging row printed old
-//     beside new.
-//   - -update rewrites the golden and logs (add -v) which
-//     (section, decade) winners changed, from what to what. Only for a change
-//     that is meant to move a cost; say so in the commit.
-var (
-	updatePlanStream = flag.Bool("update", false,
-		"rewrite testdata/planstream.golden from the current implementation; with -v, log the winners that changed")
-	planStreamRows = flag.String("planstream-rows", "",
-		"directory for the stream's full rows: written if absent, compared row by row if present")
-)
+// testdata/planstream.golden is a digest golden (internal/golden): per
+// section — one per device × shape, and one per device for the closing
+// counters — the row count, the SHA-256 of the section's rows in stream
+// order, and the section's winners: how often each plan was chosen in each
+// decade of selectivity. A flipped cost bit moves a digest; a re-baseline is
+// a diff of the winners, which a reviewer can read. -golden-rows <dir> keeps
+// the full rows in <dir>/planstream.rows; -update -v logs the winners that
+// moved. -update is only for a change that is meant to move a cost; say so
+// in the commit.
 
 const (
 	streamLookups = 10240 // per device
@@ -180,48 +166,6 @@ func planBits(p Plan) string {
 		math.Float64bits(p.EstPageIO), math.Float64bits(p.EstRows))
 }
 
-// streamSection is one device × shape's slice of the stream (or a device's
-// closing counters): what the golden pins.
-type streamSection struct {
-	name    string
-	rows    int
-	sum     hash.Hash
-	winners map[string]map[string]int // selectivity decade → plan → times chosen
-}
-
-// stream is a rendered plan stream: the full rows in stream order, and the
-// same rows dealt into their sections.
-type stream struct {
-	rows     strings.Builder
-	sections []*streamSection
-	byName   map[string]*streamSection
-}
-
-func (st *stream) section(name string) *streamSection {
-	sec := st.byName[name]
-	if sec == nil {
-		sec = &streamSection{name: name, sum: sha256.New(), winners: map[string]map[string]int{}}
-		st.sections = append(st.sections, sec)
-		st.byName[name] = sec
-	}
-	return sec
-}
-
-// add appends one row (possibly of several lines) to the stream and to its
-// section, crediting the plans it chose to the row's selectivity decade.
-func (st *stream) add(section, row, decade string, chosen ...Plan) {
-	st.rows.WriteString(row)
-	sec := st.section(section)
-	sec.rows++
-	sec.sum.Write([]byte(row))
-	for _, p := range chosen {
-		if sec.winners[decade] == nil {
-			sec.winners[decade] = map[string]int{}
-		}
-		sec.winners[decade][planLabel(p)]++
-	}
-}
-
 func planLabel(p Plan) string {
 	label := fmt.Sprintf("%v/%d", p.Method, p.Degree)
 	if p.Prefetch > 0 {
@@ -246,8 +190,17 @@ func decadeOf(tab table.Table, lo, hi int64) string {
 // planStream runs the stream and renders it. It uses nothing but the
 // package's exported entry points, so the same file generates the rows at
 // any commit.
-func planStream() *stream {
-	st := &stream{byName: map[string]*streamSection{}}
+func planStream() *golden.Digest {
+	st := golden.NewDigest("# Plan-stream digests; see planstream_test.go. Per section: rows, the SHA-256 of\n" +
+		"# its rows in stream order, and per decade of selectivity how often each plan won.\n")
+	// add appends one row (possibly of several lines) to its section and
+	// tallies the plans it chose under the row's selectivity decade.
+	add := func(section, row, decade string, chosen ...Plan) {
+		st.Add(section, row)
+		for _, p := range chosen {
+			st.Tally(section, decade, planLabel(p))
+		}
+	}
 	for _, devKind := range []string{"ssd", "hdd"} {
 		w := newStreamWorld(devKind)
 		rng := rand.New(rand.NewSource(20141))
@@ -256,7 +209,7 @@ func planStream() *stream {
 		// before: the exact-key memo hits on nothing else.
 		var seen [][2]int64
 		warmed := int64(0)
-		fmt.Fprintf(&st.rows, "# %s\n", devKind)
+		fmt.Fprintf(st, "# %s\n", devKind)
 		for i := 0; i < streamLookups; i++ {
 			if i%64 == 63 {
 				// Residency drifts: eight more heap pages land in the warm
@@ -278,7 +231,7 @@ func planStream() *stream {
 			}
 			head := fmt.Sprintf("%s %d %d ", s.name, in.Lo, in.Hi)
 			one := func(tag string, p Plan, tail string) {
-				st.add(devKind+"/"+s.name, head+tag+" "+planBits(p)+tail+"\n", decadeOf(w.tab, in.Lo, in.Hi), p)
+				add(devKind+"/"+s.name, head+tag+" "+planBits(p)+tail+"\n", decadeOf(w.tab, in.Lo, in.Hi), p)
 			}
 			switch pick := rng.Intn(20); {
 			case pick < 8:
@@ -292,7 +245,7 @@ func planStream() *stream {
 				one("G", p, fmt.Sprintf(" %t", fell))
 			default:
 				row, shards := shardedBits(s, in, memo, pc)
-				st.add(devKind+"/"+s.name, head+row, decadeOf(w.tab, in.Lo, in.Hi), shards...)
+				add(devKind+"/"+s.name, head+row, decadeOf(w.tab, in.Lo, in.Hi), shards...)
 			}
 		}
 		var b strings.Builder
@@ -311,7 +264,7 @@ func planStream() *stream {
 			fmt.Fprintf(&b, "%s=%d\n", name, counters[name])
 		}
 		fmt.Fprintf(&b, "events=%d\n", w.reg.Log().Total())
-		st.add(devKind+"/counters", b.String(), "")
+		add(devKind+"/counters", b.String(), "")
 	}
 	return st
 }
@@ -351,165 +304,6 @@ func shardedBits(s streamShape, in Input, memo *Memo, pc *ParamCache) (string, [
 	return b.String(), sp.Shards
 }
 
-// golden renders the sections as testdata/planstream.golden holds them.
-func (st *stream) golden() string {
-	var b strings.Builder
-	b.WriteString("# Plan-stream digests; see planstream_test.go. Per section: rows, the SHA-256 of\n" +
-		"# its rows in stream order, and per decade of selectivity how often each plan won.\n")
-	for _, sec := range st.sections {
-		fmt.Fprintf(&b, "section %s rows=%d sha256=%x\n", sec.name, sec.rows, sec.sum.Sum(nil))
-		for _, decade := range sortedKeys(sec.winners) {
-			fmt.Fprintf(&b, "  %s:", decade)
-			for _, plan := range sortedKeys(sec.winners[decade]) {
-				fmt.Fprintf(&b, " %s×%d", plan, sec.winners[decade][plan])
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// goldenSections splits a rendered golden into its sections' lines, keyed by
-// the section line's name, and lists the names in file order.
-func goldenSections(golden string) (names []string, lines map[string][]string) {
-	lines = map[string][]string{}
-	name := ""
-	for _, line := range strings.Split(strings.TrimRight(golden, "\n"), "\n") {
-		if f := strings.Fields(line); len(f) > 1 && f[0] == "section" {
-			name = f[1]
-			names = append(names, name)
-		}
-		if name != "" {
-			lines[name] = append(lines[name], line)
-		}
-	}
-	return names, lines
-}
-
-// goldenDiff lists, old beside new, the lines of every section that differ
-// between two rendered goldens: the digest line when any row moved, and the
-// decades whose winners changed.
-func goldenDiff(old, new string) []string {
-	oldNames, oldLines := goldenSections(old)
-	newNames, newLines := goldenSections(new)
-	var out []string
-	for _, name := range newNames {
-		o, n := oldLines[name], newLines[name]
-		if o == nil {
-			out = append(out, "new section "+name)
-			continue
-		}
-		byDecade := func(lines []string) map[string]string {
-			m := map[string]string{}
-			for _, l := range lines[1:] {
-				decade, winners, _ := strings.Cut(strings.TrimSpace(l), ":")
-				m[decade] = strings.TrimSpace(winners)
-			}
-			return m
-		}
-		od, nd := byDecade(o), byDecade(n)
-		if o[0] != n[0] {
-			out = append(out, fmt.Sprintf("%s: rows moved", name))
-		}
-		decades := map[string]bool{}
-		for d := range od {
-			decades[d] = true
-		}
-		for d := range nd {
-			decades[d] = true
-		}
-		for _, d := range sortedKeys(decades) {
-			if od[d] != nd[d] {
-				out = append(out, fmt.Sprintf("%s sel %s winners: %s  ->  %s", name, d, od[d], nd[d]))
-			}
-		}
-	}
-	for _, name := range oldNames {
-		if newLines[name] == nil {
-			out = append(out, "section gone: "+name)
-		}
-	}
-	return out
-}
-
-// compareRows keeps the stream's full rows in dir: written there when the
-// file is absent, compared with it when present — the first diverging row,
-// old beside new.
-func compareRows(t *testing.T, dir, rows string) {
-	path := filepath.Join(dir, "planstream.rows")
-	old, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote the stream's %d row lines to %s", strings.Count(rows, "\n"), path)
-		return
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(old) == rows {
-		t.Logf("rows identical to %s", path)
-		return
-	}
-	nl, ol := strings.Split(rows, "\n"), strings.Split(string(old), "\n")
-	for i := range nl {
-		if i >= len(ol) || nl[i] != ol[i] {
-			o := "<end of file>"
-			if i < len(ol) {
-				o = ol[i]
-			}
-			t.Errorf("rows diverge from %s at line %d:\n old %s\n new %s", path, i+1, o, nl[i])
-			return
-		}
-	}
-	t.Errorf("rows are a %d-line prefix of the %d lines in %s", len(nl), len(ol), path)
-}
-
 func TestPlanStreamGolden(t *testing.T) {
-	st := planStream()
-	got := st.golden()
-	if *planStreamRows != "" {
-		compareRows(t, *planStreamRows, st.rows.String())
-	}
-	path := filepath.Join("testdata", "planstream.golden")
-	want, err := os.ReadFile(path)
-	if *updatePlanStream {
-		for _, line := range goldenDiff(string(want), got) {
-			t.Log(line)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	if err != nil {
-		t.Fatalf("reading %s (run with -update to create): %v", path, err)
-	}
-	if got == string(want) {
-		return
-	}
-	diff := goldenDiff(string(want), got)
-	const show = 24
-	if len(diff) > show {
-		diff = append(diff[:show], fmt.Sprintf("... and %d more", len(diff)-show))
-	}
-	t.Fatalf("plan stream moved against %s (old  ->  new):\n  %s\n"+
-		"For the first diverging row, old beside new: run this test with -planstream-rows <dir> "+
-		"at the reference commit, then here.", path, strings.Join(diff, "\n  "))
+	planStream().Check(t, filepath.Join("testdata", "planstream.golden"))
 }

@@ -64,14 +64,21 @@ go test -race ./internal/obs/... ./internal/host/... ./internal/experiments/... 
 # memo's replay check (TestMemoReplayIsTheMissList: a hit re-ranks on the
 # caller's stack, bit for bit the miss's list).
 go test -race -cpu 1,4 ./internal/opt/...
-# The schedule golden pins the executor's virtual-time behaviour to the
-# nanosecond; running it twice in one process also checks that a run leaves
-# nothing behind that the next one can see (same bytes both times).
-go test -run Schedule -count=2 ./internal/exec
-# The plan-stream golden does the same for the planner's arithmetic: every
-# cost bit of 20 480 lookups, and the caches' counters, as one digest per
-# device × shape (-update -v lists the winners a re-baseline moved).
-go test -run PlanStream -count=2 ./internal/opt
+# The goldens (internal/golden) pin virtual time to the nanosecond: the
+# executor's schedule, the planner's cost bits (plan stream), the device
+# models' request stream, the batch-accounting figures, the calibrated grids
+# and the synthetic answers. Running each twice in one process also checks
+# that a run leaves nothing behind that the next one can see (same bytes
+# both times).
+GOLDENS='^(TestScheduleGolden|TestPlanStreamGolden|TestDeviceStream.*|TestBatchAccounting.*|TestGoldenCalibratedModels|TestSyntheticAnswersGolden)$'
+go test -count=2 -run "$GOLDENS" . ./internal/exec ./internal/opt ./internal/device ./internal/experiments ./internal/calibrate
+# The digest goldens (plan stream, device stream) keep only per-section
+# digests; -golden-rows writes their full rows once and compares them the
+# second time, so the path that shows the first diverging row stays in use.
+ROWS=$(mktemp -d)
+trap 'rm -rf "$EXAMPLES_BIN" "$ROWS"' EXIT
+go test -count=1 -run '^(TestPlanStreamGolden|TestDeviceStreamGolden)$' ./internal/opt ./internal/device -golden-rows "$ROWS"
+go test -count=1 -run '^(TestPlanStreamGolden|TestDeviceStreamGolden)$' ./internal/opt ./internal/device -golden-rows "$ROWS"
 # The residual gate: a cold full scan's estimate is a prediction, so
 # predicted ÷ measured stays in [0.95, 1.08] on every Table-1 config at every
 # degree and on the 8-shard gather; a cold serial index scan's stays in
@@ -91,11 +98,6 @@ go test -run 'TestWorkerScratchIsReused' -count=1 ./internal/exec
 go test -run 'TestHedgerAllocations' -count=1 ./internal/fault
 go test -run '^(TestPlanningAllocatesOnlyWhatItKeeps|TestChooseAllocatesOnlyItsPlanList)$' -count=1 ./internal/opt
 go test -run '^TestFairShareIsTheFirstSplit$' -count=1 ./internal/broker
-# The device-stream golden does it for the device models: submit and
-# completion time of every request of seeded streams through each model,
-# generated before the request path stopped allocating per request. The
-# second run in one process starts with nothing the first left behind.
-go test -run DeviceStream -count=2 ./internal/device
 # Two guards against defects that show in some processes and not in others,
 # so each runs five times: a multiplier search that does not end on the 2-
 # and 3-row tables the bijection property draws about one run in forty, and
@@ -139,6 +141,14 @@ go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedP
 # The repo-wide lints below read the engine's sources only. bench/ is
 # excluded from each: it is a reader of the engine (registry snapshots,
 # planner stats), not an instrument or emit site, and it is frozen.
+
+# Test-harness lint: internal/golden registers the goldens' flags (-update,
+# -golden-rows) when imported, so only _test.go files may import it; in a
+# command it would add them to the command's own flags.
+if grep -rln '"pioqo/internal/golden"' --include='*.go' . | grep -v '_test\.go$'; then
+	echo "verify: internal/golden imported outside a _test.go file" >&2
+	exit 1
+fi
 
 # Node-assembly lint: a cluster node's storage stack (device, fault
 # injector, disk manager, buffer pool, share registry) is assembled in
