@@ -98,7 +98,7 @@ func (s *System) degreePrices(q Query, plan Plan, po PlanOptions) []adapt.Price 
 	}
 	want := plan.internal()
 	var prices []adapt.Price
-	for _, p := range s.memo.Enumerate(cfg, in) {
+	for _, p := range s.memo.LookupAll(&cfg, &in) {
 		if p.Method == want.Method && p.Prefetch == want.Prefetch && !p.Shared {
 			prices = append(prices, adapt.Price{Degree: p.Degree, Micros: p.TotalMicros})
 		}

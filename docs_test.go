@@ -15,11 +15,12 @@ import (
 // the docs quote -run patterns such as TestResidual. It does the same for
 // bench/ metric names: a backticked `layer.metric` under a layer bench/
 // reports must be a string literal in bench/ or internal/obs, or one of
-// the <layer>.host_share shares bench/profile.go builds. CHANGES.md is
+// the <layer>.host_share shares bench/profile.go builds. A backticked
+// `*.go` or `*.golden` path must name one file (namesOneFile). CHANGES.md is
 // history and is not scanned.
 func TestDocsCiteTestsThatExist(t *testing.T) {
 	funcs := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	var defined []string
+	var defined, files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -29,7 +30,11 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 				return fs.SkipDir // a nested module is not this one
 			}
 		}
-		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() {
+			return nil
+		}
+		files = append(files, filepath.ToSlash(path))
+		if !strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
@@ -44,10 +49,16 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 	metrics, layers := benchMetricNames(t)
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	citedMetric := regexp.MustCompile("`(" + metricName + ")`")
+	citedFile := regexp.MustCompile("`([^`\\s]+\\.(?:go|golden))`")
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
+		}
+		for _, m := range citedFile.FindAllStringSubmatch(string(src), -1) {
+			if !namesOneFile(m[1], files) {
+				t.Errorf("%s cites %s, which names no file of the module or several", doc, m[1])
+			}
 		}
 		for _, m := range citedMetric.FindAllStringSubmatch(string(src), -1) {
 			if layers[m[2]] && !fileName.MatchString(m[1]) && !metrics[m[1]] {
@@ -67,6 +78,24 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// namesOneFile reports whether a cited file name names one file: the one
+// at that path from the root — nested modules included — or else the one
+// file of the module whose path ends with it. A bare name thus names a
+// root file or its base name's only file, and a name several packages use
+// must carry enough of its directory to tell them apart.
+func namesOneFile(name string, files []string) bool {
+	if _, err := os.Stat(name); err == nil {
+		return true
+	}
+	found := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "/"+name) {
+			found++
+		}
+	}
+	return found == 1
 }
 
 // metricName matches a dotted lower-case name, capturing its layer; fileName

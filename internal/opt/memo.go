@@ -123,37 +123,43 @@ func (m *Memo) estimator(cfg *Config, in *Input) *cost.PageEstimator {
 	return est
 }
 
-// Enumerate returns the ranked candidate list for the input, computing it
+// LookupAll returns the ranked candidate list for the input, computing it
 // on first sight and re-ranking it at the same costing afterwards: the list
 // is bit-identical either way. The returned slice is a fresh copy — callers
-// may reorder or mutate it freely.
-func (m *Memo) Enumerate(cfg Config, in Input) []Plan {
-	key := newMemoKey(&cfg, &in)
+// may reorder or mutate it freely. cfg and in are only read.
+func (m *Memo) LookupAll(cfg *Config, in *Input) []Plan {
+	key := newMemoKey(cfg, in)
 	e, hit := m.entries[key]
 	if hit {
-		m.hit(&cfg, e.n)
-		cfg.Obs = nil // the hit event counted this optimization
+		m.hit(cfg, e.n)
+		quiet := *cfg
+		quiet.Obs = nil // the hit event counted this optimization
+		cfg = &quiet
 	}
-	cc := m.bind(&cfg, &in)
+	cc := m.bind(cfg, in)
 	var buf [maxCandidates]Plan
-	plans := enumerate(&cfg, &in, &cc, buf[:0])
+	plans := enumerate(cfg, in, &cc, buf[:0])
 	if !hit {
-		m.keep(&cfg, &key, plans[0], len(plans))
+		m.keep(cfg, &key, plans[0], len(plans))
 	}
 	return slices.Clone(plans)
 }
 
-// Choose returns the cheapest plan for the input through the memo. A miss
-// ranks on the stack and keeps only the winner.
-func (m *Memo) Choose(cfg Config, in Input) Plan {
-	key := newMemoKey(&cfg, &in)
+// Choose is Lookup on copies of its arguments.
+func (m *Memo) Choose(cfg Config, in Input) Plan { return m.Lookup(&cfg, &in) }
+
+// Lookup returns the cheapest plan for the input through the memo. A miss
+// ranks on the stack and keeps only the winner. cfg and in are only read:
+// the engine plans through pointers, so a hit copies nothing but its plan.
+func (m *Memo) Lookup(cfg *Config, in *Input) Plan {
+	key := newMemoKey(cfg, in)
 	if e, ok := m.entries[key]; ok {
-		m.hit(&cfg, e.n)
+		m.hit(cfg, e.n)
 		return e.winner
 	}
-	cc := m.bind(&cfg, &in)
-	t := rankTop(&cfg, &in, &cc)
-	m.keep(&cfg, &key, t.winner, t.n)
+	cc := m.bind(cfg, in)
+	t := rankTop(cfg, in, &cc)
+	m.keep(cfg, &key, t.winner, t.n)
 	return t.winner
 }
 

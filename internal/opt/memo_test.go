@@ -24,8 +24,8 @@ func TestMemoReplaysIdenticalEnumeration(t *testing.T) {
 	cfg, in, _ := memoFixture(t)
 	m := NewMemo()
 
-	first := m.Enumerate(cfg, in)
-	second := m.Enumerate(cfg, in)
+	first := m.LookupAll(&cfg, &in)
+	second := m.LookupAll(&cfg, &in)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("memo replay diverged:\nfirst  %v\nsecond %v", first, second)
 	}
@@ -44,11 +44,11 @@ func TestMemoReturnsDefensiveCopies(t *testing.T) {
 	cfg, in, _ := memoFixture(t)
 	m := NewMemo()
 
-	first := m.Enumerate(cfg, in)
+	first := m.LookupAll(&cfg, &in)
 	first[0].TotalMicros = -1
 	first[0].Method = 99
 
-	second := m.Enumerate(cfg, in)
+	second := m.LookupAll(&cfg, &in)
 	if second[0].TotalMicros == -1 || second[0].Method == 99 {
 		t.Fatal("mutating a returned slice corrupted the cached entry")
 	}
@@ -58,13 +58,13 @@ func TestMemoInvalidatesOnPoolEpoch(t *testing.T) {
 	cfg, in, _ := memoFixture(t)
 	m := NewMemo()
 
-	m.Enumerate(cfg, in)
+	m.LookupAll(&cfg, &in)
 	// Any residency change — here a prefetch installing frames — bumps the
 	// pool epoch and must force a fresh costing.
 	for p := int64(0); p < 200; p++ {
 		in.Pool.Prefetch(in.Table.File(), p)
 	}
-	m.Enumerate(cfg, in)
+	m.LookupAll(&cfg, &in)
 	if hits, misses := m.Stats(); hits != 0 || misses != 2 {
 		t.Fatalf("stats after epoch bump = %d hits, %d misses; want 0, 2", hits, misses)
 	}
@@ -73,22 +73,22 @@ func TestMemoInvalidatesOnPoolEpoch(t *testing.T) {
 func TestMemoKeySeparatesInputs(t *testing.T) {
 	cfg, in, f := memoFixture(t)
 	m := NewMemo()
-	m.Enumerate(cfg, in)
+	m.LookupAll(&cfg, &in)
 
 	// Different predicate range.
 	wider := in
 	wider.Lo, wider.Hi = rangeFor(in.Table, 0.5)
-	m.Enumerate(cfg, wider)
+	m.LookupAll(&cfg, &wider)
 
 	// Different cost model (the old optimizer).
 	oldCfg := cfg
 	oldCfg.Model = f.dtt
-	m.Enumerate(oldCfg, in)
+	m.LookupAll(&oldCfg, &in)
 
 	// Different enumeration grid.
 	gridCfg := cfg
 	gridCfg.PrefetchDepths = []int{4, 16}
-	m.Enumerate(gridCfg, in)
+	m.LookupAll(&gridCfg, &in)
 
 	if hits, misses := m.Stats(); hits != 0 || misses != 4 {
 		t.Fatalf("stats = %d hits, %d misses; want 0 hits, 4 misses", hits, misses)
@@ -98,8 +98,8 @@ func TestMemoKeySeparatesInputs(t *testing.T) {
 	}
 
 	// Each variant replays from its own entry.
-	m.Enumerate(cfg, in)
-	m.Enumerate(oldCfg, in)
+	m.LookupAll(&cfg, &in)
+	m.LookupAll(&oldCfg, &in)
 	if hits, _ := m.Stats(); hits != 2 {
 		t.Fatalf("replays after warm-up: %d hits, want 2", hits)
 	}
@@ -160,7 +160,7 @@ func TestMemoBoundedUnderEpochChurn(t *testing.T) {
 		in.Pool.Prefetch(in.Table.File(), i%pages)
 		q := in
 		q.Lo, q.Hi = i, i+100
-		m.Enumerate(cfg, q)
+		m.LookupAll(&cfg, &q)
 	}
 	if n := m.Len(); n > memoMaxEntries {
 		t.Fatalf("after churn the memo holds %d entries, cap is %d", n, memoMaxEntries)
@@ -173,7 +173,7 @@ func TestMemoBoundedUnderEpochChurn(t *testing.T) {
 	// iteration's enumeration still replays.
 	q := in
 	q.Lo, q.Hi = churn-1, churn-1+100
-	m.Enumerate(cfg, q)
+	m.LookupAll(&cfg, &q)
 	if hits, _ := m.Stats(); hits != 1 {
 		t.Fatalf("freshly installed entry evicted by bounding; hits = %d", hits)
 	}
@@ -208,8 +208,11 @@ func TestMemoCountsOptimizationsOnReplay(t *testing.T) {
 	cfg.Obs = reg
 	m := NewMemo()
 
-	first := m.Enumerate(cfg, in)
-	m.Enumerate(cfg, in)
+	first := m.LookupAll(&cfg, &in)
+	m.LookupAll(&cfg, &in)
+	if cfg.Obs != reg {
+		t.Fatal("a hit cleared the caller's registry")
+	}
 
 	if got := reg.Counter(obs.MetricOptOptimizations).Value(); got != 2 {
 		t.Fatalf("opt.optimizations = %d after a miss and a hit, want 2", got)
@@ -245,10 +248,10 @@ func samePlans(a, b []Plan) int {
 }
 
 // TestMemoReplayIsTheMissList: the memo keeps an enumeration's winner and
-// size, not its list, so Enumerate on a hit ranks again at the costing the
+// size, not its list, so LookupAll on a hit ranks again at the costing the
 // key binds. That list must be the miss's, bit for bit, and stateless
 // Enumerate's, on every shape the plan stream exercises — and whether the
-// miss came through Enumerate or Choose. It stays the caller's own copy.
+// miss came through LookupAll or Choose. It stays the caller's own copy.
 func TestMemoReplayIsTheMissList(t *testing.T) {
 	for _, dev := range []string{"ssd", "hdd"} {
 		w := newStreamWorld(dev)
@@ -263,8 +266,8 @@ func TestMemoReplayIsTheMissList(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				in := servingRange(s.in, i)
 				m := NewMemo()
-				miss := m.Enumerate(cfg, in)
-				hit := m.Enumerate(cfg, in)
+				miss := m.LookupAll(&cfg, &in)
+				hit := m.LookupAll(&cfg, &in)
 				if j := samePlans(hit, miss); j >= 0 {
 					t.Fatalf("%s/%s range %d: the replay differs from the miss at plan %d:\n%v\n%v",
 						dev, s.name, i, j, hit, miss)
@@ -277,7 +280,7 @@ func TestMemoReplayIsTheMissList(t *testing.T) {
 				}
 
 				hit[0].TotalMicros, hit[len(hit)-1].Method = -1, 99
-				if j := samePlans(m.Enumerate(cfg, in), miss); j >= 0 {
+				if j := samePlans(m.LookupAll(&cfg, &in), miss); j >= 0 {
 					t.Fatalf("%s/%s range %d: mutating a replay changed the next one at plan %d", dev, s.name, i, j)
 				}
 				if hits, misses := m.Stats(); hits != 3 || misses != 1 {
@@ -286,7 +289,7 @@ func TestMemoReplayIsTheMissList(t *testing.T) {
 
 				chosen := NewMemo()
 				chosen.Choose(cfg, in)
-				if j := samePlans(chosen.Enumerate(cfg, in), miss); j >= 0 {
+				if j := samePlans(chosen.LookupAll(&cfg, &in), miss); j >= 0 {
 					t.Fatalf("%s/%s range %d: a replay after Choose's miss differs at plan %d", dev, s.name, i, j)
 				}
 			}

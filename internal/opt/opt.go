@@ -232,7 +232,7 @@ const maxCandidates = 49
 
 // rankTop ranks the full enumeration at the bound costing on its own stack
 // and returns the top of it: what stateless Choose, a memo miss through
-// Memo.Choose, greedyPlan's margin trip and the parameterized cache's
+// Memo.Lookup, greedyPlan's margin trip and the parameterized cache's
 // crossover fallback keep. It stays out of line so that the 3.5 KB buffer
 // is a frame only while a ranking runs, not on every hit path that calls it.
 //
@@ -247,7 +247,7 @@ func rankTop(cfg *Config, in *Input, cc *costing) top2 {
 // enumeration: the stateless entry points, the memo and the parameterized
 // cache's crossover fallbacks all rank through it, each bringing the costing
 // it has already bound and a stack buffer. Only Enumerate and
-// Memo.Enumerate, which hand the list to their caller, copy it to the heap.
+// Memo.LookupAll, which hand the list to their caller, copy it to the heap.
 func enumerate(cfg *Config, in *Input, cc *costing, buf []Plan) []Plan {
 	plans := buf[:0]
 	// The shared candidate goes first: when a CPU-bound shared lap ties a

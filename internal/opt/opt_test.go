@@ -349,7 +349,7 @@ func TestSharedScanCandidate(t *testing.T) {
 	// The memo must not replay a differently-shared enumeration.
 	m := NewMemo()
 	cfg.ShareParties = 0
-	m.Enumerate(cfg, in)
+	m.LookupAll(&cfg, &in)
 	cfg.ShareParties = 8
 	if p := m.Choose(cfg, in); !p.Shared {
 		t.Errorf("memo replayed the unshared enumeration for ShareParties=8: %v", p)
@@ -420,8 +420,9 @@ func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
 // enumeration to read the top of it: the list goes on the caller's stack,
 // and only what the path keeps reaches the heap. A warm memo's miss keeps a
 // map entry in buckets an earlier fill left behind, a parameterized cache's
-// crossover fallback keeps the entry publish installs, and the greedy fast
-// path's margin trip and a stateless Choose keep nothing.
+// crossover fallback keeps the entry publish installs when its ranking
+// changed and nothing when it did not, and the greedy fast path's margin
+// trip and a stateless Choose keep nothing.
 func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 	w := newStreamWorld("ssd")
 	s := w.shape("all")
@@ -458,14 +459,57 @@ func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 	fcfg.Model = f.qdtt
 	fcfg.GridKey = GridKey(fcfg.Degrees, fcfg.PrefetchDepths)
 	in := f.in
-	in.Lo, in.Hi = rangeFor(f.in.Table, f.breakEven(t, f.qdtt))
+	be := f.breakEven(t, f.qdtt)
+	in.Lo, in.Hi = rangeFor(f.in.Table, be)
 
 	t.Run("paramcache fallback", func(t *testing.T) {
 		pc := NewParamCache()
 		pc.Choose(fcfg, in) // creates the shape's line: a miss
-		before := pc.Stats().Fallbacks
-		if allocs := testing.AllocsPerRun(100, func() { pc.Choose(fcfg, in) }); allocs > 1 {
-			t.Errorf("a crossover fallback allocates %.2f/op, want 1 (publish's entry)", allocs)
+		slot := &pc.bandSetFor(&fcfg, &in).slots[selBand(selectivity(&in, in.Lo, in.Hi))]
+		entry, before := slot.Load(), pc.Stats().Fallbacks
+		if allocs := testing.AllocsPerRun(100, func() { pc.Choose(fcfg, in) }); allocs > 0 {
+			t.Errorf("a repeated crossover fallback allocates %.2f/op, want 0: it ranks what the entry holds", allocs)
+		}
+		if got := pc.Stats().Fallbacks - before; got != 101 {
+			t.Fatalf("%d of 101 lookups fell back", got)
+		}
+		if slot.Load() != entry {
+			t.Error("a fallback that ranked the entry's winner and runner republished it")
+		}
+	})
+
+	// Two selectivities of one band on either side of the crossover: each
+	// lookup finds the other's ranking cached, so each falls back and
+	// publishes its own.
+	t.Run("paramcache fallback that re-ranks", func(t *testing.T) {
+		var a, b Input
+		found := false
+		for _, d := range []float64{0.002, 0.005, 0.01, 0.02, 0.04} {
+			a, b = in, in
+			a.Lo, a.Hi = rangeFor(in.Table, be*(1-d))
+			b.Lo, b.Hi = rangeFor(in.Table, be*(1+d))
+			if selBand(selectivity(&a, a.Lo, a.Hi)) == selBand(selectivity(&b, b.Lo, b.Hi)) &&
+				family(Choose(fcfg, a)) != family(Choose(fcfg, b)) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			t.Fatal("no two selectivities of one band straddle the crossover")
+		}
+		pc := NewParamCache()
+		pc.Choose(fcfg, a)
+		before, i := pc.Stats().Fallbacks, 0
+		allocs := testing.AllocsPerRun(100, func() {
+			if i%2 == 0 {
+				pc.Choose(fcfg, b)
+			} else {
+				pc.Choose(fcfg, a)
+			}
+			i++
+		})
+		if allocs != 1 {
+			t.Errorf("a fallback whose winner changed allocates %.2f/op, want 1 (publish's entry)", allocs)
 		}
 		if got := pc.Stats().Fallbacks - before; got != 101 {
 			t.Fatalf("%d of 101 lookups fell back", got)

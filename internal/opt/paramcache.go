@@ -118,6 +118,20 @@ func newShapeKey(cfg *Config, in *Input) shapeKey {
 	}
 }
 
+// matches reports whether k == newShapeKey(cfg, in) without building the
+// right-hand key: a hit scans the front sets with it, and a key is a
+// hundred-odd bytes to fill and compare. Scalars go first, then the
+// pointers, then the interfaces, and the grid string last — it is the one
+// field gridKey may have to format.
+func (k *shapeKey) matches(cfg *Config, in *Input) bool {
+	return k.cores == cfg.Cores && k.poolPages == cfg.PoolPages &&
+		k.sorted == cfg.EnableSortedScan && k.queueBudget == cfg.QueueBudget &&
+		k.shareParties == cfg.ShareParties &&
+		k.index == in.Index && k.stats == in.Stats && k.pool == in.Pool &&
+		k.table == in.Table && k.model == cfg.Model &&
+		k.grid == cfg.gridKey()
+}
+
 // bandEntry is one band's cached decision. Immutable after publication.
 type bandEntry struct {
 	winner Plan
@@ -241,40 +255,42 @@ func (pc *ParamCache) dropShapes() {
 }
 
 // bandSetFor resolves the shape's cache line, creating it on first sight —
-// the only time a lookup allocates. The map is consulted for shapes past
-// the front array and, at the cap, deterministically dropped whole.
-func (pc *ParamCache) bandSetFor(key *shapeKey) *bandSet {
+// the only time a lookup allocates. The front sets are matched field by
+// field; the key is built only for the map, which is consulted for shapes
+// past the front array and, at the cap, deterministically dropped whole.
+func (pc *ParamCache) bandSetFor(cfg *Config, in *Input) *bandSet {
 	for i := range pc.front {
 		set := pc.front[i].Load()
 		if set == nil {
 			break
 		}
-		if set.key == *key {
+		if set.key.matches(cfg, in) {
 			return set
 		}
 	}
+	key := newShapeKey(cfg, in)
 	pc.mu.RLock()
-	set, ok := pc.shapes[*key]
+	set, ok := pc.shapes[key]
 	pc.mu.RUnlock()
 	if ok {
 		return set
 	}
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if set, ok = pc.shapes[*key]; ok {
+	if set, ok = pc.shapes[key]; ok {
 		return set
 	}
 	if len(pc.shapes) >= maxShapes {
 		pc.dropShapes()
 	}
 	set = &bandSet{
-		key: *key,
+		key: key,
 		est: cost.NewPageEstimator(key.table.Pages(), key.table.RowsPerPage(), key.poolPages),
 	}
 	if n := len(pc.shapes); n < frontShapes {
 		pc.front[n].Store(set)
 	}
-	pc.shapes[*key] = set
+	pc.shapes[key] = set
 	return set
 }
 
@@ -317,21 +333,35 @@ func publish(cfg *Config, in *Input, set *bandSet, band int, epoch uint64, resid
 	set.slots[band].Store(e)
 }
 
-// Choose returns the cheapest plan for the input through the parameterized
-// cache: band hit → bind constants into the cached winner (O(1) when the
-// entry is band-stable, winner-vs-runner re-pricing otherwise); band miss →
-// greedy fast path with crossover fallback. Safe for concurrent use when
-// cfg.Obs is nil.
-func (pc *ParamCache) Choose(cfg Config, in Input) Plan {
-	return pc.choose(&cfg, &in)
+// sameShape reports whether two plans are one shape: what costShape
+// re-prices a cached plan from.
+func sameShape(a, b *Plan) bool {
+	return a.Method == b.Method && a.Degree == b.Degree && a.Prefetch == b.Prefetch && a.Shared == b.Shared
 }
 
-func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
+// ranks reports whether the entry already holds the ranking t at epoch.
+// Publishing t there would change nothing a lookup can observe: a fallback
+// happens at the entry's epoch only when it is not stable, a non-stable
+// entry's plans are only ever re-priced by shape, and stability is a
+// function of the shapes and of the residency the epoch pins.
+func (e *bandEntry) ranks(t *top2, epoch uint64) bool {
+	return e.epoch == epoch && e.hasRunner == t.hasRunner &&
+		sameShape(&e.winner, &t.winner) && (!e.hasRunner || sameShape(&e.runner, &t.runner))
+}
+
+// Choose is Lookup on copies of its arguments.
+func (pc *ParamCache) Choose(cfg Config, in Input) Plan { return pc.Lookup(&cfg, &in) }
+
+// Lookup returns the cheapest plan for the input through the parameterized
+// cache: band hit → bind constants into the cached winner (O(1) when the
+// entry is band-stable, winner-vs-runner re-pricing otherwise); band miss →
+// greedy fast path with crossover fallback. cfg and in are only read. Safe
+// for concurrent use when cfg.Obs is nil.
+func (pc *ParamCache) Lookup(cfg *Config, in *Input) Plan {
 	cfg.validate()
 	sel := selectivity(in, in.Lo, in.Hi)
 	band := selBand(sel)
-	key := newShapeKey(cfg, in)
-	set := pc.bandSetFor(&key)
+	set := pc.bandSetFor(cfg, in)
 	var epoch uint64
 	if in.Pool != nil {
 		epoch = in.Pool.Epoch()
@@ -386,7 +416,9 @@ func (pc *ParamCache) choose(cfg *Config, in *Input) Plan {
 		}
 		t := rankTop(cfg, in, &cc)
 		cfg.Obs.Emit(obs.EvGreedyFallback, obs.NoQuery, int64(band), int64(t.n))
-		publish(cfg, in, set, band, epoch, cc.resident, &t)
+		if !e.ranks(&t, epoch) {
+			publish(cfg, in, set, band, epoch, cc.resident, &t)
+		}
 		return t.winner
 	}
 

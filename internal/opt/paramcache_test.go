@@ -3,11 +3,19 @@ package opt
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"pioqo/internal/buffer"
+	"pioqo/internal/device"
+	"pioqo/internal/disk"
+	"pioqo/internal/exec"
 	"pioqo/internal/host"
+	"pioqo/internal/sim"
+	"pioqo/internal/stats"
+	"pioqo/internal/table"
 )
 
 func TestSelBand(t *testing.T) {
@@ -92,6 +100,94 @@ func paramFixture(t *testing.T) (Config, Input, *fixture) {
 	in := f.in
 	in.Lo, in.Hi = rangeFor(in.Table, 0.01)
 	return cfg, in, f
+}
+
+// TestShapeMatchIsKeyEquality holds matches, which a lookup finds its front
+// set with, to the key equality the map finds the others with: with no
+// field perturbed both hold, and perturbing any one of the key's fields —
+// each moving only its own — fails both. Every field of shapeKey must have
+// its perturbation here, so a field added to the key cannot go unmatched.
+func TestShapeMatchIsKeyEquality(t *testing.T) {
+	cfg, in, f := paramFixture(t)
+	env := sim.NewEnv(1)
+	other := table.NewSynthetic(disk.NewManager(device.NewSSD(env, device.DefaultSSDConfig())), "u", 50000, 33, 5)
+	perturb := map[string]func(*Config, *Input){
+		"table":        func(_ *Config, in *Input) { in.Table = other },
+		"index":        func(_ *Config, in *Input) { in.Index = nil },
+		"stats":        func(_ *Config, in *Input) { in.Stats = stats.BuildHistogram(in.Table, 8) },
+		"pool":         func(_ *Config, in *Input) { in.Pool = buffer.NewPool(env, 64) },
+		"model":        func(c *Config, _ *Input) { c.Model = f.dtt },
+		"cores":        func(c *Config, _ *Input) { c.Cores++ },
+		"poolPages":    func(c *Config, _ *Input) { c.PoolPages++ },
+		"sorted":       func(c *Config, _ *Input) { c.EnableSortedScan = !c.EnableSortedScan },
+		"queueBudget":  func(c *Config, _ *Input) { c.QueueBudget++ },
+		"shareParties": func(c *Config, _ *Input) { c.ShareParties++ },
+		"grid":         func(c *Config, _ *Input) { c.PrefetchDepths, c.GridKey = []int{4}, "" },
+	}
+	kt := reflect.TypeOf(shapeKey{})
+	if kt.NumField() != len(perturb) {
+		t.Fatalf("shapeKey has %d fields, this test perturbs %d", kt.NumField(), len(perturb))
+	}
+	key := newShapeKey(&cfg, &in)
+	if !key.matches(&cfg, &in) {
+		t.Fatal("a key does not match the config and input it was built from")
+	}
+	for i := 0; i < kt.NumField(); i++ {
+		name := kt.Field(i).Name
+		set, ok := perturb[name]
+		if !ok {
+			t.Errorf("shapeKey.%s has no perturbation here", name)
+			continue
+		}
+		c, q := cfg, in
+		set(&c, &q)
+		moved := newShapeKey(&c, &q)
+		for j := 0; j < kt.NumField(); j++ {
+			if same := reflect.ValueOf(moved).Field(j).Equal(reflect.ValueOf(key).Field(j)); same == (i == j) {
+				t.Errorf("perturbing %s: field %s moved=%t", name, kt.Field(j).Name, !same)
+			}
+		}
+		if got, want := key.matches(&c, &q), moved == key; got != want || got {
+			t.Errorf("perturbing %s: matches=%t, key equality=%t; want both false", name, got, want)
+		}
+		if moved.matches(&cfg, &in) {
+			t.Errorf("perturbing %s: the perturbed key matches the original config", name)
+		}
+	}
+}
+
+// TestEntryRanksComparesShapes: a fallback leaves a band's entry in place
+// only when the entry holds its ranking — the same winner and runner
+// shapes at the same epoch. Costs, estimates and depth may differ, since a
+// non-stable entry's plans are re-priced from their shapes; anything
+// costShape reads may not.
+func TestEntryRanksComparesShapes(t *testing.T) {
+	w := Plan{Method: exec.IndexScan, Degree: 8, Prefetch: 4, Depth: 32, TotalMicros: 100}
+	r := Plan{Method: exec.FullScan, Degree: 4, Depth: 5, TotalMicros: 105}
+	e := &bandEntry{winner: w, runner: r, hasRunner: true, epoch: 7}
+	priced := func(p Plan) Plan { p.TotalMicros, p.EstRows, p.IOMicros = p.TotalMicros*2, 12, 3; return p }
+	if !e.ranks(&top2{winner: priced(w), runner: priced(r), hasRunner: true, n: 9}, 7) {
+		t.Error("a re-priced ranking of the same shapes at the same epoch is not the entry's")
+	}
+	moves := map[string]func(t *top2, epoch *uint64){
+		"epoch":            func(_ *top2, epoch *uint64) { *epoch++ },
+		"no runner":        func(t *top2, _ *uint64) { t.hasRunner = false },
+		"winner method":    func(t *top2, _ *uint64) { t.winner.Method = exec.SortedIndexScan },
+		"winner degree":    func(t *top2, _ *uint64) { t.winner.Degree = 16 },
+		"winner prefetch":  func(t *top2, _ *uint64) { t.winner.Prefetch = 8 },
+		"winner shared":    func(t *top2, _ *uint64) { t.winner.Shared = true },
+		"runner method":    func(t *top2, _ *uint64) { t.runner.Method = exec.IndexScan },
+		"runner degree":    func(t *top2, _ *uint64) { t.runner.Degree = 8 },
+		"runner shared":    func(t *top2, _ *uint64) { t.runner.Shared = true },
+		"winner is runner": func(t *top2, _ *uint64) { t.winner, t.runner = t.runner, t.winner },
+	}
+	for name, move := range moves {
+		top, epoch := top2{winner: w, runner: r, hasRunner: true}, e.epoch
+		move(&top, &epoch)
+		if e.ranks(&top, epoch) {
+			t.Errorf("%s: the entry claims a ranking it does not hold", name)
+		}
+	}
 }
 
 // TestParamCacheBindsConstantsWithinBand is the tentpole behaviour: queries
@@ -246,8 +342,7 @@ func TestParamCacheStableHitAllocs(t *testing.T) {
 		pc := NewParamCache()
 		pc.Choose(c, q) // the miss
 		pc.Choose(c, q)
-		key := newShapeKey(&c, &q)
-		e := pc.bandSetFor(&key).slots[selBand(selectivity(&q, q.Lo, q.Hi))].Load()
+		e := pc.bandSetFor(&c, &q).slots[selBand(selectivity(&q, q.Lo, q.Hi))].Load()
 		return e.stable == stable && pc.Stats().Hits == 1
 	}
 	for _, stable := range []bool{true, false} {
@@ -296,7 +391,14 @@ func TestParamCacheConcurrentReaders(t *testing.T) {
 	cfg, in, f := paramFixture(t)
 	pc := NewParamCache()
 
-	sels := []float64{0.0001, 0.001, 0.01, 0.05, 0.3, 1.0}
+	// The last two straddle the index/full-scan crossover inside one band:
+	// their lookups fall back, each either re-publishing the band's entry
+	// or finding its own ranking there already.
+	be := f.breakEven(t, f.qdtt)
+	sels := []float64{0.0001, 0.001, 0.01, 0.05, 0.3, 1.0, be * 0.99, be * 1.01}
+	if selBand(sels[6]) != selBand(sels[7]) {
+		t.Fatalf("the crossover selectivities %g and %g straddle a band edge", sels[6], sels[7])
+	}
 	const lookups = 2000
 	var served atomic.Int64
 	host.Sweep(8, lookups, func(i int) {
@@ -319,6 +421,9 @@ func TestParamCacheConcurrentReaders(t *testing.T) {
 	}
 	if s.Hits < lookups/2 {
 		t.Errorf("parameterized workload mostly missed: %+v", s)
+	}
+	if s.Fallbacks < int64(lookups/len(sels)) {
+		t.Errorf("the crossover band's lookups did not fall back: %+v", s)
 	}
 }
 

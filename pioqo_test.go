@@ -3,8 +3,11 @@ package pioqo
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+
+	"pioqo/internal/opt"
 )
 
 // newCalibrated returns a small calibrated SSD system with one table.
@@ -231,6 +234,40 @@ func TestMaxDegreeCap(t *testing.T) {
 	for _, p := range plans {
 		if p.Degree > 4 {
 			t.Errorf("plan %v exceeds MaxDegree 4", p)
+		}
+	}
+}
+
+// TestPlanConfigAssignsEveryField: planConfig fills its config in place, so
+// a config an earlier call filled under other options must come out equal
+// to a zero one filled under these — nothing stale, no Degrees kept from a
+// MaxDegree or PrefetchDepths from prefetch planning.
+func TestPlanConfigAssignsEveryField(t *testing.T) {
+	sys, _ := newCalibrated(t, SSD, 20000, 33)
+	variants := []PlanOptions{
+		{},
+		{DepthOblivious: true},
+		{MaxDegree: 4},
+		{EnablePrefetchPlanning: true},
+		{QueueBudget: 8},
+		{ShareParties: 4},
+		{DepthOblivious: true, MaxDegree: 2, EnableSortedScan: true, EnablePrefetchPlanning: true, QueueBudget: 3, ShareParties: 2},
+	}
+	for _, earlier := range variants {
+		for _, o := range variants {
+			var dirty, clean opt.Config
+			if err := sys.planConfig(sys.coord(), earlier, &dirty); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.planConfig(sys.coord(), o, &dirty); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.planConfig(sys.coord(), o, &clean); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(dirty, clean) {
+				t.Errorf("%+v after %+v:\n got %+v\nwant %+v", o, earlier, dirty, clean)
+			}
 		}
 	}
 }

@@ -216,35 +216,37 @@ var (
 
 // planConfig fills cfg with the optimizer configuration for one node's
 // stack under o — the per-shard unit scatter-gather planning fans out over.
-// Configs are filled in place: one is two hundred bytes, and Plan is called
-// at serving rates.
+// Configs are filled in place, field by field: one is two hundred bytes,
+// Plan is called at serving rates, and a composite literal would be built
+// aside and then copied over. Every field is assigned, so a config an
+// earlier call filled keeps nothing of it (TestPlanConfigAssignsEveryField).
 func (s *System) planConfig(n *node.Node, o PlanOptions, cfg *opt.Config) error {
 	if s.model == nil {
 		return fmt.Errorf("%w: optimization needs the calibrated cost model; call Calibrate first", ErrNotCalibrated)
 	}
-	*cfg = opt.Config{
-		Model:            s.model,
-		Costs:            s.costs,
-		Cores:            s.cores,
-		PoolPages:        int64(n.Pool.Capacity()),
-		EnableSortedScan: o.EnableSortedScan,
-		QueueBudget:      o.QueueBudget,
-		ShareParties:     o.ShareParties,
-		Obs:              s.reg,
-	}
+	cfg.Model = s.model
 	if o.DepthOblivious {
 		cfg.Model = s.depthOneModel()
 	}
+	cfg.Costs = s.costs
+	cfg.Cores = s.cores
+	cfg.PoolPages = int64(n.Pool.Capacity())
+	cfg.EnableSortedScan = o.EnableSortedScan
+	cfg.QueueBudget = o.QueueBudget
+	cfg.ShareParties = o.ShareParties
+	cfg.Obs = s.reg
 	// MaxDegree keeps the degrees not above it; degree 1 always survives.
 	kept := len(planDegrees)
 	for o.MaxDegree > 0 && kept > 1 && planDegrees[kept-1] > o.MaxDegree {
 		kept--
 	}
 	cfg.Degrees = planDegrees[:kept:kept]
-	cfg.GridKey = planGridKeys[kept-1][0]
 	if o.EnablePrefetchPlanning {
 		cfg.PrefetchDepths = planPrefetch
 		cfg.GridKey = planGridKeys[kept-1][1]
+	} else {
+		cfg.PrefetchDepths = nil
+		cfg.GridKey = planGridKeys[kept-1][0]
 	}
 	return nil
 }
@@ -277,30 +279,35 @@ func (p Plan) internal() opt.Plan {
 }
 
 func fromInternalPlan(p opt.Plan) Plan {
-	method := FullTableScan
+	var out Plan
+	out.setInternal(&p)
+	return out
+}
+
+// setInternal assigns the fields p carries, in place: System.Plan fills its
+// result this way, where a literal would be built aside and copied twice.
+func (out *Plan) setInternal(p *opt.Plan) {
+	out.Method = FullTableScan
 	switch p.Method {
 	case exec.IndexScan:
-		method = IndexScan
+		out.Method = IndexScan
 	case exec.SortedIndexScan:
-		method = SortedIndexScan
+		out.Method = SortedIndexScan
 	}
-	return Plan{
-		Method:        method,
-		Degree:        p.Degree,
-		Prefetch:      p.Prefetch,
-		Shared:        p.Shared,
-		depth:         p.Depth,
-		EstimatedCost: time.Duration(p.TotalMicros * 1e3),
-		EstimatedIO:   time.Duration(p.IOMicros * 1e3),
-		EstimatedCPU:  time.Duration(p.CPUMicros * 1e3),
-		EstimatedRows: p.EstRows,
-	}
+	out.Degree = p.Degree
+	out.Prefetch = p.Prefetch
+	out.Shared = p.Shared
+	out.depth = p.Depth
+	out.EstimatedCost = time.Duration(p.TotalMicros * 1e3)
+	out.EstimatedIO = time.Duration(p.IOMicros * 1e3)
+	out.EstimatedCPU = time.Duration(p.CPUMicros * 1e3)
+	out.EstimatedRows = p.EstRows
 }
 
 // Plan returns the optimizer's chosen plan for q without executing it.
 // Queries over sharded tables are planned per shard with a merge stage on
 // top (see DESIGN.md §13).
-func (s *System) Plan(q Query, o PlanOptions) (Plan, error) {
+func (s *System) Plan(q Query, o PlanOptions) (plan Plan, err error) {
 	if q.Table != nil && q.Table.sharded() {
 		return s.planSharded(q, o)
 	}
@@ -309,10 +316,14 @@ func (s *System) Plan(q Query, o PlanOptions) (Plan, error) {
 	if err := s.optConfig(q, o, &cfg, &in); err != nil {
 		return Plan{}, err
 	}
+	var p opt.Plan
 	if o.GreedyPlanning {
-		return fromInternalPlan(s.pcache.Choose(cfg, in)), nil
+		p = s.pcache.Lookup(&cfg, &in)
+	} else {
+		p = s.memo.Lookup(&cfg, &in)
 	}
-	return fromInternalPlan(s.memo.Choose(cfg, in)), nil
+	plan.setInternal(&p)
+	return plan, nil
 }
 
 // Explain returns every candidate plan the optimizer considered for q,
@@ -324,7 +335,7 @@ func (s *System) Explain(q Query, o PlanOptions) ([]Plan, error) {
 		return nil, err
 	}
 	var plans []Plan
-	for _, p := range s.memo.Enumerate(cfg, in) {
+	for _, p := range s.memo.LookupAll(&cfg, &in) {
 		plans = append(plans, fromInternalPlan(p))
 	}
 	return plans, nil
