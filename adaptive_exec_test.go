@@ -2,9 +2,11 @@ package pioqo
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -40,22 +42,23 @@ func eventCount(sys *System, name string) int {
 func TestWithAdaptiveMutuallyExclusiveWithStaticDegree(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, SSD)
 	q := Query{Table: tab, Low: 0, High: 999}
+	ses := openSession(t, sys)
 	for _, opts := range [][]QueryOption{
 		{WithAdaptive(), WithStaticDegree(4)},
 		{WithStaticDegree(4), WithAdaptive()},
 	} {
-		if _, err := sys.Execute(q, opts...); !errors.Is(err, ErrInvalidQuery) {
-			t.Fatalf("Execute with contradictory tuning options: err = %v, want ErrInvalidQuery", err)
+		if _, err := sys.Run(context.Background(), q, opts...); !errors.Is(err, ErrInvalidQuery) {
+			t.Fatalf("Run with contradictory tuning options: err = %v, want ErrInvalidQuery", err)
 		}
-		if _, err := sys.Submit(q, opts...); !errors.Is(err, ErrInvalidQuery) {
+		if _, err := ses.Submit(q, opts...); !errors.Is(err, ErrInvalidQuery) {
 			t.Fatalf("Submit with contradictory tuning options: err = %v, want ErrInvalidQuery", err)
 		}
 	}
 	// The pair is fine separately.
-	if _, err := sys.Execute(q, WithStaticDegree(4)); err != nil {
+	if _, err := sys.Run(context.Background(), q, WithStaticDegree(4)); err != nil {
 		t.Fatalf("WithStaticDegree alone: %v", err)
 	}
-	if _, err := sys.Execute(q, WithAdaptive()); err != nil {
+	if _, err := sys.Run(context.Background(), q, WithAdaptive()); err != nil {
 		t.Fatalf("WithAdaptive alone: %v", err)
 	}
 }
@@ -71,11 +74,11 @@ func TestAdaptiveMatchesStaticAnswer(t *testing.T) {
 	} {
 		qs := Query{Table: tabS, Low: r.lo, High: r.hi}
 		qa := Query{Table: tabA, Low: r.lo, High: r.hi}
-		want, err := static.Execute(qs, Cold())
+		want, err := static.Run(context.Background(), qs, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := adaptive.Execute(qa, Cold(), WithAdaptive())
+		got, err := adaptive.Run(context.Background(), qa, Cold(), WithAdaptive())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +117,7 @@ func TestAdaptiveStartsAtItsPlan(t *testing.T) {
 	if plan.Method != IndexScan || plan.Degree != 32 {
 		t.Fatalf("plan %v, want the PIS32 this check is about", plan)
 	}
-	want, err := calibrated.Execute(q, Cold(), WithAdaptive())
+	want, err := calibrated.Run(context.Background(), q, Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +127,11 @@ func TestAdaptiveStartsAtItsPlan(t *testing.T) {
 		}
 	}
 	q.Table = tabL
-	got, err := loaded.Execute(q, Cold(), WithAdaptive())
+	got, err := loaded.Run(context.Background(), q, Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("loaded model ran %+v, calibrated ran %+v", got, want)
 	}
 }
@@ -138,15 +141,16 @@ func TestAdaptiveStartsAtItsPlan(t *testing.T) {
 func TestAdaptiveRespectsQueueBudget(t *testing.T) {
 	for _, dev := range []DeviceKind{SSD, HDD} {
 		sys, tab := newAdaptiveWorld(t, dev)
+		ses := openSession(t, sys)
 		opts := []QueryOption{WithAdaptive(), WithPlanOptions(PlanOptions{QueueBudget: 2}), Cold()}
 		for _, hi := range []int64{39, 3999} {
-			if _, err := sys.Execute(Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
+			if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := sys.Submit(Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
+			if _, err := ses.Submit(Query{Table: tab, Low: 0, High: hi}, opts...); err != nil {
 				t.Fatal(err)
 			}
-			if err := sys.Drain(); err != nil {
+			if err := ses.Drain(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -192,7 +196,7 @@ func TestAdaptiveTracksBestStatic(t *testing.T) {
 		}
 		for i := range out {
 			sel := 0.002 * math.Pow(300, float64(i)/(points-1)) // 0.2 % … 60 %
-			res, err := sys.Execute(Query{Table: tab, Low: 0, High: int64(sel*rows) - 1},
+			res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: int64(sel*rows) - 1},
 				Cold(), tuning)
 			if err != nil {
 				t.Fatal(err)
@@ -225,14 +229,15 @@ func TestAdaptiveTracksBestStatic(t *testing.T) {
 // live Progress stays monotone and correctly attributed.
 func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 	sys, tab := newAdaptiveWorld(t, SSD)
+	ses := openSession(t, sys)
 	// Seven lookups submitted first leave the range an eighth of the supply
 	// to plan under.
 	for i := int64(0); i < 7; i++ {
-		if _, err := sys.Submit(Query{Table: tab, Low: 100000 + 997*i, High: 100000 + 997*i}); err != nil {
+		if _, err := ses.Submit(Query{Table: tab, Low: 100000 + 997*i, High: 100000 + 997*i}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sub, err := sys.Submit(Query{Table: tab, Low: 0, High: 3999}, WithAdaptive(), Cold())
+	sub, err := ses.Submit(Query{Table: tab, Low: 0, High: 3999}, WithAdaptive(), Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +248,7 @@ func TestAdaptiveGrowRetuneProgress(t *testing.T) {
 			samples = append(samples, sub.Progress())
 		}
 	})
-	if err := sys.Drain(); err != nil {
+	if err := ses.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if n := eventCount(sys, "adapt.grow"); n == 0 {
@@ -318,7 +323,7 @@ func TestAdaptiveShrinkRetune(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan.Degree = 32
-	res, err := sys.ExecutePlan(q, plan, Cold(), WithAdaptive())
+	res, err := sys.Run(context.Background(), q, WithPlan(plan), Cold(), WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +397,7 @@ func TestAdaptiveSpecCancelZeroPinsUnderFaults(t *testing.T) {
 	// Run serially, the scan leaves the device the idle depth speculation
 	// needs.
 	plan.Degree = 1
-	if _, err := sys.ExecutePlan(q, plan, WithAdaptive(), WithRetry(RetryPolicy{MaxAttempts: 2})); !errors.Is(err, ErrDeviceFault) {
+	if _, err := sys.Run(context.Background(), q, WithPlan(plan), WithAdaptive(), WithRetry(RetryPolicy{MaxAttempts: 2})); !errors.Is(err, ErrDeviceFault) {
 		t.Fatalf("err = %v, want ErrDeviceFault", err)
 	}
 	if n := sys.coord().Pool.Pinned(); n != 0 {

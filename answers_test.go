@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -45,11 +46,11 @@ func TestSyntheticAnswersGolden(t *testing.T) {
 					hi = lo + rng.Int63n(sh.rows/4)
 				}
 				q := Query{Table: tab, Low: lo, High: hi, Agg: Aggregate(i % 4)}
-				fts, err := sys.ExecutePlan(q, Plan{Method: FullTableScan, Degree: 1})
+				fts, err := sys.Run(context.Background(), q, WithPlan(Plan{Method: FullTableScan, Degree: 1}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				is, err := sys.ExecutePlan(q, Plan{Method: IndexScan, Degree: 1})
+				is, err := sys.Run(context.Background(), q, WithPlan(Plan{Method: IndexScan, Degree: 1}))
 				if err != nil {
 					t.Fatal(err)
 				}

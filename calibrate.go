@@ -157,18 +157,17 @@ func (s *System) LoadModel(r io.Reader) error {
 // derived from the old one: the plan memo and the parameterized plan cache
 // (whose cached costs priced I/O with the previous model), the
 // depth-oblivious projection, and the resource broker (whose credit supply
-// was the old model's beneficial depth) along with the default session
-// riding on it and the circulating producers' leasing hook into it. The
-// model is all an installed system plans and adapts from — the adaptive
-// controller prices its moves through the memo — so a loaded model runs
-// every query exactly as the calibration that saved it.
+// was the old model's beneficial depth) along with the circulating
+// producers' leasing hook into it. The model is all an installed system
+// plans and adapts from — the adaptive controller prices its moves through
+// the memo — so a loaded model runs every query exactly as the calibration
+// that saved it.
 func (s *System) installModel(m *cost.QDTT) {
 	s.model = m
 	s.depthOne = nil
 	s.memo.Reset()
 	s.pcache.Reset()
 	s.broker = nil
-	s.session = nil
 	for _, n := range s.nodes {
 		if n.Shares != nil {
 			n.Shares.SetLeaser(nil)

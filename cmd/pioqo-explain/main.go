@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -74,9 +75,9 @@ func main() {
 		exitOn(err)
 		newPlan, err := sys.Plan(q, pioqo.PlanOptions{})
 		exitOn(err)
-		oldRes, err := sys.ExecutePlan(q, oldPlan, pioqo.Cold())
+		oldRes, err := sys.Run(context.Background(), q, pioqo.WithPlan(oldPlan), pioqo.Cold())
 		exitOn(err)
-		newRes, err := sys.ExecutePlan(q, newPlan, pioqo.Cold())
+		newRes, err := sys.Run(context.Background(), q, pioqo.WithPlan(newPlan), pioqo.Cold())
 		exitOn(err)
 
 		fmt.Fprintf(w, "%.5g\t%v\t%v\t%v\t%v\t%.2fx\n",

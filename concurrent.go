@@ -68,24 +68,17 @@ func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (Concur
 		}
 	}
 
-	// Meter the device over exactly the batch window; Elapsed is the
-	// makespan, not the max per-query runtime. Sessions are single-node,
-	// so the coordinator's device is the batch's device.
-	s.coord().Dev.Metrics().Reset()
-	s.coord().Pool.ResetStats()
+	out := ConcurrentResult{Results: make([]Result, len(queries)), Admissions: make([]Admission, len(queries))}
+	// Meter every node over exactly the batch window; Elapsed is the
+	// makespan, not the max per-query runtime.
 	start := s.env.Now()
-	if err := ses.Drain(); err != nil {
+	reads, mbps := s.metered(func() { err = ses.Drain() })
+	if err != nil {
 		return ConcurrentResult{}, err
 	}
-	io := s.coord().Dev.Metrics().Snapshot()
-
-	out := ConcurrentResult{
-		Results:          make([]Result, len(queries)),
-		Admissions:       make([]Admission, len(queries)),
-		Elapsed:          time.Duration(s.env.Now() - start),
-		QueueBudget:      max(1, ses.b.Total()/len(queries)), // SplitCredits' last share
-		IOThroughputMBps: io.ThroughputMBps,
-	}
+	out.Elapsed = time.Duration(s.env.Now() - start)
+	out.QueueBudget = max(1, s.broker.Total()/len(queries)) // SplitCredits' last share
+	out.IOThroughputMBps = mbps
 	for i, sub := range subs {
 		if out.Results[i], err = sub.Result(); err != nil {
 			return ConcurrentResult{}, err
@@ -94,9 +87,8 @@ func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (Concur
 	}
 	if len(queries) == 1 {
 		// The batch window is the query window: a single-query batch
-		// reports the same device traffic a standalone Execute would.
-		out.Results[0].PageReads = io.Requests
-		out.Results[0].IOThroughputMBps = io.ThroughputMBps
+		// reports the same device traffic a standalone Run would.
+		out.Results[0].PageReads, out.Results[0].IOThroughputMBps = reads, mbps
 	}
 	return out, nil
 }

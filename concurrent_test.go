@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -16,7 +17,7 @@ func TestExecuteConcurrentAnswersMatchSerial(t *testing.T) {
 	}
 	var want []Result
 	for _, q := range queries {
-		res, err := sys.Execute(q, Cold())
+		res, err := sys.Run(context.Background(), q, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,27 +72,41 @@ func TestExecuteConcurrentSplitsQueueBudget(t *testing.T) {
 
 func TestSingleQueryBatchMatchesExecute(t *testing.T) {
 	// A batch of one is a sole query on an idle broker: it receives an
-	// unbounded lease, plans exactly as Execute would, and its result must
-	// be byte-for-byte identical.
-	sysA, tabA := newCalibrated(t, SSD, 50000, 33)
-	want, err := sysA.Execute(Query{Table: tabA, Low: 0, High: 4999}, Cold())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sysB, tabB := newCalibrated(t, SSD, 50000, 33)
-	batch, err := sysB.ExecuteConcurrent(
-		[]Query{{Table: tabB, Low: 0, High: 4999}}, Cold())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := batch.Results[0]; !reflect.DeepEqual(got, want) {
-		t.Errorf("single-query batch diverged from Execute:\n got %+v\nwant %+v", got, want)
-	}
-	if adm := batch.Admissions[0]; adm.Budget != 0 || adm.Wait != 0 {
-		t.Errorf("sole query admission = %+v, want unbounded lease with zero wait", adm)
-	}
-	if batch.Elapsed != want.Runtime {
-		t.Errorf("batch makespan %v != query runtime %v", batch.Elapsed, want.Runtime)
+	// unbounded lease, plans exactly as Run would, and its result must be
+	// byte-for-byte identical — on a sharded table too, where the batch
+	// window's device traffic is summed over every node.
+	for _, shards := range []int{1, 4} {
+		calibrated := func() (*System, *Table) {
+			if shards == 1 {
+				return newCalibrated(t, SSD, 50000, 33)
+			}
+			return newShardedCalibrated(t, shards, PartitionHash, 50000, 0)
+		}
+		sysA, tabA := calibrated()
+		want, err := sysA.Run(context.Background(), Query{Table: tabA, Low: 0, High: 4999}, Cold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sysB, tabB := calibrated()
+		batch, err := sysB.ExecuteConcurrent(
+			[]Query{{Table: tabB, Low: 0, High: 4999}}, Cold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := batch.Results[0]; !reflect.DeepEqual(got, want) {
+			t.Errorf("%d shards: single-query batch diverged from Run:\n got %+v\nwant %+v", shards, got, want)
+		}
+		if adm := batch.Admissions[0]; adm.Budget != 0 || adm.Wait != 0 {
+			t.Errorf("%d shards: sole query admission = %+v, want unbounded lease with zero wait", shards, adm)
+		}
+		// On one node the drain ends with the query; a sharded one also runs
+		// the armed hedge timers out, past the query's exit.
+		if shards == 1 && batch.Elapsed != want.Runtime || batch.Elapsed < want.Runtime {
+			t.Errorf("%d shards: batch makespan %v, query runtime %v", shards, batch.Elapsed, want.Runtime)
+		}
+		if batch.IOThroughputMBps != want.IOThroughputMBps {
+			t.Errorf("%d shards: batch throughput %v MB/s, the query's %v", shards, batch.IOThroughputMBps, want.IOThroughputMBps)
+		}
 	}
 }
 
@@ -106,7 +121,7 @@ func TestBudgetFloorWhenQueriesOutnumberDepth(t *testing.T) {
 	for i := range queries {
 		lo := int64(i * 100)
 		queries[i] = Query{Table: tab, Low: lo, High: lo + 49}
-		res, err := sys.Execute(queries[i])
+		res, err := sys.Run(context.Background(), queries[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +156,7 @@ func TestColdFlushesBeforePlanning(t *testing.T) {
 	// residency statistics and the runs would diverge.
 	run := func(explicitFlush bool) ConcurrentResult {
 		sys, tab := newCalibrated(t, SSD, 50000, 33)
-		if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 49999}); err != nil {
+		if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 49999}); err != nil {
 			t.Fatal(err)
 		}
 		if sys.BufferPoolResident(tab) == 0 {
@@ -188,7 +203,7 @@ func TestConcurrentBatchBeatsSequentialExecution(t *testing.T) {
 	q2 := Query{Table: tab, Low: 50000, High: 50199}
 
 	serial := func(q Query) float64 {
-		res, err := sys.Execute(q, Cold(),
+		res, err := sys.Run(context.Background(), q, Cold(),
 			WithPlanOptions(PlanOptions{QueueBudget: 16}))
 		if err != nil {
 			t.Fatal(err)
@@ -226,7 +241,7 @@ func TestBatchSplitsTheQueueDepth(t *testing.T) {
 	serialOnly := WithPlanOptions(PlanOptions{MaxDegree: 1})
 	var serial time.Duration
 	for _, q := range queries {
-		res, err := sys.Execute(q, Cold(), serialOnly)
+		res, err := sys.Run(context.Background(), q, Cold(), serialOnly)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,9 @@
 package pioqo
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -16,7 +19,10 @@ import (
 // bench/ metric names: a backticked `layer.metric` under a layer bench/
 // reports must be a string literal in bench/ or internal/obs, or one of
 // the <layer>.host_share shares bench/profile.go builds. A backticked
-// `*.go` or `*.golden` path must name one file (namesOneFile). CHANGES.md is
+// `*.go` or `*.golden` path must name one file (namesOneFile). And a
+// System.X, Session.X or pioqo.X inside backticks must name a method or
+// field of System or Session, or an identifier of this package
+// (rootNames), so a deleted name cannot linger in the docs. CHANGES.md is
 // history and is not scanned.
 func TestDocsCiteTestsThatExist(t *testing.T) {
 	funcs := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -50,6 +56,9 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	citedMetric := regexp.MustCompile("`(" + metricName + ")`")
 	citedFile := regexp.MustCompile("`([^`\\s]+\\.(?:go|golden))`")
+	codeSpan := regexp.MustCompile("`[^`\n]+`")
+	citedName := regexp.MustCompile(`\b(System|Session|pioqo)\.(\w+)`)
+	names := rootNames(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -58,6 +67,13 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 		for _, m := range citedFile.FindAllStringSubmatch(string(src), -1) {
 			if !namesOneFile(m[1], files) {
 				t.Errorf("%s cites %s, which names no file of the module or several", doc, m[1])
+			}
+		}
+		for _, span := range codeSpan.FindAllString(string(src), -1) {
+			for _, m := range citedName.FindAllStringSubmatch(span, -1) {
+				if !names[m[1]][m[2]] && !fileName.MatchString(m[0]) {
+					t.Errorf("%s cites %s, and the package defines no such name", doc, m[0])
+				}
 			}
 		}
 		for _, m := range citedMetric.FindAllStringSubmatch(string(src), -1) {
@@ -78,6 +94,58 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rootNames parses the package's non-test files and returns, under
+// "System" and "Session", the methods and fields of those types, and under
+// "pioqo" every top-level identifier.
+func rootNames(t *testing.T) map[string]map[string]bool {
+	names := map[string]map[string]bool{"System": {}, "Session": {}, "pioqo": {}}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range pkgs["pioqo"].Files {
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					names["pioqo"][d.Name.Name] = true
+					continue
+				}
+				recv := d.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok && names[id.Name] != nil {
+					names[id.Name][d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						names["pioqo"][sp.Name.Name] = true
+						st, ok := sp.Type.(*ast.StructType)
+						if !ok || names[sp.Name.Name] == nil {
+							continue
+						}
+						for _, field := range st.Fields.List {
+							for _, n := range field.Names {
+								names[sp.Name.Name][n.Name] = true
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range sp.Names {
+							names["pioqo"][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // namesOneFile reports whether a cited file name names one file: the one

@@ -11,7 +11,7 @@ import (
 // of these sentinels, so callers branch with errors.Is instead of matching
 // message strings:
 //
-//	res, err := sys.Query(ctx, q)
+//	res, err := sys.Run(ctx, q)
 //	switch {
 //	case errors.Is(err, pioqo.ErrDeadlineExceeded): // timed out
 //	case errors.Is(err, pioqo.ErrDeviceFault):      // device gave up
@@ -48,7 +48,7 @@ var (
 	// plan that needs an index the table does not have, a non-positive
 	// group width, an update of a synthetic table, contradictory tuning
 	// options — or an operation the table's layout does not support yet
-	// (joins, updates and sessions over a sharded table).
+	// (joins and updates over a sharded table).
 	ErrInvalidQuery = errors.New("pioqo: invalid query")
 )
 
@@ -59,7 +59,7 @@ var (
 //	var qe *pioqo.QueryError
 //	if errors.As(err, &qe) { log.Printf("%s on %s: %v", qe.Op, qe.Table, qe.Err) }
 type QueryError struct {
-	Op    string // "query", "groupby", "join", "update", "submit"
+	Op    string // the request's kind: "query", "groupby", "join", "update"
 	Table string // the queried table's name, when known
 	Err   error  // the cause; wraps a taxonomy sentinel
 }

@@ -2,6 +2,8 @@ package pioqo
 
 import (
 	"bytes"
+	"context"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,16 +24,17 @@ func faultedEventRun(t *testing.T) []byte {
 			StragglerLatency: 2 * time.Millisecond,
 		}},
 	})
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 9999}, Cold()); err != nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9999}, Cold()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Submit(Query{Table: tab, Low: 0, High: 499}); err != nil {
+	ses := openSession(t, sys)
+	if _, err := ses.Submit(Query{Table: tab, Low: 0, High: 499}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Submit(Query{Table: tab, Low: 20000, High: 29999}); err != nil {
+	if _, err := ses.Submit(Query{Table: tab, Low: 20000, High: 29999}); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(); err != nil {
+	if err := ses.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -67,7 +70,7 @@ func TestEventLogNeverPerturbsExecution(t *testing.T) {
 		if logged {
 			sys.EnableEventLog(0)
 		}
-		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 4999}, Cold())
+		res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 4999}, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +78,7 @@ func TestEventLogNeverPerturbsExecution(t *testing.T) {
 	}
 	r1, t1 := run(false)
 	r2, t2 := run(true)
-	if r1 != r2 || t1 != t2 {
+	if !reflect.DeepEqual(r1, r2) || t1 != t2 {
 		t.Errorf("enabling the event log changed execution:\n  off %+v at %v\n  on  %+v at %v", r1, t1, r2, t2)
 	}
 }
@@ -83,15 +86,16 @@ func TestEventLogNeverPerturbsExecution(t *testing.T) {
 func TestEventLogLifecycleAttribution(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	sys.EnableEventLog(0)
-	sub1, err := sys.Submit(Query{Table: tab, Low: 0, High: 24999})
+	ses := openSession(t, sys)
+	sub1, err := ses.Submit(Query{Table: tab, Low: 0, High: 24999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := sys.Submit(Query{Table: tab, Low: 30000, High: 30499})
+	sub2, err := ses.Submit(Query{Table: tab, Low: 30000, High: 30499})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(); err != nil {
+	if err := ses.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	starts := map[int64]bool{}

@@ -1,6 +1,7 @@
 package pioqo_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,7 @@ func Example() {
 	if _, err := sys.Calibrate(pioqo.CalibrationOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.Execute(pioqo.Query{Table: tab, Low: 0, High: 999}, pioqo.Cold())
+	res, err := sys.Run(context.Background(), pioqo.Query{Table: tab, Low: 0, High: 999}, pioqo.Cold())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func ExampleSystem_Plan() {
 	// QDTT: IndexScan, parallel true
 }
 
-func ExampleSystem_ExecuteGroupBy() {
+func ExampleSystem_Run() {
 	sys := pioqo.New(pioqo.Config{Device: pioqo.SSD, PoolPages: 2048})
 	tab, err := sys.CreateTable("t", 50_000, 33, pioqo.WithSyntheticData())
 	if err != nil {
@@ -63,7 +64,7 @@ func ExampleSystem_ExecuteGroupBy() {
 	if _, err := sys.Calibrate(pioqo.CalibrationOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	res, err := sys.ExecuteGroupBy(pioqo.GroupByQuery{
+	res, err := sys.Run(context.Background(), pioqo.GroupByQuery{
 		Table: tab, Low: 0, High: 2999, GroupWidth: 1000, Agg: pioqo.Count,
 	}, pioqo.Cold())
 	if err != nil {

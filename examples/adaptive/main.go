@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -36,7 +37,7 @@ func main() {
 		if !adaptive {
 			tuning, arm = pioqo.WithStaticDegree(degree), fmt.Sprintf("static d%d", degree)
 		}
-		res, err := sys.Execute(q, pioqo.Cold(), tuning)
+		res, err := sys.Run(context.Background(), q, pioqo.Cold(), tuning)
 		if err != nil {
 			log.Fatal(err)
 		}

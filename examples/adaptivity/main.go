@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -32,7 +33,7 @@ func main() {
 		gain := cal.Model.PageCost(band, 1) / cal.Model.PageCost(band, 32)
 
 		q := pioqo.Query{Table: tab, Low: 0, High: 1999} // 1% range
-		res, err := sys.Execute(q, pioqo.Cold())
+		res, err := sys.Run(context.Background(), q, pioqo.Cold())
 		if err != nil {
 			log.Fatal(err)
 		}

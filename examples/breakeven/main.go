@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -45,9 +46,9 @@ func breakEven(dev pioqo.DeviceKind, degree int) float64 {
 		if hi < 0 {
 			hi = 0
 		}
-		res, err := sys.ExecutePlan(
+		res, err := sys.Run(context.Background(),
 			pioqo.Query{Table: tab, Low: 0, High: hi},
-			pioqo.Plan{Method: method, Degree: degree},
+			pioqo.WithPlan(pioqo.Plan{Method: method, Degree: degree}),
 			pioqo.Cold())
 		if err != nil {
 			log.Fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -34,7 +35,7 @@ func main() {
 	// Back to back, each query planned with the whole device to itself.
 	var serialTotal time.Duration
 	for _, q := range queries {
-		res, err := sys.Execute(q, pioqo.Cold())
+		res, err := sys.Run(context.Background(), q, pioqo.Cold())
 		if err != nil {
 			log.Fatal(err)
 		}

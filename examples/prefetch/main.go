@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -23,8 +24,8 @@ func main() {
 	q := pioqo.Query{Table: tab, Low: 0, High: int64(0.03*400_000) - 1}
 
 	run := func(degree, prefetch int) float64 {
-		res, err := sys.ExecutePlan(q,
-			pioqo.Plan{Method: pioqo.IndexScan, Degree: degree},
+		res, err := sys.Run(context.Background(), q,
+			pioqo.WithPlan(pioqo.Plan{Method: pioqo.IndexScan, Degree: degree}),
 			pioqo.Cold(), pioqo.WithPrefetch(prefetch))
 		if err != nil {
 			log.Fatal(err)

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 	// selectivity range probe.
 	q := pioqo.Query{Table: tab, Low: 0, High: 799}
 
-	res, err := sys.Execute(q, pioqo.Cold())
+	res, err := sys.Run(context.Background(), q, pioqo.Cold())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 	// scan looks no better to it than a serial one paying full random-read
 	// latency for every row — and at this selectivity it would rather read
 	// the whole table.
-	old, err := sys.Execute(q, pioqo.Cold(),
+	old, err := sys.Run(context.Background(), q, pioqo.Cold(),
 		pioqo.WithPlanOptions(pioqo.PlanOptions{DepthOblivious: true}))
 	if err != nil {
 		log.Fatal(err)

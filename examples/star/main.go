@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,28 +35,28 @@ func main() {
 
 	// Join 1: uniform dimension — the predicate pushes down to the fact
 	// side, so the planner keeps the hash join.
-	j1, err := sys.ExecuteJoin(pioqo.JoinQuery{
+	j1, err := sys.Run(context.Background(), pioqo.JoinQuery{
 		Build: dim, Probe: fact, Low: 0, High: 999, Agg: pioqo.Count,
 	}, pioqo.Cold())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fact ⋈ dim   : %-11s %6d pairs in %8v  (build %v, probe %v)\n",
-		j1.Method, j1.Pairs, j1.Runtime, j1.BuildPlan, j1.ProbePlan)
+		j1.Plan.Join.Method, j1.Rows, j1.Runtime, j1.Plan.Join.Build, j1.Plan.Join.Probe)
 
 	// Join 2: skewed dimension over a wide range — few distinct keys, so
 	// the distinct-count statistics flip the planner to index nested-loop.
-	j2, err := sys.ExecuteJoin(pioqo.JoinQuery{
+	j2, err := sys.Run(context.Background(), pioqo.JoinQuery{
 		Build: hot, Probe: fact, Low: 0, High: 29_999, Agg: pioqo.Count,
 	}, pioqo.Cold())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("fact ⋈ hot   : %-11s %6d pairs in %8v  (build %v, probe %v)\n",
-		j2.Method, j2.Pairs, j2.Runtime, j2.BuildPlan, j2.ProbePlan)
+		j2.Plan.Join.Method, j2.Rows, j2.Runtime, j2.Plan.Join.Build, j2.Plan.Join.Probe)
 
 	// Grouped aggregation over the fact table.
-	gb, err := sys.ExecuteGroupBy(pioqo.GroupByQuery{
+	gb, err := sys.Run(context.Background(), pioqo.GroupByQuery{
 		Table: fact, Low: 0, High: 9_999, GroupWidth: 2_000, Agg: pioqo.Count,
 	}, pioqo.Cold())
 	if err != nil {

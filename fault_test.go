@@ -37,7 +37,7 @@ func TestQueryPreCanceledContext(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := sys.Query(ctx, Query{Table: tab, Low: 0, High: 999})
+	_, err := sys.Run(ctx, Query{Table: tab, Low: 0, High: 999})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -57,7 +57,7 @@ func TestQueryExpiredContextDeadline(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := sys.Query(ctx, Query{Table: tab, Low: 0, High: 999})
+	_, err := sys.Run(ctx, Query{Table: tab, Low: 0, High: 999})
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -100,7 +100,7 @@ func assertNoLeaks(t *testing.T, sys *System) {
 func TestWithTimeoutAbortsMidScan(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	q := Query{Table: tab, Low: 0, High: 150000}
-	_, err := sys.Execute(q, Cold(), WithTimeout(500*time.Microsecond))
+	_, err := sys.Run(context.Background(), q, Cold(), WithTimeout(500*time.Microsecond))
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -108,12 +108,12 @@ func TestWithTimeoutAbortsMidScan(t *testing.T) {
 
 	// The system survives the abort: the same query without a timeout runs
 	// to completion and matches a fresh system's answer.
-	res, err := sys.Execute(q, Cold())
+	res, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatalf("rerun after timeout failed: %v", err)
 	}
 	sys2, tab2 := newCalibrated(t, SSD, 200000, 33)
-	want, err := sys2.Execute(Query{Table: tab2, Low: 0, High: 150000}, Cold())
+	want, err := sys2.Run(context.Background(), Query{Table: tab2, Low: 0, High: 150000}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestWithTimeoutAbortsMidScan(t *testing.T) {
 func TestPollCancellationMidScan(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	ctx := newPollCtx(40)
-	_, err := sys.Query(ctx, Query{Table: tab, Low: 0, High: 150000}, Cold())
+	_, err := sys.Run(ctx, Query{Table: tab, Low: 0, High: 150000}, Cold())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -136,20 +136,64 @@ func TestPollCancellationMidScan(t *testing.T) {
 	assertNoLeaks(t, sys)
 }
 
-func TestExecuteIsQueryWithBackgroundContext(t *testing.T) {
-	sys, tab := newCalibrated(t, SSD, 50000, 33)
-	q := Query{Table: tab, Low: 1000, High: 4999}
-	a, err := sys.Execute(q, Cold())
-	if err != nil {
-		t.Fatal(err)
+// TestWrappersAreRun pins the deprecated per-operation calls to Run: run in
+// the same order on twin systems, each returns in its own result type
+// exactly what Run returns for the same request.
+func TestWrappersAreRun(t *testing.T) {
+	a, b := newLifecycleFixture(t, 1), newLifecycleFixture(t, 1)
+	bg := context.Background()
+	scan := func(f lifecycleFixture) Query { return Query{Table: f.t, Low: 1000, High: 4999} }
+	forced := Plan{Method: IndexScan, Degree: 8}
+	groupBy := func(f lifecycleFixture) GroupByQuery {
+		return GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}
 	}
-	sys2, tab2 := newCalibrated(t, SSD, 50000, 33)
-	b, err := sys2.Query(context.Background(), Query{Table: tab2, Low: 1000, High: 4999}, Cold())
-	if err != nil {
-		t.Fatal(err)
+	join := func(f lifecycleFixture) JoinQuery {
+		return JoinQuery{Build: f.skewed, Probe: f.big, Low: 0, High: 29999}
 	}
-	if a != b {
-		t.Errorf("Execute result %+v != Query result %+v", a, b)
+	update := func(f lifecycleFixture) UpdateQuery { return UpdateQuery{Table: f.t, Low: 0, High: 9999, Delta: 1} }
+	for _, c := range []struct {
+		name    string
+		wrapper func(f lifecycleFixture) (any, error)
+		run     func(f lifecycleFixture) (any, error) // Run, in the wrapper's result type
+	}{
+		{"Execute",
+			func(f lifecycleFixture) (any, error) { return f.sys.Execute(scan(f), Cold()) },
+			func(f lifecycleFixture) (any, error) { return f.sys.Run(bg, scan(f), Cold()) }},
+		{"ExecutePlan",
+			func(f lifecycleFixture) (any, error) { return f.sys.ExecutePlan(scan(f), forced, Cold()) },
+			func(f lifecycleFixture) (any, error) { return f.sys.Run(bg, scan(f), WithPlan(forced), Cold()) }},
+		{"ExecuteGroupBy",
+			func(f lifecycleFixture) (any, error) { return f.sys.ExecuteGroupBy(groupBy(f), Cold()) },
+			func(f lifecycleFixture) (any, error) {
+				res, err := f.sys.Run(bg, groupBy(f), Cold())
+				return GroupByResult{Groups: res.Groups, Rows: res.Rows, Plan: res.Plan, Runtime: res.Runtime}, err
+			}},
+		{"ExecuteJoin",
+			func(f lifecycleFixture) (any, error) { return f.sys.ExecuteJoin(join(f), Cold()) },
+			func(f lifecycleFixture) (any, error) {
+				res, err := f.sys.Run(bg, join(f), Cold())
+				j := res.Plan.Join
+				return JoinResult{Value: res.Value, Found: res.Found, Pairs: res.Rows, BuildRows: res.BuildRows, ProbeRows: res.ProbeRows,
+					Method: j.Method, BuildPlan: j.Build, ProbePlan: j.Probe, Runtime: res.Runtime}, err
+			}},
+		{"Update",
+			func(f lifecycleFixture) (any, error) { return f.sys.Update(update(f), Cold()) },
+			func(f lifecycleFixture) (any, error) {
+				res, err := f.sys.Run(bg, update(f), Cold())
+				return UpdateResult{RowsUpdated: res.Rows, PagesWritten: res.PagesWritten, Plan: res.Plan, Runtime: res.Runtime}, err
+			}},
+	} {
+		got, err := c.wrapper(a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want, err := c.run(b)
+		if err != nil {
+			t.Fatalf("Run for %s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s returned\n%+v\nRun returned\n%+v", c.name, got, want)
+		}
 	}
 }
 
@@ -159,7 +203,7 @@ func TestInertControlPreservesByteIdentity(t *testing.T) {
 	// no control at all: same answer, same virtual runtime, same I/O count.
 	run := func(opts ...QueryOption) Result {
 		sys, tab := newCalibrated(t, SSD, 50000, 33)
-		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 9999}, append(opts, Cold())...)
+		res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9999}, append(opts, Cold())...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +211,7 @@ func TestInertControlPreservesByteIdentity(t *testing.T) {
 	}
 	plain := run()
 	timed := run(WithTimeout(time.Hour))
-	if plain != timed {
+	if !reflect.DeepEqual(plain, timed) {
 		t.Errorf("WithTimeout(inert) changed the run:\n  plain %+v\n  timed %+v", plain, timed)
 	}
 }
@@ -185,7 +229,7 @@ func TestZeroFaultScheduleIsByteIdentical(t *testing.T) {
 		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
 			t.Fatal(err)
 		}
-		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 9999}, Cold())
+		res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9999}, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +237,7 @@ func TestZeroFaultScheduleIsByteIdentical(t *testing.T) {
 	}
 	plain := run(false)
 	armedEmpty := run(true)
-	if plain != armedEmpty {
+	if !reflect.DeepEqual(plain, armedEmpty) {
 		t.Errorf("empty fault schedule changed the run:\n  plain %+v\n  armed %+v", plain, armedEmpty)
 	}
 }
@@ -209,12 +253,12 @@ func TestDeterministicFaultReplay(t *testing.T) {
 				StragglerLatency: 2 * time.Millisecond,
 			}},
 		})
-		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 9999}, Cold())
+		res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9999}, Cold())
 		return res, err, sys.FaultStats()
 	}
 	r1, e1, s1 := run()
 	r2, e2, s2 := run()
-	if r1 != r2 || s1 != s2 || (e1 == nil) != (e2 == nil) {
+	if !reflect.DeepEqual(r1, r2) || s1 != s2 || (e1 == nil) != (e2 == nil) {
 		t.Errorf("identical fault schedules diverged:\n  run1 %+v %v %+v\n  run2 %+v %v %+v",
 			r1, e1, s1, r2, e2, s2)
 	}
@@ -223,7 +267,7 @@ func TestDeterministicFaultReplay(t *testing.T) {
 func TestDeviceFaultSurvivingRetriesFailsQuery(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ErrorRate: 1}}})
-	_, err := sys.Execute(Query{Table: tab, Low: 0, High: 999}, Cold())
+	_, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 999}, Cold())
 	if !errors.Is(err, ErrDeviceFault) {
 		t.Fatalf("err = %v, want ErrDeviceFault", err)
 	}
@@ -231,7 +275,7 @@ func TestDeviceFaultSurvivingRetriesFailsQuery(t *testing.T) {
 
 	// Recovery: clear the faults and the same query succeeds.
 	sys.ClearFaults()
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 999}, Cold()); err != nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 999}, Cold()); err != nil {
 		t.Fatalf("query after ClearFaults failed: %v", err)
 	}
 }
@@ -312,11 +356,12 @@ func TestConcurrentSubmitErrorReclaimsPartialBatch(t *testing.T) {
 	assertNoLeaks(t, sys)
 
 	// A sole follow-up query sees an idle broker again: unbounded lease.
-	sub, err := sys.Submit(Query{Table: tab, Low: 0, High: 999})
+	ses := openSession(t, sys)
+	sub, err := ses.Submit(Query{Table: tab, Low: 0, High: 999})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(); err != nil {
+	if err := ses.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sub.Admission().Budget; got != 0 {
@@ -371,8 +416,8 @@ func TestNotCalibratedTaxonomy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 9}); !errors.Is(err, ErrNotCalibrated) {
-		t.Errorf("Execute uncalibrated: err = %v, want ErrNotCalibrated", err)
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9}); !errors.Is(err, ErrNotCalibrated) {
+		t.Errorf("Run uncalibrated: err = %v, want ErrNotCalibrated", err)
 	}
 	if _, err := sys.ExecuteConcurrent([]Query{{Table: tab, Low: 0, High: 9}}); !errors.Is(err, ErrNotCalibrated) {
 		t.Errorf("ExecuteConcurrent uncalibrated: err = %v, want ErrNotCalibrated", err)
@@ -383,8 +428,8 @@ func TestNotCalibratedTaxonomy(t *testing.T) {
 	if _, err := sys.Model(); !errors.Is(err, ErrNotCalibrated) {
 		t.Errorf("Model uncalibrated: err = %v, want ErrNotCalibrated", err)
 	}
-	if _, err := sys.Execute(Query{}); !errors.Is(err, ErrInvalidQuery) {
-		t.Errorf("Execute without table: err = %v, want ErrInvalidQuery", err)
+	if _, err := sys.Run(context.Background(), Query{}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("Run without table: err = %v, want ErrInvalidQuery", err)
 	}
 }
 
@@ -420,64 +465,85 @@ func newLifecycleFixture(t *testing.T, shards int) lifecycleFixture {
 	return f
 }
 
-// entryPoints lists every public way to run a query, each reduced to its
-// whole result value, the plans it reports, and its error. Rows with
-// shards > 1 run on a sharded fixture.
-var entryPoints = []struct {
-	name     string
-	shards   int
-	takesCtx bool
-	run      func(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (any, []Plan, error)
-}{
-	{"Query", 1, true, func(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.Query(ctx, Query{Table: f.t, Low: 0, High: 9999}, opts...)
-		return res, []Plan{res.Plan}, err
-	}},
-	{"Query/4-shard", 4, true, func(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.Query(ctx, Query{Table: f.t, Low: 0, High: 9999}, opts...)
-		return res, []Plan{res.Plan}, err
-	}},
-	{"ExecutePlan", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.ExecutePlan(Query{Table: f.t, Low: 0, High: 9999}, Plan{Method: IndexScan, Degree: 8}, opts...)
-		return res, []Plan{res.Plan}, err
-	}},
-	{"ExecuteGroupBy", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.ExecuteGroupBy(GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}, opts...)
-		return res, []Plan{res.Plan}, err
-	}},
-	{"ExecuteGroupBy/4-shard", 4, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.ExecuteGroupBy(GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}, opts...)
-		return res, []Plan{res.Plan}, err
-	}},
-	{"ExecuteJoin/HashJoin", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.ExecuteJoin(JoinQuery{Build: f.t, Probe: f.big, Low: 0, High: 29999}, opts...)
-		if err == nil && res.Method != "HashJoin" {
-			err = fmt.Errorf("planner chose %s; the row is meant to cover HashJoin", res.Method)
+// entryPoint is one way to run a request: Run, or Session.Submit and a
+// Drain. Rows with shards > 1 run on a sharded fixture; a join row names
+// the method it is meant to cover.
+type entryPoint struct {
+	name   string
+	shards int
+	submit bool
+	req    func(f lifecycleFixture) Request
+	opts   []QueryOption // the row's own, ahead of the caller's
+	method string
+}
+
+// entryPoints lists every request kind on both paths, and the sharded scan
+// and group-by on both. The Run rows keep the names of the calls they
+// replaced, so each test id follows its operation across the move to Run.
+var entryPoints = func() []entryPoint {
+	scan := func(f lifecycleFixture) Request { return Query{Table: f.t, Low: 0, High: 9999} }
+	groupBy := func(f lifecycleFixture) Request {
+		return GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum}
+	}
+	hashJoin := func(f lifecycleFixture) Request { return JoinQuery{Build: f.t, Probe: f.big, Low: 0, High: 29999} }
+	nlJoin := func(f lifecycleFixture) Request { return JoinQuery{Build: f.skewed, Probe: f.big, Low: 0, High: 29999} }
+	update := func(f lifecycleFixture) Request { return UpdateQuery{Table: f.t, Low: 0, High: 9999, Delta: 1} }
+	forced := []QueryOption{WithPlan(Plan{Method: IndexScan, Degree: 8})}
+	return []entryPoint{
+		{name: "Query", shards: 1, req: scan},
+		{name: "Query/4-shard", shards: 4, req: scan},
+		{name: "ExecutePlan", shards: 1, req: scan, opts: forced},
+		{name: "ExecuteGroupBy", shards: 1, req: groupBy},
+		{name: "ExecuteGroupBy/4-shard", shards: 4, req: groupBy},
+		{name: "ExecuteJoin/HashJoin", shards: 1, req: hashJoin, method: "HashJoin"},
+		{name: "ExecuteJoin/IndexNLJoin", shards: 1, req: nlJoin, method: "IndexNLJoin"},
+		{name: "Update", shards: 1, req: update},
+		{name: "Submit", shards: 1, submit: true, req: scan},
+		{name: "Submit/4-shard", shards: 4, submit: true, req: scan},
+		{name: "Submit/GroupBy", shards: 1, submit: true, req: groupBy},
+		{name: "Submit/GroupBy/4-shard", shards: 4, submit: true, req: groupBy},
+		{name: "Submit/Join/HashJoin", shards: 1, submit: true, req: hashJoin, method: "HashJoin"},
+		{name: "Submit/Join/IndexNLJoin", shards: 1, submit: true, req: nlJoin, method: "IndexNLJoin"},
+		{name: "Submit/Update", shards: 1, submit: true, req: update},
+	}
+}()
+
+// run runs the row's request on f — a Submit row ignores ctx — and returns
+// its result and the plans it reports (a join's top-level plan and both of
+// its sides).
+func (e entryPoint) run(f lifecycleFixture, ctx context.Context, opts ...QueryOption) (Result, []Plan, error) {
+	opts = append(e.opts[:len(e.opts):len(e.opts)], opts...)
+	var res Result
+	var err error
+	if e.submit {
+		res, err = submitAndDrain(f.sys, e.req(f), opts...)
+	} else {
+		res, err = f.sys.Run(ctx, e.req(f), opts...)
+	}
+	plans := []Plan{res.Plan}
+	if j := res.Plan.Join; j != nil {
+		plans = append(plans, j.Build, j.Probe)
+		if j.Method != e.method {
+			err = fmt.Errorf("planner chose %s; the row is meant to cover %s", j.Method, e.method)
 		}
-		return res, []Plan{res.BuildPlan, res.ProbePlan}, err
-	}},
-	{"ExecuteJoin/IndexNLJoin", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.ExecuteJoin(JoinQuery{Build: f.skewed, Probe: f.big, Low: 0, High: 29999}, opts...)
-		if err == nil && res.Method != "IndexNLJoin" {
-			err = fmt.Errorf("planner chose %s; the row is meant to cover IndexNLJoin", res.Method)
-		}
-		return res, []Plan{res.BuildPlan, res.ProbePlan}, err
-	}},
-	{"Update", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		res, err := f.sys.Update(UpdateQuery{Table: f.t, Low: 0, High: 9999, Delta: 1}, opts...)
-		return res, []Plan{res.Plan}, err
-	}},
-	{"Submit", 1, false, func(f lifecycleFixture, _ context.Context, opts ...QueryOption) (any, []Plan, error) {
-		sub, err := f.sys.Submit(Query{Table: f.t, Low: 0, High: 9999}, opts...)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := f.sys.Drain(); err != nil {
-			return nil, nil, err
-		}
-		res, err := sub.Result()
-		return res, []Plan{res.Plan}, err
-	}},
+	}
+	return res, plans, err
+}
+
+// submitAndDrain runs req alone in a new session on sys.
+func submitAndDrain(sys *System, req Request, opts ...QueryOption) (Result, error) {
+	ses, err := sys.OpenSession()
+	if err != nil {
+		return Result{}, err
+	}
+	sub, err := ses.Submit(req, opts...)
+	if err != nil {
+		return Result{}, err
+	}
+	if err := ses.Drain(); err != nil {
+		return Result{}, err
+	}
+	return sub.Result()
 }
 
 // TestEntryPointsAbortUniformly: every entry point runs through the one
@@ -512,7 +578,7 @@ func TestEntryPointsAbortUniformly(t *testing.T) {
 			fixtures[e.shards] = f
 		}
 		for _, a := range aborts {
-			if a.needsCtx && !e.takesCtx {
+			if a.needsCtx && e.submit {
 				continue
 			}
 			t.Run(e.name+"/"+a.name, func(t *testing.T) {
@@ -520,7 +586,7 @@ func TestEntryPointsAbortUniformly(t *testing.T) {
 				// the next, so the baseline is the second of two healthy
 				// runs: like the run after the abort, it follows a run of
 				// this same query.
-				var want any
+				var want Result
 				for range 2 {
 					var err error
 					if want, _, err = e.run(f, context.Background(), Cold()); err != nil {
@@ -658,12 +724,12 @@ func TestEveryEntryPointIsAdmittedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ExecutePlan(Query{Table: tab, Low: 0, High: 9999}, Plan{Method: IndexScan, Degree: 8})
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9999}, WithPlan(Plan{Method: IndexScan, Degree: 8}))
 	if err != nil || !res.Found || res.Rows == 0 {
-		t.Fatalf("uncalibrated ExecutePlan = %+v, %v; want an answer", res, err)
+		t.Fatalf("uncalibrated Run under WithPlan = %+v, %v; want an answer", res, err)
 	}
 	if sys.broker != nil {
-		t.Error("an uncalibrated ExecutePlan built a broker")
+		t.Error("an uncalibrated Run under WithPlan built a broker")
 	}
 	assertNoLeaks(t, sys)
 }
@@ -676,7 +742,7 @@ func TestStandaloneQueryPlansAtDegradedSupply(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	sys.EnableEventLog(1 << 16)
 	q := Query{Table: tab, Low: 0, High: 499}
-	healthy, err := sys.Execute(q, Cold())
+	healthy, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,7 +756,7 @@ func TestStandaloneQueryPlansAtDegradedSupply(t *testing.T) {
 	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ChannelLoss: 0.5}}})
 	defer sys.ClearFaults()
 	sys.ResetEventLog()
-	res, err := sys.Execute(q, Cold())
+	res, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +781,7 @@ func TestStandaloneQueuesBehindPendingSubmissions(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	sys.EnableEventLog(1 << 16)
 	q := Query{Table: tab, Low: 100000, High: 100499}
-	alone, err := sys.Execute(q)
+	alone, err := sys.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -732,7 +798,7 @@ func TestStandaloneQueuesBehindPendingSubmissions(t *testing.T) {
 		subs = append(subs, sub)
 	}
 	sys.ResetEventLog()
-	res, err := sys.Execute(q)
+	res, err := sys.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

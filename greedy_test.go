@@ -1,6 +1,9 @@
 package pioqo
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestGreedyPlanningServesSameAnswers is the engine-level A/B for the
 // serving plan path: a system whose every query carries
@@ -14,11 +17,11 @@ func TestGreedyPlanningServesSameAnswers(t *testing.T) {
 
 	windows := [][2]int64{{0, 49}, {100, 599}, {7000, 7499}, {0, 24999}, {0, 49999}}
 	for _, w := range windows {
-		rd, err := def.Execute(Query{Table: dtab, Low: w[0], High: w[1]}, Cold())
+		rd, err := def.Run(context.Background(), Query{Table: dtab, Low: w[0], High: w[1]}, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rg, err := gr.Execute(Query{Table: gtab, Low: w[0], High: w[1]}, Cold(), greedy)
+		rg, err := gr.Run(context.Background(), Query{Table: gtab, Low: w[0], High: w[1]}, Cold(), greedy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,11 +98,11 @@ func TestWithGreedyPlanningOption(t *testing.T) {
 		t.Errorf("shifted same-band windows never hit the band cache: %+v", st)
 	}
 
-	rd, err := sys.Execute(q, Cold())
+	rd, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := sys.Execute(q, Cold(), WithPlanOptions(PlanOptions{GreedyPlanning: true}))
+	rg, err := sys.Run(context.Background(), q, Cold(), WithPlanOptions(PlanOptions{GreedyPlanning: true}))
 	if err != nil {
 		t.Fatal(err)
 	}

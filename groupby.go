@@ -29,54 +29,51 @@ type GroupRow struct {
 	Rows  int64
 }
 
-// GroupByResult reports a grouped aggregation.
+// GroupByResult is ExecuteGroupBy's shape of a group-by's Result.
 type GroupByResult struct {
-	Groups  []GroupRow // sorted by Key
+	Groups  []GroupRow
 	Rows    int64
-	Plan    Plan // the scan plan feeding the aggregation
+	Plan    Plan
 	Runtime time.Duration
 }
 
-// ExecuteGroupBy optimizes the underlying scan and runs the grouped
-// aggregation — Query's lifecycle with a grouping body, so every option
-// applies and an abort comes back as a *QueryError. On a sharded table each
-// shard groups its own partition and the group partials are folded on the
-// coordinator: GROUP BY decomposes like the scalar aggregates.
+// ExecuteGroupBy is Run of q under a background context.
+//
+// Deprecated: use Run. Kept for the frozen bench/ suite.
 func (s *System) ExecuteGroupBy(q GroupByQuery, opts ...QueryOption) (GroupByResult, error) {
-	scan := Query{Table: q.Table, Low: q.Low, High: q.High}
-	var res exec.GroupByResult
-	lc := lifecycle{op: "groupby", scan: scan, tables: []*Table{q.Table}, scatter: true}
+	res, err := s.Run(context.Background(), q, opts...)
+	return GroupByResult{Groups: res.Groups, Rows: res.Rows, Plan: res.Plan, Runtime: res.Runtime}, err
+}
+
+// scan is the range scan that feeds the aggregation.
+func (q GroupByQuery) scan() Query { return Query{Table: q.Table, Low: q.Low, High: q.High} }
+
+func (q GroupByQuery) request() lifecycle {
+	lc := lifecycle{op: "groupby", scan: q.scan(), tables: []*Table{q.Table}, scatter: true}
 	if q.GroupWidth <= 0 {
 		lc.invalid = fmt.Errorf("%w: group width %d must be positive", ErrInvalidQuery, q.GroupWidth)
 	}
-	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
-		plan, err := r.optimize(scan, po)
-		if err != nil {
-			return planned{}, err
+	return lc
+}
+
+// body is the grouped aggregation: the optimizer plans the underlying
+// scan, and the rows it yields are grouped. On a sharded table each shard
+// groups its own partition and the group partials are folded on the
+// coordinator: GROUP BY decomposes like the scalar aggregates.
+func (q GroupByQuery) body(r *queryRun, po PlanOptions) (planned, error) {
+	scan, agg := q.scan(), q.Agg.internal()
+	return r.rangeScan(scan, po, func(p *sim.Proc, plan *Plan, shards []exec.ShardScan) {
+		var res exec.GroupByResult
+		if shards == nil {
+			part := q.Table.one()
+			spec := exec.GroupBySpec{Scan: r.spec(part, scan, plan), GroupWidth: q.GroupWidth, Agg: agg}
+			res = exec.RunGroupBy(p, r.context(part.node), spec)
+		} else {
+			res = exec.RunGatherGroupBy(p, shards, plan.pruned, q.GroupWidth, agg, r.qid)
 		}
-		agg := q.Agg.internal()
-		if !q.Table.sharded() {
-			r.pin(&plan)
-			return planned{plan, int(plan.depth), func(p *sim.Proc) {
-				part := q.Table.one()
-				spec := exec.GroupBySpec{Scan: r.spec(part, scan, &plan), GroupWidth: q.GroupWidth, Agg: agg}
-				res = exec.RunGroupBy(p, r.context(part.node), spec)
-			}}, nil
+		r.res.Rows = res.Rows
+		for _, g := range res.Groups {
+			r.res.Groups = append(r.res.Groups, GroupRow{Key: g.Key, Value: g.Value, Rows: g.Rows})
 		}
-		active := r.scatter(scan, &plan)
-		if len(active) == 0 {
-			return planned{plan: plan}, nil
-		}
-		return planned{plan, int(plan.depth), func(p *sim.Proc) {
-			res = exec.RunGatherGroupBy(p, r.scans(scan, plan, active), plan.pruned, q.GroupWidth, agg, r.qid)
-		}}, nil
 	})
-	if err != nil {
-		return GroupByResult{}, err
-	}
-	out := GroupByResult{Rows: res.Rows, Plan: ran.plan, Runtime: ran.runtime}
-	for _, g := range res.Groups {
-		out.Groups = append(out.Groups, GroupRow{Key: g.Key, Value: g.Value, Rows: g.Rows})
-	}
-	return out, nil
 }

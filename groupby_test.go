@@ -1,13 +1,14 @@
 package pioqo
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
 
 func TestExecuteGroupByCorrectness(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
-	res, err := sys.ExecuteGroupBy(GroupByQuery{
+	res, err := sys.Run(context.Background(), GroupByQuery{
 		Table: tab, Low: 0, High: 1999, GroupWidth: 500, Agg: Count,
 	}, Cold())
 	if err != nil {
@@ -24,7 +25,7 @@ func TestExecuteGroupByCorrectness(t *testing.T) {
 			t.Errorf("group %d: COUNT %d != rows %d", g.Key, g.Value, g.Rows)
 		}
 	}
-	whole, err := sys.Execute(Query{Table: tab, Low: 0, High: 1999, Agg: Count}, Cold())
+	whole, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 1999, Agg: Count}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,10 +39,10 @@ func TestExecuteGroupByCorrectness(t *testing.T) {
 
 func TestExecuteGroupByValidation(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 1000, 33)
-	if _, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, GroupWidth: 0}); !errors.Is(err, ErrInvalidQuery) {
+	if _, err := sys.Run(context.Background(), GroupByQuery{Table: tab, GroupWidth: 0}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("zero group width: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, err := sys.ExecuteGroupBy(GroupByQuery{GroupWidth: 10}); !errors.Is(err, ErrInvalidQuery) {
+	if _, err := sys.Run(context.Background(), GroupByQuery{GroupWidth: 10}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("missing table: err = %v, want ErrInvalidQuery", err)
 	}
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -202,7 +203,7 @@ func TestResidualShardedGather(t *testing.T) {
 		}
 	}
 	for i, plan := range plans {
-		res, err := sys.ExecutePlan(q, plan, pioqo.Cold())
+		res, err := sys.Run(context.Background(), q, pioqo.WithPlan(plan), pioqo.Cold())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"context"
 	"sort"
 	"testing"
 	"time"
@@ -95,7 +96,7 @@ func runScatters(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 		if i%2 == 1 {
 			opts = append(opts, greedy)
 		}
-		if _, err := sys.Execute(q, opts...); err != nil {
+		if _, err := sys.Run(context.Background(), q, opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +117,7 @@ func runServing(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 		t.Fatal(err)
 	}
 	for _, hi := range []int64{999, 3999} {
-		if _, err := sys.Execute(pioqo.Query{Table: tab, Low: 0, High: hi}, pioqo.Cold(), pioqo.WithAdaptive()); err != nil {
+		if _, err := sys.Run(context.Background(), pioqo.Query{Table: tab, Low: 0, High: hi}, pioqo.Cold(), pioqo.WithAdaptive()); err != nil {
 			t.Fatal(err)
 		}
 	}

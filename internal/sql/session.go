@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -150,7 +151,7 @@ func (s *Session) selectStmt(st *Statement) (string, error) {
 		}
 		return strings.TrimRight(b.String(), "\n"), nil
 	}
-	res, err := s.sys.Execute(q, pioqo.WithPlanOptions(s.planOptions()))
+	res, err := s.sys.Run(context.Background(), q, pioqo.WithPlanOptions(s.planOptions()))
 	if err != nil {
 		return "", err
 	}
@@ -167,7 +168,7 @@ func (s *Session) selectStmt(st *Statement) (string, error) {
 // workers), and the engine metrics attributed to exactly this query.
 func (s *Session) explainAnalyze(st *Statement, q pioqo.Query) (string, error) {
 	var tel pioqo.QueryTelemetry
-	res, err := s.sys.Execute(q,
+	res, err := s.sys.Run(context.Background(), q,
 		pioqo.WithPlanOptions(s.planOptions()), pioqo.WithTrace(&tel))
 	if err != nil {
 		return "", err
@@ -197,7 +198,7 @@ func (s *Session) groupByStmt(st *Statement) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	res, err := s.sys.ExecuteGroupBy(pioqo.GroupByQuery{
+	res, err := s.sys.Run(context.Background(), pioqo.GroupByQuery{
 		Table:      q.Table,
 		Low:        q.Low,
 		High:       q.High,
@@ -242,13 +243,13 @@ func (s *Session) joinStmt(st *Statement) (string, error) {
 		jq.Agg = pioqo.Count
 	}
 	if st.Explain {
-		plan, err := s.sys.PlanJoin(jq, s.planOptions())
+		plan, err := s.sys.Plan(jq, s.planOptions())
 		if err != nil {
 			return "", err
 		}
 		return fmt.Sprintf("=> %v", plan), nil
 	}
-	res, err := s.sys.ExecuteJoin(jq, pioqo.WithPlanOptions(s.planOptions()))
+	res, err := s.sys.Run(context.Background(), jq, pioqo.WithPlanOptions(s.planOptions()))
 	if err != nil {
 		return "", err
 	}
@@ -257,8 +258,8 @@ func (s *Session) joinStmt(st *Statement) (string, error) {
 		value = "NULL"
 	}
 	return fmt.Sprintf("%s(%s) = %s  (%d pairs, %v; build %v, probe %v)",
-		st.Agg, aggArg(st.Agg), value, res.Pairs, res.Runtime,
-		res.BuildPlan, res.ProbePlan), nil
+		st.Agg, aggArg(st.Agg), value, res.Rows, res.Runtime,
+		res.Plan.Join.Build, res.Plan.Join.Probe), nil
 }
 
 func aggArg(agg string) string {
@@ -274,14 +275,14 @@ func (s *Session) updateStmt(st *Statement) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("sql: unknown table %q", st.From)
 	}
-	res, err := s.sys.Update(pioqo.UpdateQuery{
+	res, err := s.sys.Run(context.Background(), pioqo.UpdateQuery{
 		Table: tab, Low: st.Low, High: st.High, Delta: st.Delta,
 	}, pioqo.WithPlanOptions(s.planOptions()))
 	if err != nil {
 		return "", err
 	}
 	return fmt.Sprintf("%d rows updated, %d pages written, %v via %v",
-		res.RowsUpdated, res.PagesWritten, res.Runtime, res.Plan), nil
+		res.Rows, res.PagesWritten, res.Runtime, res.Plan), nil
 }
 
 func (s *Session) set(st *Statement) (string, error) {

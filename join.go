@@ -28,31 +28,25 @@ type JoinQuery struct {
 	Agg Aggregate
 }
 
-// JoinResult reports an executed join.
+// JoinResult is ExecuteJoin's shape of a join's Result: Pairs is its Rows,
+// and Method, BuildPlan and ProbePlan are its Plan.Join's.
 type JoinResult struct {
-	// Value is the aggregate over probe-side C1 across joined pairs.
-	Value int64
-	Found bool
-	// Pairs is the number of joined pairs; BuildRows and ProbeRows count
-	// the rows each side's scan produced.
-	Pairs     int64
-	BuildRows int64
-	ProbeRows int64
-	// Method is the chosen join algorithm: "HashJoin" or "IndexNLJoin".
-	Method string
-	// BuildPlan and ProbePlan are the chosen access paths (for an index
-	// nested-loop join, ProbePlan describes the per-key lookup degree).
-	BuildPlan Plan
-	ProbePlan Plan
-	Runtime   time.Duration
+	Value                       int64
+	Found                       bool
+	Pairs, BuildRows, ProbeRows int64
+	Method                      string
+	BuildPlan, ProbePlan        Plan
+	Runtime                     time.Duration
 }
 
-// JoinPlan describes the optimizer's choice for a join without running it.
+// JoinPlan is the optimizer's choice for a join: the Join of a JoinQuery's
+// Plan, whether planned (System.Plan) or run (Result.Plan).
 type JoinPlan struct {
 	// Method is "HashJoin" or "IndexNLJoin".
 	Method string
-	Build  Plan
-	Probe  Plan
+	// Build and Probe are the two sides' access paths (for an index
+	// nested-loop join, Probe describes the per-key lookup degree).
+	Build, Probe Plan
 	// EstimatedCost is the total join estimate.
 	EstimatedCost time.Duration
 }
@@ -62,18 +56,13 @@ func (p JoinPlan) String() string {
 		p.Method, p.Build, p.Probe, p.EstimatedCost)
 }
 
-// PlanJoin returns the optimizer's join plan without executing it.
-func (s *System) PlanJoin(q JoinQuery, o PlanOptions) (JoinPlan, error) {
-	jp, err := s.planJoin(q, o)
-	if err != nil {
-		return JoinPlan{}, err
-	}
-	return JoinPlan{
-		Method:        jp.Method.String(),
-		Build:         fromInternalPlan(jp.Build),
-		Probe:         fromInternalPlan(jp.Probe),
-		EstimatedCost: time.Duration(jp.TotalMicros * 1e3),
-	}, nil
+// fromJoinPlan is a join's public plan: its build side's shape, carrying
+// the whole choice in Join.
+func fromJoinPlan(jp opt.JoinPlan) Plan {
+	plan := fromInternalPlan(jp.Build)
+	plan.Join = &JoinPlan{Method: jp.Method.String(), Build: plan, Probe: fromInternalPlan(jp.Probe),
+		EstimatedCost: time.Duration(jp.TotalMicros * 1e3)}
+	return plan
 }
 
 func (s *System) planJoin(q JoinQuery, po PlanOptions) (opt.JoinPlan, error) {
@@ -88,55 +77,55 @@ func (s *System) planJoin(q JoinQuery, po PlanOptions) (opt.JoinPlan, error) {
 	return opt.ChooseJoin(cfg, buildIn, probeIn), nil
 }
 
-// ExecuteJoin optimizes and runs a join — Query's lifecycle with a join
-// body, so both phases run under the query's abort control and retry
-// policy and a static degree pins both sides. Both sides require an index
-// only if their chosen plan needs one; unindexed tables simply restrict
-// the planner (to full scans, and to the hash join on the probe side).
+// ExecuteJoin is Run of q under a background context.
+//
+// Deprecated: use Run. Kept for the frozen bench/ suite.
 func (s *System) ExecuteJoin(q JoinQuery, opts ...QueryOption) (JoinResult, error) {
-	// The two scans feed the join through row hooks; the aggregate is the
-	// join's own (JoinSpec.Agg), not theirs.
-	build := Query{Table: q.Build, Low: q.Low, High: q.High}
-	probe := Query{Table: q.Probe, Low: q.Low, High: q.High}
-	var method exec.JoinMethod
-	var probePlan Plan
-	var res exec.JoinResult
-	lc := lifecycle{op: "join", scan: build, tables: []*Table{q.Build, q.Probe}}
-	ran, err := s.run(context.Background(), lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
-		jp, err := s.planJoin(q, po)
-		if err != nil {
-			return planned{}, err
-		}
-		method = jp.Method
-		buildPlan := fromInternalPlan(jp.Build)
-		probePlan = fromInternalPlan(jp.Probe)
-		r.pin(&buildPlan)
-		r.pin(&probePlan)
-		// The phases run one after the other, so the join's lease asks for
-		// the deeper of the two.
-		depth := int(max(jp.Build.Depth, jp.Probe.Depth))
-		return planned{buildPlan, depth, func(p *sim.Proc) {
-			spec := exec.JoinSpec{
-				Method: jp.Method,
-				Build:  r.spec(q.Build.one(), build, &buildPlan),
-				Probe:  r.spec(q.Probe.one(), probe, &probePlan),
-				Agg:    q.Agg.internal(),
-			}
-			res = exec.RunJoin(p, r.context(s.coord()), spec)
-		}}, nil
-	})
+	res, err := s.Run(context.Background(), q, opts...)
 	if err != nil {
 		return JoinResult{}, err
 	}
-	return JoinResult{
-		Value:     res.Value,
-		Found:     res.Found,
-		Pairs:     res.Pairs,
-		BuildRows: res.BuildRows,
-		ProbeRows: res.ProbeRows,
-		Method:    method.String(),
-		BuildPlan: ran.plan,
-		ProbePlan: probePlan,
-		Runtime:   ran.runtime,
-	}, nil
+	jp := res.Plan.Join
+	return JoinResult{Value: res.Value, Found: res.Found, Pairs: res.Rows, BuildRows: res.BuildRows, ProbeRows: res.ProbeRows,
+		Method: jp.Method, BuildPlan: jp.Build, ProbePlan: jp.Probe, Runtime: res.Runtime}, nil
+}
+
+func (q JoinQuery) request() lifecycle {
+	return lifecycle{op: "join", scan: Query{Table: q.Build, Low: q.Low, High: q.High}, tables: []*Table{q.Build, q.Probe}}
+}
+
+// body is the join: both phases run under the query's abort control and
+// retry policy, and a static degree pins both sides. Both sides require an
+// index only if their chosen plan needs one; unindexed tables simply
+// restrict the planner (to full scans, and to the hash join on the probe
+// side).
+func (q JoinQuery) body(r *queryRun, po PlanOptions) (planned, error) {
+	if r.eo.forced != nil {
+		return planned{}, fmt.Errorf("%w: WithPlan forces one scan; a join plans both of its sides", ErrInvalidQuery)
+	}
+	ijp, err := r.s.planJoin(q, po)
+	if err != nil {
+		return planned{}, err
+	}
+	jp := fromJoinPlan(ijp).Join
+	r.pin(&jp.Build)
+	r.pin(&jp.Probe)
+	plan := jp.Build
+	plan.Join = jp
+	// The phases run one after the other, so the join's lease asks for the
+	// deeper of the two.
+	depth := int(max(ijp.Build.Depth, ijp.Probe.Depth))
+	return planned{plan, depth, func(p *sim.Proc) {
+		// The two scans feed the join through row hooks; the aggregate is
+		// the join's own (JoinSpec.Agg), not theirs.
+		spec := exec.JoinSpec{
+			Method: ijp.Method,
+			Build:  r.spec(q.Build.one(), Query{Table: q.Build, Low: q.Low, High: q.High}, &jp.Build),
+			Probe:  r.spec(q.Probe.one(), Query{Table: q.Probe, Low: q.Low, High: q.High}, &jp.Probe),
+			Agg:    q.Agg.internal(),
+		}
+		res := exec.RunJoin(p, r.context(r.s.coord()), spec)
+		r.res.Value, r.res.Found, r.res.Rows = res.Value, res.Found, res.Pairs
+		r.res.BuildRows, r.res.ProbeRows = res.BuildRows, res.ProbeRows
+	}}, nil
 }

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -28,13 +29,13 @@ func newJoinSystem(t *testing.T) (*System, *Table, *Table) {
 
 func TestExecuteJoinBasics(t *testing.T) {
 	sys, dim, fact := newJoinSystem(t)
-	res, err := sys.ExecuteJoin(JoinQuery{
+	res, err := sys.Run(context.Background(), JoinQuery{
 		Build: dim, Probe: fact, Low: 0, High: 499,
 	}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Pairs == 0 || !res.Found {
+	if res.Rows == 0 || !res.Found {
 		t.Fatalf("join produced nothing: %+v", res)
 	}
 	if res.BuildRows == 0 || res.ProbeRows == 0 {
@@ -43,21 +44,21 @@ func TestExecuteJoinBasics(t *testing.T) {
 	if res.Runtime <= 0 {
 		t.Error("non-positive runtime")
 	}
-	// Exactness: COUNT over the same join equals Pairs.
-	cnt, err := sys.ExecuteJoin(JoinQuery{
+	// Exactness: COUNT over the same join equals its pairs (Rows).
+	cnt, err := sys.Run(context.Background(), JoinQuery{
 		Build: dim, Probe: fact, Low: 0, High: 499, Agg: Count,
 	}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cnt.Value != res.Pairs {
-		t.Errorf("COUNT = %d, pairs = %d", cnt.Value, res.Pairs)
+	if cnt.Value != res.Rows {
+		t.Errorf("COUNT = %d, pairs = %d", cnt.Value, res.Rows)
 	}
 }
 
 func TestJoinPlansBothSides(t *testing.T) {
 	sys, dim, fact := newJoinSystem(t)
-	res, err := sys.ExecuteJoin(JoinQuery{
+	res, err := sys.Run(context.Background(), JoinQuery{
 		Build: dim, Probe: fact, Low: 0, High: 49, // 1% of the dim domain
 	}, Cold())
 	if err != nil {
@@ -66,30 +67,30 @@ func TestJoinPlansBothSides(t *testing.T) {
 	// Narrow range: the large probe side should go through its index in
 	// parallel under the QDTT model. (The tiny build side legitimately
 	// full-scans — 152 pages of sequential I/O beat 50 random fetches.)
-	if res.ProbePlan.Method != IndexScan {
-		t.Errorf("probe plan %v, want an index scan", res.ProbePlan)
+	if res.Plan.Join.Probe.Method != IndexScan {
+		t.Errorf("probe plan %v, want an index scan", res.Plan.Join.Probe)
 	}
-	if res.ProbePlan.Degree < 8 {
-		t.Errorf("probe degree %d, want parallel", res.ProbePlan.Degree)
+	if res.Plan.Join.Probe.Degree < 8 {
+		t.Errorf("probe degree %d, want parallel", res.Plan.Join.Probe.Degree)
 	}
-	if res.BuildPlan.Method == FullTableScan && res.BuildPlan.Degree > 8 {
-		t.Errorf("build plan %v over-parallelized for a 152-page table", res.BuildPlan)
+	if res.Plan.Join.Build.Method == FullTableScan && res.Plan.Join.Build.Degree > 8 {
+		t.Errorf("build plan %v over-parallelized for a 152-page table", res.Plan.Join.Build)
 	}
 }
 
 func TestJoinQDTTFasterThanDTT(t *testing.T) {
 	sys, dim, fact := newJoinSystem(t)
 	q := JoinQuery{Build: dim, Probe: fact, Low: 0, High: 49}
-	oldRes, err := sys.ExecuteJoin(q, Cold(),
+	oldRes, err := sys.Run(context.Background(), q, Cold(),
 		WithPlanOptions(PlanOptions{DepthOblivious: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRes, err := sys.ExecuteJoin(q, Cold())
+	newRes, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if newRes.Pairs != oldRes.Pairs || newRes.Value != oldRes.Value {
+	if newRes.Rows != oldRes.Rows || newRes.Value != oldRes.Value {
 		t.Fatalf("answers differ between optimizers")
 	}
 	if gain := float64(oldRes.Runtime) / float64(newRes.Runtime); gain < 2 {
@@ -122,31 +123,31 @@ func TestJoinMethodSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nl, err := sys.ExecuteJoin(JoinQuery{Build: skewed, Probe: big, Low: 0, High: 29999}, Cold())
+	nl, err := sys.Run(context.Background(), JoinQuery{Build: skewed, Probe: big, Low: 0, High: 29999}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nl.Method != "IndexNLJoin" {
-		t.Errorf("skewed-build join chose %s, want IndexNLJoin", nl.Method)
+	if nl.Plan.Join.Method != "IndexNLJoin" {
+		t.Errorf("skewed-build join chose %s, want IndexNLJoin", nl.Plan.Join.Method)
 	}
 
-	hash, err := sys.ExecuteJoin(JoinQuery{Build: uniform, Probe: big, Low: 0, High: 29999}, Cold())
+	hash, err := sys.Run(context.Background(), JoinQuery{Build: uniform, Probe: big, Low: 0, High: 29999}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hash.Method != "HashJoin" {
-		t.Errorf("uniform-build join chose %s, want HashJoin", hash.Method)
+	if hash.Plan.Join.Method != "HashJoin" {
+		t.Errorf("uniform-build join chose %s, want HashJoin", hash.Plan.Join.Method)
 	}
 
 	// Answers agree across methods: COUNT the skewed join both ways.
-	nlCnt, err := sys.ExecuteJoin(JoinQuery{
+	nlCnt, err := sys.Run(context.Background(), JoinQuery{
 		Build: skewed, Probe: big, Low: 0, High: 29999, Agg: Count,
 	}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nlCnt.Value != nl.Pairs {
-		t.Errorf("COUNT %d != pairs %d", nlCnt.Value, nl.Pairs)
+	if nlCnt.Value != nl.Rows {
+		t.Errorf("COUNT %d != pairs %d", nlCnt.Value, nl.Rows)
 	}
 }
 
@@ -192,15 +193,15 @@ func TestJoinPlannerTracksBuildSkew(t *testing.T) {
 	var prevNL time.Duration
 	var chosen string
 	for i, build := range builds {
-		res, err := sys.ExecuteJoin(JoinQuery{Build: build, Probe: probe, High: buildRows - 1, Agg: Count}, Cold())
+		res, err := sys.Run(context.Background(), JoinQuery{Build: build, Probe: probe, High: buildRows - 1, Agg: Count}, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
-		chosen = res.Method
+		chosen = res.Plan.Join.Method
 		hash, nl := forced(build, exec.HashJoin), forced(build, exec.IndexNLJoin)
 		if regret := float64(res.Runtime) / float64(min(hash, nl, res.Runtime)); regret > 1.5 {
 			t.Errorf("skew %.1f: %s ran %v against hash %v and NL %v, regret %.2fx, want <= 1.5x",
-				skews[i], res.Method, res.Runtime, hash, nl, regret)
+				skews[i], res.Plan.Join.Method, res.Runtime, hash, nl, regret)
 		}
 		distinct := build.one().hist.DistinctRatio()
 		if i > 0 && distinct >= prevDistinct {
@@ -218,16 +219,16 @@ func TestJoinPlannerTracksBuildSkew(t *testing.T) {
 
 func TestJoinValidation(t *testing.T) {
 	sys, dim, _ := newJoinSystem(t)
-	if _, err := sys.ExecuteJoin(JoinQuery{Build: dim}); !errors.Is(err, ErrInvalidQuery) {
+	if _, err := sys.Run(context.Background(), JoinQuery{Build: dim}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("join without probe: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, err := sys.PlanJoin(JoinQuery{Probe: dim}, PlanOptions{}); !errors.Is(err, ErrInvalidQuery) {
-		t.Errorf("PlanJoin without build: err = %v, want ErrInvalidQuery", err)
+	if _, err := sys.Plan(JoinQuery{Probe: dim}, PlanOptions{}); !errors.Is(err, ErrInvalidQuery) {
+		t.Errorf("Plan of a join without build: err = %v, want ErrInvalidQuery", err)
 	}
 	uncal := New(Config{Device: SSD})
 	a, _ := uncal.CreateTable("a", 100, 10)
 	b, _ := uncal.CreateTable("b", 100, 10)
-	if _, err := uncal.ExecuteJoin(JoinQuery{Build: a, Probe: b}); err == nil {
+	if _, err := uncal.Run(context.Background(), JoinQuery{Build: a, Probe: b}); err == nil {
 		t.Error("join before calibration accepted")
 	}
 }

@@ -117,8 +117,8 @@ type ObserverFunc func(QueryTelemetry)
 func (f ObserverFunc) ObserveQuery(t QueryTelemetry) { f(t) }
 
 // SetObserver installs an observer called after every query the system
-// runs, whichever entry point ran it (scans, group-bys, joins, updates,
-// session submissions).
+// runs, whichever request it ran (scans, group-bys, joins, updates), under
+// Run or in a session.
 // A nil observer turns per-query tracing back off.
 func (s *System) SetObserver(o Observer) { s.observer = o }
 
@@ -139,7 +139,7 @@ func (s *System) MetricsSnapshot() MetricsSnapshot {
 	return MetricsSnapshot{snap: s.reg.Snapshot()}
 }
 
-// telemetrySession carries the per-query trace plumbing between Execute's
+// telemetrySession carries the per-query trace plumbing between a query's
 // phases. A nil session (tracing off) is inert: its fields read as nil and
 // every obs call on them is a no-op.
 type telemetrySession struct {

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,7 @@ func operatorNode(t *testing.T, tel QueryTelemetry) *SpanNode {
 func TestTelemetrySpanTreeSumsToRuntime(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	var tel QueryTelemetry
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 4999}, Cold(), WithTrace(&tel))
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 4999}, Cold(), WithTrace(&tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +82,10 @@ func TestMetricsAttributionAcrossQueries(t *testing.T) {
 
 	total0 := sys.MetricsSnapshot()
 	var cold, warm QueryTelemetry
-	if _, err := sys.ExecutePlan(q, plan, Cold(), WithTrace(&cold)); err != nil {
+	if _, err := sys.Run(context.Background(), q, WithPlan(plan), Cold(), WithTrace(&cold)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ExecutePlan(q, plan, WithTrace(&warm)); err != nil {
+	if _, err := sys.Run(context.Background(), q, WithPlan(plan), WithTrace(&warm)); err != nil {
 		t.Fatal(err)
 	}
 	totals := sys.MetricsSince(total0)
@@ -125,9 +126,7 @@ func TestPISQueueDepthMetricMatchesDegree(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sys.MetricsSnapshot()
-	res, err := sys.ExecutePlan(
-		Query{Table: tab, Low: 0, High: 17999},
-		Plan{Method: IndexScan, Degree: 8})
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 17999}, WithPlan(Plan{Method: IndexScan, Degree: 8}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +153,10 @@ func TestObserverReceivesEveryQuery(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
 	var seen []QueryTelemetry
 	sys.SetObserver(ObserverFunc(func(tel QueryTelemetry) { seen = append(seen, tel) }))
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 199}); err != nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 199}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 19999}); err != nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 19999}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 {
@@ -172,7 +171,7 @@ func TestObserverReceivesEveryQuery(t *testing.T) {
 		t.Errorf("broad query planned as %v, want a full scan", seen[1].Plan.Method)
 	}
 	sys.SetObserver(nil)
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 199}); err != nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 199}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 2 {
@@ -182,7 +181,7 @@ func TestObserverReceivesEveryQuery(t *testing.T) {
 
 func TestTelemetryOffCostsNothing(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 199})
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 199})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +191,7 @@ func TestTelemetryOffCostsNothing(t *testing.T) {
 	// No observer and no capture: the same query again must not have grown
 	// any trace state — exercised here simply by both paths agreeing.
 	var tel QueryTelemetry
-	res2, err := sys.Execute(Query{Table: tab, Low: 0, High: 199}, WithTrace(&tel))
+	res2, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 199}, WithTrace(&tel))
 	if err != nil {
 		t.Fatal(err)
 	}

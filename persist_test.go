@@ -2,6 +2,7 @@ package pioqo
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -37,7 +38,7 @@ func TestSaveAndLoadModel(t *testing.T) {
 	}
 
 	// And queries run fine against the loaded model.
-	res, err := fresh.Execute(Query{Table: tab2, Low: 0, High: 99}, Cold())
+	res, err := fresh.Run(context.Background(), Query{Table: tab2, Low: 0, High: 99}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}

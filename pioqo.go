@@ -16,10 +16,10 @@
 //	sys := pioqo.New(pioqo.Config{Device: pioqo.SSD})
 //	tab, _ := sys.CreateTable("orders", 200_000, 33)
 //	cal, _ := sys.Calibrate(pioqo.CalibrationOptions{})
-//	res, _ := sys.Execute(pioqo.Query{Table: tab, Low: 0, High: 999})
+//	res, _ := sys.Run(context.Background(), pioqo.Query{Table: tab, Low: 0, High: 999})
 //	fmt.Println(res.Value, res.Runtime)
 //
-// Everything runs in simulated time: Execute's Result.Runtime is the
+// Everything runs in simulated time: Run's Result.Runtime is the
 // modelled wall-clock of the query on the modelled device, typically
 // computed in well under a millisecond of host time.
 package pioqo
@@ -146,9 +146,8 @@ type System struct {
 
 	// broker is the resource-governance layer (internal/broker) that admits
 	// every query, built lazily from the calibrated model and dropped with
-	// it; session is the default Submit session riding on it.
-	broker  *broker.Broker
-	session *Session
+	// it.
+	broker *broker.Broker
 
 	// reg is the engine's one observability recorder: every layer of every
 	// node records its decisions into it, and the engine event log is its

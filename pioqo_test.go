@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -27,7 +28,7 @@ func newCalibrated(t *testing.T, dev DeviceKind, rows int64, rpp int) (*System, 
 func TestQuickstartFlow(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 50000, 33)
 	q := Query{Table: tab, Low: 0, High: 499}
-	res, err := sys.Execute(q, Cold())
+	res, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestQuickstartFlow(t *testing.T) {
 		{Method: IndexScan, Degree: 1}, {Method: IndexScan, Degree: 8}, {Method: IndexScan, Degree: 32},
 		{Method: FullTableScan, Degree: 1}, {Method: FullTableScan, Degree: 8},
 	} {
-		forced, err := sys.ExecutePlan(q, alt, Cold())
+		forced, err := sys.Run(context.Background(), q, WithPlan(alt), Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,8 +68,8 @@ func TestExecuteRequiresCalibration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 10}); err == nil {
-		t.Error("Execute before Calibrate did not fail")
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 10}); err == nil {
+		t.Error("Run before Calibrate did not fail")
 	}
 	if _, err := sys.Model(); err == nil {
 		t.Error("Model before Calibrate did not fail")
@@ -107,7 +108,7 @@ func TestExecuteAnswersMatchAcrossPlans(t *testing.T) {
 		{Method: IndexScan, Degree: 1},
 		{Method: IndexScan, Degree: 32},
 	} {
-		res, err := sys.ExecutePlan(q, plan, Cold())
+		res, err := sys.Run(context.Background(), q, WithPlan(plan), Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,11 +144,11 @@ func TestDepthObliviousPlannerAvoidsParallelIndexScan(t *testing.T) {
 func TestQDTTPlanRunsFasterOnSSD(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 100000, 33)
 	q := Query{Table: tab, Low: 0, High: 99}
-	oldRes, err := sys.Execute(q, Cold(), WithPlanOptions(PlanOptions{DepthOblivious: true}))
+	oldRes, err := sys.Run(context.Background(), q, Cold(), WithPlanOptions(PlanOptions{DepthOblivious: true}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	newRes, err := sys.Execute(q, Cold())
+	newRes, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestQDTTWinsAMixedStream(t *testing.T) {
 		lo := rng.Int63n(tab.Rows() - width)
 		q := Query{Table: tab, Low: lo, High: lo + width - 1}
 		for k, depthOblivious := range []bool{true, false} {
-			res, err := sys.Execute(q, Cold(), WithPlanOptions(PlanOptions{DepthOblivious: depthOblivious}))
+			res, err := sys.Run(context.Background(), q, Cold(), WithPlanOptions(PlanOptions{DepthOblivious: depthOblivious}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -291,8 +292,7 @@ func TestWithoutIndexTableOnlyFullScans(t *testing.T) {
 	if plan.Method != FullTableScan {
 		t.Errorf("plan %v on unindexed table, want full scan", plan)
 	}
-	if _, err := sys.ExecutePlan(Query{Table: tab, Low: 0, High: 9},
-		Plan{Method: IndexScan, Degree: 1}); err == nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 9}, WithPlan(Plan{Method: IndexScan, Degree: 1})); err == nil {
 		t.Error("index-scan plan on unindexed table did not fail")
 	}
 }
@@ -309,7 +309,7 @@ func TestSyntheticTableOption(t *testing.T) {
 	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 400}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 999}, Cold())
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 999}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,11 +321,11 @@ func TestSyntheticTableOption(t *testing.T) {
 func TestColdVsWarm(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 10000, 33)
 	q := Query{Table: tab, Low: 0, High: 9999}
-	cold, err := sys.Execute(q, Cold())
+	cold, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := sys.Execute(q)
+	warm, err := sys.Run(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,11 +341,11 @@ func TestWithPrefetchSpeedsUpSerialIndexScan(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 100000, 1)
 	q := Query{Table: tab, Low: 0, High: 9999}
 	plan := Plan{Method: IndexScan, Degree: 1}
-	plain, err := sys.ExecutePlan(q, plan, Cold())
+	plain, err := sys.Run(context.Background(), q, WithPlan(plan), Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prefetched, err := sys.ExecutePlan(q, plan, Cold(), WithPrefetch(16))
+	prefetched, err := sys.Run(context.Background(), q, WithPlan(plan), Cold(), WithPrefetch(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestHDDPlannerPrefersSerialIndexScan(t *testing.T) {
 func TestResultRuntimeIsVirtual(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 1)
 	start := time.Now()
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 49999}, Cold())
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 49999}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestPlanMemoization(t *testing.T) {
 
 	// Executing the query moves pages through the pool; the epoch in the
 	// memo key changes and the next planning round must re-cost.
-	if _, err := sys.Execute(q, Cold()); err != nil {
+	if _, err := sys.Run(context.Background(), q, Cold()); err != nil {
 		t.Fatal(err)
 	}
 	before = sys.MetricsSnapshot()

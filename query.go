@@ -119,6 +119,10 @@ type Plan struct {
 	// whole scatter plus the coordinator's merge.
 	Fanout int
 
+	// Join is a join's whole choice, nil for a scan. A join's plan is its
+	// build side's shape, and it prints as its JoinPlan.
+	Join *JoinPlan
+
 	// scatter carries the per-shard internal plans of a scatter-gather
 	// plan (nil for single-node plans, keeping Plan comparable); pruned
 	// counts the shards partition pruning skipped.
@@ -134,6 +138,9 @@ type scatterPlan struct {
 }
 
 func (p Plan) String() string {
+	if p.Join != nil {
+		return p.Join.String()
+	}
 	var name string
 	switch p.Method {
 	case IndexScan:
@@ -304,10 +311,32 @@ func (out *Plan) setInternal(p *opt.Plan) {
 	out.EstimatedRows = p.EstRows
 }
 
-// Plan returns the optimizer's chosen plan for q without executing it.
+// Plan returns the optimizer's chosen plan for req without executing it:
+// for a group-by or an update, the plan of the scan that locates its rows;
+// for a join, its build side's plan with the whole choice in Plan.Join.
 // Queries over sharded tables are planned per shard with a merge stage on
-// top (see DESIGN.md §13).
-func (s *System) Plan(q Query, o PlanOptions) (plan Plan, err error) {
+// top (see DESIGN.md §13). Plan dispatches on req's kind without keeping
+// it, so planning a Query allocates nothing for the request.
+func (s *System) Plan(req Request, o PlanOptions) (Plan, error) {
+	switch q := req.(type) {
+	case Query:
+		return s.planScan(q, o)
+	case GroupByQuery:
+		return s.planScan(q.scan(), o)
+	case UpdateQuery:
+		return s.planScan(q.scan(), o)
+	case JoinQuery:
+		jp, err := s.planJoin(q, o)
+		if err != nil {
+			return Plan{}, err
+		}
+		return fromJoinPlan(jp), nil
+	}
+	return Plan{}, fmt.Errorf("%w: no request", ErrInvalidQuery)
+}
+
+// planScan is Plan for one range scan.
+func (s *System) planScan(q Query, o PlanOptions) (plan Plan, err error) {
 	if q.Table != nil && q.Table.sharded() {
 		return s.planSharded(q, o)
 	}
@@ -341,121 +370,83 @@ func (s *System) Explain(q Query, o PlanOptions) ([]Plan, error) {
 	return plans, nil
 }
 
-// Result reports an executed query.
+// Result reports an executed request of any kind; a field that belongs to
+// one kind of operation says so.
 type Result struct {
-	// Value is the aggregate over the matching rows' C1 (MAX by default);
-	// Found is false when the aggregate is NULL (no row matched — except
-	// COUNT, which reports 0 and is always Found).
+	// Value is the aggregate over the matching rows' C1 (MAX by default; a
+	// join's is over probe-side C1 across joined pairs); Found is false
+	// when the aggregate is NULL (no row matched — except COUNT, which
+	// reports 0 and is always Found).
 	Value int64
 	Found bool
-	// Rows is the number of matching rows.
+	// Rows counts what the operation produced: the matching rows of a
+	// Query, the rows grouped by a GroupByQuery, the joined pairs of a
+	// JoinQuery, the rows an UpdateQuery changed.
 	Rows int64
+	// Groups is a group-by's output, sorted by Key.
+	Groups []GroupRow
+	// BuildRows and ProbeRows count the rows each side of a join's scans
+	// produced.
+	BuildRows, ProbeRows int64
+	// PagesWritten counts an update's dirty-page write-backs on its node
+	// while it ran (evictions plus the final checkpoint).
+	PagesWritten int64
 	// Plan is the plan that was executed.
 	Plan Plan
 	// Runtime is the query's virtual wall-clock time.
 	Runtime time.Duration
-	// PageReads is the number of device read requests the query issued;
-	// IOThroughputMBps is the device throughput it sustained.
+	// PageReads is the number of device requests the run issued on every
+	// node, drain included; IOThroughputMBps is the device throughput it
+	// sustained. Run meters them; a Submission's result leaves them zero,
+	// since its session's queries share the devices.
 	PageReads        int64
 	IOThroughputMBps float64
 }
 
-// Execute optimizes and runs q, returning the answer and its runtime. It
-// is Query with a background context — kept as the convenience entrypoint
-// for non-cancellable callers.
+// Execute is Run under a background context.
+//
+// Deprecated: use Run. Kept for the frozen bench/ suite.
 func (s *System) Execute(q Query, opts ...QueryOption) (Result, error) {
-	return s.Query(context.Background(), q, opts...)
+	return s.Run(context.Background(), q, opts...)
 }
 
-// ExecutePlan runs q with a caller-supplied plan, bypassing the optimizer.
-// It is Query's lifecycle under a background context, so every option —
-// WithTimeout and WithRetry included — works here too; for live
-// cancellation use Query, which takes a context. Without a model there is
-// no broker, so on an uncalibrated system it is the one entry point that
-// runs, unleased.
+// ExecutePlan is Run under a background context with WithPlan(plan).
+//
+// Deprecated: use Run and WithPlan. Kept for the frozen bench/ suite.
 func (s *System) ExecutePlan(q Query, plan Plan, opts ...QueryOption) (Result, error) {
-	return s.scalar(context.Background(), q, opts, &plan)
+	return s.Run(context.Background(), q, append(opts[:len(opts):len(opts)], WithPlan(plan))...)
 }
 
-// scalar runs Query's and ExecutePlan's body standalone and shapes its
-// answer, with the device traffic the run drove.
-func (s *System) scalar(ctx context.Context, q Query, opts []QueryOption, forced *Plan) (Result, error) {
-	var res exec.Result
-	lc := lifecycle{op: "query", scan: q, tables: []*Table{q.Table}, scatter: true}
-	ran, err := s.run(ctx, lc, opts, func(r *queryRun, po PlanOptions) (planned, error) {
-		return r.scalar(q, po, forced, &res)
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	// The run reset every node's meters: what they read now is its traffic,
-	// drain included.
-	out := scalarResult(res, ran.plan, ran.runtime)
-	var bytes int64
-	var elapsed sim.Duration
-	for _, n := range s.nodes {
-		io := n.Dev.Metrics().Snapshot()
-		out.PageReads += io.Requests
-		bytes += io.Bytes
-		elapsed = max(elapsed, io.Elapsed)
-	}
-	if elapsed > 0 {
-		out.IOThroughputMBps = float64(bytes) / 1e6 / elapsed.Seconds()
-	}
-	return out, nil
+func (q Query) request() lifecycle {
+	return lifecycle{op: "query", scan: q, tables: []*Table{q.Table}, scatter: true}
 }
 
-// scalar is the body Query, ExecutePlan and Session.Submit plug into the
-// lifecycle: the aggregate scan of q under the optimizer's plan for po, or
-// under the forced one (ExecutePlan's), on the table's own node — counted
-// as scan-sharing interest there — or scattered over its active shards and
-// merged on the coordinator. The answer lands in res.
-func (r *queryRun) scalar(q Query, po PlanOptions, forced *Plan, res *exec.Result) (planned, error) {
-	if !q.Table.sharded() {
+// body is a Query's operation: the aggregate scan of q, counted as
+// scan-sharing interest on a single node.
+func (q Query) body(r *queryRun, po PlanOptions) (planned, error) {
+	if q.Table.sharded() {
+		// Until a gather answers: every shard pruned, no rows anywhere. COUNT
+		// of nothing is 0 and found, as in the unsharded executor.
+		r.res.Found = q.Agg == Count
+	} else {
 		po.ShareParties = r.share(q.Table.one(), po.ShareParties)
 	}
-	var plan Plan
-	var err error
-	switch {
-	case forced == nil:
-		plan, err = r.optimize(q, po)
-	case forced.Method != FullTableScan && !q.Table.Indexed():
-		err = fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, q.Table.Name())
-	default:
-		plan = *forced
-	}
-	if err != nil {
-		return planned{}, err
-	}
-	if !q.Table.sharded() {
-		r.pin(&plan)
-		return planned{plan, int(plan.depth), func(p *sim.Proc) {
+	return r.rangeScan(q, po, func(p *sim.Proc, plan *Plan, shards []exec.ShardScan) {
+		var res exec.Result
+		if shards == nil {
 			part := q.Table.one()
-			spec := r.spec(part, q, &plan)
-			r.attachAdaptive(&spec, q, plan)
-			*res = exec.RunScan(p, r.context(part.node), spec)
-		}}, nil
-	}
-	active := r.scatter(q, &plan)
-	if len(active) == 0 {
-		// Every shard pruned: no rows anywhere, no device touched. COUNT
-		// of nothing is 0 and found, as in the unsharded executor.
-		res.Found = q.Agg == Count
-		return planned{plan: plan}, nil
-	}
-	return planned{plan, int(plan.depth), func(p *sim.Proc) {
-		gs := exec.GatherSpec{Shards: r.scans(q, plan, active), Agg: q.Agg.internal(), Pruned: plan.pruned, QID: r.qid}
-		*res = exec.RunGather(p, gs).Result
-	}}, nil
-}
-
-// scalarResult shapes a scalar body's answer under the plan it ran and its
-// Runtime.
-func scalarResult(res exec.Result, plan Plan, runtime time.Duration) Result {
-	return Result{Value: res.Value, Found: res.Found, Rows: res.RowsMatched, Plan: plan, Runtime: runtime}
+			spec := r.spec(part, q, plan)
+			r.attachAdaptive(&spec, q, *plan)
+			res = exec.RunScan(p, r.context(part.node), spec)
+		} else {
+			res = exec.RunGather(p, exec.GatherSpec{Shards: shards, Agg: q.Agg.internal(), Pruned: plan.pruned, QID: r.qid}).Result
+		}
+		r.res.Value, r.res.Found, r.res.Rows = res.Value, res.Found, res.RowsMatched
+	})
 }
 
 type queryOptions struct {
+	forced    *Plan // WithPlan's
 	cold      bool
 	prefetch  int
 	plan      PlanOptions
@@ -477,7 +468,7 @@ func Cold() QueryOption { return func(o *queryOptions) { o.cold = true } }
 // scans (§3.3 of the paper).
 func WithPrefetch(n int) QueryOption { return func(o *queryOptions) { o.prefetch = n } }
 
-// WithPlanOptions forwards optimizer options through Query/Execute.
+// WithPlanOptions sets the options the query is optimized under.
 func WithPlanOptions(po PlanOptions) QueryOption { return func(o *queryOptions) { o.plan = po } }
 
 // PlannerStats snapshots the plan caches' traffic counters: the exact-match

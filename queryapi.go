@@ -16,12 +16,21 @@ import (
 	"pioqo/internal/sim"
 )
 
-// Query is the system's single execution entrypoint: it optimizes and runs
-// q under ctx. Every entrypoint — this one, Execute, ExecutePlan,
-// ExecuteGroupBy, ExecuteJoin, Update and Session.Submit — plugs a body
-// into the same query lifecycle (System.start): admitted by the resource
-// broker, run by one process. A standalone call drains the simulation at
-// once (System.run); a session drains at Drain.
+// Request is one operation the engine runs: a Query, GroupByQuery,
+// JoinQuery or UpdateQuery. The set is closed; each kind names what its
+// operation plugs into the query lifecycle (request) and the body that
+// plans it and hands back what its process runs (body). System.Run and
+// Session.Submit run any of them, System.Plan plans any of them.
+type Request interface {
+	request() lifecycle
+	body(r *queryRun, po PlanOptions) (planned, error)
+}
+
+// Run optimizes and runs req under ctx: the system's one way to run an
+// operation standalone (Session.Submit is the other, for a stream). Every
+// request kind plugs a body into the same query lifecycle (System.start):
+// admitted by the resource broker, run by one process, then drained at
+// once with every node's straggler hedgers armed (System.drain).
 //
 // The context is first-class: cancellation and deadlines propagate into
 // virtual time and abort the query cleanly through every layer — workers
@@ -31,16 +40,23 @@ import (
 // time remaining); use WithTimeout for a purely virtual-time deadline that
 // keeps runs byte-identical across hosts. An aborted query returns a
 // *QueryError wrapping the taxonomy sentinel (ErrCanceled,
-// ErrDeadlineExceeded, ErrDeviceFault).
+// ErrDeadlineExceeded, ErrDeviceFault), with Result.Rows the rows it had
+// reached — for an update, the prefix it changed (see UpdateQuery).
 //
 // With Cold(), the buffer pool is flushed *before* planning: the optimizer
 // consults pool residency statistics, and planning for a cache that is
 // about to be dropped would mis-cost every candidate.
-func (s *System) Query(ctx context.Context, q Query, opts ...QueryOption) (Result, error) {
-	return s.scalar(ctx, q, opts, nil)
+func (s *System) Run(ctx context.Context, req Request, opts ...QueryOption) (Result, error) {
+	r, err := s.start(ctx, req, parseOptions(opts), false)
+	if err != nil {
+		return Result{}, err
+	}
+	r.res.PageReads, r.res.IOThroughputMBps = s.metered(s.drain)
+	r.deliver()
+	return r.result()
 }
 
-// lifecycle names what one entry point plugs into the query lifecycle.
+// lifecycle names what one request kind plugs into the query lifecycle.
 type lifecycle struct {
 	op string // QueryError.Op, and the name of the query's process
 
@@ -56,7 +72,7 @@ type lifecycle struct {
 	scatter bool
 
 	// invalid, when set, is the operation's own structural rejection,
-	// computed by the entry point; it wraps ErrInvalidQuery.
+	// computed by the request; it wraps ErrInvalidQuery.
 	invalid error
 }
 
@@ -81,12 +97,13 @@ type queryRun struct {
 	shares *buffer.Shares
 	file   disk.FileID
 
-	plan    Plan // the reported plan shape
+	// res is the query's Result: the reported plan shape, the answer the
+	// body's run records and the Runtime its process reads.
+	res     Result
 	adm     Admission
 	est     int64 // the page estimate progress reads
 	started bool
 	done    bool
-	runtime time.Duration
 	err     error // the abort, once the process exits
 }
 
@@ -107,7 +124,7 @@ func parseOptions(opts []QueryOption) queryOptions {
 	return eo
 }
 
-// start is the one query body every entry point runs up to its process:
+// start is the one query body every request runs up to its process:
 // every structural rejection (typed ErrInvalidQuery, in this one place),
 // the abort control, the pre-plan cold flush, the query id, telemetry; the
 // body's planning under the broker's fair share (0 for a sole query: it
@@ -116,7 +133,11 @@ func parseOptions(opts []QueryOption) queryOptions {
 // with zero credits: its producer owns the device work); and the process.
 // With atExit, telemetry is delivered as the process exits, else by the
 // caller after the drain. Errors before the process exists are returned.
-func (s *System) start(ctx context.Context, lc lifecycle, eo queryOptions, atExit bool, body func(*queryRun, PlanOptions) (planned, error)) (*queryRun, error) {
+func (s *System) start(ctx context.Context, req Request, eo queryOptions, atExit bool) (*queryRun, error) {
+	if req == nil {
+		return nil, fmt.Errorf("%w: no request", ErrInvalidQuery)
+	}
+	lc := req.request()
 	for _, t := range lc.tables {
 		if t == nil {
 			return nil, fmt.Errorf("%w: %s without a table", ErrInvalidQuery, lc.op)
@@ -150,12 +171,12 @@ func (s *System) start(ctx context.Context, lc lifecycle, eo queryOptions, atExi
 	if r.b != nil && po.QueueBudget == 0 {
 		po.QueueBudget = r.b.FairShare()
 	}
-	pl, err := body(r, po)
+	pl, err := req.body(r, po)
 	if err != nil {
 		r.leave()
 		return nil, err
 	}
-	r.plan = pl.plan
+	r.res.Plan = pl.plan
 	if r.b != nil {
 		r.lease = r.b.EnqueueQuery(cmp.Or(eo.plan.QueueBudget, pl.depth), r.qid)
 		if pl.plan.Shared {
@@ -181,15 +202,15 @@ func (r *queryRun) process(p *sim.Proc, scan Query, run func(*sim.Proc), atExit 
 	if !r.admit(p) {
 		return
 	}
-	r.est = estimatePages(scan, r.plan)
+	r.est = estimatePages(scan, r.res.Plan)
 	r.started = true
 	r.s.reg.Emit(obs.EvQueryStart, r.qid, r.est, int64(r.adm.Budget))
 	start := p.Now()
 	if run != nil {
 		run(p)
 	}
-	r.runtime = time.Duration(p.Now() - start)
-	r.s.reg.Emit(obs.EvQueryDone, r.qid, r.pages, int64(r.runtime))
+	r.res.Runtime = time.Duration(p.Now() - start)
+	r.s.reg.Emit(obs.EvQueryDone, r.qid, r.pages, int64(r.res.Runtime))
 	r.ts.span().End()
 	r.done = true
 	if cause := r.ctl.Err(); cause != nil {
@@ -237,42 +258,22 @@ func (r *queryRun) leave() {
 
 // deliver hands the query's telemetry to its listeners and drops the trace.
 func (r *queryRun) deliver() {
-	r.ts.finish(r.s, r.plan, r.runtime, r.eo)
+	r.ts.finish(r.s, r.res.Plan, r.res.Runtime, r.eo)
 	r.ts = nil
 }
 
-// run is a standalone execution: start, then one env.Run that executes the
-// process and drains what it left in flight (and any pending session
-// submissions, which the query queued behind). Around the drain it keeps
-// what only a standalone query has: device meters reset and hedgers armed
-// for exactly its window on every node (a sharded table spans them all),
-// and telemetry that includes the drain.
-func (s *System) run(ctx context.Context, lc lifecycle, opts []QueryOption, body func(*queryRun, PlanOptions) (planned, error)) (*queryRun, error) {
-	r, err := s.start(ctx, lc, parseOptions(opts), false, body)
-	if err != nil {
-		return nil, err
-	}
-	for _, n := range s.nodes {
-		n.Dev.Metrics().Reset()
-		n.Pool.ResetStats()
-	}
+// drain is the one drain Run and Session.Drain share: it runs the
+// simulation, with every node's straggler hedgers armed, until every
+// started query has finished and what they left behind — a losing hedge
+// copy, an injected straggler's delay, an expired hedge timer — has too, so
+// the next query starts on a quiet device. It ends on the reclamation
+// invariant: with no query still admitted, every credit and every pool
+// reservation has come home — aborted queries included — and no consumer
+// is left attached to a circulating scan.
+func (s *System) drain() {
 	s.setHedgers(true)
-	// The query ended when its process did; the drain lets what it left
-	// behind — a losing hedge copy, an injected straggler's delay, an
-	// expired hedge timer — finish off the clock, so every ledger is zero
-	// at return and the next query starts on a quiet device.
 	s.env.Run()
 	s.setHedgers(false)
-	s.checkDrained()
-	r.deliver()
-	return r, r.err
-}
-
-// checkDrained is the reclamation invariant every drain ends on: with no
-// query still admitted, every credit and every pool reservation has come
-// home — aborted queries included — and no consumer is left attached to a
-// circulating scan.
-func (s *System) checkDrained() {
 	b := s.broker
 	if b == nil || b.Active() != 0 {
 		return
@@ -287,15 +288,56 @@ func (s *System) checkDrained() {
 	}
 }
 
+// metered runs drain in a metering window — every node's device meters and
+// pool statistics reset before it — and reads the window summed over the
+// nodes: the device requests issued, and the throughput they sustained over
+// the longest node's window.
+func (s *System) metered(drain func()) (requests int64, mbps float64) {
+	for _, n := range s.nodes {
+		n.Dev.Metrics().Reset()
+		n.Pool.ResetStats()
+	}
+	drain()
+	var bytes int64
+	var elapsed sim.Duration
+	for _, n := range s.nodes {
+		io := n.Dev.Metrics().Snapshot()
+		requests += io.Requests
+		bytes += io.Bytes
+		elapsed = max(elapsed, io.Elapsed)
+	}
+	if elapsed > 0 {
+		mbps = float64(bytes) / 1e6 / elapsed.Seconds()
+	}
+	return requests, mbps
+}
+
+// result is the query's Result, or — after an abort — its error with only
+// the rows the body had reached.
+func (r *queryRun) result() (Result, error) {
+	if r.err != nil {
+		return Result{Rows: r.res.Rows}, r.err
+	}
+	return r.res, nil
+}
+
 // fail wraps an abort cause in the query's typed error.
 func (r *queryRun) fail(cause error) error {
 	return &QueryError{Op: r.op, Table: r.table, Err: cause}
 }
 
-// optimize plans q under po, inside the telemetry session's optimize span.
+// optimize plans q under po, inside the telemetry session's optimize span —
+// or takes the caller's WithPlan plan, which needs an index unless it scans
+// the whole table.
 func (r *queryRun) optimize(q Query, po PlanOptions) (Plan, error) {
+	if f := r.eo.forced; f != nil {
+		if f.Method != FullTableScan && !q.Table.Indexed() {
+			return Plan{}, fmt.Errorf("%w: table %q has no index", ErrInvalidQuery, q.Table.Name())
+		}
+		return *f, nil
+	}
 	span := r.ts.trc().Start(r.ts.span(), "optimize")
-	plan, err := r.s.Plan(q, po)
+	plan, err := r.s.planScan(q, po)
 	if err != nil {
 		return Plan{}, err
 	}
@@ -304,6 +346,26 @@ func (r *queryRun) optimize(q Query, po PlanOptions) (Plan, error) {
 	}
 	span.End()
 	return plan, nil
+}
+
+// rangeScan is the body of an operation over the rows one range scan
+// locates: scan planned under po (or forced), then run under that plan —
+// on the table's own node, or, when the table is partitioned, handed the
+// scans of its active shards (none runs when every shard was pruned).
+func (r *queryRun) rangeScan(scan Query, po PlanOptions, run func(p *sim.Proc, plan *Plan, shards []exec.ShardScan)) (planned, error) {
+	plan, err := r.optimize(scan, po)
+	if err != nil {
+		return planned{}, err
+	}
+	if !scan.Table.sharded() {
+		r.pin(&plan)
+		return planned{plan, int(plan.depth), func(p *sim.Proc) { run(p, &plan, nil) }}, nil
+	}
+	active := r.scatter(scan, &plan)
+	if len(active) == 0 {
+		return planned{plan: plan}, nil
+	}
+	return planned{plan, int(plan.depth), func(p *sim.Proc) { run(p, &plan, r.scans(scan, plan, active)) }}, nil
 }
 
 // share counts the query as scan-sharing interest in part's heap while it
@@ -418,10 +480,9 @@ func (s *System) newControl(ctx context.Context, eo queryOptions) (*fault.Contro
 	return ctl, nil
 }
 
-// QueryOption tunes a query execution. One option set serves every
-// entrypoint — Query, Execute, ExecutePlan, ExecuteGroupBy, ExecuteJoin,
-// Update, ExecuteConcurrent, and Session.Submit — because all of them parse
-// it in one place and build their scans in one place (queryRun.spec).
+// QueryOption tunes a query execution. One option set serves every request
+// kind, under System.Run and Session.Submit alike, because both parse it in
+// one place and build their scans in one place (queryRun.spec).
 type QueryOption func(*queryOptions)
 
 // RetryPolicy bounds how the executor responds to device read faults: a
@@ -450,6 +511,11 @@ func (p RetryPolicy) internal() fault.RetryPolicy {
 // deterministic — the same run aborts at the same virtual instant on any
 // host.
 func WithTimeout(d time.Duration) QueryOption { return func(o *queryOptions) { o.timeout = d } }
+
+// WithPlan runs the scan that locates a Query's, GroupByQuery's or
+// UpdateQuery's rows under p instead of the optimizer's choice (a join
+// rejects it). On an uncalibrated system a forced plan runs unleased.
+func WithPlan(p Plan) QueryOption { return func(o *queryOptions) { o.forced = &p } }
 
 // WithRetry sets the query's device-fault retry policy.
 func WithRetry(p RetryPolicy) QueryOption { return func(o *queryOptions) { o.retry = p } }

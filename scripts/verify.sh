@@ -19,14 +19,16 @@ go test -timeout 120s ./...
 # the benchmark run. Vet it and run its smoke test here.
 (cd bench && go vet ./... && go test ./...)
 
-# The examples are the programs a reader runs first, and no test runs
-# them: build all of them once into a temporary directory and run each; a
-# non-zero exit fails the gate. All eight take about 3 s together.
+# The examples are the programs a reader runs first: build each once, run it
+# and compare what it prints with its checked-in output.golden (the engine
+# is deterministic). All eight take about 3 s together.
 EXAMPLES_BIN=$(mktemp -d)
-trap 'rm -rf "$EXAMPLES_BIN"' EXIT
+ROWS=$(mktemp -d)
+trap 'rm -rf "$EXAMPLES_BIN" "$ROWS"' EXIT
 go build -o "$EXAMPLES_BIN/" ./examples/...
 for example in "$EXAMPLES_BIN"/*; do
-	"$example" >/dev/null
+	"$example" >"$example.out"
+	cmp "$example.out" "examples/${example##*/}/output.golden"
 done
 
 # Tier 2: vet everything, race-test the event loop and metrics/span layer,
@@ -75,8 +77,6 @@ go test -count=2 -run "$GOLDENS" . ./internal/exec ./internal/opt ./internal/dev
 # The digest goldens (plan stream, device stream) keep only per-section
 # digests; -golden-rows writes their full rows once and compares them the
 # second time, so the path that shows the first diverging row stays in use.
-ROWS=$(mktemp -d)
-trap 'rm -rf "$EXAMPLES_BIN" "$ROWS"' EXIT
 go test -count=1 -run '^(TestPlanStreamGolden|TestDeviceStreamGolden)$' ./internal/opt ./internal/device -golden-rows "$ROWS"
 go test -count=1 -run '^(TestPlanStreamGolden|TestDeviceStreamGolden)$' ./internal/opt ./internal/device -golden-rows "$ROWS"
 # The residual gate: a cold full scan's estimate is a prediction, so
@@ -132,11 +132,11 @@ go test -race -count=2 -run '^TestCountersAreTheirEvents$' ./internal/obs
 # producer still queues drain clean; a batch of point lookups, one credit
 # each, runs dozens deep on the HDD, the same way on two systems; and a
 # session query is leased the depth its submit-time plan priced and runs
-# that plan. Every entry point is admitted by the broker exactly once; a
-# standalone query plans at a degraded supply and queues behind pending
-# session submissions. Twice in one process each, so a run that leaves
-# state behind for the next one fails here.
-go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedProducersLeaseTheirDepth|TestRidersCanceledBeforeTheirProducerIsGranted|TestPointLookupsShareTheHDD|TestSessionRunsThePlanItSubmitted|TestEveryEntryPointIsAdmittedOnce|TestStandaloneQueryPlansAtDegradedSupply|TestStandaloneQueuesBehindPendingSubmissions)$' .
+# that plan; one session runs every request kind, answering as Run does.
+# Every entry point is admitted by the broker exactly once; a standalone
+# query plans at a degraded supply and queues behind pending submissions.
+# Twice in one process each, so leftover state fails the second run.
+go test -race -count=2 -run '^(TestSharedScansLeaveTheHotSetResident|TestSharedProducersLeaseTheirDepth|TestRidersCanceledBeforeTheirProducerIsGranted|TestPointLookupsShareTheHDD|TestSessionRunsThePlanItSubmitted|TestSessionRunsEveryRequest|TestEveryEntryPointIsAdmittedOnce|TestStandaloneQueryPlansAtDegradedSupply|TestStandaloneQueuesBehindPendingSubmissions)$' .
 
 # The repo-wide lints below read the engine's sources only. bench/ is
 # excluded from each: it is a reader of the engine (registry snapshots,

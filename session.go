@@ -8,7 +8,6 @@ import (
 
 	"pioqo/internal/broker"
 	"pioqo/internal/buffer"
-	"pioqo/internal/exec"
 )
 
 // Admission reports how the resource broker treated one submitted query.
@@ -16,7 +15,7 @@ type Admission struct {
 	// Budget is the queue-depth budget the query executed under — its lease
 	// from the broker: the depth its plan was priced at, capped at the
 	// supply. Zero means unbounded: the query was alone on an idle device
-	// and planned exactly as Execute would.
+	// and planned exactly as Run would.
 	Budget int
 
 	// PoolPages is the buffer-pool page reservation attached to the lease
@@ -40,8 +39,6 @@ type Submission struct {
 	// engine-assigned query id, its lease and what its process records,
 	// and pages, the executor's live fetch counter Progress reads.
 	*queryRun
-	q   Query
-	res exec.Result
 }
 
 // Done reports whether the query has finished executing (after the Drain
@@ -51,31 +48,28 @@ func (sub *Submission) Done() bool { return sub.done }
 // Result returns the query's result. Calling it before the session has
 // been drained past this submission is an error.
 func (sub *Submission) Result() (Result, error) {
-	if sub.err != nil {
-		return Result{}, sub.err
-	}
-	if !sub.done {
+	if !sub.done && sub.err == nil {
 		return Result{}, errors.New("pioqo: submission not executed; call Session.Drain first")
 	}
-	return scalarResult(sub.res, sub.plan, sub.runtime), nil
+	return sub.result()
 }
 
 // Admission returns the broker's admission record for the query. Valid
 // once the submission is Done.
 func (sub *Submission) Admission() Admission { return sub.adm }
 
-// Session is an admission-controlled stream of queries sharing the
-// system's resource broker. Each Submit runs the query lifecycle every
-// entry point runs up to its process — planned once, under the broker's
-// fair share, and enqueued for the queue depth that plan was priced at —
-// and Drain runs the simulation until every submitted query has finished.
-// Unlike ExecuteConcurrent's closed batches, a session is open-ended:
-// submit, drain, inspect, submit more. A query submitted to an idle
-// session receives an unbounded lease and plans exactly as a standalone
-// Execute would.
+// Session is an admission-controlled stream of requests sharing the
+// system's resource broker. Each Submit runs the query lifecycle Run runs
+// up to its process — planned once, under the broker's fair share, and
+// enqueued for the queue depth that plan was priced at — and Drain runs the
+// simulation until every submitted query has finished, through the drain
+// Run ends on. Any request kind may be submitted, over any table Run
+// accepts. Unlike ExecuteConcurrent's closed batches, a session is
+// open-ended: submit, drain, inspect, submit more. A query submitted to an
+// idle session receives an unbounded lease and plans exactly as a
+// standalone Run would.
 type Session struct {
 	sys    *System
-	b      *broker.Broker
 	subs   []*Submission // submissions not yet drained
 	closed bool
 }
@@ -88,33 +82,10 @@ func (ses *Session) Close() { ses.closed = true }
 // Requires calibration: the broker's credit supply is the calibrated
 // device's maximum beneficial queue depth.
 func (s *System) OpenSession() (*Session, error) {
-	b, err := s.sharedBroker()
-	if err != nil {
+	if _, err := s.sharedBroker(); err != nil {
 		return nil, err
 	}
-	return &Session{sys: s, b: b}, nil
-}
-
-// Submit enqueues q for admission-controlled execution on the default
-// session, opening it on first use. Drain runs the submitted queries.
-func (s *System) Submit(q Query, opts ...QueryOption) (*Submission, error) {
-	if s.session == nil {
-		ses, err := s.OpenSession()
-		if err != nil {
-			return nil, err
-		}
-		s.session = ses
-	}
-	return s.session.Submit(q, opts...)
-}
-
-// Drain runs the default session's pending queries to completion (no-op
-// when nothing was submitted).
-func (s *System) Drain() error {
-	if s.session == nil {
-		return nil
-	}
-	return s.session.Drain()
+	return &Session{sys: s}, nil
 }
 
 // sharedBroker returns the system's resource broker, building it from the
@@ -156,32 +127,27 @@ func (s *System) sharedBroker() (*broker.Broker, error) {
 	return s.broker, nil
 }
 
-// Submit validates q, plans it under the broker's current fair share,
+// Submit validates req, plans it under the broker's current fair share,
 // enqueues it for admission asking for the queue depth that plan was priced
-// at, and registers its process. The query runs during the next Drain.
-// With Cold(), the buffer pool is flushed now — before planning, as in
-// Execute. Sharded tables are rejected: a session is single-node.
-func (ses *Session) Submit(q Query, opts ...QueryOption) (*Submission, error) {
+// at, and registers its process — every request kind, over any table, as
+// Run starts it; its telemetry is delivered as its process exits. The query
+// runs during the next Drain. With Cold(), the buffer pool is flushed now —
+// before planning, as in Run.
+func (ses *Session) Submit(req Request, opts ...QueryOption) (*Submission, error) {
+	return ses.submit(req, parseOptions(opts))
+}
+
+// submit is Submit with its options parsed: ExecuteConcurrent parses its
+// batch's once.
+func (ses *Session) submit(req Request, eo queryOptions) (*Submission, error) {
 	if ses.closed {
 		return nil, fmt.Errorf("%w: session closed", ErrAdmissionClosed)
 	}
-	return ses.submit(q, parseOptions(opts))
-}
-
-// submit is the option-parsed core of Submit (ExecuteConcurrent enters
-// here with the batch's one option set): Query's body started on the
-// lifecycle, with its telemetry delivered as its process exits, and the
-// submission kept for Drain.
-func (ses *Session) submit(q Query, eo queryOptions) (*Submission, error) {
-	sub := &Submission{q: q}
-	lc := lifecycle{op: "submit", scan: q, tables: []*Table{q.Table}}
-	r, err := ses.sys.start(context.Background(), lc, eo, true, func(r *queryRun, po PlanOptions) (planned, error) {
-		return r.scalar(q, po, nil, &sub.res)
-	})
+	r, err := ses.sys.start(context.Background(), req, eo, true)
 	if err != nil {
 		return nil, err
 	}
-	sub.queryRun = r
+	sub := &Submission{r}
 	ses.subs = append(ses.subs, sub)
 	return sub, nil
 }
@@ -195,7 +161,7 @@ func (sub *Submission) Cancel() { sub.ctl.Cancel(ErrCanceled) }
 // returning the first submission error (results remain retrievable per
 // submission either way).
 func (ses *Session) Drain() error {
-	ses.sys.env.Run()
+	ses.sys.drain()
 	var first error
 	for _, sub := range ses.subs {
 		if sub.err != nil && first == nil {
@@ -203,6 +169,5 @@ func (ses *Session) Drain() error {
 		}
 	}
 	ses.subs = ses.subs[:0]
-	ses.sys.checkDrained()
 	return first
 }

@@ -1,9 +1,12 @@
 package pioqo
 
 import (
+	"context"
+	"reflect"
 	"testing"
 
 	"pioqo/internal/broker"
+	"pioqo/internal/table"
 )
 
 func TestSessionStreamingAdmission(t *testing.T) {
@@ -13,7 +16,7 @@ func TestSessionStreamingAdmission(t *testing.T) {
 
 	var want []Result
 	for _, q := range []Query{q1, q2} {
-		res, err := sys.Execute(q, Cold())
+		res, err := sys.Run(context.Background(), q, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +98,7 @@ func TestSessionRunsThePlanItSubmitted(t *testing.T) {
 	}
 	// The second submit sees one party ahead of it and both queries
 	// interested in the table's scan.
-	total := ses.b.Total()
+	total := sys.broker.Total()
 	want2, err := sys.Plan(q2, PlanOptions{QueueBudget: broker.SplitCredits(total, 2)[0], ShareParties: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -136,30 +139,92 @@ func TestSessionRunsThePlanItSubmitted(t *testing.T) {
 	}
 }
 
-func TestSystemSubmitDefaultSession(t *testing.T) {
-	sys, tab := newCalibrated(t, SSD, 50000, 33)
-	sub, err := sys.Submit(Query{Table: tab, Low: 0, High: 99})
+// openSession opens a session on sys, failing the test if it cannot.
+func openSession(t *testing.T, sys *System) *Session {
+	t.Helper()
+	ses, err := sys.OpenSession()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sub.Result()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Found || res.Rows == 0 {
-		t.Errorf("result %+v, want a non-empty match", res)
-	}
+	return ses
+}
 
-	uncal := New(Config{Device: SSD})
-	tab2, err := uncal.CreateTable("t", 100, 10)
-	if err != nil {
-		t.Fatal(err)
+// sessionRequests are the requests TestSessionRunsEveryRequest submits to
+// a lifecycle fixture. On one node: both join methods, a scan, a group-by
+// and an update, the update over a range of t that none of the others
+// aggregates. The index NL-join comes first: submitted to an idle broker it
+// plans unbounded, as under Run, and so keeps its method (a join's
+// ProbeRows follows its method). On a sharded fixture, where joins and
+// updates are rejected: a scan and a group-by.
+func sessionRequests(f lifecycleFixture) []Request {
+	scans := []Request{
+		Query{Table: f.t, Low: 0, High: 9999, Agg: Sum},
+		GroupByQuery{Table: f.t, Low: 0, High: 9999, GroupWidth: 1000, Agg: Sum},
 	}
-	if _, err := uncal.Submit(Query{Table: tab2}); err == nil {
-		t.Error("uncalibrated Submit accepted")
+	if f.t.sharded() {
+		return scans
+	}
+	return append([]Request{
+		JoinQuery{Build: f.skewed, Probe: f.big, Low: 0, High: 29999},
+		JoinQuery{Build: f.t, Probe: f.big, Low: 0, High: 29999},
+	}, append(scans, UpdateQuery{Table: f.t, Low: 20000, High: 29999, Delta: 7})...)
+}
+
+// answer is what a Result says about the data. The rest — the plan, its
+// runtime, the device traffic — is how the run went: a session plans each
+// request under its broker's fair share, and its requests share the
+// devices.
+func answer(res Result) Result {
+	res.Plan, res.Runtime, res.PageReads, res.IOThroughputMBps = Plan{}, 0, 0, 0
+	return res
+}
+
+// TestSessionRunsEveryRequest: one session takes every request kind — on a
+// single-node system a scan, a group-by, a hash join, an index NL-join and
+// an update; on a 4-shard system a scan and a group-by — and one Drain runs
+// them together. Each submission's answer is the one Run gives for the same
+// request on a twin system, and the updated table holds the same rows
+// after.
+func TestSessionRunsEveryRequest(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		f, twin := newLifecycleFixture(t, shards), newLifecycleFixture(t, shards)
+		ses := openSession(t, f.sys)
+		reqs := sessionRequests(f)
+		subs := make([]*Submission, len(reqs))
+		for i, req := range reqs {
+			var err error
+			if subs[i], err = ses.Submit(req); err != nil {
+				t.Fatalf("%d shards: Submit(%+v): %v", shards, req, err)
+			}
+		}
+		if err := ses.Drain(); err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		for i, req := range sessionRequests(twin) {
+			want, err := twin.sys.Run(context.Background(), req)
+			if err != nil {
+				t.Fatalf("%d shards: Run(%+v): %v", shards, req, err)
+			}
+			got, err := subs[i].Result()
+			if err != nil {
+				t.Fatalf("%d shards: submission %d: %v", shards, i, err)
+			}
+			if j := want.Plan.Join; j != nil && got.Plan.Join.Method != j.Method {
+				t.Errorf("%d shards: join %d ran %s in the session, %s under Run", shards, i, got.Plan.Join.Method, j.Method)
+			}
+			if !reflect.DeepEqual(answer(got), answer(want)) {
+				t.Errorf("%d shards: %T in a session answered\n%+v\nRun answered\n%+v", shards, req, answer(got), answer(want))
+			}
+		}
+		if shards == 1 {
+			got, want := f.t.one().tab.(*table.Materialized), twin.t.one().tab.(*table.Materialized)
+			for id := range f.t.Rows() {
+				if got.RowAt(id) != want.RowAt(id) {
+					t.Fatalf("row %d is %+v after the session, %+v after Run", id, got.RowAt(id), want.RowAt(id))
+				}
+			}
+		}
+		assertNoLeaks(t, f.sys)
 	}
 }
 

@@ -222,7 +222,7 @@ func (r *queryRun) scatter(q Query, plan *Plan) []int {
 
 // scans builds the active shards' node-local scans once the query is
 // admitted, each under its own plan when the plan carries them, under the
-// plan's uniform shape for a caller-constructed one (ExecutePlan). All of
+// plan's uniform shape for a caller's WithPlan one. All of
 // them share the run's progress counter, abort control and lease, so live
 // progress, cancellation and governance span the cluster.
 func (r *queryRun) scans(q Query, plan Plan, active []int) []exec.ShardScan {
@@ -238,10 +238,10 @@ func (r *queryRun) scans(q Query, plan Plan, active []int) []exec.ShardScan {
 	return out
 }
 
-// setHedgers arms or disarms every node's straggler hedger: a standalone
-// run arms them for exactly its window, so calibration and other traffic
-// never see speculative duplicates; each hedge decision is recorded as it
-// is made. A system without a hedge delay never arms them.
+// setHedgers arms or disarms every node's straggler hedger: a drain arms
+// them for exactly its window, so calibration and other traffic never see
+// speculative duplicates; each hedge decision is recorded as it is made. A
+// system without a hedge delay never arms them.
 func (s *System) setHedgers(armed bool) {
 	for _, n := range s.nodes {
 		switch {

@@ -47,7 +47,7 @@ func TestShardedAggregatesMatchUnsharded(t *testing.T) {
 		for _, q := range queries {
 			for _, agg := range aggs {
 				q.Table, q.Agg = refTab, agg
-				res, err := ref.Execute(q)
+				res, err := ref.Run(context.Background(), q)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,7 +60,7 @@ func TestShardedAggregatesMatchUnsharded(t *testing.T) {
 				for _, q := range queries {
 					for _, agg := range aggs {
 						q.Table, q.Agg = tab, agg
-						res, err := sys.Execute(q)
+						res, err := sys.Run(context.Background(), q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -82,13 +82,13 @@ func TestShardedAggregatesMatchUnsharded(t *testing.T) {
 // unsharded groups exactly, keys and order included.
 func TestShardedGroupByMatchesUnsharded(t *testing.T) {
 	ref, refTab := newShardedCalibrated(t, 1, PartitionHash, 50000, 1.3)
-	want, err := ref.ExecuteGroupBy(GroupByQuery{Table: refTab, Low: 0, High: 20000, GroupWidth: 1000, Agg: Sum})
+	want, err := ref.Run(context.Background(), GroupByQuery{Table: refTab, Low: 0, High: 20000, GroupWidth: 1000, Agg: Sum})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []PartitionKind{PartitionHash, PartitionRangeBalanced} {
 		sys, tab := newShardedCalibrated(t, 4, kind, 50000, 1.3)
-		got, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, Low: 0, High: 20000, GroupWidth: 1000, Agg: Sum})
+		got, err := sys.Run(context.Background(), GroupByQuery{Table: tab, Low: 0, High: 20000, GroupWidth: 1000, Agg: Sum})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestRangePartitionPruning(t *testing.T) {
 	if plan.Fanout != 1 {
 		t.Errorf("narrow range over 8 range shards: fanout %d, want 1 (plan %v)", plan.Fanout, plan)
 	}
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 499})
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 499})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestRangePartitionPruning(t *testing.T) {
 	}
 	// Correctness under pruning: same answer as unsharded.
 	ref, refTab := newShardedCalibrated(t, 1, PartitionHash, 50000, 0)
-	want, err := ref.Execute(Query{Table: refTab, Low: 0, High: 499})
+	want, err := ref.Run(context.Background(), Query{Table: refTab, Low: 0, High: 499})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,9 @@ func TestGatherReportsPrunedShards(t *testing.T) {
 		t.Fatalf("one-shard range over 4 range shards: fanout %d, pruned %d", plan.Fanout, plan.pruned)
 	}
 	for name, run := range map[string]func() error{
-		"Query": func() error { _, err := sys.Execute(q); return err },
-		"ExecuteGroupBy": func() error {
-			_, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, Low: q.Low, High: q.High, GroupWidth: 100})
+		"Query": func() error { _, err := sys.Run(context.Background(), q); return err },
+		"GroupByQuery": func() error {
+			_, err := sys.Run(context.Background(), GroupByQuery{Table: tab, Low: q.Low, High: q.High, GroupWidth: 100})
 			return err
 		},
 	} {
@@ -247,18 +247,29 @@ func newStragglingCluster(t *testing.T, noHedge bool) (*System, *Table) {
 // answers identically to the unhedged one (speculative duplicates are
 // deduplicated — exactly-once rows), issues hedges, wins some, and finishes
 // in under half the unhedged time: the gather ends when its last winning
-// copy lands, not when the losing stragglers do.
+// copy lands, not when the losing stragglers do. A session drains as Run
+// does, so the same query submitted alone is hedged the same way.
 func TestHedgingUnderStragglers(t *testing.T) {
-	run := func(noHedge bool) (Result, HedgeStats) {
+	run := func(noHedge, session bool) (Result, HedgeStats) {
 		sys, tab := newStragglingCluster(t, noHedge)
-		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 99999})
+		q := Query{Table: tab, Low: 0, High: 99999}
+		var res Result
+		var err error
+		if session {
+			res, err = submitAndDrain(sys, q)
+		} else {
+			res, err = sys.Run(context.Background(), q)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res, sys.HedgeStats()
 	}
-	hedged, hs := run(false)
-	unhedged, uhs := run(true)
+	hedged, hs := run(false, false)
+	unhedged, uhs := run(true, false)
+	if sub, shs := run(false, true); sub.Runtime != hedged.Runtime || shs != hs {
+		t.Errorf("submitted alone the query ran %v with hedges %+v; under Run %v with %+v", sub.Runtime, shs, hedged.Runtime, hs)
+	}
 	if uhs.Issued != 0 {
 		t.Errorf("unhedged system issued %d hedges", uhs.Issued)
 	}
@@ -297,7 +308,7 @@ func TestHedgedGatherStaysNearHealthy(t *testing.T) {
 			t.Fatal(err)
 		}
 		q := Query{Table: tab, Low: 0, High: 99999}
-		healthy, err := sys.Execute(q, Cold())
+		healthy, err := sys.Run(context.Background(), q, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +316,7 @@ func TestHedgedGatherStaysNearHealthy(t *testing.T) {
 			StragglerRate:    0.20,
 			StragglerLatency: 20 * time.Millisecond,
 		}}})
-		hedged, err := sys.Execute(q, Cold())
+		hedged, err := sys.Run(context.Background(), q, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +343,7 @@ func TestTimeoutWithHedgeCopiesInFlight(t *testing.T) {
 		StragglerLatency: 20 * time.Millisecond,
 	}}})
 	sys.EnableEventLog(1 << 16)
-	_, err := sys.Execute(Query{Table: tab, Low: 0, High: 99999}, Cold(), WithTimeout(5*time.Millisecond))
+	_, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 99999}, Cold(), WithTimeout(5*time.Millisecond))
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
 	}
@@ -370,7 +381,7 @@ func TestTimeoutWithHedgeCopiesInFlight(t *testing.T) {
 func TestShardedGroupByUnderReadErrors(t *testing.T) {
 	sys, tab := newShardedCalibrated(t, 4, PartitionHash, 64000, 1.3)
 	q := GroupByQuery{Table: tab, Low: 0, High: 15999, GroupWidth: 1000, Agg: Sum}
-	healthy, err := sys.ExecuteGroupBy(q, Cold())
+	healthy, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +396,7 @@ func TestShardedGroupByUnderReadErrors(t *testing.T) {
 			name string
 			opts []QueryOption
 		}{{"default retry", []QueryOption{Cold()}}, {"WithRetry", []QueryOption{Cold(), retry}}} {
-			got, err := sys.ExecuteGroupBy(q, c.opts...)
+			got, err := sys.Run(context.Background(), q, c.opts...)
 			if err != nil {
 				t.Errorf("seed %d, %s: %v", seed, c.name, err)
 			} else if !reflect.DeepEqual(got.Groups, healthy.Groups) {
@@ -397,7 +408,7 @@ func TestShardedGroupByUnderReadErrors(t *testing.T) {
 		}
 	}
 	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ErrorRate: 1}}})
-	if _, err := sys.ExecuteGroupBy(q, Cold()); !errors.Is(err, ErrDeviceFault) {
+	if _, err := sys.Run(context.Background(), q, Cold()); !errors.Is(err, ErrDeviceFault) {
 		t.Errorf("every read failing: err = %v, want ErrDeviceFault", err)
 	}
 	sys.ClearFaults()
@@ -411,7 +422,7 @@ func TestStragglingGatherTraceEndsAtRuntime(t *testing.T) {
 	sys, tab := newStragglingCluster(t, false)
 	sys.EnableEventLog(1 << 16)
 	var tel QueryTelemetry
-	res, err := sys.Execute(Query{Table: tab, Low: 0, High: 99999}, WithTrace(&tel))
+	res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 99999}, WithTrace(&tel))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,19 +466,19 @@ func TestHedgeDelayOffCriticalPath(t *testing.T) {
 		run  func(*System, *Table) (time.Duration, error)
 	}{
 		{"Query", func(sys *System, tab *Table) (time.Duration, error) {
-			res, err := sys.Query(context.Background(), q(tab), Cold())
+			res, err := sys.Run(context.Background(), q(tab), Cold())
 			return res.Runtime, err
 		}},
-		{"Execute", func(sys *System, tab *Table) (time.Duration, error) {
-			res, err := sys.Execute(q(tab), Cold())
+		{"Session.Submit", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := submitAndDrain(sys, q(tab), Cold())
 			return res.Runtime, err
 		}},
-		{"ExecutePlan", func(sys *System, tab *Table) (time.Duration, error) {
-			res, err := sys.ExecutePlan(q(tab), Plan{Method: FullTableScan, Degree: 2}, Cold())
+		{"WithPlan", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := sys.Run(context.Background(), q(tab), WithPlan(Plan{Method: FullTableScan, Degree: 2}), Cold())
 			return res.Runtime, err
 		}},
-		{"ExecuteGroupBy", func(sys *System, tab *Table) (time.Duration, error) {
-			res, err := sys.ExecuteGroupBy(GroupByQuery{Table: tab, Low: lo, High: hi, GroupWidth: 1000, Agg: Sum}, Cold())
+		{"GroupByQuery", func(sys *System, tab *Table) (time.Duration, error) {
+			res, err := sys.Run(context.Background(), GroupByQuery{Table: tab, Low: lo, High: hi, GroupWidth: 1000, Agg: Sum}, Cold())
 			return res.Runtime, err
 		}},
 	}
@@ -519,7 +530,7 @@ func TestShardedMakespanScales(t *testing.T) {
 	runtimes := make(map[int]time.Duration)
 	for _, shards := range []int{1, 8} {
 		sys, tab := newShardedCalibrated(t, shards, PartitionHash, 200000, 0)
-		res, err := sys.Execute(Query{Table: tab, Low: 0, High: 199999}, Cold())
+		res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 199999}, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,16 +542,15 @@ func TestShardedMakespanScales(t *testing.T) {
 	}
 }
 
-// TestShardedSingleNodeOpsRejected checks that the single-node entrypoints
+// TestShardedSingleNodeOpsRejected checks that the single-node operations
 // reject partitioned tables with a clear error instead of scanning one
 // partition silently.
 func TestShardedSingleNodeOpsRejected(t *testing.T) {
 	sys, tab := newShardedCalibrated(t, 4, PartitionHash, 20000, 0)
-	_, submitErr := sys.Submit(Query{Table: tab, Low: 0, High: 99})
-	_, updateErr := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 99, Delta: 1})
-	_, joinErr := sys.ExecuteJoin(JoinQuery{Build: tab, Probe: tab, Low: 0, High: 99})
+	_, updateErr := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 0, High: 99, Delta: 1})
+	_, joinErr := sys.Run(context.Background(), JoinQuery{Build: tab, Probe: tab, Low: 0, High: 99})
 	_, explainErr := sys.Explain(Query{Table: tab, Low: 0, High: 99}, PlanOptions{})
-	for op, err := range map[string]error{"Submit": submitErr, "Update": updateErr, "ExecuteJoin": joinErr, "Explain": explainErr} {
+	for op, err := range map[string]error{"UpdateQuery": updateErr, "JoinQuery": joinErr, "Explain": explainErr} {
 		if !errors.Is(err, ErrInvalidQuery) {
 			t.Errorf("%s on a sharded table: err = %v, want ErrInvalidQuery", op, err)
 		}
@@ -586,7 +596,7 @@ func TestShardedProgressAndEvents(t *testing.T) {
 	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Execute(Query{Table: tab, Low: 0, High: 49999}); err != nil {
+	if _, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: 49999}); err != nil {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
@@ -616,14 +626,19 @@ func TestShardedProgressAndEvents(t *testing.T) {
 // TestResultRollsUpNodeDeviceTraffic: Result.PageReads is the sum of the
 // device requests on every node the query touched — the one on a single
 // node, all four of a gather — and IOThroughputMBps is the bytes they moved
-// over the longest device window. Both entry points share the rollup.
+// over the longest device window. Every request kind shares the rollup.
 func TestResultRollsUpNodeDeviceTraffic(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		sys, tab := newShardedCalibrated(t, shards, PartitionHash, 50000, 0)
 		q := Query{Table: tab, Low: 0, High: 49999, Agg: Count}
 		runs := map[string]func() (Result, error){
-			"Query":       func() (Result, error) { return sys.Execute(q, Cold()) },
-			"ExecutePlan": func() (Result, error) { return sys.ExecutePlan(q, Plan{Method: FullTableScan, Degree: 2}, Cold()) },
+			"Query": func() (Result, error) { return sys.Run(context.Background(), q, Cold()) },
+			"WithPlan": func() (Result, error) {
+				return sys.Run(context.Background(), q, WithPlan(Plan{Method: FullTableScan, Degree: 2}), Cold())
+			},
+			"GroupByQuery": func() (Result, error) {
+				return sys.Run(context.Background(), GroupByQuery{Table: tab, Low: q.Low, High: q.High, GroupWidth: 1000}, Cold())
+			},
 		}
 		for name, run := range runs {
 			res, err := run()

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -12,11 +13,11 @@ import (
 )
 
 // submitScans submits n full-range scans and returns their submissions.
-func submitScans(t *testing.T, sys *System, tab *Table, n int, opts ...QueryOption) []*Submission {
+func submitScans(t *testing.T, ses *Session, tab *Table, n int, opts ...QueryOption) []*Submission {
 	t.Helper()
 	subs := make([]*Submission, n)
 	for i := range subs {
-		sub, err := sys.Submit(Query{Table: tab, Low: 0, High: tab.Rows() - 1}, opts...)
+		sub, err := ses.Submit(Query{Table: tab, Low: 0, High: tab.Rows() - 1}, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,8 +42,9 @@ func drainContendedScans(t *testing.T, sys *System, tab *Table, opts ...QueryOpt
 	if n < 16 {
 		n = 16
 	}
-	subs := submitScans(t, sys, tab, n, opts...)
-	if err := sys.Drain(); err != nil {
+	ses := openSession(t, sys)
+	subs := submitScans(t, ses, tab, n, opts...)
+	if err := ses.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	return subs, total
@@ -50,7 +52,7 @@ func drainContendedScans(t *testing.T, sys *System, tab *Table, opts ...QueryOpt
 
 func TestSessionSharesConcurrentScans(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 40000, 4)
-	want, err := sys.Execute(Query{Table: tab, Low: 0, High: tab.Rows() - 1})
+	want, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: tab.Rows() - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +238,16 @@ func TestSharedProducersLeaseTheirDepth(t *testing.T) {
 func TestRidersCanceledBeforeTheirProducerIsGranted(t *testing.T) {
 	sys, qs := hotStripeBatch(t)
 	n := sys.coord()
+	ses := openSession(t, sys)
 	var riders []*Submission
+	var scans []Query
 	for _, q := range qs {
-		sub, err := sys.Submit(q)
+		sub, err := ses.Submit(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sub.q.High > sub.q.Low {
-			riders = append(riders, sub)
+		if q.High > q.Low {
+			riders, scans = append(riders, sub), append(scans, q)
 		}
 	}
 	b := sys.broker
@@ -258,16 +262,16 @@ func TestRidersCanceledBeforeTheirProducerIsGranted(t *testing.T) {
 			sub.Cancel()
 		}
 	})
-	if err := sys.Drain(); !errors.Is(err, ErrCanceled) {
+	if err := ses.Drain(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("drain returned %v, want the riders' cancel", err)
 	}
 	if attached != len(riders) || queued == 0 {
 		t.Fatalf("at the cancel %d of %d riders were attached and %d leases queued; want all, behind a queue",
 			attached, len(riders), queued)
 	}
-	for _, sub := range riders {
+	for i, sub := range riders {
 		if !sub.Admission().Shared {
-			t.Errorf("scan %v was not admitted shared", sub.q)
+			t.Errorf("scan %v was not admitted shared", scans[i])
 		}
 	}
 	if b.InUse() != 0 || b.PoolInUse() != 0 || n.Shares.Live() != 0 {
@@ -285,13 +289,14 @@ func TestSharedScanProgressExactOnMidLapAttach(t *testing.T) {
 	// Force the attach path for a sole query: price it as one of 8 riders
 	// under a serial queue budget, where the shared lap always wins.
 	force := WithPlanOptions(PlanOptions{ShareParties: 8, QueueBudget: 1})
+	ses := openSession(t, sys)
 
-	aborted, err := sys.Submit(Query{Table: tab, Low: 0, High: tab.Rows() - 1},
+	aborted, err := ses.Submit(Query{Table: tab, Low: 0, High: tab.Rows() - 1},
 		force, WithTimeout(2*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(); err == nil {
+	if err := ses.Drain(); err == nil {
 		t.Fatal("2ms deadline on a full scan did not abort")
 	} else if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("abort error = %v, want deadline exceeded", err)
@@ -306,11 +311,11 @@ func TestSharedScanProgressExactOnMidLapAttach(t *testing.T) {
 	}
 
 	// The second scan finds the producer mid-table and joins there.
-	sub, err := sys.Submit(Query{Table: tab, Low: 0, High: tab.Rows() - 1}, force)
+	sub, err := ses.Submit(Query{Table: tab, Low: 0, High: tab.Rows() - 1}, force)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Drain(); err != nil {
+	if err := ses.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if !sub.Admission().Shared {
@@ -330,7 +335,7 @@ func TestSharedScanProgressExactOnMidLapAttach(t *testing.T) {
 // answers correctly.
 func TestNoScanSharingKnobs(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 40000, 4)
-	want, err := sys.Execute(Query{Table: tab, Low: 0, High: tab.Rows() - 1})
+	want, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: tab.Rows() - 1})
 	if err != nil {
 		t.Fatal(err)
 	}

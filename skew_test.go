@@ -1,6 +1,9 @@
 package pioqo
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // Zipf-skewed data exercises histogram-based cardinality estimation: a
 // fixed-width key range matches wildly different row counts depending on
@@ -71,11 +74,11 @@ func TestHistogramSteersAccessPathOnSkew(t *testing.T) {
 	// And the executed answers stay exact, matching brute-force-free
 	// cross-checks between the two access paths.
 	q := Query{Table: tab, Low: 0, High: 999}
-	viaFTS, err := sys.ExecutePlan(q, Plan{Method: FullTableScan, Degree: 4}, Cold())
+	viaFTS, err := sys.Run(context.Background(), q, WithPlan(Plan{Method: FullTableScan, Degree: 4}), Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaIS, err := sys.ExecutePlan(q, Plan{Method: IndexScan, Degree: 4}, Cold())
+	viaIS, err := sys.Run(context.Background(), q, WithPlan(Plan{Method: IndexScan, Degree: 4}), Cold())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package pioqo
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"testing"
 )
@@ -10,16 +11,16 @@ func TestUpdateModifiesValuesDurably(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 20000, 33)
 	q := Query{Table: tab, Low: 100, High: 299, Agg: Sum}
 
-	before, err := sys.Execute(q, Cold())
+	before, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	up, err := sys.Update(UpdateQuery{Table: tab, Low: 100, High: 299, Delta: 7}, Cold())
+	up, err := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 100, High: 299, Delta: 7}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up.RowsUpdated != before.Rows {
-		t.Errorf("updated %d rows, scan matched %d", up.RowsUpdated, before.Rows)
+	if up.Rows != before.Rows {
+		t.Errorf("updated %d rows, scan matched %d", up.Rows, before.Rows)
 	}
 	if up.PagesWritten == 0 {
 		t.Error("no dirty pages written back")
@@ -28,7 +29,7 @@ func TestUpdateModifiesValuesDurably(t *testing.T) {
 		t.Error("non-positive update runtime")
 	}
 
-	after, err := sys.Execute(q, Cold())
+	after, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,14 +41,14 @@ func TestUpdateModifiesValuesDurably(t *testing.T) {
 func TestUpdateDisjointRangeLeavesOthersAlone(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 10000, 33)
 	probe := Query{Table: tab, Low: 5000, High: 5999, Agg: Sum}
-	before, err := sys.Execute(probe, Cold())
+	before, err := sys.Run(context.Background(), probe, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 999, Delta: 100}); err != nil {
+	if _, err := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 0, High: 999, Delta: 100}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := sys.Execute(probe, Cold())
+	after, err := sys.Run(context.Background(), probe, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +66,10 @@ func TestUpdateRejectsSyntheticTables(t *testing.T) {
 	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 400}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 9, Delta: 1}); !errors.Is(err, ErrInvalidQuery) {
+	if _, err := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 0, High: 9, Delta: 1}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("update of a synthetic table: err = %v, want ErrInvalidQuery", err)
 	}
-	if _, err := sys.Update(UpdateQuery{Delta: 1}); !errors.Is(err, ErrInvalidQuery) {
+	if _, err := sys.Run(context.Background(), UpdateQuery{Delta: 1}); !errors.Is(err, ErrInvalidQuery) {
 		t.Errorf("update without a table: err = %v, want ErrInvalidQuery", err)
 	}
 }
@@ -84,7 +85,7 @@ func TestUpdateWriteBackOnEviction(t *testing.T) {
 	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 400}); err != nil {
 		t.Fatal(err)
 	}
-	up, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 29999, Delta: 1}, Cold())
+	up, err := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 0, High: 29999, Delta: 1}, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,30 +103,30 @@ func TestAbortedUpdateAppliesAPrefix(t *testing.T) {
 	q := Query{Table: tab, Low: 0, High: 9999, Agg: Sum}
 	up := UpdateQuery{Table: tab, Low: 0, High: 9999, Delta: 7}
 
-	whole, err := sys.Update(up, Cold())
+	whole, err := sys.Run(context.Background(), up, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := sys.Execute(q, Cold())
+	before, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The closing checkpoint dominates an update's runtime; an eighth of it
 	// lands inside the locating scan.
-	part, err := sys.Update(up, Cold(), WithTimeout(whole.Runtime/8))
+	part, err := sys.Run(context.Background(), up, Cold(), WithTimeout(whole.Runtime/8))
 	var qe *QueryError
 	if !errors.As(err, &qe) || !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("err = %v, want a *QueryError wrapping ErrDeadlineExceeded", err)
 	}
-	if part.RowsUpdated <= 0 || part.RowsUpdated >= whole.RowsUpdated {
-		t.Fatalf("aborted update (runtime %v) changed %d of %d rows; the deadline is meant to land mid-scan", whole.Runtime, part.RowsUpdated, whole.RowsUpdated)
+	if part.Rows <= 0 || part.Rows >= whole.Rows {
+		t.Fatalf("aborted update (runtime %v) changed %d of %d rows; the deadline is meant to land mid-scan", whole.Runtime, part.Rows, whole.Rows)
 	}
-	after, err := sys.Execute(q, Cold())
+	after, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := before.Value + 7*part.RowsUpdated; after.Value != want {
-		t.Errorf("SUM after the aborted update = %d, want %d (%d rows changed)", after.Value, want, part.RowsUpdated)
+	if want := before.Value + 7*part.Rows; after.Value != want {
+		t.Errorf("SUM after the aborted update = %d, want %d (%d rows changed)", after.Value, want, part.Rows)
 	}
 	assertNoLeaks(t, sys)
 }
@@ -135,7 +136,7 @@ func TestAbortedUpdateAppliesAPrefix(t *testing.T) {
 // map order, and on the seek-dependent HDD model the order is part of the
 // answer: the same update on the same seed took a different time every run.
 func TestUpdateCheckpointOrderIsDeterministic(t *testing.T) {
-	run := func() (UpdateResult, []byte) {
+	run := func() (Result, []byte) {
 		sys := New(Config{Device: HDD, PoolPages: 1024, Seed: 1})
 		tab, err := sys.CreateTable("t", 135168, 33)
 		if err != nil {
@@ -145,7 +146,7 @@ func TestUpdateCheckpointOrderIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.EnableEventLog(1 << 16)
-		up, err := sys.Update(UpdateQuery{Table: tab, Low: 0, High: 400, Delta: 1}, Cold())
+		up, err := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 0, High: 400, Delta: 1}, Cold())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,9 +161,9 @@ func TestUpdateCheckpointOrderIsDeterministic(t *testing.T) {
 	if a.PagesWritten < 100 {
 		t.Fatalf("checkpoint wrote %d pages; the test needs a few hundred seeks to order", a.PagesWritten)
 	}
-	if a.Runtime != b.Runtime || a.PagesWritten != b.PagesWritten || a.RowsUpdated != b.RowsUpdated {
+	if a.Runtime != b.Runtime || a.PagesWritten != b.PagesWritten || a.Rows != b.Rows {
 		t.Errorf("same seed, same update: runtime %v vs %v, %d vs %d pages written, %d vs %d rows",
-			a.Runtime, b.Runtime, a.PagesWritten, b.PagesWritten, a.RowsUpdated, b.RowsUpdated)
+			a.Runtime, b.Runtime, a.PagesWritten, b.PagesWritten, a.Rows, b.Rows)
 	}
 	if !bytes.Equal(alog, blog) {
 		t.Errorf("same seed, same update: event logs differ (%d vs %d bytes)", len(alog), len(blog))
