@@ -20,6 +20,12 @@ import (
 // may not change the set of (C1, C2) pairs, and the file is what shows it has
 // not. -update is for a change that means to change that set.
 func TestSyntheticAnswersGolden(t *testing.T) {
+	t.Parallel()
+	out := golden.Twice(t, func() string { return syntheticAnswers(t) })
+	golden.Check(t, filepath.Join("testdata", "synthetic_answers.golden"), out)
+}
+
+func syntheticAnswers(t *testing.T) string {
 	const ranges = 200
 	// Each heap ends in a partial page, except at one row per page.
 	shapes := []struct {
@@ -62,5 +68,5 @@ func TestSyntheticAnswersGolden(t *testing.T) {
 			}
 		}
 	}
-	golden.Check(t, filepath.Join("testdata", "synthetic_answers.golden"), out.String())
+	return out.String()
 }

@@ -19,7 +19,8 @@ import (
 // bench/ metric names: a backticked `layer.metric` under a layer bench/
 // reports must be a string literal in bench/ or internal/obs, or one of
 // the <layer>.host_share shares bench/profile.go builds. A backticked
-// `*.go` or `*.golden` path must name one file (namesOneFile). And a
+// `*.go` or `*.golden` path must name one file (namesOneFile), and a
+// backticked `scripts/…` or `cmd/…` path must exist. And a
 // System.X, Session.X or pioqo.X inside backticks must name a method or
 // field of System or Session, or an identifier of this package
 // (rootNames), so a deleted name cannot linger in the docs. CHANGES.md is
@@ -56,6 +57,7 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 	cited := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
 	citedMetric := regexp.MustCompile("`(" + metricName + ")`")
 	citedFile := regexp.MustCompile("`([^`\\s]+\\.(?:go|golden))`")
+	citedPath := regexp.MustCompile("`(?:\\./)?((?:scripts|cmd)/[^`\\s]*)")
 	codeSpan := regexp.MustCompile("`[^`\n]+`")
 	citedName := regexp.MustCompile(`\b(System|Session|pioqo)\.(\w+)`)
 	names := rootNames(t)
@@ -67,6 +69,11 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 		for _, m := range citedFile.FindAllStringSubmatch(string(src), -1) {
 			if !namesOneFile(m[1], files) {
 				t.Errorf("%s cites %s, which names no file of the module or several", doc, m[1])
+			}
+		}
+		for _, m := range citedPath.FindAllStringSubmatch(string(src), -1) {
+			if _, err := os.Stat(m[1]); err != nil {
+				t.Errorf("%s cites %s, which does not exist", doc, m[1])
 			}
 		}
 		for _, span := range codeSpan.FindAllString(string(src), -1) {

@@ -67,33 +67,11 @@ func TestQueryExpiredContextDeadline(t *testing.T) {
 }
 
 // assertNoLeaks checks the post-query invariants every abort path must
-// leave behind: no live simulation processes, no pinned buffer frames, no
-// hedge record still racing on any node, no consumer attached to a
-// circulating scan, and — on a calibrated system, whose broker admits
-// every query — no outstanding credits or pool reservations.
+// leave behind: the ledgers System.drain reads (leaks) are all at zero.
 func assertNoLeaks(t *testing.T, sys *System) {
 	t.Helper()
-	if n := sys.env.LiveProcs(); n != 0 {
-		t.Errorf("%d simulation processes leaked", n)
-	}
-	for _, n := range sys.nodes {
-		if pins := n.Pool.Pinned(); pins != 0 {
-			t.Errorf("node %d: %d buffer pins leaked", n.ID, pins)
-		}
-		if n.Hedge != nil && n.Hedge.Races() != 0 {
-			t.Errorf("node %d: %d hedge records still racing", n.ID, n.Hedge.Races())
-		}
-	}
-	if sh := sys.coord().Shares; sh != nil && sh.Live() != 0 {
-		t.Errorf("%d consumers left attached to circulating scans", sh.Live())
-	}
-	if sys.broker != nil {
-		if n := sys.broker.InUse(); n != 0 {
-			t.Errorf("%d broker credits leaked", n)
-		}
-		if n := sys.broker.PoolInUse(); n != 0 {
-			t.Errorf("%d reserved pool pages leaked", n)
-		}
+	for _, l := range sys.leaks() {
+		t.Errorf("leaked %s", l)
 	}
 }
 

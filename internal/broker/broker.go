@@ -128,7 +128,8 @@ var admissionWaitBucketsUs = []float64{0, 100, 1000, 10000, 100000, 1e6, 1e7}
 
 // New builds a broker over cfg. The credit supply is computed once, from
 // the calibrated model — the single place in the engine allowed to do
-// queue-budget arithmetic (scripts/verify.sh lints every other call site).
+// queue-budget arithmetic (the max-beneficial-depth row of the root
+// boundaries_test.go rejects every other call site).
 func New(cfg Config) *Broker {
 	if cfg.Env == nil {
 		panic("broker: Config.Env is nil")

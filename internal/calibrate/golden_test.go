@@ -46,21 +46,7 @@ func TestGoldenCalibratedModels(t *testing.T) {
 		{"raid8", newRAID, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			env := sim.NewEnv(7)
-			dev := tc.newDev(env)
-			cfg := DefaultConfig(dev)
-			cfg.MaxReads = 800
-			cfg.Bands = []int64{1, 256, 64 << 10, dev.Size() / disk.PageSize}
-			out := Run(env, dev, cfg)
-
-			got := goldenGrid{Bands: cfg.Bands, Depths: cfg.Depths}
-			for _, d := range cfg.Depths {
-				row := make([]float64, len(cfg.Bands))
-				for i, b := range cfg.Bands {
-					row[i] = out.Model.PageCost(b, d)
-				}
-				got.Cost = append(got.Cost, row)
-			}
+			got := golden.Twice(t, func() goldenGrid { return calibratedGrid(tc.newDev) })
 
 			path := filepath.Join("testdata", "golden_"+tc.name+".json")
 			data, err := json.MarshalIndent(got, "", "  ")
@@ -93,4 +79,25 @@ func TestGoldenCalibratedModels(t *testing.T) {
 			}
 		})
 	}
+}
+
+// calibratedGrid calibrates a fresh device on a fresh Env and returns its
+// grid.
+func calibratedGrid(newDev func(*sim.Env) device.Device) goldenGrid {
+	env := sim.NewEnv(7)
+	dev := newDev(env)
+	cfg := DefaultConfig(dev)
+	cfg.MaxReads = 800
+	cfg.Bands = []int64{1, 256, 64 << 10, dev.Size() / disk.PageSize}
+	out := Run(env, dev, cfg)
+
+	got := goldenGrid{Bands: cfg.Bands, Depths: cfg.Depths}
+	for _, d := range cfg.Depths {
+		row := make([]float64, len(cfg.Bands))
+		for i, b := range cfg.Bands {
+			row[i] = out.Model.PageCost(b, d)
+		}
+		got.Cost = append(got.Cost, row)
+	}
+	return got
 }

@@ -201,8 +201,12 @@ func (l *streamLog) runStreams(base, span int64) {
 }
 
 // TestDeviceStreamGolden runs every device's streams over its full capacity,
-// then records its counters.
+// then records its counters, twice.
 func TestDeviceStreamGolden(t *testing.T) {
+	golden.Twice(t, deviceStream).Check(t, filepath.Join("testdata", "devicestream.golden"))
+}
+
+func deviceStream() *golden.Digest {
 	out := golden.NewDigest("# Device-stream digests; see devicestream_test.go. Per device × stream: requests and\n" +
 		"# the SHA-256 of their rows (op offset length submit_ns complete_ns); then the device's counters.\n")
 	for i, sd := range streamDevices {
@@ -215,7 +219,7 @@ func TestDeviceStreamGolden(t *testing.T) {
 			m.Requests, m.Bytes, int64(m.LatencySum), m.Outstanding(),
 			m.DepthIntegral(), math.Float64bits(m.DepthIntegral()), int64(env.Now())))
 	}
-	out.Check(t, filepath.Join("testdata", "devicestream.golden"))
+	return out
 }
 
 // TestDeviceStreamOnWarmDevice replays the streams on a device that has
@@ -244,7 +248,8 @@ func TestDeviceStreamOnWarmDevice(t *testing.T) {
 			l.runStreams(0, half)
 			return l.rows, start
 		}
-		fresh, t0 := run(false)
+		var t0 sim.Time
+		fresh := golden.Twice(t, func() (rows []streamRow) { rows, t0 = run(false); return rows })
 		warm, t1 := run(true)
 		if len(fresh) != len(warm) {
 			t.Fatalf("%s: %d rows fresh, %d rows warm", sd.name, len(fresh), len(warm))

@@ -28,8 +28,8 @@ import (
 // percent at experiment scales.
 //
 // All CPU charging in this package goes through this type (or useCPU for
-// serialized driver work); scripts/verify.sh lints for stray Proc.Use
-// calls against the CPU resource elsewhere in the package.
+// serialized driver work); the batch-cpu row of the root boundaries_test.go
+// rejects a raw Use of the CPU resource elsewhere in the package.
 type cpuBudget struct {
 	ctx  *Context
 	debt sim.Duration

@@ -446,9 +446,14 @@ func scheduleRows() []scheduleRow {
 	}
 }
 
-// TestScheduleGolden replays every row on both devices and compares the
-// rendered lines with testdata/schedule.golden byte for byte.
+// TestScheduleGolden replays every row on both devices, twice, and compares
+// the rendered lines with testdata/schedule.golden byte for byte.
 func TestScheduleGolden(t *testing.T) {
+	lines := golden.Twice(t, func() string { return scheduleLines(t) })
+	golden.Check(t, filepath.Join("testdata", "schedule.golden"), lines)
+}
+
+func scheduleLines(t *testing.T) string {
 	var b strings.Builder
 	for _, dev := range []string{"ssd", "hdd"} {
 		for _, row := range scheduleRows() {
@@ -464,5 +469,5 @@ func TestScheduleGolden(t *testing.T) {
 			}
 		}
 	}
-	golden.Check(t, filepath.Join("testdata", "schedule.golden"), b.String())
+	return b.String()
 }

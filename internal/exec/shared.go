@@ -3,11 +3,12 @@
 // (buffer.Shares) and consumes pushed page batches — one full lap, every
 // page exactly once, starting wherever the producer happens to be. The
 // producer owns all device interaction and pinning; this file must not
-// demand-fetch (scripts/verify.sh rejects fetch and prefetch calls here), so
-// the consumer is pure CPU: evaluate rows, account batch CPU exactly like
-// the demand path, report progress per delivered page. The page evaluator
-// both paths share lives here for that reason — the lint then proves the
-// rider's per-page work cannot reach the pool.
+// demand-fetch (the shared-consumer row of the root boundaries_test.go
+// rejects fetch and prefetch calls here), so the consumer is pure CPU:
+// evaluate rows, account batch CPU exactly like the demand path, report
+// progress per delivered page. The page evaluator both paths share lives
+// here for that reason — the row then proves the rider's per-page work
+// cannot reach the pool.
 package exec
 
 import (

@@ -4,7 +4,8 @@
 // degree-aware readahead window, speculation offers derived from plan
 // structure — while the *policy* lives behind the Tuner interface
 // (implemented by adapt.Controller), which in turn changes degree only
-// through the broker lease path (scripts/verify.sh lints both directions).
+// through the broker lease path (the lease-grow row of the root
+// boundaries_test.go keeps every other package off Lease.Grow).
 //
 // Every hook is nil-inert: a Spec without a Tuner runs the same fleet with a
 // tick that never retunes, emits no extra events, and stays byte-identical

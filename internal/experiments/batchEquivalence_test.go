@@ -239,7 +239,7 @@ func renderBatchCases() string {
 // runtime within batchTolerance.
 func TestBatchAccountingQueryEquivalence(t *testing.T) {
 	t.Parallel()
-	compareBatchLines(t, "batch_queries", renderBatchCases(), isContendedLine, queryRuntimes)
+	compareBatchLines(t, "batch_queries", golden.Twice(t, renderBatchCases), isContendedLine, queryRuntimes)
 }
 
 // isContendedLine reports whether a battery golden line is from a
@@ -335,7 +335,8 @@ func TestBatchAccountingFig4(t *testing.T) {
 	t.Parallel()
 	sc := quick()
 	sc.Parallel = 1
-	compareBatchLines(t, "batch_fig4", renderFig4(sc.Fig4(cfgFor(33, workload.SSD), []int{32})),
+	fig4 := golden.Twice(t, func() string { return renderFig4(sc.Fig4(cfgFor(33, workload.SSD), []int{32})) })
+	compareBatchLines(t, "batch_fig4", fig4,
 		func(line string) bool {
 			f := strings.Split(line, "\t")
 			return len(f) > 2 && strings.HasPrefix(f[2], "P") // PIS32 / PFTS32
@@ -362,7 +363,7 @@ func TestBatchAccountingFig8(t *testing.T) {
 	t.Parallel()
 	sc := quick()
 	sc.Parallel = 1
-	rows := sc.Fig8(cfgFor(33, workload.SSD))
+	rows := golden.Twice(t, func() []Fig8Row { return sc.Fig8(cfgFor(33, workload.SSD)) })
 	// What no re-baseline may change: the plan the QDTT optimizer picked is
 	// measured no slower than the one the DTT optimizer picked. The golden
 	// below pins which plans those are today; it moves with the cost model
@@ -402,5 +403,6 @@ func TestBatchAccountingFig12(t *testing.T) {
 	t.Parallel()
 	sc := quick()
 	sc.Parallel = 1
-	golden.Check(t, filepath.Join("testdata", "batch_fig12.golden"), renderFig12(sc.Fig12()))
+	fig12 := golden.Twice(t, func() string { return renderFig12(sc.Fig12()) })
+	golden.Check(t, filepath.Join("testdata", "batch_fig12.golden"), fig12)
 }

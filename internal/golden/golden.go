@@ -4,7 +4,8 @@
 // for streams too large to check in. A digest golden holds per section the
 // row count and SHA-256 of its rows, optional tallies (say, how often each
 // plan won per decade of selectivity) and verbatim notes; a failure names
-// the sections that moved. -golden-rows <dir> writes the full rows to
+// the sections that moved. Twice runs a producer twice in one process and
+// compares the bytes. -golden-rows <dir> writes the full rows to
 // <dir>/<name>.rows when absent and compares them with it when present, so
 // rows written at a reference commit show the first diverging row here.
 package golden
@@ -38,6 +39,18 @@ func Check(t testing.TB, path, got string) {
 	if d := FirstDiff(Read(t, path), got); d != "" {
 		t.Fatalf("%s diverges at %s", path, d)
 	}
+}
+
+// Twice runs produce twice in one process and fails unless both runs print
+// the same bytes (a Digest prints its digests, a string itself), so a run
+// leaves nothing behind that the next one can see. It returns the second.
+func Twice[T any](t testing.TB, produce func() T) T {
+	t.Helper()
+	first, second := produce(), produce()
+	if d := FirstDiff(fmt.Sprint(first), fmt.Sprint(second)); d != "" {
+		t.Fatalf("a second run in the same process diverges at %s", d)
+	}
+	return second
 }
 
 // Update writes got to path when -update is set and reports whether it did,

@@ -115,3 +115,23 @@ func TestMissingGoldenAsksForUpdate(t *testing.T) {
 		}
 	}
 }
+
+func TestTwiceCatchesWhatARunLeavesBehind(t *testing.T) {
+	runs := 0
+	leaky := func() *Digest {
+		runs++
+		return stream(func(sec string, i int, row string) string {
+			if sec == "dev/c" && runs > 1 {
+				return "R again\n"
+			}
+			return row
+		})
+	}
+	if msg := report(func(t testing.TB) { Twice(t, leaky) }); !strings.Contains(msg, "a second run in the same process diverges") {
+		t.Errorf("a producer whose second run differs passed: %q", msg)
+	}
+	clean := func() string { return "same\n" }
+	if msg := report(func(t testing.TB) { Twice(t, clean) }); msg != "" {
+		t.Errorf("a producer that repeats itself failed: %s", msg)
+	}
+}

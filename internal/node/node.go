@@ -5,9 +5,10 @@
 //
 // The engine's ownership structure is "a System owns N nodes": every layer
 // that used to reach for *the* device or *the* pool now addresses a node.
-// Assembly of the storage stack happens here and only here —
-// scripts/verify.sh rejects direct workload.NewDevice / buffer.NewPool /
-// disk.NewManager / fault.Wrap calls in the public package — so the
+// Assembly of the storage stack happens here and only here — the
+// node-assembly row of the root boundaries_test.go rejects direct
+// workload.NewDevice / buffer.NewPool / buffer.NewShares / disk.NewManager /
+// fault.Wrap calls in the public package — so the
 // single-node engine is exactly the one-node special case of the cluster.
 //
 // All nodes of a System share one sim.Env: the cluster runs on one virtual

@@ -135,7 +135,7 @@ func TestJSONLDeterministicAndTyped(t *testing.T) {
 // TestEmitAllocatesNothing is the zero-overhead gate: with the ring off,
 // Emit bumps the row's counters and nothing else; with it on, it also writes
 // into the preallocated ring, here small enough that the runs wrap it.
-// Neither allocates. scripts/verify.sh runs it.
+// Neither allocates. Tier 1 runs it.
 func TestEmitAllocatesNothing(t *testing.T) {
 	for _, ring := range []bool{false, true} {
 		r := NewRegistry(sim.NewEnv(1))

@@ -385,7 +385,8 @@ func TestParamCacheStableHitAllocs(t *testing.T) {
 
 // TestParamCacheConcurrentReaders drives one shared cache from host.Sweep
 // workers — the race test behind the concurrent-reader tentpole claim (the
-// opt package runs under -race in verify.sh). Obs stays nil: the registry
+// opt package runs under -race at one, two and four threads in
+// scripts/verify.sh). Obs stays nil: the registry
 // is simulation-confined.
 func TestParamCacheConcurrentReaders(t *testing.T) {
 	cfg, in, f := paramFixture(t)
@@ -433,8 +434,8 @@ func TestParamCacheConcurrentReaders(t *testing.T) {
 // included — is created, published in the front array and read while the
 // others are still asking for it. Each selectivity has its band to itself,
 // so whichever goroutine's miss decides a band, every lookup must be served
-// the plan a single-threaded cache serves, bit for bit. Runs under -race in
-// verify.sh.
+// the plan a single-threaded cache serves, bit for bit. scripts/verify.sh
+// runs it under -race at one, two and four threads.
 func TestParamCacheColdConcurrentPlanning(t *testing.T) {
 	w := newStreamWorld("ssd")
 	s := w.shape("sorted")

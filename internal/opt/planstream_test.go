@@ -305,5 +305,5 @@ func shardedBits(s streamShape, in Input, memo *Memo, pc *ParamCache) (string, [
 }
 
 func TestPlanStreamGolden(t *testing.T) {
-	planStream().Check(t, filepath.Join("testdata", "planstream.golden"))
+	golden.Twice(t, planStream).Check(t, filepath.Join("testdata", "planstream.golden"))
 }

@@ -185,6 +185,14 @@ func onlyForcedCollections(t *testing.T) {
 	t.Cleanup(func() { debug.SetGCPercent(old) })
 }
 
+// thrice runs body three times in one process: the goroutine counts of one
+// round would show what the round before it left behind.
+func thrice(t *testing.T, body func(*testing.T)) {
+	for range 3 {
+		body(t)
+	}
+}
+
 // idle reports the length of e's free list. The lock is what orders this read
 // after an expire on the finalizer goroutine.
 func idle(e *Env) int {
@@ -211,7 +219,9 @@ func runFleet(e *Env, n int) {
 // once it has exited, only the free list's bounded number of idle coroutines;
 // nothing that grows with the number of Runs; nothing at all one collection
 // after the last Run, whether the Env is still in use or unreachable.
-func TestNoGoroutinesLeftAfterDrain(t *testing.T) {
+func TestNoGoroutinesLeftAfterDrain(t *testing.T) { thrice(t, noGoroutinesLeftAfterDrain) }
+
+func noGoroutinesLeftAfterDrain(t *testing.T) {
 	onlyForcedCollections(t)
 	t.Run("drain leaves at most the free list", func(t *testing.T) {
 		base := settledGoroutines()
@@ -289,6 +299,10 @@ func TestNoGoroutinesLeftAfterDrain(t *testing.T) {
 // after a callback's panic left a bystander parked, keeps those coroutines —
 // exactly those (the idle one goes), and a later Run would still resume them.
 func TestAbandonedParkedProcessesKeepTheirCoroutines(t *testing.T) {
+	thrice(t, abandonedParkedProcessesKeepTheirCoroutines)
+}
+
+func abandonedParkedProcessesKeepTheirCoroutines(t *testing.T) {
 	onlyForcedCollections(t)
 	base := settledGoroutines()
 	func() {
@@ -308,7 +322,9 @@ func TestAbandonedParkedProcessesKeepTheirCoroutines(t *testing.T) {
 // it; a bystander that a callback's panic left parked is still on its own
 // and must not be handed a second process; and a process started on a used
 // coroutine is a new process in every respect.
-func TestFreeListHygiene(t *testing.T) {
+func TestFreeListHygiene(t *testing.T) { thrice(t, freeListHygiene) }
+
+func freeListHygiene(t *testing.T) {
 	onlyForcedCollections(t)
 	e := NewEnv(1)
 	e.Go("bad", func(p *Proc) { panic("boom") })
@@ -365,6 +381,10 @@ func TestFreeListHygiene(t *testing.T) {
 // whichever side takes the Env's lock first, a Run starts every process it
 // was given, on a coroutine that is fresh or still alive, and finishes them.
 func TestFreeListExpiresBetweenConcurrentRuns(t *testing.T) {
+	thrice(t, freeListExpiresBetweenConcurrentRuns)
+}
+
+func freeListExpiresBetweenConcurrentRuns(t *testing.T) {
 	var collections atomic.Int64
 	stop := make(chan struct{})
 	collected := make(chan struct{})
@@ -417,7 +437,9 @@ func TestFreeListExpiresBetweenConcurrentRuns(t *testing.T) {
 // which is what t.FailNow in a process body needs in order to stop the test.
 // The Env stays consistent: the other process is still parked and a later
 // Run resumes it.
-func TestGoexitInProcessEndsRunsGoroutine(t *testing.T) {
+func TestGoexitInProcessEndsRunsGoroutine(t *testing.T) { thrice(t, goexitInProcessEndsRunsGoroutine) }
+
+func goexitInProcessEndsRunsGoroutine(t *testing.T) {
 	onlyForcedCollections(t)
 	base := settledGoroutines()
 	e := NewEnv(1)

@@ -145,7 +145,9 @@ func TestMulModMatchesBigIntuition(t *testing.T) {
 }
 
 // Property: for any table size, the affine map is a bijection — inverting
-// any key yields a row that maps back to that key.
+// any key yields a row that maps back to that key. Three hundred draws: the
+// 2- and 3-row tables whose multiplier search once never ended turn up in
+// about one run of sixty in forty.
 func TestPropertySyntheticBijection(t *testing.T) {
 	f := func(rowsRaw uint16, keyRaw uint16, seed int64) bool {
 		rows := int64(rowsRaw%5000) + 2
@@ -154,7 +156,7 @@ func TestPropertySyntheticBijection(t *testing.T) {
 		r := tb.RowForKey(key)
 		return r >= 0 && r < rows && tb.RowAt(r).C2 == key
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -114,8 +114,8 @@ type System struct {
 	// the registry, hosts the scan-share registry and the broker's supply,
 	// and is the node single-node paths run on. Every access to a device,
 	// pool, injector, or CPU resource goes through a node — the fields the
-	// pre-cluster System carried are gone, and scripts/verify.sh keeps
-	// them out.
+	// pre-cluster System carried are gone, and the node-assembly row of
+	// boundaries_test.go keeps this package from building their values.
 	nodes []*node.Node
 
 	costs exec.CPUCosts

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"strings"
 	"time"
 
 	"pioqo/internal/broker"
@@ -267,25 +268,46 @@ func (r *queryRun) deliver() {
 // started query has finished and what they left behind — a losing hedge
 // copy, an injected straggler's delay, an expired hedge timer — has too, so
 // the next query starts on a quiet device. It ends on the reclamation
-// invariant: with no query still admitted, every credit and every pool
-// reservation has come home — aborted queries included — and no consumer
-// is left attached to a circulating scan.
+// invariant: with no query still admitted, every ledger leaks reads is back
+// at zero, aborted queries included.
 func (s *System) drain() {
 	s.setHedgers(true)
 	s.env.Run()
 	s.setHedgers(false)
-	b := s.broker
-	if b == nil || b.Active() != 0 {
+	if s.broker != nil && s.broker.Active() != 0 {
 		return
 	}
-	riders := 0
-	if sh := s.coord().Shares; sh != nil {
-		riders = sh.Live()
+	if l := s.leaks(); l != nil {
+		panic("pioqo: drain leaked " + strings.Join(l, ", "))
 	}
-	if b.InUse() != 0 || b.PoolInUse() != 0 || riders != 0 {
-		panic(fmt.Sprintf("pioqo: drain leaked %d broker credits, %d reserved pool pages and %d circulating-scan riders",
-			b.InUse(), b.PoolInUse(), riders))
+}
+
+// leaks lists every ledger of a drained system that is not at zero: live
+// simulation processes, buffer pins and racing hedge records on every node,
+// consumers attached to a circulating scan, and the broker's credits and
+// reserved pool pages. It returns nil when all are.
+func (s *System) leaks() (l []string) {
+	if n := s.env.LiveProcs(); n != 0 {
+		l = append(l, fmt.Sprintf("%d simulation processes", n))
 	}
+	for _, n := range s.nodes {
+		if pins := n.Pool.Pinned(); pins != 0 {
+			l = append(l, fmt.Sprintf("%d buffer pins on node %d", pins, n.ID))
+		}
+		if n.Hedge != nil && n.Hedge.Races() != 0 {
+			l = append(l, fmt.Sprintf("%d hedge records racing on node %d", n.Hedge.Races(), n.ID))
+		}
+	}
+	if sh := s.coord().Shares; sh != nil && sh.Live() != 0 {
+		l = append(l, fmt.Sprintf("%d circulating-scan riders", sh.Live()))
+	}
+	if b := s.broker; b != nil && b.InUse() != 0 {
+		l = append(l, fmt.Sprintf("%d broker credits", b.InUse()))
+	}
+	if b := s.broker; b != nil && b.PoolInUse() != 0 {
+		l = append(l, fmt.Sprintf("%d reserved pool pages", b.PoolInUse()))
+	}
+	return l
 }
 
 // metered runs drain in a metering window — every node's device meters and
