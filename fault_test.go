@@ -75,6 +75,20 @@ func assertNoLeaks(t *testing.T, sys *System) {
 	}
 }
 
+// TestLeaksNameAnOutstandingDeviceRequest: a read submitted to node 1's
+// device and never run to completion is a ledger leaks names by node; once
+// the Env runs it, nothing is left.
+func TestLeaksNameAnOutstandingDeviceRequest(t *testing.T) {
+	sys := New(Config{Device: SSD, PoolPages: 256, Shards: 2})
+	sys.nodes[1].Dev.ReadAt(0, 4096)
+	want := "1 device requests outstanding on node 1"
+	if l := sys.leaks(); !reflect.DeepEqual(l, []string{want}) {
+		t.Fatalf("leaks() = %q, want [%q]", l, want)
+	}
+	sys.env.Run()
+	assertNoLeaks(t, sys)
+}
+
 func TestWithTimeoutAbortsMidScan(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	q := Query{Table: tab, Low: 0, High: 150000}

@@ -3,8 +3,9 @@
 // leaves hold (key, row) entries in key order.
 //
 // Like the heap tables, the index has two backings behind one type:
-// materialized (entries sorted and stored, built from a table.Materialized)
-// and synthetic (entries computed from a table.Synthetic's key permutation —
+// materialized (entries stored in key order, counted into place from a
+// table.Materialized's keys in linear time, with no comparison sort) and
+// synthetic (entries computed from a table.Synthetic's key permutation —
 // keys are dense in [0, rows), so the entry at global position k is exactly
 // key k). Index pages occupy a disk file of their own: internal pages first,
 // then one page per leaf, so leaf reads cost real simulated I/O through the
@@ -12,9 +13,7 @@
 package btree
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 
 	"pioqo/internal/disk"
@@ -50,20 +49,28 @@ type Index struct {
 
 // NewMaterialized bulk-loads an index over t's C2 column, allocating its
 // page file on m. leafCap and fanout may be zero to use the defaults.
+//
+// The load is a counting sort by key over [0, t.KeyDomain()), linear in
+// rows plus domain: next[k] starts at the position of key k's first entry,
+// and rows are placed in ascending row order, so each key's run holds its
+// rows ascending — exactly the (Key, Row) order, a total order since rows
+// are distinct. TestMaterializedBuildMatchesComparisonSort and
+// FuzzMaterializedBuild hold it to a (Key, Row) comparison sort.
 func NewMaterialized(m *disk.Manager, t *table.Materialized, leafCap, fanout int) *Index {
 	idx := newIndex(t.Name()+"_c2", t.Rows(), leafCap, fanout)
+	next := make([]int64, t.KeyDomain()+1)
+	for r := int64(0); r < t.Rows(); r++ {
+		next[t.RowAt(r).C2+1]++
+	}
+	for k := 1; k < len(next); k++ {
+		next[k] += next[k-1]
+	}
 	idx.sorted = make([]Entry, t.Rows())
 	for r := int64(0); r < t.Rows(); r++ {
-		idx.sorted[r] = Entry{Key: t.RowAt(r).C2, Row: r}
+		key := t.RowAt(r).C2
+		idx.sorted[next[key]] = Entry{Key: key, Row: r}
+		next[key]++
 	}
-	// (Key, Row) is a total order — rows are distinct — so any sort gives
-	// the same array.
-	slices.SortFunc(idx.sorted, func(a, b Entry) int {
-		if c := cmp.Compare(a.Key, b.Key); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Row, b.Row)
-	})
 	idx.allocate(m)
 	return idx
 }

@@ -1,6 +1,9 @@
 package btree
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -50,6 +53,77 @@ func TestMaterializedEntriesSortedAndComplete(t *testing.T) {
 	if int64(len(seen)) != tb.Rows() {
 		t.Fatalf("indexed %d rows, want %d", len(seen), tb.Rows())
 	}
+}
+
+// equivalenceTables are the tables the counting build is held to the
+// comparison sort on: uniform and Zipf 1.3 keys, one shard each of a hash
+// and a range partition (keys over the parent's domain, larger than the
+// shard's rows), a one-row table and a table whose every row has one key.
+func equivalenceTables(m *disk.Manager) map[string]*table.Materialized {
+	cols := table.DrawColumns(3000, 7)
+	hash, _ := table.DrawColumnsZipf(3000, 7, 1.3).Partition(4, func(k int64) int { return table.HashShard(k, 4) })
+	cuts := table.EqualWidthCuts(cols.Domain, 4)
+	ranged, _ := cols.Partition(4, func(k int64) int { return table.RangeShard(k, cuts) })
+	oneKey := make([]int64, 500)
+	for i := range oneKey {
+		oneKey[i] = 41
+	}
+	return map[string]*table.Materialized{
+		"uniform":     table.NewMaterialized(m, "uniform", 3000, 33, 7),
+		"zipf":        table.NewMaterializedZipf(m, "zipf", 3000, 33, 7, 1.3),
+		"hash-shard":  table.NewMaterializedFrom(m, "hash", 33, hash[1].C1, hash[1].C2, hash[1].Domain),
+		"range-shard": table.NewMaterializedFrom(m, "range", 33, ranged[2].C1, ranged[2].C2, ranged[2].Domain),
+		"one-row":     table.NewMaterializedFrom(m, "one-row", 33, []int64{5}, []int64{3}, 10),
+		"one-key":     table.NewMaterializedFrom(m, "one-key", 33, make([]int64, 500), oneKey, 100),
+	}
+}
+
+// sortedByComparison is the reference build: every (key, row) pair, sorted
+// by (Key, Row).
+func sortedByComparison(t *table.Materialized) []Entry {
+	ref := make([]Entry, t.Rows())
+	for r := range ref {
+		ref[r] = Entry{Key: t.RowAt(int64(r)).C2, Row: int64(r)}
+	}
+	slices.SortFunc(ref, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(a.Row, b.Row))
+	})
+	return ref
+}
+
+func TestMaterializedBuildMatchesComparisonSort(t *testing.T) {
+	m := newManager()
+	for name, tb := range equivalenceTables(m) {
+		if got, want := NewMaterialized(m, tb, 0, 0).sorted, sortedByComparison(tb); !slices.Equal(got, want) {
+			t.Errorf("%s: counting build differs from the (Key, Row) sort", name)
+		}
+	}
+}
+
+// FuzzMaterializedBuild draws a key domain, from one key to far more keys
+// than rows, and a key column inside it, spread over the domain or crowded
+// onto its first hot keys, and holds the counting build to the comparison
+// sort.
+func FuzzMaterializedBuild(f *testing.F) {
+	f.Add(uint32(2999), uint16(2999), int64(7), uint8(0))
+	f.Fuzz(func(t *testing.T, domainRaw uint32, rowsRaw uint16, seed int64, hot uint8) {
+		domain := int64(domainRaw%100000) + 1
+		rows := int(rowsRaw%5000) + 1
+		span := domain
+		if hot > 0 {
+			span = min(int64(hot), domain)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		c1, c2 := make([]int64, rows), make([]int64, rows)
+		for i := range c2 {
+			c1[i], c2[i] = rng.Int63(), rng.Int63n(span)
+		}
+		m := newManager()
+		tb := table.NewMaterializedFrom(m, "t", 33, c1, c2, domain)
+		if got, want := NewMaterialized(m, tb, 0, 0).sorted, sortedByComparison(tb); !slices.Equal(got, want) {
+			t.Fatalf("domain %d, %d rows, hot %d: counting build differs from the (Key, Row) sort", domain, rows, hot)
+		}
+	})
 }
 
 func TestSyntheticEntriesAreDenseKeys(t *testing.T) {

@@ -1,6 +1,6 @@
 package stats
 
-import "sort"
+import "slices"
 
 // BalancedCuts computes range-partition cut points that spread the given
 // key multiset near-evenly across shards: cut i is the smallest key value
@@ -12,9 +12,8 @@ import "sort"
 //
 // Cuts are computed on a sorted copy; the input is not modified.
 func BalancedCuts(keys []int64, shards int) []int64 {
-	sorted := make([]int64, len(keys))
-	copy(sorted, keys)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	sorted := slices.Clone(keys)
+	slices.Sort(sorted)
 
 	cuts := make([]int64, shards-1)
 	n := int64(len(sorted))

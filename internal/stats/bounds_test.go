@@ -1,6 +1,8 @@
 package stats
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"pioqo/internal/table"
@@ -70,6 +72,42 @@ func TestBalancedCutsStrictlyAscend(t *testing.T) {
 	for i := 1; i < len(cuts); i++ {
 		if cuts[i] <= cuts[i-1] {
 			t.Fatalf("cuts not strictly ascending: %v", cuts)
+		}
+	}
+}
+
+// cutsBySort is the reference BalancedCuts: the quantiles of a
+// sort.Slice-sorted copy, each pushed past its predecessor.
+func cutsBySort(keys []int64, shards int) []int64 {
+	sorted := make([]int64, len(keys))
+	copy(sorted, keys)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	cuts := make([]int64, shards-1)
+	n := int64(len(sorted))
+	for i := range cuts {
+		cut := sorted[min(n*int64(i+1)/int64(shards), n-1)]
+		if i > 0 && cut <= cuts[i-1] {
+			cut = cuts[i-1] + 1
+		}
+		cuts[i] = cut
+	}
+	return cuts
+}
+
+// TestBalancedCutsMatchSortReference: the cuts equal the reference's on
+// every equivalence table, and the one-row and one-key tables take the
+// strictly-ascending push past their hot key.
+func TestBalancedCutsMatchSortReference(t *testing.T) {
+	for name, tb := range equivalenceTables() {
+		keys := keysOf(tb)
+		for _, shards := range []int{2, 4, 8, 16} {
+			got, want := BalancedCuts(keys, shards), cutsBySort(keys, shards)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s, %d shards: cuts %v, want %v", name, shards, got, want)
+			}
+			if (name == "one-row" || name == "one-key") && got[len(got)-1] != got[0]+int64(shards-2) {
+				t.Errorf("%s, %d shards: cuts %v are not pushed past the hot key one by one", name, shards, got)
+			}
 		}
 	}
 }

@@ -10,6 +10,7 @@ package stats
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pioqo/internal/table"
 )
@@ -45,13 +46,17 @@ func BuildHistogram(t table.Table, buckets int) *Histogram {
 		buckets: make([]int64, buckets),
 		rows:    t.Rows(),
 	}
-	seen := make(map[int64]struct{}, t.Rows())
+	// One bit per key of [0, domain) marks the keys seen: no map, and the
+	// distinct count is the bits set.
+	seen := make([]uint64, (domain+63)/64)
 	for r := int64(0); r < t.Rows(); r++ {
 		v := t.RowAt(r).C2
 		h.buckets[h.bucketOf(v)]++
-		seen[v] = struct{}{}
+		seen[uint64(v)/64] |= 1 << (uint64(v) % 64)
 	}
-	h.distinct = int64(len(seen))
+	for _, w := range seen {
+		h.distinct += int64(bits.OnesCount64(w))
+	}
 	return h
 }
 

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +25,62 @@ func trueCount(t table.Table, lo, hi int64) int64 {
 		}
 	}
 	return n
+}
+
+// equivalenceTables are the tables the bitset histogram and the
+// slices.Sort cuts are held to their references on: uniform and Zipf 1.3 keys, one
+// shard each of a hash and a range partition (keys over the parent's
+// domain, larger than the shard's rows), a one-row table and a table whose
+// every row has one key.
+func equivalenceTables() map[string]table.Table {
+	m := newManager()
+	cols := table.DrawColumns(3000, 7)
+	hash, _ := table.DrawColumnsZipf(3000, 7, 1.3).Partition(4, func(k int64) int { return table.HashShard(k, 4) })
+	cuts := table.EqualWidthCuts(cols.Domain, 4)
+	ranged, _ := cols.Partition(4, func(k int64) int { return table.RangeShard(k, cuts) })
+	oneKey := make([]int64, 500)
+	for i := range oneKey {
+		oneKey[i] = 41
+	}
+	return map[string]table.Table{
+		"uniform":     table.NewMaterialized(m, "uniform", 3000, 33, 7),
+		"zipf":        table.NewMaterializedZipf(m, "zipf", 3000, 33, 7, 1.3),
+		"hash-shard":  table.NewMaterializedFrom(m, "hash", 33, hash[1].C1, hash[1].C2, hash[1].Domain),
+		"range-shard": table.NewMaterializedFrom(m, "range", 33, ranged[2].C1, ranged[2].C2, ranged[2].Domain),
+		"one-row":     table.NewMaterializedFrom(m, "one-row", 33, []int64{5}, []int64{3}, 10),
+		"one-key":     table.NewMaterializedFrom(m, "one-key", 33, make([]int64, 500), oneKey, 100),
+	}
+}
+
+// keysOf returns t's C2 column in row order.
+func keysOf(t table.Table) []int64 {
+	keys := make([]int64, t.Rows())
+	for r := range keys {
+		keys[r] = t.RowAt(int64(r)).C2
+	}
+	return keys
+}
+
+// TestHistogramMatchesMapReference: the bitset's distinct count is a map's,
+// and every row lands in the bucket bucketOf names.
+func TestHistogramMatchesMapReference(t *testing.T) {
+	for name, tb := range equivalenceTables() {
+		for _, buckets := range []int{0, 7, 1 << 20} {
+			h := BuildHistogram(tb, buckets)
+			want := make([]int64, h.Buckets())
+			seen := make(map[int64]struct{})
+			for _, key := range keysOf(tb) {
+				want[h.bucketOf(key)]++
+				seen[key] = struct{}{}
+			}
+			if !slices.Equal(h.buckets, want) {
+				t.Errorf("%s, %d buckets: counts %v, want %v", name, buckets, h.buckets, want)
+			}
+			if h.Distinct() != int64(len(seen)) {
+				t.Errorf("%s, %d buckets: Distinct() = %d, a map counts %d", name, buckets, h.Distinct(), len(seen))
+			}
+		}
+	}
 }
 
 func TestHistogramUniformDataIsAccurate(t *testing.T) {

@@ -63,22 +63,30 @@ func drawColumns(rows int64, seed int64, c2Source func(*rand.Rand) func() int64)
 // columns, allocating its file on m. domain is the C2 key domain — for a
 // partition it is the parent table's domain, not the partition's row
 // count, so selectivity estimation and index search stay anchored to the
-// global key space.
+// global key space. Every C2 value must lie in [0, domain): the index and
+// the histogram count keys over that range, so a key outside it is a bug
+// in the caller, and the constructor panics naming the table.
 func NewMaterializedFrom(m *disk.Manager, name string, rpp int, c1, c2 []int64, domain int64) *Materialized {
 	if len(c1) != len(c2) || len(c1) == 0 {
 		panic(fmt.Sprintf("table %q: %d C1 values vs %d C2 values", name, len(c1), len(c2)))
 	}
 	rows := int64(len(c1))
 	validateShape(name, rows, rpp)
-	return &Materialized{
+	t := &Materialized{
 		name:   name,
 		rows:   rows,
 		rpp:    rpp,
-		file:   m.MustAllocate(name, pagesFor(rows, rpp)),
 		c1:     c1,
 		c2:     c2,
 		domain: domain,
 	}
+	for row, key := range c2 {
+		if uint64(key) >= uint64(t.KeyDomain()) {
+			panic(fmt.Sprintf("table %q: row %d has key %d outside domain [0,%d)", name, row, key, t.KeyDomain()))
+		}
+	}
+	t.file = m.MustAllocate(name, pagesFor(rows, rpp))
+	return t
 }
 
 // HashShard returns the shard a key belongs to under hash partitioning.
@@ -114,17 +122,25 @@ func EqualWidthCuts(domain int64, shards int) []int64 {
 // Partition deals the rowset out to shards: assign(C2) names each row's
 // shard, and rows keep their relative order within a shard. The returned
 // rowIDs give each partition row's original row number, letting tests map
-// partition rows back to the unsharded table.
+// partition rows back to the unsharded table. One pass assigns the rows
+// and counts each shard's, so every slice is made at its final size.
 func (c Columns) Partition(shards int, assign func(key int64) int) (parts []Columns, rowIDs [][]int64) {
-	parts = make([]Columns, shards)
-	rowIDs = make([][]int64, shards)
-	for i := range parts {
-		parts[i].Domain = c.Domain
-	}
+	shardOf := make([]int32, len(c.C2))
+	sizes := make([]int, shards)
 	for row, key := range c.C2 {
 		s := assign(key)
+		shardOf[row] = int32(s)
+		sizes[s]++
+	}
+	parts = make([]Columns, shards)
+	rowIDs = make([][]int64, shards)
+	for s, n := range sizes {
+		parts[s] = Columns{C1: make([]int64, 0, n), C2: make([]int64, 0, n), Domain: c.Domain}
+		rowIDs[s] = make([]int64, 0, n)
+	}
+	for row, s := range shardOf {
 		parts[s].C1 = append(parts[s].C1, c.C1[row])
-		parts[s].C2 = append(parts[s].C2, key)
+		parts[s].C2 = append(parts[s].C2, c.C2[row])
 		rowIDs[s] = append(rowIDs[s], int64(row))
 	}
 	return parts, rowIDs

@@ -1,7 +1,10 @@
 package table
 
 import (
+	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"pioqo/internal/device"
@@ -76,6 +79,80 @@ func TestPartitionPreservesMultiset(t *testing.T) {
 		if total != 5000 {
 			t.Errorf("%s: partitions hold %d rows, want 5000", name, total)
 		}
+	}
+}
+
+// partitionByAppend is the reference Partition: each row appended to its
+// shard's growing slices.
+func partitionByAppend(c Columns, shards int, assign func(key int64) int) (parts []Columns, rowIDs [][]int64) {
+	parts = make([]Columns, shards)
+	rowIDs = make([][]int64, shards)
+	for i := range parts {
+		parts[i].Domain = c.Domain
+	}
+	for row, key := range c.C2 {
+		s := assign(key)
+		parts[s].C1 = append(parts[s].C1, c.C1[row])
+		parts[s].C2 = append(parts[s].C2, key)
+		rowIDs[s] = append(rowIDs[s], int64(row))
+	}
+	return parts, rowIDs
+}
+
+// TestPartitionMatchesAppendReference: on uniform and Zipf 1.3 rowsets, a
+// one-row rowset and one whose every row has one key, hash and range
+// partitions equal the reference's row for row, and each slice is made at
+// its final size.
+func TestPartitionMatchesAppendReference(t *testing.T) {
+	oneKey := Columns{C1: make([]int64, 500), C2: make([]int64, 500), Domain: 100}
+	for i := range oneKey.C2 {
+		oneKey.C1[i], oneKey.C2[i] = int64(i), 41
+	}
+	rowsets := map[string]Columns{
+		"uniform": DrawColumns(3000, 7),
+		"zipf":    DrawColumnsZipf(3000, 7, 1.3),
+		"one-row": {C1: []int64{5}, C2: []int64{3}, Domain: 10},
+		"one-key": oneKey,
+	}
+	for name, cols := range rowsets {
+		for _, shards := range []int{1, 3, 8} {
+			cuts := EqualWidthCuts(cols.Domain, shards)
+			for kind, assign := range map[string]func(int64) int{
+				"hash":  func(k int64) int { return HashShard(k, shards) },
+				"range": func(k int64) int { return RangeShard(k, cuts) },
+			} {
+				at := fmt.Sprintf("%s, %d %s shards", name, shards, kind)
+				parts, rowIDs := cols.Partition(shards, assign)
+				wantParts, wantIDs := partitionByAppend(cols, shards, assign)
+				for s := range wantParts {
+					got, want := parts[s], wantParts[s]
+					if !slices.Equal(got.C1, want.C1) || !slices.Equal(got.C2, want.C2) ||
+						!slices.Equal(rowIDs[s], wantIDs[s]) || got.Domain != want.Domain {
+						t.Fatalf("%s: shard %d differs from the append reference", at, s)
+					}
+					if cap(got.C1) != len(got.C1) || cap(got.C2) != len(got.C2) || cap(rowIDs[s]) != len(rowIDs[s]) {
+						t.Errorf("%s: shard %d slices not made at their final size", at, s)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestNewMaterializedFromRejectsKeyOutsideDomain: the index and histogram
+// count keys over [0, domain), so a key outside it panics at load, naming
+// the table.
+func TestNewMaterializedFromRejectsKeyOutsideDomain(t *testing.T) {
+	for _, key := range []int64{-1, 10, 1 << 40} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, `table "shard#2"`) || !strings.Contains(msg, "outside domain [0,10)") {
+					t.Errorf("key %d: panic %q, want one naming the table and its domain", key, msg)
+				}
+			}()
+			NewMaterializedFrom(newManager(), "shard#2", 33, []int64{1, 2}, []int64{9, key}, 10)
+		}()
 	}
 }
 

@@ -283,14 +283,17 @@ func (s *System) drain() {
 }
 
 // leaks lists every ledger of a drained system that is not at zero: live
-// simulation processes, buffer pins and racing hedge records on every node,
-// consumers attached to a circulating scan, and the broker's credits and
-// reserved pool pages. It returns nil when all are.
+// simulation processes, device requests in flight, buffer pins and racing
+// hedge records on every node, consumers attached to a circulating scan, and
+// the broker's credits and reserved pool pages. It returns nil when all are.
 func (s *System) leaks() (l []string) {
 	if n := s.env.LiveProcs(); n != 0 {
 		l = append(l, fmt.Sprintf("%d simulation processes", n))
 	}
 	for _, n := range s.nodes {
+		if out := n.Dev.Metrics().Outstanding(); out != 0 {
+			l = append(l, fmt.Sprintf("%d device requests outstanding on node %d", out, n.ID))
+		}
 		if pins := n.Pool.Pinned(); pins != 0 {
 			l = append(l, fmt.Sprintf("%d buffer pins on node %d", pins, n.ID))
 		}

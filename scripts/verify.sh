@@ -31,8 +31,10 @@ done
 go test -race ./...
 go test -race -cpu 1,4 ./internal/sim/... ./internal/opt/...
 
-# Five seconds of fuzzing the synthetic heap's accessors from the corpus.
+# Five seconds each of fuzzing, from the corpus, the synthetic heap's
+# accessors and the materialized index's counting build.
 go test -timeout 120s -run '^$' -fuzz FuzzSyntheticPlacement -fuzztime 5s ./internal/table
+go test -timeout 120s -run '^$' -fuzz FuzzMaterializedBuild -fuzztime 5s ./internal/btree
 
 # -golden-rows writes the digest goldens' full rows, then compares them: the
 # path that shows a moved digest's first diverging row stays in use.
