@@ -41,13 +41,10 @@ func (eo *queryOptions) checkAdaptive() error {
 
 // adaptiveEligible limits adaptivity to the plans the executor can flex:
 // demand full scans and index scans. Shared scans ride the circulating
-// producer (the rider issues no device work to retune), sorted scans are
-// a fixed two-phase pipeline, and scatter-gather plans split per shard.
+// producer (the rider issues no device work to retune), and scatter-gather
+// plans split per shard.
 func adaptiveEligible(plan Plan) bool {
-	if plan.Shared || plan.Fanout > 0 {
-		return false
-	}
-	return plan.Method == FullTableScan || plan.Method == IndexScan
+	return !plan.Shared && plan.Fanout == 0
 }
 
 // attachAdaptive installs the feedback controller on spec for an eligible

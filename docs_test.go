@@ -20,11 +20,13 @@ import (
 // reports must be a string literal in bench/ or internal/obs, or one of
 // the <layer>.host_share shares bench/profile.go builds. A backticked
 // `*.go` or `*.golden` path must name one file (namesOneFile), and a
-// backticked `scripts/…` or `cmd/…` path must exist. And a
-// System.X, Session.X or pioqo.X inside backticks must name a method or
-// field of System or Session, or an identifier of this package
-// (rootNames), so a deleted name cannot linger in the docs. CHANGES.md is
-// history and is not scanned.
+// backticked `scripts/…` or `cmd/…` path must exist. And a T.X inside
+// backticks, T an exported struct type of this package (System, Session,
+// PlanOptions, Plan, Config, Query, Result, …), must name a method or
+// field of T, and a pioqo.X an identifier of this package (rootNames), so
+// a deleted name cannot linger in the docs. A T.X qualified by another
+// package (opt.Config.Degrees) is that package's and is not checked.
+// CHANGES.md is history and is not scanned.
 func TestDocsCiteTestsThatExist(t *testing.T) {
 	funcs := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	var defined, files []string
@@ -59,8 +61,12 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 	citedFile := regexp.MustCompile("`([^`\\s]+\\.(?:go|golden))`")
 	citedPath := regexp.MustCompile("`(?:\\./)?((?:scripts|cmd)/[^`\\s]*)")
 	codeSpan := regexp.MustCompile("`[^`\n]+`")
-	citedName := regexp.MustCompile(`\b(System|Session|pioqo)\.(\w+)`)
 	names := rootNames(t)
+	roots := make([]string, 0, len(names))
+	for root := range names {
+		roots = append(roots, root)
+	}
+	citedName := regexp.MustCompile(`(?:^|[^.\w])(` + strings.Join(roots, "|") + `)\.(\w+)`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -78,8 +84,8 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 		}
 		for _, span := range codeSpan.FindAllString(string(src), -1) {
 			for _, m := range citedName.FindAllStringSubmatch(span, -1) {
-				if !names[m[1]][m[2]] && !fileName.MatchString(m[0]) {
-					t.Errorf("%s cites %s, and the package defines no such name", doc, m[0])
+				if cite := m[1] + "." + m[2]; !names[m[1]][m[2]] && !fileName.MatchString(cite) {
+					t.Errorf("%s cites %s, and the package defines no such name", doc, cite)
 				}
 			}
 		}
@@ -103,16 +109,30 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 	}
 }
 
-// rootNames parses the package's non-test files and returns, under
-// "System" and "Session", the methods and fields of those types, and under
-// "pioqo" every top-level identifier.
+// rootNames parses the package's non-test files and returns, under each
+// exported struct type's name, the methods and fields of that type, and
+// under "pioqo" every top-level identifier.
 func rootNames(t *testing.T) map[string]map[string]bool {
-	names := map[string]map[string]bool{"System": {}, "Session": {}, "pioqo": {}}
+	names := map[string]map[string]bool{"pioqo": {}}
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The struct types first: a method may be declared before its type.
+	for _, f := range pkgs["pioqo"].Files {
+		for _, decl := range f.Decls {
+			if d, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range d.Specs {
+					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.IsExported() {
+						if _, ok := sp.Type.(*ast.StructType); ok {
+							names[sp.Name.Name] = map[string]bool{}
+						}
+					}
+				}
+			}
+		}
 	}
 	for _, f := range pkgs["pioqo"].Files {
 		for _, decl := range f.Decls {

@@ -183,8 +183,7 @@ func yao(k, pages int64, rowsPerPage int) float64 {
 
 func fetches(k, pages int64, rowsPerPage int, poolPages int64) float64 {
 	e := NewPageEstimator(pages, rowsPerPage, poolPages)
-	reads, _ := e.Expected(k)
-	return reads
+	return e.Expected(k)
 }
 
 func TestYaoSmallCases(t *testing.T) {

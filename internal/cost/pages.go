@@ -82,8 +82,7 @@ func (e *PageEstimator) Distinct(k int64) float64 {
 }
 
 // Expected estimates the number of page *reads* an index scan performs when
-// it visits k rows in index-key order, and returns Distinct(k), which it is
-// derived from, alongside.
+// it visits k rows in index-key order.
 //
 // While the pool still has room, re-visits to an already-touched page are
 // hits, so reads follow Yao's distinct-page curve. Once the distinct pages
@@ -93,13 +92,13 @@ func (e *PageEstimator) Distinct(k int64) float64 {
 // in the spirit of the buffer-aware corrections commercial optimizers apply
 // to Yao's formula, and reproduces the paper's observation that with a
 // small pool an index scan can read *more* pages than the table holds.
-func (e *PageEstimator) Expected(k int64) (reads, distinct float64) {
+func (e *PageEstimator) Expected(k int64) float64 {
 	if k <= 0 || e.pages <= 0 {
-		return 0, 0
+		return 0
 	}
-	distinct = e.Distinct(k)
+	distinct := e.Distinct(k)
 	if e.pool >= e.pages || distinct <= float64(e.pool) {
-		return distinct, distinct
+		return distinct
 	}
-	return float64(e.pool) + float64(k-e.kWarm)*e.missRate, distinct
+	return float64(e.pool) + float64(k-e.kWarm)*e.missRate
 }

@@ -88,14 +88,6 @@ const (
 	// IndexScan walks the C2 index and fetches qualifying rows' pages
 	// (IS; PIS when Degree > 1).
 	IndexScan
-	// SortedIndexScan walks the index, sorts the qualifying row ids by
-	// heap page, and fetches every needed page exactly once, in ascending
-	// page order. This is the access method §3.1 of the paper describes
-	// (DB2's hybrid join / sorted RID-list fetch) but could not evaluate
-	// because SQL Anywhere lacks it; it is provided here as an extension.
-	// It gives up index-key output order, which MAX/MIN/COUNT/SUM do not
-	// need.
-	SortedIndexScan
 )
 
 func (m Method) String() string {
@@ -104,8 +96,6 @@ func (m Method) String() string {
 		return "FTS"
 	case IndexScan:
 		return "IS"
-	case SortedIndexScan:
-		return "SortedIS"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -233,11 +223,10 @@ type Spec struct {
 
 	// Tune, when set, makes the scan elastic: workers consult the tuner at
 	// batch boundaries and the fleet grows or shrinks to its target (demand
-	// full scans and index scans; sorted index scans and shared riders stay
-	// static). Degree then names the *initial* fleet; growth is bounded by
-	// Tune.MaxDegree and the readahead clamps budget against that cap. Nil
-	// (the default) is a fleet that never retunes, byte-identical to
-	// pre-adaptive runs.
+	// full scans and index scans; shared riders stay static). Degree then
+	// names the *initial* fleet; growth is bounded by Tune.MaxDegree and
+	// the readahead clamps budget against that cap. Nil (the default) is a
+	// fleet that never retunes, byte-identical to pre-adaptive runs.
 	Tune Tuner
 }
 
@@ -370,11 +359,6 @@ func RunScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 			panic("exec: IndexScan without an index")
 		}
 		res = runIndexScan(p, ctx, spec)
-	case SortedIndexScan:
-		if spec.Index == nil {
-			panic("exec: SortedIndexScan without an index")
-		}
-		res = runSortedIndexScan(p, ctx, spec)
 	default:
 		panic("exec: unknown method " + spec.Method.String())
 	}

@@ -326,3 +326,71 @@ func TestFullScanSurvivesTinyPool(t *testing.T) {
 		}
 	}
 }
+
+func TestIndexScanPrefetchClampedToTinyPool(t *testing.T) {
+	// Deep prefetch times many workers must not exhaust a small pool: the
+	// scan clamps its window rather than panicking on frame exhaustion.
+	w := newWorld(t, worldOpts{rows: 20000, rpp: 1, poolPages: 96})
+	_, _, wantRows := w.bruteForce(0, 8000)
+	s := w.spec(IndexScan, 16, 0, 8000)
+	s.PrefetchPerWorker = 32
+	res := Execute(w.ctx, s)
+	if res.RowsMatched != wantRows {
+		t.Errorf("matched %d rows, want %d", res.RowsMatched, wantRows)
+	}
+}
+
+func TestAggregatesAgreeWithBruteForce(t *testing.T) {
+	w := newWorld(t, worldOpts{rows: 3000, rpp: 33})
+	lo, hi := int64(100), int64(900)
+	var wantMax, wantMin, wantSum, wantCount int64
+	first := true
+	for r := int64(0); r < w.tab.Rows(); r++ {
+		row := w.tab.RowAt(r)
+		if row.C2 < lo || row.C2 > hi {
+			continue
+		}
+		if first || row.C1 > wantMax {
+			wantMax = row.C1
+		}
+		if first || row.C1 < wantMin {
+			wantMin = row.C1
+		}
+		wantSum += row.C1
+		wantCount++
+		first = false
+	}
+	for _, m := range []Method{FullScan, IndexScan} {
+		cases := []struct {
+			agg  AggKind
+			want int64
+		}{
+			{AggMax, wantMax}, {AggMin, wantMin}, {AggSum, wantSum}, {AggCount, wantCount},
+		}
+		for _, c := range cases {
+			s := w.spec(m, 4, lo, hi)
+			s.Agg = c.agg
+			res := Execute(w.ctx, s)
+			if !res.Found || res.Value != c.want {
+				t.Errorf("%v %v = (%d, %v), want %d", m, c.agg, res.Value, res.Found, c.want)
+			}
+		}
+	}
+}
+
+func TestCountOfEmptyRangeIsZeroNotNull(t *testing.T) {
+	w := newWorld(t, worldOpts{rows: 1000, rpp: 33})
+	for _, m := range []Method{FullScan, IndexScan} {
+		s := w.spec(m, 2, 600, 599) // empty range
+		s.Agg = AggCount
+		res := Execute(w.ctx, s)
+		if !res.Found || res.Value != 0 {
+			t.Errorf("%v COUNT(empty) = (%d, %v), want (0, true)", m, res.Value, res.Found)
+		}
+		s.Agg = AggMax
+		res = Execute(w.ctx, s)
+		if res.Found {
+			t.Errorf("%v MAX(empty) found, want NULL", m)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
 	"pioqo/internal/fault"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -54,29 +55,62 @@ func assertClean(t *testing.T, w *world) {
 	}
 }
 
+// faultArm is one scan shape the fault tests run: a method and the per-worker
+// prefetch depth its workers keep in flight.
+type faultArm struct {
+	name     string
+	m        Method
+	prefetch int
+}
+
+// faultArms are the full scan, the index scan, and the index scan whose
+// prefetched reads can fail: a failed prefetch leaves no frame behind, and
+// the worker's fetch of that page reads it again on demand.
+var faultArms = []faultArm{{"FTS", FullScan, 0}, {"IS", IndexScan, 0}, {"IS-pf8", IndexScan, 8}}
+
+// spec is the arm's scan of [lo, hi] at degree under ctl.
+func (a faultArm) spec(w *world, degree int, lo, hi int64, ctl *fault.Control) Spec {
+	s := w.specWithCtl(a.m, degree, lo, hi, ctl)
+	s.PrefetchPerWorker = a.prefetch
+	return s
+}
+
 func TestRetryRecoversTransientFaults(t *testing.T) {
 	// FTS reads the heap in multi-page runs, so it issues far fewer device
 	// reads than the index scans over the same range; it needs a higher
 	// per-read rate for the seeded draws to produce any faults at all.
-	rates := map[Method]float64{FullScan: 0.2, IndexScan: 0.05, SortedIndexScan: 0.05}
-	for _, m := range []Method{FullScan, IndexScan, SortedIndexScan} {
-		t.Run(m.String(), func(t *testing.T) {
+	rates := map[Method]float64{FullScan: 0.2, IndexScan: 0.05}
+	for _, a := range faultArms {
+		t.Run(a.name, func(t *testing.T) {
 			o := worldOpts{rows: 20000, rpp: 33}
 			w, _ := newFaultWorld(t, o)
-			healthy := Execute(w.ctx, w.specWithCtl(m, 4, 100, 2000, nil))
+			healthy := Execute(w.ctx, a.spec(w, 4, 100, 2000, nil))
 			if healthy.Err != nil {
 				t.Fatalf("healthy run failed: %v", healthy.Err)
 			}
 
 			w2, inj := newFaultWorld(t, o)
-			inj.Arm(fault.Schedule{Windows: []fault.Window{{ErrorRate: rates[m]}}})
+			w2.ctx.Obs = obs.NewRegistry(w2.env)
+			w2.ctx.Obs.EnableEvents(0)
+			inj.Arm(fault.Schedule{Windows: []fault.Window{{ErrorRate: rates[a.m]}}})
 			ctl := fault.NewControl(w2.env)
-			res := Execute(w2.ctx, w2.specWithCtl(m, 4, 100, 2000, ctl))
+			res := Execute(w2.ctx, a.spec(w2, 4, 100, 2000, ctl))
 			if res.Err != nil {
 				t.Fatalf("faulted run failed despite retries: %v", res.Err)
 			}
 			if st := inj.Stats(); st.Errors == 0 {
 				t.Fatal("injector produced no faults; the test exercised nothing")
+			}
+			// A worker retries every failed read it waited on; a failed
+			// prefetch no worker joined is read again on demand instead.
+			retries := 0
+			for _, e := range w2.ctx.Obs.Log().Events() {
+				if e.Type == obs.EvReadRetry {
+					retries++
+				}
+			}
+			if a.prefetch > 0 && res.Pool.ReadErrors <= int64(retries) {
+				t.Fatalf("%d failed reads, %d worker retries: no prefetch failed unjoined", res.Pool.ReadErrors, retries)
 			}
 			if res.Value != healthy.Value || res.Found != healthy.Found || res.RowsMatched != healthy.RowsMatched {
 				t.Errorf("faulted answer (%d,%v,%d) != healthy answer (%d,%v,%d)",
@@ -89,12 +123,12 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 }
 
 func TestExhaustedRetriesAbortCleanly(t *testing.T) {
-	for _, m := range []Method{FullScan, IndexScan, SortedIndexScan} {
-		t.Run(m.String(), func(t *testing.T) {
+	for _, a := range faultArms {
+		t.Run(a.name, func(t *testing.T) {
 			w, inj := newFaultWorld(t, worldOpts{rows: 20000, rpp: 33})
 			inj.Arm(fault.Schedule{Windows: []fault.Window{{ErrorRate: 1}}})
 			ctl := fault.NewControl(w.env)
-			res := Execute(w.ctx, w.specWithCtl(m, 4, 100, 2000, ctl))
+			res := Execute(w.ctx, a.spec(w, 4, 100, 2000, ctl))
 			if !errors.Is(res.Err, fault.ErrDeviceFault) {
 				t.Fatalf("Result.Err = %v, want ErrDeviceFault", res.Err)
 			}
@@ -104,13 +138,13 @@ func TestExhaustedRetriesAbortCleanly(t *testing.T) {
 }
 
 func TestDeadlineAbortsMidScan(t *testing.T) {
-	for _, m := range []Method{FullScan, IndexScan, SortedIndexScan} {
-		t.Run(m.String(), func(t *testing.T) {
+	for _, a := range faultArms {
+		t.Run(a.name, func(t *testing.T) {
 			w, _ := newFaultWorld(t, worldOpts{rows: 200000, rpp: 33, poolPages: 512})
 			ctl := fault.NewControl(w.env)
 			// Far too short for a 6000-page scan, long enough to start it.
 			ctl.SetDeadline(w.env.Now().Add(500 * sim.Microsecond))
-			res := Execute(w.ctx, w.specWithCtl(m, 8, 0, 150000, ctl))
+			res := Execute(w.ctx, a.spec(w, 8, 0, 150000, ctl))
 			if !errors.Is(res.Err, fault.ErrDeadlineExceeded) {
 				t.Fatalf("Result.Err = %v, want ErrDeadlineExceeded", res.Err)
 			}

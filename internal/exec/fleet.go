@@ -23,26 +23,13 @@ import (
 type fleet struct {
 	ctx  *Context
 	spec *Spec
-	aggs []agg // one accumulator per slot, fresh for each run
+	aggs []agg // one accumulator per slot
 
 	live    int  // workers running (including those about to leave)
 	leaving int  // workers instructed to retire but not yet exited
 	next    int  // next slot to spawn
 	max     int  // hard growth cap (sizes per-slot state)
 	done    bool // work exhausted: growth is pointless now
-
-	// startup is charged to every worker of a parallel fleet; a driver whose
-	// later phase reuses the first phase's threads zeroes it in between.
-	startup sim.Duration
-
-	// A slot's governor and event-log lifetime is one start/exit pair per
-	// scan. While hold is set, exiting workers leave their slot's lifetime
-	// open (held) and the slot's next worker inherits it: a broker lease
-	// must not see a multi-phase scan's fleet drop to zero at a phase
-	// barrier, or it re-leases the whole grant while the next phase still
-	// needs it.
-	hold bool
-	held []bool
 
 	name string // process and track-span prefix of the current run
 	step func(w *worker) bool
@@ -97,15 +84,13 @@ func newFleet(ctx *Context, spec *Spec) *fleet {
 	if spec.Tune != nil && spec.Tune.MaxDegree() > max {
 		max = spec.Tune.MaxDegree()
 	}
-	return &fleet{ctx: ctx, spec: spec, max: max,
-		startup: ctx.Costs.WorkerStartup, held: make([]bool, max)}
+	return &fleet{ctx: ctx, spec: spec, max: max}
 }
 
 // run launches n workers named name+slot, each calling step until it
 // reports no work left, and parks p until the fleet has drained.
 func (fl *fleet) run(p *sim.Proc, name string, n int, step func(w *worker) bool) {
 	fl.name, fl.step = name, step
-	fl.next, fl.done = 0, false
 	fl.aggs = make([]agg, fl.max)
 	for i := range fl.aggs {
 		fl.aggs[i].kind = fl.spec.Agg
@@ -139,18 +124,8 @@ func (fl *fleet) work(wp *sim.Proc, id int, name string) {
 			fl.leaving--
 		}
 	}()
-	if fl.held[id] {
-		fl.held[id] = false
-	} else {
-		spec.startWorker(ctx, id)
-	}
-	defer func() {
-		if fl.hold {
-			fl.held[id] = true
-		} else {
-			spec.endWorker(ctx, id)
-		}
-	}()
+	spec.startWorker(ctx, id)
+	defer spec.endWorker(ctx, id)
 	w := ctx.Scratch.get()
 	w.id, w.p, w.a = id, wp, &fl.aggs[id]
 	w.bud = newBudget(ctx, spec.Span, name)
@@ -162,7 +137,7 @@ func (fl *fleet) work(wp *sim.Proc, id int, name string) {
 	// A lone planned worker is the query's own thread; every other one —
 	// including any an elastic fleet adds later — is spawned and coordinated.
 	if spec.Degree > 1 || id >= spec.Degree {
-		w.bud.charge(fl.startup)
+		w.bud.charge(ctx.Costs.WorkerStartup)
 	}
 	for {
 		// One step is the abort and retune quantum: a tripped control stops
@@ -212,19 +187,7 @@ func (fl *fleet) tick() bool {
 	return false
 }
 
-// release ends the lifetimes still held open, for a scan that stops at a
-// phase barrier instead of running its next phase.
-func (fl *fleet) release() {
-	fl.hold = false
-	for id, held := range fl.held {
-		if held {
-			fl.held[id] = false
-			fl.spec.endWorker(fl.ctx, id)
-		}
-	}
-}
-
-// result merges the last run's accumulators.
+// result merges the workers' accumulators.
 func (fl *fleet) result() Result { return mergeAggs(fl.spec.Agg, fl.aggs) }
 
 // metered runs body to completion as process name on ctx's environment and

@@ -24,7 +24,7 @@ func TestGroupByMatchesBruteForce(t *testing.T) {
 		a.add(row.C1)
 	}
 
-	for _, m := range []Method{FullScan, IndexScan, SortedIndexScan} {
+	for _, m := range []Method{FullScan, IndexScan} {
 		for _, degree := range []int{1, 8} {
 			res := ExecuteGroupBy(w.ctx, GroupBySpec{
 				Scan:       w.spec(m, degree, lo, hi),
@@ -94,7 +94,7 @@ func TestGroupByOverCountScanSeesEveryRow(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 4000, rpp: 33})
 	lo, hi := int64(200), int64(3500)
 	_, _, wantRows := w.bruteForce(lo, hi)
-	for _, m := range []Method{FullScan, IndexScan, SortedIndexScan} {
+	for _, m := range []Method{FullScan, IndexScan} {
 		scan := w.spec(m, 4, lo, hi)
 		scan.Agg = AggCount
 		res := ExecuteGroupBy(w.ctx, GroupBySpec{Scan: scan, GroupWidth: 500, Agg: AggCount})

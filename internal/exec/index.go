@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"pioqo/internal/btree"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -42,17 +41,16 @@ func indexFront(p *sim.Proc, ctx *Context, spec *Spec, maxDegree int) (startPos,
 }
 
 // indexBatch is the one index-leaf walk: read the leaf holding entry
-// position pos, take its entries up to position hi, and either fetch each
+// position pos, take its entries up to position hi, and fetch each
 // referenced heap row (the §3.3 I/O batch: a leaf read plus the bounded
-// prefetch-and-fetch of its table pages) or, for the sorted scan's collect
-// phase, append the entries to *collect. It reports how many entries it
+// prefetch-and-fetch of its table pages). It reports how many entries it
 // consumed, and false when a read failed and the worker must wind down.
 //
 // offer, when set, is called between the leaf read and the heap fan with
 // the leaf number and the position its successor starts at — where the
 // adaptive scan hands the next leaf to the speculator.
 func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
-	collect *[]btree.Entry, offer func(leaf, nextStart int64)) (int, bool) {
+	offer func(leaf, nextStart int64)) (int, bool) {
 	t, x := spec.Table, spec.Index
 	rpp := t.RowsPerPage()
 	bud := &w.bud
@@ -64,20 +62,10 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 	}
 	w.entries = x.LeafEntries(leaf, w.entries)
 	take := int(min(int64(len(w.entries)-slot), hi-pos))
-	// The entries are only rewritten by the worker's next batch, so both
-	// consumers below read the slice in place.
+	// The entries are only rewritten by the worker's next batch, so the
+	// fetch loop below reads the slice in place.
 	matches := w.entries[slot : slot+take]
 	bud.charge(ctx.Costs.PerPage + sim.Duration(take)*ctx.Costs.PerEntry)
-
-	if collect != nil {
-		*collect = append(*collect, matches...)
-		w.a.rows += int64(take)
-		// One leaf is the batch quantum; settling before the release keeps
-		// the pin window of the row-at-a-time schedule.
-		bud.settle(w.p)
-		lh.Release()
-		return take, true
-	}
 	lh.Release()
 	if offer != nil {
 		offer(leaf, pos-int64(slot)+int64(len(w.entries)))
@@ -115,7 +103,7 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 // one per worker, and returns how many of them are non-empty — workers whose
 // chunk would be empty are never spawned — with the step that walks a
 // worker's chunk one indexBatch at a time.
-func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64, collected [][]btree.Entry) (int, func(w *worker) bool) {
+func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *worker) bool) {
 	total := endPos - startPos
 	chunk := (total + int64(spec.Degree) - 1) / int64(spec.Degree)
 	n := int((total + chunk - 1) / chunk)
@@ -128,11 +116,7 @@ func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64, collected [][]
 		if next[w.id] >= hi {
 			return false
 		}
-		var collect *[]btree.Entry
-		if collected != nil {
-			collect = &collected[w.id]
-		}
-		take, ok := indexBatch(ctx, spec, w, next[w.id], hi, collect, nil)
+		take, ok := indexBatch(ctx, spec, w, next[w.id], hi, nil)
 		next[w.id] += int64(take)
 		return ok
 	}
@@ -163,7 +147,7 @@ func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	if spec.Tune != nil {
 		n, step = guidedSteps(ctx, &spec, fl, startPos, endPos)
 	} else {
-		n, step = chunkSteps(ctx, &spec, startPos, endPos, nil)
+		n, step = chunkSteps(ctx, &spec, startPos, endPos)
 	}
 	fl.run(p, "pis-w", n, step)
 	return fl.result()

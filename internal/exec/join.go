@@ -167,7 +167,7 @@ func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64
 		key := keys[nextKey]
 		nextKey++
 		for pos, end := x.SearchGE(key), x.SearchGT(key); pos < end; {
-			take, ok := indexBatch(ctx, &probe, w, pos, end, nil, nil)
+			take, ok := indexBatch(ctx, &probe, w, pos, end, nil)
 			if !ok {
 				return false
 			}

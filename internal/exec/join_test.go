@@ -89,7 +89,7 @@ func TestHashJoinMatchesBruteForce(t *testing.T) {
 			{IndexScan, IndexScan},
 			{FullScan, FullScan},
 			{IndexScan, FullScan},
-			{SortedIndexScan, IndexScan},
+			{FullScan, IndexScan},
 		} {
 			res := ExecuteJoin(w.ctx, w.spec(rg.lo, rg.hi, methods[0], methods[1], 4))
 			if res.Pairs != wantPairs {

@@ -160,6 +160,20 @@ func goldenRuntime(t *testing.T, row string) sim.Duration {
 	return 0
 }
 
+// countingGov is a Governor that tracks the live worker count the way a
+// broker lease does, and how often that count fell back to zero.
+type countingGov struct {
+	starts, ends, live, zeros int
+}
+
+func (g *countingGov) StartWorker() { g.starts++; g.live++ }
+func (g *countingGov) EndWorker() {
+	g.ends++
+	if g.live--; g.live == 0 {
+		g.zeros++
+	}
+}
+
 // TestIndexNLJoinWorkersAreWorkers: the probe workers run on the fleet
 // harness like every scan worker, so the governor and the event log see one
 // lifetime per worker under the probe spec's query id, a tracer gets one

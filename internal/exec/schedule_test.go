@@ -338,13 +338,6 @@ func scheduleRows() []scheduleRow {
 			return s
 		}
 	}
-	sis := func(degree int) func(*world) Spec {
-		return func(w *world) Spec {
-			s := w.spec(SortedIndexScan, degree, 100, 2099)
-			s.PrefetchPerWorker = 4
-			return s
-		}
-	}
 	return []scheduleRow{
 		scanRow("pfts-d8", func(w *world) Spec { return w.spec(FullScan, 8, 100, 15000) }),
 		scanRow("pis-d32", pis(32, 0, 100, 2099)),
@@ -355,8 +348,6 @@ func scheduleRows() []scheduleRow {
 			e := w.idx.LeafEntries(3, nil)
 			return w.spec(IndexScan, 4, e[5].Key, e[7].Key)
 		}),
-		scanRow("sis-d1-pf4", sis(1)),
-		scanRow("sis-d8-pf4", sis(8)),
 		joinRow("hashjoin-d8", HashJoin, 8),
 		joinRow("nljoin-d1", IndexNLJoin, 1),
 		joinRow("nljoin-d4", IndexNLJoin, 4),
@@ -397,8 +388,6 @@ func scheduleRows() []scheduleRow {
 		// One deadline abort per driver, each leaving nothing behind.
 		abortScanRow("abort-pfts-d8", 20000, 1, 2, func(w *world) Spec { return w.spec(FullScan, 8, 100, 15000) }),
 		abortScanRow("abort-pis-d8-pf8", 20000, 1, 2, pis(8, 8, 100, 2099)),
-		abortScanRow("abort-sis-d8-collect", 20000, 1, 50, sis(8)),
-		abortScanRow("abort-sis-d8-fetch", 20000, 1, 2, sis(8)),
 		tunedAbortRow("abort-fts-tuned", FullScan),
 		tunedAbortRow("abort-is-tuned", IndexScan),
 		{"abort-shared-riders", func(t *testing.T, dev string) string {

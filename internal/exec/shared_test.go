@@ -182,14 +182,13 @@ func TestWorkerScratchIsReused(t *testing.T) {
 		return testing.AllocsPerRun(5, func() { Execute(w.ctx, spec) })
 	}
 	// Six today: the name, the process and its goroutine, the closures that
-	// start it (a fraction more under the race detector). The sorted scan
-	// spawns its fleet twice, and each collector grows the list it hands to
-	// the sort. Without the free list the three read 8, 11 and 16.
+	// start it (a fraction more under the race detector). Without the free
+	// list the two read 8 and 11.
 	for _, c := range []struct {
 		m      Method
 		degree int
 		limit  float64
-	}{{IndexScan, 32, 7}, {FullScan, 8, 7}, {SortedIndexScan, 8, 14.5}} {
+	}{{IndexScan, 32, 7}, {FullScan, 8, 7}} {
 		perWorker := (perScan(c.m, c.degree) - perScan(c.m, 1)) / float64(c.degree-1)
 		if perWorker > c.limit {
 			t.Errorf("%v: %.1f allocations per added worker, want at most %.1f", c.m, perWorker, c.limit)

@@ -136,7 +136,7 @@ func guidedSteps(ctx *Context, spec *Spec, fl *fleet, startPos, endPos int64) (i
 		quantum := (rem + int64(fl.max) - 1) / int64(fl.max)
 		take := min((leaf+1)*int64(x.LeafCap())-pos, rem, quantum)
 		cursor = pos + take
-		_, ok := indexBatch(ctx, spec, w, pos, pos+take, nil, offer)
+		_, ok := indexBatch(ctx, spec, w, pos, pos+take, offer)
 		return ok
 	}
 }

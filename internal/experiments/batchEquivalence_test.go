@@ -26,6 +26,8 @@ package experiments
 //     join-probe rows (ssd-is-d1, -pf8, ssd-sis-d1, -d8, hdd-is-d1,
 //     ssd-hashjoin-d1, -d8, ssd-nljoin-d1, -d4); batch_fig4: E33-SSD 0.1
 //     PIS32. Every value, found and row count is the one it replaced.
+//   - the sorted index scan's removal: batch_queries lost its three
+//     ssd-sis-* rows; every other row is the one it was.
 
 import (
 	"fmt"
@@ -92,8 +94,6 @@ func batchCases() []batchCase {
 		scanCase("ssd-fts-d1", workload.SSD, exec.FullScan, 1, 0, 0.01, false),
 		scanCase("ssd-is-d1", workload.SSD, exec.IndexScan, 1, 0, 0.001, false),
 		scanCase("ssd-is-d1-pf8", workload.SSD, exec.IndexScan, 1, 8, 0.001, false),
-		scanCase("ssd-sis-d1", workload.SSD, exec.SortedIndexScan, 1, 0, 0.001, false),
-		scanCase("ssd-sis-d1-pf4", workload.SSD, exec.SortedIndexScan, 1, 4, 0.001, false),
 		// Serial on HDD: the elevator makes issue timing visible in seeks.
 		scanCase("hdd-fts-d1", workload.HDD, exec.FullScan, 1, 0, 0.01, false),
 		scanCase("hdd-is-d1", workload.HDD, exec.IndexScan, 1, 0, 0.0005, false),
@@ -101,7 +101,6 @@ func batchCases() []batchCase {
 		scanCase("ssd-pfts-d8", workload.SSD, exec.FullScan, 8, 0, 0.01, true),
 		scanCase("ssd-pis-d32", workload.SSD, exec.IndexScan, 32, 0, 0.001, true),
 		scanCase("ssd-pis-d8-pf8", workload.SSD, exec.IndexScan, 8, 8, 0.001, true),
-		scanCase("ssd-sis-d8", workload.SSD, exec.SortedIndexScan, 8, 0, 0.001, true),
 		scanCase("hdd-pfts-d8", workload.HDD, exec.FullScan, 8, 0, 0.01, true),
 
 		// Warm rerun: second execution over a resident pool (exercises the

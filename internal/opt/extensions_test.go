@@ -6,69 +6,6 @@ import (
 	"pioqo/internal/exec"
 )
 
-func TestSortedScanEnumeratedOnlyWhenEnabled(t *testing.T) {
-	f := newFixture(t, "ssd", 50000, 33)
-	cfg := f.cfg
-	cfg.Model = f.qdtt
-	in := f.in
-	in.Lo, in.Hi = rangeFor(in.Table, 0.05)
-
-	for _, p := range Enumerate(cfg, in) {
-		if p.Method == exec.SortedIndexScan {
-			t.Fatal("sorted scan enumerated without EnableSortedScan")
-		}
-	}
-	cfg.EnableSortedScan = true
-	found := false
-	for _, p := range Enumerate(cfg, in) {
-		if p.Method == exec.SortedIndexScan {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("sorted scan missing with EnableSortedScan")
-	}
-}
-
-func TestSortedScanWinsUnderTinyPool(t *testing.T) {
-	// With a pool far smaller than the table and selectivity high enough
-	// that a plain index scan would re-read pages massively, the sorted
-	// scan's fetch-each-page-once property should make it the winner over
-	// the plain index scan.
-	f := newFixture(t, "ssd", 200000, 33)
-	cfg := f.cfg
-	cfg.Model = f.qdtt
-	cfg.PoolPages = 128
-	cfg.EnableSortedScan = true
-	in := f.in
-	in.Lo, in.Hi = rangeFor(in.Table, 0.02)
-
-	var sorted, plain *Plan
-	for _, p := range Enumerate(cfg, in) {
-		p := p
-		if p.Degree != 32 {
-			continue
-		}
-		switch p.Method {
-		case exec.SortedIndexScan:
-			if sorted == nil {
-				sorted = &p
-			}
-		case exec.IndexScan:
-			if plain == nil && p.Prefetch == 0 {
-				plain = &p
-			}
-		}
-	}
-	if sorted == nil || plain == nil {
-		t.Fatal("missing candidates")
-	}
-	if sorted.TotalMicros >= plain.TotalMicros {
-		t.Errorf("sorted scan (%v) not cheaper than thrashing plain scan (%v)",
-			*sorted, *plain)
-	}
-}
-
 func TestPrefetchPlanningPrefersFewerWorkers(t *testing.T) {
 	// With prefetch planning on, a low-degree deep-prefetch index scan
 	// should cost no more than the 32-worker no-prefetch plan: the queue

@@ -75,10 +75,8 @@ func family(p Plan) int {
 		return 0
 	case p.Method == exec.IndexScan:
 		return 1
-	case p.Method == exec.SortedIndexScan:
-		return 2
 	default:
-		return 3 // private full scan
+		return 2 // private full scan
 	}
 }
 
@@ -124,7 +122,7 @@ func pickTop(plans []Plan) top2 {
 
 // greedyPlan prices the O(n) greedy candidate set — every degree's full
 // scan, unprefetched index scan, and crossover-prefetched index scan (plus
-// the sorted and shared variants when enabled) — and returns the winner and
+// the shared lap when enabled) — and returns the winner and
 // its cross-family runner-up. When the two land within the configured
 // margin of each other the estimate sits on a crossover: greedyPlan falls
 // back to the full enumeration and reports fellBack, so callers can meter
@@ -144,9 +142,6 @@ func greedyPlan(cfg *Config, in *Input, cc *costing, cx *crossover) (t top2, fel
 		t.add(costIndexScan(cfg, in, cc, d, 0))
 		if pf := cx.prefetch[i]; pf > 0 {
 			t.add(costIndexScan(cfg, in, cc, d, pf))
-		}
-		if cfg.EnableSortedScan {
-			t.add(costSortedScan(cfg, in, cc, d))
 		}
 	}
 	if t.n == 0 {
@@ -197,8 +192,6 @@ func costShape(cfg *Config, in *Input, cc *costing, p Plan) Plan {
 	switch {
 	case p.Shared:
 		return costSharedScan(cfg, in, cc)
-	case p.Method == exec.SortedIndexScan:
-		return costSortedScan(cfg, in, cc, p.Degree)
 	case p.Method == exec.IndexScan:
 		return costIndexScan(cfg, in, cc, p.Degree, p.Prefetch)
 	default:

@@ -42,8 +42,7 @@ type memoKey struct {
 	epoch uint64
 
 	model        cost.Model
-	cores        int32 // beside sorted, in one word
-	sorted       bool
+	cores        int
 	poolPages    int64
 	queueBudget  int
 	shareParties int
@@ -62,9 +61,8 @@ func newMemoKey(cfg *Config, in *Input) memoKey {
 		lo:           in.Lo,
 		hi:           in.Hi,
 		model:        cfg.Model,
-		cores:        int32(cfg.Cores),
+		cores:        cfg.Cores,
 		poolPages:    cfg.PoolPages,
-		sorted:       cfg.EnableSortedScan,
 		queueBudget:  cfg.QueueBudget,
 		shareParties: cfg.ShareParties,
 		grid:         cfg.gridKey(),

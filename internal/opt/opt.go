@@ -48,10 +48,6 @@ type Config struct {
 	// at (exec.ReadaheadWindow) is clamped against it as the executor's is.
 	PoolPages int64
 
-	// EnableSortedScan adds the sorted index scan (an extension beyond the
-	// paper's engine) to the enumeration.
-	EnableSortedScan bool
-
 	// PrefetchDepths, when non-empty, additionally enumerates per-worker
 	// prefetch depths for index scans. A plan with degree d and prefetch n
 	// generates a device queue depth of roughly d·n (§3.3: "the expected
@@ -224,16 +220,16 @@ func (c *Config) overBudget(d int) bool {
 }
 
 // maxCandidates is the most candidates the engine's grid enumerates: 6
-// degrees × 8 methods (full scan, index scan, five prefetch depths, sorted
-// scan) and the shared lap. A ranking whose caller reads only its top goes
-// into a [maxCandidates]Plan on the stack (rankTop); a wider custom grid
-// spills to the heap through append.
-const maxCandidates = 49
+// degrees × 7 methods (full scan, index scan, five prefetch depths) and the
+// shared lap. A ranking whose caller reads only its top goes into a
+// [maxCandidates]Plan on the stack (rankTop); a wider custom grid spills to
+// the heap through append.
+const maxCandidates = 43
 
 // rankTop ranks the full enumeration at the bound costing on its own stack
 // and returns the top of it: what stateless Choose, a memo miss through
 // Memo.Lookup, greedyPlan's margin trip and the parameterized cache's
-// crossover fallback keep. It stays out of line so that the 3.5 KB buffer
+// crossover fallback keep. It stays out of line so that the 3 KB buffer
 // is a frame only while a ranking runs, not on every hit path that calls it.
 //
 //go:noinline
@@ -271,9 +267,6 @@ func enumerate(cfg *Config, in *Input, cc *costing, buf []Plan) []Plan {
 				plans = append(plans, costIndexScan(cfg, in, cc, d, pf))
 			}
 		}
-		if cfg.EnableSortedScan {
-			plans = append(plans, costSortedScan(cfg, in, cc, d))
-		}
 	}
 	if len(plans) == 0 {
 		// A queue budget below every degree still permits serial plans.
@@ -309,12 +302,12 @@ type costing struct {
 	matched  float64 // estimated rows matched by [Lo, Hi]
 	resident float64 // fraction of the heap file already pooled; 0 without a pool
 
-	// est prices matched rows in heap pages. reads and distinct are its
-	// answer, valid once priced is set: full and shared scans never ask, so
-	// a costing that prices only those never evaluates Yao's formula.
-	est             *cost.PageEstimator
-	reads, distinct float64
-	priced          bool
+	// est prices matched rows in heap page reads. reads is its answer,
+	// valid once priced is set: full and shared scans never ask, so a
+	// costing that prices only those never evaluates Yao's formula.
+	est    *cost.PageEstimator
+	reads  float64
+	priced bool
 
 	// position is what a sequential pass pays to get to its first page,
 	// valid once positioned is set: every degree's full scan owes the same.
@@ -342,15 +335,17 @@ func bindCosting(in *Input, sel float64, est *cost.PageEstimator) costing {
 }
 
 // heapPages returns the page reads an index scan of the matched rows issues
-// (pool re-reads included) and the distinct heap pages those rows sit on,
-// evaluating the estimator on first use.
-func (cc *costing) heapPages() (reads, distinct float64) {
+// (pool re-reads included), evaluating the estimator on first use.
+func (cc *costing) heapPages() float64 {
 	if !cc.priced {
-		cc.reads, cc.distinct = cc.est.Expected(int64(cc.matched + 0.5))
-		cc.priced = true
+		cc.reads, cc.priced = cc.est.Expected(int64(cc.matched+0.5)), true
 	}
-	return cc.reads, cc.distinct
+	return cc.reads
 }
+
+// Selectivity is the optimizer's estimate of the fraction of in's rows that
+// [in.Lo, in.Hi] matches: every candidate's EstRows is it times the rows.
+func Selectivity(in *Input) float64 { return selectivity(in, in.Lo, in.Hi) }
 
 // selectivity estimates the fraction of rows matched by [lo, hi]: from the
 // histogram when one is supplied, else under the uniform-distribution
@@ -493,7 +488,7 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	leafPages := matched/float64(x.LeafCap()) + 1
 	descent := float64(x.Height() - 1)
 
-	heapFetches, _ := cc.heapPages()
+	heapFetches := cc.heapPages()
 	if in.Pool != nil {
 		heapFetches *= 1 - cc.resident
 	}
@@ -521,43 +516,6 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	total := maxf(io, cpu) + startup
 	return Plan{
 		Method: exec.IndexScan, Degree: d, Prefetch: pf, Depth: int32(depth),
-		EstRows: matched, EstPageIO: pageIO,
-		IOMicros: io, CPUMicros: cpu + startup, TotalMicros: total,
-	}
-}
-
-// costSortedScan prices the sorted index scan extension: like an index
-// scan, but each distinct heap page is fetched at most once (no pool
-// re-reads), at the price of collecting and sorting the row-id list.
-func costSortedScan(cfg *Config, in *Input, cc *costing, d int) Plan {
-	t := in.Table
-	x := in.Index
-	matched := cc.matched
-
-	leafPages := matched/float64(x.LeafCap()) + 1
-	descent := float64(x.Height() - 1)
-	_, heapFetches := cc.heapPages()
-	if in.Pool != nil {
-		heapFetches *= 1 - cc.resident
-	}
-
-	depth := capDepth(cfg, d)
-	pageIO := heapFetches + leafPages + descent
-	io := pageIO * cfg.Model.PageCost(t.Pages(), depth)
-
-	workers := d
-	if workers > cfg.Cores {
-		workers = cfg.Cores
-	}
-	cpu := (leafPages*(cfg.Costs.PerPage.Micros()+float64(x.LeafCap())*cfg.Costs.PerEntry.Micros()) +
-		matched*cfg.Costs.PerRowFetch.Micros()) / float64(workers)
-	// The sort stage runs serially on the driver.
-	cpu += 2 * matched * cfg.Costs.PerEntry.Micros()
-	startup := cfg.startupMicros(d)
-
-	total := maxf(io, cpu) + startup
-	return Plan{
-		Method: exec.SortedIndexScan, Degree: d, Depth: int32(depth),
 		EstRows: matched, EstPageIO: pageIO,
 		IOMicros: io, CPUMicros: cpu + startup, TotalMicros: total,
 	}

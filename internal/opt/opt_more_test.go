@@ -37,7 +37,7 @@ func TestPlanStringVariants(t *testing.T) {
 	}{
 		{Plan{Method: exec.FullScan, Degree: 1}, "FTS "},
 		{Plan{Method: exec.FullScan, Degree: 16}, "PFTS16 "},
-		{Plan{Method: exec.SortedIndexScan, Degree: 2}, "PSortedIS2 "},
+		{Plan{Method: exec.IndexScan, Degree: 2}, "PIS2 "},
 		{Plan{Method: exec.IndexScan, Degree: 8, Prefetch: 4}, "PIS8+pf4 "},
 	}
 	for _, c := range cases {

@@ -364,7 +364,7 @@ func TestSharedScanCandidate(t *testing.T) {
 // dereferences nil.
 func TestCostingEvaluatesThePageEstimateOnce(t *testing.T) {
 	w := newStreamWorld("ssd")
-	for _, name := range []string{"qb8", "sorted", "prefetch", "all"} {
+	for _, name := range []string{"qb8", "maxdeg8", "prefetch", "all"} {
 		s := w.shape(name)
 		cfg, in := s.cfg, servingRange(s.in, 3) // 10 % of the rows: the pool overflows
 		cfg.Obs = nil

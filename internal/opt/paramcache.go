@@ -96,7 +96,6 @@ type shapeKey struct {
 	model        cost.Model
 	cores        int
 	poolPages    int64
-	sorted       bool
 	queueBudget  int
 	shareParties int
 	grid         string
@@ -111,7 +110,6 @@ func newShapeKey(cfg *Config, in *Input) shapeKey {
 		model:        cfg.Model,
 		cores:        cfg.Cores,
 		poolPages:    cfg.PoolPages,
-		sorted:       cfg.EnableSortedScan,
 		queueBudget:  cfg.QueueBudget,
 		shareParties: cfg.ShareParties,
 		grid:         cfg.gridKey(),
@@ -125,8 +123,7 @@ func newShapeKey(cfg *Config, in *Input) shapeKey {
 // field gridKey may have to format.
 func (k *shapeKey) matches(cfg *Config, in *Input) bool {
 	return k.cores == cfg.Cores && k.poolPages == cfg.PoolPages &&
-		k.sorted == cfg.EnableSortedScan && k.queueBudget == cfg.QueueBudget &&
-		k.shareParties == cfg.ShareParties &&
+		k.queueBudget == cfg.QueueBudget && k.shareParties == cfg.ShareParties &&
 		k.index == in.Index && k.stats == in.Stats && k.pool == in.Pool &&
 		k.table == in.Table && k.model == cfg.Model &&
 		k.grid == cfg.gridKey()

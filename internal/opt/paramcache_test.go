@@ -119,7 +119,6 @@ func TestShapeMatchIsKeyEquality(t *testing.T) {
 		"model":        func(c *Config, _ *Input) { c.Model = f.dtt },
 		"cores":        func(c *Config, _ *Input) { c.Cores++ },
 		"poolPages":    func(c *Config, _ *Input) { c.PoolPages++ },
-		"sorted":       func(c *Config, _ *Input) { c.EnableSortedScan = !c.EnableSortedScan },
 		"queueBudget":  func(c *Config, _ *Input) { c.QueueBudget++ },
 		"shareParties": func(c *Config, _ *Input) { c.ShareParties++ },
 		"grid":         func(c *Config, _ *Input) { c.PrefetchDepths, c.GridKey = []int{4}, "" },
@@ -172,7 +171,7 @@ func TestEntryRanksComparesShapes(t *testing.T) {
 	moves := map[string]func(t *top2, epoch *uint64){
 		"epoch":            func(_ *top2, epoch *uint64) { *epoch++ },
 		"no runner":        func(t *top2, _ *uint64) { t.hasRunner = false },
-		"winner method":    func(t *top2, _ *uint64) { t.winner.Method = exec.SortedIndexScan },
+		"winner method":    func(t *top2, _ *uint64) { t.winner.Method = exec.FullScan },
 		"winner degree":    func(t *top2, _ *uint64) { t.winner.Degree = 16 },
 		"winner prefetch":  func(t *top2, _ *uint64) { t.winner.Prefetch = 8 },
 		"winner shared":    func(t *top2, _ *uint64) { t.winner.Shared = true },
@@ -438,7 +437,7 @@ func TestParamCacheConcurrentReaders(t *testing.T) {
 // runs it under -race at one, two and four threads.
 func TestParamCacheColdConcurrentPlanning(t *testing.T) {
 	w := newStreamWorld("ssd")
-	s := w.shape("sorted")
+	s := w.shape("prefetch")
 	s.cfg.Obs = nil // simulation-confined
 
 	var queries []Input

@@ -99,14 +99,14 @@ func newStreamWorld(devKind string) *streamWorld {
 	add("qb8", func(c *Config, _ *Input) { c.QueueBudget = 8 })
 	add("share2", func(c *Config, _ *Input) { c.ShareParties = 2 })
 	add("share4", func(c *Config, _ *Input) { c.ShareParties = 4 })
-	add("sorted", func(c *Config, _ *Input) { c.EnableSortedScan = true })
+	add("maxdeg8", func(c *Config, _ *Input) { c.Degrees = []int{1, 2, 4, 8} })
 	add("prefetch", func(c *Config, _ *Input) { c.PrefetchDepths = prefetch })
 	add("maxdeg4", func(c *Config, _ *Input) { c.Degrees = []int{1, 2, 4} })
 	add("dtt", func(c *Config, _ *Input) { c.Model = model.DepthOne() })
 	add("hist", func(_ *Config, i *Input) { i.Stats = stats.BuildHistogram(tab, 64) })
 	add("warm", func(_ *Config, i *Input) { i.Pool = w.warm })
 	add("all", func(c *Config, i *Input) {
-		c.EnableSortedScan, c.PrefetchDepths, c.ShareParties, c.QueueBudget = true, prefetch, 2, 24
+		c.PrefetchDepths, c.ShareParties, c.QueueBudget = prefetch, 2, 24
 		i.Pool = w.warm
 	})
 	add("nopool", func(_ *Config, i *Input) { i.Pool = nil })

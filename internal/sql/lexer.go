@@ -10,7 +10,6 @@
 //	UPDATE t SET C1 = C1 + 10 WHERE C2 BETWEEN 0 AND 999;
 //	EXPLAIN SELECT COUNT(*) FROM t WHERE C2 BETWEEN 0 AND 999;
 //	SET OPTIMIZER OLD | NEW;
-//	SET SORTEDSCAN ON | OFF;
 //	SET PREFETCHPLANNING ON | OFF;
 //	SHOW TABLES;  SHOW MODEL;  FLUSH;
 //

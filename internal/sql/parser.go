@@ -40,7 +40,7 @@ type Statement struct {
 	Delta int64
 
 	// SET
-	Option string // OPTIMIZER, SORTEDSCAN, PREFETCHPLANNING
+	Option string // OPTIMIZER, PREFETCHPLANNING
 	Value  string // OLD/NEW/ON/OFF
 
 	// SHOW
@@ -402,9 +402,9 @@ func (p *parser) set() (*Statement, error) {
 		if st.Value != "OLD" && st.Value != "NEW" {
 			return nil, p.errorf("SET OPTIMIZER takes OLD or NEW")
 		}
-	case "SORTEDSCAN", "PREFETCHPLANNING":
+	case "PREFETCHPLANNING":
 		if st.Value != "ON" && st.Value != "OFF" {
-			return nil, p.errorf("SET %s takes ON or OFF", st.Option)
+			return nil, p.errorf("SET PREFETCHPLANNING takes ON or OFF")
 		}
 	default:
 		return nil, p.errorf("unknown option %q", opt.raw)

@@ -14,7 +14,6 @@ type Session struct {
 	sys *pioqo.System
 
 	depthOblivious   bool
-	sortedScan       bool
 	prefetchPlanning bool
 }
 
@@ -97,7 +96,6 @@ func (s *Session) calibrate(st *Statement) (string, error) {
 func (s *Session) planOptions() pioqo.PlanOptions {
 	return pioqo.PlanOptions{
 		DepthOblivious:         s.depthOblivious,
-		EnableSortedScan:       s.sortedScan,
 		EnablePrefetchPlanning: s.prefetchPlanning,
 	}
 }
@@ -289,8 +287,6 @@ func (s *Session) set(st *Statement) (string, error) {
 	switch st.Option {
 	case "OPTIMIZER":
 		s.depthOblivious = st.Value == "OLD"
-	case "SORTEDSCAN":
-		s.sortedScan = st.Value == "ON"
 	case "PREFETCHPLANNING":
 		s.prefetchPlanning = st.Value == "ON"
 	}

@@ -129,7 +129,7 @@ func TestParseCalibrate(t *testing.T) {
 func TestParseSetAndShow(t *testing.T) {
 	for _, ok := range []string{
 		"SET OPTIMIZER OLD", "SET OPTIMIZER NEW",
-		"SET SORTEDSCAN ON", "SET PREFETCHPLANNING OFF",
+		"SET PREFETCHPLANNING ON", "SET PREFETCHPLANNING OFF",
 		"SHOW TABLES", "SHOW MODEL", "FLUSH",
 	} {
 		if _, err := Parse(ok); err != nil {
@@ -147,6 +147,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT MAX(C1) FROM t",
 		"CREATE TABLE t",
 		"SET OPTIMIZER SIDEWAYS",
+		"SET PREFETCHPLANNING MAYBE",
+		"SET NOSUCHOPTION ON",
 		"SHOW EVERYTHING",
 		"DROP TABLE t",
 		"SELECT MAX(C1) FROM t WHERE C2 BETWEEN 0 AND 1 garbage",
@@ -230,17 +232,6 @@ func TestSessionOptimizerToggle(t *testing.T) {
 	}
 	if !strings.Contains(newPlan, "PIS") {
 		t.Errorf("new optimizer plan %q, want a parallel index scan", newPlan)
-	}
-}
-
-func TestSessionSortedScanToggle(t *testing.T) {
-	s := newSession(t)
-	s.mustExec(t, "CREATE TABLE t ROWS 50000 ROWSPERPAGE 33 SYNTHETIC;")
-	s.mustExec(t, "CALIBRATE READS 640;")
-	s.mustExec(t, "SET SORTEDSCAN ON;")
-	out := s.mustExec(t, "EXPLAIN SELECT MAX(C1) FROM t WHERE C2 BETWEEN 0 AND 4999;")
-	if !strings.Contains(out, "SortedIS") {
-		t.Errorf("explain with sorted scan on lacks SortedIS candidates:\n%s", out)
 	}
 }
 

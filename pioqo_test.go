@@ -252,7 +252,7 @@ func TestPlanConfigAssignsEveryField(t *testing.T) {
 		{EnablePrefetchPlanning: true},
 		{QueueBudget: 8},
 		{ShareParties: 4},
-		{DepthOblivious: true, MaxDegree: 2, EnableSortedScan: true, EnablePrefetchPlanning: true, QueueBudget: 3, ShareParties: 2},
+		{DepthOblivious: true, MaxDegree: 2, EnablePrefetchPlanning: true, QueueBudget: 3, ShareParties: 2},
 	}
 	for _, earlier := range variants {
 		for _, o := range variants {

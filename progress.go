@@ -1,6 +1,9 @@
 package pioqo
 
-import "pioqo/internal/btree"
+import (
+	"pioqo/internal/btree"
+	"pioqo/internal/opt"
+)
 
 // QueryProgress reports a running query's page progress: how many page
 // pins the plan was expected to perform against how many its workers have
@@ -53,37 +56,38 @@ func (ses *Session) Progress() []QueryProgress {
 // estimatePages predicts how many page pins a plan's execution performs —
 // the denominator for live progress. A full scan pins every heap page; an
 // index scan descends the tree once, walks the qualifying leaves, and pins
-// one heap page per fetched row; the sorted variant pins each distinct
-// heap page at most once, so its heap component is capped at the table
-// size. Prefetches are excluded on both sides of the ratio: the executor's
-// progress counter also counts only demand fetches. Sharded tables sum
-// the per-partition estimates, apportioning the row estimate by partition
-// size.
-func estimatePages(q Query, plan Plan) int64 {
+// one heap page per fetched row. Prefetches are excluded on both sides of
+// the ratio: the executor's progress counter also counts only demand
+// fetches. A partitioned table sums the shards its scans run on — active,
+// as scatter returned them — each under its own plan's method when the plan
+// carries per-shard plans.
+func estimatePages(q Query, plan *Plan, active []int) int64 {
 	t := q.Table
-	rows := int64(plan.EstimatedRows + 0.5)
-	total := t.Rows()
+	if !t.sharded() {
+		return estimatePartPages(t.one(), q, plan.Method)
+	}
 	var sum int64
-	for i := range t.parts {
-		part := &t.parts[i]
-		if part.tab == nil {
-			continue
+	for j, si := range active {
+		method := plan.Method
+		if plan.scatter != nil {
+			method = fromInternalPlan(plan.scatter.plans[j]).Method
 		}
-		prows := rows
-		if t.sharded() && total > 0 {
-			prows = rows * part.tab.Rows() / total
-		}
-		sum += estimatePartPages(part, plan.Method, prows)
+		sum += estimatePartPages(&t.parts[si], q, method)
 	}
 	return sum
 }
 
 // estimatePartPages is estimatePages for one partition's heap and index.
-func estimatePartPages(part *tablePart, method AccessMethod, rows int64) int64 {
+// The rows an index scan fetches are the optimizer's estimate for the
+// partition's range (opt.Selectivity), not the plan's: a WithPlan plan
+// carries none.
+func estimatePartPages(part *tablePart, q Query, method AccessMethod) int64 {
 	heap := part.tab.Pages()
 	if method == FullTableScan {
 		return heap
 	}
+	in := part.input(q)
+	rows := int64(opt.Selectivity(&in)*float64(part.tab.Rows()) + 0.5)
 	leaves := (rows + btree.DefaultLeafCap - 1) / btree.DefaultLeafCap
 	if leaves < 1 {
 		leaves = 1
@@ -92,9 +96,5 @@ func estimatePartPages(part *tablePart, method AccessMethod, rows int64) int64 {
 	if part.idx != nil {
 		descent = int64(len(part.idx.DescentPath()))
 	}
-	touched := rows
-	if method == SortedIndexScan && touched > heap {
-		touched = heap
-	}
-	return descent + leaves + touched
+	return descent + leaves + rows
 }

@@ -58,33 +58,20 @@ const (
 	FullTableScan AccessMethod = iota
 	// IndexScan walks the C2 index and fetches qualifying rows (IS/PIS).
 	IndexScan
-	// SortedIndexScan collects qualifying row ids from the index, sorts
-	// them by heap page, and fetches each needed page exactly once. An
-	// extension beyond the paper's engine (see DESIGN.md §6); enabled in
-	// the optimizer via PlanOptions.EnableSortedScan.
-	SortedIndexScan
 )
 
 func (m AccessMethod) String() string {
-	switch m {
-	case IndexScan:
+	if m == IndexScan {
 		return "IndexScan"
-	case SortedIndexScan:
-		return "SortedIndexScan"
-	default:
-		return "FullTableScan"
 	}
+	return "FullTableScan"
 }
 
 func (m AccessMethod) internal() exec.Method {
-	switch m {
-	case IndexScan:
+	if m == IndexScan {
 		return exec.IndexScan
-	case SortedIndexScan:
-		return exec.SortedIndexScan
-	default:
-		return exec.FullScan
 	}
+	return exec.FullScan
 }
 
 // Plan is a costed access path chosen or enumerated by the optimizer.
@@ -141,14 +128,9 @@ func (p Plan) String() string {
 	if p.Join != nil {
 		return p.Join.String()
 	}
-	var name string
-	switch p.Method {
-	case IndexScan:
+	name := "FTS"
+	if p.Method == IndexScan {
 		name = "IS"
-	case SortedIndexScan:
-		name = "SortedIS"
-	default:
-		name = "FTS"
 	}
 	if p.Degree > 1 {
 		name = fmt.Sprintf("P%s%d", name, p.Degree)
@@ -171,10 +153,6 @@ type PlanOptions struct {
 
 	// MaxDegree caps the enumerated parallel degrees. Default 32.
 	MaxDegree int
-
-	// EnableSortedScan adds the sorted index scan extension to the
-	// enumeration.
-	EnableSortedScan bool
 
 	// EnablePrefetchPlanning lets the optimizer also choose a per-worker
 	// prefetch depth for index scans, pricing the combined queue depth
@@ -238,7 +216,6 @@ func (s *System) planConfig(n *node.Node, o PlanOptions, cfg *opt.Config) error 
 	cfg.Costs = s.costs
 	cfg.Cores = s.cores
 	cfg.PoolPages = int64(n.Pool.Capacity())
-	cfg.EnableSortedScan = o.EnableSortedScan
 	cfg.QueueBudget = o.QueueBudget
 	cfg.ShareParties = o.ShareParties
 	cfg.Obs = s.reg
@@ -295,11 +272,8 @@ func fromInternalPlan(p opt.Plan) Plan {
 // result this way, where a literal would be built aside and copied twice.
 func (out *Plan) setInternal(p *opt.Plan) {
 	out.Method = FullTableScan
-	switch p.Method {
-	case exec.IndexScan:
+	if p.Method == exec.IndexScan {
 		out.Method = IndexScan
-	case exec.SortedIndexScan:
-		out.Method = SortedIndexScan
 	}
 	out.Degree = p.Degree
 	out.Prefetch = p.Prefetch

@@ -103,6 +103,7 @@ type queryRun struct {
 	res     Result
 	adm     Admission
 	est     int64 // the page estimate progress reads
+	active  []int // the shards a partitioned table's scans run on (scatter)
 	started bool
 	done    bool
 	err     error // the abort, once the process exits
@@ -203,7 +204,7 @@ func (r *queryRun) process(p *sim.Proc, scan Query, run func(*sim.Proc), atExit 
 	if !r.admit(p) {
 		return
 	}
-	r.est = estimatePages(scan, r.res.Plan)
+	r.est = estimatePages(scan, &r.res.Plan, r.active)
 	r.started = true
 	r.s.reg.Emit(obs.EvQueryStart, r.qid, r.est, int64(r.adm.Budget))
 	start := p.Now()

@@ -217,6 +217,7 @@ func (r *queryRun) scatter(q Query, plan *Plan) []int {
 	plan.Shared = false // circulating scans are single-node
 	plan.Fanout = len(active)
 	plan.pruned = len(q.Table.parts) - len(active)
+	r.active = active
 	return active
 }
 

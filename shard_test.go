@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"pioqo/internal/btree"
 )
 
 // newShardedCalibrated builds a calibrated cluster with one partitioned
@@ -665,6 +667,53 @@ func TestResultRollsUpNodeDeviceTraffic(t *testing.T) {
 			if res.Rows != 50000 {
 				t.Errorf("%s on %d shards: counted %d rows, want 50000", name, shards, res.Rows)
 			}
+		}
+	}
+}
+
+// A forced plan's progress estimate covers what runs. Partition pruning
+// narrows this range to shard 0, so only that shard's scan counts: a full
+// scan's estimate is its heap, not the table's. A WithPlan plan carries no
+// row estimate, so an index scan's rows are the optimizer's estimate for the
+// range — the rows a planned scan is priced at — and either estimate lands
+// within a few percent of the pages the scan goes on to process.
+func TestForcedShardedProgressEstimatesWhatRuns(t *testing.T) {
+	sys, tab := newShardedCalibrated(t, 4, PartitionRange, 50000, 0)
+	q := Query{Table: tab, Low: 0, High: 999}
+	if got := tab.activeShards(q.Low, q.High); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("active shards %v, want only shard 0", got)
+	}
+	planned, err := sys.Plan(q, PlanOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := &tab.parts[0]
+	rows := int64(planned.EstimatedRows + 0.5)
+	leaves := max((rows+btree.DefaultLeafCap-1)/btree.DefaultLeafCap, 1)
+	for _, c := range []struct {
+		method AccessMethod
+		want   int64
+	}{
+		{FullTableScan, part.tab.Pages()},
+		{IndexScan, int64(len(part.idx.DescentPath())) + leaves + rows},
+	} {
+		method, want := c.method, c.want
+		ses := openSession(t, sys)
+		sub, err := ses.Submit(q, WithPlan(Plan{Method: method, Degree: 1}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		p := sub.Progress()
+		if p.EstimatedPages != want {
+			t.Errorf("%v: EstimatedPages = %d, want %d (the table has %d heap pages)",
+				method, p.EstimatedPages, want, tab.Pages())
+		}
+		if diff := p.EstimatedPages - p.PagesProcessed; diff*20 > p.PagesProcessed || -diff*20 > p.PagesProcessed {
+			t.Errorf("%v: EstimatedPages = %d against %d processed, want within 5 %%",
+				method, p.EstimatedPages, p.PagesProcessed)
 		}
 	}
 }
