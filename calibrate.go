@@ -53,7 +53,7 @@ type CalibrationOptions struct {
 	// largest band improves by less than this fraction. The rows the walk
 	// skips are not defaulted as in the paper but fitted: the deepest row
 	// is measured on a quarter of MaxReads, and the rows between are
-	// interpolated in log depth. Negative disables; zero means the paper's
+	// interpolated in log(depth − 1). Negative disables; zero means the paper's
 	// 0.20.
 	StopThreshold float64
 }

@@ -1,7 +1,9 @@
 // Breakeven: reproduce the paper's central observation end to end — the
-// selectivity at which a full table scan overtakes an index scan shifts
-// dramatically to the right on an SSD once the scans run with intra-query
-// parallelism, and barely moves on a spinning disk (Fig. 4 / Table 2).
+// selectivity at which a full table scan overtakes an index scan shifts to
+// the right once the scans run with intra-query parallelism: furthest on an
+// SSD, whose random reads scale with queue depth, and less on a spinning
+// disk, where a deep queue only shortens each read's positioning (Fig. 4 /
+// Table 2).
 package main
 
 import (
@@ -27,9 +29,9 @@ func main() {
 		fmt.Printf("  PIS32/PFTS32 break-even: %.4f%%\n", p*100)
 		fmt.Printf("  shift: %.1fx\n\n", p/np)
 	}
-	fmt.Println("The SSD shift dwarfs the HDD shift — a depth-oblivious optimizer")
-	fmt.Println("choosing between scan methods on SSD is wrong over the whole band")
-	fmt.Println("between the two crossings.")
+	fmt.Println("The SSD shift exceeds the HDD shift — a depth-oblivious optimizer")
+	fmt.Println("choosing between scan methods is wrong over the whole band between")
+	fmt.Println("the two crossings, and that band is widest on the SSD.")
 }
 
 // breakEven bisects for the selectivity where the index scan's measured

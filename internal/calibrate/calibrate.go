@@ -143,9 +143,9 @@ type Output struct {
 
 // deepRowDivisor divides MaxReads into the per-point budget of the deepest
 // row, which a stopped depth walk measures to anchor its fit. Deep reads
-// are the dearest to simulate on a disk (its elevator ranks the whole queue
-// per dispatch), and a quarter of the budget ranked plans at least as well
-// as an eighth or the full budget did (DESIGN.md §6).
+// are the dearest to simulate on a disk (it ranks the whole queue by access
+// time per dispatch), and a quarter of the budget ranked plans at least as
+// well as an eighth or the full budget did (DESIGN.md §6).
 const deepRowDivisor = 4
 
 // Run calibrates dev on a fresh pass over cfg's grid and returns the model.
@@ -223,23 +223,31 @@ func deepRowConfig(cfg Config) Config {
 //
 // The paper assigns every unmeasured point "a default value slightly larger
 // than the measured costs for queue depth one". On a disk that trips at
-// depth 2 that prices every deeper read as a serial one, although the
-// elevator does gain on narrower bands than the whole device. So instead
-// the tripping row is the depth-1 row scaled by the ratio the largest band
+// depth 2 that prices every deeper read as a serial one, although the drive
+// does gain on narrower bands than the whole device. So instead the
+// tripping row is the depth-1 row scaled by the ratio the largest band
 // measured there, and each band's rows between it and the deepest row are
-// interpolated linearly in log depth — the axis the depth grid is
-// exponential on (§4.5).
+// interpolated linearly in log cost over log(depth − 1): a power law in the
+// reads a drive can choose from. A drive dispatches its next read the moment
+// one completes, before the process that waited on it issues another, so a
+// closed loop of d readers — a fleet of d workers, or a calibration window —
+// leaves it at most d − 1 queued reads to choose from; at depth 2 that is
+// one, which is why a disk's depth walk trips there. Walked in full by d
+// closed-loop workers, the way the executor's fleets read, a disk that
+// orders its queue by access time cuts a band's cost by a near-constant
+// factor per doubling of that choice (DESIGN.md §6).
 func fitStoppedRows(grid [][]float64, depths []int, trip int) {
 	top, last := len(grid[trip])-1, len(grid)-1
 	scale := grid[trip][top] / grid[0][top]
 	for bi := 0; bi < top; bi++ {
 		grid[trip][bi] = grid[0][bi] * scale
 	}
-	lo, hi := math.Log(float64(depths[trip])), math.Log(float64(depths[last]))
+	choice := func(di int) float64 { return math.Log(float64(depths[di] - 1)) }
+	lo, hi := choice(trip), choice(last)
 	for di := trip + 1; di < last; di++ {
-		f := (math.Log(float64(depths[di])) - lo) / (hi - lo)
+		f := (choice(di) - lo) / (hi - lo)
 		for bi, c := range grid[trip] {
-			grid[di][bi] = c + f*(grid[last][bi]-c)
+			grid[di][bi] = c * math.Pow(grid[last][bi]/c, f)
 		}
 	}
 }

@@ -197,6 +197,25 @@ func TestStoppedRowsAreFitted(t *testing.T) {
 	}
 }
 
+func TestFittedRowsArePowerLawsInTheChoice(t *testing.T) {
+	// Between the tripping row (depth 2: one queued read to choose from)
+	// and the deepest (depth 32: 31), each band's log cost is linear in
+	// log(depth − 1). The tripping row is depth 1 scaled by the ratio its
+	// largest band measured.
+	depths := []int{1, 2, 4, 8, 16, 32}
+	grid := [][]float64{{100, 200}, {0, 202}, {0, 0}, {0, 0}, {0, 0}, {25, 80}}
+	fitStoppedRows(grid, depths, 1)
+	for bi, deep := range grid[5] {
+		trip := grid[0][bi] * 202 / 200
+		for di := 1; di < 5; di++ {
+			want := trip * math.Pow(deep/trip, math.Log(float64(depths[di]-1))/math.Log(31))
+			if got := grid[di][bi]; math.Abs(got-want) > 1e-9*want {
+				t.Errorf("band %d, depth %d: fitted %.4f, want %.4f", bi, depths[di], got, want)
+			}
+		}
+	}
+}
+
 func TestSweepFitsAlikeOnAnyWorkerCount(t *testing.T) {
 	// Sweep completes a stopped walk with the same fit, its deepest row
 	// fanned out over host workers, each cell with its own buffers: the

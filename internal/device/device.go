@@ -10,9 +10,10 @@
 //
 // The behavioural targets, taken from the paper's measurements:
 //
-//   - HDD: sequential ≫ random; elevator scheduling makes queue depth help
-//     throughput modestly while increasing per-request latency; larger band
-//     sizes mean longer seeks and higher cost.
+//   - HDD: sequential ≫ random; ordering the queue by access time makes
+//     queue depth help throughput modestly on wide bands while increasing
+//     per-request latency; larger band sizes mean longer seeks and higher
+//     cost.
 //   - SSD: random throughput scales near-linearly with queue depth up to the
 //     internal parallelism limit with roughly flat latency; a mild band-size
 //     penalty (FTL mapping-cache misses) that fades at high queue depth;

@@ -77,7 +77,7 @@ func TestHDDElevatorImprovesThroughputButNotLatency(t *testing.T) {
 		t.Errorf("QD32 throughput %.2f not >1.5x QD1 %.2f",
 			qd32.ThroughputMBps, qd1.ThroughputMBps)
 	}
-	// Even with the elevator, random stays far below sequential (paper: ~1.3%).
+	// Even ordered by access time, random stays far below sequential (paper: ~1.3%).
 	if qd32.ThroughputMBps > 10 {
 		t.Errorf("QD32 random throughput %.2f MB/s implausibly high", qd32.ThroughputMBps)
 	}
@@ -374,13 +374,14 @@ func TestDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestSeekTimeStrictlyIncreasing holds the property the HDD elevator's
-// integer ranking rests on: after truncation to sim.Duration, a longer seek
-// always costs strictly more, so ranking queued requests by track distance
-// picks what ranking by seek time would. It checks both HDD configs the
-// engine builds (the HDD kind and RAID8's spindles) at their full 65 536
-// tracks — where adjacent distances are closest, ≥ 122 ns and ≥ 61 ns
-// apart — and at the 64 MiB floor workload scales small tables down to.
+// TestSeekTimeStrictlyIncreasing holds the property the HDD's dispatch
+// loop prunes on: after truncation to sim.Duration, a longer seek always
+// costs strictly more, so every request farther than the distance reach
+// returns for the best access time so far has a seek alone that is longer.
+// It checks both HDD configs the engine builds (the HDD kind and RAID8's
+// spindles) at their full 65 536 tracks — where adjacent distances are
+// closest, ≥ 122 ns and ≥ 61 ns apart — and at the 64 MiB floor workload
+// scales small tables down to.
 func TestSeekTimeStrictlyIncreasing(t *testing.T) {
 	for name, cfg := range map[string]HDDConfig{"hdd": DefaultHDDConfig(), "hdd15k": HDD15KConfig()} {
 		for _, capacity := range []int64{cfg.Capacity, 64 << 20} {

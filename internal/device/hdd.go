@@ -31,7 +31,7 @@ type HDDConfig struct {
 	// MediaMBps is the sustained media transfer rate in MB/s (1e6 bytes).
 	MediaMBps float64
 
-	// QueueDepthMax is how many queued requests the elevator examines when
+	// QueueDepthMax is how many queued requests the drive examines when
 	// picking the next request to service (models NCQ depth).
 	QueueDepthMax int
 
@@ -42,9 +42,10 @@ type HDDConfig struct {
 }
 
 // DefaultHDDConfig models the paper's commodity 7200 RPM drive:
-// ~110 MB/s sequential, ~85 IOPS random 4 KB at queue depth 1, and a modest
-// elevator gain at higher queue depths (the paper measures random reads at
-// queue depth 32 reaching only ~1.3% of sequential throughput).
+// ~110 MB/s sequential, ~85 IOPS random 4 KB at queue depth 1, and a
+// throughput gain at higher queue depths from access-time ordering (the
+// paper measures random reads at queue depth 32 reaching only ~1.3% of
+// sequential throughput).
 func DefaultHDDConfig() HDDConfig {
 	return HDDConfig{
 		Capacity:        64 << 30, // 64 GiB of addressable test area
@@ -60,8 +61,8 @@ func DefaultHDDConfig() HDDConfig {
 
 // HDD is a mechanistic single-spindle disk: one head, square-root seek
 // curve, rotational positioning derived from the virtual clock, a
-// shortest-positioning-time-first (SPTF) elevator over the device queue,
-// and a track cache that streams sequential reads at media rate.
+// shortest-access-time-first (SATF) scheduler over the device queue, and a
+// track cache that streams sequential reads at media rate.
 type HDD struct {
 	env     *sim.Env
 	cfg     HDDConfig
@@ -84,8 +85,12 @@ type HDD struct {
 }
 
 type hddRequest struct {
-	offset    int64
-	length    int
+	offset int64
+	length int
+	track  int64
+	// angle is where the request's first byte sits on its track, as the
+	// time into a revolution at which it passes under the head.
+	angle     sim.Duration
 	submitted sim.Time
 	done      *sim.Completion
 }
@@ -121,7 +126,7 @@ func (d *HDD) Size() int64 { return d.cfg.Capacity }
 func (d *HDD) Metrics() *Metrics { return d.metrics }
 
 // WriteAt implements Device. Spinning media pays the same mechanical costs
-// writing as reading: the request joins the same elevator queue.
+// writing as reading: the request joins the same queue.
 func (d *HDD) WriteAt(offset int64, length int) *sim.Completion {
 	return d.ReadAt(offset, length)
 }
@@ -131,7 +136,14 @@ func (d *HDD) ReadAt(offset int64, length int) *sim.Completion {
 	validate(d, offset, length)
 	done := sim.NewCompletion(d.env)
 	d.metrics.Submitted()
-	d.queue = append(d.queue, hddRequest{offset: offset, length: length, submitted: d.env.Now(), done: done})
+	d.queue = append(d.queue, hddRequest{
+		offset:    offset,
+		length:    length,
+		track:     d.track(offset),
+		angle:     sim.Duration(float64(offset%d.cfg.TrackBytes) / float64(d.cfg.TrackBytes) * float64(d.revTime)),
+		submitted: d.env.Now(),
+		done:      done,
+	})
 	if !d.busy {
 		d.startNext()
 	}
@@ -154,53 +166,46 @@ func (d *HDD) seekTime(from, to int64) sim.Duration {
 	return d.cfg.SeekSettle + sim.Duration(float64(d.cfg.SeekFullStroke)*frac)
 }
 
-// rotWait returns how long the head waits, after arriving at the target
-// track at time t, for the first byte of the request to rotate under it.
-// The angular position is derived from the virtual clock, which makes the
-// model deterministic without being degenerate.
-func (d *HDD) rotWait(at sim.Time, offset int64) sim.Duration {
-	angleNow := float64(int64(at)%int64(d.revTime)) / float64(d.revTime)
-	target := float64(offset%d.cfg.TrackBytes) / float64(d.cfg.TrackBytes)
-	delta := target - angleNow
-	if delta < 0 {
-		delta++
-	}
-	return sim.Duration(delta * float64(d.revTime))
-}
-
 // transferTime returns the media-rate transfer time for n bytes.
 func (d *HDD) transferTime(n int) sim.Duration {
 	return sim.Duration(float64(n) / d.cfg.MediaMBps * 1e3)
 }
 
-// schedulingCost ranks queued requests for the elevator by seek distance
-// only (classic LOOK/SSTF), in tracks: 0 for sequential and same-track
-// requests. seekTime is strictly increasing in distance at every geometry
-// the engine builds (TestSeekTimeStrictlyIncreasing), so this picks what
-// ranking by seek time would, without a square root per queued request.
-// The firmware is given no rotational knowledge: deep queues shorten seeks
-// but cannot defeat rotational latency, matching the paper's drive, whose
-// queue-depth-32 random reads gain only ~2-2.5x — all of it attributable
-// to seek optimization over wide bands.
-func (d *HDD) schedulingCost(r *hddRequest) int64 {
+// access returns the mechanical time (seek plus rotational wait) to reach
+// r from the head's track when the clock stands at phase into a revolution.
+// Sequential hits on the track cache position for free. The angular
+// position is read off the virtual clock, which makes the model
+// deterministic without being degenerate; the drive ranks its queue by
+// exactly the time it then charges.
+func (d *HDD) access(r *hddRequest, phase sim.Duration) sim.Duration {
 	if d.isSequential(r) {
 		return 0
 	}
-	dist := d.track(r.offset) - d.headTrack
-	if dist < 0 {
-		dist = -dist
+	seek := d.seekTime(d.headTrack, r.track)
+	under := phase + seek // where the head is in its revolution when the seek ends
+	for under >= d.revTime {
+		under -= d.revTime
 	}
-	return dist
+	wait := r.angle - under
+	if wait < 0 {
+		wait += d.revTime
+	}
+	return seek + wait
 }
 
-// positioning returns the actual mechanical time (seek + rotation) to reach
-// r starting now. Sequential hits on the track cache position for free.
-func (d *HDD) positioning(r *hddRequest) sim.Duration {
-	if d.isSequential(r) {
-		return 0
+// reach returns a track distance whose seek alone takes longer than c: no
+// queued request that far from the head can be reached sooner, so the
+// dispatch loop skips it without working out its rotation. It inverts the
+// square-root seek curve and adds a track. The curve rises by at least
+// SeekFullStroke/(2·tracks) per track (122 ns on the default drive, 61 ns
+// on RAID8's spindles; TestSeekTimeStrictlyIncreasing), which puts that
+// track past any rounding.
+func (d *HDD) reach(c sim.Duration) int64 {
+	if c <= d.cfg.SeekSettle {
+		return int64(min(c, 1)) // 0 when c is 0: nothing beats a free read
 	}
-	seek := d.seekTime(d.headTrack, d.track(r.offset))
-	return seek + d.rotWait(d.env.Now().Add(seek), r.offset)
+	x := float64(c-d.cfg.SeekSettle) / float64(d.cfg.SeekFullStroke)
+	return int64(math.Ceil(x*x*float64(d.totalTracks))) + 1
 }
 
 func (d *HDD) isSequential(r *hddRequest) bool {
@@ -208,9 +213,11 @@ func (d *HDD) isSequential(r *hddRequest) bool {
 		r.offset-d.lastEnd < int64(d.cfg.ReadaheadWindow)
 }
 
-// startNext dispatches the queued request with the shortest seek (LOOK
-// elevator) among the first QueueDepthMax entries. This is what makes HDD
-// throughput improve modestly — and latency degrade — with queue depth.
+// startNext dispatches the queued request with the shortest access time
+// among the first QueueDepthMax entries, as NCQ firmware orders reads by
+// seek and rotational position: a deeper queue offers a nearer request, so
+// throughput grows with queue depth while each request's wait in the queue
+// grows too.
 func (d *HDD) startNext() {
 	if len(d.queue) == 0 {
 		d.busy = false
@@ -221,17 +228,22 @@ func (d *HDD) startNext() {
 	if window > d.cfg.QueueDepthMax {
 		window = d.cfg.QueueDepthMax
 	}
-	best, bestCost := 0, d.schedulingCost(&d.queue[0])
+	phase := sim.Duration(int64(d.env.Now()) % int64(d.revTime))
+	best, bestCost := 0, d.access(&d.queue[0], phase)
+	limit := d.reach(bestCost)
 	for i := 1; i < window; i++ {
-		if c := d.schedulingCost(&d.queue[i]); c < bestCost {
+		r := &d.queue[i]
+		if dist := r.track - d.headTrack; dist >= limit || -dist >= limit {
+			continue
+		}
+		if c := d.access(r, phase); c < bestCost {
 			best, bestCost = i, c
+			limit = d.reach(c)
 		}
 	}
 	d.current = d.queue[best]
 	d.queue = slices.Delete(d.queue, best, best+1)
-
-	r := &d.current
-	d.env.Schedule(d.positioning(r)+d.transferTime(r.length), d.serviceDone)
+	d.env.Schedule(bestCost+d.transferTime(d.current.length), d.serviceDone)
 }
 
 // finish completes the request under the head and dispatches the next.

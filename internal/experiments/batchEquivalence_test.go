@@ -28,6 +28,10 @@ package experiments
 //     PIS32. Every value, found and row count is the one it replaced.
 //   - the sorted index scan's removal: batch_queries lost its three
 //     ssd-sis-* rows; every other row is the one it was.
+//   - the HDD's access-time ordering: batch_fig12 (RAID-0 only) from depth
+//     3 up; its depth-1 and depth-2 rows, where a spindle rarely has a
+//     choice, are the ones they were. batch_queries, batch_fig4 and
+//     batch_fig8 did not move.
 
 import (
 	"fmt"
@@ -94,7 +98,7 @@ func batchCases() []batchCase {
 		scanCase("ssd-fts-d1", workload.SSD, exec.FullScan, 1, 0, 0.01, false),
 		scanCase("ssd-is-d1", workload.SSD, exec.IndexScan, 1, 0, 0.001, false),
 		scanCase("ssd-is-d1-pf8", workload.SSD, exec.IndexScan, 1, 8, 0.001, false),
-		// Serial on HDD: the elevator makes issue timing visible in seeks.
+		// Serial on HDD: the drive's queue ordering makes issue timing visible.
 		scanCase("hdd-fts-d1", workload.HDD, exec.FullScan, 1, 0, 0.01, false),
 		scanCase("hdd-is-d1", workload.HDD, exec.IndexScan, 1, 0, 0.0005, false),
 		// Contended: answers identical, virtual time within 1%.

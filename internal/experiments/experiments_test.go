@@ -47,7 +47,7 @@ func TestFig1Shape(t *testing.T) {
 		t.Errorf("HDD QD32 ratio = %.1f%%, paper reports ~1.3%%", got)
 	}
 	if hdd[5].RandomMBps <= hdd[0].RandomMBps {
-		t.Error("HDD elevator produced no gain from QD1 to QD32")
+		t.Error("HDD queue ordering produced no gain from QD1 to QD32")
 	}
 }
 
@@ -105,10 +105,10 @@ func TestFig4HDDParallelGainIsModest(t *testing.T) {
 		}
 	}
 	gain := isSum / pisSum
-	// Paper: PIS32 averages ~2.37x faster than IS on HDD — a modest gain.
-	// At our reduced table sizes the band is narrow, seeks contribute
-	// little, and the elevator's gain shrinks toward 1x; the requirement is
-	// that parallel I/O never helps HDD much and never hurts.
+	// Paper: PIS32 averages ~2.37x faster than IS on HDD — a modest gain,
+	// and 2.4x here at quick scale, where the drive orders its queue by
+	// access time; the requirement is that parallel I/O never helps HDD by
+	// an SSD's order of magnitude and never hurts.
 	if gain < 0.95 || gain > 6 {
 		t.Errorf("HDD avg PIS32 gain = %.2fx, paper reports ~2.4x (modest)", gain)
 	}
@@ -125,13 +125,9 @@ func TestTable2BreakEvenShifts(t *testing.T) {
 	// leaves one step of slack.
 	step := math.Pow(0.9/1e-7, 1.0/(1<<11))
 	hddFloor := map[int]float64{
-		1:  step,     // shifts right, as in the paper (×1.19 at quick scale)
-		33: 1 / step, // does not move left (×1.00)
-		// ×0.48: the documented deviation (DESIGN.md, Known deviations): the
-		// elevator has no rotational knowledge, so PFTS's CPU-parallel gain
-		// outweighs PIS's elevator gain and the crossing moves left. It may
-		// not fall further.
-		500: 0.48 / step,
+		1:   2.23 / step, // ×2.24 at quick scale, the paper's ×2.5
+		33:  1.82 / step, // ×1.83, the paper's ×2.5
+		500: 1.09 / step, // ×1.10, the paper's +11 %
 	}
 	for _, r := range rows {
 		// Parallelism shifts the break-even right on both devices...

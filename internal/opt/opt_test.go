@@ -24,7 +24,13 @@ type fixture struct {
 }
 
 // calibratedDevice builds an SSD or HDD model on a fresh environment and
-// calibrates a coarse QDTT grid on it.
+// calibrates a QDTT grid on it: a coarse one on the SSD, DefaultConfig's
+// bands on the HDD. A drive that orders its queue by access time reads the
+// one-track band 256 at depth 32 for 301 us a page and band 65 536 for
+// 1 930, and a straight line between the two prices a 6 061-page table's
+// band at 446 us, where a grid that measures that band reads 1 393 (and
+// DefaultConfig's bands interpolate 1 444): the coarse bands would make the
+// HDD's parallel index scans look three times cheaper than they run.
 func calibratedDevice(devKind string, seed int64) (*sim.Env, device.Device, *cost.QDTT) {
 	env := sim.NewEnv(seed)
 	var dev device.Device
@@ -35,7 +41,9 @@ func calibratedDevice(devKind string, seed int64) (*sim.Env, device.Device, *cos
 	}
 	ccfg := calibrate.DefaultConfig(dev)
 	ccfg.MaxReads = 800
-	ccfg.Bands = []int64{1, 256, 64 << 10, dev.Size() / disk.PageSize}
+	if devKind != "hdd" {
+		ccfg.Bands = []int64{1, 256, 64 << 10, dev.Size() / disk.PageSize}
+	}
 	return env, dev, calibrate.Run(env, dev, ccfg).Model
 }
 
@@ -167,6 +175,7 @@ func TestBreakEvenShiftSmallOnHDD(t *testing.T) {
 	if old == 0 {
 		t.Fatal("degenerate old break-even")
 	}
+	t.Logf("HDD break-even %.4f%% -> %.4f%% (%.1fx)", old*100, new_*100, new_/old)
 	if new_ > 8*old {
 		t.Errorf("HDD break-even shifted %.4f%% -> %.4f%%; want modest shift",
 			old*100, new_*100)
@@ -479,8 +488,8 @@ func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 	})
 
 	// Two selectivities of one band on either side of the crossover: each
-	// lookup finds the other's ranking cached, so each falls back and
-	// publishes its own.
+	// lookup finds the other's ranking cached, so each falls back and swaps
+	// its own back in from the slot's previous entry.
 	t.Run("paramcache fallback that re-ranks", func(t *testing.T) {
 		var a, b Input
 		found := false
@@ -498,7 +507,9 @@ func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 			t.Fatal("no two selectivities of one band straddle the crossover")
 		}
 		pc := NewParamCache()
+		slot := &pc.bandSetFor(&fcfg, &a).slots[selBand(selectivity(&a, a.Lo, a.Hi))]
 		pc.Choose(fcfg, a)
+		ea := slot.Load()
 		before, i := pc.Stats().Fallbacks, 0
 		allocs := testing.AllocsPerRun(100, func() {
 			if i%2 == 0 {
@@ -508,11 +519,14 @@ func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 			}
 			i++
 		})
-		if allocs != 1 {
-			t.Errorf("a fallback whose winner changed allocates %.2f/op, want 1 (publish's entry)", allocs)
+		if allocs > 0 {
+			t.Errorf("a fallback whose winner changed back allocates %.2f/op, want 0: the slot keeps its previous entry", allocs)
 		}
 		if got := pc.Stats().Fallbacks - before; got != 101 {
 			t.Fatalf("%d of 101 lookups fell back", got)
+		}
+		if prev := &pc.bandSetFor(&fcfg, &a).prev[selBand(selectivity(&a, a.Lo, a.Hi))]; slot.Load() != ea && prev.Load() != ea {
+			t.Error("the first ranking's entry was dropped: the band republished it")
 		}
 	})
 

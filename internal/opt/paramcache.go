@@ -150,12 +150,16 @@ type bandEntry struct {
 // bandSet is one shape's cache line: the page-count constants and the
 // crossover table shared by every band, plus one slot per selectivity band.
 // key and est are fixed before the set is published; slots hold immutable
-// entries behind atomic pointers, making lookups lock-free.
+// entries behind atomic pointers, making lookups lock-free. prev holds the
+// entry each slot held before its last fallback replaced it, so a band
+// whose constants straddle a crossover swaps between its two rankings
+// instead of allocating one per flip.
 type bandSet struct {
 	key   shapeKey
 	est   cost.PageEstimator
 	cross atomic.Pointer[crossover]
 	slots [emptyBand + 1]atomic.Pointer[bandEntry]
+	prev  [emptyBand + 1]atomic.Pointer[bandEntry]
 }
 
 func (s *bandSet) crossoverFor(cfg *Config, in *Input) *crossover {
@@ -340,7 +344,8 @@ func sameShape(a, b *Plan) bool {
 // Publishing t there would change nothing a lookup can observe: a fallback
 // happens at the entry's epoch only when it is not stable, a non-stable
 // entry's plans are only ever re-priced by shape, and stability is a
-// function of the shapes and of the residency the epoch pins.
+// function of the shapes and of the residency the epoch pins. The same
+// holds for a slot's previous entry, which a fallback at its epoch replaced.
 func (e *bandEntry) ranks(t *top2, epoch uint64) bool {
 	return e.epoch == epoch && e.hasRunner == t.hasRunner &&
 		sameShape(&e.winner, &t.winner) && (!e.hasRunner || sameShape(&e.runner, &t.runner))
@@ -414,7 +419,12 @@ func (pc *ParamCache) Lookup(cfg *Config, in *Input) Plan {
 		t := rankTop(cfg, in, &cc)
 		cfg.Obs.Emit(obs.EvGreedyFallback, obs.NoQuery, int64(band), int64(t.n))
 		if !e.ranks(&t, epoch) {
-			publish(cfg, in, set, band, epoch, cc.resident, &t)
+			if p := set.prev[band].Load(); p != nil && p.ranks(&t, epoch) {
+				set.slots[band].Store(p)
+			} else {
+				publish(cfg, in, set, band, epoch, cc.resident, &t)
+			}
+			set.prev[band].Store(e)
 		}
 		return t.winner
 	}

@@ -55,8 +55,9 @@ func NewDevice(env *sim.Env, kind DeviceKind) device.Device {
 // when that is smaller than the default capacity (never below 64 MiB). The
 // paper's tables span most of their drive, and on spinning media seek time
 // grows with the *fraction* of the platter crossed — so a scaled-down table
-// must also get a scaled-down device, or seeks (the only thing the elevator
-// optimizes) degenerate and the HDD's queue-depth behaviour is lost.
+// must also get a scaled-down device, or seeks degenerate into one track's
+// rotation, which a queue ordered by access time all but hides, and the
+// HDD's queue-depth behaviour is lost.
 // dataBytes == 0 keeps the default capacity.
 func newDeviceSized(env *sim.Env, kind DeviceKind, dataBytes int64) device.Device {
 	scale := func(capacity int64) int64 {

@@ -32,9 +32,11 @@ go test -race ./...
 go test -race -cpu 1,4 ./internal/sim/... ./internal/opt/...
 
 # Five seconds each of fuzzing, from the corpus, the synthetic heap's
-# accessors and the materialized index's counting build.
+# accessors, the materialized index's counting build and the disk's
+# access-time dispatch.
 go test -timeout 120s -run '^$' -fuzz FuzzSyntheticPlacement -fuzztime 5s ./internal/table
 go test -timeout 120s -run '^$' -fuzz FuzzMaterializedBuild -fuzztime 5s ./internal/btree
+go test -timeout 120s -run '^$' -fuzz FuzzHDDDispatch -fuzztime 5s ./internal/device
 
 # -golden-rows writes the digest goldens' full rows, then compares them: the
 # path that shows a moved digest's first diverging row stays in use.

@@ -71,9 +71,11 @@ func TestSessionStreamingAdmission(t *testing.T) {
 	}
 }
 
-// TestSessionRunsThePlanItSubmitted submits two ten-row HDD index ranges
-// together. Each is planned once, at submit: the first alone on an idle
-// broker, so unbounded (PIS32 here), the second under the two-way fair
+// TestSessionRunsThePlanItSubmitted submits two thirty-row HDD index ranges
+// together: wide enough that the first range's plan can use every credit,
+// since an index scan is priced at no more depth than its range has reads.
+// Each is planned once, at submit: the first alone on an idle broker, so
+// unbounded (PIS32 at depth 32 here), the second under the two-way fair
 // share. The first is leased exactly the depth its plan priced — the whole
 // supply, not half of it — so the second waits for those credits, and each
 // query runs the plan it was submitted with.
@@ -90,8 +92,8 @@ func TestSessionRunsThePlanItSubmitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1 := Query{Table: tab, Low: 50000, High: 50009}
-	q2 := Query{Table: tab, Low: 150000, High: 150009}
+	q1 := Query{Table: tab, Low: 50000, High: 50029}
+	q2 := Query{Table: tab, Low: 150000, High: 150029}
 	want1, err := sys.Plan(q1, PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
