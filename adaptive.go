@@ -69,7 +69,6 @@ func (r *queryRun) attachAdaptive(spec *exec.Spec, q Query, plan Plan) {
 	cfg := adapt.Config{
 		Env:        r.s.env,
 		Pool:       part.node.Pool,
-		PoolShare:  spec.PoolShare,
 		DepthProbe: part.node.Dev.Metrics().DepthIntegral,
 		QueueProbe: part.node.Dev.Metrics().Outstanding,
 		Degree:     plan.Degree,

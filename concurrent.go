@@ -8,8 +8,8 @@ import (
 // ConcurrentResult reports a batch of queries executed together.
 type ConcurrentResult struct {
 	// Results holds one entry per query, in input order; each Runtime is
-	// that query's own start-to-finish virtual time (admission wait
-	// excluded — see Admissions).
+	// that query's submit-to-finish virtual time less its admission wait
+	// (see Admissions).
 	Results []Result
 
 	// Admissions holds each query's broker admission record, in input

@@ -768,7 +768,9 @@ func TestStandaloneQueryPlansAtDegradedSupply(t *testing.T) {
 // TestStandaloneQueuesBehindPendingSubmissions: a standalone Execute issued
 // while session submissions are pending enqueues behind them and is
 // granted after them, in FIFO order; its Runtime runs from its grant, not
-// from its enqueue, and its answer is the one it returns alone.
+// from its enqueue, and its answer is the one it returns alone. The rerun
+// is Cold(): its first run left its pages resident, and a query that reads
+// nothing from the device needs no grant (TestResidentLookupSkipsTheQueue).
 func TestStandaloneQueuesBehindPendingSubmissions(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	sys.EnableEventLog(1 << 16)
@@ -790,7 +792,7 @@ func TestStandaloneQueuesBehindPendingSubmissions(t *testing.T) {
 		subs = append(subs, sub)
 	}
 	sys.ResetEventLog()
-	res, err := sys.Run(context.Background(), q)
+	res, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
 	}

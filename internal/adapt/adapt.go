@@ -33,12 +33,14 @@ import (
 	"pioqo/internal/sim"
 )
 
-// Grower is the slice of a broker lease the controller grows through:
-// Lease.Grow re-leases free credits mid-flight. A nil Grower means the
-// query is ungoverned (standalone execution) and growth is bounded only by
-// the degree cap.
-type Grower interface {
+// Lease is the slice of a broker lease the controller works through: Grow
+// re-leases free credits mid-flight, and PoolPages is the buffer-pool
+// reservation granted with it, read once the scan has passed its gate. A
+// nil Lease means the query is ungoverned (standalone execution): growth is
+// bounded only by the degree cap, and signals budget against the whole pool.
+type Lease interface {
 	Grow(n int) int
+	PoolPages() int
 }
 
 // Price is the optimizer's predicted runtime, in µs, of the query's plan
@@ -56,10 +58,6 @@ type Config struct {
 	// and carries speculative prefetch issue and cancellation.
 	Pool *buffer.Pool
 
-	// PoolShare is the lease's page reservation; 0 budgets against the
-	// whole pool. Pressure and the speculation budget derive from it.
-	PoolShare int
-
 	// DepthProbe returns the device's cumulative queue-depth time-integral
 	// (device.Metrics.DepthIntegral); the controller differentiates it into
 	// the sustained depth over each decision window, which gates
@@ -72,9 +70,11 @@ type Config struct {
 	// capacity for out-of-band runs. Nil disables the gate.
 	QueueProbe func() int
 
-	// Lease, when set, sources credits for every grow step. The controller
-	// never raises its target beyond what the lease granted.
-	Lease Grower
+	// Lease, when set, sources credits for every grow step — the controller
+	// never raises its target beyond what the lease granted — and its pool
+	// reservation is the share pressure and the speculation budget derive
+	// from.
+	Lease Lease
 
 	// Degree is the plan's degree, where the fleet starts. Max caps
 	// growth — the executor sizes per-worker state against it.
@@ -161,10 +161,13 @@ func (c *Controller) capDegree() int {
 	return cap
 }
 
-// share is the pool budget signals are computed against.
+// share is the pool budget signals are computed against: the lease's
+// reservation, or the whole pool.
 func (c *Controller) share() int {
-	if c.cfg.PoolShare > 0 {
-		return c.cfg.PoolShare
+	if c.cfg.Lease != nil {
+		if n := c.cfg.Lease.PoolPages(); n > 0 {
+			return n
+		}
 	}
 	if c.cfg.Pool != nil {
 		return c.cfg.Pool.Capacity()

@@ -15,6 +15,8 @@ type fakeGrower struct {
 	granted int
 }
 
+func (g *fakeGrower) PoolPages() int { return 0 }
+
 func (g *fakeGrower) Grow(n int) int {
 	if n > g.avail {
 		n = g.avail
@@ -134,7 +136,7 @@ func TestControllerShrinksUnderPoolPressure(t *testing.T) {
 			hs = append(hs, pool.FetchPage(p, f, pg))
 		}
 		c := NewController(Config{
-			Env: env, Pool: pool, PoolShare: 16, Degree: 8, Max: 8,
+			Env: env, Pool: pool, Degree: 8, Max: 8,
 		})
 		got := tickUntil(p, c, 10)
 		if got >= 8 {
@@ -154,7 +156,7 @@ func TestSpeculationHitAndCancel(t *testing.T) {
 	pool := buffer.NewPool(env, 64)
 	env.Go("drive", func(p *sim.Proc) {
 		c := NewController(Config{
-			Env: env, Pool: pool, PoolShare: 64, Degree: 1, Max: 1,
+			Env: env, Pool: pool, Degree: 1, Max: 1,
 		})
 		c.SpeculateRun(f, 10, 4) // pages 10..13 speculated
 		if c.SpecOutstanding() != 4 {

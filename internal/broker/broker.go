@@ -19,9 +19,19 @@
 //     that plan was priced at. Dispatch has one rule: in FIFO order, each
 //     lease is granted its whole demand (capped at the supply) once that
 //     many credits are free, plus a proportional buffer-pool page
-//     reservation. The grant is the depth the plan priced, so the plan
-//     admitted is the plan submitted — one-credit point lookups run side by
-//     side, and a deep scan waits for its depth instead of being split.
+//     reservation, capped at what the pool has left unreserved. The grant
+//     is the depth the plan priced, so the plan admitted is the plan
+//     submitted — one-credit point lookups run side by side, and a deep
+//     scan waits for its depth instead of being split.
+//   - The grant gates a query's first device read, not its start: the
+//     query runs at once, and its executor waits on the lease (Admit) only
+//     where it would issue a read. A query whose pages are resident, or
+//     being read for an earlier query, finishes without a grant; a miss
+//     before the grant waits on the buffer pool's page intent, which the
+//     first granted query that wants the page reads for every waiter
+//     (buffer.Gate is the lease as the pool sees it). Plans that put more
+//     than one read in flight — block readahead, per-worker prefetch, a
+//     parallel or elastic fleet — Admit before they start.
 //   - The executor reports workers starting and exiting through the lease;
 //     a winding-down query progressively returns credits it can no longer
 //     use, and a completed query returns the rest — either way the broker
@@ -241,6 +251,7 @@ type Lease struct {
 	demand int // credits the plan was priced at; ≤ 0 asks for the whole supply
 
 	admitted bool
+	gated    bool // the query passed its gate (Admit)
 	released bool
 	shared   bool // admitted via AdmitShared: rides a circulating scan
 	granted  int  // credit grant at admission; 0 = unbounded (sole query)
@@ -253,12 +264,12 @@ type Lease struct {
 	enqueuedAt sim.Time
 	admittedAt sim.Time
 
-	grant *sim.Completion // fires at admission
+	grant *sim.Completion // fires at admission; OnAdmit hooks ride it
 }
 
 // Enqueue registers a query for admission and returns its lease. The
 // demand is the credit grant the query waits for, capped at the supply
-// (≤ 0 = the whole supply). Admission is FIFO; call Await from process
+// (≤ 0 = the whole supply). Admission is FIFO; call Admit from process
 // context to block until granted.
 func (b *Broker) Enqueue(demand int) *Lease {
 	return b.EnqueueQuery(demand, obs.NoQuery)
@@ -306,12 +317,34 @@ func (b *Broker) AdmitShared(l *Lease) {
 	b.admit(l, 0)
 }
 
-// Await blocks p until the lease has been granted. A lease already granted
-// (the common uncontended case) returns without yielding, so a sole query
-// admits in zero virtual time and zero events.
-func (l *Lease) Await(p *sim.Proc) {
+// Admit blocks p until the lease has been granted: the gate in front of a
+// query's device reads (and a circulating producer's). A lease already
+// granted — a sole query's, whose grant precedes its process — returns
+// without yielding, in zero virtual time and zero events. Either way the
+// query has now passed its gate (Gated).
+func (l *Lease) Admit(p *sim.Proc) {
 	p.Wait(l.grant)
+	l.gated = true
 }
+
+// Gated reports whether the query has passed its gate: it waited for its
+// grant, or went to the device holding it. A query that finished on pages
+// resident or read for others never does, whenever its grant came.
+func (l *Lease) Gated() bool { return l.gated }
+
+// Await is Admit under its earlier name.
+//
+// Deprecated: use Admit. Kept for the frozen bench/ suite.
+func (l *Lease) Await(p *sim.Proc) { l.Admit(p) }
+
+// Admitted reports whether the lease has been granted. With OnAdmit and
+// Admit it is the buffer.Gate the pool parks a query's page intents on.
+func (l *Lease) Admitted() bool { return l.admitted }
+
+// OnAdmit registers fn to run, in event context, when the lease is granted
+// (at once if it already is). A lease released before its grant never runs
+// its hooks.
+func (l *Lease) OnAdmit(fn func()) { l.grant.OnFire(fn) }
 
 // Budget reports the leased queue-depth budget: the credit grant, or 0 for
 // an unbounded lease (a sole query on an idle device plans exactly as it
@@ -319,7 +352,8 @@ func (l *Lease) Await(p *sim.Proc) {
 func (l *Lease) Budget() int { return l.granted }
 
 // PoolPages reports the lease's buffer-pool page reservation (0 means
-// ungoverned — the executor's own whole-pool clamps apply).
+// ungoverned — the executor's own whole-pool clamps apply). It is set at the
+// grant, so the executor reads it after its gate.
 func (l *Lease) PoolPages() int { return l.pool }
 
 // Wait reports how long the query sat in the admission queue.
@@ -396,7 +430,7 @@ func (l *Lease) Grow(n int) int {
 	l.granted += n
 	l.held += n
 	if b.cfg.PoolPages > 0 {
-		if pool := b.cfg.PoolPages * l.granted / b.total; pool > l.pool {
+		if pool := b.reservation(l.granted, l.pool); pool > l.pool {
 			b.poolInUse += pool - l.pool
 			l.pool = pool
 		}
@@ -551,6 +585,15 @@ func (b *Broker) dispatch() {
 	}
 }
 
+// reservation is the pool share a lease holding grant credits is entitled
+// to — the pool in proportion to the grant over the calibrated supply —
+// capped at what the pool has left besides the held pages the lease already
+// reserves. A grant funded by feedback slack pushes the credits out past the
+// supply, and without the cap its reservation would overshoot the pool.
+func (b *Broker) reservation(grant, held int) int {
+	return min(b.cfg.PoolPages*grant/b.total, held+b.cfg.PoolPages-b.poolInUse)
+}
+
 // admit grants a lease. A grant of 0 is the unbounded lease.
 func (b *Broker) admit(l *Lease, grant int) {
 	b.free -= grant
@@ -559,7 +602,7 @@ func (b *Broker) admit(l *Lease, grant int) {
 	l.admitted = true
 	l.admittedAt = b.env.Now()
 	if b.cfg.PoolPages > 0 && grant > 0 {
-		l.pool = b.cfg.PoolPages * grant / b.total
+		l.pool = b.reservation(grant, 0)
 		b.poolInUse += l.pool
 	}
 	b.active = append(b.active, l)

@@ -183,14 +183,14 @@ func TestWorkerExitReclaimsProportionally(t *testing.T) {
 	}
 }
 
-func TestAwaitBlocksUntilGranted(t *testing.T) {
+func TestAdmitBlocksUntilGranted(t *testing.T) {
 	env, b := newBroker(t, 2, nil) // one credit each: two admitted, one queued
 	leases := []*Lease{b.Enqueue(1), b.Enqueue(1), b.Enqueue(1)}
 	done := 0
 	for _, l := range leases {
 		l := l
 		env.Go("q", func(p *sim.Proc) {
-			l.Await(p)
+			l.Admit(p)
 			p.Sleep(10 * sim.Microsecond)
 			done++
 			l.Release()
@@ -221,7 +221,7 @@ func TestFeedbackSlackExtendsSupply(t *testing.T) {
 	env.Go("late", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
 		waiter = b.Enqueue(4)
-		waiter.Await(p)
+		waiter.Admit(p)
 	})
 	env.Run()
 	// The probe reports zero sustained depth over a 100us window against 16

@@ -2,6 +2,8 @@ package broker
 
 import (
 	"testing"
+
+	"pioqo/internal/sim"
 )
 
 func TestPoolInUseTracksReservations(t *testing.T) {
@@ -21,6 +23,53 @@ func TestPoolInUseTracksReservations(t *testing.T) {
 	env.Run()
 	if got := b.PoolInUse(); got != 0 {
 		t.Fatalf("PoolInUse after all releases = %d, want 0", got)
+	}
+}
+
+// TestPoolReservationsNeverOvershootThePool: a device that reports no
+// sustained depth makes the broker fund grants from feedback slack, past the
+// calibrated supply, while queries come and go and grow. However the credits
+// are funded, the reservations together never pass the pool: every grant
+// and every growth step is checked, and a slack grant is made on a pool the
+// supply has already reserved in full.
+func TestPoolReservationsNeverOvershootThePool(t *testing.T) {
+	const pool = 1024
+	env, b := newBroker(t, 16, func(c *Config) {
+		c.PoolPages = pool
+		c.DepthProbe = func() float64 { return 0 }
+	})
+	check := func(what string) {
+		if b.PoolInUse() > pool {
+			t.Fatalf("%s at %v: %d of %d pool pages reserved", what, env.Now(), b.PoolInUse(), pool)
+		}
+	}
+	grants, slackGrants := 0, 0
+	rng := env.Rand()
+	for i := 0; i < 64; i++ {
+		env.Go("q", func(p *sim.Proc) {
+			p.Sleep(sim.Duration(rng.Intn(400)) * sim.Microsecond)
+			l := b.Enqueue(1 + rng.Intn(8))
+			l.OnAdmit(func() {
+				grants++
+				if b.slack > 0 {
+					slackGrants++
+				}
+				check("grant")
+			})
+			l.Admit(p)
+			p.Sleep(sim.Duration(50+rng.Intn(200)) * sim.Microsecond)
+			l.Grow(rng.Intn(4))
+			check("grow")
+			p.Sleep(sim.Duration(rng.Intn(200)) * sim.Microsecond)
+			l.Release()
+		})
+	}
+	env.Run()
+	if grants != 64 || slackGrants == 0 {
+		t.Fatalf("%d grants, %d of them with slack out; want 64, some on slack", grants, slackGrants)
+	}
+	if b.InUse() != 0 || b.PoolInUse() != 0 {
+		t.Fatalf("leaked: credits=%d pool=%d", b.InUse(), b.PoolInUse())
 	}
 }
 

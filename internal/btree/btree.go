@@ -226,6 +226,27 @@ func (x *Index) LeafEntries(leafNo int64, buf []Entry) []Entry {
 	return append(buf, x.sorted[lo:hi]...)
 }
 
+// EntriesAt appends the n entries at global positions [pos, pos+n) to buf
+// (reusing its backing array) and returns the result in key order — the
+// part of a leaf a reader takes, without copying the rest of it.
+func (x *Index) EntriesAt(pos int64, n int, buf []Entry) []Entry {
+	if pos < 0 || n < 0 || pos+int64(n) > x.entries {
+		panic(fmt.Sprintf("btree %s: entries [%d, %d) of %d", x.name, pos, pos+int64(n), x.entries))
+	}
+	if cap(buf) < n {
+		buf = make([]Entry, 0, n)
+	}
+	buf = buf[:0]
+	if x.syn != nil {
+		walk := x.syn.KeyOrderFrom(pos)
+		for k := pos; k < pos+int64(n); k++ {
+			buf = append(buf, Entry{Key: k, Row: walk.Next()})
+		}
+		return buf
+	}
+	return append(buf, x.sorted[pos:pos+int64(n)]...)
+}
+
 func clamp(v, lo, hi int64) int64 {
 	if v < lo {
 		return lo

@@ -211,6 +211,25 @@ func TestLeafGeometry(t *testing.T) {
 	}
 }
 
+// TestEntriesAtIsTheLeafSlice: the entries a reader takes from inside a leaf
+// are that slice of the leaf's entries, on both index kinds, up to a short
+// last leaf's end.
+func TestEntriesAtIsTheLeafSlice(t *testing.T) {
+	mat, _ := buildMat(1000, 128)
+	syn, _ := buildSyn(1000, 128)
+	for _, x := range []*Index{mat, syn} {
+		var buf []Entry
+		for _, c := range []struct{ pos, n int64 }{{0, 128}, {5, 1}, {300, 40}, {383, 1}, {896, 104}, {999, 1}, {7, 0}} {
+			leaf, slot := x.LeafOf(c.pos)
+			want := x.LeafEntries(leaf, nil)[slot : slot+int(c.n)]
+			buf = x.EntriesAt(c.pos, int(c.n), buf)
+			if !slices.Equal(buf, want) {
+				t.Errorf("%s EntriesAt(%d, %d) = %v, want %v", x.Name(), c.pos, c.n, buf, want)
+			}
+		}
+	}
+}
+
 func TestHeightAndInternalPages(t *testing.T) {
 	cases := []struct {
 		rows       int64

@@ -46,6 +46,11 @@ type Pool struct {
 
 	files []fileState // indexed by disk.FileID
 
+	// intents holds the pages queries without their grant have missed, under
+	// their packed (file, page): nil until the first gated miss, and empty
+	// whenever every wanted page has been read (see FetchGated).
+	intents map[uint64]*intent
+
 	// inFlightWrites tracks outstanding write-backs so FlushDirty can wait
 	// for durability.
 	inFlightWrites *sim.WaitGroup
@@ -107,6 +112,25 @@ type frame struct {
 	// next is the next free slot. A frame is in one of those states at a
 	// time, so the uses never overlap.
 	slot, prev, next int32
+}
+
+// intent is a page that queries without their grant want read: no frame
+// and no device request, just the completion its waiters park on. The first
+// granted query that wants the page reads it — at its grant, or at its own
+// miss — and the read's install fires ready.
+type intent struct {
+	ready *sim.Completion
+	issue func() // the grant hook every waiter's gate runs: read the page
+}
+
+// Gate is a query's admission to the device as the pool sees it: whether
+// it may issue reads, a hook run at its grant, and the gate itself, which
+// FetchGated passes whenever the query reads under its grant. The broker's
+// lease implements it.
+type Gate interface {
+	Admitted() bool
+	OnAdmit(fn func())
+	Admit(p *sim.Proc)
 }
 
 // idle reports whether the frame is on the LRU.
@@ -297,9 +321,18 @@ func (p *Pool) install(file *disk.File, page int64, c *sim.Completion) int32 {
 	p.free = f.next
 	f.key, f.loading, f.next = PageKey{id, page}, c, none
 	f.run, f.pinned = false, false
-	p.index.put(pack(id, page), f.slot)
+	key := pack(id, page)
+	p.index.put(key, f.slot)
 	p.epoch++
 	p.trackCached()
+	if len(p.intents) > 0 {
+		if in := p.intents[key]; in != nil {
+			// Whoever reads a wanted page reads it for every waiter: they
+			// wake to join this frame's load.
+			delete(p.intents, key)
+			in.ready.Fire()
+		}
+	}
 	return f.slot
 }
 
@@ -437,6 +470,47 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 	}
 	return Handle{p, f}, nil
 }
+
+// FetchGated is FetchPageE for a query that may not hold its grant yet. An
+// admitted gate is passed and FetchPageE's path taken unchanged. A page
+// loaded or loading takes it too: a hit, or a join of a read someone else
+// issued, needs no grant. An absent page the query may not read yet becomes
+// an intent — no frame, no request — and the process parks on it until the
+// page's read is issued: by the first granted query that misses it, or at
+// the grant of any query waiting on it, its own included, whichever comes
+// first. It then joins that read like any other miss. A granted reader thus
+// never waits on an intent, and one read serves every query that wanted the
+// page meanwhile.
+func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate) (Handle, error) {
+	for !g.Admitted() {
+		if p.lookup(file, page) != nil {
+			return p.FetchPageE(proc, file, page)
+		}
+		key := pack(file.ID(), page)
+		in := p.intents[key]
+		if in == nil {
+			if p.intents == nil {
+				p.intents = make(map[uint64]*intent)
+			}
+			in = &intent{ready: sim.NewCompletion(proc.Env())}
+			in.issue = func() {
+				if !in.ready.Fired() {
+					c := file.ReadPage(page)
+					p.onLoad(c, p.install(file, page, c))
+				}
+			}
+			p.intents[key] = in
+		}
+		g.OnAdmit(in.issue)
+		proc.Wait(in.ready)
+	}
+	g.Admit(proc) // granted: returns at once, marking the gate passed
+	return p.FetchPageE(proc, file, page)
+}
+
+// Intents reports the pages wanted by queries without their grant and not
+// yet read. A drained system has none; leak checks assert that.
+func (p *Pool) Intents() int { return len(p.intents) }
 
 // hit pins a loaded frame and counts the hit.
 func (p *Pool) hit(f *frame) Handle {

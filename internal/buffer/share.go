@@ -73,11 +73,11 @@ type Shares struct {
 }
 
 // DepthLease is a producer's grant of device queue depth from whoever owns
-// the device's supply: Await blocks until it is granted, Budget reports
+// the device's supply: Admit blocks until it is granted, Budget reports
 // the grant (0 = unbounded) and Release returns it. The broker's lease
 // satisfies it.
 type DepthLease interface {
-	Await(p *sim.Proc)
+	Admit(p *sim.Proc)
 	Budget() int
 	Release()
 }
@@ -251,7 +251,7 @@ func (sh *ScanShare) producer(p *sim.Proc) {
 		_, readahead := sh.budget()
 		l := sh.reg.lease(readahead + 1)
 		defer l.Release()
-		l.Await(p)
+		l.Admit(p)
 		sh.grant = l.Budget()
 	}
 	for {

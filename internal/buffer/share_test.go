@@ -158,7 +158,7 @@ type heldLease struct {
 	released      bool
 }
 
-func (l *heldLease) Await(p *sim.Proc) { p.Wait(l.grant) }
+func (l *heldLease) Admit(p *sim.Proc) { p.Wait(l.grant) }
 func (l *heldLease) Budget() int       { return l.depth }
 func (l *heldLease) Release()          { l.released = true }
 

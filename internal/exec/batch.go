@@ -81,17 +81,25 @@ func (b *cpuBudget) settle(wp *sim.Proc) {
 // fetchE pins a page, settling outstanding debt first whenever the request
 // could touch the device or block (the page is absent, or present but its
 // read is still in flight). Loaded pages pin without settling, from the one
-// index probe that found them — that is where merging wins. A failed read
-// returns the device's error for fetchRetry's policy to handle; it still
-// counts its blocked time but not a fetched page.
-func (b *cpuBudget) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handle, error) {
+// index probe that found them — that is where merging wins. A governed miss
+// goes through the pool's gate (FetchGated), which parks a query without its
+// grant on the page's intent. A failed read returns the device's error for
+// fetchRetry's policy to handle; it still counts its blocked time but not a
+// fetched page.
+func (b *cpuBudget) fetchE(wp *sim.Proc, gov Governor, f *disk.File, page int64) (buffer.Handle, error) {
 	if h, ok := b.ctx.Pool.FetchLoaded(f, page); ok {
 		b.pages++
 		return h, nil
 	}
 	b.settle(wp)
 	t0 := b.ctx.Env.Now()
-	h, err := b.ctx.Pool.FetchPageE(wp, f, page)
+	var h buffer.Handle
+	var err error
+	if gov != nil {
+		h, err = b.ctx.Pool.FetchGated(wp, f, page, gov)
+	} else {
+		h, err = b.ctx.Pool.FetchPageE(wp, f, page)
+	}
 	b.io += sim.Duration(b.ctx.Env.Now() - t0)
 	if err == nil {
 		b.pages++
@@ -108,7 +116,7 @@ func (b *cpuBudget) fetchE(wp *sim.Proc, f *disk.File, page int64) (buffer.Handl
 func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int64) (buffer.Handle, bool) {
 	pol := spec.Retry.Normalized()
 	for attempt := 0; ; attempt++ {
-		h, err := b.fetchE(wp, f, page)
+		h, err := b.fetchE(wp, spec.Gov, f, page)
 		if err == nil {
 			if spec.Progress != nil {
 				*spec.Progress++
@@ -136,7 +144,8 @@ func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int6
 // prefetch issues an asynchronous read for page unless it is already
 // present or in flight, charging the issue cost as new debt. The settle
 // happens before the issue so the read enters the device queue at the
-// row-at-a-time schedule's instant.
+// row-at-a-time schedule's instant. A governed plan that prefetches passed
+// its gate where it started (admitDeep).
 func (b *cpuBudget) prefetch(wp *sim.Proc, f *disk.File, page int64) {
 	if b.ctx.Pool.Contains(f, page) {
 		return

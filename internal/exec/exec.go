@@ -131,10 +131,20 @@ func (k AggKind) String() string {
 }
 
 // Governor is the resource-governance hook a broker lease exposes to the
-// executor: the scan reports each worker starting and exiting, so a
-// winding-down query's queue-depth credits can be re-brokered to queued
-// queries while its stragglers finish. Implemented by broker.Lease.
+// executor. It is the gate in front of the query's device reads: the query
+// runs before its grant, a pool miss waits on the page's intent through the
+// buffer.Gate half, and plans that put more than one read in flight Admit
+// before they start — so the reservation PoolPages reports is read only
+// after the gate. The scan
+// also reports each worker starting and exiting, so a winding-down query's
+// queue-depth credits can be re-brokered to queued queries while its
+// stragglers finish. Implemented by broker.Lease.
 type Governor interface {
+	// Gate's Admit blocks until the query may issue device reads.
+	buffer.Gate
+	// PoolPages is the buffer-pool reservation granted with the lease; 0
+	// budgets against the whole pool.
+	PoolPages() int
 	StartWorker()
 	EndWorker()
 }
@@ -172,15 +182,12 @@ type Spec struct {
 	// makes the operator span a root.
 	Span *obs.Span
 
-	// Gov, when set, is notified as this scan's workers start and exit.
-	// Nil means ungoverned (single-query execution).
+	// Gov, when set, gates this scan's device reads on the query's grant,
+	// supplies the pool reservation its readahead and prefetch clamps budget
+	// against (so concurrent queries' prefetch windows cannot collectively
+	// exhaust the shared pool), and is notified as its workers start and
+	// exit. Nil means ungoverned (single-query execution).
 	Gov Governor
-
-	// PoolShare, when positive, is the buffer-pool page reservation leased
-	// to this scan: the readahead and prefetch clamps budget against it
-	// instead of the whole pool, so concurrent queries' prefetch windows
-	// cannot collectively exhaust the shared pool. Zero means ungoverned.
-	PoolShare int
 
 	// Ctl, when set, is the query's abort switch: workers and drivers check
 	// it at batch boundaries (page, leaf, phase) and wind down cleanly —
@@ -234,13 +241,35 @@ type Spec struct {
 func (s *Spec) aborted() bool { return s.Ctl.Aborted() }
 
 // poolCapacity is the pool capacity this scan's clamps budget against: the
-// lease's page reservation when governed, the whole pool otherwise.
+// lease's page reservation when governed, the whole pool otherwise. It is
+// read after admit, when the reservation has been granted.
 func (s *Spec) poolCapacity(ctx *Context) int {
 	c := ctx.Pool.Capacity()
-	if s.PoolShare > 0 && s.PoolShare < c {
-		c = s.PoolShare
+	if s.Gov != nil {
+		if share := s.Gov.PoolPages(); share > 0 && share < c {
+			c = share
+		}
 	}
 	return c
+}
+
+// admit blocks until the governed query may read, where a plan that reads
+// ahead starts. Ungoverned and granted scans pass without yielding.
+func (s *Spec) admit(p *sim.Proc) {
+	if s.Gov != nil {
+		s.Gov.Admit(p)
+	}
+}
+
+// admitDeep admits an index-driven plan before it starts when it would put
+// more than one read in flight — a parallel fleet, per-worker prefetch, an
+// elastic fleet: that depth is what its grant is, and its fleet's startup
+// and pins would otherwise run under no grant. A serial plan meets its gate,
+// if at all, at its first miss.
+func (s *Spec) admitDeep(p *sim.Proc) {
+	if s.Degree > 1 || s.PrefetchPerWorker > 0 || s.Tune != nil {
+		s.admit(p)
+	}
 }
 
 // startWorker/endWorker report one worker's lifetime to the governor and
@@ -496,6 +525,10 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	nextPage := int64(0) // shared work queue: next unclaimed heap page
 	var onClaim func(wp *sim.Proc, bud *cpuBudget, page int64)
 	var wakeup *sim.Completion // the parked prefetcher's, when block reads are on
+
+	// A full scan reads ahead, so it waits for its grant before it starts:
+	// its prefetcher would otherwise pin frames under no reservation.
+	spec.admit(p)
 
 	// An elastic scan clamps its readahead geometry against the growth cap,
 	// not the initial degree: the block layout is fixed for the scan's

@@ -89,11 +89,23 @@ func newFleet(ctx *Context, spec *Spec) *fleet {
 
 // run launches n workers named name+slot, each calling step until it
 // reports no work left, and parks p until the fleet has drained.
+//
+// A lone planned worker that can never grow runs on p itself: no process,
+// no wait group. p yields where the spawn would have queued the worker and
+// again where the wait group would have woken it, so every event keeps the
+// place it has in a spawned fleet's schedule.
 func (fl *fleet) run(p *sim.Proc, name string, n int, step func(w *worker) bool) {
 	fl.name, fl.step = name, step
 	fl.aggs = make([]agg, fl.max)
 	for i := range fl.aggs {
 		fl.aggs[i].kind = fl.spec.Agg
+	}
+	if n == 1 && fl.max == 1 {
+		p.Sleep(0)
+		fl.next, fl.live = 1, 1
+		fl.work(p, 0)
+		p.Sleep(0)
+		return
 	}
 	fl.wg = sim.NewWaitGroup(fl.ctx.Env)
 	for i := 0; i < n; i++ {
@@ -107,16 +119,16 @@ func (fl *fleet) spawn() {
 	fl.next++
 	fl.live++
 	fl.wg.Add(1)
-	name := fmt.Sprintf("%s%d", fl.name, id)
-	fl.ctx.Env.Go(name, func(wp *sim.Proc) { fl.work(wp, id, name) })
+	fl.ctx.Env.Go(fmt.Sprintf("%s%d", fl.name, id), func(wp *sim.Proc) {
+		defer fl.wg.Done()
+		fl.work(wp, id)
+	})
 }
 
 // work is one worker's lifetime. Teardown runs in the reverse of setup:
-// settle the CPU debt, close the span, report the exit, leave the fleet,
-// release the driver.
-func (fl *fleet) work(wp *sim.Proc, id int, name string) {
+// settle the CPU debt, close the span, report the exit, leave the fleet.
+func (fl *fleet) work(wp *sim.Proc, id int) {
 	ctx, spec := fl.ctx, fl.spec
-	defer fl.wg.Done()
 	retired := false
 	defer func() {
 		fl.live--
@@ -128,6 +140,10 @@ func (fl *fleet) work(wp *sim.Proc, id int, name string) {
 	defer spec.endWorker(ctx, id)
 	w := ctx.Scratch.get()
 	w.id, w.p, w.a = id, wp, &fl.aggs[id]
+	var name string
+	if ctx.Tracer != nil { // the track span's name; formatting allocates
+		name = fmt.Sprintf("%s%d", fl.name, id)
+	}
 	w.bud = newBudget(ctx, spec.Span, name)
 	defer func() {
 		w.bud.finish(w.a.rows)

@@ -60,15 +60,17 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 	if !ok {
 		return 0, false
 	}
-	w.entries = x.LeafEntries(leaf, w.entries)
-	take := int(min(int64(len(w.entries)-slot), hi-pos))
-	// The entries are only rewritten by the worker's next batch, so the
-	// fetch loop below reads the slice in place.
-	matches := w.entries[slot : slot+take]
+	// hi never passes the last entry, so the leaf's capacity bounds the take
+	// even on a short last leaf.
+	take := int(min(int64(x.LeafCap()-slot), hi-pos))
+	// Only the entries taken are copied. They are only rewritten by the
+	// worker's next batch, so the fetch loop below reads the slice in place.
+	w.entries = x.EntriesAt(pos, take, w.entries)
+	matches := w.entries
 	bud.charge(ctx.Costs.PerPage + sim.Duration(take)*ctx.Costs.PerEntry)
 	lh.Release()
 	if offer != nil {
-		offer(leaf, pos-int64(slot)+int64(len(w.entries)))
+		offer(leaf, (leaf+1)*int64(x.LeafCap()))
 	}
 
 	prefetched := 0
@@ -137,6 +139,7 @@ func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *
 // claims from a shared cursor instead (guidedSteps), so a fleet that grows
 // or shrinks mid-flight stays load-balanced without rechunking.
 func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
+	spec.admitDeep(p)
 	fl := newFleet(ctx, &spec)
 	startPos, endPos, ok := indexFront(p, ctx, &spec, fl.max)
 	if !ok || startPos >= endPos {

@@ -154,6 +154,7 @@ func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64
 	x := probe.Index
 
 	// The lookups are per key, so only the front's descent matters here.
+	probe.admitDeep(p)
 	fl := newFleet(ctx, &probe)
 	if _, _, ok := indexFront(p, ctx, &probe, fl.max); !ok {
 		return 0

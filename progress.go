@@ -7,13 +7,13 @@ import (
 
 // QueryProgress reports a running query's page progress: how many page
 // pins the plan was expected to perform against how many its workers have
-// completed so far. The estimate comes from plan cardinalities at
-// admission time; the processed count is incremented by the executor at
+// completed so far. The estimate comes from plan cardinalities at the
+// query's start; the processed count is incremented by the executor at
 // every successful page fetch, so reading it mid-Drain (from an Observer
 // callback or another submission's vantage point) sees live state.
 type QueryProgress struct {
 	// EstimatedPages is the optimizer-derived page-pin estimate for the
-	// admitted plan; 0 until the query has been admitted and planned.
+	// plan; 0 until the query's process has started.
 	EstimatedPages int64
 	// PagesProcessed is how many page fetches the query's workers have
 	// completed.
@@ -21,14 +21,15 @@ type QueryProgress struct {
 	// Remaining is max(0, EstimatedPages − PagesProcessed); estimates can
 	// undershoot, so PagesProcessed may exceed EstimatedPages near the end.
 	Remaining int64
-	// Started reports that admission was granted and execution has begun.
+	// Started reports that execution has begun. A query starts when its
+	// drain first runs; its grant gates only its device reads.
 	Started bool
 	// Done reports that the query has finished.
 	Done bool
 }
 
 // Progress reports the submission's live page progress. Valid at any
-// point: before admission it reports zeros, mid-execution a moving count,
+// point: before its start it reports zeros, mid-execution a moving count,
 // after Drain the final tally with Done set.
 func (sub *Submission) Progress() QueryProgress {
 	p := QueryProgress{

@@ -30,8 +30,8 @@ type Request interface {
 // Run optimizes and runs req under ctx: the system's one way to run an
 // operation standalone (Session.Submit is the other, for a stream). Every
 // request kind plugs a body into the same query lifecycle (System.start):
-// admitted by the resource broker, run by one process, then drained at
-// once with every node's straggler hedgers armed (System.drain).
+// run by one process whose device reads the resource broker admits, then
+// drained at once with every node's straggler hedgers armed (System.drain).
 //
 // The context is first-class: cancellation and deadlines propagate into
 // virtual time and abort the query cleanly through every layer — workers
@@ -90,9 +90,11 @@ type queryRun struct {
 	pages int64 // live demand-fetch counter, every spec's Progress
 
 	// b admits the query under lease; both are nil on an uncalibrated
-	// system: no model, no credit supply.
-	b     *broker.Broker
-	lease *broker.Lease
+	// system: no model, no credit supply. admitSpan is the trace's admit
+	// phase, open until the grant.
+	b         *broker.Broker
+	lease     *broker.Lease
+	admitSpan *obs.Span
 
 	// shares, when set, counts the query as interest in file (share).
 	shares *buffer.Shares
@@ -100,18 +102,19 @@ type queryRun struct {
 
 	// res is the query's Result: the reported plan shape, the answer the
 	// body's run records and the Runtime its process reads.
-	res     Result
-	adm     Admission
-	est     int64 // the page estimate progress reads
-	active  []int // the shards a partitioned table's scans run on (scatter)
-	started bool
-	done    bool
-	err     error // the abort, once the process exits
+	res       Result
+	adm       Admission
+	submitted sim.Time // when the query entered the lifecycle, and its process started
+	est       int64    // the page estimate progress reads
+	active    []int    // the shards a partitioned table's scans run on (scatter)
+	started   bool
+	done      bool
+	err       error // the abort, once the process exits
 }
 
 // planned is what a body hands back: the reported plan, the queue depth it
-// was priced at, and what the process runs once admitted (building its
-// scans then, under the granted lease) — nil when every shard was pruned.
+// was priced at, and what the process runs (building its scans then, under
+// the lease that gates their reads) — nil when every shard was pruned.
 type planned struct {
 	plan  Plan
 	depth int
@@ -132,7 +135,8 @@ func parseOptions(opts []QueryOption) queryOptions {
 // body's planning under the broker's fair share (0 for a sole query: it
 // plans unbounded); the lease, asking for the user's QueueBudget or else
 // the depth the plan was priced at (a shared-scan rider is admitted at once
-// with zero credits: its producer owns the device work); and the process.
+// with zero credits: its producer owns the device work); and the process,
+// which starts at once (its grant gates only its device reads).
 // With atExit, telemetry is delivered as the process exits, else by the
 // caller after the drain. Errors before the process exists are returned.
 func (s *System) start(ctx context.Context, req Request, eo queryOptions, atExit bool) (*queryRun, error) {
@@ -155,7 +159,7 @@ func (s *System) start(ctx context.Context, req Request, eo queryOptions, atExit
 	if lc.invalid != nil {
 		return nil, lc.invalid
 	}
-	r := &queryRun{s: s, op: lc.op, table: lc.tables[0].Name(), eo: eo}
+	r := &queryRun{s: s, op: lc.op, table: lc.tables[0].Name(), eo: eo, submitted: s.env.Now()}
 	var err error
 	if r.ctl, err = s.newControl(ctx, eo); err != nil {
 		return nil, r.fail(err)
@@ -190,10 +194,15 @@ func (s *System) start(ctx context.Context, req Request, eo queryOptions, atExit
 	return r, nil
 }
 
-// process is the query's process: it awaits the grant, emits query.start,
-// runs what the body planned and exits — Runtime, query.done and the query
-// span all read the clock there, so Runtime excludes the admission wait —
-// and returns the lease and the scan-sharing interest on every path.
+// process is the query's process. It starts at submit, not at its grant:
+// the executor waits on the lease (exec.Governor) only where it would issue
+// a device read, so a query whose pages are resident, or being read for
+// another query, runs without waiting its turn. It emits query.start, runs
+// what the body planned and exits — query.done and the query span read the
+// clock there — and returns the lease and the scan-sharing interest on
+// every path. Admission.Wait is the submit-to-grant time of a query that
+// passed its gate and Runtime excludes it, so the two sum to the query's
+// submit-to-done time.
 func (r *queryRun) process(p *sim.Proc, scan Query, run func(*sim.Proc), atExit bool) {
 	defer r.leave()
 	if r.ts == nil {
@@ -201,17 +210,19 @@ func (r *queryRun) process(p *sim.Proc, scan Query, run func(*sim.Proc), atExit 
 		// hears it: its trace starts here.
 		r.ts = r.s.startTelemetry(scan, r.eo)
 	}
-	if !r.admit(p) {
-		return
-	}
+	r.traceAdmission()
 	r.est = estimatePages(scan, &r.res.Plan, r.active)
 	r.started = true
-	r.s.reg.Emit(obs.EvQueryStart, r.qid, r.est, int64(r.adm.Budget))
-	start := p.Now()
+	budget := 0 // the grant, when it came before the start
+	if r.lease != nil {
+		budget = r.lease.Budget()
+	}
+	r.s.reg.Emit(obs.EvQueryStart, r.qid, r.est, int64(budget))
 	if run != nil {
 		run(p)
 	}
-	r.res.Runtime = time.Duration(p.Now() - start)
+	r.recordAdmission()
+	r.res.Runtime = time.Duration(p.Now()-r.submitted) - r.adm.Wait
 	r.s.reg.Emit(obs.EvQueryDone, r.qid, r.pages, int64(r.res.Runtime))
 	r.ts.span().End()
 	r.done = true
@@ -223,28 +234,38 @@ func (r *queryRun) process(p *sim.Proc, scan Query, run func(*sim.Proc), atExit 
 	}
 }
 
-// admit blocks p until the query's lease is granted, inside an admit span,
-// and records the grant. It reports false — the query never starts, and
-// its trace is dropped — when the query was aborted meanwhile.
-func (r *queryRun) admit(p *sim.Proc) bool {
+// traceAdmission opens the query's admit span. It ends at the grant — at
+// once for a query granted before it started — or, for a query that
+// finishes without one, at its exit, where recordAdmission annotates it.
+func (r *queryRun) traceAdmission() {
+	if r.lease == nil || r.ts == nil {
+		return
+	}
+	r.admitSpan = r.ts.trc().Start(r.ts.span(), "admit")
+	r.lease.OnAdmit(r.admitSpan.End)
+}
+
+// recordAdmission fills the query's admission record as it exits: the
+// lease's budget and pool reservation once granted, and the submit-to-grant
+// wait once the query passed its gate. A query that never needed the device
+// — its pages resident, or read for other queries — reports no wait,
+// however long its lease queued.
+func (r *queryRun) recordAdmission() {
 	if r.lease == nil {
-		return true
+		return
 	}
-	span := r.ts.trc().Start(r.ts.span(), "admit")
-	r.lease.Await(p)
-	if err := r.ctl.Err(); err != nil {
-		r.err, r.ts = r.fail(err), nil
-		return false
+	if r.lease.Admitted() {
+		r.adm.Budget = r.lease.Budget()
+		r.adm.PoolPages = r.lease.PoolPages()
+		if r.lease.Gated() {
+			r.adm.Wait = time.Duration(r.lease.Wait())
+		}
 	}
-	r.adm.Budget = r.lease.Budget()
-	r.adm.PoolPages = r.lease.PoolPages()
-	r.adm.Wait = time.Duration(r.lease.Wait())
-	if span != nil {
+	if span := r.admitSpan; span != nil {
 		span.SetAttr("budget", r.adm.Budget)
 		span.SetAttr("wait", r.adm.Wait)
+		span.End()
 	}
-	span.End()
-	return true
 }
 
 // leave returns what the query holds while it runs: its scan-sharing
@@ -284,9 +305,10 @@ func (s *System) drain() {
 }
 
 // leaks lists every ledger of a drained system that is not at zero: live
-// simulation processes, device requests in flight, buffer pins and racing
-// hedge records on every node, consumers attached to a circulating scan, and
-// the broker's credits and reserved pool pages. It returns nil when all are.
+// simulation processes, device requests in flight, buffer pins, open page
+// intents and racing hedge records on every node, consumers attached to a
+// circulating scan, and the broker's credits and reserved pool pages. It
+// returns nil when all are.
 func (s *System) leaks() (l []string) {
 	if n := s.env.LiveProcs(); n != 0 {
 		l = append(l, fmt.Sprintf("%d simulation processes", n))
@@ -297,6 +319,9 @@ func (s *System) leaks() (l []string) {
 		}
 		if pins := n.Pool.Pinned(); pins != 0 {
 			l = append(l, fmt.Sprintf("%d buffer pins on node %d", pins, n.ID))
+		}
+		if in := n.Pool.Intents(); in != 0 {
+			l = append(l, fmt.Sprintf("%d page intents open on node %d", in, n.ID))
 		}
 		if n.Hedge != nil && n.Hedge.Races() != 0 {
 			l = append(l, fmt.Sprintf("%d hedge records racing on node %d", n.Hedge.Races(), n.ID))
@@ -444,11 +469,12 @@ func (r *queryRun) context(n *node.Node) *exec.Context {
 	return ctx
 }
 
-// spec is the one place a plan becomes an executable scan, built after
-// admission by every body: q's range and aggregate over one table part
+// spec is the one place a plan becomes an executable scan, built by every
+// body as its process runs: q's range and aggregate over one table part
 // under plan (layered on opt.Plan.Spec), with the query's degree and
 // prefetch pins, span, abort control, retry policy, id, progress counter
-// and granted lease (Gov, PoolShare) wired in. With other queries
+// and lease (Gov: the gate on its device reads, and its pool reservation)
+// wired in. With other queries
 // interested in the same heap, a private scan's readahead trims the pages a
 // neighbour (or the circulating producer) already covered. Operator hooks
 // (Emit, Update) are the caller's to add.
@@ -466,7 +492,6 @@ func (r *queryRun) spec(part *tablePart, q Query, plan *Plan) exec.Spec {
 	spec.Progress = &r.pages
 	if r.lease != nil {
 		spec.Gov = r.lease
-		spec.PoolShare = r.lease.PoolPages()
 	}
 	if r.shares != nil && !plan.Shared && r.shares.Interest(r.file) > 1 {
 		spec.CoordPrefetch = true

@@ -32,11 +32,12 @@ go test -race ./...
 go test -race -cpu 1,4 ./internal/sim/... ./internal/opt/...
 
 # Five seconds each of fuzzing, from the corpus, the synthetic heap's
-# accessors, the materialized index's counting build and the disk's
-# access-time dispatch.
+# accessors, the materialized index's counting build, the disk's
+# access-time dispatch and the pool's gated fetches.
 go test -timeout 120s -run '^$' -fuzz FuzzSyntheticPlacement -fuzztime 5s ./internal/table
 go test -timeout 120s -run '^$' -fuzz FuzzMaterializedBuild -fuzztime 5s ./internal/btree
 go test -timeout 120s -run '^$' -fuzz FuzzHDDDispatch -fuzztime 5s ./internal/device
+go test -timeout 120s -run '^$' -fuzz FuzzGatedFetch -fuzztime 5s ./internal/buffer
 
 # -golden-rows writes the digest goldens' full rows, then compares them: the
 # path that shows a moved digest's first diverging row stays in use.

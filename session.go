@@ -15,15 +15,18 @@ type Admission struct {
 	// Budget is the queue-depth budget the query executed under — its lease
 	// from the broker: the depth its plan was priced at, capped at the
 	// supply. Zero means unbounded: the query was alone on an idle device
-	// and planned exactly as Run would.
+	// and planned exactly as Run would — or it finished before its grant.
 	Budget int
 
 	// PoolPages is the buffer-pool page reservation attached to the lease
 	// (0 = ungoverned, the whole pool).
 	PoolPages int
 
-	// Wait is the virtual time the query spent in the admission queue
-	// before the broker granted its lease.
+	// Wait is the virtual time from submit to the broker's grant, for a
+	// query that passed its gate: it waited for the grant at a device read,
+	// or read holding it. A query that never needed the device — its pages
+	// resident, or read for other queries — reports 0. Wait plus
+	// Result.Runtime is the query's submit-to-done time.
 	Wait time.Duration
 
 	// Shared reports that the query rode a circulating scan: it was

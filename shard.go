@@ -221,8 +221,8 @@ func (r *queryRun) scatter(q Query, plan *Plan) []int {
 	return active
 }
 
-// scans builds the active shards' node-local scans once the query is
-// admitted, each under its own plan when the plan carries them, under the
+// scans builds the active shards' node-local scans as the query runs,
+// each under its own plan when the plan carries them, under the
 // plan's uniform shape for a caller's WithPlan one. All of
 // them share the run's progress counter, abort control and lease, so live
 // progress, cancellation and governance span the cluster.

@@ -75,7 +75,11 @@ func (q UpdateQuery) body(r *queryRun, po PlanOptions) (planned, error) {
 		r.res.Rows = exec.RunScan(p, r.context(part.node), spec).RowsMatched
 		// Checkpoint: the update is not done until its pages are durable —
 		// and an aborted one still flushes the rows it changed, so memory
-		// and device never disagree.
+		// and device never disagree. The writes are device work, so an
+		// update that found its rows resident passes its gate here.
+		if r.lease != nil {
+			r.lease.Admit(p)
+		}
 		part.node.Pool.FlushDirty(p)
 		r.res.PagesWritten = part.node.Pool.Stats.DirtyWrites - written
 	})
