@@ -37,9 +37,10 @@ type ConcurrentResult struct {
 // broker's fair share of the device's beneficial queue depth, and leased
 // exactly the depth that plan was priced at: a few well-budgeted queries
 // run instead of everyone starving equally, and credits freed by finishing
-// queries (or winding-down worker fleets) go to the ones still queued, in
-// order. A PlanOptions.QueueBudget set by the caller wins over brokered
-// budgets for every query in the batch.
+// queries (or winding-down worker fleets) go to the ones still queued —
+// first to a lookup whose page the most queued queries wait on, otherwise
+// in submit order. A PlanOptions.QueueBudget set by the caller wins over
+// brokered budgets for every query in the batch.
 func (s *System) ExecuteConcurrent(queries []Query, opts ...QueryOption) (ConcurrentResult, error) {
 	if len(queries) == 0 {
 		return ConcurrentResult{}, fmt.Errorf("%w: no queries", ErrInvalidQuery)

@@ -167,8 +167,10 @@ func TestWantedPageIsReadOnce(t *testing.T) {
 
 // TestCancelAtTheGate cancels a cold lookup while it waits at its gate —
 // its miss parked on a page intent behind scans that hold the queue. The
-// lookup ends canceled once its turn comes, the scans are unaffected, and
-// the drain finds every ledger at zero, page intents included.
+// cancel wakes the lookup at once: it ends canceled before the first scan
+// finishes, its page is never read (the device serves the scans' 263
+// requests, not 264), the scans are unaffected, and the drain finds every
+// ledger at zero, page intents and their waiters included.
 func TestCancelAtTheGate(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 200000, 33)
 	ses := openSession(t, sys)
@@ -179,16 +181,27 @@ func TestCancelAtTheGate(t *testing.T) {
 	}
 	var intents int
 	var admitted bool
+	sys.EnableEventLog(1 << 16)
 	sys.env.Go("cancel", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
 		intents, admitted = sys.coord().Pool.Intents(), sub.lease.Admitted()
 		sub.Cancel()
 	})
+	dev := sys.coord().Dev.Metrics()
+	dev.Reset()
+	start := time.Duration(sys.env.Now())
 	if err := ses.Drain(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("drain returned %v, want the lookup's cancel", err)
 	}
 	if intents == 0 || admitted {
 		t.Fatalf("at the cancel: %d page intents, lookup admitted %v; want it parked at its gate", intents, admitted)
+	}
+	if got := dev.Snapshot().Requests; got != 263 {
+		t.Errorf("the drain served %d device requests, want the scans' 263: the canceled lookup reads nothing", got)
+	}
+	_, done := grantsAndDones(sys)
+	if at, first := done[sub.qid]-start, done[scans[0].qid]-start; at != time.Millisecond || at >= first {
+		t.Errorf("the lookup ended %v and the first scan %v into the drain; want the lookup at its cancel, 1ms", at, first)
 	}
 	if _, err := sub.Result(); !errors.Is(err, ErrCanceled) {
 		t.Errorf("lookup: err = %v, want ErrCanceled", err)
@@ -258,4 +271,74 @@ func TestWaitPlusRuntimeIsSubmitToDone(t *testing.T) {
 		t.Error("every query was granted; repeated lookups need no grant")
 	}
 	assertNoLeaks(t, sys)
+}
+
+// TestSpansAccountForEveryLookup runs a serving-shaped hard-drive batch and
+// checks each serial lookup's trace against its Runtime: the cpu and
+// io_wait of its descent and worker spans add up to it. A lookup that
+// passed its gate leaves out what passed before its grant, which its admit
+// span's wait holds, so the trace splits a lookup's latency as its
+// Admission and Result do, and some lookups of the batch do wait.
+func TestSpansAccountForEveryLookup(t *testing.T) {
+	sys := New(Config{Device: HDD, PoolPages: 1024})
+	var tabs []*Table
+	for i := 0; i < 3; i++ {
+		tab, err := sys.CreateTable(fmt.Sprintf("hot%d", i), 40000, 4, WithSyntheticData(), WithTableSeed(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tabs = append(tabs, tab)
+	}
+	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+		t.Fatal(err)
+	}
+	var batch []Query
+	for i := 0; i < 150; i++ {
+		key := int64(i*7919) % 400
+		batch = append(batch, Query{Table: tabs[i%3], Low: key, High: key})
+	}
+	for i := 0; i < 6; i++ {
+		batch = append(batch, Query{Table: tabs[i%3], Low: 0, High: 39999})
+	}
+	lookups, waited := 0, 0
+	sys.SetObserver(ObserverFunc(func(tel QueryTelemetry) {
+		if tel.Plan.Method != IndexScan || tel.Plan.Degree != 1 {
+			return
+		}
+		var spans, wait time.Duration
+		tel.Root.Walk(func(n *SpanNode) {
+			spans += spanDuration(t, n, "cpu") + spanDuration(t, n, "io_wait")
+			if n.Name == "admit" {
+				wait += spanDuration(t, n, "wait")
+			}
+		})
+		lookups++
+		if wait > 0 {
+			waited++
+		}
+		// Rendered durations keep four significant digits: allow their
+		// rounding, a part in a thousand of each of the few spans.
+		if diff := spans - tel.Runtime; diff > tel.Runtime/500+time.Microsecond || -diff > tel.Runtime/500+time.Microsecond {
+			t.Errorf("lookup spans add up to %v of cpu and io_wait, its Runtime is %v (admit wait %v)", spans, tel.Runtime, wait)
+		}
+	}))
+	if _, err := sys.ExecuteConcurrent(batch, Cold()); err != nil {
+		t.Fatal(err)
+	}
+	if lookups < 100 || waited == 0 {
+		t.Errorf("%d serial lookups observed, %d waited for a grant; want most of the 150, some", lookups, waited)
+	}
+}
+
+// spanDuration parses a span attribute rendered as a duration; 0 when absent.
+func spanDuration(t *testing.T, n *SpanNode, key string) time.Duration {
+	v, ok := n.Attr(key)
+	if !ok {
+		return 0
+	}
+	d, err := time.ParseDuration(v)
+	if err != nil {
+		t.Fatalf("span %s: %s = %q: %v", n.Name, key, v, err)
+	}
+	return d
 }

@@ -34,12 +34,14 @@ import (
 )
 
 // Lease is the slice of a broker lease the controller works through: Grow
-// re-leases free credits mid-flight, and PoolPages is the buffer-pool
-// reservation granted with it, read once the scan has passed its gate. A
-// nil Lease means the query is ungoverned (standalone execution): growth is
-// bounded only by the degree cap, and signals budget against the whole pool.
+// re-leases free credits mid-flight, Budget is its credit grant (0:
+// unbounded), and PoolPages is the buffer-pool reservation granted with it,
+// read once the scan has passed its gate. A nil or unbounded Lease means the
+// query is ungoverned: growth is bounded only by the degree cap, and signals
+// budget against the whole pool.
 type Lease interface {
 	Grow(n int) int
+	Budget() int
 	PoolPages() int
 }
 
@@ -161,13 +163,11 @@ func (c *Controller) capDegree() int {
 	return cap
 }
 
-// share is the pool budget signals are computed against: the lease's
-// reservation, or the whole pool.
+// share is the pool budget signals are computed against: a bounded
+// lease's reservation, 0 pages included, or the whole pool.
 func (c *Controller) share() int {
-	if c.cfg.Lease != nil {
-		if n := c.cfg.Lease.PoolPages(); n > 0 {
-			return n
-		}
+	if l := c.cfg.Lease; l != nil && l.Budget() > 0 {
+		return l.PoolPages()
 	}
 	if c.cfg.Pool != nil {
 		return c.cfg.Pool.Capacity()

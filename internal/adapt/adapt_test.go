@@ -9,12 +9,14 @@ import (
 	"pioqo/internal/sim"
 )
 
-// fakeGrower grants up to its remaining credits.
+// fakeGrower grants up to its remaining credits. Its Budget of 0 makes its
+// signals budget against the whole pool.
 type fakeGrower struct {
 	avail   int
 	granted int
 }
 
+func (g *fakeGrower) Budget() int    { return 0 }
 func (g *fakeGrower) PoolPages() int { return 0 }
 
 func (g *fakeGrower) Grow(n int) int {
@@ -234,4 +236,33 @@ func TestSpeculationConfidenceGate(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// poolLease is a bounded lease with a fixed pool reservation.
+type poolLease struct{ budget, pages int }
+
+func (l poolLease) Grow(int) int   { return 0 }
+func (l poolLease) Budget() int    { return l.budget }
+func (l poolLease) PoolPages() int { return l.pages }
+
+// TestBoundedLeaseWithNoPagesBudgetsNone: a lease granted on a fully
+// reserved pool holds credits and no pages. Its controller budgets against
+// those none — speculation at its floor — not against the whole pool, which
+// only a nil or unbounded lease budgets against.
+func TestBoundedLeaseWithNoPagesBudgetsNone(t *testing.T) {
+	pool := buffer.NewPool(sim.NewEnv(1), 4096)
+	for _, c := range []struct {
+		lease        Lease
+		share, specs int
+	}{
+		{nil, 4096, 512},
+		{poolLease{budget: 0, pages: 0}, 4096, 512},
+		{poolLease{budget: 4, pages: 1024}, 1024, 128},
+		{poolLease{budget: 1, pages: 0}, 0, 16},
+	} {
+		ctl := NewController(Config{Env: sim.NewEnv(1), Pool: pool, Degree: 1, Max: 8, Lease: c.lease})
+		if got, specs := ctl.share(), ctl.specBudget(); got != c.share || specs != c.specs {
+			t.Errorf("lease %+v: share %d, speculation budget %d; want %d and %d", c.lease, got, specs, c.share, c.specs)
+		}
+	}
 }

@@ -16,13 +16,18 @@
 //     depth beyond it buys no throughput, so handing it out buys nothing.
 //   - A query is planned once, under the FairShare of the supply it could
 //     expect at submit time, and enqueues with a demand: the queue depth
-//     that plan was priced at. Dispatch has one rule: in FIFO order, each
-//     lease is granted its whole demand (capped at the supply) once that
-//     many credits are free, plus a proportional buffer-pool page
-//     reservation, capped at what the pool has left unreserved. The grant
-//     is the depth the plan priced, so the plan admitted is the plan
-//     submitted — one-credit point lookups run side by side, and a deep
-//     scan waits for its depth instead of being split.
+//     that plan was priced at. Each lease is granted its whole demand
+//     (capped at the supply) once that many credits are free, plus a
+//     proportional buffer-pool page reservation, capped at what the pool
+//     has left unreserved. The grant is the depth the plan priced, so the
+//     plan admitted is the plan submitted — one-credit point lookups run
+//     side by side, and a deep scan waits for its depth instead of being
+//     split. Grants go first to the lease whose grant finishes the most
+//     queued queries: one parked on a page intent reads that page for
+//     every query waiting on it (Park), so its turn follows their count;
+//     ties, and leases parked on nothing, keep their FIFO order. A head
+//     whose demand does not fit holds everyone back, and one that fits is
+//     passed only by a lease that leaves it room or needs as much.
 //   - The grant gates a query's first device read, not its start: the
 //     query runs at once, and its executor waits on the lease (Admit) only
 //     where it would issue a read. A query whose pages are resident, or
@@ -41,9 +46,8 @@
 //     broker extends a bounded slack, re-brokering budgets that in-flight
 //     queries are provably not using.
 //
-// Everything runs in virtual time on the sim kernel: admission order is
-// FIFO, dispatch is synchronous state manipulation, and reruns are
-// bit-identical.
+// Everything runs in virtual time on the sim kernel: dispatch is
+// synchronous state manipulation, and reruns are bit-identical.
 package broker
 
 import (
@@ -111,7 +115,7 @@ type Broker struct {
 
 	poolInUse int // buffer-pool pages reserved by admitted leases
 
-	queue  []*Lease // admission FIFO
+	queue  []*Lease // admission queue, in submit order
 	active []*Lease // admitted, not yet released
 
 	// dispatchScheduled coalesces dispatch work into one zero-delay event
@@ -256,7 +260,8 @@ type Lease struct {
 	shared   bool // admitted via AdmitShared: rides a circulating scan
 	granted  int  // credit grant at admission; 0 = unbounded (sole query)
 	held     int  // credits still debited from the broker
-	pool     int  // buffer-pool page reservation
+	pool     int  // buffer-pool page reservation granted (and grown)
+	poolHeld int  // pages of it still debited: shrinks with held
 
 	workers int // live workers right now
 	peak    int // high-water worker count, for proportional reclamation
@@ -265,12 +270,17 @@ type Lease struct {
 	admittedAt sim.Time
 
 	grant *sim.Completion // fires at admission; OnAdmit hooks ride it
+
+	// parked is the waiter count of the page intent the query waits on
+	// before its grant (Park), nil while it waits on none.
+	parked *int
 }
 
 // Enqueue registers a query for admission and returns its lease. The
 // demand is the credit grant the query waits for, capped at the supply
-// (≤ 0 = the whole supply). Admission is FIFO; call Admit from process
-// context to block until granted.
+// (≤ 0 = the whole supply). Admission follows submit order but for leases
+// parked on a page others want (dispatch); call Admit from process context
+// to block until granted.
 func (b *Broker) Enqueue(demand int) *Lease {
 	return b.EnqueueQuery(demand, obs.NoQuery)
 }
@@ -294,7 +304,7 @@ func (l *Lease) Shared() bool { return l.shared }
 // admission: the query's table scan will attach to a circulating scan whose
 // producer leases the readahead depth itself, in FIFO turn, so granting it
 // queue-depth credits — or making it wait for them — would price device
-// work it will never issue. The lease leaves the FIFO out of turn, is
+// work it will never issue. The lease leaves the queue out of turn, is
 // granted no credits and no pool reservation (the producer pins under its
 // own budget), and its grant fires at once. Calling it on an
 // already-admitted lease only marks it shared; on a released lease it is a
@@ -327,6 +337,9 @@ func (l *Lease) Admit(p *sim.Proc) {
 	l.gated = true
 }
 
+// GrantedAt reports when the lease was granted; false until it is.
+func (l *Lease) GrantedAt() (sim.Time, bool) { return l.admittedAt, l.admitted }
+
 // Gated reports whether the query has passed its gate: it waited for its
 // grant, or went to the device holding it. A query that finished on pages
 // resident or read for others never does, whenever its grant came.
@@ -346,14 +359,31 @@ func (l *Lease) Admitted() bool { return l.admitted }
 // its hooks.
 func (l *Lease) OnAdmit(fn func()) { l.grant.OnFire(fn) }
 
+// Park records the waiter count of the page intent the lease's query is
+// parked on (nil: none): the buffer pool's side of the buffer.Gate. Dispatch
+// reads it as the lease's turn.
+func (l *Lease) Park(waiters *int) { l.parked = waiters }
+
+// finishes is how many queued queries the lease's grant lets finish the
+// read they wait on: the waiters on its query's page intent, whose hook the
+// grant runs, or 1 for a query parked on none.
+func (l *Lease) finishes() int {
+	if l.parked != nil && *l.parked > 1 {
+		return *l.parked
+	}
+	return 1
+}
+
 // Budget reports the leased queue-depth budget: the credit grant, or 0 for
 // an unbounded lease (a sole query on an idle device plans exactly as it
 // would with no broker).
 func (l *Lease) Budget() int { return l.granted }
 
-// PoolPages reports the lease's buffer-pool page reservation (0 means
-// ungoverned — the executor's own whole-pool clamps apply). It is set at the
-// grant, so the executor reads it after its gate.
+// PoolPages reports the lease's buffer-pool page reservation, as granted
+// (and grown), like Budget: a bounded lease's scans budget against it, none
+// included, and an unbounded lease's against the whole pool. It is set at
+// the grant, so the executor reads it after its gate. The broker's ledger
+// (PoolInUse) counts fewer pages as the lease's fleet winds down.
 func (l *Lease) PoolPages() int { return l.pool }
 
 // Wait reports how long the query sat in the admission queue.
@@ -375,7 +405,8 @@ func (l *Lease) StartWorker() {
 
 // EndWorker implements exec.Governor: one scan worker exited. A worker
 // that exits never rejoins its phase, so the lease shrinks its held
-// credits proportionally to the workers still running and the broker
+// credits proportionally to the workers still running — and the pool pages
+// it holds to the reservation those credits are worth — and the broker
 // re-dispatches queued queries under the recovered budget. Unbounded
 // leases skip reclamation.
 func (l *Lease) EndWorker() {
@@ -391,6 +422,12 @@ func (l *Lease) EndWorker() {
 	if target < l.held {
 		n := l.held - target
 		l.held = target
+		if pool := l.b.cfg.PoolPages * target / l.b.total; pool < l.poolHeld {
+			// The reservation's pages follow the credits home, so a grant
+			// they fund does not land on pages the fleet no longer uses.
+			l.b.poolInUse -= l.poolHeld - pool
+			l.poolHeld = pool
+		}
 		l.b.obs.Emit(obs.EvCreditsReclaim, l.qid, int64(n), int64(l.held))
 		l.b.reclaim(n)
 	}
@@ -400,7 +437,7 @@ func (l *Lease) EndWorker() {
 // returns how many were granted: an adaptive query grows past the depth its
 // plan was priced at this way. Growth comes only from credits sitting free
 // *after* the degradation reserve, and only while no query waits in the
-// admission FIFO: queued queries have first claim on free supply, so an
+// admission queue: queued queries have first claim on free supply, so an
 // in-flight upgrade can never starve admission. The grant raises the
 // lease's held credits (EndWorker's proportional reclamation then winds the
 // larger grant down as the grown fleet retires) and extends the buffer-pool
@@ -430,9 +467,10 @@ func (l *Lease) Grow(n int) int {
 	l.granted += n
 	l.held += n
 	if b.cfg.PoolPages > 0 {
-		if pool := b.reservation(l.granted, l.pool); pool > l.pool {
-			b.poolInUse += pool - l.pool
-			l.pool = pool
+		if pool := b.reservation(l.granted, l.poolHeld); pool > l.poolHeld {
+			b.poolInUse += pool - l.poolHeld
+			l.poolHeld = pool
+			l.pool = max(l.pool, pool)
 		}
 	}
 	b.obs.Emit(obs.EvLeaseGrow, l.qid, int64(n), int64(l.granted))
@@ -447,7 +485,7 @@ func (l *Lease) Release() {
 		panic("broker: lease released twice")
 	}
 	l.released = true
-	l.b.obs.Emit(obs.EvLeaseRelease, l.qid, int64(l.held), int64(l.pool))
+	l.b.obs.Emit(obs.EvLeaseRelease, l.qid, int64(l.held), int64(l.poolHeld))
 	if !l.admitted {
 		// Withdrawn before admission: just drop out of the queue.
 		for i, q := range l.b.queue {
@@ -468,8 +506,8 @@ func (l *Lease) Release() {
 	// query errored between admission and its first worker start, the leak
 	// this deferred-release path exists to close.
 	if l.pool > 0 {
-		l.b.poolInUse -= l.pool
-		l.pool = 0
+		l.b.poolInUse -= l.poolHeld
+		l.pool, l.poolHeld = 0, 0
 	}
 	if l.held > 0 {
 		l.b.reclaim(l.held)
@@ -537,10 +575,12 @@ func (b *Broker) feedbackSlack() int {
 	return ext - b.slack
 }
 
-// dispatch admits queued queries in FIFO order, each at its need: its
-// demand, capped at the supply. A head whose need is more than the free
-// credits waits, and everyone behind it waits its turn; a sole query on an
-// idle broker gets an unbounded lease.
+// dispatch admits queued queries, each at its need: its demand, capped at
+// the supply. A head whose need is more than the free credits waits, and
+// everyone behind it waits its turn. Otherwise the grant goes to the lease
+// that finishes the most queued queries among those whose need fits beside
+// the head's (or is no less than it), the earliest of equals; a sole query
+// on an idle broker gets an unbounded lease.
 func (b *Broker) dispatch() {
 	b.dispatchScheduled = false
 	degradeLogged := false
@@ -556,12 +596,8 @@ func (b *Broker) dispatch() {
 			b.obs.Emit(obs.EvSupplyDegrade, obs.NoQuery, int64(supply), int64(b.total))
 			degradeLogged = true
 		}
-		l := b.queue[0]
-		need := supply
-		if l.demand > 0 && l.demand < need {
-			need = l.demand
-		}
 		if len(b.active) == 0 && len(b.queue) == 1 {
+			l, need := b.queue[0], b.queue[0].need(supply)
 			if reserve == 0 {
 				need = 0 // sole query, idle device: unbounded
 			}
@@ -577,12 +613,35 @@ func (b *Broker) dispatch() {
 				b.free += grow
 			}
 		}
-		if b.free-reserve < need {
+		avail := b.free - reserve
+		head := b.queue[0].need(supply)
+		if head > avail {
 			return
 		}
-		b.queue = b.queue[1:]
-		b.admit(l, need)
+		// Past the head only to a lease that leaves it room for its whole
+		// demand, or that needs as many credits: a head that fits is never
+		// left to wait for a split.
+		pick, most := 0, b.queue[0].finishes()
+		for i := 1; i < len(b.queue); i++ {
+			if l := b.queue[i]; l.parked != nil {
+				if n, need := l.finishes(), l.need(supply); n > most && need <= avail && (need >= head || need+head <= avail) {
+					pick, most = i, n
+				}
+			}
+		}
+		l := b.queue[pick]
+		b.queue = append(b.queue[:pick], b.queue[pick+1:]...)
+		b.admit(l, l.need(supply))
 	}
+}
+
+// need is the credits the lease is granted under supply: its demand, capped
+// at the supply (the whole supply for a demand ≤ 0).
+func (l *Lease) need(supply int) int {
+	if l.demand > 0 && l.demand < supply {
+		return l.demand
+	}
+	return supply
 }
 
 // reservation is the pool share a lease holding grant credits is entitled
@@ -603,6 +662,7 @@ func (b *Broker) admit(l *Lease, grant int) {
 	l.admittedAt = b.env.Now()
 	if b.cfg.PoolPages > 0 && grant > 0 {
 		l.pool = b.reservation(grant, 0)
+		l.poolHeld = l.pool
 		b.poolInUse += l.pool
 	}
 	b.active = append(b.active, l)

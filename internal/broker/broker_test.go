@@ -553,3 +553,137 @@ func TestHeadWaitsForItsWholeDemand(t *testing.T) {
 			head.admitted, head.Budget())
 	}
 }
+
+// TestMostWaitedLeaseGoesFirst: five one-credit queries queue behind a
+// two-credit holder; the holder, at the head, is not passed by any of them,
+// since none leaves it room. Then two park on a page five queries want, one
+// on a page three want, one on a page only it wants, and one on none. Each
+// free credit goes to the lease whose grant releases the most waiters: the
+// two five-waiter leases first, in submit order, then the three-waiter one;
+// the lease parked alone and the unparked one count one each and keep their
+// submit order.
+func TestMostWaitedLeaseGoesFirst(t *testing.T) {
+	env, b := newBroker(t, 2, nil)
+	hold := b.Enqueue(2)
+	one, three, five := 1, 3, 5
+	parked := []*int{&one, nil, &five, &five, &three}
+	var ls []*Lease
+	var order []int
+	for i := range parked {
+		l := b.Enqueue(1)
+		l.OnAdmit(func() { order = append(order, i) })
+		ls = append(ls, l)
+	}
+	ls[2].Park(&five)
+	env.Run()
+	if !hold.Admitted() || len(order) != 0 {
+		t.Fatalf("holder admitted %v, %d of the queued granted; want the holder alone", hold.Admitted(), len(order))
+	}
+	for i, w := range parked {
+		ls[i].Park(w)
+	}
+	hold.Release()
+	env.Run()
+	for _, i := range []int{2, 4, 3, 0, 1} {
+		ls[i].Release()
+		env.Run()
+	}
+	if want := []int{2, 3, 4, 0, 1}; !equalInts(order, want) {
+		t.Errorf("grant order %v, want %v", order, want)
+	}
+}
+
+// TestDeepHeadIsNeverOvertakenIntoASplit: a lease parked on a page nine
+// queries want goes ahead of the head when both fit. A deep lease at the
+// head waits for its whole demand, and no lease behind it is granted
+// meanwhile, however many queries wait on its page, nor once the head's
+// demand is free.
+func TestDeepHeadIsNeverOvertakenIntoASplit(t *testing.T) {
+	env, b := newBroker(t, 4, nil)
+	nine := 9
+	a := b.Enqueue(3)
+	deep := b.Enqueue(4)
+	small := b.Enqueue(1)
+	small.Park(&nine)
+	env.Run()
+	if !a.Admitted() || !small.Admitted() || deep.Admitted() {
+		t.Fatalf("admitted a %v, small %v, deep %v; want a and small, which fit beside each other",
+			a.Admitted(), small.Admitted(), deep.Admitted())
+	}
+	late := b.Enqueue(1)
+	late.Park(&nine)
+	small.Release()
+	env.Run()
+	if late.Admitted() {
+		t.Fatal("a one-credit lease overtook the deep head waiting for its four")
+	}
+	a.Release()
+	env.Run()
+	if !deep.Admitted() || deep.Budget() != 4 || late.Admitted() {
+		t.Fatalf("deep admitted %v with %d credits, late admitted %v; want deep whole, late waiting",
+			deep.Admitted(), deep.Budget(), late.Admitted())
+	}
+	deep.Release()
+	env.Run()
+	if !late.Admitted() {
+		t.Fatal("late lease never admitted")
+	}
+	late.Release()
+	env.Run()
+	if b.InUse() != 0 {
+		t.Errorf("in-use = %d after all releases", b.InUse())
+	}
+}
+
+// TestGrantOnAFullyReservedPoolReservesNothing: a lease holding the whole
+// supply reserves the whole pool; a query granted a slack credit beside it
+// finds no page left and reserves none — a bounded lease with no pages,
+// which the executor budgets as such. As the holder's workers exit, the
+// pages its grant reserved follow its credits home.
+func TestGrantOnAFullyReservedPoolReservesNothing(t *testing.T) {
+	env, b := newBroker(t, 4, func(c *Config) {
+		c.PoolPages = 400
+		c.DepthProbe = func() float64 { return 0 } // the device sits idle
+	})
+	a := b.Enqueue(4)
+	q := b.Enqueue(1)
+	env.Run()
+	if a.Budget() != 4 || a.PoolPages() != 400 || q.Admitted() {
+		t.Fatalf("holder %d credits, %d pages; queued admitted %v", a.Budget(), a.PoolPages(), q.Admitted())
+	}
+	a.StartWorker()
+	a.StartWorker()
+	env.Schedule(sim.Millisecond, b.scheduleDispatch)
+	env.Run() // the probe shows the loaned depth idle: slack funds q
+	if !q.Admitted() || q.Budget() != 1 || q.PoolPages() != 0 {
+		t.Fatalf("queued lease admitted %v with %d credits and %d pages; want 1 credit, 0 pages",
+			q.Admitted(), q.Budget(), q.PoolPages())
+	}
+	if b.PoolInUse() != 400 {
+		t.Errorf("%d pages reserved, want the holder's 400", b.PoolInUse())
+	}
+	a.EndWorker()
+	if a.PoolPages() != 400 || b.PoolInUse() != 200 {
+		t.Errorf("after half the holder's workers exit: granted %d pages, %d still reserved; want 400 and 200",
+			a.PoolPages(), b.PoolInUse())
+	}
+	a.EndWorker()
+	a.Release()
+	q.Release()
+	env.Run()
+	if b.PoolInUse() != 0 || b.InUse() != 0 {
+		t.Errorf("%d pages and %d credits left after all releases", b.PoolInUse(), b.InUse())
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}

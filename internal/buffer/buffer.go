@@ -13,9 +13,11 @@
 package buffer
 
 import (
+	"errors"
 	"fmt"
 
 	"pioqo/internal/disk"
+	"pioqo/internal/fault"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
@@ -50,6 +52,8 @@ type Pool struct {
 	// their packed (file, page): nil until the first gated miss, and empty
 	// whenever every wanted page has been read (see FetchGated).
 	intents map[uint64]*intent
+	// parked counts the processes waiting on an intent; 0 at every drain.
+	parked int
 
 	// inFlightWrites tracks outstanding write-backs so FlushDirty can wait
 	// for durability.
@@ -121,17 +125,31 @@ type frame struct {
 type intent struct {
 	ready *sim.Completion
 	issue func() // the grant hook every waiter's gate runs: read the page
+	// waiters counts the queries parked on the page: how many its one read
+	// releases. The install that fires ready sets it to 0; a waiter whose
+	// abort wakes it earlier leaves the count, and the last to leave drops
+	// the intent unread.
+	waiters int
 }
 
 // Gate is a query's admission to the device as the pool sees it: whether
-// it may issue reads, a hook run at its grant, and the gate itself, which
-// FetchGated passes whenever the query reads under its grant. The broker's
-// lease implements it.
+// it may issue reads, a hook run at its grant, the gate itself, which
+// FetchGated passes whenever the query reads under its grant, and where the
+// query is parked. The broker's lease implements it.
 type Gate interface {
 	Admitted() bool
 	OnAdmit(fn func())
 	Admit(p *sim.Proc)
+	// Park reports the waiter count of the page intent the query is now
+	// parked on — live, read whenever the gate needs it: how many queries
+	// the page's one read releases — or nil once the query stops waiting.
+	Park(waiters *int)
 }
+
+// ErrLeftGate is what FetchGated returns to a query whose abort woke it from
+// a page intent, or found it at one: it read nothing, and its control holds
+// the cause.
+var ErrLeftGate = errors.New("buffer: aborted at the gate")
 
 // idle reports whether the frame is on the LRU.
 func (f *frame) idle() bool { return f.pins == 0 && f.loading == nil }
@@ -330,6 +348,7 @@ func (p *Pool) install(file *disk.File, page int64, c *sim.Completion) int32 {
 			// Whoever reads a wanted page reads it for every waiter: they
 			// wake to join this frame's load.
 			delete(p.intents, key)
+			in.waiters = 0
 			in.ready.Fire()
 		}
 	}
@@ -480,11 +499,17 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 // the grant of any query waiting on it, its own included, whichever comes
 // first. It then joins that read like any other miss. A granted reader thus
 // never waits on an intent, and one read serves every query that wanted the
-// page meanwhile.
-func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate) (Handle, error) {
+// page meanwhile. While parked the query is counted among the intent's
+// waiters and its gate told so (Park). A Cancel of ctl wakes it at once: it
+// leaves the count and returns ErrLeftGate, as it does if canceled before it
+// would park.
+func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate, ctl *fault.Control) (Handle, error) {
 	for !g.Admitted() {
 		if p.lookup(file, page) != nil {
 			return p.FetchPageE(proc, file, page)
+		}
+		if ctl.Err() != nil {
+			return Handle{}, ErrLeftGate
 		}
 		key := pack(file.ID(), page)
 		in := p.intents[key]
@@ -494,7 +519,7 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate) (
 			}
 			in = &intent{ready: sim.NewCompletion(proc.Env())}
 			in.issue = func() {
-				if !in.ready.Fired() {
+				if in.waiters > 0 { // neither read nor abandoned
 					c := file.ReadPage(page)
 					p.onLoad(c, p.install(file, page, c))
 				}
@@ -502,15 +527,40 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate) (
 			p.intents[key] = in
 		}
 		g.OnAdmit(in.issue)
+		in.waiters++
+		p.parked++
+		g.Park(&in.waiters)
+		ctl.SetWake(func() { p.leave(in, key, proc) })
 		proc.Wait(in.ready)
+		ctl.SetWake(nil)
+		g.Park(nil)
+		p.parked--
+		if !in.ready.Fired() {
+			return Handle{}, ErrLeftGate
+		}
 	}
 	g.Admit(proc) // granted: returns at once, marking the gate passed
 	return p.FetchPageE(proc, file, page)
 }
 
+// leave wakes proc, canceled while parked on in, without the page: it
+// leaves the intent's waiters, and the last to leave drops the intent.
+func (p *Pool) leave(in *intent, key uint64, proc *sim.Proc) {
+	if !in.ready.Excuse(proc) {
+		return // the read was issued first: proc is already waking to join it
+	}
+	if in.waiters--; in.waiters == 0 {
+		delete(p.intents, key)
+	}
+}
+
 // Intents reports the pages wanted by queries without their grant and not
 // yet read. A drained system has none; leak checks assert that.
 func (p *Pool) Intents() int { return len(p.intents) }
+
+// Parked reports the processes waiting on a page intent. A drained system
+// has none; leak checks assert that.
+func (p *Pool) Parked() int { return p.parked }
 
 // hit pins a loaded frame and counts the hit.
 func (p *Pool) hit(f *frame) Handle {

@@ -1,17 +1,20 @@
 package buffer
 
 import (
+	"errors"
 	"testing"
 
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
+	"pioqo/internal/fault"
 	"pioqo/internal/sim"
 )
 
 // testGate is a Gate the test grants by hand.
 type testGate struct {
 	grant  *sim.Completion
-	passed int // Admit calls: reads made under the grant
+	passed int  // Admit calls: reads made under the grant
+	parked *int // what Park last reported
 }
 
 func newTestGate(env *sim.Env) *testGate { return &testGate{grant: sim.NewCompletion(env)} }
@@ -19,6 +22,16 @@ func newTestGate(env *sim.Env) *testGate { return &testGate{grant: sim.NewComple
 func (g *testGate) Admitted() bool    { return g.grant.Fired() }
 func (g *testGate) OnAdmit(fn func()) { g.grant.OnFire(fn) }
 func (g *testGate) Admit(p *sim.Proc) { p.Wait(g.grant); g.passed++ }
+func (g *testGate) Park(waiters *int) { g.parked = waiters }
+
+// waiters is the count Park reported for the gate's query: 0 when it waits
+// on no intent.
+func (g *testGate) waiters() int {
+	if g.parked == nil {
+		return 0
+	}
+	return *g.parked
+}
 func (g *testGate) open() {
 	if !g.grant.Fired() {
 		g.grant.Fire()
@@ -46,9 +59,10 @@ func newGateWorld(poolPages int) (*sim.Env, *pageReads, *disk.File, *Pool) {
 }
 
 // TestIntentReadAtFirstGrant: three queries without their grant miss one
-// page. None reads it: they park on one intent. The second one's grant reads
-// it, once, for all three; the others finish without passing their gates,
-// and their later grants read nothing.
+// page. None reads it: they park on one intent, and each gate is told that
+// three queries wait on it. The second one's grant reads it, once, for all
+// three; the others finish without passing their gates, and their later
+// grants read nothing.
 func TestIntentReadAtFirstGrant(t *testing.T) {
 	env, dev, file, pool := newGateWorld(16)
 	gates := []*testGate{newTestGate(env), newTestGate(env), newTestGate(env)}
@@ -56,7 +70,7 @@ func TestIntentReadAtFirstGrant(t *testing.T) {
 	for _, g := range gates {
 		g := g
 		env.Go("q", func(p *sim.Proc) {
-			h, err := pool.FetchGated(p, file, 5, g)
+			h, err := pool.FetchGated(p, file, 5, g, nil)
 			if err != nil {
 				t.Error(err)
 				return
@@ -70,6 +84,11 @@ func TestIntentReadAtFirstGrant(t *testing.T) {
 		if dev.reads[5] != 0 || pool.Intents() != 1 || pool.Contains(file, 5) {
 			t.Errorf("before any grant: %d reads, %d intents, page present %v; want 0, 1, false",
 				dev.reads[5], pool.Intents(), pool.Contains(file, 5))
+		}
+		for i, g := range gates {
+			if g.waiters() != 3 || pool.Parked() != 3 {
+				t.Errorf("gate %d reports %d waiters, the pool %d parked; want 3 and 3", i, g.waiters(), pool.Parked())
+			}
 		}
 		gates[1].open()
 		p.Sleep(10 * sim.Millisecond)
@@ -89,8 +108,60 @@ func TestIntentReadAtFirstGrant(t *testing.T) {
 		t.Errorf("gates passed %d/%d/%d times, want 0/1/0: only the granted query read under its grant",
 			gates[0].passed, gates[1].passed, gates[2].passed)
 	}
-	if pool.Intents() != 0 || pool.Pinned() != 0 {
-		t.Errorf("%d intents and %d pins left", pool.Intents(), pool.Pinned())
+	for i, g := range gates {
+		if g.parked != nil {
+			t.Errorf("gate %d still reports its query parked", i)
+		}
+	}
+	if pool.Intents() != 0 || pool.Pinned() != 0 || pool.Parked() != 0 {
+		t.Errorf("%d intents, %d pins and %d parked left", pool.Intents(), pool.Pinned(), pool.Parked())
+	}
+}
+
+// TestCanceledWaiterLeavesTheIntent: two queries without their grant park
+// on one page's intent. A cancel wakes the first at once, without the page:
+// it leaves the intent's count, which the second's gate reads as 1. The
+// second's cancel drops the intent, and the grants that come later read
+// nothing for the queries that left.
+func TestCanceledWaiterLeavesTheIntent(t *testing.T) {
+	env, dev, file, pool := newGateWorld(16)
+	gates := []*testGate{newTestGate(env), newTestGate(env)}
+	ctls := []*fault.Control{fault.NewControl(env), fault.NewControl(env)}
+	left := make([]sim.Time, 2)
+	for i := range gates {
+		i := i
+		env.Go("q", func(p *sim.Proc) {
+			_, err := pool.FetchGated(p, file, 5, gates[i], ctls[i])
+			if !errors.Is(err, ErrLeftGate) {
+				t.Errorf("query %d: err = %v, want ErrLeftGate", i, err)
+			}
+			left[i] = p.Now()
+		})
+	}
+	env.Go("cancels", func(p *sim.Proc) {
+		p.Sleep(sim.Millisecond)
+		ctls[0].Cancel(nil)
+		if gates[1].waiters() != 1 || pool.Intents() != 1 {
+			t.Errorf("after one cancel: %d waiters, %d intents; want 1 and 1", gates[1].waiters(), pool.Intents())
+		}
+		p.Sleep(sim.Millisecond)
+		ctls[1].Cancel(nil)
+		if pool.Intents() != 0 {
+			t.Errorf("after both cancels: %d intents, want 0", pool.Intents())
+		}
+		p.Sleep(sim.Millisecond)
+		gates[0].open()
+		gates[1].open()
+	})
+	env.Run()
+	if left[0] != sim.Time(sim.Millisecond) || left[1] != sim.Time(2*sim.Millisecond) {
+		t.Errorf("queries left at %v and %v, want at their cancels, 1ms and 2ms", sim.Duration(left[0]), sim.Duration(left[1]))
+	}
+	if dev.reads[5] != 0 || pool.Contains(file, 5) {
+		t.Errorf("%d reads of the page; want none: every query that wanted it left", dev.reads[5])
+	}
+	if pool.Parked() != 0 || gates[0].parked != nil || gates[1].parked != nil {
+		t.Errorf("%d parked left, gates report %v and %v", pool.Parked(), gates[0].parked, gates[1].parked)
 	}
 }
 
@@ -104,7 +175,7 @@ func TestGrantedReaderNeverWaitsOnAnIntent(t *testing.T) {
 	granted.open()
 	var queuedDone, grantedDone sim.Time
 	env.Go("queued", func(p *sim.Proc) {
-		h, err := pool.FetchGated(p, file, 7, queued)
+		h, err := pool.FetchGated(p, file, 7, queued, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +186,7 @@ func TestGrantedReaderNeverWaitsOnAnIntent(t *testing.T) {
 	env.Go("granted", func(p *sim.Proc) {
 		p.Sleep(100 * sim.Microsecond)
 		t0 := p.Now()
-		h, err := pool.FetchGated(p, file, 7, granted)
+		h, err := pool.FetchGated(p, file, 7, granted, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,14 +215,16 @@ func TestGrantedReaderNeverWaitsOnAnIntent(t *testing.T) {
 }
 
 // FuzzGatedFetch draws interleavings of gated fetches, ungated fetches,
-// grants and discards over a few pages and gates, then grants every gate.
-// It checks that a page is read at most once per stay in the pool, that a
-// granted or ungated reader's miss has the page in the pool before it
-// parks, that every fetch returns, and that no intent or pin is left.
+// grants, discards and cancels over a few pages and gates, then grants every
+// gate. It checks that a page is read at most once per stay in the pool,
+// that a granted or ungated reader's miss has the page in the pool before it
+// parks, that every fetch returns — a gated one without the page only when
+// its query was canceled — and that no intent, parked waiter or pin is left.
 func FuzzGatedFetch(f *testing.F) {
 	f.Add([]byte("\x00\x03\x00\x00\x01\x03\x05\x00"))
 	f.Add([]byte("\x00\x03\x00\x00\x00\x03\x05\x01\x02\x00\x0a\x01\x01\x03\x0c\x00"))
 	f.Add([]byte("\x00\x01\x00\x00\x00\x01\x00\x01\x00\x01\x00\x02\x02\x00\x14\x00\x02\x00\x14\x01\x03\x01\x40\x00\x00\x01\x50\x03"))
+	f.Add([]byte("\x00\x02\x00\x00\x00\x02\x01\x01\x04\x00\x05\x00\x02\x00\x0a\x01"))
 	seed := make([]byte, 4*48)
 	for i := range seed {
 		seed[i] = byte(i*29 + i/4)
@@ -164,17 +237,19 @@ func FuzzGatedFetch(f *testing.F) {
 		}
 		env, dev, file, pool := newGateWorld(16)
 		var gates [nGates]*testGate
+		var ctls [nGates]*fault.Control
 		for i := range gates {
-			gates[i] = newTestGate(env)
+			gates[i], ctls[i] = newTestGate(env), fault.NewControl(env)
 		}
 		discards := map[int64]int{}
 		fetches, returned := 0, 0
 		var last sim.Duration
 		for i := 0; i+4 <= len(data); i += 4 {
-			op, page := data[i]%4, int64(data[i+1])%pages
+			op, page := data[i]%5, int64(data[i+1])%pages
 			at := sim.Duration(data[i+2]) * 10 * sim.Microsecond
 			hold := sim.Duration(1+data[i+3]%32) * 10 * sim.Microsecond
-			g := gates[int(data[i+3])%nGates]
+			gi := int(data[i+3]) % nGates
+			g, ctl := gates[gi], ctls[gi]
 			last = max(last, at+hold)
 			switch op {
 			case 0, 1: // a fetch, through gate g or ungoverned
@@ -192,9 +267,13 @@ func FuzzGatedFetch(f *testing.F) {
 						})
 					}
 					if gated {
-						h, err = pool.FetchGated(p, file, page, g)
+						h, err = pool.FetchGated(p, file, page, g, ctl)
 					} else {
 						h, err = pool.FetchPageE(p, file, page)
+					}
+					if errors.Is(err, ErrLeftGate) && ctl.Err() != nil {
+						returned++
+						return
 					}
 					if err != nil {
 						t.Error(err)
@@ -212,6 +291,8 @@ func FuzzGatedFetch(f *testing.F) {
 						discards[page]++
 					}
 				})
+			case 4: // gate g's query is canceled
+				env.Schedule(at, func() { ctl.Cancel(nil) })
 			}
 		}
 		// Every gate is granted in the end, so every waiter wakes.
@@ -229,8 +310,13 @@ func FuzzGatedFetch(f *testing.F) {
 				t.Errorf("page %d read %d times over %d discards", pg, dev.reads[pg], discards[pg])
 			}
 		}
-		if pool.Intents() != 0 || pool.Pinned() != 0 {
-			t.Fatalf("%d intents and %d pins left", pool.Intents(), pool.Pinned())
+		if pool.Intents() != 0 || pool.Pinned() != 0 || pool.Parked() != 0 {
+			t.Fatalf("%d intents, %d pins and %d parked waiters left", pool.Intents(), pool.Pinned(), pool.Parked())
+		}
+		for i, g := range gates {
+			if g.parked != nil {
+				t.Fatalf("gate %d still reports %d waiters", i, *g.parked)
+			}
 		}
 	})
 }

@@ -75,6 +75,7 @@ type HDD struct {
 	busy      bool
 	headTrack int64
 	queue     []hddRequest
+	blocks    int   // queued requests longer than a page (blockBefore)
 	lastEnd   int64 // end offset of the previous request, for readahead
 
 	// current is the request under the head. Its service ends in the one
@@ -136,6 +137,9 @@ func (d *HDD) ReadAt(offset int64, length int) *sim.Completion {
 	validate(d, offset, length)
 	done := sim.NewCompletion(d.env)
 	d.metrics.Submitted()
+	if length > pageBytes {
+		d.blocks++
+	}
 	d.queue = append(d.queue, hddRequest{
 		offset:    offset,
 		length:    length,
@@ -217,7 +221,9 @@ func (d *HDD) isSequential(r *hddRequest) bool {
 // among the first QueueDepthMax entries, as NCQ firmware orders reads by
 // seek and rotational position: a deeper queue offers a nearer request, so
 // throughput grows with queue depth while each request's wait in the queue
-// grows too.
+// grows too. One rule keeps a scan's stream in order: a queued block read
+// that ends where the chosen request starts goes first (blockBefore), unless
+// the chosen one streams from the track cache.
 func (d *HDD) startNext() {
 	if len(d.queue) == 0 {
 		d.busy = false
@@ -241,9 +247,41 @@ func (d *HDD) startNext() {
 			limit = d.reach(c)
 		}
 	}
+	if bestCost > 0 && d.blocks > 0 {
+		if i := d.blockBefore(window, best); i >= 0 {
+			for ; i >= 0; i = d.blockBefore(window, i) {
+				best = i
+			}
+			bestCost = d.access(&d.queue[best], phase)
+		}
+	}
 	d.current = d.queue[best]
 	d.queue = slices.Delete(d.queue, best, best+1)
+	if d.current.length > pageBytes {
+		d.blocks--
+	}
 	d.env.Schedule(bestCost+d.transferTime(d.current.length), d.serviceDone)
+}
+
+// pageBytes is the engine's page (disk.PageSize); a longer request is a
+// block read.
+const pageBytes = 4 << 10
+
+// blockBefore returns the index, among the first window queued, of a block
+// read that ends exactly where the chosen request starts, or -1. Served
+// first, it leaves the head at the chosen request's first byte, which then
+// streams from the track cache: two adjacent blocks of one scan queued
+// together would otherwise go nearer-first, the first costing most of a
+// revolution after the second, and the scan would keep reading its blocks in
+// swapped pairs. startNext follows a run of such blocks back to its first.
+func (d *HDD) blockBefore(window, chosen int) int {
+	start := d.queue[chosen].offset
+	for i := 0; i < window; i++ {
+		if r := &d.queue[i]; r.length > pageBytes && r.offset+int64(r.length) == start {
+			return i
+		}
+	}
+	return -1
 }
 
 // finish completes the request under the head and dispatches the next.

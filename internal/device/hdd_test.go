@@ -11,10 +11,12 @@ import (
 
 // dispatchCheck holds an HDD to its dispatch rule at every dispatch: the
 // request it starts is the first of those with the least access time among
-// the first QueueDepthMax queued, that access time is what the request is
-// then charged (it completes after exactly access plus transfer), and the
-// access time is the one the drive's geometry gives, worked out here from
-// the configuration alone.
+// the first QueueDepthMax queued — or, when that one costs any access, the
+// block read (longer than a page) among them that ends where it starts,
+// followed back through such blocks to the first — that access time is what
+// the request is then charged (it completes after exactly access plus
+// transfer), and the access time is the one the drive's geometry gives,
+// worked out here from the configuration alone.
 //
 // A completion's callbacks run inside the drive's finish, after the head has
 // settled on the finished request's track and before the next dispatch, so
@@ -78,6 +80,19 @@ func (c *dispatchCheck) expect(fresh bool) {
 			best = i
 		}
 	}
+	for d.access(&window[best], phase) > 0 {
+		prev := -1
+		for i := range window {
+			if window[i].length > page && window[i].offset+int64(window[i].length) == window[best].offset {
+				prev = i
+				break
+			}
+		}
+		if prev < 0 {
+			break
+		}
+		best = prev
+	}
 	r := window[best]
 	c.next, c.nextAt = r.done, now.Add(d.access(&r, phase)+d.transferTime(r.length))
 }
@@ -126,6 +141,56 @@ func TestHDDDispatchesShortestAccessTime(t *testing.T) {
 		if check.done != 32*40+256 {
 			t.Errorf("band %d: %d reads checked, want %d", band, check.done, 32*40+256)
 		}
+	}
+}
+
+// TestHDDStreamsAdjacentBlocksInOrder: a scan keeps two adjacent 64-page
+// blocks queued while four closed loops of random page reads keep the head
+// busy. When both blocks wait as the head frees, the drive must read the
+// first before the second, which then streams from the track cache: taking
+// the rotationally nearer second block first costs the first most of a
+// revolution, and the scan then falls into reading its blocks in swapped
+// pairs. Every block completes in scan order, and every dispatch is checked.
+func TestHDDStreamsAdjacentBlocksInOrder(t *testing.T) {
+	const block, blocks = 64 * page, 96
+	env := sim.NewEnv(3)
+	d := NewHDD(env, DefaultHDDConfig())
+	check := newDispatchCheck(t, d)
+	streaming := true
+	for w := 0; w < 4; w++ {
+		env.Go(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
+			for streaming {
+				p.Wait(check.read(256<<20+env.Rand().Int63n((64<<20)/page)*page, page))
+			}
+		})
+	}
+	var order []int64
+	env.Go("scan", func(p *sim.Proc) {
+		var inFlight []*sim.Completion
+		for b := int64(0); b < blocks; b++ {
+			off := b * block
+			c := check.read(off, block)
+			c.OnFire(func() { order = append(order, off) })
+			if inFlight = append(inFlight, c); len(inFlight) == 2 {
+				p.Wait(inFlight[0])
+				inFlight = inFlight[1:]
+			}
+		}
+		p.Wait(inFlight[0])
+		streaming = false
+	})
+	env.Run()
+	if len(order) != blocks {
+		t.Fatalf("%d of %d blocks read", len(order), blocks)
+	}
+	swapped := 0
+	for i := 1; i < len(order); i++ {
+		if order[i] < order[i-1] {
+			swapped++
+		}
+	}
+	if swapped > 0 {
+		t.Errorf("%d of %d blocks were read after the block behind them", swapped, blocks)
 	}
 }
 

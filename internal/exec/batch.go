@@ -42,25 +42,62 @@ type cpuBudget struct {
 	pages int64
 	io    sim.Duration
 	cpu   sim.Duration
+
+	// gov is the query's gate (nil: ungoverned). preIO and preCPU are the
+	// parts of io and cpu that passed before its grant: a query that passes
+	// its gate counts that time as admission wait (Admission.Wait runs from
+	// submit to grant), so its spans leave it out (annotate). granted is set
+	// once an interval has started after the grant: none later can precede
+	// it.
+	gov           Governor
+	preIO, preCPU sim.Duration
+	granted       bool
 }
 
-// newBudget returns a budget with a track span for one worker under parent.
-// With a nil tracer the budget works the same; it just has no span to
-// annotate.
-func newBudget(ctx *Context, parent *obs.Span, name string) cpuBudget {
-	return cpuBudget{ctx: ctx, span: ctx.Tracer.StartTrack(parent, name)}
+// newBudget returns a budget with a track span for one worker under the
+// spec's span. With a nil tracer the budget works the same; it just has no
+// span to annotate.
+func newBudget(ctx *Context, spec *Spec, name string) cpuBudget {
+	return cpuBudget{ctx: ctx, gov: spec.Gov, span: ctx.Tracer.StartTrack(spec.Span, name)}
 }
 
 // finish annotates and closes the worker span.
 func (b *cpuBudget) finish(rows int64) {
+	b.annotate(rows)
+	b.span.End()
+}
+
+// annotate writes what the budget measured into its span. Once the query
+// has passed its gate, time before the grant is admission wait, not the
+// span's: annotate runs where the query's gate is settled.
+func (b *cpuBudget) annotate(rows int64) {
 	if b.span == nil {
 		return
 	}
+	cpu, io := b.cpu, b.io
+	if b.gov != nil && b.gov.Gated() {
+		cpu, io = cpu-b.preCPU, io-b.preIO
+	}
 	b.span.SetAttr("pages", b.pages)
 	b.span.SetAttr("rows", rows)
-	b.span.SetAttr("cpu", b.cpu)
-	b.span.SetAttr("io_wait", b.io)
-	b.span.End()
+	b.span.SetAttr("cpu", cpu)
+	b.span.SetAttr("io_wait", io)
+}
+
+// since returns the virtual time from t0 to now, and how much of it passed
+// before the query's grant.
+func (b *cpuBudget) since(t0 sim.Time) (d, pre sim.Duration) {
+	now := b.ctx.Env.Now()
+	d = sim.Duration(now - t0)
+	if b.gov == nil || b.granted {
+		return d, 0
+	}
+	at, ok := b.gov.GrantedAt()
+	if !ok {
+		return d, d
+	}
+	b.granted = at <= t0
+	return d, sim.Duration(min(max(at, t0), now) - t0)
 }
 
 // charge accrues CPU debt without touching the simulator.
@@ -75,7 +112,9 @@ func (b *cpuBudget) settle(wp *sim.Proc) {
 	b.debt = 0
 	t0 := b.ctx.Env.Now()
 	wp.Use(b.ctx.CPU, d)
-	b.cpu += sim.Duration(b.ctx.Env.Now() - t0)
+	d, pre := b.since(t0)
+	b.cpu += d
+	b.preCPU += pre
 }
 
 // fetchE pins a page, settling outstanding debt first whenever the request
@@ -83,10 +122,10 @@ func (b *cpuBudget) settle(wp *sim.Proc) {
 // read is still in flight). Loaded pages pin without settling, from the one
 // index probe that found them — that is where merging wins. A governed miss
 // goes through the pool's gate (FetchGated), which parks a query without its
-// grant on the page's intent. A failed read returns the device's error for
-// fetchRetry's policy to handle; it still counts its blocked time but not a
-// fetched page.
-func (b *cpuBudget) fetchE(wp *sim.Proc, gov Governor, f *disk.File, page int64) (buffer.Handle, error) {
+// grant on the page's intent until the read or the query's abort. A failed
+// read returns the device's error for fetchRetry's policy to handle; it
+// still counts its blocked time but not a fetched page.
+func (b *cpuBudget) fetchE(wp *sim.Proc, spec *Spec, f *disk.File, page int64) (buffer.Handle, error) {
 	if h, ok := b.ctx.Pool.FetchLoaded(f, page); ok {
 		b.pages++
 		return h, nil
@@ -95,12 +134,14 @@ func (b *cpuBudget) fetchE(wp *sim.Proc, gov Governor, f *disk.File, page int64)
 	t0 := b.ctx.Env.Now()
 	var h buffer.Handle
 	var err error
-	if gov != nil {
-		h, err = b.ctx.Pool.FetchGated(wp, f, page, gov)
+	if spec.Gov != nil {
+		h, err = b.ctx.Pool.FetchGated(wp, f, page, spec.Gov, spec.Ctl)
 	} else {
 		h, err = b.ctx.Pool.FetchPageE(wp, f, page)
 	}
-	b.io += sim.Duration(b.ctx.Env.Now() - t0)
+	d, pre := b.since(t0)
+	b.io += d
+	b.preIO += pre
 	if err == nil {
 		b.pages++
 	}
@@ -116,7 +157,10 @@ func (b *cpuBudget) fetchE(wp *sim.Proc, gov Governor, f *disk.File, page int64)
 func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int64) (buffer.Handle, bool) {
 	pol := spec.Retry.Normalized()
 	for attempt := 0; ; attempt++ {
-		h, err := b.fetchE(wp, spec.Gov, f, page)
+		h, err := b.fetchE(wp, spec, f, page)
+		if err == buffer.ErrLeftGate {
+			return buffer.Handle{}, false // canceled at the gate: nothing was read
+		}
 		if err == nil {
 			if spec.Progress != nil {
 				*spec.Progress++

@@ -142,7 +142,15 @@ func (k AggKind) String() string {
 type Governor interface {
 	// Gate's Admit blocks until the query may issue device reads.
 	buffer.Gate
-	// PoolPages is the buffer-pool reservation granted with the lease; 0
+	// Budget is the lease's credit grant; 0 is an unbounded lease.
+	Budget() int
+	// GrantedAt reports when the grant came (false: not yet), and Gated
+	// whether the query has passed its gate. A gated query's time before
+	// its grant is its admission wait, which its spans leave out.
+	GrantedAt() (sim.Time, bool)
+	Gated() bool
+	// PoolPages is the buffer-pool reservation granted with the lease: what
+	// a bounded lease budgets against, 0 pages included. An unbounded lease
 	// budgets against the whole pool.
 	PoolPages() int
 	StartWorker()
@@ -240,15 +248,14 @@ type Spec struct {
 // aborted reports whether the query's control has tripped. Nil-safe.
 func (s *Spec) aborted() bool { return s.Ctl.Aborted() }
 
-// poolCapacity is the pool capacity this scan's clamps budget against: the
-// lease's page reservation when governed, the whole pool otherwise. It is
-// read after admit, when the reservation has been granted.
+// poolCapacity is the pool capacity this scan's clamps budget against: a
+// bounded lease's page reservation — a lease granted on a fully reserved
+// pool reserves none — and the whole pool otherwise. It is read after
+// admit, when the reservation has been granted.
 func (s *Spec) poolCapacity(ctx *Context) int {
 	c := ctx.Pool.Capacity()
-	if s.Gov != nil {
-		if share := s.Gov.PoolPages(); share > 0 && share < c {
-			c = share
-		}
+	if s.Gov != nil && s.Gov.Budget() > 0 {
+		c = min(c, s.Gov.PoolPages())
 	}
 	return c
 }

@@ -394,3 +394,44 @@ func TestCountOfEmptyRangeIsZeroNotNull(t *testing.T) {
 		}
 	}
 }
+
+// grantedGov is a Governor granted from the start with a fixed credit
+// budget and pool reservation.
+type grantedGov struct{ budget, pages int }
+
+func (g grantedGov) Admit(*sim.Proc)             {}
+func (g grantedGov) Admitted() bool              { return true }
+func (g grantedGov) OnAdmit(fn func())           { fn() }
+func (g grantedGov) Park(*int)                   {}
+func (g grantedGov) Budget() int                 { return g.budget }
+func (g grantedGov) GrantedAt() (sim.Time, bool) { return 0, true }
+func (g grantedGov) Gated() bool                 { return true }
+func (g grantedGov) PoolPages() int              { return g.pages }
+func (g grantedGov) StartWorker()                {}
+func (g grantedGov) EndWorker()                  {}
+
+// TestBoundedLeaseWithNoPagesReadsNoAhead: a lease granted on a fully
+// reserved pool holds credits and no pages, and a full scan under it
+// budgets its readahead against those none: its workers read their own
+// pages. An unbounded lease budgets against the whole pool and reads ahead
+// in blocks; both return the same answer.
+func TestBoundedLeaseWithNoPagesReadsNoAhead(t *testing.T) {
+	var answers []Result
+	for _, gov := range []grantedGov{{budget: 0, pages: 0}, {budget: 8, pages: 0}} {
+		w := newWorld(t, worldOpts{rows: 20000, rpp: 33})
+		s := w.spec(FullScan, 4, 0, 19999)
+		s.Gov = gov
+		if got, want := s.poolCapacity(w.ctx), map[bool]int{true: 4096, false: 0}[gov.budget == 0]; got != want {
+			t.Errorf("%+v: budgets against %d pages, want %d", gov, got, want)
+		}
+		res := Execute(w.ctx, s)
+		reads := w.ctx.Pool.Stats.PrefetchReads
+		if ahead := gov.budget == 0; (reads > 0) != ahead {
+			t.Errorf("%+v: %d readahead reads; want readahead %v", gov, reads, ahead)
+		}
+		answers = append(answers, res)
+	}
+	if a, b := answers[0], answers[1]; a.Value != b.Value || a.RowsMatched != b.RowsMatched {
+		t.Errorf("answers differ: %d/%d rows vs %d/%d", a.Value, a.RowsMatched, b.Value, b.RowsMatched)
+	}
+}

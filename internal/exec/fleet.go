@@ -144,7 +144,7 @@ func (fl *fleet) work(wp *sim.Proc, id int) {
 	if ctx.Tracer != nil { // the track span's name; formatting allocates
 		name = fmt.Sprintf("%s%d", fl.name, id)
 	}
-	w.bud = newBudget(ctx, spec.Span, name)
+	w.bud = newBudget(ctx, spec, name)
 	defer func() {
 		w.bud.finish(w.a.rows)
 		ctx.Scratch.put(w)

@@ -10,8 +10,10 @@ import (
 // worker pins can never exhaust the pool (or the lease's share of it) at
 // the fleet's growth cap, descend from the root on the driver, and locate
 // the qualifying entry range [startPos, endPos), which may be empty. It
-// reports false when the query aborted on the way down.
-func indexFront(p *sim.Proc, ctx *Context, spec *Spec, maxDegree int) (startPos, endPos int64, ok bool) {
+// reports false when the query aborted on the way down. The descent is
+// measured in d, whose span ends with it; the caller annotates d once its
+// workers are done, when the query's gate is settled.
+func indexFront(p *sim.Proc, ctx *Context, spec *Spec, maxDegree int, d *cpuBudget) (startPos, endPos int64, ok bool) {
 	if spec.PrefetchPerWorker > 0 {
 		if budget := spec.poolCapacity(ctx)/2/maxDegree - 1; spec.PrefetchPerWorker > budget {
 			spec.PrefetchPerWorker = budget
@@ -22,22 +24,30 @@ func indexFront(p *sim.Proc, ctx *Context, spec *Spec, maxDegree int) (startPos,
 	}
 
 	// Internal pages are read through the pool and are typically resident
-	// after the first query. The descent runs on the driver, so its retries
-	// go through a throwaway budget.
+	// after the first query. The descent runs on the driver, under a span of
+	// its own: its pages, CPU and the time its misses wait — on the device,
+	// on another query's read, or parked at the query's gate — show there.
 	x := spec.Index
-	dbud := &cpuBudget{ctx: ctx}
+	defer d.span.End()
 	for _, pg := range x.DescentPath() {
 		if spec.aborted() {
 			return 0, 0, false
 		}
-		h, ok := dbud.fetchRetry(p, spec, x.File(), pg)
+		h, ok := d.fetchRetry(p, spec, x.File(), pg)
 		if !ok {
 			return 0, 0, false
 		}
-		useCPU(p, ctx, ctx.Costs.PerPage)
+		d.charge(ctx.Costs.PerPage)
+		d.settle(p)
 		h.Release()
 	}
 	return x.SearchGE(spec.Lo), x.SearchGT(spec.Hi), true
+}
+
+// newDescent returns the budget an index descent is measured in, with its
+// span on the driver's track.
+func newDescent(ctx *Context, spec *Spec) cpuBudget {
+	return cpuBudget{ctx: ctx, gov: spec.Gov, span: ctx.Tracer.Start(spec.Span, "descent")}
 }
 
 // indexBatch is the one index-leaf walk: read the leaf holding entry
@@ -141,7 +151,9 @@ func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *
 func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	spec.admitDeep(p)
 	fl := newFleet(ctx, &spec)
-	startPos, endPos, ok := indexFront(p, ctx, &spec, fl.max)
+	d := newDescent(ctx, &spec)
+	defer d.annotate(0)
+	startPos, endPos, ok := indexFront(p, ctx, &spec, fl.max, &d)
 	if !ok || startPos >= endPos {
 		return fl.result()
 	}

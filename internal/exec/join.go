@@ -156,7 +156,9 @@ func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64
 	// The lookups are per key, so only the front's descent matters here.
 	probe.admitDeep(p)
 	fl := newFleet(ctx, &probe)
-	if _, _, ok := indexFront(p, ctx, &probe, fl.max); !ok {
+	d := newDescent(ctx, &probe)
+	defer d.annotate(0)
+	if _, _, ok := indexFront(p, ctx, &probe, fl.max, &d); !ok {
 		return 0
 	}
 	nextKey := 0

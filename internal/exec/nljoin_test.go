@@ -161,16 +161,20 @@ func goldenRuntime(t *testing.T, row string) sim.Duration {
 }
 
 // countingGov is a Governor that tracks the live worker count the way a
-// broker lease does, and how often that count fell back to zero. It is
-// granted from the start and reserves no pool pages.
+// broker lease does, and how often that count fell back to zero. It holds
+// an unbounded grant from the start, so it budgets against the whole pool.
 type countingGov struct {
 	starts, ends, live, zeros int
 }
 
-func (g *countingGov) Admit(*sim.Proc)   {}
-func (g *countingGov) Admitted() bool    { return true }
-func (g *countingGov) OnAdmit(fn func()) { fn() }
-func (g *countingGov) PoolPages() int    { return 0 }
+func (g *countingGov) Admit(*sim.Proc)             {}
+func (g *countingGov) Admitted() bool              { return true }
+func (g *countingGov) OnAdmit(fn func())           { fn() }
+func (g *countingGov) Park(*int)                   {}
+func (g *countingGov) Budget() int                 { return 0 }
+func (g *countingGov) GrantedAt() (sim.Time, bool) { return 0, true }
+func (g *countingGov) Gated() bool                 { return true }
+func (g *countingGov) PoolPages() int              { return 0 }
 
 func (g *countingGov) StartWorker() { g.starts++; g.live++ }
 func (g *countingGov) EndWorker() {

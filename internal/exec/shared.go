@@ -54,7 +54,7 @@ func runSharedFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	spec.startWorker(ctx, 0)
 	defer spec.endWorker(ctx, 0)
 	a := agg{kind: spec.Agg}
-	bud := newBudget(ctx, spec.Span, "fts-shared")
+	bud := newBudget(ctx, &spec, "fts-shared")
 	defer func() { bud.finish(a.rows) }()
 	defer bud.settle(p)
 

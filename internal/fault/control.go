@@ -22,6 +22,7 @@ type Control struct {
 	deadline sim.Time
 	poll     func() error
 	err      error
+	wake     func()
 }
 
 // NewControl returns an inert control bound to env: no deadline, no poll,
@@ -50,6 +51,20 @@ func (c *Control) Cancel(err error) {
 		err = ErrCanceled
 	}
 	c.err = err
+	if wake := c.wake; wake != nil {
+		c.wake = nil
+		wake()
+	}
+}
+
+// SetWake installs the hook Cancel runs to wake the query from a wait no
+// batch boundary interrupts — a miss parked on a page intent until some
+// query's grant — so it leaves at once; nil removes it. The hook runs once,
+// at the first Cancel. A nil control never cancels, and ignores it.
+func (c *Control) SetWake(fn func()) {
+	if c != nil {
+		c.wake = fn
+	}
 }
 
 // Err reports why the query was aborted, or nil. Safe on a nil control.

@@ -132,6 +132,34 @@ func (p *Proc) Wait(c *Completion) {
 	p.park(parkCompletion, 0, "")
 }
 
+// Excuse resumes p, parked in Wait on c, without firing c: p's Wait returns
+// with c still pending, and c's other waiters keep waiting in their order.
+// It reports whether p was waiting on c. This is how an abort reaches a
+// process parked on a rendezvous it no longer needs.
+func (c *Completion) Excuse(p *Proc) bool {
+	switch {
+	case c.waiter == p:
+		c.waiter = nil
+		if c.more != nil && len(c.more.waiters) > 0 {
+			c.waiter = c.more.waiters[0]
+			c.more.waiters = c.more.waiters[1:]
+		}
+	case c.more != nil:
+		i := 0
+		for i < len(c.more.waiters) && c.more.waiters[i] != p {
+			i++
+		}
+		if i == len(c.more.waiters) {
+			return false
+		}
+		c.more.waiters = append(c.more.waiters[:i], c.more.waiters[i+1:]...)
+	default:
+		return false
+	}
+	c.env.wake(p, 0)
+	return true
+}
+
 // WaitAll suspends the process until every completion in cs has fired.
 func (p *Proc) WaitAll(cs []*Completion) {
 	for _, c := range cs {

@@ -173,6 +173,37 @@ func TestCompletionMultipleWaiters(t *testing.T) {
 	}
 }
 
+// TestCompletionExcuse: four processes wait on one completion. Excusing the
+// first and the third resumes each at once, at the excuse, with the
+// completion still pending; the other two keep waiting and resume, in the
+// order they came, when it fires. A process not waiting is not excused.
+func TestCompletionExcuse(t *testing.T) {
+	e := NewEnv(1)
+	c := NewCompletion(e)
+	var procs []*Proc
+	var order []string
+	for i := 0; i < 4; i++ {
+		name := fmt.Sprintf("w%d", i)
+		procs = append(procs, e.Go(name, func(p *Proc) {
+			p.Wait(c)
+			order = append(order, fmt.Sprintf("%s@%v fired=%v", name, p.Now(), c.Fired()))
+		}))
+	}
+	e.Go("excuser", func(p *Proc) {
+		p.Sleep(Millisecond)
+		if !c.Excuse(procs[0]) || !c.Excuse(procs[2]) || c.Excuse(procs[2]) {
+			t.Error("Excuse reported the wrong processes waiting")
+		}
+		p.Sleep(Millisecond)
+		c.Fire()
+	})
+	e.Run()
+	want := "w0@1000000 fired=false w2@1000000 fired=false w1@2000000 fired=true w3@2000000 fired=true"
+	if got := strings.Join(order, " "); got != want {
+		t.Errorf("resume order %q, want %q", got, want)
+	}
+}
+
 // TestCompletionAllocations is the allocation gate on the rendezvous every
 // device request goes through: a completion with one waiter and one callback
 // allocates itself and nothing else.

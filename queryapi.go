@@ -306,9 +306,9 @@ func (s *System) drain() {
 
 // leaks lists every ledger of a drained system that is not at zero: live
 // simulation processes, device requests in flight, buffer pins, open page
-// intents and racing hedge records on every node, consumers attached to a
-// circulating scan, and the broker's credits and reserved pool pages. It
-// returns nil when all are.
+// intents, the queries parked on them and racing hedge records on every
+// node, consumers attached to a circulating scan, and the broker's credits
+// and reserved pool pages. It returns nil when all are.
 func (s *System) leaks() (l []string) {
 	if n := s.env.LiveProcs(); n != 0 {
 		l = append(l, fmt.Sprintf("%d simulation processes", n))
@@ -322,6 +322,9 @@ func (s *System) leaks() (l []string) {
 		}
 		if in := n.Pool.Intents(); in != 0 {
 			l = append(l, fmt.Sprintf("%d page intents open on node %d", in, n.ID))
+		}
+		if w := n.Pool.Parked(); w != 0 {
+			l = append(l, fmt.Sprintf("%d queries parked on page intents on node %d", w, n.ID))
 		}
 		if n.Hedge != nil && n.Hedge.Races() != 0 {
 			l = append(l, fmt.Sprintf("%d hedge records racing on node %d", n.Hedge.Races(), n.ID))

@@ -18,8 +18,10 @@ type Admission struct {
 	// and planned exactly as Run would — or it finished before its grant.
 	Budget int
 
-	// PoolPages is the buffer-pool page reservation attached to the lease
-	// (0 = ungoverned, the whole pool).
+	// PoolPages is the buffer-pool page reservation granted with the lease.
+	// A bounded lease's scans budget against it, 0 pages included (a grant
+	// on a fully reserved pool); an unbounded one's (Budget 0) against the
+	// whole pool.
 	PoolPages int
 
 	// Wait is the virtual time from submit to the broker's grant, for a
