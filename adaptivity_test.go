@@ -1,6 +1,11 @@
 package pioqo
 
-import "testing"
+import (
+	"context"
+	"math"
+	"testing"
+	"time"
+)
 
 // The paper's core argument for a *calibrated* model: "a query optimizer
 // that operates on a range of storage technologies (HDD, RAID HDD, SSD,
@@ -100,5 +105,58 @@ func TestCalibratedDepthGainsOrderAcrossGenerations(t *testing.T) {
 	}
 	if sata > 20 {
 		t.Errorf("SATA depth-32 gain %.1fx, want capped by its controller (< 20x)", sata)
+	}
+}
+
+// TestPlanTracksBestStatic: on every (device, skew, selectivity) cell the
+// degree the optimizer plans finishes within 10 % of whichever static
+// degree wins the cell.
+func TestPlanTracksBestStatic(t *testing.T) {
+	const rows, points = 2048 * 33, 5
+	// runtimes sweeps the selectivities cold on a fresh system: at the
+	// planned degree for degree 0, pinned to the degree otherwise.
+	runtimes := func(dev DeviceKind, zipf float64, degree int) (out [points]time.Duration) {
+		sys := New(Config{Device: dev, PoolPages: 256})
+		data := WithSyntheticData()
+		if zipf > 0 {
+			data = WithZipfData(zipf)
+		}
+		tab, err := sys.CreateTable("grid", rows, 33, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
+			t.Fatal(err)
+		}
+		opts := []QueryOption{Cold()}
+		if degree > 0 {
+			opts = append(opts, WithStaticDegree(degree))
+		}
+		for i := range out {
+			sel := 0.002 * math.Pow(300, float64(i)/(points-1)) // 0.2 % … 60 %
+			res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: int64(sel*rows) - 1}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = res.Runtime
+		}
+		return out
+	}
+	for _, dev := range []DeviceKind{SSD, HDD} {
+		for _, zipf := range []float64{0, 1.3} {
+			planned := runtimes(dev, zipf, 0)
+			best := runtimes(dev, zipf, 1)
+			for _, degree := range []int{2, 4, 8, 16, 32} {
+				for i, rt := range runtimes(dev, zipf, degree) {
+					best[i] = min(best[i], rt)
+				}
+			}
+			for i := range planned {
+				if float64(planned[i]) > 1.10*float64(best[i]) {
+					t.Errorf("%v zipf=%v point %d: planned %v is more than 10%% over the best static %v",
+						dev, zipf, i, planned[i], best[i])
+				}
+			}
+		}
 	}
 }

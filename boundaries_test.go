@@ -69,10 +69,6 @@ var boundaries = []boundary{
 		[]string{"internal/exec/shared.go:evalPage", "internal/exec/shared.go:runSharedFullScan",
 			"internal/exec/batch.go:fetchE", "internal/exec/batch.go:fetchRetry", "internal/exec/batch.go:prefetch"},
 		"internal/exec/shared.go\npackage exec\nfunc f(b *cpuBudget) { b.prefetch(nil, nil, 0) }"},
-	{"lease-grow", "a running query grows its degree through the controller: only internal/adapt calls Lease.Grow",
-		engineIn("", "internal/adapt/", "internal/broker/"), refs(nil, ".Grow"),
-		[]string{"internal/broker/broker.go:Grow"},
-		"internal/exec/x.go\npackage exec\nfunc f(l *broker.Lease) { l.Grow(2) }"},
 	{"gofmt", "every source, test or not, is gofmt-formatted", func(string) bool { return true },
 		func(s *source) []token.Pos {
 			if out, err := format.Source(s.src); err != nil || !bytes.Equal(out, s.src) {

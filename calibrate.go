@@ -159,8 +159,7 @@ func (s *System) LoadModel(r io.Reader) error {
 // depth-oblivious projection, and the resource broker (whose credit supply
 // was the old model's beneficial depth) along with the circulating
 // producers' leasing hook into it. The model is all an installed system
-// plans and adapts from — the adaptive controller prices its moves through
-// the memo — so a loaded model runs every query exactly as the calibration
+// plans from, so a loaded model runs every query exactly as the calibration
 // that saved it.
 func (s *System) installModel(m *cost.QDTT) {
 	s.model = m

@@ -16,8 +16,8 @@
 //
 // The experiments are the paper's tables and figures plus a few extensions;
 // "pioqo-bench -h" lists them from the one table that also drives "all",
-// which runs every one. What the later subsystems (broker, faults, shared scans, plan cache, cluster,
-// adaptive controller) do is measured by bench/ — see bench/README.md.
+// which runs every one. What the later subsystems (broker, faults, shared
+// scans, plan cache, cluster) do is measured by bench/ — see bench/README.md.
 //
 // fig4 and fig8 accept -panel to select one configuration (fig4: a..f for
 // E1-HDD, E1-SSD, E33-HDD, E33-SSD, E500-HDD, E500-SSD; fig8: a..c for

@@ -36,7 +36,7 @@
 //     first granted query that wants the page reads for every waiter
 //     (buffer.Gate is the lease as the pool sees it). Plans that put more
 //     than one read in flight — block readahead, per-worker prefetch, a
-//     parallel or elastic fleet — Admit before they start.
+//     parallel fleet — Admit before they start.
 //   - The executor reports workers starting and exiting through the lease;
 //     a winding-down query progressively returns credits it can no longer
 //     use, and a completed query returns the rest — either way the broker
@@ -96,7 +96,7 @@ type Config struct {
 	DegradeProbe func() float64
 
 	// Obs, when set, records one event per admission decision — enqueue,
-	// grant, credit reclamation and growth, lease release, and
+	// grant, credit reclamation, lease release, and
 	// degraded-supply dispatch — and the broker.* instruments.
 	Obs *obs.Registry
 }
@@ -260,7 +260,7 @@ type Lease struct {
 	shared   bool // admitted via AdmitShared: rides a circulating scan
 	granted  int  // credit grant at admission; 0 = unbounded (sole query)
 	held     int  // credits still debited from the broker
-	pool     int  // buffer-pool page reservation granted (and grown)
+	pool     int  // buffer-pool page reservation granted
 	poolHeld int  // pages of it still debited: shrinks with held
 
 	workers int // live workers right now
@@ -379,8 +379,8 @@ func (l *Lease) finishes() int {
 // would with no broker).
 func (l *Lease) Budget() int { return l.granted }
 
-// PoolPages reports the lease's buffer-pool page reservation, as granted
-// (and grown), like Budget: a bounded lease's scans budget against it, none
+// PoolPages reports the lease's buffer-pool page reservation, as granted,
+// like Budget: a bounded lease's scans budget against it, none
 // included, and an unbounded lease's against the whole pool. It is set at
 // the grant, so the executor reads it after its gate. The broker's ledger
 // (PoolInUse) counts fewer pages as the lease's fleet winds down.
@@ -431,51 +431,6 @@ func (l *Lease) EndWorker() {
 		l.b.obs.Emit(obs.EvCreditsReclaim, l.qid, int64(n), int64(l.held))
 		l.b.reclaim(n)
 	}
-}
-
-// Grow asks the broker for up to n more queue-depth credits mid-flight and
-// returns how many were granted: an adaptive query grows past the depth its
-// plan was priced at this way. Growth comes only from credits sitting free
-// *after* the degradation reserve, and only while no query waits in the
-// admission queue: queued queries have first claim on free supply, so an
-// in-flight upgrade can never starve admission. The grant raises the
-// lease's held credits (EndWorker's proportional reclamation then winds the
-// larger grant down as the grown fleet retires) and extends the buffer-pool
-// reservation to the share the new grant would have been admitted with. An
-// unbounded lease (sole query, grant 0) already owns the whole supply, so
-// Grow reports the full ask without touching the books. Shared riders never
-// grow.
-func (l *Lease) Grow(n int) int {
-	if n <= 0 || l.released || !l.admitted || l.shared {
-		return 0
-	}
-	if l.granted == 0 {
-		return n // unbounded: the whole supply is already this query's
-	}
-	b := l.b
-	if len(b.queue) > 0 {
-		return 0
-	}
-	supply := b.degradedSupply()
-	reserve := b.total - supply
-	avail := b.free - reserve
-	if avail < 1 {
-		return 0
-	}
-	n = min(n, avail)
-	b.free -= n
-	l.granted += n
-	l.held += n
-	if b.cfg.PoolPages > 0 {
-		if pool := b.reservation(l.granted, l.poolHeld); pool > l.poolHeld {
-			b.poolInUse += pool - l.poolHeld
-			l.poolHeld = pool
-			l.pool = max(l.pool, pool)
-		}
-	}
-	b.obs.Emit(obs.EvLeaseGrow, l.qid, int64(n), int64(l.granted))
-	b.creditsInUse.Set(float64(b.InUse()))
-	return n
 }
 
 // Release returns every credit the lease still holds and re-dispatches.
@@ -644,13 +599,13 @@ func (l *Lease) need(supply int) int {
 	return supply
 }
 
-// reservation is the pool share a lease holding grant credits is entitled
+// reservation is the pool share a lease granted grant credits is entitled
 // to — the pool in proportion to the grant over the calibrated supply —
-// capped at what the pool has left besides the held pages the lease already
-// reserves. A grant funded by feedback slack pushes the credits out past the
-// supply, and without the cap its reservation would overshoot the pool.
-func (b *Broker) reservation(grant, held int) int {
-	return min(b.cfg.PoolPages*grant/b.total, held+b.cfg.PoolPages-b.poolInUse)
+// capped at what the pool has left. A grant funded by feedback slack pushes
+// the credits out past the supply, and without the cap its reservation
+// would overshoot the pool.
+func (b *Broker) reservation(grant int) int {
+	return min(b.cfg.PoolPages*grant/b.total, b.cfg.PoolPages-b.poolInUse)
 }
 
 // admit grants a lease. A grant of 0 is the unbounded lease.
@@ -661,7 +616,7 @@ func (b *Broker) admit(l *Lease, grant int) {
 	l.admitted = true
 	l.admittedAt = b.env.Now()
 	if b.cfg.PoolPages > 0 && grant > 0 {
-		l.pool = b.reservation(grant, 0)
+		l.pool = b.reservation(grant)
 		l.poolHeld = l.pool
 		b.poolInUse += l.pool
 	}

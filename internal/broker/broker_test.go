@@ -357,96 +357,17 @@ func TestAdmitSharedBypassesQueue(t *testing.T) {
 	}
 }
 
-func TestLeaseGrowFromFreeCredits(t *testing.T) {
-	env, b := newBroker(t, 16, func(c *Config) { c.PoolPages = 1600 })
-	// Two contending demand-8 queries split the supply 8/8; one leaving
-	// frees its half for the survivor to re-lease mid-flight.
-	l1 := b.Enqueue(8)
-	l2 := b.Enqueue(8)
-	env.Run()
-	if l1.Budget() != 8 {
-		t.Fatalf("budget = %d, want its demand 8", l1.Budget())
-	}
-	pool0 := l1.PoolPages()
-	l2.Release()
-	env.Run()
-	got := l1.Grow(4)
-	if got != 4 {
-		t.Fatalf("Grow(4) granted %d, want 4 (freed credits available)", got)
-	}
-	if b.InUse() != l1.Budget() {
-		t.Fatalf("credits in use %d != sole lease's grant %d", b.InUse(), l1.Budget())
-	}
-	if l1.PoolPages() <= pool0 {
-		t.Fatalf("pool reservation %d did not grow with the grant (was %d)",
-			l1.PoolPages(), pool0)
-	}
-	l1.Release()
-	env.Run()
-	if b.InUse() != 0 || b.PoolInUse() != 0 {
-		t.Fatalf("leak after release: credits=%d pool=%d", b.InUse(), b.PoolInUse())
-	}
-}
-
-// TestLeaseGrowsPastItsDemand: an adaptive query is admitted at the depth
-// its plan was priced at and grows past it through the lease, up to the
-// credits sitting free.
-func TestLeaseGrowsPastItsDemand(t *testing.T) {
-	env, b := newBroker(t, 16, nil)
-	l1 := b.Enqueue(2)
-	l2 := b.Enqueue(4)
-	env.Run()
-	if l1.Budget() != 2 {
-		t.Fatalf("budget = %d, want demand 2", l1.Budget())
-	}
-	if got := l1.Grow(4); got != 4 || l1.Budget() != 6 {
-		t.Fatalf("Grow(4) past demand 2 granted %d (budget %d), want 4 (budget 6)", got, l1.Budget())
-	}
-	if got := l1.Grow(100); got != 6 || b.InUse() != 16 {
-		t.Fatalf("Grow(100) granted %d with 6 free (in-use %d), want 6 (16)", got, b.InUse())
-	}
-	l1.Release()
-	l2.Release()
-	env.Run()
-	if b.InUse() != 0 {
-		t.Errorf("credits leaked: in-use = %d after all releases", b.InUse())
-	}
-}
-
-func TestLeaseGrowDeniedWhileQueueWaits(t *testing.T) {
-	env, b := newBroker(t, 8, nil)
-	// Two leases hold 6 of 8 credits; a third asks for 4 and queues, so the
-	// 2 free credits are its, not a running lease's to grow into.
-	l1 := b.Enqueue(4)
-	l2 := b.Enqueue(2)
-	env.Run()
-	l3 := b.Enqueue(4)
-	env.Run()
-	if l1.Budget() != 4 || len(b.queue) == 0 || b.InUse() != 6 {
-		t.Fatalf("setup: budget=%d queue=%d in-use=%d, want 4, a waiter and 6",
-			l1.Budget(), len(b.queue), b.InUse())
-	}
-	if got := l1.Grow(2); got != 0 {
-		t.Fatalf("Grow granted %d with a query waiting in the queue, want 0", got)
-	}
-	l1.Release()
-	l2.Release()
-	l3.Release()
-	env.Run()
-}
-
 // TestDemandOneLeasesAdmitTogether: forty one-credit queries (serial point
 // lookups) on a supply of 32 are admitted 32 at once, each at its one
-// credit, and the other eight as credits come home. An adaptive lease
-// queued behind them, priced at 16, waits for all 16 and still grows past
-// them once credits are free.
+// credit, and the other eight as credits come home. A lease queued behind
+// them, priced at 16, waits for all 16.
 func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 	env, b := newBroker(t, 32, func(c *Config) { c.PoolPages = 3200 })
 	var leases []*Lease
 	for i := 0; i < 40; i++ {
 		leases = append(leases, b.Enqueue(1))
 	}
-	adaptive := b.Enqueue(16)
+	deep := b.Enqueue(16)
 	env.Run()
 	for i, l := range leases[:32] {
 		if !l.admitted || l.Budget() != 1 || l.PoolPages() != 100 {
@@ -467,31 +388,27 @@ func TestDemandOneLeasesAdmitTogether(t *testing.T) {
 			t.Fatalf("lease %d after 8 releases: admitted=%v budget=%d, want 1", 32+i, l.admitted, l.Budget())
 		}
 	}
-	if adaptive.admitted {
-		t.Fatal("adaptive lease admitted with no free credits")
+	if deep.admitted {
+		t.Fatal("deep lease admitted with no free credits")
 	}
 
 	for _, l := range leases[8:23] {
 		l.Release()
 	}
 	env.Run()
-	if adaptive.admitted {
-		t.Fatal("adaptive lease admitted at 15 of its 16 credits")
+	if deep.admitted {
+		t.Fatal("deep lease admitted at 15 of its 16 credits")
 	}
 	leases[23].Release()
 	env.Run()
-	if !adaptive.admitted || adaptive.Budget() != 16 {
-		t.Fatalf("adaptive lease: admitted=%v budget=%d, want its whole demand of 16",
-			adaptive.admitted, adaptive.Budget())
+	if !deep.admitted || deep.Budget() != 16 {
+		t.Fatalf("deep lease: admitted=%v budget=%d, want its whole demand of 16",
+			deep.admitted, deep.Budget())
 	}
 	for _, l := range leases[24:] {
 		l.Release()
 	}
-	env.Run()
-	if got := adaptive.Grow(8); got != 8 || adaptive.Budget() != 24 {
-		t.Fatalf("Grow(8) granted %d (budget %d), want 8 (budget 24)", got, adaptive.Budget())
-	}
-	adaptive.Release()
+	deep.Release()
 	env.Run()
 	if b.InUse() != 0 || b.PoolInUse() != 0 || b.Active() != 0 {
 		t.Errorf("after all releases: in_use=%d pool=%d active=%d, want 0/0/0",

@@ -28,10 +28,10 @@ func TestPoolInUseTracksReservations(t *testing.T) {
 
 // TestPoolReservationsNeverOvershootThePool: a device that reports no
 // sustained depth makes the broker fund grants from feedback slack, past the
-// calibrated supply, while queries come and go and grow. However the credits
-// are funded, the reservations together never pass the pool: every grant
-// and every growth step is checked, and a slack grant is made on a pool the
-// supply has already reserved in full.
+// calibrated supply, while queries come and go. However the credits are
+// funded, the reservations together never pass the pool: every grant is
+// checked, and a slack grant is made on a pool the supply has already
+// reserved in full.
 func TestPoolReservationsNeverOvershootThePool(t *testing.T) {
 	const pool = 1024
 	env, b := newBroker(t, 16, func(c *Config) {
@@ -57,10 +57,7 @@ func TestPoolReservationsNeverOvershootThePool(t *testing.T) {
 				check("grant")
 			})
 			l.Admit(p)
-			p.Sleep(sim.Duration(50+rng.Intn(200)) * sim.Microsecond)
-			l.Grow(rng.Intn(4))
-			check("grow")
-			p.Sleep(sim.Duration(rng.Intn(200)) * sim.Microsecond)
+			p.Sleep(sim.Duration(50+rng.Intn(400)) * sim.Microsecond)
 			l.Release()
 		})
 	}

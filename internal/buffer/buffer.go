@@ -123,6 +123,8 @@ type frame struct {
 // granted query that wants the page reads it — at its grant, or at its own
 // miss — and the read's install fires ready.
 type intent struct {
+	pool  *Pool
+	key   uint64 // the page's index key
 	ready *sim.Completion
 	issue func() // the grant hook every waiter's gate runs: read the page
 	// waiters counts the queries parked on the page: how many its one read
@@ -517,7 +519,7 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate, c
 			if p.intents == nil {
 				p.intents = make(map[uint64]*intent)
 			}
-			in = &intent{ready: sim.NewCompletion(proc.Env())}
+			in = &intent{pool: p, key: key, ready: sim.NewCompletion(proc.Env())}
 			in.issue = func() {
 				if in.waiters > 0 { // neither read nor abandoned
 					c := file.ReadPage(page)
@@ -530,9 +532,9 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate, c
 		in.waiters++
 		p.parked++
 		g.Park(&in.waiters)
-		ctl.SetWake(func() { p.leave(in, key, proc) })
+		ctl.SetWake(in, proc)
 		proc.Wait(in.ready)
-		ctl.SetWake(nil)
+		ctl.SetWake(nil, nil)
 		g.Park(nil)
 		p.parked--
 		if !in.ready.Fired() {
@@ -543,14 +545,15 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate, c
 	return p.FetchPageE(proc, file, page)
 }
 
-// leave wakes proc, canceled while parked on in, without the page: it
-// leaves the intent's waiters, and the last to leave drops the intent.
-func (p *Pool) leave(in *intent, key uint64, proc *sim.Proc) {
+// Wake is the intent's fault.Waker: it wakes proc, canceled while parked on
+// in, without the page. proc leaves the intent's waiters, and the last to
+// leave drops the intent.
+func (in *intent) Wake(proc *sim.Proc) {
 	if !in.ready.Excuse(proc) {
 		return // the read was issued first: proc is already waking to join it
 	}
 	if in.waiters--; in.waiters == 0 {
-		delete(p.intents, key)
+		delete(in.pool.intents, in.key)
 	}
 }
 
@@ -665,22 +668,6 @@ func (p *Pool) Pinned() int {
 		n += p.frames[i].pins
 	}
 	return n
-}
-
-// Discard drops one unpinned, loaded, clean frame — the cancellation path
-// for speculative prefetch: a mispredicted readahead page is evicted
-// immediately instead of aging out of the LRU, so a canceled speculation
-// stops squatting on frames demand fetches could use. Pinned, loading, or
-// dirty frames are left alone (an in-flight read completes into the frame
-// either way; a pin or a dirty bit means the page stopped being
-// speculative). Reports whether the frame was dropped.
-func (p *Pool) Discard(file *disk.File, page int64) bool {
-	f := p.lookup(file, page)
-	if f == nil || !f.idle() || f.dirty {
-		return false
-	}
-	p.evict(f)
-	return true
 }
 
 // Epoch returns a token that changes whenever pool residency changes.

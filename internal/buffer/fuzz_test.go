@@ -13,6 +13,18 @@ import (
 	"pioqo/internal/sim"
 )
 
+// discard drops one unpinned, loaded, clean frame at once, an eviction the
+// fuzzers place where they draw it. Pinned, loading or dirty frames are
+// left alone. It reports whether the frame was dropped.
+func (p *Pool) discard(file *disk.File, page int64) bool {
+	f := p.lookup(file, page)
+	if f == nil || !f.idle() || f.dirty {
+		return false
+	}
+	p.evict(f)
+	return true
+}
+
 // refPool is an independent reference implementation of the pool, kept
 // deliberately naive — a map of frames and a slice of idle pages, most
 // recent first — with the semantics of the pool the frame arena replaced,
@@ -451,7 +463,7 @@ func fuzzPool(t *testing.T, seed int64) {
 				op = "discard"
 				k := randKey(1)
 				ref.discard(k)
-				pool.Discard(fileOf(k), k.Page)
+				pool.discard(fileOf(k), k.Page)
 			case roll < 84:
 				op = "mark dirty"
 				if len(held) > 0 {

@@ -214,6 +214,109 @@ func TestGrantedReaderNeverWaitsOnAnIntent(t *testing.T) {
 	}
 }
 
+// TestGatedParkAllocations: a query that parks on a page intent another
+// query made costs the pool nothing. Canceled, it leaves without an
+// allocation. Woken by the read another query's grant issues, it allocates
+// no more than a process that waits on the intent's completion and then
+// joins the read: what the read and the join cost, nothing of the gate's.
+func TestGatedParkAllocations(t *testing.T) {
+	const runs = 50
+	env := sim.NewEnv(1)
+	file := disk.NewManager(flatDevice{env}).MustAllocate("t", 1<<20)
+	pool := NewPool(env, 1024)
+
+	// The holder makes the intent of page 5 and stays parked on it.
+	held := fault.NewControl(env)
+	env.Go("holder", func(p *sim.Proc) {
+		if _, err := pool.FetchGated(p, file, 5, newTestGate(env), held); !errors.Is(err, ErrLeftGate) {
+			t.Errorf("holder: err = %v, want ErrLeftGate", err)
+		}
+	})
+	// Each round of the granted case starts a holder's fetch of a page of
+	// its own (start), which its gate's grant (open) reads.
+	const rounds = 2 * (runs + 1) // AllocsPerRun calls its body runs+1 times
+	var start [rounds]*sim.Completion
+	var open [rounds]func()
+	for i := range start {
+		start[i] = sim.NewCompletion(env)
+		g := newTestGate(env)
+		open[i] = g.open
+		env.Go("reader", func(p *sim.Proc) {
+			p.Wait(start[i])
+			h, err := pool.FetchGated(p, file, int64(100+i), g, nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			h.Release()
+		})
+	}
+	ctls := make([]*fault.Control, runs+1)
+	cancels := make([]func(), runs+1)
+	gates := make([]*testGate, runs+1+rounds)
+	for i := range ctls {
+		ctls[i] = fault.NewControl(env)
+		ctl := ctls[i]
+		cancels[i] = func() { ctl.Cancel(nil) }
+	}
+	for i := range gates {
+		gates[i] = newTestGate(env)
+	}
+
+	env.Go("measure", func(p *sim.Proc) {
+		p.Sleep(sim.Microsecond) // the holder parks first
+		next := 0
+		canceled := testing.AllocsPerRun(runs, func() {
+			i := next
+			next++
+			env.Schedule(sim.Microsecond, cancels[i])
+			if _, err := pool.FetchGated(p, file, 5, gates[i], ctls[i]); !errors.Is(err, ErrLeftGate) {
+				t.Errorf("canceled park: err = %v, want ErrLeftGate", err)
+			}
+		})
+		if canceled != 0 {
+			t.Errorf("a canceled park on an existing intent: %v allocations, want 0", canceled)
+		}
+
+		round := 0
+		granted := func(park func(i int, page int64)) float64 {
+			return testing.AllocsPerRun(runs, func() {
+				i := round
+				round++
+				start[i].Fire()
+				p.Sleep(0) // the round's reader parks on its page's intent
+				env.Schedule(sim.Microsecond, open[i])
+				park(i, int64(100+i))
+			})
+		}
+		waited := granted(func(_ int, page int64) {
+			p.Wait(pool.intents[pack(file.ID(), page)].ready)
+			h, err := pool.FetchPageE(p, file, page)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			h.Release()
+		})
+		parked := granted(func(i int, page int64) {
+			h, err := pool.FetchGated(p, file, page, gates[runs+1+i], nil)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			h.Release()
+		})
+		if parked > waited {
+			t.Errorf("a granted park on an existing intent: %v allocations, a plain wait on it %v", parked, waited)
+		}
+		held.Cancel(nil)
+	})
+	env.Run()
+	if pool.Intents() != 0 || pool.Parked() != 0 || pool.Pinned() != 0 {
+		t.Errorf("%d intents, %d parked and %d pins left", pool.Intents(), pool.Parked(), pool.Pinned())
+	}
+}
+
 // FuzzGatedFetch draws interleavings of gated fetches, ungated fetches,
 // grants, discards and cancels over a few pages and gates, then grants every
 // gate. It checks that a page is read at most once per stay in the pool,
@@ -287,7 +390,7 @@ func FuzzGatedFetch(f *testing.F) {
 				env.Schedule(at, g.open)
 			case 3: // a discard, when the page sits idle
 				env.Schedule(at, func() {
-					if pool.Discard(file, page) {
+					if pool.discard(file, page) {
 						discards[page]++
 					}
 				})

@@ -140,8 +140,7 @@ func (q *QDTT) DepthOne() *DTT {
 
 // MinGain is the one "deeper pays" threshold: a queue-depth step that
 // shortens a band's page cost by less than this fraction (5 %) buys nothing
-// worth a credit. The broker's supply (MaxBeneficialDepth) and the adaptive
-// controller's move rule both read it.
+// worth a credit. The broker's supply (MaxBeneficialDepth) reads it.
 const MinGain = 0.05
 
 // MaxBeneficialDepth reports the deepest calibrated depth whose step over

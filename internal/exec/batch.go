@@ -165,9 +165,6 @@ func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int6
 			if spec.Progress != nil {
 				*spec.Progress++
 			}
-			if spec.Tune != nil {
-				spec.Tune.NoteFetch(f, page)
-			}
 			return h, true
 		}
 		b.ctx.Obs.Emit(obs.EvReadRetry, spec.QID, page, int64(attempt))

@@ -235,14 +235,6 @@ type Spec struct {
 	// *unshared* scans of one file. Off (the default) preserves the exact
 	// single-query device schedule.
 	CoordPrefetch bool
-
-	// Tune, when set, makes the scan elastic: workers consult the tuner at
-	// batch boundaries and the fleet grows or shrinks to its target (demand
-	// full scans and index scans; shared riders stay static). Degree then
-	// names the *initial* fleet; growth is bounded by Tune.MaxDegree and
-	// the readahead clamps budget against that cap. Nil (the default) is a
-	// fleet that never retunes, byte-identical to pre-adaptive runs.
-	Tune Tuner
 }
 
 // aborted reports whether the query's control has tripped. Nil-safe.
@@ -269,12 +261,12 @@ func (s *Spec) admit(p *sim.Proc) {
 }
 
 // admitDeep admits an index-driven plan before it starts when it would put
-// more than one read in flight — a parallel fleet, per-worker prefetch, an
-// elastic fleet: that depth is what its grant is, and its fleet's startup
-// and pins would otherwise run under no grant. A serial plan meets its gate,
+// more than one read in flight — a parallel fleet or per-worker prefetch:
+// that depth is what its grant is, and its fleet's startup and pins would
+// otherwise run under no grant. A serial plan meets its gate,
 // if at all, at its first miss.
 func (s *Spec) admitDeep(p *sim.Proc) {
-	if s.Degree > 1 || s.PrefetchPerWorker > 0 || s.Tune != nil {
+	if s.Degree > 1 || s.PrefetchPerWorker > 0 {
 		s.admit(p)
 	}
 }
@@ -377,11 +369,6 @@ func RunScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		op.SetAttr("err", res.Err.Error())
 		op.End()
 		return res
-	}
-	if spec.Tune != nil {
-		// Completion and abort alike cancel outstanding speculation and
-		// detach the controller.
-		defer spec.Tune.FinishScan()
 	}
 	switch spec.Method {
 	case FullScan:
@@ -489,10 +476,14 @@ func clampReadahead(capacity, degree, blockPages, prefetchBlocks int) (int, int)
 	if blockPages <= 1 {
 		return blockPages, prefetchBlocks
 	}
-	if window := capacity/2 - degree; blockPages > window {
+	window := capacity/2 - degree
+	if blockPages > window {
 		blockPages = max(window, 1)
 	}
-	return blockPages, liveWindow(capacity, degree, blockPages, prefetchBlocks)
+	if blockPages > 1 {
+		prefetchBlocks = min(prefetchBlocks, max(window/blockPages, 1))
+	}
+	return blockPages, prefetchBlocks
 }
 
 // defaultPrefetchBlocks is how many block reads a full scan keeps in flight
@@ -537,25 +528,15 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	// its prefetcher would otherwise pin frames under no reservation.
 	spec.admit(p)
 
-	// An elastic scan clamps its readahead geometry against the growth cap,
-	// not the initial degree: the block layout is fixed for the scan's
-	// lifetime, so it must already leave room for a fully grown fleet's pins.
 	fl := newFleet(ctx, &spec)
-	capacity := spec.poolCapacity(ctx)
-	blockPages, prefetchBlocks := clampReadahead(capacity, fl.max, disk.BlockPages, defaultPrefetchBlocks)
+	blockPages, prefetchBlocks := clampReadahead(spec.poolCapacity(ctx), spec.Degree, disk.BlockPages, defaultPrefetchBlocks)
 
 	if blockPages > 1 {
 		// Flow-control window: the prefetcher stays at most prefetchBlocks
 		// block-reads ahead of the hindmost block the workers have begun
 		// consuming. A plain credit counter (issued − reached) avoids any
-		// ordering assumptions between prefetcher and workers. The window
-		// is re-evaluated at every issue against the live degree
-		// (liveWindow) — the clampReadahead fix for adaptively grown fleets
-		// on tiny pools. A static fleet never has more live workers than the
-		// degree the window was clamped at, so its window is that constant.
-		window := func() int64 {
-			return int64(liveWindow(capacity, fl.live, blockPages, prefetchBlocks))
-		}
+		// ordering assumptions between prefetcher and workers.
+		window := int64(prefetchBlocks)
 		blocks := (pages + int64(blockPages) - 1) / int64(blockPages)
 		reached := make([]bool, blocks)
 		var issued, reachedCount int64
@@ -563,31 +544,7 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 			ps := ctx.Tracer.StartTrack(spec.Span, "fts-prefetcher",
 				obs.KV("blocks", blocks), obs.KV("block_pages", blockPages))
 			for b := int64(0); b < blocks; b++ {
-				for issued-reachedCount >= window() && !spec.aborted() {
-					w := window()
-					if nb := b + w; spec.Tune != nil && nb < blocks &&
-						w < int64(prefetchBlocks) {
-						// A live window squeezed below the planned one (a
-						// grown fleet's pins ate into it) is the next-stripe
-						// guess: the stripe just past the window is a block
-						// flow control dropped, offered to the speculator,
-						// which pre-issues it only within its confidence and
-						// pool budget. The prefetcher itself reads block b
-						// the moment the window opens, so the guess must
-						// reach past the window. A wrong guess (abort) is
-						// canceled; a right one overlaps the stall this park
-						// represents, and the trimmed run issue below skips
-						// whatever the speculator already landed. A healthy
-						// full-width window gets no speculation — the runs
-						// it issues already saturate the device, and
-						// out-of-band reads would only fragment them.
-						start := nb * int64(blockPages)
-						count := blockPages
-						if start+int64(count) > pages {
-							count = int(pages - start)
-						}
-						spec.Tune.SpeculateRun(file, start, count)
-					}
+				for issued-reachedCount >= window && !spec.aborted() {
 					wakeup = sim.NewCompletion(ctx.Env)
 					pf.Wait(wakeup)
 				}
@@ -602,10 +559,7 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 				if start+int64(count) > pages {
 					count = int(pages - start)
 				}
-				// Tuned scans trim like coordinated ones: the speculator may
-				// have landed part of this run already, and re-reading it
-				// would double the device traffic speculation saved.
-				if spec.CoordPrefetch || spec.Tune != nil {
+				if spec.CoordPrefetch {
 					ctx.Pool.PrefetchRunTrimmed(file, start, count)
 				} else {
 					ctx.Pool.PrefetchRun(file, start, count)

@@ -304,6 +304,27 @@ func TestClampReadaheadBounds(t *testing.T) {
 	}
 }
 
+// The block count clampReadahead leaves must shrink with the degree, cap at
+// the planned count, and never fall below one block.
+func TestLiveWindowBoundary(t *testing.T) {
+	cases := []struct {
+		capacity, degree, blockPages, prefetchBlocks, want int
+	}{
+		{128, 1, 8, 4, 4},  // plenty of room: planned count
+		{128, 32, 8, 4, 4}, // (64-32)/8 = 4: exactly the planned count
+		{128, 40, 8, 4, 3}, // a larger fleet eats into the window
+		{128, 60, 8, 4, 1}, // (64-60)/8 = 0: floor of one block
+		{128, 1, 1, 4, 4},  // single-page blocks: flow control untouched
+	}
+	for _, c := range cases {
+		_, got := clampReadahead(c.capacity, c.degree, c.blockPages, c.prefetchBlocks)
+		if got != c.want {
+			t.Errorf("clampReadahead(%d,%d,%d,%d) blocks = %d, want %d",
+				c.capacity, c.degree, c.blockPages, c.prefetchBlocks, got, c.want)
+		}
+	}
+}
+
 func TestFullScanSurvivesTinyPool(t *testing.T) {
 	// A pool far smaller than one default readahead block, swept at high
 	// degree: pinned pages plus in-flight block frames exceed the raw

@@ -13,27 +13,16 @@ import (
 // fleet owns the whole lifetime of one scan's workers: spawning, the
 // wait-group the driver parks on, governor and event-log reporting, the
 // metered CPU budget and its track span, the startup charge, the abort
-// poll and the tuner tick at every quantum, and the teardown order. The
-// drivers supply only a step — claim one quantum of work and process it.
-//
-// Every fleet is elastic. A scan without a Tuner runs a fleet whose tick
-// never retunes, so a static degree needs no code path of its own. All
-// mutation happens from simulation context, which is host-serialized, so
-// plain fields suffice.
+// poll at every quantum, and the teardown order. The drivers supply only a
+// step — claim one quantum of work and process it. A fleet runs at most
+// its spec's Degree workers, all started at once.
 type fleet struct {
 	ctx  *Context
 	spec *Spec
 	aggs []agg // one accumulator per slot
 
-	live    int  // workers running (including those about to leave)
-	leaving int  // workers instructed to retire but not yet exited
-	next    int  // next slot to spawn
-	max     int  // hard growth cap (sizes per-slot state)
-	done    bool // work exhausted: growth is pointless now
-
 	name string // process and track-span prefix of the current run
 	step func(w *worker) bool
-	wg   *sim.WaitGroup
 }
 
 // worker is one slot's state, handed to the step at every quantum.
@@ -78,64 +67,45 @@ func (s *Scratch) put(w *worker) {
 	s.free = append(s.free, w)
 }
 
-// newFleet sizes a fleet for spec: its degree, or the tuner's growth cap.
+// newFleet returns a fleet for spec, one slot per degree.
 func newFleet(ctx *Context, spec *Spec) *fleet {
-	max := spec.Degree
-	if spec.Tune != nil && spec.Tune.MaxDegree() > max {
-		max = spec.Tune.MaxDegree()
-	}
-	return &fleet{ctx: ctx, spec: spec, max: max}
+	return &fleet{ctx: ctx, spec: spec}
 }
 
 // run launches n workers named name+slot, each calling step until it
 // reports no work left, and parks p until the fleet has drained.
 //
-// A lone planned worker that can never grow runs on p itself: no process,
-// no wait group. p yields where the spawn would have queued the worker and
-// again where the wait group would have woken it, so every event keeps the
-// place it has in a spawned fleet's schedule.
+// A lone planned worker runs on p itself: no process, no wait group. p
+// yields where the spawn would have queued the worker and again where the
+// wait group would have woken it, so every event keeps the place it has in
+// a spawned fleet's schedule.
 func (fl *fleet) run(p *sim.Proc, name string, n int, step func(w *worker) bool) {
 	fl.name, fl.step = name, step
-	fl.aggs = make([]agg, fl.max)
+	fl.aggs = make([]agg, fl.spec.Degree)
 	for i := range fl.aggs {
 		fl.aggs[i].kind = fl.spec.Agg
 	}
-	if n == 1 && fl.max == 1 {
+	if fl.spec.Degree == 1 {
 		p.Sleep(0)
-		fl.next, fl.live = 1, 1
 		fl.work(p, 0)
 		p.Sleep(0)
 		return
 	}
-	fl.wg = sim.NewWaitGroup(fl.ctx.Env)
-	for i := 0; i < n; i++ {
-		fl.spawn()
+	wg := sim.NewWaitGroup(fl.ctx.Env)
+	wg.Add(n)
+	for id := 0; id < n; id++ {
+		fl.ctx.Env.Go(fmt.Sprintf("%s%d", name, id), func(wp *sim.Proc) {
+			defer wg.Done()
+			fl.work(wp, id)
+		})
 	}
-	p.WaitFor(fl.wg)
-}
-
-func (fl *fleet) spawn() {
-	id := fl.next
-	fl.next++
-	fl.live++
-	fl.wg.Add(1)
-	fl.ctx.Env.Go(fmt.Sprintf("%s%d", fl.name, id), func(wp *sim.Proc) {
-		defer fl.wg.Done()
-		fl.work(wp, id)
-	})
+	p.WaitFor(wg)
 }
 
 // work is one worker's lifetime. Teardown runs in the reverse of setup:
-// settle the CPU debt, close the span, report the exit, leave the fleet.
+// settle the CPU debt, close the span, report the exit.
 func (fl *fleet) work(wp *sim.Proc, id int) {
 	ctx, spec := fl.ctx, fl.spec
-	retired := false
-	defer func() {
-		fl.live--
-		if retired {
-			fl.leaving--
-		}
-	}()
 	spec.startWorker(ctx, id)
 	defer spec.endWorker(ctx, id)
 	w := ctx.Scratch.get()
@@ -150,57 +120,15 @@ func (fl *fleet) work(wp *sim.Proc, id int) {
 		ctx.Scratch.put(w)
 	}()
 	defer w.bud.settle(wp)
-	// A lone planned worker is the query's own thread; every other one —
-	// including any an elastic fleet adds later — is spawned and coordinated.
-	if spec.Degree > 1 || id >= spec.Degree {
+	// A lone planned worker is the query's own thread; every other one is
+	// spawned and coordinated.
+	if spec.Degree > 1 {
 		w.bud.charge(ctx.Costs.WorkerStartup)
 	}
-	for {
-		// One step is the abort and retune quantum: a tripped control stops
-		// the worker here, before it claims more work, and the fleet grows or
-		// retires here.
-		if spec.aborted() {
-			return
-		}
-		if fl.tick() {
-			retired = true
-			return
-		}
-		if !fl.step(w) {
-			fl.done = true
-			return
-		}
+	// One step is the abort quantum: a tripped control stops the worker
+	// here, before it claims more work.
+	for !spec.aborted() && fl.step(w) {
 	}
-}
-
-// tick consults the tuner at a quantum boundary. It reports true when the
-// calling worker should retire (the target fell below the effective fleet);
-// otherwise it spawns workers up to the target. Workers that retire wind
-// down through the normal teardown path — endWorker reports to the
-// governor, which reclaims the lease's credits proportionally.
-func (fl *fleet) tick() bool {
-	if fl.spec.Tune == nil {
-		return false
-	}
-	eff := fl.live - fl.leaving
-	t := fl.spec.Tune.Tick(eff)
-	if t < 1 {
-		t = 1
-	}
-	if t > fl.max {
-		t = fl.max
-	}
-	if t < eff && eff > 1 {
-		fl.leaving++
-		return true
-	}
-	if fl.done {
-		return false
-	}
-	for fl.live-fl.leaving < t && fl.next < fl.max {
-		fl.spawn()
-	}
-	return false
 }
 
 // result merges the workers' accumulators.

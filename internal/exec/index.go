@@ -7,15 +7,15 @@ import (
 
 // indexFront is what every index-driven driver does before its workers
 // start: clamp the per-worker prefetch so in-flight prefetched frames plus
-// worker pins can never exhaust the pool (or the lease's share of it) at
-// the fleet's growth cap, descend from the root on the driver, and locate
-// the qualifying entry range [startPos, endPos), which may be empty. It
-// reports false when the query aborted on the way down. The descent is
-// measured in d, whose span ends with it; the caller annotates d once its
-// workers are done, when the query's gate is settled.
-func indexFront(p *sim.Proc, ctx *Context, spec *Spec, maxDegree int, d *cpuBudget) (startPos, endPos int64, ok bool) {
+// worker pins can never exhaust the pool (or the lease's share of it),
+// descend from the root on the driver, and locate the qualifying entry
+// range [startPos, endPos), which may be empty. It reports false when the
+// query aborted on the way down. The descent is measured in d, whose span
+// ends with it; the caller annotates d once its workers are done, when the
+// query's gate is settled.
+func indexFront(p *sim.Proc, ctx *Context, spec *Spec, d *cpuBudget) (startPos, endPos int64, ok bool) {
 	if spec.PrefetchPerWorker > 0 {
-		if budget := spec.poolCapacity(ctx)/2/maxDegree - 1; spec.PrefetchPerWorker > budget {
+		if budget := spec.poolCapacity(ctx)/2/spec.Degree - 1; spec.PrefetchPerWorker > budget {
 			spec.PrefetchPerWorker = budget
 			if spec.PrefetchPerWorker < 0 {
 				spec.PrefetchPerWorker = 0
@@ -55,12 +55,7 @@ func newDescent(ctx *Context, spec *Spec) cpuBudget {
 // referenced heap row (the §3.3 I/O batch: a leaf read plus the bounded
 // prefetch-and-fetch of its table pages). It reports how many entries it
 // consumed, and false when a read failed and the worker must wind down.
-//
-// offer, when set, is called between the leaf read and the heap fan with
-// the leaf number and the position its successor starts at — where the
-// adaptive scan hands the next leaf to the speculator.
-func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
-	offer func(leaf, nextStart int64)) (int, bool) {
+func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64) (int, bool) {
 	t, x := spec.Table, spec.Index
 	rpp := t.RowsPerPage()
 	bud := &w.bud
@@ -79,9 +74,6 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64,
 	matches := w.entries
 	bud.charge(ctx.Costs.PerPage + sim.Duration(take)*ctx.Costs.PerEntry)
 	lh.Release()
-	if offer != nil {
-		offer(leaf, (leaf+1)*int64(x.LeafCap()))
-	}
 
 	prefetched := 0
 	for i, e := range matches {
@@ -128,7 +120,7 @@ func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *
 		if next[w.id] >= hi {
 			return false
 		}
-		take, ok := indexBatch(ctx, spec, w, next[w.id], hi, nil)
+		take, ok := indexBatch(ctx, spec, w, next[w.id], hi)
 		next[w.id] += int64(take)
 		return ok
 	}
@@ -140,30 +132,22 @@ func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *
 // PrefetchPerWorker of the referenced table pages ahead, and fetches each
 // row's page to evaluate it.
 //
-// A static scan splits the range into Degree contiguous sub-ranges. At the
+// The scan splits the range into Degree contiguous sub-ranges. At the
 // paper's scale (qualifying leaves ≫ workers) entry-range splitting behaves
 // exactly like the paper's leaf-at-a-time distribution; at reduced scale it
 // additionally parallelizes ranges narrower than a worker-count of leaves,
 // with the effective parallelism still capped by the matching-row count —
-// the paper's noted exception for very selective queries. A tuned scan
-// claims from a shared cursor instead (guidedSteps), so a fleet that grows
-// or shrinks mid-flight stays load-balanced without rechunking.
+// the paper's noted exception for very selective queries.
 func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	spec.admitDeep(p)
 	fl := newFleet(ctx, &spec)
 	d := newDescent(ctx, &spec)
 	defer d.annotate(0)
-	startPos, endPos, ok := indexFront(p, ctx, &spec, fl.max, &d)
+	startPos, endPos, ok := indexFront(p, ctx, &spec, &d)
 	if !ok || startPos >= endPos {
 		return fl.result()
 	}
-	var n int
-	var step func(w *worker) bool
-	if spec.Tune != nil {
-		n, step = guidedSteps(ctx, &spec, fl, startPos, endPos)
-	} else {
-		n, step = chunkSteps(ctx, &spec, startPos, endPos)
-	}
+	n, step := chunkSteps(ctx, &spec, startPos, endPos)
 	fl.run(p, "pis-w", n, step)
 	return fl.result()
 }

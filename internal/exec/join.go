@@ -150,7 +150,7 @@ func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64
 	if probe.Degree <= 0 {
 		probe.Degree = 1
 	}
-	probe.PrefetchPerWorker, probe.Tune = 0, nil
+	probe.PrefetchPerWorker = 0
 	x := probe.Index
 
 	// The lookups are per key, so only the front's descent matters here.
@@ -158,7 +158,7 @@ func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64
 	fl := newFleet(ctx, &probe)
 	d := newDescent(ctx, &probe)
 	defer d.annotate(0)
-	if _, _, ok := indexFront(p, ctx, &probe, fl.max, &d); !ok {
+	if _, _, ok := indexFront(p, ctx, &probe, &d); !ok {
 		return 0
 	}
 	nextKey := 0
@@ -170,7 +170,7 @@ func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64
 		key := keys[nextKey]
 		nextKey++
 		for pos, end := x.SearchGE(key), x.SearchGT(key); pos < end; {
-			take, ok := indexBatch(ctx, &probe, w, pos, end, nil)
+			take, ok := indexBatch(ctx, &probe, w, pos, end)
 			if !ok {
 				return false
 			}

@@ -20,7 +20,7 @@ import (
 // one line per (device, driver shape) with the answer, the runtime in ns and
 // the device and pool traffic. The experiment goldens pin degree-1 runs
 // exactly but contended runs only to a tolerance, and pin nothing for
-// elastic, shared-rider, gather or abort schedules; this file pins all of
+// shared-rider, gather or abort schedules; this file pins all of
 // them to the nanosecond, so a refactor of the worker loops that moves one
 // charge, settle, fetch or release across another shows up as a diff.
 //
@@ -89,34 +89,6 @@ func schedShards(dev string) (*sim.Env, []*shardNode) {
 	}
 	return env, nodes
 }
-
-// scriptedTuner targets 1 worker until grow, 8 until shrink, then 2 — at
-// fixed virtual times, so the fleet's growth and retirement are part of the
-// pinned schedule. It records the largest live count it was shown.
-type scriptedTuner struct {
-	env          *sim.Env
-	grow, shrink sim.Time
-	peak         int
-	offers       int
-}
-
-func (s *scriptedTuner) Tick(live int) int {
-	if live > s.peak {
-		s.peak = live
-	}
-	switch now := s.env.Now(); {
-	case now < s.grow:
-		return 1
-	case now < s.shrink:
-		return 8
-	default:
-		return 2
-	}
-}
-func (s *scriptedTuner) MaxDegree() int                                { return 8 }
-func (s *scriptedTuner) NoteFetch(f *disk.File, page int64)            {}
-func (s *scriptedTuner) SpeculateRun(f *disk.File, start int64, n int) { s.offers++ }
-func (s *scriptedTuner) FinishScan()                                   {}
 
 // traffic formats the runtime and the device and pool counters of one run.
 func traffic(rt sim.Duration, io device.Summary, pool buffer.Stats) string {
@@ -227,50 +199,6 @@ func abortScanRow(name string, rows int64, num, den int64, mk func(w *world) Spe
 	}}
 }
 
-// tunedSpec is m at initial degree 1 under the scripted tuner.
-func tunedSpec(w *world, dev string, m Method) (Spec, *scriptedTuner) {
-	grow, shrink := 2*sim.Millisecond, 5*sim.Millisecond
-	if m == IndexScan {
-		shrink = 20 * sim.Millisecond
-		if dev == "hdd" {
-			grow, shrink = 50*sim.Millisecond, 2*sim.Second
-		}
-	}
-	tu := &scriptedTuner{env: w.env, grow: w.env.Now().Add(grow), shrink: w.env.Now().Add(shrink)}
-	s := w.spec(m, 1, 0, 99999)
-	if m == IndexScan {
-		s = w.spec(m, 1, 1000, 3999)
-		s.PrefetchPerWorker = 2
-	}
-	s.Tune = tu
-	return s, tu
-}
-
-func tunedRow(name string, m Method) scheduleRow {
-	return scheduleRow{name, func(t *testing.T, dev string) string {
-		w := schedWorld(t, dev, 100000)
-		s, tu := tunedSpec(w, dev, m)
-		res := Execute(w.ctx, s)
-		if tu.peak < 8 {
-			t.Errorf("%s/%s: fleet peaked at %d workers, the script grows it to 8", dev, name, tu.peak)
-		}
-		return fmt.Sprintf("%s peak=%d offers=%d", scanLine(res), tu.peak, tu.offers)
-	}}
-}
-
-func tunedAbortRow(name string, m Method) scheduleRow {
-	return scheduleRow{name, func(t *testing.T, dev string) string {
-		h := schedWorld(t, dev, 100000)
-		hs, _ := tunedSpec(h, dev, m)
-		healthy := Execute(h.ctx, hs)
-		w := schedWorld(t, dev, 100000)
-		s, tu := tunedSpec(w, dev, m)
-		s.Ctl = deadlineAt(w.env, healthy.Runtime, 1, 2)
-		res := Execute(w.ctx, s)
-		return fmt.Sprintf("%s peak=%d %s", scanLine(res), tu.peak, ledger(res.Err, w.ctx))
-	}}
-}
-
 // sharedRiders runs three riders attaching 0, 1 and 3 ms into one lap, all
 // under the control mkCtl arms on the run's env (nil for none).
 func sharedRiders(t *testing.T, dev string, mkCtl func(*sim.Env) *fault.Control) (string, *world) {
@@ -355,8 +283,6 @@ func scheduleRows() []scheduleRow {
 			w := schedWorld(t, dev, 20000)
 			return groupByLine(w.ctx, ExecuteGroupBy(w.ctx, groupBySpec(w)))
 		}},
-		tunedRow("fts-tuned-1-8-2", FullScan),
-		tunedRow("is-tuned-1-8-2", IndexScan),
 		{"shared-riders-3", func(t *testing.T, dev string) string {
 			line, _ := sharedRiders(t, dev, nil)
 			return line
@@ -388,8 +314,6 @@ func scheduleRows() []scheduleRow {
 		// One deadline abort per driver, each leaving nothing behind.
 		abortScanRow("abort-pfts-d8", 20000, 1, 2, func(w *world) Spec { return w.spec(FullScan, 8, 100, 15000) }),
 		abortScanRow("abort-pis-d8-pf8", 20000, 1, 2, pis(8, 8, 100, 2099)),
-		tunedAbortRow("abort-fts-tuned", FullScan),
-		tunedAbortRow("abort-is-tuned", IndexScan),
 		{"abort-shared-riders", func(t *testing.T, dev string) string {
 			_, h := sharedRiders(t, dev, nil)
 			healthy := sim.Duration(h.env.Now())

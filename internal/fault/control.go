@@ -22,7 +22,15 @@ type Control struct {
 	deadline sim.Time
 	poll     func() error
 	err      error
-	wake     func()
+	waker    Waker     // what Cancel wakes, and
+	woken    *sim.Proc // the process it wakes
+}
+
+// Waker is a wait no batch boundary interrupts, such as a miss parked on a
+// page intent until some query's grant: Wake resumes p, parked in it, at
+// once.
+type Waker interface {
+	Wake(p *sim.Proc)
 }
 
 // NewControl returns an inert control bound to env: no deadline, no poll,
@@ -51,19 +59,19 @@ func (c *Control) Cancel(err error) {
 		err = ErrCanceled
 	}
 	c.err = err
-	if wake := c.wake; wake != nil {
-		c.wake = nil
-		wake()
+	if w := c.waker; w != nil {
+		c.waker = nil
+		w.Wake(c.woken)
 	}
 }
 
-// SetWake installs the hook Cancel runs to wake the query from a wait no
-// batch boundary interrupts — a miss parked on a page intent until some
-// query's grant — so it leaves at once; nil removes it. The hook runs once,
-// at the first Cancel. A nil control never cancels, and ignores it.
-func (c *Control) SetWake(fn func()) {
+// SetWake installs the wait Cancel wakes p from, so it leaves at once; a
+// nil w removes it. The wake runs once, at the first Cancel. It stores an
+// interface and a pointer, so parking allocates nothing. A nil control
+// never cancels, and ignores it.
+func (c *Control) SetWake(w Waker, p *sim.Proc) {
 	if c != nil {
-		c.wake = fn
+		c.waker, c.woken = w, p
 	}
 }
 

@@ -58,7 +58,6 @@ var (
 	MetricBrokerAdmissions       = metric("broker.admissions")
 	MetricBrokerSharedAdmissions = metric("broker.shared_admissions") // joined a live circulating scan, no credits
 	MetricBrokerReclaims         = metric("broker.reclaims")
-	MetricBrokerGrows            = metric("broker.grows")             // counter: credits re-leased mid-flight
 	MetricBrokerAdmissionWaitUs  = metric("broker.admission_wait_us") // histogram
 
 	// internal/exec.
@@ -93,16 +92,6 @@ var (
 	MetricShardPruned      = metric("shard.pruned")
 	MetricShardHedgeIssued = metric("shard.hedge_issued")
 	MetricShardHedgeWins   = metric("shard.hedge_wins")
-
-	// internal/adapt — the feedback controller and speculative prefetcher.
-	// Retunes counts controller decisions that changed the target degree
-	// (grows + shrinks); spec_* track the speculation ledger in pages.
-	MetricAdaptRetunes      = metric("adapt.retunes")
-	MetricAdaptGrows        = metric("adapt.grows")
-	MetricAdaptShrinks      = metric("adapt.shrinks")
-	MetricAdaptSpecIssued   = metric("adapt.spec_issued")
-	MetricAdaptSpecHits     = metric("adapt.spec_hits")
-	MetricAdaptSpecCanceled = metric("adapt.spec_canceled")
 )
 
 // EventType identifies one kind of engine event.
@@ -170,7 +159,6 @@ var (
 	EvCreditsReclaim   = event("credits.reclaim", "reclaimed", "held", addA(MetricBrokerReclaims))
 	EvLeaseRelease     = event("lease.release", "credits", "pool_pages")
 	EvSupplyDegrade    = event("supply.degrade", "supply", "total")
-	EvLeaseGrow        = event("lease.grow", "granted", "total_granted", addA(MetricBrokerGrows))
 
 	// internal/exec: worker lifecycle and fault retries.
 	EvWorkerStart  = event("worker.start", "worker", "")
@@ -216,11 +204,4 @@ var (
 	EvShardHedgeIssue = event("shard.hedge.issue", "offset", "delay_ns", count(MetricShardHedgeIssued))
 	EvShardHedgeWin   = event("shard.hedge.win", "offset", "latency_ns", count(MetricShardHedgeWins))
 	EvShardGatherDone = event("shard.gather.done", "shards", "rows")
-
-	// internal/adapt: the feedback controller and speculative prefetcher.
-	EvAdaptSeed       = event("adapt.seed", "degree", "planned")
-	EvAdaptGrow       = event("adapt.grow", "degree", "previous", count(MetricAdaptGrows), count(MetricAdaptRetunes))
-	EvAdaptShrink     = event("adapt.shrink", "degree", "previous", count(MetricAdaptShrinks), count(MetricAdaptRetunes))
-	EvAdaptSpecIssue  = event("adapt.spec.issue", "page", "pages", addB(MetricAdaptSpecIssued))
-	EvAdaptSpecCancel = event("adapt.spec.cancel", "dropped", "hits", addA(MetricAdaptSpecCanceled))
 )

@@ -10,7 +10,7 @@ import (
 	"pioqo/internal/obs"
 )
 
-// TestCountersAreTheirEvents runs a sharded, hedged, adaptive, shared-scan
+// TestCountersAreTheirEvents runs a sharded, hedged, brokered, shared-scan
 // mix with the event ring on and large enough not to wrap, and checks that
 // every counter an event row feeds moved by exactly what the row's events
 // add over the same interval: one Emit records both, so they cannot drift.
@@ -25,7 +25,7 @@ func TestCountersAreTheirEvents(t *testing.T) {
 	}{
 		{"sharded-hedged", runScatters, pioqo.Config{Device: pioqo.SSD, PoolPages: 1024, Shards: 4,
 			HedgeDelay: 2 * time.Millisecond}},
-		{"adaptive-shared", runServing, pioqo.Config{Device: pioqo.SSD, PoolPages: 768}},
+		{"serving-shared", runServing, pioqo.Config{Device: pioqo.SSD, PoolPages: 768}},
 	}
 	// Each mix runs twice in one process: what the first run leaves behind
 	// (a counter, a catalog row) would show in the second's deltas.
@@ -69,7 +69,6 @@ func TestCountersAreTheirEvents(t *testing.T) {
 	for _, name := range []string{
 		"shard.scatter", "shard.hedge.issue", "shard.hedge.win", "read.retry",
 		"admission.grant", "scanshare.attach", "scanshare.detach", "scanshare.lap",
-		"adapt.grow", "adapt.shrink", "adapt.spec.issue",
 		"plancache.hit", "plancache.miss", "plancache.band_hit", "plancache.band_miss", "planner.greedy",
 	} {
 		if seen[name] == 0 {
@@ -106,8 +105,8 @@ func runScatters(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 }
 
 // runServing runs a brokered batch of point lookups beside full scans that
-// ride circulating scans, adaptively, then two adaptive range scans alone
-// (one speculates, one retunes), then plans the batch's shapes greedily.
+// ride circulating scans, then two range scans alone, then plans the
+// batch's shapes greedily.
 func runServing(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 	var qs []pioqo.Query
 	for i := int64(0); i < 40; i++ {
@@ -116,11 +115,11 @@ func runServing(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 	for i := 0; i < 4; i++ {
 		qs = append(qs, pioqo.Query{Table: tab, Low: 0, High: 199999})
 	}
-	if _, err := sys.ExecuteConcurrent(qs, pioqo.Cold(), pioqo.WithAdaptive()); err != nil {
+	if _, err := sys.ExecuteConcurrent(qs, pioqo.Cold()); err != nil {
 		t.Fatal(err)
 	}
 	for _, hi := range []int64{999, 3999} {
-		if _, err := sys.Run(context.Background(), pioqo.Query{Table: tab, Low: 0, High: hi}, pioqo.Cold(), pioqo.WithAdaptive()); err != nil {
+		if _, err := sys.Run(context.Background(), pioqo.Query{Table: tab, Low: 0, High: hi}, pioqo.Cold()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,12 +80,12 @@ func TestNilLogIsInert(t *testing.T) {
 
 func TestEmitFeedsCountersWithTheRingOff(t *testing.T) {
 	r := NewRegistry(sim.NewEnv(1))
-	r.Emit(EvAdaptGrow, 0, 4, 2)
-	r.Emit(EvAdaptSpecIssue, 0, 100, 7)
+	r.Emit(EvShardScatter, 0, 8, 3)
+	r.Emit(EvReadRetry, 0, 100, 1)
 	r.Emit(EvPlanRevalidate, NoQuery, 3, 0) // a dropped entry adds nothing
 	c := r.Snapshot().Counters
-	if c["adapt.grows"] != 1 || c["adapt.retunes"] != 1 || c["adapt.spec_issued"] != 7 {
-		t.Errorf("counters = %v, want grows 1, retunes 1, spec_issued 7", c)
+	if c["shard.scatters"] != 1 || c["shard.partials"] != 8 || c["shard.pruned"] != 3 || c["exec.read_faults"] != 1 {
+		t.Errorf("counters = %v, want scatters 1, partials 8, pruned 3, read_faults 1", c)
 	}
 	if _, ok := c["opt.band_revalidations"]; ok {
 		t.Errorf("a zero feed registered opt.band_revalidations")

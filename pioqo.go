@@ -64,8 +64,8 @@ const (
 // hedge delay a System is assembled with. Zero values take the documented
 // defaults. Everything else is set through its own API after New — a fault
 // schedule with InjectFaults, the event log with EnableEventLog — or per
-// table and per query: partitioning with WithPartition, adaptive execution
-// with WithAdaptive.
+// table and per query: partitioning with WithPartition, a pinned degree
+// with WithStaticDegree.
 type Config struct {
 	// Device is the storage model to attach. Default SSD.
 	Device DeviceKind

@@ -1,6 +1,7 @@
 package pioqo
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -470,5 +471,66 @@ func TestPlanMemoization(t *testing.T) {
 	}
 	if hits, misses := sys.memo.Stats(); hits != 0 || misses != 0 {
 		t.Fatalf("memo not reset by calibration: %d hits, %d misses", hits, misses)
+	}
+}
+
+// TestWithAdaptiveIsANoOp pins the deprecated shim: a Run, a
+// Session.Submit and an ExecuteConcurrent with WithAdaptive give the same
+// results and a byte-identical event log as the same calls without it.
+func TestWithAdaptiveIsANoOp(t *testing.T) {
+	run := func(opts ...QueryOption) (results []any, log string) {
+		sys := New(Config{Device: SSD, PoolPages: 4096})
+		sys.EnableEventLog(1 << 16)
+		tab, err := sys.CreateTable("t", 200000, 33)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 800, StopThreshold: -1}); err != nil {
+			t.Fatal(err)
+		}
+		opts = append(opts, Cold())
+		for _, hi := range []int64{999, 150000} { // an index scan, a full scan
+			res, err := sys.Run(context.Background(), Query{Table: tab, Low: 0, High: hi}, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results = append(results, res)
+		}
+		ses := openSession(t, sys)
+		sub, err := ses.Submit(Query{Table: tab, Low: 5000, High: 8999}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ses.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sub.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, res)
+		batch, err := sys.ExecuteConcurrent([]Query{
+			{Table: tab, Low: 0, High: 999}, {Table: tab, Low: 0, High: 999}, {Table: tab, Low: 50000, High: 59999},
+		}, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, batch)
+		var buf bytes.Buffer
+		if err := sys.WriteEventLog(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return results, buf.String()
+	}
+	want, wantLog := run()
+	if wantLog == "" {
+		t.Fatal("the calls logged no events")
+	}
+	got, gotLog := run(WithAdaptive())
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("with WithAdaptive: %+v\nwithout: %+v", got, want)
+	}
+	if gotLog != wantLog {
+		t.Errorf("the event logs differ with WithAdaptive (%d bytes, %d without)", len(gotLog), len(wantLog))
 	}
 }

@@ -409,9 +409,7 @@ func (q Query) body(r *queryRun, po PlanOptions) (planned, error) {
 		var res exec.Result
 		if shards == nil {
 			part := q.Table.one()
-			spec := r.spec(part, q, plan)
-			r.attachAdaptive(&spec, q, *plan)
-			res = exec.RunScan(p, r.context(part.node), spec)
+			res = exec.RunScan(p, r.context(part.node), r.spec(part, q, plan))
 		} else {
 			res = exec.RunGather(p, exec.GatherSpec{Shards: shards, Agg: q.Agg.internal(), Pruned: plan.pruned, QID: r.qid}).Result
 		}
@@ -425,7 +423,6 @@ type queryOptions struct {
 	prefetch  int
 	plan      PlanOptions
 	telemetry *QueryTelemetry
-	adaptive  bool
 	degree    int
 	timeout   time.Duration
 	retry     RetryPolicy

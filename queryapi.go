@@ -153,9 +153,6 @@ func (s *System) start(ctx context.Context, req Request, eo queryOptions, atExit
 				ErrInvalidQuery, t.Name(), len(t.parts), lc.op)
 		}
 	}
-	if err := eo.checkAdaptive(); err != nil {
-		return nil, err
-	}
 	if lc.invalid != nil {
 		return nil, lc.invalid
 	}
@@ -570,6 +567,16 @@ func WithTimeout(d time.Duration) QueryOption { return func(o *queryOptions) { o
 // UpdateQuery's rows under p instead of the optimizer's choice (a join
 // rejects it). On an uncalibrated system a forced plan runs unleased.
 func WithPlan(p Plan) QueryOption { return func(o *queryOptions) { o.forced = &p } }
+
+// WithStaticDegree pins the query's parallel degree to n, overriding the
+// optimizer's choice. Cost estimates are reported unchanged.
+func WithStaticDegree(n int) QueryOption { return func(o *queryOptions) { o.degree = n } }
+
+// WithAdaptive does nothing: a query runs the degree its plan priced.
+//
+// Deprecated: there is no runtime degree controller to ask for. Kept for
+// the frozen bench/ suite.
+func WithAdaptive() QueryOption { return func(*queryOptions) {} }
 
 // WithRetry sets the query's device-fault retry policy.
 func WithRetry(p RetryPolicy) QueryOption { return func(o *queryOptions) { o.retry = p } }
