@@ -196,10 +196,10 @@ func (b *cpuBudget) prefetch(wp *sim.Proc, f *disk.File, page int64) {
 	b.charge(b.ctx.Costs.PerPrefetch)
 }
 
-// useCPU charges serialized driver-side work (index descents, sort stages,
-// bulk hash costs) immediately — there is no batching opportunity on the
-// driver, and charging through one helper keeps the package's CPU
-// accounting greppable.
+// useCPU charges serialized driver-side work (sort stages, merges of
+// per-worker or per-shard partials) immediately — there is no batching
+// opportunity on the driver, and charging through one helper keeps the
+// package's CPU accounting greppable.
 func useCPU(p *sim.Proc, ctx *Context, d sim.Duration) {
 	p.Use(ctx.CPU, d)
 }

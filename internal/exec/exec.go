@@ -35,6 +35,12 @@ type CPUCosts struct {
 	PerRowFetch   sim.Duration // locating + evaluating one row reached through the index
 	PerPrefetch   sim.Duration // issuing one asynchronous prefetch request
 	WorkerStartup sim.Duration // spawning and coordinating one worker thread
+
+	// The hash operators' per-row work, charged with the row on the worker
+	// that delivers it (Spec.EmitCost).
+	HashInsert sim.Duration // inserting one build row into a hash join's table
+	HashProbe  sim.Duration // looking one probe row up in a hash join's table
+	HashGroup  sim.Duration // looking one row's group up and folding the row in
 }
 
 // DefaultCPUCosts returns the calibrated defaults described above.
@@ -46,6 +52,9 @@ func DefaultCPUCosts() CPUCosts {
 		PerRowFetch:   1 * sim.Microsecond,
 		PerPrefetch:   3 * sim.Microsecond,
 		WorkerStartup: 100 * sim.Microsecond,
+		HashInsert:    200 * sim.Nanosecond,
+		HashProbe:     150 * sim.Nanosecond,
+		HashGroup:     250 * sim.Nanosecond,
 	}
 }
 
@@ -178,6 +187,12 @@ type Spec struct {
 	// serialized, so it needs no locking. Composite operators (joins,
 	// group-by) use it to consume scan output.
 	Emit func(rowID int64, row table.Row)
+
+	// EmitCost is the CPU one call of Emit costs. It is charged with the
+	// row to the worker that delivers it, like the scan's own per-row
+	// costs, so a hash operator's per-row work runs at the scan's degree.
+	// Set by the operator that installs Emit; zero without Emit.
+	EmitCost sim.Duration
 
 	// Update, when set, is applied to each matching row's id and the
 	// holding page is marked dirty in the buffer pool — the write-back

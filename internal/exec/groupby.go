@@ -43,18 +43,24 @@ type GroupByResult struct {
 	Err error
 }
 
-const hashGroupCost = 250 * sim.Nanosecond // per-row group lookup + fold
-
-// RunGroupBy executes the grouped aggregation from process context.
+// RunGroupBy executes the grouped aggregation from process context. Each
+// scan worker folds the rows it delivers, paying HashGroup per row on its
+// own CPU budget; the driver then merges the workers' partials, one fold
+// per group and worker — the decomposable merge RunGatherGroupBy runs
+// across shards. The simulation is serialized, so the partials share one
+// hash: folding a row into its worker's partial and merging the partials
+// later gives the groups folding it into one hash does, since every
+// aggregate here is associative and commutative.
 func RunGroupBy(p *sim.Proc, ctx *Context, spec GroupBySpec) GroupByResult {
 	if spec.GroupWidth <= 0 {
 		panic("exec: GroupBySpec.GroupWidth must be positive")
 	}
 	groups := groupHash{kind: spec.Agg, m: make(map[int64]*agg)}
-	scan := spec.Scan
+	scan := spec.Scan.withDefaults()
 	scan.Emit = func(_ int64, row table.Row) { groups.at(row.C2 / spec.GroupWidth).add(row.C1) }
+	scan.EmitCost = ctx.Costs.HashGroup
 	scanRes := RunScan(p, ctx, scan)
-	useCPU(p, ctx, sim.Duration(scanRes.RowsMatched)*hashGroupCost)
+	useCPU(p, ctx, sim.Duration(len(groups.m)*scan.Degree)*ctx.Costs.PerRow)
 	return GroupByResult{Groups: groups.sorted(), Rows: scanRes.RowsMatched, Err: scanRes.Err}
 }
 

@@ -93,6 +93,7 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64) (int, bool) 
 		bud.charge(ctx.Costs.PerRowFetch)
 		row := t.RowAt(e.Row)
 		if row.C2 >= spec.Lo && row.C2 <= spec.Hi {
+			bud.charge(spec.EmitCost)
 			spec.deliver(w.a, th, e.Row, row)
 		}
 		th.Release()

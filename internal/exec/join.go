@@ -56,13 +56,6 @@ func (m JoinMethod) String() string {
 	return "HashJoin"
 }
 
-// JoinCPUCosts extends CPUCosts with the hash-table operations. They are
-// deliberately part of the same struct literal style as the scan costs.
-const (
-	hashInsertCost = 200 * sim.Nanosecond
-	hashProbeCost  = 150 * sim.Nanosecond
-)
-
 // JoinResult extends Result with per-phase detail. The embedded Err is the
 // abort cause of whichever phase tripped the specs' shared control; the
 // counts are then partial and must be discarded, as with GroupByResult.
@@ -83,14 +76,13 @@ func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	}
 	var out JoinResult
 
-	// Phase 1: build. The scan's Emit collects key multiplicities; the
-	// hash-insert CPU is charged in bulk afterwards (the fine-grained
-	// per-row CPU is already charged by the scan itself).
+	// Phase 1: build. The scan's Emit collects key multiplicities, each
+	// worker paying the insert of the rows it delivers.
 	ht := make(map[int64]int64)
 	build := spec.Build
 	build.Emit = func(_ int64, row table.Row) { ht[row.C2]++ }
+	build.EmitCost = ctx.Costs.HashInsert
 	buildRes := RunScan(p, ctx, build)
-	useCPU(p, ctx, sim.Duration(buildRes.RowsMatched)*hashInsertCost)
 	out.BuildRows = buildRes.RowsMatched
 	if out.Err = buildRes.Err; out.Err != nil {
 		return out
@@ -116,12 +108,15 @@ func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	}
 	var err error
 	if spec.Method == IndexNLJoin {
+		// Each lookup is by a build key, so its rows need no hash lookup.
+		probe.EmitCost = 0
 		out.ProbeRows = probeByKey(p, ctx, probe, ht)
 		err = probe.Ctl.Err()
 	} else {
+		// Each probe worker pays the lookup of the rows it delivers.
+		probe.EmitCost = ctx.Costs.HashProbe
 		probeRes := RunScan(p, ctx, probe)
 		out.ProbeRows, err = probeRes.RowsMatched, probeRes.Err
-		useCPU(p, ctx, sim.Duration(out.ProbeRows)*hashProbeCost)
 	}
 
 	out.Result = result.result()

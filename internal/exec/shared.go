@@ -22,9 +22,10 @@ import (
 // evalPage evaluates every row of one heap page: it charges PerPage plus
 // PerRow per row into bud — the simulated engine tests every row, whether or
 // not it matches — and delivers the matching rows to a (or to the spec's
-// hooks, which mark the pinned page h). The caller fetched the page — or was
-// handed it by a circulating producer, and then passes no handle — and
-// settles the budget at its own quantum. buf is scratch, returned for reuse.
+// hooks, which mark the pinned page h), charging EmitCost per match. The
+// caller fetched the page — or was handed it by a circulating producer, and
+// then passes no handle — and settles the budget at its own quantum. buf is
+// scratch, returned for reuse.
 func evalPage(ctx *Context, spec *Spec, bud *cpuBudget, a *agg, h buffer.Handle, page int64, buf []table.Match) []table.Match {
 	t := spec.Table
 	rpp := int64(t.RowsPerPage())
@@ -32,6 +33,7 @@ func evalPage(ctx *Context, spec *Spec, bud *cpuBudget, a *agg, h buffer.Handle,
 	lastRow := min(firstRow+rpp, t.Rows())
 	bud.charge(ctx.Costs.PerPage + sim.Duration(lastRow-firstRow)*ctx.Costs.PerRow)
 	buf = t.MatchesAt(firstRow, lastRow, spec.Lo, spec.Hi, buf)
+	bud.charge(sim.Duration(len(buf)) * spec.EmitCost)
 	spec.deliverPage(a, h, buf)
 	return buf
 }

@@ -1,6 +1,9 @@
 package opt
 
-import "pioqo/internal/exec"
+import (
+	"pioqo/internal/exec"
+	"pioqo/internal/sim"
+)
 
 // JoinPlan is a costed join plan: the algorithm plus one access path per
 // side. For an index nested-loop join, Probe carries the lookup degree
@@ -20,14 +23,15 @@ type JoinPlan struct {
 // each side's method and degree) all fall out of the same QDTT-priced
 // costs. The probe input's range should already match the build range.
 func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
-	b := Choose(cfg, build)
+	// Both methods hash every build row on the build's workers.
+	b := chooseFeeding(&cfg, build, cfg.Costs.HashInsert)
 
-	// Hash join: scan the probe range, hash every row.
-	hashProbe := Choose(cfg, probe)
-	hashCost := b.TotalMicros + hashProbe.TotalMicros +
-		b.EstRows*0.2 + hashProbe.EstRows*0.15
+	// Hash join: scan the probe range, look every row up on the probe's
+	// workers.
+	hashProbe := chooseFeeding(&cfg, probe, cfg.Costs.HashProbe)
 	best := JoinPlan{
-		Method: exec.HashJoin, Build: b, Probe: hashProbe, TotalMicros: hashCost,
+		Method: exec.HashJoin, Build: b, Probe: hashProbe,
+		TotalMicros: b.TotalMicros + hashProbe.TotalMicros,
 	}
 
 	// Index nested-loop join: one probe-index lookup per build key. Only
@@ -49,6 +53,8 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 		if leafFetches > keys {
 			leafFetches = keys
 		}
+		// The driver sorts the distinct keys before the lookups start.
+		sortKeys := 2 * keys * cfg.Costs.PerEntry.Micros()
 		for _, d := range cfg.degrees() {
 			if cfg.overBudget(d) {
 				continue
@@ -62,7 +68,7 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 			cpu := keys * (cfg.Costs.PerPage.Micros() +
 				rowsPerKey*cfg.Costs.PerRowFetch.Micros()) / float64(workers)
 			startup := cfg.startupMicros(d)
-			total := b.TotalMicros + maxf(io, cpu) + startup + keys*0.2
+			total := b.TotalMicros + maxf(io, cpu) + startup + sortKeys
 			if total < best.TotalMicros {
 				best = JoinPlan{
 					Method: exec.IndexNLJoin,
@@ -75,6 +81,27 @@ func ChooseJoin(cfg Config, build, probe Input) JoinPlan {
 					TotalMicros: total,
 				}
 			}
+		}
+	}
+	return best
+}
+
+// chooseFeeding returns the cheapest plan for a scan that feeds a hash
+// operator: every row it matches also costs perRow of CPU, paid by the
+// worker that delivers it (exec.Spec.EmitCost), so that work joins the
+// plan's CPU inside its max(io, cpu), divided over its workers.
+func chooseFeeding(cfg *Config, in Input, perRow sim.Duration) Plan {
+	cfg.validate()
+	est := newEstimator(cfg, &in)
+	cc := bindCosting(&in, selectivity(&in, in.Lo, in.Hi), &est)
+	var buf [maxCandidates]Plan
+	var best Plan
+	for i, p := range enumerate(cfg, &in, &cc, buf[:0]) {
+		startup := cfg.startupMicros(p.Degree)
+		cpu := p.CPUMicros - startup + p.EstRows*perRow.Micros()/float64(min(p.Degree, cfg.Cores))
+		p.CPUMicros, p.TotalMicros = cpu+startup, maxf(p.IOMicros, cpu)+startup
+		if i == 0 || p.TotalMicros < best.TotalMicros {
+			best = p
 		}
 	}
 	return best

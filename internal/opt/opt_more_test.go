@@ -64,6 +64,44 @@ func TestChooseJoinWithoutProbeIndexStaysHash(t *testing.T) {
 	}
 }
 
+// TestChooseJoinHashesOnTheWorkers: a hash join's per-row hashing is
+// priced on each side's workers, inside that side's max(io, cpu). A side
+// then costs no less than its scan alone and no more than the scan's own
+// winner with the hashing divided over that winner's workers; the join
+// costs the two sides.
+func TestChooseJoinHashesOnTheWorkers(t *testing.T) {
+	f := newFixture(t, "ssd", 20000, 33)
+	cfg := f.cfg
+	cfg.Model = f.qdtt
+	build := f.in
+	build.Lo, build.Hi = rangeFor(build.Table, 0.3)
+	probe := build
+	probe.Index = nil // no lookups: the hash join is the only method
+	jp := ChooseJoin(cfg, build, probe)
+	if jp.Method != exec.HashJoin {
+		t.Fatalf("join without probe index chose %v", jp.Method)
+	}
+	for _, side := range []struct {
+		name   string
+		in     Input
+		plan   Plan
+		perRow float64
+	}{
+		{"build", build, jp.Build, cfg.Costs.HashInsert.Micros()},
+		{"probe", probe, jp.Probe, cfg.Costs.HashProbe.Micros()},
+	} {
+		scan := Choose(cfg, side.in)
+		hashing := scan.EstRows * side.perRow / float64(min(scan.Degree, cfg.Cores))
+		if side.plan.TotalMicros < scan.TotalMicros || side.plan.TotalMicros > scan.TotalMicros+hashing {
+			t.Errorf("%s side %v: want within [%.0f, %.0f] us, its scan %v plus %.0f us of hashing over its workers",
+				side.name, side.plan, scan.TotalMicros, scan.TotalMicros+hashing, scan, hashing)
+		}
+	}
+	if want := jp.Build.TotalMicros + jp.Probe.TotalMicros; jp.TotalMicros != want {
+		t.Errorf("hash join costs %.0f us, its sides %.0f", jp.TotalMicros, want)
+	}
+}
+
 func TestChooseJoinRespectsQueueBudget(t *testing.T) {
 	f := newFixture(t, "ssd", 20000, 33)
 	cfg := f.cfg

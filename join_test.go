@@ -98,20 +98,24 @@ func TestJoinQDTTFasterThanDTT(t *testing.T) {
 	}
 }
 
+// TestJoinMethodSelection joins two build sides to one probe table over the
+// whole build domain, each forced both ways, and checks the planner picks
+// the faster method. With uniform dense keys the range predicate pushes
+// down to the probe side and the hash join is already minimal. A heavily
+// skewed build side repeats few distinct keys across a wide range, and the
+// distinct-count statistics should flip the planner to the index
+// nested-loop join: few lookups beat scanning the probe range. The two
+// builds are cut so that each method is the measured winner once.
 func TestJoinMethodSelection(t *testing.T) {
-	// With uniform dense keys, the range predicate pushes down to the probe
-	// side and the hash join is already minimal — it should stay chosen.
-	// A heavily skewed build side repeats few distinct keys across a wide
-	// range; the distinct-count statistics should flip the planner to the
-	// index nested-loop join (few lookups beat scanning the probe range).
+	const buildRows = 30000
 	sys := New(Config{Device: SSD, PoolPages: 2048})
-	skewed, err := sys.CreateTable("skewed", 30000, 33, WithZipfData(1.5))
+	skewed, err := sys.CreateTable("skewed", buildRows, 33, WithZipfData(2.0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Synthetic keys are a permutation: every build row carries a distinct
 	// key, so the NL join saves nothing over the pushed-down hash probe.
-	uniform, err := sys.CreateTable("uniform", 30000, 33, WithSyntheticData())
+	uniform, err := sys.CreateTable("uniform", buildRows, 33, WithSyntheticData())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,32 +126,59 @@ func TestJoinMethodSelection(t *testing.T) {
 	if _, err := sys.Calibrate(CalibrationOptions{MaxReads: 640}); err != nil {
 		t.Fatal(err)
 	}
-
-	nl, err := sys.Run(context.Background(), JoinQuery{Build: skewed, Probe: big, Low: 0, High: 29999}, Cold())
-	if err != nil {
-		t.Fatal(err)
+	// forced runs the COUNT join cold with its method forced, on the shapes
+	// the planner chooses among here: a full-scan build ×8, and for the
+	// hash join the faster of a full-scan and an index probe.
+	forced := func(build *Table, method exec.JoinMethod) exec.JoinResult {
+		b, p := build.one(), big.one()
+		run := func(probe exec.Method, degree int) exec.JoinResult {
+			sys.FlushBufferPool()
+			return exec.ExecuteJoin(sys.nodeContext(sys.coord()), exec.JoinSpec{
+				Method: method,
+				Build:  exec.Spec{Table: b.tab, Index: b.idx, Hi: buildRows - 1, Method: exec.FullScan, Degree: 8},
+				Probe:  exec.Spec{Table: p.tab, Index: p.idx, Hi: buildRows - 1, Method: probe, Degree: degree},
+				Agg:    exec.AggCount,
+			})
+		}
+		res := run(exec.IndexScan, 32)
+		if method == exec.HashJoin {
+			if fts := run(exec.FullScan, 8); fts.Runtime < res.Runtime {
+				res = fts
+			}
+		}
+		return res
 	}
-	if nl.Plan.Join.Method != "IndexNLJoin" {
-		t.Errorf("skewed-build join chose %s, want IndexNLJoin", nl.Plan.Join.Method)
+	winners := map[string]bool{}
+	for _, c := range []struct {
+		name  string
+		build *Table
+	}{{"skewed", skewed}, {"uniform", uniform}} {
+		res, err := sys.Run(context.Background(), JoinQuery{Build: c.build, Probe: big, High: buildRows - 1, Agg: Count}, Cold())
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, nl := forced(c.build, exec.HashJoin), forced(c.build, exec.IndexNLJoin)
+		if hash.Pairs != nl.Pairs || res.Value != hash.Pairs {
+			t.Errorf("%s build: COUNT %d, forced hash %d pairs, forced NL %d", c.name, res.Value, hash.Pairs, nl.Pairs)
+		}
+		hashRT, nlRT := time.Duration(hash.Runtime), time.Duration(nl.Runtime)
+		t.Logf("%s build: %s ran %v; forced hash %v, NL %v", c.name, res.Plan.Join.Method, res.Runtime, hashRT, nlRT)
+		winner := exec.HashJoin
+		if nlRT < hashRT {
+			winner = exec.IndexNLJoin
+		}
+		winners[winner.String()] = true
+		if res.Plan.Join.Method != winner.String() {
+			t.Errorf("%s build: chose %s, but hash ran %v and NL %v",
+				c.name, res.Plan.Join.Method, hashRT, nlRT)
+		}
+		if regret := float64(res.Runtime) / float64(min(hashRT, nlRT, res.Runtime)); regret > 1.5 {
+			t.Errorf("%s build: %s ran %v against hash %v and NL %v, regret %.2fx, want <= 1.5x",
+				c.name, res.Plan.Join.Method, res.Runtime, hashRT, nlRT, regret)
+		}
 	}
-
-	hash, err := sys.Run(context.Background(), JoinQuery{Build: uniform, Probe: big, Low: 0, High: 29999}, Cold())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hash.Plan.Join.Method != "HashJoin" {
-		t.Errorf("uniform-build join chose %s, want HashJoin", hash.Plan.Join.Method)
-	}
-
-	// Answers agree across methods: COUNT the skewed join both ways.
-	nlCnt, err := sys.Run(context.Background(), JoinQuery{
-		Build: skewed, Probe: big, Low: 0, High: 29999, Agg: Count,
-	}, Cold())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nlCnt.Value != nl.Rows {
-		t.Errorf("COUNT %d != pairs %d", nlCnt.Value, nl.Rows)
+	if len(winners) != 2 {
+		t.Errorf("one method won on both builds (%v); the fixtures must cut one win each", winners)
 	}
 }
 
