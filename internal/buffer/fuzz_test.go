@@ -65,10 +65,52 @@ func (r *refPool) unlink(k PageKey) {
 
 func (r *refPool) drop(k PageKey) { delete(r.frames, k); r.epoch++ }
 
+// dirtyRuns partitions the dirty loaded pages into the writes that write
+// them back, in ascending (file, page) order: two pages share a write when
+// they are adjacent, in one disk.BlockPages-aligned block and both unpinned.
+func (r *refPool) dirtyRuns() []request {
+	var dirty []PageKey
+	for k, f := range r.frames {
+		if f.dirty && !f.loading {
+			dirty = append(dirty, k)
+		}
+	}
+	sort.Slice(dirty, func(i, j int) bool {
+		a, b := dirty[i], dirty[j]
+		return a.File < b.File || a.File == b.File && a.Page < b.Page
+	})
+	var runs []request
+	for i, k := range dirty {
+		if i > 0 {
+			prev := dirty[i-1]
+			if prev.File == k.File && prev.Page+1 == k.Page && prev.Page/disk.BlockPages == k.Page/disk.BlockPages &&
+				r.frames[prev].pins == 0 && r.frames[k].pins == 0 {
+				runs[len(runs)-1].count++
+				continue
+			}
+		}
+		runs = append(runs, request{true, k, 1})
+	}
+	return runs
+}
+
+// write issues one write request and cleans the pages it covers.
+func (r *refPool) write(run request) {
+	for i := 0; i < run.count; i++ {
+		r.frames[PageKey{run.key.File, run.key.Page + int64(i)}].dirty = false
+	}
+	r.requests = append(r.requests, run)
+	r.stats.DirtyWrites += int64(run.count)
+}
+
 func (r *refPool) evict(k PageKey) {
 	if r.frames[k].dirty {
-		r.requests = append(r.requests, request{true, k, 1})
-		r.stats.DirtyWrites++
+		// The victim takes its whole run with it.
+		for _, run := range r.dirtyRuns() {
+			if run.key.File == k.File && run.key.Page <= k.Page && k.Page < run.key.Page+int64(run.count) {
+				r.write(run)
+			}
+		}
 	}
 	r.unlink(k)
 	r.drop(k)
@@ -185,23 +227,12 @@ func (r *refPool) flush() {
 	}
 }
 
-// flushDirty predicts the checkpoint's writes in ascending page order; the
-// pool's own order is slot order, so the test sorts before comparing.
+// flushDirty predicts the checkpoint's writes, one per run, in ascending
+// page order; the pool's own order is slot order, so the test sorts before
+// comparing.
 func (r *refPool) flushDirty() {
-	var dirty []PageKey
-	for k, f := range r.frames {
-		if f.dirty {
-			f.dirty = false
-			dirty = append(dirty, k)
-		}
-	}
-	sort.Slice(dirty, func(i, j int) bool {
-		a, b := dirty[i], dirty[j]
-		return a.File < b.File || a.File == b.File && a.Page < b.Page
-	})
-	for _, k := range dirty {
-		r.requests = append(r.requests, request{true, k, 1})
-		r.stats.DirtyWrites++
+	for _, run := range r.dirtyRuns() {
+		r.write(run)
 	}
 }
 

@@ -111,7 +111,7 @@ func (f *File) Offset(page int64) int64 {
 // silently converted into reads of a neighbouring file.
 func (f *File) check(page int64, count int) {
 	if page < 0 || count <= 0 || page+int64(count) > f.pages {
-		panic(fmt.Sprintf("disk: %q read [%d,+%d) outside extent of %d pages",
+		panic(fmt.Sprintf("disk: %q access [%d,+%d) outside extent of %d pages",
 			f.name, page, count, f.pages))
 	}
 }
@@ -129,9 +129,10 @@ func (f *File) ReadRun(page int64, count int) *sim.Completion {
 	return f.m.dev.ReadAt((f.basePage+page)*PageSize, count*PageSize)
 }
 
-// WritePage submits an asynchronous write of one page (buffer pool
-// write-back of dirty frames).
-func (f *File) WritePage(page int64) *sim.Completion {
-	f.check(page, 1)
-	return f.m.dev.WriteAt((f.basePage+page)*PageSize, PageSize)
+// WriteRun submits an asynchronous write of count consecutive pages as a
+// single device request: the buffer pool's write-back of a run of dirty
+// frames.
+func (f *File) WriteRun(page int64, count int) *sim.Completion {
+	f.check(page, count)
+	return f.m.dev.WriteAt((f.basePage+page)*PageSize, count*PageSize)
 }

@@ -90,3 +90,17 @@ func TestOutOfExtentPanics(t *testing.T) {
 		}()
 	}
 }
+
+func TestWriteRunIsOneDeviceRequest(t *testing.T) {
+	e := sim.NewEnv(1)
+	m := newManager(e)
+	f := m.MustAllocate("t", 64)
+	e.Go("p", func(p *sim.Proc) { p.Wait(f.WriteRun(0, 64)) })
+	e.Run()
+	if got := m.Device().Metrics().Requests; got != 1 {
+		t.Errorf("device served %d requests, want 1", got)
+	}
+	if got := m.Device().Metrics().Bytes; got != 64*PageSize {
+		t.Errorf("device moved %d bytes, want %d", got, 64*PageSize)
+	}
+}

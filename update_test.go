@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"pioqo/internal/disk"
 )
 
 func TestUpdateModifiesValuesDurably(t *testing.T) {
@@ -92,6 +94,27 @@ func TestUpdateWriteBackOnEviction(t *testing.T) {
 	if up.PagesWritten < tab.Pages()/2 {
 		t.Errorf("only %d pages written for a full-table update of %d pages",
 			up.PagesWritten, tab.Pages())
+	}
+}
+
+// TestWideUpdateWritesWholeBlocks: a 30 % update of a 12 288-page table
+// dirties every page, and the pool writes them back as whole
+// disk.BlockPages-aligned runs — 192 writes, one per block the full scan
+// read, not 12 288 single-page ones — while PagesWritten still counts pages.
+func TestWideUpdateWritesWholeBlocks(t *testing.T) {
+	const pages, rpp = 12288, 33
+	sys, tab := newCalibrated(t, SSD, pages*rpp, rpp)
+	before := sys.MetricsSnapshot()
+	up, err := sys.Run(context.Background(), UpdateQuery{Table: tab, Low: 0, High: pages * rpp * 3 / 10, Delta: 1}, Cold())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if up.PagesWritten != pages {
+		t.Fatalf("%d pages written, want every one of the %d", up.PagesWritten, pages)
+	}
+	blocks := int64(pages / disk.BlockPages)
+	if got := sys.MetricsSince(before).Counter("device.requests"); got != 2*blocks {
+		t.Errorf("%d device requests, want %d block reads and %d block writes (plan %v)", got, blocks, blocks, up.Plan)
 	}
 }
 
