@@ -18,9 +18,11 @@ import (
 // Model prices one page read. Band is the size, in pages, of the area the
 // random I/Os are issued over (band 1 ≡ sequential); depth is the device
 // I/O queue depth the operator will generate. The returned cost is the
-// amortized microseconds per page.
+// amortized microseconds per page. Drain prices one drain of the queue of a
+// fleet that keeps depth reads in flight (QDTT.Drain).
 type Model interface {
 	PageCost(band int64, depth int) float64
+	Drain(band int64, depth int) float64
 }
 
 // DTT is the band-size-only model: cost curves calibrated at queue depth 1.
@@ -57,20 +59,38 @@ func (d *DTT) PageCost(band int64, depth int) float64 {
 	return interpBand(d.bands, d.cost, band)
 }
 
+// Drain implements Model: a model blind to depth sees no drain.
+func (d *DTT) Drain(band int64, depth int) float64 { return 0 }
+
 // interpBand linearly interpolates cost over the band grid, clamping
 // outside the calibrated range.
 func interpBand(bands []int64, cost []float64, band int64) float64 {
-	if band <= bands[0] {
-		return cost[0]
-	}
+	i, frac := locate(bands, band)
+	return at(cost, i, frac)
+}
+
+// locate places band on the grid: the index of the grid point at or below
+// it and how far it lies toward the next one, 0 when it is clamped to an
+// end. Every row of a model shares the grid, so one search serves them all.
+func locate(bands []int64, band int64) (int, float64) {
 	n := len(bands)
+	if band <= bands[0] {
+		return 0, 0
+	}
 	if band >= bands[n-1] {
-		return cost[n-1]
+		return n - 1, 0
 	}
 	i := sort.Search(n, func(j int) bool { return bands[j] >= band })
 	lo, hi := bands[i-1], bands[i]
-	frac := float64(band-lo) / float64(hi-lo)
-	return cost[i-1] + frac*(cost[i]-cost[i-1])
+	return i - 1, float64(band-lo) / float64(hi-lo)
+}
+
+// at reads a row of costs at a located band.
+func at(cost []float64, i int, frac float64) float64 {
+	if frac == 0 {
+		return cost[i]
+	}
+	return cost[i] + frac*(cost[i+1]-cost[i])
 }
 
 // QDTT is the queue-depth-aware disk-transfer-time model: a grid of
@@ -81,6 +101,10 @@ type QDTT struct {
 	bands  []int64
 	depths []int
 	cost   [][]float64 // [depthIdx][bandIdx], µs per page
+
+	// below[k-1][bandIdx] is Σ PageCost(band, j) over j = 1..k, for k up to
+	// the deepest calibrated depth: the prefix rows Drain reads.
+	below [][]float64
 }
 
 // NewQDTT builds a model from a calibrated grid. Bands and depths must be
@@ -103,6 +127,16 @@ func NewQDTT(bands []int64, depths []int, cost [][]float64) *QDTT {
 		NewDTT(bands, row)
 		q.cost = append(q.cost, append([]float64(nil), cost[i]...))
 	}
+	q.below = make([][]float64, depths[len(depths)-1])
+	for k := range q.below {
+		q.below[k] = make([]float64, len(bands))
+		for b, band := range bands {
+			q.below[k][b] = q.PageCost(band, k+1)
+			if k > 0 {
+				q.below[k][b] += q.below[k-1][b]
+			}
+		}
+	}
 	return q
 }
 
@@ -115,19 +149,50 @@ func (q *QDTT) Depths() []int { return q.depths }
 // PageCost implements Model: bilinear interpolation, band first, then queue
 // depth, clamped outside the grid.
 func (q *QDTT) PageCost(band int64, depth int) float64 {
+	i, frac := locate(q.bands, band)
+	return q.priceAt(i, frac, depth)
+}
+
+// priceAt is PageCost at a located band.
+func (q *QDTT) priceAt(i int, bandFrac float64, depth int) float64 {
 	if depth <= q.depths[0] {
-		return interpBand(q.bands, q.cost[0], band)
+		return at(q.cost[0], i, bandFrac)
 	}
 	n := len(q.depths)
 	if depth >= q.depths[n-1] {
-		return interpBand(q.bands, q.cost[n-1], band)
+		return at(q.cost[n-1], i, bandFrac)
 	}
-	i := sort.Search(n, func(j int) bool { return q.depths[j] >= depth })
-	lo, hi := q.depths[i-1], q.depths[i]
-	cLo := interpBand(q.bands, q.cost[i-1], band)
-	cHi := interpBand(q.bands, q.cost[i], band)
+	j := sort.Search(n, func(j int) bool { return q.depths[j] >= depth })
+	lo, hi := q.depths[j-1], q.depths[j]
+	cLo := at(q.cost[j-1], i, bandFrac)
+	cHi := at(q.cost[j], i, bandFrac)
 	frac := float64(depth-lo) / float64(hi-lo)
 	return cLo + frac*(cHi-cLo)
+}
+
+// Drain is what one drain of a fleet's queue adds, in µs, to reads priced
+// at depth: a fleet that keeps depth reads in flight from one shared cursor
+// has its last depth − 1 reads served at depths depth − 1 down to 1, so it
+// owes Σ_{k<depth} (PageCost(band, k) − PageCost(band, depth)). A fleet
+// drains that way at its end and wherever all its workers wait on one read.
+// The drain is paid on a device that serves one read at a time — one whose
+// first doubling of depth buys less than MinGain (one arm, two requests);
+// where a second read overlaps the first, as on an SSD's channels, the
+// drain's reads overlap too and it is 0. Every PageCost at an integer depth
+// is linear in the grid's costs, so the sum is one interpolation of a
+// prefix row, whatever the depth.
+func (q *QDTT) Drain(band int64, depth int) float64 {
+	if depth <= 1 {
+		return 0
+	}
+	i, frac := locate(q.bands, band)
+	if c1 := q.priceAt(i, frac, 1); c1 <= 0 || (c1-q.priceAt(i, frac, 2))/c1 >= MinGain {
+		return 0
+	}
+	// Past the grid every depth costs the deepest row's price, depth's too,
+	// so the terms beyond the prefix rows are 0.
+	k := min(depth-1, len(q.below))
+	return at(q.below[k-1], i, frac) - float64(k)*q.priceAt(i, frac, depth)
 }
 
 // DepthOne returns the queue-depth-1 slice of the model — the DTT model a

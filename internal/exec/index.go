@@ -104,41 +104,41 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64) (int, bool) 
 	return take, true
 }
 
-// chunkSteps splits [startPos, endPos) into spec.Degree contiguous chunks,
-// one per worker, and returns how many of them are non-empty — workers whose
-// chunk would be empty are never spawned — with the step that walks a
-// worker's chunk one indexBatch at a time.
-func chunkSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *worker) bool) {
-	total := endPos - startPos
-	chunk := (total + int64(spec.Degree) - 1) / int64(spec.Degree)
-	n := int((total + chunk - 1) / chunk)
-	next := make([]int64, n) // next unread position of each worker's chunk
-	for i := range next {
-		next[i] = startPos + int64(i)*chunk
-	}
-	return n, func(w *worker) bool {
-		hi := min(startPos+int64(w.id+1)*chunk, endPos)
-		if next[w.id] >= hi {
+// claimSteps hands [startPos, endPos) out from one cursor: each step claims
+// the next ⌈remaining ÷ (2·Degree − 1)⌉ entries (guided self-scheduling),
+// clamped to the current leaf, before it reads them, so no two workers take
+// the same entries and every worker keeps a read outstanding until the
+// range runs out — but where the workers that claim a new leaf's entries
+// wait on its one read. A lone worker claims to its leaf's end, one
+// indexBatch a leaf. It returns how many workers to spawn — never more than
+// there are entries — with the step; the claim is the abort quantum.
+func claimSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *worker) bool) {
+	next, split := startPos, int64(2*spec.Degree-1)
+	return int(min(int64(spec.Degree), endPos-startPos)), func(w *worker) bool {
+		pos := next
+		if pos >= endPos {
 			return false
 		}
-		take, ok := indexBatch(ctx, spec, w, next[w.id], hi)
-		next[w.id] += int64(take)
+		_, slot := spec.Index.LeafOf(pos)
+		hi := min(pos+(endPos-pos+split-1)/split, pos+int64(spec.Index.LeafCap()-slot))
+		next = hi
+		_, ok := indexBatch(ctx, spec, w, pos, hi)
 		return ok
 	}
 }
 
 // runIndexScan implements IS/PIS: one descent from the root locates the
-// qualifying entry range, and each worker walks its share of it leaf by
-// leaf: it reads the leaf page, optionally prefetches up to
-// PrefetchPerWorker of the referenced table pages ahead, and fetches each
-// row's page to evaluate it.
+// qualifying entry range, and the workers claim it from one cursor
+// (claimSteps), a leaf or less at a time: each claim reads its leaf page,
+// optionally prefetches up to PrefetchPerWorker of the referenced table
+// pages ahead, and fetches each row's page to evaluate it.
 //
-// The scan splits the range into Degree contiguous sub-ranges. At the
-// paper's scale (qualifying leaves ≫ workers) entry-range splitting behaves
-// exactly like the paper's leaf-at-a-time distribution; at reduced scale it
-// additionally parallelizes ranges narrower than a worker-count of leaves,
-// with the effective parallelism still capped by the matching-row count —
-// the paper's noted exception for very selective queries.
+// The paper hands qualifying leaves to workers one at a time (§3). Claims
+// shrink as the range runs out, so the fleet keeps its depth until its last
+// reads instead of thinning as per-worker chunks finish unevenly. On ranges
+// narrower than a worker-count of leaves claims split leaves, with the
+// effective parallelism still capped by the matching-row count — the
+// paper's noted exception for very selective queries.
 func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	spec.admitDeep(p)
 	fl := newFleet(ctx, &spec)
@@ -148,7 +148,7 @@ func runIndexScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 	if !ok || startPos >= endPos {
 		return fl.result()
 	}
-	n, step := chunkSteps(ctx, &spec, startPos, endPos)
+	n, step := claimSteps(ctx, &spec, startPos, endPos)
 	fl.run(p, "pis-w", n, step)
 	return fl.result()
 }

@@ -314,11 +314,6 @@ type costing struct {
 	// valid once positioned is set: every degree's full scan owes the same.
 	position   float64
 	positioned bool
-
-	// serial reports a device that serves one read at a time at the heap's
-	// band (fleetTail), valid once serialSet is set.
-	serial    bool
-	serialSet bool
 }
 
 // newEstimator folds the page-count constants of the input's table behind
@@ -489,7 +484,10 @@ func costSharedScan(cfg *Config, in *Input, cc *costing) Plan {
 // issues: a five-row range keeps at most six reads in flight whatever the
 // fleet, and on a drive that orders its queue by access time pricing it at
 // depth 32 would promise a gain no five reads can reach. A fleet without
-// prefetching may hold less than its degree on average (fleetTail).
+// prefetching claims entries from one cursor and keeps its depth but where
+// its queue drains (cost.Model's Drain): over its last depth − 1 reads, and
+// at each leaf boundary, where the workers that claim the next leaf's
+// entries all wait on its one read — so once a leaf page.
 func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	t := in.Table
 	x := in.Index
@@ -510,11 +508,9 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 	depth = capDepth(cfg, min(depth, int(math.Ceil(heapFetches+leafPages))))
 	pageIO := heapFetches + leafPages + descent
 	band := t.Pages()
-	price := cfg.Model.PageCost(band, depth)
-	io := pageIO * price
+	io := pageIO * cfg.Model.PageCost(band, depth)
 	if pf == 0 {
-		fleet := heapFetches + leafPages
-		io += fleet * cc.fleetTail(cfg.Model, band, depth, price, fleet)
+		io += cfg.Model.Drain(band, depth) * leafPages
 	}
 
 	workers := d
@@ -534,49 +530,6 @@ func costIndexScan(cfg *Config, in *Input, cc *costing, d, pf int) Plan {
 		EstRows: matched, EstPageIO: pageIO,
 		IOMicros: io, CPUMicros: cpu + startup, TotalMicros: total,
 	}
-}
-
-// fleetTail is what a static fleet of depth workers, each waiting on one
-// read at a time, adds to each of the n reads it shares in equal chunks,
-// over their price at depth. A device that overlaps reads keeps such
-// workers in step. One that serves a read at a time — a disk arm — serves
-// whichever queued read it reaches first, so some workers' chunks run ahead
-// and the fleet's depth falls as they finish: fleetMeanDepth gives 6.6 for
-// a cold 64-row PIS8 and 7.3 for a 256-row one, where on the three Table-1
-// HDD heaps such scans hold 5.8–6.6 and 6.7–7.5 reads in flight,
-// time-averaged. The model shows a device that serves one read at a time
-// as one whose first doubling of depth buys nothing worth a credit
-// (cost.MinGain: one arm, two requests), where an SSD's channels halve the
-// price. The price at the mean depth is interpolated between depth/2 and
-// depth linearly in 1/depth, the way the nearest of k queued reads comes
-// closer as k grows.
-func (cc *costing) fleetTail(m cost.Model, band int64, depth int, price, n float64) float64 {
-	lo := depth / 2
-	if lo < 1 {
-		return 0
-	}
-	if !cc.serialSet {
-		c1 := m.PageCost(band, 1)
-		cc.serial, cc.serialSet = c1 > 0 && (c1-m.PageCost(band, 2))/c1 < cost.MinGain, true
-	}
-	if !cc.serial {
-		return 0
-	}
-	d := float64(depth)
-	// 1/mean − 1/depth over 1/lo − 1/depth: the share of the way to lo.
-	f := (d/fleetMeanDepth(depth, n/d) - 1) * float64(lo) / (d - float64(lo))
-	return f * (m.PageCost(band, lo) - price)
-}
-
-// fleetMeanDepth is the mean number of workers still reading, over every
-// read served, when a drive serves a uniform pick of them until each of
-// depth workers has had its m reads: depth − (depth − 1)/√(πm), within 2 %
-// of that race for depths 2 to 32 and m from 4 to 64, within 4 % at m = 2
-// (TestFleetTailIsTheRacesMeanDepth). A fleet with under one read a worker
-// is held at one.
-func fleetMeanDepth(depth int, m float64) float64 {
-	d := float64(depth)
-	return d - (d-1)/math.Sqrt(math.Pi*max(1, m))
 }
 
 func maxf(a, b float64) float64 {
