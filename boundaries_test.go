@@ -69,6 +69,10 @@ var boundaries = []boundary{
 		[]string{"internal/exec/shared.go:evalPage", "internal/exec/shared.go:runSharedFullScan",
 			"internal/exec/batch.go:fetchE", "internal/exec/batch.go:fetchRetry", "internal/exec/batch.go:prefetch"},
 		"internal/exec/shared.go\npackage exec\nfunc f(b *cpuBudget) { b.prefetch(nil, nil, 0) }"},
+	{"one-plan-path", "the engine plans through opt.ParamCache: outside internal/opt no engine file calls the deprecated memo constructor or the uncached greedy path",
+		engineIn("", "internal/opt/"), refs(nil, "opt.NewMemo", "opt.GreedyChoose"),
+		[]string{"internal/opt/paramcache.go:NewMemo", "internal/opt/greedy.go:GreedyChoose"},
+		"query.go\npackage pioqo\nfunc f(cfg opt.Config, in opt.Input) { _ = opt.NewMemo().Choose(cfg, in) }"},
 	{"gofmt", "every source, test or not, is gofmt-formatted", func(string) bool { return true },
 		func(s *source) []token.Pos {
 			if out, err := format.Source(s.src); err != nil || !bytes.Equal(out, s.src) {

@@ -154,17 +154,15 @@ func (s *System) LoadModel(r io.Reader) error {
 }
 
 // installModel swaps the optimizer's cost model and drops everything
-// derived from the old one: the plan memo and the parameterized plan cache
-// (whose cached costs priced I/O with the previous model), the
-// depth-oblivious projection, and the resource broker (whose credit supply
-// was the old model's beneficial depth) along with the circulating
-// producers' leasing hook into it. The model is all an installed system
-// plans from, so a loaded model runs every query exactly as the calibration
-// that saved it.
+// derived from the old one: the plan cache (whose cached costs priced I/O
+// with the previous model), the depth-oblivious projection, and the
+// resource broker (whose credit supply was the old model's beneficial
+// depth) along with the circulating producers' leasing hook into it. The
+// model is all an installed system plans from, so a loaded model runs every
+// query exactly as the calibration that saved it.
 func (s *System) installModel(m *cost.QDTT) {
 	s.model = m
 	s.depthOne = nil
-	s.memo.Reset()
 	s.pcache.Reset()
 	s.broker = nil
 	for _, n := range s.nodes {
@@ -176,7 +174,7 @@ func (s *System) installModel(m *cost.QDTT) {
 
 // depthOneModel returns the model's depth-one projection, built once per
 // installed model. DepthOblivious planning goes through it so repeated
-// old-optimizer queries share one DTT — and, crucially, one memo key.
+// old-optimizer queries share one DTT — and, crucially, one plan-cache shape.
 func (s *System) depthOneModel() *cost.DTT {
 	if s.depthOne == nil {
 		s.depthOne = s.model.DepthOne()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,46 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 			if !found {
 				t.Errorf("%s cites %s, and no test function starts with it", doc, name)
 			}
+		}
+	}
+}
+
+// TestChangesEntriesStayShort holds each CHANGES.md entry numbered
+// firstCapped or later to 15 lines and 2 KB, its FOUND and MENDED lines
+// counted: numbers go to the entry's BENCH_TRAJECTORY.jsonl row, and the
+// entry cites it. An entry is a "- PR n" line and every line up to the next
+// one. Earlier entries, some of them 2–13 KB, are history and exempt by
+// number.
+func TestChangesEntriesStayShort(t *testing.T) {
+	const firstCapped, maxLines, maxBytes = 56, 15, 2048
+	src, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		head             string
+		pr, lines, bytes int
+	}
+	var entries []entry
+	starts := regexp.MustCompile(`^- PR (\d+)\b`)
+	for _, line := range strings.Split(strings.TrimRight(string(src), "\n"), "\n") {
+		if m := starts.FindStringSubmatch(line); m != nil {
+			pr, _ := strconv.Atoi(m[1])
+			entries = append(entries, entry{head: m[0], pr: pr})
+		}
+		if len(entries) > 0 && line != "" {
+			e := &entries[len(entries)-1]
+			e.lines++
+			e.bytes += len(line) + 1
+		}
+	}
+	if len(entries) == 0 {
+		t.Fatal("CHANGES.md holds no \"- PR n\" entry")
+	}
+	for _, e := range entries {
+		if e.pr >= firstCapped && (e.lines > maxLines || e.bytes > maxBytes) {
+			t.Errorf("CHANGES.md %q runs %d lines and %d bytes; an entry holds at most %d lines and %d bytes",
+				e.head, e.lines, e.bytes, maxLines, maxBytes)
 		}
 	}
 }

@@ -60,7 +60,7 @@ type Pool struct {
 	inFlightWrites *sim.WaitGroup
 
 	// epoch counts residency changes (installs and evictions). Consumers
-	// that cache residency-derived state — the optimizer's plan memo — use
+	// that cache residency-derived state — the optimizer's plan cache — use
 	// it as a cheap invalidation token.
 	epoch uint64
 

@@ -69,8 +69,6 @@ var (
 	// directly by every full enumeration, which emits no event.
 	MetricOptOptimizations   = metric("opt.optimizations")
 	MetricOptPlansEnumerated = metric("opt.plans_enumerated")
-	MetricOptMemoHits        = metric("opt.memo_hits")
-	MetricOptMemoMisses      = metric("opt.memo_misses")
 
 	// internal/opt parameterized cache + greedy fast path (serving plan
 	// path). Band metrics count selectivity-band cache traffic; greedy
@@ -177,12 +175,6 @@ var (
 	EvScanShareAttach = event("scanshare.attach", "join_block", "consumers", count(MetricScanShareAttaches))
 	EvScanShareDetach = event("scanshare.detach", "blocks", "consumers", count(MetricScanShareDetaches))
 	EvScanShareLap    = event("scanshare.lap", "laps", "consumers", count(MetricScanShareLaps))
-
-	// internal/opt: the memo's plan-cache traffic. A replay counts as an
-	// optimization, so per-query diffs do not depend on a warm memo.
-	EvPlanCacheHit = event("plancache.hit", "plans", "",
-		count(MetricOptMemoHits), count(MetricOptOptimizations), addA(MetricOptPlansEnumerated))
-	EvPlanCacheMiss = event("plancache.miss", "plans", "", count(MetricOptMemoMisses))
 
 	// internal/opt: parameterized cache and greedy fast path. A revalidation
 	// that keeps its entry (B = 1) serves the query; one that does not (B =

@@ -69,7 +69,7 @@ func TestCountersAreTheirEvents(t *testing.T) {
 	for _, name := range []string{
 		"shard.scatter", "shard.hedge.issue", "shard.hedge.win", "read.retry",
 		"admission.grant", "scanshare.attach", "scanshare.detach", "scanshare.lap",
-		"plancache.hit", "plancache.miss", "plancache.band_hit", "plancache.band_miss", "planner.greedy",
+		"plancache.band_hit", "plancache.band_miss", "planner.greedy",
 	} {
 		if seen[name] == 0 {
 			missing = append(missing, name)
@@ -86,19 +86,14 @@ func TestCountersAreTheirEvents(t *testing.T) {
 }
 
 // runScatters gathers ranges across the shards under stragglers and read
-// errors, with the hedgers armed, planning half of them greedily.
+// errors, with the hedgers armed.
 func runScatters(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 	sys.InjectFaults(pioqo.FaultSchedule{Windows: []pioqo.FaultWindow{{
 		StragglerRate: 0.10, StragglerLatency: 20 * time.Millisecond, ErrorRate: 0.002,
 	}}})
-	greedy := pioqo.WithPlanOptions(pioqo.PlanOptions{GreedyPlanning: true})
 	for i := int64(0); i < 8; i++ {
 		q := pioqo.Query{Table: tab, Low: i * 20000, High: i*20000 + 40000}
-		opts := []pioqo.QueryOption{pioqo.WithRetry(pioqo.RetryPolicy{MaxAttempts: 8})}
-		if i%2 == 1 {
-			opts = append(opts, greedy)
-		}
-		if _, err := sys.Run(context.Background(), q, opts...); err != nil {
+		if _, err := sys.Run(context.Background(), q, pioqo.WithRetry(pioqo.RetryPolicy{MaxAttempts: 8})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +101,7 @@ func runScatters(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 
 // runServing runs a brokered batch of point lookups beside full scans that
 // ride circulating scans, then two range scans alone, then plans the
-// batch's shapes greedily.
+// batch's queries again.
 func runServing(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 	var qs []pioqo.Query
 	for i := int64(0); i < 40; i++ {
@@ -124,7 +119,7 @@ func runServing(t *testing.T, sys *pioqo.System, tab *pioqo.Table) {
 		}
 	}
 	for _, q := range qs {
-		if _, err := sys.Plan(q, pioqo.PlanOptions{GreedyPlanning: true}); err != nil {
+		if _, err := sys.Plan(q, pioqo.PlanOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}

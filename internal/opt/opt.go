@@ -72,13 +72,13 @@ type Config struct {
 	ShareParties int
 
 	// GridKey, when non-empty, is the precomputed flattening of the
-	// enumeration grid (see the GridKey function). Plan caches key on it;
+	// enumeration grid (see the GridKey function). The plan cache keys on it;
 	// leaving it empty makes every lookup rebuild — and allocate — the
 	// string from Degrees and PrefetchDepths.
 	GridKey string
 
-	// Obs, when set, records the plan caches' decisions and the opt.*
-	// counters. Excluded from the cache keys: recording never changes what
+	// Obs, when set, records the plan cache's decisions and the opt.*
+	// counters. Excluded from the cache key: recording never changes what
 	// is cached.
 	Obs *obs.Registry
 }
@@ -95,7 +95,7 @@ func (c *Config) degrees() []int {
 }
 
 // GridKey flattens an enumeration grid — degrees and prefetch depths, with
-// the same defaulting as Config — into the string the plan caches key on.
+// the same defaulting as Config — into the string the plan cache keys on.
 // Compute it once when the Config's grid is fixed and store it in
 // Config.GridKey to keep cache lookups allocation-free.
 func GridKey(degrees, prefetchDepths []int) string {
@@ -228,10 +228,10 @@ func (c *Config) overBudget(d int) bool {
 const maxCandidates = 43
 
 // rankTop ranks the full enumeration at the bound costing on its own stack
-// and returns the top of it: what stateless Choose, a memo miss through
-// Memo.Lookup, greedyPlan's margin trip and the parameterized cache's
-// crossover fallback keep. It stays out of line so that the 3 KB buffer
-// is a frame only while a ranking runs, not on every hit path that calls it.
+// and returns the top of it: what stateless Choose, greedyPlan's margin
+// trip and the parameterized cache's crossover fallback keep. It stays out
+// of line so that the 3 KB buffer is a frame only while a ranking runs, not
+// on every hit path that calls it.
 //
 //go:noinline
 func rankTop(cfg *Config, in *Input, cc *costing) top2 {
@@ -241,10 +241,10 @@ func rankTop(cfg *Config, in *Input, cc *costing) top2 {
 
 // enumerate prices every candidate at the bound costing and ranks them into
 // buf, cheapest first, ties in candidate order. It is the one full
-// enumeration: the stateless entry points, the memo and the parameterized
-// cache's crossover fallbacks all rank through it, each bringing the costing
-// it has already bound and a stack buffer. Only Enumerate and
-// Memo.LookupAll, which hand the list to their caller, copy it to the heap.
+// enumeration: the stateless entry points and the parameterized cache's
+// crossover fallbacks all rank through it, each bringing the costing it has
+// already bound and a stack buffer. Only Enumerate, which hands the list to
+// its caller, copies it to the heap.
 func enumerate(cfg *Config, in *Input, cc *costing, buf []Plan) []Plan {
 	plans := buf[:0]
 	// The shared candidate goes first: when a CPU-bound shared lap ties a

@@ -355,13 +355,13 @@ func TestSharedScanCandidate(t *testing.T) {
 		t.Error("Plan.Spec dropped the Shared flag")
 	}
 
-	// The memo must not replay a differently-shared enumeration.
-	m := NewMemo()
+	// The plan cache must not serve an unshared ranking to a shared shape.
+	pc := NewParamCache()
 	cfg.ShareParties = 0
-	m.LookupAll(&cfg, &in)
+	pc.Choose(cfg, in)
 	cfg.ShareParties = 8
-	if p := m.Choose(cfg, in); !p.Shared {
-		t.Errorf("memo replayed the unshared enumeration for ShareParties=8: %v", p)
+	if p := pc.Choose(cfg, in); !p.Shared {
+		t.Errorf("the plan cache served the unshared ranking for ShareParties=8: %v", p)
 	}
 }
 
@@ -427,8 +427,7 @@ func TestChooseAllocatesOnlyItsPlanList(t *testing.T) {
 
 // TestPlanningAllocatesOnlyWhatItKeeps gates every path that ranks the full
 // enumeration to read the top of it: the list goes on the caller's stack,
-// and only what the path keeps reaches the heap. A warm memo's miss keeps a
-// map entry in buckets an earlier fill left behind, a parameterized cache's
+// and only what the path keeps reaches the heap. A parameterized cache's
 // crossover fallback keeps the entry publish installs when its ranking
 // changed and nothing when it did not, and the greedy fast path's margin
 // trip and a stateless Choose keep nothing.
@@ -437,29 +436,6 @@ func TestPlanningAllocatesOnlyWhatItKeeps(t *testing.T) {
 	s := w.shape("all")
 	cfg := s.cfg
 	cfg.Obs, cfg.QueueBudget = nil, 0 // 49 candidates: the widest the engine ranks
-
-	t.Run("memo miss", func(t *testing.T) {
-		m := NewMemo()
-		i := int64(0)
-		miss := func() {
-			in := s.in
-			in.Lo, in.Hi = i, i+i%4096
-			i++
-			m.Choose(cfg, in)
-		}
-		// Fill the memo past its bound twice: the map is then at the size
-		// it keeps for good.
-		for i < 5*memoMaxEntries/2 {
-			miss()
-		}
-		_, before := m.Stats()
-		if allocs := testing.AllocsPerRun(1000, miss); allocs > 0 {
-			t.Errorf("a warm memo's miss allocates %.2f/op, want 0", allocs)
-		}
-		if hits, after := m.Stats(); hits != 0 || after-before != 1001 {
-			t.Fatalf("the measured lookups were not all misses: %d hits, %d misses", hits, after-before)
-		}
-	})
 
 	// A selectivity on the index/full-scan crossover: the two families
 	// price within the margin there, so every lookup falls back.

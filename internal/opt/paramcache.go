@@ -1,18 +1,17 @@
-// Parameterized plan cache. The Memo keys on exact predicate constants and
-// the exact pool epoch, so a serving tier re-planning one query *shape*
-// millions of times with different constants gets a near-zero hit rate.
-// The ParamCache keys on the shape alone — table/index/stats/model/machine/
-// enumeration grid — and buckets the predicate's estimated selectivity into
-// logarithmic bands: band b holds every query whose selectivity falls in
-// (2^-(b+1), 2^-b]. Within a band the access-path choice is almost always
-// the same; only the cardinality estimate moves. Constants are bound at
-// lookup time: a hit re-prices nothing when the entry is band-stable, or at
-// most the cached winner and its cross-family runner-up when it is not.
+// Parameterized plan cache: the one path every engine plan goes through. A
+// serving tier re-plans one query *shape* millions of times with different
+// constants, so the cache keys on the shape alone — table/index/stats/
+// model/machine/enumeration grid — and buckets the predicate's estimated
+// selectivity into logarithmic bands: band b holds every query whose
+// selectivity falls in (2^-(b+1), 2^-b]. Within a band the access-path
+// choice is almost always the same; only the cardinality estimate moves.
+// Constants are bound at lookup time: a hit re-prices nothing when the
+// entry is band-stable, or at most the cached winner and its cross-family
+// runner-up when it is not.
 //
-// Residency drift is handled the same way: instead of the memo's
-// epoch-exact invalidate-everything, an epoch mismatch re-costs just the
-// winner and runner-up at the current residency and keeps the entry when
-// the winner still wins by more than the uncertainty margin — full
+// Residency drift is handled the same way: an epoch mismatch re-costs just
+// the winner and runner-up at the current residency and keeps the entry
+// when the winner still wins by more than the uncertainty margin — full
 // re-enumeration happens only when the ranking actually flips or lands on
 // a crossover.
 //
@@ -84,9 +83,11 @@ func bandEdges(band int) (lo, hi float64) {
 	return hi / 2, hi
 }
 
-// shapeKey is a memoKey minus the constants: no lo/hi, no epoch. Everything
-// left is fixed for a query shape's lifetime; object-valued fields key on
-// identity exactly as in the memo.
+// shapeKey captures every input a plan's cost can depend on except the
+// constants — no lo/hi, no pool epoch. Everything left is fixed for a query
+// shape's lifetime. Object-valued fields (table, index, stats, pool, model)
+// key on identity: the engine owns these for a catalog's lifetime, and a
+// rebuilt object may legitimately carry different contents.
 type shapeKey struct {
 	table table.Table
 	index *btree.Index
@@ -445,3 +446,9 @@ func (pc *ParamCache) Lookup(cfg *Config, in *Input) Plan {
 	publish(cfg, in, set, band, epoch, cc.resident, &t)
 	return t.winner
 }
+
+// NewMemo returns an empty band cache: the exact-key memo is gone, and the
+// frozen bench/ probes still call it by this name.
+//
+// Deprecated: use NewParamCache.
+func NewMemo() *ParamCache { return NewParamCache() }

@@ -13,6 +13,7 @@ import (
 	"pioqo/internal/disk"
 	"pioqo/internal/exec"
 	"pioqo/internal/host"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 	"pioqo/internal/stats"
 	"pioqo/internal/table"
@@ -327,8 +328,8 @@ func TestParamCacheResetAndBound(t *testing.T) {
 // between three shapes, as a serving tier's do (plan_serving cycles exactly
 // these option sets). A cache that remembers only the last shape passes
 // this with one shape and allocates on every lookup with two. Building a
-// memo key with a precomputed GridKey allocates nothing either (the
-// satellite fix for the fmt.Sprint-per-lookup regression).
+// shape key with a precomputed GridKey allocates nothing either (the fix
+// for the fmt.Sprint-per-lookup regression).
 func TestParamCacheStableHitAllocs(t *testing.T) {
 	cfg, in, f := paramFixture(t)
 	shapes := [3]Config{cfg, cfg, cfg}
@@ -376,9 +377,114 @@ func TestParamCacheStableHitAllocs(t *testing.T) {
 	}
 
 	if allocs := testing.AllocsPerRun(100, func() {
-		newMemoKey(&cfg, &in)
+		newShapeKey(&cfg, &in)
 	}); allocs > 0 {
-		t.Errorf("newMemoKey with precomputed GridKey allocates %.1f/op, want 0", allocs)
+		t.Errorf("newShapeKey with precomputed GridKey allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestGridKeyMatchesPerLookupComputation pins the precomputed-grid-key fix:
+// a Config carrying GridKey must produce the same shape key as one building
+// the string per lookup, for defaulted and explicit grids alike.
+func TestGridKeyMatchesPerLookupComputation(t *testing.T) {
+	cfg, in, _ := paramFixture(t)
+	grids := []Config{
+		{},
+		{Degrees: []int{1, 4, 16}},
+		{PrefetchDepths: []int{2, 8}},
+		{Degrees: []int{2, 8}, PrefetchDepths: []int{4, 32}},
+	}
+	for _, g := range grids {
+		lazy := cfg
+		lazy.Degrees, lazy.PrefetchDepths, lazy.GridKey = g.Degrees, g.PrefetchDepths, ""
+		pre := lazy
+		pre.GridKey = GridKey(g.Degrees, g.PrefetchDepths)
+		if newShapeKey(&pre, &in) != newShapeKey(&lazy, &in) {
+			t.Errorf("grid %v/%v: precomputed key diverges from per-lookup key",
+				g.Degrees, g.PrefetchDepths)
+		}
+	}
+}
+
+// TestMemoKeysOnLeasedQueueBudget: sessions plan queries under the broker's
+// fair share, so a plan the cache holds under one queue budget must never
+// serve another, and each budget replays from its own entry.
+func TestMemoKeysOnLeasedQueueBudget(t *testing.T) {
+	cfg, in, _ := paramFixture(t)
+	pc := NewParamCache()
+
+	budgets := []int{0, 2, 8}
+	plans := make([]Plan, len(budgets))
+	for i, b := range budgets {
+		c := cfg
+		c.QueueBudget = b
+		plans[i] = pc.Choose(c, in)
+	}
+	if s := pc.Stats(); s.Hits != 0 || s.Misses != int64(len(budgets)) || pc.Len() != len(budgets) {
+		t.Fatalf("stats = %+v over %d shapes; want %d misses in as many shapes", s, pc.Len(), len(budgets))
+	}
+	for i, b := range budgets {
+		c := cfg
+		c.QueueBudget = b
+		if got := pc.Choose(c, in); got != plans[i] {
+			t.Errorf("budget %d replay chose %v, first run chose %v", b, got, plans[i])
+		}
+		if b > 0 && plans[i].Degree > b {
+			t.Errorf("budget %d cached a plan at degree %d", b, plans[i].Degree)
+		}
+	}
+	if hits := pc.Stats().Hits; hits != int64(len(budgets)) {
+		t.Fatalf("replays hit %d entries, want %d", hits, len(budgets))
+	}
+}
+
+// TestMemoBoundedUnderEpochChurn: a long install/evict churn moves the pool
+// epoch on every lookup, and once the heap is resident distinct predicates
+// pile up at a frozen epoch. The cache keys on the shape alone — neither the
+// epoch nor the constants — so it stays at one shape and one band entry,
+// and the entry the churn left still serves.
+func TestMemoBoundedUnderEpochChurn(t *testing.T) {
+	cfg, in, _ := paramFixture(t)
+	pc := NewParamCache()
+
+	pages := in.Table.Pages()
+	const churn = 3072
+	for i := int64(0); i < churn; i++ {
+		in.Pool.Prefetch(in.Table.File(), i%pages)
+		q := in
+		q.Lo, q.Hi = i, i+100
+		pc.Choose(cfg, q)
+	}
+	s := pc.Stats()
+	if pc.Len() != 1 || s.Misses != 1 || s.Hits+s.Fallbacks != churn-1 {
+		t.Fatalf("after churn: %d shapes, %+v; want one shape, one miss, the rest served", pc.Len(), s)
+	}
+	q := in
+	q.Lo, q.Hi = churn-1, churn-1+100
+	pc.Choose(cfg, q)
+	if pc.Stats().Hits+pc.Stats().Fallbacks != churn {
+		t.Fatalf("the last entry no longer serves: %+v", pc.Stats())
+	}
+}
+
+// TestMemoCountsOptimizationsOnReplay: a band hit serves an optimization,
+// so it counts as one, and it leaves the caller's registry in place.
+func TestMemoCountsOptimizationsOnReplay(t *testing.T) {
+	cfg, in, _ := paramFixture(t)
+	reg := obs.NewRegistry(sim.NewEnv(1))
+	cfg.Obs = reg
+	pc := NewParamCache()
+
+	pc.Lookup(&cfg, &in)
+	pc.Lookup(&cfg, &in)
+	if cfg.Obs != reg {
+		t.Fatal("a hit cleared the caller's registry")
+	}
+	if got := reg.Counter(obs.MetricOptOptimizations).Value(); got != 2 {
+		t.Fatalf("opt.optimizations = %d after a miss and a hit, want 2", got)
+	}
+	if reg.Counter(obs.MetricOptBandHits).Value() != 1 || reg.Counter(obs.MetricOptBandMisses).Value() != 1 {
+		t.Fatal("band hit/miss counters not published")
 	}
 }
 

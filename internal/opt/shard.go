@@ -48,10 +48,10 @@ type ShardPlan struct {
 	IOMicros, CPUMicros, TotalMicros float64
 }
 
-// ChooseSharded plans each shard with choose (the caller's memo- or
-// band-cached Choose) and prices the merge stage. cfgs[i] must carry shard
-// i's band-local sizing: its pool capacity and its split of the query's
-// queue-depth lease budget. groups sizes the MergeGroups hash (ignored for
+// ChooseSharded plans each shard with choose (the engine's band-cached
+// Choose, or stateless Choose) and prices the merge stage. cfgs[i] must
+// carry shard i's band-local sizing: its pool capacity and its split of the
+// query's queue-depth lease budget. groups sizes the MergeGroups hash (ignored for
 // the other kinds).
 func ChooseSharded(choose func(Config, Input) Plan, cfgs []Config, ins []Input,
 	merge MergeKind, groups float64) ShardPlan {

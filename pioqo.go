@@ -134,15 +134,12 @@ type System struct {
 	tables map[string]*Table
 	model  *cost.QDTT
 
-	// memo caches plan enumerations across queries; depthOne caches the
-	// model's depth-oblivious projection for DepthOblivious planning. Both
-	// are dropped whenever a calibration installs a new model.
-	memo     *opt.Memo
+	// pcache is the parameterized plan cache every plan goes through;
+	// depthOne caches the model's depth-oblivious projection for
+	// DepthOblivious planning. Both are dropped whenever a calibration
+	// installs a new model.
+	pcache   *opt.ParamCache
 	depthOne *cost.DTT
-
-	// pcache is the serving-scale parameterized plan cache; Plan routes
-	// through it instead of the memo under PlanOptions.GreedyPlanning.
-	pcache *opt.ParamCache
 
 	// broker is the resource-governance layer (internal/broker) that admits
 	// every query, built lazily from the calibrated model and dropped with
@@ -183,7 +180,6 @@ func New(cfg Config) *System {
 		cores:  cfg.Cores,
 		seed:   cfg.Seed,
 		tables: make(map[string]*Table),
-		memo:   opt.NewMemo(),
 		pcache: opt.NewParamCache(),
 		reg:    obs.NewRegistry(env),
 	}

@@ -174,10 +174,10 @@ type PlanOptions struct {
 	// price the attach path by hand.
 	ShareParties int
 
-	// GreedyPlanning routes this optimization through the serving-scale
-	// plan path — the parameterized selectivity-band cache backed by the
-	// greedy O(n) fast path — instead of the exhaustive memoized
-	// enumeration.
+	// GreedyPlanning is ignored: every plan goes through the parameterized
+	// selectivity-band cache, backed by the greedy O(n) fast path.
+	//
+	// Deprecated: kept for the frozen bench/ suite; it changes nothing.
 	GreedyPlanning bool
 }
 
@@ -319,18 +319,14 @@ func (s *System) planScan(q Query, o PlanOptions) (plan Plan, err error) {
 	if err := s.optConfig(q, o, &cfg, &in); err != nil {
 		return Plan{}, err
 	}
-	var p opt.Plan
-	if o.GreedyPlanning {
-		p = s.pcache.Lookup(&cfg, &in)
-	} else {
-		p = s.memo.Lookup(&cfg, &in)
-	}
+	p := s.pcache.Lookup(&cfg, &in)
 	plan.setInternal(&p)
 	return plan, nil
 }
 
 // Explain returns every candidate plan the optimizer considered for q,
-// cheapest first.
+// cheapest first: the full enumeration at q's constants and the pool's
+// current residency, ranked without the plan cache.
 func (s *System) Explain(q Query, o PlanOptions) ([]Plan, error) {
 	var cfg opt.Config
 	var in opt.Input
@@ -338,7 +334,7 @@ func (s *System) Explain(q Query, o PlanOptions) ([]Plan, error) {
 		return nil, err
 	}
 	var plans []Plan
-	for _, p := range s.memo.LookupAll(&cfg, &in) {
+	for _, p := range opt.Enumerate(cfg, in) {
 		plans = append(plans, fromInternalPlan(p))
 	}
 	return plans, nil
@@ -442,11 +438,11 @@ func WithPrefetch(n int) QueryOption { return func(o *queryOptions) { o.prefetch
 // WithPlanOptions sets the options the query is optimized under.
 func WithPlanOptions(po PlanOptions) QueryOption { return func(o *queryOptions) { o.plan = po } }
 
-// PlannerStats snapshots the plan caches' traffic counters: the exact-match
-// memo on the default path, and the parameterized band cache serving greedy
-// planning.
+// PlannerStats snapshots the plan cache's traffic counters.
 type PlannerStats struct {
-	// MemoHits and MemoMisses count the exact-key memo's traffic.
+	// MemoHits and MemoMisses always read 0: the exact-key memo is gone.
+	//
+	// Deprecated: kept for the frozen bench/ suite; read the band counters.
 	MemoHits, MemoMisses int64
 	// BandHits and BandMisses count parameterized-cache lookups that bound
 	// constants into a cached band entry vs. planned a shape × band fresh.
@@ -459,13 +455,10 @@ type PlannerStats struct {
 	GreedyPlans, GreedyFallbacks int64
 }
 
-// PlannerStats reports the plan caches' cumulative hit/miss counters.
+// PlannerStats reports the plan cache's cumulative hit/miss counters.
 func (s *System) PlannerStats() PlannerStats {
-	mh, mm := s.memo.Stats()
 	cs := s.pcache.Stats()
 	return PlannerStats{
-		MemoHits:          mh,
-		MemoMisses:        mm,
 		BandHits:          cs.Hits,
 		BandMisses:        cs.Misses,
 		BandRevalidations: cs.Revalidations,

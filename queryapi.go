@@ -423,8 +423,8 @@ func (r *queryRun) rangeScan(scan Query, po PlanOptions, run func(p *sim.Proc, p
 // runs, when part's node hosts circulating scans: every such query is a
 // potential rider, so a full scan planned now prices the attach path
 // against everyone in flight. It returns the share parties to plan for:
-// the caller's when set, else the live interest quantized so the plan memo
-// caches a few contention levels (a sole query's 1 quantizes to 0).
+// the caller's when set, else the live interest quantized so the plan cache
+// keeps a few contention levels (a sole query's 1 quantizes to 0).
 func (r *queryRun) share(part *tablePart, parties int) int {
 	if part.node.Shares == nil || r.eo.noShare {
 		return parties

@@ -176,11 +176,7 @@ func (s *System) planSharded(q Query, o PlanOptions) (Plan, error) {
 		}
 		ins[j] = part.input(q)
 	}
-	choose := s.memo.Choose
-	if o.GreedyPlanning {
-		choose = s.pcache.Choose
-	}
-	sp := opt.ChooseSharded(choose, cfgs, ins, opt.MergeScalar, 0)
+	sp := opt.ChooseSharded(s.pcache.Choose, cfgs, ins, opt.MergeScalar, 0)
 
 	// The public shape mirrors the slowest shard's choice (the one the
 	// makespan estimate is pinned to); per-shard plans ride along for the
