@@ -15,8 +15,9 @@ import (
 type CalibrationMethod int
 
 const (
-	// ActiveWait keeps a circular window of asynchronous reads in flight —
-	// the paper's recommended general method.
+	// ActiveWait keeps a window of asynchronous reads in flight, issuing the
+	// next as soon as any completes — the paper's recommended general
+	// method.
 	ActiveWait CalibrationMethod = iota
 	// GroupWait issues groups of reads with a barrier between groups; it
 	// matches ActiveWait on SSDs but under-measures spinning media.

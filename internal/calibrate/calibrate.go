@@ -11,8 +11,15 @@
 //   - MultiThread: qd worker processes each issuing synchronous reads;
 //   - GroupWait (GW): one process issues qd asynchronous reads, waits for
 //     the whole group, then issues the next group;
-//   - ActiveWait (AW): one process keeps a circular window of qd reads in
-//     flight, reissuing as each oldest completes.
+//   - ActiveWait (AW): one process keeps qd reads in flight, issuing the
+//     next read as soon as any of them completes (sim.Any).
+//
+// AW and MultiThread keep the depth they name on any device, and read alike:
+// both issue the next read of one sequence the moment a read completes. A
+// driver that waited for its window's oldest read instead would keep less
+// wherever the device completes reads out of order — a disk ordering its
+// queue by access time passes that read over, and an SSD's channels finish
+// out of order (on the HDD, 5 of a window of 8 and 14 of 32).
 //
 // On devices whose latency stays flat up to the parallelism limit (SSDs) GW
 // and AW agree; on spinning media, queueing raises latency, GW's barrier
@@ -235,7 +242,11 @@ func deepRowConfig(cfg Config) Config {
 // one, which is why a disk's depth walk trips there. Walked in full by d
 // closed-loop workers, the way the executor's fleets read, a disk that
 // orders its queue by access time cuts a band's cost by a near-constant
-// factor per doubling of that choice (DESIGN.md §6).
+// factor per doubling of that choice (DESIGN.md §6). Against a full
+// active-wait walk at the same budget the fit prices the full-size HDD's
+// bands 256–65 536 9–25 % high at depths 4–16, and a Table-1 heap's band
+// within 5 %; index fleets priced from either read alike, so the walk's
+// extra reads buy nothing (DESIGN.md §6 gives the cells).
 func fitStoppedRows(grid [][]float64, depths []int, trip int) {
 	top, last := len(grid[trip])-1, len(grid)-1
 	scale := grid[trip][top] / grid[0][top]
@@ -274,11 +285,12 @@ func validate(dev device.Device, cfg Config) {
 // or a Sweep cell, keeps one across its points, so that once the buffers
 // have grown a point allocates its completions and no buffers.
 type scratch struct {
-	seq     []int64
-	reqs    []request
-	window  []*sim.Completion // the reads a GW group or the AW window holds
-	samples []float64
-	drawn   distinctSet
+	seq      []int64
+	reqs     []request
+	window   []*sim.Completion // the reads a GW group holds
+	inFlight sim.Any           // the reads the AW window holds
+	samples  []float64
+	drawn    distinctSet
 }
 
 // measure runs cfg.Repetitions repetitions of one calibration point and
@@ -512,17 +524,16 @@ func (sc *scratch) drive(env *sim.Env, dev device.Device, seq []request, depth i
 			}
 		})
 	case ActiveWait:
+		inFlight := &sc.inFlight
 		env.Go("calib-aw", func(p *sim.Proc) {
 			for i, r := range seq {
 				if i >= depth {
-					p.Wait(window[i%depth])
-					window[i%depth] = read(r)
-				} else {
-					window = append(window, read(r))
+					p.WaitAny(inFlight)
 				}
+				inFlight.Add(read(r))
 			}
-			for k := range window {
-				p.Wait(window[(len(seq)+k)%len(window)])
+			for inFlight.Len() > 0 {
+				p.WaitAny(inFlight)
 			}
 		})
 	default:

@@ -2,11 +2,13 @@
 // disk-transfer-time model (DTT, §4.1), which maps a band size to the
 // amortized cost of one random page read, and the paper's contribution, the
 // queue-depth-aware model (QDTT, §4.2), which additionally takes the device
-// I/O queue depth. Both are piecewise-linear tables produced by calibration
-// (see internal/calibrate) and evaluated with (bi)linear interpolation
-// (§4.5). The package also provides the expected-page-fetch estimators
-// (Yao's formula with a buffer-pool correction) that turn row counts into
-// page I/O counts.
+// I/O queue depth. Both are tables produced by calibration (see
+// internal/calibrate) and interpolated between grid points: linearly in
+// queue depth, as §4.5 has it, and linearly in √band where §4.5 is linear in
+// band, since a disk's seek grows about as the square root of the distance
+// it spans (locate). The package also provides the expected-page-fetch
+// estimators (Yao's formula with a buffer-pool correction) that turn row
+// counts into page I/O counts.
 package cost
 
 import (
@@ -62,16 +64,24 @@ func (d *DTT) PageCost(band int64, depth int) float64 {
 // Drain implements Model: a model blind to depth sees no drain.
 func (d *DTT) Drain(band int64, depth int) float64 { return 0 }
 
-// interpBand linearly interpolates cost over the band grid, clamping
-// outside the calibrated range.
+// interpBand interpolates cost over the band grid, linearly in √band,
+// clamping outside the calibrated range.
 func interpBand(bands []int64, cost []float64, band int64) float64 {
 	i, frac := locate(bands, band)
 	return at(cost, i, frac)
 }
 
 // locate places band on the grid: the index of the grid point at or below
-// it and how far it lies toward the next one, 0 when it is clamped to an
-// end. Every row of a model shares the grid, so one search serves them all.
+// it and how far it lies toward the next one in √band, 0 when it is clamped
+// to an end. Every row of a model shares the grid, so one search serves them
+// all.
+//
+// The paper's §4.5 interpolates linearly in band. A random read's cost on a
+// disk is mostly its seek, and a seek grows about as the square root of the
+// distance the arm travels, so between two calibrated bands the cost follows
+// √band: a straight line in band prices the bands between 4 096 and 65 536
+// pages 7–14 % low on the HDD. A flat curve, an SSD's, is flat either way.
+// (DESIGN.md §6.)
 func locate(bands []int64, band int64) (int, float64) {
 	n := len(bands)
 	if band <= bands[0] {
@@ -81,8 +91,8 @@ func locate(bands []int64, band int64) (int, float64) {
 		return n - 1, 0
 	}
 	i := sort.Search(n, func(j int) bool { return bands[j] >= band })
-	lo, hi := bands[i-1], bands[i]
-	return i - 1, float64(band-lo) / float64(hi-lo)
+	lo, hi := math.Sqrt(float64(bands[i-1])), math.Sqrt(float64(bands[i]))
+	return i - 1, (math.Sqrt(float64(band)) - lo) / (hi - lo)
 }
 
 // at reads a row of costs at a located band.
@@ -96,7 +106,7 @@ func at(cost []float64, i int, frac float64) float64 {
 // QDTT is the queue-depth-aware disk-transfer-time model: a grid of
 // calibrated costs over (band, depth). Depths are calibrated exponentially
 // (1, 2, 4, ..., per §4.5) and interpolated linearly in between — first
-// along band, then along depth (bilinear interpolation).
+// along band (in √band), then along depth.
 type QDTT struct {
 	bands  []int64
 	depths []int
@@ -146,8 +156,8 @@ func (q *QDTT) Bands() []int64 { return q.bands }
 // Depths returns the calibrated queue-depth grid.
 func (q *QDTT) Depths() []int { return q.depths }
 
-// PageCost implements Model: bilinear interpolation, band first, then queue
-// depth, clamped outside the grid.
+// PageCost implements Model: interpolation along band (in √band), then
+// along queue depth, clamped outside the grid.
 func (q *QDTT) PageCost(band int64, depth int) float64 {
 	i, frac := locate(q.bands, band)
 	return q.priceAt(i, frac, depth)

@@ -29,12 +29,18 @@ func TestDTTExactPoints(t *testing.T) {
 }
 
 func TestDTTInterpolatesBetweenBands(t *testing.T) {
-	d := NewDTT([]int64{100, 200}, []float64{10, 30})
-	if got := d.PageCost(150, 1); got != 20 {
+	// Linear in √band: between bands 100 and 900 (√ 10 and 30), band 400
+	// (√ 20) is the midpoint and band 225 (√ 15) the quarter.
+	d := NewDTT([]int64{100, 900}, []float64{10, 30})
+	if got := d.PageCost(400, 1); got != 20 {
 		t.Errorf("midpoint cost = %f, want 20", got)
 	}
-	if got := d.PageCost(125, 1); got != 15 {
+	if got := d.PageCost(225, 1); got != 15 {
 		t.Errorf("quarter cost = %f, want 15", got)
+	}
+	// Band 500, halfway in band, lies past halfway in √band.
+	if got := d.PageCost(500, 1); got <= 20 || got >= 25 {
+		t.Errorf("cost at band 500 = %f, want in (20, 25): 10 + 20·(√500 − 10)/20", got)
 	}
 }
 
@@ -71,9 +77,15 @@ func TestQDTTBilinearInterpolation(t *testing.T) {
 	if got, want := q.PageCost(100, 3), 47.5; math.Abs(got-want) > 1e-9 {
 		t.Errorf("PageCost(100, 3) = %f, want %f", got, want)
 	}
-	// band 5050 midway between 100 and 10000 at depth 2: (60+110)/2.
-	if got, want := q.PageCost(5050, 2), 85.0; math.Abs(got-want) > 1e-9 {
-		t.Errorf("PageCost(5050, 2) = %f, want %f", got, want)
+	// band 3025 (√ 55) midway in √band between 100 and 10000 (√ 10 and
+	// 100) at depth 2: (60+110)/2.
+	if got, want := q.PageCost(3025, 2), 85.0; math.Abs(got-want) > 1e-9 {
+		t.Errorf("PageCost(3025, 2) = %f, want %f", got, want)
+	}
+	// Both axes at once: depth 3 at band 3025, halfway between the depth-2
+	// and depth-4 prices there, (85 + 47.5)/2.
+	if got, want := q.PageCost(3025, 3), 66.25; math.Abs(got-want) > 1e-9 {
+		t.Errorf("PageCost(3025, 3) = %f, want %f", got, want)
 	}
 }
 

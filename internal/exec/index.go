@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"pioqo/internal/disk"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -9,7 +10,8 @@ import (
 // start: clamp the per-worker prefetch so in-flight prefetched frames plus
 // worker pins can never exhaust the pool (or the lease's share of it),
 // descend from the root on the driver, and locate the qualifying entry
-// range [startPos, endPos), which may be empty. It reports false when the
+// range [startPos, endPos), which may be empty. A range over more than one
+// leaf then has its leaves read ahead (leafRun). It reports false when the
 // query aborted on the way down. The descent is measured in d, whose span
 // ends with it; the caller annotates d once its workers are done, when the
 // query's gate is settled.
@@ -41,7 +43,33 @@ func indexFront(p *sim.Proc, ctx *Context, spec *Spec, d *cpuBudget) (startPos, 
 		d.settle(p)
 		h.Release()
 	}
-	return x.SearchGE(spec.Lo), x.SearchGT(spec.Hi), true
+	startPos, endPos = x.SearchGE(spec.Lo), x.SearchGT(spec.Hi)
+	leafRun(p, ctx, spec, d, startPos, endPos)
+	return startPos, endPos, true
+}
+
+// leafRun reads the leaves of [startPos, endPos) with one block read of up
+// to disk.BlockPages pages, issued from the driver once the descent is done.
+// Leaves sit consecutively in the index file, so the run costs about one
+// random read where the workers would otherwise read each leaf on its own —
+// and wait for it: every worker that claims a new leaf's entries waits on
+// that leaf's one read. A range inside one leaf gains nothing, and a query
+// still waiting for its grant reads nothing ahead; a granted one passes its
+// gate here, without yielding. The run is clamped to a quarter of the pool,
+// beside the workers' prefetch windows (at most half).
+func leafRun(p *sim.Proc, ctx *Context, spec *Spec, d *cpuBudget, startPos, endPos int64) {
+	if startPos >= endPos || (spec.Gov != nil && !spec.Gov.Admitted()) || spec.aborted() {
+		return
+	}
+	x := spec.Index
+	first, _ := x.LeafOf(startPos)
+	last, _ := x.LeafOf(endPos - 1)
+	if n := min(last-first+1, disk.BlockPages, int64(spec.poolCapacity(ctx)/4)); n > 1 {
+		spec.admit(p)
+		d.charge(ctx.Costs.PerPrefetch)
+		d.settle(p)
+		ctx.Pool.PrefetchRun(x.File(), x.LeafPage(first), int(n))
+	}
 }
 
 // newDescent returns the budget an index descent is measured in, with its
@@ -109,18 +137,21 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64) (int, bool) 
 // clamped to the current leaf, before it reads them, so no two workers take
 // the same entries and every worker keeps a read outstanding until the
 // range runs out — but where the workers that claim a new leaf's entries
-// wait on its one read. A lone worker claims to its leaf's end, one
-// indexBatch a leaf. It returns how many workers to spawn — never more than
-// there are entries — with the step; the claim is the abort quantum.
+// wait on its one read, if leafRun did not read it ahead. A prefetching worker's claim never shrinks below
+// its window of PrefetchPerWorker entries, which it could not otherwise
+// fill. A lone worker claims to its leaf's end, one indexBatch a leaf. It
+// returns how many workers to spawn — never more than there are entries —
+// with the step; the claim is the abort quantum.
 func claimSteps(ctx *Context, spec *Spec, startPos, endPos int64) (int, func(w *worker) bool) {
-	next, split := startPos, int64(2*spec.Degree-1)
+	next, split, window := startPos, int64(2*spec.Degree-1), int64(spec.PrefetchPerWorker)
 	return int(min(int64(spec.Degree), endPos-startPos)), func(w *worker) bool {
 		pos := next
 		if pos >= endPos {
 			return false
 		}
 		_, slot := spec.Index.LeafOf(pos)
-		hi := min(pos+(endPos-pos+split-1)/split, pos+int64(spec.Index.LeafCap()-slot))
+		claim := max((endPos-pos+split-1)/split, window)
+		hi := min(pos+claim, endPos, pos+int64(spec.Index.LeafCap()-slot))
 		next = hi
 		_, ok := indexBatch(ctx, spec, w, pos, hi)
 		return ok

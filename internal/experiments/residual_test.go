@@ -75,18 +75,22 @@ func TestResidualColdFullScan(t *testing.T) {
 // size on one device and an index scan reads one page per row, so the model
 // prices their rows alike; the device charges them alike only if the rows of
 // consecutive keys are spread over the heap as calibration's random reads
-// are. Measured: cells 0.903–0.993, configurations 0.917–0.944 (1.03× apart).
-// When consecutive keys lay a constant page stride apart the configurations
-// read 0.97, 0.74 and 1.33 — 1.80× apart, each stride with its own rotational
+// are. Measured: cells 0.977–1.084, configurations 1.002–1.028 (1.03×
+// apart); the band sat at 0.88–1.02 while a heap's band was interpolated
+// linearly and priced 7–9 % low, and interpolated in √band it is re-centred,
+// its width kept. When consecutive keys lay a constant page stride apart the
+// configurations read 0.97, 0.74 and 1.33 — 1.80× apart, each stride with its own rotational
 // alignment — and no row of the model could have fixed two of them at once.
 //
 // The eight-worker cells read 1.15–1.37 while the HDD's rows past the
 // tripping depth were §4.6's default of 1.05× depth 1, which prices every
 // deeper read as a serial one; with those rows fitted to a measured depth-32
-// row they read 0.94–1.09.
+// row they read 0.94–1.09; calibrated by an active wait that keeps the
+// depth it names, interpolated in √band and with a range's leaves read in
+// one run, 0.925–1.018.
 const (
-	residualISLo     = 0.88
-	residualISHi     = 1.02
+	residualISLo     = 0.96
+	residualISHi     = 1.10
 	residualPISLo    = 0.90
 	residualPISHi    = 1.10
 	residualISSpread = 1.20

@@ -209,3 +209,60 @@ func (p *Proc) WaitFor(w *WaitGroup) {
 	w.waiters = append(w.waiters, p)
 	p.park(parkWaitGroup, 0, "")
 }
+
+// Any is a set of completions a process waits on for whichever fires first:
+// the "reissue as soon as any read completes" of an active-wait driver. Add
+// puts a completion in the set; WaitAny takes one fired completion out,
+// parking until one fires if none has. The set counts rather than names its
+// completions, so a waiter learns that one fired, not which. The zero value
+// is an empty set; its completion callback is a method value bound on the
+// first Add, so a set kept across uses allocates nothing per completion or
+// per wait. At most one process waits on a set at a time.
+type Any struct {
+	pending int   // added, not yet fired
+	ready   int   // fired, not yet taken by WaitAny
+	waiter  *Proc // the process parked in WaitAny, if any
+	onFire  func()
+}
+
+// Add puts c in the set. A completion that has already fired is ready at
+// once.
+func (a *Any) Add(c *Completion) {
+	if a.onFire == nil {
+		a.onFire = a.fired
+	}
+	a.pending++
+	c.OnFire(a.onFire)
+}
+
+// Len reports how many completions are in the set, fired or not.
+func (a *Any) Len() int { return a.pending + a.ready }
+
+// fired moves one completion from pending to ready and wakes the waiter,
+// through the same fast path a Wait's completion takes.
+func (a *Any) fired() {
+	a.pending--
+	a.ready++
+	if p := a.waiter; p != nil {
+		a.waiter = nil
+		p.env.wake(p, 0)
+	}
+}
+
+// WaitAny suspends the process until a completion in a has fired, then
+// takes that completion out of the set. If one has fired already it returns
+// at once, without yielding; completions that fire together are taken one
+// per call. Waiting on an empty set panics: nothing could wake it.
+func (p *Proc) WaitAny(a *Any) {
+	if a.ready == 0 {
+		if a.pending == 0 {
+			panic("sim: " + p.name + " waiting on an empty Any")
+		}
+		if a.waiter != nil {
+			panic("sim: " + p.name + " waiting on an Any " + a.waiter.name + " waits on")
+		}
+		a.waiter = p
+		p.park(parkCompletion, 0, "")
+	}
+	a.ready--
+}

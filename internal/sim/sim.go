@@ -169,6 +169,7 @@ type Env struct {
 	root     *Proc      // stands for Run's goroutine: never live, never parked
 	next     *Proc      // whom a yielding process named as the baton's next holder
 	deadline Time       // RunUntil: events later than this stay queued
+	direct   *Proc      // a wake due now that no queued event precedes (wake)
 	handoffs uint64     // baton passes between stacks; tests pin the count
 	idle     []*coro    // the free list: coroutines whose body returned, waiting for a process
 	mu       sync.Mutex // orders runs against ticket.expire, which is on the finalizer goroutine
@@ -214,9 +215,17 @@ func (e *Env) Schedule(d Duration, fn func()) {
 
 // wake schedules p to be handed control at e.Now()+d. This is the kernel's
 // internal fast path: the process rides in the event itself, so the common
-// sleep/completion/grant wakeups allocate no closure.
+// sleep/completion/grant wakeups allocate no closure. A wake due now while no
+// queued event is due now is the loop's next resume, whatever is scheduled
+// after it, so it skips the queue and waits in direct (one at a time; its
+// seq is still spent, so every later event keeps its number). That is the
+// wake a completion gives its waiter, once per device request.
 func (e *Env) wake(p *Proc, d Duration) {
 	e.seq++
+	if d == 0 && e.direct == nil && (len(e.events) == 0 || e.events[0].at > e.now) {
+		e.direct = p
+		return
+	}
 	e.events.push(event{at: e.now.Add(d), seq: e.seq, proc: p})
 }
 
@@ -371,7 +380,17 @@ func (e *Env) drive(self *Proc) {
 			}
 		}()
 	}
-	for e.panicked == nil && len(e.events) > 0 && e.events[0].at <= e.deadline {
+	for e.panicked == nil {
+		if p := e.direct; p != nil && e.now <= e.deadline {
+			e.direct = nil
+			if p != self {
+				e.pass(self, p)
+			}
+			return
+		}
+		if len(e.events) == 0 || e.events[0].at > e.deadline {
+			break
+		}
 		ev := e.events.pop()
 		if ev.at < e.now {
 			panic("sim: event queue went backwards")
@@ -497,7 +516,7 @@ func (e *Env) RunUntil(deadline Time) bool {
 		e.panicked = nil
 		panic(r)
 	}
-	if len(e.events) > 0 {
+	if len(e.events) > 0 || e.direct != nil {
 		return false
 	}
 	e.checkDeadlock()

@@ -501,3 +501,40 @@ func TestPropertyResourceMakespan(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestWakeDueNowKeepsItsTurn holds the order a completion's waiter resumes
+// in against the callbacks due at the same instant: after every event queued
+// before the wake, before every event scheduled after it — whether or not
+// another event due now is queued when the wake is given.
+func TestWakeDueNowKeepsItsTurn(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		queued bool // an event due now is queued behind the firing one
+		want   string
+	}{
+		{"event-due-now-queued", true, "fire queued waiter late"},
+		{"nothing-due-now", false, "fire waiter late"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv(1)
+			c := NewCompletion(e)
+			var order []string
+			e.Go("waiter", func(p *Proc) {
+				p.Wait(c)
+				order = append(order, "waiter")
+			})
+			e.Schedule(Millisecond, func() {
+				order = append(order, "fire")
+				c.Fire()
+				e.Schedule(0, func() { order = append(order, "late") })
+			})
+			if tc.queued {
+				e.Schedule(Millisecond, func() { order = append(order, "queued") })
+			}
+			e.Run()
+			if got := strings.Join(order, " "); got != tc.want {
+				t.Errorf("order %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
