@@ -65,7 +65,7 @@ var boundaries = []boundary{
 		"internal/exec/x.go\npackage exec\nimport \"context\""},
 	{"shared-consumer", "a rider consumes what its circulating producer pushes: shared.go neither fetches nor prefetches",
 		engineIn("internal/exec/shared.go"),
-		refs(nil, ".FetchPage", ".FetchPageE", ".Prefetch", ".PrefetchRun", ".PrefetchRunTrimmed", ".fetchE", ".fetchRetry", ".prefetch"),
+		refs(nil, ".FetchPage", ".FetchPageE", ".Prefetch", ".PrefetchRun", ".PrefetchRunTrimmed", ".ReadAhead", ".fetchE", ".fetchRetry", ".prefetch"),
 		[]string{"internal/exec/shared.go:evalPage", "internal/exec/shared.go:runSharedFullScan",
 			"internal/exec/batch.go:fetchE", "internal/exec/batch.go:fetchRetry", "internal/exec/batch.go:prefetch"},
 		"internal/exec/shared.go\npackage exec\nfunc f(b *cpuBudget) { b.prefetch(nil, nil, 0) }"},

@@ -387,37 +387,48 @@ func (p *Pool) install(file *disk.File, page int64, c *sim.Completion) int32 {
 
 // onLoad registers the one completion callback of the device read c, which
 // covers every frame the read installed: the chain starting at slot first.
-// Fire runs it before any process waiting on c resumes.
-func (p *Pool) onLoad(c *sim.Completion, first int32) {
+// Fire runs it before any process waiting on c resumes. A read with a
+// landed hook runs it last, once the frames are settled.
+func (p *Pool) onLoad(c *sim.Completion, first int32, landed func()) {
+	if landed == nil {
+		c.OnFire(func() { p.loaded(c, first) })
+		return
+	}
 	c.OnFire(func() {
-		err := c.Err()
-		for slot := first; slot != none; {
-			f := &p.frames[slot]
-			slot = f.next // both branches below relink f
-			if err != nil {
-				// The read failed: free the slot so the page reads as
-				// non-resident and a retry re-issues the device read.
-				// Processes that pinned the frame to join the load drop
-				// their claim with it; they see the error on c and do not
-				// look at the frame again.
-				p.uninstall(f)
-				p.Stats.ReadErrors++
-				p.obsReadErr.Inc()
-				p.obs.Emit(obs.EvFrameUninstall, obs.NoQuery, f.key.Page, int64(p.epoch))
-				continue
-			}
-			f.loading = nil
-			if f.pins == 0 {
-				p.pushFront(f)
-			}
-		}
+		p.loaded(c, first)
+		landed()
 	})
+}
+
+// loaded settles the frames of the fired read c, the chain from first.
+func (p *Pool) loaded(c *sim.Completion, first int32) {
+	err := c.Err()
+	for slot := first; slot != none; {
+		f := &p.frames[slot]
+		slot = f.next // both branches below relink f
+		if err != nil {
+			// The read failed: free the slot so the page reads as
+			// non-resident and a retry re-issues the device read.
+			// Processes that pinned the frame to join the load drop
+			// their claim with it; they see the error on c and do not
+			// look at the frame again.
+			p.uninstall(f)
+			p.Stats.ReadErrors++
+			p.obsReadErr.Inc()
+			p.obs.Emit(obs.EvFrameUninstall, obs.NoQuery, f.key.Page, int64(p.epoch))
+			continue
+		}
+		f.loading = nil
+		if f.pins == 0 {
+			p.pushFront(f)
+		}
+	}
 }
 
 // installRun installs the absent pages of [page, page+count) as loading
 // frames of the one device read c, chained in page order. A read of more
 // than one page marks its frames as a scan's.
-func (p *Pool) installRun(file *disk.File, page int64, count int, c *sim.Completion) {
+func (p *Pool) installRun(file *disk.File, page int64, count int, c *sim.Completion, landed func()) {
 	first, last := none, none
 	for pg := page; pg < page+int64(count); pg++ {
 		if p.lookup(file, pg) != nil {
@@ -432,7 +443,7 @@ func (p *Pool) installRun(file *disk.File, page int64, count int, c *sim.Complet
 		}
 		last = slot
 	}
-	p.onLoad(c, first)
+	p.onLoad(c, first, landed)
 }
 
 // pin marks the frame in use, taking it off the eviction list.
@@ -502,7 +513,7 @@ func (p *Pool) FetchPageE(proc *sim.Proc, file *disk.File, page int64) (Handle, 
 		p.obsMisses.Inc()
 		c = file.ReadPage(page)
 		f = &p.frames[p.install(file, page, c)]
-		p.onLoad(c, f.slot)
+		p.onLoad(c, f.slot, nil)
 	case f.loading != nil:
 		p.Stats.Misses++
 		p.Stats.JoinedLoads++
@@ -551,7 +562,7 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate, c
 			in.issue = func() {
 				if in.waiters > 0 { // neither read nor abandoned
 					c := file.ReadPage(page)
-					p.onLoad(c, p.install(file, page, c))
+					p.onLoad(c, p.install(file, page, c), nil)
 				}
 			}
 			p.intents[key] = in
@@ -617,27 +628,19 @@ func (p *Pool) FetchLoaded(file *disk.File, page int64) (Handle, bool) {
 // Prefetch asynchronously loads a single page if it is not already present
 // or in flight. It never blocks and reports whether a read was issued.
 func (p *Pool) Prefetch(file *disk.File, page int64) bool {
-	if p.lookup(file, page) != nil {
-		return false
-	}
-	p.Stats.PrefetchReads++
-	p.Stats.PrefetchedPages++
-	p.obsPrefetch.Inc()
-	p.obsPrefetchPages.Inc()
-	c := file.ReadPage(page)
-	p.onLoad(c, p.install(file, page, c))
-	return true
+	return p.ReadAhead(file, page, 1, false, nil) != nil
 }
 
-// readRun issues one block read for [page, page+count) and installs the
-// pages of it the pool does not hold.
-func (p *Pool) readRun(file *disk.File, page int64, count int) {
+// readRun issues one block read for [page, page+count), installs the pages
+// of it the pool does not hold, and returns the read.
+func (p *Pool) readRun(file *disk.File, page int64, count int, landed func()) *sim.Completion {
 	c := file.ReadRun(page, count)
 	p.Stats.PrefetchReads++
 	p.Stats.PrefetchedPages += int64(count)
 	p.obsPrefetch.Inc()
 	p.obsPrefetchPages.Add(int64(count))
-	p.installRun(file, page, count, c)
+	p.installRun(file, page, count, c, landed)
+	return c
 }
 
 // PrefetchRun asynchronously loads count consecutive pages with one large
@@ -646,13 +649,7 @@ func (p *Pool) readRun(file *disk.File, page int64, count int) {
 // the block read (the transfer is contiguous either way), matching how
 // block-based readahead behaves in practice.
 func (p *Pool) PrefetchRun(file *disk.File, page int64, count int) bool {
-	for pg := page; pg < page+int64(count); pg++ {
-		if p.lookup(file, pg) == nil {
-			p.readRun(file, page, count)
-			return true
-		}
-	}
-	return false
+	return p.ReadAhead(file, page, count, false, nil) != nil
 }
 
 // PrefetchRunTrimmed is PrefetchRun with overlap trimming: instead of
@@ -663,7 +660,13 @@ func (p *Pool) PrefetchRun(file *disk.File, page int64, count int) bool {
 // device work for bytes the pool already holds — the multi-query prefetch
 // coordination path. It reports how many device reads were issued.
 func (p *Pool) PrefetchRunTrimmed(file *disk.File, page int64, count int) int {
-	issued := 0
+	issued, _ := p.readGaps(file, page, count, nil)
+	return issued
+}
+
+// readGaps issues PrefetchRunTrimmed's reads and reports how many it
+// issued and the last of them.
+func (p *Pool) readGaps(file *disk.File, page int64, count int, landed func()) (issued int, last *sim.Completion) {
 	gap := int64(-1) // start of the current uncovered gap, -1 = none open
 	for pg, end := page, page+int64(count); pg <= end; pg++ {
 		if pg < end && p.lookup(file, pg) == nil {
@@ -674,12 +677,40 @@ func (p *Pool) PrefetchRunTrimmed(file *disk.File, page int64, count int) int {
 		}
 		// A present page, or the end of the run, closes the open gap.
 		if gap >= 0 {
-			p.readRun(file, gap, int(pg-gap))
+			last = p.readRun(file, gap, int(pg-gap), landed)
 			issued++
 			gap = -1
 		}
 	}
-	return issued
+	return issued, last
+}
+
+// ReadAhead is the readahead of a reader that takes a run as a whole once
+// it has landed: PrefetchRun's block read of [page, page+count) or, trim
+// set, PrefetchRunTrimmed's reads of its gaps. It returns the last read it
+// issued — the run has landed once that read has fired — or nil when every
+// page was present already, landed or not. A non-nil landed runs as each
+// read fires, after its frames are settled (loaded, or dropped on an
+// error): how a reader learns that a run has landed without asking after
+// its pages. It is bound once by its caller, so the hook allocates nothing.
+func (p *Pool) ReadAhead(file *disk.File, page int64, count int, trim bool, landed func()) *sim.Completion {
+	if trim {
+		_, last := p.readGaps(file, page, count, landed)
+		return last
+	}
+	for pg := page; pg < page+int64(count); pg++ {
+		if p.lookup(file, pg) == nil {
+			return p.readRun(file, page, count, landed)
+		}
+	}
+	return nil
+}
+
+// Loaded reports whether the page is present with its read complete — what
+// FetchLoaded would pin — without pinning or counting anything.
+func (p *Pool) Loaded(file *disk.File, page int64) bool {
+	f := p.lookup(file, page)
+	return f != nil && f.loading == nil
 }
 
 // Contains reports whether the page is loaded or loading.

@@ -26,14 +26,6 @@ func newWorld(t testing.TB, poolPages int) *world {
 	}
 }
 
-// Loaded reports whether the page is present with its read complete — what
-// FetchLoaded would pin — without pinning or counting anything. The fuzzers
-// compare it with their reference pools.
-func (p *Pool) Loaded(file *disk.File, page int64) bool {
-	f := p.lookup(file, page)
-	return f != nil && f.loading == nil
-}
-
 // run executes fn as a process and drives the simulation to completion.
 func (w *world) run(fn func(p *sim.Proc)) {
 	w.env.Go("test", fn)
@@ -288,6 +280,37 @@ func TestPrefetchRunSkipsWhenAllPresent(t *testing.T) {
 		p.Sleep(50 * sim.Millisecond)
 		if w.pool.PrefetchRun(w.file, 0, 8) {
 			t.Error("second identical run prefetch issued a read")
+		}
+	})
+}
+
+// TestReadAheadReportsItsLanding: ReadAhead returns the read it issued and
+// runs its landed hook once that read's frames are loaded; a run whose pages
+// are all present returns nil and never runs it; trimmed, it returns the
+// last gap's read and runs the hook as each gap's read lands.
+func TestReadAheadReportsItsLanding(t *testing.T) {
+	w := newWorld(t, 64)
+	w.run(func(p *sim.Proc) {
+		var landings []bool // whether the run's last page was loaded at each landing
+		landed := func() { landings = append(landings, w.pool.Loaded(w.file, 15)) }
+		c := w.pool.ReadAhead(w.file, 0, 16, false, landed)
+		if c == nil || len(landings) != 0 {
+			t.Fatalf("absent run: read %v, %d landings before it fired", c, len(landings))
+		}
+		p.Wait(c)
+		if len(landings) != 1 || !landings[0] {
+			t.Errorf("landings %v, want one with the run loaded", landings)
+		}
+		if again := w.pool.ReadAhead(w.file, 0, 16, false, landed); again != nil {
+			t.Error("a present run issued a read")
+		}
+
+		w.pool.Prefetch(w.file, 20) // splits [16, 24) into two gaps
+		landings = nil
+		last := w.pool.ReadAhead(w.file, 16, 8, true, landed)
+		p.Sleep(50 * sim.Millisecond)
+		if last == nil || !last.Fired() || len(landings) != 2 {
+			t.Errorf("trimmed run: last read %v, %d landings; want a fired read and 2", last, len(landings))
 		}
 	})
 }

@@ -16,8 +16,9 @@ import (
 // The discipline that keeps batching honest is *settle before any device
 // interaction*: debt is flushed immediately before an operation that could
 // touch the device or block — fetching a page that is not fully loaded
-// (miss or join of an in-flight read), issuing a prefetch, waking the
-// full-scan block prefetcher — and when the worker finishes. Because
+// (miss or join of an in-flight read), issuing a prefetch, claiming a
+// full-scan block, which moves the readahead window — and when the worker
+// finishes. Because
 // charges are deferred but never reordered across those points, every
 // device request is issued at exactly the virtual time the row-at-a-time
 // schedule would have issued it. With an uncontended CPU (degree ≤ cores)
@@ -139,9 +140,7 @@ func (b *cpuBudget) fetchE(wp *sim.Proc, spec *Spec, f *disk.File, page int64) (
 	} else {
 		h, err = b.ctx.Pool.FetchPageE(wp, f, page)
 	}
-	d, pre := b.since(t0)
-	b.io += d
-	b.preIO += pre
+	b.blocked(t0)
 	if err == nil {
 		b.pages++
 	}
@@ -182,17 +181,35 @@ func (b *cpuBudget) fetchRetry(wp *sim.Proc, spec *Spec, f *disk.File, page int6
 	}
 }
 
+// await parks the worker on s until it is notified, counting the wait as
+// I/O wait: what a worker waits for there is a read.
+func (b *cpuBudget) await(wp *sim.Proc, s *sim.Signal) {
+	t0 := b.ctx.Env.Now()
+	wp.Await(s)
+	b.blocked(t0)
+}
+
+// blocked counts the time since t0 as I/O wait.
+func (b *cpuBudget) blocked(t0 sim.Time) {
+	d, pre := b.since(t0)
+	b.io += d
+	b.preIO += pre
+}
+
 // prefetch issues an asynchronous read for page unless it is already
-// present or in flight, charging the issue cost as new debt. The settle
-// happens before the issue so the read enters the device queue at the
-// row-at-a-time schedule's instant. A governed plan that prefetches passed
-// its gate where it started (admitDeep).
-func (b *cpuBudget) prefetch(wp *sim.Proc, f *disk.File, page int64) {
+// present or in flight, charging the issue cost as new debt, and puts the
+// read in the set reads. The settle happens before the issue so the read
+// enters the device queue at the row-at-a-time schedule's instant. A
+// governed plan that prefetches passed its gate where it started
+// (admitDeep).
+func (b *cpuBudget) prefetch(wp *sim.Proc, f *disk.File, page int64, reads *sim.Any) {
 	if b.ctx.Pool.Contains(f, page) {
 		return
 	}
 	b.settle(wp)
-	b.ctx.Pool.Prefetch(f, page)
+	if !b.ctx.Pool.Contains(f, page) { // the settle may have let another read it
+		b.ctx.Pool.ReadAhead(f, page, 1, false, reads.Hook())
+	}
 	b.charge(b.ctx.Costs.PerPrefetch)
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"pioqo/internal/device"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
@@ -68,9 +69,10 @@ func TestIndexFleetKeepsItsDepth(t *testing.T) {
 // index fleet's claim cursor moved none of them. Reading a range's leaves in
 // one run (leafRun) moved the twelve that read an index range over more than
 // one leaf: the nested-loop joins, the ordered gather and the index-located
-// updates, on both devices.
+// updates, on both devices. Claiming readahead blocks in the order they land
+// (blockClaims) moved the 28 that run a full scan.
 func TestScheduleRowsWithoutAnIndexFleet(t *testing.T) {
-	const want = "038ea9812799aa4d25030b8b7533426c23c5e02da13534e41f6dc473a48a1ba0"
+	const want = "942db60beabf103ea0c97a998440e745b4a4478dbb11841d26093139c582b839"
 	data, err := os.ReadFile(filepath.Join("testdata", "schedule.golden"))
 	if err != nil {
 		t.Fatal(err)
@@ -86,5 +88,84 @@ func TestScheduleRowsWithoutAnIndexFleet(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(kept.String()))); got != want || n != 38 {
 		t.Errorf("%d rows without an index fleet hash to %s, want 38 rows hashing to %s", n, got, want)
+	}
+}
+
+// depthProbe integrates the device's queue depth over virtual time and
+// marks the integral at every completion.
+type depthProbe struct {
+	device.Device
+	env   *sim.Env
+	out   int
+	last  sim.Time
+	area  float64    // ∫ reads outstanding dt, in read·ns
+	marks []float64  // area at each completion
+	at    []sim.Time // time of each completion
+
+	from        int64    // reads of offsets below it start the average
+	start       sim.Time // the first of them
+	startArea   float64  // the area then
+	startMarked int      // completions before it
+	started     bool
+}
+
+func (d *depthProbe) account() {
+	now := d.env.Now()
+	d.area += float64(d.out) * float64(now-d.last)
+	d.last = now
+}
+
+func (d *depthProbe) ReadAt(offset int64, length int) *sim.Completion {
+	d.account()
+	if !d.started && offset < d.from {
+		d.started, d.start, d.startArea, d.startMarked = true, d.env.Now(), d.area, len(d.marks)
+	}
+	d.out++
+	c := d.Device.ReadAt(offset, length)
+	c.OnFire(func() {
+		d.account()
+		d.out--
+		d.marks = append(d.marks, d.area)
+		d.at = append(d.at, d.env.Now())
+	})
+	return c
+}
+
+// meanWhile reports the time-averaged queue depth from the first read
+// below from until the completion that leaves fewer than keep reads to go.
+func (d *depthProbe) meanWhile(keep int) float64 {
+	k := len(d.marks) - keep - 1
+	return (d.marks[k] - d.startArea) / float64(d.at[k]-d.start)
+}
+
+// TestPrefetchingWorkerKeepsItsDepth runs a cold IS1 with 32 prefetches
+// a worker on the HDD over 368 index entries of a one-row-a-page heap,
+// every row its own read, the range starting at a leaf's first entry.
+// The worker evaluates whichever page of its window lands first and then
+// issues the next, so the device holds the window's 32 reads — at least
+// 28 on average while 32 or more remain. Blocking on the window's oldest
+// page kept far fewer: a disk that orders its queue by access time passes
+// that read over, and the window stops refilling behind it.
+func TestPrefetchingWorkerKeepsItsDepth(t *testing.T) {
+	var probe *depthProbe
+	w := newWorld(t, worldOpts{dev: "hdd", rows: 400_000, rpp: 1, poolPages: 8192,
+		wrap: func(d device.Device) device.Device {
+			probe = &depthProbe{Device: d}
+			return probe
+		}})
+	probe.env, probe.from = w.env, w.idx.File().Offset(0)
+	// Entries [50 000, 50 368): two leaves, the first from its start.
+	keys := w.idx.EntriesAt(50_000, 368, nil)
+	lo, hi := keys[0].Key, keys[len(keys)-1].Key
+	spec := w.spec(IndexScan, 1, lo, hi)
+	spec.PrefetchPerWorker = 32
+	res := Execute(w.ctx, spec)
+	mean := probe.meanWhile(32)
+	t.Logf("%d rows in %v, %d reads, mean depth %.2f while 32 remain", res.RowsMatched, res.Runtime, len(probe.marks), mean)
+	if max, _, rows := w.bruteForce(lo, hi); res.RowsMatched != rows || res.Value != max {
+		t.Fatalf("MAX %d over %d rows, want %d over %d", res.Value, res.RowsMatched, max, rows)
+	}
+	if mean < 28 {
+		t.Errorf("IS1/pf32 kept %.2f reads in the device while 32 or more remained, want at least 28", mean)
 	}
 }

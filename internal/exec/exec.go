@@ -507,14 +507,17 @@ const defaultPrefetchBlocks = 4
 
 // ReadaheadWindow reports the readahead geometry a full scan runs with on a
 // pool of capacity frames at the given degree: the pages per block read,
-// and the most block reads it has outstanding — the blocks the prefetcher
-// may run ahead of the workers plus the one the workers are waiting on,
-// which is what a scan held up by its device keeps in flight. The fleet
-// does not appear in that number except through the pool clamp (workers
-// consume pages the prefetcher has already asked for), so this, not the
-// degree, is the device queue depth the optimizer prices a full scan at.
-// On a pool too small for any readahead the workers read their own pages,
-// one each.
+// and its window — the most block reads it has outstanding. The scan issues
+// block b only while b is below its lowest block not yet claimed plus the
+// window, and while fewer than the window's blocks have pages left to hand
+// out (blockClaims), so a scan held up by its device keeps exactly that
+// many reads in flight, whichever of them its workers wait for: the blocks
+// the readahead runs ahead of the workers plus the one they are waiting on.
+// The fleet does not appear in that number except through the pool clamp
+// (workers consume pages the readahead has already asked for), so this,
+// not the degree, is the device queue depth the optimizer prices a full
+// scan at. On a pool too small for any readahead the workers read their
+// own pages, one each.
 func ReadaheadWindow(capacity, degree int) (blockPages, inFlight int) {
 	blockPages, ahead := clampReadahead(capacity, degree, disk.BlockPages, defaultPrefetchBlocks)
 	if blockPages <= 1 {
@@ -523,96 +526,25 @@ func ReadaheadWindow(capacity, degree int) (blockPages, inFlight int) {
 	return blockPages, ahead + 1
 }
 
-// runFullScan implements FTS/PFTS: an asynchronous block prefetcher reads
-// runs of disk.BlockPages pages and stays up to defaultPrefetchBlocks of
-// them ahead while Degree workers consume heap pages in order, each
-// evaluating every row on the page ("prefetching up to n blocks ahead ... a
-// large block consisting of several consecutive pages is read at a time",
-// §2). Both are clamped against the pool; a pool too small for a two-page
-// block disables block reads.
+// runFullScan implements FTS/PFTS: the scan reads runs of disk.BlockPages
+// pages ahead of its Degree workers, which evaluate every row of every page
+// ("prefetching up to n blocks ahead ... a large block consisting of
+// several consecutive pages is read at a time", §2). The workers take the
+// blocks in the order they land (blockClaims), so one late block holds up
+// no block behind it that has landed. Both block size and window are
+// clamped against the pool; a pool too small for a two-page block disables
+// block reads.
 func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
-	t := spec.Table
-	pages := t.Pages()
-	file := t.File()
-
-	nextPage := int64(0) // shared work queue: next unclaimed heap page
-	var onClaim func(wp *sim.Proc, bud *cpuBudget, page int64)
-	var wakeup *sim.Completion // the parked prefetcher's, when block reads are on
-
 	// A full scan reads ahead, so it waits for its grant before it starts:
-	// its prefetcher would otherwise pin frames under no reservation.
+	// its readahead would otherwise pin frames under no reservation.
 	spec.admit(p)
-
 	fl := newFleet(ctx, &spec)
-	blockPages, prefetchBlocks := clampReadahead(spec.poolCapacity(ctx), spec.Degree, disk.BlockPages, defaultPrefetchBlocks)
-
-	if blockPages > 1 {
-		// Flow-control window: the prefetcher stays at most prefetchBlocks
-		// block-reads ahead of the hindmost block the workers have begun
-		// consuming. A plain credit counter (issued − reached) avoids any
-		// ordering assumptions between prefetcher and workers.
-		window := int64(prefetchBlocks)
-		blocks := (pages + int64(blockPages) - 1) / int64(blockPages)
-		reached := make([]bool, blocks)
-		var issued, reachedCount int64
-		ctx.Env.Go("fts-prefetcher", func(pf *sim.Proc) {
-			ps := ctx.Tracer.StartTrack(spec.Span, "fts-prefetcher",
-				obs.KV("blocks", blocks), obs.KV("block_pages", blockPages))
-			for b := int64(0); b < blocks; b++ {
-				for issued-reachedCount >= window && !spec.aborted() {
-					wakeup = sim.NewCompletion(ctx.Env)
-					pf.Wait(wakeup)
-				}
-				// An aborted scan's workers stop claiming blocks, so the
-				// prefetcher would otherwise park forever on its flow-control
-				// window; it stands down instead.
-				if spec.aborted() {
-					break
-				}
-				start := b * int64(blockPages)
-				count := blockPages
-				if start+int64(count) > pages {
-					count = int(pages - start)
-				}
-				if spec.CoordPrefetch {
-					ctx.Pool.PrefetchRunTrimmed(file, start, count)
-				} else {
-					ctx.Pool.PrefetchRun(file, start, count)
-				}
-				issued++
-			}
-			ps.End()
-		})
-		// Claiming the first page of a block wakes the prefetcher — a
-		// device-coupled action, so the claimer settles its CPU debt first,
-		// pinning the wakeup to the row-at-a-time schedule's instant.
-		// Claims within an already-reached block stay debt-deferred. The
-		// settle blocks, so another worker can reach the same block while
-		// this one sleeps — the re-check keeps each block counted once,
-		// which the prefetcher's credit flow control depends on.
-		onClaim = func(wp *sim.Proc, bud *cpuBudget, page int64) {
-			b := page / int64(blockPages)
-			if !reached[b] {
-				bud.settle(wp)
-				if !reached[b] {
-					reached[b] = true
-					reachedCount++
-					if wakeup != nil && !wakeup.Fired() {
-						wakeup.Fire()
-					}
-				}
-			}
-		}
-	}
-
+	bc := newBlockClaims(ctx, &spec)
+	file := spec.Table.File()
 	fl.run(p, "fts-w", spec.Degree, func(w *worker) bool {
-		page := nextPage
-		if page >= pages {
+		page, ok := bc.claim(w)
+		if !ok {
 			return false
-		}
-		nextPage = page + 1
-		if onClaim != nil {
-			onClaim(w.p, &w.bud, page)
 		}
 		h, ok := w.bud.fetchRetry(w.p, &spec, file, page)
 		if !ok {
@@ -628,14 +560,170 @@ func runFullScan(p *sim.Proc, ctx *Context, spec Spec) Result {
 		h.Release()
 		return true
 	})
-	// On abort the prefetcher may be parked on its flow-control window with
-	// no worker left to wake it; one final fire lets it observe the abort
-	// and exit. A completed scan's wakeups have all fired already, so this
-	// never adds events to a healthy run.
-	if wakeup != nil && !wakeup.Fired() {
-		wakeup.Fire()
-	}
 	return fl.result()
+}
+
+// blockClaims is a full scan's work queue. The heap is cut into blocks of
+// blockPages pages, each read by one ReadAhead, and the scan keeps a window
+// of them, ReadaheadWindow's in-flight count wide. The workers share one
+// cursor over the pages of the block claimed last; a worker that finds it
+// empty claims the lowest-numbered block of the window that has landed,
+// without yielding, and only when none has does it wait — for the next
+// landing, counted as I/O wait. A late block (a straggler, or a burst the
+// device returned out of order) thus holds up no landed block behind it.
+//
+// Two bounds keep the window. Block b is issued only while b < low +
+// window, low being the lowest block not yet claimed, so the readahead
+// never runs past a late block; and only while fewer than window issued
+// blocks still have pages to hand out, so the scan holds no more pool
+// frames and device depth than it held claiming pages in order. Whenever a
+// worker waits, block low is issued and not landed, or is about to be, so
+// a landing is due that wakes it; a worker that wakes into an aborted query
+// claims nothing more. Aggregates do not depend on the order pages are
+// evaluated in, so no answer does either.
+//
+// The window's new reads go out from an event at the instant it moves
+// (refill), after whatever else is due then: a worker handed a block's
+// last page may still be evaluating it, and the reads' frames evict the
+// pages finished last first, so the fleet's same-instant releases go first
+// and a block an update dirtied is written back whole.
+type blockClaims struct {
+	env  *sim.Env
+	pool *buffer.Pool
+	file *disk.File
+	spec *Spec
+
+	pages, blockPages, blocks int64
+	window                    int64
+	low, issued, done         int64   // lowest block not claimed; blocks issued; blocks handed out
+	ring                      []block // block b at b % window, for low ≤ b < issued
+	cur, next, end            int64   // the current block (-1: none) and its pages not yet claimed
+
+	landed sim.Signal // what idle workers wait on
+	notify func()     // landed.Notify, bound once: the hook every block read runs as it lands
+	due    bool       // a refill is scheduled
+	refill func()     // refillNow, bound once
+}
+
+// block is one issued block of the window: its read (nil when its pages
+// were all present as it was issued), and whether a worker has claimed it.
+type block struct {
+	read  *sim.Completion
+	taken bool
+}
+
+// newBlockClaims sizes the scan's blocks and window against its pool share
+// and issues the first window.
+func newBlockClaims(ctx *Context, spec *Spec) *blockClaims {
+	t := spec.Table
+	blockPages, window := ReadaheadWindow(spec.poolCapacity(ctx), spec.Degree)
+	c := &blockClaims{
+		env:        ctx.Env,
+		pool:       ctx.Pool,
+		file:       t.File(),
+		spec:       spec,
+		pages:      t.Pages(),
+		blockPages: int64(blockPages),
+		window:     int64(window),
+		ring:       make([]block, window),
+		cur:        -1,
+	}
+	c.blocks = (c.pages + c.blockPages - 1) / c.blockPages
+	c.notify, c.refill = c.landed.Notify, c.refillNow
+	c.issue()
+	return c
+}
+
+// claim hands the worker its next page: from the current block, else from
+// the block it claims. It reports false once every page is handed out or
+// the query has aborted. Moving the window issues reads, so the worker
+// settles its CPU debt first, pinning them to the row-at-a-time schedule's
+// instant.
+func (c *blockClaims) claim(w *worker) (int64, bool) {
+	for {
+		if c.next < c.end {
+			c.next++
+			return c.next - 1, true
+		}
+		if w.bud.debt > 0 {
+			w.bud.settle(w.p) // another worker may claim meanwhile: look again
+			continue
+		}
+		if c.cur >= 0 { // every page of the current block is handed out
+			c.cur = -1
+			c.done++
+			c.moved()
+		}
+		if c.done == c.blocks || c.spec.aborted() {
+			return 0, false
+		}
+		if !c.take() {
+			w.bud.await(w.p, &c.landed)
+		}
+	}
+}
+
+// take makes the lowest-numbered landed block of the window the current
+// one. It reports false when no block of the window has landed.
+func (c *blockClaims) take() bool {
+	for b := c.low; b < c.issued; b++ {
+		blk := &c.ring[b%c.window]
+		if blk.taken || blk.read != nil && !blk.read.Fired() {
+			continue
+		}
+		blk.taken = true
+		c.cur, c.next, c.end = b, b*c.blockPages, min((b+1)*c.blockPages, c.pages)
+		for c.low < c.issued && c.ring[c.low%c.window].taken {
+			c.low++
+		}
+		c.moved()
+		return true
+	}
+	return false
+}
+
+// moved schedules a refill when the window admits a block not yet issued.
+func (c *blockClaims) moved() {
+	if !c.due && c.admits() {
+		c.due = true
+		c.env.Schedule(0, c.refill)
+	}
+}
+
+// admits reports whether the window admits the next block.
+func (c *blockClaims) admits() bool {
+	return c.issued < min(c.low+c.window, c.blocks) && c.issued-c.done < c.window
+}
+
+// refillNow issues what the window admits, unless the query has aborted
+// meanwhile: then it issues nothing and wakes the idle workers to see it.
+func (c *blockClaims) refillNow() {
+	c.due = false
+	if c.spec.aborted() {
+		c.landed.Notify()
+		return
+	}
+	c.issue()
+}
+
+// issue reads every block the window admits. Without block reads a block
+// is one page, which its worker reads itself. A block whose pages are all
+// present has landed as it is issued, which wakes the idle workers.
+func (c *blockClaims) issue() {
+	present := false
+	for ; c.admits(); c.issued++ {
+		var read *sim.Completion
+		if c.blockPages > 1 {
+			start := c.issued * c.blockPages
+			count := int(min(c.blockPages, c.pages-start))
+			read = c.pool.ReadAhead(c.file, start, count, c.spec.CoordPrefetch, c.notify)
+		}
+		present = present || read == nil
+		c.ring[c.issued%c.window] = block{read: read}
+	}
+	if present {
+		c.landed.Notify()
+	}
 }
 
 // mergeAggs folds per-worker accumulators into a Result.

@@ -25,6 +25,7 @@ type worldOpts struct {
 	rpp       int
 	poolPages int
 	cores     int
+	wrap      func(device.Device) device.Device // a probe between the pool and the device; nil: none
 }
 
 func newWorld(t *testing.T, o worldOpts) *world {
@@ -44,6 +45,9 @@ func newWorld(t *testing.T, o worldOpts) *world {
 		dev = device.NewHDD(env, device.DefaultHDDConfig())
 	} else {
 		dev = device.NewSSD(env, device.DefaultSSDConfig())
+	}
+	if o.wrap != nil {
+		dev = o.wrap(dev)
 	}
 	m := disk.NewManager(dev)
 	tab := table.NewMaterialized(m, "t", o.rows, o.rpp, 7)

@@ -32,8 +32,9 @@ type worker struct {
 	bud cpuBudget
 	a   *agg
 
-	entries []btree.Entry // scratch reused across leaf batches
-	matches []table.Match // scratch reused across pages
+	entries  []btree.Entry // scratch reused across leaf batches
+	matches  []table.Match // scratch reused across pages
+	inFlight *sim.Any      // the prefetches of an index batch's window (reads)
 }
 
 // Scratch is a node's free list of worker records: a worker's CPU budget and

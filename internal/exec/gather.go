@@ -38,7 +38,8 @@ type GatherSpec struct {
 	// Emit, when set, receives every matching row in global C2 order: the
 	// per-shard streams are collected and k-way merged by key — the
 	// "ordered index merge" path. Shard specs should be planned at degree
-	// 1 index scans for a meaningful global order.
+	// 1 index scans without prefetch for a meaningful global order: a
+	// prefetching worker evaluates its window's rows as their pages land.
 	Emit func(rowID int64, row table.Row)
 
 	// Pruned is the number of shards partition pruning skipped, for the

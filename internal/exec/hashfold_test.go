@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"pioqo/internal/disk"
+	"pioqo/internal/fault"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
+	"pioqo/internal/table"
 )
 
 // traced gives ctx a fresh tracer and returns the root span a run opens its
@@ -123,4 +125,55 @@ func TestHashFoldRunsOnTheWorkers(t *testing.T) {
 				cpu, scanCPU, cpu-scanCPU, hash)
 		}
 	})
+}
+
+// TestLateBlockHoldsUpNoOther: one straggler on the second block of a cold
+// PFTS8 — the injector draws it for that read alone — and the workers take
+// the window's later blocks as they land: every page of blocks 2–4 is
+// evaluated before the first page of the late block, which waits for its
+// read, and the answer is the healthy run's. Claiming pages in order, the
+// fleet waited on the late block with the blocks behind it in the pool.
+func TestLateBlockHoldsUpNoOther(t *testing.T) {
+	const rows, late = 33 * 64 * 10, 1
+	type span struct{ first, last sim.Time }
+	run := func(straggle bool) (agg, []span, sim.Duration) {
+		w, inj := newFaultWorld(t, worldOpts{rows: rows, rpp: 33})
+		if straggle {
+			// Seed 55 draws a straggler for the second read at t = 0 only.
+			inj.Arm(fault.Schedule{Seed: 55, Windows: []fault.Window{
+				{To: sim.Microsecond, StragglerRate: 0.5, StragglerLatency: 5 * sim.Millisecond}}})
+		}
+		got := agg{kind: AggMax}
+		var blocks []span // when each block's rows were evaluated
+		spec := w.spec(FullScan, 8, 0, rows)
+		spec.Emit = func(rowID int64, row table.Row) {
+			got.add(row.C1)
+			b := int(table.PageOf(rowID, 33) / disk.BlockPages)
+			for len(blocks) <= b {
+				blocks = append(blocks, span{first: -1})
+			}
+			if blocks[b].first < 0 {
+				blocks[b].first = w.env.Now()
+			}
+			blocks[b].last = w.env.Now()
+		}
+		res := Execute(w.ctx, spec)
+		if want := map[bool]int64{true: 1}[straggle]; got.rows != res.RowsMatched || inj.Stats().Stragglers != want {
+			t.Fatalf("straggle %v: %d rows emitted, %d matched, %d stragglers, want %d",
+				straggle, got.rows, res.RowsMatched, inj.Stats().Stragglers, want)
+		}
+		return got, blocks, res.Runtime
+	}
+	healthy, _, healthyRT := run(false)
+	faulted, blocks, rt := run(true)
+	if faulted != healthy {
+		t.Errorf("with a late block: %+v; healthy: %+v", faulted, healthy)
+	}
+	for b := late + 1; b <= late+3; b++ {
+		if blocks[b].last >= blocks[late].first {
+			t.Errorf("block %d evaluated until %v, the late block %d from %v: want it done before",
+				b, sim.Duration(blocks[b].last), late, sim.Duration(blocks[late].first))
+		}
+	}
+	t.Logf("healthy %v, one late block %v; block spans %v", healthyRT, rt, blocks)
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"pioqo/internal/btree"
 	"pioqo/internal/disk"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
@@ -103,19 +104,27 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64) (int, bool) 
 	bud.charge(ctx.Costs.PerPage + sim.Duration(take)*ctx.Costs.PerEntry)
 	lh.Release()
 
-	prefetched := 0
-	for i, e := range matches {
+	prefetched, pf := 0, spec.PrefetchPerWorker
+	for i := range matches {
 		// Keep up to PrefetchPerWorker table pages in flight, clamped at
 		// this leaf's last reference (never across the leaf boundary, per
 		// §3.3). Issuing an asynchronous read costs CPU — the reason the
 		// paper finds one worker prefetching n does not quite match n
 		// workers.
-		for prefetched < i+spec.PrefetchPerWorker && prefetched < len(matches) {
-			bud.prefetch(w.p, t.File(), table.PageOf(matches[prefetched].Row, rpp))
+		for prefetched < i+pf && prefetched < len(matches) {
+			bud.prefetch(w.p, t.File(), table.PageOf(matches[prefetched].Row, rpp), w.reads())
 			prefetched++
 		}
+		// Evaluate whichever entry of the window has landed first, so the
+		// window's reads stay in flight however the device orders them.
+		if pf > 0 {
+			j := i + w.landed(ctx, spec, matches[i:prefetched])
+			matches[i], matches[j] = matches[j], matches[i]
+		}
+		e := matches[i]
 		th, ok := bud.fetchRetry(w.p, spec, t.File(), table.PageOf(e.Row, rpp))
 		if !ok {
+			w.windDown()
 			return 0, false
 		}
 		bud.charge(ctx.Costs.PerRowFetch)
@@ -126,10 +135,58 @@ func indexBatch(ctx *Context, spec *Spec, w *worker, pos, hi int64) (int, bool) 
 		}
 		th.Release()
 	}
+	w.windDown()
 	// The leaf batch is the settle quantum — without it a fully warm scan
 	// would defer the whole range into one giant Use.
 	bud.settle(w.p)
 	return take, true
+}
+
+// reads is the set of the worker's prefetches in flight, kept across
+// batches and fleets with the worker record.
+func (w *worker) reads() *sim.Any {
+	if w.inFlight == nil {
+		w.inFlight = new(sim.Any)
+	}
+	return w.inFlight
+}
+
+// landed returns the index in window of the first entry whose page has
+// landed, waiting — as I/O wait, its CPU debt settled first — for one of
+// the worker's prefetches to land while none has. With none in flight it
+// returns 0, whose fetch then reads the page or joins another's read.
+func (w *worker) landed(ctx *Context, spec *Spec, window []btree.Entry) int {
+	t, rpp := spec.Table, spec.Table.RowsPerPage()
+	for {
+		for j, e := range window {
+			if ctx.Pool.Loaded(t.File(), table.PageOf(e.Row, rpp)) {
+				return j
+			}
+		}
+		if w.inFlight == nil || w.inFlight.Pending() == 0 {
+			return 0
+		}
+		if w.bud.debt > 0 {
+			w.bud.settle(w.p) // a read may land meanwhile: look again
+			continue
+		}
+		t0 := ctx.Env.Now()
+		w.p.WaitAny(w.inFlight)
+		w.bud.blocked(t0)
+	}
+}
+
+// windDown empties the worker's prefetch set for its next batch, dropping
+// the landings it did not wait for. None of the set's reads is still in
+// flight: the worker evaluates an entry only with its page landed, and
+// reads a page itself only while none of its prefetches is in flight — so
+// a worker that stops mid-window on a failed read leaves no read to count
+// into the set a later fleet takes with the record (Reset panics if one
+// would).
+func (w *worker) windDown() {
+	if w.inFlight != nil {
+		w.inFlight.Reset()
+	}
 }
 
 // claimSteps hands [startPos, endPos) out from one cursor: each step claims

@@ -383,7 +383,7 @@ func residentFraction(pool *buffer.Pool, file interface{ Pages() int64 }, reside
 // scanDepth is the device queue depth a full scan at degree d is priced at:
 // the block reads the executor's readahead has outstanding (the band-1 row is
 // calibrated in that shape), under the queue budget. The fleet is not the
-// depth — the workers consume pages the prefetcher already asked for — and
+// depth — the workers consume pages the readahead already asked for — and
 // enters only through the pool clamp, which trades window for pins.
 func (c *Config) scanDepth(d int) int {
 	_, inFlight := exec.ReadaheadWindow(int(c.PoolPages), d)

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -107,6 +108,96 @@ func TestWaitAnyAllocatesNothing(t *testing.T) {
 		})
 		if got != 0 || a.Len() != 0 {
 			t.Errorf("Add + Fire + WaitAny: %v allocations, Len %d; want 0, 0", got, a.Len())
+		}
+	})
+	e.Run()
+}
+
+// TestAnyHookCountsAReportedCompletion: a completion whose callback
+// another layer runs joins the set through Hook, and Reset empties the set
+// once everything in it has fired, dropping what no WaitAny took.
+func TestAnyHookCountsAReportedCompletion(t *testing.T) {
+	e := NewEnv(1)
+	var a Any
+	landed := a.Hook()
+	a.Add(NewCompletion(e)) // never fires: only counts
+	e.Schedule(Millisecond, landed)
+	e.Go("waiter", func(p *Proc) {
+		p.WaitAny(&a)
+		if p.Now() != Time(Millisecond) || a.Pending() != 1 {
+			t.Errorf("woke at %v with %d pending, want 1 ms and 1", Duration(p.Now()), a.Pending())
+		}
+	})
+	e.Run()
+	defer func() {
+		if recover() == nil {
+			t.Error("Reset with a completion pending did not panic")
+		}
+	}()
+	a.Reset()
+}
+
+// TestAnyResetDropsUntakenCompletions: two fired, one taken, then Reset:
+// the set is empty and the next WaitAny parks for a new one.
+func TestAnyResetDropsUntakenCompletions(t *testing.T) {
+	e := NewEnv(1)
+	var a Any
+	for range 2 {
+		c := NewCompletion(e)
+		a.Add(c)
+		c.Fire()
+	}
+	e.Go("waiter", func(p *Proc) {
+		p.WaitAny(&a)
+		a.Reset()
+		if a.Len() != 0 {
+			t.Fatalf("Len %d after Reset, want 0", a.Len())
+		}
+		c := NewCompletion(e)
+		a.Add(c)
+		e.Schedule(Millisecond, c.Fire)
+		p.WaitAny(&a)
+		if p.Now() != Time(Millisecond) {
+			t.Errorf("WaitAny after Reset returned at %v, want 1 ms", Duration(p.Now()))
+		}
+	})
+	e.Run()
+}
+
+// TestSignalWakesEveryWaiter: three processes wait on one signal and one
+// Notify resumes all three at that instant, in the order they began to
+// wait; a Notify with no one waiting is lost.
+func TestSignalWakesEveryWaiter(t *testing.T) {
+	e := NewEnv(1)
+	var s Signal
+	s.Notify() // lost: no one waits yet
+	var woke []string
+	for _, name := range []string{"a", "b", "c"} {
+		e.Go(name, func(p *Proc) {
+			p.Await(&s)
+			woke = append(woke, fmt.Sprintf("%s@%v", name, Duration(p.Now())))
+		})
+	}
+	e.Schedule(Millisecond, s.Notify)
+	e.Run()
+	if want := []string{"a@1.000ms", "b@1.000ms", "c@1.000ms"}; !slices.Equal(woke, want) {
+		t.Errorf("woke %v, want %v", woke, want)
+	}
+}
+
+// TestSignalAllocatesNothing: a signal kept across rounds reuses its
+// waiter list, so a wait and the notify that ends it allocate nothing.
+func TestSignalAllocatesNothing(t *testing.T) {
+	e := NewEnv(1)
+	var s Signal
+	notify := s.Notify
+	e.Go("waiter", func(p *Proc) {
+		got := testing.AllocsPerRun(100, func() {
+			e.Schedule(Microsecond, notify)
+			p.Await(&s)
+		})
+		if got != 0 {
+			t.Errorf("Await + Notify: %v allocations, want 0", got)
 		}
 	})
 	e.Run()

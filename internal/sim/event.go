@@ -227,13 +227,33 @@ type Any struct {
 
 // Add puts c in the set. A completion that has already fired is ready at
 // once.
-func (a *Any) Add(c *Completion) {
+func (a *Any) Add(c *Completion) { c.OnFire(a.Hook()) }
+
+// Hook puts one completion in the set that the caller reports itself: the
+// returned callback must run exactly once, when that completion fires. It
+// is for a completion whose callback slot another layer holds — the buffer
+// pool's load callback runs it once the read's pages are installed — and,
+// bound on the first call, it allocates nothing.
+func (a *Any) Hook() func() {
 	if a.onFire == nil {
 		a.onFire = a.fired
 	}
 	a.pending++
-	c.OnFire(a.onFire)
+	return a.onFire
 }
+
+// Reset empties a set whose completions have all fired, dropping those no
+// WaitAny took, so the set can be kept for the next round. It panics while
+// one is pending: its firing would count into the emptied set.
+func (a *Any) Reset() {
+	if a.pending > 0 {
+		panic("sim: Reset of an Any with completions pending")
+	}
+	a.ready = 0
+}
+
+// Pending reports how many completions in the set have not fired.
+func (a *Any) Pending() int { return a.pending }
 
 // Len reports how many completions are in the set, fired or not.
 func (a *Any) Len() int { return a.pending + a.ready }
@@ -265,4 +285,32 @@ func (p *Proc) WaitAny(a *Any) {
 		p.park(parkCompletion, 0, "")
 	}
 	a.ready--
+}
+
+// Signal is a wake that any number of processes wait on together and any
+// context raises: Notify resumes every process waiting at that moment, in
+// the order they began to wait, and the signal is ready for the next round
+// at once. It holds no state besides its waiters — a Notify with no one
+// waiting is lost — so a waiter tests its condition and waits in one step
+// (nothing else runs between the two). The zero value is ready to use, and
+// the waiter list's storage is kept, so a signal allocates nothing once it
+// has held its largest round.
+type Signal struct {
+	waiters []*Proc
+}
+
+// Await suspends the process until s is next notified.
+func (p *Proc) Await(s *Signal) {
+	s.waiters = append(s.waiters, p)
+	p.park(parkSignal, 0, "")
+}
+
+// Notify resumes every process waiting on s, through the same fast path a
+// Wait's completion takes.
+func (s *Signal) Notify() {
+	for i, p := range s.waiters {
+		p.env.wake(p, 0)
+		s.waiters[i] = nil
+	}
+	s.waiters = s.waiters[:0]
 }

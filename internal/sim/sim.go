@@ -240,6 +240,7 @@ const (
 	parkCompletion
 	parkWaitGroup
 	parkResource
+	parkSignal
 )
 
 // Proc is a simulation process: a coroutine that runs only while it holds
@@ -277,6 +278,8 @@ func (p *Proc) parkReason() string {
 		return "completion"
 	case parkWaitGroup:
 		return "waitgroup"
+	case parkSignal:
+		return "signal"
 	case parkResource:
 		return "resource " + p.parkExtra
 	default:

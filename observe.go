@@ -17,9 +17,9 @@ type SpanAttr struct {
 }
 
 // SpanNode is one node of a query's virtual-time span tree: the query span
-// at the root, the operator beneath it, and one child per worker (plus the
-// prefetcher, when the plan uses one). Track distinguishes concurrent
-// lanes — spans on different tracks overlapped in virtual time.
+// at the root, the operator beneath it, and one child per worker. Track
+// distinguishes concurrent lanes — spans on different tracks overlapped in
+// virtual time.
 type SpanNode struct {
 	Name     string
 	Start    time.Duration // virtual time since the system started

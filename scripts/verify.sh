@@ -33,11 +33,13 @@ go test -race -cpu 1,4 ./internal/sim/... ./internal/opt/...
 
 # Five seconds each of fuzzing, from the corpus, the synthetic heap's
 # accessors, the materialized index's counting build, the disk's
-# access-time dispatch and the pool's gated fetches.
+# access-time dispatch, the pool's gated fetches and a full scan's block
+# claims.
 go test -timeout 120s -run '^$' -fuzz FuzzSyntheticPlacement -fuzztime 5s ./internal/table
 go test -timeout 120s -run '^$' -fuzz FuzzMaterializedBuild -fuzztime 5s ./internal/btree
 go test -timeout 120s -run '^$' -fuzz FuzzHDDDispatch -fuzztime 5s ./internal/device
 go test -timeout 120s -run '^$' -fuzz FuzzGatedFetch -fuzztime 5s ./internal/buffer
+go test -timeout 120s -run '^$' -fuzz FuzzBlockClaims -fuzztime 5s ./internal/exec
 
 # -golden-rows writes the digest goldens' full rows, then compares them: the
 # path that shows a moved digest's first diverging row stays in use.
