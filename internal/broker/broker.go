@@ -22,12 +22,20 @@
 //     has left unreserved. The grant is the depth the plan priced, so the
 //     plan admitted is the plan submitted — one-credit point lookups run
 //     side by side, and a deep scan waits for its depth instead of being
-//     split. Grants go first to the lease whose grant finishes the most
-//     queued queries: one parked on a page intent reads that page for
-//     every query waiting on it (Park), so its turn follows their count;
-//     ties, and leases parked on nothing, keep their FIFO order. A head
-//     whose demand does not fit holds everyone back, and one that fits is
-//     passed only by a lease that leaves it room or needs as much.
+//     split. Grants go first to the lease that finishes the most queued
+//     queries per priced microsecond of device time. One parked on a page
+//     intent reads that page for every query waiting on it (Park), and
+//     its read is priced (DepthModel.PageCost) over the band from the
+//     last granted parked page to its own, at the depth the grant makes:
+//     the credits in use plus one. So a disk sweeps between the pages
+//     queued lookups want instead of seeking across them in submit order,
+//     and a page many queries want still goes first unless it lies that
+//     much further away. A lease parked on nothing is priced at the
+//     cheapest band. Ties keep FIFO order, so on a flat band curve — an
+//     SSD's, where distance costs nothing — the rule is most waiters,
+//     then FIFO. A head whose demand does not fit holds everyone back,
+//     and one that fits is passed only by a parked lease that leaves it
+//     room or needs as much.
 //   - The grant gates a query's first device read, not its start: the
 //     query runs at once, and its executor waits on the lease (Admit) only
 //     where it would issue a read. A query whose pages are resident, or
@@ -51,15 +59,22 @@
 package broker
 
 import (
+	"math"
+
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
 // DepthModel is the slice of the calibrated cost model the broker needs:
 // the largest queue depth that still improves throughput on a band by
-// cost.MinGain. It is satisfied by *cost.QDTT.
+// cost.MinGain, which sizes the supply; the price of one page read over a
+// band at a queue depth, which orders the grants; and the band grid the
+// prices are interpolated over, at whose points every depth's cheapest
+// price lies. It is satisfied by *cost.QDTT.
 type DepthModel interface {
 	MaxBeneficialDepth(band int64) int
+	PageCost(band int64, depth int) float64
+	Bands() []int64
 }
 
 // Config sizes a Broker. Model and Band are required; everything else has
@@ -117,6 +132,16 @@ type Broker struct {
 
 	queue  []*Lease // admission queue, in submit order
 	active []*Lease // admitted, not yet released
+
+	// last is the device page of the last parked lease granted: where its
+	// read sends the device, and the page the next grant is priced from.
+	last int64
+
+	// floor[d] is the model's cheapest page price at depth d over every
+	// band, 0 until dispatch first needs it: the bound that lets dispatch
+	// skip a lease whose waiters could not beat the best grant found even
+	// at the cheapest band.
+	floor []float64
 
 	// dispatchScheduled coalesces dispatch work into one zero-delay event
 	// per instant, so every query enqueued at the same virtual time is
@@ -272,8 +297,10 @@ type Lease struct {
 	grant *sim.Completion // fires at admission; OnAdmit hooks ride it
 
 	// parked is the waiter count of the page intent the query waits on
-	// before its grant (Park), nil while it waits on none.
+	// before its grant (Park), nil while it waits on none; at is the
+	// page's place on the device, in pages.
 	parked *int
+	at     int64
 }
 
 // Enqueue registers a query for admission and returns its lease. The
@@ -360,9 +387,10 @@ func (l *Lease) Admitted() bool { return l.admitted }
 func (l *Lease) OnAdmit(fn func()) { l.grant.OnFire(fn) }
 
 // Park records the waiter count of the page intent the lease's query is
-// parked on (nil: none): the buffer pool's side of the buffer.Gate. Dispatch
-// reads it as the lease's turn.
-func (l *Lease) Park(waiters *int) { l.parked = waiters }
+// parked on (nil: none) and the page's place on the device, in pages: the
+// buffer pool's side of the buffer.Gate. Dispatch reads both as the lease's
+// turn.
+func (l *Lease) Park(waiters *int, at int64) { l.parked, l.at = waiters, at }
 
 // finishes is how many queued queries the lease's grant lets finish the
 // read they wait on: the waiters on its query's page intent, whose hook the
@@ -533,9 +561,10 @@ func (b *Broker) feedbackSlack() int {
 // dispatch admits queued queries, each at its need: its demand, capped at
 // the supply. A head whose need is more than the free credits waits, and
 // everyone behind it waits its turn. Otherwise the grant goes to the lease
-// that finishes the most queued queries among those whose need fits beside
-// the head's (or is no less than it), the earliest of equals; a sole query
-// on an idle broker gets an unbounded lease.
+// that finishes the most queued queries per priced microsecond of device
+// time (score) among those whose need fits beside the head's (or is no
+// less than it), the earliest of equals; a sole query on an idle broker
+// gets an unbounded lease.
 func (b *Broker) dispatch() {
 	b.dispatchScheduled = false
 	degradeLogged := false
@@ -573,21 +602,73 @@ func (b *Broker) dispatch() {
 		if head > avail {
 			return
 		}
-		// Past the head only to a lease that leaves it room for its whole
-		// demand, or that needs as many credits: a head that fits is never
-		// left to wait for a split.
-		pick, most := 0, b.queue[0].finishes()
-		for i := 1; i < len(b.queue); i++ {
-			if l := b.queue[i]; l.parked != nil {
-				if n, need := l.finishes(), l.need(supply); n > most && need <= avail && (need >= head || need+head <= avail) {
-					pick, most = i, n
-				}
-			}
-		}
+		pick := b.pick(supply, avail, head)
 		l := b.queue[pick]
 		b.queue = append(b.queue[:pick], b.queue[pick+1:]...)
 		b.admit(l, l.need(supply))
 	}
+}
+
+// pick is the queue index of the next grant, given a head that needs head
+// of the avail credits: the lease with the best score at the depth its
+// grant makes, the earliest of equals. The head is passed only by a lease
+// parked on a page, and only by one that leaves the head room for its
+// whole demand, or that needs as many credits: a head that fits is never
+// left to wait for a split. A lease whose waiters would not beat the best
+// score even at the cheapest band is not priced, which skips no lease that
+// could win.
+func (b *Broker) pick(supply, avail, head int) int {
+	depth := b.InUse() + 1
+	floor := b.cheapest(depth)
+	pick, best := 0, b.score(b.queue[0], depth, floor)
+	for i := 1; i < len(b.queue); i++ {
+		l := b.queue[i]
+		if l.parked == nil || float64(l.finishes())/floor <= best {
+			continue
+		}
+		if need := l.need(supply); need > avail || (need < head && need+head > avail) {
+			continue
+		}
+		if s := b.score(l, depth, floor); s > best {
+			pick, best = i, s
+		}
+	}
+	return pick
+}
+
+// score is the lease's grant's worth at queue depth depth: the queries it
+// lets finish per microsecond of device time its read is priced at. A
+// parked lease's read is priced over the band from the last granted parked
+// page to its own — the seek its grant adds, given the device is serving
+// the reads granted before it. A lease parked on no page has no seek to
+// price and is priced at floor, the cheapest band. On a flat band curve
+// every price is one number, and the order is most waiters, then FIFO.
+func (b *Broker) score(l *Lease, depth int, floor float64) float64 {
+	if l.parked == nil {
+		return 1 / floor
+	}
+	band := l.at - b.last
+	if band < 0 {
+		band = -band
+	}
+	return float64(l.finishes()) / b.cfg.Model.PageCost(max(band, 1), depth)
+}
+
+// cheapest is the model's lowest page price at depth over every band. The
+// model interpolates between its grid bands and clamps outside them, so the
+// lowest price lies at a grid band.
+func (b *Broker) cheapest(depth int) float64 {
+	if depth >= len(b.floor) {
+		b.floor = append(b.floor, make([]float64, depth+1-len(b.floor))...)
+	}
+	if b.floor[depth] == 0 {
+		c := math.Inf(1)
+		for _, band := range b.cfg.Model.Bands() {
+			c = min(c, b.cfg.Model.PageCost(band, depth))
+		}
+		b.floor[depth] = c
+	}
+	return b.floor[depth]
 }
 
 // need is the credits the lease is granted under supply: its demand, capped
@@ -615,6 +696,9 @@ func (b *Broker) admit(l *Lease, grant int) {
 	l.held = grant
 	l.admitted = true
 	l.admittedAt = b.env.Now()
+	if l.parked != nil {
+		b.last = l.at
+	}
 	if b.cfg.PoolPages > 0 && grant > 0 {
 		l.pool = b.reservation(grant)
 		l.poolHeld = l.pool

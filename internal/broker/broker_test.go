@@ -1,16 +1,30 @@
 package broker
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
+	"pioqo/internal/cost"
 	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
-// fixedModel is a DepthModel with a constant beneficial depth.
+// fixedModel is a DepthModel with a constant beneficial depth and a flat
+// band curve: every read costs the same, so grants go by waiters alone.
 type fixedModel int
 
-func (m fixedModel) MaxBeneficialDepth(band int64) int { return int(m) }
+func (m fixedModel) MaxBeneficialDepth(band int64) int      { return int(m) }
+func (m fixedModel) PageCost(band int64, depth int) float64 { return 100 }
+func (m fixedModel) Bands() []int64                         { return []int64{1} }
+
+// seekModel is a DepthModel whose page price rises with the band: 100 µs
+// plus 1 µs a page of distance, at every depth.
+type seekModel int
+
+func (m seekModel) MaxBeneficialDepth(band int64) int      { return int(m) }
+func (m seekModel) PageCost(band int64, depth int) float64 { return 100 + float64(band) }
+func (m seekModel) Bands() []int64                         { return []int64{1, 1 << 20} }
 
 func newBroker(t *testing.T, total int, mut func(*Config)) (*sim.Env, *Broker) {
 	t.Helper()
@@ -491,13 +505,13 @@ func TestMostWaitedLeaseGoesFirst(t *testing.T) {
 		l.OnAdmit(func() { order = append(order, i) })
 		ls = append(ls, l)
 	}
-	ls[2].Park(&five)
+	ls[2].Park(&five, 0)
 	env.Run()
 	if !hold.Admitted() || len(order) != 0 {
 		t.Fatalf("holder admitted %v, %d of the queued granted; want the holder alone", hold.Admitted(), len(order))
 	}
 	for i, w := range parked {
-		ls[i].Park(w)
+		ls[i].Park(w, int64(i))
 	}
 	hold.Release()
 	env.Run()
@@ -521,14 +535,14 @@ func TestDeepHeadIsNeverOvertakenIntoASplit(t *testing.T) {
 	a := b.Enqueue(3)
 	deep := b.Enqueue(4)
 	small := b.Enqueue(1)
-	small.Park(&nine)
+	small.Park(&nine, 0)
 	env.Run()
 	if !a.Admitted() || !small.Admitted() || deep.Admitted() {
 		t.Fatalf("admitted a %v, small %v, deep %v; want a and small, which fit beside each other",
 			a.Admitted(), small.Admitted(), deep.Admitted())
 	}
 	late := b.Enqueue(1)
-	late.Park(&nine)
+	late.Park(&nine, 0)
 	small.Release()
 	env.Run()
 	if late.Admitted() {
@@ -591,6 +605,161 @@ func TestGrantOnAFullyReservedPoolReservesNothing(t *testing.T) {
 	if b.PoolInUse() != 0 || b.InUse() != 0 {
 		t.Errorf("%d pages and %d credits left after all releases", b.PoolInUse(), b.InUse())
 	}
+}
+
+// TestEqualWaitersSweepFromTheLastGrant: under a band curve that rises
+// with distance, one-waiter leases parked across the device are granted
+// nearest-first from the last granted page — the device sweeps 600, 650,
+// 700, 1000, 320, 300 — not in submit order.
+func TestEqualWaitersSweepFromTheLastGrant(t *testing.T) {
+	env, b := newBroker(t, 1, func(c *Config) { c.Model = seekModel(1) })
+	one := 1
+	first := b.Enqueue(1)
+	first.Park(&one, 600)
+	env.Run() // a sole query: granted unbounded, from page 600
+	var ls []*Lease
+	var order []int
+	for i, at := range []int64{700, 300, 1000, 320, 650} {
+		l, w := b.Enqueue(1), 1
+		l.Park(&w, at)
+		l.OnAdmit(func() { order = append(order, i) })
+		ls = append(ls, l)
+	}
+	env.Run()
+	for range ls {
+		if len(order) == 0 {
+			break
+		}
+		ls[order[len(order)-1]].Release()
+		env.Run()
+	}
+	if want := []int{4, 0, 2, 3, 1}; !equalInts(order, want) {
+		t.Errorf("grant order %v, want %v: nearest the last grant first", order, want)
+	}
+	first.Release()
+	env.Run()
+	if b.InUse() != 0 || b.Waiting() != 0 {
+		t.Errorf("%d credits in use, %d waiting after all releases", b.InUse(), b.Waiting())
+	}
+}
+
+// TestWaitersAgainstDistance: a page three queries want, far from the last
+// grant, against a page one wants, near it. The grant goes to the higher
+// waiters ÷ price, whichever of the two is queued first: the near page at
+// 200 µs (1/200) beats the far one at 1 000 µs (3/1000), and the far one at
+// 500 µs (3/500) beats the near one.
+func TestWaitersAgainstDistance(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		farAt int64
+		want  string
+	}{
+		{"distance wins", 900, "near"},
+		{"waiters win", 400, "far"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env, b := newBroker(t, 1, func(cfg *Config) { cfg.Model = seekModel(1) })
+			first := b.Enqueue(1)
+			env.Run() // unbounded, parked on nothing: the last grant stays at page 0
+			// The loser is queued first, so the winner passes the head.
+			loser, winner := b.Enqueue(1), b.Enqueue(1)
+			near, far := winner, loser
+			if c.want == "far" {
+				near, far = loser, winner
+			}
+			one, three := 1, 3
+			near.Park(&one, 100)
+			far.Park(&three, c.farAt)
+			env.Run()
+			if !winner.Admitted() || loser.Admitted() {
+				t.Fatalf("near admitted %v, far admitted %v; want %s alone", near.Admitted(), far.Admitted(), c.want)
+			}
+			for _, l := range []*Lease{first, near, far} {
+				l.Release()
+			}
+			env.Run()
+		})
+	}
+}
+
+// TestPrunedPickIsTheArgmax: on random queues — random demands, waiters,
+// pages and parked-or-not, random prices on a random band grid that need
+// not rise with the band, random depths in use, ties in every term — the
+// pruned scan picks exactly the lease an exhaustive scan of every
+// candidate's score picks, the earliest of equals, with the cheapest band
+// price found by pricing every band.
+func TestPrunedPickIsTheArgmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	ties := 0
+	for trial := 0; trial < 400; trial++ {
+		bands := []int64{1}
+		for len(bands) < 4 {
+			bands = append(bands, bands[len(bands)-1]+1+rng.Int63n(1500))
+		}
+		depths := []int{1, 2, 4, 8, 16}
+		rows := make([][]float64, len(depths))
+		for i := range rows {
+			for range bands {
+				rows[i] = append(rows[i], float64(100*(1+rng.Intn(4))))
+			}
+		}
+		model := cost.NewQDTT(bands, depths, rows)
+		b := New(Config{Env: sim.NewEnv(1), Model: model, Band: bands[len(bands)-1]})
+		b.free = b.total - rng.Intn(20) // credits in use: the depth priced is one more
+		b.last = rng.Int63n(9) * 512
+		supply := 4
+		for n := 1 + rng.Intn(12); len(b.queue) < n; {
+			l := &Lease{b: b, demand: 1 + rng.Intn(3)}
+			if rng.Intn(4) > 0 {
+				w := 1 + rng.Intn(3)
+				l.Park(&w, rng.Int63n(9)*512)
+			}
+			b.queue = append(b.queue, l)
+		}
+		head := b.queue[0].need(supply)
+		avail := head + rng.Intn(supply-head+1)
+
+		depth := b.InUse() + 1
+		floor := math.Inf(1)
+		for band := int64(1); band <= bands[len(bands)-1]+1; band++ {
+			floor = min(floor, model.PageCost(band, depth))
+		}
+		score := func(l *Lease) float64 {
+			if l.parked == nil {
+				return 1 / floor
+			}
+			return float64(l.finishes()) / model.PageCost(max(1, abs(l.at-b.last)), depth)
+		}
+		want, best, tied := 0, score(b.queue[0]), false
+		for i, l := range b.queue[1:] {
+			need := l.need(supply)
+			if l.parked == nil || need > avail || (need < head && need+head > avail) {
+				continue
+			}
+			switch s := score(l); {
+			case s > best:
+				want, best, tied = i+1, s, false
+			case s == best:
+				tied = true
+			}
+		}
+		if tied {
+			ties++
+		}
+		if got := b.pick(supply, avail, head); got != want {
+			t.Fatalf("trial %d: pruned scan picks %d, the exhaustive argmax is %d", trial, got, want)
+		}
+	}
+	if ties < 40 {
+		t.Errorf("only %d of 400 trials had a tied best score; the ties are not exercised", ties)
+	}
+}
+
+func abs(n int64) int64 {
+	if n < 0 {
+		return -n
+	}
+	return n
 }
 
 func equalInts(a, b []int) bool {

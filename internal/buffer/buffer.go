@@ -144,8 +144,10 @@ type Gate interface {
 	Admit(p *sim.Proc)
 	// Park reports the waiter count of the page intent the query is now
 	// parked on — live, read whenever the gate needs it: how many queries
-	// the page's one read releases — or nil once the query stops waiting.
-	Park(waiters *int)
+	// the page's one read releases — and where the page lies on its device,
+	// in pages from the device's start; nil (and 0) once the query stops
+	// waiting.
+	Park(waiters *int, at int64)
 }
 
 // ErrLeftGate is what FetchGated returns to a query whose abort woke it from
@@ -570,11 +572,11 @@ func (p *Pool) FetchGated(proc *sim.Proc, file *disk.File, page int64, g Gate, c
 		g.OnAdmit(in.issue)
 		in.waiters++
 		p.parked++
-		g.Park(&in.waiters)
+		g.Park(&in.waiters, file.Offset(page)/disk.PageSize)
 		ctl.SetWake(in, proc)
 		proc.Wait(in.ready)
 		ctl.SetWake(nil, nil)
-		g.Park(nil)
+		g.Park(nil, 0)
 		p.parked--
 		if !in.ready.Fired() {
 			return Handle{}, ErrLeftGate

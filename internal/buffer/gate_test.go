@@ -13,16 +13,17 @@ import (
 // testGate is a Gate the test grants by hand.
 type testGate struct {
 	grant  *sim.Completion
-	passed int  // Admit calls: reads made under the grant
-	parked *int // what Park last reported
+	passed int   // Admit calls: reads made under the grant
+	parked *int  // what Park last reported
+	at     int64 // and where
 }
 
 func newTestGate(env *sim.Env) *testGate { return &testGate{grant: sim.NewCompletion(env)} }
 
-func (g *testGate) Admitted() bool    { return g.grant.Fired() }
-func (g *testGate) OnAdmit(fn func()) { g.grant.OnFire(fn) }
-func (g *testGate) Admit(p *sim.Proc) { p.Wait(g.grant); g.passed++ }
-func (g *testGate) Park(waiters *int) { g.parked = waiters }
+func (g *testGate) Admitted() bool              { return g.grant.Fired() }
+func (g *testGate) OnAdmit(fn func())           { g.grant.OnFire(fn) }
+func (g *testGate) Admit(p *sim.Proc)           { p.Wait(g.grant); g.passed++ }
+func (g *testGate) Park(waiters *int, at int64) { g.parked, g.at = waiters, at }
 
 // waiters is the count Park reported for the gate's query: 0 when it waits
 // on no intent.
@@ -88,6 +89,9 @@ func TestIntentReadAtFirstGrant(t *testing.T) {
 		for i, g := range gates {
 			if g.waiters() != 3 || pool.Parked() != 3 {
 				t.Errorf("gate %d reports %d waiters, the pool %d parked; want 3 and 3", i, g.waiters(), pool.Parked())
+			}
+			if want := file.Offset(5) / disk.PageSize; g.at != want {
+				t.Errorf("gate %d reports its page at device page %d, want %d", i, g.at, want)
 			}
 		}
 		gates[1].open()

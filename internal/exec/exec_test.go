@@ -427,7 +427,7 @@ type grantedGov struct{ budget, pages int }
 func (g grantedGov) Admit(*sim.Proc)             {}
 func (g grantedGov) Admitted() bool              { return true }
 func (g grantedGov) OnAdmit(fn func())           { fn() }
-func (g grantedGov) Park(*int)                   {}
+func (g grantedGov) Park(*int, int64)            {}
 func (g grantedGov) Budget() int                 { return g.budget }
 func (g grantedGov) GrantedAt() (sim.Time, bool) { return 0, true }
 func (g grantedGov) Gated() bool                 { return true }

@@ -170,7 +170,7 @@ type countingGov struct {
 func (g *countingGov) Admit(*sim.Proc)             {}
 func (g *countingGov) Admitted() bool              { return true }
 func (g *countingGov) OnAdmit(fn func())           { fn() }
-func (g *countingGov) Park(*int)                   {}
+func (g *countingGov) Park(*int, int64)            {}
 func (g *countingGov) Budget() int                 { return 0 }
 func (g *countingGov) GrantedAt() (sim.Time, bool) { return 0, true }
 func (g *countingGov) Gated() bool                 { return true }
