@@ -37,6 +37,10 @@ var boundaries = []boundary{
 	{"golden", "internal/golden registers -update and -golden-rows when imported: only _test.go files may import it",
 		engineIn(""), imports("pioqo/internal/golden"), []string{"internal/golden/golden.go:Check"},
 		"cmd/x/main.go\npackage main\nimport _ \"pioqo/internal/golden\""},
+	{"reference", "internal/reference is the naive evaluator answers are held to: only _test.go files may import it",
+		engineIn(""), imports("pioqo/internal/reference"), []string{"internal/reference/reference.go:Aggregate", "internal/reference/reference.go:GroupBy",
+			"internal/reference/reference.go:Join"},
+		"internal/exec/x.go\npackage exec\nimport _ \"pioqo/internal/reference\""},
 	{"node-assembly", "a node's storage stack is assembled in internal/node: the public package calls no raw constructor",
 		func(p string) bool { return engineIn("")(p) && !strings.Contains(p, "/") },
 		refs(nil, "workload.NewDevice", "fault.Wrap", "buffer.NewPool", "buffer.NewShares", "disk.NewManager"),

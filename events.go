@@ -24,22 +24,12 @@ import (
 // seeded workload produce byte-identical JSONL exports. With the log
 // disabled (the default) an emit site only bumps its counters.
 
-// EventLogStats reports the engine event log's occupancy.
-type EventLogStats struct {
-	// Total is the number of events emitted since the log was enabled (or
-	// last reset), including overwritten ones.
-	Total uint64
-	// Dropped is how many of those were overwritten by ring wrap-around.
-	Dropped uint64
-	// Len is the number of events currently retained.
-	Len int
-}
-
 // EngineEvent is one retained event-log record, decoded against the
 // catalog: Name identifies the event type, AName/BName label the two
 // integer operands (empty when the type carries fewer than two).
 type EngineEvent struct {
-	// Seq is the emission sequence number, dense from 0.
+	// Seq is the emission sequence number, dense from 0 at EnableEventLog:
+	// the first retained event's Seq is how many the ring has overwritten.
 	Seq uint64
 	// At is the virtual time of the decision.
 	At time.Duration
@@ -56,28 +46,11 @@ type EngineEvent struct {
 // EnableEventLog turns on the engine event log with the given ring
 // capacity (0 or negative takes the default, 4096 events). All engine
 // layers — broker, executor, fault injector, buffer pool, plan cache —
-// record into the one registry, whose ring this switches on. Enabling,
-// disabling, or exporting the log never perturbs execution: runs stay
-// byte-identical either way.
+// record into the one registry, whose ring this switches on. Called again,
+// it replaces the ring with an empty one whose Seq restarts at 0; metric
+// counters are not reset. Enabling or exporting the log never perturbs
+// execution: runs stay byte-identical either way.
 func (s *System) EnableEventLog(capacity int) { s.reg.EnableEvents(capacity) }
-
-// DisableEventLog turns the event log off and drops its buffer. Counters
-// keep counting.
-func (s *System) DisableEventLog() { s.reg.DisableEvents() }
-
-// EventLogEnabled reports whether the engine event log is on.
-func (s *System) EventLogEnabled() bool { return s.reg.Log() != nil }
-
-// EventLogStats reports the log's occupancy; zero values when disabled.
-func (s *System) EventLogStats() EventLogStats {
-	l := s.reg.Log()
-	return EventLogStats{Total: l.Total(), Dropped: l.Dropped(), Len: l.Len()}
-}
-
-// ResetEventLog clears the retained events and restarts their sequence
-// numbering, keeping the log enabled at its current capacity. Metric
-// counters are not reset.
-func (s *System) ResetEventLog() { s.reg.Log().Reset() }
 
 // EngineEvents returns the retained events, oldest first, decoded against
 // the catalog. Nil when the log is disabled.

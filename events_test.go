@@ -127,9 +127,47 @@ func TestEventLogLifecycleAttribution(t *testing.T) {
 			t.Errorf("query %d: done event says %d pages, Progress says %d", qid, dones[qid], pages)
 		}
 	}
-	st := sys.EventLogStats()
-	if st.Total == 0 || st.Len == 0 {
-		t.Errorf("EventLogStats = %+v, want non-empty", st)
+}
+
+// dropped reports how many events the log has overwritten: the first
+// retained event's Seq, since Seq is dense from 0 at EnableEventLog.
+func dropped(sys *System) uint64 {
+	if evs := sys.EngineEvents(); len(evs) > 0 {
+		return evs[0].Seq
+	}
+	return 0
+}
+
+// sinceNew reads a registry counter's count since New.
+func sinceNew(sys *System, name string) int64 {
+	return sys.MetricsSince(MetricsSnapshot{}).Counter(name)
+}
+
+// TestEnableEventLogRestartsTheRing: a second EnableEventLog replaces the
+// ring with an empty one whose Seq restarts at 0, while the counters the
+// events feed keep counting.
+func TestEnableEventLogRestartsTheRing(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 50000, 33)
+	q := Query{Table: tab, Low: 0, High: 999}
+	sys.EnableEventLog(0)
+	if _, err := sys.Run(context.Background(), q, Cold()); err != nil {
+		t.Fatal(err)
+	}
+	first := len(sys.EngineEvents())
+	admitted := sinceNew(sys, "broker.admissions")
+	sys.EnableEventLog(0)
+	if evs := sys.EngineEvents(); first == 0 || len(evs) != 0 {
+		t.Fatalf("the first run recorded %d events, the re-enabled ring holds %d; want some, then none", first, len(evs))
+	}
+	if _, err := sys.Run(context.Background(), q, Cold()); err != nil {
+		t.Fatal(err)
+	}
+	evs := sys.EngineEvents()
+	if len(evs) == 0 || evs[0].Seq != 0 || evs[len(evs)-1].Seq != uint64(len(evs)-1) {
+		t.Fatalf("the second run's ring holds %d events; want Seq dense from 0", len(evs))
+	}
+	if got := sinceNew(sys, "broker.admissions"); got != admitted+1 {
+		t.Errorf("broker.admissions read %d after the second run, %d after the first; re-enabling the log must not reset it", got, admitted)
 	}
 }
 

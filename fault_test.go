@@ -272,6 +272,43 @@ func TestDeviceFaultSurvivingRetriesFailsQuery(t *testing.T) {
 	}
 }
 
+// TestFaultCountsSurviveARearm: the fault counters count since New, across
+// every InjectFaults. A schedule armed after one that failed reads does not
+// erase what the first one did, read through MetricsSince or FaultStats.
+func TestFaultCountsSurviveARearm(t *testing.T) {
+	sys, tab := newCalibrated(t, SSD, 50000, 33)
+	q := Query{Table: tab, Low: 0, High: 49999}
+	retry := WithRetry(RetryPolicy{MaxAttempts: 8})
+	before := sys.MetricsSnapshot()
+	sys.InjectFaults(FaultSchedule{Seed: 1, Windows: []FaultWindow{{ErrorRate: 0.2}}})
+	if _, err := sys.Run(context.Background(), q, Cold(), retry); err != nil {
+		t.Fatal(err)
+	}
+	errs := sys.FaultStats().Errors
+	if errs == 0 {
+		t.Fatal("the first schedule failed no read; the test exercises nothing")
+	}
+	if got := sys.MetricsSince(before).Counter("fault.errors"); got != errs {
+		t.Errorf("MetricsSince reads %d fault.errors, FaultStats %d", got, errs)
+	}
+	sys.InjectFaults(FaultSchedule{Seed: 1, Windows: []FaultWindow{{StragglerRate: 0.2}}})
+	if _, err := sys.Run(context.Background(), q, Cold(), retry); err != nil {
+		t.Fatal(err)
+	}
+	d, fs := sys.MetricsSince(before), sys.FaultStats()
+	if got := d.Counter("fault.errors"); got != errs {
+		t.Errorf("MetricsSince reads %d fault.errors after the re-arm, %d before it", got, errs)
+	}
+	if fs.Errors != errs {
+		t.Errorf("FaultStats reads %d errors after the re-arm, %d before it", fs.Errors, errs)
+	}
+	if n := d.Counter("fault.stragglers"); n == 0 || fs.Stragglers != n {
+		t.Errorf("the second schedule drew %d stragglers, FaultStats reads %d; want the same, above 0", n, fs.Stragglers)
+	}
+	sys.ClearFaults()
+	assertNoLeaks(t, sys)
+}
+
 func TestConcurrentTimeoutReclaimsEverything(t *testing.T) {
 	sys, tab := newCalibrated(t, SSD, 100000, 33)
 	queries := []Query{
@@ -644,7 +681,7 @@ func TestEveryEntryPointEmitsOneQueryPair(t *testing.T) {
 			f = newLifecycleFixture(t, e.shards)
 			fixtures[e.shards] = f
 		}
-		f.sys.ResetEventLog()
+		f.sys.EnableEventLog(1 << 16)
 		if _, _, err := e.run(f, context.Background(), Cold()); err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
@@ -660,8 +697,8 @@ func TestEveryEntryPointEmitsOneQueryPair(t *testing.T) {
 		if len(starts) != 1 || len(dones) != 1 || starts[0] != dones[0] {
 			t.Errorf("%s: query.start ids %v, query.done ids %v; want one pair under one id", e.name, starts, dones)
 		}
-		if st := f.sys.EventLogStats(); st.Dropped != 0 {
-			t.Fatalf("%s: event ring wrapped (%d dropped); the count above is unreliable", e.name, st.Dropped)
+		if n := dropped(f.sys); n != 0 {
+			t.Fatalf("%s: event ring wrapped (%d dropped); the count above is unreliable", e.name, n)
 		}
 	}
 }
@@ -694,7 +731,7 @@ func TestEveryEntryPointIsAdmittedOnce(t *testing.T) {
 			f = newLifecycleFixture(t, e.shards)
 			fixtures[e.shards] = f
 		}
-		f.sys.ResetEventLog()
+		f.sys.EnableEventLog(1 << 16)
 		if _, _, err := e.run(f, context.Background(), Cold()); err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}
@@ -706,8 +743,8 @@ func TestEveryEntryPointIsAdmittedOnce(t *testing.T) {
 		if n := len(releases[qid]); n != 1 {
 			t.Errorf("%s: query %d released %d leases, want 1", e.name, qid, n)
 		}
-		if st := f.sys.EventLogStats(); st.Dropped != 0 {
-			t.Fatalf("%s: event ring wrapped (%d dropped); the counts above are unreliable", e.name, st.Dropped)
+		if n := dropped(f.sys); n != 0 {
+			t.Fatalf("%s: event ring wrapped (%d dropped); the counts above are unreliable", e.name, n)
 		}
 		assertNoLeaks(t, f.sys)
 	}
@@ -748,7 +785,7 @@ func TestStandaloneQueryPlansAtDegradedSupply(t *testing.T) {
 	}
 	sys.InjectFaults(FaultSchedule{Windows: []FaultWindow{{ChannelLoss: 0.5}}})
 	defer sys.ClearFaults()
-	sys.ResetEventLog()
+	sys.EnableEventLog(1 << 16)
 	res, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)
@@ -792,7 +829,7 @@ func TestStandaloneQueuesBehindPendingSubmissions(t *testing.T) {
 		}
 		subs = append(subs, sub)
 	}
-	sys.ResetEventLog()
+	sys.EnableEventLog(1 << 16)
 	res, err := sys.Run(context.Background(), q, Cold())
 	if err != nil {
 		t.Fatal(err)

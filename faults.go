@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"pioqo/internal/fault"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -69,12 +70,15 @@ func (sch FaultSchedule) internal() fault.Schedule {
 	return out
 }
 
-// FaultStats counts what the fault injector has done since the last
-// InjectFaults.
+// FaultStats counts what the fault injectors have done since New, summed
+// across nodes: the registry's fault.errors, fault.stragglers and
+// fault.throttled.
+//
+// Deprecated: read the counters by name from MetricsSince, which also
+// covers any interval.
 type FaultStats struct {
 	Errors     int64 // reads failed with ErrDeviceFault
 	Stragglers int64 // reads that drew straggler latency
-	Delayed    int64 // reads delayed for any reason
 	Throttled  int64 // reads that paid a degraded-channel overload penalty
 }
 
@@ -116,16 +120,15 @@ func (s *System) ClearFaults() {
 	}
 }
 
-// FaultStats reports the injectors' activity since the last InjectFaults,
-// summed across nodes.
+// FaultStats reports the injectors' activity since New, summed across
+// nodes and across every schedule armed.
+//
+// Deprecated: read fault.errors, fault.stragglers and fault.throttled from
+// MetricsSince.
 func (s *System) FaultStats() FaultStats {
-	var out FaultStats
-	for _, n := range s.nodes {
-		st := n.Inj.Stats()
-		out.Errors += st.Errors
-		out.Stragglers += st.Stragglers
-		out.Delayed += st.Delayed
-		out.Throttled += st.Throttled
+	return FaultStats{
+		Errors:     s.reg.Counter(obs.MetricFaultErrors).Value(),
+		Stragglers: s.reg.Counter(obs.MetricFaultStragglers).Value(),
+		Throttled:  s.reg.Counter(obs.MetricFaultThrottled).Value(),
 	}
-	return out
 }

@@ -247,8 +247,8 @@ func TestWaitPlusRuntimeIsSubmitToDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.EventLogStats(); st.Dropped != 0 {
-		t.Fatalf("event ring wrapped (%d dropped)", st.Dropped)
+	if n := dropped(sys); n != 0 {
+		t.Fatalf("event ring wrapped (%d dropped)", n)
 	}
 	grant, done := grantsAndDones(sys)
 	ungranted := 0

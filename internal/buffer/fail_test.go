@@ -7,20 +7,26 @@ import (
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
 	"pioqo/internal/fault"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
 // faultWorld is the standard fixture with a fault injector between the pool
-// and the device.
+// and the device, recording into rec.
 type faultWorld struct {
 	*world
 	inj *fault.Injector
+	rec *obs.Registry
 }
+
+// injectedErrors reports how many reads the injector has failed.
+func (w *faultWorld) injectedErrors() int64 { return w.rec.Counter(obs.MetricFaultErrors).Value() }
 
 func newFaultWorld(t *testing.T, poolPages int) *faultWorld {
 	t.Helper()
 	env := sim.NewEnv(1)
-	inj := fault.Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+	rec := obs.NewRegistry(env)
+	inj := fault.Wrap(env, rec, device.NewSSD(env, device.DefaultSSDConfig()))
 	m := disk.NewManager(inj)
 	return &faultWorld{
 		world: &world{
@@ -29,6 +35,7 @@ func newFaultWorld(t *testing.T, poolPages int) *faultWorld {
 			pool: NewPool(env, poolPages),
 		},
 		inj: inj,
+		rec: rec,
 	}
 }
 
@@ -93,7 +100,7 @@ func TestFailedReadPropagatesToJoiners(t *testing.T) {
 	}
 	// Exactly one device-level failure: the second fetch joined the first's
 	// in-flight load instead of issuing its own.
-	if got := w.inj.Stats().Errors; got != 1 {
+	if got := w.injectedErrors(); got != 1 {
 		t.Errorf("injector failed %d reads, want 1 (joiner must share the load)", got)
 	}
 }

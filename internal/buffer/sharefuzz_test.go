@@ -112,7 +112,7 @@ func TestFuzzShareExactlyOnceUnderFaults(t *testing.T) {
 	if full == 0 {
 		t.Fatalf("no rider completed a lap (early=%d faulted=%d) — fault windows too hot for the test to mean anything", early, faulted)
 	}
-	t.Logf("riders: %d full laps, %d early detaches, %d fault aborts; injected errors=%d", full, early, faulted, w.inj.Stats().Errors)
+	t.Logf("riders: %d full laps, %d early detaches, %d fault aborts; injected errors=%d", full, early, faulted, w.injectedErrors())
 
 	if got := w.pool.Pinned(); got != 0 {
 		t.Errorf("pin ledger holds %d after all riders left, want 0", got)
@@ -120,7 +120,7 @@ func TestFuzzShareExactlyOnceUnderFaults(t *testing.T) {
 	if got := sh.Live(); got != 0 {
 		t.Errorf("%d consumers still attached, want 0", got)
 	}
-	if w.inj.Stats().Errors == 0 {
+	if w.injectedErrors() == 0 {
 		t.Error("fault windows injected no errors — the test exercised nothing")
 	}
 }

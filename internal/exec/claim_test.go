@@ -11,6 +11,7 @@ import (
 
 	"pioqo/internal/device"
 	"pioqo/internal/obs"
+	"pioqo/internal/reference"
 	"pioqo/internal/sim"
 )
 
@@ -162,8 +163,8 @@ func TestPrefetchingWorkerKeepsItsDepth(t *testing.T) {
 	res := Execute(w.ctx, spec)
 	mean := probe.meanWhile(32)
 	t.Logf("%d rows in %v, %d reads, mean depth %.2f while 32 remain", res.RowsMatched, res.Runtime, len(probe.marks), mean)
-	if max, _, rows := w.bruteForce(lo, hi); res.RowsMatched != rows || res.Value != max {
-		t.Fatalf("MAX %d over %d rows, want %d over %d", res.Value, res.RowsMatched, max, rows)
+	if want := reference.Aggregate(w.tab, lo, hi); res.RowsMatched != want.Rows || res.Value != want.Max {
+		t.Fatalf("MAX %d over %d rows, want %d over %d", res.Value, res.RowsMatched, want.Max, want.Rows)
 	}
 	if mean < 28 {
 		t.Errorf("IS1/pf32 kept %.2f reads in the device while 32 or more remained, want at least 28", mean)

@@ -7,6 +7,7 @@ import (
 	"pioqo/internal/buffer"
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
+	"pioqo/internal/reference"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -66,20 +67,6 @@ func newWorld(t *testing.T, o worldOpts) *world {
 	}
 }
 
-// bruteForce computes the reference answer on the raw table.
-func (w *world) bruteForce(lo, hi int64) (max int64, found bool, rows int64) {
-	for r := int64(0); r < w.tab.Rows(); r++ {
-		row := w.tab.RowAt(r)
-		if row.C2 >= lo && row.C2 <= hi {
-			if !found || row.C1 > max {
-				max, found = row.C1, true
-			}
-			rows++
-		}
-	}
-	return
-}
-
 func (w *world) spec(m Method, degree int, lo, hi int64) Spec {
 	return Spec{Table: w.tab, Index: w.idx, Lo: lo, Hi: hi, Method: m, Degree: degree}
 }
@@ -88,17 +75,17 @@ func TestAllMethodsAgreeWithBruteForce(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 5000, rpp: 33})
 	ranges := []struct{ lo, hi int64 }{{0, 49}, {100, 1100}, {0, 4999}, {4990, 4999}}
 	for _, rg := range ranges {
-		wantMax, wantFound, wantRows := w.bruteForce(rg.lo, rg.hi)
+		want := reference.Aggregate(w.tab, rg.lo, rg.hi)
 		for _, m := range []Method{FullScan, IndexScan} {
 			for _, degree := range []int{1, 4, 32} {
 				res := Execute(w.ctx, w.spec(m, degree, rg.lo, rg.hi))
-				if res.Found != wantFound || (wantFound && res.Value != wantMax) {
+				if res.Found != want.Found() || (want.Found() && res.Value != want.Max) {
 					t.Errorf("%v deg=%d range [%d,%d]: max=(%d,%v), want (%d,%v)",
-						m, degree, rg.lo, rg.hi, res.Value, res.Found, wantMax, wantFound)
+						m, degree, rg.lo, rg.hi, res.Value, res.Found, want.Max, want.Found())
 				}
-				if res.RowsMatched != wantRows {
+				if res.RowsMatched != want.Rows {
 					t.Errorf("%v deg=%d range [%d,%d]: rows=%d, want %d",
-						m, degree, rg.lo, rg.hi, res.RowsMatched, wantRows)
+						m, degree, rg.lo, rg.hi, res.RowsMatched, want.Rows)
 				}
 			}
 		}
@@ -107,14 +94,14 @@ func TestAllMethodsAgreeWithBruteForce(t *testing.T) {
 
 func TestIndexScanWithPrefetchStaysCorrect(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 4000, rpp: 33})
-	wantMax, wantFound, wantRows := w.bruteForce(200, 900)
+	want := reference.Aggregate(w.tab, 200, 900)
 	for _, pf := range []int{1, 8, 32} {
 		s := w.spec(IndexScan, 2, 200, 900)
 		s.PrefetchPerWorker = pf
 		res := Execute(w.ctx, s)
-		if !wantFound || res.Value != wantMax || res.RowsMatched != wantRows {
+		if !want.Found() || res.Value != want.Max || res.RowsMatched != want.Rows {
 			t.Errorf("prefetch=%d: got (max=%d rows=%d), want (max=%d rows=%d)",
-				pf, res.Value, res.RowsMatched, wantMax, wantRows)
+				pf, res.Value, res.RowsMatched, want.Max, want.Rows)
 		}
 	}
 }
@@ -342,12 +329,12 @@ func TestFullScanSurvivesTinyPool(t *testing.T) {
 		{rows: 20000, rpp: 33, poolPages: 64},
 	} {
 		w := newWorld(t, o)
-		wantMax, wantFound, wantRows := w.bruteForce(0, 19999)
+		want := reference.Aggregate(w.tab, 0, 19999)
 		s := w.spec(FullScan, 8, 0, 19999)
 		res := Execute(w.ctx, s)
-		if res.Found != wantFound || res.Value != wantMax || res.RowsMatched != wantRows {
+		if res.Found != want.Found() || res.Value != want.Max || res.RowsMatched != want.Rows {
 			t.Errorf("pool=%d: got (%d,%v,%d), want (%d,%v,%d)", o.poolPages,
-				res.Value, res.Found, res.RowsMatched, wantMax, wantFound, wantRows)
+				res.Value, res.Found, res.RowsMatched, want.Max, want.Found(), want.Rows)
 		}
 	}
 }
@@ -356,41 +343,25 @@ func TestIndexScanPrefetchClampedToTinyPool(t *testing.T) {
 	// Deep prefetch times many workers must not exhaust a small pool: the
 	// scan clamps its window rather than panicking on frame exhaustion.
 	w := newWorld(t, worldOpts{rows: 20000, rpp: 1, poolPages: 96})
-	_, _, wantRows := w.bruteForce(0, 8000)
+	want := reference.Aggregate(w.tab, 0, 8000)
 	s := w.spec(IndexScan, 16, 0, 8000)
 	s.PrefetchPerWorker = 32
 	res := Execute(w.ctx, s)
-	if res.RowsMatched != wantRows {
-		t.Errorf("matched %d rows, want %d", res.RowsMatched, wantRows)
+	if res.RowsMatched != want.Rows {
+		t.Errorf("matched %d rows, want %d", res.RowsMatched, want.Rows)
 	}
 }
 
 func TestAggregatesAgreeWithBruteForce(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 3000, rpp: 33})
 	lo, hi := int64(100), int64(900)
-	var wantMax, wantMin, wantSum, wantCount int64
-	first := true
-	for r := int64(0); r < w.tab.Rows(); r++ {
-		row := w.tab.RowAt(r)
-		if row.C2 < lo || row.C2 > hi {
-			continue
-		}
-		if first || row.C1 > wantMax {
-			wantMax = row.C1
-		}
-		if first || row.C1 < wantMin {
-			wantMin = row.C1
-		}
-		wantSum += row.C1
-		wantCount++
-		first = false
-	}
+	want := reference.Aggregate(w.tab, lo, hi)
 	for _, m := range []Method{FullScan, IndexScan} {
 		cases := []struct {
 			agg  AggKind
 			want int64
 		}{
-			{AggMax, wantMax}, {AggMin, wantMin}, {AggSum, wantSum}, {AggCount, wantCount},
+			{AggMax, want.Max}, {AggMin, want.Min}, {AggSum, want.Sum}, {AggCount, want.Rows},
 		}
 		for _, c := range cases {
 			s := w.spec(m, 4, lo, hi)

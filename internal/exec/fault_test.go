@@ -10,12 +10,13 @@ import (
 	"pioqo/internal/disk"
 	"pioqo/internal/fault"
 	"pioqo/internal/obs"
+	"pioqo/internal/reference"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
 
 // newFaultWorld is newWorld with a fault injector between the executor and
-// the device.
+// the device, both recording into the context's registry.
 func newFaultWorld(t *testing.T, o worldOpts) (*world, *fault.Injector) {
 	t.Helper()
 	if o.cores == 0 {
@@ -25,7 +26,8 @@ func newFaultWorld(t *testing.T, o worldOpts) (*world, *fault.Injector) {
 		o.poolPages = 4096
 	}
 	env := sim.NewEnv(404)
-	inj := fault.Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+	rec := obs.NewRegistry(env)
+	inj := fault.Wrap(env, rec, device.NewSSD(env, device.DefaultSSDConfig()))
 	m := disk.NewManager(inj)
 	tab := table.NewMaterialized(m, "t", o.rows, o.rpp, 7)
 	idx := btree.NewMaterialized(m, tab, 0, 0)
@@ -39,6 +41,7 @@ func newFaultWorld(t *testing.T, o worldOpts) (*world, *fault.Injector) {
 			Pool:  buffer.NewPool(env, o.poolPages),
 			Dev:   inj,
 			Costs: DefaultCPUCosts(),
+			Obs:   rec,
 		},
 	}, inj
 }
@@ -90,7 +93,6 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 			}
 
 			w2, inj := newFaultWorld(t, o)
-			w2.ctx.Obs = obs.NewRegistry(w2.env)
 			w2.ctx.Obs.EnableEvents(0)
 			inj.Arm(fault.Schedule{Windows: []fault.Window{{ErrorRate: rates[a.m]}}})
 			ctl := fault.NewControl(w2.env)
@@ -98,7 +100,7 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 			if res.Err != nil {
 				t.Fatalf("faulted run failed despite retries: %v", res.Err)
 			}
-			if st := inj.Stats(); st.Errors == 0 {
+			if w2.ctx.Obs.Counter(obs.MetricFaultErrors).Value() == 0 {
 				t.Fatal("injector produced no faults; the test exercised nothing")
 			}
 			// A worker retries every failed read it waited on; a failed
@@ -169,14 +171,14 @@ func TestCancelMidScanReleasesEverything(t *testing.T) {
 
 	// The pool must still be coherent: a fresh query over the same range
 	// succeeds and matches the brute-force answer.
-	wantMax, wantFound, wantRows := w.bruteForce(0, 150000)
+	want := reference.Aggregate(w.tab, 0, 150000)
 	res2 := Execute(w.ctx, w.specWithCtl(IndexScan, 8, 0, 150000, fault.NewControl(w.env)))
 	if res2.Err != nil {
 		t.Fatalf("rerun after cancel failed: %v", res2.Err)
 	}
-	if res2.Value != wantMax || res2.Found != wantFound || res2.RowsMatched != wantRows {
+	if res2.Value != want.Max || res2.Found != want.Found() || res2.RowsMatched != want.Rows {
 		t.Errorf("rerun answer (%d,%v,%d) != brute force (%d,%v,%d)",
-			res2.Value, res2.Found, res2.RowsMatched, wantMax, wantFound, wantRows)
+			res2.Value, res2.Found, res2.RowsMatched, want.Max, want.Found(), want.Rows)
 	}
 	assertClean(t, w)
 }

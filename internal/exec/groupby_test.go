@@ -2,27 +2,15 @@ package exec
 
 import (
 	"testing"
+
+	"pioqo/internal/reference"
 )
 
 func TestGroupByMatchesBruteForce(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 4000, rpp: 33})
 	const width = 500
 	lo, hi := int64(200), int64(3500)
-
-	want := map[int64]*agg{}
-	for r := int64(0); r < w.tab.Rows(); r++ {
-		row := w.tab.RowAt(r)
-		if row.C2 < lo || row.C2 > hi {
-			continue
-		}
-		g := row.C2 / width
-		a, ok := want[g]
-		if !ok {
-			a = &agg{kind: AggMax}
-			want[g] = a
-		}
-		a.add(row.C1)
-	}
+	want := reference.GroupBy(w.tab, lo, hi, width)
 
 	for _, m := range []Method{FullScan, IndexScan} {
 		for _, degree := range []int{1, 8} {
@@ -41,9 +29,9 @@ func TestGroupByMatchesBruteForce(t *testing.T) {
 				}
 				prev = g.Key
 				ref := want[g.Key]
-				if ref == nil || g.Value != ref.val || g.Rows != ref.rows {
+				if !ref.Found() || g.Value != ref.Max || g.Rows != ref.Rows {
 					t.Errorf("%v deg=%d group %d: (val=%d rows=%d), want (val=%d rows=%d)",
-						m, degree, g.Key, g.Value, g.Rows, ref.val, ref.rows)
+						m, degree, g.Key, g.Value, g.Rows, ref.Max, ref.Rows)
 				}
 			}
 			w.ctx.Pool.Flush()
@@ -93,20 +81,20 @@ func TestGroupByParallelScanSpeedsItUp(t *testing.T) {
 func TestGroupByOverCountScanSeesEveryRow(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 4000, rpp: 33})
 	lo, hi := int64(200), int64(3500)
-	_, _, wantRows := w.bruteForce(lo, hi)
+	want := reference.Aggregate(w.tab, lo, hi)
 	for _, m := range []Method{FullScan, IndexScan} {
 		scan := w.spec(m, 4, lo, hi)
 		scan.Agg = AggCount
 		res := ExecuteGroupBy(w.ctx, GroupBySpec{Scan: scan, GroupWidth: 500, Agg: AggCount})
-		if res.Rows != wantRows {
-			t.Errorf("%v: group-by over a COUNT scan consumed %d rows, want %d", m, res.Rows, wantRows)
+		if res.Rows != want.Rows {
+			t.Errorf("%v: group-by over a COUNT scan consumed %d rows, want %d", m, res.Rows, want.Rows)
 		}
 		var grouped int64
 		for _, g := range res.Groups {
 			grouped += g.Rows
 		}
-		if grouped != wantRows {
-			t.Errorf("%v: groups hold %d rows, want %d", m, grouped, wantRows)
+		if grouped != want.Rows {
+			t.Errorf("%v: groups hold %d rows, want %d", m, grouped, want.Rows)
 		}
 	}
 }

@@ -158,9 +158,10 @@ func TestLateBlockHoldsUpNoOther(t *testing.T) {
 			blocks[b].last = w.env.Now()
 		}
 		res := Execute(w.ctx, spec)
-		if want := map[bool]int64{true: 1}[straggle]; got.rows != res.RowsMatched || inj.Stats().Stragglers != want {
+		stragglers := w.ctx.Obs.Counter(obs.MetricFaultStragglers).Value()
+		if want := map[bool]int64{true: 1}[straggle]; got.rows != res.RowsMatched || stragglers != want {
 			t.Fatalf("straggle %v: %d rows emitted, %d matched, %d stragglers, want %d",
-				straggle, got.rows, res.RowsMatched, inj.Stats().Stragglers, want)
+				straggle, got.rows, res.RowsMatched, stragglers, want)
 		}
 		return got, blocks, res.Runtime
 	}

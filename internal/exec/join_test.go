@@ -8,6 +8,7 @@ import (
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
 	"pioqo/internal/fault"
+	"pioqo/internal/reference"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -48,30 +49,6 @@ func newJoinWorld(t *testing.T, buildRows, probeRows int64) *joinWorld {
 	}
 }
 
-// bruteForceJoin computes the reference joined-pair count and MAX(probe.C1)
-// for build.C2 in [lo, hi].
-func (w *joinWorld) bruteForceJoin(lo, hi int64) (pairs int64, max int64, found bool) {
-	mult := map[int64]int64{}
-	for r := int64(0); r < w.build.Rows(); r++ {
-		row := w.build.RowAt(r)
-		if row.C2 >= lo && row.C2 <= hi {
-			mult[row.C2]++
-		}
-	}
-	for r := int64(0); r < w.probe.Rows(); r++ {
-		row := w.probe.RowAt(r)
-		m := mult[row.C2]
-		if m == 0 {
-			continue
-		}
-		pairs += m
-		if !found || row.C1 > max {
-			max, found = row.C1, true
-		}
-	}
-	return
-}
-
 func (w *joinWorld) spec(lo, hi int64, buildMethod, probeMethod Method, degree int) JoinSpec {
 	return JoinSpec{
 		Build: Spec{Table: w.build, Index: w.buildIdx, Lo: lo, Hi: hi,
@@ -84,7 +61,7 @@ func (w *joinWorld) spec(lo, hi int64, buildMethod, probeMethod Method, degree i
 func TestHashJoinMatchesBruteForce(t *testing.T) {
 	w := newJoinWorld(t, 3000, 5000)
 	for _, rg := range []struct{ lo, hi int64 }{{0, 99}, {500, 1500}, {0, 2999}} {
-		wantPairs, wantMax, wantFound := w.bruteForceJoin(rg.lo, rg.hi)
+		want := reference.Join(w.build, w.probe, rg.lo, rg.hi)
 		for _, methods := range [][2]Method{
 			{IndexScan, IndexScan},
 			{FullScan, FullScan},
@@ -92,13 +69,13 @@ func TestHashJoinMatchesBruteForce(t *testing.T) {
 			{FullScan, IndexScan},
 		} {
 			res := ExecuteJoin(w.ctx, w.spec(rg.lo, rg.hi, methods[0], methods[1], 4))
-			if res.Pairs != wantPairs {
+			if res.Pairs != want.Rows {
 				t.Errorf("%v/%v [%d,%d]: pairs=%d, want %d",
-					methods[0], methods[1], rg.lo, rg.hi, res.Pairs, wantPairs)
+					methods[0], methods[1], rg.lo, rg.hi, res.Pairs, want.Rows)
 			}
-			if res.Found != wantFound || (wantFound && res.Value != wantMax) {
+			if res.Found != want.Found() || (want.Found() && res.Value != want.Max) {
 				t.Errorf("%v/%v [%d,%d]: max=(%d,%v), want (%d,%v)",
-					methods[0], methods[1], rg.lo, rg.hi, res.Value, res.Found, wantMax, wantFound)
+					methods[0], methods[1], rg.lo, rg.hi, res.Value, res.Found, want.Max, want.Found())
 			}
 		}
 	}
@@ -106,12 +83,12 @@ func TestHashJoinMatchesBruteForce(t *testing.T) {
 
 func TestHashJoinCountAndSum(t *testing.T) {
 	w := newJoinWorld(t, 1000, 2000)
-	wantPairs, _, _ := w.bruteForceJoin(0, 499)
+	want := reference.Join(w.build, w.probe, 0, 499)
 	spec := w.spec(0, 499, IndexScan, IndexScan, 2)
 	spec.Agg = AggCount
 	res := ExecuteJoin(w.ctx, spec)
-	if !res.Found || res.Value != wantPairs {
-		t.Errorf("COUNT join = (%d,%v), want %d", res.Value, res.Found, wantPairs)
+	if !res.Found || res.Value != want.Rows {
+		t.Errorf("COUNT join = (%d,%v), want %d", res.Value, res.Found, want.Rows)
 	}
 }
 
@@ -140,9 +117,9 @@ func TestHashJoinProbeNarrowedToBuildRange(t *testing.T) {
 	spec := w.spec(100, 199, IndexScan, IndexScan, 2)
 	spec.Probe.Lo, spec.Probe.Hi = 0, w.probe.Rows() // deliberately wide
 	res := ExecuteJoin(w.ctx, spec)
-	wantPairs, _, _ := w.bruteForceJoin(100, 199)
-	if res.Pairs != wantPairs {
-		t.Errorf("pairs=%d, want %d (probe must be narrowed)", res.Pairs, wantPairs)
+	want := reference.Join(w.build, w.probe, 100, 199)
+	if res.Pairs != want.Rows {
+		t.Errorf("pairs=%d, want %d (probe must be narrowed)", res.Pairs, want.Rows)
 	}
 	// The probe scan must not have visited the whole table's rows.
 	if res.ProbeRows >= w.probe.Rows()/2 {

@@ -3,6 +3,8 @@ package exec
 import (
 	"math/rand"
 	"testing"
+
+	"pioqo/internal/reference"
 )
 
 // TestPropertyAllExecutionStrategiesAgree drives randomly shaped workloads
@@ -23,7 +25,7 @@ func TestPropertyAllExecutionStrategiesAgree(t *testing.T) {
 		devKind := []string{"ssd", "hdd"}[rng.Intn(2)]
 
 		w := newWorld(t, worldOpts{dev: devKind, rows: rows, rpp: rpp, poolPages: poolPages})
-		wantMax, wantFound, wantRows := w.bruteForce(lo, hi)
+		want := reference.Aggregate(w.tab, lo, hi)
 
 		for _, m := range []Method{FullScan, IndexScan} {
 			degree := []int{1, 3, 8, 32}[rng.Intn(4)]
@@ -31,12 +33,12 @@ func TestPropertyAllExecutionStrategiesAgree(t *testing.T) {
 			spec := w.spec(m, degree, lo, hi)
 			spec.PrefetchPerWorker = prefetch
 			res := Execute(w.ctx, spec)
-			if res.Found != wantFound || (wantFound && res.Value != wantMax) ||
-				res.RowsMatched != wantRows {
+			if res.Found != want.Found() || (want.Found() && res.Value != want.Max) ||
+				res.RowsMatched != want.Rows {
 				t.Fatalf("trial %d: %v deg=%d pf=%d rows=%d rpp=%d pool=%d dev=%s range=[%d,%d]:\n"+
 					"got (max=%d found=%v rows=%d), want (max=%d found=%v rows=%d)",
 					trial, m, degree, prefetch, rows, rpp, poolPages, devKind, lo, hi,
-					res.Value, res.Found, res.RowsMatched, wantMax, wantFound, wantRows)
+					res.Value, res.Found, res.RowsMatched, want.Max, want.Found(), want.Rows)
 			}
 			w.ctx.Pool.Flush()
 		}
@@ -53,17 +55,17 @@ func TestPropertyJoinMatchesBruteForce(t *testing.T) {
 		w := newJoinWorld(t, buildRows, probeRows)
 		lo := rng.Int63n(buildRows)
 		hi := lo + rng.Int63n(buildRows-lo)
-		wantPairs, wantMax, wantFound := w.bruteForceJoin(lo, hi)
+		want := reference.Join(w.build, w.probe, lo, hi)
 
 		methods := []Method{FullScan, IndexScan}
 		spec := w.spec(lo, hi,
 			methods[rng.Intn(2)], methods[rng.Intn(2)], []int{1, 4, 16}[rng.Intn(3)])
 		res := ExecuteJoin(w.ctx, spec)
-		if res.Pairs != wantPairs || res.Found != wantFound ||
-			(wantFound && res.Value != wantMax) {
+		if res.Pairs != want.Rows || res.Found != want.Found() ||
+			(want.Found() && res.Value != want.Max) {
 			t.Fatalf("trial %d: build=%d probe=%d range=[%d,%d]: got (pairs=%d max=%d,%v), want (pairs=%d max=%d,%v)",
 				trial, buildRows, probeRows, lo, hi,
-				res.Pairs, res.Value, res.Found, wantPairs, wantMax, wantFound)
+				res.Pairs, res.Value, res.Found, want.Rows, want.Max, want.Found())
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"pioqo/internal/buffer"
 	"pioqo/internal/fault"
+	"pioqo/internal/reference"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
@@ -52,7 +53,7 @@ func TestSharedScanAmortizesDeviceWork(t *testing.T) {
 	w := newWorld(t, worldOpts{rows: 33 * 2048, rpp: 33, poolPages: 512})
 	w.withShares()
 
-	wantMax, wantFound, wantRows := w.bruteForce(0, w.tab.Rows()-1)
+	want := reference.Aggregate(w.tab, 0, w.tab.Rows()-1)
 	w.ctx.Dev.Metrics().Reset()
 	results := make([]Result, k)
 	for i := 0; i < k; i++ {
@@ -67,9 +68,9 @@ func TestSharedScanAmortizesDeviceWork(t *testing.T) {
 	w.env.Run()
 
 	for i, res := range results {
-		if !wantFound || res.Value != wantMax || res.RowsMatched != wantRows || res.Err != nil {
+		if !want.Found() || res.Value != want.Max || res.RowsMatched != want.Rows || res.Err != nil {
 			t.Errorf("scan %d: got (max=%d rows=%d err=%v), want (max=%d rows=%d)",
-				i, res.Value, res.RowsMatched, res.Err, wantMax, wantRows)
+				i, res.Value, res.RowsMatched, res.Err, want.Max, want.Rows)
 		}
 	}
 	pages := w.tab.Pages()

@@ -211,8 +211,8 @@ func TestResidualShardedGather(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hs := sys.HedgeStats(); hs.Issued != 0 {
-			t.Fatalf("healthy gather issued %d hedges; the cell would measure speculation", hs.Issued)
+		if n := sys.MetricsSince(pioqo.MetricsSnapshot{}).Counter("shard.hedge_issued"); n != 0 {
+			t.Fatalf("healthy gather issued %d hedges; the cell would measure speculation", n)
 		}
 		ratio := float64(plan.EstimatedCost) / float64(res.Runtime)
 		cell := fmt.Sprintf("hash8-zipf1.3/maxdegree=%d/%v", maxDegrees[i], plan)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pioqo/internal/device"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -40,6 +41,10 @@ func (d *fakeDevice) WriteAt(offset int64, length int) *sim.Completion {
 func (d *fakeDevice) Size() int64              { return 1 << 30 }
 func (d *fakeDevice) Name() string             { return "fake" }
 func (d *fakeDevice) Metrics() *device.Metrics { return d.metrics }
+
+// counted reads counter m off rec: the injector and the hedger count what
+// they do only through the events they record there.
+func counted(rec *obs.Registry, m obs.Metric) int64 { return rec.Counter(m).Value() }
 
 func TestRetryPolicyDefaults(t *testing.T) {
 	p := RetryPolicy{}.Normalized()
@@ -206,7 +211,8 @@ func TestInjectorPassthroughUnarmed(t *testing.T) {
 func TestInjectorErrorDraw(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, nil, dev)
+	rec := obs.NewRegistry(env)
+	j := Wrap(env, rec, dev)
 	j.Arm(Schedule{Windows: []Window{{ErrorRate: 1}}})
 	_, errs := runReads(t, env, j, 3)
 	for i, err := range errs {
@@ -217,8 +223,8 @@ func TestInjectorErrorDraw(t *testing.T) {
 	if dev.reads != 0 {
 		t.Fatalf("failing reads reached the device %d times", dev.reads)
 	}
-	if st := j.Stats(); st.Errors != 3 {
-		t.Fatalf("Stats.Errors = %d, want 3", st.Errors)
+	if n := counted(rec, obs.MetricFaultErrors); n != 3 {
+		t.Fatalf("fault.errors = %d, want 3", n)
 	}
 }
 
@@ -234,15 +240,13 @@ func TestInjectorExtraLatency(t *testing.T) {
 	if want := sim.Time(500 * sim.Microsecond); times[0] != want {
 		t.Fatalf("read completed at %v, want %v (400µs delay + 100µs device)", times[0], want)
 	}
-	if st := j.Stats(); st.Delayed != 1 {
-		t.Fatalf("Stats.Delayed = %d, want 1", st.Delayed)
-	}
 }
 
 func TestInjectorStragglerDraw(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, 100*sim.Microsecond)
-	j := Wrap(env, nil, dev)
+	rec := obs.NewRegistry(env)
+	j := Wrap(env, rec, dev)
 	j.Arm(Schedule{Windows: []Window{{StragglerRate: 1, StragglerLatency: sim.Millisecond}}})
 	times, errs := runReads(t, env, j, 1)
 	if errs[0] != nil {
@@ -251,15 +255,16 @@ func TestInjectorStragglerDraw(t *testing.T) {
 	if want := sim.Time(1100 * sim.Microsecond); times[0] != want {
 		t.Fatalf("straggler completed at %v, want %v", times[0], want)
 	}
-	if st := j.Stats(); st.Stragglers != 1 || st.Delayed != 1 {
-		t.Fatalf("stats = %+v, want 1 straggler, 1 delayed", st)
+	if n := counted(rec, obs.MetricFaultStragglers); n != 1 {
+		t.Fatalf("fault.stragglers = %d, want 1", n)
 	}
 }
 
 func TestInjectorThrottleAboveDegradedLimit(t *testing.T) {
 	env := sim.NewEnv(1)
 	dev := newFakeDevice(env, sim.Millisecond)
-	j := Wrap(env, nil, dev)
+	rec := obs.NewRegistry(env)
+	j := Wrap(env, rec, dev)
 	// 4 slots, 50% loss → limit 2. Issue 4 concurrent reads: the third and
 	// fourth are above the limit and pay escalating penalties.
 	j.Arm(Schedule{Slots: 4, Windows: []Window{{ChannelLoss: 0.5, OverloadPenalty: 100 * sim.Microsecond}}})
@@ -272,8 +277,8 @@ func TestInjectorThrottleAboveDegradedLimit(t *testing.T) {
 	if done != 4 {
 		t.Fatalf("%d reads completed, want 4", done)
 	}
-	if st := j.Stats(); st.Throttled != 2 {
-		t.Fatalf("Stats.Throttled = %d, want 2", st.Throttled)
+	if n := counted(rec, obs.MetricFaultThrottled); n != 2 {
+		t.Fatalf("fault.throttled = %d, want 2", n)
 	}
 }
 

@@ -33,23 +33,15 @@ type Hedger struct {
 	armed bool
 	obs   *obs.Registry
 
-	stats   HedgeStats
 	free    []*hedge // finished races, for the next armed reads
 	records int      // hedge records ever made: all on free once the queue drains
 }
 
-// HedgeStats counts the hedger's activity since construction.
-type HedgeStats struct {
-	// Issued is the number of speculative duplicate reads issued.
-	Issued int64
-	// Wins is how many races a speculative copy won: it finished before
-	// the original read and every other copy.
-	Wins int64
-}
-
 // NewHedger wraps inner with a disarmed hedger that, once armed, re-issues
 // reads still outstanding after each delay. Hedge decisions are recorded
-// in rec as device-level events (obs.NoQuery); nil records nothing.
+// in rec as device-level events (obs.NoQuery), which count the copies
+// issued (shard.hedge_issued) and the races a copy won (shard.hedge_wins);
+// nil records nothing.
 func NewHedger(env *sim.Env, rec *obs.Registry, inner device.Device, delay sim.Duration) *Hedger {
 	if delay <= 0 {
 		panic("fault: NewHedger with non-positive delay")
@@ -64,9 +56,6 @@ func (h *Hedger) Disarm() { h.armed = false }
 
 // Armed reports whether the hedger is currently re-issuing slow reads.
 func (h *Hedger) Armed() bool { return h.armed }
-
-// Stats reports the hedger's cumulative activity.
-func (h *Hedger) Stats() HedgeStats { return h.stats }
 
 // Races reports the armed reads whose race has not yet run its last
 // callback — a copy or a timer still pending. It is 0 once the queue
@@ -151,7 +140,6 @@ func (r *hedge) copyDone(i int) {
 		r.done = true
 		h := r.h
 		if i > 0 {
-			h.stats.Wins++
 			h.obs.Emit(obs.EvShardHedgeWin, obs.NoQuery, r.offset, int64(h.env.Now()-r.issued))
 		}
 		if err := r.copies[i].Err(); err != nil {
@@ -168,7 +156,6 @@ func (r *hedge) copyDone(i int) {
 func (r *hedge) timer() {
 	if !r.done {
 		h := r.h
-		h.stats.Issued++
 		h.obs.Emit(obs.EvShardHedgeIssue, obs.NoQuery, r.offset, int64(h.delay))
 		i := r.n
 		r.copies[i] = h.inner.ReadAt(r.offset, r.length)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pioqo/internal/device"
+	"pioqo/internal/obs"
 	"pioqo/internal/sim"
 )
 
@@ -46,31 +47,31 @@ func TestHedgerDisarmedIsPassthrough(t *testing.T) {
 // re-draws and wins, capping the read near delay + base latency instead of
 // the full straggler latency.
 func TestHedgerRacesStragglers(t *testing.T) {
-	run := func(armed bool) (sim.Time, HedgeStats, int) {
+	run := func(armed bool) (sim.Time, *obs.Registry, int) {
 		env := sim.NewEnv(1)
-		inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+		rec := obs.NewRegistry(env)
+		inj := Wrap(env, rec, device.NewSSD(env, device.DefaultSSDConfig()))
 		inj.Arm(Schedule{Seed: 7, Windows: []Window{{
 			StragglerRate:    0.5,
 			StragglerLatency: sim.Duration(50 * sim.Millisecond),
 		}}})
-		h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
+		h := NewHedger(env, rec, inj, sim.Duration(1*sim.Millisecond))
 		if armed {
 			h.Arm()
 		}
 		end, fired := readAll(env, h, 64)
-		return end, h.Stats(), fired
+		return end, rec, fired
 	}
-	slow, offStats, offFired := run(false)
-	fast, onStats, onFired := run(true)
+	slow, off, offFired := run(false)
+	fast, on, onFired := run(true)
 	if offFired != 64 || onFired != 64 {
 		t.Fatalf("completions fired %d/%d, want 64/64 — a losing copy leaked", offFired, onFired)
 	}
-	if offStats.Issued != 0 {
-		t.Errorf("disarmed hedger issued %d speculative reads", offStats.Issued)
+	if n := counted(off, obs.MetricShardHedgeIssued); n != 0 {
+		t.Errorf("disarmed hedger issued %d speculative reads", n)
 	}
-	if onStats.Issued == 0 || onStats.Wins == 0 {
-		t.Fatalf("armed hedger under 50%% stragglers: issued=%d wins=%d, want both > 0",
-			onStats.Issued, onStats.Wins)
+	if issued, wins := counted(on, obs.MetricShardHedgeIssued), counted(on, obs.MetricShardHedgeWins); issued == 0 || wins == 0 {
+		t.Fatalf("armed hedger under 50%% stragglers: issued=%d wins=%d, want both > 0", issued, wins)
 	}
 	if fast >= slow {
 		t.Errorf("hedging did not help: %d hedged vs %d unhedged", fast, slow)
@@ -82,7 +83,8 @@ func TestHedgerRacesStragglers(t *testing.T) {
 // are absorbed by the hedger.
 func TestHedgerExactlyOnce(t *testing.T) {
 	env := sim.NewEnv(1)
-	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+	rec := obs.NewRegistry(env)
+	inj := Wrap(env, rec, device.NewSSD(env, device.DefaultSSDConfig()))
 	// Every read is a straggler: each delay passes with no copy landed, so
 	// every read races its whole cap of copies, each just as slow, and all
 	// of them run to completion.
@@ -90,16 +92,16 @@ func TestHedgerExactlyOnce(t *testing.T) {
 		StragglerRate:    1.0,
 		StragglerLatency: sim.Duration(30 * sim.Millisecond),
 	}}})
-	h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
+	h := NewHedger(env, rec, inj, sim.Duration(1*sim.Millisecond))
 	h.Arm()
 	_, fired := readAll(env, h, 16)
 	if fired != 16 {
 		t.Fatalf("outer completions fired %d times for 16 reads", fired)
 	}
-	if got, want := h.Stats().Issued, int64(16*maxCopies); got != want {
+	if got, want := counted(rec, obs.MetricShardHedgeIssued), int64(16*maxCopies); got != want {
 		t.Errorf("issued %d hedges for 16 always-straggling reads, want %d (the cap on each)", got, want)
 	}
-	if got, want := inj.Stats().Stragglers, int64(16*(1+maxCopies)); got != want {
+	if got, want := counted(rec, obs.MetricFaultStragglers), int64(16*(1+maxCopies)); got != want {
 		t.Errorf("injector saw %d straggler draws, want %d (every copy of every read)", got, want)
 	}
 }
@@ -111,8 +113,9 @@ func TestHedgerExactlyOnce(t *testing.T) {
 func TestHedgerReracesALateCopy(t *testing.T) {
 	const delay = sim.Duration(1 * sim.Millisecond)
 	env := sim.NewEnv(1)
-	inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
-	h := NewHedger(env, nil, inj, delay)
+	rec := obs.NewRegistry(env)
+	inj := Wrap(env, rec, device.NewSSD(env, device.DefaultSSDConfig()))
+	h := NewHedger(env, rec, inj, delay)
 	h.Arm()
 	var start, end sim.Time
 	env.Go("reader", func(p *sim.Proc) {
@@ -132,11 +135,11 @@ func TestHedgerReracesALateCopy(t *testing.T) {
 		end = env.Now()
 	})
 	env.Run()
-	if st := inj.Stats(); st.Stragglers != 2 {
-		t.Fatalf("injector drew %d stragglers, want 2 (the original and the first copy)", st.Stragglers)
+	if n := counted(rec, obs.MetricFaultStragglers); n != 2 {
+		t.Fatalf("injector drew %d stragglers, want 2 (the original and the first copy)", n)
 	}
-	if got := h.Stats(); got.Issued < 2 || got.Wins != 1 {
-		t.Errorf("hedger issued %d copies and won %d races; want a second copy that wins", got.Issued, got.Wins)
+	if issued, wins := counted(rec, obs.MetricShardHedgeIssued), counted(rec, obs.MetricShardHedgeWins); issued < 2 || wins != 1 {
+		t.Errorf("hedger issued %d copies and won %d races; want a second copy that wins", issued, wins)
 	}
 	if took, bound := end.Sub(start), 3*delay+sim.Millisecond; took > bound {
 		t.Errorf("read took %v behind two straggling copies, want at most %v", took, bound)
@@ -170,18 +173,19 @@ func TestHedgerRecordsComeHomeAtDrain(t *testing.T) {
 		}, true},
 	} {
 		env := sim.NewEnv(1)
-		inj := Wrap(env, nil, device.NewSSD(env, device.DefaultSSDConfig()))
+		rec := obs.NewRegistry(env)
+		inj := Wrap(env, rec, device.NewSSD(env, device.DefaultSSDConfig()))
 		inj.Arm(Schedule{Seed: 5, Windows: []Window{c.window}})
-		h := NewHedger(env, nil, inj, sim.Duration(1*sim.Millisecond))
+		h := NewHedger(env, rec, inj, sim.Duration(1*sim.Millisecond))
 		h.Arm()
 		if _, fired := readAll(env, h, 256); fired != 256 {
 			t.Fatalf("%s: outer completions fired %d times for 256 reads", c.name, fired)
 		}
-		st := inj.Stats()
-		if st.Stragglers == 0 || (c.window.ErrorRate > 0 && st.Errors == 0) {
-			t.Fatalf("%s: injector drew %d errors and %d stragglers; the run must see both", c.name, st.Errors, st.Stragglers)
+		errs, stragglers := counted(rec, obs.MetricFaultErrors), counted(rec, obs.MetricFaultStragglers)
+		if stragglers == 0 || (c.window.ErrorRate > 0 && errs == 0) {
+			t.Fatalf("%s: injector drew %d errors and %d stragglers; the run must see both", c.name, errs, stragglers)
 		}
-		if issued := h.Stats().Issued; issued == 0 || (c.atCap && issued != 256*maxCopies) {
+		if issued := counted(rec, obs.MetricShardHedgeIssued); issued == 0 || (c.atCap && issued != 256*maxCopies) {
 			t.Fatalf("%s: %d hedges issued for 256 reads", c.name, issued)
 		}
 		if n := h.Races(); n != 0 {
@@ -208,8 +212,9 @@ func TestHedgerAllocations(t *testing.T) {
 		{"armed, every read hedged", 20 * sim.Microsecond, true, true, 1},
 	} {
 		env := sim.NewEnv(1)
+		rec := obs.NewRegistry(env)
 		ssd := device.NewSSD(env, device.DefaultSSDConfig())
-		h := NewHedger(env, nil, ssd, c.delay)
+		h := NewHedger(env, rec, ssd, c.delay)
 		if c.arm {
 			h.Arm()
 		}
@@ -230,9 +235,9 @@ func TestHedgerAllocations(t *testing.T) {
 				readOn(h)()
 			}
 			bare := testing.AllocsPerRun(100, readOn(ssd))
-			issued, before := h.Stats().Issued, reads
+			issued, before := counted(rec, obs.MetricShardHedgeIssued), reads
 			got := testing.AllocsPerRun(100, readOn(h))
-			copies := float64(h.Stats().Issued-issued) / float64(reads-before)
+			copies := float64(counted(rec, obs.MetricShardHedgeIssued)-issued) / float64(reads-before)
 			if got-bare-copies > c.limit {
 				t.Errorf("%s: %v allocations per read over the bare device's %v and %v issued copies', want at most %v",
 					c.name, got-bare-copies, bare, copies, c.limit)

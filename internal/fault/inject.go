@@ -50,15 +50,6 @@ type Schedule struct {
 	Windows []Window
 }
 
-// Stats counts what an injector actually did, for experiment reporting and
-// tests.
-type Stats struct {
-	Errors     int64 // reads failed with ErrDeviceFault
-	Stragglers int64 // reads that drew straggler latency
-	Delayed    int64 // reads delayed for any reason (latency, straggler, throttle)
-	Throttled  int64 // reads that paid an overload penalty
-}
-
 // Injector wraps a device.Device and applies an armed fault Schedule to its
 // reads. Unarmed (or outside every window) it is pure passthrough: ReadAt
 // returns the inner device's completion directly, scheduling no events and
@@ -79,12 +70,12 @@ type Injector struct {
 	rng   *rand.Rand
 
 	outstanding int // injector-tracked in-flight reads, for throttling
-	stats       Stats
 
 	// obs records one event per injected fault (error, straggler draw,
-	// throttle); nil records nothing. Fault events are device-level and
-	// carry obs.NoQuery — per-query attribution happens at the executor's
-	// retry sites, which see the fault as a failed read.
+	// throttle), which also counts it (fault.errors, fault.stragglers,
+	// fault.throttled); nil records nothing. Fault events are device-level
+	// and carry obs.NoQuery — per-query attribution happens at the
+	// executor's retry sites, which see the fault as a failed read.
 	obs *obs.Registry
 }
 
@@ -97,8 +88,9 @@ func Wrap(env *sim.Env, rec *obs.Registry, inner device.Device) *Injector {
 
 // Arm installs sched, effective immediately: window offsets are interpreted
 // relative to the current virtual time. Arming replaces any previous
-// schedule and resets the draw RNG and stats, so the same schedule armed at
-// the same virtual time replays byte-identically.
+// schedule and resets the draw RNG, so the same schedule armed at the same
+// virtual time replays byte-identically. The registry's fault counters are
+// not reset: they count every arm.
 func (j *Injector) Arm(sched Schedule) {
 	if sched.Seed == 0 {
 		sched.Seed = 1
@@ -110,7 +102,6 @@ func (j *Injector) Arm(sched Schedule) {
 	j.base = j.env.Now()
 	j.rng = rand.New(rand.NewSource(sched.Seed))
 	j.armed = true
-	j.stats = Stats{}
 }
 
 // Disarm returns the injector to passthrough.
@@ -118,9 +109,6 @@ func (j *Injector) Disarm() { j.armed = false }
 
 // Armed reports whether a schedule is installed.
 func (j *Injector) Armed() bool { return j.armed }
-
-// Stats returns what the injector has done since it was last armed.
-func (j *Injector) Stats() Stats { return j.stats }
 
 // window returns the schedule window active at the current virtual time, or
 // nil.
@@ -163,7 +151,6 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 
 	// Injected error: the read never reaches the device.
 	if w.ErrorRate > 0 && j.rng.Float64() < w.ErrorRate {
-		j.stats.Errors++
 		j.obs.Emit(obs.EvFaultError, obs.NoQuery, offset, 0)
 		lat := w.ErrorLatency
 		if lat <= 0 {
@@ -178,7 +165,6 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 
 	delay := w.ExtraLatency
 	if w.StragglerRate > 0 && j.rng.Float64() < w.StragglerRate {
-		j.stats.Stragglers++
 		lat := w.StragglerLatency
 		if lat <= 0 {
 			lat = 5 * sim.Millisecond
@@ -200,7 +186,6 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 			if pen <= 0 {
 				pen = 100 * sim.Microsecond
 			}
-			j.stats.Throttled++
 			penalty := sim.Duration(j.outstanding-limit+1) * pen
 			j.obs.Emit(obs.EvFaultThrottle, obs.NoQuery, int64(j.outstanding), int64(penalty))
 			delay += penalty
@@ -217,7 +202,6 @@ func (j *Injector) ReadAt(offset int64, length int) *sim.Completion {
 		})
 	}
 	if delay > 0 {
-		j.stats.Delayed++
 		j.env.Schedule(delay, done)
 	} else {
 		done()

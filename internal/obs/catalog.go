@@ -90,6 +90,12 @@ var (
 	MetricShardPruned      = metric("shard.pruned")
 	MetricShardHedgeIssued = metric("shard.hedge_issued")
 	MetricShardHedgeWins   = metric("shard.hedge_wins")
+
+	// internal/fault: what the injectors did, summed over every node and
+	// every schedule armed since the system was built.
+	MetricFaultErrors     = metric("fault.errors")
+	MetricFaultStragglers = metric("fault.stragglers")
+	MetricFaultThrottled  = metric("fault.throttled")
 )
 
 // EventType identifies one kind of engine event.
@@ -165,9 +171,9 @@ var (
 	EvRetryBackoff = event("retry.backoff", "page", "backoff_ns")
 
 	// internal/fault: injected device behaviour.
-	EvFaultError     = event("fault.error", "offset", "")
-	EvFaultStraggler = event("fault.straggler", "offset", "delay_ns")
-	EvFaultThrottle  = event("fault.throttle", "outstanding", "penalty_ns")
+	EvFaultError     = event("fault.error", "offset", "", count(MetricFaultErrors))
+	EvFaultStraggler = event("fault.straggler", "offset", "delay_ns", count(MetricFaultStragglers))
+	EvFaultThrottle  = event("fault.throttle", "outstanding", "penalty_ns", count(MetricFaultThrottled))
 
 	// internal/buffer: pool housekeeping the executor cannot see, and
 	// circulating shared scans.

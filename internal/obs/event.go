@@ -46,8 +46,8 @@ const defaultEventCapacity = 4096
 
 // EventLog is a registry's bounded event ring. It overwrites its oldest
 // events once full, so the memory bound holds for arbitrarily long runs
-// (Dropped reports the overwritten count). Every method is nil-safe: a nil
-// *EventLog is the ring switched off.
+// (the oldest retained event's Seq is the overwritten count). Every method
+// is nil-safe: a nil *EventLog is the ring switched off.
 type EventLog struct {
 	env *sim.Env
 	buf []Event
@@ -56,17 +56,13 @@ type EventLog struct {
 
 // EnableEvents switches the registry's event ring on with room for
 // capacity events (defaultEventCapacity when capacity <= 0), replacing any
-// ring already on.
+// ring already on with an empty one whose Seq restarts at 0.
 func (r *Registry) EnableEvents(capacity int) {
 	if capacity <= 0 {
 		capacity = defaultEventCapacity
 	}
 	r.log = &EventLog{env: r.env, buf: make([]Event, capacity)}
 }
-
-// DisableEvents switches the event ring off and drops its buffer. Counters
-// keep counting.
-func (r *Registry) DisableEvents() { r.log = nil }
 
 // Log returns the event ring, nil while it is off. Nil-safe.
 func (r *Registry) Log() *EventLog {
@@ -88,23 +84,12 @@ func (l *EventLog) record(t EventType, query, a, b int64) {
 }
 
 // Total reports how many events have been recorded since the ring was
-// switched on (or last reset), including any it has since overwritten.
+// switched on, including any it has since overwritten.
 func (l *EventLog) Total() uint64 {
 	if l == nil {
 		return 0
 	}
 	return l.n
-}
-
-// Dropped reports how many recorded events the ring has overwritten.
-func (l *EventLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	if cap := uint64(len(l.buf)); l.n > cap {
-		return l.n - cap
-	}
-	return 0
 }
 
 // Len reports how many events the ring currently retains.
@@ -131,13 +116,6 @@ func (l *EventLog) Events() []Event {
 		out = append(out, l.buf[(start+i)%uint64(len(l.buf))])
 	}
 	return out
-}
-
-// Reset drops every retained event and restarts the sequence numbering.
-func (l *EventLog) Reset() {
-	if l != nil {
-		l.n = 0
-	}
 }
 
 // appendJSON renders the event as one JSON object with a fixed field

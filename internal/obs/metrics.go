@@ -124,9 +124,6 @@ func (h *Histogram) Observe(v float64) {
 	h.n++
 }
 
-// Edges returns the bucket upper bounds.
-func (h *Histogram) Edges() []float64 { return h.edges }
-
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 { return h.n }
 

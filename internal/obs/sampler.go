@@ -54,8 +54,5 @@ func (s *Sampler) tick() {
 // Stop ends sampling; the scheduled next tick becomes a no-op.
 func (s *Sampler) Stop() { s.stopped = true }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() sim.Duration { return s.interval }
-
 // Series returns the collected samples.
 func (s *Sampler) Series() []Sample { return s.samples }

@@ -8,23 +8,13 @@ import (
 
 	"pioqo/internal/device"
 	"pioqo/internal/disk"
+	"pioqo/internal/reference"
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
 )
 
 func newManager() *disk.Manager {
 	return disk.NewManager(device.NewSSD(sim.NewEnv(1), device.DefaultSSDConfig()))
-}
-
-// trueCount counts rows of t with lo <= C2 <= hi.
-func trueCount(t table.Table, lo, hi int64) int64 {
-	n := int64(0)
-	for r := int64(0); r < t.Rows(); r++ {
-		if c2 := t.RowAt(r).C2; c2 >= lo && c2 <= hi {
-			n++
-		}
-	}
-	return n
 }
 
 // equivalenceTables are the tables the bitset histogram and the
@@ -87,7 +77,7 @@ func TestHistogramUniformDataIsAccurate(t *testing.T) {
 	tab := table.NewMaterialized(newManager(), "t", 50000, 33, 9)
 	h := BuildHistogram(tab, 0)
 	for _, rg := range []struct{ lo, hi int64 }{{0, 499}, {10000, 19999}, {49000, 49999}} {
-		want := float64(trueCount(tab, rg.lo, rg.hi))
+		want := float64(reference.Aggregate(tab, rg.lo, rg.hi).Rows)
 		got := h.EstimateRange(rg.lo, rg.hi)
 		if math.Abs(got-want) > 0.15*want+20 {
 			t.Errorf("range [%d,%d]: estimate %.0f, true %.0f", rg.lo, rg.hi, got, want)
@@ -100,7 +90,7 @@ func TestHistogramCapturesZipfSkew(t *testing.T) {
 	h := BuildHistogram(tab, 256)
 
 	// Head of the distribution: far denser than uniform would predict.
-	headTrue := float64(trueCount(tab, 0, 499))
+	headTrue := float64(reference.Aggregate(tab, 0, 499).Rows)
 	headEst := h.EstimateRange(0, 499)
 	uniformEst := 500.0 / 50000 * 50000 // = 500 rows under uniformity
 	if headTrue < 5*uniformEst {
@@ -111,7 +101,7 @@ func TestHistogramCapturesZipfSkew(t *testing.T) {
 	}
 
 	// Tail: far sparser than uniform.
-	tailTrue := float64(trueCount(tab, 25000, 49999))
+	tailTrue := float64(reference.Aggregate(tab, 25000, 49999).Rows)
 	tailEst := h.EstimateRange(25000, 49999)
 	if tailTrue > 0.02*50000 {
 		t.Fatalf("zipf tail unexpectedly dense: %.0f rows", tailTrue)

@@ -44,16 +44,6 @@ func (sub *Submission) Progress() QueryProgress {
 	return p
 }
 
-// Progress reports the live progress of every submission not yet drained,
-// in submission order.
-func (ses *Session) Progress() []QueryProgress {
-	out := make([]QueryProgress, len(ses.subs))
-	for i, sub := range ses.subs {
-		out[i] = sub.Progress()
-	}
-	return out
-}
-
 // estimatePages predicts how many page pins a plan's execution performs —
 // the denominator for live progress. A full scan pins every heap page; an
 // index scan descends the tree once, walks the qualifying leaves, and pins

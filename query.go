@@ -439,6 +439,10 @@ func WithPrefetch(n int) QueryOption { return func(o *queryOptions) { o.prefetch
 func WithPlanOptions(po PlanOptions) QueryOption { return func(o *queryOptions) { o.plan = po } }
 
 // PlannerStats snapshots the plan cache's traffic counters.
+//
+// Deprecated: read the registry's opt.band_hits, opt.band_misses,
+// opt.band_revalidations, opt.greedy_plans and opt.greedy_fallbacks from
+// MetricsSince. Kept for the frozen bench/ suite.
 type PlannerStats struct {
 	// MemoHits and MemoMisses always read 0: the exact-key memo is gone.
 	//
@@ -456,6 +460,9 @@ type PlannerStats struct {
 }
 
 // PlannerStats reports the plan cache's cumulative hit/miss counters.
+//
+// Deprecated: read the opt.band_* and opt.greedy_* counters from
+// MetricsSince.
 func (s *System) PlannerStats() PlannerStats {
 	cs := s.pcache.Stats()
 	return PlannerStats{

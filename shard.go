@@ -250,41 +250,3 @@ func (s *System) setHedgers(armed bool) {
 		}
 	}
 }
-
-// HedgeStats reports the cluster's straggler-hedging activity: speculative
-// reads issued and the races they won. Zeros on unhedged systems.
-type HedgeStats struct {
-	Issued int64
-	Wins   int64
-}
-
-// HedgeStats sums hedging activity across all nodes.
-func (s *System) HedgeStats() HedgeStats {
-	var hs HedgeStats
-	for _, n := range s.nodes {
-		if n.Hedge != nil {
-			st := n.Hedge.Stats()
-			hs.Issued += st.Issued
-			hs.Wins += st.Wins
-		}
-	}
-	return hs
-}
-
-// NodeIOStats is one node's device traffic snapshot.
-type NodeIOStats struct {
-	Node     int
-	Requests int64
-	Bytes    int64
-}
-
-// NodeIO reports each node's cumulative device read/write request count —
-// how evenly the cluster's I/O spread across shards.
-func (s *System) NodeIO() []NodeIOStats {
-	out := make([]NodeIOStats, len(s.nodes))
-	for i, n := range s.nodes {
-		snap := n.Dev.Metrics().Snapshot()
-		out[i] = NodeIOStats{Node: i, Requests: snap.Requests, Bytes: snap.Bytes}
-	}
-	return out
-}

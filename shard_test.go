@@ -252,7 +252,9 @@ func newStragglingCluster(t *testing.T, noHedge bool) (*System, *Table) {
 // copy lands, not when the losing stragglers do. A session drains as Run
 // does, so the same query submitted alone is hedged the same way.
 func TestHedgingUnderStragglers(t *testing.T) {
-	run := func(noHedge, session bool) (Result, HedgeStats) {
+	// hedges reads the copies issued and the races they won.
+	type hedges struct{ issued, wins int64 }
+	run := func(noHedge, session bool) (Result, hedges) {
 		sys, tab := newStragglingCluster(t, noHedge)
 		q := Query{Table: tab, Low: 0, High: 99999}
 		var res Result
@@ -265,27 +267,27 @@ func TestHedgingUnderStragglers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res, sys.HedgeStats()
+		return res, hedges{sinceNew(sys, "shard.hedge_issued"), sinceNew(sys, "shard.hedge_wins")}
 	}
 	hedged, hs := run(false, false)
 	unhedged, uhs := run(true, false)
 	if sub, shs := run(false, true); sub.Runtime != hedged.Runtime || shs != hs {
 		t.Errorf("submitted alone the query ran %v with hedges %+v; under Run %v with %+v", sub.Runtime, shs, hedged.Runtime, hs)
 	}
-	if uhs.Issued != 0 {
-		t.Errorf("unhedged system issued %d hedges", uhs.Issued)
+	if uhs.issued != 0 {
+		t.Errorf("unhedged system issued %d hedges", uhs.issued)
 	}
-	if hs.Issued == 0 {
+	if hs.issued == 0 {
 		t.Error("hedged system issued no speculative reads under 10% stragglers")
 	}
-	if hs.Wins == 0 {
+	if hs.wins == 0 {
 		t.Error("no hedge ever won against a 20ms straggler")
 	}
 	if hedged.Value != unhedged.Value || hedged.Rows != unhedged.Rows || hedged.Found != unhedged.Found {
 		t.Errorf("hedged answer (%d, %d rows) != unhedged (%d, %d rows): speculative read leaked into results",
 			hedged.Value, hedged.Rows, unhedged.Value, unhedged.Rows)
 	}
-	t.Logf("hedged %v (%d issued, %d won), unhedged %v", hedged.Runtime, hs.Issued, hs.Wins, unhedged.Runtime)
+	t.Logf("hedged %v (%d issued, %d won), unhedged %v", hedged.Runtime, hs.issued, hs.wins, unhedged.Runtime)
 	if hedged.Runtime > unhedged.Runtime/2 {
 		t.Errorf("hedging did not halve the scatter: %v hedged vs %v unhedged", hedged.Runtime, unhedged.Runtime)
 	}
@@ -326,10 +328,11 @@ func TestHedgedGatherStaysNearHealthy(t *testing.T) {
 			t.Errorf("seed %d: hedged answer (%d, %d rows) != healthy (%d, %d rows)",
 				seed, hedged.Value, hedged.Rows, healthy.Value, healthy.Rows)
 		}
-		t.Logf("seed %d: healthy %v, hedged under stragglers %v (%d copies issued)", seed, healthy.Runtime, hedged.Runtime, sys.HedgeStats().Issued)
+		issued := sinceNew(sys, "shard.hedge_issued")
+		t.Logf("seed %d: healthy %v, hedged under stragglers %v (%d copies issued)", seed, healthy.Runtime, hedged.Runtime, issued)
 		if bound := healthy.Runtime + 5*delay; hedged.Runtime > bound {
 			t.Errorf("seed %d: hedged gather under stragglers took %v, healthy %v; want at most %v (%d copies issued)",
-				seed, hedged.Runtime, healthy.Runtime, bound, sys.HedgeStats().Issued)
+				seed, hedged.Runtime, healthy.Runtime, bound, issued)
 		}
 	}
 }
@@ -361,8 +364,8 @@ func TestTimeoutWithHedgeCopiesInFlight(t *testing.T) {
 	}
 	// The copies went out before the abort; the drain ran on past the
 	// query's exit while the stragglers among them landed.
-	if issued == 0 || issued != int(sys.HedgeStats().Issued) {
-		t.Fatalf("%d shard.hedge.issue events, %d copies issued", issued, sys.HedgeStats().Issued)
+	if n := sinceNew(sys, "shard.hedge_issued"); issued == 0 || int64(issued) != n {
+		t.Fatalf("%d shard.hedge.issue events, %d copies issued", issued, n)
 	}
 	if end := time.Duration(sys.env.Now()); exit == 0 || end <= exit {
 		t.Errorf("the query exited at %v and the clock stopped at %v: no copy was in flight at the abort", exit, end)
@@ -431,8 +434,8 @@ func TestStragglingGatherTraceEndsAtRuntime(t *testing.T) {
 	if tel.Root.Duration != res.Runtime || tel.Runtime != res.Runtime {
 		t.Errorf("query span %v, telemetry runtime %v; Runtime %v", tel.Root.Duration, tel.Runtime, res.Runtime)
 	}
-	if st := sys.EventLogStats(); st.Dropped != 0 {
-		t.Fatalf("event ring wrapped (%d dropped)", st.Dropped)
+	if n := dropped(sys); n != 0 {
+		t.Fatalf("event ring wrapped (%d dropped)", n)
 	}
 	var start, done []EngineEvent
 	for _, e := range sys.EngineEvents() {
@@ -514,8 +517,8 @@ func TestHedgeDelayOffCriticalPath(t *testing.T) {
 			if n := sys.env.LiveProcs(); n != 0 {
 				t.Errorf("%s, %s: %d processes live at return", arm.name, e.name, n)
 			}
-			if hs := sys.HedgeStats(); hs.Issued != 0 {
-				t.Errorf("%s, %s: a healthy cluster issued %d hedges", arm.name, e.name, hs.Issued)
+			if n := sinceNew(sys, "shard.hedge_issued"); n != 0 {
+				t.Errorf("%s, %s: a healthy cluster issued %d hedges", arm.name, e.name, n)
 			}
 			if w, ok := want[e.name]; !ok {
 				want[e.name] = rt
@@ -586,8 +589,8 @@ func TestCreateTableRejectsUnknownPartition(t *testing.T) {
 }
 
 // TestShardedProgressAndEvents checks the observability surface: the
-// shard.* events land in the engine log and per-shard progress rolls up
-// into the query counter.
+// shard.* events land in the engine log, and every shard's scan reports
+// its rows in its shard.partial event.
 func TestShardedProgressAndEvents(t *testing.T) {
 	sys := New(Config{Device: SSD, PoolPages: 1024, Shards: 4})
 	sys.EnableEventLog(4096)
@@ -602,8 +605,12 @@ func TestShardedProgressAndEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[string]int{}
+	rows := map[int64]int64{} // shard.partial: shard → rows
 	for _, e := range sys.EngineEvents() {
 		seen[e.Name]++
+		if e.Name == "shard.partial" {
+			rows[e.A] += e.B
+		}
 	}
 	if seen["shard.scatter"] != 1 {
 		t.Errorf("shard.scatter events = %d, want 1", seen["shard.scatter"])
@@ -614,13 +621,9 @@ func TestShardedProgressAndEvents(t *testing.T) {
 	if seen["shard.gather.done"] != 1 {
 		t.Errorf("shard.gather.done events = %d, want 1", seen["shard.gather.done"])
 	}
-	io := sys.NodeIO()
-	if len(io) != 4 {
-		t.Fatalf("NodeIO reported %d nodes, want 4", len(io))
-	}
-	for _, n := range io {
-		if n.Requests == 0 {
-			t.Errorf("node %d issued no device reads during a full scatter scan", n.Node)
+	for shard := int64(0); shard < 4; shard++ {
+		if rows[shard] == 0 {
+			t.Errorf("shard %d read no rows during a full scatter scan (partials %v)", shard, rows)
 		}
 	}
 }
