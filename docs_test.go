@@ -22,11 +22,14 @@ import (
 // the <layer>.host_share shares bench/profile.go builds. A backticked
 // `*.go` or `*.golden` path must name one file (namesOneFile), and a
 // backticked `scripts/…` or `cmd/…` path must exist. And a T.X inside
-// backticks, T an exported struct type of this package (System, Session,
+// backticks, T an exported type of this package (System, Session,
 // PlanOptions, Plan, Config, Query, Result, …), must name a method or
 // field of T, and a pioqo.X an identifier of this package (rootNames), so
-// a deleted name cannot linger in the docs. A T.X qualified by another
-// package (opt.Config.Degrees) is that package's and is not checked.
+// a deleted name cannot linger in the docs. A pkg.X or pkg.T.X inside
+// backticks, pkg a directory under internal/, must name an identifier that
+// package's non-test files declare, and T.X a field or method of its type
+// T (declaredNames); a bench/ metric or event name that reads like one
+// (`buffer.hits`, `fault.errors`) is the metric rule's and is exempt.
 // CHANGES.md is history and is not scanned.
 func TestDocsCiteTestsThatExist(t *testing.T) {
 	funcs := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
@@ -68,6 +71,23 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 		roots = append(roots, root)
 	}
 	citedName := regexp.MustCompile(`(?:^|[^.\w])(` + strings.Join(roots, "|") + `)\.(\w+)`)
+	dirs, err := filepath.Glob("internal/*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type declared struct {
+		top     map[string]bool
+		members map[string]map[string]bool
+	}
+	internal := map[string]declared{}
+	var pkgs []string
+	for _, dir := range dirs {
+		var d declared
+		d.top, d.members = declaredNames(t, dir)
+		internal[filepath.Base(dir)] = d
+		pkgs = append(pkgs, filepath.Base(dir))
+	}
+	citedQualified := regexp.MustCompile(`(?:^|[^.\w])(` + strings.Join(pkgs, "|") + `)\.(\w+)(?:\.(\w+))?`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		src, err := os.ReadFile(doc)
 		if err != nil {
@@ -87,6 +107,19 @@ func TestDocsCiteTestsThatExist(t *testing.T) {
 			for _, m := range citedName.FindAllStringSubmatch(span, -1) {
 				if cite := m[1] + "." + m[2]; !names[m[1]][m[2]] && !fileName.MatchString(cite) {
 					t.Errorf("%s cites %s, and the package defines no such name", doc, cite)
+				}
+			}
+		}
+		for _, span := range codeSpan.FindAllString(string(src), -1) {
+			for _, m := range citedQualified.FindAllStringSubmatch(span, -1) {
+				pkg, cite := internal[m[1]], m[1]+"."+m[2]
+				if metrics[cite] || fileName.MatchString(cite) {
+					continue
+				}
+				if !pkg.top[m[2]] {
+					t.Errorf("%s cites %s, and internal/%s declares no such name", doc, cite, m[1])
+				} else if m[3] != "" && !pkg.members[m[2]][m[3]] {
+					t.Errorf("%s cites %s.%s, and %s has no such field or method", doc, cite, m[3], cite)
 				}
 			}
 		}
@@ -150,70 +183,186 @@ func TestChangesEntriesStayShort(t *testing.T) {
 	}
 }
 
-// rootNames parses the package's non-test files and returns, under each
-// exported struct type's name, the methods and fields of that type, and
-// under "pioqo" every top-level identifier.
+// TestDesignCitationsNameItsSections holds every "DESIGN.md §N" that a Go
+// file of the repository, README.md or EXPERIMENTS.md writes — backticked
+// or plain — to a "## N." heading of DESIGN.md, and a title quoted after
+// it (§8, "Executor") to a "###" heading inside that section.
+func TestDesignCitationsNameItsSections(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]map[string]bool{}
+	var cur map[string]bool
+	heading := regexp.MustCompile(`^## (\d+)\.`)
+	for _, line := range strings.Split(string(design), "\n") {
+		if m := heading.FindStringSubmatch(line); m != nil {
+			cur = map[string]bool{}
+			sections[m[1]] = cur
+		} else if title, ok := strings.CutPrefix(line, "### "); ok && cur != nil {
+			cur[title] = true
+		}
+	}
+	docs := []string{"README.md", "EXPERIMENTS.md"}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") {
+			docs = append(docs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile("DESIGN\\.md`?[\\s/]*§\\s*(\\d+)(?:,\\s*\"([^\"]+)\")?")
+	for _, doc := range docs {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllStringSubmatch(string(src), -1) {
+			titles, ok := sections[m[1]]
+			title := strings.Join(strings.Fields(m[2]), " ")
+			switch {
+			case !ok:
+				t.Errorf("%s cites DESIGN.md §%s, and DESIGN.md has no \"## %s.\" heading", doc, m[1], m[1])
+			case title != "" && !titles[title]:
+				t.Errorf("%s cites DESIGN.md §%s, %q, and that section has no such \"###\" heading", doc, m[1], title)
+			}
+		}
+	}
+}
+
+// TestDesignStaysADesign holds DESIGN.md to the design: its invariants,
+// equivalence arguments and their reasons, citing bench/ metrics, tests and
+// BENCH_TRAJECTORY.jsonl rows where a number would go. Run logs belong in
+// CHANGES.md and the trajectory, so the file stays under maxBytes and §8
+// under maxPerfLines; and it cites no ROADMAP item, since the roadmap is
+// renumbered each time it is re-anchored.
+func TestDesignStaysADesign(t *testing.T) {
+	const maxBytes, maxPerfLines = 70_000, 250
+	src, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(src) >= maxBytes {
+		t.Errorf("DESIGN.md is %d bytes; it stays under %d", len(src), maxBytes)
+	}
+	perf, in := 0, false
+	for _, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(line, "## ") {
+			in = strings.HasPrefix(line, "## 8.")
+		}
+		if in {
+			perf++
+		}
+	}
+	if perf == 0 || perf >= maxPerfLines {
+		t.Errorf("DESIGN.md §8 runs %d lines; it has one and keeps it under %d", perf, maxPerfLines)
+	}
+	roadmap := regexp.MustCompile(`ROADMAP|\b[Ii]tems? \d+`)
+	for i, line := range strings.Split(string(src), "\n") {
+		if m := roadmap.FindString(line); m != "" {
+			t.Errorf("DESIGN.md:%d cites %q; the roadmap's items are renumbered, so the design does not cite them", i+1, m)
+		}
+	}
+}
+
+// rootNames returns, under each exported type of this package, the fields
+// and methods of that type, and under "pioqo" every top-level identifier.
 func rootNames(t *testing.T) map[string]map[string]bool {
-	names := map[string]map[string]bool{"pioqo": {}}
-	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+	top, members := declaredNames(t, ".")
+	names := map[string]map[string]bool{"pioqo": top}
+	for typ, m := range members {
+		if ast.IsExported(typ) {
+			names[typ] = m
+		}
+	}
+	return names
+}
+
+// declaredNames parses the non-test files of the package in dir and returns
+// its top-level identifiers and, under each type's name, the fields,
+// embedded types and interface methods it declares and the methods declared
+// on it.
+func declaredNames(t *testing.T, dir string) (top map[string]bool, members map[string]map[string]bool) {
+	top, members = map[string]bool{}, map[string]map[string]bool{}
+	add := func(typ, name string) {
+		if members[typ] == nil {
+			members[typ] = map[string]bool{}
+		}
+		members[typ][name] = true
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The struct types first: a method may be declared before its type.
-	for _, f := range pkgs["pioqo"].Files {
-		for _, decl := range f.Decls {
-			if d, ok := decl.(*ast.GenDecl); ok {
-				for _, spec := range d.Specs {
-					if sp, ok := spec.(*ast.TypeSpec); ok && sp.Name.IsExported() {
-						if _, ok := sp.Type.(*ast.StructType); ok {
-							names[sp.Name.Name] = map[string]bool{}
-						}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						top[d.Name.Name] = true
+					} else if typ := baseType(d.Recv.List[0].Type); typ != "" {
+						add(typ, d.Name.Name)
 					}
-				}
-			}
-		}
-	}
-	for _, f := range pkgs["pioqo"].Files {
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				if d.Recv == nil {
-					names["pioqo"][d.Name.Name] = true
-					continue
-				}
-				recv := d.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok && names[id.Name] != nil {
-					names[id.Name][d.Name.Name] = true
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch sp := spec.(type) {
-					case *ast.TypeSpec:
-						names["pioqo"][sp.Name.Name] = true
-						st, ok := sp.Type.(*ast.StructType)
-						if !ok || names[sp.Name.Name] == nil {
-							continue
-						}
-						for _, field := range st.Fields.List {
-							for _, n := range field.Names {
-								names[sp.Name.Name][n.Name] = true
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch sp := spec.(type) {
+						case *ast.TypeSpec:
+							top[sp.Name.Name] = true
+							fields := &ast.FieldList{}
+							switch ty := sp.Type.(type) {
+							case *ast.StructType:
+								fields = ty.Fields
+							case *ast.InterfaceType:
+								fields = ty.Methods
+							}
+							for _, field := range fields.List {
+								for _, n := range field.Names {
+									add(sp.Name.Name, n.Name)
+								}
+								if len(field.Names) == 0 {
+									add(sp.Name.Name, baseType(field.Type))
+								}
+							}
+						case *ast.ValueSpec:
+							for _, n := range sp.Names {
+								top[n.Name] = true
 							}
 						}
-					case *ast.ValueSpec:
-						for _, n := range sp.Names {
-							names["pioqo"][n.Name] = true
-						}
 					}
 				}
 			}
 		}
 	}
-	return names
+	return top, members
+}
+
+// baseType names the type a receiver or embedded field expression refers
+// to: T, *T, T[P], pkg.T.
+func baseType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.StarExpr:
+		return baseType(x.X)
+	case *ast.IndexExpr:
+		return baseType(x.X)
+	case *ast.IndexListExpr:
+		return baseType(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	}
+	return ""
 }
 
 // namesOneFile reports whether a cited file name names one file: the one
