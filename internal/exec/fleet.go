@@ -37,16 +37,20 @@ type worker struct {
 	inFlight *sim.Any      // the prefetches of an index batch's window (reads)
 }
 
-// Scratch is a node's free list of worker records: a worker's CPU budget and
-// the leaf-entry and page-match buffers it grows on its first batches, kept
-// for the node's next workers instead of being regrown by every fleet of
-// every query. One Scratch belongs to one node — every Context built for
-// that node carries it — and so to one sim.Env, whose processes the host
-// runs one at a time: nothing is locked, and systems swept on different
-// host threads never share a record. A nil Scratch (a Context built without
-// one) makes every worker afresh.
+// Scratch is a node's free lists: worker records — a worker's CPU budget and
+// the leaf-entry and page-match buffers it grows on its first batches — and
+// the hash operators' tables, kept for the node's next workers and operators
+// instead of being regrown by every fleet and every join or group-by of every
+// query. A table goes back emptied but with its buckets, so the list holds at
+// most the largest table each concurrently running operator has built. One
+// Scratch belongs to one node — every Context built for that node carries it
+// — and so to one sim.Env, whose processes the host runs one at a time:
+// nothing is locked, and systems swept on different host threads never share
+// a record or a table. A nil Scratch (a Context built without one) makes
+// every worker and every table afresh.
 type Scratch struct {
-	free []*worker
+	free   []*worker
+	tables []*hashTable
 }
 
 // get takes a worker record off the list, or makes one.
@@ -66,6 +70,29 @@ func (s *Scratch) put(w *worker) {
 	}
 	w.p, w.a, w.bud = nil, nil, cpuBudget{}
 	s.free = append(s.free, w)
+}
+
+// table takes a hash table off the list, or makes one. The operator that
+// takes it owns it until it gives it back with putTable, on every exit path:
+// two operators running at once on one node each hold their own.
+func (s *Scratch) table() *hashTable {
+	if s == nil || len(s.tables) == 0 {
+		return &hashTable{m: make(map[int64]int64)}
+	}
+	t := s.tables[len(s.tables)-1]
+	s.tables = s.tables[:len(s.tables)-1]
+	return t
+}
+
+// putTable empties t and returns it to the list; clear keeps the map's
+// buckets and the slices keep their arrays for the next operator.
+func (s *Scratch) putTable(t *hashTable) {
+	if s == nil {
+		return
+	}
+	clear(t.m)
+	t.aggs, t.keys = t.aggs[:0], t.keys[:0]
+	s.tables = append(s.tables, t)
 }
 
 // newFleet returns a fleet for spec, one slot per degree.

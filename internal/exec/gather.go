@@ -171,7 +171,8 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, pruned int, width int64, 
 	})
 	ctx0 := shards[0].Ctx
 
-	groups := groupHash{kind: kind, m: make(map[int64]*agg)}
+	groups := ctx0.Scratch.table()
+	defer ctx0.Scratch.putTable(groups)
 	var out GroupByResult
 	for _, part := range partials {
 		if part.Err != nil && out.Err == nil {
@@ -179,10 +180,10 @@ func RunGatherGroupBy(p *sim.Proc, shards []ShardScan, pruned int, width int64, 
 		}
 		out.Rows += part.Rows
 		for _, g := range part.Groups {
-			groups.at(g.Key).merge(agg{kind: kind, val: g.Value, found: true, rows: g.Rows})
+			groups.group(g.Key, kind).merge(agg{kind: kind, val: g.Value, found: true, rows: g.Rows})
 		}
 	}
-	useCPU(p, ctx0, sim.Duration(len(groups.m)*len(shards))*ctx0.Costs.PerRow)
+	useCPU(p, ctx0, sim.Duration(len(groups.aggs)*len(shards))*ctx0.Costs.PerRow)
 	out.Groups = groups.sorted()
 	ctx0.Obs.Emit(obs.EvShardGatherDone, qid, int64(len(shards)), out.Rows)
 	return out

@@ -1,7 +1,8 @@
 package exec
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
@@ -50,44 +51,55 @@ type GroupByResult struct {
 // across shards. The simulation is serialized, so the partials share one
 // hash: folding a row into its worker's partial and merging the partials
 // later gives the groups folding it into one hash does, since every
-// aggregate here is associative and commutative.
+// aggregate here is associative and commutative. The hash is a table taken
+// from the node's Scratch and given back on every exit.
 func RunGroupBy(p *sim.Proc, ctx *Context, spec GroupBySpec) GroupByResult {
 	if spec.GroupWidth <= 0 {
 		panic("exec: GroupBySpec.GroupWidth must be positive")
 	}
-	groups := groupHash{kind: spec.Agg, m: make(map[int64]*agg)}
+	groups := ctx.Scratch.table()
+	defer ctx.Scratch.putTable(groups)
 	scan := spec.Scan.withDefaults()
-	scan.Emit = func(_ int64, row table.Row) { groups.at(row.C2 / spec.GroupWidth).add(row.C1) }
+	scan.Emit = func(_ int64, row table.Row) { groups.group(row.C2/spec.GroupWidth, spec.Agg).add(row.C1) }
 	scan.EmitCost = ctx.Costs.HashGroup
 	scanRes := RunScan(p, ctx, scan)
-	useCPU(p, ctx, sim.Duration(len(groups.m)*scan.Degree)*ctx.Costs.PerRow)
+	useCPU(p, ctx, sim.Duration(len(groups.aggs)*scan.Degree)*ctx.Costs.PerRow)
 	return GroupByResult{Groups: groups.sorted(), Rows: scanRes.RowsMatched, Err: scanRes.Err}
 }
 
-// groupHash is the hash of per-group accumulators a grouped aggregation
-// folds into — rows on a node, per-shard group partials on a coordinator.
-type groupHash struct {
-	kind AggKind
-	m    map[int64]*agg
+// hashTable is one hash operator's table: a join's build multiplicities and
+// its nested-loop probe's sorted keys, or the per-group accumulators a
+// grouped aggregation folds into — rows on a node, per-shard group partials
+// on a coordinator. Operators take it from their node's Scratch.
+type hashTable struct {
+	m    map[int64]int64 // key → join multiplicity, or group's index in aggs
+	aggs []agg           // a group-by's accumulators, in first-seen order
+	keys []int64         // aggs' group keys, or a probe's sorted build keys
 }
 
-// at returns key's accumulator, creating it on first use.
-func (g groupHash) at(key int64) *agg {
-	a, ok := g.m[key]
+// group returns key's accumulator, creating one of kind on first use. The
+// pointer is good until the next call.
+func (t *hashTable) group(key int64, kind AggKind) *agg {
+	i, ok := t.m[key]
 	if !ok {
-		a = &agg{kind: g.kind}
-		g.m[key] = a
+		i = int64(len(t.aggs))
+		t.m[key] = i
+		t.aggs = append(t.aggs, agg{kind: kind})
+		t.keys = append(t.keys, key)
 	}
-	return a
+	return &t.aggs[i]
 }
 
-// sorted renders the groups in key order.
-func (g groupHash) sorted() []Group {
-	var out []Group
-	for key, a := range g.m {
-		out = append(out, Group{Key: key, Value: a.val, Rows: a.rows})
+// sorted renders the groups in key order; no group renders as nil.
+func (t *hashTable) sorted() []Group {
+	if len(t.aggs) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	out := make([]Group, len(t.aggs))
+	for i, a := range t.aggs {
+		out[i] = Group{Key: t.keys[i], Value: a.val, Rows: a.rows}
+	}
+	slices.SortFunc(out, func(a, b Group) int { return cmp.Compare(a.Key, b.Key) })
 	return out
 }
 

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"sort"
+	"slices"
 
 	"pioqo/internal/sim"
 	"pioqo/internal/table"
@@ -67,8 +67,9 @@ type JoinResult struct {
 }
 
 // RunJoin executes the join from process context. The build scan populates
-// a multiplicity map keyed by C2; the probe phase — a scan for the hash
-// join, per-key index lookups for the nested-loop join — looks each of its
+// a multiplicity map keyed by C2, a table taken from the node's Scratch and
+// given back on every exit; the probe phase — a scan for the hash join,
+// per-key index lookups for the nested-loop join — looks each of its
 // matching rows up and aggregates once per joined pair.
 func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	if spec.Method == IndexNLJoin && spec.Probe.Index == nil {
@@ -78,7 +79,9 @@ func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 
 	// Phase 1: build. The scan's Emit collects key multiplicities, each
 	// worker paying the insert of the rows it delivers.
-	ht := make(map[int64]int64)
+	t := ctx.Scratch.table()
+	defer ctx.Scratch.putTable(t)
+	ht := t.m
 	build := spec.Build
 	build.Emit = func(_ int64, row table.Row) { ht[row.C2]++ }
 	build.EmitCost = ctx.Costs.HashInsert
@@ -110,7 +113,7 @@ func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 	if spec.Method == IndexNLJoin {
 		// Each lookup is by a build key, so its rows need no hash lookup.
 		probe.EmitCost = 0
-		out.ProbeRows = probeByKey(p, ctx, probe, ht)
+		out.ProbeRows = probeByKey(p, ctx, probe, t)
 		err = probe.Ctl.Err()
 	} else {
 		// Each probe worker pays the lookup of the rows it delivers.
@@ -132,14 +135,16 @@ func RunJoin(p *sim.Proc, ctx *Context, spec JoinSpec) JoinResult {
 // device its queue depth. The fleet runs under the probe spec, so its
 // workers report to the probe's governor and event log, every read runs
 // under its fault policy (Ctl, Retry), and workers poll the control per key:
-// a failed read or a tripped deadline winds the join down like a scan. It
-// returns the number of probe rows inspected.
-func probeByKey(p *sim.Proc, ctx *Context, probe Spec, ht map[int64]int64) int64 {
-	keys := make([]int64, 0, len(ht))
-	for k := range ht {
+// a failed read or a tripped deadline winds the join down like a scan. The
+// sorted keys reuse t's key list. It returns the number of probe rows
+// inspected.
+func probeByKey(p *sim.Proc, ctx *Context, probe Spec, t *hashTable) int64 {
+	keys := t.keys[:0]
+	for k := range t.m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
+	t.keys = keys
 	useCPU(p, ctx, 2*sim.Duration(len(keys))*ctx.Costs.PerEntry) // sort
 
 	if probe.Degree <= 0 {

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // panicOf runs fn and returns the value it panicked with, or nil.
@@ -468,6 +469,13 @@ func goexitInProcessEndsRunsGoroutine(t *testing.T) {
 		t.Fatalf("second Run: end=%v finished=%v live=%d, want the peer resumed and drained", Duration(end), finished, e.LiveProcs())
 	}
 	// The quitter's coroutine ended with it; only the peer's is left, idle.
+	// close(ended) ran in a deferred call of the goroutine that called Run,
+	// which may not have left yet: yield until it has, or for ten seconds. A
+	// collection would expire the free list idle counts, so nothing here
+	// collects.
+	for until := time.Now().Add(10 * time.Second); runtime.NumGoroutine()-base > 1 && time.Now().Before(until); {
+		runtime.Gosched()
+	}
 	if got := runtime.NumGoroutine() - base; got != 1 || idle(e) != 1 {
 		t.Fatalf("%d goroutines over baseline, %d idle; want 1 and 1", got, idle(e))
 	}

@@ -27,9 +27,11 @@ done
 
 # The race detector over the module, then at one and four threads over the
 # state host threads share: each Env's free list of idle coroutines, emptied
-# by a finalizer while host.Sweep runs Envs, and the plan cache's shapes.
+# by a finalizer while host.Sweep runs Envs, the plan cache's shapes, and
+# each node's free lists of workers and hash tables, which systems run on
+# different host threads must not share.
 go test -race ./...
-go test -race -cpu 1,4 ./internal/sim/... ./internal/opt/...
+go test -race -cpu 1,4 ./internal/sim/... ./internal/opt/... ./internal/exec/...
 
 # Five seconds each of fuzzing, from the corpus, the synthetic heap's
 # accessors, the materialized index's counting build, the disk's
